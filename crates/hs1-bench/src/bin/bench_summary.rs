@@ -124,27 +124,9 @@ fn gate_metrics(dir: &Path) -> Vec<(&'static str, f64)> {
         }
     }
     if let Some(rows) = csv_rows(dir, "fig_net_knee") {
-        // Wall-clock transport A/B from the net-perf job. These are
-        // informational (host-speed dependent, so deliberately absent
-        // from BENCH_baseline.json); the floor assertion lives inside
-        // `net_loadgen` itself. Columns: leg(0), backend(1), fps(5),
-        // goodput_tps(6), frames_per_call(9).
-        let bcast = |b: &'static str| {
-            move |r: &[String]| {
-                r.first().is_some_and(|v| v == "mesh_bcast") && r.get(1).is_some_and(|v| v == b)
-            }
-        };
-        let threads_fps = col_first(&rows, bcast("threads"), 5);
-        let reactor_fps = col_first(&rows, bcast("reactor"), 5);
-        if let (Some(t), Some(r)) = (threads_fps, reactor_fps) {
-            m.push(("net_bcast_reactor_fps", r));
-            if t > 0.0 {
-                m.push(("net_bcast_speedup", r / t));
-            }
-        }
-        if let Some(v) = col_first(&rows, bcast("reactor"), 9) {
-            m.push(("net_bcast_frames_per_call", v));
-        }
+        // Wall-clock goodput from the net-perf job. Informational
+        // (host-speed dependent, so deliberately absent from
+        // BENCH_baseline.json). Columns: leg(0), goodput_tps(6).
         if let Some(v) = col_max(&rows, |r: &[String]| r.first().is_some_and(|v| v == "cluster"), 6)
         {
             m.push(("net_cluster_goodput_max_tps", v));

@@ -14,18 +14,41 @@
 //! (HotStuff / HotStuff-2) clients only ever receive committed responses
 //! and use the `f + 1` rule.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use hs1_crypto::Digest;
 use hs1_types::message::ResponseMsg;
-use hs1_types::{BlockId, ProtocolKind, ReplicaId, ReplyKind, TxId};
+use hs1_types::{BlockId, ClientId, ProtocolKind, ReplicaId, ReplyKind, TxId};
 
-/// Tally for one transaction: responses keyed by (block, result digest).
-#[derive(Default, Debug)]
-struct TxTally {
-    /// (block, digest) → (responders, committed-kind responders).
-    groups: HashMap<(BlockId, Digest), (Vec<ReplicaId>, usize)>,
-    decided: bool,
+/// Tally for one undecided transaction: responses keyed by (block,
+/// result digest) → (responders, committed-kind responders).
+type TxTally = HashMap<(BlockId, Digest), (Vec<ReplicaId>, usize)>;
+
+/// The decided sequence numbers of one client, as disjoint inclusive
+/// runs `first → last`. A client numbers its requests consecutively, so
+/// this is one run that grows at its end, plus a few short ones while
+/// decisions arrive out of order; they merge as the gaps close.
+#[derive(Default)]
+struct DecidedSeqs(BTreeMap<u64, u64>);
+
+impl DecidedSeqs {
+    fn contains(&self, seq: u64) -> bool {
+        self.0.range(..=seq).next_back().is_some_and(|(_, &last)| seq <= last)
+    }
+
+    /// Record `seq`, which must not be contained yet.
+    fn insert(&mut self, seq: u64) {
+        let (mut first, mut last) = (seq, seq);
+        if let Some((&f, &l)) = self.0.range(..seq).next_back() {
+            if l + 1 == seq {
+                first = f;
+            }
+        }
+        if let Some(l) = seq.checked_add(1).and_then(|next| self.0.remove(&next)) {
+            last = l;
+        }
+        self.0.insert(first, last);
+    }
 }
 
 /// Client-side response matcher.
@@ -33,13 +56,24 @@ pub struct FinalityTracker {
     n: usize,
     f: usize,
     protocol: ProtocolKind,
+    /// Undecided transactions only: a tally is dropped on decision.
     pending: HashMap<TxId, TxTally>,
+    /// Decided ids, kept compactly and for good, so that a reply arriving
+    /// after the decision can never start a second tally.
+    decided: HashMap<ClientId, DecidedSeqs>,
     finalized: Vec<(TxId, BlockId)>,
 }
 
 impl FinalityTracker {
     pub fn new(n: usize, f: usize, protocol: ProtocolKind) -> FinalityTracker {
-        FinalityTracker { n, f, protocol, pending: HashMap::new(), finalized: Vec::new() }
+        FinalityTracker {
+            n,
+            f,
+            protocol,
+            pending: HashMap::new(),
+            decided: HashMap::new(),
+            finalized: Vec::new(),
+        }
     }
 
     /// The quorum of matching responses that yields finality for a purely
@@ -56,16 +90,18 @@ impl FinalityTracker {
     }
 
     /// Feed one response; returns `Some((tx, block))` when this response
-    /// completes a finality quorum.
+    /// completes a finality quorum — at most once per transaction,
+    /// whatever arrives afterwards and whenever [`FinalityTracker::gc`]
+    /// runs.
     pub fn on_response(&mut self, from: ReplicaId, r: &ResponseMsg) -> Option<(TxId, BlockId)> {
         let spec_quorum = self.speculative_quorum();
         let commit_quorum = self.committed_quorum();
         let needs_nf = self.protocol.client_needs_nf_quorum();
-        let tally = self.pending.entry(r.tx).or_default();
-        if tally.decided {
+        if self.is_final(r.tx) {
             return None;
         }
-        let entry = tally.groups.entry((r.block, r.result)).or_default();
+        let tally = self.pending.entry(r.tx).or_default();
+        let entry = tally.entry((r.block, r.result)).or_default();
         if entry.0.contains(&from) {
             return None;
         }
@@ -78,7 +114,8 @@ impl FinalityTracker {
         let spec_ok = needs_nf && total >= spec_quorum;
         let commit_ok = committed >= commit_quorum;
         if spec_ok || commit_ok {
-            tally.decided = true;
+            self.pending.remove(&r.tx);
+            self.decided.entry(r.tx.client).or_default().insert(r.tx.seq);
             self.finalized.push((r.tx, r.block));
             return Some((r.tx, r.block));
         }
@@ -86,23 +123,27 @@ impl FinalityTracker {
     }
 
     pub fn is_final(&self, tx: TxId) -> bool {
-        self.pending.get(&tx).map(|t| t.decided).unwrap_or(false)
+        self.decided.get(&tx.client).is_some_and(|d| d.contains(tx.seq))
     }
 
+    /// Decisions since the last [`FinalityTracker::gc`], oldest first.
     pub fn finalized(&self) -> &[(TxId, BlockId)] {
         &self.finalized
     }
 
-    /// Drop tallies for decided transactions (bounded memory).
+    /// Bound memory on a long session: forget the decision log. Tallies
+    /// are dropped as they decide, and which ids are decided is kept as
+    /// runs of consecutive sequence numbers, so nothing else grows with
+    /// the number of decided transactions.
     pub fn gc(&mut self) {
-        self.pending.retain(|_, t| !t.decided);
+        self.finalized = Vec::new();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hs1_types::{ClientId, View};
+    use hs1_types::View;
 
     fn resp(tx_seq: u64, block: u64, result: u8, kind: ReplyKind) -> ResponseMsg {
         ResponseMsg {
@@ -207,14 +248,54 @@ mod tests {
         assert!(!t2.is_final(s.tx));
     }
 
+    /// HotStuff-2, four committed replies: the second decides. With a
+    /// `gc()` right after, the third and fourth used to rebuild the tally
+    /// and decide the same transaction again.
     #[test]
-    fn gc_drops_decided() {
-        let mut t = FinalityTracker::new(4, 1, ProtocolKind::HotStuff1);
+    fn late_replies_after_gc_never_finalize_twice() {
+        let mut t = FinalityTracker::new(4, 1, ProtocolKind::HotStuff2);
         let r = resp(0, 1, 7, ReplyKind::Committed);
-        t.on_response(ReplicaId(0), &r);
-        t.on_response(ReplicaId(1), &r);
-        assert_eq!(t.finalized().len(), 1);
+        assert!(t.on_response(ReplicaId(0), &r).is_none());
+        assert_eq!(t.on_response(ReplicaId(1), &r), Some((r.tx, r.block)));
         t.gc();
-        assert!(t.pending.is_empty());
+        assert!(t.is_final(r.tx), "gc keeps the decision");
+        assert!(t.on_response(ReplicaId(2), &r).is_none());
+        assert!(t.on_response(ReplicaId(3), &r).is_none());
+        assert!(t.pending.is_empty(), "a late reply starts no tally");
+    }
+
+    #[test]
+    fn decided_runs_merge_from_any_start() {
+        let mut d = DecidedSeqs::default();
+        for seq in [7, 9, 8, u64::MAX, 1 << 40] {
+            assert!(!d.contains(seq));
+            d.insert(seq);
+            assert!(d.contains(seq));
+        }
+        let runs: Vec<_> = d.0.into_iter().collect();
+        assert_eq!(runs, [(7, 9), (1 << 40, 1 << 40), (u64::MAX, u64::MAX)]);
+    }
+
+    #[test]
+    fn memory_stays_bounded_across_gc() {
+        let mut t = FinalityTracker::new(4, 1, ProtocolKind::HotStuff2);
+        // Decide 10k transactions, every other pair out of order.
+        for pair in 0..5_000u64 {
+            let (a, b) = (2 * pair, 2 * pair + 1);
+            for seq in if pair % 2 == 0 { [a, b] } else { [b, a] } {
+                let r = resp(seq, seq, 7, ReplyKind::Committed);
+                t.on_response(ReplicaId(0), &r);
+                assert!(t.on_response(ReplicaId(1), &r).is_some());
+            }
+            if pair % 512 == 0 {
+                t.gc();
+            }
+        }
+        t.gc();
+        assert!(t.pending.is_empty() && t.finalized().is_empty());
+        let runs: Vec<_> = t.decided[&ClientId(1)].0.iter().collect();
+        assert_eq!(runs, [(&0, &9_999)], "the gaps closed into one run");
+        assert!(t.is_final(TxId::new(ClientId(1), 9_999)));
+        assert!(!t.is_final(TxId::new(ClientId(1), 10_000)));
     }
 }

@@ -432,10 +432,11 @@ impl CoreState {
         }
     }
 
-    /// Prune block *bodies* far below the committed frontier (bounded
-    /// memory on long runs). The committed id list itself is retained —
-    /// it is 32 bytes per block and the invariant checker and
-    /// `committed_chain()` depend on its completeness.
+    /// Prune block *bodies*, and their execution digests, far below the
+    /// committed frontier (bounded memory on long runs). The committed id
+    /// list itself is retained — it is 32 bytes per block and the
+    /// invariant checker and `committed_chain()` depend on its
+    /// completeness.
     pub fn prune(&mut self, keep: usize) {
         if self.committed.len() <= keep + self.pruned_upto {
             return;
@@ -443,6 +444,7 @@ impl CoreState {
         let cutoff = self.committed.len() - keep;
         for id in &self.committed[self.pruned_upto..cutoff] {
             self.blocks.remove(id);
+            self.exec.forget_digest(*id);
         }
         self.pruned_upto = cutoff;
     }
@@ -700,5 +702,42 @@ mod tests {
         s.prune(3);
         assert!(s.blocks.len() < before);
         assert!(s.has_block(parent), "recent blocks kept");
+    }
+
+    /// The engines prune every 64 views. Execution digests must go with
+    /// the bodies, or a long run gains one map entry per block forever.
+    #[test]
+    fn digests_stay_bounded_over_ten_thousand_commits() {
+        const KEEP: usize = 2048;
+        let mut s = state();
+        let mut parent = Block::genesis_id();
+        let mut out = Vec::new();
+        for v in 1..=10_000u64 {
+            let b = child_of(&s, parent, v, v);
+            parent = b.id();
+            s.insert_block(b.clone());
+            // Speculate-then-commit on odd views, commit directly on even.
+            if v % 2 == 1 {
+                s.speculate(&b, &mut out);
+            }
+            assert!(s.commit_chain(b.id(), &mut out).is_ok());
+            out.clear();
+            if v % 64 == 0 {
+                s.prune(KEEP);
+            }
+        }
+        // One more block speculated and not yet committed.
+        let tip = child_of(&s, parent, 10_001, 10_001);
+        s.insert_block(tip.clone());
+        s.speculate(&tip, &mut out);
+        let live_speculation = 1;
+        // + 64: what accumulates between two prunes.
+        assert!(
+            s.exec.digest_count() <= KEEP + 64 + live_speculation,
+            "{} digests held after 10k commits",
+            s.exec.digest_count()
+        );
+        assert!(s.exec.digest_of(tip.id()).is_some(), "the live speculation keeps its digest");
+        assert!(s.exec.digest_of(parent).is_some(), "so does the committed head");
     }
 }

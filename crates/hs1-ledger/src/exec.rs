@@ -64,9 +64,11 @@ impl Default for ExecConfig {
 pub struct ExecutionEngine {
     store: SpeculativeStore,
     /// Result digest of every *live* executed block: speculated (not yet
-    /// rolled back) or committed. Rollback prunes the rolled-back blocks'
-    /// entries — a discarded block's digest must not be served again until
-    /// the block is actually re-executed.
+    /// rolled back) or recently committed. Rollback prunes the rolled-back
+    /// blocks' entries — a discarded block's digest must not be served
+    /// again until the block is actually re-executed — and
+    /// [`ExecutionEngine::forget_digest`] drops committed ones once they
+    /// are far behind the head.
     digests: HashMap<BlockId, Digest>,
     /// Worker threads for the conflict-partitioned batch executor.
     workers: usize,
@@ -163,6 +165,18 @@ impl ExecutionEngine {
     /// Digest of a previously executed block, if any.
     pub fn digest_of(&self, block: BlockId) -> Option<Digest> {
         self.digests.get(&block).copied()
+    }
+
+    /// Drop the digest of a block committed long ago (bounded memory on
+    /// long runs). A digest is read when its block is speculated or
+    /// committed, never afterwards.
+    pub fn forget_digest(&mut self, block: BlockId) {
+        self.digests.remove(&block);
+    }
+
+    /// How many digests are held.
+    pub fn digest_count(&self) -> usize {
+        self.digests.len()
     }
 
     /// Replace the committed base store with a recovered checkpoint image

@@ -1,47 +1,26 @@
-//! Wall-clock transport load generator: A/B-measures the two mesh
-//! backends on one localhost box and emits `bench_results/fig_net_knee.csv`.
-//!
-//! Two legs:
-//!
-//! * **mesh_bcast** — 4 bare meshes, node 0 broadcasts a fixed count of
-//!   small consensus-sized frames as fast as a bounded backlog allows;
-//!   throughput = frames delivered at the three receivers over elapsed
-//!   time. Run once per backend (`threads`, `reactor`), best of
-//!   `TRIALS`. This is the floor assertion the `net-perf` CI job
-//!   enforces: the readiness loop must beat thread-per-connection in
-//!   the same run on the same machine, or the process exits nonzero.
-//! * **cluster** — a real 4-replica consensus deployment driven by an
-//!   open-loop client at stepped offered rates; goodput rows show where
-//!   the TCP path knees (reactor backend).
+//! Wall-clock transport load generator: drives a real 4-replica
+//! consensus deployment on one localhost box with an open-loop client at
+//! stepped offered rates and emits `bench_results/fig_net_knee.csv`;
+//! the goodput rows show where the TCP path knees.
 //!
 //! ```text
-//! cargo run --release -p hs1-net --bin net_loadgen -- [--out PATH] [--skip-floor]
+//! cargo run --release -p hs1-net --bin net_loadgen -- [--out PATH]
 //! ```
 
 use std::io::Write as _;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hs1_core::{build_replica, Fault};
 use hs1_ledger::ExecConfig;
 use hs1_net::client_driver::ClientDriver;
-use hs1_net::mesh::{Backend, Mesh, MeshConfig};
+use hs1_net::mesh::Mesh;
 use hs1_net::node::NodeRunner;
 use hs1_obs::{Clock, Histogram, Obs};
-use hs1_types::{
-    ClientId, Message, ProtocolKind, ReplicaId, SimDuration, SystemConfig, Transaction,
-};
+use hs1_types::{ClientId, ProtocolKind, ReplicaId, SimDuration, SystemConfig};
 
-/// Broadcasts per mesh_bcast trial (×3 receivers = frames delivered).
-const BCAST_COUNT: u64 = 40_000;
-/// Keep at most this many frames in flight (enqueued − sent) so the
-/// threaded backend's unbounded channels stay bounded and the reactor's
-/// bounded queues never shed (caps are far above the per-peer share).
-const BACKLOG_CAP: u64 = 4_000;
-const TRIALS: usize = 2;
-/// Offered rates for the cluster knee leg (tx/s).
+/// Offered rates (tx/s).
 const CLUSTER_RATES: [u64; 3] = [2_000, 8_000, 24_000];
 
 /// Reserve a contiguous run of `n` free loopback ports (same idiom as
@@ -62,11 +41,9 @@ fn free_base_port(n: u16) -> u16 {
     panic!("could not find {n} contiguous free loopback ports");
 }
 
-/// Send-stall summary for one lane: sample count plus p50/p99 of the
+/// Send-stall summary for one rate: sample count plus p50/p99 of the
 /// `net_send_stall_ns` histogram the reactor records when a partial
-/// write leaves a peer's flush blocked on `POLLOUT`. `None` when the
-/// lane produced no observer data (the threaded baseline ignores
-/// observers — stalls there are invisible by construction).
+/// write leaves a peer's flush blocked on `POLLOUT`.
 #[derive(Clone, Copy)]
 struct StallSummary {
     count: u64,
@@ -74,120 +51,8 @@ struct StallSummary {
     p99_ns: u64,
 }
 
-fn stall_summary(h: Option<&Histogram>) -> Option<StallSummary> {
-    h.map(|h| StallSummary { count: h.count(), p50_ns: h.quantile(0.5), p99_ns: h.quantile(0.99) })
-}
-
-struct BcastResult {
-    delivered: u64,
-    elapsed: Duration,
-    fps: f64,
-    tx_frames: u64,
-    write_calls: u64,
-    shed: u64,
-    stalls: Option<StallSummary>,
-}
-
-/// One mesh_bcast trial on `backend`: 4 meshes, node 0 firehoses
-/// broadcasts under the backlog cap, receivers count deliveries.
-fn mesh_bcast_trial(backend: Backend) -> BcastResult {
-    let n = 4usize;
-    let base_port = free_base_port(n as u16);
-    let cfg = MeshConfig { backend, ..MeshConfig::default() };
-    let meshes: Vec<Mesh> = (0..n)
-        .map(|i| {
-            Mesh::start_with(ReplicaId(i as u32), n, "127.0.0.1", base_port, cfg.clone())
-                .expect("bind mesh")
-        })
-        .collect();
-
-    let delivered = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut drainers = Vec::new();
-    let mut receivers = meshes.into_iter().collect::<Vec<_>>();
-    let sender_mesh = receivers.remove(0);
-    // Record the sender's send-stall histogram (reactor only; the
-    // threaded baseline ignores observers).
-    let (obs, rec) = Obs::recording(Clock::wall());
-    sender_mesh.set_observer(obs.with_actor(0));
-    for mesh in receivers {
-        let delivered = delivered.clone();
-        let stop = stop.clone();
-        drainers.push(std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                match mesh.inbox.recv_timeout(Duration::from_millis(50)) {
-                    Ok(_) => {
-                        delivered.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(_) => break,
-                }
-            }
-            mesh.shutdown();
-        }));
-    }
-
-    // A consensus-vote-sized payload: small frames are the case writev
-    // coalescing exists for.
-    let msg = Message::Request(Transaction::kv_write(9, 1, 2, 3));
-    let expected = BCAST_COUNT * 3;
-    let start = Instant::now();
-    for i in 0..BCAST_COUNT {
-        sender_mesh.send_replica(ReplicaId(1), msg.clone());
-        sender_mesh.send_replica(ReplicaId(2), msg.clone());
-        sender_mesh.send_replica(ReplicaId(3), msg.clone());
-        if i % 256 == 0 {
-            // Self-pace against the slower of (kernel handoff, receiver
-            // drain) so neither backend builds an unbounded backlog.
-            while (i + 1) * 3 - delivered.load(Ordering::Relaxed) > BACKLOG_CAP {
-                std::thread::yield_now();
-            }
-        }
-    }
-    // Wait (bounded) for the tail to arrive.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while delivered.load(Ordering::Relaxed) < expected && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let elapsed = start.elapsed();
-    let got = delivered.load(Ordering::Relaxed);
-    let stats = sender_mesh.stats();
-    stop.store(true, Ordering::Relaxed);
-    sender_mesh.shutdown();
-    for d in drainers {
-        let _ = d.join();
-    }
-    let stalls = stall_summary(rec.lock().unwrap().histogram(0, "net_send_stall_ns"));
-    BcastResult {
-        delivered: got,
-        elapsed,
-        fps: got as f64 / elapsed.as_secs_f64(),
-        tx_frames: stats.tx_frames,
-        write_calls: stats.write_calls,
-        shed: stats.frames_shed,
-        stalls,
-    }
-}
-
-fn best_of(backend: Backend) -> BcastResult {
-    let mut best: Option<BcastResult> = None;
-    for t in 0..TRIALS {
-        let r = mesh_bcast_trial(backend);
-        eprintln!(
-            "  {} trial {}: {:.0} frames/s ({} delivered in {:?}, {} writes, shed {})",
-            backend.name(),
-            t,
-            r.fps,
-            r.delivered,
-            r.elapsed,
-            r.write_calls,
-            r.shed
-        );
-        if best.as_ref().is_none_or(|b| r.fps > b.fps) {
-            best = Some(r);
-        }
-    }
-    best.expect("at least one trial")
+fn stall_summary(h: &Histogram) -> StallSummary {
+    StallSummary { count: h.count(), p50_ns: h.quantile(0.5), p99_ns: h.quantile(0.99) }
 }
 
 struct ClusterRow {
@@ -198,11 +63,10 @@ struct ClusterRow {
     tx_frames: u64,
     write_calls: u64,
     shed: u64,
-    stalls: Option<StallSummary>,
+    stalls: StallSummary,
 }
 
-/// One 4-replica consensus run on the reactor backend with an open-loop
-/// client at `rate` tx/s.
+/// One 4-replica consensus run with an open-loop client at `rate` tx/s.
 fn cluster_run(rate: u64) -> ClusterRow {
     let n = 4usize;
     let base_port = free_base_port(n as u16);
@@ -221,9 +85,7 @@ fn cluster_run(rate: u64) -> ClusterRow {
         replicas.push(std::thread::spawn(move || {
             let engine =
                 build_replica(protocol, sys, ReplicaId(id), Fault::Honest, ExecConfig::default());
-            let cfg = MeshConfig { backend: Backend::Reactor, ..MeshConfig::default() };
-            let mesh = Mesh::start_with(ReplicaId(id), n, "127.0.0.1", base_port, cfg)
-                .expect("bind replica");
+            let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind replica");
             let mut runner = NodeRunner::new(engine, mesh);
             let (obs, rec) = Obs::recording(Clock::wall());
             runner.set_observer(obs);
@@ -253,7 +115,7 @@ fn cluster_run(rate: u64) -> ClusterRow {
     }
     let agg = stats.lock().unwrap();
     let (tx_frames, write_calls, shed) = (agg.0, agg.1, agg.2);
-    let stalls = stall_summary(Some(&agg.3));
+    let stalls = stall_summary(&agg.3);
     ClusterRow {
         offered: rate,
         submitted: report.submitted,
@@ -268,12 +130,10 @@ fn cluster_run(rate: u64) -> ClusterRow {
 
 fn main() {
     let mut out_path = String::from("bench_results/fig_net_knee.csv");
-    let mut skip_floor = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out_path = args.next().expect("--out needs a path"),
-            "--skip-floor" => skip_floor = true,
             other => {
                 eprintln!("unknown arg {other}");
                 std::process::exit(2);
@@ -285,31 +145,8 @@ fn main() {
         "leg,backend,offered,delivered,elapsed_ms,fps,goodput_tps,tx_frames,write_calls,frames_per_call,shed\n",
     );
 
-    eprintln!("mesh_bcast leg: {BCAST_COUNT} broadcasts x 3 peers, best of {TRIALS}");
-    let threads = best_of(Backend::Threads);
-    let reactor = best_of(Backend::Reactor);
-    for (name, r) in [("threads", &threads), ("reactor", &reactor)] {
-        let fpc = r.tx_frames as f64 / r.write_calls.max(1) as f64;
-        csv.push_str(&format!(
-            "mesh_bcast,{name},{},{},{},{:.0},,{},{},{:.2},{}\n",
-            BCAST_COUNT * 3,
-            r.delivered,
-            r.elapsed.as_millis(),
-            r.fps,
-            r.tx_frames,
-            r.write_calls,
-            fpc,
-            r.shed
-        ));
-    }
-    let speedup = reactor.fps / threads.fps;
-    eprintln!(
-        "mesh_bcast: reactor {:.0} frames/s vs threads {:.0} frames/s ({speedup:.2}x)",
-        reactor.fps, threads.fps
-    );
-
-    eprintln!("cluster leg: 4 replicas, open-loop client, rates {CLUSTER_RATES:?}");
-    let mut cluster_rows = Vec::new();
+    eprintln!("4 replicas, open-loop client, rates {CLUSTER_RATES:?}");
+    let mut rows = Vec::new();
     for rate in CLUSTER_RATES {
         let row = cluster_run(rate);
         eprintln!(
@@ -321,39 +158,24 @@ fn main() {
             "cluster,reactor,{},{},,,{:.0},{},{},{:.2},{}\n",
             row.offered, row.finalized, row.goodput, row.tx_frames, row.write_calls, fpc, row.shed
         ));
-        cluster_rows.push(row);
+        rows.push(row);
     }
 
-    // Per-lane backpressure summary: send-stall latency (recorded by
-    // the reactor whenever a partial write leaves a peer blocked on
-    // POLLOUT) and frames shed by the bounded-queue policy. The
-    // threaded baseline has no observer hooks, so its stall column
-    // reads "-" — invisible stalls, which is part of the A/B story.
+    // Backpressure summary: send-stall latency and frames shed by the
+    // bounded-queue policy.
     let ms = |ns: u64| ns as f64 / 1e6;
-    eprintln!("send-stall / shed per lane (net_send_stall_ns):");
-    eprintln!("  {:<24} {:>8} {:>12} {:>12} {:>8}", "lane", "stalls", "p50", "p99", "shed");
-    // "-" means the lane has no stall observations at all (the threaded
-    // baseline has no hooks; a reactor lane that never flushed under
-    // POLLOUT never creates the histogram). An explicit 0 means the
-    // reactor was watching and genuinely never stalled.
-    let mut lanes: Vec<(String, Option<StallSummary>, u64)> = vec![
-        ("mesh_bcast/threads".to_string(), threads.stalls.filter(|s| s.count > 0), threads.shed),
-        ("mesh_bcast/reactor".to_string(), reactor.stalls, reactor.shed),
-    ];
-    for row in &cluster_rows {
-        lanes.push((format!("cluster@{}", row.offered), row.stalls, row.shed));
-    }
-    for (lane, stalls, shed) in lanes {
-        match stalls {
-            Some(s) => eprintln!(
-                "  {lane:<24} {:>8} {:>9.3}ms {:>9.3}ms {:>8}",
-                s.count,
-                ms(s.p50_ns),
-                ms(s.p99_ns),
-                shed
-            ),
-            None => eprintln!("  {lane:<24} {:>8} {:>12} {:>12} {:>8}", "-", "-", "-", shed),
-        }
+    eprintln!("send-stall / shed per rate (net_send_stall_ns):");
+    eprintln!("  {:<16} {:>8} {:>12} {:>12} {:>8}", "offered", "stalls", "p50", "p99", "shed");
+    for row in &rows {
+        let s = row.stalls;
+        eprintln!(
+            "  {:<16} {:>8} {:>9.3}ms {:>9.3}ms {:>8}",
+            row.offered,
+            s.count,
+            ms(s.p50_ns),
+            ms(s.p99_ns),
+            row.shed
+        );
     }
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
@@ -362,19 +184,4 @@ fn main() {
     let mut file = std::fs::File::create(&out_path).expect("create csv");
     file.write_all(csv.as_bytes()).expect("write csv");
     eprintln!("wrote {out_path}");
-
-    // The floor assertion the net-perf CI job enforces: the readiness
-    // loop must strictly beat the thread-per-connection baseline
-    // measured in the same process on the same machine.
-    if skip_floor {
-        eprintln!("floor assertion skipped (--skip-floor)");
-    } else if reactor.fps <= threads.fps {
-        eprintln!(
-            "FLOOR VIOLATION: reactor {:.0} frames/s <= threads {:.0} frames/s",
-            reactor.fps, threads.fps
-        );
-        std::process::exit(1);
-    } else {
-        eprintln!("floor ok: reactor beats threads by {speedup:.2}x");
-    }
 }

@@ -19,8 +19,6 @@
 //! shared strings and call a snapshot closure; nothing feeds back into
 //! consensus.
 
-#![cfg(unix)]
-
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;

@@ -1,38 +1,32 @@
-//! The peer mesh: maintains connections between replicas and to
-//! clients behind one small API (`send_replica` / `broadcast` /
-//! `send_client` / `inbox`), with two interchangeable transport
-//! backends:
+//! The peer mesh: connections between replicas and to clients behind
+//! one small API (`send_replica` / `broadcast` / `send_client` /
+//! `inbox`), over the readiness-driven transport of the private
+//! `reactor` module: every socket nonblocking, per-peer bounded
+//! [`crate::framing::FrameQueue`]s drained with writev coalescing,
+//! oldest-first shedding under backpressure, and jittered exponential
+//! redial of dead peers.
 //!
-//! * [`Backend::Reactor`] (default on unix) — a readiness-driven event
-//!   loop: one reactor thread per mesh owns every socket nonblocking,
-//!   drains per-peer bounded [`crate::framing::FrameQueue`]s with writev coalescing,
-//!   sheds oldest-first under backpressure, and redials dead peers with
-//!   jittered exponential backoff (the private `reactor` module).
-//! * [`Backend::Threads`] — the original thread-per-connection
-//!   implementation (one writer thread per peer, blocking writes,
-//!   unbounded channels). Kept as the measured baseline for
-//!   `net_loadgen`'s A/B floor and as the non-unix fallback.
+//! Sending never blocks the caller on the network: a frame is encoded
+//! once and pushed into a bounded queue, and a slow peer's oldest frames
+//! are shed instead of waited for.
 //!
-//! Sending never blocks the caller on the network in either backend:
-//! the reactor enqueues into a bounded queue (shedding the oldest
-//! frames of a slow peer instead of waiting), the threaded backend
-//! enqueues into an unbounded channel (the old behavior — memory is
-//! its backpressure policy, which is exactly why it is no longer the
-//! default).
+//! Who moves the bytes depends on who holds the mesh. A bare `Mesh`
+//! (tests, load generators, the benchmark's layer lab) runs a background
+//! `reactor-N` thread that writes the queues out and delivers decoded
+//! frames to [`Mesh::inbox`]. A [`crate::node::NodeRunner`] takes that
+//! reactor over for the length of `run_for` and turns it on its own
+//! thread, so a running replica is one thread; only self-addressed sends
+//! still travel through `inbox`.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::framing::encode_frame;
-use crate::threaded;
+use crate::reactor::{self, Reactor};
 use hs1_obs::Obs;
 use hs1_types::{ClientId, Message, ReplicaId};
-
-#[cfg(unix)]
-use crate::reactor;
 
 /// Inbound event delivered to the node loop.
 pub enum Inbound {
@@ -40,40 +34,13 @@ pub enum Inbound {
     FromClient(ClientId, Message),
 }
 
-/// Which transport implementation a mesh runs on.
+/// The transport a mesh runs on. There is one; the type remains because
+/// [`MeshConfig::backend`] is part of the configuration callers spell out.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Backend {
     /// Readiness-driven event loop (nonblocking sockets + `poll(2)`,
-    /// writev coalescing, bounded queues, reconnect). Unix only; on
-    /// other hosts it silently falls back to [`Backend::Threads`].
+    /// writev coalescing, bounded queues, reconnect).
     Reactor,
-    /// Thread-per-connection blocking I/O (the pre-reactor transport).
-    Threads,
-}
-
-impl Backend {
-    /// `HS1_NET_BACKEND=threads|reactor` overrides the default
-    /// (reactor on unix, threads elsewhere).
-    fn from_env() -> Backend {
-        match std::env::var("HS1_NET_BACKEND").as_deref() {
-            Ok("threads") | Ok("threaded") => Backend::Threads,
-            Ok("reactor") => Backend::Reactor,
-            _ => {
-                if cfg!(unix) {
-                    Backend::Reactor
-                } else {
-                    Backend::Threads
-                }
-            }
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Reactor => "reactor",
-            Backend::Threads => "threads",
-        }
-    }
 }
 
 /// Transport tuning. [`MeshConfig::default`] is what every production
@@ -81,9 +48,10 @@ impl Backend {
 /// send buffer to make backpressure observable quickly.
 #[derive(Clone, Debug)]
 pub struct MeshConfig {
+    /// Inert: every mesh runs on [`Backend::Reactor`].
     pub backend: Backend,
     /// Per-peer outbound queue cap in frames; beyond it the oldest
-    /// unsent frames are shed (reactor backend only).
+    /// unsent frames are shed.
     pub queue_frames: usize,
     /// Per-peer outbound queue cap in bytes.
     pub queue_bytes: usize,
@@ -92,7 +60,8 @@ pub struct MeshConfig {
     pub reconnect_base: Duration,
     pub reconnect_max: Duration,
     /// Bound on one dial attempt (loopback dials resolve instantly;
-    /// this caps the reactor stall a blackholed peer could cause).
+    /// this caps the stall a blackholed peer could cause the thread
+    /// turning the reactor — for a running node, the engine's).
     pub connect_timeout: Duration,
     /// Listen on this port instead of `base_port + me` (lets tests
     /// interpose a proxy at the advertised port).
@@ -109,7 +78,7 @@ pub struct MeshConfig {
 impl Default for MeshConfig {
     fn default() -> MeshConfig {
         MeshConfig {
-            backend: Backend::from_env(),
+            backend: Backend::Reactor,
             queue_frames: 8192,
             queue_bytes: 16 << 20,
             reconnect_base: Duration::from_millis(50),
@@ -122,16 +91,16 @@ impl Default for MeshConfig {
     }
 }
 
-/// Transport counters, shared across the send paths and the reactor /
-/// writer threads. Exposed raw for harnesses ([`Mesh::stats`]) and
+/// Transport counters, shared across the send paths and the reactor.
+/// Exposed raw for harnesses ([`Mesh::stats`]) and
 /// mirrored into `hs1-obs` counters by the reactor's metrics tick.
 #[derive(Default)]
 pub struct NetStats {
     /// Frames fully handed to the kernel.
     pub tx_frames: AtomicU64,
     pub tx_bytes: AtomicU64,
-    /// Write syscalls issued (`writev` for the reactor — the coalescing
-    /// ratio is `tx_frames / write_calls`).
+    /// `writev` calls issued (the coalescing ratio is
+    /// `tx_frames / write_calls`).
     pub write_calls: AtomicU64,
     pub rx_frames: AtomicU64,
     pub rx_bytes: AtomicU64,
@@ -171,28 +140,29 @@ impl NetStats {
     }
 }
 
-enum Inner {
-    #[cfg(unix)]
-    Reactor {
-        shared: Arc<reactor::Shared>,
-        thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    },
-    Threads(threaded::Threaded),
+/// Where a mesh's [`Reactor`] is.
+enum Driver {
+    /// A bare mesh: the background `reactor-N` thread turns it.
+    Thread(std::thread::JoinHandle<Reactor>),
+    /// Handed back by a node after `run_for`; nobody turns it.
+    Parked(Box<Reactor>),
+    /// Adopted by a running node, or shut down.
+    Absent,
 }
 
 /// The mesh of a single replica process.
 pub struct Mesh {
     me: ReplicaId,
     n: usize,
-    inner: Inner,
+    shared: Arc<reactor::Shared>,
+    driver: Mutex<Driver>,
     stats: Arc<NetStats>,
-    down: AtomicBool,
     pub inbox: Receiver<Inbound>,
     inbox_tx: Sender<Inbound>,
 }
 
 impl Mesh {
-    /// Bind the listener for `me` and start the default transport.
+    /// Bind the listener for `me` and start the transport.
     pub fn start(me: ReplicaId, n: usize, host: &str, base_port: u16) -> std::io::Result<Mesh> {
         Mesh::start_with(me, n, host, base_port, MeshConfig::default())
     }
@@ -207,41 +177,15 @@ impl Mesh {
     ) -> std::io::Result<Mesh> {
         let (inbox_tx, inbox) = channel();
         let stats = Arc::new(NetStats::default());
-        let backend = if cfg!(unix) { cfg.backend } else { Backend::Threads };
-        let inner = match backend {
-            #[cfg(unix)]
-            Backend::Reactor => {
-                let (shared, thread) =
-                    reactor::start(me, n, host, base_port, cfg, stats.clone(), inbox_tx.clone())?;
-                Inner::Reactor { shared, thread: Mutex::new(Some(thread)) }
-            }
-            #[cfg(not(unix))]
-            Backend::Reactor => unreachable!("non-unix backend forced to Threads above"),
-            Backend::Threads => Inner::Threads(threaded::Threaded::start(
-                me,
-                n,
-                host,
-                base_port,
-                &cfg,
-                stats.clone(),
-                inbox_tx.clone(),
-            )?),
-        };
-        Ok(Mesh { me, n, inner, stats, down: AtomicBool::new(false), inbox, inbox_tx })
+        let (shared, thread) =
+            reactor::start(me, n, host, base_port, cfg, stats.clone(), inbox_tx.clone())?;
+        let driver = Mutex::new(Driver::Thread(thread));
+        Ok(Mesh { me, n, shared, driver, stats, inbox, inbox_tx })
     }
 
     /// Deployment size this mesh was built for.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Which backend this mesh is running.
-    pub fn backend(&self) -> Backend {
-        match &self.inner {
-            #[cfg(unix)]
-            Inner::Reactor { .. } => Backend::Reactor,
-            Inner::Threads(_) => Backend::Threads,
-        }
     }
 
     /// Transport counters (live; see [`NetStats`]).
@@ -256,94 +200,85 @@ impl Mesh {
 
     /// Live per-peer outbound queue depths, `(peer, frames, bytes)` —
     /// the instantaneous values behind the `net_out_queue_*` gauges.
-    /// Empty on the threaded backend (unbounded channels have no
-    /// meaningful depth to report).
     pub fn queue_depths(&self) -> Vec<(usize, u64, u64)> {
-        match &self.inner {
-            #[cfg(unix)]
-            Inner::Reactor { shared, .. } => shared.queue_depths(),
-            Inner::Threads(_) => Vec::new(),
-        }
+        self.shared.queue_depths()
     }
 
     /// Attach an observability sink: the reactor publishes per-peer
     /// queue gauges, transport counters, and the send-stall histogram
-    /// through it (the threaded baseline ignores it — it predates the
-    /// metrics layer and exists only for A/B comparison).
+    /// through it.
     pub fn set_observer(&self, obs: Obs) {
-        match &self.inner {
-            #[cfg(unix)]
-            Inner::Reactor { shared, .. } => shared.set_observer(obs),
-            Inner::Threads(_) => {}
+        self.shared.set_observer(obs);
+    }
+
+    /// Take the reactor from wherever it is, stopping the background
+    /// thread if that still has it (`Err` if the thread panicked).
+    fn take_reactor(&self) -> Option<std::thread::Result<Reactor>> {
+        let driver =
+            std::mem::replace(&mut *self.driver.lock().expect("driver lock"), Driver::Absent);
+        match driver {
+            Driver::Thread(thread) => {
+                self.shared.stop_thread();
+                Some(thread.join())
+            }
+            Driver::Parked(reactor) => Some(Ok(*reactor)),
+            Driver::Absent => None,
         }
+    }
+
+    /// Take the reactor over from the background thread (or from where
+    /// [`Mesh::hand_back`] parked it): the caller becomes the one thread
+    /// that turns it, and frames it decodes go to the caller's sink, not
+    /// to `inbox`. `None` once the mesh is shut down.
+    pub(crate) fn adopt(&self) -> Option<Reactor> {
+        self.take_reactor().map(|reactor| reactor.expect("reactor thread panicked"))
+    }
+
+    /// Return an adopted reactor. It stays parked — connections open,
+    /// nothing read or written — until the next [`Mesh::adopt`] or
+    /// [`Mesh::shutdown`].
+    pub(crate) fn hand_back(&self, reactor: Reactor) {
+        *self.driver.lock().expect("driver lock") = Driver::Parked(Box::new(reactor));
     }
 
     /// Tear the mesh down: sever every live connection and release the
     /// listen port. Idempotent. After this the node can be "restarted"
     /// in-process by building a fresh [`Mesh`] on the same port, which
-    /// is how the crash-recovery example kills a node; the reactor
-    /// thread is joined so the port is genuinely free on return.
+    /// is how the crash-recovery example kills a node; the port is
+    /// genuinely free on return.
     pub fn shutdown(&self) {
-        if self.down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        match &self.inner {
-            #[cfg(unix)]
-            Inner::Reactor { shared, thread } => {
-                shared.request_shutdown();
-                if let Some(handle) = thread.lock().expect("reactor handle").take() {
-                    let _ = handle.join();
-                }
-            }
-            Inner::Threads(t) => t.shutdown(),
+        self.shared.begin_shutdown();
+        if let Some(Ok(reactor)) = self.take_reactor() {
+            reactor.close();
         }
     }
 
-    /// Send to a replica. Never blocks on the network: the reactor
-    /// enqueues (shedding oldest frames past the per-peer cap), the
-    /// threaded backend hands off to the peer's writer thread.
-    /// Connections are established lazily and — reactor only — redialed
-    /// automatically with backoff after failures.
+    /// Send to a replica. Never blocks on the network: the frame is
+    /// queued (shedding the peer's oldest frames past the cap).
+    /// Connections are established lazily and redialed with backoff
+    /// after failures.
     pub fn send_replica(&self, to: ReplicaId, msg: Message) {
         if to == self.me {
             let _ = self.inbox_tx.send(Inbound::FromReplica(self.me, msg));
             return;
         }
-        match &self.inner {
-            #[cfg(unix)]
-            Inner::Reactor { shared, .. } => shared.enqueue_replica(to.0, encode_frame(&msg)),
-            Inner::Threads(t) => t.send_replica(to, msg),
-        }
+        self.shared.enqueue_replica(to.0, encode_frame(&msg));
     }
 
     pub fn broadcast(&self, msg: Message) {
-        match &self.inner {
-            #[cfg(unix)]
-            Inner::Reactor { shared, .. } => {
-                // Encode once; every peer queue shares the same frame.
-                let frame = encode_frame(&msg);
-                for r in 0..self.n as u32 {
-                    if r != self.me.0 {
-                        shared.enqueue_replica(r, frame.clone());
-                    }
-                }
-                let _ = self.inbox_tx.send(Inbound::FromReplica(self.me, msg));
-            }
-            Inner::Threads(_) => {
-                for r in 0..self.n {
-                    self.send_replica(ReplicaId(r as u32), msg.clone());
-                }
+        // Encode once; every peer queue shares the same frame.
+        let frame = encode_frame(&msg);
+        for r in 0..self.n as u32 {
+            if r != self.me.0 {
+                self.shared.enqueue_replica(r, frame.clone());
             }
         }
+        let _ = self.inbox_tx.send(Inbound::FromReplica(self.me, msg));
     }
 
     /// Send a response to a connected client (no-op if unknown).
     pub fn send_client(&self, to: ClientId, msg: Message) {
-        match &self.inner {
-            #[cfg(unix)]
-            Inner::Reactor { shared, .. } => shared.enqueue_client(to.0, encode_frame(&msg)),
-            Inner::Threads(t) => t.send_client(to, msg),
-        }
+        self.shared.enqueue_client(to.0, encode_frame(&msg));
     }
 }
 
@@ -353,36 +288,15 @@ impl Drop for Mesh {
     }
 }
 
-/// Shared helper: register a live stream for shutdown-severing
-/// (threaded backend bookkeeping, re-exported for `threaded.rs`).
-pub(crate) type StreamRegistry = Arc<Mutex<HashMap<u64, std::net::TcpStream>>>;
-
-pub(crate) fn register_stream(
-    registry: &StreamRegistry,
-    seq: &AtomicU64,
-    s: &std::net::TcpStream,
-) -> Option<u64> {
-    let clone = s.try_clone().ok()?;
-    let token = seq.fetch_add(1, Ordering::Relaxed);
-    registry.lock().unwrap().insert(token, clone);
-    Some(token)
-}
-
-pub(crate) fn deregister_stream(registry: &StreamRegistry, token: Option<u64>) {
-    if let Some(t) = token {
-        registry.lock().unwrap().remove(&t);
-    }
-}
-
-#[cfg(all(test, unix))]
-mod tests {
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use hs1_obs::Clock;
     use hs1_types::Transaction;
     use std::net::TcpListener;
     use std::time::Instant;
 
-    fn free_base_port(n: u16) -> u16 {
+    pub(crate) fn free_base_port(n: u16) -> u16 {
         for _ in 0..32 {
             let probe = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
             let base = probe.local_addr().expect("addr").port();
@@ -401,6 +315,29 @@ mod tests {
 
     fn request(seq: u64) -> Message {
         Message::Request(Transaction::kv_write(0, seq, seq, seq))
+    }
+
+    /// Adoption must not wait out the background thread's `poll`: with
+    /// no traffic and the only deadline ten seconds away, it is the waker
+    /// that brings the reactor back.
+    #[test]
+    fn adopting_a_sleeping_reactor_returns_promptly() {
+        let base = free_base_port(1);
+        let cfg = MeshConfig { metrics_interval: Duration::from_secs(10), ..MeshConfig::default() };
+        let mesh = Mesh::start_with(ReplicaId(0), 1, "127.0.0.1", base, cfg).expect("mesh");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !mesh.shared.is_sleeping() {
+            assert!(Instant::now() < deadline, "reactor thread never went to sleep");
+            std::thread::yield_now();
+        }
+        let asked = Instant::now();
+        let reactor = mesh.adopt().expect("a live mesh has a reactor");
+        assert!(asked.elapsed() < Duration::from_secs(1), "adopt took {:?}", asked.elapsed());
+        assert!(mesh.adopt().is_none(), "one reactor, one owner");
+        mesh.hand_back(reactor);
+        assert!(mesh.adopt().is_some(), "a parked reactor can be adopted again");
+        mesh.shutdown();
+        assert!(mesh.adopt().is_none(), "nothing to adopt after shutdown");
     }
 
     /// Regression: per-peer `net_out_queue_*` gauges must report the

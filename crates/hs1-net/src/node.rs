@@ -1,6 +1,17 @@
 //! The replica runner: hosts an engine behind the TCP mesh, translating
 //! between wall-clock time and the engine's virtual clock.
 //!
+//! A running replica is **one thread**. [`NodeRunner::run_for`] adopts
+//! its mesh's reactor and loops: fire the engine timers that are due,
+//! step self-addressed messages, then take one reactor turn — flush
+//! what the engine queued with `writev`, sleep in `poll(2)` until a
+//! socket is ready or the next timer is due, and step the engine on
+//! every frame that arrived. A message crosses no channel and wakes no
+//! second thread between the socket and the engine, in either
+//! direction. (The snapshot-sync phase that may precede consensus still
+//! reads the background thread's `inbox`; the reactor is adopted when
+//! the engine starts.)
+//!
 //! With [`NodeRunner::with_storage`] the node is *durable*: it recovers
 //! from its write-ahead journal before joining the mesh (replaying the
 //! checkpoint + journal into the engine), then journals every commit,
@@ -27,7 +38,6 @@ use std::collections::BinaryHeap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-#[cfg(unix)]
 use crate::http::HttpServer;
 use crate::mesh::{Inbound, Mesh};
 use hs1_adversary::AdversaryMutator;
@@ -91,16 +101,12 @@ pub struct NodeRunner {
     /// Did the node install a verified snapshot (vs replay/fallback)?
     pub synced_via_snapshot: bool,
     /// Live introspection responder (see [`NodeRunner::serve_introspection`]).
-    #[cfg(unix)]
     introspection: Option<HttpServer>,
     /// The `/status` body, refreshed by the node loop.
-    #[cfg(unix)]
     status: Option<crate::http::StatusCell>,
     /// The recorder behind `/metrics` (auto-attached or caller-supplied).
-    #[cfg(unix)]
     introspection_rec: Option<std::sync::Arc<std::sync::Mutex<hs1_obs::RecordingObserver>>>,
     /// Last `/status` refresh (throttles the refresh to ~4 Hz).
-    #[cfg(unix)]
     status_at: Instant,
 }
 
@@ -122,13 +128,9 @@ impl NodeRunner {
             recovery: None,
             sync_stats: None,
             synced_via_snapshot: false,
-            #[cfg(unix)]
             introspection: None,
-            #[cfg(unix)]
             status: None,
-            #[cfg(unix)]
             introspection_rec: None,
-            #[cfg(unix)]
             status_at: Instant::now(),
         }
     }
@@ -244,7 +246,6 @@ impl NodeRunner {
     /// something to serve; if the caller already attached their own
     /// sink, use [`NodeRunner::serve_introspection_with`] and hand over
     /// the recorder so scrapes can snapshot it.
-    #[cfg(unix)]
     pub fn serve_introspection(&mut self, host: &str, port: u16) -> std::io::Result<u16> {
         let rec = match &self.introspection_rec {
             Some(rec) => rec.clone(),
@@ -267,7 +268,6 @@ impl NodeRunner {
     /// for harnesses that attached their own
     /// `Obs::recording`/[`hs1_obs::RecordingObserver`] (or a fan-out
     /// lane) and want `/metrics` served from it.
-    #[cfg(unix)]
     pub fn serve_introspection_with(
         &mut self,
         host: &str,
@@ -294,7 +294,6 @@ impl NodeRunner {
     /// Rebuild the `/status` JSON from live node state. Cheap enough to
     /// call at the loop's idle cadence; does nothing when introspection
     /// is off.
-    #[cfg(unix)]
     fn refresh_status(&mut self) {
         let Some(cell) = &self.status else { return };
         let stats = self.mesh.stats();
@@ -308,11 +307,10 @@ impl NodeRunner {
             ));
         }
         let body = format!(
-            "{{\"replica\":{},\"backend\":\"{}\",\"view\":{},\"chain_len\":{},\
+            "{{\"replica\":{},\"view\":{},\"chain_len\":{},\
              \"head\":\"{:016x}\",\"committed_blocks\":{},\"reconnects\":{},\
              \"frames_shed\":{},\"peers\":[{peers}]}}\n",
             self.engine.id().0,
-            self.mesh.backend().name(),
             self.engine.current_view().0,
             self.committed_chain_len(),
             hs1_obs::block_key(self.engine.committed_head()),
@@ -348,7 +346,8 @@ impl NodeRunner {
     /// Run the node loop for `duration` wall-clock time. A node built
     /// with [`NodeRunner::with_state_sync`] spends the start of the
     /// window in the sync phase (bounded by its `overall_timeout` and by
-    /// `duration`), then runs consensus for the remainder.
+    /// `duration`), then runs consensus for the remainder. Returns at
+    /// once if the mesh has been shut down.
     pub fn run_for(&mut self, duration: Duration) {
         let deadline = Instant::now() + duration;
         if let Some((mut storage, sync_cfg)) = self.pending_sync.take() {
@@ -363,6 +362,9 @@ impl NodeRunner {
             self.engine.set_persistence(Box::new(storage));
         }
 
+        // From here on this thread is the transport: nothing reaches
+        // `inbox` but self-addressed sends.
+        let Some(mut reactor) = self.mesh.adopt() else { return };
         self.start = Instant::now();
         let mut out = Vec::new();
         self.engine.on_init(self.now(), &mut out);
@@ -373,39 +375,51 @@ impl NodeRunner {
         for inbound in std::mem::take(&mut self.deferred) {
             self.handle_inbound(inbound);
         }
-        while Instant::now() < deadline {
-            // Fire due timers.
-            let now = self.now();
-            while let Some(Reverse((at, _, timer))) = self.timers.peek().copied() {
-                if at > now {
-                    break;
-                }
-                self.timers.pop();
-                let mut out = Vec::new();
-                self.engine.on_timer(timer, self.now(), &mut out);
-                self.dispatch(out);
+        loop {
+            self.fire_due_timers();
+            // Self-addressed sends (a leader's copy of its own proposal,
+            // a vote for the view it leads) and anything the background
+            // thread delivered before adoption. Stepped before the next
+            // `poll`, or the node would sleep on work it already holds.
+            while let Ok(inbound) = self.mesh.inbox.try_recv() {
+                self.handle_inbound(inbound);
             }
-            // Wait for the next message or the next timer deadline.
-            let wait = self
-                .timers
-                .peek()
-                .map(|Reverse((at, _, _))| Duration::from_nanos(at.0.saturating_sub(self.now().0)))
-                .unwrap_or(Duration::from_millis(5))
-                .min(Duration::from_millis(5));
             if self.obs.enabled() {
                 self.obs.gauge("timer_queue_depth", 0, self.timers.len() as u64);
             }
-            #[cfg(unix)]
             if self.status.is_some() && self.status_at.elapsed() >= Duration::from_millis(250) {
                 self.refresh_status();
             }
-            if let Ok(inbound) = self.mesh.inbox.recv_timeout(wait) {
-                self.handle_inbound(inbound);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
             }
+            let wait = match self.timers.peek() {
+                Some(Reverse((at, _, _))) => {
+                    left.min(Duration::from_nanos(at.0.saturating_sub(self.now().0)))
+                }
+                None => left,
+            };
+            reactor.turn(wait, &mut |inbound| self.handle_inbound(inbound));
         }
-        #[cfg(unix)]
+        // Put the last steps' output on the wire before going quiet.
+        reactor.flush_connected();
+        self.mesh.hand_back(reactor);
         self.refresh_status();
         self.obs.flush();
+    }
+
+    fn fire_due_timers(&mut self) {
+        let now = self.now();
+        while let Some(Reverse((at, _, timer))) = self.timers.peek().copied() {
+            if at > now {
+                break;
+            }
+            self.timers.pop();
+            let mut out = Vec::new();
+            self.engine.on_timer(timer, self.now(), &mut out);
+            self.dispatch(out);
+        }
     }
 
     fn handle_inbound(&mut self, inbound: Inbound) {
@@ -552,5 +566,158 @@ impl NodeRunner {
                 Action::RolledBack { .. } | Action::EnteredView { .. } => {}
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::framing::{encode_frame, hello_bytes, PeerKind};
+    use crate::mesh::tests::free_base_port;
+    use hs1_types::{BlockId, SimDuration, Transaction, View};
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::{Arc, Mutex};
+
+    /// A scripted engine. It arms a chain of `timers` timers, each
+    /// `gap` after the previous one fired, logging how late each fired;
+    /// and it forwards every message from a peer to itself once, logging
+    /// when the peer's message and its own copy were stepped.
+    struct Probe {
+        id: ReplicaId,
+        timers: u32,
+        gap: SimDuration,
+        armed_for: SimTime,
+        late: Arc<Mutex<Vec<u64>>>,
+        stepped: Arc<Mutex<Vec<(ReplicaId, SimTime)>>>,
+    }
+
+    impl Probe {
+        fn arm(&mut self, now: SimTime, out: &mut Vec<Action>) {
+            if self.timers > 0 {
+                self.timers -= 1;
+                self.armed_for = SimTime(now.0 + self.gap.0);
+                out.push(Action::SetTimer {
+                    timer: Timer::ViewTimeout(View(0)),
+                    at: self.armed_for,
+                });
+            }
+        }
+    }
+
+    impl Replica for Probe {
+        fn id(&self) -> ReplicaId {
+            self.id
+        }
+        fn on_init(&mut self, now: SimTime, out: &mut Vec<Action>) {
+            self.arm(now, out);
+        }
+        fn on_message(
+            &mut self,
+            from: ReplicaId,
+            msg: Message,
+            now: SimTime,
+            out: &mut Vec<Action>,
+        ) {
+            self.stepped.lock().unwrap().push((from, now));
+            if from != self.id {
+                out.push(Action::Send { to: self.id, msg });
+            }
+        }
+        fn on_timer(&mut self, _timer: Timer, now: SimTime, out: &mut Vec<Action>) {
+            self.late.lock().unwrap().push(now.0 - self.armed_for.0);
+            self.arm(now, out);
+        }
+        fn enqueue_txs(&mut self, _txs: &[Transaction]) {}
+        fn current_view(&self) -> View {
+            View(0)
+        }
+        fn committed_head(&self) -> BlockId {
+            BlockId::test(0)
+        }
+        fn committed_chain(&self) -> Vec<BlockId> {
+            Vec::new()
+        }
+        fn set_persistence(&mut self, _persist: Box<dyn hs1_core::persist::Persistence>) {}
+        fn restore(&mut self, _state: RecoveredState) {}
+        fn state_root(&self) -> hs1_crypto::Digest {
+            hs1_crypto::Digest([0; 32])
+        }
+    }
+
+    type Logs = (Arc<Mutex<Vec<u64>>>, Arc<Mutex<Vec<(ReplicaId, SimTime)>>>);
+
+    fn probe_node(n: usize, timers: u32, gap_us: u64) -> (NodeRunner, u16, Logs) {
+        let base = free_base_port(n as u16);
+        let late = Arc::new(Mutex::new(Vec::new()));
+        let stepped = Arc::new(Mutex::new(Vec::new()));
+        let probe = Probe {
+            id: ReplicaId(0),
+            timers,
+            gap: SimDuration(gap_us * 1_000),
+            armed_for: SimTime(0),
+            late: late.clone(),
+            stepped: stepped.clone(),
+        };
+        let mesh = Mesh::start(ReplicaId(0), n, "127.0.0.1", base).expect("bind");
+        (NodeRunner::new(Box::new(probe), mesh), base, (late, stepped))
+    }
+
+    /// `poll(2)` sleeps whole milliseconds. A timer 200 µs away must cost
+    /// one 1 ms sleep: rounded down it would spin through thousands of
+    /// zero-timeout turns, and dropped it would wait for the 100 ms
+    /// metrics tick.
+    #[test]
+    fn sub_millisecond_timers_fire_on_time_without_spinning() {
+        const TIMERS: u32 = 20;
+        let (mut node, _, (late, _)) = probe_node(1, TIMERS, 200);
+        node.run_for(Duration::from_millis(80));
+        let mut late = late.lock().unwrap().clone();
+        assert_eq!(late.len(), TIMERS as usize, "every timer fired");
+        late.sort_unstable();
+        let median = late[late.len() / 2];
+        assert!(median < 2_000_000, "a 200 us timer fired {median} ns late (median)");
+        // One turn per timer, one to run out the clock, and slack for
+        // spurious wake-ups.
+        let turns = node.mesh.adopt().expect("parked reactor").turns;
+        assert!(turns <= 2 * TIMERS as u64 + 8, "{turns} turns for {TIMERS} timers");
+    }
+
+    /// A step taken on a frame from the network sends to self (a leader's
+    /// copy of its own proposal). The copy must be stepped before the
+    /// loop sleeps again, not when the next unrelated wake-up comes.
+    #[test]
+    fn self_addressed_sends_are_stepped_before_the_next_sleep() {
+        let (mut node, base, (_, stepped)) = probe_node(2, 0, 0);
+        let peer = std::thread::spawn(move || {
+            // Land in the middle of the node's first (long) sleep.
+            std::thread::sleep(Duration::from_millis(30));
+            let mut s = TcpStream::connect(("127.0.0.1", base)).expect("dial node");
+            s.write_all(&hello_bytes(PeerKind::Replica(1))).expect("hello");
+            let ping = Message::Request(Transaction::kv_write(1, 1, 2, 3));
+            s.write_all(&encode_frame(&ping)).expect("frame");
+            std::thread::sleep(Duration::from_millis(150));
+        });
+        node.run_for(Duration::from_millis(150));
+        peer.join().expect("peer");
+        let stepped = stepped.lock().unwrap().clone();
+        assert_eq!(stepped.len(), 2, "the peer's frame and the self-copy: {stepped:?}");
+        assert_eq!((stepped[0].0, stepped[1].0), (ReplicaId(1), ReplicaId(0)));
+        let gap = stepped[1].1 .0 - stepped[0].1 .0;
+        assert!(gap < 10_000_000, "self-copy stepped {gap} ns after the frame that caused it");
+    }
+
+    /// `shutdown()` after `run_for` closes the parked reactor: the listen
+    /// port is free the moment it returns.
+    #[test]
+    fn shutdown_after_a_run_frees_the_port_at_once() {
+        let (mut node, base, _) = probe_node(1, 0, 0);
+        node.run_for(Duration::from_millis(10));
+        assert!(TcpListener::bind(("127.0.0.1", base)).is_err(), "still listening while parked");
+        node.shutdown();
+        let again = Mesh::start(ReplicaId(0), 1, "127.0.0.1", base).expect("rebind at once");
+        // A second run adopts nothing and returns instead of hanging.
+        node.run_for(Duration::from_secs(5));
+        drop(again);
     }
 }

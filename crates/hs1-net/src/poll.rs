@@ -1,18 +1,12 @@
 //! A minimal std-only readiness wrapper around `poll(2)`.
 //!
-//! The reactor backend (`crate::reactor`) needs exactly three OS
-//! facilities that `std` does not expose directly: level-triggered
-//! readiness over a set of sockets, a way to wake a sleeping reactor
-//! from another thread, and (for backpressure tests) a small send
-//! buffer. All three live here behind a ~40-line FFI surface onto libc
-//! symbols that `std` already links — no new dependency, no new crate.
-//!
-//! Everything in this module is `cfg(unix)`; on non-unix hosts the mesh
-//! falls back to the thread-per-connection backend (see
-//! [`crate::mesh::Backend`]), so nothing outside this file needs a
-//! non-unix poll emulation.
-
-#![cfg(unix)]
+//! The transport (`crate::reactor`) needs exactly three OS facilities
+//! that `std` does not expose directly: level-triggered readiness over
+//! a set of sockets, a way to wake a sleeping reactor from another
+//! thread, and (for backpressure tests) a small send buffer. All three
+//! live here behind a ~40-line FFI surface onto libc symbols that `std`
+//! already links — no new dependency, no new crate. This module is why
+//! the crate is unix-only.
 
 use std::io;
 use std::os::fd::RawFd;

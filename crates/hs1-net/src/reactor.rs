@@ -1,33 +1,44 @@
-//! The readiness-driven transport backend.
+//! The readiness-driven transport.
 //!
-//! One reactor thread per mesh owns every socket. The engine thread
-//! never touches the network: `send_*` encodes once, pushes the frame
-//! into a bounded per-peer [`FrameQueue`] and (only if the reactor is
-//! asleep in `poll`) writes one wakeup byte. The reactor loop is:
+//! A [`Reactor`] owns every socket of one mesh, nonblocking, and makes
+//! progress one [`Reactor::turn`] at a time. Whoever calls `turn` is the
+//! transport's only thread:
+//!
+//! * a running replica ([`crate::node::NodeRunner::run_for`]) adopts its
+//!   mesh's reactor and turns it on its own loop, so one thread reads a
+//!   frame, steps the engine on it and writes the engine's answer;
+//! * a bare [`crate::mesh::Mesh`] has nobody to do that, so a background
+//!   `reactor-N` thread turns it and feeds decoded frames to `inbox`.
 //!
 //! ```text
-//!            engine thread                    reactor thread
-//!   send_replica/broadcast ──► FrameQueue ──► dial pending peers
-//!        (encode once,            │           flush queues (writev ≤64
-//!         enforce caps,           │             frames per syscall)
-//!         shed oldest)            │           poll(listener, waker, conns)
-//!                                 └── wake ─► accept / handshake
-//!                                             read frames ──► inbox
-//!                                             reconnect backoff timers
-//!                                             metrics tick (~100ms)
+//!   one turn (node loop or reactor-N thread)
+//!   ─────────────────────────────────────────────────────────────────
+//!   dial peers with queued traffic (backoff expired)
+//!   flush every FrameQueue      writev, ≤64 frames per syscall
+//!   poll(listener, waker, conns)    ≤ the caller's wait, the next
+//!                                   backoff expiry or metrics tick
+//!   accept / handshake
+//!   read + decode frames ──► sink(Inbound)
+//!        node loop:   engine.on_message ──► send_* ──► FrameQueue
+//!                     (encode once, enforce caps, shed oldest);
+//!                     flushed at the top of the next turn
+//!        bare mesh:   inbox.send
 //! ```
+//!
+//! `send_*` from the turning thread only pushes into a queue. From any
+//! other thread it also writes one wakeup byte, and only if the turning
+//! thread is asleep in `poll`.
 //!
 //! Backpressure: a slow peer's queue coalesces (frames pile up and go
 //! out in big writev batches when the socket drains), then sheds
 //! oldest-first past the caps — the engines already tolerate loss of
 //! stale consensus traffic via timeouts, and blocking the proposer on
-//! the slowest peer is exactly the failure mode this backend removes.
+//! the slowest peer is exactly the failure mode this transport removes.
 //! Reconnect: a dead peer link enters jittered exponential backoff
 //! (base doubling to a max, ±50% jitter so a restarted replica isn't
 //! hammered in lockstep) and is redialed as soon as traffic for it
-//! exists.
-
-#![cfg(unix)]
+//! exists. A dial blocks the turning thread for at most
+//! `connect_timeout`; a refused loopback dial returns at once.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -44,8 +55,8 @@ use crate::poll::{poll_fds, set_send_buffer, PollFd, WakeReceiver, Waker, POLLIN
 use hs1_obs::Obs;
 use hs1_types::{ClientId, Message, ReplicaId};
 
-/// State shared between the engine-facing [`crate::mesh::Mesh`] handle
-/// and the reactor thread.
+/// State shared between the sending side ([`crate::mesh::Mesh`]) and
+/// whichever thread turns the [`Reactor`].
 pub(crate) struct Shared {
     me: u32,
     n: usize,
@@ -55,6 +66,9 @@ pub(crate) struct Shared {
     /// Outbound queues of currently-connected clients.
     client_queues: Mutex<HashMap<u32, Arc<Mutex<FrameQueue>>>>,
     shutting_down: AtomicBool,
+    /// Asks the background thread to return its [`Reactor`] (shutdown,
+    /// or a node adopting it).
+    stop_thread: AtomicBool,
     /// True while the reactor is (about to be) blocked in `poll`; lets
     /// the hot enqueue path skip the wakeup syscall when the reactor is
     /// already running.
@@ -89,7 +103,7 @@ impl Shared {
         }
         let Some(queue) = self.client_queues.lock().expect("clients lock").get(&client).cloned()
         else {
-            return; // unknown client: drop, same as the threaded backend
+            return; // unknown client: drop
         };
         let shed = {
             let mut q = queue.lock().expect("client queue lock");
@@ -121,9 +135,21 @@ impl Shared {
             .collect()
     }
 
-    pub(crate) fn request_shutdown(&self) {
+    /// Stop accepting frames; [`Reactor::close`] does the rest.
+    pub(crate) fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
+    }
+
+    /// Make the background thread return from [`Reactor::run`], waking
+    /// it if it is asleep in `poll`.
+    pub(crate) fn stop_thread(&self) {
+        self.stop_thread.store(true, Ordering::SeqCst);
         self.waker.wake();
+    }
+
+    #[cfg(test)]
+    pub(crate) fn is_sleeping(&self) -> bool {
+        self.sleeping.load(Ordering::SeqCst)
     }
 
     fn notify(&self) {
@@ -134,8 +160,9 @@ impl Shared {
     }
 }
 
-/// Bind the listener, spawn the reactor thread, and hand back the
-/// shared state + join handle.
+/// Bind the listener, spawn the background thread that turns the
+/// reactor until someone adopts it, and hand back the shared state and
+/// the join handle that yields the [`Reactor`].
 pub(crate) fn start(
     me: ReplicaId,
     n: usize,
@@ -144,7 +171,7 @@ pub(crate) fn start(
     cfg: MeshConfig,
     stats: Arc<NetStats>,
     inbox: Sender<Inbound>,
-) -> std::io::Result<(Arc<Shared>, std::thread::JoinHandle<()>)> {
+) -> std::io::Result<(Arc<Shared>, std::thread::JoinHandle<Reactor>)> {
     let listen_port = cfg.listen_port.unwrap_or(base_port + me.0 as u16);
     let listener = TcpListener::bind((host, listen_port))?;
     listener.set_nonblocking(true)?;
@@ -156,6 +183,7 @@ pub(crate) fn start(
         queues: (0..n).map(|_| Mutex::new(FrameQueue::new())).collect(),
         client_queues: Mutex::new(HashMap::new()),
         shutting_down: AtomicBool::new(false),
+        stop_thread: AtomicBool::new(false),
         sleeping: AtomicBool::new(false),
         pending_epoch: AtomicU64::new(0),
         obs: Mutex::new(Obs::noop()),
@@ -168,7 +196,6 @@ pub(crate) fn start(
         base_port,
         listener,
         wake_rx,
-        inbox,
         conns: HashMap::new(),
         next_token: 0,
         links: (0..n).map(|_| Link::Idle).collect(),
@@ -177,10 +204,11 @@ pub(crate) fn start(
         obs_local: Obs::noop(),
         emitted: NetStatsSnapshot::default(),
         last_tick: Instant::now(),
+        turns: 0,
     };
     let handle = std::thread::Builder::new()
         .name(format!("reactor-{}", me.0))
-        .spawn(move || reactor.run())?;
+        .spawn(move || reactor.run(inbox))?;
     Ok((shared, handle))
 }
 
@@ -220,13 +248,14 @@ struct Conn {
     stall_since: Option<Instant>,
 }
 
-struct Reactor {
+/// Every socket of one mesh and the state to drive them. Exactly one
+/// thread at a time calls [`Reactor::turn`].
+pub(crate) struct Reactor {
     shared: Arc<Shared>,
     host: String,
     base_port: u16,
     listener: TcpListener,
     wake_rx: WakeReceiver,
-    inbox: Sender<Inbound>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     links: Vec<Link>,
@@ -238,56 +267,77 @@ struct Reactor {
     /// Counter values already published to the observer.
     emitted: NetStatsSnapshot,
     last_tick: Instant,
+    /// Turns taken so far (tests bound it to show the loop does not spin).
+    pub(crate) turns: u64,
 }
 
 impl Reactor {
-    fn run(mut self) {
-        while !self.shared.shutting_down.load(Ordering::SeqCst) {
-            let epoch = self.shared.pending_epoch.load(Ordering::SeqCst);
-            self.dial_pending();
-            self.flush_connected();
-            self.tick_metrics(false);
+    /// The background driver of a bare mesh: turn, feeding `inbox`,
+    /// until asked to stop; then give the reactor to whoever asked.
+    fn run(mut self, inbox: Sender<Inbound>) -> Reactor {
+        while !self.shared.stop_thread.swap(false, Ordering::SeqCst) {
+            self.turn(Duration::MAX, &mut |inbound| {
+                let _ = inbox.send(inbound);
+            });
+        }
+        self
+    }
 
-            let mut fds = Vec::with_capacity(2 + self.conns.len());
-            fds.push(PollFd::new(self.wake_rx.raw_fd(), POLLIN));
-            fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
-            let mut tokens = Vec::with_capacity(self.conns.len());
-            for (&token, conn) in &self.conns {
-                let mut events = POLLIN;
-                if conn.want_write {
-                    events |= POLLOUT;
-                }
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-                tokens.push(token);
-            }
+    /// One pass of the event loop: dial and flush what is queued, sleep
+    /// in `poll` for at most `wait` (less if a deadline of the reactor's
+    /// own comes first), then accept, read and hand every decoded frame
+    /// to `sink`. Frames `sink` enqueues go out at the top of the next
+    /// turn.
+    pub(crate) fn turn(&mut self, wait: Duration, sink: &mut dyn FnMut(Inbound)) {
+        self.turns += 1;
+        let epoch = self.shared.pending_epoch.load(Ordering::SeqCst);
+        self.dial_pending();
+        self.flush_connected();
+        self.tick_metrics(false);
 
-            self.shared.sleeping.store(true, Ordering::SeqCst);
-            let timeout = if self.shared.pending_epoch.load(Ordering::SeqCst) != epoch {
-                0 // an enqueue raced our pre-sleep window: don't sleep
-            } else {
-                self.poll_timeout_ms()
-            };
-            let _ = poll_fds(&mut fds, timeout);
-            self.shared.sleeping.store(false, Ordering::SeqCst);
+        let mut fds = Vec::with_capacity(2 + self.conns.len());
+        fds.push(PollFd::new(self.wake_rx.raw_fd(), POLLIN));
+        fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+        let mut tokens = Vec::with_capacity(self.conns.len());
+        for (&token, conn) in &self.conns {
+            let mut events = POLLIN;
+            if conn.want_write {
+                events |= POLLOUT;
+            }
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+            tokens.push(token);
+        }
 
-            if fds[0].readable() {
-                self.wake_rx.drain();
+        self.shared.sleeping.store(true, Ordering::SeqCst);
+        let timeout = if self.shared.pending_epoch.load(Ordering::SeqCst) != epoch {
+            0 // an enqueue raced our pre-sleep window: don't sleep
+        } else {
+            self.poll_timeout_ms(wait)
+        };
+        let _ = poll_fds(&mut fds, timeout);
+        self.shared.sleeping.store(false, Ordering::SeqCst);
+
+        if fds[0].readable() {
+            self.wake_rx.drain();
+        }
+        if fds[1].readable() {
+            self.accept_new();
+        }
+        for (i, &token) in tokens.iter().enumerate() {
+            let fd = fds[2 + i];
+            if fd.readable() {
+                self.handle_readable(token, sink);
             }
-            if fds[1].readable() {
-                self.accept_new();
-            }
-            for (i, &token) in tokens.iter().enumerate() {
-                let fd = fds[2 + i];
-                if fd.readable() {
-                    self.handle_readable(token);
-                }
-                if fd.writable() && self.conns.contains_key(&token) {
-                    self.flush_token(token);
-                }
+            if fd.writable() && self.conns.contains_key(&token) {
+                self.flush_token(token);
             }
         }
-        // Drain bookkeeping so a mesh rebuild on the same port starts
-        // clean; the final tick publishes whatever counters remain.
+    }
+
+    /// Sever every connection and release the listen port. Queues are
+    /// emptied so a mesh rebuilt on the same port starts clean; the
+    /// final tick publishes whatever counters remain.
+    pub(crate) fn close(mut self) {
         self.conns.clear();
         for q in &self.shared.queues {
             q.lock().expect("queue lock").clear();
@@ -297,13 +347,16 @@ impl Reactor {
         self.obs_local.flush();
     }
 
-    /// Milliseconds until the nearest deadline: a backoff expiry with
-    /// pending traffic, or the next metrics tick.
-    fn poll_timeout_ms(&self) -> i32 {
+    /// Milliseconds `poll` may sleep: until `wait` runs out, a backoff
+    /// with pending traffic expires, or the next metrics tick is due.
+    /// `poll(2)` counts whole milliseconds, so the wait is rounded *up*:
+    /// a deadline 200 µs away costs one 1 ms sleep, where rounding down
+    /// would spin on a zero timeout until it passed.
+    fn poll_timeout_ms(&self, wait: Duration) -> i32 {
         let now = Instant::now();
         let tick_deadline =
             (self.last_tick + self.shared.cfg.metrics_interval).saturating_duration_since(now);
-        let mut nearest = tick_deadline;
+        let mut nearest = wait.min(tick_deadline);
         for (peer, link) in self.links.iter().enumerate() {
             if let Link::Backoff { until, .. } = link {
                 if !self.shared.queues[peer].lock().expect("queue lock").is_empty() {
@@ -311,7 +364,7 @@ impl Reactor {
                 }
             }
         }
-        nearest.as_millis().min(i32::MAX as u128) as i32
+        nearest.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -417,7 +470,7 @@ impl Reactor {
 
     /// Flush every connected replica link and client connection with
     /// queued frames.
-    fn flush_connected(&mut self) {
+    pub(crate) fn flush_connected(&mut self) {
         let replica_tokens: Vec<u64> = self
             .links
             .iter()
@@ -492,7 +545,7 @@ impl Reactor {
         }
     }
 
-    fn handle_readable(&mut self, token: u64) {
+    fn handle_readable(&mut self, token: u64, sink: &mut dyn FnMut(Inbound)) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         // Finish the handshake first; data may follow in the same burst.
         if let ConnKind::HandshakeIn { buf, got } = &mut conn.kind {
@@ -560,7 +613,7 @@ impl Reactor {
                 };
                 let eof = o.eof;
                 for msg in o.messages {
-                    let _ = self.inbox.send(from.wrap(msg));
+                    sink(from.wrap(msg));
                 }
                 if eof {
                     self.disconnect(token);
