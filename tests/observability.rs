@@ -31,9 +31,9 @@ fn scenario(p: ProtocolKind) -> Scenario {
 /// *deterministic* metrics rows. Histogram rows hold wall-measured
 /// durations (fsync/exec timing) and are excluded by contract — only
 /// counters and gauges are seed-reproducible.
-fn observed(p: ProtocolKind) -> (Report, String, String) {
+fn observed(s: Scenario) -> (Report, String, String) {
     let (obs, rec) = Obs::recording(Clock::manual());
-    let report = scenario(p).with_observer(obs).run();
+    let report = s.with_observer(obs).run();
     let rec = rec.lock().expect("recorder");
     let det_rows = rec
         .snapshot()
@@ -48,8 +48,8 @@ fn observed(p: ProtocolKind) -> (Report, String, String) {
 #[test]
 fn traces_are_byte_identical_across_runs_all_protocols() {
     for p in ProtocolKind::ALL {
-        let (ra, trace_a, csv_a) = observed(p);
-        let (rb, trace_b, csv_b) = observed(p);
+        let (ra, trace_a, csv_a) = observed(scenario(p));
+        let (rb, trace_b, csv_b) = observed(scenario(p));
         assert!(!trace_a.is_empty(), "{p:?}: recorded a non-empty trace");
         assert_eq!(trace_a, trace_b, "{p:?}: same seed, same JSONL bytes");
         assert_eq!(csv_a, csv_b, "{p:?}: same seed, same counter/gauge rows");
@@ -61,7 +61,7 @@ fn traces_are_byte_identical_across_runs_all_protocols() {
 fn observer_does_not_perturb_the_run_all_protocols() {
     for p in ProtocolKind::ALL {
         let bare = scenario(p).run();
-        let (watched, _, _) = observed(p);
+        let (watched, _, _) = observed(scenario(p));
         assert_eq!(
             bare.fingerprint, watched.fingerprint,
             "{p:?}: attaching an observer changed the run"
@@ -69,6 +69,93 @@ fn observer_does_not_perturb_the_run_all_protocols() {
         assert_eq!(bare.committed_txs, watched.committed_txs, "{p:?}");
         assert_eq!(bare.replica_views, watched.replica_views, "{p:?}");
     }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Cross-commit golden pins. Every other assertion in this file compares
+/// two runs of the *same* binary; these literals compare this binary
+/// with the one that generated them, so "the refactor kept outputs
+/// byte-identical" is checked, not claimed. Each row is
+/// `(Report::fingerprint, FNV-1a-64 of the trace JSONL)`; the trace
+/// carries every stage event and counter in emission order, so it moves
+/// if an engine reorders its `Obs` emissions or its `Action`s within a
+/// step. The values hold at any `HS1_EXEC_WORKERS` (CI runs 1 and 8).
+///
+/// Provenance: generated at commit c4ba4aa (PR 12), before the three
+/// engines were collapsed onto one view driver. A change that moves a
+/// row is a behaviour change: say so in CHANGES.md and paste the values
+/// the failure message prints.
+#[test]
+fn outputs_match_the_cross_commit_pins() {
+    use hotstuff1::adversary::AdversaryStrategy::{Equivocate, StaleCert};
+    use hotstuff1::consensus::Fault;
+    use hotstuff1::sim::chaos::{ChaosConfig, ChaosPlan};
+    use hotstuff1::sim::OpenLoop;
+    use hotstuff1::types::ReplicaId;
+    use ProtocolKind::*;
+
+    let faulty = |p, fault| scenario(p).with_fault(1, fault);
+    let slow = |p| faulty(p, Fault::SlowLeader);
+    let fork = |p| faulty(p, Fault::TailFork);
+    let rollback = |p| faulty(p, Fault::RollbackAttack { victims: vec![ReplicaId(0)] });
+    let crash = |p| faulty(p, Fault::Crash { after_view: 20 });
+    let silent = |p| faulty(p, Fault::Silent);
+    // One crash-restart through the journal: reaches `Replica::restore`.
+    let reboot = |p| {
+        let cfg = ChaosConfig { partitions: 0, crashes: 1, ..ChaosConfig::events_only() };
+        let s = scenario(p);
+        let plan = ChaosPlan::generate(SEED, &cfg, 4, s.chaos_horizon());
+        s.chaos(plan)
+    };
+    let adv = |p, strategy| scenario(p).with_adversary(1, strategy);
+    let bursty = |p| scenario(p).open_loop(OpenLoop::bursty(10_000.0));
+    let table: Vec<(&str, Scenario, u64, u64)> = vec![
+        ("clean/hs", scenario(HotStuff), 0x6661_0e0c_7140_6e67, 0x1112_0008_6075_2925),
+        ("clean/hs2", scenario(HotStuff2), 0x8d42_76f8_ec7a_d08e, 0x7514_e832_ab6a_a4e3),
+        ("clean/hs1", scenario(HotStuff1), 0xc2dc_d1b8_1897_abe0, 0xf7ae_363b_2f4d_d66b),
+        ("clean/basic", scenario(HotStuff1Basic), 0xfc54_5fe2_b8b7_ca70, 0x44ff_1b96_d203_d644),
+        ("clean/slotted", scenario(HotStuff1Slotted), 0x9f06_cba0_0479_fb69, 0xc0f1_6665_4789_2673),
+        ("slow/hs2", slow(HotStuff2), 0x5aa8_bb3f_3660_d6d4, 0x02eb_6ab5_651b_3dd2),
+        ("slow/hs1", slow(HotStuff1), 0x165d_96ba_13f0_2792, 0x2beb_ac5f_bf3a_3eb1),
+        ("slow/slotted", slow(HotStuff1Slotted), 0x77df_5904_9ca5_2c04, 0x0744_5834_839b_290c),
+        ("fork/hs", fork(HotStuff), 0xc751_7077_bde5_4230, 0x4839_7264_5641_9a02),
+        ("fork/hs1", fork(HotStuff1), 0x5563_7bed_eeae_76a1, 0x9333_459b_50ee_3173),
+        ("fork/slotted", fork(HotStuff1Slotted), 0x1a57_bd44_ad30_4a24, 0x9745_e17e_5f8b_2a2a),
+        ("rollback/hs1", rollback(HotStuff1), 0xf9ac_a2cf_569a_62b4, 0xee06_8cc5_6105_4222),
+        ("crash/hs1", crash(HotStuff1), 0xdcf0_71fe_ca22_9142, 0xf812_15f1_7efb_8100),
+        ("crash/basic", crash(HotStuff1Basic), 0x16b8_b6d5_09e2_049d, 0xee7b_2c1f_85e2_bec5),
+        ("crash/slotted", crash(HotStuff1Slotted), 0x4bf3_c4f5_d20b_4d1a, 0x9ee2_5655_3b75_9488),
+        ("silent/hs2", silent(HotStuff2), 0x4ee0_a7db_58b2_50ae, 0x0494_73fc_4167_8177),
+        ("silent/hs1", silent(HotStuff1), 0x740c_ef2f_5fa9_6e89, 0xd280_82fb_e367_afe6),
+        ("silent/basic", silent(HotStuff1Basic), 0x5b62_4ff9_e987_b355, 0x8466_b19a_98ae_6a66),
+        ("silent/slotted", silent(HotStuff1Slotted), 0x2f0e_b603_15cc_d482, 0x2e1b_976c_97eb_c176),
+        ("reboot/hs1", reboot(HotStuff1), 0x59ed_8ddc_5433_69f2, 0x1c26_c978_d099_2407),
+        ("reboot/basic", reboot(HotStuff1Basic), 0x5c21_cf1d_8d30_06d5, 0x77e3_a8fb_a18f_4c71),
+        ("reboot/slotted", reboot(HotStuff1Slotted), 0x82ef_fb3c_ba25_e0da, 0x4d42_a8f5_f486_b66d),
+        ("stale-cert/hs1", adv(HotStuff1, StaleCert), 0xe105_f522_b815_41a4, 0xe7a8_8595_cba2_5004),
+        (
+            "equiv/basic",
+            adv(HotStuff1Basic, Equivocate),
+            0x9e87_2cf1_a870_70da,
+            0x7fd3_eba4_9c06_6e57,
+        ),
+        ("open-loop/hs1", bursty(HotStuff1), 0x319c_49f0_18dd_6af5, 0xd926_f250_1594_a694),
+    ];
+    let mut moved = Vec::new();
+    for (label, s, fingerprint, trace) in table {
+        let (report, jsonl, _) = observed(s);
+        assert!(report.committed_txs > 0, "{label}: the pinned run made progress");
+        let got = (report.fingerprint, fnv1a(jsonl.as_bytes()));
+        if got != (fingerprint, trace) {
+            moved.push(format!("{label}: {:#018x}, {:#018x}", got.0, got.1));
+        }
+    }
+    assert!(moved.is_empty(), "outputs moved; actual (fingerprint, trace):\n{}", moved.join("\n"));
 }
 
 #[test]
