@@ -24,10 +24,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hs1_core::byzantine::Fault;
-use hs1_core::chained::{ChainDepth, ChainedEngine};
-use hs1_core::common::LocalMempool;
 use hs1_core::persist::{Persistence, RecoveredState};
-use hs1_core::Replica;
+use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_sim::CatchupModel;
 use hs1_statesync::{SnapshotImage, SnapshotServer};
@@ -114,16 +112,9 @@ fn recover_once(dir: &std::path::Path, expect_root: hs1_crypto::Digest) -> (f64,
     (elapsed_ms, info.replayed_records, info.skipped_records)
 }
 
-fn engine() -> ChainedEngine {
-    ChainedEngine::with_source(
-        SystemConfig::new(4),
-        ReplicaId(0),
-        ChainDepth::Two,
-        true,
-        Fault::Honest,
-        ExecConfig::default(),
-        Box::new(LocalMempool::new()),
-    )
+fn engine() -> Box<dyn Replica> {
+    let kind = hs1_types::ProtocolKind::HotStuff1;
+    build_replica(kind, SystemConfig::new(4), ReplicaId(0), Fault::Honest, ExecConfig::default())
 }
 
 /// Time the requester side of snapshot state sync against a prepared

@@ -14,364 +14,52 @@
 //! Commit rules: traditional (a commit certificate `C(v)` arrives,
 //! Def. 4.5) and prefix (a `P(v+1)` extending `P(v)` arrives, Def. 4.6).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use crate::byzantine::Fault;
-use crate::common::{CoreState, FetchTracker, TxSource};
-use crate::pacemaker::{Pacemaker, PmOutcome};
-use crate::persist::{Persistence, RecoveredState};
-use crate::replica::{Action, Replica, Timer};
+use crate::driver::{Engine, Protocol};
+use crate::replica::Action;
 use hs1_crypto::Signature;
-use hs1_ledger::ExecConfig;
-use hs1_obs::{block_key, Obs, Stage};
+use hs1_obs::{block_key, Stage};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::message::{NewViewMsg, PrepareMsg, ProposeMsg, VoteInfo, VoteMsg};
-use hs1_types::{
-    Block, BlockId, Certificate, Message, ReplicaId, SimTime, Slot, SystemConfig, View,
-};
+use hs1_types::{BlockId, Certificate, Message, ReplicaId, SimTime, Slot, View};
 
-struct Tally {
-    view: View,
-    /// NewView senders for this view (leader entry condition).
-    nv_senders: HashSet<ReplicaId>,
-    /// Commit shares `δ_C` for `P(v−1)` carried in NewViews, keyed by block.
-    commit_shares: HashMap<BlockId, Vec<(ReplicaId, Signature)>>,
-    /// ProposeVote shares for our proposal.
-    prop_shares: HashMap<BlockId, Vec<(ReplicaId, Signature)>>,
-    proposed: Option<BlockId>,
-    prepared: bool,
-    wait_timer_armed: bool,
-    deadline_passed: bool,
-}
-
-impl Tally {
-    fn new(view: View) -> Tally {
-        Tally {
-            view,
-            nv_senders: HashSet::new(),
-            commit_shares: HashMap::new(),
-            prop_shares: HashMap::new(),
-            proposed: None,
-            prepared: false,
-            wait_timer_armed: false,
-            deadline_passed: false,
-        }
-    }
-}
-
-pub struct BasicEngine {
-    core: CoreState,
-    pm: Pacemaker,
-    fault: Fault,
-
-    view: View,
-    high_cert: Certificate,
+#[derive(Default)]
+pub(crate) struct Basic {
     /// Highest known commit certificate `C(v_lc)`.
     high_commit: Option<Certificate>,
     last_voted: View,
-    awaiting_tc: bool,
-    crashed: bool,
-
-    tally: Option<Tally>,
-    nv_buf: HashMap<u64, Vec<(ReplicaId, NewViewMsg)>>,
-    /// Commit target stalled on a missing ancestor (retried after fetch).
-    retry_commit: Option<(BlockId, ReplicaId)>,
-    /// Proposals parked on a missing justify block. Without this a single
-    /// lost proposal cascades: every later proposal justifies a body the
-    /// replica never got, so it silently drops them all and stops voting
-    /// — enough degraded replicas and the deployment loses quorum.
-    pending_props: Vec<(ReplicaId, ProposeMsg)>,
-    /// Prepare certificates parked on their missing block body.
+    /// Prepare certificates parked on their missing block body. Differs
+    /// between protocols by history, not by paper: only this protocol
+    /// has a second-phase message to park.
     pending_preps: Vec<(ReplicaId, PrepareMsg)>,
-    fetching: FetchTracker,
 }
 
-impl BasicEngine {
-    pub fn new(cfg: SystemConfig, me: ReplicaId, fault: Fault, exec: ExecConfig) -> BasicEngine {
-        Self::with_source(cfg, me, fault, exec, Box::new(crate::common::LocalMempool::new()))
-    }
+#[derive(Default)]
+pub(crate) struct BasicTally {
+    /// Commit shares `δ_C` for `P(v−1)` carried in NewViews, keyed by block.
+    commit_shares: HashMap<BlockId, Vec<(ReplicaId, Signature)>>,
+    /// ProposeVote shares for our proposal.
+    prop_shares: Vec<(ReplicaId, Signature)>,
+    proposed: Option<BlockId>,
+    prepared: bool,
+}
 
-    pub fn with_source(
-        cfg: SystemConfig,
-        me: ReplicaId,
-        fault: Fault,
-        exec: ExecConfig,
-        source: Box<dyn TxSource>,
-    ) -> BasicEngine {
-        let core = CoreState::new(cfg.clone(), me, exec, source);
-        let pm = Pacemaker::new(cfg, me, SimTime::ZERO);
-        let crashed = matches!(fault, Fault::Silent);
-        BasicEngine {
-            core,
-            pm,
-            fault,
-            view: View::GENESIS,
-            high_cert: Certificate::genesis(),
-            high_commit: None,
-            last_voted: View::GENESIS,
-            awaiting_tc: false,
-            crashed,
-            tally: None,
-            nv_buf: HashMap::new(),
-            retry_commit: None,
-            pending_props: Vec::new(),
-            pending_preps: Vec::new(),
-            fetching: FetchTracker::new(),
-        }
-    }
-
-    fn request_block(&mut self, id: BlockId, from: ReplicaId, now: SimTime, out: &mut Vec<Action>) {
-        if self.fetching.should_request(id, now, self.core.cfg.view_timer) {
-            out.push(Action::Send { to: from, msg: Message::FetchBlock { id } });
-        }
-    }
-
-    /// Commit `target`, fetching missing ancestors from `source`. A fetch
-    /// whose response was lost is re-sent after a view timer, so message
-    /// loss can delay but never deadlock catch-up.
-    fn commit_or_fetch(
-        &mut self,
-        target: BlockId,
-        source: ReplicaId,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        if let Err(missing) = self.core.commit_chain(target, out) {
-            self.request_block(missing, source, now, out);
-            self.retry_commit = Some((target, source));
-        }
-    }
-
-    /// Replace `high_cert`, journaling strict rank advances (§4.2
-    /// recovery: the prepared certificate).
-    fn set_high_cert(&mut self, cert: Certificate) {
-        if cert.rank() > self.high_cert.rank() {
-            self.core.persist.on_cert(&cert);
-        }
-        self.high_cert = cert;
-    }
-
-    fn is_leader(&self) -> bool {
-        self.core.cfg.leader_of(self.view) == self.core.me
-    }
-
-    fn check_crash(&mut self) -> bool {
-        if let Fault::Crash { after_view } = self.fault {
-            if self.view.0 > after_view {
-                self.crashed = true;
-            }
-        }
-        self.crashed
-    }
-
-    fn enter_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        self.awaiting_tc = false;
-        self.core.persist.on_view(self.view);
-        self.core.obs.span_begin("view", self.view.0);
-        self.core.obs.counter("view_changes", 0, 1);
-        out.push(Action::EnteredView { view: self.view });
-        out.push(Action::SetTimer {
-            timer: Timer::ViewTimeout(self.view),
-            at: self.pm.deadline(self.view, now),
-        });
-        if self.view.0.is_multiple_of(64) {
-            self.pm.prune_below(self.view);
-            self.core.prune(2048);
-            let v = self.view.0;
-            self.nv_buf.retain(|&dv, _| dv >= v);
-            // Parked messages whose fetch never resolved (dead or
-            // Byzantine peer) are view-stale by now; drop them so the
-            // queues stay bounded on long lossy runs.
-            self.pending_props.retain(|(_, p)| p.block.view.0 >= v);
-            self.pending_preps.retain(|(_, p)| p.cert.view.0 >= v);
-        }
-        if self.is_leader() {
-            self.refresh_tally();
-            self.maybe_propose(now, out);
-        }
-    }
-
-    fn exit_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        self.core.obs.span_end("view", self.view.0);
-        self.view = self.view.next();
-        self.tally = None;
-        match self.pm.completed_view(self.view, &self.core.kp.clone(), out) {
-            PmOutcome::Enter => self.enter_view(now, out),
-            PmOutcome::AwaitTc => {
-                self.awaiting_tc = true;
-                // Loss recovery: if the Wish (or the TC it produces) is
-                // dropped, this timer re-wishes instead of parking forever.
-                out.push(Action::SetTimer {
-                    timer: Timer::ViewTimeout(self.view),
-                    at: now + self.core.cfg.view_timer,
-                });
-            }
-        }
-    }
-
-    fn refresh_tally(&mut self) {
-        let v = self.view;
-        if self.tally.as_ref().map(|t| t.view) != Some(v) {
-            self.tally = Some(Tally::new(v));
-        }
-        if let Some(msgs) = self.nv_buf.remove(&v.0) {
-            for (from, msg) in msgs {
-                self.tally_newview(from, &msg);
-            }
-        }
-    }
-
-    fn tally_newview(&mut self, from: ReplicaId, msg: &NewViewMsg) {
-        let quorum = self.core.cfg.quorum();
-        let prev = self.view.prev();
-        let Some(t) = self.tally.as_mut() else { return };
-        if t.view != msg.dest_view || !t.nv_senders.insert(from) {
+impl Basic {
+    fn on_vote(e: &mut Engine<Self>, from: ReplicaId, msg: VoteMsg, out: &mut Vec<Action>) {
+        let quorum = e.d.core.cfg.quorum();
+        let Some(t) = e.tally.as_mut() else { return };
+        if msg.vote.view != t.view || Some(msg.vote.block) != t.own.proposed || t.own.prepared {
             return;
         }
-        if let Some(vote) = &msg.vote {
-            if Some(vote.view) == prev {
-                let shares = t.commit_shares.entry(vote.block).or_default();
-                if !shares.iter().any(|(r, _)| *r == from) {
-                    shares.push((from, vote.share));
-                }
-                // Fig. 2 lines 11–12: aggregate C(v−1) from n − f commit
-                // shares.
-                if shares.len() >= quorum {
-                    let cert = Certificate {
-                        kind: CertKind::Commit,
-                        view: vote.view,
-                        slot: Slot::FIRST,
-                        block: vote.block,
-                        sigs: shares.clone(),
-                    };
-                    let better =
-                        self.high_commit.as_ref().map(|c| cert.rank() > c.rank()).unwrap_or(true);
-                    if better {
-                        self.high_commit = Some(cert);
-                    }
-                }
-            }
-        }
-    }
-
-    fn maybe_propose(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if !self.is_leader() || self.crashed || self.awaiting_tc {
-            return;
-        }
-        self.refresh_tally();
-        let quorum = self.core.cfg.quorum();
-        let n = self.core.cfg.n;
-        let view = self.view;
-        let have_prev = Some(self.high_cert.view) == view.prev();
-        let t = self.tally.as_mut().expect("tally exists");
-        if t.proposed.is_some() || t.nv_senders.len() < quorum {
-            return;
-        }
-        // Fig. 2 line 8: wait for P(v−1), or n NewViews, or ShareTimer(v).
-        let ready = have_prev || t.nv_senders.len() >= n || t.deadline_passed;
-        if !ready {
-            if !t.wait_timer_armed {
-                t.wait_timer_armed = true;
-                out.push(Action::SetTimer {
-                    timer: Timer::LeaderWait(view),
-                    at: self.pm.share_deadline(view, now),
-                });
-            }
-            return;
-        }
-        let justify = self.high_cert.clone();
-        let batch = self.core.make_batch();
-        let b = Arc::new(Block::new(self.core.me, view, Slot::FIRST, justify, batch));
-        self.core.insert_block(b.clone());
-        self.core.obs.stage(Stage::Proposed, block_key(b.id()));
-        self.core.obs.counter("blocks_proposed", 0, 1);
-        if let Some(t) = self.tally.as_mut() {
-            t.proposed = Some(b.id());
-        }
-        out.push(Action::Broadcast {
-            msg: Message::Propose(ProposeMsg { block: b, commit_cert: self.high_commit.clone() }),
-        });
-    }
-
-    fn on_propose(
-        &mut self,
-        from: ReplicaId,
-        msg: ProposeMsg,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        let b = msg.block.clone();
-        let pv = b.view;
-        if pv < self.view || b.slot != Slot::FIRST {
-            return;
-        }
-        if b.proposer != self.core.cfg.leader_of(pv) || from != b.proposer {
-            return;
-        }
-        if !self.core.cert_valid(&b.justify) {
-            return;
-        }
-        if !self.core.has_block(b.justify.block) {
-            // Fetch the missing ancestry instead of dropping the proposal
-            // — a silently dropped proposal starves this replica of every
-            // later body and permanently disenfranchises it.
-            self.request_block(b.justify.block, from, now, out);
-            self.pending_props.push((from, msg));
-            return;
-        }
-        self.core.insert_block(b.clone());
-        self.core.obs.stage(Stage::Received, block_key(b.id()));
-        if pv > self.view {
-            self.core.obs.span_end("view", self.view.0);
-            self.view = pv;
-            self.tally = None;
-            self.pm.note_jump(pv);
-            self.enter_view(now, out);
-        }
-
-        // Traditional commit rule (Fig. 2 line 17): execute up to B_x for
-        // the piggy-backed commit certificate C(x).
-        if let Some(cc) = &msg.commit_cert {
-            if cc.kind == CertKind::Commit && cc.verify(&self.core.registry, self.core.cfg.quorum())
-            {
-                self.commit_or_fetch(cc.block, b.proposer, now, out);
-            }
-        }
-
-        // Vote to prepare when w ≥ v_lp (Fig. 2 lines 18–20).
-        if b.justify.rank() >= self.high_cert.rank() && pv > self.last_voted {
-            if b.justify.rank() > self.high_cert.rank() {
-                self.set_high_cert(b.justify.clone());
-            }
-            self.last_voted = pv;
-            self.core.obs.stage(Stage::Voted, block_key(b.id()));
-            self.core.obs.counter("votes_sent", 0, 1);
-            let bytes = Certificate::signing_bytes(CertKind::Quorum, pv, Slot::FIRST, b.id());
-            let share = self.core.kp.sign(domains::PROPOSE_VOTE, &bytes);
-            out.push(Action::Send {
-                to: b.proposer,
-                msg: Message::Vote(VoteMsg {
-                    vote: VoteInfo { view: pv, slot: Slot::FIRST, block: b.id(), share },
-                }),
-            });
-        }
-    }
-
-    fn on_vote(&mut self, from: ReplicaId, msg: VoteMsg, out: &mut Vec<Action>) {
-        let quorum = self.core.cfg.quorum();
-        let Some(t) = self.tally.as_mut() else { return };
-        if msg.vote.view != t.view || Some(msg.vote.block) != t.proposed || t.prepared {
-            return;
-        }
-        let shares = t.prop_shares.entry(msg.vote.block).or_default();
+        let shares = &mut t.own.prop_shares;
         if shares.iter().any(|(r, _)| *r == from) {
             return;
         }
         shares.push((from, msg.vote.share));
         // Fig. 2 lines 13–15: form P(v) and broadcast Prepare.
         if shares.len() >= quorum {
-            t.prepared = true;
+            t.own.prepared = true;
             let cert = Certificate {
                 kind: CertKind::Quorum,
                 view: t.view,
@@ -384,7 +72,7 @@ impl BasicEngine {
     }
 
     fn on_prepare(
-        &mut self,
+        e: &mut Engine<Self>,
         from: ReplicaId,
         msg: PrepareMsg,
         now: SimTime,
@@ -392,252 +80,195 @@ impl BasicEngine {
     ) {
         let cert = msg.cert;
         let pv = cert.view;
-        if pv < self.view || from != self.core.cfg.leader_of(pv) {
+        if pv < e.d.view || from != e.d.core.cfg.leader_of(pv) {
             return;
         }
-        if cert.kind != CertKind::Quorum || !self.core.cert_valid(&cert) {
+        if cert.kind != CertKind::Quorum || !e.d.core.cert_valid(&cert) {
             return;
         }
-        let Some(b) = self.core.block(cert.block).cloned() else {
+        let Some(b) = e.d.core.block(cert.block).cloned() else {
             // The certified body never arrived (lost Propose): fetch it
             // and park the Prepare, or this replica cannot speculate,
             // commit-vote, or follow the prefix-commit rule this view.
-            self.request_block(cert.block, from, now, out);
-            self.pending_preps.push((from, PrepareMsg { cert }));
+            e.d.request_block(cert.block, from, now, out);
+            e.p.pending_preps.push((from, PrepareMsg { cert }));
             return;
         };
-        if pv > self.view {
-            self.core.obs.span_end("view", self.view.0);
-            self.view = pv;
-            self.tally = None;
-            self.pm.note_jump(pv);
-            self.enter_view(now, out);
+        if pv > e.d.view {
+            e.jump_to(pv, now, out);
         }
-
-        if cert.rank() > self.high_cert.rank() {
-            self.set_high_cert(cert.clone());
+        if cert.rank() > e.d.high_cert.rank() {
+            e.d.set_high_cert(cert.clone());
         }
 
         // Prefix commit rule (Fig. 2 lines 22–23, Def. 4.6): P(v) extends
         // P(v−1) ⇒ commit up to B_{v−1}.
         if cert.view.is_successor_of(b.justify.view) && !cert.is_genesis() {
-            self.commit_or_fetch(b.parent, from, now, out);
+            e.d.commit_or_fetch(b.parent, from, now, out);
         }
 
         // Speculation (Fig. 2 lines 24–27): Prefix-Speculation rule; the
         // No-Gap rule holds because the certificate was formed in the
         // replica's current view.
-        if self.core.is_committed(b.parent) && !b.is_genesis() {
-            self.core.speculate(&b, out);
+        if e.d.core.is_committed(b.parent) && !b.is_genesis() {
+            e.d.core.speculate(&b, out);
         }
 
         // Commit-vote δ_C to the next leader (Fig. 2 lines 28–30).
         let bytes = Certificate::signing_bytes(CertKind::Commit, pv, Slot::FIRST, cert.block);
-        let share = self.core.kp.sign(domains::COMMIT_VOTE, &bytes);
+        let share = e.d.core.kp.sign(domains::COMMIT_VOTE, &bytes);
         let next = pv.next();
         out.push(Action::Send {
-            to: self.core.cfg.leader_of(next),
+            to: e.d.core.cfg.leader_of(next),
             msg: Message::NewView(NewViewMsg {
                 dest_view: next,
-                high_cert: self.high_cert.clone(),
+                high_cert: e.d.high_cert.clone(),
                 vote: Some(VoteInfo { view: pv, slot: Slot::FIRST, block: cert.block, share }),
             }),
         });
-        self.exit_view(now, out);
-    }
-
-    fn on_newview(&mut self, from: ReplicaId, msg: NewViewMsg) {
-        if msg.high_cert.rank() > self.high_cert.rank()
-            && self.core.cert_valid(&msg.high_cert)
-            && self.core.has_block(msg.high_cert.block)
-        {
-            self.set_high_cert(msg.high_cert.clone());
-        }
-        if msg.dest_view < self.view || self.core.cfg.leader_of(msg.dest_view) != self.core.me {
-            return;
-        }
-        if msg.dest_view == self.view && self.tally.is_some() {
-            self.tally_newview(from, &msg);
-        } else {
-            self.nv_buf.entry(msg.dest_view.0).or_default().push((from, msg));
-        }
+        e.exit_view(now, out);
     }
 }
 
-impl Replica for BasicEngine {
-    fn id(&self) -> ReplicaId {
-        self.core.me
+impl Protocol for Basic {
+    type Tally = BasicTally;
+    const PRUNE_KEEP: usize = 2048;
+
+    fn new_tally(_view: View) -> BasicTally {
+        BasicTally::default()
     }
 
-    fn on_init(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if self.crashed {
+    fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg) {
+        let quorum = e.d.core.cfg.quorum();
+        let prev = e.d.view.prev();
+        let Some(vote) = msg.vote.filter(|v| Some(v.view) == prev) else { return };
+        let shares = e.tally_mut().own.commit_shares.entry(vote.block).or_default();
+        if !shares.iter().any(|(r, _)| *r == from) {
+            shares.push((from, vote.share));
+        }
+        // Fig. 2 lines 11–12: aggregate C(v−1) from n − f commit shares.
+        if shares.len() >= quorum {
+            let cert = Certificate {
+                kind: CertKind::Commit,
+                view: vote.view,
+                slot: Slot::FIRST,
+                block: vote.block,
+                sigs: shares.clone(),
+            };
+            if e.p.high_commit.as_ref().map(|c| cert.rank() > c.rank()).unwrap_or(true) {
+                e.p.high_commit = Some(cert);
+            }
+        }
+    }
+
+    fn propose_if_ready(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
+        if e.tally_mut().own.proposed.is_some() || !e.prev_cert_or_deadline(now, out) {
             return;
         }
-        // A restored replica re-enters at its recovered view.
-        if self.view < View(1) {
-            self.view = View(1);
-        }
-        let leader = self.core.cfg.leader_of(self.view);
-        out.push(Action::Send {
-            to: leader,
-            msg: Message::NewView(NewViewMsg {
-                dest_view: self.view,
-                high_cert: self.high_cert.clone(),
-                vote: None,
-            }),
+        let b = e.new_block(Slot::FIRST, e.d.high_cert.clone(), None);
+        e.tally_mut().own.proposed = Some(b.id());
+        out.push(Action::Broadcast {
+            msg: Message::Propose(ProposeMsg { block: b, commit_cert: e.p.high_commit.clone() }),
         });
-        self.enter_view(now, out);
     }
 
-    fn on_message(&mut self, from: ReplicaId, msg: Message, now: SimTime, out: &mut Vec<Action>) {
-        if self.check_crash() {
+    fn on_propose(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: ProposeMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        let b = msg.block.clone();
+        let pv = b.view;
+        // A stale proposal is dropped, body and all. Differs between
+        // protocols by history, not by paper: chained and slotted keep
+        // the body for later commit walks.
+        if pv < e.d.view || b.slot != Slot::FIRST {
             return;
         }
+        if !e.d.core.has_block(b.justify.block) {
+            e.d.fetch_and_park(&[b.justify.block], from, msg, now, out);
+            return;
+        }
+        e.insert_block(&b);
+        e.d.core.obs.stage(Stage::Received, block_key(b.id()));
+        if pv > e.d.view {
+            e.jump_to(pv, now, out);
+        }
+
+        // Traditional commit rule (Fig. 2 line 17): execute up to B_x for
+        // the piggy-backed commit certificate C(x).
+        if let Some(cc) = &msg.commit_cert {
+            if cc.kind == CertKind::Commit && e.d.core.cert_valid(cc) {
+                e.d.commit_or_fetch(cc.block, b.proposer, now, out);
+            }
+        }
+
+        // Vote to prepare when w ≥ v_lp (Fig. 2 lines 18–20).
+        if b.justify.rank() >= e.d.high_cert.rank() && pv > e.p.last_voted {
+            if b.justify.rank() > e.d.high_cert.rank() {
+                e.d.set_high_cert(b.justify.clone());
+            }
+            e.p.last_voted = pv;
+            e.d.core.obs.stage(Stage::Voted, block_key(b.id()));
+            e.d.core.obs.counter("votes_sent", 0, 1);
+            let bytes = Certificate::signing_bytes(CertKind::Quorum, pv, Slot::FIRST, b.id());
+            let share = e.d.core.kp.sign(domains::PROPOSE_VOTE, &bytes);
+            out.push(Action::Send {
+                to: b.proposer,
+                msg: Message::Vote(VoteMsg {
+                    vote: VoteInfo { view: pv, slot: Slot::FIRST, block: b.id(), share },
+                }),
+            });
+        }
+    }
+
+    /// Adopts only when the certified body is already present. Differs
+    /// between protocols by history, not by paper: chained fetches the
+    /// body and parks the certificate; slotted adopts without it.
+    fn adopt_cert(
+        e: &mut Engine<Self>,
+        cert: Certificate,
+        _from: ReplicaId,
+        _now: SimTime,
+        _out: &mut Vec<Action>,
+    ) {
+        if cert.rank() > e.d.high_cert.rank()
+            && e.d.core.cert_valid(&cert)
+            && e.d.core.has_block(cert.block)
+        {
+            e.d.set_high_cert(cert);
+        }
+    }
+
+    fn on_message(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: Message,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         match msg {
-            Message::Propose(m) => self.on_propose(from, m, now, out),
-            Message::Vote(m) => self.on_vote(from, m, out),
-            Message::Prepare(m) => self.on_prepare(from, m, now, out),
-            Message::NewView(m) => {
-                self.on_newview(from, m);
-                self.maybe_propose(now, out);
-            }
-            Message::Wish(m) => {
-                let reg = self.core.registry.clone();
-                self.pm.on_wish(from, &m, &reg, out);
-            }
-            Message::Tc(tc) => {
-                let reg = self.core.registry.clone();
-                if let Some(v) = self.pm.on_tc(&tc, &reg, now, out) {
-                    // A newer epoch's TC un-parks a replica whose own
-                    // epoch TC was lost beyond recovery (Pacemaker docs).
-                    if self.awaiting_tc && v >= self.view {
-                        self.view = v;
-                        self.tally = None;
-                        self.enter_view(now, out);
-                    }
-                }
-            }
-            Message::FetchBlock { id } => {
-                if let Some(b) = self.core.block(id) {
-                    out.push(Action::Send {
-                        to: from,
-                        msg: Message::FetchResp { block: b.clone() },
-                    });
-                }
-            }
-            // Only absorb blocks with an outstanding fetch (Byzantine
-            // peers must not push unrequested bodies into the store).
-            Message::FetchResp { block }
-                if self.fetching.is_inflight(block.id())
-                    && self.core.cert_valid(&block.justify) =>
-            {
-                self.fetching.resolved(block.id());
-                self.core.insert_block(block);
-                // Re-run everything parked on missing ancestry (stale
-                // entries drop out through the handlers' own view checks).
-                let parked = std::mem::take(&mut self.pending_props);
-                for (src, prop) in parked {
-                    self.on_propose(src, prop, now, out);
-                }
-                let parked = std::mem::take(&mut self.pending_preps);
-                for (src, prep) in parked {
-                    self.on_prepare(src, prep, now, out);
-                }
-                if let Some((target, source)) = self.retry_commit.take() {
-                    self.commit_or_fetch(target, source, now, out);
-                }
-            }
-            Message::Request(tx) => self.core.source.offer(tx),
+            Message::Vote(m) => Self::on_vote(e, from, m, out),
+            Message::Prepare(m) => Self::on_prepare(e, from, m, now, out),
             _ => {}
         }
     }
 
-    fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>) {
-        if self.check_crash() {
-            return;
+    fn unpark(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
+        e.unpark_proposals(now, out);
+        for (src, prep) in std::mem::take(&mut e.p.pending_preps) {
+            Self::on_prepare(e, src, prep, now, out);
         }
-        match timer {
-            Timer::ViewTimeout(v) => {
-                if v == self.view && self.awaiting_tc {
-                    // Parked at an epoch boundary: retry the Wish (ours or
-                    // the TC may have been lost) and keep the timer armed.
-                    self.core.obs.point("wish_retry", v.0, 0);
-                    self.core.obs.counter("wish_retries", 0, 1);
-                    self.pm.rewish(&self.core.kp.clone(), out);
-                    out.push(Action::SetTimer {
-                        timer: Timer::ViewTimeout(v),
-                        at: now + self.core.cfg.view_timer,
-                    });
-                    return;
-                }
-                if v != self.view {
-                    return;
-                }
-                let next = self.view.next();
-                out.push(Action::Send {
-                    to: self.core.cfg.leader_of(next),
-                    msg: Message::NewView(NewViewMsg {
-                        dest_view: next,
-                        high_cert: self.high_cert.clone(),
-                        vote: None,
-                    }),
-                });
-                self.exit_view(now, out);
-            }
-            Timer::LeaderWait(v) => {
-                if v == self.view {
-                    if let Some(t) = self.tally.as_mut() {
-                        t.deadline_passed = true;
-                    }
-                    self.maybe_propose(now, out);
-                }
-            }
-            Timer::ProposeAt(_) => {}
-        }
+        e.retry_stalled_commit(now, out);
     }
 
-    fn enqueue_txs(&mut self, txs: &[hs1_types::Transaction]) {
-        for tx in txs {
-            self.core.source.offer(*tx);
-        }
+    fn prune(&mut self, _core: &crate::common::CoreState, below: u64) {
+        self.pending_preps.retain(|(_, p)| p.cert.view.0 >= below);
     }
 
-    fn current_view(&self) -> View {
-        self.view
-    }
-
-    fn committed_head(&self) -> BlockId {
-        self.core.committed_head()
-    }
-
-    fn committed_chain(&self) -> Vec<BlockId> {
-        self.core.committed.clone()
-    }
-
-    fn set_observer(&mut self, obs: Obs) {
-        self.core.set_observer(obs);
-    }
-
-    fn set_persistence(&mut self, persist: Box<dyn Persistence>) {
-        self.core.persist = persist;
-    }
-
-    fn restore(&mut self, rs: RecoveredState) {
-        if rs.view > self.view {
-            self.view = rs.view;
-        }
-        // The pre-crash incarnation may have voted up to its last entered
-        // view; never vote there again.
-        self.last_voted = self.last_voted.max(rs.view);
-        if let Some(cert) = &rs.high_cert {
-            if cert.rank() > self.high_cert.rank() {
-                self.high_cert = cert.clone();
-            }
-        }
-        self.core.restore(rs);
-    }
-
-    fn state_root(&self) -> hs1_crypto::Digest {
-        self.core.state_root()
+    fn raise_vote_floor(&mut self, recovered: View) {
+        self.last_voted = self.last_voted.max(recovered);
     }
 }

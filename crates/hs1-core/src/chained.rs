@@ -1,257 +1,110 @@
-//! The streamlined (chained) engines.
+//! The streamlined (chained) protocols — paper §5, Fig. 4.
 //!
-//! One state machine covers three protocols that share the message flow of
-//! paper Fig. 4 — a single Propose/NewView phase per view, with votes sent
-//! to the *next* leader:
+//! One policy covers three protocols that share the message flow of
+//! Fig. 4 — a single Propose/NewView phase per view, with votes sent to
+//! the *next* leader:
 //!
-//! * **HotStuff** — [`ChainDepth::Three`], no speculation: a block commits
+//! * **HotStuff** — 3-chain commit, no speculation: a block commits
 //!   behind three consecutive certificates (7 half-phases).
-//! * **HotStuff-2** — [`ChainDepth::Two`], no speculation: prefix-commit
-//!   rule behind two consecutive certificates (5 half-phases).
-//! * **HotStuff-1** — [`ChainDepth::Two`] plus speculation: replicas
-//!   speculatively execute `B_{v−1}` on receiving the view-`v` proposal
-//!   that certifies it, when the Prefix-Speculation and No-Gap rules hold
-//!   (3 half-phases to the client's early finality confirmation).
+//! * **HotStuff-2** — 2-chain prefix-commit rule, no speculation
+//!   (5 half-phases).
+//! * **HotStuff-1** — 2-chain plus speculation: replicas speculatively
+//!   execute `B_{v−1}` on receiving the view-`v` proposal that certifies
+//!   it, when the Prefix-Speculation and No-Gap rules hold (3 half-phases
+//!   to the client's early finality confirmation).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 use crate::byzantine::Fault;
-use crate::common::{CoreState, FetchTracker, TxSource};
-use crate::pacemaker::{Pacemaker, PmOutcome};
-use crate::persist::{Persistence, RecoveredState};
-use crate::replica::{Action, Replica, Timer};
+use crate::driver::{Engine, Protocol};
+use crate::replica::Action;
 use hs1_crypto::Signature;
-use hs1_ledger::ExecConfig;
-use hs1_obs::{block_key, Obs, Stage};
+use hs1_obs::{block_key, Stage};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::message::{NewViewMsg, ProposeMsg, VoteInfo};
-use hs1_types::{
-    Block, BlockId, Certificate, Message, ReplicaId, SimTime, Slot, SystemConfig, View,
-};
+use hs1_types::{BlockId, Certificate, Message, ReplicaId, SimTime, Slot, View};
 
-/// Commit-rule depth: how many consecutive certificates finalize a block.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ChainDepth {
-    /// HotStuff-2 / HotStuff-1 prefix-commit (2-chain).
-    Two,
-    /// HotStuff (3-chain).
-    Three,
-}
-
-/// Per-view leader bookkeeping.
-struct Tally {
-    view: View,
-    senders: HashSet<ReplicaId>,
-    /// Vote shares for blocks of view − 1, keyed by block.
-    votes: HashMap<BlockId, Vec<(ReplicaId, Signature)>>,
-    proposed: bool,
-    wait_timer_armed: bool,
-    slow_timer_armed: bool,
-    deadline_passed: bool,
-}
-
-impl Tally {
-    fn new(view: View) -> Tally {
-        Tally {
-            view,
-            senders: HashSet::new(),
-            votes: HashMap::new(),
-            proposed: false,
-            wait_timer_armed: false,
-            slow_timer_armed: false,
-            deadline_passed: false,
-        }
-    }
-}
-
-pub struct ChainedEngine {
-    core: CoreState,
-    pm: Pacemaker,
-    fault: Fault,
-    depth: ChainDepth,
+pub(crate) struct Chained {
+    /// Commit-rule depth: consecutive certificates that finalize a block
+    /// (2 for HotStuff-2 / HotStuff-1, 3 for HotStuff).
+    depth: u8,
     speculative: bool,
-
-    view: View,
-    high_cert: Certificate,
     /// Highest view this replica voted in (vote-once-per-view).
     last_voted: View,
     /// Highest view whose proposal was processed (equivocation guard).
     last_prop: View,
-    awaiting_tc: bool,
-    crashed: bool,
-
-    tally: Option<Tally>,
-    /// Buffered NewView messages keyed by destination view.
-    nv_buf: HashMap<u64, Vec<(ReplicaId, NewViewMsg)>>,
     /// Certificates adopted pending their block arriving via fetch.
+    /// Differs between protocols by history, not by paper: basic and
+    /// slotted park nothing here (see [`Chained::adopt_cert`]).
     pending_certs: Vec<(Certificate, ReplicaId)>,
-    /// Proposals parked on a missing justify block.
-    pending_props: Vec<(ReplicaId, ProposeMsg)>,
-    /// Outstanding block fetches (re-sent after a view timer on loss).
-    fetching: FetchTracker,
-    /// Commit target stalled on a missing ancestor (retried after fetch).
-    retry_commit: Option<(BlockId, ReplicaId)>,
 }
 
-impl ChainedEngine {
-    pub fn new(
-        cfg: SystemConfig,
-        me: ReplicaId,
-        depth: ChainDepth,
-        speculative: bool,
-        fault: Fault,
-        exec: ExecConfig,
-    ) -> ChainedEngine {
-        Self::with_source(
-            cfg,
-            me,
-            depth,
-            speculative,
-            fault,
-            exec,
-            Box::new(crate::common::LocalMempool::new()),
-        )
-    }
+#[derive(Default)]
+pub(crate) struct ChainedTally {
+    /// Vote shares for blocks of view − 1, keyed by block.
+    votes: HashMap<BlockId, Vec<(ReplicaId, Signature)>>,
+    proposed: bool,
+}
 
-    pub fn with_source(
-        cfg: SystemConfig,
-        me: ReplicaId,
-        depth: ChainDepth,
-        speculative: bool,
-        fault: Fault,
-        exec: ExecConfig,
-        source: Box<dyn TxSource>,
-    ) -> ChainedEngine {
-        let core = CoreState::new(cfg.clone(), me, exec, source);
-        let pm = Pacemaker::new(cfg, me, SimTime::ZERO);
-        let crashed = matches!(fault, Fault::Silent);
-        ChainedEngine {
-            core,
-            pm,
-            fault,
+impl Chained {
+    pub fn new(depth: u8, speculative: bool) -> Chained {
+        Chained {
             depth,
             speculative,
-            view: View::GENESIS,
-            high_cert: Certificate::genesis(),
             last_voted: View::GENESIS,
             last_prop: View::GENESIS,
-            awaiting_tc: false,
-            crashed,
-            tally: None,
-            nv_buf: HashMap::new(),
             pending_certs: Vec::new(),
-            pending_props: Vec::new(),
-            fetching: FetchTracker::new(),
-            retry_commit: None,
         }
     }
 
-    fn is_leader(&self) -> bool {
-        self.core.cfg.leader_of(self.view) == self.core.me
-    }
-
-    fn check_crash(&mut self) -> bool {
-        if let Fault::Crash { after_view } = self.fault {
-            if self.view.0 > after_view {
-                self.crashed = true;
+    fn do_propose(e: &mut Engine<Self>, out: &mut Vec<Action>) {
+        let fault = e.d.fault.clone();
+        let fresh = e.d.high_cert.clone();
+        // TailFork ignores P(v−1) and extends the certificate of view
+        // ≤ v−2 (Example 6.2), orphaning the previous leader's block.
+        // RollbackAttack (Appendix A.2) equivocates: victims get X
+        // extending the fresh certificate (they will speculate and later
+        // roll back); everyone else gets a conflicting Y extending that
+        // older certificate, which colluding faulty voters help certify.
+        let stale = fault.colludes().then(|| e.d.stale_cert());
+        let x = matches!(fault, Fault::RollbackAttack { .. })
+            .then(|| e.new_block(Slot::FIRST, fresh.clone(), None));
+        let b = e.new_block(Slot::FIRST, stale.unwrap_or(fresh), None);
+        if let Some(t) = e.tally.as_mut() {
+            t.own.proposed = true;
+        }
+        match (fault, x) {
+            (Fault::RollbackAttack { victims }, Some(x)) => {
+                for r in 0..e.d.core.cfg.n as u32 {
+                    let to = ReplicaId(r);
+                    let block = if victims.contains(&to) { x.clone() } else { b.clone() };
+                    out.push(Action::Send {
+                        to,
+                        msg: Message::Propose(ProposeMsg { block, commit_cert: None }),
+                    });
+                }
             }
-        }
-        self.crashed
-    }
-
-    /// Replace `high_cert`, journaling strict rank advances (the
-    /// prepared-certificate part of §4.2 recovery).
-    fn set_high_cert(&mut self, cert: Certificate) {
-        if cert.rank() > self.high_cert.rank() {
-            self.core.persist.on_cert(&cert);
-        }
-        self.high_cert = cert;
-    }
-
-    // -- view lifecycle -----------------------------------------------------
-
-    fn enter_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        self.awaiting_tc = false;
-        self.core.persist.on_view(self.view);
-        self.core.obs.span_begin("view", self.view.0);
-        self.core.obs.counter("view_changes", 0, 1);
-        out.push(Action::EnteredView { view: self.view });
-        out.push(Action::SetTimer {
-            timer: Timer::ViewTimeout(self.view),
-            at: self.pm.deadline(self.view, now),
-        });
-        if self.view.0.is_multiple_of(64) {
-            self.pm.prune_below(self.view);
-            self.core.prune(2048);
-            let v = self.view.0;
-            self.nv_buf.retain(|&dv, _| dv >= v);
-            // Parked messages whose fetch never resolved (dead or
-            // Byzantine peer) are view-stale by now; drop them so the
-            // queues stay bounded on long lossy runs.
-            self.pending_props.retain(|(_, p)| p.block.view.0 >= v);
-            self.pending_certs.retain(|(c, _)| c.view.0 >= v);
-        }
-        if self.is_leader() {
-            self.refresh_tally();
-            self.maybe_propose(now, out);
+            _ => out.push(Action::Broadcast {
+                msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
+            }),
         }
     }
+}
 
-    fn exit_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        self.core.obs.span_end("view", self.view.0);
-        self.view = self.view.next();
-        self.tally = None;
-        match self.pm.completed_view(self.view, &self.core.kp.clone(), out) {
-            PmOutcome::Enter => self.enter_view(now, out),
-            PmOutcome::AwaitTc => {
-                self.awaiting_tc = true;
-                // Loss recovery: if the Wish (or the TC it produces) is
-                // dropped, this timer re-wishes instead of parking forever.
-                out.push(Action::SetTimer {
-                    timer: Timer::ViewTimeout(self.view),
-                    at: now + self.core.cfg.view_timer,
-                });
-            }
-        }
+impl Protocol for Chained {
+    type Tally = ChainedTally;
+    const PRUNE_KEEP: usize = 2048;
+
+    fn new_tally(_view: View) -> ChainedTally {
+        ChainedTally::default()
     }
 
-    /// Jump directly into `v` (a valid proposal for a higher view proves
-    /// progress happened without us).
-    fn jump_to(&mut self, v: View, now: SimTime, out: &mut Vec<Action>) {
-        self.core.obs.span_end("view", self.view.0);
-        self.view = v;
-        self.tally = None;
-        self.pm.note_jump(v);
-        self.enter_view(now, out);
-    }
-
-    // -- leader role ---------------------------------------------------------
-
-    fn refresh_tally(&mut self) {
-        let v = self.view;
-        if self.tally.as_ref().map(|t| t.view) != Some(v) {
-            self.tally = Some(Tally::new(v));
-        }
-        if let Some(msgs) = self.nv_buf.remove(&v.0) {
-            for (from, msg) in msgs {
-                self.tally_newview(from, &msg);
-            }
-        }
-    }
-
-    fn tally_newview(&mut self, from: ReplicaId, msg: &NewViewMsg) {
-        let quorum = self.core.cfg.quorum();
-        let prev = self.view.prev();
-        let Some(t) = self.tally.as_mut() else { return };
-        if t.view != msg.dest_view {
-            return;
-        }
-        if !t.senders.insert(from) {
-            return;
-        }
+    fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg) {
+        let quorum = e.d.core.cfg.quorum();
+        let Some(prev) = e.d.view.prev() else { return };
+        let t = &mut e.tally_mut().own;
         if let Some(vote) = &msg.vote {
-            if Some(vote.view) == prev && vote.slot == Slot::FIRST {
+            if vote.view == prev && vote.slot == Slot::FIRST {
                 let shares = t.votes.entry(vote.block).or_default();
                 if !shares.iter().any(|(r, _)| *r == from) {
                     shares.push((from, vote.share));
@@ -261,7 +114,6 @@ impl ChainedEngine {
         // Form P(v−1) as soon as a quorum of shares agrees on one block
         // (Fig. 4 lines 6–7). Candidate choice is made deterministic by a
         // block-id tie-break (HashMap order is not replay-stable).
-        let Some(prev) = prev else { return };
         let formed: Option<Certificate> = t
             .votes
             .iter()
@@ -275,149 +127,32 @@ impl ChainedEngine {
                 sigs: shares.clone(),
             });
         if let Some(cert) = formed {
-            if cert.rank() > self.high_cert.rank() && self.core.has_block(cert.block) {
-                self.set_high_cert(cert);
+            if cert.rank() > e.d.high_cert.rank() && e.d.core.has_block(cert.block) {
+                e.d.set_high_cert(cert);
             }
         }
     }
 
-    fn maybe_propose(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if !self.is_leader() || self.crashed || self.awaiting_tc {
+    fn propose_if_ready(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
+        if e.tally_mut().own.proposed || !e.prev_cert_or_deadline(now, out) {
             return;
         }
-        self.refresh_tally();
-        let quorum = self.core.cfg.quorum();
-        let n = self.core.cfg.n;
-        let view = self.view;
-        let high_rank = self.high_cert.rank();
-        let t = self.tally.as_mut().expect("tally exists");
-        if t.proposed || t.senders.len() < quorum {
+        // A slow leader proposes when ProposeAt fires.
+        if matches!(e.d.fault, Fault::SlowLeader) {
+            e.arm_slow_timer(now, out);
             return;
         }
-        // Fig. 4 line 3: wait until P(v−1) is known, or n NewViews, or
-        // ShareTimer(v).
-        let have_prev = Some(high_rank.view) == view.prev();
-        let ready = have_prev || t.senders.len() >= n || t.deadline_passed;
-        if !ready {
-            if !t.wait_timer_armed {
-                t.wait_timer_armed = true;
-                out.push(Action::SetTimer {
-                    timer: Timer::LeaderWait(view),
-                    at: self.pm.share_deadline(view, now),
-                });
-            }
-            return;
-        }
-        // Leader-slowness: hold the proposal until the end of the view
-        // window (§6 D6, §7.3), leaving slack for one round to complete.
-        if matches!(self.fault, Fault::SlowLeader) && !t.slow_timer_armed {
-            t.slow_timer_armed = true;
-            let slack = self.core.cfg.delta * 3;
-            let at = self.pm.deadline(view, now) - slack;
-            let at = if at <= now { now } else { at };
-            out.push(Action::SetTimer { timer: Timer::ProposeAt(view), at });
-            return;
-        }
-        if matches!(self.fault, Fault::SlowLeader) {
-            // Will propose when ProposeAt fires.
-            return;
-        }
-        self.do_propose(out);
+        Self::do_propose(e, out);
     }
 
-    /// Trace a freshly assembled proposal.
-    fn note_proposed(&self, id: BlockId) {
-        self.core.obs.stage(Stage::Proposed, block_key(id));
-        self.core.obs.counter("blocks_proposed", 0, 1);
-    }
-
-    /// Highest certificate known with view ≤ `view − 2` (tail-forking and
-    /// rollback-attack justify choice, Example 6.2).
-    fn stale_cert(&self) -> Certificate {
-        let mut best = Certificate::genesis();
-        let limit = self.view.0.saturating_sub(2);
-        // Deterministic tie-break on the block id: the scan walks a
-        // HashMap, whose order must not leak into replayable behavior.
-        let mut consider = |c: &Certificate| {
-            let better = c.rank() > best.rank()
-                || (c.rank() == best.rank() && c.block.0 .0 > best.block.0 .0);
-            if c.view.0 <= limit && better && self.core.has_block(c.block) {
-                best = c.clone();
-            }
-        };
-        consider(&self.high_cert);
-        for b in self.core.blocks.values() {
-            consider(&b.justify);
-        }
-        best
-    }
-
-    fn do_propose(&mut self, out: &mut Vec<Action>) {
-        let view = self.view;
-        match self.fault.clone() {
-            Fault::TailFork => {
-                // Ignore P(v−1); extend the certificate of view ≤ v−2
-                // (Example 6.2), orphaning the previous leader's block.
-                let justify = self.stale_cert();
-                let batch = self.core.make_batch();
-                let b = Arc::new(Block::new(self.core.me, view, Slot::FIRST, justify, batch));
-                self.core.insert_block(b.clone());
-                self.note_proposed(b.id());
-                if let Some(t) = self.tally.as_mut() {
-                    t.proposed = true;
-                }
-                out.push(Action::Broadcast {
-                    msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
-                });
-            }
-            Fault::RollbackAttack { victims } => {
-                // Appendix A.2: equivocate. Victims get X extending the
-                // fresh certificate (they will speculate and later roll
-                // back); everyone else gets a conflicting Y extending an
-                // older certificate, which colluding faulty voters help
-                // certify.
-                let x_justify = self.high_cert.clone();
-                let y_justify = self.stale_cert();
-                let batch_x = self.core.make_batch();
-                let x = Arc::new(Block::new(self.core.me, view, Slot::FIRST, x_justify, batch_x));
-                let batch_y = self.core.make_batch();
-                let y = Arc::new(Block::new(self.core.me, view, Slot::FIRST, y_justify, batch_y));
-                self.core.insert_block(x.clone());
-                self.core.insert_block(y.clone());
-                self.note_proposed(x.id());
-                self.note_proposed(y.id());
-                if let Some(t) = self.tally.as_mut() {
-                    t.proposed = true;
-                }
-                for r in 0..self.core.cfg.n as u32 {
-                    let to = ReplicaId(r);
-                    let block = if victims.contains(&to) { x.clone() } else { y.clone() };
-                    out.push(Action::Send {
-                        to,
-                        msg: Message::Propose(ProposeMsg { block, commit_cert: None }),
-                    });
-                }
-            }
-            _ => {
-                let justify = self.high_cert.clone();
-                let batch = self.core.make_batch();
-                let b = Arc::new(Block::new(self.core.me, view, Slot::FIRST, justify, batch));
-                self.core.insert_block(b.clone());
-                self.note_proposed(b.id());
-                if let Some(t) = self.tally.as_mut() {
-                    t.proposed = true;
-                }
-                out.push(Action::Broadcast {
-                    msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
-                });
-            }
+    fn on_propose_at(e: &mut Engine<Self>, _now: SimTime, out: &mut Vec<Action>) {
+        if !e.tally.as_ref().map(|t| t.own.proposed).unwrap_or(false) {
+            Self::do_propose(e, out);
         }
     }
-
-    // -- backup role ----------------------------------------------------------
 
     fn on_propose(
-        &mut self,
+        e: &mut Engine<Self>,
         from: ReplicaId,
         msg: ProposeMsg,
         now: SimTime,
@@ -425,357 +160,116 @@ impl ChainedEngine {
     ) {
         let b = msg.block.clone();
         let pv = b.view;
-        if b.proposer != self.core.cfg.leader_of(pv) || from != b.proposer || b.slot != Slot::FIRST
-        {
+        if b.slot != Slot::FIRST {
             return;
         }
-        if !self.core.cert_valid(&b.justify) {
-            return;
-        }
-        if pv < self.view || pv <= self.last_prop {
+        if pv < e.d.view || pv <= e.p.last_prop {
             // Stale (e.g. arrived after our view timeout): keep the body —
             // later commits may walk through it — but take no action.
-            self.core.insert_block(b);
+            // Differs between protocols by history, not by paper: basic
+            // drops a stale proposal unstored; slotted stores only
+            // `pv < view`.
+            e.insert_block(&b);
             return;
         }
-        if !self.core.has_block(b.justify.block) {
-            self.request_block(b.justify.block, from, now, out);
-            self.pending_props.push((from, msg));
+        if !e.d.core.has_block(b.justify.block) {
+            e.d.fetch_and_park(&[b.justify.block], from, msg, now, out);
             return;
         }
-        self.core.insert_block(b.clone());
-        self.core.obs.stage(Stage::Received, block_key(b.id()));
-        if pv > self.view {
-            self.jump_to(pv, now, out);
+        e.insert_block(&b);
+        e.d.core.obs.stage(Stage::Received, block_key(b.id()));
+        if pv > e.d.view {
+            e.jump_to(pv, now, out);
         }
-        self.last_prop = pv;
-        self.process_proposal(&b, now, out);
-    }
+        e.p.last_prop = pv;
 
-    fn process_proposal(&mut self, b: &Arc<Block>, now: SimTime, out: &mut Vec<Action>) {
-        let pv = b.view;
         let justify = b.justify.clone();
-        let jb = self.core.block(justify.block).expect("justify block present").clone();
+        let jb = e.d.core.block(justify.block).expect("justify block present").clone();
 
         // 1. Commit rule (Fig. 4 lines 9–10; 3-chain for HotStuff).
-        let proposer = b.proposer;
-        match self.depth {
-            ChainDepth::Two => {
-                if justify.view.is_successor_of(jb.justify.view) && !justify.is_genesis() {
-                    self.commit_or_fetch(jb.parent, proposer, now, out);
-                }
-            }
-            ChainDepth::Three => {
-                if justify.view.is_successor_of(jb.justify.view) && !justify.is_genesis() {
-                    if let Some(jb1) = self.core.block(jb.justify.block).cloned() {
-                        if jb.justify.view.is_successor_of(jb1.justify.view)
-                            && !jb.justify.is_genesis()
-                        {
-                            self.commit_or_fetch(jb1.parent, proposer, now, out);
-                        }
-                    }
+        if justify.view.is_successor_of(jb.justify.view) && !justify.is_genesis() {
+            if e.p.depth == 2 {
+                e.d.commit_or_fetch(jb.parent, b.proposer, now, out);
+            } else if let Some(jb1) = e.d.core.block(jb.justify.block).cloned() {
+                if jb.justify.view.is_successor_of(jb1.justify.view) && !jb.justify.is_genesis() {
+                    e.d.commit_or_fetch(jb1.parent, b.proposer, now, out);
                 }
             }
         }
 
         // 2. Speculation (HotStuff-1 only; Fig. 4 lines 11–15).
-        if self.speculative
+        if e.p.speculative
             && pv.is_successor_of(justify.view) // No-Gap rule
-            && self.core.is_committed(jb.parent) // Prefix Speculation rule
+            && e.d.core.is_committed(jb.parent) // Prefix Speculation rule
             && !jb.is_genesis()
         {
-            self.core.speculate(&jb, out);
+            e.d.core.speculate(&jb, out);
         }
 
         // 3. Vote (Fig. 4 lines 16–18): w ≥ v_lp; colluding faulty
         // replicas vote for any faulty leader's proposal.
-        let old_rank = self.high_cert.rank();
+        let old_rank = e.d.high_cert.rank();
         if justify.rank() >= old_rank {
-            self.set_high_cert(justify.clone());
+            e.d.set_high_cert(justify.clone());
         }
-        let vote_ok = justify.rank() >= old_rank || self.fault.colludes();
-        if vote_ok && pv > self.last_voted && !self.crashed {
-            self.last_voted = pv;
-            self.core.obs.stage(Stage::Voted, block_key(b.id()));
-            self.core.obs.counter("votes_sent", 0, 1);
+        let vote_ok = justify.rank() >= old_rank || e.d.fault.colludes();
+        if vote_ok && pv > e.p.last_voted && !e.d.crashed {
+            e.p.last_voted = pv;
+            e.d.core.obs.stage(Stage::Voted, block_key(b.id()));
+            e.d.core.obs.counter("votes_sent", 0, 1);
             let bytes = Certificate::signing_bytes(CertKind::Quorum, pv, Slot::FIRST, b.id());
-            let share = self.core.kp.sign(domains::PROPOSE_VOTE, &bytes);
-            let next_leader = self.core.cfg.leader_of(pv.next());
+            let share = e.d.core.kp.sign(domains::PROPOSE_VOTE, &bytes);
             out.push(Action::Send {
-                to: next_leader,
+                to: e.d.core.cfg.leader_of(pv.next()),
                 msg: Message::NewView(NewViewMsg {
                     dest_view: pv.next(),
-                    high_cert: self.high_cert.clone(),
+                    high_cert: e.d.high_cert.clone(),
                     vote: Some(VoteInfo { view: pv, slot: Slot::FIRST, block: b.id(), share }),
                 }),
             });
             // 4. Exit the view (Fig. 4 line 19).
-            self.exit_view(now, out);
+            e.exit_view(now, out);
         }
     }
 
-    fn on_newview(
-        &mut self,
-        from: ReplicaId,
-        msg: NewViewMsg,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        self.adopt_cert(msg.high_cert.clone(), from, now, out);
-        if msg.dest_view < self.view {
-            return;
-        }
-        if self.core.cfg.leader_of(msg.dest_view) != self.core.me {
-            return;
-        }
-        if msg.dest_view == self.view && self.tally.is_some() {
-            self.tally_newview(from, &msg);
-        } else {
-            self.nv_buf.entry(msg.dest_view.0).or_default().push((from, msg));
-        }
-    }
-
+    /// Fetches the certified body when it is missing and parks the
+    /// certificate until it arrives. Differs between protocols by
+    /// history, not by paper: basic adopts only with the body present;
+    /// slotted adopts without it.
     fn adopt_cert(
-        &mut self,
+        e: &mut Engine<Self>,
         cert: Certificate,
         from: ReplicaId,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
-        if cert.rank() <= self.high_cert.rank() {
+        if cert.rank() <= e.d.high_cert.rank() || !e.d.core.cert_valid(&cert) {
             return;
         }
-        if !self.core.cert_valid(&cert) {
-            return;
-        }
-        if self.core.has_block(cert.block) {
-            self.set_high_cert(cert);
+        if e.d.core.has_block(cert.block) {
+            e.d.set_high_cert(cert);
         } else {
-            self.request_block(cert.block, from, now, out);
-            self.pending_certs.push((cert, from));
+            e.d.request_block(cert.block, from, now, out);
+            e.p.pending_certs.push((cert, from));
         }
     }
 
-    fn request_block(&mut self, id: BlockId, from: ReplicaId, now: SimTime, out: &mut Vec<Action>) {
-        if self.fetching.should_request(id, now, self.core.cfg.view_timer) {
-            out.push(Action::Send { to: from, msg: Message::FetchBlock { id } });
+    fn unpark(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
+        // Re-adopt pending certificates now satisfiable, then the parked
+        // proposals that may build on them.
+        for (cert, from) in std::mem::take(&mut e.p.pending_certs) {
+            Self::adopt_cert(e, cert, from, now, out);
         }
+        e.unpark_proposals(now, out);
+        e.retry_stalled_commit(now, out);
     }
 
-    /// Commit `target`, fetching missing ancestor bodies from `source`
-    /// and retrying on arrival (a replica that dropped a late proposal
-    /// must not stall its global-ledger permanently).
-    fn commit_or_fetch(
-        &mut self,
-        target: BlockId,
-        source: ReplicaId,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        if let Err(missing) = self.core.commit_chain(target, out) {
-            self.request_block(missing, source, now, out);
-            self.retry_commit = Some((target, source));
-        } else if self.retry_commit.map(|(t, _)| self.core.is_committed(t)).unwrap_or(false) {
-            self.retry_commit = None;
-        }
+    fn prune(&mut self, _core: &crate::common::CoreState, below: u64) {
+        self.pending_certs.retain(|(c, _)| c.view.0 >= below);
     }
 
-    fn on_fetch_resp(&mut self, block: Arc<Block>, now: SimTime, out: &mut Vec<Action>) {
-        // Only absorb blocks we actually asked for: a Byzantine peer must
-        // not grow our store (or influence pending certs/proposals) by
-        // pushing unrequested bodies through the fetch path.
-        if !self.fetching.is_inflight(block.id()) {
-            return;
-        }
-        // Fetched blocks must themselves chain to something we know;
-        // recursively fetch if not. Justify validity is checked before use.
-        if !self.core.cert_valid(&block.justify) {
-            return;
-        }
-        self.fetching.resolved(block.id());
-        self.core.insert_block(block.clone());
-        // Re-adopt pending certificates now satisfiable.
-        let pending = std::mem::take(&mut self.pending_certs);
-        for (cert, from) in pending {
-            self.adopt_cert(cert, from, now, out);
-        }
-        // Re-run parked proposals.
-        let parked = std::mem::take(&mut self.pending_props);
-        for (from, prop) in parked {
-            self.on_propose(from, prop, now, out);
-        }
-        // Retry a stalled commit (fetching further ancestors if needed).
-        if let Some((target, source)) = self.retry_commit.take() {
-            self.commit_or_fetch(target, source, now, out);
-        }
-    }
-}
-
-impl Replica for ChainedEngine {
-    fn id(&self) -> ReplicaId {
-        self.core.me
-    }
-
-    fn on_init(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if self.crashed {
-            return;
-        }
-        // Genesis view 0 auto-completes; every replica announces itself to
-        // the leader of view 1 with its (genesis) high certificate. A
-        // restored replica re-enters at its recovered view instead.
-        if self.view < View(1) {
-            self.view = View(1);
-        }
-        let leader = self.core.cfg.leader_of(self.view);
-        out.push(Action::Send {
-            to: leader,
-            msg: Message::NewView(NewViewMsg {
-                dest_view: self.view,
-                high_cert: self.high_cert.clone(),
-                vote: None,
-            }),
-        });
-        self.enter_view(now, out);
-    }
-
-    fn on_message(&mut self, from: ReplicaId, msg: Message, now: SimTime, out: &mut Vec<Action>) {
-        if self.check_crash() {
-            return;
-        }
-        match msg {
-            Message::Propose(m) => self.on_propose(from, m, now, out),
-            Message::NewView(m) => {
-                self.on_newview(from, m, now, out);
-                self.maybe_propose(now, out);
-            }
-            Message::Wish(m) => {
-                let reg = self.core.registry.clone();
-                self.pm.on_wish(from, &m, &reg, out);
-            }
-            Message::Tc(tc) => {
-                let reg = self.core.registry.clone();
-                if let Some(v) = self.pm.on_tc(&tc, &reg, now, out) {
-                    // `v` may be *ahead* of the awaited view: a newer
-                    // epoch's TC un-parks a replica whose own epoch TC
-                    // was lost beyond recovery (see Pacemaker docs).
-                    if self.awaiting_tc && v >= self.view {
-                        self.view = v;
-                        self.tally = None;
-                        self.enter_view(now, out);
-                    }
-                }
-            }
-            Message::FetchBlock { id } => {
-                if let Some(b) = self.core.block(id) {
-                    out.push(Action::Send {
-                        to: from,
-                        msg: Message::FetchResp { block: b.clone() },
-                    });
-                }
-            }
-            Message::FetchResp { block } => self.on_fetch_resp(block, now, out),
-            Message::Request(tx) => self.core.source.offer(tx),
-            // Vote/Prepare/NewSlot/Reject/Response are not part of the
-            // chained protocols.
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>) {
-        if self.check_crash() {
-            return;
-        }
-        match timer {
-            Timer::ViewTimeout(v) => {
-                if v == self.view && self.awaiting_tc {
-                    // Parked at an epoch boundary: retry the Wish (ours or
-                    // the TC may have been lost) and keep the timer armed.
-                    self.core.obs.point("wish_retry", v.0, 0);
-                    self.core.obs.counter("wish_retries", 0, 1);
-                    self.pm.rewish(&self.core.kp.clone(), out);
-                    out.push(Action::SetTimer {
-                        timer: Timer::ViewTimeout(v),
-                        at: now + self.core.cfg.view_timer,
-                    });
-                    return;
-                }
-                if v != self.view {
-                    return;
-                }
-                // Fig. 4 lines 20–22.
-                let next = self.view.next();
-                out.push(Action::Send {
-                    to: self.core.cfg.leader_of(next),
-                    msg: Message::NewView(NewViewMsg {
-                        dest_view: next,
-                        high_cert: self.high_cert.clone(),
-                        vote: None,
-                    }),
-                });
-                self.exit_view(now, out);
-            }
-            Timer::LeaderWait(v) => {
-                if v == self.view {
-                    if let Some(t) = self.tally.as_mut() {
-                        t.deadline_passed = true;
-                    }
-                    self.maybe_propose(now, out);
-                }
-            }
-            Timer::ProposeAt(v) => {
-                if v == self.view && self.is_leader() {
-                    let proposed = self.tally.as_ref().map(|t| t.proposed).unwrap_or(false);
-                    if !proposed {
-                        self.do_propose(out);
-                    }
-                }
-            }
-        }
-    }
-
-    fn enqueue_txs(&mut self, txs: &[hs1_types::Transaction]) {
-        for tx in txs {
-            self.core.source.offer(*tx);
-        }
-    }
-
-    fn current_view(&self) -> View {
-        self.view
-    }
-
-    fn committed_head(&self) -> BlockId {
-        self.core.committed_head()
-    }
-
-    fn committed_chain(&self) -> Vec<BlockId> {
-        self.core.committed.clone()
-    }
-
-    fn set_observer(&mut self, obs: Obs) {
-        self.core.set_observer(obs);
-    }
-
-    fn set_persistence(&mut self, persist: Box<dyn Persistence>) {
-        self.core.persist = persist;
-    }
-
-    fn restore(&mut self, rs: RecoveredState) {
-        if rs.view > self.view {
-            self.view = rs.view;
-        }
-        // Never vote or process proposals at or below the recovered view:
-        // the pre-crash incarnation may already have voted there.
-        self.last_voted = self.last_voted.max(rs.view);
-        self.last_prop = self.last_prop.max(rs.view);
-        if let Some(cert) = &rs.high_cert {
-            if cert.rank() > self.high_cert.rank() {
-                self.high_cert = cert.clone();
-            }
-        }
-        self.core.restore(rs);
-    }
-
-    fn state_root(&self) -> hs1_crypto::Digest {
-        self.core.state_root()
+    fn raise_vote_floor(&mut self, recovered: View) {
+        self.last_voted = self.last_voted.max(recovered);
+        self.last_prop = self.last_prop.max(recovered);
     }
 }

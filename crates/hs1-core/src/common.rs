@@ -1,4 +1,4 @@
-//! State and helpers shared by every consensus engine: block store,
+//! State and helpers below the view driver: block store,
 //! transaction source, the commit path (global-ledger) and the speculation
 //! path (local-ledger).
 
@@ -166,7 +166,7 @@ impl TxSource for LocalMempool {
 /// Outstanding block fetches with lost-response retry: a fetch may be
 /// re-sent once `retry_after` has elapsed since its last request, so a
 /// dropped `FetchResp` delays catch-up by one window instead of
-/// deadlocking it forever. Shared by every engine's fetch path.
+/// deadlocking it forever.
 #[derive(Default)]
 pub struct FetchTracker {
     inflight: HashMap<BlockId, hs1_types::SimTime>,
@@ -194,7 +194,7 @@ impl FetchTracker {
         }
     }
 
-    /// Is a fetch for `id` outstanding? Engines absorb a `FetchResp` only
+    /// Is a fetch for `id` outstanding? The driver absorbs a `FetchResp` only
     /// when this holds — a Byzantine peer must not be able to push
     /// arbitrary unrequested blocks into the store through the fetch path.
     pub fn is_inflight(&self, id: BlockId) -> bool {
@@ -207,7 +207,7 @@ impl FetchTracker {
     }
 }
 
-/// State common to every engine: identity, crypto, block store, execution,
+/// Replica state below the view driver: identity, crypto, block store, execution,
 /// mempool, committed chain.
 pub struct CoreState {
     pub cfg: SystemConfig,
@@ -371,22 +371,6 @@ impl CoreState {
         out.push(Action::Executed { block: b.clone(), digest, kind: ReplyKind::Speculative });
     }
 
-    /// Is `ancestor` on `descendant`'s ancestor chain (inclusive)?
-    /// Walks at most `limit` links.
-    pub fn extends(&self, descendant: BlockId, ancestor: BlockId, limit: usize) -> bool {
-        let mut cur = descendant;
-        for _ in 0..=limit {
-            if cur == ancestor {
-                return true;
-            }
-            match self.blocks.get(&cur) {
-                Some(b) if !b.is_genesis() => cur = b.parent,
-                _ => return false,
-            }
-        }
-        false
-    }
-
     /// Root of the committed global-ledger state.
     pub fn state_root(&self) -> hs1_crypto::Digest {
         self.exec.store().committed_store().state_root()
@@ -464,7 +448,7 @@ mod tests {
         )
     }
 
-    fn child_of(s: &CoreState, parent: BlockId, view: u64, tag: u64) -> Arc<Block> {
+    fn child_of(parent: BlockId, view: u64, tag: u64) -> Arc<Block> {
         let justify = Certificate {
             kind: hs1_types::CertKind::Quorum,
             view: View(view - 1),
@@ -472,7 +456,6 @@ mod tests {
             block: parent,
             sigs: vec![],
         };
-        let _ = s;
         Arc::new(Block::new(
             ReplicaId(0),
             View(view),
@@ -492,8 +475,8 @@ mod tests {
     #[test]
     fn commit_chain_commits_ancestors_in_order() {
         let mut s = state();
-        let b1 = child_of(&s, Block::genesis_id(), 1, 1);
-        let b2 = child_of(&s, b1.id(), 2, 2);
+        let b1 = child_of(Block::genesis_id(), 1, 1);
+        let b2 = child_of(b1.id(), 2, 2);
         s.insert_block(b1.clone());
         s.insert_block(b2.clone());
         let mut out = Vec::new();
@@ -518,8 +501,8 @@ mod tests {
     #[test]
     fn commit_chain_missing_ancestor_fails() {
         let mut s = state();
-        let b1 = child_of(&s, Block::genesis_id(), 1, 1);
-        let b2 = child_of(&s, b1.id(), 2, 2);
+        let b1 = child_of(Block::genesis_id(), 1, 1);
+        let b2 = child_of(b1.id(), 2, 2);
         s.insert_block(b2.clone()); // b1 never stored
         let mut out = Vec::new();
         assert!(s.commit_chain(b2.id(), &mut out).is_err());
@@ -529,7 +512,7 @@ mod tests {
     #[test]
     fn speculate_then_commit_promotes_without_second_response() {
         let mut s = state();
-        let b1 = child_of(&s, Block::genesis_id(), 1, 1);
+        let b1 = child_of(Block::genesis_id(), 1, 1);
         s.insert_block(b1.clone());
         let mut out = Vec::new();
         s.speculate(&b1, &mut out);
@@ -544,8 +527,8 @@ mod tests {
     #[test]
     fn speculate_conflicting_rolls_back() {
         let mut s = state();
-        let b1 = child_of(&s, Block::genesis_id(), 1, 1);
-        let b1_alt = child_of(&s, Block::genesis_id(), 2, 99);
+        let b1 = child_of(Block::genesis_id(), 1, 1);
+        let b1_alt = child_of(Block::genesis_id(), 2, 99);
         s.insert_block(b1.clone());
         s.insert_block(b1_alt.clone());
         let mut out = Vec::new();
@@ -563,8 +546,8 @@ mod tests {
     #[test]
     fn speculate_after_rollback_reexecutes() {
         let mut s = state();
-        let b1 = child_of(&s, Block::genesis_id(), 1, 1);
-        let b1_alt = child_of(&s, Block::genesis_id(), 2, 99);
+        let b1 = child_of(Block::genesis_id(), 1, 1);
+        let b1_alt = child_of(Block::genesis_id(), 2, 99);
         s.insert_block(b1.clone());
         s.insert_block(b1_alt.clone());
         let mut out = Vec::new();
@@ -584,24 +567,12 @@ mod tests {
     #[test]
     fn speculate_is_idempotent() {
         let mut s = state();
-        let b1 = child_of(&s, Block::genesis_id(), 1, 1);
+        let b1 = child_of(Block::genesis_id(), 1, 1);
         s.insert_block(b1.clone());
         let mut out = Vec::new();
         s.speculate(&b1, &mut out);
         s.speculate(&b1, &mut out);
         assert_eq!(out.iter().filter(|a| matches!(a, Action::Executed { .. })).count(), 1);
-    }
-
-    #[test]
-    fn extends_walks_chain() {
-        let mut s = state();
-        let b1 = child_of(&s, Block::genesis_id(), 1, 1);
-        let b2 = child_of(&s, b1.id(), 2, 2);
-        s.insert_block(b1.clone());
-        s.insert_block(b2.clone());
-        assert!(s.extends(b2.id(), b1.id(), 10));
-        assert!(s.extends(b2.id(), Block::genesis_id(), 10));
-        assert!(!s.extends(b1.id(), b2.id(), 10));
     }
 
     #[test]
@@ -669,7 +640,7 @@ mod tests {
         // displace it (not panic under restore_committed's no-overlay
         // invariant).
         let mut s = state();
-        let b1 = child_of(&s, Block::genesis_id(), 1, 1);
+        let b1 = child_of(Block::genesis_id(), 1, 1);
         s.insert_block(b1.clone());
         let mut out = Vec::new();
         s.speculate(&b1, &mut out);
@@ -692,7 +663,7 @@ mod tests {
         let mut s = state();
         let mut parent = Block::genesis_id();
         for v in 1..=10 {
-            let b = child_of(&s, parent, v, v);
+            let b = child_of(parent, v, v);
             parent = b.id();
             s.insert_block(b.clone());
             let mut out = Vec::new();
@@ -704,7 +675,7 @@ mod tests {
         assert!(s.has_block(parent), "recent blocks kept");
     }
 
-    /// The engines prune every 64 views. Execution digests must go with
+    /// The driver prunes every 64 views. Execution digests must go with
     /// the bodies, or a long run gains one map entry per block forever.
     #[test]
     fn digests_stay_bounded_over_ten_thousand_commits() {
@@ -713,7 +684,7 @@ mod tests {
         let mut parent = Block::genesis_id();
         let mut out = Vec::new();
         for v in 1..=10_000u64 {
-            let b = child_of(&s, parent, v, v);
+            let b = child_of(parent, v, v);
             parent = b.id();
             s.insert_block(b.clone());
             // Speculate-then-commit on odd views, commit directly on even.
@@ -727,7 +698,7 @@ mod tests {
             }
         }
         // One more block speculated and not yet committed.
-        let tip = child_of(&s, parent, 10_001, 10_001);
+        let tip = child_of(parent, 10_001, 10_001);
         s.insert_block(tip.clone());
         s.speculate(&tip, &mut out);
         let live_speculation = 1;

@@ -1,0 +1,667 @@
+//! The view driver: the part of a replica every protocol shares.
+//!
+//! The paper presents its protocols as deltas — basic (§4) → streamlined
+//! (§5) → slotting (§6) — over one skeleton: enter a view, collect
+//! NewViews as its leader, propose, vote, leave the view on a vote or a
+//! timeout, synchronize epochs through the pacemaker, and fetch block
+//! bodies that never arrived. [`Engine`] is that skeleton, written once;
+//! a [`Protocol`] supplies what the paper says differs (the vote rule,
+//! where votes go, when to speculate, the commit rule, the protocol's own
+//! message kinds).
+//!
+//! The order of `Action`s pushed to `out` and of `Obs` emissions within a
+//! step is part of the behaviour: the simulator consumes `out` in order
+//! and traces are byte-compared across commits (`tests/observability.rs`).
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+use crate::byzantine::Fault;
+use crate::common::{CoreState, FetchTracker, TxSource};
+use crate::pacemaker::{Pacemaker, PmOutcome};
+use crate::persist::{Persistence, RecoveredState};
+use crate::replica::{Action, Replica, Timer};
+use hs1_ledger::ExecConfig;
+use hs1_obs::{block_key, Obs, Stage};
+use hs1_types::message::{NewViewMsg, ProposeMsg, VoteInfo};
+use hs1_types::{
+    Block, BlockId, Certificate, Message, ReplicaId, SimTime, Slot, SystemConfig, View,
+};
+
+/// What a protocol adds to the driver. Hooks are associated functions over
+/// the whole [`Engine`] because most of them re-enter the driver
+/// (`exit_view`, `jump_to`, `commit_or_fetch`).
+pub(crate) trait Protocol: Sized + Send {
+    /// The protocol's share of the per-view leader [`Tally`].
+    type Tally: Send;
+    /// Committed block bodies kept behind the head when pruning.
+    const PRUNE_KEEP: usize;
+    /// `false`: a NewView's `high_cert` is adopted on receipt, before the
+    /// message is tallied or buffered. `true`: the tally hook adopts it,
+    /// so a buffered NewView's certificate waits for its view. Differs
+    /// between protocols by history, not by paper.
+    const ADOPTS_IN_TALLY: bool = false;
+
+    fn new_tally(view: View) -> Self::Tally;
+
+    /// The vote a NewView for `dest` carries at init and on a view timeout.
+    fn newview_vote(_e: &Engine<Self>, _dest: View) -> Option<VoteInfo> {
+        None
+    }
+
+    /// A NewView from a new sender reached the current view's tally.
+    fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg);
+
+    /// Leader of the current view, tally refreshed: propose if the
+    /// protocol's ready condition holds.
+    fn propose_if_ready(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>);
+
+    /// `ProposeAt` fired in the current view, which this replica leads.
+    fn on_propose_at(_e: &mut Engine<Self>, _now: SimTime, _out: &mut Vec<Action>) {}
+
+    /// A proposal from its view's leader with a valid justify: the stale
+    /// rule, the vote rule and destination, speculation, the commit rule.
+    fn on_propose(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: ProposeMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    );
+
+    /// A certificate seen outside a proposal (NewView, NewSlot, Reject).
+    fn adopt_cert(
+        e: &mut Engine<Self>,
+        cert: Certificate,
+        from: ReplicaId,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    );
+
+    /// The protocol's own message kinds.
+    fn on_message(
+        _e: &mut Engine<Self>,
+        _from: ReplicaId,
+        _msg: Message,
+        _now: SimTime,
+        _out: &mut Vec<Action>,
+    ) {
+    }
+
+    /// A requested body arrived and is stored: re-run what was parked on
+    /// it. Overrides order their own parked queues around these two.
+    fn unpark(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
+        e.unpark_proposals(now, out);
+        e.retry_stalled_commit(now, out);
+    }
+
+    /// The view changed (exit, jump or TC): reset per-view cursors.
+    fn on_view_change(&mut self) {}
+
+    /// A block enters the store through a proposal or a fetch.
+    fn index_block(&mut self, _b: &Block) {}
+
+    /// Every 64 views, after the store was pruned: drop parked work below
+    /// view `below` and indexes into pruned bodies.
+    fn prune(&mut self, _core: &CoreState, _below: u64) {}
+
+    /// Recovery (§4.2): the pre-crash incarnation may have voted anywhere
+    /// up to `recovered`; never sign there again.
+    fn raise_vote_floor(&mut self, recovered: View);
+}
+
+/// Leader bookkeeping for one view.
+pub(crate) struct Tally<T> {
+    pub view: View,
+    /// NewView senders for this view (leader entry condition).
+    pub senders: HashSet<ReplicaId>,
+    pub wait_timer_armed: bool,
+    pub slow_timer_armed: bool,
+    pub deadline_passed: bool,
+    /// The protocol's shares and flags.
+    pub own: T,
+}
+
+/// State and helpers that need no protocol.
+pub(crate) struct Driver {
+    pub core: CoreState,
+    pub pm: Pacemaker,
+    pub fault: Fault,
+    pub view: View,
+    pub high_cert: Certificate,
+    pub awaiting_tc: bool,
+    pub crashed: bool,
+    /// Buffered NewView messages keyed by destination view.
+    pub nv_buf: HashMap<u64, Vec<(ReplicaId, NewViewMsg)>>,
+    /// Proposals parked on a missing justify (or carry) body. Without this
+    /// a single lost proposal cascades: every later proposal justifies a
+    /// body the replica never got, so it stops voting for good.
+    pub pending_props: Vec<(ReplicaId, ProposeMsg)>,
+    /// Outstanding block fetches (re-sent after a view timer on loss).
+    pub fetching: FetchTracker,
+    /// Commit target stalled on a missing ancestor (retried after fetch).
+    pub retry_commit: Option<(BlockId, ReplicaId)>,
+}
+
+impl Driver {
+    pub fn new(
+        cfg: SystemConfig,
+        me: ReplicaId,
+        fault: Fault,
+        exec: ExecConfig,
+        source: Box<dyn TxSource>,
+    ) -> Driver {
+        Driver {
+            core: CoreState::new(cfg.clone(), me, exec, source),
+            pm: Pacemaker::new(cfg, me, SimTime::ZERO),
+            crashed: matches!(fault, Fault::Silent),
+            fault,
+            view: View::GENESIS,
+            high_cert: Certificate::genesis(),
+            awaiting_tc: false,
+            nv_buf: HashMap::new(),
+            pending_props: Vec::new(),
+            fetching: FetchTracker::new(),
+            retry_commit: None,
+        }
+    }
+
+    pub fn is_leader(&self) -> bool {
+        self.core.cfg.leader_of(self.view) == self.core.me
+    }
+
+    fn check_crash(&mut self) -> bool {
+        if let Fault::Crash { after_view } = self.fault {
+            if self.view.0 > after_view {
+                self.crashed = true;
+            }
+        }
+        self.crashed
+    }
+
+    /// Replace `high_cert`, journaling strict rank advances (the
+    /// prepared-certificate part of §4.2 recovery).
+    pub fn set_high_cert(&mut self, cert: Certificate) {
+        if cert.rank() > self.high_cert.rank() {
+            self.core.persist.on_cert(&cert);
+        }
+        self.high_cert = cert;
+    }
+
+    /// Request a block body, re-sending after a view timer if a prior
+    /// fetch went unanswered (message loss must not deadlock catch-up).
+    pub fn request_block(
+        &mut self,
+        id: BlockId,
+        from: ReplicaId,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        if self.fetching.should_request(id, now, self.core.cfg.view_timer) {
+            out.push(Action::Send { to: from, msg: Message::FetchBlock { id } });
+        }
+    }
+
+    /// Park `msg` until the `missing` bodies, requested from `from`, arrive.
+    pub fn fetch_and_park(
+        &mut self,
+        missing: &[BlockId],
+        from: ReplicaId,
+        msg: ProposeMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        for &id in missing {
+            self.request_block(id, from, now, out);
+        }
+        self.pending_props.push((from, msg));
+    }
+
+    /// Commit `target`, fetching missing ancestor bodies from `source`
+    /// and retrying on arrival (a replica that dropped a late proposal
+    /// must not stall its global-ledger permanently).
+    pub fn commit_or_fetch(
+        &mut self,
+        target: BlockId,
+        source: ReplicaId,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        if let Err(missing) = self.core.commit_chain(target, out) {
+            self.request_block(missing, source, now, out);
+            self.retry_commit = Some((target, source));
+        }
+    }
+
+    /// Highest certificate known with view ≤ `view − 2` (tail-forking and
+    /// rollback-attack justify choice, Example 6.2).
+    pub fn stale_cert(&self) -> Certificate {
+        let mut best = Certificate::genesis();
+        let limit = self.view.0.saturating_sub(2);
+        // Deterministic tie-break on the block id: the scan walks a
+        // HashMap, whose order must not leak into replayable behavior.
+        let mut consider = |c: &Certificate| {
+            let better = c.rank() > best.rank()
+                || (c.rank() == best.rank() && c.block.0 .0 > best.block.0 .0);
+            if c.view.0 <= limit && better && self.core.has_block(c.block) {
+                best = c.clone();
+            }
+        };
+        consider(&self.high_cert);
+        for b in self.core.blocks.values() {
+            consider(&b.justify);
+        }
+        best
+    }
+}
+
+/// A replica: the shared [`Driver`], the current view's leader tally, and
+/// the protocol policy `p`.
+pub(crate) struct Engine<P: Protocol> {
+    pub d: Driver,
+    pub tally: Option<Tally<P::Tally>>,
+    pub p: P,
+}
+
+impl<P: Protocol> Engine<P> {
+    pub fn new(d: Driver, p: P) -> Engine<P> {
+        Engine { d, tally: None, p }
+    }
+
+    // -- view lifecycle -----------------------------------------------------
+
+    fn set_view(&mut self, v: View) {
+        self.d.view = v;
+        self.tally = None;
+        self.p.on_view_change();
+    }
+
+    fn enter_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        let d = &mut self.d;
+        d.awaiting_tc = false;
+        d.core.persist.on_view(d.view);
+        d.core.obs.span_begin("view", d.view.0);
+        d.core.obs.counter("view_changes", 0, 1);
+        out.push(Action::EnteredView { view: d.view });
+        out.push(Action::SetTimer {
+            timer: Timer::ViewTimeout(d.view),
+            at: d.pm.deadline(d.view, now),
+        });
+        if d.view.0.is_multiple_of(64) {
+            d.pm.prune_below(d.view);
+            d.core.prune(P::PRUNE_KEEP);
+            let v = d.view.0;
+            d.nv_buf.retain(|&dv, _| dv >= v);
+            // Parked messages whose fetch never resolved (dead or
+            // Byzantine peer) are view-stale by now; drop them so the
+            // queues stay bounded on long lossy runs.
+            d.pending_props.retain(|(_, p)| p.block.view.0 >= v);
+            self.p.prune(&d.core, v);
+        }
+        self.maybe_propose(now, out);
+    }
+
+    pub fn exit_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        self.d.core.obs.span_end("view", self.d.view.0);
+        self.set_view(self.d.view.next());
+        match self.d.pm.completed_view(self.d.view, &self.d.core.kp, out) {
+            PmOutcome::Enter => self.enter_view(now, out),
+            PmOutcome::AwaitTc => {
+                self.d.awaiting_tc = true;
+                // Loss recovery: if the Wish (or the TC it produces) is
+                // dropped, this timer re-wishes instead of parking forever.
+                out.push(Action::SetTimer {
+                    timer: Timer::ViewTimeout(self.d.view),
+                    at: now + self.d.core.cfg.view_timer,
+                });
+            }
+        }
+    }
+
+    /// Jump directly into `v` (a valid proposal for a higher view proves
+    /// progress happened without us).
+    pub fn jump_to(&mut self, v: View, now: SimTime, out: &mut Vec<Action>) {
+        self.d.core.obs.span_end("view", self.d.view.0);
+        self.set_view(v);
+        self.d.pm.note_jump(v);
+        self.enter_view(now, out);
+    }
+
+    // -- leader role --------------------------------------------------------
+
+    fn refresh_tally(&mut self) {
+        let view = self.d.view;
+        if self.tally.as_ref().map(|t| t.view) != Some(view) {
+            self.tally = Some(Tally {
+                view,
+                senders: HashSet::new(),
+                wait_timer_armed: false,
+                slow_timer_armed: false,
+                deadline_passed: false,
+                own: P::new_tally(view),
+            });
+        }
+        if let Some(msgs) = self.d.nv_buf.remove(&view.0) {
+            for (from, msg) in msgs {
+                self.tally_newview(from, msg);
+            }
+        }
+    }
+
+    fn tally_newview(&mut self, from: ReplicaId, msg: NewViewMsg) {
+        let Some(t) = self.tally.as_mut() else { return };
+        if t.view == msg.dest_view && t.senders.insert(from) {
+            P::tally_newview(self, from, msg);
+        }
+    }
+
+    fn on_newview(
+        &mut self,
+        from: ReplicaId,
+        msg: NewViewMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        let d = &self.d;
+        let mine = msg.dest_view >= d.view && d.core.cfg.leader_of(msg.dest_view) == d.core.me;
+        if !(mine && P::ADOPTS_IN_TALLY) {
+            P::adopt_cert(self, msg.high_cert.clone(), from, now, out);
+        }
+        if !mine {
+            return;
+        }
+        if msg.dest_view == self.d.view && self.tally.is_some() {
+            self.tally_newview(from, msg);
+        } else {
+            self.d.nv_buf.entry(msg.dest_view.0).or_default().push((from, msg));
+        }
+    }
+
+    pub fn maybe_propose(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        if !self.d.is_leader() || self.d.crashed || self.d.awaiting_tc {
+            return;
+        }
+        self.refresh_tally();
+        P::propose_if_ready(self, now, out);
+    }
+
+    /// The current view's tally; callers run under [`Engine::maybe_propose`]
+    /// or a leader-only handler that checked it.
+    pub fn tally_mut(&mut self) -> &mut Tally<P::Tally> {
+        self.tally.as_mut().expect("tally exists")
+    }
+
+    /// Arm ShareTimer(v) once per view.
+    pub fn arm_leader_wait(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        let view = self.d.view;
+        let at = self.d.pm.share_deadline(view, now);
+        let t = self.tally_mut();
+        if !t.wait_timer_armed {
+            t.wait_timer_armed = true;
+            out.push(Action::SetTimer { timer: Timer::LeaderWait(view), at });
+        }
+    }
+
+    /// Fig. 2 line 8 / Fig. 4 line 3: with a quorum of NewViews in, wait
+    /// until P(v−1) is known, or all n NewViews, or ShareTimer(v).
+    pub fn prev_cert_or_deadline(&mut self, now: SimTime, out: &mut Vec<Action>) -> bool {
+        let cfg = &self.d.core.cfg;
+        let (quorum, n) = (cfg.quorum(), cfg.n);
+        let have_prev = Some(self.d.high_cert.view) == self.d.view.prev();
+        let t = self.tally_mut();
+        if t.senders.len() < quorum {
+            return false;
+        }
+        let ready = have_prev || t.senders.len() >= n || t.deadline_passed;
+        if !ready {
+            self.arm_leader_wait(now, out);
+        }
+        ready
+    }
+
+    /// Leader-slowness (§6 D6, §7.3): arm `ProposeAt` for the end of the
+    /// view window, leaving slack for one round to complete. Returns
+    /// whether this call armed it.
+    pub fn arm_slow_timer(&mut self, now: SimTime, out: &mut Vec<Action>) -> bool {
+        let t = self.tally_mut();
+        if t.slow_timer_armed {
+            return false;
+        }
+        t.slow_timer_armed = true;
+        let view = self.d.view;
+        let at = self.d.pm.deadline(view, now) - self.d.core.cfg.delta * 3;
+        out.push(Action::SetTimer { timer: Timer::ProposeAt(view), at: at.max(now) });
+        true
+    }
+
+    /// Store a block and absorb its transactions into the mempool filter.
+    pub fn insert_block(&mut self, b: &Arc<Block>) {
+        self.p.index_block(b);
+        self.d.core.insert_block(b.clone());
+    }
+
+    /// Assemble and store a block of the current view over a fresh batch.
+    pub fn build_block(
+        &mut self,
+        slot: Slot,
+        justify: Certificate,
+        carry: Option<BlockId>,
+    ) -> Arc<Block> {
+        let (me, view) = (self.d.core.me, self.d.view);
+        let batch = self.d.core.make_batch();
+        let b = Arc::new(match carry {
+            Some(c) => Block::new_with_carry(me, view, slot, justify, c, batch),
+            None => Block::new(me, view, slot, justify, batch),
+        });
+        self.insert_block(&b);
+        b
+    }
+
+    /// [`Engine::build_block`], traced as this leader's proposal.
+    pub fn new_block(
+        &mut self,
+        slot: Slot,
+        justify: Certificate,
+        carry: Option<BlockId>,
+    ) -> Arc<Block> {
+        let b = self.build_block(slot, justify, carry);
+        self.d.core.obs.stage(Stage::Proposed, block_key(b.id()));
+        self.d.core.obs.counter("blocks_proposed", 0, 1);
+        b
+    }
+
+    // -- backup role --------------------------------------------------------
+
+    fn on_propose(
+        &mut self,
+        from: ReplicaId,
+        msg: ProposeMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        let b = &msg.block;
+        if b.proposer != self.d.core.cfg.leader_of(b.view) || from != b.proposer {
+            return;
+        }
+        if self.d.core.cert_valid(&b.justify) {
+            P::on_propose(self, from, msg, now, out);
+        }
+    }
+
+    /// Re-run proposals parked on a missing body (stale entries drop out
+    /// through the handlers' own view checks).
+    pub fn unpark_proposals(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        for (from, prop) in std::mem::take(&mut self.d.pending_props) {
+            self.on_propose(from, prop, now, out);
+        }
+    }
+
+    /// Retry a stalled commit (fetching further ancestors if needed).
+    pub fn retry_stalled_commit(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        if let Some((target, source)) = self.d.retry_commit.take() {
+            self.d.commit_or_fetch(target, source, now, out);
+        }
+    }
+
+    fn on_fetch_resp(&mut self, block: Arc<Block>, now: SimTime, out: &mut Vec<Action>) {
+        // Only absorb blocks we actually asked for: a Byzantine peer must
+        // not grow our store (or influence parked work) by pushing
+        // unrequested bodies through the fetch path. Fetched blocks must
+        // themselves chain to something valid; their own missing
+        // ancestors are fetched when a commit walk needs them.
+        if !self.d.fetching.is_inflight(block.id()) || !self.d.core.cert_valid(&block.justify) {
+            return;
+        }
+        self.d.fetching.resolved(block.id());
+        self.insert_block(&block);
+        P::unpark(self, now, out);
+    }
+
+    fn send_newview(&self, dest: View, out: &mut Vec<Action>) {
+        out.push(Action::Send {
+            to: self.d.core.cfg.leader_of(dest),
+            msg: Message::NewView(NewViewMsg {
+                dest_view: dest,
+                high_cert: self.d.high_cert.clone(),
+                vote: P::newview_vote(self, dest),
+            }),
+        });
+    }
+}
+
+impl<P: Protocol> Replica for Engine<P> {
+    fn id(&self) -> ReplicaId {
+        self.d.core.me
+    }
+
+    fn on_init(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        if self.d.crashed {
+            return;
+        }
+        // Genesis view 0 auto-completes; every replica announces itself to
+        // the leader of view 1 with its (genesis) high certificate. A
+        // restored replica re-enters at its recovered view instead.
+        if self.d.view < View(1) {
+            self.d.view = View(1);
+        }
+        self.send_newview(self.d.view, out);
+        self.enter_view(now, out);
+    }
+
+    fn on_message(&mut self, from: ReplicaId, msg: Message, now: SimTime, out: &mut Vec<Action>) {
+        if self.d.check_crash() {
+            return;
+        }
+        match msg {
+            Message::Propose(m) => self.on_propose(from, m, now, out),
+            Message::NewView(m) => {
+                self.on_newview(from, m, now, out);
+                self.maybe_propose(now, out);
+            }
+            Message::Wish(m) => self.d.pm.on_wish(from, &m, &self.d.core.registry, out),
+            Message::Tc(tc) => {
+                if let Some(v) = self.d.pm.on_tc(&tc, &self.d.core.registry, now, out) {
+                    // `v` may be *ahead* of the awaited view: a newer
+                    // epoch's TC un-parks a replica whose own epoch TC
+                    // was lost beyond recovery (see Pacemaker docs).
+                    if self.d.awaiting_tc && v >= self.d.view {
+                        self.set_view(v);
+                        self.enter_view(now, out);
+                    }
+                }
+            }
+            Message::FetchBlock { id } => {
+                if let Some(b) = self.d.core.block(id) {
+                    out.push(Action::Send {
+                        to: from,
+                        msg: Message::FetchResp { block: b.clone() },
+                    });
+                }
+            }
+            Message::FetchResp { block } => self.on_fetch_resp(block, now, out),
+            Message::Request(tx) => self.d.core.source.offer(tx),
+            other => P::on_message(self, from, other, now, out),
+        }
+    }
+
+    fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>) {
+        if self.d.check_crash() {
+            return;
+        }
+        match timer {
+            Timer::ViewTimeout(v) if v != self.d.view => {}
+            Timer::ViewTimeout(v) if self.d.awaiting_tc => {
+                // Parked at an epoch boundary: retry the Wish (ours or
+                // the TC may have been lost) and keep the timer armed.
+                self.d.core.obs.point("wish_retry", v.0, 0);
+                self.d.core.obs.counter("wish_retries", 0, 1);
+                self.d.pm.rewish(&self.d.core.kp, out);
+                out.push(Action::SetTimer {
+                    timer: Timer::ViewTimeout(v),
+                    at: now + self.d.core.cfg.view_timer,
+                });
+            }
+            Timer::ViewTimeout(v) => {
+                // Fig. 2 / Fig. 4 lines 20–22 / Fig. 7 lines 27–31.
+                self.send_newview(v.next(), out);
+                self.exit_view(now, out);
+            }
+            Timer::LeaderWait(v) => {
+                if v == self.d.view {
+                    if let Some(t) = self.tally.as_mut() {
+                        t.deadline_passed = true;
+                    }
+                    self.maybe_propose(now, out);
+                }
+            }
+            Timer::ProposeAt(v) => {
+                if v == self.d.view && self.d.is_leader() {
+                    P::on_propose_at(self, now, out);
+                }
+            }
+        }
+    }
+
+    fn enqueue_txs(&mut self, txs: &[hs1_types::Transaction]) {
+        for tx in txs {
+            self.d.core.source.offer(*tx);
+        }
+    }
+
+    fn current_view(&self) -> View {
+        self.d.view
+    }
+
+    fn committed_head(&self) -> BlockId {
+        self.d.core.committed_head()
+    }
+
+    fn committed_chain(&self) -> Vec<BlockId> {
+        self.d.core.committed.clone()
+    }
+
+    fn set_observer(&mut self, obs: Obs) {
+        self.d.core.set_observer(obs);
+    }
+
+    fn set_persistence(&mut self, persist: Box<dyn Persistence>) {
+        self.d.core.persist = persist;
+    }
+
+    fn restore(&mut self, rs: RecoveredState) {
+        if rs.view > self.d.view {
+            self.d.view = rs.view;
+            self.p.raise_vote_floor(rs.view);
+        }
+        if let Some(cert) = &rs.high_cert {
+            if cert.rank() > self.d.high_cert.rank() {
+                self.d.high_cert = cert.clone();
+            }
+        }
+        self.d.core.restore(rs);
+    }
+
+    fn state_root(&self) -> hs1_crypto::Digest {
+        self.d.core.state_root()
+    }
+}

@@ -6,71 +6,79 @@
 //! runs under the deterministic simulator (`hs1-sim`) and the TCP runtime
 //! (`hs1-net`).
 //!
-//! | module | contents | paper reference |
+//! An engine is **one view driver plus one protocol policy**. The driver
+//! (`driver.rs`, `Engine<P: Protocol>`) owns what the paper's protocols
+//! share: the view lifecycle, pacemaker glue, NewView tallying scaffold,
+//! block fetch-and-park, crash checks, persistence and observer hooks.
+//! Each policy file transcribes one pseudocode figure and supplies only
+//! what that figure changes: the vote rule, where the vote goes, when to
+//! speculate, the commit rule, and the protocol's own message kinds.
+//! [`build_replica_with_source`] is the only place a `ProtocolKind` is
+//! mapped to a policy.
+//!
+//! | file | contents | paper reference |
 //! |---|---|---|
-//! | [`chained`] | streamlined engines: HotStuff (3-chain), HotStuff-2 (2-chain), HotStuff-1 (2-chain + speculation) | §5, Fig. 4 |
-//! | [`basic`] | basic (non-streamlined) HotStuff-1 | §4, Fig. 2 |
-//! | [`slotted`] | HotStuff-1 with adaptive slotting | §6, Figs. 6–7 |
+//! | `driver.rs` | the view driver every protocol runs on | Fig. 2/4/7 common skeleton, Fig. 3 glue |
+//! | `basic.rs` | policy: basic (two-phase) HotStuff-1 | §4, Fig. 2 |
+//! | `chained.rs` | policy: streamlined HotStuff (3-chain), HotStuff-2 (2-chain), HotStuff-1 (2-chain + speculation) | §5, Fig. 4 |
+//! | `slotted.rs` | policy: HotStuff-1 with adaptive slotting | §6, Figs. 6–7 |
 //! | [`pacemaker`] | epoch view synchronizer | §4.2.1, Fig. 3 |
 //! | [`byzantine`] | fault strategies: slow leader, tail-forking, rollback/equivocation, crash, silence | §7.3 |
 //! | [`client`] | client-side quorum matching (early finality confirmation) | §3, §4.1 |
-//! | [`common`] | shared replica state: block store, mempool, commit/speculate paths | — |
+//! | [`common`] | replica state below the driver: block store, mempool, commit/speculate paths | — |
 //! | [`persist`] | durability hooks ([`persist::Persistence`]) and recovered-state handoff | §4.2 recovery |
 
-pub mod basic;
+mod basic;
 pub mod byzantine;
-pub mod chained;
+mod chained;
 pub mod client;
 pub mod common;
+mod driver;
 pub mod pacemaker;
 pub mod persist;
 pub mod replica;
-pub mod slotted;
+mod slotted;
 pub mod testkit;
 
 pub use byzantine::Fault;
 pub use persist::{NoopPersistence, Persistence, RecoveredState};
 pub use replica::{Action, Replica, Timer};
 
-use hs1_types::{ProtocolKind, SystemConfig};
+use common::{LocalMempool, TxSource};
+use driver::{Driver, Engine};
+use hs1_ledger::ExecConfig;
+use hs1_types::{ProtocolKind, ReplicaId, SystemConfig};
 
 /// Construct the engine for `kind` at replica `id` with fault strategy
-/// `fault`.
+/// `fault`, pulling transactions from a per-replica [`LocalMempool`].
 pub fn build_replica(
     kind: ProtocolKind,
     cfg: SystemConfig,
-    id: hs1_types::ReplicaId,
+    id: ReplicaId,
     fault: Fault,
-    exec: hs1_ledger::ExecConfig,
+    exec: ExecConfig,
 ) -> Box<dyn Replica> {
+    build_replica_with_source(kind, cfg, id, fault, exec, Box::new(LocalMempool::new()))
+}
+
+/// [`build_replica`] over a caller-supplied transaction source (the
+/// simulator shares one mempool between all replicas). The only place a
+/// [`ProtocolKind`] is mapped to a protocol policy.
+pub fn build_replica_with_source(
+    kind: ProtocolKind,
+    cfg: SystemConfig,
+    id: ReplicaId,
+    fault: Fault,
+    exec: ExecConfig,
+    source: Box<dyn TxSource>,
+) -> Box<dyn Replica> {
+    let d = Driver::new(cfg, id, fault, exec, source);
     match kind {
-        ProtocolKind::HotStuff => Box::new(chained::ChainedEngine::new(
-            cfg,
-            id,
-            chained::ChainDepth::Three,
-            false,
-            fault,
-            exec,
-        )),
-        ProtocolKind::HotStuff2 => Box::new(chained::ChainedEngine::new(
-            cfg,
-            id,
-            chained::ChainDepth::Two,
-            false,
-            fault,
-            exec,
-        )),
-        ProtocolKind::HotStuff1 => Box::new(chained::ChainedEngine::new(
-            cfg,
-            id,
-            chained::ChainDepth::Two,
-            true,
-            fault,
-            exec,
-        )),
-        ProtocolKind::HotStuff1Basic => Box::new(basic::BasicEngine::new(cfg, id, fault, exec)),
-        ProtocolKind::HotStuff1Slotted => {
-            Box::new(slotted::SlottedEngine::new(cfg, id, fault, exec))
-        }
+        // (commit-rule depth, speculative)
+        ProtocolKind::HotStuff => Box::new(Engine::new(d, chained::Chained::new(3, false))),
+        ProtocolKind::HotStuff2 => Box::new(Engine::new(d, chained::Chained::new(2, false))),
+        ProtocolKind::HotStuff1 => Box::new(Engine::new(d, chained::Chained::new(2, true))),
+        ProtocolKind::HotStuff1Basic => Box::new(Engine::new(d, basic::Basic::default())),
+        ProtocolKind::HotStuff1Slotted => Box::new(Engine::new(d, slotted::Slotted::new())),
     }
 }

@@ -111,7 +111,7 @@ impl Pacemaker {
     /// Re-send the Wish for the awaited epoch (lossy-network retry: the
     /// original Wish, or the TC it should have produced, may have been
     /// dropped — without a retry the replica parks at the epoch boundary
-    /// forever and enough parked replicas halt the deployment). Engines
+    /// forever and enough parked replicas halt the deployment). The driver
     /// call this from a retry timer armed while `awaiting_tc`.
     ///
     /// Retries *escalate*: every second fruitless retry also wishes for

@@ -25,19 +25,15 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::byzantine::Fault;
-use crate::common::{CoreState, FetchTracker, TxSource};
-use crate::pacemaker::{Pacemaker, PmOutcome};
-use crate::persist::{Persistence, RecoveredState};
-use crate::replica::{Action, Replica, Timer};
+use crate::common::CoreState;
+use crate::driver::{Engine, Protocol};
+use crate::replica::Action;
 use hs1_crypto::Signature;
-use hs1_ledger::ExecConfig;
-use hs1_obs::{block_key, Obs, Stage};
+use hs1_obs::{block_key, Stage};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::ids::Rank;
 use hs1_types::message::{NewSlotMsg, NewViewMsg, ProposeMsg, RejectMsg, VoteInfo};
-use hs1_types::{
-    Block, BlockId, Certificate, Message, ReplicaId, SimTime, Slot, SystemConfig, View,
-};
+use hs1_types::{Block, BlockId, Certificate, Message, ReplicaId, SimTime, Slot, View};
 
 /// In which view a certificate was *formed* (for the trusted-leader fast
 /// path): a NewSlot certificate is formed in its own view; a NewView
@@ -50,9 +46,8 @@ fn formed_in(cert: &Certificate) -> Option<View> {
     }
 }
 
-struct ViewTally {
-    view: View,
-    nv_senders: HashSet<ReplicaId>,
+#[derive(Default)]
+pub(crate) struct SlottedTally {
     /// NEW_VIEW shares keyed by the voted block position.
     nv_votes: HashMap<(View, Slot, BlockId), Vec<(ReplicaId, Signature)>>,
     /// NewSlot shares for the slot currently being certified.
@@ -60,142 +55,38 @@ struct ViewTally {
     /// The block currently collecting NewSlot votes (our latest proposal).
     proposing: Option<(Slot, BlockId)>,
     first_proposed: bool,
-    wait_timer_armed: bool,
-    deadline_passed: bool,
-    slow_timer_armed: bool,
     /// High certificate received from the previous leader's NewView (for
     /// Reject-based distrust detection, Fig. 6 lines 22–24).
     prev_leader_cert: Option<Certificate>,
     trusted_fast_path: bool,
 }
 
-impl ViewTally {
-    fn new(view: View) -> ViewTally {
-        ViewTally {
-            view,
-            nv_senders: HashSet::new(),
-            nv_votes: HashMap::new(),
-            ns_shares: Vec::new(),
-            proposing: None,
-            first_proposed: false,
-            wait_timer_armed: false,
-            deadline_passed: false,
-            slow_timer_armed: false,
-            prev_leader_cert: None,
-            trusted_fast_path: false,
-        }
-    }
-}
-
-pub struct SlottedEngine {
-    core: CoreState,
-    pm: Pacemaker,
-    fault: Fault,
-
-    view: View,
+pub(crate) struct Slotted {
     /// Next slot this replica will vote on in the current view.
     slot: Slot,
-    high_cert: Certificate,
     /// No NewSlot vote is ever cast at or below this rank. Genesis in
     /// normal operation; raised past the recovered view on restore, since
     /// the per-view `slot` cursor does not survive a crash (§4.2).
     vote_floor: Rank,
     /// Highest voted block `B_h` (view, slot, id) — named in NewView votes.
     highest_voted: (Rank, BlockId),
-    awaiting_tc: bool,
-    crashed: bool,
-
-    tally: Option<ViewTally>,
-    nv_buf: HashMap<u64, Vec<(ReplicaId, NewViewMsg)>>,
     /// Leaders that concealed certificates (never trusted again).
     distrusted: HashSet<ReplicaId>,
     /// Child block of each certificate identity (cert.view, cert.slot,
     /// cert.block) → the block that extends it; used to locate carry
     /// blocks (Definition 6.3).
     cert_children: HashMap<(u64, u32, BlockId), BlockId>,
-    /// Proposals parked on a missing justify/carry block.
-    pending_props: Vec<(ReplicaId, ProposeMsg)>,
-    fetching: FetchTracker,
-    /// Commit target stalled on a missing ancestor (retried after fetch).
-    retry_commit: Option<(BlockId, ReplicaId)>,
-    /// Slots proposed per view (metric, exposed for tests/benches).
-    pub slots_proposed: u64,
 }
 
-impl SlottedEngine {
-    pub fn new(cfg: SystemConfig, me: ReplicaId, fault: Fault, exec: ExecConfig) -> SlottedEngine {
-        Self::with_source(cfg, me, fault, exec, Box::new(crate::common::LocalMempool::new()))
-    }
-
-    pub fn with_source(
-        cfg: SystemConfig,
-        me: ReplicaId,
-        fault: Fault,
-        exec: ExecConfig,
-        source: Box<dyn TxSource>,
-    ) -> SlottedEngine {
-        let core = CoreState::new(cfg.clone(), me, exec, source);
-        let pm = Pacemaker::new(cfg, me, SimTime::ZERO);
-        let crashed = matches!(fault, Fault::Silent);
-        SlottedEngine {
-            core,
-            pm,
-            fault,
-            view: View::GENESIS,
+impl Slotted {
+    pub fn new() -> Slotted {
+        Slotted {
             slot: Slot::FIRST,
-            high_cert: Certificate::genesis(),
             vote_floor: Rank::GENESIS,
             highest_voted: (Rank::GENESIS, Block::genesis_id()),
-            awaiting_tc: false,
-            crashed,
-            tally: None,
-            nv_buf: HashMap::new(),
             distrusted: HashSet::new(),
             cert_children: HashMap::new(),
-            pending_props: Vec::new(),
-            fetching: FetchTracker::new(),
-            retry_commit: None,
-            slots_proposed: 0,
         }
-    }
-
-    /// Commit `target`, fetching missing ancestor bodies from `source`
-    /// and retrying when they arrive.
-    fn commit_or_fetch(
-        &mut self,
-        target: BlockId,
-        source: ReplicaId,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        if let Err(missing) = self.core.commit_chain(target, out) {
-            self.request_block(missing, source, now, out);
-            self.retry_commit = Some((target, source));
-        }
-    }
-
-    fn is_leader(&self) -> bool {
-        self.core.cfg.leader_of(self.view) == self.core.me
-    }
-
-    fn check_crash(&mut self) -> bool {
-        if let Fault::Crash { after_view } = self.fault {
-            if self.view.0 > after_view {
-                self.crashed = true;
-            }
-        }
-        self.crashed
-    }
-
-    fn insert_block(&mut self, b: &Arc<Block>) {
-        let key = (b.justify.view.0, b.justify.slot.0, b.justify.block);
-        self.cert_children.entry(key).or_insert_with(|| b.id());
-        self.core.insert_block(b.clone());
-    }
-
-    fn note_proposed(&self, id: BlockId) {
-        self.core.obs.stage(Stage::Proposed, block_key(id));
-        self.core.obs.counter("blocks_proposed", 0, 1);
     }
 
     /// The carry block `B_u` for `cert` (Definition 6.3): the lowest
@@ -204,81 +95,168 @@ impl SlottedEngine {
         self.cert_children.get(&(cert.view.0, cert.slot.0, cert.block)).copied()
     }
 
-    // -- view lifecycle ------------------------------------------------------
-
-    fn enter_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        self.awaiting_tc = false;
-        self.slot = Slot::FIRST;
-        self.core.persist.on_view(self.view);
-        self.core.obs.span_begin("view", self.view.0);
-        self.core.obs.counter("view_changes", 0, 1);
-        out.push(Action::EnteredView { view: self.view });
-        out.push(Action::SetTimer {
-            timer: Timer::ViewTimeout(self.view),
-            at: self.pm.deadline(self.view, now),
-        });
-        if self.view.0.is_multiple_of(64) {
-            self.pm.prune_below(self.view);
-            self.core.prune(4096);
-            let v = self.view.0;
-            self.nv_buf.retain(|&dv, _| dv >= v);
-            let blocks = &self.core.blocks;
-            self.cert_children.retain(|_, child| blocks.contains_key(child));
-            // Parked proposals whose fetch never resolved are view-stale
-            // by now; drop them so the queue stays bounded on lossy runs.
-            self.pending_props.retain(|(_, p)| p.block.view.0 >= v);
-        }
-        if self.is_leader() {
-            self.refresh_tally();
-            self.maybe_propose_first(now, out);
+    /// Adopts on rank and validity alone. Differs between protocols by
+    /// history, not by paper: chained fetches a missing body and parks
+    /// the certificate; basic adopts only with the body present.
+    fn adopt(e: &mut Engine<Self>, cert: Certificate) {
+        if cert.rank() > e.d.high_cert.rank() && e.d.core.cert_valid(&cert) {
+            e.d.set_high_cert(cert);
         }
     }
 
-    fn exit_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        self.core.obs.span_end("view", self.view.0);
-        self.view = self.view.next();
-        self.slot = Slot::FIRST;
-        self.tally = None;
-        match self.pm.completed_view(self.view, &self.core.kp.clone(), out) {
-            PmOutcome::Enter => self.enter_view(now, out),
-            PmOutcome::AwaitTc => {
-                self.awaiting_tc = true;
-                // Loss recovery: if the Wish (or the TC it produces) is
-                // dropped, this timer re-wishes instead of parking forever.
-                out.push(Action::SetTimer {
-                    timer: Timer::ViewTimeout(self.view),
-                    at: now + self.core.cfg.view_timer,
-                });
-            }
-        }
-    }
+    // -- leader: first slot ---------------------------------------------------
 
-    // -- leader: first slot ----------------------------------------------------
-
-    fn refresh_tally(&mut self) {
-        let v = self.view;
-        if self.tally.as_ref().map(|t| t.view) != Some(v) {
-            self.tally = Some(ViewTally::new(v));
-        }
-        if let Some(msgs) = self.nv_buf.remove(&v.0) {
-            for (from, msg) in msgs {
-                self.tally_newview(from, msg);
-            }
-        }
-    }
-
-    fn tally_newview(&mut self, from: ReplicaId, msg: NewViewMsg) {
-        let me_view = self.view;
-        let prev_leader = me_view.prev().map(|p| self.core.cfg.leader_of(p));
-        let registry = self.core.registry.clone();
-        let Some(t) = self.tally.as_mut() else { return };
-        if t.view != msg.dest_view || !t.nv_senders.insert(from) {
+    /// Propose the view's first slot. `deferred`: the slow-leader deferral
+    /// already happened (this is the `ProposeAt` firing).
+    fn propose_first(
+        e: &mut Engine<Self>,
+        justify: Certificate,
+        carry: Option<BlockId>,
+        deferred: bool,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        // Leader-slowness: defer the first slot to the end of the window.
+        // Differs between protocols by history, not by paper: a slotted
+        // slow leader that re-enters here before `ProposeAt` fires
+        // proposes at once; a chained one keeps waiting.
+        if matches!(e.d.fault, Fault::SlowLeader) && !deferred && e.arm_slow_timer(now, out) {
             return;
         }
+        let b = e.new_block(Slot::FIRST, justify, carry);
+        if let Some(t) = e.tally.as_mut() {
+            t.own.first_proposed = true;
+            t.own.proposing = Some((Slot::FIRST, b.id()));
+            t.own.ns_shares.clear();
+        }
+        let Fault::RollbackAttack { victims } = e.d.fault.clone() else {
+            out.push(Action::Broadcast {
+                msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
+            });
+            return;
+        };
+        // First-slot equivocation: victims receive the real proposal;
+        // everyone else receives a conflicting one extending a stale
+        // certificate (they reject or fork it).
+        let alt_justify = e.d.stale_cert();
+        let alt_carry = e.p.carry_for(&alt_justify).filter(|c| e.d.core.has_block(*c));
+        let alt = e.build_block(Slot::FIRST, alt_justify, alt_carry);
+        for r in 0..e.d.core.cfg.n as u32 {
+            let to = ReplicaId(r);
+            let block = if victims.contains(&to) { b.clone() } else { alt.clone() };
+            out.push(Action::Send {
+                to,
+                msg: Message::Propose(ProposeMsg { block, commit_cert: None }),
+            });
+        }
+    }
+
+    // -- leader: subsequent slots ----------------------------------------------
+
+    fn on_newslot(e: &mut Engine<Self>, from: ReplicaId, msg: NewSlotMsg, out: &mut Vec<Action>) {
+        Self::adopt(e, msg.high_cert.clone());
+        if msg.view != e.d.view || !e.d.is_leader() {
+            return;
+        }
+        let quorum = e.d.core.cfg.quorum();
+        let Some(t) = e.tally.as_mut().map(|t| &mut t.own) else { return };
+        let Some((slot, block)) = t.proposing else { return };
+        if msg.slot != slot || msg.vote.block != block || msg.vote.view != msg.view {
+            return;
+        }
+        let bytes = Certificate::signing_bytes(CertKind::NewSlot, msg.view, slot, block);
+        if !e.d.core.registry.verify(from.0, domains::NEW_SLOT, &bytes, &msg.vote.share)
+            || t.ns_shares.iter().any(|(r, _)| *r == from)
+        {
+            return;
+        }
+        t.ns_shares.push((from, msg.vote.share));
+        if t.ns_shares.len() >= quorum {
+            // Fig. 6 lines 16–19: form P(s, v) and immediately propose
+            // slot s+1 (forming and proposing are atomic, so every
+            // certificate we ever hand out has a known successor block).
+            let sigs = std::mem::take(&mut t.ns_shares);
+            let cert = Certificate { kind: CertKind::NewSlot, view: msg.view, slot, block, sigs };
+            if cert.rank() > e.d.high_cert.rank() {
+                e.d.set_high_cert(cert.clone());
+            }
+            let b = e.new_block(slot.next(), cert, None);
+            e.tally_mut().own.proposing = Some((slot.next(), b.id()));
+            out.push(Action::Broadcast {
+                msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
+            });
+        }
+    }
+
+    fn on_reject(e: &mut Engine<Self>, msg: RejectMsg) {
+        Self::adopt(e, msg.high_cert.clone());
+        // Fig. 6 lines 22–24: if the previous leader sent us a *lower*
+        // certificate formed in view v−1 while a higher one (also formed
+        // in v−1) existed, it concealed — distrust it.
+        let Some(prev) = e.d.view.prev() else { return };
+        let Some(t) = e.tally.as_ref() else { return };
+        if t.view != e.d.view || formed_in(&msg.high_cert) != Some(prev) {
+            return;
+        }
+        if let Some(pl_cert) = &t.own.prev_leader_cert {
+            if formed_in(pl_cert) == Some(prev) && pl_cert.rank() < msg.high_cert.rank() {
+                e.p.distrusted.insert(e.d.core.cfg.leader_of(prev));
+            }
+        }
+    }
+}
+
+/// SafeSlot (Fig. 7 lines 1–11).
+fn safe_slot(ps: Slot, pv: View, justify: &Certificate, carry: Option<&Arc<Block>>) -> bool {
+    match (ps == Slot::FIRST, &justify.kind) {
+        // Case 1: fresh New-View certificate formed by this view.
+        (true, CertKind::NewView { formed_in }) if *formed_in == pv => carry.is_none(),
+        // Case 2: older New-View certificate; must carry B_{1,fv}.
+        (true, CertKind::NewView { formed_in }) => {
+            carry.map(|u| u.slot == Slot::FIRST && u.view == *formed_in).unwrap_or(false)
+        }
+        // Case 3: New-Slot certificate; must carry B_{s_w+1, w}.
+        (true, CertKind::NewSlot) => carry
+            .map(|u| u.view == justify.view && u.slot.is_successor_of(justify.slot))
+            .unwrap_or(false),
+        // Case 4: later slots extend the previous slot of the same view.
+        (false, CertKind::NewSlot) => {
+            ps.is_successor_of(justify.slot) && justify.view == pv && carry.is_none()
+        }
+        // Genesis bootstrap (hard-coded certificate, §4.1 note).
+        (true, CertKind::Quorum) if justify.is_genesis() && pv == View(1) => carry.is_none(),
+        _ => false,
+    }
+}
+
+impl Protocol for Slotted {
+    type Tally = SlottedTally;
+    const PRUNE_KEEP: usize = 4096;
+    const ADOPTS_IN_TALLY: bool = true;
+
+    fn new_tally(_view: View) -> SlottedTally {
+        SlottedTally::default()
+    }
+
+    /// Fig. 7 lines 27–31: a NEW_VIEW share over the highest voted block
+    /// (genesis at init, so the first leader can assemble a
+    /// condition-(1) certificate if it wants to).
+    fn newview_vote(e: &Engine<Self>, dest: View) -> Option<VoteInfo> {
+        let (rank, block) = e.p.highest_voted;
+        let kind = CertKind::NewView { formed_in: dest };
+        let bytes = Certificate::signing_bytes(kind, rank.view, rank.slot, block);
+        let share = e.d.core.kp.sign(domains::NEW_VIEW, &bytes);
+        Some(VoteInfo { view: rank.view, slot: rank.slot, block, share })
+    }
+
+    fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg) {
+        let view = e.d.view;
+        let prev_leader = view.prev().map(|p| e.d.core.cfg.leader_of(p));
+        let t = &mut e.tally.as_mut().expect("tally exists").own;
         if let Some(vote) = &msg.vote {
-            let kind = CertKind::NewView { formed_in: me_view };
+            let kind = CertKind::NewView { formed_in: view };
             let bytes = Certificate::signing_bytes(kind, vote.view, vote.slot, vote.block);
-            if registry.verify(from.0, domains::NEW_VIEW, &bytes, &vote.share) {
+            if e.d.core.registry.verify(from.0, domains::NEW_VIEW, &bytes, &vote.share) {
                 t.nv_votes
                     .entry((vote.view, vote.slot, vote.block))
                     .or_default()
@@ -289,40 +267,20 @@ impl SlottedEngine {
         // NewView carries a certificate formed in view v−1.
         if Some(from) == prev_leader {
             t.prev_leader_cert = Some(msg.high_cert.clone());
-            if formed_in(&msg.high_cert) == me_view.prev() && !self.distrusted.contains(&from) {
+            if formed_in(&msg.high_cert) == view.prev() && !e.p.distrusted.contains(&from) {
                 t.trusted_fast_path = true;
             }
         }
-        // Adopt the carried high certificate.
-        self.adopt_cert(msg.high_cert, from);
+        Self::adopt(e, msg.high_cert);
     }
 
-    fn adopt_cert(&mut self, cert: Certificate, _from: ReplicaId) {
-        if cert.rank() > self.high_cert.rank() && self.core.cert_valid(&cert) {
-            self.set_high_cert(cert);
-        }
-    }
-
-    /// Replace `high_cert`, journaling strict rank advances.
-    fn set_high_cert(&mut self, cert: Certificate) {
-        if cert.rank() > self.high_cert.rank() {
-            self.core.persist.on_cert(&cert);
-        }
-        self.high_cert = cert;
-    }
-
-    fn maybe_propose_first(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if !self.is_leader() || self.crashed || self.awaiting_tc {
-            return;
-        }
-        self.refresh_tally();
-        let quorum = self.core.cfg.quorum();
-        let n = self.core.cfg.n;
-        let f = self.core.cfg.f();
-        let view = self.view;
-        let high_rank = self.high_cert.rank();
-        let t = self.tally.as_mut().expect("tally exists");
-        if t.first_proposed {
+    fn propose_if_ready(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
+        let cfg = &e.d.core.cfg;
+        let (quorum, n, f) = (cfg.quorum(), cfg.n, cfg.f());
+        let view = e.d.view;
+        let high_rank = e.d.high_cert.rank();
+        let t = e.tally.as_ref().expect("tally exists");
+        if t.own.first_proposed {
             return;
         }
 
@@ -330,6 +288,7 @@ impl SlottedEngine {
         // candidate deterministically (HashMap iteration order is not
         // replay-stable) — highest rank, block id as tie-break.
         let formed: Option<Certificate> = t
+            .own
             .nv_votes
             .iter()
             .filter(|(_, shares)| shares.len() >= quorum)
@@ -342,344 +301,115 @@ impl SlottedEngine {
                 sigs: shares.clone(),
             });
 
-        let senders = t.nv_senders.len();
+        let senders = t.senders.len();
         // Condition (4): with k = n − senders unheard, no position above
         // our high certificate has f+1−k votes.
         let k = n.saturating_sub(senders);
         let cond4 = senders >= quorum && k <= f && {
             let threshold = f + 1 - k;
-            !t.nv_votes.iter().any(|((v, s, _), shares)| {
+            !t.own.nv_votes.iter().any(|((v, s, _), shares)| {
                 Rank::new(*v, *s) > high_rank && shares.len() >= threshold
             })
         };
         let cond2 = senders >= n;
         let cond3 = t.deadline_passed;
-        let trusted = t.trusted_fast_path;
 
-        if formed.is_none() && !cond2 && !cond3 && !cond4 && !trusted {
-            if senders >= quorum && !t.wait_timer_armed {
-                t.wait_timer_armed = true;
-                out.push(Action::SetTimer {
-                    timer: Timer::LeaderWait(view),
-                    at: self.pm.share_deadline(view, now),
-                });
+        if formed.is_none() && !cond2 && !cond3 && !cond4 && !t.own.trusted_fast_path {
+            if senders >= quorum {
+                e.arm_leader_wait(now, out);
             }
             return;
         }
 
+        let high_cert = e.d.high_cert.clone();
         // Genesis bootstrap: view 1 may always extend the hard-coded
         // certificate immediately.
         if view == View(1) && formed.is_none() {
-            self.propose_block(self.high_cert.clone(), None, now, out);
-            return;
+            return Self::propose_first(e, high_cert, None, false, now, out);
         }
 
         if let Some(cert) = formed {
             // Way (i): extend the fresh New-View certificate.
-            if matches!(self.fault, Fault::TailFork) {
+            if matches!(e.d.fault, Fault::TailFork) {
                 // Slotted tail-forking attempt: extend a stale certificate
                 // without the mandated carry; correct replicas reject it
                 // (SafeSlot), wasting only the attacker's own view (§6.2).
-                let justify = self.high_cert.clone();
-                self.propose_block(justify, None, now, out);
-                return;
+                return Self::propose_first(e, high_cert, None, false, now, out);
             }
-            if cert.rank() > self.high_cert.rank() {
-                self.set_high_cert(cert.clone());
+            if cert.rank() > high_rank {
+                e.d.set_high_cert(cert.clone());
             }
-            self.propose_block(cert, None, now, out);
-            return;
+            return Self::propose_first(e, cert, None, false, now, out);
         }
 
         // Way (ii): extend the highest certificate, carrying B_u.
-        let justify = self.high_cert.clone();
-        let carry = self.carry_for(&justify);
-        match carry {
-            Some(c) if self.core.has_block(c) => {
-                self.propose_block(justify, Some(c), now, out);
-            }
-            Some(c) => {
+        match e.p.carry_for(&high_cert) {
+            Some(c) if !e.d.core.has_block(c) => {
                 // Know the child id but not the body: fetch from anyone
                 // (at least f+1 correct replicas voted for it).
-                let from = ReplicaId(((self.core.me.0 as usize + 1) % n) as u32);
-                self.request_block(c, from, now, out);
+                let from = ReplicaId(((e.d.core.me.0 as usize + 1) % n) as u32);
+                e.d.request_block(c, from, now, out);
             }
-            None => {
-                // No uncertified successor known. Only reachable when the
-                // certificate arrived bare (not inside a child block);
-                // propose extending it directly — SafeSlot cases will
-                // reject if a successor existed at ≥ f+1 correct replicas.
-                self.propose_block(justify, None, now, out);
-            }
+            // `None`: no uncertified successor known. Only reachable when
+            // the certificate arrived bare (not inside a child block);
+            // propose extending it directly — SafeSlot cases will reject
+            // if a successor existed at ≥ f+1 correct replicas.
+            carry => Self::propose_first(e, high_cert, carry, false, now, out),
         }
     }
 
-    fn propose_block(
-        &mut self,
-        justify: Certificate,
-        carry: Option<BlockId>,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        let view = self.view;
-        // Leader-slowness: defer the first slot to the end of the window.
-        if matches!(self.fault, Fault::SlowLeader) {
-            let armed = self.tally.as_ref().map(|t| t.slow_timer_armed).unwrap_or(false);
-            if !armed {
-                if let Some(t) = self.tally.as_mut() {
-                    t.slow_timer_armed = true;
-                }
-                let slack = self.core.cfg.delta * 3;
-                let at = self.pm.deadline(view, now) - slack;
-                let at = if at <= now { now } else { at };
-                out.push(Action::SetTimer { timer: Timer::ProposeAt(view), at });
-                return;
-            }
-        }
-        let batch = self.core.make_batch();
-        let b = Arc::new(match carry {
-            Some(c) => Block::new_with_carry(self.core.me, view, Slot::FIRST, justify, c, batch),
-            None => Block::new(self.core.me, view, Slot::FIRST, justify, batch),
-        });
-        self.insert_block(&b);
-        self.note_proposed(b.id());
-        if let Some(t) = self.tally.as_mut() {
-            t.first_proposed = true;
-            t.proposing = Some((Slot::FIRST, b.id()));
-            t.ns_shares.clear();
-        }
-        self.slots_proposed += 1;
-        match self.fault.clone() {
-            Fault::RollbackAttack { victims } => {
-                // First-slot equivocation: victims receive the real
-                // proposal; everyone else receives a conflicting one
-                // extending a stale certificate (they reject or fork it).
-                let alt_justify = self.stale_cert();
-                let alt_carry = self.carry_for(&alt_justify).filter(|c| self.core.has_block(*c));
-                let alt_batch = self.core.make_batch();
-                let alt = Arc::new(match alt_carry {
-                    Some(c) => Block::new_with_carry(
-                        self.core.me,
-                        view,
-                        Slot::FIRST,
-                        alt_justify,
-                        c,
-                        alt_batch,
-                    ),
-                    None => Block::new(self.core.me, view, Slot::FIRST, alt_justify, alt_batch),
-                });
-                self.insert_block(&alt);
-                for r in 0..self.core.cfg.n as u32 {
-                    let to = ReplicaId(r);
-                    let block = if victims.contains(&to) { b.clone() } else { alt.clone() };
-                    out.push(Action::Send {
-                        to,
-                        msg: Message::Propose(ProposeMsg { block, commit_cert: None }),
-                    });
-                }
-            }
-            _ => {
-                out.push(Action::Broadcast {
-                    msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
-                });
-            }
-        }
-    }
-
-    /// Highest certificate at least two views old (attack justify choice).
-    fn stale_cert(&self) -> Certificate {
-        let mut best = Certificate::genesis();
-        let limit = self.view.0.saturating_sub(2);
-        // Deterministic tie-break on the block id: the scan walks a
-        // HashMap, whose order must not leak into replayable behavior.
-        let mut consider = |c: &Certificate| {
-            let better = c.rank() > best.rank()
-                || (c.rank() == best.rank() && c.block.0 .0 > best.block.0 .0);
-            if c.view.0 <= limit && better && self.core.has_block(c.block) {
-                best = c.clone();
-            }
-        };
-        consider(&self.high_cert);
-        for b in self.core.blocks.values() {
-            consider(&b.justify);
-        }
-        best
-    }
-
-    // -- leader: subsequent slots ------------------------------------------------
-
-    fn on_newslot(
-        &mut self,
-        from: ReplicaId,
-        msg: NewSlotMsg,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        self.adopt_cert(msg.high_cert.clone(), from);
-        if msg.view != self.view || !self.is_leader() {
-            return;
-        }
-        let quorum = self.core.cfg.quorum();
-        let registry = self.core.registry.clone();
-        let Some(t) = self.tally.as_mut() else { return };
-        let Some((slot, block)) = t.proposing else { return };
-        if msg.slot != slot || msg.vote.block != block || msg.vote.view != msg.view {
-            return;
-        }
-        let bytes = Certificate::signing_bytes(CertKind::NewSlot, msg.view, slot, block);
-        if !registry.verify(from.0, domains::NEW_SLOT, &bytes, &msg.vote.share) {
-            return;
-        }
-        if t.ns_shares.iter().any(|(r, _)| *r == from) {
-            return;
-        }
-        t.ns_shares.push((from, msg.vote.share));
-        if t.ns_shares.len() >= quorum {
-            // Fig. 6 lines 16–19: form P(s, v) and immediately propose
-            // slot s+1 (forming and proposing are atomic, so every
-            // certificate we ever hand out has a known successor block).
-            let cert = Certificate {
-                kind: CertKind::NewSlot,
-                view: msg.view,
-                slot,
-                block,
-                sigs: t.ns_shares.clone(),
-            };
-            t.ns_shares.clear();
-            t.proposing = None;
-            if cert.rank() > self.high_cert.rank() {
-                self.set_high_cert(cert.clone());
-            }
-            let batch = self.core.make_batch();
-            let next_slot = slot.next();
-            let b = Arc::new(Block::new(self.core.me, msg.view, next_slot, cert, batch));
-            self.insert_block(&b);
-            self.note_proposed(b.id());
-            if let Some(t) = self.tally.as_mut() {
-                t.proposing = Some((next_slot, b.id()));
-            }
-            self.slots_proposed += 1;
-            let _ = now;
-            out.push(Action::Broadcast {
-                msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
-            });
-        }
-    }
-
-    fn on_reject(&mut self, from: ReplicaId, msg: RejectMsg) {
-        self.adopt_cert(msg.high_cert.clone(), from);
-        // Fig. 6 lines 22–24: if the previous leader sent us a *lower*
-        // certificate formed in view v−1 while a higher one (also formed
-        // in v−1) existed, it concealed — distrust it.
-        let Some(prev) = self.view.prev() else { return };
-        let prev_leader = self.core.cfg.leader_of(prev);
-        let Some(t) = self.tally.as_ref() else { return };
-        if t.view != self.view {
-            return;
-        }
-        if formed_in(&msg.high_cert) != Some(prev) {
-            return;
-        }
-        if let Some(pl_cert) = &t.prev_leader_cert {
-            if formed_in(pl_cert) == Some(prev) && pl_cert.rank() < msg.high_cert.rank() {
-                self.distrusted.insert(prev_leader);
-            }
-        }
-    }
-
-    // -- backup role -----------------------------------------------------------
-
-    /// SafeSlot (Fig. 7 lines 1–11).
-    fn safe_slot(
-        &self,
-        ps: Slot,
-        pv: View,
-        justify: &Certificate,
-        carry: Option<&Arc<Block>>,
-    ) -> bool {
-        match (ps == Slot::FIRST, &justify.kind) {
-            // Case 1: fresh New-View certificate formed by this view.
-            (true, CertKind::NewView { formed_in }) if *formed_in == pv => carry.is_none(),
-            // Case 2: older New-View certificate; must carry B_{1,fv}.
-            (true, CertKind::NewView { formed_in }) => {
-                carry.map(|u| u.slot == Slot::FIRST && u.view == *formed_in).unwrap_or(false)
-            }
-            // Case 3: New-Slot certificate; must carry B_{s_w+1, w}.
-            (true, CertKind::NewSlot) => carry
-                .map(|u| u.view == justify.view && u.slot.is_successor_of(justify.slot))
-                .unwrap_or(false),
-            // Case 4: later slots extend the previous slot of the same view.
-            (false, CertKind::NewSlot) => {
-                ps.is_successor_of(justify.slot) && justify.view == pv && carry.is_none()
-            }
-            // Genesis bootstrap (hard-coded certificate, §4.1 note).
-            (true, CertKind::Quorum) if justify.is_genesis() && pv == View(1) => carry.is_none(),
-            _ => false,
+    fn on_propose_at(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
+        if !e.tally.as_ref().map(|t| t.own.first_proposed).unwrap_or(false) {
+            // Slow leader finally proposes (one slot fits).
+            let justify = e.d.high_cert.clone();
+            let carry = e.p.carry_for(&justify).filter(|c| e.d.core.has_block(*c));
+            Self::propose_first(e, justify, carry, true, now, out);
         }
     }
 
     fn on_propose(
-        &mut self,
+        e: &mut Engine<Self>,
         from: ReplicaId,
         msg: ProposeMsg,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
         let b = msg.block.clone();
-        let pv = b.view;
-        let ps = b.slot;
-        if b.proposer != self.core.cfg.leader_of(pv) || from != b.proposer {
-            return;
-        }
-        if !self.core.cert_valid(&b.justify) {
-            return;
-        }
-        if pv < self.view {
+        let (pv, ps) = (b.view, b.slot);
+        if pv < e.d.view {
             // Stale (e.g. a last slot arriving after our view timeout):
             // keep the body so later commits and carries can resolve it.
-            self.insert_block(&b);
+            // Differs between protocols by history, not by paper: chained
+            // also stores `pv ≤ last_prop`; basic stores nothing.
+            e.insert_block(&b);
             return;
         }
         // Justify and carry blocks must be present before we can act.
-        let mut missing = Vec::new();
-        if !self.core.has_block(b.justify.block) {
-            missing.push(b.justify.block);
-        }
-        if let Some(c) = b.carry {
-            if !self.core.has_block(c) {
-                missing.push(c);
-            }
-        }
+        let missing: Vec<BlockId> = std::iter::once(b.justify.block)
+            .chain(b.carry)
+            .filter(|id| !e.d.core.has_block(*id))
+            .collect();
         if !missing.is_empty() {
-            for id in missing {
-                self.request_block(id, from, now, out);
-            }
-            self.pending_props.push((from, msg));
+            e.d.fetch_and_park(&missing, from, msg, now, out);
             return;
         }
         // Validate the carry chain: B_u must extend the same certificate.
         if let Some(c) = b.carry {
-            let u = self.core.block(c).expect("carry present");
+            let u = e.d.core.block(c).expect("carry present");
             let j = &b.justify;
             if u.justify.view != j.view || u.justify.slot != j.slot || u.justify.block != j.block {
                 return;
             }
         }
-        if pv > self.view {
-            // Catch up to the proposal's view.
-            self.core.obs.span_end("view", self.view.0);
-            self.view = pv;
-            self.slot = Slot::FIRST;
-            self.tally = None;
-            self.pm.note_jump(pv);
-            self.enter_view(now, out);
+        if pv > e.d.view {
+            e.jump_to(pv, now, out);
         }
-        if ps < self.slot {
+        if ps < e.p.slot {
             return; // already voted or rejected this slot
         }
-        self.insert_block(&b);
-        self.core.obs.stage(Stage::Received, block_key(b.id()));
-        if Rank::new(pv, ps) <= self.vote_floor {
+        e.insert_block(&b);
+        e.d.core.obs.stage(Stage::Received, block_key(b.id()));
+        if Rank::new(pv, ps) <= e.p.vote_floor {
             // The pre-crash incarnation may already have voted at this
             // position (§4.2 recovery); keep the body for commit walks
             // but never sign here again.
@@ -687,7 +417,7 @@ impl SlottedEngine {
         }
 
         let justify = b.justify.clone();
-        let jb = self.core.block(justify.block).expect("justify present").clone();
+        let jb = e.d.core.block(justify.block).expect("justify present").clone();
 
         // Commit rule (Fig. 7 lines 13–16): the justify certificate
         // consecutively extends the previous certificate ⇒ commit up to
@@ -697,291 +427,95 @@ impl SlottedEngine {
         let consecutive = (justify.view == jprev.view && justify.slot.is_successor_of(jprev.slot))
             || (justify.view.is_successor_of(jprev.view) && justify.slot == Slot::FIRST);
         if consecutive && !justify.is_genesis() {
-            self.commit_or_fetch(jprev.block, b.proposer, now, out);
+            e.d.commit_or_fetch(jprev.block, b.proposer, now, out);
         }
 
         // Speculation (Fig. 7 lines 17–20): No-Gap + Prefix-Speculation.
         let no_gap = (pv == justify.view && ps.is_successor_of(justify.slot))
             || (pv.is_successor_of(justify.view) && ps == Slot::FIRST);
-        if no_gap && self.core.is_committed(jb.parent) && !jb.is_genesis() {
-            self.core.speculate(&jb, out);
+        if no_gap && e.d.core.is_committed(jb.parent) && !jb.is_genesis() {
+            e.d.core.speculate(&jb, out);
         }
 
         // Vote or reject (Fig. 7 lines 21–26).
-        let carry_block = b.carry.and_then(|c| self.core.block(c).cloned());
-        let safe = self.safe_slot(ps, pv, &justify, carry_block.as_ref());
-        let rank_ok = self.high_cert.rank() <= justify.rank();
-        if safe && (rank_ok || self.fault.colludes()) {
-            if justify.rank() > self.high_cert.rank() {
-                self.set_high_cert(justify.clone());
+        let carry_block = b.carry.and_then(|c| e.d.core.block(c).cloned());
+        let safe = safe_slot(ps, pv, &justify, carry_block.as_ref());
+        let rank_ok = e.d.high_cert.rank() <= justify.rank();
+        let msg = if safe && (rank_ok || e.d.fault.colludes()) {
+            if justify.rank() > e.d.high_cert.rank() {
+                e.d.set_high_cert(justify.clone());
             }
             let bytes = Certificate::signing_bytes(CertKind::NewSlot, pv, ps, b.id());
-            let share = self.core.kp.sign(domains::NEW_SLOT, &bytes);
-            self.highest_voted = (Rank::new(pv, ps), b.id());
-            self.core.obs.stage(Stage::Voted, block_key(b.id()));
-            self.core.obs.counter("votes_sent", 0, 1);
-            out.push(Action::Send {
-                to: b.proposer,
-                msg: Message::NewSlot(NewSlotMsg {
-                    view: pv,
-                    slot: ps,
-                    high_cert: self.high_cert.clone(),
-                    vote: VoteInfo { view: pv, slot: ps, block: b.id(), share },
-                }),
-            });
+            let share = e.d.core.kp.sign(domains::NEW_SLOT, &bytes);
+            e.p.highest_voted = (Rank::new(pv, ps), b.id());
+            e.d.core.obs.stage(Stage::Voted, block_key(b.id()));
+            e.d.core.obs.counter("votes_sent", 0, 1);
+            Message::NewSlot(NewSlotMsg {
+                view: pv,
+                slot: ps,
+                high_cert: e.d.high_cert.clone(),
+                vote: VoteInfo { view: pv, slot: ps, block: b.id(), share },
+            })
         } else {
-            out.push(Action::Send {
-                to: b.proposer,
-                msg: Message::Reject(RejectMsg {
-                    view: pv,
-                    slot: ps,
-                    high_cert: self.high_cert.clone(),
-                }),
-            });
-        }
+            Message::Reject(RejectMsg { view: pv, slot: ps, high_cert: e.d.high_cert.clone() })
+        };
+        out.push(Action::Send { to: b.proposer, msg });
         // Disable voting for this slot either way (Fig. 7 line 26).
-        self.slot = ps.next();
+        e.p.slot = ps.next();
     }
 
-    fn on_newview(&mut self, from: ReplicaId, msg: NewViewMsg) {
-        if msg.dest_view < self.view {
-            self.adopt_cert(msg.high_cert, from);
-            return;
-        }
-        if self.core.cfg.leader_of(msg.dest_view) != self.core.me {
-            self.adopt_cert(msg.high_cert, from);
-            return;
-        }
-        if msg.dest_view == self.view && self.tally.is_some() {
-            self.tally_newview(from, msg);
-        } else {
-            self.nv_buf.entry(msg.dest_view.0).or_default().push((from, msg));
-        }
+    fn adopt_cert(
+        e: &mut Engine<Self>,
+        cert: Certificate,
+        _from: ReplicaId,
+        _now: SimTime,
+        _out: &mut Vec<Action>,
+    ) {
+        Self::adopt(e, cert);
     }
 
-    /// Request a block body, re-sending after a view timer if a prior
-    /// fetch went unanswered (message loss must not deadlock catch-up).
-    fn request_block(&mut self, id: BlockId, from: ReplicaId, now: SimTime, out: &mut Vec<Action>) {
-        if self.fetching.should_request(id, now, self.core.cfg.view_timer) {
-            out.push(Action::Send { to: from, msg: Message::FetchBlock { id } });
-        }
-    }
-
-    fn on_fetch_resp(&mut self, block: Arc<Block>, now: SimTime, out: &mut Vec<Action>) {
-        // Only absorb blocks with an outstanding fetch (Byzantine peers
-        // must not push unrequested bodies into the store).
-        if !self.fetching.is_inflight(block.id()) {
-            return;
-        }
-        if !self.core.cert_valid(&block.justify) {
-            return;
-        }
-        self.fetching.resolved(block.id());
-        self.insert_block(&block);
-        let parked = std::mem::take(&mut self.pending_props);
-        for (from, prop) in parked {
-            self.on_propose(from, prop, now, out);
-        }
-        if let Some((target, source)) = self.retry_commit.take() {
-            self.commit_or_fetch(target, source, now, out);
-        }
-        if self.is_leader() {
-            self.maybe_propose_first(now, out);
-        }
-    }
-}
-
-impl Replica for SlottedEngine {
-    fn id(&self) -> ReplicaId {
-        self.core.me
-    }
-
-    fn on_init(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if self.crashed {
-            return;
-        }
-        // A restored replica re-enters at its recovered view.
-        if self.view < View(1) {
-            self.view = View(1);
-        }
-        // Announce with a NEW_VIEW vote naming genesis so the first leader
-        // can assemble a condition-(1) certificate if it wants to.
-        let kind = CertKind::NewView { formed_in: self.view };
-        let bytes =
-            Certificate::signing_bytes(kind, View::GENESIS, Slot::GENESIS, Block::genesis_id());
-        let share = self.core.kp.sign(domains::NEW_VIEW, &bytes);
-        out.push(Action::Send {
-            to: self.core.cfg.leader_of(self.view),
-            msg: Message::NewView(NewViewMsg {
-                dest_view: self.view,
-                high_cert: self.high_cert.clone(),
-                vote: Some(VoteInfo {
-                    view: View::GENESIS,
-                    slot: Slot::GENESIS,
-                    block: Block::genesis_id(),
-                    share,
-                }),
-            }),
-        });
-        self.enter_view(now, out);
-    }
-
-    fn on_message(&mut self, from: ReplicaId, msg: Message, now: SimTime, out: &mut Vec<Action>) {
-        if self.check_crash() {
-            return;
-        }
+    fn on_message(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: Message,
+        _now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         match msg {
-            Message::Propose(m) => self.on_propose(from, m, now, out),
-            Message::NewSlot(m) => self.on_newslot(from, m, now, out),
-            Message::NewView(m) => {
-                self.on_newview(from, m);
-                self.maybe_propose_first(now, out);
-            }
-            Message::Reject(m) => self.on_reject(from, m),
-            Message::Wish(m) => {
-                let reg = self.core.registry.clone();
-                self.pm.on_wish(from, &m, &reg, out);
-            }
-            Message::Tc(tc) => {
-                let reg = self.core.registry.clone();
-                if let Some(v) = self.pm.on_tc(&tc, &reg, now, out) {
-                    // A newer epoch's TC un-parks a replica whose own
-                    // epoch TC was lost beyond recovery (Pacemaker docs).
-                    if self.awaiting_tc && v >= self.view {
-                        self.view = v;
-                        self.tally = None;
-                        self.enter_view(now, out);
-                    }
-                }
-            }
-            Message::FetchBlock { id } => {
-                if let Some(b) = self.core.block(id) {
-                    out.push(Action::Send {
-                        to: from,
-                        msg: Message::FetchResp { block: b.clone() },
-                    });
-                }
-            }
-            Message::FetchResp { block } => self.on_fetch_resp(block, now, out),
-            Message::Request(tx) => self.core.source.offer(tx),
+            Message::NewSlot(m) => Self::on_newslot(e, from, m, out),
+            Message::Reject(m) => Self::on_reject(e, m),
             _ => {}
         }
     }
 
-    fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>) {
-        if self.check_crash() {
-            return;
-        }
-        match timer {
-            Timer::ViewTimeout(v) => {
-                if v == self.view && self.awaiting_tc {
-                    // Parked at an epoch boundary: retry the Wish (ours or
-                    // the TC may have been lost) and keep the timer armed.
-                    self.core.obs.point("wish_retry", v.0, 0);
-                    self.core.obs.counter("wish_retries", 0, 1);
-                    self.pm.rewish(&self.core.kp.clone(), out);
-                    out.push(Action::SetTimer {
-                        timer: Timer::ViewTimeout(v),
-                        at: now + self.core.cfg.view_timer,
-                    });
-                    return;
-                }
-                if v != self.view {
-                    return;
-                }
-                // Fig. 7 lines 27–31: NEW_VIEW share over the highest
-                // voted block, sent to the next leader.
-                let next = self.view.next();
-                let (rank, block) = self.highest_voted;
-                let kind = CertKind::NewView { formed_in: next };
-                let bytes = Certificate::signing_bytes(kind, rank.view, rank.slot, block);
-                let share = self.core.kp.sign(domains::NEW_VIEW, &bytes);
-                out.push(Action::Send {
-                    to: self.core.cfg.leader_of(next),
-                    msg: Message::NewView(NewViewMsg {
-                        dest_view: next,
-                        high_cert: self.high_cert.clone(),
-                        vote: Some(VoteInfo { view: rank.view, slot: rank.slot, block, share }),
-                    }),
-                });
-                self.exit_view(now, out);
-            }
-            Timer::LeaderWait(v) => {
-                if v == self.view {
-                    if let Some(t) = self.tally.as_mut() {
-                        t.deadline_passed = true;
-                    }
-                    self.maybe_propose_first(now, out);
-                }
-            }
-            Timer::ProposeAt(v) => {
-                if v == self.view && self.is_leader() {
-                    let proposed = self.tally.as_ref().map(|t| t.first_proposed).unwrap_or(false);
-                    if !proposed {
-                        // Slow leader finally proposes (one slot fits).
-                        let justify = self.high_cert.clone();
-                        let carry = self.carry_for(&justify).filter(|c| self.core.has_block(*c));
-                        // Bypass the slow-leader re-arm by marking armed.
-                        if let Some(t) = self.tally.as_mut() {
-                            t.slow_timer_armed = true;
-                        }
-                        let saved = std::mem::replace(&mut self.fault, Fault::Honest);
-                        self.propose_block(justify, carry, now, out);
-                        self.fault = saved;
-                    }
-                }
-            }
-        }
+    fn unpark(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
+        e.unpark_proposals(now, out);
+        e.retry_stalled_commit(now, out);
+        // The arrived body may be the carry block a first slot waits on.
+        e.maybe_propose(now, out);
     }
 
-    fn enqueue_txs(&mut self, txs: &[hs1_types::Transaction]) {
-        for tx in txs {
-            self.core.source.offer(*tx);
-        }
+    fn on_view_change(&mut self) {
+        self.slot = Slot::FIRST;
     }
 
-    fn current_view(&self) -> View {
-        self.view
+    fn index_block(&mut self, b: &Block) {
+        let key = (b.justify.view.0, b.justify.slot.0, b.justify.block);
+        self.cert_children.entry(key).or_insert_with(|| b.id());
     }
 
-    fn committed_head(&self) -> BlockId {
-        self.core.committed_head()
+    fn prune(&mut self, core: &CoreState, _below: u64) {
+        self.cert_children.retain(|_, child| core.blocks.contains_key(child));
     }
 
-    fn committed_chain(&self) -> Vec<BlockId> {
-        self.core.committed.clone()
-    }
-
-    fn set_observer(&mut self, obs: Obs) {
-        self.core.set_observer(obs);
-    }
-
-    fn set_persistence(&mut self, persist: Box<dyn Persistence>) {
-        self.core.persist = persist;
-    }
-
-    fn restore(&mut self, rs: RecoveredState) {
-        if rs.view > self.view {
-            self.view = rs.view;
-            // Conservative: treat every slot of the recovered view (and
-            // below) as voted — the per-view slot cursor is not journaled,
-            // so the floor blocks re-signing any position the pre-crash
-            // incarnation might have voted. `highest_voted` is left at its
-            // genesis default: that is a truthful *omission* of pre-crash
-            // votes (crash-fault semantics), whereas claiming a vote at a
-            // fabricated rank would be an equivocation NewView shares
-            // could aggregate.
-            self.vote_floor = Rank::new(rs.view, Slot(u32::MAX));
-        }
-        if let Some(cert) = &rs.high_cert {
-            if cert.rank() > self.high_cert.rank() {
-                self.high_cert = cert.clone();
-            }
-        }
-        self.core.restore(rs);
-    }
-
-    fn state_root(&self) -> hs1_crypto::Digest {
-        self.core.state_root()
+    /// Conservative: treat every slot of the recovered view (and below)
+    /// as voted — the per-view slot cursor is not journaled, so the floor
+    /// blocks re-signing any position the pre-crash incarnation might
+    /// have voted. `highest_voted` is left at its genesis default: that
+    /// is a truthful *omission* of pre-crash votes (crash-fault
+    /// semantics), whereas claiming a vote at a fabricated rank would be
+    /// an equivocation NewView shares could aggregate.
+    fn raise_vote_floor(&mut self, recovered: View) {
+        self.vote_floor = Rank::new(recovered, Slot(u32::MAX));
     }
 }

@@ -2,10 +2,9 @@
 //! liveness, commit-rule depth, speculation timing, fault handling.
 
 use hs1_core::byzantine::Fault;
-use hs1_core::chained::{ChainDepth, ChainedEngine};
 use hs1_core::common::SharedMempool;
 use hs1_core::testkit::{Obs, TestNet};
-use hs1_core::{basic::BasicEngine, slotted::SlottedEngine, Replica};
+use hs1_core::{build_replica, build_replica_with_source, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_types::{ProtocolKind, ReplicaId, ReplyKind, SimDuration, SystemConfig, Transaction};
 
@@ -27,52 +26,9 @@ fn net_for(kind: ProtocolKind, n: usize, faults: Vec<(usize, Fault)>) -> TestNet
                 .find(|(r, _)| *r == i)
                 .map(|(_, f)| f.clone())
                 .unwrap_or(Fault::Honest);
-            let src = Box::new(pool.clone());
             let id = ReplicaId(i as u32);
-            let e: Box<dyn Replica> = match kind {
-                ProtocolKind::HotStuff => Box::new(ChainedEngine::with_source(
-                    c.clone(),
-                    id,
-                    ChainDepth::Three,
-                    false,
-                    fault,
-                    ExecConfig::default(),
-                    src,
-                )),
-                ProtocolKind::HotStuff2 => Box::new(ChainedEngine::with_source(
-                    c.clone(),
-                    id,
-                    ChainDepth::Two,
-                    false,
-                    fault,
-                    ExecConfig::default(),
-                    src,
-                )),
-                ProtocolKind::HotStuff1 => Box::new(ChainedEngine::with_source(
-                    c.clone(),
-                    id,
-                    ChainDepth::Two,
-                    true,
-                    fault,
-                    ExecConfig::default(),
-                    src,
-                )),
-                ProtocolKind::HotStuff1Basic => Box::new(BasicEngine::with_source(
-                    c.clone(),
-                    id,
-                    fault,
-                    ExecConfig::default(),
-                    src,
-                )),
-                ProtocolKind::HotStuff1Slotted => Box::new(SlottedEngine::with_source(
-                    c.clone(),
-                    id,
-                    fault,
-                    ExecConfig::default(),
-                    src,
-                )),
-            };
-            e
+            let src = Box::new(pool.clone());
+            build_replica_with_source(kind, c.clone(), id, fault, ExecConfig::default(), src)
         })
         .collect();
     let mut net = TestNet::new(engines, SimDuration::from_micros(200));
@@ -370,34 +326,11 @@ fn unsolicited_fetch_resp_is_dropped() {
     use hs1_types::{Certificate, Message, SimTime, Slot, View};
     use std::sync::Arc;
 
-    let engines: Vec<(&str, Box<dyn Replica>)> = vec![
-        (
-            "chained",
-            Box::new(ChainedEngine::new(
-                cfg(4),
-                ReplicaId(0),
-                ChainDepth::Two,
-                true,
-                Fault::Honest,
-                ExecConfig::default(),
-            )),
-        ),
-        (
-            "basic",
-            Box::new(BasicEngine::new(cfg(4), ReplicaId(0), Fault::Honest, ExecConfig::default())),
-        ),
-        (
-            "slotted",
-            Box::new(SlottedEngine::new(
-                cfg(4),
-                ReplicaId(0),
-                Fault::Honest,
-                ExecConfig::default(),
-            )),
-        ),
-    ];
-
-    for (name, mut engine) in engines {
+    let kinds =
+        [ProtocolKind::HotStuff1, ProtocolKind::HotStuff1Basic, ProtocolKind::HotStuff1Slotted];
+    for kind in kinds {
+        let mut engine =
+            build_replica(kind, cfg(4), ReplicaId(0), Fault::Honest, ExecConfig::default());
         let mut out = Vec::new();
         engine.on_init(SimTime::ZERO, &mut out);
         out.clear();
@@ -426,7 +359,7 @@ fn unsolicited_fetch_resp_is_dropped() {
                 a,
                 hs1_core::replica::Action::Send { msg: Message::FetchResp { .. }, .. }
             )),
-            "{name}: unsolicited FetchResp must not be absorbed into the store"
+            "{kind:?}: unsolicited FetchResp must not be absorbed into the store"
         );
     }
 }

@@ -23,7 +23,7 @@ use crate::statesync::CatchupModel;
 use hs1_adversary::{AdversaryEngine, AdversaryMutator, AdversaryStrategy};
 use hs1_core::byzantine::Fault;
 use hs1_core::common::SharedMempool;
-use hs1_core::Replica;
+use hs1_core::{build_replica_with_source, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_obs::Obs;
 use hs1_storage::journal::SyncPolicy;
@@ -345,7 +345,7 @@ impl Scenario {
                     .find(|(r, _)| *r == i)
                     .map(|(_, fl)| fl.clone())
                     .unwrap_or(Fault::Honest);
-                let engine = build_with_source(
+                let engine = build_replica_with_source(
                     self.protocol,
                     cfg.clone(),
                     ReplicaId(i as u32),
@@ -402,7 +402,7 @@ impl Scenario {
                             .find(|(r, _)| *r == i)
                             .map(|(_, fl)| fl.clone())
                             .unwrap_or(Fault::Honest);
-                        let engine = build_with_source(
+                        let engine = build_replica_with_source(
                             protocol,
                             cfg.clone(),
                             ReplicaId(i as u32),
@@ -497,54 +497,6 @@ impl Scenario {
             replica_views,
             replica_chain_lens,
             observer: self.observer,
-        }
-    }
-}
-
-fn build_with_source(
-    kind: ProtocolKind,
-    cfg: SystemConfig,
-    id: ReplicaId,
-    fault: Fault,
-    exec: ExecConfig,
-    source: Box<dyn hs1_core::common::TxSource>,
-) -> Box<dyn Replica> {
-    use hs1_core::basic::BasicEngine;
-    use hs1_core::chained::{ChainDepth, ChainedEngine};
-    use hs1_core::slotted::SlottedEngine;
-    match kind {
-        ProtocolKind::HotStuff => Box::new(ChainedEngine::with_source(
-            cfg,
-            id,
-            ChainDepth::Three,
-            false,
-            fault,
-            exec,
-            source,
-        )),
-        ProtocolKind::HotStuff2 => Box::new(ChainedEngine::with_source(
-            cfg,
-            id,
-            ChainDepth::Two,
-            false,
-            fault,
-            exec,
-            source,
-        )),
-        ProtocolKind::HotStuff1 => Box::new(ChainedEngine::with_source(
-            cfg,
-            id,
-            ChainDepth::Two,
-            true,
-            fault,
-            exec,
-            source,
-        )),
-        ProtocolKind::HotStuff1Basic => {
-            Box::new(BasicEngine::with_source(cfg, id, fault, exec, source))
-        }
-        ProtocolKind::HotStuff1Slotted => {
-            Box::new(SlottedEngine::with_source(cfg, id, fault, exec, source))
         }
     }
 }

@@ -7,17 +7,16 @@
 use std::sync::Arc;
 
 use hs1_core::byzantine::Fault;
-use hs1_core::chained::{ChainDepth, ChainedEngine};
 use hs1_core::common::SharedMempool;
 use hs1_core::persist::Persistence;
 use hs1_core::testkit::TestNet;
-use hs1_core::Replica;
+use hs1_core::{build_replica_with_source, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_obs::{Clock, Obs};
 use hs1_storage::testutil::TempDir;
 use hs1_storage::{ReplicaStorage, StorageConfig, SyncPolicy};
 use hs1_types::{
-    Block, Certificate, ReplicaId, SimDuration, Slot, SystemConfig, Transaction, View,
+    Block, Certificate, ProtocolKind, ReplicaId, SimDuration, Slot, SystemConfig, Transaction, View,
 };
 
 fn cfg(n: usize) -> SystemConfig {
@@ -28,12 +27,11 @@ fn cfg(n: usize) -> SystemConfig {
     c
 }
 
-fn hs1_engine(c: &SystemConfig, id: u32, pool: &SharedMempool) -> ChainedEngine {
-    ChainedEngine::with_source(
+fn hs1_engine(c: &SystemConfig, id: u32, pool: &SharedMempool) -> Box<dyn Replica> {
+    build_replica_with_source(
+        ProtocolKind::HotStuff1,
         c.clone(),
         ReplicaId(id),
-        ChainDepth::Two,
-        true,
         Fault::Honest,
         ExecConfig::default(),
         Box::new(pool.clone()),
@@ -56,8 +54,7 @@ fn journal_counters_stay_monotone_across_crash_restart_reattachment() {
     {
         let c = cfg(4);
         let pool = SharedMempool::new();
-        let mut engines: Vec<Box<dyn Replica>> =
-            (0..4).map(|i| Box::new(hs1_engine(&c, i, &pool)) as Box<dyn Replica>).collect();
+        let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i, &pool)).collect();
         let (state, mut storage) = ReplicaStorage::open(tmp.path(), scfg).expect("open storage");
         assert!(state.is_empty(), "fresh directory");
         storage.set_observer(obs.clone());

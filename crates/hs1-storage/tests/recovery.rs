@@ -11,11 +11,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hs1_core::byzantine::Fault;
-use hs1_core::chained::{ChainDepth, ChainedEngine};
 use hs1_core::common::SharedMempool;
 use hs1_core::persist::Persistence;
 use hs1_core::testkit::TestNet;
-use hs1_core::Replica;
+use hs1_core::{build_replica_with_source, Replica};
 use hs1_ledger::{ExecConfig, KvStore};
 use hs1_storage::journal::SEGMENT_MAGIC;
 use hs1_storage::testutil::TempDir;
@@ -23,7 +22,7 @@ use hs1_storage::{
     recover, JournalConfig, JournalRecord, ReplicaStorage, StorageConfig, SyncPolicy,
 };
 use hs1_types::{
-    Block, Certificate, ReplicaId, SimDuration, Slot, SystemConfig, Transaction, View,
+    Block, Certificate, ProtocolKind, ReplicaId, SimDuration, Slot, SystemConfig, Transaction, View,
 };
 
 fn cfg(n: usize) -> SystemConfig {
@@ -34,12 +33,11 @@ fn cfg(n: usize) -> SystemConfig {
     c
 }
 
-fn hs1_engine(c: &SystemConfig, id: u32, pool: &SharedMempool) -> ChainedEngine {
-    ChainedEngine::with_source(
+fn hs1_engine(c: &SystemConfig, id: u32, pool: &SharedMempool) -> Box<dyn Replica> {
+    build_replica_with_source(
+        ProtocolKind::HotStuff1,
         c.clone(),
         ReplicaId(id),
-        ChainDepth::Two,
-        true,
         Fault::Honest,
         ExecConfig::default(),
         Box::new(pool.clone()),
@@ -59,8 +57,7 @@ fn run_durable_cluster(
 ) -> (Vec<hs1_types::BlockId>, hs1_crypto::Digest, hs1_crypto::Digest) {
     let c = cfg(4);
     let pool = SharedMempool::new();
-    let mut engines: Vec<Box<dyn Replica>> =
-        (0..4).map(|i| Box::new(hs1_engine(&c, i, &pool)) as Box<dyn Replica>).collect();
+    let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i, &pool)).collect();
     let (state, storage) = ReplicaStorage::open(dir, storage_cfg).expect("open storage");
     assert!(state.is_empty(), "fresh directory");
     engines[0].set_persistence(Box::new(storage));
@@ -81,7 +78,7 @@ fn run_durable_cluster(
     // journal's own Drop sync.
 }
 
-fn recovered_engine(dir: &Path, storage_cfg: StorageConfig) -> (ChainedEngine, ReplicaStorage) {
+fn recovered_engine(dir: &Path, storage_cfg: StorageConfig) -> (Box<dyn Replica>, ReplicaStorage) {
     let (state, storage) = ReplicaStorage::open(dir, storage_cfg).expect("recover");
     let pool = SharedMempool::new();
     let mut engine = hs1_engine(&cfg(4), 0, &pool);
