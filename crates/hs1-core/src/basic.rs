@@ -14,11 +14,9 @@
 //! Commit rules: traditional (a commit certificate `C(v)` arrives,
 //! Def. 4.5) and prefix (a `P(v+1)` extending `P(v)` arrives, Def. 4.6).
 
-use std::collections::HashMap;
-
 use crate::driver::{Engine, Protocol};
 use crate::replica::Action;
-use hs1_crypto::Signature;
+use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::message::{NewViewMsg, PrepareMsg, ProposeMsg, VoteInfo, VoteMsg};
@@ -35,38 +33,27 @@ pub(crate) struct Basic {
     pending_preps: Vec<(ReplicaId, PrepareMsg)>,
 }
 
-#[derive(Default)]
 pub(crate) struct BasicTally {
-    /// Commit shares `δ_C` for `P(v−1)` carried in NewViews, keyed by block.
-    commit_shares: HashMap<BlockId, Vec<(ReplicaId, Signature)>>,
+    /// Commit shares `δ_C` for `P(v−1)` carried in NewViews.
+    commit_shares: ShareTally,
     /// ProposeVote shares for our proposal.
-    prop_shares: Vec<(ReplicaId, Signature)>,
+    prop_shares: ShareTally,
     proposed: Option<BlockId>,
     prepared: bool,
 }
 
 impl Basic {
     fn on_vote(e: &mut Engine<Self>, from: ReplicaId, msg: VoteMsg, out: &mut Vec<Action>) {
-        let quorum = e.d.core.cfg.quorum();
         let Some(t) = e.tally.as_mut() else { return };
         if msg.vote.view != t.view || Some(msg.vote.block) != t.own.proposed || t.own.prepared {
             return;
         }
-        let shares = &mut t.own.prop_shares;
-        if shares.iter().any(|(r, _)| *r == from) {
+        if !t.own.prop_shares.insert(&e.d.core.registry, from, &msg.vote) {
             return;
         }
-        shares.push((from, msg.vote.share));
         // Fig. 2 lines 13–15: form P(v) and broadcast Prepare.
-        if shares.len() >= quorum {
+        if let Some(cert) = t.own.prop_shares.certificate(e.d.core.cfg.quorum()) {
             t.own.prepared = true;
-            let cert = Certificate {
-                kind: CertKind::Quorum,
-                view: t.view,
-                slot: Slot::FIRST,
-                block: msg.vote.block,
-                sigs: shares.clone(),
-            };
             out.push(Action::Broadcast { msg: Message::Prepare(PrepareMsg { cert }) });
         }
     }
@@ -135,26 +122,21 @@ impl Protocol for Basic {
     const PRUNE_KEEP: usize = 2048;
 
     fn new_tally(_view: View) -> BasicTally {
-        BasicTally::default()
+        BasicTally {
+            commit_shares: ShareTally::new(CertKind::Commit),
+            prop_shares: ShareTally::new(CertKind::Quorum),
+            proposed: None,
+            prepared: false,
+        }
     }
 
     fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg) {
-        let quorum = e.d.core.cfg.quorum();
         let prev = e.d.view.prev();
         let Some(vote) = msg.vote.filter(|v| Some(v.view) == prev) else { return };
-        let shares = e.tally_mut().own.commit_shares.entry(vote.block).or_default();
-        if !shares.iter().any(|(r, _)| *r == from) {
-            shares.push((from, vote.share));
-        }
+        let shares = &mut e.tally.as_mut().expect("tally exists").own.commit_shares;
+        shares.insert(&e.d.core.registry, from, &vote);
         // Fig. 2 lines 11–12: aggregate C(v−1) from n − f commit shares.
-        if shares.len() >= quorum {
-            let cert = Certificate {
-                kind: CertKind::Commit,
-                view: vote.view,
-                slot: Slot::FIRST,
-                block: vote.block,
-                sigs: shares.clone(),
-            };
+        if let Some(cert) = shares.certificate(e.d.core.cfg.quorum()) {
             if e.p.high_commit.as_ref().map(|c| cert.rank() > c.rank()).unwrap_or(true) {
                 e.p.high_commit = Some(cert);
             }

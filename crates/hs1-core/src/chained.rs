@@ -13,16 +13,14 @@
 //!   it, when the Prefix-Speculation and No-Gap rules hold (3 half-phases
 //!   to the client's early finality confirmation).
 
-use std::collections::HashMap;
-
 use crate::byzantine::Fault;
 use crate::driver::{Engine, Protocol};
 use crate::replica::Action;
-use hs1_crypto::Signature;
+use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::message::{NewViewMsg, ProposeMsg, VoteInfo};
-use hs1_types::{BlockId, Certificate, Message, ReplicaId, SimTime, Slot, View};
+use hs1_types::{Certificate, Message, ReplicaId, SimTime, Slot, View};
 
 pub(crate) struct Chained {
     /// Commit-rule depth: consecutive certificates that finalize a block
@@ -39,10 +37,9 @@ pub(crate) struct Chained {
     pending_certs: Vec<(Certificate, ReplicaId)>,
 }
 
-#[derive(Default)]
 pub(crate) struct ChainedTally {
-    /// Vote shares for blocks of view − 1, keyed by block.
-    votes: HashMap<BlockId, Vec<(ReplicaId, Signature)>>,
+    /// Vote shares for blocks of view − 1.
+    votes: ShareTally,
     proposed: bool,
 }
 
@@ -96,37 +93,19 @@ impl Protocol for Chained {
     const PRUNE_KEEP: usize = 2048;
 
     fn new_tally(_view: View) -> ChainedTally {
-        ChainedTally::default()
+        ChainedTally { votes: ShareTally::new(CertKind::Quorum), proposed: false }
     }
 
     fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg) {
-        let quorum = e.d.core.cfg.quorum();
-        let Some(prev) = e.d.view.prev() else { return };
-        let t = &mut e.tally_mut().own;
+        let votes = &mut e.tally.as_mut().expect("tally exists").own.votes;
         if let Some(vote) = &msg.vote {
-            if vote.view == prev && vote.slot == Slot::FIRST {
-                let shares = t.votes.entry(vote.block).or_default();
-                if !shares.iter().any(|(r, _)| *r == from) {
-                    shares.push((from, vote.share));
-                }
+            if Some(vote.view) == e.d.view.prev() && vote.slot == Slot::FIRST {
+                votes.insert(&e.d.core.registry, from, vote);
             }
         }
         // Form P(v−1) as soon as a quorum of shares agrees on one block
-        // (Fig. 4 lines 6–7). Candidate choice is made deterministic by a
-        // block-id tie-break (HashMap order is not replay-stable).
-        let formed: Option<Certificate> = t
-            .votes
-            .iter()
-            .filter(|(_, shares)| shares.len() >= quorum)
-            .max_by_key(|(block, _)| block.0 .0)
-            .map(|(block, shares)| Certificate {
-                kind: CertKind::Quorum,
-                view: prev,
-                slot: Slot::FIRST,
-                block: *block,
-                sigs: shares.clone(),
-            });
-        if let Some(cert) = formed {
+        // (Fig. 4 lines 6–7).
+        if let Some(cert) = votes.certificate(e.d.core.cfg.quorum()) {
             if cert.rank() > e.d.high_cert.rank() && e.d.core.has_block(cert.block) {
                 e.d.set_high_cert(cert);
             }

@@ -1,0 +1,113 @@
+//! Vote-share tallying: the one place signature shares become a
+//! certificate.
+
+use std::collections::HashMap;
+
+use hs1_crypto::{PublicKeyRegistry, Signature};
+use hs1_types::cert::CertKind;
+use hs1_types::ids::Rank;
+use hs1_types::message::VoteInfo;
+use hs1_types::{BlockId, Certificate, ReplicaId, Slot, View};
+
+/// Shares towards certificates of one kind, keyed by the voted position.
+/// A share is counted only if it verifies under the kind's signature
+/// domain, so a certificate formed here always passes
+/// [`Certificate::verify`]: one Byzantine backup's garbage share must not
+/// void an honest leader's view.
+pub(crate) struct ShareTally {
+    kind: CertKind,
+    shares: HashMap<(View, Slot, BlockId), Vec<(ReplicaId, Signature)>>,
+}
+
+impl ShareTally {
+    pub fn new(kind: CertKind) -> ShareTally {
+        ShareTally { kind, shares: HashMap::new() }
+    }
+
+    /// Count `from`'s share for the position `vote` names. Returns whether
+    /// it was counted: the signature verifies and `from` had none there.
+    pub fn insert(
+        &mut self,
+        registry: &PublicKeyRegistry,
+        from: ReplicaId,
+        vote: &VoteInfo,
+    ) -> bool {
+        let bytes = Certificate::signing_bytes(self.kind, vote.view, vote.slot, vote.block);
+        if !registry.verify(from.0, self.kind.domain(), &bytes, &vote.share) {
+            return false;
+        }
+        let shares = self.shares.entry((vote.view, vote.slot, vote.block)).or_default();
+        let fresh = !shares.iter().any(|(r, _)| *r == from);
+        if fresh {
+            shares.push((from, vote.share));
+        }
+        fresh
+    }
+
+    /// The certificate of the highest position holding `quorum` shares.
+    /// Ties break on the block id: `HashMap` order is not replay-stable.
+    pub fn certificate(&self, quorum: usize) -> Option<Certificate> {
+        self.shares
+            .iter()
+            .filter(|(_, shares)| shares.len() >= quorum)
+            .max_by_key(|((v, s, b), _)| (v.0, s.0, b.0 .0))
+            .map(|(&(view, slot, block), shares)| Certificate {
+                kind: self.kind,
+                view,
+                slot,
+                block,
+                sigs: shares.clone(),
+            })
+    }
+
+    /// Does any position ranked above `rank` hold `threshold` shares?
+    pub fn any_above(&self, rank: Rank, threshold: usize) -> bool {
+        self.shares
+            .iter()
+            .any(|((v, s, _), shares)| Rank::new(*v, *s) > rank && shares.len() >= threshold)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hs1_crypto::KeyPair;
+
+    fn vote(signer: u32, slot: u32, block: BlockId) -> VoteInfo {
+        let (view, slot) = (View(3), Slot(slot));
+        let bytes = Certificate::signing_bytes(CertKind::NewSlot, view, slot, block);
+        let share = KeyPair::derive(7, signer).sign(CertKind::NewSlot.domain(), &bytes);
+        VoteInfo { view, slot, block, share }
+    }
+
+    #[test]
+    fn counts_valid_shares_once_and_certifies_at_quorum() {
+        let reg = PublicKeyRegistry::derive(7, 4);
+        let mut t = ShareTally::new(CertKind::NewSlot);
+        let b = BlockId::test(1);
+        assert!(t.insert(&reg, ReplicaId(0), &vote(0, 1, b)));
+        assert!(!t.insert(&reg, ReplicaId(0), &vote(0, 1, b)), "one share per sender");
+        assert!(!t.insert(&reg, ReplicaId(1), &vote(0, 1, b)), "signed by someone else");
+        let forged = VoteInfo { share: Signature([0xAB; 32]), ..vote(1, 1, b) };
+        assert!(!t.insert(&reg, ReplicaId(1), &forged));
+        assert!(t.insert(&reg, ReplicaId(2), &vote(2, 1, b)));
+        assert!(t.certificate(3).is_none(), "two valid shares, quorum three");
+        assert!(t.insert(&reg, ReplicaId(3), &vote(3, 1, b)));
+        let cert = t.certificate(3).expect("quorum reached");
+        assert!(cert.verify(&reg, 3));
+        assert!(t.any_above(Rank::new(View(3), Slot(0)), 3));
+        assert!(!t.any_above(cert.rank(), 1));
+    }
+
+    #[test]
+    fn highest_position_wins_and_block_id_breaks_ties() {
+        let reg = PublicKeyRegistry::derive(7, 4);
+        let mut t = ShareTally::new(CertKind::NewSlot);
+        let (lo, hi) = (BlockId::test(1), BlockId::test(2));
+        for (signer, slot, block) in [(0, 2, lo), (1, 2, hi), (2, 1, hi)] {
+            assert!(t.insert(&reg, ReplicaId(signer), &vote(signer, slot, block)));
+        }
+        let cert = t.certificate(1).expect("every position holds one share");
+        assert_eq!((cert.slot, cert.block), (Slot(2), lo.max(hi)));
+    }
+}

@@ -28,7 +28,7 @@ use crate::byzantine::Fault;
 use crate::common::CoreState;
 use crate::driver::{Engine, Protocol};
 use crate::replica::Action;
-use hs1_crypto::Signature;
+use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::ids::Rank;
@@ -46,12 +46,11 @@ fn formed_in(cert: &Certificate) -> Option<View> {
     }
 }
 
-#[derive(Default)]
 pub(crate) struct SlottedTally {
-    /// NEW_VIEW shares keyed by the voted block position.
-    nv_votes: HashMap<(View, Slot, BlockId), Vec<(ReplicaId, Signature)>>,
+    /// NEW_VIEW shares by the voted block position.
+    nv_votes: ShareTally,
     /// NewSlot shares for the slot currently being certified.
-    ns_shares: Vec<(ReplicaId, Signature)>,
+    ns_shares: ShareTally,
     /// The block currently collecting NewSlot votes (our latest proposal).
     proposing: Option<(Slot, BlockId)>,
     first_proposed: bool,
@@ -127,7 +126,6 @@ impl Slotted {
         if let Some(t) = e.tally.as_mut() {
             t.own.first_proposed = true;
             t.own.proposing = Some((Slot::FIRST, b.id()));
-            t.own.ns_shares.clear();
         }
         let Fault::RollbackAttack { victims } = e.d.fault.clone() else {
             out.push(Action::Broadcast {
@@ -158,25 +156,20 @@ impl Slotted {
         if msg.view != e.d.view || !e.d.is_leader() {
             return;
         }
-        let quorum = e.d.core.cfg.quorum();
         let Some(t) = e.tally.as_mut().map(|t| &mut t.own) else { return };
         let Some((slot, block)) = t.proposing else { return };
-        if msg.slot != slot || msg.vote.block != block || msg.vote.view != msg.view {
+        let v = &msg.vote;
+        if msg.slot != slot || (v.view, v.slot, v.block) != (msg.view, slot, block) {
             return;
         }
-        let bytes = Certificate::signing_bytes(CertKind::NewSlot, msg.view, slot, block);
-        if !e.d.core.registry.verify(from.0, domains::NEW_SLOT, &bytes, &msg.vote.share)
-            || t.ns_shares.iter().any(|(r, _)| *r == from)
-        {
+        if !t.ns_shares.insert(&e.d.core.registry, from, v) {
             return;
         }
-        t.ns_shares.push((from, msg.vote.share));
-        if t.ns_shares.len() >= quorum {
-            // Fig. 6 lines 16–19: form P(s, v) and immediately propose
-            // slot s+1 (forming and proposing are atomic, so every
-            // certificate we ever hand out has a known successor block).
-            let sigs = std::mem::take(&mut t.ns_shares);
-            let cert = Certificate { kind: CertKind::NewSlot, view: msg.view, slot, block, sigs };
+        // Fig. 6 lines 16–19: form P(s, v) and immediately propose slot
+        // s+1 (forming and proposing are atomic, so every certificate we
+        // ever hand out has a known successor block).
+        if let Some(cert) = t.ns_shares.certificate(e.d.core.cfg.quorum()) {
+            t.ns_shares = ShareTally::new(CertKind::NewSlot);
             if cert.rank() > e.d.high_cert.rank() {
                 e.d.set_high_cert(cert.clone());
             }
@@ -234,8 +227,15 @@ impl Protocol for Slotted {
     const PRUNE_KEEP: usize = 4096;
     const ADOPTS_IN_TALLY: bool = true;
 
-    fn new_tally(_view: View) -> SlottedTally {
-        SlottedTally::default()
+    fn new_tally(view: View) -> SlottedTally {
+        SlottedTally {
+            nv_votes: ShareTally::new(CertKind::NewView { formed_in: view }),
+            ns_shares: ShareTally::new(CertKind::NewSlot),
+            proposing: None,
+            first_proposed: false,
+            prev_leader_cert: None,
+            trusted_fast_path: false,
+        }
     }
 
     /// Fig. 7 lines 27–31: a NEW_VIEW share over the highest voted block
@@ -254,14 +254,7 @@ impl Protocol for Slotted {
         let prev_leader = view.prev().map(|p| e.d.core.cfg.leader_of(p));
         let t = &mut e.tally.as_mut().expect("tally exists").own;
         if let Some(vote) = &msg.vote {
-            let kind = CertKind::NewView { formed_in: view };
-            let bytes = Certificate::signing_bytes(kind, vote.view, vote.slot, vote.block);
-            if e.d.core.registry.verify(from.0, domains::NEW_VIEW, &bytes, &vote.share) {
-                t.nv_votes
-                    .entry((vote.view, vote.slot, vote.block))
-                    .or_default()
-                    .push((from, vote.share));
-            }
+            t.nv_votes.insert(&e.d.core.registry, from, vote);
         }
         // Trusted fast path (§6.3, Fig. 6 line 20): the previous leader's
         // NewView carries a certificate formed in view v−1.
@@ -284,33 +277,14 @@ impl Protocol for Slotted {
             return;
         }
 
-        // Condition (1): a New-View certificate can be formed. Pick the
-        // candidate deterministically (HashMap iteration order is not
-        // replay-stable) — highest rank, block id as tie-break.
-        let formed: Option<Certificate> = t
-            .own
-            .nv_votes
-            .iter()
-            .filter(|(_, shares)| shares.len() >= quorum)
-            .max_by_key(|((v, s, b), _)| (v.0, s.0, b.0 .0))
-            .map(|((v, s, b), shares)| Certificate {
-                kind: CertKind::NewView { formed_in: view },
-                view: *v,
-                slot: *s,
-                block: *b,
-                sigs: shares.clone(),
-            });
+        // Condition (1): a New-View certificate can be formed.
+        let formed = t.own.nv_votes.certificate(quorum);
 
         let senders = t.senders.len();
         // Condition (4): with k = n − senders unheard, no position above
         // our high certificate has f+1−k votes.
         let k = n.saturating_sub(senders);
-        let cond4 = senders >= quorum && k <= f && {
-            let threshold = f + 1 - k;
-            !t.own.nv_votes.iter().any(|((v, s, _), shares)| {
-                Rank::new(*v, *s) > high_rank && shares.len() >= threshold
-            })
-        };
+        let cond4 = senders >= quorum && k <= f && !t.own.nv_votes.any_above(high_rank, f + 1 - k);
         let cond2 = senders >= n;
         let cond3 = t.deadline_passed;
 

@@ -363,3 +363,113 @@ fn unsolicited_fetch_resp_is_dropped() {
         );
     }
 }
+
+// -- share verification ---------------------------------------------------------
+
+/// One Byzantine backup (within the ≤ f model) sends a garbage vote share
+/// that lands among the first n − f a leader tallies. The leader must not
+/// count it: a certificate holding it fails `verify` at every correct
+/// backup, which drops the proposal and voids the honest leader's view.
+/// Every certificate the leader hands out must verify, and one must form
+/// once n − f *valid* shares are in.
+#[test]
+fn garbage_vote_share_never_reaches_a_certificate() {
+    use hs1_core::replica::Action;
+    use hs1_crypto::{KeyPair, PublicKeyRegistry, Signature};
+    use hs1_types::cert::{domains, CertKind};
+    use hs1_types::message::{NewViewMsg, ProposeMsg, VoteInfo, VoteMsg};
+    use hs1_types::{Block, Certificate, Message, SimTime, Slot, View};
+    use std::sync::Arc;
+
+    /// A leader under test: messages it sends itself are looped back in;
+    /// the blocks it proposes and certificates it hands out are kept.
+    struct Probe {
+        leader: Box<dyn Replica>,
+        me: ReplicaId,
+        proposed: Vec<Arc<Block>>,
+        certs: Vec<Certificate>,
+    }
+    impl Probe {
+        fn deliver(&mut self, from: ReplicaId, msg: Message) {
+            let mut queue = vec![(from, msg)];
+            while let Some((from, msg)) = queue.pop() {
+                let mut out = Vec::new();
+                self.leader.on_message(from, msg, SimTime::ZERO, &mut out);
+                for a in out {
+                    let msg = match a {
+                        Action::Send { to, msg } if to == self.me => msg,
+                        Action::Broadcast { msg } => msg,
+                        _ => continue,
+                    };
+                    match &msg {
+                        Message::Propose(p) => {
+                            self.proposed.push(p.block.clone());
+                            self.certs.push(p.block.justify.clone());
+                        }
+                        Message::Prepare(p) => self.certs.push(p.cert.clone()),
+                        _ => {}
+                    }
+                    queue.push((self.me, msg));
+                }
+            }
+        }
+    }
+
+    // (protocol, the view whose leader tallies shares for B₁): chained
+    // tallies the votes NewViews carry into view 2; basic tallies the
+    // Votes for its own view-1 proposal.
+    for (kind, view) in [(ProtocolKind::HotStuff1, 2), (ProtocolKind::HotStuff1Basic, 1)] {
+        let c = cfg(7);
+        let registry = PublicKeyRegistry::derive(c.deployment_seed, 7);
+        let me = c.leader_of(View(view));
+        let leader = build_replica(kind, c.clone(), me, Fault::Honest, ExecConfig::default());
+        let mut probe = Probe { leader, me, proposed: Vec::new(), certs: Vec::new() };
+        probe.leader.on_init(SimTime::ZERO, &mut Vec::new());
+        let newview = |dest: u64, vote| {
+            let high_cert = Certificate::genesis();
+            Message::NewView(NewViewMsg { dest_view: View(dest), high_cert, vote })
+        };
+
+        // The leader comes to hold B₁ and casts its own (valid) share.
+        let b1 = if view == 2 {
+            let l1 = c.leader_of(View(1));
+            let b1 = Block::new(l1, View(1), Slot::FIRST, Certificate::genesis(), txs(2));
+            let block = Arc::new(b1);
+            let id = block.id();
+            probe.deliver(l1, Message::Propose(ProposeMsg { block, commit_cert: None }));
+            id
+        } else {
+            (0..7).for_each(|r| probe.deliver(ReplicaId(r), newview(1, None)));
+            probe.proposed.first().expect("view-1 leader proposed B₁ on n NewViews").id()
+        };
+        probe.certs.clear(); // B₁'s own justify is genesis
+
+        let share_from = |r: ReplicaId, valid: bool| {
+            let bytes = Certificate::signing_bytes(CertKind::Quorum, View(1), Slot::FIRST, b1);
+            let share = match valid {
+                true => KeyPair::derive(c.deployment_seed, r.0).sign(domains::PROPOSE_VOTE, &bytes),
+                false => Signature([0xAB; 32]),
+            };
+            let vote = VoteInfo { view: View(1), slot: Slot::FIRST, block: b1, share };
+            if view == 2 {
+                newview(2, Some(vote))
+            } else {
+                Message::Vote(VoteMsg { vote })
+            }
+        };
+        let others: Vec<ReplicaId> = (0..7).map(ReplicaId).filter(|r| *r != me).collect();
+        // Five shares with the leader's own, one of them garbage: four
+        // valid, no quorum.
+        for (i, &r) in others[..4].iter().enumerate() {
+            probe.deliver(r, share_from(r, i != 1));
+        }
+        assert!(probe.certs.is_empty(), "{kind:?}: P(1) on 4 valid shares: {:?}", probe.certs);
+        // The fifth valid share completes n − f.
+        probe.deliver(others[4], share_from(others[4], true));
+        let p1 = probe.certs.first().unwrap_or_else(|| panic!("{kind:?}: no P(1) on n − f shares"));
+        assert_eq!((p1.view, p1.block), (View(1), b1), "{kind:?}");
+        for cert in &probe.certs {
+            assert!(cert.verify(&registry, c.quorum()), "{kind:?}: leader emitted {cert:?}");
+        }
+    }
+}
