@@ -236,22 +236,16 @@ impl Driver {
     /// Highest certificate known with view ≤ `view − 2` (tail-forking and
     /// rollback-attack justify choice, Example 6.2).
     pub fn stale_cert(&self) -> Certificate {
-        let mut best = Certificate::genesis();
         let limit = self.view.0.saturating_sub(2);
-        // Deterministic tie-break on the block id: the scan walks a
-        // HashMap, whose order must not leak into replayable behavior.
-        let mut consider = |c: &Certificate| {
-            let better = c.rank() > best.rank()
-                || (c.rank() == best.rank() && c.block.0 .0 > best.block.0 .0);
-            if c.view.0 <= limit && better && self.core.has_block(c.block) {
-                best = c.clone();
-            }
-        };
-        consider(&self.high_cert);
-        for b in self.core.blocks.values() {
-            consider(&b.justify);
-        }
-        best
+        // The scan walks a HashMap, whose order must not leak into
+        // replayable behavior, so the order is total: rank, then the
+        // certified block, then the block carrying the certificate (two
+        // certificates for one block can differ in kind and signer set).
+        std::iter::once((&self.high_cert, BlockId::NONE))
+            .chain(self.core.blocks.values().map(|b| (&b.justify, b.id())))
+            .filter(|(c, _)| c.view.0 <= limit && self.core.has_block(c.block))
+            .max_by_key(|(c, carrier)| (c.rank(), c.block, *carrier))
+            .map_or_else(Certificate::genesis, |(c, _)| c.clone())
     }
 }
 
@@ -440,8 +434,9 @@ impl<P: Protocol> Engine<P> {
         self.d.core.insert_block(b.clone());
     }
 
-    /// Assemble and store a block of the current view over a fresh batch.
-    pub fn build_block(
+    /// Assemble, store and trace this leader's next block over a fresh
+    /// batch.
+    pub fn new_block(
         &mut self,
         slot: Slot,
         justify: Certificate,
@@ -454,17 +449,6 @@ impl<P: Protocol> Engine<P> {
             None => Block::new(me, view, slot, justify, batch),
         });
         self.insert_block(&b);
-        b
-    }
-
-    /// [`Engine::build_block`], traced as this leader's proposal.
-    pub fn new_block(
-        &mut self,
-        slot: Slot,
-        justify: Certificate,
-        carry: Option<BlockId>,
-    ) -> Arc<Block> {
-        let b = self.build_block(slot, justify, carry);
         self.d.core.obs.stage(Stage::Proposed, block_key(b.id()));
         self.d.core.obs.counter("blocks_proposed", 0, 1);
         b

@@ -138,7 +138,7 @@ impl Slotted {
         // certificate (they reject or fork it).
         let alt_justify = e.d.stale_cert();
         let alt_carry = e.p.carry_for(&alt_justify).filter(|c| e.d.core.has_block(*c));
-        let alt = e.build_block(Slot::FIRST, alt_justify, alt_carry);
+        let alt = e.new_block(Slot::FIRST, alt_justify, alt_carry);
         for r in 0..e.d.core.cfg.n as u32 {
             let to = ReplicaId(r);
             let block = if victims.contains(&to) { b.clone() } else { alt.clone() };

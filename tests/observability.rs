@@ -87,9 +87,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// step. The values hold at any `HS1_EXEC_WORKERS` (CI runs 1 and 8).
 ///
 /// Provenance: generated at commit c4ba4aa (PR 12), before the three
-/// engines were collapsed onto one view driver. A change that moves a
-/// row is a behaviour change: say so in CHANGES.md and paste the values
-/// the failure message prints.
+/// engines were collapsed onto one view driver — except
+/// `rollback/slotted`, which was not reproducible run to run there
+/// (`stale_cert` broke ties between two certificates for one block by
+/// `HashMap` order) and is pinned from the commit that fixed it. A change
+/// that moves a row is a behaviour change: say so in CHANGES.md and paste
+/// the values the failure message prints.
 #[test]
 fn outputs_match_the_cross_commit_pins() {
     use hotstuff1::adversary::AdversaryStrategy::{Equivocate, StaleCert};
@@ -102,7 +105,7 @@ fn outputs_match_the_cross_commit_pins() {
     let faulty = |p, fault| scenario(p).with_fault(1, fault);
     let slow = |p| faulty(p, Fault::SlowLeader);
     let fork = |p| faulty(p, Fault::TailFork);
-    let rollback = |p| faulty(p, Fault::RollbackAttack { victims: vec![ReplicaId(0)] });
+    let rb = |p| faulty(p, Fault::RollbackAttack { victims: vec![ReplicaId(0)] });
     let crash = |p| faulty(p, Fault::Crash { after_view: 20 });
     let silent = |p| faulty(p, Fault::Silent);
     // One crash-restart through the journal: reaches `Replica::restore`.
@@ -126,7 +129,8 @@ fn outputs_match_the_cross_commit_pins() {
         ("fork/hs", fork(HotStuff), 0xc751_7077_bde5_4230, 0x4839_7264_5641_9a02),
         ("fork/hs1", fork(HotStuff1), 0x5563_7bed_eeae_76a1, 0x9333_459b_50ee_3173),
         ("fork/slotted", fork(HotStuff1Slotted), 0x1a57_bd44_ad30_4a24, 0x9745_e17e_5f8b_2a2a),
-        ("rollback/hs1", rollback(HotStuff1), 0xf9ac_a2cf_569a_62b4, 0xee06_8cc5_6105_4222),
+        ("rollback/hs1", rb(HotStuff1), 0xf9ac_a2cf_569a_62b4, 0xee06_8cc5_6105_4222),
+        ("rollback/slotted", rb(HotStuff1Slotted), 0xe9aa_aab1_971c_176c, 0x2e50_42be_96c7_44ba),
         ("crash/hs1", crash(HotStuff1), 0xdcf0_71fe_ca22_9142, 0xf812_15f1_7efb_8100),
         ("crash/basic", crash(HotStuff1Basic), 0x16b8_b6d5_09e2_049d, 0xee7b_2c1f_85e2_bec5),
         ("crash/slotted", crash(HotStuff1Slotted), 0x4bf3_c4f5_d20b_4d1a, 0x9ee2_5655_3b75_9488),
