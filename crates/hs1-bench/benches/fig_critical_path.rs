@@ -5,16 +5,16 @@
 //!
 //! The harness runs each protocol once under a recording observer and
 //! feeds the deterministic trace through
-//! [`hs1_obs::critical_path::analyze`] — the same telescoped
-//! decomposition `fig_latency_breakdown` pins, extended with per-hop
-//! actor attribution. Two invariants are asserted on every run:
+//! [`hs1_obs::critical_path::analyze`]: a telescoped per-block
+//! decomposition (submit → propose → receive → certify → respond →
+//! final) with per-hop actor attribution. `bench_summary` reads the
+//! gated `e2e_mean_ms_hs{1,2}` metrics from this figure's `mean` rows.
+//! Two invariants are asserted on every run:
 //!
 //! - **Exact telescoping.** Per block, the five hop durations sum to the
 //!   end-to-end latency *as u64s* — not within a tolerance. The cohort
-//!   totals therefore telescope too, so this figure's hop columns add up
-//!   to `fig_latency_breakdown`'s e2e column by construction (both
-//!   benches run the identical deterministic scenario and filter to the
-//!   same fully-observed cohort).
+//!   totals therefore telescope too, so the hop columns add up to the
+//!   e2e column.
 //! - **The one-phase advantage lands in the certify hop.** HotStuff-1
 //!   responds at the (n−f)-th speculation vote; HotStuff-2 only after
 //!   commit. The HS1 mean `receive_to_certify` hop must be strictly
@@ -37,8 +37,8 @@ use hs1_types::ProtocolKind;
 const QUORUM: usize = 3;
 
 /// Run one protocol under a recording observer and return the critical
-/// path of every fully-observed block (same cohort as
-/// `fig_latency_breakdown`: blocks with a client submission point).
+/// path of every fully-observed block (one with a client submission
+/// point).
 fn run(protocol: ProtocolKind) -> Vec<BlockPath> {
     let (obs, rec) = Obs::recording(Clock::manual());
     let scenario = hs1_bench::standard(

@@ -7,7 +7,7 @@
 //! The summary also carries **provenance** (git SHA, measurement window)
 //! and a flat **metrics** object extracted from the key figures — knee
 //! goodput per `fig_knee` lane, quickstart e2e latency means from
-//! `fig_latency_breakdown`, ideal parallel-exec speedups at 4 workers
+//! `fig_critical_path`, ideal parallel-exec speedups at 4 workers
 //! from `fig_parallel_exec`. `bench_gate` compares those metrics against
 //! the committed `BENCH_baseline.json`, and the same object is written to
 //! `bench_results/BENCH_<sha8>.json` so CI can upload a per-commit
@@ -92,8 +92,8 @@ fn gate_metrics(dir: &Path) -> Vec<(&'static str, f64)> {
             m.push(("knee_goodput_churn_tps", v));
         }
     }
-    if let Some(rows) = csv_rows(dir, "fig_latency_breakdown") {
-        // e2e_ms is the last column (8); mean rows only.
+    if let Some(rows) = csv_rows(dir, "fig_critical_path") {
+        // e2e_ms is column 8; mean rows only.
         let mean = |p: &'static str| {
             move |r: &[String]| {
                 r.first().is_some_and(|v| v == p) && r.get(1).is_some_and(|v| v == "mean")

@@ -44,7 +44,7 @@ pub(crate) struct ChainedTally {
 }
 
 impl Chained {
-    pub fn new(depth: u8, speculative: bool) -> Chained {
+    pub(crate) fn new(depth: u8, speculative: bool) -> Chained {
         Chained {
             depth,
             speculative,

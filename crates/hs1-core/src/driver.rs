@@ -112,39 +112,39 @@ pub(crate) trait Protocol: Sized + Send {
 
 /// Leader bookkeeping for one view.
 pub(crate) struct Tally<T> {
-    pub view: View,
+    pub(crate) view: View,
     /// NewView senders for this view (leader entry condition).
-    pub senders: HashSet<ReplicaId>,
-    pub wait_timer_armed: bool,
-    pub slow_timer_armed: bool,
-    pub deadline_passed: bool,
+    pub(crate) senders: HashSet<ReplicaId>,
+    pub(crate) wait_timer_armed: bool,
+    pub(crate) slow_timer_armed: bool,
+    pub(crate) deadline_passed: bool,
     /// The protocol's shares and flags.
-    pub own: T,
+    pub(crate) own: T,
 }
 
 /// State and helpers that need no protocol.
 pub(crate) struct Driver {
-    pub core: CoreState,
-    pub pm: Pacemaker,
-    pub fault: Fault,
-    pub view: View,
-    pub high_cert: Certificate,
-    pub awaiting_tc: bool,
-    pub crashed: bool,
+    pub(crate) core: CoreState,
+    pub(crate) pm: Pacemaker,
+    pub(crate) fault: Fault,
+    pub(crate) view: View,
+    pub(crate) high_cert: Certificate,
+    pub(crate) awaiting_tc: bool,
+    pub(crate) crashed: bool,
     /// Buffered NewView messages keyed by destination view.
-    pub nv_buf: HashMap<u64, Vec<(ReplicaId, NewViewMsg)>>,
+    pub(crate) nv_buf: HashMap<u64, Vec<(ReplicaId, NewViewMsg)>>,
     /// Proposals parked on a missing justify (or carry) body. Without this
     /// a single lost proposal cascades: every later proposal justifies a
     /// body the replica never got, so it stops voting for good.
-    pub pending_props: Vec<(ReplicaId, ProposeMsg)>,
+    pub(crate) pending_props: Vec<(ReplicaId, ProposeMsg)>,
     /// Outstanding block fetches (re-sent after a view timer on loss).
-    pub fetching: FetchTracker,
+    pub(crate) fetching: FetchTracker,
     /// Commit target stalled on a missing ancestor (retried after fetch).
-    pub retry_commit: Option<(BlockId, ReplicaId)>,
+    pub(crate) retry_commit: Option<(BlockId, ReplicaId)>,
 }
 
 impl Driver {
-    pub fn new(
+    pub(crate) fn new(
         cfg: SystemConfig,
         me: ReplicaId,
         fault: Fault,
@@ -166,7 +166,7 @@ impl Driver {
         }
     }
 
-    pub fn is_leader(&self) -> bool {
+    pub(crate) fn is_leader(&self) -> bool {
         self.core.cfg.leader_of(self.view) == self.core.me
     }
 
@@ -181,7 +181,7 @@ impl Driver {
 
     /// Replace `high_cert`, journaling strict rank advances (the
     /// prepared-certificate part of §4.2 recovery).
-    pub fn set_high_cert(&mut self, cert: Certificate) {
+    pub(crate) fn set_high_cert(&mut self, cert: Certificate) {
         if cert.rank() > self.high_cert.rank() {
             self.core.persist.on_cert(&cert);
         }
@@ -190,7 +190,7 @@ impl Driver {
 
     /// Request a block body, re-sending after a view timer if a prior
     /// fetch went unanswered (message loss must not deadlock catch-up).
-    pub fn request_block(
+    pub(crate) fn request_block(
         &mut self,
         id: BlockId,
         from: ReplicaId,
@@ -203,7 +203,7 @@ impl Driver {
     }
 
     /// Park `msg` until the `missing` bodies, requested from `from`, arrive.
-    pub fn fetch_and_park(
+    pub(crate) fn fetch_and_park(
         &mut self,
         missing: &[BlockId],
         from: ReplicaId,
@@ -220,7 +220,7 @@ impl Driver {
     /// Commit `target`, fetching missing ancestor bodies from `source`
     /// and retrying on arrival (a replica that dropped a late proposal
     /// must not stall its global-ledger permanently).
-    pub fn commit_or_fetch(
+    pub(crate) fn commit_or_fetch(
         &mut self,
         target: BlockId,
         source: ReplicaId,
@@ -235,7 +235,7 @@ impl Driver {
 
     /// Highest certificate known with view ≤ `view − 2` (tail-forking and
     /// rollback-attack justify choice, Example 6.2).
-    pub fn stale_cert(&self) -> Certificate {
+    pub(crate) fn stale_cert(&self) -> Certificate {
         let limit = self.view.0.saturating_sub(2);
         // The scan walks a HashMap, whose order must not leak into
         // replayable behavior, so the order is total: rank, then the
@@ -252,13 +252,13 @@ impl Driver {
 /// A replica: the shared [`Driver`], the current view's leader tally, and
 /// the protocol policy `p`.
 pub(crate) struct Engine<P: Protocol> {
-    pub d: Driver,
-    pub tally: Option<Tally<P::Tally>>,
-    pub p: P,
+    pub(crate) d: Driver,
+    pub(crate) tally: Option<Tally<P::Tally>>,
+    pub(crate) p: P,
 }
 
 impl<P: Protocol> Engine<P> {
-    pub fn new(d: Driver, p: P) -> Engine<P> {
+    pub(crate) fn new(d: Driver, p: P) -> Engine<P> {
         Engine { d, tally: None, p }
     }
 
@@ -295,7 +295,7 @@ impl<P: Protocol> Engine<P> {
         self.maybe_propose(now, out);
     }
 
-    pub fn exit_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
+    pub(crate) fn exit_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
         self.d.core.obs.span_end("view", self.d.view.0);
         self.set_view(self.d.view.next());
         match self.d.pm.completed_view(self.d.view, &self.d.core.kp, out) {
@@ -314,7 +314,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Jump directly into `v` (a valid proposal for a higher view proves
     /// progress happened without us).
-    pub fn jump_to(&mut self, v: View, now: SimTime, out: &mut Vec<Action>) {
+    pub(crate) fn jump_to(&mut self, v: View, now: SimTime, out: &mut Vec<Action>) {
         self.d.core.obs.span_end("view", self.d.view.0);
         self.set_view(v);
         self.d.pm.note_jump(v);
@@ -371,7 +371,7 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    pub fn maybe_propose(&mut self, now: SimTime, out: &mut Vec<Action>) {
+    pub(crate) fn maybe_propose(&mut self, now: SimTime, out: &mut Vec<Action>) {
         if !self.d.is_leader() || self.d.crashed || self.d.awaiting_tc {
             return;
         }
@@ -381,12 +381,12 @@ impl<P: Protocol> Engine<P> {
 
     /// The current view's tally; callers run under [`Engine::maybe_propose`]
     /// or a leader-only handler that checked it.
-    pub fn tally_mut(&mut self) -> &mut Tally<P::Tally> {
+    pub(crate) fn tally_mut(&mut self) -> &mut Tally<P::Tally> {
         self.tally.as_mut().expect("tally exists")
     }
 
     /// Arm ShareTimer(v) once per view.
-    pub fn arm_leader_wait(&mut self, now: SimTime, out: &mut Vec<Action>) {
+    pub(crate) fn arm_leader_wait(&mut self, now: SimTime, out: &mut Vec<Action>) {
         let view = self.d.view;
         let at = self.d.pm.share_deadline(view, now);
         let t = self.tally_mut();
@@ -398,7 +398,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Fig. 2 line 8 / Fig. 4 line 3: with a quorum of NewViews in, wait
     /// until P(v−1) is known, or all n NewViews, or ShareTimer(v).
-    pub fn prev_cert_or_deadline(&mut self, now: SimTime, out: &mut Vec<Action>) -> bool {
+    pub(crate) fn prev_cert_or_deadline(&mut self, now: SimTime, out: &mut Vec<Action>) -> bool {
         let cfg = &self.d.core.cfg;
         let (quorum, n) = (cfg.quorum(), cfg.n);
         let have_prev = Some(self.d.high_cert.view) == self.d.view.prev();
@@ -416,7 +416,7 @@ impl<P: Protocol> Engine<P> {
     /// Leader-slowness (§6 D6, §7.3): arm `ProposeAt` for the end of the
     /// view window, leaving slack for one round to complete. Returns
     /// whether this call armed it.
-    pub fn arm_slow_timer(&mut self, now: SimTime, out: &mut Vec<Action>) -> bool {
+    pub(crate) fn arm_slow_timer(&mut self, now: SimTime, out: &mut Vec<Action>) -> bool {
         let t = self.tally_mut();
         if t.slow_timer_armed {
             return false;
@@ -429,14 +429,14 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Store a block and absorb its transactions into the mempool filter.
-    pub fn insert_block(&mut self, b: &Arc<Block>) {
+    pub(crate) fn insert_block(&mut self, b: &Arc<Block>) {
         self.p.index_block(b);
         self.d.core.insert_block(b.clone());
     }
 
     /// Assemble, store and trace this leader's next block over a fresh
     /// batch.
-    pub fn new_block(
+    pub(crate) fn new_block(
         &mut self,
         slot: Slot,
         justify: Certificate,
@@ -474,14 +474,14 @@ impl<P: Protocol> Engine<P> {
 
     /// Re-run proposals parked on a missing body (stale entries drop out
     /// through the handlers' own view checks).
-    pub fn unpark_proposals(&mut self, now: SimTime, out: &mut Vec<Action>) {
+    pub(crate) fn unpark_proposals(&mut self, now: SimTime, out: &mut Vec<Action>) {
         for (from, prop) in std::mem::take(&mut self.d.pending_props) {
             self.on_propose(from, prop, now, out);
         }
     }
 
     /// Retry a stalled commit (fetching further ancestors if needed).
-    pub fn retry_stalled_commit(&mut self, now: SimTime, out: &mut Vec<Action>) {
+    pub(crate) fn retry_stalled_commit(&mut self, now: SimTime, out: &mut Vec<Action>) {
         if let Some((target, source)) = self.d.retry_commit.take() {
             self.d.commit_or_fetch(target, source, now, out);
         }

@@ -20,13 +20,13 @@ pub(crate) struct ShareTally {
 }
 
 impl ShareTally {
-    pub fn new(kind: CertKind) -> ShareTally {
+    pub(crate) fn new(kind: CertKind) -> ShareTally {
         ShareTally { kind, shares: HashMap::new() }
     }
 
     /// Count `from`'s share for the position `vote` names. Returns whether
     /// it was counted: the signature verifies and `from` had none there.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         registry: &PublicKeyRegistry,
         from: ReplicaId,
@@ -46,7 +46,7 @@ impl ShareTally {
 
     /// The certificate of the highest position holding `quorum` shares.
     /// Ties break on the block id: `HashMap` order is not replay-stable.
-    pub fn certificate(&self, quorum: usize) -> Option<Certificate> {
+    pub(crate) fn certificate(&self, quorum: usize) -> Option<Certificate> {
         self.shares
             .iter()
             .filter(|(_, shares)| shares.len() >= quorum)
@@ -61,7 +61,7 @@ impl ShareTally {
     }
 
     /// Does any position ranked above `rank` hold `threshold` shares?
-    pub fn any_above(&self, rank: Rank, threshold: usize) -> bool {
+    pub(crate) fn any_above(&self, rank: Rank, threshold: usize) -> bool {
         self.shares
             .iter()
             .any(|((v, s, _), shares)| Rank::new(*v, *s) > rank && shares.len() >= threshold)

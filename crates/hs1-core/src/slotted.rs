@@ -78,7 +78,7 @@ pub(crate) struct Slotted {
 }
 
 impl Slotted {
-    pub fn new() -> Slotted {
+    pub(crate) fn new() -> Slotted {
         Slotted {
             slot: Slot::FIRST,
             vote_floor: Rank::GENESIS,

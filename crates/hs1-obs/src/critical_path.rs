@@ -2,12 +2,11 @@
 //! causal chain from client submit to client finality, with each hop
 //! attributed to the replica that bounded it.
 //!
-//! The chain is the same telescoped decomposition `fig_latency_breakdown`
-//! pins (submit → leader propose → quorum-th receive → quorum-th
-//! certify → quorum-th respond → finality), with one addition: each hop
-//! remembers *which actor's* event closed it — the leader for the
-//! propose hop, the straggler that completed the certifying quorum for
-//! the vote hop, and so on. Timestamps are clamped monotone into
+//! The chain is a telescoped decomposition (submit → leader propose →
+//! quorum-th receive → quorum-th certify → quorum-th respond →
+//! finality) in which each hop remembers *which actor's* event closed
+//! it — the leader for the propose hop, the straggler that completed
+//! the certifying quorum for the vote hop, and so on. Timestamps are clamped monotone into
 //! `[t0, t5]`, so the five hop durations sum **exactly** (u64 exact, not
 //! approximately) to the end-to-end latency; the `fig_critical_path`
 //! bench and the chaos-replay canary both assert that telescoping.
@@ -46,9 +45,8 @@ pub struct BlockPath {
     /// event set `t[i+1]`. The final hop belongs to [`HARNESS_ACTOR`].
     pub actors: [u32; 5],
     /// Whether the block carried a client submission point. Empty blocks
-    /// get a zero submit hop (`t0 = t1`) and `false` here; cohort
-    /// comparisons against `fig_latency_breakdown` (which skips such
-    /// blocks) should filter on this.
+    /// get a zero submit hop (`t0 = t1`) and `false` here; latency
+    /// cohorts (`fig_critical_path`) filter on this.
     pub has_submit: bool,
 }
 

@@ -935,7 +935,7 @@ impl SimRunner {
             let oracle = self.obs.with_actor(ORACLE_ACTOR);
             oracle.point_at("finality", key, block.txs.len() as u64, fin.0);
             // Mean submit time of the block's transactions: the t0 the
-            // latency-breakdown bench anchors its stage decomposition at.
+            // critical-path analysis anchors its hop decomposition at.
             let submits: Vec<u64> = block
                 .txs
                 .iter()

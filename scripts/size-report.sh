@@ -1,0 +1,20 @@
+#!/bin/sh
+# The tracked size numbers ROADMAP item 2 wants to go *down*, per crate
+# and in total: lines of Rust under src/, `pub` items, bench harnesses,
+# distinct HS1_* env knobs. Informational; no thresholds.
+set -eu
+cd "$(dirname "$0")/.."
+PUB='^\s*pub \(fn\|struct\|enum\|trait\|mod\|const\|type\)'
+count() { find "$@" -name '*.rs' -exec cat {} + 2>/dev/null | wc -l | tr -d ' '; }
+pubs() { find "$@" -name '*.rs' -exec cat {} + 2>/dev/null | grep -c "$PUB" || true; }
+printf '%-16s %8s %6s\n' crate lines pub
+for dir in crates/* .; do
+    [ -d "$dir/src" ] || continue
+    name=$(basename "$(cd "$dir" && pwd)")
+    printf '%-16s %8s %6s\n' "$name" "$(count "$dir/src")" "$(pubs "$dir/src")"
+done
+printf '%-16s %8s %6s\n' total "$(count crates/*/src src)" "$(pubs crates/*/src src)"
+echo "workspace Rust lines (src, tests, benches, examples): $(count crates src tests examples)"
+echo "bench harnesses: $(grep -c '^\[\[bench\]\]' crates/hs1-bench/Cargo.toml)"
+knobs=$(grep -rhoE 'HS1_[A-Z_]+' crates src tests examples --include='*.rs' | sort -u)
+echo "HS1_* env knobs: $(echo "$knobs" | wc -l | tr -d ' ') ($(echo $knobs))"
