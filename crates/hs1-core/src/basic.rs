@@ -149,9 +149,8 @@ impl Protocol for Basic {
         }
         let b = e.new_block(Slot::FIRST, e.d.high_cert.clone(), None);
         e.tally_mut().own.proposed = Some(b.id());
-        out.push(Action::Broadcast {
-            msg: Message::Propose(ProposeMsg { block: b, commit_cert: e.p.high_commit.clone() }),
-        });
+        let commit_cert = e.p.high_commit.clone();
+        out.push(Action::Broadcast { msg: Message::Propose(ProposeMsg { block: b, commit_cert }) });
     }
 
     fn on_propose(
@@ -211,16 +210,16 @@ impl Protocol for Basic {
     /// body and parks the certificate; slotted adopts without it.
     fn adopt_cert(
         e: &mut Engine<Self>,
-        cert: Certificate,
+        cert: &Certificate,
         _from: ReplicaId,
         _now: SimTime,
         _out: &mut Vec<Action>,
     ) {
         if cert.rank() > e.d.high_cert.rank()
-            && e.d.core.cert_valid(&cert)
+            && e.d.core.cert_valid(cert)
             && e.d.core.has_block(cert.block)
         {
-            e.d.set_high_cert(cert);
+            e.d.set_high_cert(cert.clone());
         }
     }
 

@@ -14,7 +14,7 @@
 //!   to the client's early finality confirmation).
 
 use crate::byzantine::Fault;
-use crate::driver::{Engine, Protocol};
+use crate::driver::{Driver, Engine, Protocol};
 use crate::replica::Action;
 use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
@@ -54,36 +54,30 @@ impl Chained {
         }
     }
 
+    /// One block builder; the fault picks the justify and the recipients.
     fn do_propose(e: &mut Engine<Self>, out: &mut Vec<Action>) {
         let fault = e.d.fault.clone();
         let fresh = e.d.high_cert.clone();
         // TailFork ignores P(v−1) and extends the certificate of view
         // ≤ v−2 (Example 6.2), orphaning the previous leader's block.
-        // RollbackAttack (Appendix A.2) equivocates: victims get X
-        // extending the fresh certificate (they will speculate and later
-        // roll back); everyone else gets a conflicting Y extending that
-        // older certificate, which colluding faulty voters help certify.
-        let stale = fault.colludes().then(|| e.d.stale_cert());
-        let x = matches!(fault, Fault::RollbackAttack { .. })
-            .then(|| e.new_block(Slot::FIRST, fresh.clone(), None));
-        let b = e.new_block(Slot::FIRST, stale.unwrap_or(fresh), None);
+        // RollbackAttack (Appendix A.2) sends that block to everyone but
+        // its victims, who get X extending the fresh certificate (they
+        // will speculate and later roll back); colluding faulty voters
+        // help certify the conflicting block.
+        let justify = if fault.colludes() { e.d.stale_cert() } else { fresh.clone() };
+        let bait = match &fault {
+            Fault::RollbackAttack { victims } => {
+                Some((victims, e.new_block(Slot::FIRST, fresh, None)))
+            }
+            _ => None,
+        };
+        let b = e.new_block(Slot::FIRST, justify, None);
         if let Some(t) = e.tally.as_mut() {
             t.own.proposed = true;
         }
-        match (fault, x) {
-            (Fault::RollbackAttack { victims }, Some(x)) => {
-                for r in 0..e.d.core.cfg.n as u32 {
-                    let to = ReplicaId(r);
-                    let block = if victims.contains(&to) { x.clone() } else { b.clone() };
-                    out.push(Action::Send {
-                        to,
-                        msg: Message::Propose(ProposeMsg { block, commit_cert: None }),
-                    });
-                }
-            }
-            _ => out.push(Action::Broadcast {
-                msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
-            }),
+        match bait {
+            Some((victims, x)) => e.d.equivocate(victims, &x, &b, out),
+            None => Driver::broadcast_proposal(b, out),
         }
     }
 }
@@ -217,19 +211,19 @@ impl Protocol for Chained {
     /// slotted adopts without it.
     fn adopt_cert(
         e: &mut Engine<Self>,
-        cert: Certificate,
+        cert: &Certificate,
         from: ReplicaId,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
-        if cert.rank() <= e.d.high_cert.rank() || !e.d.core.cert_valid(&cert) {
+        if cert.rank() <= e.d.high_cert.rank() || !e.d.core.cert_valid(cert) {
             return;
         }
         if e.d.core.has_block(cert.block) {
-            e.d.set_high_cert(cert);
+            e.d.set_high_cert(cert.clone());
         } else {
             e.d.request_block(cert.block, from, now, out);
-            e.p.pending_certs.push((cert, from));
+            e.p.pending_certs.push((cert.clone(), from));
         }
     }
 
@@ -237,7 +231,7 @@ impl Protocol for Chained {
         // Re-adopt pending certificates now satisfiable, then the parked
         // proposals that may build on them.
         for (cert, from) in std::mem::take(&mut e.p.pending_certs) {
-            Self::adopt_cert(e, cert, from, now, out);
+            Self::adopt_cert(e, &cert, from, now, out);
         }
         e.unpark_proposals(now, out);
         e.retry_stalled_commit(now, out);

@@ -72,7 +72,7 @@ pub(crate) trait Protocol: Sized + Send {
     /// A certificate seen outside a proposal (NewView, NewSlot, Reject).
     fn adopt_cert(
         e: &mut Engine<Self>,
-        cert: Certificate,
+        cert: &Certificate,
         from: ReplicaId,
         now: SimTime,
         out: &mut Vec<Action>,
@@ -233,6 +233,31 @@ impl Driver {
         }
     }
 
+    /// Send `block` to everyone.
+    pub(crate) fn broadcast_proposal(block: Arc<Block>, out: &mut Vec<Action>) {
+        out.push(Action::Broadcast {
+            msg: Message::Propose(ProposeMsg { block, commit_cert: None }),
+        });
+    }
+
+    /// Equivocate (Appendix A.2): `victims` get `bait`, everyone else
+    /// the conflicting `decoy`.
+    pub(crate) fn equivocate(
+        &self,
+        victims: &[ReplicaId],
+        bait: &Arc<Block>,
+        decoy: &Arc<Block>,
+        out: &mut Vec<Action>,
+    ) {
+        for to in (0..self.core.cfg.n as u32).map(ReplicaId) {
+            let block = if victims.contains(&to) { bait } else { decoy }.clone();
+            out.push(Action::Send {
+                to,
+                msg: Message::Propose(ProposeMsg { block, commit_cert: None }),
+            });
+        }
+    }
+
     /// Highest certificate known with view ≤ `view − 2` (tail-forking and
     /// rollback-attack justify choice, Example 6.2).
     pub(crate) fn stale_cert(&self) -> Certificate {
@@ -359,7 +384,7 @@ impl<P: Protocol> Engine<P> {
         let d = &self.d;
         let mine = msg.dest_view >= d.view && d.core.cfg.leader_of(msg.dest_view) == d.core.me;
         if !(mine && P::ADOPTS_IN_TALLY) {
-            P::adopt_cert(self, msg.high_cert.clone(), from, now, out);
+            P::adopt_cert(self, &msg.high_cert, from, now, out);
         }
         if !mine {
             return;

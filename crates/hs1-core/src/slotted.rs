@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use crate::byzantine::Fault;
 use crate::common::CoreState;
-use crate::driver::{Engine, Protocol};
+use crate::driver::{Driver, Engine, Protocol};
 use crate::replica::Action;
 use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
@@ -97,9 +97,9 @@ impl Slotted {
     /// Adopts on rank and validity alone. Differs between protocols by
     /// history, not by paper: chained fetches a missing body and parks
     /// the certificate; basic adopts only with the body present.
-    fn adopt(e: &mut Engine<Self>, cert: Certificate) {
-        if cert.rank() > e.d.high_cert.rank() && e.d.core.cert_valid(&cert) {
-            e.d.set_high_cert(cert);
+    fn adopt(e: &mut Engine<Self>, cert: &Certificate) {
+        if cert.rank() > e.d.high_cert.rank() && e.d.core.cert_valid(cert) {
+            e.d.set_high_cert(cert.clone());
         }
     }
 
@@ -128,10 +128,7 @@ impl Slotted {
             t.own.proposing = Some((Slot::FIRST, b.id()));
         }
         let Fault::RollbackAttack { victims } = e.d.fault.clone() else {
-            out.push(Action::Broadcast {
-                msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
-            });
-            return;
+            return Driver::broadcast_proposal(b, out);
         };
         // First-slot equivocation: victims receive the real proposal;
         // everyone else receives a conflicting one extending a stale
@@ -139,20 +136,13 @@ impl Slotted {
         let alt_justify = e.d.stale_cert();
         let alt_carry = e.p.carry_for(&alt_justify).filter(|c| e.d.core.has_block(*c));
         let alt = e.new_block(Slot::FIRST, alt_justify, alt_carry);
-        for r in 0..e.d.core.cfg.n as u32 {
-            let to = ReplicaId(r);
-            let block = if victims.contains(&to) { b.clone() } else { alt.clone() };
-            out.push(Action::Send {
-                to,
-                msg: Message::Propose(ProposeMsg { block, commit_cert: None }),
-            });
-        }
+        e.d.equivocate(&victims, &b, &alt, out);
     }
 
     // -- leader: subsequent slots ----------------------------------------------
 
     fn on_newslot(e: &mut Engine<Self>, from: ReplicaId, msg: NewSlotMsg, out: &mut Vec<Action>) {
-        Self::adopt(e, msg.high_cert.clone());
+        Self::adopt(e, &msg.high_cert);
         if msg.view != e.d.view || !e.d.is_leader() {
             return;
         }
@@ -175,14 +165,12 @@ impl Slotted {
             }
             let b = e.new_block(slot.next(), cert, None);
             e.tally_mut().own.proposing = Some((slot.next(), b.id()));
-            out.push(Action::Broadcast {
-                msg: Message::Propose(ProposeMsg { block: b, commit_cert: None }),
-            });
+            Driver::broadcast_proposal(b, out);
         }
     }
 
     fn on_reject(e: &mut Engine<Self>, msg: RejectMsg) {
-        Self::adopt(e, msg.high_cert.clone());
+        Self::adopt(e, &msg.high_cert);
         // Fig. 6 lines 22–24: if the previous leader sent us a *lower*
         // certificate formed in view v−1 while a higher one (also formed
         // in v−1) existed, it concealed — distrust it.
@@ -264,7 +252,7 @@ impl Protocol for Slotted {
                 t.trusted_fast_path = true;
             }
         }
-        Self::adopt(e, msg.high_cert);
+        Self::adopt(e, &msg.high_cert);
     }
 
     fn propose_if_ready(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
@@ -440,7 +428,7 @@ impl Protocol for Slotted {
 
     fn adopt_cert(
         e: &mut Engine<Self>,
-        cert: Certificate,
+        cert: &Certificate,
         _from: ReplicaId,
         _now: SimTime,
         _out: &mut Vec<Action>,
