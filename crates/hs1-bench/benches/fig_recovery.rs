@@ -15,14 +15,11 @@
 //! Not a paper figure — it characterizes the `hs1-storage` (ISSUE 2) and
 //! `hs1-statesync` (ISSUE 3) subsystems. CSV lands in
 //! `bench_results/fig_recovery.csv`.
-//!
-//! `HS1_BENCH_RECOVERY_BLOCKS` overrides the sweep (comma-separated).
 
-use std::fs;
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
+use hs1_bench::FigureSink;
 use hs1_core::byzantine::Fault;
 use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_core::{build_replica, Replica};
@@ -39,13 +36,8 @@ use hs1_types::{
 
 const TXS_PER_BLOCK: u64 = 8;
 
-fn sweep() -> Vec<u64> {
-    std::env::var("HS1_BENCH_RECOVERY_BLOCKS")
-        .ok()
-        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-        .filter(|v: &Vec<u64>| !v.is_empty())
-        .unwrap_or_else(|| vec![256, 1024, 4096, 16384])
-}
+/// Journal lengths swept, in blocks.
+const SWEEP: [u64; 4] = [256, 1024, 4096, 16384];
 
 /// Deterministic committed chain of `len` blocks, `TXS_PER_BLOCK` txs
 /// each.
@@ -164,11 +156,13 @@ fn snapshot_catchup_once(
 }
 
 fn main() {
-    println!("=== fig_recovery: recovery time vs journal length ===");
-    let mut rows =
-        vec!["blocks,txs,mode,recover_ms,replayed_records,checkpoint_covered_records".to_string()];
+    let mut sink = FigureSink::with_header(
+        "fig_recovery",
+        "recovery time vs journal length",
+        "blocks,txs,mode,recover_ms,replayed_records,checkpoint_covered_records",
+    );
     let mut last_entries = 0u64;
-    for blocks in sweep() {
+    for blocks in SWEEP {
         let chain = chain(blocks);
 
         // Journal-only recovery: replay (and re-execute) everything.
@@ -179,7 +173,7 @@ fn main() {
             "  [journal-only   ] {blocks:>6} blocks ({:>7} txs): {ms:>9.2} ms  ({replayed} records replayed)",
             blocks * TXS_PER_BLOCK
         );
-        rows.push(format!(
+        sink.record_raw(format!(
             "{blocks},{},journal,{ms:.3},{replayed},{skipped}",
             blocks * TXS_PER_BLOCK
         ));
@@ -194,7 +188,7 @@ fn main() {
             "  [checkpoint+tail] {blocks:>6} blocks ({:>7} txs): {ms:>9.2} ms  ({replayed} records replayed, {skipped} covered)",
             blocks * TXS_PER_BLOCK
         );
-        rows.push(format!(
+        sink.record_raw(format!(
             "{blocks},{},checkpoint,{ms:.3},{replayed},{skipped}",
             blocks * TXS_PER_BLOCK
         ));
@@ -210,14 +204,17 @@ fn main() {
             "  [snapshot-sync  ] {blocks:>6} blocks ({:>7} txs): {ms:>9.2} ms  ({bytes} image bytes, {entries} entries, 0 records replayed)",
             blocks * TXS_PER_BLOCK
         );
-        rows.push(format!("{blocks},{},snapshot,{ms:.3},0,{covered}", blocks * TXS_PER_BLOCK));
+        sink.record_raw(format!(
+            "{blocks},{},snapshot,{ms:.3},0,{covered}",
+            blocks * TXS_PER_BLOCK
+        ));
         last_entries = entries;
     }
 
     // Where the two regimes cross once real network round trips are
     // charged (the node runner's gap-threshold heuristic comes from
     // this model; see ROADMAP "Resolved items").
-    let sweep_max = sweep().into_iter().max().unwrap_or(0);
+    let sweep_max = SWEEP.into_iter().max().unwrap_or(0);
     let model = CatchupModel::lan(last_entries, sweep_max);
     println!(
         "  modeled (LAN rtt {:?}): snapshot {:.2} ms flat, replay {:.4} ms/block -> crossover at {} blocks behind",
@@ -227,16 +224,5 @@ fn main() {
         model.crossover_blocks()
     );
 
-    let mut dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop();
-    dir.pop();
-    let dir = dir.join("bench_results");
-    let _ = fs::create_dir_all(&dir);
-    let path = dir.join("fig_recovery.csv");
-    if let Ok(mut f) = fs::File::create(&path) {
-        for row in &rows {
-            let _ = writeln!(f, "{row}");
-        }
-        println!("  -> wrote {}", path.display());
-    }
+    sink.finish();
 }

@@ -123,15 +123,6 @@ fn gate_metrics(dir: &Path) -> Vec<(&'static str, f64)> {
             m.push(("ideal_speedup4_tpcc", v));
         }
     }
-    if let Some(rows) = csv_rows(dir, "fig_net_knee") {
-        // Wall-clock goodput from the net-perf job. Informational
-        // (host-speed dependent, so deliberately absent from
-        // BENCH_baseline.json). Columns: leg(0), goodput_tps(6).
-        if let Some(v) = col_max(&rows, |r: &[String]| r.first().is_some_and(|v| v == "cluster"), 6)
-        {
-            m.push(("net_cluster_goodput_max_tps", v));
-        }
-    }
     m
 }
 

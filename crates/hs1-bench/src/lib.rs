@@ -1,25 +1,25 @@
-//! Shared plumbing for the figure-regeneration benches.
+//! Shared plumbing for the figure-regeneration benches, and the table of
+//! sweep figures ([`figures`]).
 //!
-//! Every bench target prints the paper's series to stdout and appends a
+//! Every bench target prints the paper's series to stdout and writes a
 //! CSV to `bench_results/`. Run lengths scale with the
 //! `HS1_BENCH_SECONDS` environment variable (default 1.0 simulated
 //! seconds of measurement per configuration — the paper uses 120 s runs;
 //! sim time only affects statistical noise, not shape).
 
 use std::fs;
-use std::io::Write;
 use std::path::PathBuf;
 
 use hs1_sim::{Report, Scenario};
 
-/// Measurement window in simulated seconds (`HS1_BENCH_SECONDS`).
-pub fn sim_seconds() -> f64 {
-    std::env::var("HS1_BENCH_SECONDS").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
+pub mod figures;
 
-/// Apply the standard measurement window to a scenario.
+/// Apply the standard measurement window to a scenario:
+/// `HS1_BENCH_SECONDS` simulated seconds (default 1.0) after a 0.4 s
+/// warm-up.
 pub fn standard(s: Scenario) -> Scenario {
-    s.sim_seconds(sim_seconds()).warmup_seconds(0.4)
+    let window = std::env::var("HS1_BENCH_SECONDS").ok().and_then(|s| s.parse().ok());
+    s.sim_seconds(window.unwrap_or(1.0)).warmup_seconds(0.4)
 }
 
 /// Collects rows and writes them to `bench_results/<name>.csv`.
@@ -61,6 +61,8 @@ impl FigureSink {
     /// Write the CSV (missing dir is created). A harness that emitted no
     /// data rows is a broken figure — fail the run loudly instead of
     /// uploading a header-only CSV that looks like a regenerated figure.
+    /// An unwritable CSV fails the run too: the previous file would stay
+    /// in place and pass for this run's output.
     pub fn finish(self) {
         assert!(
             self.rows.len() > 1,
@@ -68,14 +70,12 @@ impl FigureSink {
             self.name
         );
         let dir = results_dir();
-        let _ = fs::create_dir_all(&dir);
         let path = dir.join(format!("{}.csv", self.name));
-        if let Ok(mut f) = fs::File::create(&path) {
-            for row in &self.rows {
-                let _ = writeln!(f, "{row}");
-            }
-            println!("  -> wrote {}", path.display());
+        let text = self.rows.join("\n") + "\n";
+        if let Err(e) = fs::create_dir_all(&dir).and_then(|()| fs::write(&path, text)) {
+            panic!("figure harness {}: write {}: {e}", self.name, path.display());
         }
+        println!("  -> wrote {}", path.display());
     }
 }
 

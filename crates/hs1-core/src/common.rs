@@ -259,10 +259,11 @@ impl CoreState {
     }
 
     /// Install an observability sink, re-tagged with this replica's id
-    /// and shared with the execution engine.
+    /// and shared with the execution engine and the durability sink.
     pub fn set_observer(&mut self, obs: Obs) {
         let obs = obs.with_actor(self.me.0);
         self.exec.set_observer(obs.clone());
+        self.persist.set_observer(obs.clone());
         self.obs = obs;
     }
 

@@ -653,7 +653,8 @@ impl<P: Protocol> Replica for Engine<P> {
         self.d.core.set_observer(obs);
     }
 
-    fn set_persistence(&mut self, persist: Box<dyn Persistence>) {
+    fn set_persistence(&mut self, mut persist: Box<dyn Persistence>) {
+        persist.set_observer(self.d.core.obs.clone());
         self.d.core.persist = persist;
     }
 

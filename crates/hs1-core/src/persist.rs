@@ -23,6 +23,7 @@
 use std::sync::Arc;
 
 use hs1_ledger::KvStore;
+use hs1_obs::Obs;
 use hs1_types::{Block, BlockId, Certificate, View};
 
 /// Where a replica's durable events go. All methods are fire-and-forget
@@ -60,6 +61,11 @@ pub trait Persistence: Send {
 
     /// Flush buffered writes to stable storage.
     fn sync(&mut self) {}
+
+    /// The engine's observability sink, handed over whenever the engine
+    /// gains an observer or this sink (in either order). A sink that
+    /// reports nothing ignores it.
+    fn set_observer(&mut self, _obs: Obs) {}
 }
 
 /// No durability: the deterministic default for simulation and tests.

@@ -80,7 +80,8 @@ pub trait Replica: Send {
     /// Install a durability sink. Must be called *after*
     /// [`Replica::restore`] (restore replays history; replaying through a
     /// live journal would double-write it) and before the first
-    /// `on_init`/`on_message`.
+    /// `on_init`/`on_message`. The sink shares the engine's observer,
+    /// whichever of the two is installed first.
     fn set_persistence(&mut self, persist: Box<dyn Persistence>);
 
     /// Rebuild state from a recovered journal + checkpoint. Called once,

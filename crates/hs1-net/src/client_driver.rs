@@ -10,8 +10,7 @@
 //! Two drive modes: [`ClientDriver::run_closed_loop`] (one outstanding
 //! request, resubmitted on finality — the latency probe) and
 //! [`ClientDriver::run_open_loop`] (submissions paced at an offered
-//! rate regardless of completions — the saturation probe used by
-//! `net_loadgen`).
+//! rate regardless of completions — the saturation probe).
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};

@@ -39,8 +39,7 @@
 //!   into a running node by [`node::NodeRunner::serve_introspection`].
 //!
 //! Binaries `hs1-replica` and `hs1-client` (see `src/bin/`) wire these
-//! into runnable processes; `net_loadgen` drives a localhost cluster at
-//! stepped offered rates; `examples/local_cluster_tcp.rs` runs a full
+//! into runnable processes; `examples/local_cluster_tcp.rs` runs a full
 //! deployment inside one process.
 
 #[cfg(not(unix))]

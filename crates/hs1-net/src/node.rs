@@ -84,9 +84,6 @@ pub struct NodeRunner {
     /// Storage held back until the sync phase decides what to install
     /// (`with_state_sync` only).
     pending_sync: Option<(ReplicaStorage, StateSyncConfig)>,
-    /// Storage held back until `run_for` (`with_storage` only) so an
-    /// observer attached after construction still reaches it.
-    pending_storage: Option<ReplicaStorage>,
     /// Observability sink (noop unless installed; see `hs1-obs`).
     obs: Obs,
     /// Non-statesync traffic that arrived during the sync phase, replayed
@@ -121,7 +118,6 @@ impl NodeRunner {
             server: None,
             adversary: None,
             pending_sync: None,
-            pending_storage: None,
             obs: Obs::noop(),
             deferred: Vec::new(),
             committed_blocks: 0,
@@ -148,13 +144,10 @@ impl NodeRunner {
         let (state, storage) = ReplicaStorage::open(dir.as_ref(), cfg)?;
         let recovery = storage.recovery_info.clone();
         engine.restore(state);
+        engine.set_persistence(Box::new(storage));
         let mut runner = NodeRunner::new(engine, mesh);
         runner.server = Some(SnapshotServer::new(dir.as_ref()));
         runner.recovery = Some(recovery);
-        // Installed at `run_for` (after restore, before the first
-        // `on_init` — the Persistence contract), so a later
-        // `set_observer` still reaches the journal hooks.
-        runner.pending_storage = Some(storage);
         Ok(runner)
     }
 
@@ -354,11 +347,6 @@ impl NodeRunner {
             self.run_sync_phase(&mut storage, &sync_cfg, deadline);
             // Whatever the sync phase decided, the journal goes live now
             // (install_snapshot already ran inside on success).
-            storage.set_observer(self.obs.clone());
-            self.engine.set_persistence(Box::new(storage));
-        }
-        if let Some(mut storage) = self.pending_storage.take() {
-            storage.set_observer(self.obs.clone());
             self.engine.set_persistence(Box::new(storage));
         }
 

@@ -113,7 +113,7 @@ fn a_running_replica_is_one_thread_and_commits_at_once() {
     }
 }
 
-/// The contract `bench/src/lab.rs`, `net_loadgen` and the tests rely on:
+/// The contract `bench/src/lab.rs` and the tests rely on:
 /// with no node running it, a mesh moves bytes by itself.
 #[test]
 fn a_bare_mesh_delivers_on_its_background_thread() {

@@ -233,9 +233,6 @@ pub struct SimRunner {
     /// manual clock to `now` so trace timestamps are sim-time (and thus
     /// byte-reproducible per seed).
     obs: Obs,
-    /// `HS1_CHAOS_DEBUG` set: trace view entries and commits to stderr
-    /// (chaos-failure forensics; cached so the hot path pays one bool).
-    debug_trace: bool,
 }
 
 impl SimRunner {
@@ -294,7 +291,6 @@ impl SimRunner {
             hist: LatencyHist::default(),
             stats: RunStats::default(),
             obs: Obs::noop(),
-            debug_trace: std::env::var_os("HS1_CHAOS_DEBUG").is_some(),
         }
     }
 
@@ -822,7 +818,6 @@ impl SimRunner {
             self.stats.chaos.replay_catchups += 1;
         }
 
-        storage.set_observer(self.obs.with_actor(i as u32));
         engine.set_observer(self.obs.clone());
         engine.set_persistence(Box::new(storage));
         self.engines[i] = engine;
@@ -859,22 +854,9 @@ impl SimRunner {
                     self.push(at, Ev::Timer { at: from, timer, inc });
                 }
                 Action::Executed { block, kind, .. } => self.on_executed(from, block, kind),
-                Action::Committed { block } => {
-                    if self.debug_trace {
-                        eprintln!(
-                            "{:.4} r{} COMMIT h={}",
-                            self.now.as_secs_f64(),
-                            from.0,
-                            self.engines[from.0 as usize].committed_chain().len()
-                        );
-                    }
-                    self.on_committed(block)
-                }
+                Action::Committed { block } => self.on_committed(block),
                 Action::RolledBack { blocks } => self.stats.rollbacks += blocks as u64,
-                Action::EnteredView { view } => {
-                    if self.debug_trace {
-                        eprintln!("{:.4} r{} VIEW {}", self.now.as_secs_f64(), from.0, view.0);
-                    }
+                Action::EnteredView { .. } => {
                     if from == ReplicaId(0) {
                         self.stats.views_entered += 1;
                     }

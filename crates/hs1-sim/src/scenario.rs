@@ -315,50 +315,46 @@ impl Scenario {
             adversaries.retain(|(pr, _)| *pr != r);
             adversaries.push((r, s));
         }
-        let adversary_of = {
-            let adversaries = adversaries.clone();
-            move |i: usize| adversaries.iter().find(|(r, _)| *r == i).map(|&(_, s)| s)
-        };
-        let wrap = {
-            let cfg = cfg.clone();
-            let protocol = self.protocol;
-            let seed = self.seed;
-            move |engine: Box<dyn Replica>, strategy: AdversaryStrategy| -> Box<dyn Replica> {
-                let me = engine.id();
-                let mutator = AdversaryMutator::new(
-                    strategy,
-                    cfg.clone(),
-                    protocol,
-                    me,
-                    seed ^ 0xad5e_ed00 ^ ((me.0 as u64) << 16),
-                );
-                Box::new(AdversaryEngine::new(engine, mutator))
-            }
-        };
-
+        // The one place a simulated replica is built: at start-up, and
+        // again by the chaos crash-restart path. A restarted adversary
+        // stays adversarial: the wrapper (with a fresh mutation stream)
+        // comes back with the rebuilt engine.
         let pool = SharedMempool::new();
-        let mut engines: Vec<Box<dyn Replica>> = (0..self.n)
-            .map(|i| {
-                let fault = self
-                    .faults
+        let build = {
+            let (protocol, seed) = (self.protocol, self.seed);
+            let (faults, pool, adversaries) =
+                (self.faults.clone(), pool.clone(), adversaries.clone());
+            move |i: usize| -> Box<dyn Replica> {
+                let me = ReplicaId(i as u32);
+                let fault = faults
                     .iter()
                     .find(|(r, _)| *r == i)
                     .map(|(_, fl)| fl.clone())
                     .unwrap_or(Fault::Honest);
                 let engine = build_replica_with_source(
-                    self.protocol,
+                    protocol,
                     cfg.clone(),
-                    ReplicaId(i as u32),
+                    me,
                     fault,
                     exec,
                     Box::new(pool.clone()),
                 );
-                match adversary_of(i) {
-                    Some(strategy) => wrap(engine, strategy),
+                match adversaries.iter().find(|(r, _)| *r == i) {
+                    Some(&(_, strategy)) => {
+                        let mutator = AdversaryMutator::new(
+                            strategy,
+                            cfg.clone(),
+                            protocol,
+                            me,
+                            seed ^ 0xad5e_ed00 ^ ((me.0 as u64) << 16),
+                        );
+                        Box::new(AdversaryEngine::new(engine, mutator))
+                    }
                     None => engine,
                 }
-            })
-            .collect();
+            }
+        };
+        let mut engines: Vec<Box<dyn Replica>> = (0..self.n).map(&build).collect();
 
         // Chaos: durable journals (so crash-restart recovers through the
         // real hs1-storage path) + an engine factory for rebuilt replicas.
@@ -375,12 +371,9 @@ impl Scenario {
                 let mut dirs = Vec::with_capacity(self.n);
                 for (i, engine) in engines.iter_mut().enumerate() {
                     let dir = TempDir::new(&format!("chaos-s{}-r{i}", self.seed));
-                    let (state, mut storage) = ReplicaStorage::open(dir.path(), storage_cfg)
+                    let (state, storage) = ReplicaStorage::open(dir.path(), storage_cfg)
                         .expect("open fresh chaos journal");
                     debug_assert!(state.is_empty(), "fresh dir has no history");
-                    if let Some(obs) = &self.observer {
-                        storage.set_observer(obs.with_actor(i as u32));
-                    }
                     engine.set_persistence(Box::new(storage));
                     dirs.push(dir.path().to_path_buf());
                     chaos_dirs.push(dir);
@@ -389,40 +382,10 @@ impl Scenario {
                 catchup.cost = self.cost.clone();
                 catchup.txs_per_block = self.batch_size.max(1) as u64;
                 catchup.block_bytes = 96 + 64 + self.batch_size * 8;
-                let rebuild = {
-                    let protocol = self.protocol;
-                    let cfg = cfg.clone();
-                    let faults = self.faults.clone();
-                    let pool = pool.clone();
-                    let adversary_of = adversary_of.clone();
-                    let wrap = wrap.clone();
-                    move |i: usize| {
-                        let fault = faults
-                            .iter()
-                            .find(|(r, _)| *r == i)
-                            .map(|(_, fl)| fl.clone())
-                            .unwrap_or(Fault::Honest);
-                        let engine = build_replica_with_source(
-                            protocol,
-                            cfg.clone(),
-                            ReplicaId(i as u32),
-                            fault,
-                            exec,
-                            Box::new(pool.clone()),
-                        );
-                        // A restarted adversary stays adversarial: the
-                        // wrapper (with a fresh mutation stream) comes
-                        // back with the rebuilt engine.
-                        match adversary_of(i) {
-                            Some(strategy) => wrap(engine, strategy),
-                            None => engine,
-                        }
-                    }
-                };
                 Some(ChaosRuntime {
                     dirs,
                     storage: storage_cfg,
-                    rebuild: Box::new(rebuild),
+                    rebuild: Box::new(build),
                     catchup,
                     catchup_threshold: self.catchup_threshold,
                 })

@@ -148,14 +148,6 @@ impl ReplicaStorage {
         self.journal.fsyncs
     }
 
-    /// Install an observability sink. Storage emits *metrics only*
-    /// (fsync count + wall latency, journal bytes, checkpoint events) —
-    /// never trace events, so attaching one cannot perturb the
-    /// simulator's byte-identical traces.
-    pub fn set_observer(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
     /// Report journal byte/fsync growth since the last call.
     fn note_journal(&mut self) {
         if !self.obs.enabled() {
@@ -200,6 +192,13 @@ impl ReplicaStorage {
 }
 
 impl Persistence for ReplicaStorage {
+    /// Storage emits *metrics only* (fsync count + wall latency, journal
+    /// bytes, checkpoint events) — never trace events, so attaching an
+    /// observer cannot perturb the simulator's byte-identical traces.
+    fn set_observer(&mut self, obs: Obs) {
+        self.obs = obs;
+    }
+
     fn on_commit(&mut self, block: &Arc<Block>) {
         self.append(JournalRecord::Decided(block.clone()));
         self.commits_since_checkpoint += 1;

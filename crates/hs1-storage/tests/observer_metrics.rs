@@ -4,7 +4,8 @@
 //! the delta cursors start at zero per open, and the journal's
 //! byte/fsync totals count only post-open activity.
 
-use std::sync::Arc;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 use hs1_core::byzantine::Fault;
 use hs1_core::common::SharedMempool;
@@ -12,7 +13,7 @@ use hs1_core::persist::Persistence;
 use hs1_core::testkit::TestNet;
 use hs1_core::{build_replica_with_source, Replica};
 use hs1_ledger::ExecConfig;
-use hs1_obs::{Clock, Obs};
+use hs1_obs::{Clock, Obs, RecordingObserver};
 use hs1_storage::testutil::TempDir;
 use hs1_storage::{ReplicaStorage, StorageConfig, SyncPolicy};
 use hs1_types::{
@@ -42,42 +43,69 @@ fn txs(n: u64) -> Vec<Transaction> {
     (0..n).map(|i| Transaction::kv_write(1, i, i * 31 + 7, i)).collect()
 }
 
+/// Run a 4-replica cluster with replica 0 journal-backed in `dir` and
+/// observed by `obs`, which reaches the journal through the engine:
+/// attached before the storage, or after it. Dropping the net is the
+/// crash.
+fn run_observed_cluster(dir: &Path, obs: &Obs, observer_first: bool) {
+    let c = cfg(4);
+    let pool = SharedMempool::new();
+    let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i, &pool)).collect();
+    let (state, storage) = ReplicaStorage::open(dir, scfg()).expect("open storage");
+    assert!(state.is_empty(), "fresh directory");
+    if observer_first {
+        engines[0].set_observer(obs.clone());
+    }
+    engines[0].set_persistence(Box::new(storage));
+    if !observer_first {
+        engines[0].set_observer(obs.clone());
+    }
+    let mut net = TestNet::new(engines, SimDuration::from_micros(200));
+    net.inject(&txs(64));
+    net.init();
+    net.run_for(SimDuration::from_millis(200));
+    net.assert_prefix_agreement(&[0, 1, 2, 3]);
+}
+
+/// `(journal_bytes, fsyncs)` reported so far.
+fn journal_totals(rec: &Mutex<RecordingObserver>) -> (u64, u64) {
+    let s = rec.lock().expect("recorder").snapshot();
+    (s.counter_total("journal_bytes"), s.counter_total("fsyncs"))
+}
+
+fn scfg() -> StorageConfig {
+    StorageConfig { sync: SyncPolicy::Always, checkpoint_every: 0, ..StorageConfig::default() }
+}
+
+#[test]
+fn an_observer_reaches_the_journal_whichever_is_installed_first() {
+    let run = |observer_first| {
+        let tmp = TempDir::new("obs-order");
+        let (obs, rec) = Obs::recording(Clock::manual());
+        run_observed_cluster(tmp.path(), &obs, observer_first);
+        journal_totals(&rec)
+    };
+    let (bytes, fsyncs) = run(true);
+    assert!(bytes > 0 && fsyncs > 0, "the journal reported through the engine's observer");
+    assert_eq!(run(false), (bytes, fsyncs), "a late observer sees the same journal");
+}
+
 #[test]
 fn journal_counters_stay_monotone_across_crash_restart_reattachment() {
     let tmp = TempDir::new("obs-monotone");
-    let scfg =
-        StorageConfig { sync: SyncPolicy::Always, checkpoint_every: 0, ..StorageConfig::default() };
     let (obs, rec) = Obs::recording(Clock::manual());
 
     // Phase 1: a 4-replica cluster with replica 0 journal-backed and
-    // observed. Dropping the net is the crash.
-    {
-        let c = cfg(4);
-        let pool = SharedMempool::new();
-        let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i, &pool)).collect();
-        let (state, mut storage) = ReplicaStorage::open(tmp.path(), scfg).expect("open storage");
-        assert!(state.is_empty(), "fresh directory");
-        storage.set_observer(obs.clone());
-        engines[0].set_persistence(Box::new(storage));
-        let mut net = TestNet::new(engines, SimDuration::from_micros(200));
-        net.inject(&txs(64));
-        net.init();
-        net.run_for(SimDuration::from_millis(200));
-        net.assert_prefix_agreement(&[0, 1, 2, 3]);
-    }
-    let totals = || {
-        let r = rec.lock().expect("recorder");
-        let s = r.snapshot();
-        (s.counter_total("journal_bytes"), s.counter_total("fsyncs"))
-    };
-    let (bytes1, fsyncs1) = totals();
+    // observed.
+    run_observed_cluster(tmp.path(), &obs, true);
+    let (bytes1, fsyncs1) = journal_totals(&rec);
     assert!(bytes1 > 0, "phase 1 journaled bytes");
     assert!(fsyncs1 > 0, "phase 1 fsynced");
 
     // Phase 2: crash-restart — recover the same directory and re-attach
     // the SAME observer, then journal a little more.
     {
-        let (state, mut storage) = ReplicaStorage::open(tmp.path(), scfg).expect("recover");
+        let (state, mut storage) = ReplicaStorage::open(tmp.path(), scfg()).expect("recover");
         assert!(!state.is_empty(), "recovery saw phase 1's journal");
         storage.set_observer(obs.clone());
         let block = Arc::new(Block::new(
@@ -90,7 +118,7 @@ fn journal_counters_stay_monotone_across_crash_restart_reattachment() {
         storage.on_speculate(&block);
         storage.on_commit(&block);
     }
-    let (bytes2, fsyncs2) = totals();
+    let (bytes2, fsyncs2) = journal_totals(&rec);
     assert!(bytes2 > bytes1, "counters keep growing after re-attachment");
     assert!(fsyncs2 > fsyncs1, "the durable spec-mark fsynced");
     // The key monotonicity property: re-opening must report only *new*

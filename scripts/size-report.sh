@@ -1,7 +1,8 @@
 #!/bin/sh
 # The tracked size numbers ROADMAP item 2 wants to go *down*, per crate
-# and in total: lines of Rust under src/, `pub` items, bench harnesses,
-# distinct HS1_* env knobs. Informational; no thresholds.
+# and in total: lines of Rust under src/, `pub` items, workspace crates,
+# bench harnesses, distinct HS1_* env knobs (names the code reads with
+# `env::var` / `env::var_os`). Informational; no thresholds.
 set -eu
 cd "$(dirname "$0")/.."
 PUB='^\s*pub \(fn\|struct\|enum\|trait\|mod\|const\|type\)'
@@ -15,6 +16,8 @@ for dir in crates/* .; do
 done
 printf '%-16s %8s %6s\n' total "$(count crates/*/src src)" "$(pubs crates/*/src src)"
 echo "workspace Rust lines (src, tests, benches, examples): $(count crates src tests examples)"
+echo "workspace crates: $(sed -n '/^members = \[/,/^\]/p' Cargo.toml | grep -c '"crates/')"
 echo "bench harnesses: $(grep -c '^\[\[bench\]\]' crates/hs1-bench/Cargo.toml)"
-knobs=$(grep -rhoE 'HS1_[A-Z_]+' crates src tests examples --include='*.rs' | sort -u)
+knobs=$(grep -rhoE 'var(_os)?\("HS1_[A-Z_]+"' crates src tests examples --include='*.rs' |
+    grep -oE 'HS1_[A-Z_]+' | sort -u)
 echo "HS1_* env knobs: $(echo "$knobs" | wc -l | tr -d ' ') ($(echo $knobs))"
