@@ -125,6 +125,10 @@ impl Replica for AdversaryEngine {
         self.inner.committed_chain()
     }
 
+    fn committed_len(&self) -> usize {
+        self.inner.committed_len()
+    }
+
     fn set_observer(&mut self, obs: hs1_obs::Obs) {
         self.inner.set_observer(obs);
     }

@@ -14,42 +14,17 @@
 //! (HotStuff / HotStuff-2) clients only ever receive committed responses
 //! and use the `f + 1` rule.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use hs1_crypto::Digest;
 use hs1_types::message::ResponseMsg;
-use hs1_types::{BlockId, ClientId, ProtocolKind, ReplicaId, ReplyKind, TxId};
+use hs1_types::{BlockId, ProtocolKind, ReplicaId, ReplyKind, TxId};
+
+use crate::runset::TxRunSet;
 
 /// Tally for one undecided transaction: responses keyed by (block,
 /// result digest) → (responders, committed-kind responders).
 type TxTally = HashMap<(BlockId, Digest), (Vec<ReplicaId>, usize)>;
-
-/// The decided sequence numbers of one client, as disjoint inclusive
-/// runs `first → last`. A client numbers its requests consecutively, so
-/// this is one run that grows at its end, plus a few short ones while
-/// decisions arrive out of order; they merge as the gaps close.
-#[derive(Default)]
-struct DecidedSeqs(BTreeMap<u64, u64>);
-
-impl DecidedSeqs {
-    fn contains(&self, seq: u64) -> bool {
-        self.0.range(..=seq).next_back().is_some_and(|(_, &last)| seq <= last)
-    }
-
-    /// Record `seq`, which must not be contained yet.
-    fn insert(&mut self, seq: u64) {
-        let (mut first, mut last) = (seq, seq);
-        if let Some((&f, &l)) = self.0.range(..seq).next_back() {
-            if l + 1 == seq {
-                first = f;
-            }
-        }
-        if let Some(l) = seq.checked_add(1).and_then(|next| self.0.remove(&next)) {
-            last = l;
-        }
-        self.0.insert(first, last);
-    }
-}
 
 /// Client-side response matcher.
 pub struct FinalityTracker {
@@ -59,8 +34,10 @@ pub struct FinalityTracker {
     /// Undecided transactions only: a tally is dropped on decision.
     pending: HashMap<TxId, TxTally>,
     /// Decided ids, kept compactly and for good, so that a reply arriving
-    /// after the decision can never start a second tally.
-    decided: HashMap<ClientId, DecidedSeqs>,
+    /// after the decision can never start a second tally. One run per
+    /// client that grows at its end, plus a few short ones while
+    /// decisions arrive out of order; they merge as the gaps close.
+    decided: TxRunSet,
     finalized: Vec<(TxId, BlockId)>,
 }
 
@@ -71,7 +48,7 @@ impl FinalityTracker {
             f,
             protocol,
             pending: HashMap::new(),
-            decided: HashMap::new(),
+            decided: TxRunSet::default(),
             finalized: Vec::new(),
         }
     }
@@ -115,7 +92,7 @@ impl FinalityTracker {
         let commit_ok = committed >= commit_quorum;
         if spec_ok || commit_ok {
             self.pending.remove(&r.tx);
-            self.decided.entry(r.tx.client).or_default().insert(r.tx.seq);
+            self.decided.insert(r.tx);
             self.finalized.push((r.tx, r.block));
             return Some((r.tx, r.block));
         }
@@ -123,7 +100,7 @@ impl FinalityTracker {
     }
 
     pub fn is_final(&self, tx: TxId) -> bool {
-        self.decided.get(&tx.client).is_some_and(|d| d.contains(tx.seq))
+        self.decided.contains(tx)
     }
 
     /// Decisions since the last [`FinalityTracker::gc`], oldest first.
@@ -143,7 +120,7 @@ impl FinalityTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hs1_types::View;
+    use hs1_types::{ClientId, View};
 
     fn resp(tx_seq: u64, block: u64, result: u8, kind: ReplyKind) -> ResponseMsg {
         ResponseMsg {
@@ -265,18 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn decided_runs_merge_from_any_start() {
-        let mut d = DecidedSeqs::default();
-        for seq in [7, 9, 8, u64::MAX, 1 << 40] {
-            assert!(!d.contains(seq));
-            d.insert(seq);
-            assert!(d.contains(seq));
-        }
-        let runs: Vec<_> = d.0.into_iter().collect();
-        assert_eq!(runs, [(7, 9), (1 << 40, 1 << 40), (u64::MAX, u64::MAX)]);
-    }
-
-    #[test]
     fn memory_stays_bounded_across_gc() {
         let mut t = FinalityTracker::new(4, 1, ProtocolKind::HotStuff2);
         // Decide 10k transactions, every other pair out of order.
@@ -293,8 +258,7 @@ mod tests {
         }
         t.gc();
         assert!(t.pending.is_empty() && t.finalized().is_empty());
-        let runs: Vec<_> = t.decided[&ClientId(1)].0.iter().collect();
-        assert_eq!(runs, [(&0, &9_999)], "the gaps closed into one run");
+        assert_eq!(t.decided.runs(), [(ClientId(1), 0, 9_999)], "the gaps closed into one run");
         assert!(t.is_final(TxId::new(ClientId(1), 9_999)));
         assert!(!t.is_final(TxId::new(ClientId(1), 10_000)));
     }

@@ -7,12 +7,11 @@ use std::sync::{Arc, Mutex};
 
 use crate::persist::{NoopPersistence, Persistence, RecoveredState};
 use crate::replica::Action;
+use crate::runset::TxRunSet;
 use hs1_crypto::{KeyPair, PublicKeyRegistry};
 use hs1_ledger::{ExecConfig, ExecutionEngine};
 use hs1_obs::{block_key, Obs, Stage};
-use hs1_types::{
-    Block, BlockId, Certificate, ReplicaId, ReplyKind, SystemConfig, Transaction, TxId,
-};
+use hs1_types::{Block, BlockId, Certificate, ReplicaId, ReplyKind, SystemConfig, Transaction};
 
 /// Where a replica's leader pulls client transactions from.
 ///
@@ -48,7 +47,7 @@ struct SharedInner {
     /// duplicate-submitted `Request` is dropped at admission, not
     /// re-proposed — re-proposal would double-execute the id on every
     /// replica's ledger.
-    seen: HashSet<TxId>,
+    seen: TxRunSet,
     /// Admissions rejected as duplicates (the `requests_deduped` metric).
     deduped: u64,
 }
@@ -107,10 +106,12 @@ impl TxSource for SharedMempool {
 #[derive(Default)]
 pub struct LocalMempool {
     queue: VecDeque<Transaction>,
-    absorbed: HashSet<TxId>,
-    /// Ids admitted into the queue (never removed: a client resending an
-    /// id it already submitted is a duplicate even after proposal).
-    seen: HashSet<TxId>,
+    /// Ids this replica has seen inside a proposed block, its own or a
+    /// peer's.
+    absorbed: TxRunSet,
+    /// Ids offered by a client (never removed: a client resending an id it
+    /// already submitted is a duplicate even after proposal).
+    seen: TxRunSet,
     deduped: u64,
 }
 
@@ -127,7 +128,11 @@ impl LocalMempool {
 
 impl TxSource for LocalMempool {
     fn offer(&mut self, tx: Transaction) {
-        if self.absorbed.contains(&tx.id) || !self.seen.insert(tx.id) {
+        // Recorded even when a peer's block brought the id here before the
+        // client's own request (several percent of requests on loopback):
+        // each one skipped would leave `seen` a gap, and so one more run.
+        let fresh = self.seen.insert(tx.id);
+        if !fresh || self.absorbed.contains(tx.id) {
             self.deduped += 1;
             return;
         }
@@ -137,13 +142,10 @@ impl TxSource for LocalMempool {
     fn take_batch(&mut self, max: usize) -> Vec<Transaction> {
         let mut out = Vec::with_capacity(max.min(self.queue.len()));
         while out.len() < max {
-            match self.queue.pop_front() {
-                Some(tx) if self.absorbed.contains(&tx.id) => continue,
-                Some(tx) => {
-                    self.absorbed.insert(tx.id);
-                    out.push(tx);
-                }
-                None => break,
+            let Some(tx) = self.queue.pop_front() else { break };
+            // Skip what a block seen since admission already carried.
+            if self.absorbed.insert(tx.id) {
+                out.push(tx);
             }
         }
         out
@@ -157,7 +159,7 @@ impl TxSource for LocalMempool {
 
     fn resurrect(&mut self, txs: &[Transaction]) {
         for tx in txs {
-            self.absorbed.remove(&tx.id);
+            self.absorbed.remove(tx.id);
             self.queue.push_front(*tx);
         }
     }
@@ -224,6 +226,8 @@ pub struct CoreState {
     pub obs: Obs,
     /// Committed block ids in commit order (genesis first).
     pub committed: Vec<BlockId>,
+    /// Index over `committed` for the ids not yet pruned: an id leaves it
+    /// with its body.
     committed_set: HashSet<BlockId>,
     /// Bodies below this committed index have been pruned.
     pruned_upto: usize,
@@ -284,6 +288,10 @@ impl CoreState {
         self.blocks.insert(b.id(), b);
     }
 
+    /// Is `id` a committed block above the prune horizon? Exact for every
+    /// block whose body is retained, which is every block a commit walk,
+    /// `speculate` or the vote path can reach: a walk that met an id
+    /// below the horizon fails on the missing body first.
     pub fn is_committed(&self, id: BlockId) -> bool {
         self.committed_set.contains(&id)
     }
@@ -395,10 +403,14 @@ impl CoreState {
                 self.persist.on_rollback(rolled);
             }
             self.exec.restore_committed(store);
-            for id in rs.committed_ids {
-                if self.committed_set.insert(id) {
-                    self.committed.push(id);
-                }
+            // Both lists are the one committed chain from genesis, so what
+            // this replica lacks is what lies past its own length. Not
+            // `committed_set`: it forgets pruned ids, and state sync
+            // restores a second time over local recovery.
+            let have = self.committed.len();
+            for id in rs.committed_ids.into_iter().skip(have) {
+                self.committed.push(id);
+                self.committed_set.insert(id);
             }
         }
         let mut sink = Vec::new();
@@ -417,11 +429,11 @@ impl CoreState {
         }
     }
 
-    /// Prune block *bodies*, and their execution digests, far below the
-    /// committed frontier (bounded memory on long runs). The committed id
-    /// list itself is retained — it is 32 bytes per block and the
-    /// invariant checker and `committed_chain()` depend on its
-    /// completeness.
+    /// Prune block *bodies*, with their execution digests and index
+    /// entries, far below the committed frontier (bounded memory on long
+    /// runs). The committed id list itself is retained — it is 32 bytes
+    /// per block and checkpoints, state sync, the invariant checker and
+    /// `committed_chain()` depend on its completeness.
     pub fn prune(&mut self, keep: usize) {
         if self.committed.len() <= keep + self.pruned_upto {
             return;
@@ -430,6 +442,7 @@ impl CoreState {
         for id in &self.committed[self.pruned_upto..cutoff] {
             self.blocks.remove(id);
             self.exec.forget_digest(*id);
+            self.committed_set.remove(id);
         }
         self.pruned_upto = cutoff;
     }
@@ -606,6 +619,36 @@ mod tests {
         assert!(m.take_batch(10).is_empty(), "replayed id is not re-proposed");
     }
 
+    /// A replica's filters are a few runs per client however many ids
+    /// went through them (they were two hash sets of every id ever seen).
+    #[test]
+    fn local_mempool_filters_stay_a_few_runs_over_a_million_ids() {
+        let mut m = LocalMempool::new();
+        let mut beaten = 0;
+        for seq in 0..250_000u64 {
+            for client in 0..4 {
+                let tx = Transaction::kv_write(client, seq, seq, seq);
+                // Now and then a peer's block carries the id here before
+                // the client's own request arrives.
+                if (seq + u64::from(client)) % 13 == 0 {
+                    m.absorb(&[tx]);
+                    beaten += 1;
+                }
+                m.offer(tx);
+            }
+            if seq % 16 == 15 {
+                // Half proposed here, the rest seen in a peer's block.
+                assert_eq!(m.take_batch(24).len(), 24);
+                let theirs: Vec<_> = m.queue.drain(..).collect();
+                m.absorb(&theirs);
+            }
+        }
+        assert_eq!(m.deduped(), beaten);
+        assert!(m.queue.is_empty());
+        let runs = m.seen.runs().len() + m.absorbed.runs().len();
+        assert!(runs <= 8, "{runs} runs after 1,000,000 ids from 4 clients");
+    }
+
     #[test]
     fn shared_mempool_single_consumer() {
         let mut a = SharedMempool::new();
@@ -659,6 +702,31 @@ mod tests {
         assert!(s.is_committed(BlockId::test(9)));
     }
 
+    /// State sync restores a second time over local recovery. The second
+    /// list overlaps the first, and by then `prune` may have taken the
+    /// overlap out of `committed_set`.
+    #[test]
+    fn restoring_twice_after_a_prune_appends_nothing_twice() {
+        let chain = |n: u64| -> Vec<BlockId> {
+            std::iter::once(Block::genesis_id()).chain((1..n).map(BlockId::test)).collect()
+        };
+        let image = |ids| crate::persist::RecoveredState {
+            committed_store: Some(hs1_ledger::KvStore::with_records(10)),
+            committed_ids: ids,
+            ..Default::default()
+        };
+        let mut s = state();
+        s.restore(image(chain(100)));
+        s.prune(10);
+        assert!(!s.is_committed(BlockId::test(5)), "pruned with its (absent) body");
+        s.restore(image(chain(120)));
+        assert_eq!(s.committed, chain(120));
+        // A shorter list than what is held adds nothing.
+        s.restore(image(chain(50)));
+        assert_eq!(s.committed, chain(120));
+        assert!(s.is_committed(BlockId::test(119)));
+    }
+
     #[test]
     fn prune_drops_old_bodies() {
         let mut s = state();
@@ -676,8 +744,9 @@ mod tests {
         assert!(s.has_block(parent), "recent blocks kept");
     }
 
-    /// The driver prunes every 64 views. Execution digests must go with
-    /// the bodies, or a long run gains one map entry per block forever.
+    /// The driver prunes every 64 views. Execution digests and the
+    /// committed index must go with the bodies, or a long run gains one
+    /// map entry per block forever.
     #[test]
     fn digests_stay_bounded_over_ten_thousand_commits() {
         const KEEP: usize = 2048;
@@ -711,5 +780,17 @@ mod tests {
         );
         assert!(s.exec.digest_of(tip.id()).is_some(), "the live speculation keeps its digest");
         assert!(s.exec.digest_of(parent).is_some(), "so does the committed head");
+        assert!(
+            s.committed_set.len() <= KEEP + 64 + live_speculation,
+            "{} index entries held after 10k commits",
+            s.committed_set.len()
+        );
+        assert!(s.blocks.len() <= KEEP + 64 + live_speculation);
+        assert!(s.is_committed(parent), "the head is committed");
+        assert!(!s.is_committed(tip.id()));
+        for id in &s.committed[s.pruned_upto..] {
+            assert!(s.has_block(*id) && s.is_committed(*id), "retained body, exact answer");
+        }
+        assert_eq!(s.committed.len(), 10_000 + 1, "the id list stays complete (genesis first)");
     }
 }

@@ -649,6 +649,10 @@ impl<P: Protocol> Replica for Engine<P> {
         self.d.core.committed.clone()
     }
 
+    fn committed_len(&self) -> usize {
+        self.d.core.committed.len()
+    }
+
     fn set_observer(&mut self, obs: Obs) {
         self.d.core.set_observer(obs);
     }

@@ -27,6 +27,7 @@
 //! | [`byzantine`] | fault strategies: slow leader, tail-forking, rollback/equivocation, crash, silence | §7.3 |
 //! | [`client`] | client-side quorum matching (early finality confirmation) | §3, §4.1 |
 //! | [`common`] | replica state below the driver: block store, mempool, commit/speculate paths | — |
+//! | `runset.rs` | transaction-id set as per-client runs of sequence numbers: every dedup filter's memory | — |
 //! | [`persist`] | durability hooks ([`persist::Persistence`]) and recovered-state handoff | §4.2 recovery |
 
 mod basic;
@@ -38,6 +39,7 @@ mod driver;
 pub mod pacemaker;
 pub mod persist;
 pub mod replica;
+mod runset;
 mod shares;
 mod slotted;
 pub mod testkit;

@@ -97,7 +97,7 @@ pub struct RecoveredState {
     /// Committed base store from the newest valid checkpoint.
     pub committed_store: Option<KvStore>,
     /// Committed chain ids covered by the checkpoint, in commit order,
-    /// genesis excluded.
+    /// genesis first.
     pub committed_ids: Vec<BlockId>,
     /// Decided block bodies journaled after the checkpoint, in commit
     /// order.

@@ -58,9 +58,10 @@ pub trait Replica: Send {
     /// A previously armed timer fired.
     fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>);
 
-    /// Inject transactions into the replica's mempool (the harness models
-    /// client dissemination off the critical path; the TCP runtime feeds
-    /// `Message::Request`s through `on_message` instead).
+    /// Inject transactions into the replica's mempool. The simulator calls
+    /// it to model client dissemination off the critical path; the TCP
+    /// runtime calls it with each `Message::Request` a client sends
+    /// (`NodeRunner::handle_inbound`), not `on_message`.
     fn enqueue_txs(&mut self, txs: &[hs1_types::Transaction]);
 
     /// Current view (metrics/inspection).
@@ -71,6 +72,12 @@ pub trait Replica: Send {
 
     /// Chain of committed block ids in commit order (invariant checking).
     fn committed_chain(&self) -> Vec<hs1_types::BlockId>;
+
+    /// Length of the committed chain, genesis included. Engines override
+    /// the default, which copies the chain to count it.
+    fn committed_len(&self) -> usize {
+        self.committed_chain().len()
+    }
 
     /// Install an observability sink (see `hs1-obs`). Pure observer:
     /// attaching one must not change any engine output. The default

@@ -8,29 +8,29 @@ const OPAD: u8 = 0x5c;
 
 /// Compute HMAC-SHA-256 of `msg` under `key`.
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        k[..32].copy_from_slice(&sha256(key).0);
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ IPAD).collect();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ OPAD).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest.0);
-    outer.finalize()
+    let mut h = HmacSha256::new(key);
+    h.update(msg);
+    h.finalize()
 }
 
 /// Streaming HMAC for multi-part messages (avoids concatenating parts).
+///
+/// A freshly keyed value holds the two midstates that depend on the key
+/// alone, so one that signs many messages is keyed once and cloned per
+/// message: that saves the two pad-block compressions of `new`.
+#[derive(Clone)]
 pub struct HmacSha256 {
+    /// Has absorbed `key ^ ipad`, then the message so far.
     inner: Sha256,
-    outer_key: [u8; BLOCK],
+    /// Has absorbed `key ^ opad`.
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        write!(f, "HmacSha256(..)")
+    }
 }
 
 impl HmacSha256 {
@@ -42,13 +42,10 @@ impl HmacSha256 {
             k[..key.len()].copy_from_slice(key);
         }
         let mut inner = Sha256::new();
-        let ipad: Vec<u8> = k.iter().map(|b| b ^ IPAD).collect();
-        inner.update(&ipad);
-        let mut outer_key = [0u8; BLOCK];
-        for (o, b) in outer_key.iter_mut().zip(k.iter()) {
-            *o = b ^ OPAD;
-        }
-        HmacSha256 { inner, outer_key }
+        inner.update(&k.map(|b| b ^ IPAD));
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ OPAD));
+        HmacSha256 { inner, outer }
     }
 
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
@@ -56,12 +53,10 @@ impl HmacSha256 {
         self
     }
 
-    pub fn finalize(self) -> Digest {
+    pub fn finalize(mut self) -> Digest {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
-        outer.update(&inner_digest.0);
-        outer.finalize()
+        self.outer.update(&inner_digest.0);
+        self.outer.finalize()
     }
 }
 
@@ -125,6 +120,17 @@ mod tests {
         h.update(b"part two | ");
         h.update(b"part three");
         assert_eq!(h.finalize(), hmac_sha256(key, msg));
+    }
+
+    #[test]
+    fn keyed_once_and_cloned_matches_oneshot() {
+        let key: Vec<u8> = (0x01..=0x19).collect();
+        let keyed = HmacSha256::new(&key);
+        for msg in [&b""[..], b"Hi There", &[0xcd; 50], &[0x5a; 200]] {
+            let mut h = keyed.clone();
+            h.update(msg);
+            assert_eq!(h.finalize(), hmac_sha256(&key, msg));
+        }
     }
 
     #[test]

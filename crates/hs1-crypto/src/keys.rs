@@ -44,6 +44,8 @@ impl std::fmt::Debug for SecretKey {
 pub struct KeyPair {
     pub index: u32,
     pub secret: SecretKey,
+    /// The MAC already keyed with `secret`, cloned per signature.
+    mac: HmacSha256,
 }
 
 impl KeyPair {
@@ -54,17 +56,19 @@ impl KeyPair {
         let mut h = HmacSha256::new(b"hs1/keygen");
         h.update(&deployment_seed.to_be_bytes());
         h.update(&index.to_be_bytes());
-        KeyPair { index, secret: SecretKey(h.finalize().0) }
+        let secret = SecretKey(h.finalize().0);
+        let mac = HmacSha256::new(&secret.0);
+        KeyPair { index, secret, mac }
     }
 
     /// Sign `msg` under `domain`.
     pub fn sign(&self, domain: u8, msg: &[u8]) -> Signature {
-        sign_with(&self.secret, domain, msg)
+        sign_with(&self.mac, domain, msg)
     }
 }
 
-fn sign_with(secret: &SecretKey, domain: u8, msg: &[u8]) -> Signature {
-    let mut h = HmacSha256::new(&secret.0);
+fn sign_with(keyed: &HmacSha256, domain: u8, msg: &[u8]) -> Signature {
+    let mut h = keyed.clone();
     h.update(&[domain]);
     h.update(msg);
     Signature(h.finalize().0)
@@ -73,13 +77,14 @@ fn sign_with(secret: &SecretKey, domain: u8, msg: &[u8]) -> Signature {
 /// Registry of all participants' keys; verifiers consult it to check tags.
 #[derive(Clone, Debug)]
 pub struct PublicKeyRegistry {
-    keys: Vec<SecretKey>,
+    /// One keyed MAC per participant.
+    keys: Vec<HmacSha256>,
 }
 
 impl PublicKeyRegistry {
     /// Build the registry for `count` participants of a deployment.
     pub fn derive(deployment_seed: u64, count: u32) -> PublicKeyRegistry {
-        let keys = (0..count).map(|i| KeyPair::derive(deployment_seed, i).secret).collect();
+        let keys = (0..count).map(|i| KeyPair::derive(deployment_seed, i).mac).collect();
         PublicKeyRegistry { keys }
     }
 
@@ -95,7 +100,7 @@ impl PublicKeyRegistry {
     /// `domain`.
     pub fn verify(&self, index: u32, domain: u8, msg: &[u8], sig: &Signature) -> bool {
         match self.keys.get(index as usize) {
-            Some(secret) => sign_with(secret, domain, msg) == *sig,
+            Some(keyed) => sign_with(keyed, domain, msg) == *sig,
             None => false,
         }
     }

@@ -329,8 +329,12 @@ impl FrameReader {
         Ok(())
     }
 
-    /// Drain the (nonblocking) stream until `WouldBlock`, EOF, or the
-    /// per-call read budget is spent, decoding every complete frame.
+    /// Drain the (nonblocking) stream until a read comes back short, EOF,
+    /// or the per-call read budget is spent, decoding every complete
+    /// frame. A read that does not fill the chunk has emptied a stream
+    /// socket, so no second `read` is spent on learning `WouldBlock`: the
+    /// caller polls level-triggered and is told of bytes or EOF that
+    /// arrive later.
     pub fn read_from(&mut self, stream: &mut impl Read) -> std::io::Result<ReadOutcome> {
         let mut outcome = ReadOutcome::default();
         let mut chunk = [0u8; 16 * 1024];
@@ -344,6 +348,9 @@ impl FrameReader {
                     outcome.calls += 1;
                     outcome.bytes += n as u64;
                     self.push_bytes(&chunk[..n], &mut outcome.messages)?;
+                    if n < chunk.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -616,6 +623,69 @@ mod tests {
             reader.push_bytes(std::slice::from_ref(b), &mut out).unwrap();
         }
         assert_eq!(out, msgs);
+    }
+
+    /// A nonblocking stream with `data` in its receive buffer that counts
+    /// every `read` issued, including those that find nothing.
+    struct CountingStream {
+        data: Vec<u8>,
+        at: usize,
+        reads: u64,
+        closed: bool,
+    }
+
+    impl CountingStream {
+        fn holding(msgs: &[Message]) -> CountingStream {
+            let data = msgs.iter().flat_map(|m| encode_frame(m).to_vec()).collect();
+            CountingStream { data, at: 0, reads: 0, closed: false }
+        }
+    }
+
+    impl Read for CountingStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.data.len() - self.at);
+            if n == 0 && !self.closed {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_from_stops_at_a_short_read() {
+        // One frame waiting: one `read`, not a second to hear `WouldBlock`.
+        let msgs = test_messages(1);
+        let mut stream = CountingStream::holding(&msgs);
+        let mut reader = FrameReader::new();
+        let o = reader.read_from(&mut stream).unwrap();
+        assert_eq!((o.messages, o.calls, stream.reads, o.eof), (msgs, 1, 1, false));
+
+        // An empty socket (spurious wakeup) is one `read` and no progress.
+        let o = reader.read_from(&mut stream).unwrap();
+        assert_eq!((o.messages.len(), o.calls, o.bytes, stream.reads, o.eof), (0, 0, 0, 2, false));
+
+        // The peer closes after the short read: the next call sees EOF.
+        stream.closed = true;
+        let o = reader.read_from(&mut stream).unwrap();
+        assert!(o.eof && o.messages.is_empty());
+    }
+
+    #[test]
+    fn read_from_keeps_reading_after_a_full_chunk() {
+        // A little over 40 KiB: two full 16 KiB chunks and a short third.
+        let mut msgs = test_messages(1);
+        while CountingStream::holding(&msgs).data.len() < 40 * 1024 {
+            msgs.extend(test_messages(64));
+        }
+        let mut stream = CountingStream::holding(&msgs);
+        assert!(stream.data.len() < 48 * 1024);
+        let o = FrameReader::new().read_from(&mut stream).unwrap();
+        assert_eq!((o.calls, stream.reads), (3, 3));
+        assert_eq!(o.bytes as usize, stream.data.len());
+        assert_eq!(o.messages, msgs);
     }
 
     #[test]

@@ -329,7 +329,7 @@ impl NodeRunner {
 
     /// Length of the hosted engine's committed chain (genesis included).
     pub fn committed_chain_len(&self) -> usize {
-        self.engine.committed_chain().len()
+        self.engine.committed_len()
     }
 
     fn now(&self) -> SimTime {
@@ -453,7 +453,7 @@ impl NodeRunner {
         let me = self.engine.id();
         let peers: Vec<ReplicaId> =
             (0..self.mesh.n() as u32).map(ReplicaId).filter(|r| *r != me).collect();
-        let have = self.engine.committed_chain().len() as u64;
+        let have = self.engine.committed_len() as u64;
         let mut client = SyncClient::new(cfg.sync.clone(), peers, have);
         let deadline = run_deadline.min(Instant::now() + cfg.overall_timeout);
 
