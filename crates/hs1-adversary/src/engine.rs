@@ -113,6 +113,10 @@ impl Replica for AdversaryEngine {
         self.inner.enqueue_txs(txs);
     }
 
+    fn pool_stats(&self) -> hs1_core::PoolStats {
+        self.inner.pool_stats()
+    }
+
     fn current_view(&self) -> View {
         self.inner.current_view()
     }

@@ -17,10 +17,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::byzantine::Fault;
-use crate::common::{CoreState, FetchTracker, TxSource};
+use crate::common::{CoreState, FetchTracker};
 use crate::pacemaker::{Pacemaker, PmOutcome};
 use crate::persist::{Persistence, RecoveredState};
-use crate::replica::{Action, Replica, Timer};
+use crate::replica::{Action, PoolStats, Replica, Timer};
 use hs1_ledger::ExecConfig;
 use hs1_obs::{block_key, Obs, Stage};
 use hs1_types::message::{NewViewMsg, ProposeMsg, VoteInfo};
@@ -144,15 +144,9 @@ pub(crate) struct Driver {
 }
 
 impl Driver {
-    pub(crate) fn new(
-        cfg: SystemConfig,
-        me: ReplicaId,
-        fault: Fault,
-        exec: ExecConfig,
-        source: Box<dyn TxSource>,
-    ) -> Driver {
+    pub(crate) fn new(cfg: SystemConfig, me: ReplicaId, fault: Fault, exec: ExecConfig) -> Driver {
         Driver {
-            core: CoreState::new(cfg.clone(), me, exec, source),
+            core: CoreState::new(cfg.clone(), me, exec),
             pm: Pacemaker::new(cfg, me, SimTime::ZERO),
             crashed: matches!(fault, Fault::Silent),
             fault,
@@ -588,7 +582,7 @@ impl<P: Protocol> Replica for Engine<P> {
                 }
             }
             Message::FetchResp { block } => self.on_fetch_resp(block, now, out),
-            Message::Request(tx) => self.d.core.source.offer(tx),
+            Message::Request(tx) => self.d.core.pool.offer(tx),
             other => P::on_message(self, from, other, now, out),
         }
     }
@@ -633,8 +627,12 @@ impl<P: Protocol> Replica for Engine<P> {
 
     fn enqueue_txs(&mut self, txs: &[hs1_types::Transaction]) {
         for tx in txs {
-            self.d.core.source.offer(*tx);
+            self.d.core.pool.offer(*tx);
         }
+    }
+
+    fn pool_stats(&self) -> PoolStats {
+        self.d.core.pool.stats()
     }
 
     fn current_view(&self) -> View {

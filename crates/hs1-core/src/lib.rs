@@ -13,8 +13,8 @@
 //! Each policy file transcribes one pseudocode figure and supplies only
 //! what that figure changes: the vote rule, where the vote goes, when to
 //! speculate, the commit rule, and the protocol's own message kinds.
-//! [`build_replica_with_source`] is the only place a `ProtocolKind` is
-//! mapped to a policy.
+//! [`build_replica`] is the only place a `ProtocolKind` is mapped to a
+//! policy.
 //!
 //! | file | contents | paper reference |
 //! |---|---|---|
@@ -26,7 +26,7 @@
 //! | [`pacemaker`] | epoch view synchronizer | §4.2.1, Fig. 3 |
 //! | [`byzantine`] | fault strategies: slow leader, tail-forking, rollback/equivocation, crash, silence | §7.3 |
 //! | [`client`] | client-side quorum matching (early finality confirmation) | §3, §4.1 |
-//! | [`common`] | replica state below the driver: block store, mempool, commit/speculate paths | — |
+//! | [`common`] | replica state below the driver: block store, the mempool, commit (with orphan return) and speculate paths | — |
 //! | `runset.rs` | transaction-id set as per-client runs of sequence numbers: every dedup filter's memory | — |
 //! | [`persist`] | durability hooks ([`persist::Persistence`]) and recovered-state handoff | §4.2 recovery |
 
@@ -46,15 +46,15 @@ pub mod testkit;
 
 pub use byzantine::Fault;
 pub use persist::{NoopPersistence, Persistence, RecoveredState};
-pub use replica::{Action, Replica, Timer};
+pub use replica::{Action, PoolStats, Replica, Timer};
 
-use common::{LocalMempool, TxSource};
 use driver::{Driver, Engine};
 use hs1_ledger::ExecConfig;
 use hs1_types::{ProtocolKind, ReplicaId, SystemConfig};
 
 /// Construct the engine for `kind` at replica `id` with fault strategy
-/// `fault`, pulling transactions from a per-replica [`LocalMempool`].
+/// `fault`. The only place a [`ProtocolKind`] is mapped to a protocol
+/// policy; the simulator and the TCP runtime both build replicas here.
 pub fn build_replica(
     kind: ProtocolKind,
     cfg: SystemConfig,
@@ -62,21 +62,7 @@ pub fn build_replica(
     fault: Fault,
     exec: ExecConfig,
 ) -> Box<dyn Replica> {
-    build_replica_with_source(kind, cfg, id, fault, exec, Box::new(LocalMempool::new()))
-}
-
-/// [`build_replica`] over a caller-supplied transaction source (the
-/// simulator shares one mempool between all replicas). The only place a
-/// [`ProtocolKind`] is mapped to a protocol policy.
-pub fn build_replica_with_source(
-    kind: ProtocolKind,
-    cfg: SystemConfig,
-    id: ReplicaId,
-    fault: Fault,
-    exec: ExecConfig,
-    source: Box<dyn TxSource>,
-) -> Box<dyn Replica> {
-    let d = Driver::new(cfg, id, fault, exec, source);
+    let d = Driver::new(cfg, id, fault, exec);
     match kind {
         // (commit-rule depth, speculative)
         ProtocolKind::HotStuff => Box::new(Engine::new(d, chained::Chained::new(3, false))),

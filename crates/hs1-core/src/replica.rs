@@ -44,6 +44,18 @@ pub enum Timer {
     ProposeAt(View),
 }
 
+/// A replica's mempool as its harness sees it.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct PoolStats {
+    /// Transactions the replica could still propose.
+    pub depth: usize,
+    /// Requests refused at the admission bound
+    /// (`SystemConfig::mempool_cap`).
+    pub refused: u64,
+    /// Duplicate or replayed requests dropped at admission.
+    pub deduped: u64,
+}
+
 /// A consensus replica as a pure state machine.
 pub trait Replica: Send {
     fn id(&self) -> ReplicaId;
@@ -58,11 +70,19 @@ pub trait Replica: Send {
     /// A previously armed timer fired.
     fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>);
 
-    /// Inject transactions into the replica's mempool. The simulator calls
-    /// it to model client dissemination off the critical path; the TCP
-    /// runtime calls it with each `Message::Request` a client sends
+    /// Client requests reach the replica's mempool. Clients send every
+    /// request to every replica, off the consensus critical path (§7
+    /// Implementation): the simulator calls this on each replica that is
+    /// up when a submission lands (`Ev::Submit`), the TCP runtime with
+    /// each `Message::Request` a client connection delivers
     /// (`NodeRunner::handle_inbound`), not `on_message`.
     fn enqueue_txs(&mut self, txs: &[hs1_types::Transaction]);
+
+    /// Mempool depth and admission counters. Engines override the
+    /// default, which reports an empty pool.
+    fn pool_stats(&self) -> PoolStats {
+        PoolStats::default()
+    }
 
     /// Current view (metrics/inspection).
     fn current_view(&self) -> View;

@@ -1,8 +1,8 @@
 //! A set of transaction ids kept as runs of consecutive sequence numbers.
 //!
-//! Every dedup filter in this crate — both mempools' admission and
-//! proposal filters and the client's decided set — remembers ids for as
-//! long as the process lives. A client numbers its requests consecutively
+//! Every dedup filter in this crate — the mempool's admission, proposal
+//! and committed filters and the client's decided set — remembers ids for
+//! as long as the process lives. A client numbers its requests consecutively
 //! (a resubmission is `attempt << 40 | seq`, consecutive again within the
 //! attempt), so per client the set is a few runs however many ids it
 //! holds; an id that never gains a neighbour costs one B-tree entry.
@@ -126,7 +126,7 @@ mod tests {
             assert_eq!(runs.insert(tx), hash.insert(tx), "insert {tx:?}");
             recent.push(tx);
             // Now and then: take a recent id out and put it back (the
-            // mempool's resurrect-then-absorb), probe a neighbour, and
+            // mempool's put-back-then-absorb), probe a neighbour, and
             // re-insert a duplicate.
             if rng.chance(0.2) {
                 let pick = recent[rng.next_range(recent.len() as u64) as usize];

@@ -187,19 +187,31 @@ impl Slotted {
     }
 }
 
-/// SafeSlot (Fig. 7 lines 1–11).
-fn safe_slot(ps: Slot, pv: View, justify: &Certificate, carry: Option<&Arc<Block>>) -> bool {
+/// SafeSlot (Fig. 7 lines 1–11). A first slot that lacks the carry `B_u`
+/// its certificate calls for is still safe to a replica that holds no
+/// `B_u` itself (`holds_successor` false): had `B_u` gathered the n − f
+/// votes a certificate takes, f + 1 correct replicas would hold it and
+/// refuse, leaving the proposal short of a quorum. Refused by all, a `B_u`
+/// that reached nobody — lost, or withheld by a faulty leader — would stop
+/// the chain for good.
+fn safe_slot(
+    ps: Slot,
+    pv: View,
+    justify: &Certificate,
+    carry: Option<&Arc<Block>>,
+    holds_successor: bool,
+) -> bool {
     match (ps == Slot::FIRST, &justify.kind) {
         // Case 1: fresh New-View certificate formed by this view.
         (true, CertKind::NewView { formed_in }) if *formed_in == pv => carry.is_none(),
         // Case 2: older New-View certificate; must carry B_{1,fv}.
         (true, CertKind::NewView { formed_in }) => {
-            carry.map(|u| u.slot == Slot::FIRST && u.view == *formed_in).unwrap_or(false)
+            carry.map_or(!holds_successor, |u| u.slot == Slot::FIRST && u.view == *formed_in)
         }
         // Case 3: New-Slot certificate; must carry B_{s_w+1, w}.
-        (true, CertKind::NewSlot) => carry
-            .map(|u| u.view == justify.view && u.slot.is_successor_of(justify.slot))
-            .unwrap_or(false),
+        (true, CertKind::NewSlot) => carry.map_or(!holds_successor, |u| {
+            u.view == justify.view && u.slot.is_successor_of(justify.slot)
+        }),
         // Case 4: later slots extend the previous slot of the same view.
         (false, CertKind::NewSlot) => {
             ps.is_successor_of(justify.slot) && justify.view == pv && carry.is_none()
@@ -401,7 +413,8 @@ impl Protocol for Slotted {
 
         // Vote or reject (Fig. 7 lines 21–26).
         let carry_block = b.carry.and_then(|c| e.d.core.block(c).cloned());
-        let safe = safe_slot(ps, pv, &justify, carry_block.as_ref());
+        let holds_successor = e.p.carry_for(&justify).is_some();
+        let safe = safe_slot(ps, pv, &justify, carry_block.as_ref(), holds_successor);
         let rank_ok = e.d.high_cert.rank() <= justify.rank();
         let msg = if safe && (rank_ok || e.d.fault.colludes()) {
             if justify.rank() > e.d.high_cert.rank() {
@@ -462,8 +475,16 @@ impl Protocol for Slotted {
     }
 
     fn index_block(&mut self, b: &Block) {
-        let key = (b.justify.view.0, b.justify.slot.0, b.justify.block);
-        self.cert_children.entry(key).or_insert_with(|| b.id());
+        // Only the position SafeSlot lets a carry hold: a later view's
+        // first slot names the same certificate and is not its `B_u`.
+        let j = &b.justify;
+        let successor = match j.kind {
+            CertKind::NewView { formed_in } => b.view == formed_in && b.slot == Slot::FIRST,
+            _ => b.view == j.view && b.slot.is_successor_of(j.slot),
+        };
+        if successor {
+            self.cert_children.entry((j.view.0, j.slot.0, j.block)).or_insert_with(|| b.id());
+        }
     }
 
     fn prune(&mut self, core: &CoreState, _below: u64) {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::replica::{Action, Replica, Timer};
 use hs1_types::{Block, BlockId, Message, ReplicaId, ReplyKind, SimDuration, SimTime, View};
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Ev {
     Msg { from: ReplicaId, to: ReplicaId, msg: Box<Message> },
     Timer { at: ReplicaId, timer: Timer },
@@ -30,7 +30,8 @@ pub enum Obs {
 pub struct TestNet {
     pub engines: Vec<Box<dyn Replica>>,
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    events: Vec<Ev>,
+    /// Each slot is emptied when its event is delivered.
+    events: Vec<Option<Ev>>,
     pub now: SimTime,
     seq: u64,
     pub hop: SimDuration,
@@ -60,7 +61,7 @@ impl TestNet {
 
     fn push_event(&mut self, at: SimTime, ev: Ev) {
         let idx = self.events.len();
-        self.events.push(ev);
+        self.events.push(Some(ev));
         self.heap.push(Reverse((at, self.seq, idx)));
         self.seq += 1;
     }
@@ -126,7 +127,7 @@ impl TestNet {
                 return;
             }
             self.now = at;
-            let ev = self.events[idx].clone();
+            let ev = self.events[idx].take().expect("an event is delivered once");
             let mut out = Vec::new();
             match ev {
                 Ev::Msg { from, to, msg } => {

@@ -2,9 +2,8 @@
 //! liveness, commit-rule depth, speculation timing, fault handling.
 
 use hs1_core::byzantine::Fault;
-use hs1_core::common::SharedMempool;
 use hs1_core::testkit::{Obs, TestNet};
-use hs1_core::{build_replica, build_replica_with_source, Replica};
+use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_types::{ProtocolKind, ReplicaId, ReplyKind, SimDuration, SystemConfig, Transaction};
 
@@ -18,7 +17,6 @@ fn cfg(n: usize) -> SystemConfig {
 
 fn net_for(kind: ProtocolKind, n: usize, faults: Vec<(usize, Fault)>) -> TestNet {
     let c = cfg(n);
-    let pool = SharedMempool::new();
     let engines: Vec<Box<dyn Replica>> = (0..n)
         .map(|i| {
             let fault = faults
@@ -26,9 +24,7 @@ fn net_for(kind: ProtocolKind, n: usize, faults: Vec<(usize, Fault)>) -> TestNet
                 .find(|(r, _)| *r == i)
                 .map(|(_, f)| f.clone())
                 .unwrap_or(Fault::Honest);
-            let id = ReplicaId(i as u32);
-            let src = Box::new(pool.clone());
-            build_replica_with_source(kind, c.clone(), id, fault, ExecConfig::default(), src)
+            build_replica(kind, c.clone(), ReplicaId(i as u32), fault, ExecConfig::default())
         })
         .collect();
     let mut net = TestNet::new(engines, SimDuration::from_micros(200));
@@ -214,6 +210,36 @@ fn silent_replica_tolerated_by_two_chain_protocols() {
     }
 }
 
+/// A streamlined protocol orphans the block proposed just before a dead
+/// leader's view: its votes went to that leader (Example 6.2). Every
+/// replica that stored the block suppresses its transactions, so unless
+/// the engine returns them to its pool no leader proposes them again and
+/// a closed-loop client waits forever.
+#[test]
+fn silent_replica_loses_no_transaction() {
+    use ProtocolKind::*;
+    let cases =
+        [(HotStuff2, 4), (HotStuff1, 4), (HotStuff1Basic, 4), (HotStuff1Slotted, 4), (HotStuff, 7)];
+    for (kind, n) in cases {
+        let mut net = net_for(kind, n, vec![(3, Fault::Silent)]);
+        net.run_for(SimDuration::from_millis(3_000));
+        for r in (0..n).filter(|r| *r != 3) {
+            let mut seqs: Vec<u64> = net
+                .log
+                .iter()
+                .filter_map(|o| match o {
+                    Obs::Committed { at, block } if at.0 as usize == r => Some(&block.txs),
+                    _ => None,
+                })
+                .flat_map(|txs| txs.iter().map(|t| t.id.seq))
+                .collect();
+            seqs.sort_unstable();
+            let all: Vec<u64> = (0..64).collect();
+            assert_eq!(seqs, all, "{kind:?}: replica {r} commits every id exactly once");
+        }
+    }
+}
+
 #[test]
 fn silent_replica_and_three_chain_hotstuff() {
     // With n = 4 and one silent replica in round-robin rotation there are
@@ -312,6 +338,195 @@ fn slotted_tail_fork_wastes_only_attackers_view() {
     let h = honest.committed_at(0).len() as f64;
     assert!(f / h > 0.5, "slotted resists tail-forking: {f}/{h}");
     forked.assert_prefix_agreement(&[0, 2, 3]);
+}
+
+/// A view's last slot `B_u` can reach nobody: lost, or withheld by a
+/// faulty leader. The next leaders then extend the certificate below it
+/// without the carry SafeSlot asks for. A replica that holds `B_u` must
+/// refuse that (f + 1 correct refusals protect a `B_u` that could have
+/// been certified); one that knows no successor must vote, or — with no
+/// quorum of equal NewView votes to fall back on — no view ever certifies
+/// a block again.
+#[test]
+fn slotted_votes_for_a_carryless_first_slot_unless_it_holds_the_successor() {
+    use hs1_core::replica::Action;
+    use hs1_crypto::KeyPair;
+    use hs1_types::cert::{domains, CertKind};
+    use hs1_types::message::ProposeMsg;
+    use hs1_types::{Block, Certificate, Message, SimTime, Slot, View};
+    use std::sync::Arc;
+
+    let c = cfg(4);
+    let (l1, l2) = (c.leader_of(View(1)), c.leader_of(View(2)));
+    let b1 = Arc::new(Block::new(l1, View(1), Slot::FIRST, Certificate::genesis(), txs(2)));
+    let bytes = Certificate::signing_bytes(CertKind::NewSlot, View(1), Slot::FIRST, b1.id());
+    let sign =
+        |r| (ReplicaId(r), KeyPair::derive(c.deployment_seed, r).sign(domains::NEW_SLOT, &bytes));
+    let p11 = Certificate {
+        kind: CertKind::NewSlot,
+        view: View(1),
+        slot: Slot::FIRST,
+        block: b1.id(),
+        sigs: (1..4).map(sign).collect(),
+    };
+    let successor = Arc::new(Block::new(l1, View(1), Slot(2), p11.clone(), txs(1)));
+    let carryless = Arc::new(Block::new(l2, View(2), Slot::FIRST, p11, vec![]));
+
+    for holds_successor in [false, true] {
+        let kind = ProtocolKind::HotStuff1Slotted;
+        let mut e =
+            build_replica(kind, c.clone(), ReplicaId(0), Fault::Honest, ExecConfig::default());
+        let mut out = Vec::new();
+        let mut deliver = |from, block: &Arc<Block>, out: &mut Vec<Action>| {
+            let msg = Message::Propose(ProposeMsg { block: block.clone(), commit_cert: None });
+            e.on_message(from, msg, SimTime::ZERO, out);
+        };
+        deliver(l1, &b1, &mut out);
+        if holds_successor {
+            deliver(l1, &successor, &mut out);
+        }
+        out.clear();
+        deliver(l2, &carryless, &mut out);
+        let answer = |pick: fn(&Message) -> bool| {
+            out.iter().any(|a| matches!(a, Action::Send { to, msg } if *to == l2 && pick(msg)))
+        };
+        let voted = answer(|m| matches!(m, Message::NewSlot(v) if v.view == View(2)));
+        let refused = answer(|m| matches!(m, Message::Reject(_)));
+        assert_eq!((voted, refused), (!holds_successor, holds_successor), "{holds_successor}");
+    }
+}
+
+// -- the mempool and orphan return ------------------------------------------------
+
+mod pool {
+    use hs1_core::common::{CoreState, Mempool};
+    use hs1_core::PoolStats;
+    use hs1_ledger::ExecConfig;
+    use hs1_types::{
+        Block, BlockId, CertKind, Certificate, ReplicaId, Slot, SystemConfig, Transaction, View,
+    };
+    use std::sync::Arc;
+
+    fn state() -> CoreState {
+        CoreState::new(SystemConfig::new(4), ReplicaId(0), ExecConfig::default())
+    }
+
+    fn tx(seq: u64) -> Transaction {
+        Transaction::kv_write(1, seq, seq, seq)
+    }
+
+    /// A block of `view` over `parent` carrying `tx(tag)`.
+    fn child_of(parent: BlockId, view: u64, tag: u64) -> Arc<Block> {
+        let justify = Certificate {
+            kind: CertKind::Quorum,
+            view: View(view - 1),
+            slot: Slot(1),
+            block: parent,
+            sigs: vec![],
+        };
+        Arc::new(Block::new(ReplicaId(0), View(view), Slot(1), justify, vec![tx(tag)]))
+    }
+
+    fn commit(s: &mut CoreState, b: &Arc<Block>) {
+        s.insert_block(b.clone());
+        assert!(s.commit_chain(b.id(), &mut Vec::new()).is_ok());
+    }
+
+    /// At n = 32 a replica leads one view in 32 and stores 31 foreign
+    /// blocks in between. The queue drops what they carried only when a
+    /// batch reaches it; the admission bound must not count that.
+    #[test]
+    fn depth_counts_what_is_proposable_not_queue_entries() {
+        const BATCH: u64 = 64;
+        let batch = |b: u64| -> Vec<Transaction> { (b * BATCH..(b + 1) * BATCH).map(tx).collect() };
+        let mut m = Mempool::new(BATCH as usize);
+        for b in 0..31 {
+            batch(b).into_iter().for_each(|tx| m.offer(tx));
+            assert_eq!(m.stats().depth, BATCH as usize);
+            m.absorb(&batch(b));
+            assert_eq!(m.stats().depth, 0);
+        }
+        assert_eq!(m.stats().refused, 0, "the bound is held against depth");
+        // The bound itself: one request past it is refused, and admitted
+        // when the client sends it again after the pool has drained.
+        batch(31).into_iter().for_each(|tx| m.offer(tx));
+        let late = tx(32 * BATCH);
+        m.offer(late);
+        assert_eq!((m.stats().depth, m.stats().refused), (BATCH as usize, 1));
+        assert_eq!(m.take_batch(BATCH as usize), batch(31));
+        m.offer(late);
+        assert_eq!(m.take_batch(BATCH as usize), vec![late]);
+        assert_eq!((m.stats().refused, m.stats().deduped), (1, 0));
+    }
+
+    /// The block proposed just before a dead leader's view is never
+    /// certified. Its transactions come back, to the front, once the chain
+    /// has passed it.
+    #[test]
+    fn commit_returns_an_orphans_transactions_to_the_pool() {
+        let mut s = state();
+        (7..10).for_each(|seq| s.pool.offer(tx(seq)));
+        let b1 = child_of(Block::genesis_id(), 1, 1);
+        commit(&mut s, &b1);
+        // Views 2 and 3 each orphan a block; view 3's arrives first.
+        s.insert_block(child_of(b1.id(), 3, 8));
+        s.insert_block(child_of(b1.id(), 2, 7));
+        assert_eq!(s.pool.stats().depth, 1, "two of three are inside stored blocks");
+        // A commit in view 2 has not passed view 2.
+        let b2 = child_of(b1.id(), 2, 2);
+        commit(&mut s, &b2);
+        assert_eq!(s.pool.stats().depth, 1);
+        commit(&mut s, &child_of(b2.id(), 4, 4));
+        assert_eq!(s.make_batch(), [tx(8), tx(7), tx(9)], "ahead of what was queued");
+    }
+
+    /// The failure shape of a transaction two leaders proposed: one block
+    /// commits, the other is orphaned. It must not run twice.
+    #[test]
+    fn orphan_sharing_a_transaction_with_a_committed_block_returns_nothing() {
+        let mut s = state();
+        s.insert_block(child_of(Block::genesis_id(), 1, 7));
+        commit(&mut s, &child_of(Block::genesis_id(), 2, 7)); // same tx, later view
+        assert!(s.make_batch().is_empty());
+        // Nor does the client's retransmission bring it back.
+        s.pool.offer(tx(7));
+        assert!(s.make_batch().is_empty());
+        assert_eq!(s.pool.stats(), PoolStats { depth: 0, refused: 0, deduped: 1 });
+    }
+
+    /// So does a block that is still waiting to commit: the orphan's copy
+    /// stays suppressed, or this replica would propose it a third time.
+    #[test]
+    fn orphan_sharing_a_transaction_with_a_pending_block_returns_nothing() {
+        let mut s = state();
+        s.insert_block(child_of(Block::genesis_id(), 1, 7));
+        let b2 = child_of(Block::genesis_id(), 2, 2);
+        let pending = child_of(b2.id(), 3, 7);
+        s.insert_block(pending.clone());
+        commit(&mut s, &b2);
+        assert!(s.make_batch().is_empty());
+        commit(&mut s, &pending);
+        assert!(s.make_batch().is_empty());
+    }
+
+    /// A stale proposal or a fetch response can deliver an orphan's body
+    /// after its view was passed, when the transactions it carries are
+    /// already back in the queue.
+    #[test]
+    fn late_orphan_body_does_not_swallow_returned_transactions() {
+        let mut s = state();
+        s.pool.offer(tx(7));
+        s.insert_block(child_of(Block::genesis_id(), 1, 7));
+        assert_eq!(s.pool.stats().depth, 0);
+        let b3 = child_of(Block::genesis_id(), 3, 3);
+        commit(&mut s, &b3);
+        assert_eq!(s.pool.stats().depth, 1, "returned");
+        // The other half of an equivocation in view 2, fetched late.
+        s.insert_block(child_of(Block::genesis_id(), 2, 7));
+        assert_eq!(s.pool.stats().depth, 0, "suppressed again until the next commit");
+        commit(&mut s, &child_of(b3.id(), 4, 4));
+        assert_eq!(s.make_batch(), vec![tx(7)]);
+    }
 }
 
 // -- fetch-path hardening ---------------------------------------------------------

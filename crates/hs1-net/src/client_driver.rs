@@ -216,6 +216,11 @@ impl ClientDriver {
             } else if last_activity.elapsed() > Duration::from_millis(500) {
                 // Mempools dedup by TxId, so re-broadcasting the same
                 // transaction (now that links may have recovered) is safe.
+                // It is also useful: it reaches a replica that was down,
+                // or refused the request at a full pool, the first time.
+                // A request whose block was orphaned needs no resend —
+                // every replica that stored the block has put it back in
+                // its pool — and the resend is dropped as a duplicate.
                 let _ = self.submit(seq);
                 last_activity = Instant::now();
             }
@@ -224,8 +229,9 @@ impl ClientDriver {
     }
 
     /// Submit at a paced offered rate for `duration` regardless of
-    /// completions, then drain responses for `drain`. This is the
-    /// saturation probe: `finalized / duration` is goodput.
+    /// completions, then drain responses until every request is final or
+    /// `drain` has passed. This is the saturation probe:
+    /// `finalized / duration` is goodput.
     pub fn run_open_loop(
         &mut self,
         duration: Duration,
@@ -266,15 +272,15 @@ impl ClientDriver {
                 }
             }
         }
+        // A silent spell does not end the drain: a dead leader's view is a
+        // view timer of silence before the next block answers.
         let drain_deadline = Instant::now() + drain;
-        while Instant::now() < drain_deadline {
-            match self.responses.recv_timeout(Duration::from_millis(20)) {
-                Ok((from, resp)) => {
-                    if self.tracker.on_response(from, &resp).is_some() {
-                        finalized += 1;
-                    }
+        while finalized < report.submitted {
+            let Some(left) = drain_deadline.checked_duration_since(Instant::now()) else { break };
+            if let Ok((from, resp)) = self.responses.recv_timeout(left) {
+                if self.tracker.on_response(from, &resp).is_some() {
+                    finalized += 1;
                 }
-                Err(_) => break,
             }
         }
         report.finalized = finalized;

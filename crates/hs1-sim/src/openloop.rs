@@ -43,28 +43,17 @@ pub struct OpenLoop {
     /// Virtual client pool the arrivals round-robin over (distinct
     /// `TxId.client` values; affects key-space attribution only).
     pub clients: usize,
-    /// Mempool admission bound: a submission arriving while the pool
-    /// holds this many pending transactions is dropped (backpressure).
-    /// `0` = unbounded.
-    pub mempool_cap: usize,
     /// Adversarial duplicate-submitting client: every `k`-th arrival
     /// resubmits the previous transaction (same `TxId`) instead of a
-    /// fresh one. `0` = none. The mempool's admission dedup must drop
+    /// fresh one. `0` = none. Every mempool's admission dedup must drop
     /// these, counted under `requests_deduped`.
     pub duplicate_every: u64,
 }
 
 impl OpenLoop {
-    /// Poisson arrivals at `offered_tps` over a 256-client pool with a
-    /// 4096-deep mempool bound.
+    /// Poisson arrivals at `offered_tps` over a 256-client pool.
     pub fn poisson(offered_tps: f64) -> OpenLoop {
-        OpenLoop {
-            offered_tps,
-            arrivals: ArrivalKind::Poisson,
-            clients: 256,
-            mempool_cap: 4096,
-            duplicate_every: 0,
-        }
+        OpenLoop { offered_tps, arrivals: ArrivalKind::Poisson, clients: 256, duplicate_every: 0 }
     }
 
     /// Bursty arrivals averaging `offered_tps`: 20 ms periods, 25% duty
@@ -78,11 +67,6 @@ impl OpenLoop {
 
     pub fn clients(mut self, c: usize) -> OpenLoop {
         self.clients = c.max(1);
-        self
-    }
-
-    pub fn mempool_cap(mut self, cap: usize) -> OpenLoop {
-        self.mempool_cap = cap;
         self
     }
 

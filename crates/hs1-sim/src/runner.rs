@@ -15,7 +15,6 @@ use crate::openloop::{ArrivalGen, OpenLoop};
 use crate::oracle::{ClientOracle, LatencyHist};
 use crate::statesync::CatchupModel;
 use hs1_adversary::AdversaryStrategy;
-use hs1_core::common::{SharedMempool, TxSource};
 use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_core::replica::{Action, Replica, Timer};
 use hs1_obs::{block_key, Obs, Stage};
@@ -33,7 +32,6 @@ const RESPONSE_BYTES_PER_TX: usize = 96;
 /// finality, per-block submit means) — distinct from any replica id.
 pub const ORACLE_ACTOR: u32 = u32::MAX;
 
-#[derive(Clone)]
 enum Ev {
     /// Message bytes arrived at `to`; it now queues for CPU.
     Deliver { from: ReplicaId, to: ReplicaId, msg: Message },
@@ -42,7 +40,7 @@ enum Ev {
     Handle { from: ReplicaId, to: ReplicaId, msg: Message, inc: u32 },
     /// `inc` guards against timers armed by a pre-crash incarnation.
     Timer { at: ReplicaId, timer: Timer, inc: u32 },
-    /// A client request lands in the shared mempool.
+    /// A client request lands at every replica that is up.
     Submit { tx: Transaction },
     /// The next open-loop arrival fires (schedules its successor).
     OpenArrival,
@@ -150,11 +148,11 @@ pub struct RunStats {
     /// Open-loop transactions offered inside the measurement window
     /// (fresh arrivals only; zero on closed-loop runs).
     pub offered_txs: u64,
-    /// Submissions rejected by mempool admission control inside the
-    /// measurement window (backpressure).
+    /// Submissions no replica's mempool admitted (every one that was up
+    /// was at its bound) inside the measurement window: backpressure.
     pub admission_drops: u64,
-    /// Duplicate submissions dropped by mempool admission dedup
-    /// (whole-run total, from the shared pool's counter).
+    /// Submissions every replica that was up dropped as duplicates at
+    /// admission (whole-run total).
     pub requests_deduped: u64,
     /// Replica responses observed by the client oracle (spec, committed).
     pub responses: (u64, u64),
@@ -172,14 +170,17 @@ pub struct SimRunner {
     quorum: usize,
 
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    events: Vec<Ev>,
+    /// Scheduled events by heap index. A slot is emptied when its event
+    /// runs and then reused, so a run holds the messages in flight, not
+    /// every message it ever scheduled.
+    events: Vec<Option<Ev>>,
+    free: Vec<usize>,
     seq: u64,
     now: SimTime,
     cpu_free: Vec<SimTime>,
     nic_free: Vec<SimTime>,
     rng: SplitMix64,
 
-    mempool: SharedMempool,
     oracle: ClientOracle,
     workload: Box<dyn Workload>,
     client_seq: HashMap<ClientId, u64>,
@@ -187,7 +188,7 @@ pub struct SimRunner {
     /// Open-loop arrival machinery; `None` = closed-loop clients.
     open_loop: Option<OpenState>,
 
-    /// All proposed blocks in flight (for orphan resurrection).
+    /// All proposed blocks in flight (for counting orphans).
     proposed: HashMap<BlockId, Arc<Block>>,
     committed_first: HashSet<BlockId>,
     /// Finality times of blocks finalized late (for invariant leniency).
@@ -224,6 +225,8 @@ pub struct SimRunner {
     /// `(time, committed_blocks)` at the last heal/rejoin: liveness must
     /// resume after it.
     liveness_mark: Option<(SimTime, u64)>,
+    /// Consecutive live leaders the protocol needs to commit a block.
+    commit_run: usize,
 
     warmup_end: SimTime,
     window_end: SimTime,
@@ -236,10 +239,8 @@ pub struct SimRunner {
 }
 
 impl SimRunner {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         engines: Vec<Box<dyn Replica>>,
-        mempool: SharedMempool,
         net: NetModel,
         cost: CostModel,
         protocol: ProtocolKind,
@@ -261,12 +262,12 @@ impl SimRunner {
             cost,
             heap: BinaryHeap::new(),
             events: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
             cpu_free: vec![SimTime::ZERO; n],
             nic_free: vec![SimTime::ZERO; n],
             rng,
-            mempool,
             workload,
             client_seq: HashMap::new(),
             request_delay,
@@ -286,6 +287,9 @@ impl SimRunner {
             bodies: HashMap::new(),
             precrash: HashMap::new(),
             liveness_mark: None,
+            // A k-chain of certified blocks, then the leader whose
+            // proposal carries the last certificate.
+            commit_run: if protocol == ProtocolKind::HotStuff { 4 } else { 3 },
             warmup_end: SimTime::ZERO,
             window_end: SimTime::MAX,
             hist: LatencyHist::default(),
@@ -348,8 +352,11 @@ impl SimRunner {
     }
 
     fn push(&mut self, at: SimTime, ev: Ev) {
-        let idx = self.events.len();
-        self.events.push(ev);
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.events.push(None);
+            self.events.len() - 1
+        });
+        self.events[idx] = Some(ev);
         self.heap.push(Reverse((at, self.seq, idx)));
         self.seq += 1;
     }
@@ -439,11 +446,9 @@ impl SimRunner {
             }
             self.now = at;
             self.obs.set_now(at.0);
-            let ev = self.events[idx].clone();
+            let ev = self.events[idx].take().expect("an event runs once");
+            self.free.push(idx);
             self.step(ev);
-            if self.events.len() > 1 << 20 && self.heap.is_empty() {
-                break;
-            }
         }
         self.finish();
         self.stats.clone()
@@ -504,15 +509,23 @@ impl SimRunner {
         }
     }
 
-    /// A submission reaches the (shared) mempool — unless admission
-    /// control rejects it. Bounded admission only engages in open-loop
-    /// mode; closed-loop runs keep the historical unbounded pool.
+    /// A submission reaches the mempool of every replica that is up:
+    /// clients send each request to all replicas, off the consensus
+    /// critical path (§7 Implementation). Each pool admits it, drops it as
+    /// a duplicate or — at its bound — refuses it, on its own.
     fn on_submit(&mut self, tx: Transaction) {
-        let cap = self.open_loop.as_ref().map(|st| st.cfg.mempool_cap).unwrap_or(0);
-        if cap > 0 && self.mempool.len() >= cap {
-            // Backpressure: the pool is full, the submission is refused.
-            // Forget its submit time so a later orphan scan cannot
-            // resurrect a transaction the system never admitted.
+        let (mut refused, mut deduped, mut depth) = (true, true, 0);
+        for (e, _) in self.engines.iter_mut().zip(&self.crashed).filter(|(_, &down)| !down) {
+            let before = e.pool_stats();
+            e.enqueue_txs(&[tx]);
+            let after = e.pool_stats();
+            refused &= after.refused > before.refused;
+            deduped &= after.deduped > before.deduped;
+            depth = depth.max(after.depth);
+        }
+        if refused {
+            // Backpressure: nobody holds the transaction, so it is not in
+            // flight either.
             self.oracle.take_submit(tx.id);
             if self.now >= self.warmup_end && self.now <= self.window_end {
                 self.stats.admission_drops += 1;
@@ -520,12 +533,15 @@ impl SimRunner {
             self.obs.with_actor(ORACLE_ACTOR).counter("admission_drops", 0, 1);
             return;
         }
-        self.mempool.offer(tx);
+        if deduped {
+            self.stats.requests_deduped += 1;
+            self.obs.with_actor(ORACLE_ACTOR).counter("requests_deduped", 0, 1);
+        }
         if self.obs.enabled() {
-            // Queueing gauges, stamped at the harness actor: pool depth
-            // and transactions submitted but not yet finalized.
+            // Queueing gauges, stamped at the harness actor: the deepest
+            // pool and transactions submitted but not yet finalized.
             let o = self.obs.with_actor(ORACLE_ACTOR);
-            o.gauge("mempool_depth", 0, self.mempool.len() as u64);
+            o.gauge("mempool_depth", 0, depth as u64);
             o.gauge("inflight_txs", 0, self.oracle.pending() as u64);
         }
     }
@@ -690,7 +706,8 @@ impl SimRunner {
                     // rot: the replica stays down (within the f budget —
                     // rot only targets the crashing replica) rather than
                     // rejoining on corrupt state. Liveness must resume
-                    // among the remaining n − 1.
+                    // among the remaining n − 1, where the protocol can
+                    // commit with them (see `check_invariants`).
                     self.stats.chaos.bitrot_failstops += 1;
                     self.liveness_mark = Some((self.now, self.stats.committed_blocks));
                 } else {
@@ -932,12 +949,16 @@ impl SimRunner {
         self.finalized_ranks.insert(block.id(), Rank::new(block.view, block.slot));
         let closed_loop = self.open_loop.is_none();
         for tx in &block.txs {
-            let submit = self.oracle.take_submit(tx.id);
+            let Some(submit) = self.oracle.take_submit(tx.id) else {
+                // Final a second time: a leader that had not stored the
+                // first block proposed it again, and both committed. The
+                // client had its answer; counted, not served twice.
+                self.obs.with_actor(ORACLE_ACTOR).counter("duplicate_finals", 0, 1);
+                continue;
+            };
             if fin >= self.warmup_end && fin <= self.window_end {
                 self.stats.finalized_txs += 1;
-                if let Some(s) = submit {
-                    self.hist.record(fin.since(s).0);
-                }
+                self.hist.record(fin.since(submit).0);
             }
             // Closed loop: the client issues its next transaction. Open
             // loop: arrivals are scheduled by the arrival process alone.
@@ -959,49 +980,23 @@ impl SimRunner {
             return;
         }
         self.stats.committed_blocks += 1;
-        // Orphan scan: any still-pending block ranked strictly below the
-        // committed view can never commit (chains commit in rank order);
-        // resurrect its unfinalized transactions.
+        // Any still-pending block of an earlier view than a committed one
+        // can never commit (chains commit in rank order). Counted here,
+        // over what every replica proposed; each engine returns the
+        // transactions of the orphans it stored to its own pool.
         let rank = Rank::new(block.view, block.slot);
         if rank > self.max_committed_rank {
             self.max_committed_rank = rank;
         }
-        // Sort the scan's hits: HashMap iteration order is not stable
-        // across runs, and resurrect order shapes future batches — the
-        // byte-for-byte replay guarantee forbids that leaking through.
-        let mut orphans: Vec<BlockId> = self
-            .proposed
-            .iter()
-            .filter(|(_, b)| b.view < rank.view && Rank::new(b.view, b.slot) <= rank)
-            .map(|(id, _)| *id)
-            .collect();
-        orphans.sort_unstable_by_key(|id| id.0 .0);
-        for oid in orphans {
-            if let Some(ob) = self.proposed.remove(&oid) {
-                self.stats.orphaned_blocks += 1;
-                let pending: Vec<Transaction> = ob
-                    .txs
-                    .iter()
-                    .filter(|t| self.oracle.submit_time(t.id).is_some())
-                    .copied()
-                    .collect();
-                self.mempool.resurrect(&pending);
-            }
-        }
+        let pending = self.proposed.len();
+        self.proposed.retain(|_, b| b.view >= rank.view);
+        self.stats.orphaned_blocks += (pending - self.proposed.len()) as u64;
     }
 
     fn finish(&mut self) {
         self.stats.mean_latency_ms = self.hist.mean_ms();
         self.stats.p50_latency_ms = self.hist.quantile_ms(0.5);
         self.stats.p99_latency_ms = self.hist.quantile_ms(0.99);
-        self.stats.requests_deduped = self.mempool.deduped();
-        if self.stats.requests_deduped > 0 {
-            self.obs.with_actor(ORACLE_ACTOR).counter(
-                "requests_deduped",
-                0,
-                self.stats.requests_deduped,
-            );
-        }
         self.check_invariants();
     }
 
@@ -1048,8 +1043,21 @@ impl SimRunner {
         }
 
         // Post-GST liveness: after the last partition heal / replica
-        // rejoin, the cluster must commit again (given it had room to).
-        if let Some((at, height)) = self.liveness_mark {
+        // rejoin, the cluster must commit again (given it had room to) —
+        // if the replicas still up can commit at all. Leaders rotate
+        // round-robin, so a replica down for good (a bit-rot fail-stop)
+        // caps the run of consecutive live leaders at n − 1: at n = 4
+        // that is the three a 2-chain needs and one short of 3-chain
+        // HotStuff's four.
+        let n = self.n();
+        let live_run = (0..2 * n)
+            .scan(0, |run, i| {
+                *run = if self.crashed[i % n] { 0 } else { *run + 1 };
+                Some(*run)
+            })
+            .max()
+            .unwrap_or(0);
+        if let Some((at, height)) = self.liveness_mark.filter(|_| live_run >= self.commit_run) {
             let slack = SimDuration::from_millis(100);
             if at + slack < self.window_end && self.stats.committed_blocks <= height {
                 self.stats.invariant_violations.push(format!(

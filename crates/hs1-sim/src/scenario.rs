@@ -22,8 +22,7 @@ use crate::runner::{ChaosRuntime, ChaosStats, SimRunner};
 use crate::statesync::CatchupModel;
 use hs1_adversary::{AdversaryEngine, AdversaryMutator, AdversaryStrategy};
 use hs1_core::byzantine::Fault;
-use hs1_core::common::SharedMempool;
-use hs1_core::{build_replica_with_source, Replica};
+use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_obs::Obs;
 use hs1_storage::journal::SyncPolicy;
@@ -82,6 +81,11 @@ pub struct Scenario {
     /// configured process, and mempool admission control engages (see
     /// [`crate::openloop`]).
     pub open_loop: Option<OpenLoop>,
+    /// Every replica's mempool admission bound
+    /// (`SystemConfig::mempool_cap`; `0` = unbounded). `None` is unbounded
+    /// for closed-loop clients, who never outrun finality, and 4,096
+    /// under an open loop.
+    pub mempool_cap: Option<usize>,
 }
 
 impl Scenario {
@@ -107,6 +111,7 @@ impl Scenario {
             catchup_threshold: None,
             observer: None,
             open_loop: None,
+            mempool_cap: None,
         }
     }
 
@@ -118,6 +123,13 @@ impl Scenario {
     /// instead of the closed-loop pool.
     pub fn open_loop(mut self, cfg: OpenLoop) -> Self {
         self.open_loop = Some(cfg);
+        self
+    }
+
+    /// Bound every replica's mempool at `cap` proposable transactions
+    /// (`0` = unbounded).
+    pub fn mempool_cap(mut self, cap: usize) -> Self {
+        self.mempool_cap = Some(cap);
         self
     }
 
@@ -276,6 +288,8 @@ impl Scenario {
         cfg.view_timer = self.view_timer;
         cfg.delta = self.delta;
         cfg.deployment_seed = self.seed;
+        cfg.mempool_cap =
+            self.mempool_cap.unwrap_or(if self.open_loop.is_some() { 4096 } else { 0 });
         let f = cfg.f();
 
         let placement =
@@ -318,12 +332,11 @@ impl Scenario {
         // The one place a simulated replica is built: at start-up, and
         // again by the chaos crash-restart path. A restarted adversary
         // stays adversarial: the wrapper (with a fresh mutation stream)
-        // comes back with the rebuilt engine.
-        let pool = SharedMempool::new();
+        // comes back with the rebuilt engine, and — as on TCP — with an
+        // empty mempool.
         let build = {
             let (protocol, seed) = (self.protocol, self.seed);
-            let (faults, pool, adversaries) =
-                (self.faults.clone(), pool.clone(), adversaries.clone());
+            let (faults, adversaries) = (self.faults.clone(), adversaries.clone());
             move |i: usize| -> Box<dyn Replica> {
                 let me = ReplicaId(i as u32);
                 let fault = faults
@@ -331,14 +344,7 @@ impl Scenario {
                     .find(|(r, _)| *r == i)
                     .map(|(_, fl)| fl.clone())
                     .unwrap_or(Fault::Honest);
-                let engine = build_replica_with_source(
-                    protocol,
-                    cfg.clone(),
-                    me,
-                    fault,
-                    exec,
-                    Box::new(pool.clone()),
-                );
+                let engine = build_replica(protocol, cfg.clone(), me, fault, exec);
                 match adversaries.iter().find(|(r, _)| *r == i) {
                     Some(&(_, strategy)) => {
                         let mutator = AdversaryMutator::new(
@@ -397,16 +403,8 @@ impl Scenario {
             None => None,
         };
 
-        let mut runner = SimRunner::new(
-            engines,
-            pool,
-            net,
-            self.cost.clone(),
-            self.protocol,
-            f,
-            workload,
-            self.seed,
-        );
+        let mut runner =
+            SimRunner::new(engines, net, self.cost.clone(), self.protocol, f, workload, self.seed);
         if let Some(obs) = &self.observer {
             runner.set_observer(obs.clone());
         }

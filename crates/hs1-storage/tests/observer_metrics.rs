@@ -8,10 +8,9 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use hs1_core::byzantine::Fault;
-use hs1_core::common::SharedMempool;
 use hs1_core::persist::Persistence;
 use hs1_core::testkit::TestNet;
-use hs1_core::{build_replica_with_source, Replica};
+use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_obs::{Clock, Obs, RecordingObserver};
 use hs1_storage::testutil::TempDir;
@@ -28,14 +27,13 @@ fn cfg(n: usize) -> SystemConfig {
     c
 }
 
-fn hs1_engine(c: &SystemConfig, id: u32, pool: &SharedMempool) -> Box<dyn Replica> {
-    build_replica_with_source(
+fn hs1_engine(c: &SystemConfig, id: u32) -> Box<dyn Replica> {
+    build_replica(
         ProtocolKind::HotStuff1,
         c.clone(),
         ReplicaId(id),
         Fault::Honest,
         ExecConfig::default(),
-        Box::new(pool.clone()),
     )
 }
 
@@ -49,8 +47,7 @@ fn txs(n: u64) -> Vec<Transaction> {
 /// crash.
 fn run_observed_cluster(dir: &Path, obs: &Obs, observer_first: bool) {
     let c = cfg(4);
-    let pool = SharedMempool::new();
-    let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i, &pool)).collect();
+    let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i)).collect();
     let (state, storage) = ReplicaStorage::open(dir, scfg()).expect("open storage");
     assert!(state.is_empty(), "fresh directory");
     if observer_first {

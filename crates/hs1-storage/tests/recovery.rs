@@ -11,10 +11,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hs1_core::byzantine::Fault;
-use hs1_core::common::SharedMempool;
 use hs1_core::persist::Persistence;
 use hs1_core::testkit::TestNet;
-use hs1_core::{build_replica_with_source, Replica};
+use hs1_core::{build_replica, Replica};
 use hs1_ledger::{ExecConfig, KvStore};
 use hs1_storage::journal::SEGMENT_MAGIC;
 use hs1_storage::testutil::TempDir;
@@ -33,14 +32,13 @@ fn cfg(n: usize) -> SystemConfig {
     c
 }
 
-fn hs1_engine(c: &SystemConfig, id: u32, pool: &SharedMempool) -> Box<dyn Replica> {
-    build_replica_with_source(
+fn hs1_engine(c: &SystemConfig, id: u32) -> Box<dyn Replica> {
+    build_replica(
         ProtocolKind::HotStuff1,
         c.clone(),
         ReplicaId(id),
         Fault::Honest,
         ExecConfig::default(),
-        Box::new(pool.clone()),
     )
 }
 
@@ -56,8 +54,7 @@ fn run_durable_cluster(
     storage_cfg: StorageConfig,
 ) -> (Vec<hs1_types::BlockId>, hs1_crypto::Digest, hs1_crypto::Digest) {
     let c = cfg(4);
-    let pool = SharedMempool::new();
-    let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i, &pool)).collect();
+    let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i)).collect();
     let (state, storage) = ReplicaStorage::open(dir, storage_cfg).expect("open storage");
     assert!(state.is_empty(), "fresh directory");
     engines[0].set_persistence(Box::new(storage));
@@ -80,8 +77,7 @@ fn run_durable_cluster(
 
 fn recovered_engine(dir: &Path, storage_cfg: StorageConfig) -> (Box<dyn Replica>, ReplicaStorage) {
     let (state, storage) = ReplicaStorage::open(dir, storage_cfg).expect("recover");
-    let pool = SharedMempool::new();
-    let mut engine = hs1_engine(&cfg(4), 0, &pool);
+    let mut engine = hs1_engine(&cfg(4), 0);
     engine.restore(state);
     (engine, storage)
 }

@@ -83,6 +83,10 @@ pub struct SystemConfig {
     pub delta: SimDuration,
     /// Seed from which every replica keypair is derived.
     pub deployment_seed: u64,
+    /// Mempool admission bound: a replica refuses a client request while
+    /// it holds this many transactions it could still propose
+    /// (backpressure). `0` = unbounded.
+    pub mempool_cap: usize,
 }
 
 impl SystemConfig {
@@ -94,6 +98,7 @@ impl SystemConfig {
             view_timer: SimDuration::from_millis(10),
             delta: SimDuration::from_millis(1),
             deployment_seed: 0,
+            mempool_cap: 0,
         }
     }
 

@@ -84,8 +84,8 @@ fn bounded_mempool_sheds_load_past_saturation() {
     // Offered load far past the quickstart knee with a tiny admission
     // bound: the pool must shed (drops > 0) while the system keeps
     // finalizing (goodput > 0), and the two must account for the offer.
-    let cfg = OpenLoop::poisson(60_000.0).mempool_cap(256);
-    let r = open(ProtocolKind::HotStuff1, cfg);
+    let cfg = OpenLoop::poisson(60_000.0);
+    let r = scenario(ProtocolKind::HotStuff1).open_loop(cfg).mempool_cap(256).run();
     r.ensure_invariants("bounded_mempool_sheds");
     assert!(r.admission_drops > 0, "backpressure engaged");
     assert!(r.committed_txs > 0, "goodput persists under overload");
@@ -108,8 +108,8 @@ fn duplicate_submissions_are_deduped_not_reproposed() {
     // dedup must drop them all (the oracle would flag double-finality as
     // an invariant violation if a duplicate were re-proposed, and the
     // ledger would double-execute the id).
-    let cfg = OpenLoop::poisson(8_000.0).duplicate_every(5).mempool_cap(0);
-    let r = open(ProtocolKind::HotStuff1, cfg);
+    let cfg = OpenLoop::poisson(8_000.0).duplicate_every(5);
+    let r = scenario(ProtocolKind::HotStuff1).open_loop(cfg).mempool_cap(0).run();
     r.ensure_invariants("duplicate_submissions");
     // ~1/5 of arrivals are duplicates (whole-run, including warmup).
     let arrivals_lower_bound = r.offered_txs; // in-window fresh arrivals

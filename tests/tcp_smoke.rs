@@ -121,6 +121,51 @@ fn four_replicas_and_a_client_over_tcp() {
     assert!(!samples.is_empty(), "client reached early finality over TCP");
 }
 
+/// One replica never sends anything, so every fourth view dies and the
+/// block proposed just before it is never certified (its votes went to the
+/// dead leader). The requests it carried must be proposed again by the
+/// replicas that stored it: an open-loop client, which never resubmits,
+/// sees every request final.
+#[test]
+#[ignore = "multi-second wall-clock run; execute with cargo test -- --ignored"]
+fn silent_replica_loses_no_request_over_tcp() {
+    let n = 4;
+    let base_port = free_base_port(n as u16);
+    let protocol = ProtocolKind::HotStuff1;
+    let total = Duration::from_millis(3500);
+
+    let mut handles = Vec::new();
+    for id in 0..n as u32 {
+        handles.push(std::thread::spawn(move || {
+            let mut cfg = SystemConfig::new(n);
+            cfg.view_timer = SimDuration::from_millis(20);
+            cfg.delta = SimDuration::from_millis(2);
+            cfg.batch_size = 16;
+            let fault = if id == 3 { Fault::Silent } else { Fault::Honest };
+            let engine = build_replica(protocol, cfg, ReplicaId(id), fault, ExecConfig::default());
+            let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
+            let mut runner = NodeRunner::new(engine, mesh);
+            runner.run_for(total);
+            runner.committed_blocks
+        }));
+    }
+
+    std::thread::sleep(Duration::from_millis(300));
+    let f = SystemConfig::new(n).f();
+    let mut client = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)
+        .expect("connect");
+    // The drain outlasts fifty view timers: what is still not final when it
+    // ends was lost, not late.
+    let report =
+        client.run_open_loop(Duration::from_secs(2), 500, Duration::from_secs(1)).expect("client");
+    drop(client);
+
+    let committed: Vec<u64> = handles.into_iter().map(|h| h.join().expect("replica")).collect();
+    assert!(committed[..3].iter().all(|&c| c > 0), "the live replicas commit: {committed:?}");
+    assert_eq!(report.submitted, 1000);
+    assert_eq!(report.finalized, report.submitted, "every request final under its first id");
+}
+
 /// Kill a journal-backed replica mid-run, restart it from its journal,
 /// and require it to converge to the same committed `state_root()` as the
 /// replicas that never crashed (ISSUE 2 acceptance: journal replay +
@@ -193,7 +238,8 @@ fn killed_replica_recovers_from_journal_over_tcp() {
 
     // Drive transactions across the crash window; the client tolerates
     // the dead replica while it is down.
-    std::thread::sleep(Duration::from_millis(300));
+    let client_start = Duration::from_millis(300);
+    std::thread::sleep(client_start);
     let f = SystemConfig::new(n).f();
     let mut client = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)
         .expect("connect");
@@ -202,7 +248,25 @@ fn killed_replica_recovers_from_journal_over_tcp() {
 
     let root3 = durable.join().expect("durable replica");
     let roots: Vec<_> = live.into_iter().map(|h| h.join().expect("replica")).collect();
-    assert!(!samples.is_empty(), "client reached finality across the crash");
+    // A closed-loop client submits a request when the one before became
+    // final, so the latencies before a sample add up to a lower bound on
+    // when it was submitted. A client wedged on a request the crash window
+    // swallowed has samples too, all from before it.
+    let restart_us = (crash_at + downtime - client_start).as_micros() as u64;
+    let mut submitted_us = 0;
+    let after_restart = samples
+        .iter()
+        .filter(|(_, latency_us)| {
+            let submitted = submitted_us;
+            submitted_us += latency_us;
+            submitted >= restart_us
+        })
+        .count();
+    assert!(
+        after_restart > 0,
+        "no request submitted after the restart became final ({} samples before it)",
+        samples.len()
+    );
     for (i, root) in roots.iter().enumerate() {
         assert_eq!(*root, root3, "replica {i} and recovered replica 3 agree on state root");
     }
