@@ -27,10 +27,6 @@ pub(crate) struct Basic {
     /// Highest known commit certificate `C(v_lc)`.
     high_commit: Option<Certificate>,
     last_voted: View,
-    /// Prepare certificates parked on their missing block body. Differs
-    /// between protocols by history, not by paper: only this protocol
-    /// has a second-phase message to park.
-    pending_preps: Vec<(ReplicaId, PrepareMsg)>,
 }
 
 pub(crate) struct BasicTally {
@@ -77,8 +73,8 @@ impl Basic {
             // The certified body never arrived (lost Propose): fetch it
             // and park the Prepare, or this replica cannot speculate,
             // commit-vote, or follow the prefix-commit rule this view.
-            e.d.request_block(cert.block, from, now, out);
-            e.p.pending_preps.push((from, PrepareMsg { cert }));
+            let missing = [cert.block];
+            e.d.fetch_and_park(&missing, from, Message::Prepare(PrepareMsg { cert }), now, out);
             return;
         };
         if pv > e.d.view {
@@ -130,7 +126,13 @@ impl Protocol for Basic {
         }
     }
 
-    fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg) {
+    fn tally_newview(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: NewViewMsg,
+        _now: SimTime,
+        _out: &mut Vec<Action>,
+    ) {
         let prev = e.d.view.prev();
         let Some(vote) = msg.vote.filter(|v| Some(v.view) == prev) else { return };
         let shares = &mut e.tally.as_mut().expect("tally exists").own.commit_shares;
@@ -162,14 +164,11 @@ impl Protocol for Basic {
     ) {
         let b = msg.block.clone();
         let pv = b.view;
-        // A stale proposal is dropped, body and all. Differs between
-        // protocols by history, not by paper: chained and slotted keep
-        // the body for later commit walks.
-        if pv < e.d.view || b.slot != Slot::FIRST {
+        if b.slot != Slot::FIRST {
             return;
         }
         if !e.d.core.has_block(b.justify.block) {
-            e.d.fetch_and_park(&[b.justify.block], from, msg, now, out);
+            e.d.fetch_and_park(&[b.justify.block], from, Message::Propose(msg), now, out);
             return;
         }
         e.insert_block(&b);
@@ -205,24 +204,6 @@ impl Protocol for Basic {
         }
     }
 
-    /// Adopts only when the certified body is already present. Differs
-    /// between protocols by history, not by paper: chained fetches the
-    /// body and parks the certificate; slotted adopts without it.
-    fn adopt_cert(
-        e: &mut Engine<Self>,
-        cert: &Certificate,
-        _from: ReplicaId,
-        _now: SimTime,
-        _out: &mut Vec<Action>,
-    ) {
-        if cert.rank() > e.d.high_cert.rank()
-            && e.d.core.cert_valid(cert)
-            && e.d.core.has_block(cert.block)
-        {
-            e.d.set_high_cert(cert.clone());
-        }
-    }
-
     fn on_message(
         e: &mut Engine<Self>,
         from: ReplicaId,
@@ -235,18 +216,6 @@ impl Protocol for Basic {
             Message::Prepare(m) => Self::on_prepare(e, from, m, now, out),
             _ => {}
         }
-    }
-
-    fn unpark(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
-        e.unpark_proposals(now, out);
-        for (src, prep) in std::mem::take(&mut e.p.pending_preps) {
-            Self::on_prepare(e, src, prep, now, out);
-        }
-        e.retry_stalled_commit(now, out);
-    }
-
-    fn prune(&mut self, _core: &crate::common::CoreState, below: u64) {
-        self.pending_preps.retain(|(_, p)| p.cert.view.0 >= below);
     }
 
     fn raise_vote_floor(&mut self, recovered: View) {

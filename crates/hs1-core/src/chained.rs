@@ -31,10 +31,6 @@ pub(crate) struct Chained {
     last_voted: View,
     /// Highest view whose proposal was processed (equivocation guard).
     last_prop: View,
-    /// Certificates adopted pending their block arriving via fetch.
-    /// Differs between protocols by history, not by paper: basic and
-    /// slotted park nothing here (see [`Chained::adopt_cert`]).
-    pending_certs: Vec<(Certificate, ReplicaId)>,
 }
 
 pub(crate) struct ChainedTally {
@@ -45,13 +41,7 @@ pub(crate) struct ChainedTally {
 
 impl Chained {
     pub(crate) fn new(depth: u8, speculative: bool) -> Chained {
-        Chained {
-            depth,
-            speculative,
-            last_voted: View::GENESIS,
-            last_prop: View::GENESIS,
-            pending_certs: Vec::new(),
-        }
+        Chained { depth, speculative, last_voted: View::GENESIS, last_prop: View::GENESIS }
     }
 
     /// One block builder; the fault picks the justify and the recipients.
@@ -90,7 +80,13 @@ impl Protocol for Chained {
         ChainedTally { votes: ShareTally::new(CertKind::Quorum), proposed: false }
     }
 
-    fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg) {
+    fn tally_newview(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: NewViewMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         let votes = &mut e.tally.as_mut().expect("tally exists").own.votes;
         if let Some(vote) = &msg.vote {
             if Some(vote.view) == e.d.view.prev() && vote.slot == Slot::FIRST {
@@ -98,11 +94,9 @@ impl Protocol for Chained {
             }
         }
         // Form P(v−1) as soon as a quorum of shares agrees on one block
-        // (Fig. 4 lines 6–7).
+        // (Fig. 4 lines 6–7), whether or not B_{v−1} itself has arrived.
         if let Some(cert) = votes.certificate(e.d.core.cfg.quorum()) {
-            if cert.rank() > e.d.high_cert.rank() && e.d.core.has_block(cert.block) {
-                e.d.set_high_cert(cert);
-            }
+            e.d.learn_cert(&cert, from, now, out);
         }
     }
 
@@ -136,17 +130,14 @@ impl Protocol for Chained {
         if b.slot != Slot::FIRST {
             return;
         }
-        if pv < e.d.view || pv <= e.p.last_prop {
-            // Stale (e.g. arrived after our view timeout): keep the body —
-            // later commits may walk through it — but take no action.
-            // Differs between protocols by history, not by paper: basic
-            // drops a stale proposal unstored; slotted stores only
-            // `pv < view`.
+        if pv <= e.p.last_prop {
+            // A second proposal for a view already acted on: keep the
+            // body, as for a stale one, but take no action.
             e.insert_block(&b);
             return;
         }
         if !e.d.core.has_block(b.justify.block) {
-            e.d.fetch_and_park(&[b.justify.block], from, msg, now, out);
+            e.d.fetch_and_park(&[b.justify.block], from, Message::Propose(msg), now, out);
             return;
         }
         e.insert_block(&b);
@@ -203,42 +194,6 @@ impl Protocol for Chained {
             // 4. Exit the view (Fig. 4 line 19).
             e.exit_view(now, out);
         }
-    }
-
-    /// Fetches the certified body when it is missing and parks the
-    /// certificate until it arrives. Differs between protocols by
-    /// history, not by paper: basic adopts only with the body present;
-    /// slotted adopts without it.
-    fn adopt_cert(
-        e: &mut Engine<Self>,
-        cert: &Certificate,
-        from: ReplicaId,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        if cert.rank() <= e.d.high_cert.rank() || !e.d.core.cert_valid(cert) {
-            return;
-        }
-        if e.d.core.has_block(cert.block) {
-            e.d.set_high_cert(cert.clone());
-        } else {
-            e.d.request_block(cert.block, from, now, out);
-            e.p.pending_certs.push((cert.clone(), from));
-        }
-    }
-
-    fn unpark(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
-        // Re-adopt pending certificates now satisfiable, then the parked
-        // proposals that may build on them.
-        for (cert, from) in std::mem::take(&mut e.p.pending_certs) {
-            Self::adopt_cert(e, &cert, from, now, out);
-        }
-        e.unpark_proposals(now, out);
-        e.retry_stalled_commit(now, out);
-    }
-
-    fn prune(&mut self, _core: &crate::common::CoreState, below: u64) {
-        self.pending_certs.retain(|(c, _)| c.view.0 >= below);
     }
 
     fn raise_vote_floor(&mut self, recovered: View) {

@@ -9,6 +9,18 @@
 //! where votes go, when to speculate, the commit rule, the protocol's own
 //! message kinds).
 //!
+//! What a replica cannot use yet is the driver's too, one rule each:
+//!
+//! * **A certificate learned outside a proposal** ([`Driver::learn_cert`]):
+//!   `P(v_lp)` is the highest-ranked valid certificate seen, adopted on
+//!   receipt; a certified body that is missing is requested from the
+//!   sender, never from this replica itself.
+//! * **A proposal for a view already left** (`Engine::on_propose`): stored,
+//!   so commit walks and `return_orphans` see it, and not acted on.
+//! * **A message parked on a missing body** ([`Driver::parked`]): one
+//!   queue, re-delivered in arrival order when a body arrives, then the
+//!   stalled commit, then the leader's proposal check.
+//!
 //! The order of `Action`s pushed to `out` and of `Obs` emissions within a
 //! step is part of the behaviour: the simulator consumes `out` in order
 //! and traces are byte-compared across commits (`tests/observability.rs`).
@@ -36,11 +48,6 @@ pub(crate) trait Protocol: Sized + Send {
     type Tally: Send;
     /// Committed block bodies kept behind the head when pruning.
     const PRUNE_KEEP: usize;
-    /// `false`: a NewView's `high_cert` is adopted on receipt, before the
-    /// message is tallied or buffered. `true`: the tally hook adopts it,
-    /// so a buffered NewView's certificate waits for its view. Differs
-    /// between protocols by history, not by paper.
-    const ADOPTS_IN_TALLY: bool = false;
 
     fn new_tally(view: View) -> Self::Tally;
 
@@ -49,8 +56,15 @@ pub(crate) trait Protocol: Sized + Send {
         None
     }
 
-    /// A NewView from a new sender reached the current view's tally.
-    fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg);
+    /// A NewView from a new sender reached the current view's tally. A
+    /// certificate the tally forms goes through [`Driver::learn_cert`].
+    fn tally_newview(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: NewViewMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    );
 
     /// Leader of the current view, tally refreshed: propose if the
     /// protocol's ready condition holds.
@@ -59,21 +73,13 @@ pub(crate) trait Protocol: Sized + Send {
     /// `ProposeAt` fired in the current view, which this replica leads.
     fn on_propose_at(_e: &mut Engine<Self>, _now: SimTime, _out: &mut Vec<Action>) {}
 
-    /// A proposal from its view's leader with a valid justify: the stale
-    /// rule, the vote rule and destination, speculation, the commit rule.
+    /// A proposal for the current view or a later one, from its view's
+    /// leader, with a valid justify: the vote rule and destination,
+    /// speculation, the commit rule.
     fn on_propose(
         e: &mut Engine<Self>,
         from: ReplicaId,
         msg: ProposeMsg,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    );
-
-    /// A certificate seen outside a proposal (NewView, NewSlot, Reject).
-    fn adopt_cert(
-        e: &mut Engine<Self>,
-        cert: &Certificate,
-        from: ReplicaId,
         now: SimTime,
         out: &mut Vec<Action>,
     );
@@ -88,22 +94,15 @@ pub(crate) trait Protocol: Sized + Send {
     ) {
     }
 
-    /// A requested body arrived and is stored: re-run what was parked on
-    /// it. Overrides order their own parked queues around these two.
-    fn unpark(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
-        e.unpark_proposals(now, out);
-        e.retry_stalled_commit(now, out);
-    }
-
     /// The view changed (exit, jump or TC): reset per-view cursors.
     fn on_view_change(&mut self) {}
 
     /// A block enters the store through a proposal or a fetch.
     fn index_block(&mut self, _b: &Block) {}
 
-    /// Every 64 views, after the store was pruned: drop parked work below
-    /// view `below` and indexes into pruned bodies.
-    fn prune(&mut self, _core: &CoreState, _below: u64) {}
+    /// Every 64 views, after the store was pruned: drop indexes into
+    /// pruned bodies.
+    fn prune(&mut self, _core: &CoreState) {}
 
     /// Recovery (§4.2): the pre-crash incarnation may have voted anywhere
     /// up to `recovered`; never sign there again.
@@ -133,10 +132,11 @@ pub(crate) struct Driver {
     pub(crate) crashed: bool,
     /// Buffered NewView messages keyed by destination view.
     pub(crate) nv_buf: HashMap<u64, Vec<(ReplicaId, NewViewMsg)>>,
-    /// Proposals parked on a missing justify (or carry) body. Without this
+    /// Every message parked on a missing body (a proposal's justify or
+    /// carry, a Prepare's certified block), in arrival order. Without this
     /// a single lost proposal cascades: every later proposal justifies a
     /// body the replica never got, so it stops voting for good.
-    pub(crate) pending_props: Vec<(ReplicaId, ProposeMsg)>,
+    pub(crate) parked: Vec<(ReplicaId, Message)>,
     /// Outstanding block fetches (re-sent after a view timer on loss).
     pub(crate) fetching: FetchTracker,
     /// Commit target stalled on a missing ancestor (retried after fetch).
@@ -154,7 +154,7 @@ impl Driver {
             high_cert: Certificate::genesis(),
             awaiting_tc: false,
             nv_buf: HashMap::new(),
-            pending_props: Vec::new(),
+            parked: Vec::new(),
             fetching: FetchTracker::new(),
             retry_commit: None,
         }
@@ -182,8 +182,32 @@ impl Driver {
         self.high_cert = cert;
     }
 
-    /// Request a block body, re-sending after a view timer if a prior
-    /// fetch went unanswered (message loss must not deadlock catch-up).
+    /// The one rule for a certificate learned outside a proposal —
+    /// carried by a NewView, NewSlot or Reject from `from`, or formed by
+    /// this replica's own tally on `from`'s share: `P(v_lp)` is the
+    /// highest-ranked valid certificate seen (Figs. 2, 4, 7). A certified
+    /// body that never arrived is requested, not waited for: adopting a
+    /// higher certificate earlier only makes this replica's votes stricter.
+    pub(crate) fn learn_cert(
+        &mut self,
+        cert: &Certificate,
+        from: ReplicaId,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        if cert.rank() <= self.high_cert.rank() || !self.core.cert_valid(cert) {
+            return;
+        }
+        if !self.core.has_block(cert.block) {
+            self.request_block(cert.block, from, now, out);
+        }
+        self.set_high_cert(cert.clone());
+    }
+
+    /// Request a block body from `from`, re-sending after a view timer if
+    /// a prior fetch went unanswered (message loss must not deadlock
+    /// catch-up). A replica never asks itself — `from` is this replica
+    /// when its own proposal or tally names the body — but the next one.
     pub(crate) fn request_block(
         &mut self,
         id: BlockId,
@@ -192,7 +216,10 @@ impl Driver {
         out: &mut Vec<Action>,
     ) {
         if self.fetching.should_request(id, now, self.core.cfg.view_timer) {
-            out.push(Action::Send { to: from, msg: Message::FetchBlock { id } });
+            let me = self.core.me;
+            let next = ReplicaId((me.0 + 1) % self.core.cfg.n as u32);
+            let to = if from == me { next } else { from };
+            out.push(Action::Send { to, msg: Message::FetchBlock { id } });
         }
     }
 
@@ -201,14 +228,14 @@ impl Driver {
         &mut self,
         missing: &[BlockId],
         from: ReplicaId,
-        msg: ProposeMsg,
+        msg: Message,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
         for &id in missing {
             self.request_block(id, from, now, out);
         }
-        self.pending_props.push((from, msg));
+        self.parked.push((from, msg));
     }
 
     /// Commit `target`, fetching missing ancestor bodies from `source`
@@ -307,9 +334,13 @@ impl<P: Protocol> Engine<P> {
             d.nv_buf.retain(|&dv, _| dv >= v);
             // Parked messages whose fetch never resolved (dead or
             // Byzantine peer) are view-stale by now; drop them so the
-            // queues stay bounded on long lossy runs.
-            d.pending_props.retain(|(_, p)| p.block.view.0 >= v);
-            self.p.prune(&d.core, v);
+            // queue stays bounded on long lossy runs.
+            d.parked.retain(|(_, m)| match m {
+                Message::Propose(p) => p.block.view.0 >= v,
+                Message::Prepare(p) => p.cert.view.0 >= v,
+                _ => false,
+            });
+            self.p.prune(&d.core);
         }
         self.maybe_propose(now, out);
     }
@@ -342,7 +373,7 @@ impl<P: Protocol> Engine<P> {
 
     // -- leader role --------------------------------------------------------
 
-    fn refresh_tally(&mut self) {
+    fn refresh_tally(&mut self, now: SimTime, out: &mut Vec<Action>) {
         let view = self.d.view;
         if self.tally.as_ref().map(|t| t.view) != Some(view) {
             self.tally = Some(Tally {
@@ -356,15 +387,21 @@ impl<P: Protocol> Engine<P> {
         }
         if let Some(msgs) = self.d.nv_buf.remove(&view.0) {
             for (from, msg) in msgs {
-                self.tally_newview(from, msg);
+                self.tally_newview(from, msg, now, out);
             }
         }
     }
 
-    fn tally_newview(&mut self, from: ReplicaId, msg: NewViewMsg) {
+    fn tally_newview(
+        &mut self,
+        from: ReplicaId,
+        msg: NewViewMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         let Some(t) = self.tally.as_mut() else { return };
         if t.view == msg.dest_view && t.senders.insert(from) {
-            P::tally_newview(self, from, msg);
+            P::tally_newview(self, from, msg, now, out);
         }
     }
 
@@ -375,16 +412,14 @@ impl<P: Protocol> Engine<P> {
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
+        // Adopted on receipt, whoever leads `dest_view`.
+        self.d.learn_cert(&msg.high_cert, from, now, out);
         let d = &self.d;
-        let mine = msg.dest_view >= d.view && d.core.cfg.leader_of(msg.dest_view) == d.core.me;
-        if !(mine && P::ADOPTS_IN_TALLY) {
-            P::adopt_cert(self, &msg.high_cert, from, now, out);
-        }
-        if !mine {
+        if msg.dest_view < d.view || d.core.cfg.leader_of(msg.dest_view) != d.core.me {
             return;
         }
         if msg.dest_view == self.d.view && self.tally.is_some() {
-            self.tally_newview(from, msg);
+            self.tally_newview(from, msg, now, out);
         } else {
             self.d.nv_buf.entry(msg.dest_view.0).or_default().push((from, msg));
         }
@@ -394,7 +429,7 @@ impl<P: Protocol> Engine<P> {
         if !self.d.is_leader() || self.d.crashed || self.d.awaiting_tc {
             return;
         }
-        self.refresh_tally();
+        self.refresh_tally(now, out);
         P::propose_if_ready(self, now, out);
     }
 
@@ -433,18 +468,17 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Leader-slowness (§6 D6, §7.3): arm `ProposeAt` for the end of the
-    /// view window, leaving slack for one round to complete. Returns
-    /// whether this call armed it.
-    pub(crate) fn arm_slow_timer(&mut self, now: SimTime, out: &mut Vec<Action>) -> bool {
+    /// view window, leaving slack for one round to complete. Once per
+    /// view: a slow leader that gets here again keeps waiting.
+    pub(crate) fn arm_slow_timer(&mut self, now: SimTime, out: &mut Vec<Action>) {
         let t = self.tally_mut();
         if t.slow_timer_armed {
-            return false;
+            return;
         }
         t.slow_timer_armed = true;
         let view = self.d.view;
         let at = self.d.pm.deadline(view, now) - self.d.core.cfg.delta * 3;
         out.push(Action::SetTimer { timer: Timer::ProposeAt(view), at: at.max(now) });
-        true
     }
 
     /// Store a block and absorb its transactions into the mempool filter.
@@ -486,24 +520,18 @@ impl<P: Protocol> Engine<P> {
         if b.proposer != self.d.core.cfg.leader_of(b.view) || from != b.proposer {
             return;
         }
-        if self.d.core.cert_valid(&b.justify) {
-            P::on_propose(self, from, msg, now, out);
+        if !self.d.core.cert_valid(&b.justify) {
+            return;
         }
-    }
-
-    /// Re-run proposals parked on a missing body (stale entries drop out
-    /// through the handlers' own view checks).
-    pub(crate) fn unpark_proposals(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        for (from, prop) in std::mem::take(&mut self.d.pending_props) {
-            self.on_propose(from, prop, now, out);
+        if b.view < self.d.view {
+            // Stale (e.g. arrived after our view timeout): keep the body —
+            // later commits and carries may walk through it, and its
+            // transactions are returned to the pool if it ends up an
+            // orphan — but take no action.
+            self.insert_block(b);
+            return;
         }
-    }
-
-    /// Retry a stalled commit (fetching further ancestors if needed).
-    pub(crate) fn retry_stalled_commit(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if let Some((target, source)) = self.d.retry_commit.take() {
-            self.d.commit_or_fetch(target, source, now, out);
-        }
+        P::on_propose(self, from, msg, now, out);
     }
 
     fn on_fetch_resp(&mut self, block: Arc<Block>, now: SimTime, out: &mut Vec<Action>) {
@@ -517,7 +545,18 @@ impl<P: Protocol> Engine<P> {
         }
         self.d.fetching.resolved(block.id());
         self.insert_block(&block);
-        P::unpark(self, now, out);
+        // Re-deliver everything parked on a missing body, in arrival order
+        // (what is still short of one parks again; stale entries drop out
+        // through the handlers' own view checks), then a commit stalled on
+        // a missing ancestor, then a leader whose first slot waits on the
+        // carry this may have been.
+        for (from, msg) in std::mem::take(&mut self.d.parked) {
+            self.on_message(from, msg, now, out);
+        }
+        if let Some((target, source)) = self.d.retry_commit.take() {
+            self.d.commit_or_fetch(target, source, now, out);
+        }
+        self.maybe_propose(now, out);
     }
 
     fn send_newview(&self, dest: View, out: &mut Vec<Action>) {

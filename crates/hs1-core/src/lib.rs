@@ -9,7 +9,10 @@
 //! An engine is **one view driver plus one protocol policy**. The driver
 //! (`driver.rs`, `Engine<P: Protocol>`) owns what the paper's protocols
 //! share: the view lifecycle, pacemaker glue, NewView tallying scaffold,
-//! block fetch-and-park, crash checks, persistence and observer hooks.
+//! crash checks, persistence and observer hooks — and what a replica
+//! cannot use yet: a certificate whose body is missing (adopted, body
+//! fetched), a proposal for a view it has left (stored, not acted on) and
+//! the one queue of messages parked on a missing body.
 //! Each policy file transcribes one pseudocode figure and supplies only
 //! what that figure changes: the vote rule, where the vote goes, when to
 //! speculate, the commit rule, and the protocol's own message kinds.
@@ -18,7 +21,7 @@
 //!
 //! | file | contents | paper reference |
 //! |---|---|---|
-//! | `driver.rs` | the view driver every protocol runs on | Fig. 2/4/7 common skeleton, Fig. 3 glue |
+//! | `driver.rs` | the view driver every protocol runs on: view lifecycle, leader tally, certificate adoption, stale proposals, parked work | Fig. 2/4/7 common skeleton, Fig. 3 glue |
 //! | `basic.rs` | policy: basic (two-phase) HotStuff-1 | §4, Fig. 2 |
 //! | `chained.rs` | policy: streamlined HotStuff (3-chain), HotStuff-2 (2-chain), HotStuff-1 (2-chain + speculation) | §5, Fig. 4 |
 //! | `slotted.rs` | policy: HotStuff-1 with adaptive slotting | §6, Figs. 6–7 |

@@ -94,15 +94,6 @@ impl Slotted {
         self.cert_children.get(&(cert.view.0, cert.slot.0, cert.block)).copied()
     }
 
-    /// Adopts on rank and validity alone. Differs between protocols by
-    /// history, not by paper: chained fetches a missing body and parks
-    /// the certificate; basic adopts only with the body present.
-    fn adopt(e: &mut Engine<Self>, cert: &Certificate) {
-        if cert.rank() > e.d.high_cert.rank() && e.d.core.cert_valid(cert) {
-            e.d.set_high_cert(cert.clone());
-        }
-    }
-
     // -- leader: first slot ---------------------------------------------------
 
     /// Propose the view's first slot. `deferred`: the slow-leader deferral
@@ -116,11 +107,8 @@ impl Slotted {
         out: &mut Vec<Action>,
     ) {
         // Leader-slowness: defer the first slot to the end of the window.
-        // Differs between protocols by history, not by paper: a slotted
-        // slow leader that re-enters here before `ProposeAt` fires
-        // proposes at once; a chained one keeps waiting.
-        if matches!(e.d.fault, Fault::SlowLeader) && !deferred && e.arm_slow_timer(now, out) {
-            return;
+        if matches!(e.d.fault, Fault::SlowLeader) && !deferred {
+            return e.arm_slow_timer(now, out);
         }
         let b = e.new_block(Slot::FIRST, justify, carry);
         if let Some(t) = e.tally.as_mut() {
@@ -141,8 +129,14 @@ impl Slotted {
 
     // -- leader: subsequent slots ----------------------------------------------
 
-    fn on_newslot(e: &mut Engine<Self>, from: ReplicaId, msg: NewSlotMsg, out: &mut Vec<Action>) {
-        Self::adopt(e, &msg.high_cert);
+    fn on_newslot(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: NewSlotMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        e.d.learn_cert(&msg.high_cert, from, now, out);
         if msg.view != e.d.view || !e.d.is_leader() {
             return;
         }
@@ -160,17 +154,21 @@ impl Slotted {
         // ever hand out has a known successor block).
         if let Some(cert) = t.ns_shares.certificate(e.d.core.cfg.quorum()) {
             t.ns_shares = ShareTally::new(CertKind::NewSlot);
-            if cert.rank() > e.d.high_cert.rank() {
-                e.d.set_high_cert(cert.clone());
-            }
+            e.d.learn_cert(&cert, from, now, out);
             let b = e.new_block(slot.next(), cert, None);
             e.tally_mut().own.proposing = Some((slot.next(), b.id()));
             Driver::broadcast_proposal(b, out);
         }
     }
 
-    fn on_reject(e: &mut Engine<Self>, msg: RejectMsg) {
-        Self::adopt(e, &msg.high_cert);
+    fn on_reject(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: RejectMsg,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        e.d.learn_cert(&msg.high_cert, from, now, out);
         // Fig. 6 lines 22–24: if the previous leader sent us a *lower*
         // certificate formed in view v−1 while a higher one (also formed
         // in v−1) existed, it concealed — distrust it.
@@ -225,7 +223,6 @@ fn safe_slot(
 impl Protocol for Slotted {
     type Tally = SlottedTally;
     const PRUNE_KEEP: usize = 4096;
-    const ADOPTS_IN_TALLY: bool = true;
 
     fn new_tally(view: View) -> SlottedTally {
         SlottedTally {
@@ -249,7 +246,13 @@ impl Protocol for Slotted {
         Some(VoteInfo { view: rank.view, slot: rank.slot, block, share })
     }
 
-    fn tally_newview(e: &mut Engine<Self>, from: ReplicaId, msg: NewViewMsg) {
+    fn tally_newview(
+        e: &mut Engine<Self>,
+        from: ReplicaId,
+        msg: NewViewMsg,
+        _now: SimTime,
+        _out: &mut Vec<Action>,
+    ) {
         let view = e.d.view;
         let prev_leader = view.prev().map(|p| e.d.core.cfg.leader_of(p));
         let t = &mut e.tally.as_mut().expect("tally exists").own;
@@ -264,7 +267,6 @@ impl Protocol for Slotted {
                 t.trusted_fast_path = true;
             }
         }
-        Self::adopt(e, &msg.high_cert);
     }
 
     fn propose_if_ready(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
@@ -310,9 +312,8 @@ impl Protocol for Slotted {
                 // (SafeSlot), wasting only the attacker's own view (§6.2).
                 return Self::propose_first(e, high_cert, None, false, now, out);
             }
-            if cert.rank() > high_rank {
-                e.d.set_high_cert(cert.clone());
-            }
+            let me = e.d.core.me;
+            e.d.learn_cert(&cert, me, now, out);
             return Self::propose_first(e, cert, None, false, now, out);
         }
 
@@ -321,8 +322,8 @@ impl Protocol for Slotted {
             Some(c) if !e.d.core.has_block(c) => {
                 // Know the child id but not the body: fetch from anyone
                 // (at least f+1 correct replicas voted for it).
-                let from = ReplicaId(((e.d.core.me.0 as usize + 1) % n) as u32);
-                e.d.request_block(c, from, now, out);
+                let me = e.d.core.me;
+                e.d.request_block(c, me, now, out);
             }
             // `None`: no uncertified successor known. Only reachable when
             // the certificate arrived bare (not inside a child block);
@@ -350,21 +351,13 @@ impl Protocol for Slotted {
     ) {
         let b = msg.block.clone();
         let (pv, ps) = (b.view, b.slot);
-        if pv < e.d.view {
-            // Stale (e.g. a last slot arriving after our view timeout):
-            // keep the body so later commits and carries can resolve it.
-            // Differs between protocols by history, not by paper: chained
-            // also stores `pv ≤ last_prop`; basic stores nothing.
-            e.insert_block(&b);
-            return;
-        }
         // Justify and carry blocks must be present before we can act.
         let missing: Vec<BlockId> = std::iter::once(b.justify.block)
             .chain(b.carry)
             .filter(|id| !e.d.core.has_block(*id))
             .collect();
         if !missing.is_empty() {
-            e.d.fetch_and_park(&missing, from, msg, now, out);
+            e.d.fetch_and_park(&missing, from, Message::Propose(msg), now, out);
             return;
         }
         // Validate the carry chain: B_u must extend the same certificate.
@@ -439,35 +432,18 @@ impl Protocol for Slotted {
         e.p.slot = ps.next();
     }
 
-    fn adopt_cert(
-        e: &mut Engine<Self>,
-        cert: &Certificate,
-        _from: ReplicaId,
-        _now: SimTime,
-        _out: &mut Vec<Action>,
-    ) {
-        Self::adopt(e, cert);
-    }
-
     fn on_message(
         e: &mut Engine<Self>,
         from: ReplicaId,
         msg: Message,
-        _now: SimTime,
+        now: SimTime,
         out: &mut Vec<Action>,
     ) {
         match msg {
-            Message::NewSlot(m) => Self::on_newslot(e, from, m, out),
-            Message::Reject(m) => Self::on_reject(e, m),
+            Message::NewSlot(m) => Self::on_newslot(e, from, m, now, out),
+            Message::Reject(m) => Self::on_reject(e, from, m, now, out),
             _ => {}
         }
-    }
-
-    fn unpark(e: &mut Engine<Self>, now: SimTime, out: &mut Vec<Action>) {
-        e.unpark_proposals(now, out);
-        e.retry_stalled_commit(now, out);
-        // The arrived body may be the carry block a first slot waits on.
-        e.maybe_propose(now, out);
     }
 
     fn on_view_change(&mut self) {
@@ -487,7 +463,7 @@ impl Protocol for Slotted {
         }
     }
 
-    fn prune(&mut self, core: &CoreState, _below: u64) {
+    fn prune(&mut self, core: &CoreState) {
         self.cert_children.retain(|_, child| core.blocks.contains_key(child));
     }
 

@@ -688,3 +688,291 @@ fn garbage_vote_share_never_reaches_a_certificate() {
         }
     }
 }
+
+// -- a certificate or a proposal a replica cannot use yet -----------------------
+
+/// The driver's one rule each for a certificate whose body is missing, a
+/// proposal for a view already left, and a message parked on a body.
+mod not_yet_usable {
+    use super::{cfg, ExecConfig, Fault, ProtocolKind, Replica, ReplicaId, Transaction};
+    use hs1_core::build_replica;
+    use hs1_core::replica::{Action, Timer};
+    use hs1_types::message::ProposeMsg;
+    use hs1_types::{Block, BlockId, Certificate, Message, SimTime, Slot, View};
+    use std::collections::VecDeque;
+    use std::sync::Arc;
+
+    /// `(from, to, message)`.
+    type Msg = (ReplicaId, ReplicaId, Message);
+
+    /// Real engines wired by hand: no clock and no timers, one delivery at
+    /// a time in send order. What `hold` picks is set aside instead of
+    /// delivered, so a test decides when its replica sees it.
+    struct Wire {
+        engines: Vec<Box<dyn Replica>>,
+        queue: VecDeque<Msg>,
+        held: Vec<Msg>,
+    }
+
+    impl Wire {
+        fn new(kind: ProtocolKind, n: usize) -> Wire {
+            let engines = (0..n as u32)
+                .map(|i| {
+                    build_replica(kind, cfg(n), ReplicaId(i), Fault::Honest, ExecConfig::default())
+                })
+                .collect();
+            let mut w = Wire { engines, queue: VecDeque::new(), held: Vec::new() };
+            for i in 0..n {
+                let mut out = Vec::new();
+                w.engines[i].on_init(SimTime::ZERO, &mut out);
+                w.sent(ReplicaId(i as u32), &out);
+            }
+            w
+        }
+
+        fn sent(&mut self, from: ReplicaId, out: &[Action]) {
+            for a in out {
+                match a {
+                    Action::Send { to, msg } => self.queue.push_back((from, *to, msg.clone())),
+                    Action::Broadcast { msg } => {
+                        for to in (0..self.engines.len() as u32).map(ReplicaId) {
+                            self.queue.push_back((from, to, msg.clone()));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        /// Deliver one message at `now`; what the receiver does is
+        /// returned, and what it sends is queued.
+        fn deliver(&mut self, (from, to, msg): Msg, now: SimTime) -> Vec<Action> {
+            let mut out = Vec::new();
+            self.engines[to.0 as usize].on_message(from, msg, now, &mut out);
+            self.sent(to, &out);
+            out
+        }
+
+        /// Deliver in send order until only what `hold` set aside is left.
+        fn run(&mut self, hold: impl Fn(&Msg) -> bool) {
+            while let Some(m) = self.queue.pop_front() {
+                if hold(&m) {
+                    self.held.push(m);
+                } else {
+                    self.deliver(m, SimTime::ZERO);
+                }
+            }
+        }
+
+        /// Take the held messages `pick` selects, in the order they were sent.
+        fn release(&mut self, pick: impl Fn(&Msg) -> bool) -> Vec<Msg> {
+            let (picked, rest) = std::mem::take(&mut self.held).into_iter().partition(pick);
+            self.held = rest;
+            picked
+        }
+    }
+
+    fn proposal_of(m: &Message) -> Option<&Arc<Block>> {
+        match m {
+            Message::Propose(p) => Some(&p.block),
+            _ => None,
+        }
+    }
+
+    fn fetches(out: &[Action]) -> Vec<(ReplicaId, BlockId)> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Send { to, msg: Message::FetchBlock { id } } => Some((*to, *id)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The votes `out` carries, in order: `(destination view of the
+    /// NewView carrying it — 0 for a basic ProposeVote —, voted view)`.
+    fn votes(out: &[Action]) -> Vec<(u64, u64)> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Send { msg: Message::NewView(nv), .. } => {
+                    nv.vote.map(|v| (nv.dest_view.0, v.view.0))
+                }
+                Action::Send { msg: Message::Vote(v), .. } => Some((0, v.vote.view.0)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The QC a streamlined leader used to drop: the leader of view 3
+    /// timed out of view 2 without `B₂`, and the n − f NewViews carrying
+    /// votes for `B₂` reach it before the body does. It proposes on P(2)
+    /// in the step that completes the quorum and asks a voter for `B₂`
+    /// (it used to sit out `ShareTimer`, 3Δ, and orphan a block or two);
+    /// when the body arrives it votes on its own parked proposal. `late`:
+    /// its own proposal comes back a view timer after the first request,
+    /// so the body is asked for again — of a peer, never of itself.
+    #[test]
+    fn leader_proposes_on_a_certificate_it_formed_before_the_body_arrived() {
+        let view_timer = cfg(4).view_timer;
+        for kind in [ProtocolKind::HotStuff2, ProtocolKind::HotStuff1] {
+            for late in [false, true] {
+                let ctx = format!("{kind:?}, late {late}");
+                let leader = ReplicaId(3);
+                let mut w = Wire::new(kind, 4);
+                w.run(|(_, to, m)| {
+                    *to == leader
+                        && match m {
+                            Message::Propose(p) => p.block.view == View(2),
+                            Message::NewView(nv) => nv.dest_view == View(3),
+                            _ => false,
+                        }
+                });
+                let b2 = w.release(|(_, _, m)| proposal_of(m).is_some());
+                let b2 = proposal_of(&b2[0].2).expect("B₂, held back").id();
+                let newviews = w.release(|_| true);
+                assert_eq!(newviews.len(), 3, "{ctx}: every other replica voted for B₂");
+                let voters: Vec<ReplicaId> = newviews.iter().map(|m| m.0).collect();
+
+                let l = &mut w.engines[leader.0 as usize];
+                l.on_timer(Timer::ViewTimeout(View(2)), SimTime::ZERO, &mut Vec::new());
+                assert_eq!(l.current_view(), View(3), "{ctx}");
+                let mut out = Vec::new();
+                for m in newviews {
+                    assert!(out.is_empty(), "{ctx}: nothing to do short of a quorum: {out:?}");
+                    out = w.deliver(m, SimTime::ZERO);
+                }
+                let b3 = out
+                    .iter()
+                    .find_map(|a| match a {
+                        Action::Broadcast { msg } => proposal_of(msg).cloned(),
+                        _ => None,
+                    })
+                    .unwrap_or_else(|| panic!("{ctx}: no proposal on the quorum: {out:?}"));
+                assert_eq!((b3.view, b3.justify.view, b3.justify.block), (View(3), View(2), b2));
+                let asked = fetches(&out);
+                assert_eq!(asked.len(), 1, "{ctx}: {asked:?}");
+                assert!(asked[0].1 == b2 && voters.contains(&asked[0].0), "{ctx}: {asked:?}");
+                let waits =
+                    |a: &Action| matches!(a, Action::SetTimer { timer: Timer::LeaderWait(_), .. });
+                assert!(!out.iter().any(waits), "{ctx}: armed LeaderWait: {out:?}");
+
+                // Its own proposal comes back before the body: parked.
+                let own = Message::Propose(ProposeMsg { block: b3.clone(), commit_cert: None });
+                let now = if late { SimTime::ZERO + view_timer } else { SimTime::ZERO };
+                let out = w.deliver((leader, leader, own), now);
+                assert!(votes(&out).is_empty(), "{ctx}: voted without B₂: {out:?}");
+                let again = fetches(&out);
+                assert_eq!(again.len(), usize::from(late), "{ctx}: {again:?}");
+                assert!(
+                    again.iter().all(|(to, id)| *to != leader && *id == b2),
+                    "{ctx}: {again:?}"
+                );
+
+                // The voter answers; the parked proposal is voted on.
+                let out = w.deliver((leader, asked[0].0, Message::FetchBlock { id: b2 }), now);
+                let Some(Action::Send { msg: resp @ Message::FetchResp { .. }, .. }) = out.first()
+                else {
+                    panic!("{ctx}: the voter holds B₂: {out:?}");
+                };
+                let out = w.deliver((asked[0].0, leader, resp.clone()), now);
+                assert_eq!(votes(&out), [(4, 3)], "{ctx}: {out:?}");
+            }
+        }
+    }
+
+    /// Basic HotStuff-1 used to ignore a NewView's higher certificate
+    /// until the certified body was there, and never asked for the body.
+    #[test]
+    fn basic_adopts_a_newviews_certificate_without_the_body_and_fetches_it() {
+        let x = ReplicaId(2);
+        let mut w = Wire::new(ProtocolKind::HotStuff1Basic, 4);
+        w.run(|(_, to, m)| {
+            *to == x && matches!(m, Message::Propose(_) | Message::Prepare(_) | Message::NewView(_))
+        });
+        let newview = w.release(|(_, _, m)| matches!(m, Message::NewView(nv) if nv.vote.is_some()));
+        let (from, _, Message::NewView(nv)) = newview[0].clone() else { unreachable!() };
+        let p1 = nv.high_cert;
+        assert_eq!(p1.view, View(1), "the others prepared B₁ without replica 2");
+
+        let out = w.deliver(newview[0].clone(), SimTime::ZERO);
+        assert_eq!(fetches(&out), [(from, p1.block)], "{out:?}");
+        // What it adopted is what its own NewView reports.
+        let mut out = Vec::new();
+        w.engines[x.0 as usize].on_timer(Timer::ViewTimeout(View(1)), SimTime::ZERO, &mut out);
+        let reported = out.iter().find_map(|a| match a {
+            Action::Send { msg: Message::NewView(nv), .. } => Some(nv.high_cert.clone()),
+            _ => None,
+        });
+        assert_eq!(reported, Some(p1));
+    }
+
+    /// Replica 3 misses `B₁`; the Prepare for it and the view-2 proposal
+    /// that extends it park on that one body. When it arrives they are
+    /// re-delivered in the order they came: Prepare first, the replica
+    /// commit-votes view 1 and then votes in view 2; proposal first, it
+    /// jumps to view 2 and the Prepare is stale. (Proposals used to go
+    /// first whatever the order.)
+    #[test]
+    fn messages_parked_on_one_body_are_redelivered_in_arrival_order() {
+        for prepare_first in [true, false] {
+            let x = ReplicaId(3);
+            let mut w = Wire::new(ProtocolKind::HotStuff1Basic, 4);
+            w.run(|(_, to, m)| {
+                let parkable = matches!(m, Message::Propose(_) | Message::Prepare(_));
+                *to == x && (parkable || matches!(m, Message::NewView(_)))
+            });
+            let prepare =
+                w.release(|(_, _, m)| matches!(m, Message::Prepare(p) if p.cert.view == View(1)));
+            let propose = w.release(|(_, _, m)| proposal_of(m).is_some_and(|b| b.view == View(2)));
+            let b1 = proposal_of(&propose[0].2).expect("B₂").justify.block;
+            let mut arrivals = [prepare[0].clone(), propose[0].clone()];
+            if !prepare_first {
+                arrivals.reverse();
+            }
+            let holder = arrivals[0].0;
+            let [first, second] = arrivals.map(|m| w.deliver(m, SimTime::ZERO));
+            assert_eq!(fetches(&first), [(holder, b1)], "asked once, of the first sender");
+            assert!(fetches(&second).is_empty() && votes(&second).is_empty(), "{second:?}");
+
+            let out = w.deliver((x, holder, Message::FetchBlock { id: b1 }), SimTime::ZERO);
+            let Some(Action::Send { msg: resp @ Message::FetchResp { .. }, .. }) = out.first()
+            else {
+                panic!("replica {holder:?} holds B₁: {out:?}");
+            };
+            let out = w.deliver((holder, x, resp.clone()), SimTime::ZERO);
+            let expected: &[(u64, u64)] = if prepare_first { &[(2, 1), (0, 2)] } else { &[(0, 2)] };
+            assert_eq!(votes(&out), expected, "prepare first: {prepare_first}: {out:?}");
+        }
+    }
+
+    /// A proposal for a view the replica has left is stored and not acted
+    /// on, under every protocol: its transactions are suppressed while it
+    /// could still commit and come back once the chain has passed it.
+    /// (Basic used to drop it, body and all.)
+    #[test]
+    fn stale_proposals_transactions_return_to_the_pool_under_basic_as_under_chained() {
+        for kind in [ProtocolKind::HotStuff1Basic, ProtocolKind::HotStuff1] {
+            let (x, l1) = (ReplicaId(0), ReplicaId(1));
+            let mut w = Wire::new(kind, 7);
+            let from_view =
+                |v: u64| move |(_, _, m): &Msg| proposal_of(m).is_some_and(|b| b.view >= View(v));
+            w.run(from_view(3));
+            assert_eq!(w.engines[0].current_view(), View(3), "{kind:?}");
+
+            // The other half of an equivocation in view 1, arriving late.
+            let tx = Transaction::kv_write(9, 1, 2, 3);
+            w.engines[0].enqueue_txs(&[tx]);
+            let stale = Block::new(l1, View(1), Slot::FIRST, Certificate::genesis(), vec![tx]);
+            let stale = Message::Propose(ProposeMsg { block: Arc::new(stale), commit_cert: None });
+            let out = w.deliver((l1, x, stale), SimTime::ZERO);
+            assert!(out.is_empty(), "{kind:?}: acted on a stale proposal: {out:?}");
+            assert_eq!(w.engines[0].pool_stats().depth, 0, "{kind:?}: stored, so suppressed");
+
+            // Views 3 to 5 commit past view 1.
+            let held = w.release(|_| true);
+            w.queue.extend(held);
+            w.run(from_view(6));
+            assert!(w.engines[0].committed_len() > 2, "{kind:?}");
+            assert_eq!(w.engines[0].pool_stats().depth, 1, "{kind:?}: returned");
+        }
+    }
+}

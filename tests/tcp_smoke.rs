@@ -1,12 +1,14 @@
 //! TCP smoke tests: the same engines the simulator runs, over real
 //! loopback sockets with real signatures.
 //!
-//! CI-robustness rules: loopback only, base ports allocated dynamically
-//! (never hard-coded), every receive bounded by a timeout. The full
-//! 4-replica closed-loop deployment needs multi-second wall-clock runs,
-//! so it is `#[ignore]`-gated; run it with `cargo test -- --ignored`.
+//! CI-robustness rules: loopback only, base ports reserved at run time
+//! below the kernel's ephemeral range (see [`free_base_port`]), every
+//! receive bounded by a timeout. The full 4-replica closed-loop
+//! deployment needs multi-second wall-clock runs, so it is
+//! `#[ignore]`-gated; run it with `cargo test -- --ignored`.
 
 use std::net::TcpListener;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use hotstuff1::adversary::{AdversaryMutator, AdversaryStrategy};
@@ -23,22 +25,31 @@ use hotstuff1::types::{
 
 /// Reserve a contiguous run of `n` free loopback ports and return the base.
 ///
-/// Binds an ephemeral port to get an OS-chosen base, then probes that the
-/// rest of the range is free; retries with a fresh base on collision.
+/// A replica may bind seconds after the reservation (the snapshot joiner,
+/// a replica restarted from its journal), so a port must stay free without
+/// being held. The kernel hands its ephemeral range to every `bind(:0)`
+/// probe and to the local end of every outbound connection, in this test
+/// and in the ones running beside it; a base the OS picked sits inside
+/// that range. So the ports come from below it, from one cursor per
+/// process that never hands a port out twice. The cursor starts at an
+/// offset taken from the process id, which keeps two runs of this binary
+/// apart; a run holding a port somebody else has bound is skipped.
 fn free_base_port(n: u16) -> u16 {
-    for _ in 0..32 {
-        let probe = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-        let base = probe.local_addr().expect("addr").port();
-        drop(probe);
-        if base.checked_add(n).is_none() {
-            continue;
-        }
-        let all_free = (0..n).all(|i| TcpListener::bind(("127.0.0.1", base + i)).map(drop).is_ok());
-        if all_free {
+    /// Linux's default `ip_local_port_range` starts at 32768.
+    const RANGE: std::ops::Range<u16> = 10_000..30_000;
+    static NEXT: Mutex<u16> = Mutex::new(0);
+    let mut next = NEXT.lock().expect("port cursor");
+    if *next == 0 {
+        *next = RANGE.start + (std::process::id() % 190) as u16 * 100;
+    }
+    while *next + n <= RANGE.end {
+        let base = *next;
+        *next += n;
+        if (0..n).all(|i| TcpListener::bind(("127.0.0.1", base + i)).is_ok()) {
             return base;
         }
     }
-    panic!("could not find {n} contiguous free loopback ports");
+    panic!("could not find {n} contiguous free loopback ports below {}", RANGE.end);
 }
 
 /// Mesh-level smoke: two replicas connect lazily over real sockets and
@@ -647,7 +658,7 @@ fn slow_peer_backpressure_sheds_and_cluster_keeps_committing() {
     let real_port3 = base_port + 4;
     let proxy_port = base_port + 3;
     let protocol = ProtocolKind::HotStuff1;
-    let total = Duration::from_secs(8);
+    let total = Duration::from_secs(9);
     let release_at = Duration::from_secs(4);
 
     fn config(n: usize) -> SystemConfig {
@@ -764,7 +775,7 @@ fn slow_peer_backpressure_sheds_and_cluster_keeps_committing() {
         runner.state_root()
     });
 
-    // Release the throttle at t=3s.
+    // Release the throttle at t=4s.
     {
         let throttled = throttled.clone();
         let gated_bytes = gated_bytes.clone();
@@ -778,14 +789,19 @@ fn slow_peer_backpressure_sheds_and_cluster_keeps_committing() {
 
     // Open-loop client traffic through the stall and past the release —
     // enough offered load that proposal frames toward the stalled peer
-    // overrun its bounded queue within the stall window. The last ~1.5 s
-    // of the run is a quiet tail for replica 3 to converge in.
+    // overrun its bounded queue within the stall window. The client then
+    // drains until every request is final, and the replicas run on for the
+    // rest of the window, twelve view timers at the least and eighteen
+    // when the drain has nothing to wait for: the state roots are compared
+    // when `run_for` returns, and a replica still fetching its way back
+    // (replica 3, or one that shed frames of its own under load) has a
+    // root of its own until it is quiet.
     std::thread::sleep(Duration::from_millis(300));
     let f = SystemConfig::new(n).f();
     let mut client = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)
         .expect("connect");
     let report = client
-        .run_open_loop(Duration::from_millis(5900), 1500, Duration::from_millis(300))
+        .run_open_loop(Duration::from_millis(5900), 1500, Duration::from_secs(1))
         .expect("client");
     drop(client);
 
