@@ -7,9 +7,7 @@
 //! sweeps that load past saturation. Below the knee, goodput tracks the
 //! offer and latency is flat; past it, the bounded mempool sheds load
 //! (drop rate > 0), goodput plateaus at the service rate, and p99 latency
-//! diverges as queue wait dominates. A third lane re-runs HotStuff-1
-//! under the zipfian hot-key-churn workload — the conflict-heavy worst
-//! case for the speculative execution path.
+//! diverges as queue wait dominates.
 //!
 //! The harness also enforces the determinism contract on every lane's
 //! mid-sweep point: two same-seed runs must produce byte-identical CSV
@@ -18,7 +16,7 @@
 
 use hs1_bench::FigureSink;
 use hs1_obs::{Clock, Obs};
-use hs1_sim::{OpenLoop, Report, Scenario, WorkloadKind};
+use hs1_sim::{OpenLoop, Report, Scenario};
 use hs1_types::ProtocolKind;
 
 const SEED: u64 = 42;
@@ -26,84 +24,42 @@ const SEED: u64 = 42;
 /// Offered loads swept at the quickstart config, tx/s. The batch-32
 /// service rate sits near 50k tx/s, so the last points are past
 /// saturation.
-const QUICKSTART_LOADS: [f64; 8] =
+const LOADS: [f64; 8] =
     [4_000.0, 8_000.0, 16_000.0, 24_000.0, 32_000.0, 40_000.0, 48_000.0, 64_000.0];
 
-/// Loads for the batch-256 worst-case lane, whose service rate is much
-/// higher (bigger batches amortize per-block costs).
-const CHURN_LOADS: [f64; 8] =
-    [16_000.0, 32_000.0, 64_000.0, 96_000.0, 128_000.0, 192_000.0, 256_000.0, 384_000.0];
+/// The quickstart batch size.
+const BATCH: usize = 32;
 
-struct Lane {
-    protocol: ProtocolKind,
-    name: &'static str,
-    workload: Option<WorkloadKind>,
-    batch: usize,
-    workers: usize,
-    loads: [f64; 8],
-}
+/// One lane per protocol: the headline HS1-vs-HS2 knee.
+const LANES: [ProtocolKind; 2] = [ProtocolKind::HotStuff1, ProtocolKind::HotStuff2];
 
-/// The two quickstart lanes give the headline HS1-vs-HS2 knee. The
-/// `churn` lane is the parallel-execution worst case: batch 256 (above
-/// `PAR_MIN_BATCH`, so the conflict-partitioned executor engages) on a
-/// 4-worker CPU model under the hot-key-churn workload, whose zipfian
-/// contention serializes execution waves. At quickstart batch 32 the
-/// parallel term never engages and workload keys cost nothing, so a
-/// batch-32 churn lane would be byte-identical to the poisson lane.
-const LANES: [Lane; 3] = [
-    Lane {
-        protocol: ProtocolKind::HotStuff1,
-        name: "poisson",
-        workload: None,
-        batch: 32,
-        workers: 1,
-        loads: QUICKSTART_LOADS,
-    },
-    Lane {
-        protocol: ProtocolKind::HotStuff2,
-        name: "poisson",
-        workload: None,
-        batch: 32,
-        workers: 1,
-        loads: QUICKSTART_LOADS,
-    },
-    Lane {
-        protocol: ProtocolKind::HotStuff1,
-        name: "churn",
-        workload: Some(WorkloadKind::YcsbChurn),
-        batch: 256,
-        workers: 4,
-        loads: CHURN_LOADS,
-    },
-];
+/// The CSV's `lane` column (the arrival process), which `bench_summary`
+/// keys the knee metrics on.
+const LANE: &str = "poisson";
 
-fn scenario(lane: &Lane, tps: f64, obs: Option<Obs>) -> Scenario {
-    let mut s = Scenario::new(lane.protocol)
+fn scenario(lane: ProtocolKind, tps: f64, obs: Option<Obs>) -> Scenario {
+    let mut s = Scenario::new(lane)
         .replicas(4)
-        .batch_size(lane.batch)
-        .exec_workers(lane.workers)
+        .batch_size(BATCH)
         .seed(SEED)
         .open_loop(OpenLoop::poisson(tps));
-    if let Some(w) = lane.workload {
-        s = s.workload(w);
-    }
     if let Some(obs) = obs {
         s = s.with_observer(obs);
     }
     hs1_bench::standard(s)
 }
 
-fn run(lane: &Lane, tps: f64) -> Report {
+fn run(lane: ProtocolKind, tps: f64) -> Report {
     let r = scenario(lane, tps, None).run();
-    r.ensure_invariants(&format!("fig_knee [{} {} @{tps}]", lane.protocol.name(), lane.name));
+    r.ensure_invariants(&format!("fig_knee [{} {} @{tps}]", lane.name(), LANE));
     r
 }
 
-fn csv_row(lane: &Lane, tps: f64, r: &Report) -> String {
+fn csv_row(lane: ProtocolKind, tps: f64, r: &Report) -> String {
     format!(
         "{},{},{:.0},{:.1},{:.1},{:.3},{:.3},{:.3},{},{},{},{:.4},{}",
-        lane.protocol.name(),
-        lane.name,
+        lane.name(),
+        LANE,
         tps,
         r.offered_tps(),
         r.throughput_tps,
@@ -120,21 +76,21 @@ fn csv_row(lane: &Lane, tps: f64, r: &Report) -> String {
 
 /// Determinism spot-check at one load point: same seed twice must be
 /// byte-identical, and a recording observer must be pure.
-fn check_determinism(lane: &Lane, tps: f64, first: &Report, first_row: &str) {
+fn check_determinism(lane: ProtocolKind, tps: f64, first: &Report, first_row: &str) {
     let again = run(lane, tps);
     assert_eq!(
         first.fingerprint,
         again.fingerprint,
         "{} {}: same seed, same fingerprint",
-        lane.protocol.name(),
-        lane.name
+        lane.name(),
+        LANE
     );
     assert_eq!(
         first_row,
         csv_row(lane, tps, &again),
         "{} {}: same seed, byte-identical CSV row",
-        lane.protocol.name(),
-        lane.name
+        lane.name(),
+        LANE
     );
     let (obs, _rec) = Obs::recording(Clock::manual());
     let watched = scenario(lane, tps, Some(obs)).run();
@@ -142,16 +98,16 @@ fn check_determinism(lane: &Lane, tps: f64, first: &Report, first_row: &str) {
         first.fingerprint,
         watched.fingerprint,
         "{} {}: attaching an observer changed the run",
-        lane.protocol.name(),
-        lane.name
+        lane.name(),
+        LANE
     );
 }
 
 /// Knee-shape acceptance: goodput tracks the offer below saturation,
 /// plateaus past it while the admission bound sheds load, and tail
 /// latency diverges.
-fn check_knee(lane: &Lane, points: &[(f64, Report)]) {
-    let label = format!("{} {}", lane.protocol.name(), lane.name);
+fn check_knee(lane: ProtocolKind, points: &[(f64, Report)]) {
+    let label = format!("{} {}", lane.name(), LANE);
     let first = &points.first().expect("sweep is non-empty").1;
     let last = &points.last().expect("sweep is non-empty").1;
     let peak_goodput = points.iter().map(|(_, r)| r.throughput_tps).fold(0.0_f64, f64::max);
@@ -176,7 +132,7 @@ fn check_knee(lane: &Lane, points: &[(f64, Report)]) {
         last.offered_tps()
     );
     assert!(
-        peak_goodput < lane.loads[lane.loads.len() - 1] * 0.95,
+        peak_goodput < LOADS[LOADS.len() - 1] * 0.95,
         "{label}: the service rate saturates below the top offered load"
     );
 
@@ -196,15 +152,15 @@ fn main() {
         "protocol,lane,target_tps,offered_tps,goodput_tps,mean_ms,p50_ms,p99_ms,\
          offered,finalized,drops,drop_rate,deduped",
     );
-    for lane in &LANES {
+    for lane in LANES {
         let mut points = Vec::new();
-        for (i, &tps) in lane.loads.iter().enumerate() {
+        for (i, &tps) in LOADS.iter().enumerate() {
             let r = run(lane, tps);
             let row = csv_row(lane, tps, &r);
             println!(
                 "  [{:>9} {:>7} @{:>6.0}] goodput={:>8.0} tx/s  p50/p99={:>7.2}/{:>8.2} ms  drops={} ({:.1}%)",
-                lane.protocol.name(),
-                lane.name,
+                lane.name(),
+                LANE,
                 tps,
                 r.throughput_tps,
                 r.p50_latency_ms,
@@ -213,7 +169,7 @@ fn main() {
                 r.drop_rate() * 100.0,
             );
             // Mid-sweep determinism spot-check (once per lane, cheap).
-            if i == lane.loads.len() / 2 {
+            if i == LOADS.len() / 2 {
                 check_determinism(lane, tps, &r, &row);
             }
             sink.record_raw(row);

@@ -7,8 +7,7 @@
 //! The summary also carries **provenance** (git SHA, measurement window)
 //! and a flat **metrics** object extracted from the key figures — knee
 //! goodput per `fig_knee` lane, quickstart e2e latency means from
-//! `fig_critical_path`, ideal parallel-exec speedups at 4 workers
-//! from `fig_parallel_exec`. `bench_gate` compares those metrics against
+//! `fig_critical_path`. `bench_gate` compares those metrics against
 //! the committed `BENCH_baseline.json`, and the same object is written to
 //! `bench_results/BENCH_<sha8>.json` so CI can upload a per-commit
 //! trajectory of the repo's performance.
@@ -88,9 +87,6 @@ fn gate_metrics(dir: &Path) -> Vec<(&'static str, f64)> {
         if let Some(v) = col_max(&rows, lane("HotStuff-2", "poisson"), 4) {
             m.push(("knee_goodput_hs2_tps", v));
         }
-        if let Some(v) = col_max(&rows, lane("HotStuff-1", "churn"), 4) {
-            m.push(("knee_goodput_churn_tps", v));
-        }
     }
     if let Some(rows) = csv_rows(dir, "fig_critical_path") {
         // e2e_ms is column 8; mean rows only.
@@ -104,23 +100,6 @@ fn gate_metrics(dir: &Path) -> Vec<(&'static str, f64)> {
         }
         if let Some(v) = col_first(&rows, mean("HotStuff-2"), 8) {
             m.push(("e2e_mean_ms_hs2", v));
-        }
-    }
-    if let Some(rows) = csv_rows(dir, "fig_parallel_exec") {
-        // ideal_speedup is column 7; pick the 4-worker row per workload.
-        let at4 = |w: &'static str| {
-            move |r: &[String]| {
-                r.first().is_some_and(|v| v == w) && r.get(1).is_some_and(|v| v == "4")
-            }
-        };
-        if let Some(v) = col_first(&rows, at4("ycsb-uniform"), 7) {
-            m.push(("ideal_speedup4_uniform", v));
-        }
-        if let Some(v) = col_first(&rows, at4("ycsb-zipfian"), 7) {
-            m.push(("ideal_speedup4_zipfian", v));
-        }
-        if let Some(v) = col_first(&rows, at4("tpcc"), 7) {
-            m.push(("ideal_speedup4_tpcc", v));
         }
     }
     m

@@ -2,7 +2,7 @@
 //! [`FIGURES`] lists the scenarios behind one CSV, one per row, and the
 //! `figures` bench target runs whichever entries it is asked for. The
 //! figures that post-process their runs (`fig_critical_path`, `fig_knee`,
-//! `fig_parallel_exec`, `fig_recovery`) are bench targets of their own.
+//! `fig_recovery`) are bench targets of their own.
 
 use hs1_adversary::AdversaryStrategy;
 use hs1_core::Fault;

@@ -36,8 +36,8 @@ impl FigureSink {
     }
 
     /// A sink with a custom CSV header, for harnesses whose rows are not
-    /// simulator [`Report`]s (e.g. `fig_parallel_exec` measures the
-    /// ledger executor directly).
+    /// simulator [`Report`]s (e.g. `fig_recovery` times the storage and
+    /// state-sync layers directly).
     pub fn with_header(name: &'static str, title: &str, header: &str) -> FigureSink {
         println!("=== {name}: {title} ===");
         FigureSink { name, rows: vec![header.to_string()] }

@@ -11,51 +11,32 @@
 //! * [`ExecutionEngine::rollback_conflicting`] — Definition 4.7: discard
 //!   speculated blocks that conflict with a new branch.
 //!
-//! Execution is integer-only (paper §4.1 "Note on execution model") and
-//! runs through the conflict-partitioned batch executor in [`crate::par`],
-//! whose wave schedule guarantees that any two correct replicas — at any
-//! worker count — produce bit-identical digests and state roots.
+//! Execution is integer-only and sequential (paper §4.1 "Note on
+//! execution model"): one private function, `run_block`, applies a block's
+//! transactions in block order, so the digest and the state root are a
+//! function of the ordered batch and the pre-state, and any two correct
+//! replicas produce the same ones.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
 
-use crate::kv::KvStore;
-use crate::par;
+use crate::kv::{Key, KvStore, Value};
 use crate::spec::SpeculativeStore;
+use crate::tpcc;
 use hs1_crypto::{Digest, Sha256};
 use hs1_obs::Obs;
-use hs1_types::{BlockId, Transaction};
+use hs1_types::{BlockId, Transaction, TxOp};
 
-/// Default executor worker count: `HS1_EXEC_WORKERS` when set (the CI
-/// thread-count matrix pins 1 and N), else the machine's available
-/// parallelism capped at 8. Any value yields bit-identical results; this
-/// only tunes wall-clock speed.
-pub fn default_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        if let Some(w) = std::env::var("HS1_EXEC_WORKERS").ok().and_then(|s| s.parse().ok()) {
-            return usize::max(w, 1);
-        }
-        std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(1)
-    })
-}
-
-/// Which logical database the deployment serves, and how wide the
-/// executor's worker pool is.
+/// Which logical database the deployment serves.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecConfig {
-    /// YCSB logical record count (the paper uses 600k).
+    /// YCSB logical record count (the paper uses 600k). TPC-C rows live
+    /// above it under table tags and are created on first write.
     pub ycsb_records: u64,
-    /// TPC-C warehouse count (4 ≈ the paper's 260k records).
-    pub tpcc_warehouses: u16,
-    /// Executor worker threads (see [`default_workers`]); results are
-    /// bit-identical at every value, including 1.
-    pub workers: usize,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        ExecConfig { ycsb_records: 600_000, tpcc_warehouses: 4, workers: default_workers() }
+        ExecConfig { ycsb_records: 600_000 }
     }
 }
 
@@ -70,13 +51,11 @@ pub struct ExecutionEngine {
     /// [`ExecutionEngine::forget_digest`] drops committed ones once they
     /// are far behind the head.
     digests: HashMap<BlockId, Digest>,
-    /// Worker threads for the conflict-partitioned batch executor.
-    workers: usize,
     /// Count of transactions executed (including re-executions after
     /// rollback; metric).
     executed_txs: u64,
-    /// Observability sink (no-op by default). Wave counts and critical-
-    /// path slots are deterministic counters; batch execute time is
+    /// Observability sink (no-op by default). Batch and transaction
+    /// counts are deterministic counters; batch execute time is
     /// wall-measured and therefore confined to a histogram.
     obs: Obs,
 }
@@ -89,7 +68,6 @@ impl ExecutionEngine {
         ExecutionEngine {
             store: SpeculativeStore::new(base),
             digests: HashMap::new(),
-            workers: config.workers.max(1),
             executed_txs: 0,
             obs: Obs::noop(),
         }
@@ -209,31 +187,30 @@ impl ExecutionEngine {
 
     // -- internals ---------------------------------------------------------
 
-    /// Execute one block through the conflict-partitioned batch executor
-    /// ([`crate::par`]) and fold the result digest. The digest is a pure
-    /// function of (block id, batch, pre-state): per-transaction result
-    /// values are hashed in batch order regardless of how many workers
-    /// computed them.
+    /// Execute one block: apply its transactions in block order against
+    /// the store plus the block's own earlier writes, hand the write set
+    /// to the store, and fold the result digest over the block id and
+    /// then, per transaction, its id and result value.
     fn run_block(&mut self, block: BlockId, txs: &[Transaction], speculative: bool) -> Digest {
         let started = self.obs.enabled().then(std::time::Instant::now);
-        let outcome = par::execute_batch(&self.store, txs, self.workers);
+        let mut writes: HashMap<Key, Value> = HashMap::new();
+        let results: Vec<u64> =
+            txs.iter().map(|tx| apply_tx(&self.store, &mut writes, tx)).collect();
         if let Some(t0) = started {
             // Wall time goes to the histogram only — never the trace.
             self.obs.observe_nanos("exec_batch_ns", t0.elapsed().as_nanos() as u64);
             self.obs.counter("exec_batches", 0, 1);
-            self.obs.counter("exec_waves", 0, outcome.waves as u64);
-            self.obs.counter("exec_critical_slots", 0, outcome.critical_slots);
             self.obs.counter("exec_txs", 0, txs.len() as u64);
         }
         if speculative {
-            self.store.apply_speculative(outcome.writes);
+            self.store.apply_speculative(writes);
         } else {
-            self.store.apply_committed(outcome.writes);
+            self.store.apply_committed(writes);
         }
         let mut h = Sha256::new();
         h.update(b"hs1-exec");
         h.update(&block.0 .0);
-        for (tx, r) in txs.iter().zip(&outcome.results) {
+        for (tx, r) in txs.iter().zip(&results) {
             h.update_u64(tx.id.client.0 as u64);
             h.update_u64(tx.id.seq);
             h.update_u64(*r);
@@ -243,12 +220,71 @@ impl ExecutionEngine {
     }
 }
 
+/// Read `key` as this point of the block sees it: the block's own earlier
+/// writes, then the store (overlays above committed base). Missing keys
+/// read as 0.
+fn read(store: &SpeculativeStore, writes: &HashMap<Key, Value>, key: Key) -> u64 {
+    writes.get(&key).copied().unwrap_or_else(|| store.get(key).unwrap_or(0))
+}
+
+/// Apply one transaction, writing into `writes` and returning the result
+/// value that feeds the block digest. This is the single definition of
+/// transaction semantics.
+fn apply_tx(store: &SpeculativeStore, writes: &mut HashMap<Key, Value>, tx: &Transaction) -> u64 {
+    match tx.op {
+        TxOp::KvWrite { key, seed } => {
+            let new = crate::kv::initial_value(seed ^ tx.id.seq);
+            writes.insert(key, new);
+            new
+        }
+        TxOp::KvRead { key } => read(store, writes, key),
+        TxOp::TpccNewOrder { warehouse, district, customer, lines, seed } => {
+            // Allocate the next order id for the district.
+            let oid_key = tpcc::district_next_oid(warehouse, district);
+            let oid = read(store, writes, oid_key) as u32;
+            writes.insert(oid_key, oid as u64 + 1);
+            let mut total = 0u64;
+            for line in 0..lines {
+                let item = tpcc::item_for(seed, line);
+                let stock_key = tpcc::stock_qty(warehouse, item);
+                let qty = read(store, writes, stock_key);
+                // Restock when depleted, matching the TPC-C rule
+                // (s_quantity += 91 when below threshold).
+                let new_qty = if qty < 10 { qty + 91 } else { qty - 1 };
+                writes.insert(stock_key, new_qty);
+                let ol_key = tpcc::order_line(warehouse, district, oid, line);
+                let amount = (item as u64 % 9_999) + 1;
+                writes.insert(ol_key, amount);
+                total += amount;
+            }
+            // Record the total against the customer's order history via
+            // the digest return value.
+            total ^ ((customer as u64) << 32) ^ oid as u64
+        }
+        TxOp::TpccPayment { warehouse, district, customer, amount_cents } => {
+            let w_key = tpcc::warehouse_ytd(warehouse);
+            let w_ytd = read(store, writes, w_key) + amount_cents as u64;
+            writes.insert(w_key, w_ytd);
+            let d_key = tpcc::district_ytd(warehouse, district);
+            let d_ytd = read(store, writes, d_key) + amount_cents as u64;
+            writes.insert(d_key, d_ytd);
+            let bal_key = tpcc::customer_balance(warehouse, district, customer);
+            let bal = read(store, writes, bal_key).wrapping_sub(amount_cents as u64);
+            writes.insert(bal_key, bal);
+            let cnt_key = tpcc::customer_payments(warehouse, district, customer);
+            let cnt = read(store, writes, cnt_key) + 1;
+            writes.insert(cnt_key, cnt);
+            bal
+        }
+        TxOp::Noop => 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tpcc;
     use hs1_types::tx::TxId;
-    use hs1_types::{ClientId, TxOp};
+    use hs1_types::ClientId;
 
     fn txs(n: u64) -> Vec<Transaction> {
         (0..n).map(|i| Transaction::kv_write(1, i, i * 7, i)).collect()
@@ -368,6 +404,16 @@ mod tests {
         assert_eq!(e.digest_of(BlockId::test(1)), None);
         let d = e.execute_committed(BlockId::test(1), &txs(2));
         assert_eq!(e.digest_of(BlockId::test(1)), Some(d));
+    }
+
+    #[test]
+    fn empty_batch() {
+        let mut e = ExecutionEngine::new(ExecConfig { ycsb_records: 10 });
+        let root = e.store().committed_store().state_root();
+        let d = e.execute_committed(BlockId::test(1), &[]);
+        assert_eq!(e.digest_of(BlockId::test(1)), Some(d));
+        assert_eq!(e.executed_txs(), 0);
+        assert_eq!(e.store().committed_store().state_root(), root, "an empty block writes nothing");
     }
 
     /// Regression (ISSUE 6): a rolled-back block's digest must be gone

@@ -9,18 +9,13 @@
 //! * [`spec`] — [`spec::SpeculativeStore`]: a committed base store plus an
 //!   ordered stack of per-block write overlays (the local-ledger).
 //!   Rollback pops overlays down to the common ancestor (Definition 4.7).
-//! * [`exec`] — [`exec::ExecutionEngine`]: deterministic transaction
-//!   execution (YCSB + TPC-C ops) producing per-block result digests that
-//!   clients match quorums on.
-//! * [`par`] — conflict-partitioned parallel batch execution: static
-//!   read/write key sets, a lock-set wave scheduler, and a std-only
-//!   worker pool. See the module docs for the determinism contract
-//!   (bit-identical digests and state roots at every worker count).
+//! * [`exec`] — [`exec::ExecutionEngine`]: deterministic, sequential
+//!   transaction execution (YCSB + TPC-C ops) producing per-block result
+//!   digests that clients match quorums on.
 //! * [`tpcc`] — TPC-C table encoding and operation semantics.
 
 pub mod exec;
 pub mod kv;
-pub mod par;
 pub mod spec;
 pub mod tpcc;
 

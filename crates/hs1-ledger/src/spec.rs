@@ -61,32 +61,8 @@ impl SpeculativeStore {
         self.overlays.push(Overlay { tag, writes: HashMap::new() });
     }
 
-    /// Write into the top (current) speculative overlay.
-    ///
-    /// Panics if no speculation is active.
-    pub fn put_speculative(&mut self, key: Key, value: Value) {
-        self.overlays
-            .last_mut()
-            .expect("put_speculative requires an active overlay")
-            .writes
-            .insert(key, value);
-    }
-
-    /// Write directly into committed state (non-speculative execution).
-    ///
-    /// Panics if overlays exist: committed execution below live
-    /// speculation would make reads incoherent; engines roll back or
-    /// promote first.
-    pub fn put_committed(&mut self, key: Key, value: Value) {
-        assert!(
-            self.overlays.is_empty(),
-            "put_committed with active speculation; promote or roll back first"
-        );
-        self.committed.put(key, value);
-    }
-
-    /// Merge a batch executor write set into the top (current)
-    /// speculative overlay (see [`crate::par`]).
+    /// Merge a block's write set into the top (current) speculative
+    /// overlay.
     ///
     /// Panics if no speculation is active.
     pub fn apply_speculative(&mut self, writes: impl IntoIterator<Item = (Key, Value)>) {
@@ -97,10 +73,12 @@ impl SpeculativeStore {
             .extend(writes);
     }
 
-    /// Merge a batch executor write set directly into committed state.
+    /// Merge a block's write set directly into committed state
+    /// (non-speculative execution).
     ///
-    /// Panics if overlays exist (same invariant as
-    /// [`SpeculativeStore::put_committed`]).
+    /// Panics if overlays exist: committed execution below live
+    /// speculation would make reads incoherent; engines roll back or
+    /// promote first.
     pub fn apply_committed(&mut self, writes: impl IntoIterator<Item = (Key, Value)>) {
         assert!(
             self.overlays.is_empty(),
@@ -180,7 +158,7 @@ mod tests {
         let before = s.get(5);
         s.begin_speculation(BlockId::test(1));
         assert_eq!(s.get(5), before, "unwritten keys read through");
-        s.put_speculative(5, 999);
+        s.apply_speculative([(5, 999)]);
         assert_eq!(s.get(5), Some(999));
         assert_eq!(s.committed_store().get(5), before, "committed untouched");
     }
@@ -189,9 +167,9 @@ mod tests {
     fn newest_overlay_wins() {
         let mut s = store();
         s.begin_speculation(BlockId::test(1));
-        s.put_speculative(7, 1);
+        s.apply_speculative([(7, 1)]);
         s.begin_speculation(BlockId::test(2));
-        s.put_speculative(7, 2);
+        s.apply_speculative([(7, 2)]);
         assert_eq!(s.get(7), Some(2));
         s.rollback_above(BlockId::test(1));
         assert_eq!(s.get(7), Some(1));
@@ -202,9 +180,7 @@ mod tests {
         let mut s = store();
         let snapshot: Vec<_> = (0..10).map(|k| s.get(k)).collect();
         s.begin_speculation(BlockId::test(1));
-        for k in 0..10 {
-            s.put_speculative(k, k + 1000);
-        }
+        s.apply_speculative((0..10).map(|k| (k, k + 1000)));
         assert_eq!(s.rollback_all(), 1);
         let after: Vec<_> = (0..10).map(|k| s.get(k)).collect();
         assert_eq!(snapshot, after);
@@ -216,7 +192,7 @@ mod tests {
     fn promote_merges_into_committed() {
         let mut s = store();
         s.begin_speculation(BlockId::test(1));
-        s.put_speculative(3, 33);
+        s.apply_speculative([(3, 33)]);
         s.promote_oldest(BlockId::test(1));
         assert_eq!(s.depth(), 0);
         assert_eq!(s.committed_store().get(3), Some(33));
@@ -228,10 +204,10 @@ mod tests {
     fn promote_then_speculate_again() {
         let mut s = store();
         s.begin_speculation(BlockId::test(1));
-        s.put_speculative(1, 11);
+        s.apply_speculative([(1, 11)]);
         s.promote_oldest(BlockId::test(1));
         s.begin_speculation(BlockId::test(2));
-        s.put_speculative(1, 22);
+        s.apply_speculative([(1, 22)]);
         assert_eq!(s.get(1), Some(22));
         s.rollback_all();
         assert_eq!(s.get(1), Some(11));
@@ -259,7 +235,7 @@ mod tests {
     #[should_panic(expected = "active overlay")]
     fn speculative_write_without_overlay_panics() {
         let mut s = store();
-        s.put_speculative(0, 0);
+        s.apply_speculative([(0, 0)]);
     }
 
     #[test]
@@ -276,6 +252,6 @@ mod tests {
     fn committed_write_under_speculation_panics() {
         let mut s = store();
         s.begin_speculation(BlockId::test(1));
-        s.put_committed(0, 0);
+        s.apply_committed([(0, 0)]);
     }
 }

@@ -43,55 +43,6 @@ impl DiskModel {
     }
 }
 
-/// Execution-parallelism cost term: how the replica's CPU model prices
-/// batch execution when the conflict-partitioned executor
-/// (`hs1_ledger::par`) runs a block on a worker pool. Defaults to one
-/// worker — exactly the historical sequential cost, so calibrated figures
-/// are untouched unless a scenario opts in.
-///
-/// The model is deterministic: it derives the wave schedule of the
-/// *actual batch* (a pure function of the transactions) and charges the
-/// critical path — `sum over waves of ceil(|wave| / workers)` transaction
-/// slots — plus a per-wave dispatch overhead. No randomness, no wall
-/// clock, so replays and seed sweeps stay byte-identical.
-#[derive(Clone, Copy, Debug)]
-pub struct CpuModel {
-    /// Modeled executor worker threads (1 = sequential, the default).
-    pub exec_workers: usize,
-    /// Per-wave dispatch/barrier overhead when `exec_workers > 1`
-    /// (channel round-trip + wake-up; ~5 µs on commodity hardware).
-    pub wave_overhead: SimDuration,
-}
-
-impl Default for CpuModel {
-    fn default() -> Self {
-        CpuModel { exec_workers: 1, wave_overhead: SimDuration::from_micros(5) }
-    }
-}
-
-impl CpuModel {
-    /// A `workers`-wide executor with the default dispatch overhead.
-    pub fn with_workers(workers: usize) -> CpuModel {
-        CpuModel { exec_workers: workers.max(1), ..CpuModel::default() }
-    }
-
-    /// Modeled execution time of one batch at `per_tx` cost per
-    /// transaction. With one worker this is exactly `per_tx * len`
-    /// (bit-identical to the historical model).
-    pub fn batch_exec_time(
-        &self,
-        per_tx: SimDuration,
-        txs: &[hs1_types::Transaction],
-    ) -> SimDuration {
-        if self.exec_workers <= 1 || txs.len() < hs1_ledger::par::PAR_MIN_BATCH {
-            return per_tx * txs.len() as u64;
-        }
-        let plan = hs1_ledger::par::schedule(txs);
-        per_tx * plan.critical_slots(self.exec_workers)
-            + self.wave_overhead * plan.waves.len() as u64
-    }
-}
-
 /// Per-node resource costs.
 #[derive(Clone, Debug)]
 pub struct CostModel {
@@ -109,8 +60,6 @@ pub struct CostModel {
     pub per_tx_hash: SimDuration,
     /// Journal durability costs (zero by default).
     pub disk: DiskModel,
-    /// Execution-parallelism term (sequential by default).
-    pub cpu: CpuModel,
 }
 
 /// CI-canary slowdown multiplier for every CPU cost term, read once from
@@ -154,7 +103,6 @@ impl Default for CostModel {
             per_tx_exec: scaled(SimDuration::from_nanos(500), s),
             per_tx_hash: scaled(SimDuration::from_nanos(100), s),
             disk: DiskModel::default(),
-            cpu: CpuModel::default(),
         }
     }
 }
@@ -172,13 +120,12 @@ impl CostModel {
         match msg {
             Message::Propose(p) => {
                 // Verify the justify certificate (quorum signatures) and
-                // hash + (eventually) execute the batch; execution is
-                // priced by the CPU model's parallel-executor term.
+                // hash + (eventually) execute the batch.
                 let txs = p.block.txs.len() as u64;
                 self.per_msg
                     + self.verify * quorum as u64
                     + self.per_tx_hash * txs
-                    + self.cpu.batch_exec_time(self.per_tx_exec, &p.block.txs)
+                    + self.per_tx_exec * txs
             }
             Message::Vote(_) | Message::NewSlot(_) | Message::NewView(_) => {
                 // One share verification (+ sign amortized on send side).
@@ -215,31 +162,6 @@ mod tests {
         let propose = Message::Propose(ProposeMsg { block, commit_cert: None });
         let wish = Message::Wish(WishMsg { view: View(1), share: hs1_crypto::Signature::ZERO });
         assert!(c.recv_cost(&propose, 21) > c.recv_cost(&wish, 21) * 10);
-    }
-
-    #[test]
-    fn cpu_model_default_matches_sequential_cost() {
-        let c = CostModel::default();
-        let txs: Vec<_> = (0..500).map(|i| Transaction::kv_write(1, i, i, i)).collect();
-        assert_eq!(
-            c.cpu.batch_exec_time(c.per_tx_exec, &txs),
-            c.per_tx_exec * txs.len() as u64,
-            "one worker is bit-identical to the historical model"
-        );
-    }
-
-    #[test]
-    fn cpu_model_parallel_speedup_bounded_by_conflicts() {
-        let per_tx = SimDuration::from_nanos(500);
-        let cpu = CpuModel::with_workers(4);
-        // Conflict-free: one wave, ~4x.
-        let free: Vec<_> = (0..512).map(|i| Transaction::kv_write(1, i, i, i)).collect();
-        let t_free = cpu.batch_exec_time(per_tx, &free);
-        assert!(t_free < per_tx * 512 / 2, "conflict-free batch gains > 2x: {t_free:?}");
-        // Total conflict (one hot key): no speedup, plus wave overhead.
-        let hot: Vec<_> = (0..512).map(|i| Transaction::kv_write(1, i, 7, i)).collect();
-        let t_hot = cpu.batch_exec_time(per_tx, &hot);
-        assert!(t_hot >= per_tx * 512, "conflicting batch cannot beat sequential: {t_hot:?}");
     }
 
     #[test]

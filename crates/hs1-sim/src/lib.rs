@@ -39,7 +39,7 @@ pub mod scenario;
 pub mod statesync;
 
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosEventKind, ChaosPlan, LinkAxis, LinkFault};
-pub use cost::{CostModel, CpuModel, DiskModel};
+pub use cost::{CostModel, DiskModel};
 pub use hs1_adversary::AdversaryStrategy;
 pub use hs1_types::ProtocolKind;
 pub use openloop::{ArrivalKind, OpenLoop};

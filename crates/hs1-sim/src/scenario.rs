@@ -36,10 +36,6 @@ use hs1_workloads::{TpccGen, Workload, YcsbGen};
 pub enum WorkloadKind {
     /// YCSB: 600k-record KV store, zipfian writes (the default).
     Ycsb,
-    /// YCSB with hot-key churn: the zipfian hot set rotates every
-    /// [`Scenario::CHURN_EVERY`] transactions (trending-key traffic, the
-    /// conflict-partitioned executor's worst case).
-    YcsbChurn,
     /// TPC-C: warehouse/order management, NewOrder + Payment mix.
     Tpcc,
 }
@@ -114,10 +110,6 @@ impl Scenario {
             mempool_cap: None,
         }
     }
-
-    /// Hot-set rotation period (transactions) for
-    /// [`WorkloadKind::YcsbChurn`].
-    pub const CHURN_EVERY: u64 = 4_096;
 
     /// Drive the run with open-loop clients (offered load in tx/s)
     /// instead of the closed-loop pool.
@@ -225,14 +217,6 @@ impl Scenario {
         self
     }
 
-    /// Model a `workers`-wide parallel executor on every replica (see
-    /// [`crate::cost::CpuModel`]; 1 — the default — reproduces the
-    /// historical sequential execution cost exactly).
-    pub fn exec_workers(mut self, workers: usize) -> Self {
-        self.cost.cpu = crate::cost::CpuModel::with_workers(workers);
-        self
-    }
-
     /// Spread replicas uniformly over the first `count` paper regions.
     pub fn geo_regions(mut self, count: usize) -> Self {
         self.placement = Some(spread(self.n, count));
@@ -300,20 +284,11 @@ impl Scenario {
         }
 
         let exec = match self.workload {
-            WorkloadKind::Ycsb | WorkloadKind::YcsbChurn => ExecConfig {
-                ycsb_records: YcsbGen::PAPER_RECORDS,
-                tpcc_warehouses: 4,
-                ..ExecConfig::default()
-            },
-            WorkloadKind::Tpcc => {
-                ExecConfig { ycsb_records: 0, tpcc_warehouses: 4, ..ExecConfig::default() }
-            }
+            WorkloadKind::Ycsb => ExecConfig { ycsb_records: YcsbGen::PAPER_RECORDS },
+            WorkloadKind::Tpcc => ExecConfig { ycsb_records: 0 },
         };
         let workload: Box<dyn Workload> = match self.workload {
             WorkloadKind::Ycsb => Box::new(YcsbGen::paper_default(self.seed)),
-            WorkloadKind::YcsbChurn => {
-                Box::new(YcsbGen::paper_default(self.seed).with_hot_churn(Self::CHURN_EVERY))
-            }
             WorkloadKind::Tpcc => Box::new(TpccGen::paper_default(self.seed)),
         };
 

@@ -13,10 +13,6 @@ pub struct YcsbGen {
     rng: SplitMix64,
     /// Fraction of reads (0.0 = paper's write-only configuration).
     read_fraction: f64,
-    /// Hot-set rotation period in transactions (0 = static hot set).
-    churn_every: u64,
-    /// Transactions issued so far (drives the churn epoch).
-    issued: u64,
 }
 
 impl YcsbGen {
@@ -33,37 +29,14 @@ impl YcsbGen {
             zipf: Zipfian::new(records, theta),
             rng: SplitMix64::new(seed ^ 0x5943_5342), // "YCSB"
             read_fraction,
-            churn_every: 0,
-            issued: 0,
         }
-    }
-
-    /// Rotate the hot set every `every` transactions: the zipfian rank
-    /// distribution is unchanged, but the key each rank maps to shifts by
-    /// a large odd stride once per epoch. Deterministic — the epoch is a
-    /// pure function of how many transactions this generator has issued —
-    /// so same-seed runs stay byte-identical. `0` disables churn.
-    ///
-    /// This models "trending key" traffic (flash sales, viral posts): the
-    /// conflict-partitioned executor's worst case, since no static
-    /// partitioning ever stays aligned with the hot keys.
-    pub fn with_hot_churn(mut self, every: u64) -> YcsbGen {
-        self.churn_every = every;
-        self
     }
 
     /// Scatter a zipfian rank across the key space so hot keys are not
     /// clustered at the low end (YCSB's fnv-hash scramble, simplified).
-    /// Under churn the mapping is further shifted by the current epoch,
-    /// relocating the entire hot set.
     fn scramble(&self, rank: u64) -> u64 {
-        let epoch = match self.churn_every {
-            0 => 0,
-            k => self.issued / k,
-        };
         let mut z = rank.wrapping_mul(0xff51_afd7_ed55_8ccd);
         z ^= z >> 33;
-        z = z.wrapping_add(epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         z % self.records
     }
 }
@@ -72,7 +45,6 @@ impl Workload for YcsbGen {
     fn next_tx(&mut self, client: ClientId, seq: u64) -> Transaction {
         let rank = self.zipf.sample(&mut self.rng);
         let key = self.scramble(rank);
-        self.issued += 1;
         let op = if self.read_fraction > 0.0 && self.rng.chance(self.read_fraction) {
             TxOp::KvRead { key }
         } else {
@@ -129,56 +101,5 @@ mod tests {
         let k1 = g.scramble(1);
         assert_ne!(k0, k1);
         assert!(k0.abs_diff(k1) > 1_000, "adjacent ranks land far apart");
-    }
-
-    /// Advance the generator by `n` transactions (moves the churn epoch).
-    fn advance(g: &mut YcsbGen, n: u64) {
-        for seq in 0..n {
-            g.next_tx(ClientId(0), seq);
-        }
-    }
-
-    #[test]
-    fn hot_churn_rotates_the_hot_set_every_epoch() {
-        let mut g = YcsbGen::paper_default(5).with_hot_churn(100);
-        // The key the hottest zipfian rank maps to, across three epochs.
-        let e0 = g.scramble(0);
-        advance(&mut g, 100);
-        let e1 = g.scramble(0);
-        advance(&mut g, 100);
-        let e2 = g.scramble(0);
-        assert_ne!(e0, e1, "hot key moved at the epoch boundary");
-        assert_ne!(e1, e2, "and again the next epoch");
-        // The rotation relocates, it does not re-cluster: two hot ranks
-        // stay apart after the shift.
-        assert!(g.scramble(0).abs_diff(g.scramble(1)) > 1_000);
-    }
-
-    #[test]
-    fn hot_churn_is_stable_within_an_epoch() {
-        let mut g = YcsbGen::paper_default(5).with_hot_churn(10_000);
-        let fresh = g.scramble(0);
-        advance(&mut g, 9_999);
-        assert_eq!(g.scramble(0), fresh, "hot key holds until the epoch rolls");
-        advance(&mut g, 1);
-        assert_ne!(g.scramble(0), fresh, "and rolls exactly at the boundary");
-    }
-
-    #[test]
-    fn hot_churn_is_deterministic_per_seed() {
-        let mut a = YcsbGen::paper_default(11).with_hot_churn(64);
-        let mut b = YcsbGen::paper_default(11).with_hot_churn(64);
-        for seq in 0..300 {
-            assert_eq!(a.next_tx(ClientId(2), seq), b.next_tx(ClientId(2), seq));
-        }
-    }
-
-    #[test]
-    fn churn_disabled_matches_static_mapping() {
-        let mut plain = YcsbGen::paper_default(3);
-        let mut zero = YcsbGen::paper_default(3).with_hot_churn(0);
-        for seq in 0..200 {
-            assert_eq!(plain.next_tx(ClientId(0), seq), zero.next_tx(ClientId(0), seq));
-        }
     }
 }

@@ -5,9 +5,7 @@
 //! Two guarantees, pinned for all five protocol kinds:
 //!
 //! * **Byte-identical traces** — the same seed under a recording observer
-//!   produces the same JSONL, byte for byte, across independent runs
-//!   (this holds at any `HS1_EXEC_WORKERS` setting; CI runs the suite at
-//!   1 and 8 workers).
+//!   produces the same JSONL, byte for byte, across independent runs.
 //! * **Pure observation** — `Report::fingerprint` with an observer
 //!   attached equals the fingerprint of the same seed with no observer:
 //!   the layer draws no randomness and feeds nothing back.
@@ -84,7 +82,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `(Report::fingerprint, FNV-1a-64 of the trace JSONL)`; the trace
 /// carries every stage event and counter in emission order, so it moves
 /// if an engine reorders its `Obs` emissions or its `Action`s within a
-/// step. The values hold at any `HS1_EXEC_WORKERS` (CI runs 1 and 8).
+/// step.
 ///
 /// Provenance: generated at commit c4ba4aa (PR 12), before the three
 /// engines were collapsed onto one view driver — except
