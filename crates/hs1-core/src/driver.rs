@@ -128,7 +128,6 @@ pub(crate) struct Driver {
     pub(crate) fault: Fault,
     pub(crate) view: View,
     pub(crate) high_cert: Certificate,
-    pub(crate) awaiting_tc: bool,
     pub(crate) crashed: bool,
     /// Buffered NewView messages keyed by destination view.
     pub(crate) nv_buf: HashMap<u64, Vec<(ReplicaId, NewViewMsg)>>,
@@ -152,7 +151,6 @@ impl Driver {
             fault,
             view: View::GENESIS,
             high_cert: Certificate::genesis(),
-            awaiting_tc: false,
             nv_buf: HashMap::new(),
             parked: Vec::new(),
             fetching: FetchTracker::new(),
@@ -318,7 +316,7 @@ impl<P: Protocol> Engine<P> {
 
     fn enter_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
         let d = &mut self.d;
-        d.awaiting_tc = false;
+        d.pm.entered();
         d.core.persist.on_view(d.view);
         d.core.obs.span_begin("view", d.view.0);
         d.core.obs.counter("view_changes", 0, 1);
@@ -351,7 +349,6 @@ impl<P: Protocol> Engine<P> {
         match self.d.pm.completed_view(self.d.view, &self.d.core.kp, out) {
             PmOutcome::Enter => self.enter_view(now, out),
             PmOutcome::AwaitTc => {
-                self.d.awaiting_tc = true;
                 // Loss recovery: if the Wish (or the TC it produces) is
                 // dropped, this timer re-wishes instead of parking forever.
                 out.push(Action::SetTimer {
@@ -367,7 +364,6 @@ impl<P: Protocol> Engine<P> {
     pub(crate) fn jump_to(&mut self, v: View, now: SimTime, out: &mut Vec<Action>) {
         self.d.core.obs.span_end("view", self.d.view.0);
         self.set_view(v);
-        self.d.pm.note_jump(v);
         self.enter_view(now, out);
     }
 
@@ -426,7 +422,7 @@ impl<P: Protocol> Engine<P> {
     }
 
     pub(crate) fn maybe_propose(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if !self.d.is_leader() || self.d.crashed || self.d.awaiting_tc {
+        if !self.d.is_leader() || self.d.crashed || self.d.pm.is_awaiting_tc() {
             return;
         }
         self.refresh_tally(now, out);
@@ -602,14 +598,13 @@ impl<P: Protocol> Replica for Engine<P> {
             }
             Message::Wish(m) => self.d.pm.on_wish(from, &m, &self.d.core.registry, out),
             Message::Tc(tc) => {
+                // A released waiter was parked in the current view, and
+                // `v` may be *ahead* of it: a newer epoch's TC un-parks a
+                // replica whose own epoch TC was lost beyond recovery
+                // (see Pacemaker docs).
                 if let Some(v) = self.d.pm.on_tc(&tc, &self.d.core.registry, now, out) {
-                    // `v` may be *ahead* of the awaited view: a newer
-                    // epoch's TC un-parks a replica whose own epoch TC
-                    // was lost beyond recovery (see Pacemaker docs).
-                    if self.d.awaiting_tc && v >= self.d.view {
-                        self.set_view(v);
-                        self.enter_view(now, out);
-                    }
+                    self.set_view(v);
+                    self.enter_view(now, out);
                 }
             }
             Message::FetchBlock { id } => {
@@ -632,7 +627,7 @@ impl<P: Protocol> Replica for Engine<P> {
         }
         match timer {
             Timer::ViewTimeout(v) if v != self.d.view => {}
-            Timer::ViewTimeout(v) if self.d.awaiting_tc => {
+            Timer::ViewTimeout(v) if self.d.pm.is_awaiting_tc() => {
                 // Parked at an epoch boundary: retry the Wish (ours or
                 // the TC may have been lost) and keep the timer armed.
                 self.d.core.obs.point("wish_retry", v.0, 0);

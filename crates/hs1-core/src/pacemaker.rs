@@ -112,7 +112,7 @@ impl Pacemaker {
     /// original Wish, or the TC it should have produced, may have been
     /// dropped — without a retry the replica parks at the epoch boundary
     /// forever and enough parked replicas halt the deployment). The driver
-    /// call this from a retry timer armed while `awaiting_tc`.
+    /// calls this from a retry timer armed while parked.
     ///
     /// Retries *escalate*: every second fruitless retry also wishes for
     /// the next epoch boundary above the last target. Parked replicas can
@@ -236,14 +236,11 @@ impl Pacemaker {
         None
     }
 
-    /// The engine jumped ahead to `view` via a valid proposal (catch-up);
-    /// drop any stale wait.
-    pub fn note_jump(&mut self, view: View) {
-        if let Some(w) = self.awaiting {
-            if w <= view {
-                self.awaiting = None;
-            }
-        }
+    /// The engine entered a view, whichever way (the next one after a
+    /// vote or a timeout, a TC, or a jump on a valid proposal). Views only
+    /// go up, so a wait at a boundary is over.
+    pub fn entered(&mut self) {
+        self.awaiting = None;
     }
 
     /// Is the replica parked at an epoch boundary waiting for a TC?
@@ -443,7 +440,7 @@ mod tests {
         let mut out = Vec::new();
         pm.completed_view(View(2), &kps[0], &mut out);
         assert!(pm.is_awaiting_tc());
-        pm.note_jump(View(3));
+        pm.entered();
         assert!(!pm.is_awaiting_tc());
     }
 }
