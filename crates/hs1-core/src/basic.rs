@@ -15,6 +15,7 @@
 //! Def. 4.5) and prefix (a `P(v+1)` extending `P(v)` arrives, Def. 4.6).
 
 use crate::driver::{Engine, Protocol};
+use crate::pacemaker::ViewEnd;
 use crate::replica::Action;
 use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
@@ -109,7 +110,7 @@ impl Basic {
                 vote: Some(VoteInfo { view: pv, slot: Slot::FIRST, block: cert.block, share }),
             }),
         });
-        e.exit_view(now, out);
+        e.exit_view(ViewEnd::Voted, now, out);
     }
 }
 

@@ -15,6 +15,7 @@
 
 use crate::byzantine::Fault;
 use crate::driver::{Driver, Engine, Protocol};
+use crate::pacemaker::ViewEnd;
 use crate::replica::Action;
 use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
@@ -192,7 +193,7 @@ impl Protocol for Chained {
                 }),
             });
             // 4. Exit the view (Fig. 4 line 19).
-            e.exit_view(now, out);
+            e.exit_view(ViewEnd::Voted, now, out);
         }
     }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use crate::byzantine::Fault;
 use crate::common::{CoreState, FetchTracker};
-use crate::pacemaker::{Pacemaker, PmOutcome};
+use crate::pacemaker::{Pacemaker, PmOutcome, ViewEnd};
 use crate::persist::{Persistence, RecoveredState};
 use crate::replica::{Action, PoolStats, Replica, Timer};
 use hs1_ledger::ExecConfig;
@@ -343,12 +343,33 @@ impl<P: Protocol> Engine<P> {
         self.maybe_propose(now, out);
     }
 
-    pub(crate) fn exit_view(&mut self, now: SimTime, out: &mut Vec<Action>) {
+    /// Leave the current view for the next one. An epoch boundary reached
+    /// on a vote is crossed at once; one reached on a timeout is
+    /// synchronized first (see [`Pacemaker`]).
+    pub(crate) fn exit_view(&mut self, why: ViewEnd, now: SimTime, out: &mut Vec<Action>) {
         self.d.core.obs.span_end("view", self.d.view.0);
+        if self.d.pm.is_awaiting_tc() {
+            // Parked, and released by a vote on the proposal for the very
+            // view the replica is parked at.
+            self.d.core.obs.counter("epoch_entered_jump", 0, 1);
+        }
         self.set_view(self.d.view.next());
-        match self.d.pm.completed_view(self.d.view, &self.d.core.kp, out) {
-            PmOutcome::Enter => self.enter_view(now, out),
+        let d = &mut self.d;
+        match d.pm.completed_view(d.view, why, now, &d.core.kp, out) {
+            PmOutcome::Enter => {
+                if d.core.cfg.is_epoch_start(d.view) {
+                    // After a timeout: a TC scheduled the epoch before this
+                    // replica reached its boundary.
+                    let reason = match why {
+                        ViewEnd::Voted => "epoch_entered_vote",
+                        ViewEnd::TimedOut => "epoch_entered_tc",
+                    };
+                    d.core.obs.counter(reason, 0, 1);
+                }
+                self.enter_view(now, out)
+            }
             PmOutcome::AwaitTc => {
+                d.core.obs.counter("epoch_syncs", 0, 1);
                 // Loss recovery: if the Wish (or the TC it produces) is
                 // dropped, this timer re-wishes instead of parking forever.
                 out.push(Action::SetTimer {
@@ -362,7 +383,11 @@ impl<P: Protocol> Engine<P> {
     /// Jump directly into `v` (a valid proposal for a higher view proves
     /// progress happened without us).
     pub(crate) fn jump_to(&mut self, v: View, now: SimTime, out: &mut Vec<Action>) {
-        self.d.core.obs.span_end("view", self.d.view.0);
+        let d = &self.d;
+        d.core.obs.span_end("view", d.view.0);
+        if d.pm.is_awaiting_tc() || d.core.cfg.epoch_start(v) != d.core.cfg.epoch_start(d.view) {
+            d.core.obs.counter("epoch_entered_jump", 0, 1);
+        }
         self.set_view(v);
         self.enter_view(now, out);
     }
@@ -603,6 +628,7 @@ impl<P: Protocol> Replica for Engine<P> {
                 // replica whose own epoch TC was lost beyond recovery
                 // (see Pacemaker docs).
                 if let Some(v) = self.d.pm.on_tc(&tc, &self.d.core.registry, now, out) {
+                    self.d.core.obs.counter("epoch_entered_tc", 0, 1);
                     self.set_view(v);
                     self.enter_view(now, out);
                 }
@@ -641,7 +667,7 @@ impl<P: Protocol> Replica for Engine<P> {
             Timer::ViewTimeout(v) => {
                 // Fig. 2 / Fig. 4 lines 20–22 / Fig. 7 lines 27–31.
                 self.send_newview(v.next(), out);
-                self.exit_view(now, out);
+                self.exit_view(ViewEnd::TimedOut, now, out);
             }
             Timer::LeaderWait(v) => {
                 if v == self.d.view {

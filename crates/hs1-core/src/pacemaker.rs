@@ -1,16 +1,64 @@
 //! The pacemaker (paper §4.2.1, Fig. 3).
 //!
-//! Views are grouped into epochs of `f + 1` consecutive views. At each
-//! epoch boundary replicas synchronize: every replica sends a `Wish` share
-//! to the `f + 1` leaders of the next epoch; a leader aggregates `n − f`
-//! shares into a timeout certificate `TC_v` and broadcasts it; receivers
-//! relay the TC to the epoch leaders and set
+//! **Fig. 3 as written.** Views are grouped into epochs of `f + 1`
+//! consecutive views. At each epoch boundary replicas synchronize: every
+//! replica sends a `Wish` share to the `f + 1` leaders of the next epoch;
+//! a leader aggregates `n − f` shares into a timeout certificate `TC_v`
+//! and broadcasts it; receivers relay the TC to the epoch leaders and set
 //! `StartTime[v + k] = t + k·τ` for `k = 0..f`. The start time of view
 //! `v + k` is also the timeout of view `v + k − 1`, and
-//! `ShareTimer(v) = StartTime[v] + 3Δ`.
+//! `ShareTimer(v) = StartTime[v] + 3Δ`. Within an epoch a replica enters
+//! the next view the moment it votes.
 //!
 //! At deployment start all replicas behave as if `TC_0` arrived at time 0
 //! (synchronized start; the first epoch is scheduled from the origin).
+//!
+//! **What this code does instead.** The engine says *why* a view ended
+//! ([`ViewEnd`]). A boundary reached on a **vote** is crossed the way an
+//! intra-epoch view is: the replica sets `StartTime[v + k] = now + k·τ`
+//! from its own clock, enters `v` and sends nothing. Only a boundary
+//! reached on a **timeout** runs the Wish / TC round above, unchanged.
+//! So on a fault-free run no `Wish` and no `Tc` is ever sent, and the
+//! round (two hops on the critical path, 8 of the 14 replica-to-replica
+//! frames per view at n = 4) is paid for where it is needed: after a
+//! view failed. Slotted HotStuff-1 ends every
+//! view on its timer by design (§6), so it runs the round at every
+//! boundary, as Fig. 3 has it.
+//!
+//! View synchronization is a liveness device: safety rests on the vote
+//! rules and quorum intersection, never on when a view is entered, so
+//! only liveness has to be argued.
+//!
+//! 1. *The evidence is the same as inside an epoch.* A proposal in the
+//!    epoch's last view `v − 1` exists only after `n − f` replicas sent
+//!    its leader a NewView, that is, had left `v − 2`: a replica that
+//!    votes on it knows `n − f` replicas are one view behind it at most.
+//!    That is what lets Fig. 3 advance on a vote between two views of
+//!    one epoch; the boundary adds nothing to it.
+//! 2. *A replica that missed that proposal* times out of `v − 1`,
+//!    Wishes and parks. It is released by the next proposal it receives
+//!    — the one for `v` it votes on where it stands, or a later one it
+//!    jumps to ([`Pacemaker::entered`]) — which reaches it within one
+//!    view timer of the others entering `v` if any later leader is
+//!    correct and heard; and by the re-wish escalation ladder
+//!    ([`Pacemaker::rewish`]) if none comes.
+//! 3. *If the optimistic epoch makes no progress* its views end on
+//!    their timers, so the replicas that crossed on a vote reach the
+//!    *next* boundary on a timeout and run the full round there, with
+//!    the parked ones' escalated Wishes already waiting at its leaders.
+//!    An epoch is crossed without a TC only while views are succeeding.
+//! 4. *A TC never moves a schedule that exists* ([`Pacemaker::on_tc`]).
+//!    A TC for `v` can reach a replica that scheduled `v` from its own
+//!    clock when at most `f` correct replicas crossed on the vote and
+//!    the rest, with faulty help, gathered `n − f` Wishes. That replica's
+//!    timer for its current view is already armed from the local
+//!    schedule and cannot be recalled, so re-anchoring could repair the
+//!    later views of the epoch at best, and two rules for one map is
+//!    what it would cost. Keeping the first schedule leaves the replica
+//!    early by at most the time the others took to time out and
+//!    synchronize, for one epoch: it reaches the next boundary on a
+//!    timeout (3), Wishes, and is re-aligned by that TC. The TC still
+//!    releases a waiter, as a duplicate does.
 
 use std::collections::{HashMap, HashSet};
 
@@ -19,6 +67,15 @@ use hs1_crypto::{KeyPair, PublicKeyRegistry, Signature};
 use hs1_types::cert::domains;
 use hs1_types::message::WishMsg;
 use hs1_types::{Message, ReplicaId, SimTime, SystemConfig, TimeoutCert, View};
+
+/// Why the engine left a view.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ViewEnd {
+    /// It voted in it (Fig. 2 line 30, Fig. 4 line 19).
+    Voted,
+    /// `Timer::ViewTimeout` fired.
+    TimedOut,
+}
 
 /// Verdict of [`Pacemaker::completed_view`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,7 +90,8 @@ pub enum PmOutcome {
 pub struct Pacemaker {
     cfg: SystemConfig,
     me: ReplicaId,
-    /// StartTime[v] for views of epochs whose TC has been processed.
+    /// StartTime[v] for views of epochs whose TC has been processed or
+    /// that were entered on a vote.
     start_times: HashMap<u64, SimTime>,
     /// Wish shares collected per epoch-start view (leader role).
     wishes: HashMap<u64, Vec<(ReplicaId, Signature)>>,
@@ -53,21 +111,19 @@ pub struct Pacemaker {
 
 impl Pacemaker {
     pub fn new(cfg: SystemConfig, me: ReplicaId, now: SimTime) -> Pacemaker {
-        let mut start_times = HashMap::new();
-        // Synchronized start: epoch 0 is scheduled from `now` (time 0).
-        for k in 0..cfg.epoch_len() {
-            start_times.insert(k, now + cfg.view_timer * k);
-        }
-        Pacemaker {
+        let mut pm = Pacemaker {
             cfg,
             me,
-            start_times,
+            start_times: HashMap::new(),
             wishes: HashMap::new(),
             tc_done: HashSet::new(),
             formed: HashMap::new(),
             awaiting: None,
             rewish_count: 0,
-        }
+        };
+        // Synchronized start: epoch 0 is scheduled from `now` (time 0).
+        pm.schedule_epoch(View(0), now);
+        pm
     }
 
     /// The timeout deadline of `view`: `StartTime[view] + τ`, or `now + τ`
@@ -88,10 +144,23 @@ impl Pacemaker {
         }
     }
 
-    /// The engine finished view `next − 1` and wants to enter `next`
-    /// (Fig. 3 CompletedView).
-    pub fn completed_view(&mut self, next: View, kp: &KeyPair, out: &mut Vec<Action>) -> PmOutcome {
+    /// The engine finished view `next − 1` for the reason `why` and wants
+    /// to enter `next` (Fig. 3 CompletedView). An epoch boundary reached
+    /// on a vote is scheduled from `now` and entered; one reached on a
+    /// timeout is synchronized (module doc).
+    pub fn completed_view(
+        &mut self,
+        next: View,
+        why: ViewEnd,
+        now: SimTime,
+        kp: &KeyPair,
+        out: &mut Vec<Action>,
+    ) -> PmOutcome {
         if !self.cfg.is_epoch_start(next) || self.start_times.contains_key(&next.0) {
+            return PmOutcome::Enter;
+        }
+        if why == ViewEnd::Voted {
+            self.schedule_epoch(next, now);
             return PmOutcome::Enter;
         }
         // SynchronizeEpoch (Fig. 3 lines 8–10): Wish to the next epoch's
@@ -196,7 +265,9 @@ impl Pacemaker {
     ) -> Option<View> {
         let v = tc.view;
         if !self.cfg.is_epoch_start(v) || self.start_times.contains_key(&v.0) {
-            // Known epoch: possibly a duplicate; still release a waiter.
+            // Scheduled epoch, by an earlier copy of this TC or from the
+            // local clock on a vote: the first schedule stands (module
+            // doc, point 4); still release a waiter.
             return self.release_if_awaiting(v);
         }
         if !tc.verify(registry, self.cfg.quorum()) {
@@ -208,12 +279,17 @@ impl Pacemaker {
                 out.push(Action::Send { to: leader, msg: Message::Tc(tc.clone()) });
             }
         }
-        for k in 0..self.cfg.epoch_len() {
-            self.start_times.insert(v.0 + k, now + self.cfg.view_timer * k);
-        }
+        self.schedule_epoch(v, now);
         self.tc_done.insert(v.0);
         self.formed.insert(v.0, tc.clone());
         self.release_if_awaiting(v)
+    }
+
+    /// `StartTime[v + k] = now + k·τ` for the epoch starting at `v`.
+    fn schedule_epoch(&mut self, v: View, now: SimTime) {
+        for k in 0..self.cfg.epoch_len() {
+            self.start_times.insert(v.0 + k, now + self.cfg.view_timer * k);
+        }
     }
 
     fn release_if_awaiting(&mut self, v: View) -> Option<View> {
@@ -270,6 +346,21 @@ mod tests {
         (cfg, kps, reg)
     }
 
+    /// A valid `TC_view` from the first `n − f` replicas.
+    fn tc(cfg: &SystemConfig, kps: &[KeyPair], view: View) -> TimeoutCert {
+        let bytes = TimeoutCert::signing_bytes(view);
+        let sigs = (0..cfg.quorum())
+            .map(|i| (ReplicaId(i as u32), kps[i].sign(domains::WISH, &bytes)))
+            .collect();
+        TimeoutCert { view, sigs }
+    }
+
+    /// Time out of the view below `next` (an unscheduled epoch start): park.
+    fn park(pm: &mut Pacemaker, next: View, kp: &KeyPair) {
+        let parked = pm.completed_view(next, ViewEnd::TimedOut, SimTime::ZERO, kp, &mut Vec::new());
+        assert_eq!(parked, PmOutcome::AwaitTc);
+    }
+
     #[test]
     fn bootstrap_schedule() {
         let (cfg, _, _) = setup(4); // f = 1, epoch_len = 2, τ = 10ms
@@ -286,8 +377,29 @@ mod tests {
         let (cfg, kps, _) = setup(4);
         let mut pm = Pacemaker::new(cfg, ReplicaId(0), SimTime::ZERO);
         let mut out = Vec::new();
-        assert_eq!(pm.completed_view(View(1), &kps[0], &mut out), PmOutcome::Enter);
+        for why in [ViewEnd::Voted, ViewEnd::TimedOut] {
+            let entered = pm.completed_view(View(1), why, SimTime::ZERO, &kps[0], &mut out);
+            assert_eq!(entered, PmOutcome::Enter);
+        }
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn epoch_boundary_after_a_vote_is_scheduled_from_the_local_clock() {
+        let (cfg, kps, _) = setup(7); // f = 2, epoch_len = 3, boundary at view 3
+        let mut pm = Pacemaker::new(cfg.clone(), ReplicaId(0), SimTime::ZERO);
+        let mut out = Vec::new();
+        let t = SimTime::ZERO + SimDuration::from_millis(7);
+        let entered = pm.completed_view(View(3), ViewEnd::Voted, t, &kps[0], &mut out);
+        assert_eq!(entered, PmOutcome::Enter);
+        assert!(out.is_empty(), "a voted crossing sends nothing");
+        assert!(!pm.is_awaiting_tc());
+        // f + 1 start times from `t`; the next epoch is still unscheduled.
+        let later = t + SimDuration::from_millis(500);
+        for k in 0..3 {
+            assert_eq!(pm.deadline(View(3 + k), later), t + cfg.view_timer * (k + 1));
+        }
+        assert_eq!(pm.deadline(View(6), later), later + cfg.view_timer);
     }
 
     #[test]
@@ -295,7 +407,9 @@ mod tests {
         let (cfg, kps, _) = setup(4); // epoch boundary at view 2
         let mut pm = Pacemaker::new(cfg.clone(), ReplicaId(0), SimTime::ZERO);
         let mut out = Vec::new();
-        assert_eq!(pm.completed_view(View(2), &kps[0], &mut out), PmOutcome::AwaitTc);
+        let t = SimTime::ZERO + SimDuration::from_millis(20);
+        let parked = pm.completed_view(View(2), ViewEnd::TimedOut, t, &kps[0], &mut out);
+        assert_eq!(parked, PmOutcome::AwaitTc);
         let dests: Vec<_> = out
             .iter()
             .map(|a| match a {
@@ -308,6 +422,9 @@ mod tests {
             .collect();
         assert_eq!(dests, cfg.epoch_leaders(View(2)));
         assert!(pm.is_awaiting_tc());
+        // Nothing was scheduled: the epoch's start times come with the TC.
+        assert_eq!(pm.deadline(View(2), t), t + cfg.view_timer);
+        assert_eq!(pm.deadline(View(3), t), t + cfg.view_timer);
     }
 
     #[test]
@@ -342,18 +459,9 @@ mod tests {
         let (cfg, kps, reg) = setup(4);
         let mut pm = Pacemaker::new(cfg.clone(), ReplicaId(0), SimTime::ZERO);
         let mut out = Vec::new();
-        pm.completed_view(View(2), &kps[0], &mut out);
-        out.clear();
+        park(&mut pm, View(2), &kps[0]);
 
-        let sigs: Vec<_> = (0..3u32)
-            .map(|i| {
-                (
-                    ReplicaId(i),
-                    kps[i as usize].sign(domains::WISH, &TimeoutCert::signing_bytes(View(2))),
-                )
-            })
-            .collect();
-        let tc = TimeoutCert { view: View(2), sigs };
+        let tc = tc(&cfg, &kps, View(2));
         let t = SimTime::ZERO + SimDuration::from_millis(42);
         let entered = pm.on_tc(&tc, &reg, t, &mut out);
         assert_eq!(entered, Some(View(2)));
@@ -371,12 +479,33 @@ mod tests {
     }
 
     #[test]
+    fn tc_for_an_epoch_scheduled_from_the_local_clock_keeps_that_schedule() {
+        // Module doc, point 4. R0 crosses into view 2 on a vote at `t0`;
+        // the others time out, Wish, and their TC reaches R0 at `t1`.
+        let (cfg, kps, reg) = setup(4);
+        let mut pm = Pacemaker::new(cfg.clone(), ReplicaId(0), SimTime::ZERO);
+        let mut out = Vec::new();
+        let t0 = SimTime::ZERO + SimDuration::from_millis(3);
+        pm.completed_view(View(2), ViewEnd::Voted, t0, &kps[0], &mut out);
+        let t1 = t0 + cfg.view_timer;
+        assert_eq!(pm.on_tc(&tc(&cfg, &kps, View(2)), &reg, t1, &mut out), None);
+        assert!(out.is_empty(), "no relay: the TC is treated as a duplicate");
+        assert_eq!(pm.deadline(View(2), t1), t0 + cfg.view_timer);
+        assert_eq!(pm.deadline(View(3), t1), t0 + cfg.view_timer * 2);
+        // The next boundary, reached on a timeout, is synchronized and
+        // takes its schedule from that TC.
+        park(&mut pm, View(4), &kps[0]);
+        let t2 = t0 + cfg.view_timer * 2;
+        assert_eq!(pm.on_tc(&tc(&cfg, &kps, View(4)), &reg, t2, &mut out), Some(View(4)));
+        assert_eq!(pm.deadline(View(4), t2), t2 + cfg.view_timer);
+    }
+
+    #[test]
     fn invalid_tc_rejected() {
         let (cfg, kps, reg) = setup(4);
         let mut pm = Pacemaker::new(cfg, ReplicaId(0), SimTime::ZERO);
         let mut out = Vec::new();
-        pm.completed_view(View(2), &kps[0], &mut out);
-        out.clear();
+        park(&mut pm, View(2), &kps[0]);
         let bad = TimeoutCert { view: View(2), sigs: vec![] };
         assert_eq!(pm.on_tc(&bad, &reg, SimTime::ZERO, &mut out), None);
         assert!(pm.is_awaiting_tc());
@@ -400,35 +529,18 @@ mod tests {
         let (cfg, kps, reg) = setup(4);
         let mut pm = Pacemaker::new(cfg.clone(), ReplicaId(0), SimTime::ZERO);
         let mut out = Vec::new();
-        pm.completed_view(View(2), &kps[0], &mut out);
+        park(&mut pm, View(2), &kps[0]);
         assert!(pm.is_awaiting_tc());
-        out.clear();
 
-        let sigs: Vec<_> = (0..3u32)
-            .map(|i| {
-                (
-                    ReplicaId(i),
-                    kps[i as usize].sign(domains::WISH, &TimeoutCert::signing_bytes(View(8))),
-                )
-            })
-            .collect();
-        let newer = TimeoutCert { view: View(8), sigs };
+        let newer = tc(&cfg, &kps, View(8));
         let t = SimTime::ZERO + SimDuration::from_millis(70);
         assert_eq!(pm.on_tc(&newer, &reg, t, &mut out), Some(View(8)), "released forward");
         assert!(!pm.is_awaiting_tc());
         assert_eq!(pm.deadline(View(8), t), t + cfg.view_timer);
         // A *stale* TC (below the awaited boundary) must not release.
         let mut pm2 = Pacemaker::new(cfg.clone(), ReplicaId(0), SimTime::ZERO);
-        pm2.completed_view(View(4), &kps[0], &mut out);
-        let old_sigs: Vec<_> = (0..3u32)
-            .map(|i| {
-                (
-                    ReplicaId(i),
-                    kps[i as usize].sign(domains::WISH, &TimeoutCert::signing_bytes(View(2))),
-                )
-            })
-            .collect();
-        let old = TimeoutCert { view: View(2), sigs: old_sigs };
+        park(&mut pm2, View(4), &kps[0]);
+        let old = tc(&cfg, &kps, View(2));
         assert_eq!(pm2.on_tc(&old, &reg, t, &mut out), None);
         assert!(pm2.is_awaiting_tc(), "stale TC leaves the waiter parked");
     }
@@ -437,8 +549,7 @@ mod tests {
     fn jump_clears_wait() {
         let (cfg, kps, _) = setup(4);
         let mut pm = Pacemaker::new(cfg, ReplicaId(0), SimTime::ZERO);
-        let mut out = Vec::new();
-        pm.completed_view(View(2), &kps[0], &mut out);
+        park(&mut pm, View(2), &kps[0]);
         assert!(pm.is_awaiting_tc());
         pm.entered();
         assert!(!pm.is_awaiting_tc());

@@ -6,7 +6,7 @@
 //! view progression, attack outcomes.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use crate::replica::{Action, Replica, Timer};
@@ -36,9 +36,12 @@ pub struct TestNet {
     seq: u64,
     pub hop: SimDuration,
     pub log: Vec<Obs>,
-    /// Replica ids whose outbound messages are dropped (network-level
-    /// isolation for tests).
-    pub isolated: Vec<ReplicaId>,
+    /// Network-level loss for tests: a message `(from, to, msg)` for which
+    /// this returns `true` is never delivered.
+    pub drop: Box<dyn FnMut(ReplicaId, ReplicaId, &Message) -> bool>,
+    /// Messages sent so far by [`Message::kind_name`], one per recipient
+    /// (a broadcast counts `n`), whether or not `drop` then took them.
+    pub sent: BTreeMap<&'static str, u64>,
 }
 
 impl TestNet {
@@ -51,7 +54,8 @@ impl TestNet {
             seq: 0,
             hop,
             log: Vec::new(),
-            isolated: Vec::new(),
+            drop: Box::new(|_, _, _| false),
+            sent: BTreeMap::new(),
         }
     }
 
@@ -66,28 +70,20 @@ impl TestNet {
         self.seq += 1;
     }
 
+    fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: Message) {
+        *self.sent.entry(msg.kind_name()).or_default() += 1;
+        if !(self.drop)(from, to, &msg) {
+            self.push_event(self.now + self.hop, Ev::Msg { from, to, msg: Box::new(msg) });
+        }
+    }
+
     fn absorb(&mut self, from: ReplicaId, actions: Vec<Action>) {
-        let hop = self.hop;
-        let isolated = self.isolated.contains(&from);
         for a in actions {
             match a {
-                Action::Send { to, msg } => {
-                    if !isolated {
-                        self.push_event(self.now + hop, Ev::Msg { from, to, msg: Box::new(msg) });
-                    }
-                }
+                Action::Send { to, msg } => self.send(from, to, msg),
                 Action::Broadcast { msg } => {
-                    if !isolated {
-                        for r in 0..self.n() {
-                            self.push_event(
-                                self.now + hop,
-                                Ev::Msg {
-                                    from,
-                                    to: ReplicaId(r as u32),
-                                    msg: Box::new(msg.clone()),
-                                },
-                            );
-                        }
+                    for r in 0..self.n() {
+                        self.send(from, ReplicaId(r as u32), msg.clone());
                     }
                 }
                 Action::SetTimer { timer, at } => {

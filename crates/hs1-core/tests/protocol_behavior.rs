@@ -976,3 +976,196 @@ mod not_yet_usable {
         }
     }
 }
+
+// -- the epoch boundary: crossed on a vote, synchronized after a timeout ----------
+
+mod epoch_boundary {
+    use super::*;
+    use hs1_types::{Message, SimTime, View};
+
+    /// The protocols whose views end on a vote. Slotted HotStuff-1 ends
+    /// every view on its timer (§6).
+    const VOTE_EXIT: [ProtocolKind; 4] = [
+        ProtocolKind::HotStuff,
+        ProtocolKind::HotStuff2,
+        ProtocolKind::HotStuff1,
+        ProtocolKind::HotStuff1Basic,
+    ];
+    const TAU: SimDuration = SimDuration::from_millis(10);
+
+    fn sent(net: &TestNet, kind: &str) -> u64 {
+        net.sent.get(kind).copied().unwrap_or(0)
+    }
+
+    fn views(net: &TestNet) -> Vec<u64> {
+        net.engines.iter().map(|e| e.current_view().0).collect()
+    }
+
+    fn no_loss() -> Box<dyn FnMut(ReplicaId, ReplicaId, &Message) -> bool> {
+        Box::new(|_, _, _| false)
+    }
+
+    /// Run until every listed replica has committed more than it had;
+    /// fail if `deadline` comes first.
+    fn all_commit_by(net: &mut TestNet, replicas: &[usize], deadline: SimTime, what: &str) {
+        let before: Vec<usize> = replicas.iter().map(|&r| net.committed_at(r).len()).collect();
+        while net.now < deadline {
+            net.run_for(SimDuration::from_micros(100));
+            if replicas.iter().zip(&before).all(|(&r, &b)| net.committed_at(r).len() > b) {
+                return;
+            }
+        }
+        panic!(
+            "{what}: no commit at every replica of {replicas:?} by {deadline:?}: views {:?}",
+            views(net)
+        );
+    }
+
+    #[test]
+    fn fault_free_vote_exit_protocols_never_synchronize() {
+        for n in [4, 7] {
+            let boundaries = 8 * cfg(n).epoch_len();
+            for kind in VOTE_EXIT {
+                let mut net = net_for(kind, n, vec![]);
+                net.run_for(SimDuration::from_millis(60));
+                let what = format!("{kind:?} n={n}: views {:?}, sent {:?}", views(&net), net.sent);
+                assert!(views(&net).iter().all(|&v| v > boundaries), "{what}");
+                assert_eq!((sent(&net, "Wish"), sent(&net, "Tc")), (0, 0), "{what}");
+                assert!(committed_counts(&net, n).iter().all(|&c| c > 8), "{what}");
+            }
+            // Slotted views end on the timer: Fig. 3's round, every boundary.
+            let mut net = net_for(ProtocolKind::HotStuff1Slotted, n, vec![]);
+            net.run_for(TAU * (boundaries + 2));
+            let what = format!("slotted n={n}: views {:?}, sent {:?}", views(&net), net.sent);
+            assert!(views(&net).iter().all(|&v| v > boundaries), "{what}");
+            let rounds = sent(&net, "Wish") / (n as u64 * cfg(n).epoch_len());
+            assert!(rounds >= 8 && sent(&net, "Tc") >= 8 * n as u64, "{what}");
+        }
+    }
+
+    /// Liveness point (ii). Replica `r`, the first leader of the epoch it
+    /// fails to reach, is cut off from the proposal of the previous epoch's
+    /// last view onward. It times out there, Wishes alone and parks; the
+    /// others crossed on their votes and never Wish, so no TC can form.
+    /// If only a TC released a park, `r` would sit at the boundary for
+    /// good (its view would read `boundary` at the end) and every view it
+    /// leads would time out.
+    #[test]
+    fn replica_that_missed_the_last_proposal_parks_and_is_released_by_the_next_one() {
+        for n in [4, 7] {
+            let c = cfg(n);
+            let boundary = View(2 * c.epoch_len());
+            let r = c.leader_of(boundary);
+            let mut net = net_for(ProtocolKind::HotStuff1, n, vec![]);
+            net.drop = Box::new(move |_, to, m| {
+                let before = match m {
+                    Message::Propose(p) => p.block.view.next() < boundary,
+                    Message::NewView(nv) => nv.dest_view < boundary,
+                    _ => false,
+                };
+                to == r && !before
+            });
+            // `r` stays in the last view until its epoch's schedule runs out.
+            net.run_until(SimTime::ZERO + TAU * c.epoch_len() + c.delta * 2);
+            let leaders = c.epoch_len();
+            assert_eq!(net.engines[r.0 as usize].current_view(), boundary, "n={n}");
+            assert_eq!((sent(&net, "Wish"), sent(&net, "Tc")), (leaders, 0), "n={n}: parked alone");
+            let entered = |net: &TestNet| {
+                net.log.iter().any(
+                    |o| matches!(o, Obs::EnteredView { at, view } if *at == r && *view >= boundary),
+                )
+            };
+            assert!(!entered(&net), "n={n}: parked, not entered");
+
+            net.drop = no_loss();
+            net.run_for(TAU);
+            let vs = views(&net);
+            assert!(entered(&net) && vs.iter().all(|&v| v == vs[0]), "n={n}: views {vs:?}");
+            assert_eq!((sent(&net, "Wish"), sent(&net, "Tc")), (leaders, 0), "n={n}: no round ran");
+            let deadline = net.now + TAU;
+            all_commit_by(&mut net, &(0..n).collect::<Vec<_>>(), deadline, "after the release");
+        }
+    }
+
+    /// Liveness point (iii). A silent replica that leads an epoch's first
+    /// view costs that view only: the next one succeeds, so the boundary
+    /// after it is crossed on votes again and no round runs. One that leads
+    /// an epoch's *last* view makes every replica reach the boundary on a
+    /// timeout, and that boundary runs the full round. At n = 4 a replica's
+    /// place in the epoch is fixed (4 = 2 epochs of 2); at n = 7 replica 3
+    /// leads views 3 (first), 10 (middle), 17 (last), so both happen.
+    /// If a timed-out boundary were scheduled from the local clock too, no
+    /// Wish would be sent in the second and third case; if a voted boundary
+    /// still ran the round, the first case would show Wishes.
+    #[test]
+    fn silent_leader_costs_a_round_only_where_it_ends_the_epoch() {
+        for (n, silent, rounds) in [(4, 2, false), (4, 3, true), (7, 3, true)] {
+            for kind in
+                [ProtocolKind::HotStuff2, ProtocolKind::HotStuff1, ProtocolKind::HotStuff1Basic]
+            {
+                let mut net = net_for(kind, n, vec![(silent, Fault::Silent)]);
+                net.run_for(SimDuration::from_millis(400));
+                let correct: Vec<usize> = (0..n).filter(|r| *r != silent).collect();
+                let what = format!("{kind:?} n={n} silent={silent}: sent {:?}", net.sent);
+                assert!(correct.iter().all(|&r| net.committed_at(r).len() >= 20), "{what}");
+                net.assert_prefix_agreement(&correct);
+                assert_eq!(sent(&net, "Tc") > 0, rounds, "{what}");
+                assert_eq!(sent(&net, "Wish") > 0, rounds, "{what}");
+            }
+        }
+    }
+
+    /// Mixed crossing. The proposal of an epoch's last view reaches f + 1
+    /// correct replicas, who vote and cross at once; the other n − f − 1
+    /// time out of that view an epoch's schedule later, Wish and park. The
+    /// crossers' own views fail meanwhile (no quorum), so they reach the
+    /// next boundary on timeouts and Wish there (iii); the parked replicas'
+    /// second re-wish escalates to that boundary, and its TC re-aligns
+    /// everyone. Bound: every replica commits again within (f + 5) view
+    /// timers of the drop: f + 1 for the laggards to leave their epoch, 2
+    /// for the ladder to reach the next boundary, 1 for the first view
+    /// after the TC (the released replicas sent it no NewView), 1 of
+    /// slack. Fig. 3 as written takes f + 2. If a vote-crosser that timed
+    /// out did not Wish at the next boundary, or the ladder did not
+    /// escalate, no TC would form and the two groups would stay apart.
+    #[test]
+    fn mixed_crossing_realigns_at_the_next_boundary() {
+        for n in [4usize, 7] {
+            let c = cfg(n);
+            let f = (n as u64 - 1) / 3;
+            let last = View(2 * c.epoch_len() - 1);
+            // The laggards include the next epoch's leaders: the worst case.
+            let laggards: Vec<u32> =
+                (0..(n as u64 - f - 1)).map(|k| c.leader_of(View(last.0 + 1 + k)).0).collect();
+            for kind in VOTE_EXIT {
+                let mut net = net_for(kind, n, vec![]);
+                let (lag, basic) = (laggards.clone(), kind == ProtocolKind::HotStuff1Basic);
+                // What a replica votes and leaves the view on.
+                net.drop = Box::new(move |_, to, m| {
+                    lag.contains(&to.0)
+                        && match m {
+                            Message::Prepare(p) => p.cert.view == last,
+                            Message::Propose(p) => !basic && p.block.view == last,
+                            _ => false,
+                        }
+                });
+                net.run_for(TAU);
+                assert!(
+                    views(&net).iter().any(|&v| v > last.0)
+                        && views(&net).iter().any(|&v| v == last.0),
+                    "{kind:?} n={n}: split {:?}",
+                    views(&net)
+                );
+                let deadline = SimTime::ZERO + TAU * (f + 5);
+                all_commit_by(
+                    &mut net,
+                    &(0..n).collect::<Vec<_>>(),
+                    deadline,
+                    &format!("{kind:?} n={n}"),
+                );
+                assert!(sent(&net, "Tc") > 0, "{kind:?} n={n}: re-aligned by a TC");
+                net.assert_prefix_agreement(&(0..n).collect::<Vec<_>>());
+            }
+        }
+    }
+}

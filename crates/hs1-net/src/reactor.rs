@@ -42,6 +42,7 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::mem::take;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -205,6 +206,8 @@ pub(crate) fn start(
         emitted: NetStatsSnapshot::default(),
         last_tick: Instant::now(),
         turns: 0,
+        fds: Vec::new(),
+        tokens: Vec::new(),
     };
     let handle = std::thread::Builder::new()
         .name(format!("reactor-{}", me.0))
@@ -269,6 +272,11 @@ pub(crate) struct Reactor {
     last_tick: Instant,
     /// Turns taken so far (tests bound it to show the loop does not spin).
     pub(crate) turns: u64,
+    /// The poll set of the current turn and the connection tokens beside
+    /// it; `tokens` also lists what [`Reactor::flush_connected`] flushes.
+    /// Kept between turns so a turn allocates nothing.
+    fds: Vec<PollFd>,
+    tokens: Vec<u64>,
 }
 
 impl Reactor {
@@ -295,10 +303,11 @@ impl Reactor {
         self.flush_connected();
         self.tick_metrics(false);
 
-        let mut fds = Vec::with_capacity(2 + self.conns.len());
+        let (mut fds, mut tokens) = (take(&mut self.fds), take(&mut self.tokens));
+        fds.clear();
+        tokens.clear();
         fds.push(PollFd::new(self.wake_rx.raw_fd(), POLLIN));
         fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
-        let mut tokens = Vec::with_capacity(self.conns.len());
         for (&token, conn) in &self.conns {
             let mut events = POLLIN;
             if conn.want_write {
@@ -332,6 +341,7 @@ impl Reactor {
                 self.flush_token(token);
             }
         }
+        (self.fds, self.tokens) = (fds, tokens);
     }
 
     /// Sever every connection and release the listen port. Queues are
@@ -471,26 +481,26 @@ impl Reactor {
     /// Flush every connected replica link and client connection with
     /// queued frames.
     pub(crate) fn flush_connected(&mut self) {
-        let replica_tokens: Vec<u64> = self
-            .links
-            .iter()
-            .filter_map(|l| match l {
-                Link::Connected { token } => Some(*token),
-                _ => None,
-            })
-            .collect();
-        for token in replica_tokens {
+        let mut tokens = take(&mut self.tokens);
+        tokens.clear();
+        tokens.extend(self.links.iter().filter_map(|l| match l {
+            Link::Connected { token } => Some(*token),
+            _ => None,
+        }));
+        for &token in &tokens {
             self.flush_token(token);
         }
-        let client_tokens: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| matches!(c.kind, ConnKind::ClientIn { .. }))
-            .map(|(&t, _)| t)
-            .collect();
-        for token in client_tokens {
+        tokens.clear();
+        tokens.extend(
+            self.conns
+                .iter()
+                .filter(|(_, c)| matches!(c.kind, ConnKind::ClientIn { .. }))
+                .map(|(&t, _)| t),
+        );
+        for &token in &tokens {
             self.flush_token(token);
         }
+        self.tokens = tokens;
     }
 
     /// Drain one connection's queue into its socket. Disconnects on

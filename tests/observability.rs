@@ -125,51 +125,95 @@ fn outputs_match_the_cross_commit_pins() {
         s.chaos(plan)
     };
     let adv = |p, strategy| scenario(p).with_adversary(1, strategy);
+    // A `StaleCert` backup shows in the Wish/TC round only, and a fault-free
+    // schedule no longer runs one. Partition the backup itself (f = 1 is
+    // not exceeded): it leads the last view of every other epoch, so the
+    // three correct replicas reach those boundaries on a timeout and
+    // synchronize, and after the heal its Wish for a *previous* boundary
+    // is answered with that boundary's stored TC. Six view timers: the
+    // default 120 ms window ends in a batch final twice (ROADMAP item 3).
+    let partitioned = |s: Scenario| {
+        let plan = "v1;seed=17;n=4;rd=0;ev=p1@200000000,h@260000000";
+        s.chaos(ChaosPlan::from_spec(plan).expect("partition of replica 1"))
+    };
     let bursty = |p| scenario(p).open_loop(OpenLoop::bursty(10_000.0));
     let table: Vec<(&str, Scenario, u64, u64)> = vec![
-        ("clean/hs", scenario(HotStuff), 0x6661_0e0c_7140_6e67, 0x1112_0008_6075_2925),
-        ("clean/hs2", scenario(HotStuff2), 0x8d42_76f8_ec7a_d08e, 0x7514_e832_ab6a_a4e3),
-        ("clean/hs1", scenario(HotStuff1), 0xc2dc_d1b8_1897_abe0, 0xf7ae_363b_2f4d_d66b),
-        ("clean/basic", scenario(HotStuff1Basic), 0xfc54_5fe2_b8b7_ca70, 0x44ff_1b96_d203_d644),
+        ("clean/hs", scenario(HotStuff), 0x2142_a28f_15bd_cbc2, 0xb27b_bd75_84a9_8bea),
+        ("clean/hs2", scenario(HotStuff2), 0x858f_be27_6355_d752, 0x4ed5_7781_e6f2_e9a6),
+        ("clean/hs1", scenario(HotStuff1), 0xc745_faf8_4359_886b, 0x649d_a4c9_d1e5_5948),
+        ("clean/basic", scenario(HotStuff1Basic), 0xf231_1c63_608f_7a9a, 0xabe3_a064_34d1_3257),
         ("clean/slotted", scenario(HotStuff1Slotted), 0x9f06_cba0_0479_fb69, 0xc0f1_6665_4789_2673),
-        ("slow/hs2", slow(HotStuff2), 0x5aa8_bb3f_3660_d6d4, 0x02eb_6ab5_651b_3dd2),
-        ("slow/hs1", slow(HotStuff1), 0x165d_96ba_13f0_2792, 0x2beb_ac5f_bf3a_3eb1),
+        ("slow/hs2", slow(HotStuff2), 0x75fc_e22f_8661_d4d0, 0x6ae6_4e74_d0e2_34e8),
+        ("slow/hs1", slow(HotStuff1), 0x3b24_d193_afae_0dcb, 0x0130_2fb5_bd58_83ac),
         ("slow/slotted", slow(HotStuff1Slotted), 0x45ea_7a0d_5351_bd2c, 0x1aad_0881_aaad_682d),
-        ("fork/hs", fork(HotStuff), 0xc751_7077_bde5_4230, 0x4839_7264_5641_9a02),
-        ("fork/hs1", fork(HotStuff1), 0x5563_7bed_eeae_76a1, 0x9333_459b_50ee_3173),
+        ("fork/hs", fork(HotStuff), 0x7d87_7251_eb47_d38a, 0x0dda_6e5b_a721_b142),
+        ("fork/hs1", fork(HotStuff1), 0x22d9_0b4a_d8b0_f847, 0xb3ef_1a2b_f279_049b),
         ("fork/slotted", fork(HotStuff1Slotted), 0x46ae_4831_93b9_6715, 0x337f_60b6_a786_3ef3),
-        ("rollback/hs1", rb(HotStuff1), 0xf899_cee8_7a83_0636, 0x88b1_6216_13bb_9d95),
+        ("rollback/hs1", rb(HotStuff1), 0x8184_8fb5_b73a_432b, 0x6f4b_7042_932c_fac6),
         ("rollback/slotted", rb(HotStuff1Slotted), 0xa10a_df3e_7b1e_df6a, 0x07e2_6ba7_63c3_1846),
-        ("crash/hs1", crash(HotStuff1), 0xdcf0_71fe_ca22_9142, 0xf812_15f1_7efb_8100),
-        ("crash/basic", crash(HotStuff1Basic), 0x16b8_b6d5_09e2_049d, 0xee7b_2c1f_85e2_bec5),
+        ("crash/hs1", crash(HotStuff1), 0x9fa6_8df4_160f_23e9, 0x497a_17ae_bf28_69b8),
+        ("crash/basic", crash(HotStuff1Basic), 0x3477_0dc3_e7ee_0dd4, 0xbfdb_b008_be43_d949),
         ("crash/slotted", crash(HotStuff1Slotted), 0x4bf3_c4f5_d20b_4d1a, 0x9ee2_5655_3b75_9488),
-        ("silent/hs2", silent(HotStuff2), 0x4ee0_a7db_58b2_50ae, 0x0494_73fc_4167_8177),
-        ("silent/hs1", silent(HotStuff1), 0x740c_ef2f_5fa9_6e89, 0xd280_82fb_e367_afe6),
-        ("silent/basic", silent(HotStuff1Basic), 0x5b62_4ff9_e987_b355, 0x8466_b19a_98ae_6a66),
+        ("silent/hs2", silent(HotStuff2), 0x98e1_2117_7260_e5f0, 0x2b93_e951_c983_335d),
+        ("silent/hs1", silent(HotStuff1), 0x7db8_43be_39f1_b9c7, 0xfc79_0bd8_3929_6928),
+        ("silent/basic", silent(HotStuff1Basic), 0x6c42_c31d_cfdc_216f, 0x0f07_af09_d7f3_96e0),
         ("silent/slotted", silent(HotStuff1Slotted), 0x2f0e_b603_15cc_d482, 0x2e1b_976c_97eb_c176),
-        ("reboot/hs1", reboot(HotStuff1), 0x59ed_8ddc_5433_69f2, 0x1c26_c978_d099_2407),
-        ("reboot/basic", reboot(HotStuff1Basic), 0x5c21_cf1d_8d30_06d5, 0x77e3_a8fb_a18f_4c71),
+        ("reboot/hs1", reboot(HotStuff1), 0xee97_29c8_f1ea_1356, 0xf268_2262_60fd_0408),
+        ("reboot/basic", reboot(HotStuff1Basic), 0x121b_da8b_c575_120d, 0xe7e9_5797_ff9a_f21e),
         ("reboot/slotted", reboot(HotStuff1Slotted), 0x82ef_fb3c_ba25_e0da, 0x4d42_a8f5_f486_b66d),
-        ("stale-cert/hs1", adv(HotStuff1, StaleCert), 0xe105_f522_b815_41a4, 0xe7a8_8595_cba2_5004),
+        (
+            "stale-cert/hs1",
+            partitioned(adv(HotStuff1, StaleCert)),
+            0xe45d_10c9_77ca_12cd,
+            0xd2ea_57f2_0353_5446,
+        ),
         (
             "equiv/basic",
             adv(HotStuff1Basic, Equivocate),
-            0x9e87_2cf1_a870_70da,
-            0x7fd3_eba4_9c06_6e57,
+            0xd9e5_c377_a477_7cd4,
+            0xbbc6_d8c3_5ed9_1068,
         ),
-        ("open-loop/hs1", bursty(HotStuff1), 0x319c_49f0_18dd_6af5, 0xd926_f250_1594_a694),
+        ("open-loop/hs1", bursty(HotStuff1), 0x694c_3bcf_a363_da6c, 0x6dc7_8336_e826_bb46),
     ];
     let mut moved = Vec::new();
+    let mut clean_hs1 = None;
     for (label, s, fingerprint, trace) in table {
         let (report, jsonl, counters) = observed(s);
         assert!(report.committed_txs > 0, "{label}: the pinned run made progress");
         assert!(!counters.contains(",duplicate_finals,"), "{label}: a batch was final twice");
         let got = (report.fingerprint, fnv1a(jsonl.as_bytes()));
+        match label {
+            "clean/hs1" => clean_hs1 = Some(got),
+            "stale-cert/hs1" => {
+                assert!(counters.contains(",epoch_syncs,"), "{label}: no boundary timed out");
+                assert_ne!(Some(got), clean_hs1, "{label}: pins nothing clean/hs1 does not");
+            }
+            _ => {}
+        }
         if got != (fingerprint, trace) {
             moved.push(format!("{label}: {:#018x}, {:#018x}", got.0, got.1));
         }
     }
     assert!(moved.is_empty(), "outputs moved; actual (fingerprint, trace):\n{}", moved.join("\n"));
+}
+
+/// Why a replica entered an epoch, per reason: a fault-free run of a
+/// protocol whose views end on a vote crosses every boundary on one and
+/// never synchronizes; a silent leader of an epoch's last view, and
+/// slotted HotStuff-1 by design, reach boundaries on the timer, Wish, and
+/// enter on the TC.
+#[test]
+fn epoch_counters_say_why_a_boundary_was_crossed() {
+    use hotstuff1::consensus::Fault;
+    use ProtocolKind::*;
+    let has = |rows: &str, name: &str| rows.contains(&format!(",{name},"));
+    let (_, _, clean) = observed(scenario(HotStuff1));
+    assert!(has(&clean, "epoch_entered_vote"));
+    assert!(!has(&clean, "epoch_syncs") && !has(&clean, "epoch_entered_tc"), "{clean}");
+    for s in [scenario(HotStuff1).with_fault(1, Fault::Silent), scenario(HotStuff1Slotted)] {
+        let (_, _, rows) = observed(s);
+        assert!(has(&rows, "epoch_syncs") && has(&rows, "epoch_entered_tc"), "{rows}");
+    }
 }
 
 #[test]
