@@ -3,11 +3,12 @@
 //! The paper presents its protocols as deltas — basic (§4) → streamlined
 //! (§5) → slotting (§6) — over one skeleton: enter a view, collect
 //! NewViews as its leader, propose, vote, leave the view on a vote or a
-//! timeout, synchronize epochs through the pacemaker, and fetch block
-//! bodies that never arrived. [`Engine`] is that skeleton, written once;
-//! a [`Protocol`] supplies what the paper says differs (the vote rule,
-//! where votes go, when to speculate, the commit rule, the protocol's own
-//! message kinds).
+//! timeout and tell the pacemaker which ([`ViewEnd`]: an epoch boundary
+//! is crossed at once on a vote and synchronized by Wish / TC after a
+//! timeout), and fetch block bodies that never arrived. [`Engine`] is
+//! that skeleton, written once; a [`Protocol`] supplies what the paper
+//! says differs (the vote rule, where votes go, when to speculate, the
+//! commit rule, the protocol's own message kinds).
 //!
 //! What a replica cannot use yet is the driver's too, one rule each:
 //!

@@ -26,7 +26,7 @@
 //! | `chained.rs` | policy: streamlined HotStuff (3-chain), HotStuff-2 (2-chain), HotStuff-1 (2-chain + speculation) | §5, Fig. 4 |
 //! | `slotted.rs` | policy: HotStuff-1 with adaptive slotting | §6, Figs. 6–7 |
 //! | `shares.rs` | share tally: verify on insert, dedup per sender, certificate at quorum | §7 implementation note |
-//! | [`pacemaker`] | epoch view synchronizer | §4.2.1, Fig. 3 |
+//! | [`pacemaker`] | epoch view synchronizer: a boundary reached on a vote is crossed at once, one reached on a timeout runs the Wish / TC round | §4.2.1, Fig. 3 |
 //! | [`byzantine`] | fault strategies: slow leader, tail-forking, rollback/equivocation, crash, silence | §7.3 |
 //! | [`client`] | client-side quorum matching (early finality confirmation) | §3, §4.1 |
 //! | [`common`] | replica state below the driver: block store, the mempool, commit (with orphan return) and speculate paths | — |

@@ -18,12 +18,11 @@
 //! intra-epoch view is: the replica sets `StartTime[v + k] = now + k·τ`
 //! from its own clock, enters `v` and sends nothing. Only a boundary
 //! reached on a **timeout** runs the Wish / TC round above, unchanged.
-//! So on a fault-free run no `Wish` and no `Tc` is ever sent, and the
-//! round (two hops on the critical path, 8 of the 14 replica-to-replica
-//! frames per view at n = 4) is paid for where it is needed: after a
-//! view failed. Slotted HotStuff-1 ends every
-//! view on its timer by design (§6), so it runs the round at every
-//! boundary, as Fig. 3 has it.
+//! So a fault-free run sends no `Wish` and no `Tc`, and the round (two
+//! hops on the critical path, 8 of the 14 replica-to-replica frames per
+//! view at n = 4) is paid for where it is needed: after a view failed.
+//! Slotted HotStuff-1 ends every view on its timer by design (§6), so it
+//! runs the round at every boundary, as Fig. 3 has it.
 //!
 //! View synchronization is a liveness device: safety rests on the vote
 //! rules and quorum intersection, never on when a view is entered, so
@@ -36,29 +35,34 @@
 //!    That is what lets Fig. 3 advance on a vote between two views of
 //!    one epoch; the boundary adds nothing to it.
 //! 2. *A replica that missed that proposal* times out of `v − 1`,
-//!    Wishes and parks. It is released by the next proposal it receives
-//!    — the one for `v` it votes on where it stands, or a later one it
-//!    jumps to ([`Pacemaker::entered`]) — which reaches it within one
-//!    view timer of the others entering `v` if any later leader is
-//!    correct and heard; and by the re-wish escalation ladder
-//!    ([`Pacemaker::rewish`]) if none comes.
+//!    Wishes and parks. Nobody else Wishes for `v`, so no TC comes; the
+//!    next proposal it receives releases it instead: the one for `v`,
+//!    which it votes on where it stands, or a later one it jumps to
+//!    ([`Pacemaker::entered`]). The others hold each view for one view
+//!    timer at most, so that proposal is the first correct leader's after
+//!    the replica parked; the re-wish ladder ([`Pacemaker::rewish`])
+//!    covers the case that none comes.
 //! 3. *If the optimistic epoch makes no progress* its views end on
 //!    their timers, so the replicas that crossed on a vote reach the
-//!    *next* boundary on a timeout and run the full round there, with
-//!    the parked ones' escalated Wishes already waiting at its leaders.
-//!    An epoch is crossed without a TC only while views are succeeding.
+//!    *next* boundary on a timeout and run the full round there, where
+//!    the parked ones' second re-wish has escalated to. A boundary is
+//!    crossed without a TC only while views are succeeding. The price is
+//!    paid on the mixed path, when the last proposal reached some correct
+//!    replicas and not others: the two groups meet at the next boundary,
+//!    within f + 5 view timers where Fig. 3 as written takes f + 2
+//!    (`protocol_behavior.rs`, `mixed_crossing_realigns_at_the_next_boundary`).
 //! 4. *A TC never moves a schedule that exists* ([`Pacemaker::on_tc`]).
 //!    A TC for `v` can reach a replica that scheduled `v` from its own
 //!    clock when at most `f` correct replicas crossed on the vote and
 //!    the rest, with faulty help, gathered `n − f` Wishes. That replica's
 //!    timer for its current view is already armed from the local
 //!    schedule and cannot be recalled, so re-anchoring could repair the
-//!    later views of the epoch at best, and two rules for one map is
-//!    what it would cost. Keeping the first schedule leaves the replica
-//!    early by at most the time the others took to time out and
-//!    synchronize, for one epoch: it reaches the next boundary on a
-//!    timeout (3), Wishes, and is re-aligned by that TC. The TC still
-//!    releases a waiter, as a duplicate does.
+//!    later views of the epoch at best, at the cost of a second rule for
+//!    one map. Keeping the first schedule leaves the replica early by at
+//!    most the time the others took to time out and synchronize, for one
+//!    epoch: it reaches the next boundary on a timeout (3), Wishes, and
+//!    is re-aligned by that TC. The TC still releases a waiter, as a
+//!    duplicate does.
 
 use std::collections::{HashMap, HashSet};
 

@@ -27,6 +27,10 @@ pub enum Obs {
     EnteredView { at: ReplicaId, view: View },
 }
 
+/// Network-level loss for tests: a message `(from, to, msg)` for which
+/// the rule returns `true` is never delivered.
+pub type Loss = Box<dyn FnMut(ReplicaId, ReplicaId, &Message) -> bool>;
+
 pub struct TestNet {
     pub engines: Vec<Box<dyn Replica>>,
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
@@ -36,9 +40,7 @@ pub struct TestNet {
     seq: u64,
     pub hop: SimDuration,
     pub log: Vec<Obs>,
-    /// Network-level loss for tests: a message `(from, to, msg)` for which
-    /// this returns `true` is never delivered.
-    pub drop: Box<dyn FnMut(ReplicaId, ReplicaId, &Message) -> bool>,
+    pub drop: Loss,
     /// Messages sent so far by [`Message::kind_name`], one per recipient
     /// (a broadcast counts `n`), whether or not `drop` then took them.
     pub sent: BTreeMap<&'static str, u64>,

@@ -1001,10 +1001,6 @@ mod epoch_boundary {
         net.engines.iter().map(|e| e.current_view().0).collect()
     }
 
-    fn no_loss() -> Box<dyn FnMut(ReplicaId, ReplicaId, &Message) -> bool> {
-        Box::new(|_, _, _| false)
-    }
-
     /// Run until every listed replica has committed more than it had;
     /// fail if `deadline` comes first.
     fn all_commit_by(net: &mut TestNet, replicas: &[usize], deadline: SimTime, what: &str) {
@@ -1077,13 +1073,13 @@ mod epoch_boundary {
             };
             assert!(!entered(&net), "n={n}: parked, not entered");
 
-            net.drop = no_loss();
+            net.drop = Box::new(|_, _, _| false);
             net.run_for(TAU);
             let vs = views(&net);
             assert!(entered(&net) && vs.iter().all(|&v| v == vs[0]), "n={n}: views {vs:?}");
             assert_eq!((sent(&net, "Wish"), sent(&net, "Tc")), (leaders, 0), "n={n}: no round ran");
-            let deadline = net.now + TAU;
-            all_commit_by(&mut net, &(0..n).collect::<Vec<_>>(), deadline, "after the release");
+            let (all, deadline) = ((0..n).collect::<Vec<_>>(), net.now + TAU);
+            all_commit_by(&mut net, &all, deadline, "after the release");
         }
     }
 
@@ -1132,7 +1128,7 @@ mod epoch_boundary {
     fn mixed_crossing_realigns_at_the_next_boundary() {
         for n in [4usize, 7] {
             let c = cfg(n);
-            let f = (n as u64 - 1) / 3;
+            let (f, all) = (c.f() as u64, (0..n).collect::<Vec<_>>());
             let last = View(2 * c.epoch_len() - 1);
             // The laggards include the next epoch's leaders: the worst case.
             let laggards: Vec<u32> =
@@ -1150,21 +1146,13 @@ mod epoch_boundary {
                         }
                 });
                 net.run_for(TAU);
-                assert!(
-                    views(&net).iter().any(|&v| v > last.0)
-                        && views(&net).iter().any(|&v| v == last.0),
-                    "{kind:?} n={n}: split {:?}",
-                    views(&net)
-                );
+                let vs = views(&net);
+                let split = vs.contains(&last.0) && vs.iter().any(|&v| v > last.0);
+                assert!(split, "{kind:?} n={n}: views {vs:?}");
                 let deadline = SimTime::ZERO + TAU * (f + 5);
-                all_commit_by(
-                    &mut net,
-                    &(0..n).collect::<Vec<_>>(),
-                    deadline,
-                    &format!("{kind:?} n={n}"),
-                );
+                all_commit_by(&mut net, &all, deadline, &format!("{kind:?} n={n}"));
                 assert!(sent(&net, "Tc") > 0, "{kind:?} n={n}: re-aligned by a TC");
-                net.assert_prefix_agreement(&(0..n).collect::<Vec<_>>());
+                net.assert_prefix_agreement(&all);
             }
         }
     }
