@@ -39,9 +39,9 @@ pub enum Inject {
     /// One `hs1-adversary` backup playing `ForgeQuorum`: it forges a
     /// quorum-certificate chain over a fabricated fork (possible only
     /// because of the HMAC signature substitution) and proposes it,
-    /// making honest replicas *commit* conflicting state. The safety
-    /// oracles — per-height commit agreement, prefix divergence,
-    /// orphaned finality — must fire; this is the canary proving the
+    /// making honest replicas *commit* conflicting state. A safety oracle
+    /// of `hs1_core::invariants` — per-height commit agreement or orphaned
+    /// finality — must fire; this is the canary proving the
     /// gate catches genuine safety violations, not just liveness halts.
     Forge,
 }

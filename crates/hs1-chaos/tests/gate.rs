@@ -50,11 +50,12 @@ fn forged_quorum_violation_is_caught_and_replays_byte_identically() {
     )
     .expect_err("forge injection must fail the sweep");
 
-    assert!(
-        !failure.report.invariant_violations.is_empty(),
-        "safety oracles fired: {:?}",
-        failure.report.invariant_violations
-    );
+    // One line per disagreeing replica, not one per height, and nothing
+    // the per-height rule already implies.
+    let violations = &failure.report.invariant_violations;
+    let heights = violations.iter().filter(|v| v.contains("conflicting commits at height")).count();
+    assert!((1..=failure.report.n).contains(&heights), "1..=n height lines: {violations:?}");
+    assert!(!violations.iter().any(|v| v.contains("diverges from")), "{violations:?}");
 
     let cmd = replay_command(&failure.minimized);
     assert!(cmd.contains("--inject forge"), "replay carries the injection flag: {cmd}");

@@ -53,26 +53,15 @@ impl FinalityTracker {
         }
     }
 
-    /// The quorum of matching responses that yields finality for a purely
-    /// speculative tally.
-    pub fn speculative_quorum(&self) -> usize {
-        // n − f for HotStuff-1 variants; baselines never see speculative
-        // responses, so the value is moot but kept consistent.
-        self.n - self.f
-    }
-
-    /// The quorum of matching committed responses that yields finality.
-    pub fn committed_quorum(&self) -> usize {
-        self.f + 1
-    }
-
     /// Feed one response; returns `Some((tx, block))` when this response
     /// completes a finality quorum — at most once per transaction,
     /// whatever arrives afterwards and whenever [`FinalityTracker::gc`]
     /// runs.
     pub fn on_response(&mut self, from: ReplicaId, r: &ResponseMsg) -> Option<(TxId, BlockId)> {
-        let spec_quorum = self.speculative_quorum();
-        let commit_quorum = self.committed_quorum();
+        // n − f matching responses of any kind (HotStuff-1 variants only;
+        // baselines never see a speculative one), or f + 1 committed ones.
+        let spec_quorum = self.n - self.f;
+        let commit_quorum = self.f + 1;
         let needs_nf = self.protocol.client_needs_nf_quorum();
         if self.is_final(r.tx) {
             return None;

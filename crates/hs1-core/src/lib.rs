@@ -29,6 +29,7 @@
 //! | [`pacemaker`] | epoch view synchronizer: a boundary reached on a vote is crossed at once, one reached on a timeout runs the Wish / TC round | §4.2.1, Fig. 3 |
 //! | [`byzantine`] | fault strategies: slow leader, tail-forking, rollback/equivocation, crash, silence | §7.3 |
 //! | [`client`] | client-side quorum matching (early finality confirmation) | §3, §4.1 |
+//! | [`invariants`] | the safety oracles over what a runtime observes: per-height agreement, equal chains ⇒ equal roots, no orphaned final block; commits survive recovery | §3, App. B, §4.2 |
 //! | [`common`] | replica state below the driver: block store, the mempool, commit (with orphan return) and speculate paths | — |
 //! | `runset.rs` | transaction-id set as per-client runs of sequence numbers: every dedup filter's memory | — |
 //! | [`persist`] | durability hooks ([`persist::Persistence`]) and recovered-state handoff | §4.2 recovery |
@@ -39,6 +40,7 @@ mod chained;
 pub mod client;
 pub mod common;
 mod driver;
+pub mod invariants;
 pub mod pacemaker;
 pub mod persist;
 pub mod replica;

@@ -9,6 +9,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
+use crate::invariants::{self, Committed, Observation};
 use crate::replica::{Action, Replica, Timer};
 use hs1_types::{Block, BlockId, Message, ReplicaId, ReplyKind, SimDuration, SimTime, View};
 
@@ -165,17 +166,12 @@ impl TestNet {
             .collect()
     }
 
-    /// Assert the safety invariant: committed chains of all listed
-    /// replicas are prefixes of one another.
+    /// Assert the safety invariants ([`invariants::check`]) over the listed
+    /// replicas.
     pub fn assert_prefix_agreement(&self, replicas: &[usize]) {
-        let chains: Vec<Vec<BlockId>> = replicas.iter().map(|&r| self.committed_at(r)).collect();
-        let longest = chains.iter().max_by_key(|c| c.len()).cloned().unwrap_or_default();
-        for (ri, chain) in replicas.iter().zip(&chains) {
-            assert!(
-                longest.starts_with(chain),
-                "replica {ri} committed chain diverges: {chain:?} vs {longest:?}"
-            );
-        }
+        let replicas = replicas.iter().map(|&r| Committed::of(&*self.engines[r])).collect();
+        let violations = invariants::check(&Observation { replicas, ..Observation::default() });
+        assert!(violations.is_empty(), "safety violated: {violations:?}");
     }
 
     /// Count speculative executions logged at replica `r`.

@@ -305,7 +305,7 @@ impl NodeRunner {
              \"frames_shed\":{},\"peers\":[{peers}]}}\n",
             self.engine.id().0,
             self.engine.current_view().0,
-            self.committed_chain_len(),
+            self.engine.committed_len(),
             hs1_obs::block_key(self.engine.committed_head()),
             self.committed_blocks,
             stats.reconnects,
@@ -321,15 +321,10 @@ impl NodeRunner {
         self.mesh.shutdown();
     }
 
-    /// Committed-state root of the hosted engine (recovery convergence
-    /// checks).
-    pub fn state_root(&self) -> hs1_crypto::Digest {
-        self.engine.state_root()
-    }
-
-    /// Length of the hosted engine's committed chain (genesis included).
-    pub fn committed_chain_len(&self) -> usize {
-        self.engine.committed_len()
+    /// The hosted engine: its committed chain and state root, for the
+    /// safety and convergence checks a cluster test runs.
+    pub fn replica(&self) -> &dyn Replica {
+        &*self.engine
     }
 
     fn now(&self) -> SimTime {

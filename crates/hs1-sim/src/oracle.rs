@@ -79,24 +79,13 @@ impl LatencyHist {
     }
 }
 
+#[derive(Default)]
 struct BlockTally {
     /// Response arrival times at the client, any kind.
     arrivals: Vec<SimTime>,
     /// Committed-kind arrivals.
     committed_arrivals: Vec<SimTime>,
     responders: Vec<ReplicaId>,
-    finalized_at: Option<SimTime>,
-}
-
-impl BlockTally {
-    fn new() -> BlockTally {
-        BlockTally {
-            arrivals: Vec::new(),
-            committed_arrivals: Vec::new(),
-            responders: Vec::new(),
-            finalized_at: None,
-        }
-    }
 }
 
 /// Aggregate client model.
@@ -104,14 +93,13 @@ pub struct ClientOracle {
     n: usize,
     f: usize,
     protocol: ProtocolKind,
+    /// Blocks not final yet; a tally is dropped when its block decides.
     tallies: HashMap<BlockId, BlockTally>,
-    /// Blocks that reached finality (persists across [`ClientOracle::gc`]
-    /// so trailing responses can never re-finalize a block).
+    /// Blocks that reached finality, so that trailing responses can never
+    /// start a second tally.
     finalized_set: std::collections::HashSet<BlockId>,
     /// Pending transactions: submit time by id.
     submit_times: HashMap<TxId, SimTime>,
-    /// Newly finalized (block, finality time) pairs to drain.
-    newly_final: Vec<(BlockId, SimTime)>,
 }
 
 impl ClientOracle {
@@ -123,7 +111,6 @@ impl ClientOracle {
             tallies: HashMap::new(),
             finalized_set: std::collections::HashSet::new(),
             submit_times: HashMap::new(),
-            newly_final: Vec::new(),
         }
     }
 
@@ -160,8 +147,8 @@ impl ClientOracle {
         let nf = self.n - self.f;
         let f1 = self.f + 1;
         let needs_nf = self.protocol.client_needs_nf_quorum();
-        let t = self.tallies.entry(block).or_insert_with(BlockTally::new);
-        if t.finalized_at.is_some() || t.responders.contains(&from) {
+        let t = self.tallies.entry(block).or_default();
+        if t.responders.contains(&from) {
             return None;
         }
         t.responders.push(from);
@@ -171,43 +158,21 @@ impl ClientOracle {
         }
         let spec_ok = needs_nf && t.arrivals.len() >= nf;
         let commit_ok = t.committed_arrivals.len() >= f1;
-        if spec_ok || commit_ok {
-            // Finality is reached at the arrival completing the quorum —
-            // the max over the quorum's arrival times (arrivals may be
-            // recorded out of order across replicas).
-            let at = if commit_ok && (!spec_ok || !needs_nf) {
-                let mut c = t.committed_arrivals.clone();
-                c.sort_unstable();
-                c[f1 - 1]
-            } else {
-                let mut a = t.arrivals.clone();
-                a.sort_unstable();
-                a[nf - 1]
-            };
-            t.finalized_at = Some(at);
-            self.finalized_set.insert(block);
-            self.newly_final.push((block, at));
-            return Some(at);
+        if !(spec_ok || commit_ok) {
+            return None;
         }
-        None
-    }
-
-    pub fn is_final(&self, block: BlockId) -> bool {
-        self.finalized_set.contains(&block)
-    }
-
-    pub fn finality_of(&self, block: BlockId) -> Option<SimTime> {
-        self.tallies.get(&block).and_then(|t| t.finalized_at)
-    }
-
-    /// Drain blocks finalized since the last call.
-    pub fn drain_finalized(&mut self) -> Vec<(BlockId, SimTime)> {
-        std::mem::take(&mut self.newly_final)
-    }
-
-    /// Drop tallies for finalized blocks (bounded memory on long runs).
-    pub fn gc(&mut self) {
-        self.tallies.retain(|_, t| t.finalized_at.is_none());
+        // Finality is reached at the arrival completing the quorum — the
+        // max over the quorum's arrival times (arrivals may be recorded
+        // out of order across replicas).
+        let t = self.tallies.remove(&block).expect("tallied above");
+        let (mut quorum, k) = if commit_ok && (!spec_ok || !needs_nf) {
+            (t.committed_arrivals, f1)
+        } else {
+            (t.arrivals, nf)
+        };
+        quorum.sort_unstable();
+        self.finalized_set.insert(block);
+        Some(quorum[k - 1])
     }
 }
 
@@ -242,7 +207,8 @@ mod tests {
         assert!(o.on_response(ReplicaId(1), b, ReplyKind::Speculative, t(2)).is_none());
         let fin = o.on_response(ReplicaId(2), b, ReplyKind::Speculative, t(3));
         assert_eq!(fin, Some(t(3)));
-        assert!(o.is_final(b));
+        let late = o.on_response(ReplicaId(3), b, ReplyKind::Committed, t(4));
+        assert!(late.is_none(), "a block is final once");
     }
 
     #[test]
@@ -274,17 +240,15 @@ mod tests {
         }
         // Speculative responses never finalize baselines (and they never
         // occur in practice).
-        assert!(!o.is_final(b));
     }
 
     #[test]
     fn duplicate_responders_ignored() {
         let mut o = ClientOracle::new(4, 1, ProtocolKind::HotStuff1);
         let b = BlockId::test(4);
-        o.on_response(ReplicaId(0), b, ReplyKind::Speculative, t(1));
-        o.on_response(ReplicaId(0), b, ReplyKind::Speculative, t(2));
-        o.on_response(ReplicaId(0), b, ReplyKind::Speculative, t(3));
-        assert!(!o.is_final(b));
+        for ms in 1..=3 {
+            assert!(o.on_response(ReplicaId(0), b, ReplyKind::Speculative, t(ms)).is_none());
+        }
     }
 
     #[test]

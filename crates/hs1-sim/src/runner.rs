@@ -15,11 +15,11 @@ use crate::openloop::{ArrivalGen, OpenLoop};
 use crate::oracle::{ClientOracle, LatencyHist};
 use crate::statesync::CatchupModel;
 use hs1_adversary::AdversaryStrategy;
+use hs1_core::invariants::{self, Committed, Observation};
 use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_core::replica::{Action, Replica, Timer};
 use hs1_obs::{block_key, Obs, Stage};
 use hs1_storage::{ReplicaStorage, StorageConfig};
-use hs1_types::ids::Rank;
 use hs1_types::{
     Block, BlockId, ClientId, Message, ProtocolKind, ReplicaId, ReplyKind, SimDuration, SimTime,
     SplitMix64, Transaction, View,
@@ -93,7 +93,7 @@ pub struct ChaosRuntime {
 }
 
 /// Post-crash placeholder: keeps the dead replica's last committed chain
-/// and state root visible to the invariant checker while it is down.
+/// and state root visible to the invariant and recovery checks.
 struct Downed {
     id: ReplicaId,
     chain: Vec<BlockId>,
@@ -191,12 +191,10 @@ pub struct SimRunner {
     /// All proposed blocks in flight (for counting orphans).
     proposed: HashMap<BlockId, Arc<Block>>,
     committed_first: HashSet<BlockId>,
-    /// Finality times of blocks finalized late (for invariant leniency).
-    late_final: Vec<(BlockId, SimTime)>,
-    /// Rank of every finalized block (invariant checking).
-    finalized_ranks: HashMap<BlockId, Rank>,
-    /// Highest committed rank seen anywhere.
-    max_committed_rank: Rank,
+    /// Every block the client oracle took as final, with its view.
+    finals: Vec<(BlockId, View)>,
+    /// Highest view of a block committed anywhere.
+    frontier: View,
 
     // -- chaos state (inert on fault-free runs) -----------------------------
     /// Crash-restart machinery; `None` disables mid-run crash handling.
@@ -214,14 +212,11 @@ pub struct SimRunner {
     /// Seed the bit-flip positions derive from (the plan seed).
     chaos_seed: u64,
     /// Adversary strategy per replica (None = honest), used by the
-    /// modeled snapshot path and the honest-subset oracles.
+    /// modeled snapshot path.
     adversary: Vec<Option<AdversaryStrategy>>,
     /// Every proposed block body ever seen (never pruned): the archive a
     /// modeled snapshot install draws bodies from.
     bodies: HashMap<BlockId, Arc<Block>>,
-    /// Committed chain + state root captured at crash time, checked
-    /// against the recovered state at restart (commits must survive).
-    precrash: HashMap<usize, (Vec<BlockId>, hs1_crypto::Digest)>,
     /// `(time, committed_blocks)` at the last heal/rejoin: liveness must
     /// resume after it.
     liveness_mark: Option<(SimTime, u64)>,
@@ -274,9 +269,8 @@ impl SimRunner {
             open_loop: None,
             proposed: HashMap::new(),
             committed_first: HashSet::new(),
-            late_final: Vec::new(),
-            finalized_ranks: HashMap::new(),
-            max_committed_rank: Rank::GENESIS,
+            finals: Vec::new(),
+            frontier: View::GENESIS,
             chaos_rt: None,
             crashed: vec![false; n],
             incarnation: vec![0; n],
@@ -285,7 +279,6 @@ impl SimRunner {
             chaos_seed: 0,
             adversary: vec![None; n],
             bodies: HashMap::new(),
-            precrash: HashMap::new(),
             liveness_mark: None,
             // A k-chain of certified blocks, then the leader whose
             // proposal carries the last certificate.
@@ -338,9 +331,8 @@ impl SimRunner {
 
     /// Record which replicas run behind an adversary wrapper (the
     /// scenario wraps them; the runner needs the placement for the
-    /// modeled snapshot path and the honest-subset oracles). Overrides
-    /// whatever the installed plan declared — the scenario passes the
-    /// merged plan + explicit set.
+    /// modeled snapshot path). Overrides whatever the installed plan
+    /// declared — the scenario passes the merged plan + explicit set.
     pub fn note_adversaries(&mut self, set: &[(usize, AdversaryStrategy)]) {
         self.adversary = vec![None; self.n()];
         for &(r, s) in set {
@@ -679,7 +671,6 @@ impl SimRunner {
         let chain = self.engines[i].committed_chain();
         let root = self.engines[i].state_root();
         let view = self.engines[i].current_view();
-        self.precrash.insert(i, (chain.clone(), root));
         // Dropping the old engine closes its journal handles, like a
         // process exit would.
         self.engines[i] = Box::new(Downed { id: ReplicaId(i as u32), chain, root, view });
@@ -707,7 +698,7 @@ impl SimRunner {
                     // rot only targets the crashing replica) rather than
                     // rejoining on corrupt state. Liveness must resume
                     // among the remaining n − 1, where the protocol can
-                    // commit with them (see `check_invariants`).
+                    // commit with them (see `check_liveness`).
                     self.stats.chaos.bitrot_failstops += 1;
                     self.liveness_mark = Some((self.now, self.stats.committed_blocks));
                 } else {
@@ -723,47 +714,18 @@ impl SimRunner {
         self.bitrot[i] = false;
         let mut engine = (rt.rebuild)(i);
         engine.restore(state);
-
-        // Commits must survive a crash: the recovered chain extends (or
-        // equals) what was committed at crash time, and replaying it
-        // reproduces the same state root. Under bit rot the oracle is the
-        // weaker "fail-stop or clean prefix": CRC-detected corruption may
-        // truncate the recovered chain, but what survives must still be a
-        // prefix of the pre-crash chain — never a silent divergence.
-        if let Some((pre_chain, pre_root)) = self.precrash.remove(&i) {
-            let recovered = engine.committed_chain();
-            if rotted {
-                if !pre_chain.starts_with(&recovered) && !recovered.starts_with(&pre_chain) {
-                    self.stats.invariant_violations.push(format!(
-                        "replica {i} bit-rot recovery silently diverged from its own history"
-                    ));
-                } else if recovered == pre_chain && engine.state_root() != pre_root {
-                    self.stats.invariant_violations.push(format!(
-                        "replica {i} bit-rot recovery diverged in state at equal chain"
-                    ));
-                }
-            } else if !recovered.starts_with(&pre_chain) {
-                self.stats.invariant_violations.push(format!(
-                    "replica {i} recovery lost committed blocks ({} -> {})",
-                    pre_chain.len(),
-                    recovered.len()
-                ));
-            } else if recovered == pre_chain && engine.state_root() != pre_root {
-                self.stats
-                    .invariant_violations
-                    .push(format!("replica {i} recovery replay diverged from pre-crash state"));
-            }
-        }
+        let own = Committed::of(&*engine);
+        let at_crash = Committed::of(&*self.engines[i]);
+        self.stats.invariant_violations.extend(invariants::check_recovery(&at_crash, &own, rotted));
 
         // Gap to the live cluster, measured against the longest committed
         // chain of any up replica.
-        let own = engine.committed_chain();
         let peer = (0..self.n())
             .filter(|&p| p != i && !self.crashed[p])
             .map(|p| self.engines[p].committed_chain())
             .max_by_key(|c| c.len())
             .unwrap_or_default();
-        let gap = peer.len().saturating_sub(own.len()) as u64;
+        let gap = peer.len().saturating_sub(own.chain.len()) as u64;
 
         let mut model = rt.catchup.clone();
         model.chain_len = peer.len() as u64;
@@ -793,7 +755,7 @@ impl SimRunner {
             // cluster commits *during* the transfer are the model's
             // residual; the live fetch path replays them organically.
             let suffix: Option<Vec<Arc<Block>>> =
-                peer[own.len()..].iter().map(|id| self.bodies.get(id).cloned()).collect();
+                peer[own.chain.len()..].iter().map(|id| self.bodies.get(id).cloned()).collect();
             if let Some(suffix) = suffix {
                 let peer_view = (0..self.n())
                     .filter(|&p| p != i && !self.crashed[p])
@@ -926,9 +888,6 @@ impl SimRunner {
     }
 
     fn on_finality(&mut self, block: Arc<Block>, fin: SimTime) {
-        if fin > self.window_end {
-            self.late_final.push((block.id(), fin));
-        }
         if self.obs.enabled() {
             let key = block_key(block.id());
             let oracle = self.obs.with_actor(ORACLE_ACTOR);
@@ -946,7 +905,7 @@ impl SimRunner {
                 oracle.point_at("submit_mean", key, mean, fin.0);
             }
         }
-        self.finalized_ranks.insert(block.id(), Rank::new(block.view, block.slot));
+        self.finals.push((block.id(), block.view));
         let closed_loop = self.open_loop.is_none();
         for tx in &block.txs {
             let Some(submit) = self.oracle.take_submit(tx.id) else {
@@ -967,9 +926,6 @@ impl SimRunner {
                 self.issue_tx(client, fin);
             }
         }
-        if self.stats.finalized_txs.is_multiple_of(4096) {
-            self.oracle.gc();
-        }
     }
 
     fn on_committed(&mut self, block: Arc<Block>) {
@@ -984,12 +940,9 @@ impl SimRunner {
         // can never commit (chains commit in rank order). Counted here,
         // over what every replica proposed; each engine returns the
         // transactions of the orphans it stored to its own pool.
-        let rank = Rank::new(block.view, block.slot);
-        if rank > self.max_committed_rank {
-            self.max_committed_rank = rank;
-        }
+        self.frontier = self.frontier.max(block.view);
         let pending = self.proposed.len();
-        self.proposed.retain(|_, b| b.view >= rank.view);
+        self.proposed.retain(|_, b| b.view >= block.view);
         self.stats.orphaned_blocks += (pending - self.proposed.len()) as u64;
     }
 
@@ -997,58 +950,22 @@ impl SimRunner {
         self.stats.mean_latency_ms = self.hist.mean_ms();
         self.stats.p50_latency_ms = self.hist.quantile_ms(0.5);
         self.stats.p99_latency_ms = self.hist.quantile_ms(0.99);
-        self.check_invariants();
+        let obs = Observation {
+            replicas: self.engines.iter().map(|e| Committed::of(&**e)).collect(),
+            finals: std::mem::take(&mut self.finals),
+            frontier: self.frontier,
+        };
+        self.stats.invariant_violations.extend(invariants::check(&obs));
+        self.check_liveness();
     }
 
-    /// Post-run safety checks: committed-prefix agreement across correct
-    /// replicas, per-height commit agreement, state-root convergence for
-    /// replicas at the same committed position, post-chaos liveness, and
-    /// every finalized block on the canonical chain.
-    fn check_invariants(&mut self) {
-        let chains: Vec<Vec<BlockId>> = self.engines.iter().map(|e| e.committed_chain()).collect();
-
-        // No two replicas may commit different blocks at the same height
-        // (strictly stronger than the longest-prefix comparison below: it
-        // also catches two short diverging chains).
-        let max_len = chains.iter().map(|c| c.len()).max().unwrap_or(0);
-        for h in 1..max_len {
-            let mut seen: Option<BlockId> = None;
-            for (i, c) in chains.iter().enumerate() {
-                let Some(&id) = c.get(h) else { continue };
-                match seen {
-                    None => seen = Some(id),
-                    Some(first) if first != id => {
-                        self.stats.invariant_violations.push(format!(
-                            "conflicting commits at height {h} (replica {i} disagrees)"
-                        ));
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        // Deterministic execution: identical committed chains must yield
-        // identical state roots (a recovered or snapshot-synced replica
-        // that reached the same position with different state diverged).
-        let roots: Vec<_> = self.engines.iter().map(|e| e.state_root()).collect();
-        for i in 0..chains.len() {
-            for j in (i + 1)..chains.len() {
-                if chains[i] == chains[j] && roots[i] != roots[j] {
-                    self.stats.invariant_violations.push(format!(
-                        "replicas {i} and {j} share a committed chain but diverge in state root"
-                    ));
-                }
-            }
-        }
-
-        // Post-GST liveness: after the last partition heal / replica
-        // rejoin, the cluster must commit again (given it had room to) —
-        // if the replicas still up can commit at all. Leaders rotate
-        // round-robin, so a replica down for good (a bit-rot fail-stop)
-        // caps the run of consecutive live leaders at n − 1: at n = 4
-        // that is the three a 2-chain needs and one short of 3-chain
-        // HotStuff's four.
+    /// Post-GST liveness: after the last partition heal / replica rejoin,
+    /// the cluster must commit again (given it had room to) — if the
+    /// replicas still up can commit at all. Leaders rotate round-robin, so
+    /// a replica down for good (a bit-rot fail-stop) caps the run of
+    /// consecutive live leaders at n − 1: at n = 4 that is the three a
+    /// 2-chain needs and one short of 3-chain HotStuff's four.
+    fn check_liveness(&mut self) {
         let n = self.n();
         let live_run = (0..2 * n)
             .scan(0, |run, i| {
@@ -1066,60 +983,6 @@ impl SimRunner {
                 ));
             }
         }
-        // "Correct" replicas are those the scenario left honest; the
-        // runner does not know fault assignments, so it checks agreement
-        // over the longest mutually consistent set: any two chains must be
-        // prefix-comparable unless one belongs to a Byzantine replica.
-        // Scenario-level code passes the honest set through
-        // `check_prefix_agreement`; here we run the weaker all-pairs check
-        // against the longest chain and report divergence.
-        let longest = chains.iter().max_by_key(|c| c.len()).cloned().unwrap_or_default();
-        for (i, c) in chains.iter().enumerate() {
-            if !longest.starts_with(c) && !c.starts_with(&longest) {
-                self.stats
-                    .invariant_violations
-                    .push(format!("replica {i} committed chain diverges from longest"));
-            }
-        }
-        let committed: HashSet<BlockId> = chains.iter().flatten().copied().collect();
-        for (block, _fin) in self.oracle.drain_finalized() {
-            if committed.contains(&block) {
-                continue;
-            }
-            // An uncommitted finalized block is a *violation* only once
-            // the committed frontier has moved decisively past it (it can
-            // then never commit — it was orphaned after finality). Blocks
-            // within two views of the frontier are merely commit-pending
-            // at the end of the run (Corollary B.10 guarantees they
-            // commit).
-            let rank = self.finalized_ranks.get(&block).copied().unwrap_or(Rank::GENESIS);
-            if self.max_committed_rank.view.0 > rank.view.0 + 2 {
-                self.stats.invariant_violations.push(format!(
-                    "finalized block {block:?} at {rank:?} orphaned (frontier {:?})",
-                    self.max_committed_rank
-                ));
-            }
-        }
-    }
-
-    /// Prefix-agreement check restricted to `honest` replica indices
-    /// (used by scenarios that know the fault placement).
-    pub fn check_prefix_agreement(&mut self, honest: &[usize]) {
-        let chains: Vec<(usize, Vec<BlockId>)> =
-            honest.iter().map(|&i| (i, self.engines[i].committed_chain())).collect();
-        let longest =
-            chains.iter().map(|(_, c)| c.clone()).max_by_key(|c| c.len()).unwrap_or_default();
-        for (i, c) in &chains {
-            if !longest.starts_with(c) {
-                self.stats
-                    .invariant_violations
-                    .push(format!("honest replica {i} diverges from canonical chain"));
-            }
-        }
-    }
-
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
     }
 }
 

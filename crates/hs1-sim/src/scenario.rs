@@ -391,22 +391,13 @@ impl Scenario {
             Some(cfg) => runner.spawn_open_loop(cfg.clone()),
             None => runner.spawn_clients(self.clients),
         }
-        runner.run(
+        let stats = runner.run(
             SimDuration::from_secs_f64(self.warmup_seconds),
             SimDuration::from_secs_f64(self.sim_seconds),
         );
-        // The honest set excludes leader-side faults *and* adversarial
-        // backups: the strengthened oracles must hold across honest
-        // replicas under any ≤ f adversary schedule.
-        let honest: Vec<usize> = (0..self.n)
-            .filter(|i| !self.faults.iter().any(|(r, _)| r == i))
-            .filter(|i| !adversaries.iter().any(|(r, _)| r == i))
-            .collect();
-        runner.check_prefix_agreement(&honest);
         let fingerprint = runner.fingerprint();
         let replica_views = runner.current_views();
         let replica_chain_lens = runner.committed_lengths();
-        let stats = runner.stats().clone();
 
         Report {
             protocol: self.protocol,

@@ -70,7 +70,11 @@ fn main() {
             let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
             let mut runner = NodeRunner::new(engine, mesh);
             runner.run_for(total);
-            (runner.committed_blocks, runner.state_root(), runner.committed_chain_len())
+            (
+                runner.committed_blocks,
+                runner.replica().state_root(),
+                runner.replica().committed_len(),
+            )
         }));
     }
 
@@ -84,7 +88,7 @@ fn main() {
         let mut runner =
             NodeRunner::with_storage(engine, mesh, &dir3, storage_cfg).expect("open storage");
         runner.run_for(crash_at);
-        let crashed_at_blocks = runner.committed_chain_len();
+        let crashed_at_blocks = runner.replica().committed_len();
         runner.shutdown(); // sever connections, free the port — the "kill"
         drop(runner); //        journal Drop syncs whatever was buffered
         println!("  [t=2.0s] replica 3 killed with {crashed_at_blocks} committed blocks");
@@ -98,16 +102,16 @@ fn main() {
         let info = runner.recovery.clone().expect("recovery ran");
         println!(
             "  [t≈2.2s] replica 3 restarted: {} blocks recovered ({} journal records replayed, checkpoint: {})",
-            runner.committed_chain_len() - 1,
+            runner.replica().committed_len() - 1,
             info.replayed_records,
             info.checkpoint_seq.map_or("none".into(), |s| format!("seq {s}")),
         );
         assert!(
-            runner.committed_chain_len() >= crashed_at_blocks.saturating_sub(64),
+            runner.replica().committed_len() >= crashed_at_blocks.saturating_sub(64),
             "recovery must not lose more than the fsync batching window"
         );
         runner.run_for(total - crash_at - downtime);
-        (runner.committed_blocks, runner.state_root(), runner.committed_chain_len())
+        (runner.committed_blocks, runner.replica().state_root(), runner.replica().committed_len())
     });
 
     // Closed-loop client against the full cluster (tolerates the dead

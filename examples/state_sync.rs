@@ -94,7 +94,7 @@ fn main() {
                 ));
             }
             runner.run_for(total);
-            (runner.state_root(), runner.committed_chain_len())
+            (runner.replica().state_root(), runner.replica().committed_len())
         }));
     }
 
@@ -116,10 +116,15 @@ fn main() {
         };
         let mut runner = NodeRunner::with_state_sync(engine, mesh, &dir3, storage_cfg, sync_cfg)
             .expect("open empty storage");
-        assert_eq!(runner.committed_chain_len(), 1, "nothing but genesis before the sync");
+        assert_eq!(runner.replica().committed_len(), 1, "nothing but genesis before the sync");
         runner.run_for(total - join_at);
         let stats = runner.sync_stats.expect("sync phase ran");
-        (runner.state_root(), runner.committed_chain_len(), runner.synced_via_snapshot, stats)
+        (
+            runner.replica().state_root(),
+            runner.replica().committed_len(),
+            runner.synced_via_snapshot,
+            stats,
+        )
     });
 
     // Closed-loop client against the live trio (replica 3 not yet up).

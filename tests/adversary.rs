@@ -84,9 +84,15 @@ fn forge_quorum_canary_trips_the_safety_oracles() {
         .seed(42)
         .with_adversary(1, AdversaryStrategy::ForgeQuorum)
         .run();
+    // A safety violation, not a halted cluster. At this seed the honest
+    // replicas commit the forged fork consistently, and only the
+    // orphaned-finality rule sees it.
     assert!(
-        !r.invariants_ok(),
-        "a forged quorum fork must violate the safety oracles (got a clean run)"
+        r.invariant_violations
+            .iter()
+            .any(|v| v.contains("conflicting commits") || v.contains("orphaned")),
+        "a forged quorum fork must violate the safety oracles: {:?}",
+        r.invariant_violations
     );
 }
 

@@ -188,6 +188,7 @@ fn outputs_match_the_cross_commit_pins() {
     for (label, s, fingerprint, trace) in table {
         let (report, jsonl, counters) = observed(s);
         assert!(report.committed_txs > 0, "{label}: the pinned run made progress");
+        assert!(report.invariants_ok(), "{label}: {:?}", report.invariant_violations);
         assert!(!counters.contains(",duplicate_finals,"), "{label}: a batch was final twice");
         let got = (report.fingerprint, fnv1a(jsonl.as_bytes()));
         match label {

@@ -12,6 +12,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use hotstuff1::adversary::{AdversaryMutator, AdversaryStrategy};
+use hotstuff1::consensus::invariants::{self, Committed, Observation};
 use hotstuff1::consensus::{build_replica, Fault};
 use hotstuff1::ledger::ExecConfig;
 use hotstuff1::net::client_driver::ClientDriver;
@@ -117,7 +118,7 @@ fn four_replicas_and_a_client_over_tcp() {
             let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
             let mut runner = NodeRunner::new(engine, mesh);
             runner.run_for(run);
-            runner.committed_blocks
+            (runner.committed_blocks, Committed::of(runner.replica()))
         }));
     }
 
@@ -127,9 +128,19 @@ fn four_replicas_and_a_client_over_tcp() {
         .expect("connect");
     let samples = client.run_closed_loop(run - Duration::from_millis(700)).expect("client");
 
-    let committed: Vec<u64> = handles.into_iter().map(|h| h.join().expect("replica")).collect();
+    let (committed, replicas) = join_cluster(handles);
     assert!(committed.iter().all(|&c| c > 0), "every replica commits over TCP: {committed:?}");
     assert!(!samples.is_empty(), "client reached early finality over TCP");
+    let violations = invariants::check(&Observation { replicas, ..Observation::default() });
+    assert!(violations.is_empty(), "safety over TCP: {violations:?}");
+}
+
+/// Join replica threads that return their commit count and committed
+/// state, in replica order.
+fn join_cluster(
+    handles: Vec<std::thread::JoinHandle<(u64, Committed)>>,
+) -> (Vec<u64>, Vec<Committed>) {
+    handles.into_iter().map(|h| h.join().expect("replica")).unzip()
 }
 
 /// One replica never sends anything, so every fourth view dies and the
@@ -157,7 +168,7 @@ fn silent_replica_loses_no_request_over_tcp() {
             let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
             let mut runner = NodeRunner::new(engine, mesh);
             runner.run_for(total);
-            runner.committed_blocks
+            (runner.committed_blocks, Committed::of(runner.replica()))
         }));
     }
 
@@ -171,10 +182,14 @@ fn silent_replica_loses_no_request_over_tcp() {
         client.run_open_loop(Duration::from_secs(2), 500, Duration::from_secs(1)).expect("client");
     drop(client);
 
-    let committed: Vec<u64> = handles.into_iter().map(|h| h.join().expect("replica")).collect();
+    let (committed, replicas) = join_cluster(handles);
     assert!(committed[..3].iter().all(|&c| c > 0), "the live replicas commit: {committed:?}");
     assert_eq!(report.submitted, 1000);
     assert_eq!(report.finalized, report.submitted, "every request final under its first id");
+    // The silent replica only withholds its messages; its local state is
+    // honest and is checked with the rest.
+    let violations = invariants::check(&Observation { replicas, ..Observation::default() });
+    assert!(violations.is_empty(), "safety over TCP: {violations:?}");
 }
 
 /// Kill a journal-backed replica mid-run, restart it from its journal,
@@ -220,7 +235,7 @@ fn killed_replica_recovers_from_journal_over_tcp() {
             let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
             let mut runner = NodeRunner::new(engine, mesh);
             runner.run_for(total);
-            runner.state_root()
+            runner.replica().state_root()
         }));
     }
 
@@ -232,6 +247,8 @@ fn killed_replica_recovers_from_journal_over_tcp() {
         let mut runner =
             NodeRunner::with_storage(engine, mesh, &dir3, storage_cfg).expect("open storage");
         runner.run_for(crash_at);
+        let at_crash = Committed::of(runner.replica());
+        assert!(at_crash.chain.len() > 1, "replica 3 committed before the kill");
         runner.shutdown();
         drop(runner);
         std::thread::sleep(downtime);
@@ -241,10 +258,10 @@ fn killed_replica_recovers_from_journal_over_tcp() {
         let mesh = Mesh::start(ReplicaId(3), n, "127.0.0.1", base_port).expect("rebind");
         let mut runner =
             NodeRunner::with_storage(engine, mesh, &dir3, storage_cfg).expect("recover");
-        let recovered_blocks = runner.committed_chain_len();
-        assert!(recovered_blocks > 1, "journal replay restored committed blocks");
+        let recovered = Committed::of(runner.replica());
+        assert_eq!(invariants::check_recovery(&at_crash, &recovered, false), None);
         runner.run_for(total - crash_at - downtime);
-        runner.state_root()
+        runner.replica().state_root()
     });
 
     // Drive transactions across the crash window; the client tolerates
@@ -344,7 +361,7 @@ fn fresh_replica_joins_via_snapshot_over_tcp() {
                 ));
             }
             runner.run_for(total);
-            runner.state_root()
+            runner.replica().state_root()
         }));
     }
 
@@ -366,9 +383,13 @@ fn fresh_replica_joins_via_snapshot_over_tcp() {
         };
         let mut runner = NodeRunner::with_state_sync(engine, mesh, &dir3, storage_cfg, sync_cfg)
             .expect("open empty storage");
-        assert_eq!(runner.committed_chain_len(), 1, "empty disk: genesis only");
+        assert_eq!(runner.replica().committed_len(), 1, "empty disk: genesis only");
         runner.run_for(total - join_at);
-        (runner.state_root(), runner.synced_via_snapshot, runner.sync_stats.expect("sync ran"))
+        (
+            runner.replica().state_root(),
+            runner.synced_via_snapshot,
+            runner.sync_stats.expect("sync ran"),
+        )
     });
 
     // Client traffic while replica 3 is absent, through its join, and a
@@ -439,7 +460,7 @@ fn observer_survives_replica_restart_over_tcp() {
             let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
             let mut runner = NodeRunner::new(engine, mesh);
             runner.run_for(total);
-            runner.state_root()
+            runner.replica().state_root()
         }));
     }
 
@@ -483,7 +504,7 @@ fn observer_survives_replica_restart_over_tcp() {
             NodeRunner::with_storage(engine, mesh, &dir3, storage_cfg).expect("recover");
         runner.set_observer(obs.with_actor(3));
         runner.run_for(total - crash_at - downtime);
-        let root = runner.state_root();
+        let root = runner.replica().state_root();
         runner.shutdown();
         drop(runner);
 
@@ -561,7 +582,7 @@ fn introspection_endpoints_serve_a_live_tcp_cluster() {
             runner.run_for(run);
             let events: Vec<OwnedEvent> =
                 rec.lock().expect("recorder").trace().iter().map(OwnedEvent::from_event).collect();
-            (runner.state_root(), runner.committed_blocks, events)
+            (runner.replica().state_root(), runner.committed_blocks, events)
         }));
     }
     drop(port_tx);
@@ -758,7 +779,7 @@ fn slow_peer_backpressure_sheds_and_cluster_keeps_committing() {
                 Mesh::start_with(ReplicaId(id), n, "127.0.0.1", base_port, cfg).expect("bind");
             let mut runner = NodeRunner::new(engine, mesh);
             runner.run_for(total);
-            (runner.state_root(), runner.shed_frames(), runner.committed_blocks)
+            (runner.replica().state_root(), runner.shed_frames(), runner.committed_blocks)
         }));
     }
 
@@ -772,7 +793,7 @@ fn slow_peer_backpressure_sheds_and_cluster_keeps_committing() {
             Mesh::start_with(ReplicaId(3), n, "127.0.0.1", base_port, cfg).expect("bind real");
         let mut runner = NodeRunner::new(engine, mesh);
         runner.run_for(total);
-        runner.state_root()
+        runner.replica().state_root()
     });
 
     // Release the throttle at t=4s.
