@@ -12,8 +12,26 @@
 //!   execute `B_{v−1}` on receiving the view-`v` proposal that certifies
 //!   it, when the Prefix-Speculation and No-Gap rules hold (3 half-phases
 //!   to the client's early finality confirmation).
+//!
+//! **A leader with nothing to answer holds its proposal.** A request
+//! needs the view that proposes its block and the views whose proposals
+//! carry that block to its answer: one more under HotStuff-1 (the
+//! proposal that certifies it makes replicas speculate), two more under
+//! HotStuff-2 and three under HotStuff (commit). A leader whose mempool is
+//! empty and whose certified branch holds no block that still owes its
+//! clients an answer — non-empty, uncommitted and, under HotStuff-1, not
+//! speculated — has nothing a proposal would move. It waits until a
+//! request arrives (`Message::Request` steps the engine) or until the
+//! slow-leader `ProposeAt`, 3Δ before the view deadline, whichever is
+//! first. That cannot cost a view timeout: the proposal reaches every
+//! correct replica within Δ and the votes the next leader within another,
+//! inside the view timer each replica armed when it entered the view. So
+//! the hold changes when a view ends, never whether it ends on a vote;
+//! votes, commits and speculation are untouched. A zero-load cluster runs
+//! one view per view timer instead of one per round trip.
 
 use crate::byzantine::Fault;
+use crate::common::CoreState;
 use crate::driver::{Driver, Engine, Protocol};
 use crate::pacemaker::ViewEnd;
 use crate::replica::Action;
@@ -21,7 +39,7 @@ use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::message::{NewViewMsg, ProposeMsg, VoteInfo};
-use hs1_types::{Certificate, Message, ReplicaId, SimTime, Slot, View};
+use hs1_types::{BlockId, Certificate, Message, ReplicaId, SimTime, Slot, View};
 
 pub(crate) struct Chained {
     /// Commit-rule depth: consecutive certificates that finalize a block
@@ -38,11 +56,28 @@ pub(crate) struct ChainedTally {
     /// Vote shares for blocks of view − 1.
     votes: ShareTally,
     proposed: bool,
+    /// Held for want of anything to answer (module doc).
+    held: bool,
 }
 
 impl Chained {
     pub(crate) fn new(depth: u8, speculative: bool) -> Chained {
         Chained { depth, speculative, last_voted: View::GENESIS, last_prop: View::GENESIS }
+    }
+
+    /// Does a block on the branch ending at `tip` still owe its clients an
+    /// answer: non-empty, uncommitted and not speculated (the baselines
+    /// never speculate)? A body this replica lacks is assumed to.
+    fn owes_an_answer(core: &CoreState, tip: BlockId) -> bool {
+        let mut id = tip;
+        while !core.is_committed(id) {
+            let Some(b) = core.block(id) else { return true };
+            if !b.txs.is_empty() && core.exec.digest_of(id).is_none() {
+                return true;
+            }
+            id = b.parent;
+        }
+        false
     }
 
     /// One block builder; the fault picks the justify and the recipients.
@@ -78,7 +113,7 @@ impl Protocol for Chained {
     const PRUNE_KEEP: usize = 2048;
 
     fn new_tally(_view: View) -> ChainedTally {
-        ChainedTally { votes: ShareTally::new(CertKind::Quorum), proposed: false }
+        ChainedTally { votes: ShareTally::new(CertKind::Quorum), proposed: false, held: false }
     }
 
     fn tally_newview(
@@ -110,13 +145,31 @@ impl Protocol for Chained {
             e.arm_slow_timer(now, out);
             return;
         }
+        // So does one with nothing to answer, unless a request comes first.
+        let idle = e.d.core.pool.stats().depth == 0;
+        if idle && !Self::owes_an_answer(&e.d.core, e.d.high_cert.block) {
+            if !std::mem::replace(&mut e.tally_mut().own.held, true) {
+                e.d.core.obs.counter("proposals_held", 0, 1);
+            }
+            e.arm_slow_timer(now, out);
+            return;
+        }
+        if e.tally_mut().own.held && !idle {
+            e.d.core.obs.counter("hold_released_request", 0, 1);
+        }
         Self::do_propose(e, out);
     }
 
     fn on_propose_at(e: &mut Engine<Self>, _now: SimTime, out: &mut Vec<Action>) {
-        if !e.tally.as_ref().map(|t| t.own.proposed).unwrap_or(false) {
-            Self::do_propose(e, out);
+        let (proposed, held) =
+            e.tally.as_ref().map_or((false, false), |t| (t.own.proposed, t.own.held));
+        if proposed {
+            return;
         }
+        if held {
+            e.d.core.obs.counter("hold_released_timer", 0, 1);
+        }
+        Self::do_propose(e, out);
     }
 
     fn on_propose(

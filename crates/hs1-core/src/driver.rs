@@ -22,6 +22,16 @@
 //!   queue, re-delivered in arrival order when a body arrives, then the
 //!   stalled commit, then the leader's proposal check.
 //!
+//! A client request is a step like any message (`Message::Request`): the
+//! mempool admits it, then the leader's proposal check runs. That is what
+//! ends a streamlined leader's *hold* — with an empty pool and no block on
+//! its certified branch still owing clients an answer, it defers its
+//! proposal to the slow-leader `ProposeAt` (`chained.rs`). The hold cannot
+//! cost a view timeout: `ProposeAt` fires 3Δ before the view deadline
+//! ([`Engine::arm_slow_timer`]), which leaves the proposal Δ to reach the
+//! replicas and the votes Δ to reach the next leader inside the view
+//! timer each replica armed when it entered the view.
+//!
 //! The order of `Action`s pushed to `out` and of `Obs` emissions within a
 //! step is part of the behaviour: the simulator consumes `out` in order
 //! and traces are byte-compared across commits (`tests/observability.rs`).
@@ -643,7 +653,11 @@ impl<P: Protocol> Replica for Engine<P> {
                 }
             }
             Message::FetchResp { block } => self.on_fetch_resp(block, now, out),
-            Message::Request(tx) => self.d.core.pool.offer(tx),
+            Message::Request(tx) => {
+                self.d.core.pool.offer(tx);
+                // A leader holding for want of transactions proposes now.
+                self.maybe_propose(now, out);
+            }
             other => P::on_message(self, from, other, now, out),
         }
     }

@@ -23,7 +23,7 @@
 //! |---|---|---|
 //! | `driver.rs` | the view driver every protocol runs on: view lifecycle, leader tally, certificate adoption, stale proposals, parked work | Fig. 2/4/7 common skeleton, Fig. 3 glue |
 //! | `basic.rs` | policy: basic (two-phase) HotStuff-1 | §4, Fig. 2 |
-//! | `chained.rs` | policy: streamlined HotStuff (3-chain), HotStuff-2 (2-chain), HotStuff-1 (2-chain + speculation) | §5, Fig. 4 |
+//! | `chained.rs` | policy: streamlined HotStuff (3-chain), HotStuff-2 (2-chain), HotStuff-1 (2-chain + speculation); a leader with nothing to answer holds its proposal | §5, Fig. 4 |
 //! | `slotted.rs` | policy: HotStuff-1 with adaptive slotting | §6, Figs. 6–7 |
 //! | `shares.rs` | share tally: verify on insert, dedup per sender, certificate at quorum | §7 implementation note |
 //! | [`pacemaker`] | epoch view synchronizer: a boundary reached on a vote is crossed at once, one reached on a timeout runs the Wish / TC round | §4.2.1, Fig. 3 |

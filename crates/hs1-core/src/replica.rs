@@ -70,12 +70,12 @@ pub trait Replica: Send {
     /// A previously armed timer fired.
     fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>);
 
-    /// Client requests reach the replica's mempool. Clients send every
-    /// request to every replica, off the consensus critical path (§7
-    /// Implementation): the simulator calls this on each replica that is
-    /// up when a submission lands (`Ev::Submit`), the TCP runtime with
-    /// each `Message::Request` a client connection delivers
-    /// (`NodeRunner::handle_inbound`), not `on_message`.
+    /// Offer client requests to the replica's mempool *without stepping the
+    /// engine*: no leader proposes on them until its next step. Every
+    /// runtime delivers requests as `Message::Request` through
+    /// [`Replica::on_message`] instead (a streamlined leader holding for
+    /// want of transactions proposes in that step). Kept only because
+    /// `bench/`'s `TimedReplica` implements it; delete it once that stops.
     fn enqueue_txs(&mut self, txs: &[hs1_types::Transaction]);
 
     /// Mempool depth and admission counters. Engines override the

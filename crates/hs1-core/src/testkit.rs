@@ -150,10 +150,17 @@ impl TestNet {
         self.run_until(deadline);
     }
 
-    /// Inject transactions into every engine's mempool.
+    /// Deliver every transaction to every engine now, as the
+    /// `Message::Request` a client sends each replica, and act on what the
+    /// engines do with it (a held leader proposes).
     pub fn inject(&mut self, txs: &[hs1_types::Transaction]) {
-        for e in &mut self.engines {
-            e.enqueue_txs(txs);
+        for i in 0..self.n() {
+            let me = ReplicaId(i as u32);
+            for tx in txs {
+                let mut out = Vec::new();
+                self.engines[i].on_message(me, Message::Request(*tx), self.now, &mut out);
+                self.absorb(me, out);
+            }
         }
     }
 

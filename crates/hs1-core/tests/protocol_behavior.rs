@@ -694,7 +694,7 @@ fn garbage_vote_share_never_reaches_a_certificate() {
 /// The driver's one rule each for a certificate whose body is missing, a
 /// proposal for a view already left, and a message parked on a body.
 mod not_yet_usable {
-    use super::{cfg, ExecConfig, Fault, ProtocolKind, Replica, ReplicaId, Transaction};
+    use super::{cfg, txs, ExecConfig, Fault, ProtocolKind, Replica, ReplicaId, Transaction};
     use hs1_core::build_replica;
     use hs1_core::replica::{Action, Timer};
     use hs1_types::message::ProposeMsg;
@@ -751,6 +751,15 @@ mod not_yet_usable {
             self.engines[to.0 as usize].on_message(from, msg, now, &mut out);
             self.sent(to, &out);
             out
+        }
+
+        /// Every replica `to` picks gets `txs` as client requests.
+        fn load(&mut self, to: impl Fn(ReplicaId) -> bool, txs: &[Transaction]) {
+            for r in (0..self.engines.len() as u32).map(ReplicaId).filter(|r| to(*r)) {
+                for tx in txs {
+                    self.deliver((r, r, Message::Request(*tx)), SimTime::ZERO);
+                }
+            }
         }
 
         /// Deliver in send order until only what `hold` set aside is left.
@@ -810,6 +819,9 @@ mod not_yet_usable {
     /// when the body arrives it votes on its own parked proposal. `late`:
     /// its own proposal comes back a view timer after the first request,
     /// so the body is asked for again — of a peer, never of itself.
+    /// Loaded: the wire fires no timers, and a streamlined leader with an
+    /// empty pool and nothing to answer waits for `ProposeAt`, so views 1
+    /// and 2 would never propose.
     #[test]
     fn leader_proposes_on_a_certificate_it_formed_before_the_body_arrived() {
         let view_timer = cfg(4).view_timer;
@@ -818,6 +830,7 @@ mod not_yet_usable {
                 let ctx = format!("{kind:?}, late {late}");
                 let leader = ReplicaId(3);
                 let mut w = Wire::new(kind, 4);
+                w.load(|_| true, &txs(64));
                 w.run(|(_, to, m)| {
                     *to == leader
                         && match m {
@@ -947,12 +960,16 @@ mod not_yet_usable {
     /// A proposal for a view the replica has left is stored and not acted
     /// on, under every protocol: its transactions are suppressed while it
     /// could still commit and come back once the chain has passed it.
-    /// (Basic used to drop it, body and all.)
+    /// (Basic used to drop it, body and all.) Loaded, except replica `x`
+    /// whose pool is watched: the wire fires no timers, and a streamlined
+    /// leader with an empty pool and nothing to answer waits for
+    /// `ProposeAt`, so views 1 to 5 would not all propose.
     #[test]
     fn stale_proposals_transactions_return_to_the_pool_under_basic_as_under_chained() {
         for kind in [ProtocolKind::HotStuff1Basic, ProtocolKind::HotStuff1] {
             let (x, l1) = (ReplicaId(0), ReplicaId(1));
             let mut w = Wire::new(kind, 7);
+            w.load(|r| r != x, &txs(64));
             let from_view =
                 |v: u64| move |(_, _, m): &Msg| proposal_of(m).is_some_and(|b| b.view >= View(v));
             w.run(from_view(3));
@@ -960,7 +977,7 @@ mod not_yet_usable {
 
             // The other half of an equivocation in view 1, arriving late.
             let tx = Transaction::kv_write(9, 1, 2, 3);
-            w.engines[0].enqueue_txs(&[tx]);
+            w.load(|r| r == x, &[tx]);
             let stale = Block::new(l1, View(1), Slot::FIRST, Certificate::genesis(), vec![tx]);
             let stale = Message::Propose(ProposeMsg { block: Arc::new(stale), commit_cert: None });
             let out = w.deliver((l1, x, stale), SimTime::ZERO);
@@ -1017,12 +1034,18 @@ mod epoch_boundary {
         );
     }
 
+    /// Loaded for the whole window: a streamlined leader with an empty pool
+    /// and nothing to answer waits for `ProposeAt` (one view per view
+    /// timer), so the default 64 transactions would not carry the views
+    /// past eight epochs in 60 ms. `idle_leader` checks the same at zero
+    /// load.
     #[test]
     fn fault_free_vote_exit_protocols_never_synchronize() {
         for n in [4, 7] {
             let boundaries = 8 * cfg(n).epoch_len();
             for kind in VOTE_EXIT {
                 let mut net = net_for(kind, n, vec![]);
+                net.inject(&txs(512));
                 net.run_for(SimDuration::from_millis(60));
                 let what = format!("{kind:?} n={n}: views {:?}, sent {:?}", views(&net), net.sent);
                 assert!(views(&net).iter().all(|&v| v > boundaries), "{what}");
@@ -1154,6 +1177,277 @@ mod epoch_boundary {
                 assert!(sent(&net, "Tc") > 0, "{kind:?} n={n}: re-aligned by a TC");
                 net.assert_prefix_agreement(&all);
             }
+        }
+    }
+}
+
+// -- a streamlined leader with nothing to answer holds its proposal ----------------
+
+mod idle_leader {
+    use super::*;
+    use hs1_core::persist::{Persistence, RecoveredState};
+    use hs1_core::replica::{Action, Timer};
+    use hs1_types::{BlockId, Message, SimTime, View};
+    use std::collections::BTreeSet;
+    use std::sync::{Arc, Mutex};
+
+    const CHAINED: [ProtocolKind; 3] =
+        [ProtocolKind::HotStuff1, ProtocolKind::HotStuff2, ProtocolKind::HotStuff];
+    const N: usize = 4;
+
+    /// What an engine step took in.
+    #[derive(Clone, Copy, Debug)]
+    enum Input {
+        Init,
+        Msg(&'static str),
+        Timer(Timer),
+    }
+
+    /// Every step of every engine, in order: who, on what, and its actions.
+    type Steps = Arc<Mutex<Vec<(ReplicaId, Input, Vec<Action>)>>>;
+
+    /// An engine that writes down each of its steps.
+    struct Spy {
+        inner: Box<dyn Replica>,
+        steps: Steps,
+    }
+
+    impl Spy {
+        fn step(
+            &mut self,
+            input: Input,
+            out: &mut Vec<Action>,
+            f: impl FnOnce(&mut dyn Replica, &mut Vec<Action>),
+        ) {
+            let before = out.len();
+            f(self.inner.as_mut(), out);
+            let me = self.inner.id();
+            self.steps.lock().unwrap().push((me, input, out[before..].to_vec()));
+        }
+    }
+
+    impl Replica for Spy {
+        fn id(&self) -> ReplicaId {
+            self.inner.id()
+        }
+        fn on_init(&mut self, now: SimTime, out: &mut Vec<Action>) {
+            self.step(Input::Init, out, |e, out| e.on_init(now, out));
+        }
+        fn on_message(
+            &mut self,
+            from: ReplicaId,
+            msg: Message,
+            now: SimTime,
+            out: &mut Vec<Action>,
+        ) {
+            self.step(Input::Msg(msg.kind_name()), out, |e, out| e.on_message(from, msg, now, out));
+        }
+        fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>) {
+            self.step(Input::Timer(timer), out, |e, out| e.on_timer(timer, now, out));
+        }
+        fn enqueue_txs(&mut self, txs: &[Transaction]) {
+            self.inner.enqueue_txs(txs);
+        }
+        fn current_view(&self) -> View {
+            self.inner.current_view()
+        }
+        fn committed_head(&self) -> BlockId {
+            self.inner.committed_head()
+        }
+        fn committed_chain(&self) -> Vec<BlockId> {
+            self.inner.committed_chain()
+        }
+        fn set_persistence(&mut self, persist: Box<dyn Persistence>) {
+            self.inner.set_persistence(persist);
+        }
+        fn restore(&mut self, state: RecoveredState) {
+            self.inner.restore(state);
+        }
+        fn state_root(&self) -> hs1_crypto::Digest {
+            self.inner.state_root()
+        }
+    }
+
+    /// An unloaded, initialized cluster of spied engines.
+    fn spied(kind: ProtocolKind, faults: &[(usize, Fault)]) -> (TestNet, Steps) {
+        let steps = Steps::default();
+        let engines = (0..N)
+            .map(|i| {
+                let fault =
+                    faults.iter().find(|(r, _)| *r == i).map_or(Fault::Honest, |(_, f)| f.clone());
+                let inner =
+                    build_replica(kind, cfg(N), ReplicaId(i as u32), fault, ExecConfig::default());
+                Box::new(Spy { inner, steps: steps.clone() }) as Box<dyn Replica>
+            })
+            .collect();
+        let mut net = TestNet::new(engines, SimDuration::from_micros(200));
+        net.init();
+        (net, steps)
+    }
+
+    fn views(net: &TestNet) -> Vec<u64> {
+        net.engines.iter().map(|e| e.current_view().0).collect()
+    }
+
+    fn proposals(out: &[Action]) -> Vec<Arc<hs1_types::Block>> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Broadcast { msg: Message::Propose(p) } => Some(p.block.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Views a replica left on its own timer: a `ViewTimeout` step that did
+    /// something (a stale one does nothing).
+    fn timed_out(steps: &Steps, replicas: &[usize]) -> BTreeSet<u64> {
+        steps
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(r, _, out)| replicas.contains(&(r.0 as usize)) && !out.is_empty())
+            .filter_map(|(_, input, _)| match input {
+                Input::Timer(Timer::ViewTimeout(v)) => Some(v.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// One request at a time. Each takes the view that proposes its block
+    /// and the views whose proposals carry that block to its answer: one
+    /// more under HotStuff-1 (speculation), two under HotStuff-2 and three
+    /// under HotStuff (commit). Then the next leader holds: the one step
+    /// that does anything arms `ProposeAt`, and the network goes quiet.
+    #[test]
+    fn each_request_takes_the_views_its_answer_needs_then_the_leader_holds() {
+        let c = cfg(N);
+        for (kind, per_request) in CHAINED.into_iter().zip([2, 3, 4]) {
+            let answer = if kind == ProtocolKind::HotStuff1 {
+                ReplyKind::Speculative
+            } else {
+                ReplyKind::Committed
+            };
+            let (mut net, steps) = spied(kind, &[]);
+            net.run_for(SimDuration::from_millis(1));
+            for seq in 0..8 {
+                let ctx = format!("{kind:?}, request {seq}");
+                let before = views(&net);
+                assert!(before.iter().all(|&v| v == before[0]), "{ctx}: views {before:?}");
+                steps.lock().unwrap().clear();
+                let tx = Transaction::kv_write(1, seq, seq, seq);
+                net.inject(&[tx]);
+                net.run_for(SimDuration::from_millis(3));
+
+                let answered = (0..N).all(|r| {
+                    net.log.iter().any(|o| {
+                        matches!(o, Obs::Executed { at, block, kind }
+                        if at.0 as usize == r && *kind == answer && block.txs.contains(&tx))
+                    })
+                });
+                assert!(answered, "{ctx}: not answered at every replica");
+                let after = views(&net);
+                assert!(
+                    after.iter().all(|&v| v == before[0] + per_request),
+                    "{ctx}: {before:?} → {after:?}"
+                );
+
+                let steps = steps.lock().unwrap();
+                let (who, input, out) =
+                    steps.iter().rev().find(|(_, _, out)| !out.is_empty()).expect("steps");
+                let held = View(after[0]);
+                assert_eq!(
+                    *who,
+                    c.leader_of(held),
+                    "{ctx}: the last step that acted: {input:?} {out:?}"
+                );
+                assert!(
+                    matches!(out.as_slice(), [Action::SetTimer { timer: Timer::ProposeAt(v), .. }] if *v == held),
+                    "{ctx}: the held leader did {out:?}"
+                );
+            }
+        }
+    }
+
+    /// The step that delivers a request to a held leader proposes it.
+    #[test]
+    fn a_request_to_a_held_leader_is_proposed_in_that_step() {
+        let c = cfg(N);
+        for kind in CHAINED {
+            let (mut net, steps) = spied(kind, &[]);
+            net.run_for(SimDuration::from_millis(1));
+            assert_eq!(views(&net), [1; N], "{kind:?}");
+            steps.lock().unwrap().clear();
+            let tx = Transaction::kv_write(1, 0, 0, 0);
+            net.inject(&[tx]);
+            let steps = steps.lock().unwrap();
+            let leader = c.leader_of(View(1));
+            let (_, input, out) =
+                steps.iter().find(|(r, _, _)| *r == leader).expect("the leader was stepped");
+            assert!(matches!(input, Input::Msg("Request")), "{kind:?}: {input:?}");
+            let proposed = proposals(out);
+            assert!(
+                proposed.len() == 1 && proposed[0].view == View(1) && proposed[0].txs == [tx],
+                "{kind:?}: {out:?}"
+            );
+        }
+    }
+
+    /// With no load, every view is proposed on its leader's `ProposeAt`, 3Δ
+    /// before the deadline: eight epochs pass with no view timeout, no
+    /// Wish, and the replicas in step.
+    #[test]
+    fn zero_load_views_advance_only_on_propose_at() {
+        let c = cfg(N);
+        let boundaries = 8 * c.epoch_len();
+        for kind in CHAINED {
+            let (mut net, steps) = spied(kind, &[]);
+            net.run_for(c.view_timer * (boundaries + 2));
+            let what = format!("{kind:?}: views {:?}, sent {:?}", views(&net), net.sent);
+            assert!(views(&net).iter().all(|&v| v > boundaries), "{what}");
+            assert_eq!(net.sent.get("Wish"), None, "{what}");
+            assert_eq!(timed_out(&steps, &[0, 1, 2, 3]), BTreeSet::new(), "{what}");
+            let steps = steps.lock().unwrap();
+            let proposers: Vec<Input> = steps
+                .iter()
+                .filter(|(_, _, out)| !proposals(out).is_empty())
+                .map(|(_, input, _)| *input)
+                .collect();
+            assert!(proposers.len() as u64 > boundaries, "{what}");
+            for input in proposers {
+                assert!(matches!(input, Input::Timer(Timer::ProposeAt(_))), "{what}: {input:?}");
+            }
+            drop(steps);
+            // Once a proposal's votes are in, every replica is in one view.
+            for _ in 0..10 {
+                let vs = views(&net);
+                if vs.iter().all(|&v| v == vs[0]) {
+                    break;
+                }
+                net.run_for(SimDuration::from_micros(200));
+            }
+            let vs = views(&net);
+            assert!(vs.iter().all(|&v| v == vs[0]), "{kind:?}: views {vs:?}");
+        }
+    }
+
+    /// A silent replica never gets to hold: the views it leads time out as
+    /// they did before the hold, and only those.
+    #[test]
+    fn a_silent_leader_still_times_out() {
+        let c = cfg(N);
+        let silent = 3;
+        let correct = [0, 1, 2];
+        for kind in CHAINED {
+            let (mut net, steps) = spied(kind, &[(silent, Fault::Silent)]);
+            net.run_for(SimDuration::from_millis(200));
+            let reached = correct.iter().map(|&r| net.engines[r].current_view().0).min().unwrap();
+            let led: BTreeSet<u64> =
+                (1..reached).filter(|&v| c.leader_of(View(v)).0 as usize == silent).collect();
+            let what = format!("{kind:?}: views {:?}", views(&net));
+            assert!(led.len() >= 3, "{what}");
+            let timed_out = timed_out(&steps, &correct);
+            let below: BTreeSet<u64> = timed_out.iter().copied().filter(|&v| v < reached).collect();
+            assert_eq!(below, led, "{what}");
         }
     }
 }

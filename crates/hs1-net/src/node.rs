@@ -377,12 +377,23 @@ impl NodeRunner {
             if left.is_zero() {
                 break;
             }
-            let wait = match self.timers.peek() {
+            let mut wait = match self.timers.peek() {
                 Some(Reverse((at, _, _))) => {
                     left.min(Duration::from_nanos(at.0.saturating_sub(self.now().0)))
                 }
                 None => left,
             };
+            // `poll` rounds a wait up to whole milliseconds: right for an
+            // engine timer, wrong for the deadline that ends the loop. A
+            // wait that would be rounded past it shrinks to the whole
+            // milliseconds left; under one, the rest is slept out and the
+            // last turn takes only what is ready.
+            if Duration::from_millis(wait.as_nanos().div_ceil(1_000_000) as u64) > left {
+                wait = Duration::from_millis(left.as_millis() as u64);
+                if wait.is_zero() {
+                    std::thread::sleep(left);
+                }
+            }
             reactor.turn(wait, &mut |inbound| self.handle_inbound(inbound));
         }
         // Put the last steps' output on the wire before going quiet.
@@ -425,9 +436,11 @@ impl NodeRunner {
                 }
             },
             Inbound::FromClient(_client, msg) => {
-                if let Message::Request(tx) = msg {
+                if let Message::Request(_) = msg {
                     self.obs.counter("requests_recv", 0, 1);
-                    self.engine.enqueue_txs(&[tx]);
+                    let mut out = Vec::new();
+                    self.engine.on_message(self.engine.id(), msg, self.now(), &mut out);
+                    self.dispatch(out);
                 }
             }
         }
@@ -688,6 +701,33 @@ mod tests {
         assert_eq!((stepped[0].0, stepped[1].0), (ReplicaId(1), ReplicaId(0)));
         let gap = stepped[1].1 .0 - stepped[0].1 .0;
         assert!(gap < 10_000_000, "self-copy stepped {gap} ns after the frame that caused it");
+    }
+
+    /// `poll(2)` rounds a wait up to whole milliseconds; the last one must
+    /// not carry `run_for` past its deadline. A peer that connects
+    /// mid-millisecond puts the loop off the millisecond grid, and a
+    /// rounded last wait overshot by about a millisecond.
+    #[test]
+    fn run_for_ends_at_its_deadline() {
+        let run = Duration::from_millis(20);
+        let mut over: Vec<Duration> = (0..10)
+            .map(|_| {
+                let (mut node, base, _) = probe_node(2, 0, 0);
+                let peer = std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_micros(3_500));
+                    let mut s = TcpStream::connect(("127.0.0.1", base)).expect("dial node");
+                    s.write_all(&hello_bytes(PeerKind::Replica(1))).expect("hello");
+                    std::thread::sleep(run * 2);
+                });
+                let start = Instant::now();
+                node.run_for(run);
+                let elapsed = start.elapsed();
+                peer.join().expect("peer");
+                elapsed.saturating_sub(run)
+            })
+            .collect();
+        over.sort_unstable();
+        assert!(over[5] < Duration::from_micros(300), "overshoot: {over:?}");
     }
 
     /// `shutdown()` after `run_for` closes the parked reactor: the listen

@@ -8,10 +8,13 @@ use std::time::Duration;
 
 use hs1_core::{build_replica, Fault};
 use hs1_ledger::ExecConfig;
+use hs1_net::client_driver::ClientDriver;
 use hs1_net::mesh::{Inbound, Mesh};
 use hs1_net::node::NodeRunner;
 use hs1_obs::{Clock, EventKind, Obs, Stage};
-use hs1_types::{Message, ProtocolKind, ReplicaId, SimDuration, SystemConfig, Transaction};
+use hs1_types::{
+    ClientId, Message, ProtocolKind, ReplicaId, SimDuration, SystemConfig, Transaction,
+};
 
 /// Both tests look at this process's thread names, so they take turns.
 static THREADS: Mutex<()> = Mutex::new(());
@@ -91,15 +94,22 @@ fn a_running_replica_is_one_thread_and_commits_at_once() {
             (runner.committed_blocks, first_commit)
         }));
     }
-    std::thread::sleep(run / 2);
+    // Loaded: an idle cluster's leaders hold their proposals until
+    // `ProposeAt`, 105 ms into a view here.
+    let f = SystemConfig::new(n).f();
+    let mut client =
+        ClientDriver::connect(ClientId(0), n, "127.0.0.1", base, ProtocolKind::HotStuff1, f)
+            .expect("connect");
+    client.run_closed_loop(run / 2).expect("client");
+    drop(client);
     #[cfg(target_os = "linux")]
     assert_eq!(reactor_threads(), Vec::<String>::new(), "a running replica has no second thread");
 
     for (id, node) in nodes.into_iter().enumerate() {
         let (committed, first_commit) = node.join().expect("replica");
         assert!(committed > 0, "replica {id} commits while running single-threaded");
-        // An idle cluster free-runs views, and every other step is a
-        // message a replica sends itself. If the loop slept on those it
+        // A closed loop runs views back to back, and every other step is
+        // a message a replica sends itself. If the loop slept on those it
         // would wake on the 100 ms metrics tick.
         let first_commit = first_commit.expect("a commit event");
         assert!(

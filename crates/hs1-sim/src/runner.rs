@@ -42,6 +42,9 @@ enum Ev {
     Timer { at: ReplicaId, timer: Timer, inc: u32 },
     /// A client request lands at every replica that is up.
     Submit { tx: Transaction },
+    /// The CPU finished the submission step that produced `actions`;
+    /// they leave now (see `SimRunner::on_submit`).
+    Acted { at: ReplicaId, actions: Vec<Action>, inc: u32 },
     /// The next open-loop arrival fires (schedules its successor).
     OpenArrival,
     /// A scheduled chaos transition (partition/heal/crash/restart).
@@ -482,6 +485,13 @@ impl SimRunner {
                 self.absorb(at, out);
             }
             Ev::Submit { tx } => self.on_submit(tx),
+            Ev::Acted { at, actions, inc } => {
+                let i = at.0 as usize;
+                // A crash killed the step's output before it left.
+                if !self.crashed[i] && inc == self.incarnation[i] {
+                    self.absorb(at, actions);
+                }
+            }
             Ev::OpenArrival => self.on_open_arrival(),
             Ev::Chaos { kind } => self.on_chaos(kind),
             Ev::RestartDone { replica, inc } => {
@@ -501,19 +511,34 @@ impl SimRunner {
         }
     }
 
-    /// A submission reaches the mempool of every replica that is up:
-    /// clients send each request to all replicas, off the consensus
-    /// critical path (§7 Implementation). Each pool admits it, drops it as
-    /// a duplicate or — at its bound — refuses it, on its own.
+    /// A submission reaches every replica that is up as a
+    /// `Message::Request`: clients send each request to all replicas, off
+    /// the consensus critical path (§7 Implementation). Each pool admits
+    /// it, drops it as a duplicate or — at its bound — refuses it, on its
+    /// own; admission costs nothing. A step that acts on it (a held leader
+    /// proposing) is charged as a delivered request's: it queues for the
+    /// replica's CPU, pays `recv_cost`, and its actions leave when that is
+    /// done.
     fn on_submit(&mut self, tx: Transaction) {
         let (mut refused, mut deduped, mut depth) = (true, true, 0);
-        for (e, _) in self.engines.iter_mut().zip(&self.crashed).filter(|(_, &down)| !down) {
-            let before = e.pool_stats();
-            e.enqueue_txs(&[tx]);
-            let after = e.pool_stats();
+        for i in 0..self.n() {
+            if self.crashed[i] {
+                continue;
+            }
+            let (me, msg) = (ReplicaId(i as u32), Message::Request(tx));
+            let cost = self.cost.recv_cost(&msg, self.quorum);
+            let before = self.engines[i].pool_stats();
+            let mut out = Vec::new();
+            self.engines[i].on_message(me, msg, self.now, &mut out);
+            let after = self.engines[i].pool_stats();
             refused &= after.refused > before.refused;
             deduped &= after.deduped > before.deduped;
             depth = depth.max(after.depth);
+            if !out.is_empty() {
+                let done = self.now.max(self.cpu_free[i]) + cost;
+                self.cpu_free[i] = done;
+                self.push(done, Ev::Acted { at: me, actions: out, inc: self.incarnation[i] });
+            }
         }
         if refused {
             // Backpressure: nobody holds the transaction, so it is not in

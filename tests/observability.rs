@@ -108,6 +108,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// and their holding is the witness that the timeout path is the parent's.
 /// `stale-cert/hs1` also got a schedule that times a boundary out (see
 /// `partitioned` below); with the old one it read exactly as `clean/hs1`.
+/// PR 26 moved `open-loop/hs1` alone: a streamlined leader with an empty
+/// pool and nothing to answer holds its proposal until a request or its
+/// `ProposeAt`. No closed-loop row moved: 64 clients never leave a leader
+/// with an empty pool and an answered branch.
 /// A change that moves a row is a behaviour change: say so in CHANGES.md
 /// and paste the values the failure message prints.
 #[test]
@@ -181,7 +185,7 @@ fn outputs_match_the_cross_commit_pins() {
             0xd9e5_c377_a477_7cd4,
             0xbbc6_d8c3_5ed9_1068,
         ),
-        ("open-loop/hs1", bursty(HotStuff1), 0x694c_3bcf_a363_da6c, 0x6dc7_8336_e826_bb46),
+        ("open-loop/hs1", bursty(HotStuff1), 0xb5c5_4d53_4232_7e1d, 0x9d8f_4209_f1ef_0e49),
     ];
     let mut moved = Vec::new();
     let mut clean_hs1 = None;
@@ -223,6 +227,22 @@ fn epoch_counters_say_why_a_boundary_was_crossed() {
     for s in [scenario(HotStuff1).with_fault(1, Fault::Silent), scenario(HotStuff1Slotted)] {
         let (_, _, rows) = observed(s);
         assert!(has(&rows, "epoch_syncs") && has(&rows, "epoch_entered_tc"), "{rows}");
+    }
+}
+
+/// Why a view waited: a streamlined leader with an empty pool and nothing
+/// to answer holds its proposal, and an open loop's requests release the
+/// holds; slotted HotStuff-1 never holds (its views end on the timer).
+#[test]
+fn hold_counters_say_why_a_view_waited() {
+    use hotstuff1::sim::OpenLoop;
+    let has = |rows: &str, name: &str| rows.contains(&format!(",{name},"));
+    let open = scenario(ProtocolKind::HotStuff1).open_loop(OpenLoop::bursty(10_000.0));
+    let (_, _, rows) = observed(open);
+    assert!(has(&rows, "proposals_held") && has(&rows, "hold_released_request"), "{rows}");
+    let (_, _, rows) = observed(scenario(ProtocolKind::HotStuff1Slotted));
+    for name in ["proposals_held", "hold_released_request", "hold_released_timer"] {
+        assert!(!has(&rows, name), "{name}: {rows}");
     }
 }
 

@@ -135,6 +135,68 @@ fn four_replicas_and_a_client_over_tcp() {
     assert!(violations.is_empty(), "safety over TCP: {violations:?}");
 }
 
+/// A cluster with no client holds its views instead of spinning them: a
+/// leader with an empty pool and nothing to answer proposes on its
+/// `ProposeAt` (105 ms into a view here), so two idle seconds cost under a
+/// hundred frames where free-running views cost about 100,000. Then a
+/// client arrives, and each of its requests releases a held leader at
+/// once: every request is final well inside one view timer.
+#[test]
+#[ignore = "multi-second wall-clock run; execute with cargo test -- --ignored"]
+fn idle_cluster_holds_instead_of_spinning() {
+    use hotstuff1::obs::{Clock, Obs};
+    let n = 4;
+    let base_port = free_base_port(n as u16);
+    let protocol = ProtocolKind::HotStuff1;
+    let (idle, load) = (Duration::from_secs(2), Duration::from_secs(1));
+    let view_timer = Duration::from_millis(150);
+
+    let mut handles = Vec::new();
+    let mut recorders = Vec::new();
+    for id in 0..n as u32 {
+        let (obs, rec) = Obs::recording(Clock::wall());
+        recorders.push(rec);
+        handles.push(std::thread::spawn(move || {
+            let mut cfg = SystemConfig::new(n);
+            cfg.view_timer = SimDuration::from_millis(view_timer.as_millis() as u64);
+            cfg.delta = SimDuration::from_millis(15);
+            cfg.batch_size = 16;
+            let engine =
+                build_replica(protocol, cfg, ReplicaId(id), Fault::Honest, ExecConfig::default());
+            let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
+            let mut runner = NodeRunner::new(engine, mesh);
+            runner.set_observer(obs);
+            runner.run_for(idle + load + Duration::from_millis(500));
+            (runner.committed_blocks, Committed::of(runner.replica()))
+        }));
+    }
+
+    // The reactors publish their counters on the metrics tick.
+    std::thread::sleep(idle);
+    let frames: u64 = recorders
+        .iter()
+        .map(|rec| rec.lock().expect("recorder").snapshot().counter_total("net_tx_frames"))
+        .sum();
+    assert!(frames < 1_000, "{frames} frames sent by an idle cluster in {idle:?}");
+
+    let f = SystemConfig::new(n).f();
+    let mut client = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)
+        .expect("connect");
+    let samples = client.run_closed_loop(load).expect("client");
+    drop(client);
+
+    let (committed, replicas) = join_cluster(handles);
+    assert!(committed.iter().all(|&c| c > 0), "every replica commits: {committed:?}");
+    assert!(samples.len() >= 50, "{} requests final in {load:?}", samples.len());
+    let slowest = samples.iter().map(|&(_, us)| us).max().unwrap_or(0);
+    assert!(
+        Duration::from_micros(slowest) < view_timer,
+        "a request waited {slowest} µs: it did not release a held leader"
+    );
+    let violations = invariants::check(&Observation { replicas, ..Observation::default() });
+    assert!(violations.is_empty(), "safety over TCP: {violations:?}");
+}
+
 /// Join replica threads that return their commit count and committed
 /// state, in replica order.
 fn join_cluster(
