@@ -7,9 +7,8 @@
 //! feeds the deterministic trace through
 //! [`hs1_obs::critical_path::analyze`]: a telescoped per-block
 //! decomposition (submit → propose → receive → certify → respond →
-//! final) with per-hop actor attribution. `bench_summary` reads the
-//! gated `e2e_mean_ms_hs{1,2}` metrics from this figure's `mean` rows.
-//! Two invariants are asserted on every run:
+//! final) with per-hop actor attribution. Two invariants are asserted on
+//! every run:
 //!
 //! - **Exact telescoping.** Per block, the five hop durations sum to the
 //!   end-to-end latency *as u64s* — not within a tolerance. The cohort

@@ -33,8 +33,7 @@ const BATCH: usize = 32;
 /// One lane per protocol: the headline HS1-vs-HS2 knee.
 const LANES: [ProtocolKind; 2] = [ProtocolKind::HotStuff1, ProtocolKind::HotStuff2];
 
-/// The CSV's `lane` column (the arrival process), which `bench_summary`
-/// keys the knee metrics on.
+/// The CSV's `lane` column: the arrival process.
 const LANE: &str = "poisson";
 
 fn scenario(lane: ProtocolKind, tps: f64, obs: Option<Obs>) -> Scenario {

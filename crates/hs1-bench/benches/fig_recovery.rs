@@ -14,7 +14,8 @@
 //!
 //! Not a paper figure — it characterizes the `hs1-storage` (ISSUE 2) and
 //! `hs1-statesync` (ISSUE 3) subsystems. CSV lands in
-//! `bench_results/fig_recovery.csv`.
+//! `bench_results/fig_recovery.csv`, which is not committed: its rows are
+//! wall-clock times, so no run reproduces them byte for byte.
 
 use std::sync::Arc;
 use std::time::Instant;

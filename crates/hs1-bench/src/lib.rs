@@ -2,10 +2,11 @@
 //! sweep figures ([`figures`]).
 //!
 //! Every bench target prints the paper's series to stdout and writes a
-//! CSV to `bench_results/`. Run lengths scale with the
-//! `HS1_BENCH_SECONDS` environment variable (default 1.0 simulated
-//! seconds of measurement per configuration — the paper uses 120 s runs;
-//! sim time only affects statistical noise, not shape).
+//! CSV to `bench_results/`. Simulated runs measure 1.0 s after a 0.4 s
+//! warm-up (the paper uses 120 s runs; sim time only affects statistical
+//! noise, not shape). The simulator is deterministic, so a committed CSV
+//! is pinned, not gated: CI regenerates every committed figure and fails
+//! on any difference from the committed bytes.
 
 #![forbid(unsafe_code)]
 
@@ -16,12 +17,10 @@ use hs1_sim::{Report, Scenario};
 
 pub mod figures;
 
-/// Apply the standard measurement window to a scenario:
-/// `HS1_BENCH_SECONDS` simulated seconds (default 1.0) after a 0.4 s
-/// warm-up.
+/// Apply the standard measurement window to a scenario: 1.0 simulated
+/// seconds after a 0.4 s warm-up.
 pub fn standard(s: Scenario) -> Scenario {
-    let window = std::env::var("HS1_BENCH_SECONDS").ok().and_then(|s| s.parse().ok());
-    s.sim_seconds(window.unwrap_or(1.0)).warmup_seconds(0.4)
+    s.sim_seconds(1.0).warmup_seconds(0.4)
 }
 
 /// Collects rows and writes them to `bench_results/<name>.csv`.

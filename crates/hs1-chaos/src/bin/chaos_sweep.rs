@@ -27,9 +27,7 @@
 //! (exit 1) unless every finalized block gets an attributed critical
 //! path whose hop durations telescope exactly to its end-to-end latency.
 
-use hs1_chaos::{
-    parse_protocol, parse_replay, protocol_token, replay_command, sweep, ChaosCase, Inject,
-};
+use hs1_chaos::{parse_replay, parse_sim_seconds, replay_command, sweep, ChaosCase, Inject};
 use hs1_obs::{Clock, Obs};
 use hs1_sim::chaos::ChaosConfig;
 use hs1_sim::ProtocolKind;
@@ -92,12 +90,13 @@ fn parse_args() -> Args {
             "--seeds" => args.seeds = val("--seeds").parse().unwrap_or_else(|_| usage()),
             "--start" => args.start = val("--start").parse().unwrap_or_else(|_| usage()),
             "--sim-seconds" => {
-                args.sim_seconds = val("--sim-seconds").parse().unwrap_or_else(|_| usage())
+                args.sim_seconds =
+                    parse_sim_seconds(&val("--sim-seconds")).unwrap_or_else(|| usage())
             }
             "--protocols" => {
                 args.protocols = val("--protocols")
                     .split(',')
-                    .map(|t| parse_protocol(t).unwrap_or_else(|| usage()))
+                    .map(|t| ProtocolKind::from_token(t).unwrap_or_else(|| usage()))
                     .collect();
             }
             "--threshold" => {
@@ -318,7 +317,7 @@ fn main() {
                     "  seed={:<4} {:<10} tput={:>8.0} tx/s dropped={:<5} dup={:<4} crashes={} \
                      snap={} adv={} rot={} ok={}",
                     case.plan.seed,
-                    protocol_token(case.protocol),
+                    case.protocol.token(),
                     report.throughput_tps,
                     report.chaos.dropped_msgs,
                     report.chaos.duplicated_msgs,

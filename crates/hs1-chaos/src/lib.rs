@@ -123,33 +123,18 @@ impl ChaosCase {
     }
 }
 
-/// Parse a protocol token (the inverse of [`protocol_token`]).
-pub fn parse_protocol(s: &str) -> Option<ProtocolKind> {
-    match s {
-        "hs" => Some(ProtocolKind::HotStuff),
-        "hs2" => Some(ProtocolKind::HotStuff2),
-        "hs1" => Some(ProtocolKind::HotStuff1),
-        "basic" => Some(ProtocolKind::HotStuff1Basic),
-        "slotted" => Some(ProtocolKind::HotStuff1Slotted),
-        _ => None,
-    }
-}
-
-pub fn protocol_token(p: ProtocolKind) -> &'static str {
-    match p {
-        ProtocolKind::HotStuff => "hs",
-        ProtocolKind::HotStuff2 => "hs2",
-        ProtocolKind::HotStuff1 => "hs1",
-        ProtocolKind::HotStuff1Basic => "basic",
-        ProtocolKind::HotStuff1Slotted => "slotted",
-    }
+/// Parse `--sim-seconds`: a finite number of simulated seconds above
+/// zero. Zero, negative or NaN windows run nothing and would pass the
+/// gate vacuously; an infinite one never returns.
+pub fn parse_sim_seconds(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|v: &f64| v.is_finite() && *v > 0.0)
 }
 
 /// The exact command that replays `case` byte-for-byte.
 pub fn replay_command(case: &ChaosCase) -> String {
     let mut cmd = format!(
         "cargo run --release -p hs1-chaos --bin chaos_sweep -- --replay '{}:{}' --sim-seconds {}",
-        protocol_token(case.protocol),
+        case.protocol.token(),
         case.plan.to_spec(),
         case.sim_seconds,
     );
@@ -166,8 +151,8 @@ pub fn replay_command(case: &ChaosCase) -> String {
 pub fn parse_replay(spec: &str) -> Result<(ProtocolKind, ChaosPlan), String> {
     let (proto, plan_spec) =
         spec.split_once(':').ok_or("replay spec must be <protocol>:<plan-spec>")?;
-    let protocol =
-        parse_protocol(proto).ok_or_else(|| format!("unknown protocol token {proto:?}"))?;
+    let protocol = ProtocolKind::from_token(proto)
+        .ok_or_else(|| format!("unknown protocol token {proto:?}"))?;
     let plan = ChaosPlan::from_spec(plan_spec)?;
     Ok((protocol, plan))
 }
@@ -285,11 +270,12 @@ mod tests {
     use hs1_types::SimTime;
 
     #[test]
-    fn protocol_tokens_roundtrip() {
-        for p in ProtocolKind::ALL {
-            assert_eq!(parse_protocol(protocol_token(p)), Some(p));
+    fn sim_seconds_must_be_finite_and_positive() {
+        assert_eq!(parse_sim_seconds("1.0"), Some(1.0));
+        assert_eq!(parse_sim_seconds("0.4"), Some(0.4));
+        for bad in ["0", "-0", "-1", "NaN", "inf", "-inf", "", "one"] {
+            assert_eq!(parse_sim_seconds(bad), None, "{bad:?}");
         }
-        assert_eq!(parse_protocol("nope"), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! byte-identically from its seed+plan, and (c) shrink to a smaller
 //! failing schedule that still reproduces.
 
-use hs1_chaos::{parse_replay, protocol_token, replay_command, sweep, ChaosCase, Inject};
+use hs1_chaos::{parse_replay, replay_command, sweep, ChaosCase, Inject};
 use hs1_sim::chaos::ChaosConfig;
 use hs1_sim::ProtocolKind;
 
@@ -122,6 +122,6 @@ fn injected_violation_is_caught_reproduced_and_shrunk() {
     let min_report = failure.minimized.run();
     assert!(!min_report.invariants_ok(), "minimized schedule still fails");
     let min_cmd = replay_command(&failure.minimized);
-    assert!(min_cmd.contains(protocol_token(failure.minimized.protocol)));
+    assert!(min_cmd.contains(failure.minimized.protocol.token()));
     assert!(min_cmd.contains("--inject halt"), "replay carries the injection flag");
 }

@@ -1,6 +1,8 @@
 //! `hs1-client` — closed-loop client against a local HotStuff-1 cluster.
 //!
-//! Usage: `hs1-client <n> [protocol] [base_port] [seconds]`
+//! Usage: `hs1-client <n> [protocol] [base_port] [seconds]`, with the
+//! protocol tokens of `hs1-replica`. Any argument that does not parse
+//! prints usage and exits 2.
 
 use std::time::Duration;
 
@@ -9,22 +11,27 @@ use hs1_net::DEFAULT_BASE_PORT;
 use hs1_obs::{Clock, Obs};
 use hs1_types::{ClientId, ProtocolKind, SystemConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() < 2 {
-        eprintln!("usage: hs1-client <n> [protocol] [base_port] [seconds]");
-        std::process::exit(2);
+/// `<n> [protocol] [base_port] [seconds]`, or `None` unless every
+/// argument parses and `n >= 4`.
+fn parse(args: &[String]) -> Option<(usize, ProtocolKind, u16, u64)> {
+    let [n, rest @ ..] = args else { return None };
+    if rest.len() > 3 {
+        return None;
     }
-    let n: usize = args[1].parse().expect("n");
-    let protocol = match args.get(2).map(String::as_str).unwrap_or("hs1") {
-        "hs" => ProtocolKind::HotStuff,
-        "hs2" => ProtocolKind::HotStuff2,
-        "hs1-basic" => ProtocolKind::HotStuff1Basic,
-        "hs1-slotted" => ProtocolKind::HotStuff1Slotted,
-        _ => ProtocolKind::HotStuff1,
+    let n: usize = n.parse().ok()?;
+    let protocol =
+        rest.first().map_or(Some(ProtocolKind::HotStuff1), |s| ProtocolKind::from_token(s))?;
+    let base_port = rest.get(1).map_or(Ok(DEFAULT_BASE_PORT), |s| s.parse()).ok()?;
+    let seconds = rest.get(2).map_or(Ok(10), |s| s.parse()).ok()?;
+    (n >= 4).then_some((n, protocol, base_port, seconds))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((n, protocol, base_port, seconds)) = parse(&args) else {
+        eprintln!("usage: hs1-client <n> [hs|hs2|hs1|basic|slotted] [base_port] [seconds]");
+        std::process::exit(2);
     };
-    let base_port: u16 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_BASE_PORT);
-    let seconds: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(10);
 
     let f = SystemConfig::new(n).f();
     let mut driver = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)

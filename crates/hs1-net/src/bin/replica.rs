@@ -1,7 +1,8 @@
 //! `hs1-replica` — run one replica of a HotStuff-1 deployment over TCP.
 //!
 //! Usage: `hs1-replica <id> <n> [protocol] [base_port] [seconds]`
-//! where protocol ∈ {hs, hs2, hs1, hs1-basic, hs1-slotted}.
+//! where protocol is a `ProtocolKind::token`: hs, hs2, hs1, basic or
+//! slotted. Any argument that does not parse prints usage and exits 2.
 
 use std::time::Duration;
 
@@ -13,27 +14,27 @@ use hs1_net::DEFAULT_BASE_PORT;
 use hs1_obs::{Clock, Obs};
 use hs1_types::{ProtocolKind, ReplicaId, SystemConfig};
 
-fn parse_protocol(s: &str) -> ProtocolKind {
-    match s {
-        "hs" => ProtocolKind::HotStuff,
-        "hs2" => ProtocolKind::HotStuff2,
-        "hs1-basic" => ProtocolKind::HotStuff1Basic,
-        "hs1-slotted" => ProtocolKind::HotStuff1Slotted,
-        _ => ProtocolKind::HotStuff1,
+/// `<id> <n> [protocol] [base_port] [seconds]`, or `None` unless every
+/// argument parses, `n >= 4` and `id < n`.
+fn parse(args: &[String]) -> Option<(u32, usize, ProtocolKind, u16, u64)> {
+    let [id, n, rest @ ..] = args else { return None };
+    if rest.len() > 3 {
+        return None;
     }
+    let (id, n): (u32, usize) = (id.parse().ok()?, n.parse().ok()?);
+    let protocol =
+        rest.first().map_or(Some(ProtocolKind::HotStuff1), |s| ProtocolKind::from_token(s))?;
+    let base_port = rest.get(1).map_or(Ok(DEFAULT_BASE_PORT), |s| s.parse()).ok()?;
+    let seconds = rest.get(2).map_or(Ok(30), |s| s.parse()).ok()?;
+    (n >= 4 && (id as usize) < n).then_some((id, n, protocol, base_port, seconds))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() < 3 {
-        eprintln!("usage: hs1-replica <id> <n> [protocol] [base_port] [seconds]");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((id, n, protocol, base_port, seconds)) = parse(&args) else {
+        eprintln!("usage: hs1-replica <id> <n> [hs|hs2|hs1|basic|slotted] [base_port] [seconds]");
         std::process::exit(2);
-    }
-    let id: u32 = args[1].parse().expect("id");
-    let n: usize = args[2].parse().expect("n");
-    let protocol = parse_protocol(args.get(3).map(String::as_str).unwrap_or("hs1"));
-    let base_port: u16 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_BASE_PORT);
-    let seconds: u64 = args.get(5).and_then(|s| s.parse().ok()).unwrap_or(30);
+    };
 
     let mut cfg = SystemConfig::new(n);
     cfg.view_timer = hs1_types::SimDuration::from_millis(200);

@@ -62,46 +62,19 @@ pub struct CostModel {
     pub disk: DiskModel,
 }
 
-/// CI-canary slowdown multiplier for every CPU cost term, read once from
-/// `HS1_COST_SLOWDOWN` (≥ 1.0; unset or invalid = 1.0, the calibrated
-/// model). The bench-gate canary leg sets it to prove the perf-regression
-/// gate actually fails on a slower build — it must never be set on honest
-/// runs, where the calibrated figures (and every pinned fingerprint)
-/// assume the 1.0 model.
-fn cost_slowdown() -> f64 {
-    use std::sync::OnceLock;
-    static SCALE: OnceLock<f64> = OnceLock::new();
-    *SCALE.get_or_init(|| {
-        std::env::var("HS1_COST_SLOWDOWN")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|s| s.is_finite() && *s >= 1.0)
-            .unwrap_or(1.0)
-    })
-}
-
-fn scaled(d: SimDuration, by: f64) -> SimDuration {
-    if by == 1.0 {
-        d
-    } else {
-        SimDuration((d.0 as f64 * by) as u64)
-    }
-}
-
 impl Default for CostModel {
     fn default() -> Self {
         // Per-operation costs are *effective* costs on a 16-core machine:
         // raw single-core crypto costs divided by the pipeline parallelism
         // the paper's implementation gets from verifying signature lists
         // on a thread pool (c3.4xlarge has 16 vCPUs).
-        let s = cost_slowdown();
         CostModel {
             nic_bytes_per_sec: 125_000_000.0, // 1 Gbit/s
-            verify: scaled(SimDuration::from_micros(12), s),
-            sign: scaled(SimDuration::from_micros(8), s),
-            per_msg: scaled(SimDuration::from_micros(3), s),
-            per_tx_exec: scaled(SimDuration::from_nanos(500), s),
-            per_tx_hash: scaled(SimDuration::from_nanos(100), s),
+            verify: SimDuration::from_micros(12),
+            sign: SimDuration::from_micros(8),
+            per_msg: SimDuration::from_micros(3),
+            per_tx_exec: SimDuration::from_nanos(500),
+            per_tx_hash: SimDuration::from_nanos(100),
             disk: DiskModel::default(),
         }
     }

@@ -46,6 +46,24 @@ impl ProtocolKind {
         }
     }
 
+    /// The command-line token for this protocol, as every binary and
+    /// chaos replay spec spells it: `hs`, `hs2`, `hs1`, `basic`, `slotted`.
+    pub fn token(&self) -> &'static str {
+        match self {
+            ProtocolKind::HotStuff => "hs",
+            ProtocolKind::HotStuff2 => "hs2",
+            ProtocolKind::HotStuff1 => "hs1",
+            ProtocolKind::HotStuff1Basic => "basic",
+            ProtocolKind::HotStuff1Slotted => "slotted",
+        }
+    }
+
+    /// The protocol a [`token`](Self::token) names; `None` for any other
+    /// string.
+    pub fn from_token(s: &str) -> Option<ProtocolKind> {
+        ProtocolKind::ALL.into_iter().find(|p| p.token() == s)
+    }
+
     /// HotStuff-1 clients collect `n − f` speculative responses; the
     /// baselines collect `f + 1` committed responses (§3, §7 "Metrics").
     pub fn client_needs_nf_quorum(&self) -> bool {
@@ -187,6 +205,20 @@ mod tests {
         assert_eq!(ProtocolKind::EVALUATED.len(), 4);
         for p in ProtocolKind::ALL {
             assert!(!p.name().is_empty());
+        }
+    }
+
+    #[test]
+    fn protocol_tokens_roundtrip() {
+        for p in ProtocolKind::ALL {
+            assert_eq!(ProtocolKind::from_token(p.token()), Some(p));
+        }
+    }
+
+    #[test]
+    fn unknown_protocol_token_is_rejected() {
+        for s in ["", "nope", "hs3", "hs1-basic", "hs1-slotted", "HS1", "hs1 "] {
+            assert_eq!(ProtocolKind::from_token(s), None, "{s:?}");
         }
     }
 }

@@ -8,7 +8,7 @@
 # gives). Per crate it also prints `unsafe` blocks under src/ (every crate
 # root forbids or denies `unsafe_code`; these are the allowed ones). CI
 # enforces three bounds on this output: 0 by-history markers, at most 4
-# bench harnesses and at most 3 HS1_* knobs; the rest is informational.
+# bench harnesses and at most 1 HS1_* knob; the rest is informational.
 set -eu
 cd "$(dirname "$0")/.."
 PUB='^\s*pub \(fn\|struct\|enum\|trait\|mod\|const\|type\)'
