@@ -1,8 +1,8 @@
 //! `hs1-client` — closed-loop client against a local HotStuff-1 cluster.
 //!
 //! Usage: `hs1-client <n> [protocol] [base_port] [seconds]`, with the
-//! protocol tokens of `hs1-replica`. Any argument that does not parse
-//! prints usage and exits 2.
+//! protocol tokens of `hs1-replica`. Any argument that does not parse,
+//! and a port range past 65535, prints usage and exits 2.
 
 use std::time::Duration;
 
@@ -12,7 +12,7 @@ use hs1_obs::{Clock, Obs};
 use hs1_types::{ClientId, ProtocolKind, SystemConfig};
 
 /// `<n> [protocol] [base_port] [seconds]`, or `None` unless every
-/// argument parses and `n >= 4`.
+/// argument parses, `n >= 4` and `base_port + n - 1 <= 65535`.
 fn parse(args: &[String]) -> Option<(usize, ProtocolKind, u16, u64)> {
     let [n, rest @ ..] = args else { return None };
     if rest.len() > 3 {
@@ -23,7 +23,8 @@ fn parse(args: &[String]) -> Option<(usize, ProtocolKind, u16, u64)> {
         rest.first().map_or(Some(ProtocolKind::HotStuff1), |s| ProtocolKind::from_token(s))?;
     let base_port = rest.get(1).map_or(Ok(DEFAULT_BASE_PORT), |s| s.parse()).ok()?;
     let seconds = rest.get(2).map_or(Ok(10), |s| s.parse()).ok()?;
-    (n >= 4).then_some((n, protocol, base_port, seconds))
+    let ports_fit = base_port as usize + n.saturating_sub(1) <= u16::MAX as usize;
+    (n >= 4 && ports_fit).then_some((n, protocol, base_port, seconds))
 }
 
 fn main() {
@@ -55,4 +56,15 @@ fn main() {
         obs.observe_nanos("client_e2e_ns", us * 1000);
     }
     print!("{}", rec.lock().expect("recorder").snapshot().to_table());
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_port_range_past_65535_is_rejected() {
+        let parse =
+            |line: &str| super::parse(&line.split(' ').map(String::from).collect::<Vec<_>>());
+        assert!(parse("4 hs1 65534").is_none(), "replica 3 would wrap to port 1");
+        assert!(parse("4 hs1 65532").is_some(), "replica 3 listens on 65535");
+    }
 }

@@ -2,7 +2,8 @@
 //!
 //! Usage: `hs1-replica <id> <n> [protocol] [base_port] [seconds]`
 //! where protocol is a `ProtocolKind::token`: hs, hs2, hs1, basic or
-//! slotted. Any argument that does not parse prints usage and exits 2.
+//! slotted. Replica `i` listens on `base_port + i`. Any argument that
+//! does not parse, and a port range past 65535, prints usage and exits 2.
 
 use std::time::Duration;
 
@@ -15,7 +16,7 @@ use hs1_obs::{Clock, Obs};
 use hs1_types::{ProtocolKind, ReplicaId, SystemConfig};
 
 /// `<id> <n> [protocol] [base_port] [seconds]`, or `None` unless every
-/// argument parses, `n >= 4` and `id < n`.
+/// argument parses, `n >= 4`, `id < n` and `base_port + n - 1 <= 65535`.
 fn parse(args: &[String]) -> Option<(u32, usize, ProtocolKind, u16, u64)> {
     let [id, n, rest @ ..] = args else { return None };
     if rest.len() > 3 {
@@ -26,7 +27,8 @@ fn parse(args: &[String]) -> Option<(u32, usize, ProtocolKind, u16, u64)> {
         rest.first().map_or(Some(ProtocolKind::HotStuff1), |s| ProtocolKind::from_token(s))?;
     let base_port = rest.get(1).map_or(Ok(DEFAULT_BASE_PORT), |s| s.parse()).ok()?;
     let seconds = rest.get(2).map_or(Ok(30), |s| s.parse()).ok()?;
-    (n >= 4 && (id as usize) < n).then_some((id, n, protocol, base_port, seconds))
+    let ports_fit = base_port as usize + n.saturating_sub(1) <= u16::MAX as usize;
+    (n >= 4 && (id as usize) < n && ports_fit).then_some((id, n, protocol, base_port, seconds))
 }
 
 fn main() {
@@ -52,4 +54,15 @@ fn main() {
     runner.run_for(Duration::from_secs(seconds));
     println!("replica {id} done: {} blocks committed", runner.committed_blocks);
     print!("{}", rec.lock().expect("recorder").snapshot().to_table());
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_port_range_past_65535_is_rejected() {
+        let parse =
+            |line: &str| super::parse(&line.split(' ').map(String::from).collect::<Vec<_>>());
+        assert!(parse("3 4 hs1 65534 1").is_none(), "replica 3 would wrap to port 1");
+        assert!(parse("3 4 hs1 65532 1").is_some(), "replica 3 listens on 65535");
+    }
 }

@@ -12,15 +12,16 @@
 //! [`ClientDriver::run_open_loop`] (submissions paced at an offered
 //! rate regardless of completions — the saturation probe).
 
+use std::io::{Error, ErrorKind};
 use std::net::TcpStream;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-
 use crate::framing::{self, PeerKind};
+use crate::reactor::jittered;
 use hs1_core::client::FinalityTracker;
 use hs1_types::message::ResponseMsg;
-use hs1_types::{ClientId, Message, ProtocolKind, ReplicaId, Transaction, TxId, TxOp};
+use hs1_types::{ClientId, Message, ProtocolKind, ReplicaId, SplitMix64, Transaction, TxId, TxOp};
 
 /// Latency sample: (tx, microseconds to finality).
 pub type Sample = (TxId, u64);
@@ -57,8 +58,8 @@ pub struct ClientDriver {
     responses: Receiver<(ReplicaId, ResponseMsg)>,
     response_tx: Sender<(ReplicaId, ResponseMsg)>,
     tracker: FinalityTracker,
-    /// SplitMix64 state for backoff jitter.
-    rng: u64,
+    /// Backoff jitter.
+    rng: SplitMix64,
     pub reconnects: u64,
 }
 
@@ -68,6 +69,7 @@ impl ClientDriver {
     /// links start in backoff and are redialed as the session runs —
     /// finality quorums are collected from the live majority meanwhile,
     /// the same tolerance a BFT client needs at submission time anyway.
+    /// `InvalidInput` if `base_port + n - 1` would pass 65535.
     pub fn connect(
         id: ClientId,
         n: usize,
@@ -76,6 +78,10 @@ impl ClientDriver {
         protocol: ProtocolKind,
         f: usize,
     ) -> std::io::Result<ClientDriver> {
+        if base_port as usize + n.saturating_sub(1) > u16::MAX as usize {
+            let msg = format!("{n} replica ports from {base_port} pass 65535");
+            return Err(Error::new(ErrorKind::InvalidInput, msg));
+        }
         let (tx, rx) = channel();
         let mut driver = ClientDriver {
             id,
@@ -92,7 +98,7 @@ impl ClientDriver {
             responses: rx,
             response_tx: tx,
             tracker: FinalityTracker::new(n, f, protocol),
-            rng: 0xC11E_17D0 ^ ((id.0 as u64) << 20 | base_port as u64),
+            rng: SplitMix64::new(0xC11E_17D0 ^ ((id.0 as u64) << 20 | base_port as u64)),
             reconnects: 0,
         };
         let mut unreachable = 0usize;
@@ -109,12 +115,12 @@ impl ClientDriver {
         Ok(driver)
     }
 
-    fn next_rand(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    /// Put link `i` in backoff after a failure: no dial before its delay
+    /// (jittered) has passed, and the next delay twice as long.
+    fn back_off(&mut self, i: usize) {
+        let link = &mut self.links[i];
+        link.next_attempt = Instant::now() + jittered(link.delay, &mut self.rng);
+        link.delay = (link.delay * 2).min(RECONNECT_MAX);
     }
 
     /// Dial link `i`: connect, identify, spawn the reader thread for the
@@ -148,14 +154,7 @@ impl ClientDriver {
                 Ok(())
             }
             Err(e) => {
-                let delay = self.links[i].delay;
-                let nanos = delay.as_nanos().max(1) as u64;
-                // ±50% jitter so clients don't redial a restarting
-                // replica in lockstep.
-                let jitter = Duration::from_nanos(nanos / 2 + self.next_rand() % nanos);
-                let link = &mut self.links[i];
-                link.next_attempt = Instant::now() + jitter;
-                link.delay = (delay * 2).min(RECONNECT_MAX);
+                self.back_off(i);
                 Err(e)
             }
         }
@@ -183,11 +182,7 @@ impl ClientDriver {
                     // The replica went away mid-session: sever and let
                     // the backoff path bring the link back later.
                     self.links[i].stream = None;
-                    let delay = self.links[i].delay;
-                    let nanos = delay.as_nanos().max(1) as u64;
-                    let jitter = Duration::from_nanos(nanos / 2 + self.next_rand() % nanos);
-                    self.links[i].next_attempt = Instant::now() + jitter;
-                    self.links[i].delay = (delay * 2).min(RECONNECT_MAX);
+                    self.back_off(i);
                 }
             }
         }
@@ -286,5 +281,20 @@ impl ClientDriver {
         report.finalized = finalized;
         report.reconnects = self.reconnects;
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Replica ports past 65535 are refused before anything is dialed.
+    #[test]
+    fn a_port_range_past_65535_is_invalid_input() {
+        let hs1 = ProtocolKind::HotStuff1;
+        let Err(e) = ClientDriver::connect(ClientId(0), 4, "127.0.0.1", 65534, hs1, 1) else {
+            panic!("ports 65534..=65537 were accepted");
+        };
+        assert_eq!(e.kind(), ErrorKind::InvalidInput);
     }
 }

@@ -12,12 +12,11 @@
 //!
 //! The responder is deliberately minimal: HTTP/1.0, `Connection: close`,
 //! one short-lived blocking handler per accepted connection, bounded
-//! request reads. It rides the same [`crate::poll`] primitives as the
-//! reactor — a nonblocking listener plus a [`crate::poll::Waker`] in one
-//! `poll(2)` set — so shutdown is prompt and the accept thread never
-//! spins. Introspection is a *pure observer* of the node: handlers read
-//! shared strings and call a snapshot closure; nothing feeds back into
-//! consensus.
+//! request reads. It rides the [`crate::poll`] primitives — a
+//! nonblocking listener plus a [`crate::poll::Waker`] in one `poll(2)`
+//! set — so shutdown is prompt and the accept thread never spins.
+//! Introspection is a *pure observer* of the node: handlers read shared
+//! strings and call a snapshot closure; nothing feeds back into consensus.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -60,7 +59,7 @@ impl HttpServer {
                 loop {
                     let mut fds = [
                         PollFd::new(listener.as_raw_fd(), POLLIN),
-                        PollFd::new(wake_rx.raw_fd(), POLLIN),
+                        PollFd::new(wake_rx.as_raw_fd(), POLLIN),
                     ];
                     let _ = poll_fds(&mut fds, -1);
                     if fds[1].readable() {

@@ -1,11 +1,13 @@
 //! Real TCP transport: run the same engines multi-process on a LAN or
 //! localhost. Linux only: the reactor waits on `epoll(7)`.
 //!
-//! The threading model is **one thread per replica**. A running
-//! [`node::NodeRunner`] reads its sockets, steps its engine and writes
-//! the answers on one loop. Only a bare [`mesh::Mesh`] — one that no
-//! node is running — keeps a background `reactor-N` thread, because
-//! somebody has to move its bytes.
+//! The threading model is **one thread per replica**, and the transport
+//! has no thread of its own. A running [`node::NodeRunner`] reads its
+//! sockets, steps its engine and writes the answers on one loop. A bare
+//! [`mesh::Mesh`] — one that no node is running — moves its bytes on the
+//! thread that calls it: each send takes one turn that does not wait,
+//! and waiting on [`mesh::Inbox::recv_timeout`] takes turns until a
+//! frame arrives.
 //!
 //! * [`framing`] — length-prefixed frames with an identification
 //!   handshake: blocking helpers for the client driver plus the
@@ -18,7 +20,7 @@
 //!   bounded per-peer queues that shed oldest-first under backpressure,
 //!   jittered-exponential reconnect).
 //! * [`poll`] — the minimal std-only readiness primitives: the reactor's
-//!   `epoll(7)` wrapper and cross-thread waker, and a `poll(2)` wrapper
+//!   `epoll(7)` wrapper, and a `poll(2)` wrapper and cross-thread waker
 //!   for callers that wait on a few sockets once. The only module allowed
 //!   `unsafe` code (FFI onto libc symbols `std` already links).
 //! * [`node`] — [`node::NodeRunner`]: hosts a [`hs1_core::Replica`] behind

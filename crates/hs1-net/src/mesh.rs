@@ -10,18 +10,20 @@
 //! once and pushed into a bounded queue, and a slow peer's oldest frames
 //! are shed instead of waited for.
 //!
-//! Who moves the bytes depends on who holds the mesh. A bare `Mesh`
-//! (tests, load generators, the benchmark's layer lab) runs a background
-//! `reactor-N` thread that writes the queues out and delivers decoded
-//! frames to [`Mesh::inbox`]. A [`crate::node::NodeRunner`] takes that
-//! reactor over for the length of `run_for` and turns it on its own
-//! thread, so a running replica is one thread; only self-addressed sends
-//! still travel through `inbox`.
+//! The mesh has no thread of its own; the thread that calls it moves its
+//! bytes. A [`crate::node::NodeRunner`] takes the reactor for the length
+//! of `run_for` and turns it on its own loop, so a running replica is one
+//! thread. Any other holder — the snapshot-sync phase before `run_for`,
+//! tests, load generators, the benchmark's layer lab — turns it through
+//! the calls it makes: a send takes one turn that does not wait, and
+//! [`Inbox::recv_timeout`] takes turns until a frame arrives. Frames read
+//! on those turns, and every self-addressed send, wait in [`Mesh::inbox`].
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::framing::encode_frame;
 use crate::reactor::{self, Reactor};
@@ -91,7 +93,7 @@ impl Default for MeshConfig {
     }
 }
 
-/// Transport counters, shared across the send paths and the reactor.
+/// Transport counters, kept by the send paths and the reactor.
 /// Exposed raw for harnesses ([`Mesh::stats`]) and
 /// mirrored into `hs1-obs` counters by the reactor's metrics tick.
 #[derive(Default)]
@@ -140,14 +142,53 @@ impl NetStats {
     }
 }
 
-/// Where a mesh's [`Reactor`] is.
-enum Driver {
-    /// A bare mesh: the background `reactor-N` thread turns it.
-    Thread(std::thread::JoinHandle<Reactor>),
-    /// Handed back by a node after `run_for`; nobody turns it.
-    Parked(Box<Reactor>),
-    /// Adopted by a running node, or shut down.
-    Absent,
+/// What has arrived at a mesh and not been taken yet: frames read on a
+/// turn no node took, and self-addressed sends, in order. While no node
+/// has adopted the reactor it lives here, so that waiting for a frame is
+/// what turns it.
+pub struct Inbox {
+    /// `None` while a node runs the mesh, and after shutdown.
+    reactor: Mutex<Option<Reactor>>,
+    ready: Mutex<VecDeque<Inbound>>,
+}
+
+impl Inbox {
+    /// Take the next frame, turning the reactor on this thread until one
+    /// arrives or `timeout` has passed. `Disconnected` once the mesh is
+    /// shut down and nothing is left.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Inbound, RecvTimeoutError> {
+        let start = Instant::now();
+        loop {
+            if let Some(inbound) = self.try_recv() {
+                return Ok(inbound);
+            }
+            let left = timeout.saturating_sub(start.elapsed());
+            if !self.turn(left) {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            if left.is_zero() {
+                return self.try_recv().ok_or(RecvTimeoutError::Timeout);
+            }
+        }
+    }
+
+    /// The next frame already here; turns nothing.
+    pub(crate) fn try_recv(&self) -> Option<Inbound> {
+        self.ready.lock().expect("inbox lock").pop_front()
+    }
+
+    fn push(&self, inbound: Inbound) {
+        self.ready.lock().expect("inbox lock").push_back(inbound);
+    }
+
+    /// One turn of the reactor, waiting at most `wait`; `false` if a node
+    /// has it or the mesh is shut down.
+    fn turn(&self, wait: Duration) -> bool {
+        let mut reactor = self.reactor.lock().expect("reactor lock");
+        let Some(reactor) = reactor.as_mut() else { return false };
+        reactor.turn(wait, &mut |inbound| self.push(inbound));
+        true
+    }
 }
 
 /// The mesh of a single replica process.
@@ -155,10 +196,7 @@ pub struct Mesh {
     me: ReplicaId,
     n: usize,
     shared: Arc<reactor::Shared>,
-    driver: Mutex<Driver>,
-    stats: Arc<NetStats>,
-    pub inbox: Receiver<Inbound>,
-    inbox_tx: Sender<Inbound>,
+    pub inbox: Inbox,
 }
 
 impl Mesh {
@@ -167,7 +205,9 @@ impl Mesh {
         Mesh::start_with(me, n, host, base_port, MeshConfig::default())
     }
 
-    /// Bind and start with explicit transport tuning.
+    /// Bind and start with explicit transport tuning. Replica `i` listens
+    /// on `base_port + i`: `InvalidInput` if `me` is not below `n` or
+    /// `base_port + n - 1` would pass 65535.
     pub fn start_with(
         me: ReplicaId,
         n: usize,
@@ -175,12 +215,13 @@ impl Mesh {
         base_port: u16,
         cfg: MeshConfig,
     ) -> std::io::Result<Mesh> {
-        let (inbox_tx, inbox) = channel();
-        let stats = Arc::new(NetStats::default());
-        let (shared, thread) =
-            reactor::start(me, n, host, base_port, cfg, stats.clone(), inbox_tx.clone())?;
-        let driver = Mutex::new(Driver::Thread(thread));
-        Ok(Mesh { me, n, shared, driver, stats, inbox, inbox_tx })
+        if me.0 as usize >= n || base_port as usize + n - 1 > u16::MAX as usize {
+            let msg = format!("replica {} of {n} on the ports from {base_port}", me.0);
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+        }
+        let (shared, reactor) = reactor::start(me, n, host, base_port, cfg)?;
+        let inbox = Inbox { reactor: Mutex::new(Some(reactor)), ready: Mutex::default() };
+        Ok(Mesh { me, n, shared, inbox })
     }
 
     /// Deployment size this mesh was built for.
@@ -190,12 +231,12 @@ impl Mesh {
 
     /// Transport counters (live; see [`NetStats`]).
     pub fn stats(&self) -> NetStatsSnapshot {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// Frames shed by the backpressure policy so far.
     pub fn shed_frames(&self) -> u64 {
-        self.stats.frames_shed.load(Ordering::Relaxed)
+        self.shared.stats.frames_shed.load(Ordering::Relaxed)
     }
 
     /// Live per-peer outbound queue depths, `(peer, frames, bytes)` —
@@ -206,39 +247,24 @@ impl Mesh {
 
     /// Attach an observability sink: the reactor publishes per-peer
     /// queue gauges, transport counters, and the send-stall histogram
-    /// through it.
+    /// through it. A no-op while a node runs the mesh, or once it is
+    /// shut down.
     pub fn set_observer(&self, obs: Obs) {
-        self.shared.set_observer(obs);
-    }
-
-    /// Take the reactor from wherever it is, stopping the background
-    /// thread if that still has it (`Err` if the thread panicked).
-    fn take_reactor(&self) -> Option<std::thread::Result<Reactor>> {
-        let driver =
-            std::mem::replace(&mut *self.driver.lock().expect("driver lock"), Driver::Absent);
-        match driver {
-            Driver::Thread(thread) => {
-                self.shared.stop_thread();
-                Some(thread.join())
-            }
-            Driver::Parked(reactor) => Some(Ok(*reactor)),
-            Driver::Absent => None,
+        if let Some(reactor) = self.inbox.reactor.lock().expect("reactor lock").as_mut() {
+            reactor.obs = obs;
         }
     }
 
-    /// Take the reactor over from the background thread (or from where
-    /// [`Mesh::hand_back`] parked it): the caller becomes the one thread
-    /// that turns it, and frames it decodes go to the caller's sink, not
-    /// to `inbox`. `None` once the mesh is shut down.
+    /// Take the reactor: the caller becomes the one thread that turns it,
+    /// frames it decodes go to the caller's sink, and sends on the mesh
+    /// only queue. `None` once the mesh is shut down.
     pub(crate) fn adopt(&self) -> Option<Reactor> {
-        self.take_reactor().map(|reactor| reactor.expect("reactor thread panicked"))
+        self.inbox.reactor.lock().expect("reactor lock").take()
     }
 
-    /// Return an adopted reactor. It stays parked — connections open,
-    /// nothing read or written — until the next [`Mesh::adopt`] or
-    /// [`Mesh::shutdown`].
+    /// Return an adopted reactor; calls on the mesh turn it again.
     pub(crate) fn hand_back(&self, reactor: Reactor) {
-        *self.driver.lock().expect("driver lock") = Driver::Parked(Box::new(reactor));
+        *self.inbox.reactor.lock().expect("reactor lock") = Some(reactor);
     }
 
     /// Tear the mesh down: sever every live connection and release the
@@ -247,8 +273,8 @@ impl Mesh {
     /// is how the crash-recovery example kills a node; the port is
     /// genuinely free on return.
     pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
-        if let Some(Ok(reactor)) = self.take_reactor() {
+        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        if let Some(reactor) = self.adopt() {
             reactor.close();
         }
     }
@@ -259,10 +285,11 @@ impl Mesh {
     /// after failures.
     pub fn send_replica(&self, to: ReplicaId, msg: Message) {
         if to == self.me {
-            let _ = self.inbox_tx.send(Inbound::FromReplica(self.me, msg));
+            self.inbox.push(Inbound::FromReplica(self.me, msg));
             return;
         }
         self.shared.enqueue_replica(to.0, encode_frame(&msg));
+        self.inbox.turn(Duration::ZERO);
     }
 
     pub fn broadcast(&self, msg: Message) {
@@ -273,12 +300,14 @@ impl Mesh {
                 self.shared.enqueue_replica(r, frame.clone());
             }
         }
-        let _ = self.inbox_tx.send(Inbound::FromReplica(self.me, msg));
+        self.inbox.push(Inbound::FromReplica(self.me, msg));
+        self.inbox.turn(Duration::ZERO);
     }
 
     /// Send a response to a connected client (no-op if unknown).
     pub fn send_client(&self, to: ClientId, msg: Message) {
         self.shared.enqueue_client(to.0, encode_frame(&msg));
+        self.inbox.turn(Duration::ZERO);
     }
 }
 
@@ -317,27 +346,14 @@ pub(crate) mod tests {
         Message::Request(Transaction::kv_write(0, seq, seq, seq))
     }
 
-    /// Adoption must not wait out the background thread's `poll`: with
-    /// no traffic and the only deadline ten seconds away, it is the waker
-    /// that brings the reactor back.
+    /// The replica ports run from `base_port` to `base_port + n - 1`; a
+    /// range that passes 65535 is refused, not wrapped round to port 1.
     #[test]
-    fn adopting_a_sleeping_reactor_returns_promptly() {
-        let base = free_base_port(1);
-        let cfg = MeshConfig { metrics_interval: Duration::from_secs(10), ..MeshConfig::default() };
-        let mesh = Mesh::start_with(ReplicaId(0), 1, "127.0.0.1", base, cfg).expect("mesh");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !mesh.shared.is_sleeping() {
-            assert!(Instant::now() < deadline, "reactor thread never went to sleep");
-            std::thread::yield_now();
-        }
-        let asked = Instant::now();
-        let reactor = mesh.adopt().expect("a live mesh has a reactor");
-        assert!(asked.elapsed() < Duration::from_secs(1), "adopt took {:?}", asked.elapsed());
-        assert!(mesh.adopt().is_none(), "one reactor, one owner");
-        mesh.hand_back(reactor);
-        assert!(mesh.adopt().is_some(), "a parked reactor can be adopted again");
-        mesh.shutdown();
-        assert!(mesh.adopt().is_none(), "nothing to adopt after shutdown");
+    fn a_port_range_past_65535_is_invalid_input() {
+        let Err(e) = Mesh::start(ReplicaId(3), 4, "127.0.0.1", 65534) else {
+            panic!("ports 65534..65537 were accepted");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     /// Regression: per-peer `net_out_queue_*` gauges must report the
@@ -363,47 +379,29 @@ pub(crate) mod tests {
         for seq in 0..64 {
             a.send_replica(ReplicaId(1), request(seq));
         }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let depths = a.queue_depths();
-            assert_eq!(depths.len(), 1, "one peer besides me");
-            if depths[0].1 > 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "queue never built up");
-        }
-        // Wait until a tick has published the nonzero depth.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
+        let depths = a.queue_depths();
+        assert_eq!(depths.len(), 1, "one peer besides me");
+        assert!(depths[0].1 > 0, "the queue built up");
+        // Turn the mesh until a tick has published the nonzero depth.
+        let gauge = |name: &str| {
             let snap = rec.lock().unwrap().snapshot();
-            let gauge = snap
-                .rows
+            snap.rows
                 .iter()
-                .find(|r| r.kind == "gauge" && r.name == "net_out_queue_frames" && r.idx == 1)
-                .map(|r| r.value);
-            if gauge.is_some_and(|v| v > 0) {
-                break;
-            }
+                .find(|r| r.kind == "gauge" && r.name == name && r.idx == 1)
+                .map(|r| r.value)
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while gauge("net_out_queue_frames").unwrap_or(0) == 0 {
             assert!(Instant::now() < deadline, "nonzero queue gauge never published");
-            std::thread::sleep(Duration::from_millis(2));
+            let _ = a.inbox.recv_timeout(Duration::from_millis(2));
         }
 
-        // Bring peer 1 up; the queue drains and the *published* gauge
-        // must come back to exactly 0.
+        // Bring peer 1 up and turn both meshes; the queue drains and the
+        // *published* gauge must come back to exactly 0.
         let b = Mesh::start_with(ReplicaId(1), n, "127.0.0.1", base, cfg).expect("mesh b");
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let snap = rec.lock().unwrap().snapshot();
-            let frames = snap
-                .rows
-                .iter()
-                .find(|r| r.kind == "gauge" && r.name == "net_out_queue_frames" && r.idx == 1)
-                .map(|r| r.value);
-            let bytes = snap
-                .rows
-                .iter()
-                .find(|r| r.kind == "gauge" && r.name == "net_out_queue_bytes" && r.idx == 1)
-                .map(|r| r.value);
+            let (frames, bytes) = (gauge("net_out_queue_frames"), gauge("net_out_queue_bytes"));
             if frames == Some(0) && bytes == Some(0) {
                 break;
             }
@@ -411,7 +409,8 @@ pub(crate) mod tests {
                 Instant::now() < deadline,
                 "queue gauges stuck at {frames:?} frames / {bytes:?} bytes after drain"
             );
-            std::thread::sleep(Duration::from_millis(2));
+            let _ = a.inbox.recv_timeout(Duration::from_millis(2));
+            let _ = b.inbox.recv_timeout(Duration::ZERO);
         }
         drop(b);
         drop(a);

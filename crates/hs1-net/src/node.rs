@@ -8,9 +8,9 @@
 //! socket is ready or the next timer is due, and step the engine on
 //! every frame that arrived. A message crosses no channel and wakes no
 //! second thread between the socket and the engine, in either
-//! direction. (The snapshot-sync phase that may precede consensus still
-//! reads the background thread's `inbox`; the reactor is adopted when
-//! the engine starts.)
+//! direction. The snapshot-sync phase that may precede consensus runs
+//! on the same thread: it waits on the mesh's inbox, which turns the
+//! reactor, and the loop adopts the reactor when the engine starts.
 //!
 //! With [`NodeRunner::with_storage`] the node is *durable*: it recovers
 //! from its write-ahead journal before joining the mesh (replaying the
@@ -36,6 +36,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::Path;
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 
 use crate::http::HttpServer;
@@ -345,8 +346,8 @@ impl NodeRunner {
             self.engine.set_persistence(Box::new(storage));
         }
 
-        // From here on this thread is the transport: nothing reaches
-        // `inbox` but self-addressed sends.
+        // From here on the reactor is this loop's: sends only queue, and
+        // nothing reaches `inbox` but self-addressed sends.
         let Some(mut reactor) = self.mesh.adopt() else { return };
         self.start = Instant::now();
         let mut out = Vec::new();
@@ -361,10 +362,10 @@ impl NodeRunner {
         loop {
             self.fire_due_timers();
             // Self-addressed sends (a leader's copy of its own proposal,
-            // a vote for the view it leads) and anything the background
-            // thread delivered before adoption. Stepped before the next
-            // `poll`, or the node would sleep on work it already holds.
-            while let Ok(inbound) = self.mesh.inbox.try_recv() {
+            // a vote for the view it leads) and frames read by turns taken
+            // before adoption. Stepped before the next `epoll_wait`, or the
+            // node would sleep on work it already holds.
+            while let Some(inbound) = self.mesh.inbox.try_recv() {
                 self.handle_inbound(inbound);
             }
             if self.obs.enabled() {
@@ -490,7 +491,8 @@ impl NodeRunner {
                     _ => self.deferred.push(Inbound::FromReplica(from, msg)),
                 },
                 Ok(other) => self.deferred.push(other),
-                Err(_) => {}
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break, // shut down
             }
         }
         for (to, msg) in out.drain(..) {
@@ -701,6 +703,23 @@ mod tests {
         assert_eq!((stepped[0].0, stepped[1].0), (ReplicaId(1), ReplicaId(0)));
         let gap = stepped[1].1 .0 - stepped[0].1 .0;
         assert!(gap < 10_000_000, "self-copy stepped {gap} ns after the frame that caused it");
+    }
+
+    /// Nothing reads a node's sockets before `run_for`: a frame a peer
+    /// wrote earlier waits in the kernel, and the loop's first turns read
+    /// and step it instead of waiting out the run.
+    #[test]
+    fn a_frame_written_before_run_for_is_stepped_as_the_loop_starts() {
+        let (mut node, base, (_, stepped)) = probe_node(2, 0, 0);
+        let mut s = TcpStream::connect(("127.0.0.1", base)).expect("dial node");
+        s.write_all(&hello_bytes(PeerKind::Replica(1))).expect("hello");
+        s.write_all(&encode_frame(&Message::Request(Transaction::kv_write(1, 1, 2, 3)))).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(node.net_stats().rx_frames, 0, "no thread read the frame before run_for");
+        node.run_for(Duration::from_millis(200));
+        let (from, at) = stepped.lock().unwrap().first().copied().expect("the frame was stepped");
+        assert_eq!(from, ReplicaId(1));
+        assert!(at.0 < 20_000_000, "the frame was stepped {} ns into the run", at.0);
     }
 
     /// `epoll_wait(2)` rounds a wait up to whole milliseconds; the last one must

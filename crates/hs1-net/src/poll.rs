@@ -1,18 +1,18 @@
 //! Minimal std-only readiness primitives: `epoll(7)` and `poll(2)`.
 //!
-//! The transport (`crate::reactor`) needs exactly three OS facilities
-//! that `std` does not expose directly: level-triggered readiness over
-//! a set of sockets, a way to wake a sleeping reactor from another
-//! thread, and (for backpressure tests) a small send buffer. All three
-//! live here behind a small FFI surface onto libc symbols that `std`
-//! already links — no new dependency, no new crate. This module is the
-//! only place in the crate allowed `unsafe` code, and why the crate is
-//! Linux-only.
+//! The crate needs a few OS facilities that `std` does not expose
+//! directly: level-triggered readiness over a set of sockets, a way to
+//! interrupt a thread blocked in `poll(2)`, and (for backpressure tests)
+//! small socket buffers. All of them live here behind a small FFI
+//! surface onto libc symbols that `std` already links — no new
+//! dependency, no new crate. This module is the only place in the crate
+//! allowed `unsafe` code, and why the crate is Linux-only.
 //!
-//! The reactor waits on an `Epoll` whose interest set the kernel keeps
-//! between waits, so a turn registers nothing and walks only the sockets
-//! that are ready. [`poll_fds`] serves the callers that wait on a few
-//! sockets once: the HTTP responder and load generators.
+//! The reactor (`crate::reactor`) waits on an `Epoll` whose interest set
+//! the kernel keeps between waits, so a turn registers nothing and walks
+//! only the sockets that are ready. [`poll_fds`] serves the callers that
+//! wait on a few sockets once: the HTTP responder, with a [`Waker`] to
+//! stop it, and load generators.
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -20,8 +20,6 @@ use std::os::unix::net::UnixStream;
 
 /// Readable / acceptable.
 pub const POLLIN: i16 = 0x001;
-/// Writable (or a completed nonblocking connect).
-pub const POLLOUT: i16 = 0x004;
 /// Error condition (reported by the kernel even when not requested).
 pub const POLLERR: i16 = 0x008;
 /// Peer hung up.
@@ -43,17 +41,9 @@ impl PollFd {
         PollFd { fd, events, revents: 0 }
     }
 
-    /// Any readiness (or error/hup — both mean "attend to this fd").
-    pub fn ready(&self) -> bool {
-        self.revents != 0
-    }
-
+    /// Readable, or an error or hang-up to attend to.
     pub fn readable(&self) -> bool {
         self.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0
-    }
-
-    pub fn writable(&self) -> bool {
-        self.revents & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) != 0
     }
 }
 
@@ -235,44 +225,27 @@ pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
     set_buf_opt(fd, SO_RCVBUF, bytes)
 }
 
-/// Cross-thread reactor wakeup: a nonblocking `UnixStream` pair. The
-/// read end sits in the reactor's interest set; [`Waker::wake`] writes one byte. A
-/// full pipe means a wakeup is already pending, so `WouldBlock` is
-/// success.
+/// Cross-thread wakeup: a nonblocking `UnixStream` pair. The read end
+/// sits in the waiting thread's `poll(2)` set; [`Waker::wake`] writes one
+/// byte. A full pipe means a wakeup is already pending, so `WouldBlock`
+/// is success.
 pub struct Waker {
     tx: UnixStream,
 }
 
-/// The pollable read end owned by the reactor.
-pub struct WakeReceiver {
-    rx: UnixStream,
-}
-
 impl Waker {
-    pub fn pair() -> io::Result<(Waker, WakeReceiver)> {
+    /// The waker and the read end to poll.
+    pub fn pair() -> io::Result<(Waker, UnixStream)> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok((Waker { tx }, WakeReceiver { rx }))
+        Ok((Waker { tx }, rx))
     }
 
-    /// Wake the reactor (idempotent while a wakeup is pending).
+    /// Wake the waiting thread (idempotent while a wakeup is pending).
     pub fn wake(&self) {
         use std::io::Write;
         let _ = (&self.tx).write(&[1u8]);
-    }
-}
-
-impl WakeReceiver {
-    pub fn raw_fd(&self) -> RawFd {
-        self.rx.as_raw_fd()
-    }
-
-    /// Drain all pending wakeup bytes.
-    pub fn drain(&self) {
-        use std::io::Read;
-        let mut buf = [0u8; 64];
-        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
@@ -341,15 +314,12 @@ mod tests {
     #[test]
     fn waker_wakes_a_poll() {
         let (waker, rx) = Waker::pair().unwrap();
-        let mut fds = [PollFd::new(rx.raw_fd(), POLLIN)];
+        let mut fds = [PollFd::new(rx.as_raw_fd(), POLLIN)];
         assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0, "no wake pending");
         waker.wake();
         waker.wake(); // coalesces, never blocks
-        let mut fds = [PollFd::new(rx.raw_fd(), POLLIN)];
+        let mut fds = [PollFd::new(rx.as_raw_fd(), POLLIN)];
         assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        rx.drain();
-        let mut fds = [PollFd::new(rx.raw_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0, "drained");
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! The readiness-driven transport.
 //!
 //! A [`Reactor`] owns every socket of one mesh, nonblocking, and makes
-//! progress one [`Reactor::turn`] at a time. Whoever calls `turn` is the
-//! transport's only thread:
+//! progress one [`Reactor::turn`] at a time on whichever thread calls
+//! it. It has no thread of its own:
 //!
 //! * a running replica ([`crate::node::NodeRunner::run_for`]) adopts its
 //!   mesh's reactor and turns it on its own loop, so one thread reads a
 //!   frame, steps the engine on it and writes the engine's answer;
-//! * a bare [`crate::mesh::Mesh`] has nobody to do that, so a background
-//!   `reactor-N` thread turns it and feeds decoded frames to `inbox`.
+//! * a bare [`crate::mesh::Mesh`] is turned by the calls made on it: a
+//!   send takes one turn that does not wait, and
+//!   [`crate::mesh::Inbox::recv_timeout`] takes turns until a frame
+//!   arrives.
 //!
 //! ```text
-//!   one turn (node loop or reactor-N thread)
+//!   one turn (node loop, or a call on a bare mesh)
 //!   ─────────────────────────────────────────────────────────────────
 //!   dial peers with queued traffic (backoff expired)
 //!   flush every FrameQueue      writev, ≤64 frames per syscall
@@ -23,15 +25,15 @@
 //!        node loop:   engine.on_message ──► send_* ──► FrameQueue
 //!                     (encode once, enforce caps, shed oldest);
 //!                     flushed at the top of the next turn
-//!        bare mesh:   inbox.send
+//!        bare mesh:   the inbox's queue, taken by recv_timeout
 //! ```
 //!
-//! `send_*` from the turning thread only pushes into a queue. From any
-//! other thread it also writes one wakeup byte, and only if the turning
-//! thread is asleep in `epoll_wait`.
+//! Nothing wakes a turn early: a frame is queued by the thread that turns
+//! the reactor next, so no frame waits on a thread asleep in
+//! `epoll_wait`.
 //!
-//! Readiness: the waker, the listener and every connection are registered
-//! in one level-triggered `epoll(7)` instance when they appear (`start`,
+//! Readiness: the listener and every connection are registered in one
+//! level-triggered `epoll(7)` instance when they appear (`start`,
 //! `insert_conn`) and deregistered in `disconnect` before the socket
 //! closes, so a turn pays one wait call and walks only the ready fds.
 //! Each fd is registered under a token: a connection's never repeats,
@@ -57,19 +59,18 @@ use std::io::{Read, Write};
 use std::mem::take;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::framing::{hello_bytes, parse_hello, Frame, FrameQueue, FrameReader, PeerKind};
 use crate::mesh::{Inbound, MeshConfig, NetStats, NetStatsSnapshot};
-use crate::poll::{set_send_buffer, Epoll, EpollEvent, WakeReceiver, Waker, EPOLLIN, EPOLLOUT};
+use crate::poll::{set_send_buffer, Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
 use hs1_obs::Obs;
-use hs1_types::{ClientId, Message, ReplicaId};
+use hs1_types::{ClientId, Message, ReplicaId, SplitMix64};
 
 /// State shared between the sending side ([`crate::mesh::Mesh`]) and
-/// whichever thread turns the [`Reactor`].
+/// the [`Reactor`].
 pub(crate) struct Shared {
     me: u32,
     n: usize,
@@ -78,20 +79,10 @@ pub(crate) struct Shared {
     queues: Vec<Mutex<FrameQueue>>,
     /// Outbound queues of currently-connected clients.
     client_queues: Mutex<HashMap<u32, Arc<Mutex<FrameQueue>>>>,
-    shutting_down: AtomicBool,
-    /// Asks the background thread to return its [`Reactor`] (shutdown,
-    /// or a node adopting it).
-    stop_thread: AtomicBool,
-    /// True while the reactor is (about to be) blocked in `epoll_wait`; lets
-    /// the hot enqueue path skip the wakeup syscall when the reactor is
-    /// already running.
-    sleeping: AtomicBool,
-    /// Bumped on every enqueue; the reactor rechecks it after raising
-    /// `sleeping` so an enqueue in the gap is never slept through.
-    pending_epoch: AtomicU64,
-    obs: Mutex<Obs>,
-    stats: Arc<NetStats>,
-    waker: Waker,
+    /// Set by [`crate::mesh::Mesh::shutdown`]: no frame is queued after
+    /// it, and [`Reactor::close`] does the rest.
+    pub(crate) shutting_down: AtomicBool,
+    pub(crate) stats: NetStats,
 }
 
 impl Shared {
@@ -107,7 +98,6 @@ impl Shared {
         if shed > 0 {
             self.stats.frames_shed.fetch_add(shed, Ordering::Relaxed);
         }
-        self.notify();
     }
 
     pub(crate) fn enqueue_client(&self, client: u32, frame: Frame) {
@@ -126,12 +116,6 @@ impl Shared {
         if shed > 0 {
             self.stats.frames_shed.fetch_add(shed, Ordering::Relaxed);
         }
-        self.notify();
-    }
-
-    pub(crate) fn set_observer(&self, obs: Obs) {
-        *self.obs.lock().expect("obs lock") = obs;
-        self.notify();
     }
 
     /// Current depth of every peer's outbound queue:
@@ -147,50 +131,22 @@ impl Shared {
             })
             .collect()
     }
-
-    /// Stop accepting frames; [`Reactor::close`] does the rest.
-    pub(crate) fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-    }
-
-    /// Make the background thread return from [`Reactor::run`], waking
-    /// it if it is asleep in `epoll_wait`.
-    pub(crate) fn stop_thread(&self) {
-        self.stop_thread.store(true, Ordering::SeqCst);
-        self.waker.wake();
-    }
-
-    #[cfg(test)]
-    pub(crate) fn is_sleeping(&self) -> bool {
-        self.sleeping.load(Ordering::SeqCst)
-    }
-
-    fn notify(&self) {
-        self.pending_epoch.fetch_add(1, Ordering::SeqCst);
-        if self.sleeping.load(Ordering::SeqCst) {
-            self.waker.wake();
-        }
-    }
 }
 
-/// Bind the listener, spawn the background thread that turns the
-/// reactor until someone adopts it, and hand back the shared state and
-/// the join handle that yields the [`Reactor`].
+/// Bind the listener and build the [`Reactor`] and the state it shares
+/// with the mesh's sending side. The replica ports `base_port + i` for
+/// `i < n` must fit in a `u16` ([`crate::mesh::Mesh::start_with`] checks).
 pub(crate) fn start(
     me: ReplicaId,
     n: usize,
     host: &str,
     base_port: u16,
     cfg: MeshConfig,
-    stats: Arc<NetStats>,
-    inbox: Sender<Inbound>,
-) -> std::io::Result<(Arc<Shared>, std::thread::JoinHandle<Reactor>)> {
+) -> std::io::Result<(Arc<Shared>, Reactor)> {
     let listen_port = cfg.listen_port.unwrap_or(base_port + me.0 as u16);
     let listener = TcpListener::bind((host, listen_port))?;
     listener.set_nonblocking(true)?;
-    let (waker, wake_rx) = Waker::pair()?;
     let epoll = Epoll::new()?;
-    epoll.add(wake_rx.raw_fd(), WAKE_TOKEN, EPOLLIN)?;
     epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN)?;
     let shared = Arc::new(Shared {
         me: me.0,
@@ -199,25 +155,19 @@ pub(crate) fn start(
         queues: (0..n).map(|_| Mutex::new(FrameQueue::new())).collect(),
         client_queues: Mutex::new(HashMap::new()),
         shutting_down: AtomicBool::new(false),
-        stop_thread: AtomicBool::new(false),
-        sleeping: AtomicBool::new(false),
-        pending_epoch: AtomicU64::new(0),
-        obs: Mutex::new(Obs::noop()),
-        stats,
-        waker,
+        stats: NetStats::default(),
     });
     let reactor = Reactor {
         shared: shared.clone(),
         host: host.to_string(),
         base_port,
         listener,
-        wake_rx,
         conns: HashMap::new(),
         next_token: 0,
         links: (0..n).map(|_| Link::Idle).collect(),
         ever_connected: vec![false; n],
-        rng: 0x9E37_79B9 ^ ((me.0 as u64) << 32 | base_port as u64),
-        obs_local: Obs::noop(),
+        rng: SplitMix64::new(0x9E37_79B9 ^ ((me.0 as u64) << 32 | base_port as u64)),
+        obs: Obs::noop(),
         emitted: NetStatsSnapshot::default(),
         last_tick: Instant::now(),
         turns: 0,
@@ -225,10 +175,14 @@ pub(crate) fn start(
         events: vec![EpollEvent::default(); EVENTS_PER_WAIT],
         tokens: Vec::new(),
     };
-    let handle = std::thread::Builder::new()
-        .name(format!("reactor-{}", me.0))
-        .spawn(move || reactor.run(inbox))?;
-    Ok((shared, handle))
+    Ok((shared, reactor))
+}
+
+/// `delay` with ±50% jitter: uniform in `[delay/2, delay*3/2)`, so peers
+/// do not redial a restarted replica in lockstep.
+pub(crate) fn jittered(delay: Duration, rng: &mut SplitMix64) -> Duration {
+    let nanos = delay.as_nanos().max(1) as u64;
+    Duration::from_nanos(nanos / 2 + rng.next_u64() % nanos)
 }
 
 /// Outbound link state for one replica peer.
@@ -267,10 +221,9 @@ struct Conn {
     stall_since: Option<Instant>,
 }
 
-/// Tokens of the two fds that are not connections; a connection's token
-/// counts up from 0 and never reaches them.
-const WAKE_TOKEN: u64 = u64::MAX;
-const LISTENER_TOKEN: u64 = u64::MAX - 1;
+/// Token of the listener, the one fd that is not a connection; a
+/// connection's token counts up from 0 and never reaches it.
+const LISTENER_TOKEN: u64 = u64::MAX;
 
 /// Ready fds taken from the kernel per wait; more wait for the next turn.
 const EVENTS_PER_WAIT: usize = 64;
@@ -282,21 +235,20 @@ pub(crate) struct Reactor {
     host: String,
     base_port: u16,
     listener: TcpListener,
-    wake_rx: WakeReceiver,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     links: Vec<Link>,
     ever_connected: Vec<bool>,
-    /// SplitMix64 state for backoff jitter.
-    rng: u64,
-    /// Copy of the attached observer, refreshed each metrics tick.
-    obs_local: Obs,
+    /// Backoff jitter.
+    rng: SplitMix64,
+    /// The attached observer ([`crate::mesh::Mesh::set_observer`]).
+    pub(crate) obs: Obs,
     /// Counter values already published to the observer.
     emitted: NetStatsSnapshot,
     last_tick: Instant,
     /// Turns taken so far (tests bound it to show the loop does not spin).
     pub(crate) turns: u64,
-    /// The interest set: the waker, the listener and every connection.
+    /// The interest set: the listener and every connection.
     epoll: Epoll,
     /// What one wait reports, and the tokens [`Reactor::flush_connected`]
     /// flushes. Kept between turns so a turn allocates nothing.
@@ -305,17 +257,6 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    /// The background driver of a bare mesh: turn, feeding `inbox`,
-    /// until asked to stop; then give the reactor to whoever asked.
-    fn run(mut self, inbox: Sender<Inbound>) -> Reactor {
-        while !self.shared.stop_thread.swap(false, Ordering::SeqCst) {
-            self.turn(Duration::MAX, &mut |inbound| {
-                let _ = inbox.send(inbound);
-            });
-        }
-        self
-    }
-
     /// One pass of the event loop: dial and flush what is queued, sleep
     /// in `epoll_wait` for at most `wait` (less if a deadline of the
     /// reactor's own comes first), then accept, read and hand every
@@ -323,24 +264,15 @@ impl Reactor {
     /// of the next turn.
     pub(crate) fn turn(&mut self, wait: Duration, sink: &mut dyn FnMut(Inbound)) {
         self.turns += 1;
-        let epoch = self.shared.pending_epoch.load(Ordering::SeqCst);
         self.dial_pending();
         self.flush_connected();
         self.tick_metrics(false);
 
-        self.shared.sleeping.store(true, Ordering::SeqCst);
-        let timeout = if self.shared.pending_epoch.load(Ordering::SeqCst) != epoch {
-            0 // an enqueue raced our pre-sleep window: don't sleep
-        } else {
-            self.poll_timeout_ms(wait)
-        };
+        let timeout = self.poll_timeout_ms(wait);
         let mut events = take(&mut self.events);
         let ready = self.epoll.wait(&mut events, timeout).unwrap_or(0);
-        self.shared.sleeping.store(false, Ordering::SeqCst);
-
         for event in &events[..ready] {
             match event.token() {
-                WAKE_TOKEN => self.wake_rx.drain(),
                 LISTENER_TOKEN => self.accept_new(),
                 token => {
                     if event.readable() {
@@ -365,7 +297,7 @@ impl Reactor {
         }
         self.shared.client_queues.lock().expect("clients lock").clear();
         self.tick_metrics(true);
-        self.obs_local.flush();
+        self.obs.flush();
     }
 
     /// Milliseconds `epoll_wait` may sleep: until `wait` runs out, a
@@ -386,21 +318,6 @@ impl Reactor {
             }
         }
         nearest.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // SplitMix64: tiny, seedable, good enough for backoff jitter.
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// `delay` with ±50% jitter: uniform in `[delay/2, delay*3/2)`.
-    fn jittered(&mut self, delay: Duration) -> Duration {
-        let nanos = delay.as_nanos().max(1) as u64;
-        Duration::from_nanos(nanos / 2 + self.next_rand() % nanos)
     }
 
     /// Dial every disconnected peer that has traffic waiting and whose
@@ -426,8 +343,8 @@ impl Reactor {
                 Ok(token) => {
                     if self.ever_connected[peer] {
                         self.shared.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                        if self.obs_local.enabled() {
-                            self.obs_local.counter("net_reconnects", peer as u32, 1);
+                        if self.obs.enabled() {
+                            self.obs.counter("net_reconnects", peer as u32, 1);
                         }
                     }
                     self.ever_connected[peer] = true;
@@ -440,7 +357,7 @@ impl Reactor {
                         }
                         _ => self.shared.cfg.reconnect_base,
                     };
-                    let jitter = self.jittered(delay);
+                    let jitter = jittered(delay, &mut self.rng);
                     self.links[peer] = Link::Backoff { until: now + jitter, delay };
                 }
             }
@@ -575,9 +492,8 @@ impl Reactor {
                         conn.stall_since = Some(Instant::now());
                     }
                 } else if let Some(t0) = conn.stall_since.take() {
-                    if self.obs_local.enabled() {
-                        self.obs_local
-                            .observe_nanos("net_send_stall_ns", t0.elapsed().as_nanos() as u64);
+                    if self.obs.enabled() {
+                        self.obs.observe_nanos("net_send_stall_ns", t0.elapsed().as_nanos() as u64);
                     }
                 }
                 self.set_want_write(token, p.would_block);
@@ -647,14 +563,18 @@ impl Reactor {
                         .fetch_add(o.messages.len() as u64, Ordering::Relaxed);
                     self.shared.stats.read_calls.fetch_add(o.calls, Ordering::Relaxed);
                 }
-                let from = match &conn.kind {
-                    ConnKind::ReplicaIn(id) | ConnKind::ReplicaOut(id) => Sender2::Replica(*id),
-                    ConnKind::ClientIn { id, .. } => Sender2::Client(*id),
+                let (id, from): (u32, fn(u32, Message) -> Inbound) = match &conn.kind {
+                    ConnKind::ReplicaIn(id) | ConnKind::ReplicaOut(id) => {
+                        (*id, |id, msg| Inbound::FromReplica(ReplicaId(id), msg))
+                    }
+                    ConnKind::ClientIn { id, .. } => {
+                        (*id, |id, msg| Inbound::FromClient(ClientId(id), msg))
+                    }
                     ConnKind::HandshakeIn { .. } => return, // still incomplete
                 };
                 let eof = o.eof;
                 for msg in o.messages {
-                    sink(from.wrap(msg));
+                    sink(from(id, msg));
                 }
                 if eof {
                     self.disconnect(token);
@@ -674,7 +594,7 @@ impl Reactor {
                 // A half-sent frame cannot resume on a new connection.
                 self.shared.queues[peer as usize].lock().expect("queue lock").abandon_partial();
                 let delay = self.shared.cfg.reconnect_base;
-                let jitter = self.jittered(delay);
+                let jitter = jittered(delay, &mut self.rng);
                 self.links[peer as usize] = Link::Backoff { until: Instant::now() + jitter, delay };
             }
             ConnKind::ClientIn { id, queue } => {
@@ -696,8 +616,7 @@ impl Reactor {
             return;
         }
         self.last_tick = Instant::now();
-        self.obs_local = self.shared.obs.lock().expect("obs lock").clone();
-        if !self.obs_local.enabled() {
+        if !self.obs.enabled() {
             return;
         }
         let snap = self.shared.stats.snapshot();
@@ -712,36 +631,13 @@ impl Reactor {
         ];
         for (name, delta) in deltas {
             if delta > 0 {
-                self.obs_local.counter(name, 0, delta);
+                self.obs.counter(name, 0, delta);
             }
         }
         self.emitted = snap;
-        for peer in 0..self.shared.n {
-            if peer as u32 == self.shared.me {
-                continue;
-            }
-            let (frames, bytes) = {
-                let q = self.shared.queues[peer].lock().expect("queue lock");
-                (q.len() as u64, q.bytes() as u64)
-            };
-            self.obs_local.gauge("net_out_queue_frames", peer as u32, frames);
-            self.obs_local.gauge("net_out_queue_bytes", peer as u32, bytes);
-        }
-    }
-}
-
-/// Tiny helper naming the inbound attribution of a connection.
-#[derive(Clone, Copy)]
-enum Sender2 {
-    Replica(u32),
-    Client(u32),
-}
-
-impl Sender2 {
-    fn wrap(self, msg: Message) -> Inbound {
-        match self {
-            Sender2::Replica(id) => Inbound::FromReplica(ReplicaId(id), msg),
-            Sender2::Client(id) => Inbound::FromClient(ClientId(id), msg),
+        for (peer, frames, bytes) in self.shared.queue_depths() {
+            self.obs.gauge("net_out_queue_frames", peer as u32, frames);
+            self.obs.gauge("net_out_queue_bytes", peer as u32, bytes);
         }
     }
 }
@@ -749,10 +645,10 @@ impl Sender2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::encode_frame;
+    use crate::framing::{encode_frame, read_msg, recv_hello};
     use crate::mesh::tests::free_base_port;
     use crate::mesh::Mesh;
-    use crate::poll::set_recv_buffer;
+    use crate::poll::{poll_fds, set_recv_buffer, PollFd, POLLIN};
     use hs1_types::message::ProposeMsg;
     use hs1_types::{Block, Certificate, Slot, Transaction, View};
 
@@ -780,6 +676,25 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// A bare mesh is turned by the thread that sends: by the time
+    /// `send_replica` returns it has dialed the peer and written the hello
+    /// and the frame. The peer is a plain socket, and nothing calls into
+    /// the mesh again while it accepts and reads.
+    #[test]
+    fn a_bare_mesh_has_written_the_frame_when_send_replica_returns() {
+        let base = free_base_port(2);
+        let peer = TcpListener::bind(("127.0.0.1", base + 1)).expect("peer listener");
+        let mesh = Mesh::start(ReplicaId(0), 2, "127.0.0.1", base).expect("mesh");
+        mesh.send_replica(ReplicaId(1), request(7));
+
+        let mut ready = [PollFd::new(peer.as_raw_fd(), POLLIN)];
+        assert_eq!(poll_fds(&mut ready, 5_000).expect("poll"), 1, "the mesh dialed replica 1");
+        let (mut s, _) = peer.accept().expect("accept");
+        s.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        assert_eq!(recv_hello(&mut s).expect("the hello"), PeerKind::Replica(0));
+        assert_eq!(read_msg(&mut s).expect("the frame"), request(7));
     }
 
     /// A peer that hangs up and dials again, one connection at a time and

@@ -1,9 +1,8 @@
-//! The ownership model of the transport, seen from outside the crate: a
-//! running replica is one thread, and only a bare `Mesh` keeps a
-//! background `reactor-N` thread.
+//! The ownership model of the transport, seen from outside the crate: no
+//! mesh has a thread of its own. A running replica is one thread, and a
+//! bare `Mesh` moves its bytes on the thread that calls it.
 
 use std::net::TcpListener;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use hs1_core::{build_replica, Fault};
@@ -15,9 +14,6 @@ use hs1_obs::{Clock, EventKind, Obs, Stage};
 use hs1_types::{
     ClientId, Message, ProtocolKind, ReplicaId, SimDuration, SystemConfig, Transaction,
 };
-
-/// Both tests look at this process's thread names, so they take turns.
-static THREADS: Mutex<()> = Mutex::new(());
 
 fn free_base_port(n: u16) -> u16 {
     for _ in 0..32 {
@@ -33,33 +29,18 @@ fn free_base_port(n: u16) -> u16 {
     panic!("could not find {n} contiguous free loopback ports");
 }
 
-/// Names of this process's `reactor-*` threads.
-#[cfg(target_os = "linux")]
+/// Names of this process's `reactor-*` threads: there must never be one.
 fn reactor_threads() -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+    std::fs::read_dir("/proc/self/task")
         .expect("/proc/self/task")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .map(|comm| comm.trim().to_string())
         .filter(|comm| comm.starts_with("reactor-"))
-        .collect();
-    names.sort();
-    names
-}
-
-/// A thread names itself once it runs, so a fresh one shows up a moment
-/// after `spawn` returns: wait (bounded) for `want` reactor threads.
-#[cfg(target_os = "linux")]
-fn await_reactor_threads(want: &[&str]) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while reactor_threads() != want {
-        assert!(std::time::Instant::now() < deadline, "reactor threads: {:?}", reactor_threads());
-        std::thread::sleep(Duration::from_millis(1));
-    }
+        .collect()
 }
 
 #[test]
 fn a_running_replica_is_one_thread_and_commits_at_once() {
-    let _turn = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let n = 4usize;
     let base = free_base_port(n as u16);
     let run = Duration::from_millis(600);
@@ -67,8 +48,7 @@ fn a_running_replica_is_one_thread_and_commits_at_once() {
     let meshes: Vec<Mesh> = (0..n as u32)
         .map(|id| Mesh::start(ReplicaId(id), n, "127.0.0.1", base).expect("bind"))
         .collect();
-    #[cfg(target_os = "linux")]
-    await_reactor_threads(&["reactor-0", "reactor-1", "reactor-2", "reactor-3"]);
+    assert_eq!(reactor_threads(), Vec::<String>::new(), "a mesh starts no thread");
     let mut nodes = Vec::new();
     for (id, mesh) in meshes.into_iter().enumerate() {
         nodes.push(std::thread::spawn(move || {
@@ -102,7 +82,6 @@ fn a_running_replica_is_one_thread_and_commits_at_once() {
             .expect("connect");
     client.run_closed_loop(run / 2).expect("client");
     drop(client);
-    #[cfg(target_os = "linux")]
     assert_eq!(reactor_threads(), Vec::<String>::new(), "a running replica has no second thread");
 
     for (id, node) in nodes.into_iter().enumerate() {
@@ -123,24 +102,21 @@ fn a_running_replica_is_one_thread_and_commits_at_once() {
     }
 }
 
-/// The contract `bench/src/lab.rs` and the tests rely on:
-/// with no node running it, a mesh moves bytes by itself.
+/// The contract `bench/src/lab.rs` and the tests rely on: with no node
+/// running it, a mesh moves bytes on the threads that call it — the
+/// sender's turn writes the frame, the receiver's wait reads it.
 #[test]
-fn a_bare_mesh_delivers_on_its_background_thread() {
-    let _turn = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+fn a_bare_mesh_delivers_on_the_callers_thread() {
     let base = free_base_port(2);
     let a = Mesh::start(ReplicaId(0), 2, "127.0.0.1", base).expect("mesh a");
     let b = Mesh::start(ReplicaId(1), 2, "127.0.0.1", base).expect("mesh b");
-    #[cfg(target_os = "linux")]
-    await_reactor_threads(&["reactor-0", "reactor-1"]);
     let ping = Message::Request(Transaction::kv_write(1, 1, 42, 7));
     a.send_replica(ReplicaId(1), ping.clone());
     match b.inbox.recv_timeout(Duration::from_secs(5)) {
         Ok(Inbound::FromReplica(from, msg)) => assert_eq!((from, msg), (ReplicaId(0), ping)),
         _ => panic!("expected the ping from replica 0"),
     }
+    assert_eq!(reactor_threads(), Vec::<String>::new(), "a bare mesh has no thread either");
     a.shutdown();
     b.shutdown();
-    #[cfg(target_os = "linux")]
-    assert_eq!(reactor_threads(), Vec::<String>::new(), "shutdown joins the thread");
 }

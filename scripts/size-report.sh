@@ -6,7 +6,8 @@
 # policy may differ in), and "by history, not by paper" markers under
 # crates/ (behaviour kept apart per protocol for no reason the paper
 # gives). Per crate it also prints `unsafe` blocks under src/ (every crate
-# root forbids or denies `unsafe_code`; these are the allowed ones). CI
+# root forbids or denies `unsafe_code`; these are the allowed ones), and
+# it counts the places library code spawns a thread. CI
 # enforces three bounds on this output: 0 by-history markers, at most 4
 # bench harnesses and at most 1 HS1_* knob; the rest is informational.
 set -eu
@@ -36,3 +37,9 @@ echo "trait Protocol items: $items"
 markers=$(find crates -name '*.rs' -exec cat {} + | tr -s '\n/! ' ' ' |
     grep -o 'by history, not by paper' | wc -l | tr -d ' ')
 echo "by-history markers: $markers"
+# Library code only: bins are skipped, and so is everything from a
+# file's unindented `#[cfg(test)]` line on.
+spawns=$(find crates/*/src -name '*.rs' ! -path '*/src/bin/*' -exec awk '
+    FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t && /(\.|thread::)spawn\(/ { print }
+' {} + | wc -l | tr -d ' ')
+echo "thread-spawn sites in library code: $spawns"
