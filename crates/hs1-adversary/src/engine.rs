@@ -4,7 +4,7 @@
 //! routes every outbound `Send`/`Broadcast` through the
 //! [`AdversaryMutator`]. The inner engine's state is never touched — it
 //! processes inbound traffic honestly, commits honestly, and answers
-//! introspection (`committed_chain`, `state_root`, …) honestly — which is
+//! introspection (`committed_log`, `state_root`, …) honestly — which is
 //! what lets the chaos oracles keep checking the adversary's *local*
 //! ledger against the honest cluster while its *external* behavior lies.
 //!
@@ -19,7 +19,7 @@
 
 use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_core::replica::{Action, Replica, Timer};
-use hs1_types::{BlockId, Message, ReplicaId, SimTime, View};
+use hs1_types::{BlockId, CommittedLog, Message, ReplicaId, SimTime, View};
 
 use crate::mutator::AdversaryMutator;
 
@@ -129,6 +129,10 @@ impl Replica for AdversaryEngine {
         self.inner.committed_chain()
     }
 
+    fn committed_log(&self) -> CommittedLog {
+        self.inner.committed_log()
+    }
+
     fn committed_len(&self) -> usize {
         self.inner.committed_len()
     }
@@ -154,6 +158,7 @@ impl Replica for AdversaryEngine {
 mod tests {
     use super::*;
     use crate::AdversaryStrategy;
+    use hs1_core::testkit::TestNet;
     use hs1_core::{build_replica, Fault};
     use hs1_ledger::ExecConfig;
     use hs1_types::{ProtocolKind, SystemConfig};
@@ -178,6 +183,47 @@ mod tests {
         assert_eq!(e.id(), ReplicaId(1));
         assert_eq!(e.committed_chain().len(), 1, "genesis only");
         assert_eq!(e.current_view(), View::GENESIS);
+    }
+
+    /// Past a replica's window the wrapper still reports the whole chain:
+    /// its length and running hash, as the harness recorded every commit.
+    #[test]
+    fn reports_the_whole_committed_chain_past_the_window() {
+        let mut cfg = SystemConfig::new(4);
+        cfg.view_timer = hs1_types::SimDuration::from_millis(10);
+        cfg.delta = hs1_types::SimDuration::from_millis(1);
+        cfg.batch_size = 4;
+        let engines = (0..4u32)
+            .map(|i| {
+                let kind = ProtocolKind::HotStuff1;
+                let me = ReplicaId(i);
+                let inner =
+                    build_replica(kind, cfg.clone(), me, Fault::Honest, ExecConfig::default());
+                if i != 1 {
+                    return inner;
+                }
+                // Lies about snapshots only: consensus runs at full speed.
+                let strategy = AdversaryStrategy::CorruptSnapshot;
+                let mutator = AdversaryMutator::new(strategy, cfg.clone(), kind, me, 3);
+                Box::new(AdversaryEngine::new(inner, mutator)) as Box<dyn Replica>
+            })
+            .collect();
+        let mut net = TestNet::new(engines, hs1_types::SimDuration::from_micros(200));
+        let txs: Vec<_> = (0..4 * (CommittedLog::WINDOW as u64 + 200))
+            .map(|i| hs1_types::Transaction::kv_write(1, i, i * 13, i))
+            .collect();
+        net.inject(&txs);
+        net.init();
+        net.run_for(hs1_types::SimDuration::from_millis(1_200));
+        net.assert_prefix_agreement(&[0, 1, 2, 3]);
+        let (wrapped, record) = (&net.engines[1], net.committed_log(1));
+        assert!(record.len() > CommittedLog::WINDOW + 64, "{} blocks committed", record.len());
+        assert!(
+            wrapped.committed_chain().len() <= CommittedLog::WINDOW,
+            "the engine holds its window"
+        );
+        assert_eq!(wrapped.committed_len(), record.len());
+        assert_eq!(wrapped.committed_log().hash(), record.hash());
     }
 
     #[test]

@@ -12,10 +12,15 @@
 //!   in-process: the network round trips a real deployment adds are in
 //!   `hs1_sim::CatchupModel`, whose modeled crossover is printed below.)
 //!
-//! Not a paper figure — it characterizes the `hs1-storage` (ISSUE 2) and
-//! `hs1-statesync` (ISSUE 3) subsystems. CSV lands in
+//! Not a paper figure — it characterizes the `hs1-storage` and
+//! `hs1-statesync` subsystems. CSV lands in
 //! `bench_results/fig_recovery.csv`, which is not committed: its rows are
 //! wall-clock times, so no run reproduces them byte for byte.
+//!
+//! One assertion is not about time: a snapshot image holds the committed
+//! log as a replica keeps it, a window, so at every swept length the image
+//! bytes not spent on state entries stay under one fixed bound. A field
+//! that grows with history fails the run.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,10 +37,17 @@ use hs1_storage::testutil::TempDir;
 use hs1_storage::{ReplicaStorage, StorageConfig, SyncPolicy};
 use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg};
 use hs1_types::{
-    Block, CertKind, Certificate, Message, ReplicaId, Slot, SystemConfig, Transaction, View,
+    Block, BlockId, CertKind, Certificate, CommittedLog, Message, ReplicaId, Slot, SystemConfig,
+    Transaction, View,
 };
 
 const TXS_PER_BLOCK: u64 = 8;
+
+/// Image bytes that are not state entries: the record count, the entry
+/// count, the log's length, base hash and window length (8 + 8 + 8 + 32 +
+/// 8), and at most `CommittedLog::WINDOW` window entries of an id and a
+/// hash.
+const NON_ENTRY_BOUND: u64 = 64 + CommittedLog::WINDOW as u64 * 64;
 
 /// Journal lengths swept, in blocks.
 const SWEEP: [u64; 4] = [256, 1024, 4096, 16384];
@@ -77,15 +89,21 @@ fn build_journal(
     };
     let (_, mut storage) = ReplicaStorage::open(dir, cfg).expect("open");
     let mut exec = hs1_ledger::ExecutionEngine::new(ExecConfig::default());
-    let mut chain_ids = vec![Block::genesis_id()];
+    let mut log = CommittedLog::new();
     for (i, b) in blocks.iter().enumerate() {
         storage.on_view(View(i as u64 + 1));
         storage.on_speculate(b);
         storage.on_commit(b);
         exec.execute_committed(b.id(), &b.txs);
-        chain_ids.push(b.id());
+        log.push(b.id());
+        // What a HotStuff-1 engine keeps: the storage checks its own log
+        // against this window.
+        if (i as u64 + 1).is_multiple_of(CommittedLog::PRUNE_EVERY) {
+            log.trim(CommittedLog::KEEP);
+        }
         if storage.wants_checkpoint() {
-            storage.write_checkpoint(exec.store().committed_store(), &chain_ids);
+            let window: Vec<BlockId> = log.ids().collect();
+            storage.write_checkpoint(exec.store().committed_store(), &window);
         }
     }
     storage.sync();
@@ -113,7 +131,7 @@ fn engine() -> Box<dyn Replica> {
 /// Time the requester side of snapshot state sync against a prepared
 /// serving peer: chunk pulls + CRC verification + assembly + payload
 /// decode + root verification + engine restore. Returns
-/// `(elapsed_ms, chunks, image_bytes)`.
+/// `(elapsed_ms, image_bytes, state_entries)`.
 fn snapshot_catchup_once(
     dir: &std::path::Path,
     expect_root: hs1_crypto::Digest,
@@ -147,12 +165,13 @@ fn snapshot_catchup_once(
         view: manifest.view,
         high_cert: Some(manifest.high_cert.clone()),
         committed_store: Some(store),
-        committed_ids: image.chain.clone(),
+        committed_log: image.log.clone(),
         decided: Vec::new(),
         speculated: Vec::new(),
     });
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(eng.state_root(), expect_root, "snapshot sync must reproduce the state root");
+    assert_eq!(eng.committed_len(), image.log.len(), "the engine adopted the image's log");
     (elapsed_ms, manifest.total_bytes, image.entries.len() as u64)
 }
 
@@ -200,6 +219,12 @@ fn main() {
         let dir = TempDir::new("figrec-snap");
         let root = build_journal(dir.path(), &chain, blocks); // ckpt covers everything
         let (ms, bytes, entries) = snapshot_catchup_once(dir.path(), root);
+        let non_entry = bytes - 16 * entries;
+        assert!(
+            non_entry <= NON_ENTRY_BOUND,
+            "{blocks} blocks: {non_entry} image bytes beyond the state entries (bound \
+             {NON_ENTRY_BOUND}): something in the image grows with history"
+        );
         let covered = 3 * blocks; // view + spec + decide records per block
         println!(
             "  [snapshot-sync  ] {blocks:>6} blocks ({:>7} txs): {ms:>9.2} ms  ({bytes} image bytes, {entries} entries, 0 records replayed)",

@@ -21,7 +21,7 @@ use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
 use hs1_types::cert::CertKind;
 use hs1_types::message::{NewViewMsg, PrepareMsg, ProposeMsg, VoteInfo, VoteMsg};
-use hs1_types::{BlockId, Certificate, Message, ReplicaId, SimTime, Slot, View};
+use hs1_types::{BlockId, Certificate, CommittedLog, Message, ReplicaId, SimTime, Slot, View};
 
 #[derive(Default)]
 pub(crate) struct Basic {
@@ -116,7 +116,7 @@ impl Basic {
 
 impl Protocol for Basic {
     type Tally = BasicTally;
-    const PRUNE_KEEP: usize = 2048;
+    const PRUNE_KEEP: usize = CommittedLog::KEEP;
 
     fn new_tally(_view: View) -> BasicTally {
         BasicTally {

@@ -39,7 +39,7 @@ use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
 use hs1_types::cert::CertKind;
 use hs1_types::message::{NewViewMsg, ProposeMsg, VoteInfo};
-use hs1_types::{BlockId, Message, ReplicaId, SimTime, Slot, View};
+use hs1_types::{BlockId, CommittedLog, Message, ReplicaId, SimTime, Slot, View};
 
 pub(crate) struct Chained {
     /// Commit-rule depth: consecutive certificates that finalize a block
@@ -110,7 +110,7 @@ impl Chained {
 
 impl Protocol for Chained {
     type Tally = ChainedTally;
-    const PRUNE_KEEP: usize = 2048;
+    const PRUNE_KEEP: usize = CommittedLog::KEEP;
 
     fn new_tally(_view: View) -> ChainedTally {
         ChainedTally { votes: ShareTally::new(CertKind::Quorum), proposed: false, held: false }

@@ -12,8 +12,8 @@ use hs1_crypto::{KeyPair, PublicKeyRegistry, Signature};
 use hs1_ledger::{ExecConfig, ExecutionEngine};
 use hs1_obs::{block_key, Obs, Stage};
 use hs1_types::{
-    Block, BlockId, CertKind, Certificate, ReplicaId, ReplyKind, Slot, SystemConfig, Transaction,
-    View,
+    Block, BlockId, CertKind, Certificate, CommittedLog, ReplicaId, ReplyKind, Slot, SystemConfig,
+    Transaction, View,
 };
 
 /// A replica's transaction pool, the same under the simulator and the TCP
@@ -186,13 +186,11 @@ pub struct CoreState {
     /// Observability sink (no-op by default; see `hs1-obs`). Pure
     /// observer: nothing the engine does may depend on it.
     pub obs: Obs,
-    /// Committed block ids in commit order (genesis first).
-    pub committed: Vec<BlockId>,
-    /// Index over `committed` for the ids not yet pruned: an id leaves it
-    /// with its body.
+    /// The committed chain: its length, running hash, and the ids back to
+    /// the prune horizon.
+    committed: CommittedLog,
+    /// Index over `committed`'s window: an id leaves it with its body.
     committed_set: HashSet<BlockId>,
-    /// Bodies below this committed index have been pruned.
-    pruned_upto: usize,
     /// Stored blocks not yet committed, in arrival order (two or three in
     /// steady state): what a commit checks for orphans, so it need not
     /// scan `blocks`.
@@ -225,9 +223,8 @@ impl CoreState {
             exec: ExecutionEngine::new(exec_cfg),
             persist: Box::new(NoopPersistence),
             obs: Obs::noop(),
-            committed: vec![gid],
+            committed: CommittedLog::new(),
             committed_set: HashSet::from([gid]),
-            pruned_upto: 0,
             uncommitted: Vec::new(),
             last_valid: Certificate::genesis(),
             own_share: None,
@@ -270,7 +267,11 @@ impl CoreState {
     }
 
     pub fn committed_head(&self) -> BlockId {
-        *self.committed.last().expect("genesis always committed")
+        self.committed.head()
+    }
+
+    pub fn committed_log(&self) -> &CommittedLog {
+        &self.committed
     }
 
     /// Verify a certificate against the deployment quorum, unless it is
@@ -378,7 +379,8 @@ impl CoreState {
             self.pool.mark_committed(&b.txs);
         }
         if self.persist.wants_checkpoint() {
-            self.persist.write_checkpoint(self.exec.store().committed_store(), &self.committed);
+            let window: Vec<BlockId> = self.committed.ids().collect();
+            self.persist.write_checkpoint(self.exec.store().committed_store(), &window);
         }
         self.return_orphans(head_view);
         Ok(())
@@ -446,8 +448,15 @@ impl CoreState {
     /// restore *before* [`crate::Replica::set_persistence`] so the replay
     /// is not re-journaled. All emitted actions (client responses for
     /// blocks long since answered) are discarded.
-    pub fn restore(&mut self, rs: RecoveredState) {
+    ///
+    /// Returns `false` if `rs` carried a committed store and it was refused
+    /// (its log is behind this replica's, or parts from it); the caller
+    /// then takes nothing else from `rs` either.
+    pub fn restore(&mut self, rs: RecoveredState) -> bool {
         if let Some(store) = rs.committed_store {
+            if !self.extended_by(&rs.committed_log) {
+                return false;
+            }
             // Installing a committed base invalidates any live overlay —
             // the state-sync path restores a second time, *after* local
             // recovery may have re-derived speculation. Mirror a
@@ -457,15 +466,7 @@ impl CoreState {
                 self.persist.on_rollback(rolled);
             }
             self.exec.restore_committed(store);
-            // Both lists are the one committed chain from genesis, so what
-            // this replica lacks is what lies past its own length. Not
-            // `committed_set`: it forgets pruned ids, and state sync
-            // restores a second time over local recovery.
-            let have = self.committed.len();
-            for id in rs.committed_ids.into_iter().skip(have) {
-                self.committed.push(id);
-                self.committed_set.insert(id);
-            }
+            self.adopt(rs.committed_log);
         }
         let mut sink = Vec::new();
         for b in rs.decided {
@@ -481,24 +482,68 @@ impl CoreState {
                 self.speculate(&b, &mut sink);
             }
         }
+        true
     }
 
-    /// Prune block *bodies*, with their execution digests and index
-    /// entries, far below the committed frontier (bounded memory on long
-    /// runs). The committed id list itself is retained — it is 32 bytes
-    /// per block and checkpoints, state sync, the invariant checker and
-    /// `committed_chain()` depend on its completeness.
+    /// May the store `incoming` describes replace the committed state? Not
+    /// if `incoming` is behind this replica's head. Otherwise yes if its
+    /// hash at this replica's height equals this replica's, so that it
+    /// extends this replica's chain, or if it no longer knows that hash
+    /// because the height is below its window: such a log is a window or
+    /// more ahead, and the `f + 1` peers that agreed on it vouch for it.
+    /// (Local recovery restores onto genesis, which every log hashes
+    /// alike.) A log whose hash differs would join two histories; it is
+    /// refused and counted in the metrics-only `restore_conflicts`.
+    fn extended_by(&self, incoming: &CommittedLog) -> bool {
+        let behind = incoming.len() < self.committed.len();
+        match self.committed.diverge(incoming) {
+            Ok(None) | Err(_) => !behind,
+            Ok(Some(_)) => {
+                self.obs.counter("restore_conflicts", 0, 1);
+                false
+            }
+        }
+    }
+
+    /// Take `incoming`, which [`CoreState::extended_by`] accepted, as the
+    /// committed chain.
+    fn adopt(&mut self, incoming: CommittedLog) {
+        let have = self.committed.len();
+        if incoming.start() <= have {
+            // What lies past this replica's own head, as if committed here.
+            for id in incoming.ids_from(have) {
+                self.committed.push(id);
+                self.committed_set.insert(id);
+            }
+        } else {
+            // A window that starts above this replica's head replaces its
+            // log whole: every id the replica holds is below the window,
+            // and leaves as a prune would take it.
+            let own = std::mem::replace(&mut self.committed, incoming);
+            for id in own.ids() {
+                self.forget(id);
+            }
+            self.committed_set.extend(self.committed.ids());
+        }
+    }
+
+    /// Trim the committed log to its newest `keep` ids (bounded memory on
+    /// long runs): block *bodies*, execution digests and index entries
+    /// leave with the ids. The log's length and running hash cover the
+    /// whole chain, which is what checkpoints, state sync and the
+    /// invariant checker read.
     pub fn prune(&mut self, keep: usize) {
-        if self.committed.len() <= keep + self.pruned_upto {
-            return;
+        for id in self.committed.trim(keep) {
+            self.forget(id);
         }
-        let cutoff = self.committed.len() - keep;
-        for id in &self.committed[self.pruned_upto..cutoff] {
-            self.blocks.remove(id);
-            self.exec.forget_digest(*id);
-            self.committed_set.remove(id);
-        }
-        self.pruned_upto = cutoff;
+    }
+
+    /// `id` left the committed window: drop its body, digest and index
+    /// entry.
+    fn forget(&mut self, id: BlockId) {
+        self.blocks.remove(&id);
+        self.exec.forget_digest(id);
+        self.committed_set.remove(&id);
     }
 }
 
@@ -722,7 +767,7 @@ mod tests {
         let expected_root = store.state_root();
         let rs = crate::persist::RecoveredState {
             committed_store: Some(store),
-            committed_ids: vec![Block::genesis_id(), BlockId::test(9)],
+            committed_log: CommittedLog::from_ids([BlockId::test(9)]),
             ..Default::default()
         };
         s.restore(rs);
@@ -730,29 +775,110 @@ mod tests {
         assert!(s.is_committed(BlockId::test(9)));
     }
 
+    /// Genesis, then `BlockId::test(1..n)`.
+    fn chain(n: u64) -> CommittedLog {
+        CommittedLog::from_ids((1..n).map(BlockId::test))
+    }
+
+    /// A synced image: the store with `records` records, and `log`.
+    fn image(records: u64, log: CommittedLog) -> RecoveredState {
+        RecoveredState {
+            committed_store: Some(hs1_ledger::KvStore::with_records(records)),
+            committed_log: log,
+            ..Default::default()
+        }
+    }
+
     /// State sync restores a second time over local recovery. The second
-    /// list overlaps the first, and by then `prune` may have taken the
+    /// log overlaps the first, and by then `prune` may have taken the
     /// overlap out of `committed_set`.
     #[test]
     fn restoring_twice_after_a_prune_appends_nothing_twice() {
-        let chain = |n: u64| -> Vec<BlockId> {
-            std::iter::once(Block::genesis_id()).chain((1..n).map(BlockId::test)).collect()
-        };
-        let image = |ids| crate::persist::RecoveredState {
-            committed_store: Some(hs1_ledger::KvStore::with_records(10)),
-            committed_ids: ids,
-            ..Default::default()
-        };
         let mut s = state();
-        s.restore(image(chain(100)));
+        s.restore(image(10, chain(100)));
         s.prune(10);
         assert!(!s.is_committed(BlockId::test(5)), "pruned with its (absent) body");
-        s.restore(image(chain(120)));
-        assert_eq!(s.committed, chain(120));
-        // A shorter list than what is held adds nothing.
-        s.restore(image(chain(50)));
-        assert_eq!(s.committed, chain(120));
+        s.restore(image(10, chain(120)));
+        assert_eq!(s.committed.diverge(&chain(120)), Ok(None));
+        assert_eq!(s.committed.len(), 120);
+        assert_eq!(s.committed.ids().count(), 10 + 20, "the window plus what was appended");
+        // A shorter log than what is held adds nothing.
+        s.restore(image(10, chain(50)));
+        assert_eq!((s.committed.len(), s.committed.hash()), (120, chain(120).hash()));
         assert!(s.is_committed(BlockId::test(119)));
+    }
+
+    /// A synced log that parts from the replica's own below its height
+    /// would join two histories: refused, store and log alike, and
+    /// counted. One that extends the replica's log is adopted.
+    #[test]
+    fn restore_refuses_a_log_that_does_not_extend_the_replicas_own() {
+        let (obs, rec) = Obs::recording(hs1_obs::Clock::manual());
+        let mut s = state();
+        s.set_observer(obs);
+        s.restore(image(10, chain(6)));
+        let (root, own) = (s.state_root(), s.committed.clone());
+
+        let mut forked = chain(3);
+        for t in 103..110 {
+            forked.push(BlockId::test(t));
+        }
+        assert_eq!((forked.len(), forked.diverge(&chain(10))), (10, Ok(Some(3))));
+        assert!(!s.restore(image(20, forked)), "refused");
+        assert_eq!(s.committed, own, "the replica keeps its own log");
+        assert_eq!(s.state_root(), root, "and its own state");
+        assert!(!s.is_committed(BlockId::test(103)));
+        let conflicts = || rec.lock().unwrap().snapshot().counter_total("restore_conflicts");
+        assert_eq!(conflicts(), 1);
+
+        assert!(s.restore(image(20, chain(10))));
+        assert_eq!((s.committed.len(), s.committed_head()), (10, BlockId::test(9)));
+        assert_eq!(s.state_root(), hs1_ledger::KvStore::with_records(20).state_root());
+        assert!(s.is_committed(BlockId::test(7)));
+        assert_eq!(conflicts(), 1, "an extension is no conflict");
+    }
+
+    /// A replica at genesis adopts a log whose window starts far above it
+    /// (every log hashes genesis alike), window and all.
+    #[test]
+    fn restore_at_genesis_adopts_a_trimmed_log_whole() {
+        let mut s = state();
+        let mut synced = chain(5000);
+        synced.trim(100);
+        s.restore(image(10, synced.clone()));
+        assert_eq!(s.committed, synced);
+        assert!(s.is_committed(BlockId::test(4999)) && s.is_committed(BlockId::test(4900)));
+        assert!(!s.is_committed(Block::genesis_id()), "genesis left the window");
+        assert_eq!(s.committed_set.len(), 100);
+    }
+
+    /// A replica restarted from a disk more than a window behind holds no
+    /// hash at its own height in the synced log, whose window starts above
+    /// that height. The log is adopted whole, as at genesis; the replica's
+    /// old window leaves. The same pair the other way round is a log
+    /// behind the replica's, refused without a conflict.
+    #[test]
+    fn restore_below_the_synced_window_adopts_the_log_whole() {
+        let (obs, rec) = Obs::recording(hs1_obs::Clock::manual());
+        let mut s = state();
+        s.set_observer(obs);
+        assert!(s.restore(image(10, chain(100))), "local recovery");
+        let mut synced = chain(100 + CommittedLog::WINDOW as u64 + 500);
+        synced.trim(CommittedLog::KEEP);
+        assert!(synced.start() > 100);
+        assert_eq!(s.committed.diverge(&synced), Err(99));
+
+        assert!(s.restore(image(20, synced.clone())));
+        assert_eq!(s.committed, synced);
+        assert_eq!(s.state_root(), hs1_ledger::KvStore::with_records(20).state_root());
+        assert!(!s.is_committed(BlockId::test(99)), "the old window left");
+        assert!(s.is_committed(synced.head()));
+        assert_eq!(s.committed_set.len(), CommittedLog::KEEP);
+
+        assert!(!s.restore(image(10, chain(100))), "behind");
+        assert_eq!(s.committed, synced);
+        let conflicts = rec.lock().unwrap().snapshot().counter_total("restore_conflicts");
+        assert_eq!(conflicts, 0);
     }
 
     #[test]
@@ -777,7 +903,7 @@ mod tests {
     /// map entry per block forever.
     #[test]
     fn digests_stay_bounded_over_ten_thousand_commits() {
-        const KEEP: usize = 2048;
+        const KEEP: usize = CommittedLog::KEEP;
         let mut s = state();
         let mut parent = Block::genesis_id();
         let mut out = Vec::new();
@@ -816,9 +942,57 @@ mod tests {
         assert!(s.blocks.len() <= KEEP + 64 + live_speculation);
         assert!(s.is_committed(parent), "the head is committed");
         assert!(!s.is_committed(tip.id()));
-        for id in &s.committed[s.pruned_upto..] {
-            assert!(s.has_block(*id) && s.is_committed(*id), "retained body, exact answer");
+        for id in s.committed.ids() {
+            assert!(s.has_block(id) && s.is_committed(id), "retained body, exact answer");
         }
-        assert_eq!(s.committed.len(), 10_000 + 1, "the id list stays complete (genesis first)");
+        assert_eq!(s.committed.len(), 10_000 + 1, "the length counts every commit (and genesis)");
+    }
+
+    /// The committed chain itself is the window too: a replica holds
+    /// `PRUNE_KEEP` ids plus what 64 views commit, a length and a running
+    /// hash, however long it runs, and so does a checkpoint of it (whose
+    /// store is one size here).
+    #[test]
+    fn the_committed_log_stays_bounded_over_a_hundred_thousand_commits() {
+        use hs1_types::codec::Encode;
+        const KEEP: usize = CommittedLog::KEEP;
+        let mut s = state();
+        let mut parent = Block::genesis_id();
+        let mut acc = hs1_crypto::sha256(&parent.0 .0);
+        let mut out = Vec::new();
+        let mut at_10k = 0;
+        for v in 1..=100_000u64 {
+            let justify = Certificate {
+                kind: CertKind::Quorum,
+                view: View(v - 1),
+                slot: Slot(u32::from(v > 1)),
+                block: parent,
+                sigs: vec![],
+            };
+            // Sixteen keys: the store stays one size, so only the log could
+            // make a later checkpoint larger.
+            let txs = vec![Transaction::kv_write(1, v, v % 16, v)];
+            let b = Arc::new(Block::new(ReplicaId(0), View(v), Slot(1), justify, txs));
+            parent = b.id();
+            acc = hs1_crypto::sha256(&[acc.0, parent.0 .0].concat());
+            s.insert_block(b.clone());
+            assert!(s.commit_chain(parent, &mut out).is_ok());
+            out.clear();
+            if v % 64 == 0 {
+                s.prune(KEEP);
+            }
+            let held = s.committed.ids().len();
+            assert!(held <= CommittedLog::WINDOW, "{held} ids held");
+            if v == 10_000 {
+                s.prune(KEEP);
+                at_10k = s.committed.encoded().len();
+            }
+        }
+        assert_eq!(s.committed.len(), 100_001);
+        assert_eq!(s.committed_head(), parent);
+        assert_eq!(s.committed.hash(), acc, "the running hash folds every id in commit order");
+        s.prune(KEEP);
+        let at_100k = s.committed.encoded().len();
+        assert!(at_100k.abs_diff(at_10k) <= 64, "log {at_10k} B at 10k, {at_100k} B at 100k");
     }
 }

@@ -48,7 +48,8 @@ use hs1_ledger::ExecConfig;
 use hs1_obs::{block_key, Obs, Stage};
 use hs1_types::message::{NewViewMsg, ProposeMsg, VoteInfo};
 use hs1_types::{
-    Block, BlockId, Certificate, Message, ReplicaId, SimTime, Slot, SystemConfig, View,
+    Block, BlockId, Certificate, CommittedLog, Message, ReplicaId, SimTime, Slot, SystemConfig,
+    View,
 };
 
 /// What a protocol adds to the driver. Hooks are associated functions over
@@ -354,7 +355,7 @@ impl<P: Protocol> Engine<P> {
             timer: Timer::ViewTimeout(d.view),
             at: d.pm.deadline(d.view, now),
         });
-        if d.view.0.is_multiple_of(64) {
+        if d.view.0.is_multiple_of(CommittedLog::PRUNE_EVERY) {
             d.pm.prune_below(d.view);
             d.core.prune(P::PRUNE_KEEP);
             let v = d.view.0;
@@ -738,11 +739,15 @@ impl<P: Protocol> Replica for Engine<P> {
     }
 
     fn committed_chain(&self) -> Vec<BlockId> {
-        self.d.core.committed.clone()
+        self.d.core.committed_log().ids().collect()
+    }
+
+    fn committed_log(&self) -> CommittedLog {
+        self.d.core.committed_log().clone()
     }
 
     fn committed_len(&self) -> usize {
-        self.d.core.committed.len()
+        self.d.core.committed_log().len()
     }
 
     fn set_observer(&mut self, obs: Obs) {
@@ -755,16 +760,20 @@ impl<P: Protocol> Replica for Engine<P> {
     }
 
     fn restore(&mut self, rs: RecoveredState) {
-        if rs.view > self.d.view {
-            self.d.view = rs.view;
-            self.p.raise_vote_floor(rs.view);
+        let (view, high_cert) = (rs.view, rs.high_cert.clone());
+        // A refused image's view and certificate are refused with it.
+        if !self.d.core.restore(rs) {
+            return;
         }
-        if let Some(cert) = &rs.high_cert {
+        if view > self.d.view {
+            self.d.view = view;
+            self.p.raise_vote_floor(view);
+        }
+        if let Some(cert) = high_cert {
             if cert.rank() > self.d.high_cert.rank() {
-                self.d.high_cert = cert.clone();
+                self.d.high_cert = cert;
             }
         }
-        self.d.core.restore(rs);
     }
 
     fn state_root(&self) -> hs1_crypto::Digest {

@@ -10,20 +10,22 @@ use std::collections::HashSet;
 
 use crate::replica::Replica;
 use hs1_crypto::Digest;
-use hs1_types::{BlockId, ReplicaId, View};
+use hs1_types::{BlockId, CommittedLog, ReplicaId, View};
 
 /// One replica's committed state as a runtime sees it.
 #[derive(Debug)]
 pub struct Committed {
     pub id: ReplicaId,
-    /// Committed block ids in commit order, genesis first.
-    pub chain: Vec<BlockId>,
+    /// The committed chain. A harness that records every commit passes a
+    /// log holding every height; a replica's own log holds its window.
+    pub log: CommittedLog,
     pub root: Digest,
 }
 
 impl Committed {
+    /// What `replica` holds itself: its windowed log.
     pub fn of(replica: &dyn Replica) -> Committed {
-        Committed { id: replica.id(), chain: replica.committed_chain(), root: replica.state_root() }
+        Committed { id: replica.id(), log: replica.committed_log(), root: replica.state_root() }
     }
 }
 
@@ -31,7 +33,9 @@ impl Committed {
 #[derive(Debug, Default)]
 pub struct Observation {
     pub replicas: Vec<Committed>,
-    /// Blocks the client took as final, with the view each was proposed in.
+    /// Blocks the client took as final, with the view each was proposed
+    /// in. Looked up among the ids the logs hold: a runtime that passes
+    /// finals passes logs that hold every height.
     pub finals: Vec<(BlockId, View)>,
     /// The highest view of any committed block.
     pub frontier: View,
@@ -43,26 +47,45 @@ pub struct Observation {
 ///   earliest listed replica holding that height committed; a replica
 ///   that committed another is reported once, at its lowest such height.
 ///   Any two disagreeing replicas leave at least one of them reported.
+///   Two logs are compared by their running hashes at the lower of their
+///   heights; for logs that hold every height the height named is exact,
+///   for windowed logs it is the lowest one both still hash. A replica
+///   whose window no longer reaches that height is reported too.
 /// * Equal committed chains imply equal state roots.
 /// * A final block on no committed chain once the frontier is more than
 ///   two views past it was orphaned after finality. Within two views it
 ///   is only commit-pending at the end of a run (Corollary B.10).
 pub fn check(obs: &Observation) -> Vec<String> {
     let mut out = Vec::new();
-    let mut reference: Vec<BlockId> = Vec::new();
+    let mut reference = CommittedLog::new();
     for r in &obs.replicas {
-        if r.chain.len() > reference.len() {
-            reference.extend_from_slice(&r.chain[reference.len()..]);
+        if r.log.len() <= reference.len() {
+            continue;
+        }
+        if r.log.start() <= reference.len() {
+            for id in r.log.ids_from(reference.len()) {
+                reference.push(id);
+            }
+        } else if r.log.diverge(&reference) == Ok(None) {
+            // The ids between the two heads are gone from `r`'s window,
+            // but its hash vouches for them: the reference becomes `r`.
+            reference = r.log.clone();
         }
     }
     for r in &obs.replicas {
-        if let Some(h) = r.chain.iter().zip(&reference).position(|(a, b)| a != b) {
-            out.push(format!("conflicting commits at height {h} (replica {} disagrees)", r.id.0));
+        match r.log.diverge(&reference) {
+            Ok(None) => {}
+            Ok(Some(h)) => out
+                .push(format!("conflicting commits at height {h} (replica {} disagrees)", r.id.0)),
+            Err(h) => out.push(format!(
+                "replica {} cannot be compared at height {h}: its log no longer holds it",
+                r.id.0
+            )),
         }
     }
     for (i, a) in obs.replicas.iter().enumerate() {
         for b in &obs.replicas[i + 1..] {
-            if a.chain == b.chain && a.root != b.root {
+            if same_chain(&a.log, &b.log) && a.root != b.root {
                 out.push(format!(
                     "replicas {} and {} share a committed chain but diverge in state root",
                     a.id.0, b.id.0
@@ -70,8 +93,7 @@ pub fn check(obs: &Observation) -> Vec<String> {
             }
         }
     }
-    let committed: HashSet<BlockId> =
-        obs.replicas.iter().flat_map(|r| r.chain.iter().copied()).collect();
+    let committed: HashSet<BlockId> = obs.replicas.iter().flat_map(|r| r.log.ids()).collect();
     for &(block, view) in &obs.finals {
         if !committed.contains(&block) && obs.frontier.0 > view.0 + 2 {
             out.push(format!(
@@ -83,24 +105,31 @@ pub fn check(obs: &Observation) -> Vec<String> {
     out
 }
 
+fn same_chain(a: &CommittedLog, b: &CommittedLog) -> bool {
+    a.len() == b.len() && a.hash() == b.hash()
+}
+
 /// Commits must survive a crash: `after` (recovered from the journal)
 /// extends or equals `before` (at the crash), and an equal chain replays
 /// to the same root. When the disk `rotted` in between, the rule is the
 /// weaker "fail-stop or clean prefix": CRC-detected corruption may
 /// truncate the chain, but what survives is comparable with the pre-crash
-/// chain, never a silent divergence.
+/// chain, never a silent divergence. The two logs are compared at the
+/// lower of their heights; a recovered log that cannot be compared there
+/// counts as diverged.
 pub fn check_recovery(before: &Committed, after: &Committed, rotted: bool) -> Option<String> {
-    let (i, pre, got) = (before.id.0, &before.chain, &after.chain);
-    let same_chain_other_root = got == pre && after.root != before.root;
+    let (i, pre, got) = (before.id.0, &before.log, &after.log);
+    let comparable = pre.diverge(got) == Ok(None);
+    let same_chain_other_root = same_chain(pre, got) && after.root != before.root;
     if rotted {
-        if !pre.starts_with(got) && !got.starts_with(pre) {
+        if !comparable {
             Some(format!("replica {i} bit-rot recovery silently diverged from its own history"))
         } else if same_chain_other_root {
             Some(format!("replica {i} bit-rot recovery diverged in state at equal chain"))
         } else {
             None
         }
-    } else if !got.starts_with(pre) {
+    } else if !comparable || got.len() < pre.len() {
         Some(format!("replica {i} recovery lost committed blocks ({} -> {})", pre.len(), got.len()))
     } else if same_chain_other_root {
         Some(format!("replica {i} recovery replay diverged from pre-crash state"))
@@ -114,9 +143,8 @@ mod tests {
     use super::*;
 
     fn replica(id: u32, blocks: &[u64], root: u8) -> Committed {
-        let chain =
-            std::iter::once(BlockId::test(0)).chain(blocks.iter().map(|&b| BlockId::test(b)));
-        Committed { id: ReplicaId(id), chain: chain.collect(), root: Digest([root; 32]) }
+        let log = CommittedLog::from_ids(blocks.iter().map(|&b| BlockId::test(b)));
+        Committed { id: ReplicaId(id), log, root: Digest([root; 32]) }
     }
 
     fn observe(replicas: Vec<Committed>) -> Observation {
@@ -144,6 +172,35 @@ mod tests {
                 // Height 5 is replica 1's, the first to commit there.
                 "conflicting commits at height 5 (replica 3 disagrees)",
             ]
+        );
+    }
+
+    /// Replicas hold windows of their logs: agreement is an equal hash at
+    /// the lower height, a fork is named at the lowest height both still
+    /// hash, and a window that no longer reaches the lower height is
+    /// reported rather than passed.
+    #[test]
+    fn windowed_logs_are_compared_at_the_lower_height() {
+        let windowed = |id, blocks: &[u64], keep| {
+            let mut r = replica(id, blocks, 0);
+            r.log.trim(keep);
+            r
+        };
+        let long: Vec<u64> = (1..=40).collect();
+        let mut fork = long[..30].to_vec();
+        fork.extend(70..80);
+        let obs = observe(vec![
+            windowed(0, &long[..35], 8),
+            windowed(1, &long, 8),
+            windowed(2, &long[..38], 4),
+        ]);
+        assert!(check(&obs).is_empty(), "{:?}", check(&obs));
+        let obs = observe(vec![windowed(0, &long, 8), windowed(1, &fork, 16)]);
+        assert_eq!(check(&obs), ["conflicting commits at height 32 (replica 1 disagrees)"]);
+        let obs = observe(vec![windowed(0, &long[..20], 4), windowed(1, &long, 8)]);
+        assert_eq!(
+            check(&obs),
+            ["replica 1 cannot be compared at height 20: its log no longer holds it"]
         );
     }
 

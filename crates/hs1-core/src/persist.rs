@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use hs1_ledger::KvStore;
 use hs1_obs::Obs;
-use hs1_types::{Block, BlockId, Certificate, View};
+use hs1_types::{Block, BlockId, Certificate, CommittedLog, View};
 
 /// Where a replica's durable events go. All methods are fire-and-forget
 /// from the engine's perspective; implementations own their error policy
@@ -52,9 +52,12 @@ pub trait Persistence: Send {
         false
     }
 
-    /// Snapshot the committed store and chain (called by the commit path
-    /// right after the commits that made [`Persistence::wants_checkpoint`]
-    /// true, with no speculation promoted in between).
+    /// Snapshot the committed store (called by the commit path right after
+    /// the commits that made [`Persistence::wants_checkpoint`] true, with
+    /// no speculation promoted in between). `chain` is the window of
+    /// committed ids the engine still holds, oldest first: a sink that
+    /// keeps its own [`hs1_types::CommittedLog`] from `on_commit` may
+    /// cross-check it and keep as many ids.
     fn write_checkpoint(&mut self, store: &KvStore, chain: &[BlockId]) {
         let _ = (store, chain);
     }
@@ -84,10 +87,10 @@ impl Persistence for NoopPersistence {
 /// handed to [`crate::Replica::restore`] before the engine starts.
 ///
 /// Restore order (enforced by `CoreState::restore`): install the
-/// checkpointed committed store, replay `decided` bodies in commit order
-/// (re-executing deterministically), then re-derive the speculative
-/// overlay stack from `speculated`. The engine itself adopts `view` /
-/// `high_cert` and refuses to vote at or below `view` again.
+/// checkpointed committed store with its log, replay `decided` bodies in
+/// commit order (re-executing deterministically), then re-derive the
+/// speculative overlay stack from `speculated`. The engine itself adopts
+/// `view` / `high_cert` and refuses to vote at or below `view` again.
 #[derive(Debug, Default)]
 pub struct RecoveredState {
     /// Highest view the replica had entered (genesis when never journaled).
@@ -96,9 +99,9 @@ pub struct RecoveredState {
     pub high_cert: Option<Certificate>,
     /// Committed base store from the newest valid checkpoint.
     pub committed_store: Option<KvStore>,
-    /// Committed chain ids covered by the checkpoint, in commit order,
-    /// genesis first.
-    pub committed_ids: Vec<BlockId>,
+    /// The committed chain `committed_store` is the state of (read only
+    /// with a store): its length, running hash and window of ids.
+    pub committed_log: CommittedLog,
     /// Decided block bodies journaled after the checkpoint, in commit
     /// order.
     pub decided: Vec<Arc<Block>>,

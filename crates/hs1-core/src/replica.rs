@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::persist::{Persistence, RecoveredState};
 use hs1_crypto::Digest;
-use hs1_types::{Block, Message, ReplicaId, ReplyKind, SimTime, View};
+use hs1_types::{Block, CommittedLog, Message, ReplicaId, ReplyKind, SimTime, View};
 
 /// Outputs of an engine step, interpreted by the harness (simulator or TCP
 /// runtime).
@@ -90,13 +90,27 @@ pub trait Replica: Send {
     /// Highest committed block id (invariant checking).
     fn committed_head(&self) -> hs1_types::BlockId;
 
-    /// Chain of committed block ids in commit order (invariant checking).
+    /// The committed ids the replica still holds, oldest first, ending at
+    /// the head: the window of its [`CommittedLog`], back to the prune
+    /// horizon (`PRUNE_KEEP` ids plus what up to 64 views committed since
+    /// the last prune). It reaches genesis only on a short run; the length
+    /// and the running hash over the whole chain are in
+    /// [`Replica::committed_log`].
     fn committed_chain(&self) -> Vec<hs1_types::BlockId>;
 
-    /// Length of the committed chain, genesis included. Engines override
-    /// the default, which copies the chain to count it.
+    /// The committed chain: length, running hash, and the window of ids.
+    /// Engines and wrappers override the default, which folds
+    /// `committed_chain()` onto genesis and so is right only while that
+    /// window still starts there.
+    fn committed_log(&self) -> CommittedLog {
+        CommittedLog::from_ids(self.committed_chain().into_iter().skip(1))
+    }
+
+    /// Length of the committed chain, genesis included. Engines and
+    /// wrappers override the default, which builds `committed_log()` to
+    /// count it.
     fn committed_len(&self) -> usize {
-        self.committed_chain().len()
+        self.committed_log().len()
     }
 
     /// Install an observability sink (see `hs1-obs`). Pure observer:

@@ -33,7 +33,9 @@ use hs1_obs::{block_key, Stage};
 use hs1_types::cert::CertKind;
 use hs1_types::ids::Rank;
 use hs1_types::message::{NewSlotMsg, NewViewMsg, ProposeMsg, RejectMsg, VoteInfo};
-use hs1_types::{Block, BlockId, Certificate, Message, ReplicaId, SimTime, Slot, View};
+use hs1_types::{
+    Block, BlockId, Certificate, CommittedLog, Message, ReplicaId, SimTime, Slot, View,
+};
 
 /// In which view a certificate was *formed* (for the trusted-leader fast
 /// path): a NewSlot certificate is formed in its own view; a NewView
@@ -222,7 +224,7 @@ fn safe_slot(
 
 impl Protocol for Slotted {
     type Tally = SlottedTally;
-    const PRUNE_KEEP: usize = 4096;
+    const PRUNE_KEEP: usize = 2 * CommittedLog::KEEP;
 
     fn new_tally(view: View) -> SlottedTally {
         SlottedTally {

@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use crate::invariants::{self, Committed, Observation};
 use crate::replica::{Action, Replica, Timer};
-use hs1_types::{Block, BlockId, Message, ReplicaId, ReplyKind, SimDuration, SimTime, View};
+use hs1_types::{
+    Block, BlockId, CommittedLog, Message, ReplicaId, ReplyKind, SimDuration, SimTime, View,
+};
 
 #[derive(Debug)]
 enum Ev {
@@ -45,11 +47,15 @@ pub struct TestNet {
     /// Messages sent so far by [`Message::kind_name`], one per recipient
     /// (a broadcast counts `n`), whether or not `drop` then took them.
     pub sent: BTreeMap<&'static str, u64>,
+    /// Each replica's committed chain as its `Action::Committed`s told it,
+    /// every height kept: harness memory, not the replica's.
+    committed: Vec<CommittedLog>,
 }
 
 impl TestNet {
     pub fn new(engines: Vec<Box<dyn Replica>>, hop: SimDuration) -> TestNet {
         TestNet {
+            committed: engines.iter().map(|e| e.committed_log()).collect(),
             engines,
             heap: BinaryHeap::new(),
             events: Vec::new(),
@@ -97,7 +103,10 @@ impl TestNet {
                 Action::Executed { block, kind, .. } => {
                     self.log.push(Obs::Executed { at: from, block, kind })
                 }
-                Action::Committed { block } => self.log.push(Obs::Committed { at: from, block }),
+                Action::Committed { block } => {
+                    self.committed[from.0 as usize].push(block.id());
+                    self.log.push(Obs::Committed { at: from, block })
+                }
                 Action::RolledBack { blocks } => {
                     self.log.push(Obs::RolledBack { at: from, blocks })
                 }
@@ -166,17 +175,26 @@ impl TestNet {
 
     /// Blocks committed at replica `r`, in order (excluding genesis).
     pub fn committed_at(&self, r: usize) -> Vec<BlockId> {
-        self.engines[r]
-            .committed_chain()
-            .into_iter()
-            .filter(|id| *id != Block::genesis_id())
-            .collect()
+        self.committed[r].ids().filter(|id| *id != Block::genesis_id()).collect()
+    }
+
+    /// Replica `r`'s committed chain as the harness recorded it: every
+    /// height, where the replica keeps a window.
+    pub fn committed_log(&self, r: usize) -> &CommittedLog {
+        &self.committed[r]
     }
 
     /// Assert the safety invariants ([`invariants::check`]) over the listed
-    /// replicas.
+    /// replicas, on the harness's records of their chains.
     pub fn assert_prefix_agreement(&self, replicas: &[usize]) {
-        let replicas = replicas.iter().map(|&r| Committed::of(&*self.engines[r])).collect();
+        let replicas = replicas
+            .iter()
+            .map(|&r| Committed {
+                id: ReplicaId(r as u32),
+                log: self.committed[r].clone(),
+                root: self.engines[r].state_root(),
+            })
+            .collect();
         let violations = invariants::check(&Observation { replicas, ..Observation::default() });
         assert!(violations.is_empty(), "safety violated: {violations:?}");
     }

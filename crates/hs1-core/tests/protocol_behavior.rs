@@ -5,7 +5,9 @@ use hs1_core::byzantine::Fault;
 use hs1_core::testkit::{Obs, TestNet};
 use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
-use hs1_types::{ProtocolKind, ReplicaId, ReplyKind, SimDuration, SystemConfig, Transaction};
+use hs1_types::{
+    CommittedLog, ProtocolKind, ReplicaId, ReplyKind, SimDuration, SystemConfig, Transaction,
+};
 
 fn cfg(n: usize) -> SystemConfig {
     let mut c = SystemConfig::new(n);
@@ -39,6 +41,33 @@ fn txs(n: u64) -> Vec<Transaction> {
 
 fn committed_counts(net: &TestNet, n: usize) -> Vec<usize> {
     (0..n).map(|r| net.committed_at(r).len()).collect()
+}
+
+/// Run four wrapped HotStuff-1 engines through more commits than a
+/// replica's window holds, then hold each wrapper's `committed_len` and
+/// `committed_log` to the harness's record of its commits. A wrapper that
+/// left them to the trait's defaults would report its window instead.
+fn assert_wrappers_report_the_whole_chain(engines: Vec<Box<dyn Replica>>) {
+    let mut net = TestNet::new(engines, SimDuration::from_micros(200));
+    net.inject(&txs(4 * (CommittedLog::WINDOW as u64 + 200)));
+    net.init();
+    net.run_for(SimDuration::from_millis(1_200));
+    net.assert_prefix_agreement(&[0, 1, 2, 3]);
+    for (r, e) in net.engines.iter().enumerate() {
+        let record = net.committed_log(r);
+        assert!(
+            record.len() > CommittedLog::WINDOW + 64,
+            "replica {r} committed {} blocks",
+            record.len()
+        );
+        assert!(e.committed_chain().len() <= CommittedLog::WINDOW, "replica {r} holds its window");
+        assert_eq!(e.committed_len(), record.len(), "replica {r}");
+        let log = e.committed_log();
+        assert_eq!(
+            (log.len(), log.hash(), log.head()),
+            (record.len(), record.hash(), record.head())
+        );
+    }
 }
 
 // -- liveness for every protocol ------------------------------------------------
@@ -579,6 +608,42 @@ fn unsolicited_fetch_resp_is_dropped() {
     }
 }
 
+/// A synced image whose log parts from the replica's below its head is
+/// refused whole: the engine keeps its store and log, and takes neither
+/// the image's view nor its certificate.
+#[test]
+fn a_refused_image_moves_neither_the_view_nor_the_state() {
+    use hs1_core::persist::RecoveredState;
+    use hs1_ledger::KvStore;
+    use hs1_types::{BlockId, View};
+
+    let image = |log: CommittedLog, records: u64, view: u64| RecoveredState {
+        view: View(view),
+        committed_store: Some(KvStore::with_records(records)),
+        committed_log: log,
+        ..Default::default()
+    };
+    let mut engine = build_replica(
+        ProtocolKind::HotStuff1,
+        cfg(4),
+        ReplicaId(0),
+        Fault::Honest,
+        ExecConfig::default(),
+    );
+    let own = CommittedLog::from_ids((1..6).map(BlockId::test));
+    engine.restore(image(own.clone(), 10, 5));
+    assert_eq!(engine.current_view(), View(5));
+    let root = engine.state_root();
+
+    let mut forked = CommittedLog::from_ids((1..3).map(BlockId::test));
+    for t in 100..110 {
+        forked.push(BlockId::test(t));
+    }
+    engine.restore(image(forked, 20, 50));
+    assert_eq!(engine.current_view(), View(5), "the refused image's view");
+    assert_eq!((engine.committed_log(), engine.state_root()), (own, root));
+}
+
 // -- share verification ---------------------------------------------------------
 
 /// One Byzantine backup (within the ≤ f model) sends a garbage vote share
@@ -702,7 +767,7 @@ mod verify_once {
     use hs1_core::replica::{Action, Timer};
     use hs1_crypto::KeyPair;
     use hs1_obs::{Clock, Observer, TraceEvent};
-    use hs1_types::{BlockId, CertKind, Certificate, Message, SimTime, Slot, View};
+    use hs1_types::{BlockId, CertKind, Certificate, CommittedLog, Message, SimTime, Slot, View};
     use std::sync::{Arc, Mutex};
 
     const N: usize = 4;
@@ -785,6 +850,12 @@ mod verify_once {
         fn committed_chain(&self) -> Vec<BlockId> {
             self.inner.committed_chain()
         }
+        fn committed_log(&self) -> CommittedLog {
+            self.inner.committed_log()
+        }
+        fn committed_len(&self) -> usize {
+            self.inner.committed_len()
+        }
         fn set_persistence(&mut self, persist: Box<dyn Persistence>) {
             self.inner.set_persistence(persist);
         }
@@ -796,16 +867,9 @@ mod verify_once {
         }
     }
 
-    /// Fault-free HotStuff-1 at n = 4: a backup verifies the justify of
-    /// each view's proposal, once; a leader verifies nothing for the
-    /// certificate its tally formed, neither when forming it nor when its
-    /// own proposal brings it back; NewViews, which carry certificates
-    /// already seen, cost nothing.
-    #[test]
-    fn hotstuff1_verifies_each_certificate_once_per_replica() {
-        let verified = Verified::default();
-        let steps = Arc::new(Mutex::new(Vec::new()));
-        let engines = (0..N)
+    /// Counted HotStuff-1 engines at n = 4.
+    fn counted(verified: &Verified, steps: &Arc<Mutex<Vec<Step>>>) -> Vec<Box<dyn Replica>> {
+        (0..N)
             .map(|i| {
                 let me = ReplicaId(i as u32);
                 let kind = ProtocolKind::HotStuff1;
@@ -815,8 +879,25 @@ mod verify_once {
                 let steps = steps.clone();
                 Box::new(Counted { inner, verified: verified.clone(), steps }) as Box<dyn Replica>
             })
-            .collect();
-        let mut net = TestNet::new(engines, SimDuration::from_micros(200));
+            .collect()
+    }
+
+    #[test]
+    fn counted_engines_report_the_whole_committed_chain() {
+        let steps = Arc::new(Mutex::new(Vec::new()));
+        assert_wrappers_report_the_whole_chain(counted(&Verified::default(), &steps));
+    }
+
+    /// Fault-free HotStuff-1 at n = 4: a backup verifies the justify of
+    /// each view's proposal, once; a leader verifies nothing for the
+    /// certificate its tally formed, neither when forming it nor when its
+    /// own proposal brings it back; NewViews, which carry certificates
+    /// already seen, cost nothing.
+    #[test]
+    fn hotstuff1_verifies_each_certificate_once_per_replica() {
+        let verified = Verified::default();
+        let steps = Arc::new(Mutex::new(Vec::new()));
+        let mut net = TestNet::new(counted(&verified, &steps), SimDuration::from_micros(200));
         net.inject(&txs(256));
         net.init();
         net.run_for(SimDuration::from_millis(40));
@@ -1381,7 +1462,7 @@ mod idle_leader {
     use super::*;
     use hs1_core::persist::{Persistence, RecoveredState};
     use hs1_core::replica::{Action, Timer};
-    use hs1_types::{BlockId, Message, SimTime, View};
+    use hs1_types::{BlockId, CommittedLog, Message, SimTime, View};
     use std::collections::BTreeSet;
     use std::sync::{Arc, Mutex};
 
@@ -1451,6 +1532,12 @@ mod idle_leader {
         fn committed_chain(&self) -> Vec<BlockId> {
             self.inner.committed_chain()
         }
+        fn committed_log(&self) -> CommittedLog {
+            self.inner.committed_log()
+        }
+        fn committed_len(&self) -> usize {
+            self.inner.committed_len()
+        }
         fn set_persistence(&mut self, persist: Box<dyn Persistence>) {
             self.inner.set_persistence(persist);
         }
@@ -1462,10 +1549,13 @@ mod idle_leader {
         }
     }
 
-    /// An unloaded, initialized cluster of spied engines.
-    fn spied(kind: ProtocolKind, faults: &[(usize, Fault)]) -> (TestNet, Steps) {
-        let steps = Steps::default();
-        let engines = (0..N)
+    /// Spied engines of `kind` at n = 4, with `faults`.
+    fn spies(
+        kind: ProtocolKind,
+        faults: &[(usize, Fault)],
+        steps: &Steps,
+    ) -> Vec<Box<dyn Replica>> {
+        (0..N)
             .map(|i| {
                 let fault =
                     faults.iter().find(|(r, _)| *r == i).map_or(Fault::Honest, |(_, f)| f.clone());
@@ -1473,10 +1563,21 @@ mod idle_leader {
                     build_replica(kind, cfg(N), ReplicaId(i as u32), fault, ExecConfig::default());
                 Box::new(Spy { inner, steps: steps.clone() }) as Box<dyn Replica>
             })
-            .collect();
-        let mut net = TestNet::new(engines, SimDuration::from_micros(200));
+            .collect()
+    }
+
+    /// An unloaded, initialized cluster of spied engines.
+    fn spied(kind: ProtocolKind, faults: &[(usize, Fault)]) -> (TestNet, Steps) {
+        let steps = Steps::default();
+        let mut net = TestNet::new(spies(kind, faults, &steps), SimDuration::from_micros(200));
         net.init();
         (net, steps)
+    }
+
+    #[test]
+    fn spied_engines_report_the_whole_committed_chain() {
+        let steps = Steps::default();
+        assert_wrappers_report_the_whole_chain(spies(ProtocolKind::HotStuff1, &[], &steps));
     }
 
     fn views(net: &TestNet) -> Vec<u64> {

@@ -503,21 +503,22 @@ impl NodeRunner {
         if client.phase() == SyncPhase::Done {
             if let Some(synced) = client.take_synced() {
                 let store = synced.image.restore_store();
-                storage.install_snapshot(
-                    &store,
-                    &synced.image.chain,
-                    synced.view,
-                    Some(synced.high_cert.clone()),
-                );
+                let log = synced.image.log;
                 self.engine.restore(RecoveredState {
                     view: synced.view,
-                    high_cert: Some(synced.high_cert),
-                    committed_store: Some(store),
-                    committed_ids: synced.image.chain,
+                    high_cert: Some(synced.high_cert.clone()),
+                    committed_store: Some(store.clone()),
+                    committed_log: log.clone(),
                     decided: Vec::new(),
                     speculated: Vec::new(),
                 });
-                self.synced_via_snapshot = true;
+                // The engine refuses an image whose log does not extend its
+                // own; then the disk keeps its own history too.
+                let head = (self.engine.committed_len(), self.engine.committed_head());
+                if head == (log.len(), log.head()) {
+                    storage.install_snapshot(&store, &log, synced.view, Some(synced.high_cert));
+                    self.synced_via_snapshot = true;
+                }
             }
         }
     }

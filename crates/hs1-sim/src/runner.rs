@@ -21,8 +21,8 @@ use hs1_core::replica::{Action, Replica, Timer};
 use hs1_obs::{block_key, Obs, Stage};
 use hs1_storage::{ReplicaStorage, StorageConfig};
 use hs1_types::{
-    Block, BlockId, ClientId, Message, ProtocolKind, ReplicaId, ReplyKind, SimDuration, SimTime,
-    SplitMix64, Transaction, View,
+    Block, BlockId, ClientId, CommittedLog, Message, ProtocolKind, ReplicaId, ReplyKind,
+    SimDuration, SimTime, SplitMix64, Transaction, View,
 };
 use hs1_workloads::Workload;
 
@@ -96,10 +96,11 @@ pub struct ChaosRuntime {
 }
 
 /// Post-crash placeholder: keeps the dead replica's last committed chain
-/// and state root visible to the invariant and recovery checks.
+/// (the runner's record of it) and state root visible to the invariant and
+/// recovery checks.
 struct Downed {
     id: ReplicaId,
-    chain: Vec<BlockId>,
+    log: CommittedLog,
     root: hs1_crypto::Digest,
     view: View,
 }
@@ -116,10 +117,13 @@ impl Replica for Downed {
         self.view
     }
     fn committed_head(&self) -> BlockId {
-        *self.chain.last().expect("genesis always committed")
+        self.log.head()
     }
     fn committed_chain(&self) -> Vec<BlockId> {
-        self.chain.clone()
+        self.log.ids().collect()
+    }
+    fn committed_log(&self) -> CommittedLog {
+        self.log.clone()
     }
     fn set_persistence(&mut self, _p: Box<dyn hs1_core::Persistence>) {}
     fn restore(&mut self, _rs: RecoveredState) {}
@@ -168,6 +172,11 @@ pub struct RunStats {
 
 pub struct SimRunner {
     engines: Vec<Box<dyn Replica>>,
+    /// Each replica's committed chain as its engine's steps committed it,
+    /// every height kept: harness memory, where a replica keeps a window.
+    /// The fingerprint, the oracles, the restart gap and the modeled
+    /// snapshot read these.
+    logs: Vec<CommittedLog>,
     net: NetModel,
     cost: CostModel,
     quorum: usize,
@@ -255,6 +264,7 @@ impl SimRunner {
         SimRunner {
             quorum: n - f,
             oracle: ClientOracle::new(n, f, protocol),
+            logs: engines.iter().map(|e| e.committed_log()).collect(),
             engines,
             net,
             cost,
@@ -432,6 +442,7 @@ impl SimRunner {
         for i in 0..self.n() {
             let mut out = Vec::new();
             self.engines[i].on_init(self.now, &mut out);
+            self.record_commits(i, &out);
             self.absorb(ReplicaId(i as u32), out);
         }
         let drain_until = self.window_end + SimDuration::from_millis(250);
@@ -473,6 +484,7 @@ impl SimRunner {
                 }
                 let mut out = Vec::new();
                 self.engines[i].on_message(from, msg, self.now, &mut out);
+                self.record_commits(i, &out);
                 self.absorb(to, out);
             }
             Ev::Timer { at, timer, inc } => {
@@ -482,6 +494,7 @@ impl SimRunner {
                 }
                 let mut out = Vec::new();
                 self.engines[i].on_timer(timer, self.now, &mut out);
+                self.record_commits(i, &out);
                 self.absorb(at, out);
             }
             Ev::Submit { tx } => self.on_submit(tx),
@@ -505,6 +518,7 @@ impl SimRunner {
                 self.nic_free[i] = self.now;
                 let mut out = Vec::new();
                 self.engines[i].on_init(self.now, &mut out);
+                self.record_commits(i, &out);
                 self.absorb(replica, out);
                 self.liveness_mark = Some((self.now, self.stats.committed_blocks));
             }
@@ -530,6 +544,9 @@ impl SimRunner {
             let before = self.engines[i].pool_stats();
             let mut out = Vec::new();
             self.engines[i].on_message(me, msg, self.now, &mut out);
+            // Recorded now: a crash may still drop these actions before
+            // they leave, but the engine has committed.
+            self.record_commits(i, &out);
             let after = self.engines[i].pool_stats();
             refused &= after.refused > before.refused;
             deduped &= after.deduped > before.deduped;
@@ -693,12 +710,12 @@ impl SimRunner {
         self.crashed[i] = true;
         self.incarnation[i] += 1;
         self.stats.chaos.crashes += 1;
-        let chain = self.engines[i].committed_chain();
+        let log = self.logs[i].clone();
         let root = self.engines[i].state_root();
         let view = self.engines[i].current_view();
         // Dropping the old engine closes its journal handles, like a
         // process exit would.
-        self.engines[i] = Box::new(Downed { id: ReplicaId(i as u32), chain, root, view });
+        self.engines[i] = Box::new(Downed { id: ReplicaId(i as u32), log, root, view });
     }
 
     /// Bring replica `i` back through the real `hs1-storage` recovery
@@ -742,18 +759,19 @@ impl SimRunner {
         let own = Committed::of(&*engine);
         let at_crash = Committed::of(&*self.engines[i]);
         self.stats.invariant_violations.extend(invariants::check_recovery(&at_crash, &own, rotted));
+        resync(&mut self.logs[i], &own.log);
+        let own_len = self.logs[i].len();
 
         // Gap to the live cluster, measured against the longest committed
         // chain of any up replica.
         let peer = (0..self.n())
             .filter(|&p| p != i && !self.crashed[p])
-            .map(|p| self.engines[p].committed_chain())
-            .max_by_key(|c| c.len())
-            .unwrap_or_default();
-        let gap = peer.len().saturating_sub(own.chain.len()) as u64;
+            .max_by_key(|&p| self.logs[p].len());
+        let peer_len = peer.map_or(0, |p| self.logs[p].len());
+        let gap = peer_len.saturating_sub(own_len) as u64;
 
         let mut model = rt.catchup.clone();
-        model.chain_len = peer.len() as u64;
+        model.chain_len = peer_len as u64;
         // Materialized state grows with commit history (writes upper-bound
         // the distinct keys an image must carry).
         model.state_entries = model.chain_len * model.txs_per_block;
@@ -779,8 +797,9 @@ impl SimRunner {
             // transfer time before the replica rejoins. Blocks the
             // cluster commits *during* the transfer are the model's
             // residual; the live fetch path replays them organically.
+            let peer = peer.expect("a gap means a longer peer");
             let suffix: Option<Vec<Arc<Block>>> =
-                peer[own.chain.len()..].iter().map(|id| self.bodies.get(id).cloned()).collect();
+                self.logs[peer].ids_from(own_len).map(|id| self.bodies.get(&id).cloned()).collect();
             if let Some(suffix) = suffix {
                 let peer_view = (0..self.n())
                     .filter(|&p| p != i && !self.crashed[p])
@@ -792,12 +811,17 @@ impl SimRunner {
                     decided: suffix.clone(),
                     ..Default::default()
                 });
+                let log = engine.committed_log();
                 // Mirror `ReplicaStorage::install_snapshot`: the adopted
                 // suffix must be journaled before going live, or the next
-                // recovery replays new commits onto a pre-sync base.
-                for b in &suffix {
+                // recovery replays new commits onto a pre-sync base. Only
+                // what the engine adopted: blocks of a suffix that does not
+                // extend its chain are journaled if they commit live.
+                let adopted: HashSet<BlockId> = log.ids_from(own_len).collect();
+                for b in suffix.iter().filter(|b| adopted.contains(&b.id())) {
                     storage.on_commit(b);
                 }
+                resync(&mut self.logs[i], &log);
                 storage.on_view(peer_view);
                 storage.sync();
                 delay = model.snapshot_time();
@@ -975,8 +999,12 @@ impl SimRunner {
         self.stats.mean_latency_ms = self.hist.mean_ms();
         self.stats.p50_latency_ms = self.hist.quantile_ms(0.5);
         self.stats.p99_latency_ms = self.hist.quantile_ms(0.99);
+        // The harness's records of the chains, with each engine's root.
+        let replicas = self.engines.iter().zip(&self.logs);
         let obs = Observation {
-            replicas: self.engines.iter().map(|e| Committed::of(&**e)).collect(),
+            replicas: replicas
+                .map(|(e, log)| Committed { id: e.id(), log: log.clone(), root: e.state_root() })
+                .collect(),
             finals: std::mem::take(&mut self.finals),
             frontier: self.frontier,
         };
@@ -1011,6 +1039,25 @@ impl SimRunner {
     }
 }
 
+/// Bring the harness's record of a restarted replica to what its engine
+/// now holds: the record up to the engine's head, then whatever the engine
+/// committed past it. A restart that parted from the replica's own history
+/// (`check_recovery` reports it) starts the record over from the engine's
+/// window.
+fn resync(record: &mut CommittedLog, engine: &CommittedLog) {
+    match record.diverge(engine) {
+        Ok(None) if engine.len() <= record.len() && engine.len() > record.start() => {
+            record.truncate(engine.len())
+        }
+        Ok(None) if engine.len() > record.len() && engine.start() <= record.len() => {
+            for id in engine.ids_from(record.len()) {
+                record.push(id);
+            }
+        }
+        _ => *record = engine.clone(),
+    }
+}
+
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
@@ -1026,8 +1073,8 @@ impl SimRunner {
     /// guarantee the chaos sweep prints seeds for.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for e in &self.engines {
-            for id in e.committed_chain() {
+        for (e, log) in self.engines.iter().zip(&self.logs) {
+            for id in log.ids() {
                 h = fnv1a(h, &id.0 .0);
             }
             h = fnv1a(h, &e.state_root().0);
@@ -1057,7 +1104,17 @@ impl SimRunner {
 
     /// Per-replica committed-chain lengths (debug/inspection).
     pub fn committed_lengths(&self) -> Vec<usize> {
-        self.engines.iter().map(|e| e.committed_chain().len()).collect()
+        self.logs.iter().map(CommittedLog::len).collect()
+    }
+
+    /// A step of replica `i`'s engine produced `out`: record what it
+    /// committed.
+    fn record_commits(&mut self, i: usize, out: &[Action]) {
+        for a in out {
+            if let Action::Committed { block } = a {
+                self.logs[i].push(block.id());
+            }
+        }
     }
     /// Per-replica current views (debug/inspection).
     pub fn current_views(&self) -> Vec<u64> {

@@ -27,7 +27,11 @@ pub struct CatchupModel {
     pub block_bytes: usize,
     /// Materialized KV entries in the snapshot image.
     pub state_entries: u64,
-    /// Committed chain ids shipped inside the image (32 bytes each).
+    /// Committed chain length, priced at 32 bytes per id in the image.
+    /// A real image ships only a window of the log, at most 64 ids past
+    /// `PRUNE_KEEP` at 64 bytes each, so this over-prices long chains; it
+    /// is kept because the pinned chaos runs decide snapshot against
+    /// replay with it.
     pub chain_len: u64,
     /// Snapshot chunk size (each chunk costs one sequential round trip).
     pub chunk_bytes: u64,

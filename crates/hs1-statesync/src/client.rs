@@ -379,15 +379,16 @@ impl SyncClient {
     }
 
     /// All chunks in: decode, recompute the root, cross-check the agreed
-    /// identity, and derive the re-entry position from verified
-    /// certificates only.
+    /// identity (root, record count, and the decoded log's length and head
+    /// against the manifest's `chain_len` and `chain_head`), and derive
+    /// the re-entry position from verified certificates only.
     fn finish(&mut self, now: Instant, out: &mut Vec<(ReplicaId, Message)>) {
         let dl = self.download.take().expect("download in progress");
         let m = &dl.manifest;
         let verified = SnapshotImage::decode_payload(&dl.buf).ok().filter(|img| {
             img.state_root == m.state_root
-                && img.chain.len() as u64 == m.chain_len
-                && img.chain.last() == Some(&m.chain_head)
+                && img.log.len() as u64 == m.chain_len
+                && img.log.head() == m.chain_head
                 && img.record_count == m.record_count
         });
         let Some(image) = verified else {
@@ -425,7 +426,7 @@ mod tests {
     use hs1_ledger::KvStore;
     use hs1_storage::testutil::TempDir;
     use hs1_storage::Checkpoint;
-    use hs1_types::{Block, BlockId};
+    use hs1_types::{BlockId, CommittedLog};
 
     const CHUNK: u32 = 64;
 
@@ -438,15 +439,15 @@ mod tests {
     }
 
     /// The shared "cluster state" every honest server checkpoints: 30
-    /// committed blocks, 50 materialized keys.
-    fn cluster_checkpoint() -> (KvStore, Vec<BlockId>) {
+    /// committed blocks (the newest 12 ids held), 50 materialized keys.
+    fn cluster_checkpoint() -> (KvStore, CommittedLog) {
         let mut store = KvStore::with_records(200);
         for k in 0..50u64 {
             store.put(k, k * 11 + 3);
         }
-        let chain: Vec<BlockId> =
-            std::iter::once(Block::genesis_id()).chain((1..30).map(BlockId::test)).collect();
-        (store, chain)
+        let mut log = CommittedLog::from_ids((1..30).map(BlockId::test));
+        log.trim(12);
+        (store, log)
     }
 
     /// Build an honest serving replica: its own dir, the shared
@@ -454,8 +455,8 @@ mod tests {
     /// checkpoints are in a real cluster).
     fn honest_server(tag: &str) -> (TempDir, SnapshotServer) {
         let tmp = TempDir::new(tag);
-        let (store, chain) = cluster_checkpoint();
-        Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &chain)
+        let (store, log) = cluster_checkpoint();
+        Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &log)
             .write(tmp.path())
             .expect("write checkpoint");
         let server = SnapshotServer::new(tmp.path()).with_chunk_bytes(CHUNK);
@@ -506,9 +507,9 @@ mod tests {
 
         assert_eq!(client.phase(), SyncPhase::Done);
         let synced = client.take_synced().expect("image");
-        let (store, chain) = cluster_checkpoint();
+        let (store, log) = cluster_checkpoint();
         assert_eq!(synced.image.restore_store().state_root(), store.state_root());
-        assert_eq!(synced.image.chain, chain);
+        assert_eq!(synced.image.log, log);
         assert!(client.stats.agreement_peers >= 2, "f+1 = 2 manifests agreed");
         assert_eq!(client.stats.rotations, 0);
         assert!(client.stats.chunks_received > 1, "multi-chunk download");
@@ -588,8 +589,8 @@ mod tests {
         // advertised one. (Reaching this in practice needs ≥ f+1
         // colluders — outside the fault model — or a CRC collision; the
         // client still refuses to install.)
-        let (store, chain) = cluster_checkpoint();
-        let image = SnapshotImage::capture(&store, &chain);
+        let (store, log) = cluster_checkpoint();
+        let image = SnapshotImage::capture(&store, &log);
         let mut tampered = image.clone();
         tampered.entries[3].1 ^= 0xFF;
         let payload = tampered.payload();
@@ -626,6 +627,42 @@ mod tests {
         assert_eq!(client.phase(), SyncPhase::Failed, "both lying peers exhausted");
         assert_eq!(client.stats.root_rejections, 2);
         assert!(client.take_synced().is_none(), "nothing installable survived");
+    }
+
+    /// An image whose state is the agreed one but whose log is not the
+    /// manifest's (another length, another head) is not installed.
+    #[test]
+    fn image_log_must_match_the_manifests_chain() {
+        let (store, log) = cluster_checkpoint();
+        let mut longer = log.clone();
+        longer.push(BlockId::test(30));
+        let mut other_head = CommittedLog::from_ids((1..29).map(BlockId::test));
+        other_head.push(BlockId::test(77));
+        for wrong in [longer, other_head] {
+            let image = SnapshotImage::capture(&store, &wrong);
+            let payload = image.payload();
+            let mut manifest = image.manifest(&payload, CHUNK, View(30), Certificate::genesis());
+            let honest = SnapshotImage::capture(&store, &log);
+            (manifest.chain_len, manifest.chain_head) =
+                (honest.log.len() as u64, honest.log.head());
+
+            let mut client = SyncClient::new(sync_cfg(8), vec![ReplicaId(0), ReplicaId(1)], 1);
+            let now = Instant::now();
+            let mut out = Vec::new();
+            for peer in [ReplicaId(0), ReplicaId(1)] {
+                let m = Message::SnapshotManifest(manifest.clone());
+                client.on_message(peer, &m, now, &mut out);
+            }
+            assert_eq!(client.phase(), SyncPhase::Downloading);
+            for _ in 0..manifest.chunk_count() * 2 + 2 {
+                let Some((to, Message::SnapshotChunkReq(req))) = out.pop() else { break };
+                let chunk = SnapshotImage::chunk(&payload, req.state_root, CHUNK, req.index)
+                    .expect("chunk");
+                client.on_message(to, &Message::SnapshotChunk(chunk), now, &mut out);
+            }
+            assert_eq!(client.phase(), SyncPhase::Failed, "{:?}", wrong.len());
+            assert_eq!(client.stats.root_rejections, 2);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! An image is the state-identity slice of a durable
 //! [`hs1_storage::Checkpoint`] — the materialized KV entries, the logical
-//! record count, and the committed chain ids — *excluding* the serving
+//! record count, and the committed log — *excluding* the serving
 //! peer's consensus position (view / certificate), so that any two honest
 //! peers whose checkpoints cover the same chain position produce
 //! **byte-identical payloads**. That determinism is what the `f + 1`
@@ -12,8 +12,17 @@
 //! Payload layout (the `hs1-types` codec, like everything on the wire):
 //!
 //! ```text
-//! [u64 record_count][Vec<(u64,u64)> entries, key-sorted][Vec<BlockId> chain]
+//! [u64 record_count][Vec<(u64,u64)> entries, key-sorted]
+//! [CommittedLog: u64 len][Digest base][Vec<(BlockId, Digest)> window]
 //! ```
+//!
+//! The log is the chain's length, its running hash just below the window,
+//! and the window's ids each with the hash after it: O(window), so an
+//! image is O(state), however long the chain. The window is the newest
+//! `CommittedLog::KEEP` ids (the whole chain while it is shorter): set by
+//! the chain's height alone, so honest peers' payloads agree whenever
+//! their engines last pruned. A log that is empty, whose window is longer
+//! than it, or whose hashes do not chain from its base does not decode.
 //!
 //! The payload is split into fixed-size chunks; the manifest carries one
 //! CRC32 per chunk (the integrity index) plus the image's `state_root`,
@@ -26,7 +35,7 @@ use hs1_storage::crc32::crc32;
 use hs1_storage::Checkpoint;
 use hs1_types::codec::{Decode, Encode, Reader};
 use hs1_types::message::{SnapshotChunkMsg, SnapshotManifestMsg};
-use hs1_types::{Block, BlockId, Certificate, View};
+use hs1_types::{Certificate, CommittedLog, View};
 
 use crate::SyncError;
 
@@ -43,8 +52,8 @@ pub struct SnapshotImage {
     /// Materialized writes, sorted by key (canonical ordering — required
     /// for byte-identical payloads across peers).
     pub entries: Vec<(u64, u64)>,
-    /// Committed chain ids in commit order, genesis first.
-    pub chain: Vec<BlockId>,
+    /// The committed chain the store is the state of.
+    pub log: CommittedLog,
     /// `state_root()` of the store the image describes. For decoded
     /// images this is *recomputed from the entries*, never read from the
     /// wire.
@@ -52,15 +61,15 @@ pub struct SnapshotImage {
 }
 
 impl SnapshotImage {
-    /// Snapshot a live store + chain (tests and benches; the serving path
+    /// Snapshot a live store + log (tests and benches; the serving path
     /// uses [`SnapshotImage::from_checkpoint`]).
-    pub fn capture(store: &KvStore, chain: &[BlockId]) -> SnapshotImage {
+    pub fn capture(store: &KvStore, log: &CommittedLog) -> SnapshotImage {
         let mut entries: Vec<(u64, u64)> = store.materialized().collect();
         entries.sort_unstable();
         SnapshotImage {
             record_count: store.record_count(),
             entries,
-            chain: chain.to_vec(),
+            log: log.clone(),
             state_root: store.state_root(),
         }
     }
@@ -71,7 +80,7 @@ impl SnapshotImage {
         SnapshotImage {
             record_count: ckpt.record_count,
             entries: ckpt.entries.clone(),
-            chain: ckpt.chain.clone(),
+            log: ckpt.log.clone(),
             state_root: ckpt.state_root,
         }
     }
@@ -83,10 +92,10 @@ impl SnapshotImage {
 
     /// Canonical payload bytes (deterministic across honest peers).
     pub fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.entries.len() * 16 + self.chain.len() * 32);
+        let mut out = Vec::with_capacity(64 + self.entries.len() * 16 + self.log.ids().len() * 64);
         self.record_count.encode(&mut out);
         self.entries.encode(&mut out);
-        self.chain.encode(&mut out);
+        self.log.encode(&mut out);
         out
     }
 
@@ -97,18 +106,15 @@ impl SnapshotImage {
         let mut r = Reader::new(bytes);
         let record_count = u64::decode(&mut r)?;
         let entries = Vec::<(u64, u64)>::decode(&mut r)?;
-        let chain = Vec::<BlockId>::decode(&mut r)?;
+        let log = CommittedLog::decode(&mut r)?;
         if r.remaining() != 0 {
             return Err(SyncError::Malformed("trailing bytes after image"));
         }
         if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
             return Err(SyncError::Malformed("entries not strictly key-sorted"));
         }
-        if chain.first() != Some(&Block::genesis_id()) {
-            return Err(SyncError::Malformed("chain does not start at genesis"));
-        }
         let state_root = KvStore::from_parts(record_count, entries.iter().copied()).state_root();
-        Ok(SnapshotImage { record_count, entries, chain, state_root })
+        Ok(SnapshotImage { record_count, entries, log, state_root })
     }
 
     /// Build the manifest describing `payload` (the encoding of `self`)
@@ -123,8 +129,8 @@ impl SnapshotImage {
     ) -> SnapshotManifestMsg {
         assert!(chunk_bytes > 0, "chunk size must be positive");
         SnapshotManifestMsg {
-            chain_len: self.chain.len() as u64,
-            chain_head: *self.chain.last().expect("chain contains genesis"),
+            chain_len: self.log.len() as u64,
+            chain_head: self.log.head(),
             state_root: self.state_root,
             record_count: self.record_count,
             total_bytes: payload.len() as u64,
@@ -154,15 +160,22 @@ impl SnapshotImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hs1_types::codec::CodecError;
+    use hs1_types::BlockId;
+
+    /// Genesis, then `BlockId::test(1..n)`, the newest `keep` ids held.
+    fn log(n: u64, keep: usize) -> CommittedLog {
+        let mut log = CommittedLog::from_ids((1..n).map(BlockId::test));
+        log.trim(keep);
+        log
+    }
 
     fn sample_image() -> SnapshotImage {
         let mut store = KvStore::with_records(1000);
         for k in 0..200u64 {
             store.put(k * 3, k * k + 1);
         }
-        let chain: Vec<BlockId> =
-            std::iter::once(Block::genesis_id()).chain((1..40).map(BlockId::test)).collect();
-        SnapshotImage::capture(&store, &chain)
+        SnapshotImage::capture(&store, &log(40, 16))
     }
 
     #[test]
@@ -185,10 +198,10 @@ mod tests {
         a.put(2, 20);
         b.put(2, 20);
         b.put(1, 10);
-        let chain = vec![Block::genesis_id(), BlockId::test(1)];
+        let log = log(2, 8);
         assert_eq!(
-            SnapshotImage::capture(&a, &chain).payload(),
-            SnapshotImage::capture(&b, &chain).payload()
+            SnapshotImage::capture(&a, &log).payload(),
+            SnapshotImage::capture(&b, &log).payload()
         );
     }
 
@@ -196,9 +209,9 @@ mod tests {
     fn from_checkpoint_matches_direct_capture() {
         let mut store = KvStore::with_records(50);
         store.put(7, 700);
-        let chain = vec![Block::genesis_id(), BlockId::test(1)];
-        let ckpt = Checkpoint::capture(9, View(3), None, &store, &chain);
-        assert_eq!(SnapshotImage::from_checkpoint(&ckpt), SnapshotImage::capture(&store, &chain));
+        let log = log(30, 8);
+        let ckpt = Checkpoint::capture(9, View(3), None, &store, &log);
+        assert_eq!(SnapshotImage::from_checkpoint(&ckpt), SnapshotImage::capture(&store, &log));
     }
 
     #[test]
@@ -231,16 +244,37 @@ mod tests {
             Err(SyncError::Malformed("entries not strictly key-sorted"))
         );
 
-        // Chain not anchored at genesis.
+        // Hostile logs. The log follows the key-sorted entries; its
+        // header is the length, the base hash and the window's length.
+        let payload = img.payload();
+        let log_at = 16 + 16 * img.entries.len();
+        let window = img.log.ids().len() as u64;
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut p = payload.clone();
+            p[at..at + bytes.len()].copy_from_slice(bytes);
+            SnapshotImage::decode_payload(&p)
+        };
+        let inconsistent = |context| Err(SyncError::Codec(CodecError::Inconsistent { context }));
+        // Empty.
+        assert_eq!(patched(log_at, &0u64.to_be_bytes()), inconsistent("CommittedLog.len"));
+        // A window longer than the log.
+        let short = (window - 1).to_be_bytes();
+        assert_eq!(patched(log_at, &short), inconsistent("CommittedLog.window"));
+        // Hashes that do not chain: from the base, between entries, or
+        // from genesis for a window that starts there.
+        let hashes = inconsistent("CommittedLog.hashes");
+        assert_eq!(patched(log_at + 8, &[0xAB; 4]), hashes);
+        assert_eq!(patched(log_at + 48 + 5 * 64 + 40, &[0xAB; 4]), hashes);
+        assert_eq!(patched(log_at + 48 + 5 * 64, &[0xAB; 4]), hashes, "an id swapped");
         let mut anchorless = img.clone();
-        anchorless.chain[0] = BlockId::test(999);
-        assert_eq!(
-            SnapshotImage::decode_payload(&anchorless.payload()),
-            Err(SyncError::Malformed("chain does not start at genesis"))
-        );
+        anchorless.log = log(3, 8);
+        let anchorless = anchorless.payload();
+        let mut forged = anchorless.clone();
+        forged[log_at + 48] ^= 1; // genesis's id
+        assert_eq!(SnapshotImage::decode_payload(&forged), hashes);
+        assert!(SnapshotImage::decode_payload(&anchorless).is_ok());
 
         // Truncation and trailing garbage fail cleanly.
-        let payload = img.payload();
         assert!(SnapshotImage::decode_payload(&payload[..payload.len() - 1]).is_err());
         let mut trailing = payload.clone();
         trailing.push(0);

@@ -128,13 +128,13 @@ mod tests {
     use hs1_storage::crc32::crc32;
     use hs1_storage::testutil::TempDir;
     use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg};
-    use hs1_types::{Block, BlockId, View};
+    use hs1_types::{BlockId, CommittedLog, View};
 
     fn write_checkpoint(dir: &std::path::Path, seq: u64, tag: u64) -> Checkpoint {
         let mut store = KvStore::with_records(100);
         store.put(1, tag);
-        let chain = vec![Block::genesis_id(), BlockId::test(tag)];
-        let ckpt = Checkpoint::capture(seq, View(seq), None, &store, &chain);
+        let log = CommittedLog::from_ids([BlockId::test(tag)]);
+        let ckpt = Checkpoint::capture(seq, View(seq), None, &store, &log);
         ckpt.write(dir).expect("write checkpoint");
         ckpt
     }
@@ -214,6 +214,78 @@ mod tests {
         let Some(Message::SnapshotManifest(m2)) = server.handle(&req) else { panic!() };
         assert_ne!(m1.state_root, m2.state_root, "newer checkpoint served");
         assert_eq!(m2.view, View(9));
+    }
+
+    /// Two honest replicas at one height serve one image, whenever their
+    /// engines last pruned: the second engine skips a prune (a view jump
+    /// past the boundary), and its replica restarts from its own disk on
+    /// the way.
+    #[test]
+    fn replicas_at_one_height_serve_one_image() {
+        use hs1_core::persist::Persistence;
+        use hs1_storage::{ReplicaStorage, StorageConfig, SyncPolicy};
+        use hs1_types::{Block, CertKind, ReplicaId, Slot, Transaction};
+        use std::sync::Arc;
+
+        let cfg = StorageConfig {
+            segment_bytes: 1 << 20,
+            sync: SyncPolicy::Never,
+            checkpoint_every: 500,
+        };
+        let dirs = [TempDir::new("snapserver-peer-a"), TempDir::new("snapserver-peer-b")];
+        let open = |d: &TempDir| ReplicaStorage::open(d.path(), cfg).expect("open");
+        let mut storages = vec![open(&dirs[0]).1, open(&dirs[1]).1];
+        let mut engines = [CommittedLog::new(), CommittedLog::new()];
+        let mut store = KvStore::with_records(100);
+        let mut parent = Block::genesis();
+        for v in 1..=3000u64 {
+            let justify = Certificate {
+                kind: CertKind::Quorum,
+                view: parent.view,
+                slot: if parent.is_genesis() { Slot::GENESIS } else { Slot(1) },
+                block: parent.id(),
+                sigs: vec![],
+            };
+            let txs = vec![Transaction::kv_write(1, v, v % 50, v)];
+            let b = Arc::new(Block::new(ReplicaId(0), View(v), Slot(1), justify, txs));
+            store.put(v % 50, v);
+            for (r, (storage, engine)) in storages.iter_mut().zip(&mut engines).enumerate() {
+                storage.on_commit(&b);
+                engine.push(b.id());
+                let skipped = r == 1 && v == 2944;
+                if v.is_multiple_of(CommittedLog::PRUNE_EVERY) && !skipped {
+                    engine.trim(CommittedLog::KEEP);
+                }
+                if storage.wants_checkpoint() {
+                    storage.write_checkpoint(&store, &engine.ids().collect::<Vec<_>>());
+                }
+            }
+            parent = b;
+            if v == 2500 {
+                storages.pop();
+                let (state, storage) = open(&dirs[1]);
+                storages.push(storage);
+                engines[1] = state.committed_log;
+            }
+        }
+        assert_ne!(engines[0].ids().len(), engines[1].ids().len(), "windows of two lengths");
+
+        let req = Message::SnapshotReq(SnapshotReqMsg { have_chain_len: 1 });
+        let manifests: Vec<_> = dirs
+            .iter()
+            .map(|d| match SnapshotServer::new(d.path()).handle(&req) {
+                Some(Message::SnapshotManifest(m)) => m,
+                other => panic!("expected a manifest, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(manifests[0].chain_len, 3001);
+        assert_eq!(manifests[0].state_key(), manifests[1].state_key());
+        let [a, b] = dirs.map(|d| Checkpoint::load_latest(d.path()).unwrap().expect("checkpoint"));
+        assert_eq!(a.log.ids().len(), CommittedLog::KEEP);
+        assert_eq!(
+            SnapshotImage::from_checkpoint(&a).payload(),
+            SnapshotImage::from_checkpoint(&b).payload()
+        );
     }
 
     #[test]

@@ -1,12 +1,23 @@
 //! Ledger checkpoints: a serialized [`KvStore`] image plus the committed
-//! chain and consensus position, letting recovery skip journal replay of
+//! log and consensus position, letting recovery skip journal replay of
 //! everything behind it (and the journal truncate its old segments).
 //!
 //! File layout: `ckpt-<journal_seq>.ckpt` containing
 //!
 //! ```text
-//! [8-byte magic][u32 len][u32 crc32(payload)][payload]
+//! [8-byte magic "HS1CKPT2"][u32 len][u32 crc32(payload)][payload]
+//! payload = [u64 journal_seq][u64 view][Option<Certificate> high_cert]
+//!           [u64 record_count][Vec<(u64,u64)> entries, key-sorted]
+//!           [CommittedLog: u64 len][Digest base][Vec<(BlockId, Digest)> window]
+//!           [Digest state_root]
 //! ```
+//!
+//! The log is O(window), not O(history): the chain's length, its running
+//! hash just below the window, and the window's ids, each with the hash
+//! after it. A replica's storage writes its newest `CommittedLog::KEEP`
+//! ids, so the window depends on the chain's height alone. A file whose
+//! log does not decode (empty, a window longer than the log, hashes that
+//! do not chain) is corrupt. No reader of the older magic is kept.
 //!
 //! Writes go through a temp file + rename so a crash mid-checkpoint
 //! leaves either the old checkpoint or the new one, never a half file;
@@ -21,10 +32,10 @@ use crate::StorageError;
 use hs1_crypto::Digest;
 use hs1_ledger::KvStore;
 use hs1_types::codec::{CodecError, Decode, Encode, Reader};
-use hs1_types::{BlockId, Certificate, View};
+use hs1_types::{Certificate, CommittedLog, View};
 
 /// Magic bytes opening every checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HS1CKPT1";
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HS1CKPT2";
 
 /// A durable snapshot of a replica's committed state.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -40,21 +51,21 @@ pub struct Checkpoint {
     pub record_count: u64,
     /// Materialized writes, sorted by key (deterministic encoding).
     pub entries: Vec<(u64, u64)>,
-    /// Committed chain ids in commit order (genesis first).
-    pub chain: Vec<BlockId>,
+    /// The committed chain the store is the state of.
+    pub log: CommittedLog,
     /// `state_root()` of the committed store (integrity cross-check).
     pub state_root: Digest,
 }
 
 impl Checkpoint {
-    /// Snapshot `store` + `chain` at consensus position (`view`,
+    /// Snapshot `store` + `log` at consensus position (`view`,
     /// `high_cert`), covering the journal through `journal_seq`.
     pub fn capture(
         journal_seq: u64,
         view: View,
         high_cert: Option<Certificate>,
         store: &KvStore,
-        chain: &[BlockId],
+        log: &CommittedLog,
     ) -> Checkpoint {
         let mut entries: Vec<(u64, u64)> = store.materialized().collect();
         entries.sort_unstable();
@@ -64,7 +75,7 @@ impl Checkpoint {
             high_cert,
             record_count: store.record_count(),
             entries,
-            chain: chain.to_vec(),
+            log: log.clone(),
             state_root: store.state_root(),
         }
     }
@@ -81,7 +92,7 @@ impl Checkpoint {
         self.high_cert.encode(&mut out);
         self.record_count.encode(&mut out);
         self.entries.encode(&mut out);
-        self.chain.encode(&mut out);
+        self.log.encode(&mut out);
         self.state_root.encode(&mut out);
         out
     }
@@ -94,7 +105,7 @@ impl Checkpoint {
             high_cert: Option::decode(&mut r)?,
             record_count: u64::decode(&mut r)?,
             entries: Vec::decode(&mut r)?,
-            chain: Vec::decode(&mut r)?,
+            log: CommittedLog::decode(&mut r)?,
             state_root: Digest::decode(&mut r)?,
         };
         if r.remaining() != 0 {
@@ -215,13 +226,9 @@ mod tests {
         let mut store = KvStore::with_records(100);
         store.put(7, 700);
         store.put(3, 42);
-        Checkpoint::capture(
-            journal_seq,
-            View(9),
-            Some(Certificate::genesis()),
-            &store,
-            &[BlockId::test(0), BlockId::test(1)],
-        )
+        let mut log = CommittedLog::from_ids((1..40).map(hs1_types::BlockId::test));
+        log.trim(8);
+        Checkpoint::capture(journal_seq, View(9), Some(Certificate::genesis()), &store, &log)
     }
 
     #[test]
@@ -264,6 +271,43 @@ mod tests {
         // load_latest falls back to the older, valid one.
         let latest = Checkpoint::load_latest(tmp.path()).unwrap().unwrap();
         assert_eq!(latest.journal_seq, 10);
+    }
+
+    /// A file whose CRC is right but whose log is hostile: empty, a window
+    /// longer than the log, or hashes that do not chain from the base.
+    #[test]
+    fn hostile_logs_are_rejected_on_read() {
+        let tmp = TempDir::new("ckpt-hostile");
+        let ckpt = sample(5);
+        let payload = ckpt.encode_payload();
+        // The log is followed only by the 32-byte state root.
+        let log_at = payload.len() - 32 - ckpt.log.encoded().len();
+        let window_len = ckpt.log.ids().len() as u64;
+        let patch = |at: usize, bytes: &[u8]| {
+            let mut p = payload.clone();
+            p[at..at + bytes.len()].copy_from_slice(bytes);
+            p
+        };
+        for (what, bad) in [
+            ("empty", patch(log_at, &0u64.to_be_bytes())),
+            ("window past the length", patch(log_at, &(window_len - 1).to_be_bytes())),
+            ("base that does not chain", patch(log_at + 8, &[0xAB; 4])),
+            ("entry hash that does not chain", patch(log_at + 48 + 3 * 64 + 40, &[0xAB; 4])),
+        ] {
+            let mut bytes = CHECKPOINT_MAGIC.to_vec();
+            bytes.extend_from_slice(&(bad.len() as u32).to_be_bytes());
+            bytes.extend_from_slice(&crc32(&bad).to_be_bytes());
+            bytes.extend_from_slice(&bad);
+            let path = tmp.path().join("ckpt-000000000005.ckpt");
+            fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(
+                    Checkpoint::read(&path),
+                    Err(StorageError::Corrupt { detail: "undecodable checkpoint", .. })
+                ),
+                "{what}"
+            );
+        }
     }
 
     #[test]

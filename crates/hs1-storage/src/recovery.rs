@@ -8,7 +8,7 @@
 //! * `Decided(b)` promotes `b` out of the speculative stack if it is the
 //!   oldest overlay, discards the whole stack otherwise (mirroring
 //!   `ExecutionEngine::execute_committed`), and appends `b` to the decided
-//!   chain.
+//!   chain and to the storage's own committed log.
 //! * `SpecMark` / `SpecRollback` push and pop the overlay stack.
 //! * `Cert` / `ViewChange` advance monotonically by rank / view.
 //!
@@ -25,7 +25,7 @@ use crate::journal::{Journal, JournalConfig};
 use crate::record::JournalRecord;
 use crate::StorageError;
 use hs1_core::persist::RecoveredState;
-use hs1_types::Block;
+use hs1_types::{Block, CommittedLog};
 
 /// Diagnostics from one recovery pass.
 #[derive(Debug, Default, Clone)]
@@ -51,6 +51,9 @@ pub struct Recovered {
     pub journal: Journal,
     pub state: RecoveredState,
     pub info: RecoveryInfo,
+    /// The committed log as the disk has it: the checkpoint's, extended by
+    /// every journaled decision after it.
+    pub log: CommittedLog,
 }
 
 /// Run recovery over `dir`: load the newest valid checkpoint, then
@@ -90,9 +93,10 @@ pub fn recover(dir: &Path, cfg: JournalConfig) -> Result<Recovered, StorageError
         state.view = ckpt.view;
         state.high_cert = ckpt.high_cert.clone();
         state.committed_store = Some(ckpt.restore_store());
-        state.committed_ids = ckpt.chain.clone();
-        info.decided_blocks = ckpt.chain.len().saturating_sub(1) as u64; // genesis
+        state.committed_log = ckpt.log.clone();
+        info.decided_blocks = ckpt.log.len() as u64 - 1; // genesis
     }
+    let mut log = state.committed_log.clone();
     let skip_upto = checkpoint.as_ref().map(|c| c.journal_seq);
 
     let mut spec: Vec<Arc<Block>> = Vec::new();
@@ -121,6 +125,7 @@ pub fn recover(dir: &Path, cfg: JournalConfig) -> Result<Recovered, StorageError
                 } else {
                     spec.clear();
                 }
+                log.push(b.id());
                 state.decided.push(b);
                 info.decided_blocks += 1;
             }
@@ -148,7 +153,7 @@ pub fn recover(dir: &Path, cfg: JournalConfig) -> Result<Recovered, StorageError
     info.speculated_blocks = spec.len() as u64;
     state.speculated = spec;
 
-    Ok(Recovered { journal, state, info })
+    Ok(Recovered { journal, state, info, log })
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use crate::StorageError;
 use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_ledger::KvStore;
 use hs1_obs::Obs;
-use hs1_types::{Block, BlockId, Certificate, View};
+use hs1_types::{Block, BlockId, Certificate, CommittedLog, View};
 
 /// Tuning for a replica's durable storage.
 #[derive(Clone, Copy, Debug)]
@@ -61,6 +61,10 @@ pub struct ReplicaStorage {
     view: View,
     /// Highest journaled certificate (goes into checkpoints).
     high_cert: Option<Certificate>,
+    /// The committed chain as journaled (goes into checkpoints): built by
+    /// recovery, advanced by `on_commit`, replaced by `install_snapshot`,
+    /// and trimmed at each checkpoint to [`CommittedLog::KEEP`] ids.
+    log: CommittedLog,
     /// Checkpoint attempts that failed (journal kept intact).
     pub checkpoint_failures: u64,
     /// Segment-prune attempts that failed after a successful checkpoint
@@ -97,6 +101,7 @@ impl ReplicaStorage {
             last_seq: next.checked_sub(1),
             view: recovered.state.view,
             high_cert: recovered.state.high_cert.clone(),
+            log: recovered.log,
             checkpoint_failures: 0,
             prune_failures: 0,
             checkpoints_written: 0,
@@ -132,7 +137,7 @@ impl ReplicaStorage {
     pub fn install_snapshot(
         &mut self,
         store: &KvStore,
-        chain: &[BlockId],
+        log: &CommittedLog,
         view: View,
         high_cert: Option<Certificate>,
     ) {
@@ -140,7 +145,8 @@ impl ReplicaStorage {
         if let Some(cert) = high_cert {
             self.on_cert(&cert);
         }
-        self.write_checkpoint(store, chain);
+        self.log = log.clone();
+        self.checkpoint(store);
     }
 
     /// Total fsyncs issued by the journal (metric).
@@ -189,6 +195,44 @@ impl ReplicaStorage {
         }
         self.note_journal();
     }
+
+    /// Checkpoint `store` with the journaled log, trimmed to its newest
+    /// [`CommittedLog::KEEP`] ids. The window depends on the chain's height
+    /// alone, so two honest replicas at one height write the same log, and
+    /// the snapshot images they serve agree byte for byte.
+    fn checkpoint(&mut self, store: &KvStore) {
+        // The checkpoint claims coverage of everything journaled so far;
+        // that claim must not outrun the journal's own durability.
+        self.sync_journal();
+        let Some(journal_seq) = self.last_seq else { return };
+        self.log.trim(CommittedLog::KEEP);
+        let ckpt =
+            Checkpoint::capture(journal_seq, self.view, self.high_cert.clone(), store, &self.log);
+        let mark = JournalRecord::CheckpointMark {
+            chain_len: self.log.len() as u64,
+            state_root: ckpt.state_root,
+        };
+        match ckpt.write(&self.dir) {
+            Ok(_) => {
+                self.append(mark);
+                let _ = self.journal.sync();
+                if self.journal.prune_upto(journal_seq).is_err() {
+                    // Pruning is an optimization; a failure only costs
+                    // disk (the checkpoint itself succeeded).
+                    self.prune_failures += 1;
+                }
+                self.checkpoints_written += 1;
+                self.commits_since_checkpoint = 0;
+                self.obs.counter("checkpoints_written", 0, 1);
+            }
+            Err(_) => {
+                // Journal remains complete; recovery just replays more.
+                self.checkpoint_failures += 1;
+                self.obs.counter("checkpoint_failures", 0, 1);
+            }
+        }
+        self.note_journal();
+    }
 }
 
 impl Persistence for ReplicaStorage {
@@ -201,6 +245,7 @@ impl Persistence for ReplicaStorage {
 
     fn on_commit(&mut self, block: &Arc<Block>) {
         self.append(JournalRecord::Decided(block.clone()));
+        self.log.push(block.id());
         self.commits_since_checkpoint += 1;
     }
 
@@ -244,37 +289,15 @@ impl Persistence for ReplicaStorage {
         self.checkpoint_every > 0 && self.commits_since_checkpoint >= self.checkpoint_every
     }
 
+    /// The engine's window `chain` is only checked, in debug builds,
+    /// against the tail of the journaled log.
     fn write_checkpoint(&mut self, store: &KvStore, chain: &[BlockId]) {
-        // The checkpoint claims coverage of everything journaled so far;
-        // that claim must not outrun the journal's own durability.
-        self.sync_journal();
-        let Some(journal_seq) = self.last_seq else { return };
-        let ckpt =
-            Checkpoint::capture(journal_seq, self.view, self.high_cert.clone(), store, chain);
-        let mark = JournalRecord::CheckpointMark {
-            chain_len: chain.len() as u64,
-            state_root: ckpt.state_root,
-        };
-        match ckpt.write(&self.dir) {
-            Ok(_) => {
-                self.append(mark);
-                let _ = self.journal.sync();
-                if self.journal.prune_upto(journal_seq).is_err() {
-                    // Pruning is an optimization; a failure only costs
-                    // disk (the checkpoint itself succeeded).
-                    self.prune_failures += 1;
-                }
-                self.checkpoints_written += 1;
-                self.commits_since_checkpoint = 0;
-                self.obs.counter("checkpoints_written", 0, 1);
-            }
-            Err(_) => {
-                // Journal remains complete; recovery just replays more.
-                self.checkpoint_failures += 1;
-                self.obs.counter("checkpoint_failures", 0, 1);
-            }
-        }
-        self.note_journal();
+        debug_assert!(
+            chain.iter().rev().zip(self.log.ids().rev()).all(|(a, b)| *a == b),
+            "the engine's window {chain:?} is not the tail of the journaled log {:?}",
+            self.log
+        );
+        self.checkpoint(store);
     }
 
     fn sync(&mut self) {
@@ -285,6 +308,7 @@ impl Persistence for ReplicaStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::checkpoint_files;
     use crate::testutil::TempDir;
     use hs1_types::{ReplicaId, Slot, Transaction};
 
@@ -335,7 +359,8 @@ mod tests {
         // 2 replayed as decided bodies.
         let (state, storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
         assert!(state.committed_store.is_some());
-        assert_eq!(state.committed_ids.len(), 9, "genesis + 8 checkpointed blocks");
+        assert_eq!(state.committed_log.len(), 9, "genesis + 8 checkpointed blocks");
+        assert_eq!(state.committed_log.ids().collect::<Vec<_>>(), chain[..9]);
         assert_eq!(state.decided.len(), 2);
         assert_eq!(state.view, View(10));
         assert!(storage.recovery_info.checkpoint_seq.is_some());
@@ -354,13 +379,14 @@ mod tests {
         let mut store = KvStore::with_records(10);
         store.put(1, 100);
         store.put(2, 200);
-        let chain = vec![Block::genesis_id(), BlockId::test(1), BlockId::test(2)];
+        let mut log = CommittedLog::from_ids((1..40).map(BlockId::test));
+        log.trim(3);
         let root = store.state_root();
 
         {
             let (state, mut storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
             assert!(state.is_empty(), "fresh dir");
-            storage.install_snapshot(&store, &chain, View(7), Some(Certificate::genesis()));
+            storage.install_snapshot(&store, &log, View(7), Some(Certificate::genesis()));
             assert_eq!(storage.checkpoints_written, 1);
             // Storage stays usable for live journaling afterwards.
             storage.on_view(View(8));
@@ -369,9 +395,54 @@ mod tests {
         let (state, storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
         assert!(storage.recovery_info.checkpoint_seq.is_some());
         assert_eq!(state.view, View(8));
-        assert_eq!(state.committed_ids, chain);
+        assert_eq!(state.committed_log, log);
         assert_eq!(state.committed_store.expect("installed store").state_root(), root);
         assert!(state.decided.is_empty());
+    }
+
+    /// The storage keeps its own log: a checkpoint holds its newest
+    /// `CommittedLog::KEEP` ids, however long the journal, so with a store
+    /// of one size a checkpoint file is one size at every height. Recovery
+    /// extends the log by the decisions journaled after the checkpoint.
+    #[test]
+    fn checkpoints_keep_a_fixed_window_of_the_log() {
+        let tmp = TempDir::new("rs-window");
+        let cfg = StorageConfig {
+            segment_bytes: 1 << 20,
+            sync: SyncPolicy::Never,
+            checkpoint_every: 2500,
+        };
+        let (_, mut storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+        let store = KvStore::with_records(10);
+        // The engine's window, as it prunes every 64 views.
+        let mut engine = CommittedLog::new();
+        let mut parent = hs1_types::Block::genesis();
+        let mut sizes = Vec::new();
+        for i in 1..=10_100u64 {
+            let b = chain_block(i, &parent, i);
+            storage.on_commit(&b);
+            engine.push(b.id());
+            if i.is_multiple_of(CommittedLog::PRUNE_EVERY) {
+                engine.trim(CommittedLog::KEEP);
+            }
+            parent = b;
+            if storage.wants_checkpoint() {
+                let window: Vec<BlockId> = engine.ids().collect();
+                storage.write_checkpoint(&store, &window);
+                let (_, newest) = checkpoint_files(tmp.path()).unwrap().pop().unwrap();
+                sizes.push(std::fs::metadata(newest).unwrap().len());
+            }
+        }
+        assert_eq!(sizes.len(), 4, "checkpoints at 2,500 to 10,000 commits: {sizes:?}");
+        assert!(sizes.iter().all(|&s| s == sizes[0]), "{sizes:?}");
+        let ckpt = storage.latest_checkpoint().unwrap().expect("a checkpoint at 10,000 commits");
+        assert_eq!((ckpt.log.len(), ckpt.log.ids().len()), (10_001, CommittedLog::KEEP));
+        drop(storage);
+        let (state, storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+        assert_eq!(state.committed_log, ckpt.log);
+        assert_eq!(state.decided.len(), 100);
+        assert_eq!(storage.log.len(), 10_101);
+        assert_eq!(storage.log.hash(), engine.hash());
     }
 
     #[test]

@@ -21,7 +21,8 @@ use hs1_storage::{
     recover, JournalConfig, JournalRecord, ReplicaStorage, StorageConfig, SyncPolicy,
 };
 use hs1_types::{
-    Block, Certificate, ProtocolKind, ReplicaId, SimDuration, Slot, SystemConfig, Transaction, View,
+    Block, Certificate, CommittedLog, ProtocolKind, ReplicaId, SimDuration, Slot, SystemConfig,
+    Transaction, View,
 };
 
 fn cfg(n: usize) -> SystemConfig {
@@ -48,11 +49,11 @@ fn txs(n: u64) -> Vec<Transaction> {
 
 /// Run a 4-replica HotStuff-1 cluster with replica 0 journal-backed,
 /// long enough for every injected transaction to commit everywhere.
-/// Returns (pre-crash chain of r0, pre-crash root of r0, root of live r1).
+/// Returns (pre-crash log of r0, pre-crash root of r0, root of live r1).
 fn run_durable_cluster(
     dir: &Path,
     storage_cfg: StorageConfig,
-) -> (Vec<hs1_types::BlockId>, hs1_crypto::Digest, hs1_crypto::Digest) {
+) -> (CommittedLog, hs1_crypto::Digest, hs1_crypto::Digest) {
     let c = cfg(4);
     let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i)).collect();
     let (state, storage) = ReplicaStorage::open(dir, storage_cfg).expect("open storage");
@@ -65,7 +66,8 @@ fn run_durable_cluster(
     net.run_for(SimDuration::from_millis(200));
     net.assert_prefix_agreement(&[0, 1, 2, 3]);
 
-    let chain = net.engines[0].committed_chain();
+    let chain = net.committed_log(0).clone();
+    assert_eq!(net.engines[0].committed_log(), chain, "a short run holds every height");
     let root0 = net.engines[0].state_root();
     let root1 = net.engines[1].state_root();
     assert!(chain.len() > 20, "cluster made progress: {} blocks", chain.len());
@@ -94,7 +96,7 @@ fn journal_replay_converges_with_never_crashed_replica() {
 
     let (engine, storage) = recovered_engine(tmp.path(), storage_cfg);
     assert!(storage.recovery_info.checkpoint_seq.is_none());
-    assert_eq!(engine.committed_chain(), chain, "decided chain replayed exactly");
+    assert_eq!(engine.committed_log(), chain, "decided chain replayed exactly");
     assert_eq!(engine.state_root(), root0, "replay reproduces the pre-crash root");
     assert_eq!(engine.state_root(), root1, "…which equals a never-crashed replica's root");
     assert!(engine.current_view() >= View(1));
@@ -117,7 +119,7 @@ fn checkpoint_then_replay_converges_with_never_crashed_replica() {
         storage.recovery_info
     );
     assert!(storage.recovery_info.skipped_records > 0, "checkpoint skipped journal prefix replay");
-    assert_eq!(engine.committed_chain(), chain);
+    assert_eq!(engine.committed_log(), chain);
     assert_eq!(
         engine.state_root(),
         root1,
@@ -141,7 +143,7 @@ fn speculated_but_undecided_suffix_recovers_as_speculation() {
 
     // Append a speculation mark with no matching Decided record: the
     // crash happened right after speculative execution.
-    let head = *chain.last().unwrap();
+    let head = chain.head();
     let spec_block = Arc::new(Block::new(
         ReplicaId(1),
         View(100_000),
@@ -162,7 +164,7 @@ fn speculated_but_undecided_suffix_recovers_as_speculation() {
 
     let (engine, storage) = recovered_engine(tmp.path(), storage_cfg);
     assert_eq!(storage.recovery_info.speculated_blocks, baseline + 1);
-    assert_eq!(engine.committed_chain(), chain, "speculated block is NOT in the committed chain");
+    assert_eq!(engine.committed_log(), chain, "speculated block is NOT in the committed chain");
     assert_eq!(engine.state_root(), root0, "speculation left the committed state root untouched");
 }
 

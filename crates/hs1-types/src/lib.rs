@@ -7,6 +7,8 @@
 //! * [`cert`] — certificates (quorums of signature shares) and timeout
 //!   certificates; ordering and extension relations
 //! * [`block`] — blocks, block ids, the hard-coded genesis
+//! * [`committed`] — [`CommittedLog`], the committed chain as a replica
+//!   keeps it: length, running hash, and a window of recent ids
 //! * [`message`] — the complete wire message set of all five protocols
 //! * [`codec`] — hand-rolled binary wire format ([`codec::Encode`] /
 //!   [`codec::Decode`]), property-tested for roundtripping
@@ -17,6 +19,7 @@
 pub mod block;
 pub mod cert;
 pub mod codec;
+pub mod committed;
 pub mod config;
 pub mod ids;
 pub mod message;
@@ -27,6 +30,7 @@ pub mod tx;
 pub use block::{Block, BlockId};
 pub use cert::{CertKind, Certificate, TimeoutCert};
 pub use codec::{Decode, Encode};
+pub use committed::CommittedLog;
 pub use config::{ProtocolKind, SystemConfig};
 pub use ids::{ClientId, ReplicaId, Slot, View};
 pub use message::{Message, ReplyKind};

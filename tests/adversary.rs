@@ -13,7 +13,9 @@ use hotstuff1::sim::{ProtocolKind, Scenario};
 use hotstuff1::statesync::{SnapshotServer, SyncClient, SyncConfig, SyncPhase};
 use hotstuff1::storage::testutil::TempDir;
 use hotstuff1::storage::Checkpoint;
-use hotstuff1::types::{Block, BlockId, Certificate, Message, ReplicaId, SystemConfig, View};
+use hotstuff1::types::{
+    BlockId, Certificate, CommittedLog, Message, ReplicaId, SystemConfig, View,
+};
 
 /// The three HotStuff-1 engine families (basic / chained / slotted).
 const HS1_ENGINES: [ProtocolKind; 3] =
@@ -102,20 +104,18 @@ fn forge_quorum_canary_trips_the_safety_oracles() {
 
 const CHUNK: u32 = 64;
 
-fn cluster_checkpoint() -> (KvStore, Vec<BlockId>) {
+fn cluster_checkpoint() -> (KvStore, CommittedLog) {
     let mut store = KvStore::with_records(200);
     for k in 0..50u64 {
         store.put(k, k * 7 + 1);
     }
-    let chain: Vec<BlockId> =
-        std::iter::once(Block::genesis_id()).chain((1..30).map(BlockId::test)).collect();
-    (store, chain)
+    (store, CommittedLog::from_ids((1..30).map(BlockId::test)))
 }
 
 fn honest_server(tag: &str) -> (TempDir, SnapshotServer) {
     let tmp = TempDir::new(tag);
-    let (store, chain) = cluster_checkpoint();
-    Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &chain)
+    let (store, log) = cluster_checkpoint();
+    Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &log)
         .write(tmp.path())
         .expect("write checkpoint");
     let server = SnapshotServer::new(tmp.path()).with_chunk_bytes(CHUNK);

@@ -21,7 +21,8 @@ use hotstuff1::net::node::{NodeRunner, StateSyncConfig};
 use hotstuff1::statesync::SyncConfig;
 use hotstuff1::storage::{StorageConfig, SyncPolicy};
 use hotstuff1::types::{
-    ClientId, Message, ProtocolKind, ReplicaId, SimDuration, SystemConfig, Transaction,
+    ClientId, CommittedLog, Message, ProtocolKind, ReplicaId, SimDuration, SystemConfig,
+    Transaction,
 };
 
 /// Reserve a contiguous run of `n` free loopback ports and return the base.
@@ -197,12 +198,23 @@ fn idle_cluster_holds_instead_of_spinning() {
     assert!(violations.is_empty(), "safety over TCP: {violations:?}");
 }
 
-/// Join replica threads that return their commit count and committed
-/// state, in replica order.
+/// Join the replica threads, which return their commit count and committed
+/// state, in replica order. Each replica holds a window of its committed
+/// ids however long it ran: at most `CommittedLog::WINDOW`.
 fn join_cluster(
     handles: Vec<std::thread::JoinHandle<(u64, Committed)>>,
 ) -> (Vec<u64>, Vec<Committed>) {
-    handles.into_iter().map(|h| h.join().expect("replica")).unzip()
+    let (committed, replicas): (Vec<u64>, Vec<Committed>) =
+        handles.into_iter().map(|h| h.join().expect("replica")).unzip();
+    for r in &replicas {
+        let (held, len) = (r.log.ids().len(), r.log.len());
+        assert!(
+            held <= CommittedLog::WINDOW,
+            "replica {:?} holds {held} of {len} committed ids",
+            r.id
+        );
+    }
+    (committed, replicas)
 }
 
 /// One replica never sends anything, so every fourth view dies and the
@@ -310,7 +322,7 @@ fn killed_replica_recovers_from_journal_over_tcp() {
             NodeRunner::with_storage(engine, mesh, &dir3, storage_cfg).expect("open storage");
         runner.run_for(crash_at);
         let at_crash = Committed::of(runner.replica());
-        assert!(at_crash.chain.len() > 1, "replica 3 committed before the kill");
+        assert!(at_crash.log.len() > 1, "replica 3 committed before the kill");
         runner.shutdown();
         drop(runner);
         std::thread::sleep(downtime);
@@ -473,6 +485,133 @@ fn fresh_replica_joins_via_snapshot_over_tcp() {
     for (i, root) in roots.iter().enumerate() {
         assert_eq!(*root, root3, "replica {i} and the joiner agree on the state root");
     }
+    let _ = std::fs::remove_dir_all(&root_dir);
+}
+
+/// A replica restarts with its disk more than a window behind the cluster:
+/// its own head is below the window of the log the peers' snapshot holds,
+/// where the two logs cannot be compared. It adopts the image whole,
+/// installs it on its disk, and commits with the cluster again.
+///
+/// Replica 3 runs briefly on one disk, then on an empty second disk
+/// (joining by snapshot) so the cluster commits at full speed while the
+/// first disk falls behind, and then restarts on the first disk. The
+/// healthy stretch is about six seconds because a debug build on two cores
+/// commits about 700 blocks a second under this load, and the cluster must
+/// pass the first disk by more than a window. A higher offered rate commits
+/// fewer blocks there: the client's own work takes the cores.
+#[test]
+#[ignore = "multi-second wall-clock run; execute with cargo test -- --ignored"]
+fn replica_a_window_behind_rejoins_via_snapshot_over_tcp() {
+    let n = 4;
+    let base_port = free_base_port(n as u16);
+    let protocol = ProtocolKind::HotStuff1;
+    let total = Duration::from_secs(9);
+    let (stale_until, swap_until) = (Duration::from_millis(600), Duration::from_millis(6500));
+
+    let root_dir = std::env::temp_dir().join(format!("hs1-tcp-stale-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root_dir);
+    let storage_cfg = StorageConfig {
+        segment_bytes: 1 << 20,
+        sync: SyncPolicy::EveryN(64),
+        checkpoint_every: 64,
+    };
+    fn config(n: usize) -> SystemConfig {
+        let mut cfg = SystemConfig::new(n);
+        cfg.view_timer = SimDuration::from_millis(100);
+        cfg.delta = SimDuration::from_millis(10);
+        cfg.batch_size = 16;
+        cfg
+    }
+    let sync_cfg = StateSyncConfig {
+        sync: SyncConfig {
+            gap_threshold: 4,
+            manifest_retry: Duration::from_millis(150),
+            chunk_retry: Duration::from_millis(300),
+            ..SyncConfig::new(config(n))
+        },
+        overall_timeout: Duration::from_secs(2),
+    };
+
+    let mut live = Vec::new();
+    for id in 0..3u32 {
+        let dir = root_dir.join(format!("replica-{id}"));
+        live.push(std::thread::spawn(move || {
+            let engine = build_replica(
+                protocol,
+                config(n),
+                ReplicaId(id),
+                Fault::Honest,
+                ExecConfig::default(),
+            );
+            let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
+            let mut runner =
+                NodeRunner::with_storage(engine, mesh, &dir, storage_cfg).expect("open storage");
+            runner.run_for(total);
+            (runner.committed_blocks, Committed::of(runner.replica()))
+        }));
+    }
+
+    let (stale_dir, swap_dir) = (root_dir.join("replica-3"), root_dir.join("replica-3-swap"));
+    let replica3 = std::thread::spawn(move || {
+        let engine = || {
+            build_replica(protocol, config(n), ReplicaId(3), Fault::Honest, ExecConfig::default())
+        };
+        let mesh = || Mesh::start(ReplicaId(3), n, "127.0.0.1", base_port).expect("bind");
+        let mut stale =
+            NodeRunner::with_storage(engine(), mesh(), &stale_dir, storage_cfg).expect("open");
+        stale.run_for(stale_until);
+        let on_disk = Committed::of(stale.replica());
+        assert!(on_disk.log.len() > 1, "replica 3 committed on its first disk");
+        stale.shutdown();
+        drop(stale);
+
+        let sync = sync_cfg.clone();
+        let mut swap = NodeRunner::with_state_sync(engine(), mesh(), &swap_dir, storage_cfg, sync)
+            .expect("open the empty disk");
+        swap.run_for(swap_until - stale_until);
+        swap.shutdown();
+        drop(swap);
+
+        let mut back =
+            NodeRunner::with_state_sync(engine(), mesh(), &stale_dir, storage_cfg, sync_cfg)
+                .expect("recover the stale disk");
+        assert_eq!(back.replica().committed_len(), on_disk.log.len(), "the disk's own chain");
+        back.run_for(total - swap_until);
+        (on_disk, back.synced_via_snapshot, back.committed_blocks, Committed::of(back.replica()))
+    });
+
+    std::thread::sleep(Duration::from_millis(300));
+    let f = SystemConfig::new(n).f();
+    let mut client = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)
+        .expect("connect");
+    let report = client
+        .run_open_loop(Duration::from_millis(7700), 500, Duration::from_millis(500))
+        .expect("client");
+    drop(client);
+
+    let (on_disk, via_snapshot, committed_after, rejoined) = replica3.join().expect("replica 3");
+    let (committed, mut replicas) = join_cluster(live);
+    assert!(committed.iter().all(|&c| c > 0), "the live replicas commit: {committed:?}");
+    assert!(report.finalized > 0, "client reached finality");
+    assert!(via_snapshot, "the stale replica must adopt the snapshot");
+    assert!(
+        rejoined.log.start() > on_disk.log.len(),
+        "the disk ({} blocks) was a window behind the image (window from {})",
+        on_disk.log.len(),
+        rejoined.log.start()
+    );
+    assert!(committed_after > 0, "the rejoined replica commits with the cluster");
+    for r in &replicas {
+        assert_eq!(
+            r.root, rejoined.root,
+            "replica {:?} and replica 3 agree on the state root",
+            r.id
+        );
+    }
+    replicas.push(rejoined);
+    let violations = invariants::check(&Observation { replicas, ..Observation::default() });
+    assert!(violations.is_empty(), "safety over TCP: {violations:?}");
     let _ = std::fs::remove_dir_all(&root_dir);
 }
 
