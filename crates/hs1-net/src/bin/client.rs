@@ -2,7 +2,9 @@
 //!
 //! Usage: `hs1-client <n> [protocol] [base_port] [seconds]`, with the
 //! protocol tokens of `hs1-replica`. Any argument that does not parse,
-//! and a port range past 65535, prints usage and exits 2.
+//! and a port range past 65535, prints usage and exits 2. A run in which
+//! no transaction finalized (no cluster up, or too few replicas live)
+//! exits 1.
 
 use std::time::Duration;
 
@@ -36,11 +38,11 @@ fn main() {
 
     let f = SystemConfig::new(n).f();
     let mut driver = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)
-        .expect("connect to cluster");
+        .expect("client mesh");
     let samples = driver.run_closed_loop(Duration::from_secs(seconds)).expect("run");
     if samples.is_empty() {
-        println!("no transactions finalized");
-        return;
+        eprintln!("no transactions finalized");
+        std::process::exit(1);
     }
     let mean_us: u64 = samples.iter().map(|(_, us)| us).sum::<u64>() / samples.len() as u64;
     println!(

@@ -1,21 +1,16 @@
 //! Length-prefixed message framing with an identification handshake.
 //!
-//! Two families of helpers live here:
-//!
-//! * The original blocking helpers ([`write_msg`] / [`read_msg`] /
-//!   [`send_hello`] / [`recv_hello`]) used by the client driver, the
-//!   thread-per-connection backend, and tests.
-//! * The nonblocking building blocks for the reactor backend:
-//!   [`encode_frame`] (encode once, fan out by reference),
-//!   [`FrameQueue`] (a bounded outbound queue that coalesces many
-//!   frames into one `writev`-style [`Write::write_vectored`] call and
-//!   resumes cleanly across partial writes), and [`FrameReader`]
-//!   (incremental reassembly of frames from arbitrarily-split reads,
-//!   with the same hostile-length rejection as [`read_msg`]).
+//! A dialer first writes the 5-byte hello ([`hello_bytes`] /
+//! [`parse_hello`]) that says whether it is a replica or a client. Then
+//! come frames, built by the reactor's nonblocking pieces:
+//! [`encode_frame`] (encode once, fan out by reference), [`FrameQueue`]
+//! (a bounded outbound queue that coalesces many frames into one
+//! `writev`-style [`Write::write_vectored`] call and resumes cleanly
+//! across partial writes), and [`FrameReader`] (incremental reassembly
+//! of frames from arbitrarily-split reads, rejecting a hostile length).
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use hs1_types::codec::{Decode, Encode};
@@ -52,45 +47,8 @@ pub fn parse_hello(buf: &[u8; 5]) -> std::io::Result<PeerKind> {
     }
 }
 
-/// Write the 5-byte handshake: kind tag + id.
-pub fn send_hello(stream: &mut TcpStream, kind: PeerKind) -> std::io::Result<()> {
-    stream.write_all(&hello_bytes(kind))
-}
-
-/// Read the handshake.
-pub fn recv_hello(stream: &mut TcpStream) -> std::io::Result<PeerKind> {
-    let mut buf = [0u8; 5];
-    stream.read_exact(&mut buf)?;
-    parse_hello(&buf)
-}
-
-/// Write one framed message: u32 length prefix + encoded body.
-pub fn write_msg(stream: &mut TcpStream, msg: &Message) -> std::io::Result<()> {
-    let body = msg.encoded();
-    let len = body.len() as u32;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(&body)
-}
-
 /// Maximum accepted frame (hostile-peer defense).
 const MAX_FRAME: u32 = 64 << 20;
-
-/// Read one framed message.
-pub fn read_msg(stream: &mut TcpStream) -> std::io::Result<Message> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    stream.read_exact(&mut body)?;
-    Message::decode_exact(&body)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
 
 /// A wire frame: length prefix + encoded body, behind an `Arc` so a
 /// broadcast encodes once and every per-peer queue shares the bytes.
@@ -269,8 +227,7 @@ const READ_BUDGET: usize = 256 * 1024;
 /// prefix, ten frames at once — and take complete messages out. Frame
 /// boundaries are reconstructed exactly; a length prefix above the
 /// `MAX_FRAME` limit (64 MiB) is rejected as `InvalidData` before any body
-/// bytes are buffered (hostile-length defense, identical to
-/// [`read_msg`]).
+/// bytes are buffered (hostile-length defense).
 #[derive(Default)]
 pub struct FrameReader {
     /// `buf[pos..end]` is received and not yet parsed; `buf[end..]` is
@@ -392,38 +349,16 @@ impl FrameReader {
 mod tests {
     use super::*;
     use hs1_types::Transaction;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
 
+    /// The hello names both kinds of peer and nothing else.
     #[test]
-    fn roundtrip_over_socket() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let hello = recv_hello(&mut s).unwrap();
-            let msg = read_msg(&mut s).unwrap();
-            (hello, msg)
-        });
-        let mut out = TcpStream::connect(addr).unwrap();
-        send_hello(&mut out, PeerKind::Client(7)).unwrap();
-        let msg = Message::Request(Transaction::kv_write(7, 1, 2, 3));
-        write_msg(&mut out, &msg).unwrap();
-        let (hello, got) = handle.join().unwrap();
-        assert_eq!(hello, PeerKind::Client(7));
-        assert_eq!(got, msg);
-    }
-
-    #[test]
-    fn oversized_frame_rejected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            read_msg(&mut s).map(|_| ())
-        });
-        let mut out = TcpStream::connect(addr).unwrap();
-        out.write_all(&u32::MAX.to_be_bytes()).unwrap();
-        assert!(handle.join().unwrap().is_err());
+    fn hello_roundtrips_for_both_kinds() {
+        for kind in [PeerKind::Replica(3), PeerKind::Client(7), PeerKind::Client(u32::MAX)] {
+            assert_eq!(parse_hello(&hello_bytes(kind)).expect("a valid hello"), kind);
+        }
+        let err = parse_hello(&[2, 0, 0, 0, 7]).expect_err("tag 2 names no peer");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     /// A sink that accepts at most `cap` bytes per write call — drives

@@ -4,16 +4,15 @@
 //! The threading model is **one thread per replica**, and the transport
 //! has no thread of its own. A running [`node::NodeRunner`] reads its
 //! sockets, steps its engine and writes the answers on one loop. A bare
-//! [`mesh::Mesh`] — one that no node is running — moves its bytes on the
-//! thread that calls it: each send takes one turn that does not wait,
-//! and waiting on [`mesh::Inbox::recv_timeout`] takes turns until a
-//! frame arrives.
+//! [`mesh::Mesh`] — one that no node is running, a client's among them —
+//! moves its bytes on the thread that calls it: each send takes one turn
+//! that does not wait, and waiting on [`mesh::Inbox::recv_timeout`] takes
+//! turns until a frame arrives.
 //!
 //! * [`framing`] — length-prefixed frames with an identification
-//!   handshake: blocking helpers for the client driver plus the
-//!   nonblocking building blocks ([`framing::FrameQueue`] writev
-//!   coalescing, [`framing::FrameReader`] incremental reassembly) used
-//!   by the reactor.
+//!   handshake, and the nonblocking building blocks the reactor moves
+//!   them with ([`framing::FrameQueue`] writev coalescing,
+//!   [`framing::FrameReader`] incremental reassembly).
 //! * [`mesh`] — the peer mesh behind one stable API, over a
 //!   readiness-driven reactor (nonblocking sockets in a level-triggered
 //!   `epoll(7)` interest set kept between turns, writev coalescing,
@@ -34,10 +33,12 @@
 //!   `hs1-statesync` snapshots, and [`node::NodeRunner::with_state_sync`]
 //!   makes a lagging or fresh replica pull a verified snapshot before
 //!   joining consensus (see `examples/state_sync.rs`).
-//! * [`client_driver`] — a closed-loop client: broadcasts requests to all
-//!   replicas and applies the paper's finality rules via
-//!   [`hs1_core::client::FinalityTracker`]; reconnects with backoff when
-//!   a replica restarts mid-session.
+//! * [`client_driver`] — a client over a client mesh
+//!   ([`mesh::Mesh::client`], one that binds no listener), in a closed
+//!   loop (the latency probe) or an open one (the saturation probe):
+//!   broadcasts requests to all replicas and applies the paper's
+//!   finality rules via [`hs1_core::client::FinalityTracker`]. A replica
+//!   that restarts mid-session is redialed by the reactor's own backoff.
 //! * [`http`] — a std-only HTTP/1.0 introspection responder built
 //!   on the same [`poll`] primitives: `GET /metrics` serves Prometheus
 //!   text, `GET /status` a live JSON summary of the hosted node. Wired

@@ -10,11 +10,15 @@
 //! once and pushed into a bounded queue, and a slow peer's oldest frames
 //! are shed instead of waited for.
 //!
+//! A replica's mesh ([`Mesh::start`]) listens on its port and dials its
+//! peers; a client's ([`Mesh::client`]) listens on nothing, dials every
+//! replica, and reads the responses on the connections it dialed.
+//!
 //! The mesh has no thread of its own; the thread that calls it moves its
 //! bytes. A [`crate::node::NodeRunner`] takes the reactor for the length
 //! of `run_for` and turns it on its own loop, so a running replica is one
 //! thread. Any other holder — the snapshot-sync phase before `run_for`,
-//! tests, load generators, the benchmark's layer lab — turns it through
+//! a client, tests, the benchmark's layer lab — turns it through
 //! the calls it makes: a send takes one turn that does not wait, and
 //! [`Inbox::recv_timeout`] takes turns until a frame arrives. Frames read
 //! on those turns, and every self-addressed send, wait in [`Mesh::inbox`].
@@ -25,7 +29,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::framing::encode_frame;
+use crate::framing::{encode_frame, PeerKind};
 use crate::reactor::{self, Reactor};
 use hs1_obs::Obs;
 use hs1_types::{ClientId, Message, ReplicaId};
@@ -191,9 +195,9 @@ impl Inbox {
     }
 }
 
-/// The mesh of a single replica process.
+/// The mesh of a single replica or client process.
 pub struct Mesh {
-    me: ReplicaId,
+    me: PeerKind,
     n: usize,
     shared: Arc<reactor::Shared>,
     pub inbox: Inbox,
@@ -215,8 +219,31 @@ impl Mesh {
         base_port: u16,
         cfg: MeshConfig,
     ) -> std::io::Result<Mesh> {
-        if me.0 as usize >= n || base_port as usize + n - 1 > u16::MAX as usize {
-            let msg = format!("replica {} of {n} on the ports from {base_port}", me.0);
+        if me.0 as usize >= n {
+            let msg = format!("replica {} of {n}", me.0);
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+        }
+        Mesh::open(PeerKind::Replica(me.0), n, host, base_port, cfg)
+    }
+
+    /// The mesh of client `id`: it binds no listener, and every replica
+    /// `0..n` at `base_port + i` is a peer it dials when it has traffic
+    /// for it. A replica answers on the connection the client dialed, so
+    /// responses arrive as [`Inbound::FromReplica`]. `InvalidInput` if
+    /// `base_port + n - 1` would pass 65535.
+    pub fn client(id: ClientId, n: usize, host: &str, base_port: u16) -> std::io::Result<Mesh> {
+        Mesh::open(PeerKind::Client(id.0), n, host, base_port, MeshConfig::default())
+    }
+
+    fn open(
+        me: PeerKind,
+        n: usize,
+        host: &str,
+        base_port: u16,
+        cfg: MeshConfig,
+    ) -> std::io::Result<Mesh> {
+        if base_port as usize + n.saturating_sub(1) > u16::MAX as usize {
+            let msg = format!("{n} replica ports from {base_port} pass 65535");
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
         }
         let (shared, reactor) = reactor::start(me, n, host, base_port, cfg)?;
@@ -284,23 +311,26 @@ impl Mesh {
     /// Connections are established lazily and redialed with backoff
     /// after failures.
     pub fn send_replica(&self, to: ReplicaId, msg: Message) {
-        if to == self.me {
-            self.inbox.push(Inbound::FromReplica(self.me, msg));
+        if PeerKind::Replica(to.0) == self.me {
+            self.inbox.push(Inbound::FromReplica(to, msg));
             return;
         }
         self.shared.enqueue_replica(to.0, encode_frame(&msg));
         self.inbox.turn(Duration::ZERO);
     }
 
+    /// Send to every replica; a replica's own copy goes to its inbox.
     pub fn broadcast(&self, msg: Message) {
         // Encode once; every peer queue shares the same frame.
         let frame = encode_frame(&msg);
         for r in 0..self.n as u32 {
-            if r != self.me.0 {
+            if PeerKind::Replica(r) != self.me {
                 self.shared.enqueue_replica(r, frame.clone());
             }
         }
-        self.inbox.push(Inbound::FromReplica(self.me, msg));
+        if let PeerKind::Replica(me) = self.me {
+            self.inbox.push(Inbound::FromReplica(ReplicaId(me), msg));
+        }
         self.inbox.turn(Duration::ZERO);
     }
 
@@ -325,21 +355,31 @@ pub(crate) mod tests {
     use std::net::TcpListener;
     use std::time::Instant;
 
+    /// Reserve `n` contiguous free loopback ports and return the base.
+    ///
+    /// The ports come from below the kernel's ephemeral range, which every
+    /// `bind(:0)` probe and the local end of every dial draw from, so a
+    /// reserved port is not handed to a socket of a test running beside
+    /// this one. One cursor per process never hands a port out twice; it
+    /// starts at an offset taken from the process id, which keeps two test
+    /// processes apart. A run holding a port somebody else has bound is
+    /// skipped.
     pub(crate) fn free_base_port(n: u16) -> u16 {
-        for _ in 0..32 {
-            let probe = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-            let base = probe.local_addr().expect("addr").port();
-            drop(probe);
-            if base.checked_add(n).is_none() {
-                continue;
-            }
-            let all_free =
-                (0..n).all(|i| TcpListener::bind(("127.0.0.1", base + i)).map(drop).is_ok());
-            if all_free {
+        /// Linux's default `ip_local_port_range` starts at 32768.
+        const RANGE: std::ops::Range<u16> = 10_000..30_000;
+        static NEXT: Mutex<u16> = Mutex::new(0);
+        let mut next = NEXT.lock().expect("port cursor");
+        if *next == 0 {
+            *next = RANGE.start + (std::process::id() % 190) as u16 * 100;
+        }
+        while *next + n <= RANGE.end {
+            let base = *next;
+            *next += n;
+            if (0..n).all(|i| TcpListener::bind(("127.0.0.1", base + i)).is_ok()) {
                 return base;
             }
         }
-        panic!("could not find {n} contiguous free loopback ports");
+        panic!("could not find {n} contiguous free loopback ports below {}", RANGE.end);
     }
 
     fn request(seq: u64) -> Message {

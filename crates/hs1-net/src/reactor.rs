@@ -72,10 +72,11 @@ use hs1_types::{ClientId, Message, ReplicaId, SplitMix64};
 /// State shared between the sending side ([`crate::mesh::Mesh`]) and
 /// the [`Reactor`].
 pub(crate) struct Shared {
-    me: u32,
+    /// Who this mesh says it is in the hello of every dial.
+    me: PeerKind,
     n: usize,
     cfg: MeshConfig,
-    /// Per-replica outbound queues (`queues[me]` is unused).
+    /// Per-replica outbound queues (a replica's own is unused).
     queues: Vec<Mutex<FrameQueue>>,
     /// Outbound queues of currently-connected clients.
     client_queues: Mutex<HashMap<u32, Arc<Mutex<FrameQueue>>>>,
@@ -119,12 +120,12 @@ impl Shared {
     }
 
     /// Current depth of every peer's outbound queue:
-    /// `(peer, frames, bytes)` for each peer except `me`. The same
+    /// `(peer, frames, bytes)` for each replica but this one. The same
     /// numbers the metrics tick publishes as `net_out_queue_*` gauges,
     /// read on demand for the `/status` introspection endpoint.
     pub(crate) fn queue_depths(&self) -> Vec<(usize, u64, u64)> {
         (0..self.n)
-            .filter(|&peer| peer as u32 != self.me)
+            .filter(|&peer| PeerKind::Replica(peer as u32) != self.me)
             .map(|peer| {
                 let q = self.queues[peer].lock().expect("queue lock");
                 (peer, q.len() as u64, q.bytes() as u64)
@@ -133,23 +134,31 @@ impl Shared {
     }
 }
 
-/// Bind the listener and build the [`Reactor`] and the state it shares
-/// with the mesh's sending side. The replica ports `base_port + i` for
-/// `i < n` must fit in a `u16` ([`crate::mesh::Mesh::start_with`] checks).
+/// Build the [`Reactor`] and the state it shares with the mesh's sending
+/// side. A replica binds its listener; a client binds nothing and only
+/// dials. The replica ports `base_port + i` for `i < n` must fit in a
+/// `u16` ([`crate::mesh::Mesh::start_with`] checks).
 pub(crate) fn start(
-    me: ReplicaId,
+    me: PeerKind,
     n: usize,
     host: &str,
     base_port: u16,
     cfg: MeshConfig,
 ) -> std::io::Result<(Arc<Shared>, Reactor)> {
-    let listen_port = cfg.listen_port.unwrap_or(base_port + me.0 as u16);
-    let listener = TcpListener::bind((host, listen_port))?;
-    listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
-    epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN)?;
+    // The tag keeps client i's backoff jitter apart from replica i's.
+    let (listener, tag, id) = match me {
+        PeerKind::Replica(id) => {
+            let listener =
+                TcpListener::bind((host, cfg.listen_port.unwrap_or(base_port + id as u16)))?;
+            listener.set_nonblocking(true)?;
+            epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN)?;
+            (Some(listener), 0u64, id)
+        }
+        PeerKind::Client(id) => (None, 1, id),
+    };
     let shared = Arc::new(Shared {
-        me: me.0,
+        me,
         n,
         cfg,
         queues: (0..n).map(|_| Mutex::new(FrameQueue::new())).collect(),
@@ -166,7 +175,7 @@ pub(crate) fn start(
         next_token: 0,
         links: (0..n).map(|_| Link::Idle).collect(),
         ever_connected: vec![false; n],
-        rng: SplitMix64::new(0x9E37_79B9 ^ ((me.0 as u64) << 32 | base_port as u64)),
+        rng: SplitMix64::new(0x9E37_79B9 ^ ((id as u64) << 32 | tag << 16 | base_port as u64)),
         obs: Obs::noop(),
         emitted: NetStatsSnapshot::default(),
         last_tick: Instant::now(),
@@ -180,7 +189,7 @@ pub(crate) fn start(
 
 /// `delay` with ±50% jitter: uniform in `[delay/2, delay*3/2)`, so peers
 /// do not redial a restarted replica in lockstep.
-pub(crate) fn jittered(delay: Duration, rng: &mut SplitMix64) -> Duration {
+fn jittered(delay: Duration, rng: &mut SplitMix64) -> Duration {
     let nanos = delay.as_nanos().max(1) as u64;
     Duration::from_nanos(nanos / 2 + rng.next_u64() % nanos)
 }
@@ -207,7 +216,8 @@ enum ConnKind {
     ReplicaIn(u32),
     /// Accepted from client `id`; responses drain through `queue`.
     ClientIn { id: u32, queue: Arc<Mutex<FrameQueue>> },
-    /// Dialed to replica `id` (write side; peers never write back here).
+    /// Dialed to replica `id`. A replica peer never writes back here; a
+    /// replica a client dialed writes its responses here.
     ReplicaOut(u32),
 }
 
@@ -234,7 +244,8 @@ pub(crate) struct Reactor {
     shared: Arc<Shared>,
     host: String,
     base_port: u16,
-    listener: TcpListener,
+    /// `None` for a client, which only dials.
+    listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     links: Vec<Link>,
@@ -287,9 +298,9 @@ impl Reactor {
         self.events = events;
     }
 
-    /// Sever every connection and release the listen port. Queues are
-    /// emptied so a mesh rebuilt on the same port starts clean; the
-    /// final tick publishes whatever counters remain.
+    /// Sever every connection and release the listen port, if any.
+    /// Queues are emptied so a mesh rebuilt on the same port starts
+    /// clean; the final tick publishes whatever counters remain.
     pub(crate) fn close(mut self) {
         self.conns.clear();
         for q in &self.shared.queues {
@@ -325,7 +336,7 @@ impl Reactor {
     fn dial_pending(&mut self) {
         let now = Instant::now();
         for peer in 0..self.shared.n {
-            if peer as u32 == self.shared.me {
+            if PeerKind::Replica(peer as u32) == self.shared.me {
                 continue;
             }
             match self.links[peer] {
@@ -377,7 +388,7 @@ impl Reactor {
         if let Some(bytes) = self.shared.cfg.send_buffer {
             let _ = set_send_buffer(stream.as_raw_fd(), bytes);
         }
-        stream.write_all(&hello_bytes(PeerKind::Replica(self.shared.me)))?;
+        stream.write_all(&hello_bytes(self.shared.me))?;
         stream.set_nonblocking(true)?;
         Ok(stream)
     }
@@ -411,7 +422,8 @@ impl Reactor {
 
     fn accept_new(&mut self) {
         loop {
-            match self.listener.accept() {
+            let Some(listener) = &self.listener else { return };
+            match listener.accept() {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
@@ -645,11 +657,11 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::{encode_frame, read_msg, recv_hello};
+    use crate::framing::encode_frame;
     use crate::mesh::tests::free_base_port;
     use crate::mesh::Mesh;
     use crate::poll::{poll_fds, set_recv_buffer, PollFd, POLLIN};
-    use hs1_types::message::ProposeMsg;
+    use hs1_types::message::{ProposeMsg, ReplyKind, ResponseMsg};
     use hs1_types::{Block, Certificate, Slot, Transaction, View};
 
     fn request(seq: u64) -> Message {
@@ -691,10 +703,89 @@ mod tests {
 
         let mut ready = [PollFd::new(peer.as_raw_fd(), POLLIN)];
         assert_eq!(poll_fds(&mut ready, 5_000).expect("poll"), 1, "the mesh dialed replica 1");
-        let (mut s, _) = peer.accept().expect("accept");
+        let (s, _) = peer.accept().expect("accept");
+        let frame = encode_frame(&request(7));
+        assert_eq!(
+            read_exactly(s, 5 + frame.len()),
+            [&hello_bytes(PeerKind::Replica(0))[..], &frame].concat()
+        );
+    }
+
+    /// The first `len` bytes `s` reads, waiting at most five seconds.
+    fn read_exactly(mut s: TcpStream, len: usize) -> Vec<u8> {
         s.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
-        assert_eq!(recv_hello(&mut s).expect("the hello"), PeerKind::Replica(0));
-        assert_eq!(read_msg(&mut s).expect("the frame"), request(7));
+        let mut buf = vec![0; len];
+        s.read_exact(&mut buf).expect("the bytes");
+        buf
+    }
+
+    /// A client mesh binds no port, and its dial says who it is: the first
+    /// bytes a replica reads are the client's hello, then its request.
+    #[test]
+    fn a_client_mesh_binds_nothing_and_says_client_in_its_hello() {
+        let base = free_base_port(2);
+        let client = Mesh::client(ClientId(9), 2, "127.0.0.1", base).expect("client mesh");
+        for port in base..base + 2 {
+            TcpListener::bind(("127.0.0.1", port))
+                .expect("a client mesh leaves replica ports free");
+        }
+        let replica = TcpListener::bind(("127.0.0.1", base + 1)).expect("replica 1");
+        client.send_replica(ReplicaId(1), request(3));
+
+        let mut ready = [PollFd::new(replica.as_raw_fd(), POLLIN)];
+        assert_eq!(poll_fds(&mut ready, 5_000).expect("poll"), 1, "the client dialed replica 1");
+        let (s, _) = replica.accept().expect("accept");
+        assert_eq!(read_exactly(s, 5), hello_bytes(PeerKind::Client(9)));
+    }
+
+    /// A replica answers a client on the connection the client dialed, and
+    /// a request the client queues while the replica is down reaches the
+    /// replica's next mesh on the same port, over one redial.
+    #[test]
+    fn a_client_mesh_gets_replies_and_redials_a_restarted_replica() {
+        let base = free_base_port(1);
+        let client = Mesh::client(ClientId(4), 1, "127.0.0.1", base).expect("client mesh");
+        let replica = Mesh::start(ReplicaId(0), 1, "127.0.0.1", base).expect("replica mesh");
+        let recv = |mesh: &Mesh| mesh.inbox.recv_timeout(Duration::from_secs(5)).expect("a frame");
+
+        client.broadcast(request(1));
+        match recv(&replica) {
+            Inbound::FromClient(ClientId(4), msg) => assert_eq!(msg, request(1)),
+            _ => panic!("expected client 4's request"),
+        }
+        let reply = Message::Response(ResponseMsg {
+            tx: Transaction::kv_write(1, 1, 1, 1).id,
+            block: Block::genesis_id(),
+            result: Block::genesis_id().0,
+            kind: ReplyKind::Speculative,
+            view: View(1),
+        });
+        replica.send_client(ClientId(4), reply.clone());
+        match recv(&client) {
+            Inbound::FromReplica(ReplicaId(0), msg) => assert_eq!(msg, reply),
+            _ => panic!("expected replica 0's response"),
+        }
+
+        // The replica goes down; the client sees its connection close
+        // before it queues the next request, so the request waits for the
+        // redial instead of going into a dying socket.
+        replica.shutdown();
+        let mut reactor = client.adopt().expect("a live mesh has a reactor");
+        turn_until(&mut reactor, &mut Vec::new(), |r, _| r.conns.is_empty());
+        client.send_replica(ReplicaId(0), request(2));
+        let restarted = Mesh::start(ReplicaId(0), 1, "127.0.0.1", base).expect("rebind");
+        let mut got = None;
+        turn_until(&mut reactor, &mut Vec::new(), |_, _| {
+            got =
+                got.take().or_else(|| restarted.inbox.recv_timeout(Duration::from_millis(1)).ok());
+            got.is_some()
+        });
+        client.hand_back(reactor);
+        match got {
+            Some(Inbound::FromClient(ClientId(4), msg)) => assert_eq!(msg, request(2)),
+            _ => panic!("expected client 4's queued request"),
+        }
+        assert_eq!(client.stats().reconnects, 1);
     }
 
     /// A peer that hangs up and dials again, one connection at a time and

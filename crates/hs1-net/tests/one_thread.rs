@@ -1,8 +1,10 @@
 //! The ownership model of the transport, seen from outside the crate: no
 //! mesh has a thread of its own. A running replica is one thread, and a
-//! bare `Mesh` moves its bytes on the thread that calls it.
+//! bare `Mesh`, a client's among them, moves its bytes on the thread that
+//! calls it.
 
 use std::net::TcpListener;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use hs1_core::{build_replica, Fault};
@@ -15,27 +17,37 @@ use hs1_types::{
     ClientId, Message, ProtocolKind, ReplicaId, SimDuration, SystemConfig, Transaction,
 };
 
+/// Reserve `n` contiguous free loopback ports and return the base: from
+/// one cursor per process below the kernel's ephemeral range (which the
+/// client's dials draw their local ports from), starting at an offset
+/// taken from the process id. A run holding a port somebody else has
+/// bound is skipped.
 fn free_base_port(n: u16) -> u16 {
-    for _ in 0..32 {
-        let probe = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-        let base = probe.local_addr().expect("addr").port();
-        drop(probe);
-        if base.checked_add(n).is_some()
-            && (0..n).all(|i| TcpListener::bind(("127.0.0.1", base + i)).is_ok())
-        {
+    /// Linux's default `ip_local_port_range` starts at 32768.
+    const RANGE: std::ops::Range<u16> = 10_000..30_000;
+    static NEXT: Mutex<u16> = Mutex::new(0);
+    let mut next = NEXT.lock().expect("port cursor");
+    if *next == 0 {
+        *next = RANGE.start + (std::process::id() % 190) as u16 * 100;
+    }
+    while *next + n <= RANGE.end {
+        let base = *next;
+        *next += n;
+        if (0..n).all(|i| TcpListener::bind(("127.0.0.1", base + i)).is_ok()) {
             return base;
         }
     }
-    panic!("could not find {n} contiguous free loopback ports");
+    panic!("could not find {n} contiguous free loopback ports below {}", RANGE.end);
 }
 
-/// Names of this process's `reactor-*` threads: there must never be one.
-fn reactor_threads() -> Vec<String> {
+/// Names of this process's `reactor-*` and `client-*` threads: no mesh
+/// has a thread of its own, so there must never be one.
+fn mesh_threads() -> Vec<String> {
     std::fs::read_dir("/proc/self/task")
         .expect("/proc/self/task")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .map(|comm| comm.trim().to_string())
-        .filter(|comm| comm.starts_with("reactor-"))
+        .filter(|comm| comm.starts_with("reactor-") || comm.starts_with("client-"))
         .collect()
 }
 
@@ -48,7 +60,7 @@ fn a_running_replica_is_one_thread_and_commits_at_once() {
     let meshes: Vec<Mesh> = (0..n as u32)
         .map(|id| Mesh::start(ReplicaId(id), n, "127.0.0.1", base).expect("bind"))
         .collect();
-    assert_eq!(reactor_threads(), Vec::<String>::new(), "a mesh starts no thread");
+    assert_eq!(mesh_threads(), Vec::<String>::new(), "a mesh starts no thread");
     let mut nodes = Vec::new();
     for (id, mesh) in meshes.into_iter().enumerate() {
         nodes.push(std::thread::spawn(move || {
@@ -81,8 +93,9 @@ fn a_running_replica_is_one_thread_and_commits_at_once() {
         ClientDriver::connect(ClientId(0), n, "127.0.0.1", base, ProtocolKind::HotStuff1, f)
             .expect("connect");
     client.run_closed_loop(run / 2).expect("client");
+    assert_eq!(mesh_threads(), Vec::<String>::new(), "a running client has no thread either");
     drop(client);
-    assert_eq!(reactor_threads(), Vec::<String>::new(), "a running replica has no second thread");
+    assert_eq!(mesh_threads(), Vec::<String>::new(), "nor does one dropped, nor a running replica");
 
     for (id, node) in nodes.into_iter().enumerate() {
         let (committed, first_commit) = node.join().expect("replica");
@@ -116,7 +129,7 @@ fn a_bare_mesh_delivers_on_the_callers_thread() {
         Ok(Inbound::FromReplica(from, msg)) => assert_eq!((from, msg), (ReplicaId(0), ping)),
         _ => panic!("expected the ping from replica 0"),
     }
-    assert_eq!(reactor_threads(), Vec::<String>::new(), "a bare mesh has no thread either");
+    assert_eq!(mesh_threads(), Vec::<String>::new(), "a bare mesh has no thread either");
     a.shutdown();
     b.shutdown();
 }
