@@ -9,8 +9,8 @@
 //!   pull the CRC-indexed chunks of a peer's checkpoint-derived image,
 //!   verify each chunk and the assembled state root, and restore the
 //!   engine from the image: O(state), flat in journal length. (Measured
-//!   in-process: the network round trips a real deployment adds are in
-//!   `hs1_sim::CatchupModel`, whose modeled crossover is printed below.)
+//!   in-process, without the network round trips a deployment adds; the
+//!   chaos sweep runs the same client over the simulator's network.)
 //!
 //! Not a paper figure — it characterizes the `hs1-storage` and
 //! `hs1-statesync` subsystems. CSV lands in
@@ -30,7 +30,6 @@ use hs1_core::byzantine::Fault;
 use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
-use hs1_sim::CatchupModel;
 use hs1_statesync::{SnapshotImage, SnapshotServer};
 use hs1_storage::crc32::crc32;
 use hs1_storage::testutil::TempDir;
@@ -181,7 +180,6 @@ fn main() {
         "recovery time vs journal length",
         "blocks,txs,mode,recover_ms,replayed_records,checkpoint_covered_records",
     );
-    let mut last_entries = 0u64;
     for blocks in SWEEP {
         let chain = chain(blocks);
 
@@ -234,21 +232,7 @@ fn main() {
             "{blocks},{},snapshot,{ms:.3},0,{covered}",
             blocks * TXS_PER_BLOCK
         ));
-        last_entries = entries;
     }
-
-    // Where the two regimes cross once real network round trips are
-    // charged (the node runner's gap-threshold heuristic comes from
-    // this model; see ROADMAP "Resolved items").
-    let sweep_max = SWEEP.into_iter().max().unwrap_or(0);
-    let model = CatchupModel::lan(last_entries, sweep_max);
-    println!(
-        "  modeled (LAN rtt {:?}): snapshot {:.2} ms flat, replay {:.4} ms/block -> crossover at {} blocks behind",
-        model.rtt,
-        model.snapshot_time().as_millis_f64(),
-        model.replay_time(1).as_millis_f64(),
-        model.crossover_blocks()
-    );
 
     sink.finish();
 }

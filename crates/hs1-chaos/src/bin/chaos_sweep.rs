@@ -37,7 +37,6 @@ struct Args {
     start: u64,
     sim_seconds: f64,
     protocols: Vec<ProtocolKind>,
-    threshold: Option<u64>,
     inject: Inject,
     replay: Option<String>,
     /// Replay mode: dump the run's deterministic JSONL trace here.
@@ -55,7 +54,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: chaos_sweep [--seeds N] [--start K] [--sim-seconds F] \
-         [--protocols hs,hs2,hs1,basic,slotted] [--threshold BLOCKS] \
+         [--protocols hs,hs2,hs1,basic,slotted] \
          [--config default|lossy|events|legacy] [--inject none|halt|rollback|forge] \
          [--replay '<protocol>:<plan-spec>'] [--trace PATH] [--metrics PATH] \
          [--trace-dir DIR] [--quiet]"
@@ -69,7 +68,6 @@ fn parse_args() -> Args {
         start: 0,
         sim_seconds: 1.0,
         protocols: ProtocolKind::ALL.to_vec(),
-        threshold: None,
         inject: Inject::None,
         replay: None,
         trace: None,
@@ -98,9 +96,6 @@ fn parse_args() -> Args {
                     .split(',')
                     .map(|t| ProtocolKind::from_token(t).unwrap_or_else(|| usage()))
                     .collect();
-            }
-            "--threshold" => {
-                args.threshold = Some(val("--threshold").parse().unwrap_or_else(|_| usage()))
             }
             "--inject" => args.inject = Inject::parse(&val("--inject")).unwrap_or_else(|| usage()),
             "--replay" => args.replay = Some(val("--replay")),
@@ -137,13 +132,7 @@ fn replay(args: &Args, spec: &str) -> ! {
             std::process::exit(2);
         }
     };
-    let case = ChaosCase {
-        protocol,
-        plan,
-        sim_seconds: args.sim_seconds,
-        threshold: args.threshold,
-        inject: args.inject,
-    };
+    let case = ChaosCase { protocol, plan, sim_seconds: args.sim_seconds, inject: args.inject };
     println!("replaying {} under {}", case.plan, case.protocol.name());
     let mut scenario = case.scenario();
     let cluster_n = scenario.n;
@@ -302,6 +291,9 @@ fn main() {
     );
     let started = std::time::Instant::now();
     let quiet = args.quiet;
+    // Per protocol, in sweep order: snapshot syncs, replays, rotations.
+    let mut totals: Vec<(ProtocolKind, [u64; 3])> =
+        args.protocols.iter().map(|&p| (p, [0; 3])).collect();
     let result = sweep(
         &args.protocols,
         args.start,
@@ -309,27 +301,39 @@ fn main() {
         &args.config,
         4,
         args.sim_seconds,
-        args.threshold,
         args.inject,
         |case, report| {
+            let c = &report.chaos;
+            let counts = [c.snapshot_syncs, c.replay_catchups, c.snapshot_rotations];
+            if let Some((_, t)) = totals.iter_mut().find(|(p, _)| *p == case.protocol) {
+                t.iter_mut().zip(counts).for_each(|(t, c)| *t += c);
+            }
             if !quiet {
                 println!(
                     "  seed={:<4} {:<10} tput={:>8.0} tx/s dropped={:<5} dup={:<4} crashes={} \
-                     snap={} adv={} rot={} ok={}",
+                     snap={} replays={} rotations={} adv={} bitrot={} ok={}",
                     case.plan.seed,
                     case.protocol.token(),
                     report.throughput_tps,
-                    report.chaos.dropped_msgs,
-                    report.chaos.duplicated_msgs,
-                    report.chaos.crashes,
-                    report.chaos.snapshot_syncs,
-                    report.chaos.adversaries,
-                    report.chaos.bitrot_events,
+                    c.dropped_msgs,
+                    c.duplicated_msgs,
+                    c.crashes,
+                    c.snapshot_syncs,
+                    c.replay_catchups,
+                    c.snapshot_rotations,
+                    c.adversaries,
+                    c.bitrot_events,
                     report.invariants_ok(),
                 );
             }
         },
     );
+    for (p, [snap, replays, rotations]) in &totals {
+        println!(
+            "  totals {:<10} snapshot-syncs={snap} replays={replays} rotations={rotations}",
+            p.token()
+        );
+    }
     match result {
         Ok(passed) => {
             println!(

@@ -75,8 +75,6 @@ pub struct ChaosCase {
     pub protocol: ProtocolKind,
     pub plan: ChaosPlan,
     pub sim_seconds: f64,
-    /// Snapshot-vs-replay gap override (`None`: CatchupModel crossover).
-    pub threshold: Option<u64>,
     pub inject: Inject,
 }
 
@@ -93,9 +91,6 @@ impl ChaosCase {
             .sim_seconds(self.sim_seconds)
             .seed(self.plan.seed)
             .chaos(self.plan.clone());
-        if let Some(t) = self.threshold {
-            s = s.catchup_threshold(t);
-        }
         match self.inject {
             Inject::None => {}
             Inject::Halt => {
@@ -138,9 +133,6 @@ pub fn replay_command(case: &ChaosCase) -> String {
         case.plan.to_spec(),
         case.sim_seconds,
     );
-    if let Some(t) = case.threshold {
-        cmd.push_str(&format!(" --threshold {t}"));
-    }
     if case.inject != Inject::None {
         cmd.push_str(&format!(" --inject {}", case.inject.token()));
     }
@@ -239,7 +231,6 @@ pub fn sweep(
     cfg: &ChaosConfig,
     n: usize,
     sim_seconds: f64,
-    threshold: Option<u64>,
     inject: Inject,
     mut progress: impl FnMut(&ChaosCase, &Report),
 ) -> Result<u64, Box<Failure>> {
@@ -248,7 +239,7 @@ pub fn sweep(
         for &protocol in protocols {
             let probe = Scenario::new(protocol).sim_seconds(sim_seconds).warmup_seconds(0.25);
             let plan = ChaosPlan::generate(seed, cfg, n, probe.chaos_horizon());
-            let case = ChaosCase { protocol, plan, sim_seconds, threshold, inject };
+            let case = ChaosCase { protocol, plan, sim_seconds, inject };
             let report = case.run();
             progress(&case, &report);
             if !report.invariants_ok() {
@@ -286,12 +277,11 @@ mod tests {
             protocol: ProtocolKind::HotStuff1,
             plan: plan.clone(),
             sim_seconds: 1.0,
-            threshold: Some(8),
-            inject: Inject::None,
+            inject: Inject::Halt,
         };
         let cmd = replay_command(&case);
         assert!(cmd.contains("--replay 'hs1:"));
-        assert!(cmd.contains("--threshold 8"));
+        assert!(cmd.contains("--inject halt"));
         let spec = format!("hs1:{}", plan.to_spec());
         let (proto, parsed) = parse_replay(&spec).unwrap();
         assert_eq!(proto, ProtocolKind::HotStuff1);

@@ -18,7 +18,7 @@ fn failstop_under_three_chain_hotstuff_is_not_a_liveness_violation() {
     let spec = "v1;seed=61;n=4;rd=5000000;ev=c1@445603953,b1x4@520603953,r1@595603953";
     let case = |protocol: &str| {
         let (protocol, plan) = parse_replay(&format!("{protocol}:{spec}")).expect("spec parses");
-        ChaosCase { protocol, plan, sim_seconds: 1.0, threshold: None, inject: Inject::None }
+        ChaosCase { protocol, plan, sim_seconds: 1.0, inject: Inject::None }
     };
     let hs = case("hs").run();
     assert_eq!(hs.chaos.bitrot_failstops, 1, "the replay reaches the fail-stop");
@@ -44,7 +44,6 @@ fn forged_quorum_violation_is_caught_and_replays_byte_identically() {
         &ChaosConfig::default(),
         4,
         0.6,
-        None,
         Inject::Forge,
         |_, _| {},
     )
@@ -84,7 +83,6 @@ fn injected_violation_is_caught_reproduced_and_shrunk() {
         &ChaosConfig::default(),
         4,
         0.6,
-        None,
         Inject::Halt,
         |_, _| {},
     )

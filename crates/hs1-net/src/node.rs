@@ -42,11 +42,10 @@ use std::time::{Duration, Instant};
 use crate::http::HttpServer;
 use crate::mesh::{Inbound, Mesh};
 use hs1_adversary::AdversaryMutator;
-use hs1_core::persist::RecoveredState;
 use hs1_core::replica::{Action, Replica, Timer};
 use hs1_crypto::Sha256;
 use hs1_obs::Obs;
-use hs1_statesync::{SnapshotServer, SyncClient, SyncConfig, SyncPhase, SyncStats};
+use hs1_statesync::{SnapshotServer, SyncClient, SyncConfig, SyncPhase, SyncStats, SYNC_TICK};
 use hs1_storage::{RecoveryInfo, ReplicaStorage, StorageConfig, StorageError};
 use hs1_types::message::ResponseMsg;
 use hs1_types::{Message, ReplicaId, SimTime};
@@ -467,12 +466,9 @@ impl NodeRunner {
         let deadline = run_deadline.min(Instant::now() + cfg.overall_timeout);
 
         let mut out: Vec<(ReplicaId, Message)> = Vec::new();
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            client.poll(now, &mut out);
+        let tick = Duration::from_nanos(SYNC_TICK.0);
+        while Instant::now() < deadline {
+            client.poll(self.now(), &mut out);
             for (to, msg) in out.drain(..) {
                 self.mesh.send_replica(to, msg);
             }
@@ -480,10 +476,10 @@ impl NodeRunner {
                 SyncPhase::Done | SyncPhase::Declined | SyncPhase::Failed => break,
                 SyncPhase::Collecting | SyncPhase::Downloading => {}
             }
-            match self.mesh.inbox.recv_timeout(Duration::from_millis(20)) {
+            match self.mesh.inbox.recv_timeout(tick) {
                 Ok(Inbound::FromReplica(from, msg)) => match &msg {
                     Message::SnapshotManifest(_) | Message::SnapshotChunk(_) => {
-                        client.on_message(from, &msg, Instant::now(), &mut out);
+                        client.on_message(from, &msg, self.now(), &mut out);
                     }
                     Message::SnapshotReq(_) | Message::SnapshotChunkReq(_) => {
                         self.serve_snapshot(from, &msg);
@@ -500,26 +496,8 @@ impl NodeRunner {
         }
 
         self.sync_stats = Some(client.stats);
-        if client.phase() == SyncPhase::Done {
-            if let Some(synced) = client.take_synced() {
-                let store = synced.image.restore_store();
-                let log = synced.image.log;
-                self.engine.restore(RecoveredState {
-                    view: synced.view,
-                    high_cert: Some(synced.high_cert.clone()),
-                    committed_store: Some(store.clone()),
-                    committed_log: log.clone(),
-                    decided: Vec::new(),
-                    speculated: Vec::new(),
-                });
-                // The engine refuses an image whose log does not extend its
-                // own; then the disk keeps its own history too.
-                let head = (self.engine.committed_len(), self.engine.committed_head());
-                if head == (log.len(), log.head()) {
-                    storage.install_snapshot(&store, &log, synced.view, Some(synced.high_cert));
-                    self.synced_via_snapshot = true;
-                }
-            }
+        if let Some(synced) = client.take_synced() {
+            self.synced_via_snapshot = synced.install(&mut *self.engine, storage);
         }
     }
 
@@ -573,6 +551,7 @@ mod tests {
     use super::*;
     use crate::framing::{encode_frame, hello_bytes, PeerKind};
     use crate::mesh::tests::free_base_port;
+    use hs1_core::persist::RecoveredState;
     use hs1_types::{BlockId, SimDuration, Transaction, View};
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};

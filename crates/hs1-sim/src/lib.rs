@@ -23,7 +23,8 @@
 //!
 //! The [`chaos`] module layers seeded fault schedules on top — per-link
 //! message loss/duplication/reordering, partitions, and crash-restart
-//! through the real `hs1-storage` recovery path — with every run
+//! through the real `hs1-storage` recovery path and `hs1-statesync`
+//! catch-up — with every run
 //! replayable byte-for-byte from its seed (see the `hs1-chaos` crate for
 //! the sweep/shrink/replay tooling and the README "Chaos harness"
 //! section for the workflow).
@@ -38,7 +39,6 @@ pub mod oracle;
 pub mod regions;
 pub mod runner;
 pub mod scenario;
-pub mod statesync;
 
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosEventKind, ChaosPlan, LinkAxis, LinkFault};
 pub use cost::{CostModel, DiskModel};
@@ -47,4 +47,3 @@ pub use hs1_types::ProtocolKind;
 pub use openloop::{ArrivalKind, OpenLoop};
 pub use runner::ChaosStats;
 pub use scenario::{Report, Scenario, WorkloadKind};
-pub use statesync::CatchupModel;

@@ -1,7 +1,10 @@
 //! The discrete-event loop: engines + network model + resource model +
 //! client oracle — plus, when a chaos plan is installed, scheduled
 //! partition/heal transitions and replica crash-restart through the real
-//! `hs1-storage` recovery path.
+//! `hs1-storage` recovery path. A restarted replica then catches up
+//! through the node's `hs1-statesync` client before it rejoins consensus,
+//! and every replica answers its requests from a `SnapshotServer` over
+//! its own journal directory, so the transfer travels the modeled network.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -13,12 +16,12 @@ use crate::cost::CostModel;
 use crate::net::NetModel;
 use crate::openloop::{ArrivalGen, OpenLoop};
 use crate::oracle::{ClientOracle, LatencyHist};
-use crate::statesync::CatchupModel;
-use hs1_adversary::AdversaryStrategy;
+use hs1_adversary::{AdversaryMutator, AdversaryStrategy};
 use hs1_core::invariants::{self, Committed, Observation};
-use hs1_core::persist::{Persistence, RecoveredState};
+use hs1_core::persist::RecoveredState;
 use hs1_core::replica::{Action, Replica, Timer};
 use hs1_obs::{block_key, Obs, Stage};
+use hs1_statesync::{SnapshotServer, SyncClient, SyncConfig, SyncPhase, SYNC_TICK};
 use hs1_storage::{ReplicaStorage, StorageConfig};
 use hs1_types::{
     Block, BlockId, ClientId, CommittedLog, Message, ProtocolKind, ReplicaId, ReplyKind,
@@ -49,8 +52,9 @@ enum Ev {
     OpenArrival,
     /// A scheduled chaos transition (partition/heal/crash/restart).
     Chaos { kind: ChaosEventKind },
-    /// Recovery (and, if chosen, the modeled snapshot transfer) finished;
-    /// the replica rejoins the network.
+    /// A syncing replica polls its state-sync client.
+    SyncTick { replica: ReplicaId, inc: u32 },
+    /// Recovery and state sync finished; the replica rejoins consensus.
     RestartDone { replica: ReplicaId, inc: u32 },
 }
 
@@ -66,33 +70,49 @@ pub struct ChaosStats {
     pub partitions: u64,
     pub crashes: u64,
     pub restarts: u64,
-    /// Restarts whose gap made `CatchupModel` choose snapshot transfer.
+    /// Restarts that installed a snapshot their `SyncClient` downloaded.
     pub snapshot_syncs: u64,
-    /// Restarts that caught up through per-block fetch replay.
+    /// Restarts whose `SyncClient` declined (gap under
+    /// `SyncConfig::gap_threshold`) or failed, and so caught up through
+    /// per-block fetch replay.
     pub replay_catchups: u64,
     /// Bit-rot events applied to a downed replica's storage.
     pub bitrot_events: u64,
     /// Recoveries that (correctly) fail-stopped on unrecoverable rot —
     /// the replica stays down rather than rejoining with bad state.
     pub bitrot_failstops: u64,
-    /// Modeled snapshot-download rotations away from chunk-corrupting
-    /// adversarial peers.
+    /// Snapshot downloads a restarted replica's `SyncClient` moved to
+    /// another peer after a chunk or image failed verification.
     pub snapshot_rotations: u64,
     /// Adversarial backups wrapped around engines this run.
     pub adversaries: u64,
 }
 
 /// Everything the runner needs to crash-restart replicas mid-run:
-/// per-replica journal directories, the storage config those journals
-/// use, a factory for fresh engine instances, and the catch-up cost
-/// model that prices replay vs snapshot at restart time.
+/// per-replica journal directories (which snapshot servers read too), the
+/// storage config those journals use, a factory for fresh engine
+/// instances, and the state-sync config a restarted replica catches up
+/// with.
 pub struct ChaosRuntime {
     pub dirs: Vec<PathBuf>,
     pub storage: StorageConfig,
     pub rebuild: Box<dyn Fn(usize) -> Box<dyn Replica>>,
-    pub catchup: CatchupModel,
-    /// Override the model-derived snapshot threshold (blocks of gap).
-    pub catchup_threshold: Option<u64>,
+    pub sync: SyncConfig,
+}
+
+/// A restarted replica catching up before it rejoins consensus: its
+/// state-sync client, and the journal held back until the sync decides
+/// what to install.
+struct Syncing {
+    client: SyncClient,
+    storage: ReplicaStorage,
+}
+
+/// A replica's serving side of state sync: its snapshot server, and the
+/// adversary layer a `CorruptSnapshot` backup serves through.
+struct Serving {
+    server: SnapshotServer,
+    mutator: Option<AdversaryMutator>,
 }
 
 /// Post-crash placeholder: keeps the dead replica's last committed chain
@@ -172,10 +192,11 @@ pub struct RunStats {
 
 pub struct SimRunner {
     engines: Vec<Box<dyn Replica>>,
+    protocol: ProtocolKind,
     /// Each replica's committed chain as its engine's steps committed it,
-    /// every height kept: harness memory, where a replica keeps a window.
-    /// The fingerprint, the oracles, the restart gap and the modeled
-    /// snapshot read these.
+    /// every height kept (see [`resync`] for the exceptions): harness
+    /// memory, where a replica keeps a window. The fingerprint and the
+    /// oracles read these.
     logs: Vec<CommittedLog>,
     net: NetModel,
     cost: CostModel,
@@ -211,8 +232,13 @@ pub struct SimRunner {
     // -- chaos state (inert on fault-free runs) -----------------------------
     /// Crash-restart machinery; `None` disables mid-run crash handling.
     chaos_rt: Option<ChaosRuntime>,
-    /// Replicas currently down (messages and timers are dropped).
+    /// Replicas currently out of consensus: down, or restarted and still
+    /// syncing (consensus messages, requests and timers are dropped).
     crashed: Vec<bool>,
+    /// Restarted replicas still in their sync phase.
+    syncs: Vec<Option<Syncing>>,
+    /// Per-replica snapshot serving (empty without a chaos runtime).
+    serving: Vec<Serving>,
     /// Bumped at every crash; stale Handle/Timer events are discarded.
     incarnation: Vec<u32>,
     /// Per-replica timer-rate factors (clock-skew axis; 1.0 = nominal).
@@ -223,12 +249,6 @@ pub struct SimRunner {
     bitrot: Vec<bool>,
     /// Seed the bit-flip positions derive from (the plan seed).
     chaos_seed: u64,
-    /// Adversary strategy per replica (None = honest), used by the
-    /// modeled snapshot path.
-    adversary: Vec<Option<AdversaryStrategy>>,
-    /// Every proposed block body ever seen (never pruned): the archive a
-    /// modeled snapshot install draws bodies from.
-    bodies: HashMap<BlockId, Arc<Block>>,
     /// `(time, committed_blocks)` at the last heal/rejoin: liveness must
     /// resume after it.
     liveness_mark: Option<(SimTime, u64)>,
@@ -266,6 +286,7 @@ impl SimRunner {
             oracle: ClientOracle::new(n, f, protocol),
             logs: engines.iter().map(|e| e.committed_log()).collect(),
             engines,
+            protocol,
             net,
             cost,
             heap: BinaryHeap::new(),
@@ -286,12 +307,12 @@ impl SimRunner {
             frontier: View::GENESIS,
             chaos_rt: None,
             crashed: vec![false; n],
+            syncs: (0..n).map(|_| None).collect(),
+            serving: Vec::new(),
             incarnation: vec![0; n],
             timer_rate: vec![1.0; n],
             bitrot: vec![false; n],
             chaos_seed: 0,
-            adversary: vec![None; n],
-            bodies: HashMap::new(),
             liveness_mark: None,
             // A k-chain of certified blocks, then the leader whose
             // proposal carries the last certificate.
@@ -322,13 +343,18 @@ impl SimRunner {
 
     /// Install a chaos plan: link faults go to the network model, the
     /// scheduled transitions enter the event heap, and (when the plan
-    /// crashes replicas) `rt` supplies the storage dirs + engine factory
-    /// the restart path needs.
+    /// crashes replicas) `rt` supplies the storage dirs, engine factory
+    /// and sync config the restart path needs.
     pub fn install_chaos(&mut self, plan: &ChaosPlan, rt: Option<ChaosRuntime>) {
         self.net.install_chaos(plan);
         if plan.has_crashes() {
             assert!(rt.is_some(), "a plan with crash events needs a ChaosRuntime");
         }
+        self.serving = rt
+            .iter()
+            .flat_map(|rt| &rt.dirs)
+            .map(|dir| Serving { server: SnapshotServer::new(dir), mutator: None })
+            .collect();
         self.chaos_rt = rt;
         self.chaos_seed = plan.seed;
         if plan.skew.len() == self.n() {
@@ -343,17 +369,21 @@ impl SimRunner {
     }
 
     /// Record which replicas run behind an adversary wrapper (the
-    /// scenario wraps them; the runner needs the placement for the
-    /// modeled snapshot path). Overrides whatever the installed plan
-    /// declared — the scenario passes the merged plan + explicit set.
+    /// scenario wraps them; the runner serves a `CorruptSnapshot`
+    /// backup's snapshots through the same strategy, whose mutator draws
+    /// no randomness, so it takes no seed of its own). Overrides whatever
+    /// the installed plan declared — the scenario passes the merged plan +
+    /// explicit set.
     pub fn note_adversaries(&mut self, set: &[(usize, AdversaryStrategy)]) {
-        self.adversary = vec![None; self.n()];
-        for &(r, s) in set {
-            if r < self.n() {
-                self.adversary[r] = Some(s);
-            }
-        }
         self.stats.chaos.adversaries = set.len() as u64;
+        let Some(rt) = &self.chaos_rt else { return };
+        let strategy = AdversaryStrategy::CorruptSnapshot;
+        for (r, serving) in self.serving.iter_mut().enumerate() {
+            let me = ReplicaId(r as u32);
+            serving.mutator = set.contains(&(r, strategy)).then(|| {
+                AdversaryMutator::new(strategy, rt.sync.system.clone(), self.protocol, me, 0)
+            });
+        }
     }
 
     fn push(&mut self, at: SimTime, ev: Ev) {
@@ -464,8 +494,9 @@ impl SimRunner {
         match ev {
             Ev::Deliver { from, to, msg } => {
                 let i = to.0 as usize;
-                if self.crashed[i] {
-                    // The receiving process is down; the bytes vanish.
+                if self.crashed[i] && !(self.syncs[i].is_some() && is_snapshot(&msg)) {
+                    // The receiving process is down, or syncing and out of
+                    // consensus; the bytes vanish.
                     self.stats.chaos.dropped_msgs += 1;
                     return;
                 }
@@ -477,15 +508,29 @@ impl SimRunner {
             }
             Ev::Handle { from, to, msg, inc } => {
                 let i = to.0 as usize;
-                if self.crashed[i] || inc != self.incarnation[i] {
+                if inc != self.incarnation[i] || (self.crashed[i] && self.syncs[i].is_none()) {
                     // A crash killed the processing mid-flight.
                     self.stats.chaos.dropped_msgs += 1;
                     return;
                 }
-                let mut out = Vec::new();
-                self.engines[i].on_message(from, msg, self.now, &mut out);
-                self.record_commits(i, &out);
-                self.absorb(to, out);
+                match msg {
+                    // State sync lives outside the engine, as on a node.
+                    Message::SnapshotReq(_) | Message::SnapshotChunkReq(_) => {
+                        self.serve_snapshot(i, from, msg)
+                    }
+                    Message::SnapshotManifest(_) | Message::SnapshotChunk(_) => {
+                        let Some(sync) = &mut self.syncs[i] else { return };
+                        let mut out = Vec::new();
+                        sync.client.on_message(from, &msg, self.now, &mut out);
+                        self.advance_sync(i, out);
+                    }
+                    msg => {
+                        let mut out = Vec::new();
+                        self.engines[i].on_message(from, msg, self.now, &mut out);
+                        self.record_commits(i, &out);
+                        self.absorb(to, out);
+                    }
+                }
             }
             Ev::Timer { at, timer, inc } => {
                 let i = at.0 as usize;
@@ -507,6 +552,19 @@ impl SimRunner {
             }
             Ev::OpenArrival => self.on_open_arrival(),
             Ev::Chaos { kind } => self.on_chaos(kind),
+            Ev::SyncTick { replica, inc } => {
+                let i = replica.0 as usize;
+                let Some(sync) = self.syncs[i].as_mut().filter(|_| inc == self.incarnation[i])
+                else {
+                    return;
+                };
+                let mut out = Vec::new();
+                sync.client.poll(self.now, &mut out);
+                self.advance_sync(i, out);
+                if self.syncs[i].is_some() {
+                    self.push(self.now + SYNC_TICK, Ev::SyncTick { replica, inc });
+                }
+            }
             Ev::RestartDone { replica, inc } => {
                 let i = replica.0 as usize;
                 if inc != self.incarnation[i] {
@@ -581,7 +639,7 @@ impl SimRunner {
     }
 
     fn send_one(&mut self, from: ReplicaId, to: ReplicaId, msg: Message) {
-        // Register proposals for orphan tracking and the body archive.
+        // Register proposals for orphan tracking.
         if let Message::Propose(p) = &msg {
             if let std::collections::hash_map::Entry::Vacant(e) = self.proposed.entry(p.block.id())
             {
@@ -597,9 +655,6 @@ impl SimRunner {
                         }
                     }
                 }
-            }
-            if self.chaos_rt.is_some() {
-                self.bodies.entry(p.block.id()).or_insert_with(|| p.block.clone());
             }
         }
         let i = from.0 as usize;
@@ -704,10 +759,11 @@ impl SimRunner {
     /// for a [`Downed`] placeholder so the invariant checker still sees
     /// its last committed chain); only its journal directory survives.
     fn crash_replica(&mut self, i: usize) {
-        if i >= self.n() || self.crashed[i] {
+        if i >= self.n() || (self.crashed[i] && self.syncs[i].is_none()) {
             return;
         }
         self.crashed[i] = true;
+        self.syncs[i] = None;
         self.incarnation[i] += 1;
         self.stats.chaos.crashes += 1;
         let log = self.logs[i].clone();
@@ -719,19 +775,20 @@ impl SimRunner {
     }
 
     /// Bring replica `i` back through the real `hs1-storage` recovery
-    /// path, then decide — with the calibrated [`CatchupModel`] — whether
-    /// the gap to the live cluster warrants a modeled snapshot install
-    /// (`hs1-statesync`'s decision point) or per-block fetch replay. The
-    /// replica rejoins the network at `now` plus the modeled transfer
-    /// time via [`Ev::RestartDone`].
+    /// path, then start its sync phase: the replica stays out of
+    /// consensus while its `hs1-statesync` client asks its peers for
+    /// snapshot manifests and either downloads and installs an image (the
+    /// gap is past `SyncConfig::gap_threshold`) or declines, leaving the
+    /// gap to per-block fetch replay. It rejoins via [`Ev::RestartDone`]
+    /// when the client is done (see [`SimRunner::advance_sync`]).
     fn restart_replica(&mut self, i: usize) {
-        if i >= self.n() || !self.crashed[i] {
+        if i >= self.n() || !self.crashed[i] || self.syncs[i].is_some() {
             return;
         }
         let Some(rt) = self.chaos_rt.as_ref() else { return };
         self.stats.chaos.restarts += 1;
         let rotted = self.bitrot[i];
-        let (state, mut storage) = match ReplicaStorage::open(&rt.dirs[i], rt.storage) {
+        let (state, storage) = match ReplicaStorage::open(&rt.dirs[i], rt.storage) {
             Ok(v) => v,
             Err(e) => {
                 if rotted {
@@ -760,97 +817,58 @@ impl SimRunner {
         let at_crash = Committed::of(&*self.engines[i]);
         self.stats.invariant_violations.extend(invariants::check_recovery(&at_crash, &own, rotted));
         resync(&mut self.logs[i], &own.log);
-        let own_len = self.logs[i].len();
 
-        // Gap to the live cluster, measured against the longest committed
-        // chain of any up replica.
-        let peer = (0..self.n())
-            .filter(|&p| p != i && !self.crashed[p])
-            .max_by_key(|&p| self.logs[p].len());
-        let peer_len = peer.map_or(0, |p| self.logs[p].len());
-        let gap = peer_len.saturating_sub(own_len) as u64;
+        let me = ReplicaId(i as u32);
+        let peers = (0..self.n() as u32).map(ReplicaId).filter(|&p| p != me).collect();
+        let client = SyncClient::new(rt.sync.clone(), peers, engine.committed_len() as u64);
+        engine.set_observer(self.obs.clone());
+        self.engines[i] = engine;
+        self.syncs[i] = Some(Syncing { client, storage });
+        let inc = self.incarnation[i];
+        self.push(self.now, Ev::SyncTick { replica: me, inc });
+    }
 
-        let mut model = rt.catchup.clone();
-        model.chain_len = peer_len as u64;
-        // Materialized state grows with commit history (writes upper-bound
-        // the distinct keys an image must carry).
-        model.state_entries = model.chain_len * model.txs_per_block;
-        let threshold = rt.catchup_threshold.unwrap_or_else(|| model.crossover_blocks());
+    /// Answer a state-sync request to replica `p` from its snapshot
+    /// server, through its adversary layer when it has one (as
+    /// `NodeRunner::serve_snapshot` does). A replica without a checkpoint
+    /// stays silent.
+    fn serve_snapshot(&mut self, p: usize, to: ReplicaId, msg: Message) {
+        let Some(serving) = self.serving.get_mut(p) else { return };
+        let Some(resp) = serving.server.handle(&msg) else { return };
+        let out = match &mut serving.mutator {
+            Some(m) => m.mutate(to, resp),
+            None => vec![(to, resp)],
+        };
+        for (t, m) in out {
+            self.send_one(ReplicaId(p as u32), t, m);
+        }
+    }
 
-        // The f+1-manifest trust boundary under adversaries: snapshot
-        // agreement needs f+1 *honest* up peers behind one manifest key
-        // (a chunk-corrupting adversary serves an honest manifest — its
-        // lie is only detectable per chunk). Without that margin, the
-        // joiner falls back to per-block replay.
-        let up_peers: Vec<usize> = (0..self.n()).filter(|&p| p != i && !self.crashed[p]).collect();
-        let corrupt_snapshot =
-            |p: &usize| self.adversary[*p] == Some(AdversaryStrategy::CorruptSnapshot);
-        let honest_up = up_peers.iter().filter(|p| !corrupt_snapshot(p)).count();
-        let f = self.n() - self.quorum;
-        let agreement_possible = honest_up > f;
-
-        let mut delay = SimDuration::ZERO;
-        if gap > 0 && gap >= threshold && agreement_possible {
-            // Snapshot decision: install the peers' committed suffix as a
-            // verified image (bodies come from the runner's archive — the
-            // modeled analog of chunk transfer) and charge the modeled
-            // transfer time before the replica rejoins. Blocks the
-            // cluster commits *during* the transfer are the model's
-            // residual; the live fetch path replays them organically.
-            let peer = peer.expect("a gap means a longer peer");
-            let suffix: Option<Vec<Arc<Block>>> =
-                self.logs[peer].ids_from(own_len).map(|id| self.bodies.get(&id).cloned()).collect();
-            if let Some(suffix) = suffix {
-                let peer_view = (0..self.n())
-                    .filter(|&p| p != i && !self.crashed[p])
-                    .map(|p| self.engines[p].current_view())
-                    .max()
-                    .unwrap_or(View::GENESIS);
-                engine.restore(RecoveredState {
-                    view: peer_view,
-                    decided: suffix.clone(),
-                    ..Default::default()
-                });
-                let log = engine.committed_log();
-                // Mirror `ReplicaStorage::install_snapshot`: the adopted
-                // suffix must be journaled before going live, or the next
-                // recovery replays new commits onto a pre-sync base. Only
-                // what the engine adopted: blocks of a suffix that does not
-                // extend its chain are journaled if they commit live.
-                let adopted: HashSet<BlockId> = log.ids_from(own_len).collect();
-                for b in suffix.iter().filter(|b| adopted.contains(&b.id())) {
-                    storage.on_commit(b);
-                }
-                resync(&mut self.logs[i], &log);
-                storage.on_view(peer_view);
-                storage.sync();
-                delay = model.snapshot_time();
-                // hs1-statesync downloads from the lowest-id agreeing
-                // peer and rotates on a CRC-failing chunk: every
-                // chunk-corrupting adversary ahead of the first honest
-                // peer costs one rejected chunk round trip before the
-                // ban/rotate moves on.
-                let rotations = up_peers.iter().take_while(|p| corrupt_snapshot(p)).count() as u64;
-                if rotations > 0 {
-                    let per_rotation = model.rtt + model.cost.tx_time(model.chunk_bytes as usize);
-                    delay += per_rotation * rotations;
-                    self.stats.chaos.snapshot_rotations += rotations;
-                }
-                self.stats.chaos.snapshot_syncs += 1;
-            } else {
-                // Archive miss (should not happen — every proposal is
-                // archived); fall back to live replay.
-                self.stats.chaos.replay_catchups += 1;
-            }
-        } else if gap > 0 {
+    /// Send what replica `i`'s sync client produced; once the client is
+    /// done, install what it verified (journaled before the replica goes
+    /// live, as on a node), count the outcome and let the replica rejoin.
+    fn advance_sync(&mut self, i: usize, out: Vec<(ReplicaId, Message)>) {
+        let me = ReplicaId(i as u32);
+        for (to, msg) in out {
+            self.send_one(me, to, msg);
+        }
+        let Some(sync) = &self.syncs[i] else { return };
+        if matches!(sync.client.phase(), SyncPhase::Collecting | SyncPhase::Downloading) {
+            return;
+        }
+        let Syncing { mut client, mut storage } = self.syncs[i].take().expect("syncing");
+        self.stats.chaos.snapshot_rotations += client.stats.rotations;
+        let installed =
+            client.take_synced().is_some_and(|s| s.install(&mut *self.engines[i], &mut storage));
+        if installed {
+            self.stats.chaos.snapshot_syncs += 1;
+            resync(&mut self.logs[i], &self.engines[i].committed_log());
+        } else {
             self.stats.chaos.replay_catchups += 1;
         }
-
-        engine.set_observer(self.obs.clone());
-        engine.set_persistence(Box::new(storage));
-        self.engines[i] = engine;
+        self.engines[i].set_persistence(Box::new(storage));
         let inc = self.incarnation[i];
-        self.push(self.now + delay, Ev::RestartDone { replica: ReplicaId(i as u32), inc });
+        self.push(self.now, Ev::RestartDone { replica: me, inc });
     }
 
     fn absorb(&mut self, from: ReplicaId, actions: Vec<Action>) {
@@ -1039,11 +1057,22 @@ impl SimRunner {
     }
 }
 
+/// State-sync traffic: the only messages a syncing replica takes.
+fn is_snapshot(msg: &Message) -> bool {
+    matches!(
+        msg,
+        Message::SnapshotReq(_)
+            | Message::SnapshotChunkReq(_)
+            | Message::SnapshotManifest(_)
+            | Message::SnapshotChunk(_)
+    )
+}
+
 /// Bring the harness's record of a restarted replica to what its engine
 /// now holds: the record up to the engine's head, then whatever the engine
 /// committed past it. A restart that parted from the replica's own history
-/// (`check_recovery` reports it) starts the record over from the engine's
-/// window.
+/// (`check_recovery` reports it), or a snapshot whose window starts past
+/// the record's head, starts the record over from the engine's window.
 fn resync(record: &mut CommittedLog, engine: &CommittedLog) {
     match record.diverge(engine) {
         Ok(None) if engine.len() <= record.len() && engine.len() > record.start() => {
@@ -1116,6 +1145,11 @@ impl SimRunner {
             }
         }
     }
+    /// Per-replica state roots (debug/inspection).
+    pub fn state_roots(&self) -> Vec<hs1_crypto::Digest> {
+        self.engines.iter().map(|e| e.state_root()).collect()
+    }
+
     /// Per-replica current views (debug/inspection).
     pub fn current_views(&self) -> Vec<u64> {
         self.engines.iter().map(|e| e.current_view().0).collect()

@@ -19,12 +19,13 @@ use crate::net::NetModel;
 use crate::openloop::OpenLoop;
 use crate::regions::{spread, Region};
 use crate::runner::{ChaosRuntime, ChaosStats, SimRunner};
-use crate::statesync::CatchupModel;
 use hs1_adversary::{AdversaryEngine, AdversaryMutator, AdversaryStrategy};
 use hs1_core::byzantine::Fault;
 use hs1_core::{build_replica, Replica};
+use hs1_crypto::Digest;
 use hs1_ledger::ExecConfig;
 use hs1_obs::Obs;
+use hs1_statesync::SyncConfig;
 use hs1_storage::journal::SyncPolicy;
 use hs1_storage::testutil::TempDir;
 use hs1_storage::{ReplicaStorage, StorageConfig};
@@ -64,10 +65,6 @@ pub struct Scenario {
     pub cost: CostModel,
     /// Deterministic fault schedule (see [`crate::chaos`]).
     pub chaos: Option<ChaosPlan>,
-    /// Gap (in blocks) past which a restarting replica snapshot-syncs
-    /// instead of replaying; `None` asks [`CatchupModel`] for the
-    /// crossover.
-    pub catchup_threshold: Option<u64>,
     /// Observability sink threaded into every engine, the storage layer,
     /// and the runner (see `hs1-obs`). Pure observer: attaching one must
     /// not change the report's fingerprint. `None` runs with no-op hooks.
@@ -104,7 +101,6 @@ impl Scenario {
             adversaries: Vec::new(),
             cost: CostModel::default(),
             chaos: None,
-            catchup_threshold: None,
             observer: None,
             open_loop: None,
             mempool_cap: None,
@@ -137,12 +133,6 @@ impl Scenario {
     /// typically at [`Scenario::chaos_horizon`]).
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
-        self
-    }
-
-    /// Force the replay-vs-snapshot decision gap for chaos restarts.
-    pub fn catchup_threshold(mut self, blocks: u64) -> Self {
-        self.catchup_threshold = Some(blocks);
         self
     }
 
@@ -304,6 +294,8 @@ impl Scenario {
             adversaries.retain(|(pr, _)| *pr != r);
             adversaries.push((r, s));
         }
+        // A restarted replica catches up as a node would.
+        let sync = SyncConfig::new(cfg.clone());
         // The one place a simulated replica is built: at start-up, and
         // again by the chaos crash-restart path. A restarted adversary
         // stays adversarial: the wrapper (with a fresh mutation stream)
@@ -359,17 +351,7 @@ impl Scenario {
                     dirs.push(dir.path().to_path_buf());
                     chaos_dirs.push(dir);
                 }
-                let mut catchup = CatchupModel::lan(0, 0);
-                catchup.cost = self.cost.clone();
-                catchup.txs_per_block = self.batch_size.max(1) as u64;
-                catchup.block_bytes = 96 + 64 + self.batch_size * 8;
-                Some(ChaosRuntime {
-                    dirs,
-                    storage: storage_cfg,
-                    rebuild: Box::new(build),
-                    catchup,
-                    catchup_threshold: self.catchup_threshold,
-                })
+                Some(ChaosRuntime { dirs, storage: storage_cfg, rebuild: Box::new(build), sync })
             }
             Some(plan) => {
                 assert_eq!(plan.n, self.n, "chaos plan sized for a different deployment");
@@ -398,6 +380,7 @@ impl Scenario {
         let fingerprint = runner.fingerprint();
         let replica_views = runner.current_views();
         let replica_chain_lens = runner.committed_lengths();
+        let replica_roots = runner.state_roots();
 
         Report {
             protocol: self.protocol,
@@ -423,6 +406,7 @@ impl Scenario {
             fingerprint,
             replica_views,
             replica_chain_lens,
+            replica_roots,
             observer: self.observer,
         }
     }
@@ -466,6 +450,8 @@ pub struct Report {
     pub replica_views: Vec<u64>,
     /// Per-replica committed-chain length at end of run.
     pub replica_chain_lens: Vec<usize>,
+    /// Per-replica state root at end of run.
+    pub replica_roots: Vec<Digest>,
     /// The observability sink the run was traced into, if any (carried so
     /// [`Report::ensure_invariants`] can flush it before a hard exit).
     pub observer: Option<Obs>,

@@ -7,19 +7,25 @@
 //! (`hs1-net`'s node runner, or a test harness) feeds inbound messages to
 //! [`SyncClient::on_message`], calls [`SyncClient::poll`] for
 //! time-driven retries, and sends whatever `(peer, message)` pairs both
-//! produce. Nothing here touches sockets or clocks beyond the `Instant`s
-//! the caller passes in, so every Byzantine scenario is unit-testable
-//! deterministically.
+//! produce. Nothing here touches sockets or clocks: time is the
+//! `SimTime` the caller passes in (the node's elapsed wall clock, the
+//! simulator's virtual one), so every Byzantine scenario is unit-testable
+//! deterministically and the simulator drives the same code the node runs.
+//! Both runtimes poll every [`SYNC_TICK`] and install the result with
+//! [`SyncedState::install`].
 
-use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, HashSet};
+use std::time::Duration;
 
+use hs1_core::persist::RecoveredState;
+use hs1_core::replica::Replica;
 use hs1_crypto::{Digest, PublicKeyRegistry};
 use hs1_storage::crc32::crc32;
+use hs1_storage::ReplicaStorage;
 use hs1_types::message::{
     SnapshotChunkMsg, SnapshotChunkReqMsg, SnapshotManifestMsg, SnapshotReqMsg,
 };
-use hs1_types::{Certificate, Message, ReplicaId, SystemConfig, View};
+use hs1_types::{Certificate, Message, ReplicaId, SimDuration, SimTime, SystemConfig, View};
 
 use crate::image::SnapshotImage;
 
@@ -31,8 +37,8 @@ pub struct SyncConfig {
     /// below it the client reports [`SyncPhase::Declined`] and the caller
     /// falls back to ordinary per-block fetch. (The heuristic: replay
     /// costs one round trip *and one re-execution* per block, snapshot
-    /// costs O(state) once — see `hs1_sim::statesync` for the modeled
-    /// crossover.)
+    /// costs O(state) once.) The node and the simulator's chaos
+    /// restarts both decide with this one value.
     pub gap_threshold: u64,
     /// Re-send manifest requests at this cadence while collecting.
     pub manifest_retry: Duration,
@@ -58,6 +64,14 @@ impl SyncConfig {
             full_agreement_grace: Duration::from_millis(400),
         }
     }
+}
+
+/// How often a syncing replica polls its client when no message arrives.
+pub const SYNC_TICK: SimDuration = SimDuration::from_millis(20);
+
+/// Has `span` passed since `at`?
+fn elapsed(now: SimTime, at: SimTime, span: Duration) -> bool {
+    now.since(at).0 >= span.as_nanos() as u64
 }
 
 /// Counters for observability and test assertions.
@@ -105,12 +119,37 @@ pub struct SyncedState {
     pub high_cert: Certificate,
 }
 
+impl SyncedState {
+    /// Restore the image into `engine` and, if the engine adopted it,
+    /// journal it as a local checkpoint in `storage`, so a crash right
+    /// after the sync recovers from disk instead of re-downloading. The
+    /// engine refuses an image whose log does not extend its own; then
+    /// the disk keeps its own history too. Returns whether it installed.
+    pub fn install(self, engine: &mut dyn Replica, storage: &mut ReplicaStorage) -> bool {
+        let store = self.image.restore_store();
+        let log = self.image.log;
+        engine.restore(RecoveredState {
+            view: self.view,
+            high_cert: Some(self.high_cert.clone()),
+            committed_store: Some(store.clone()),
+            committed_log: log.clone(),
+            decided: Vec::new(),
+            speculated: Vec::new(),
+        });
+        if (engine.committed_len(), engine.committed_head()) != (log.len(), log.head()) {
+            return false;
+        }
+        storage.install_snapshot(&store, &log, self.view, Some(self.high_cert));
+        true
+    }
+}
+
 struct Download {
     from: ReplicaId,
     manifest: SnapshotManifestMsg,
     buf: Vec<u8>,
     next: u32,
-    last_req: Instant,
+    last_req: SimTime,
 }
 
 /// The sync state machine. See the module docs for the driving contract.
@@ -120,18 +159,19 @@ pub struct SyncClient {
     peers: Vec<ReplicaId>,
     have_chain_len: u64,
     phase: SyncPhase,
-    /// Latest acceptable manifest per peer.
-    manifests: HashMap<ReplicaId, SnapshotManifestMsg>,
+    /// Latest acceptable manifest per peer. Ordered, so agreement and the
+    /// re-entry certificate do not depend on a hasher's iteration order.
+    manifests: BTreeMap<ReplicaId, SnapshotManifestMsg>,
     /// Peers that served a chunk or image that failed verification.
     banned: HashSet<ReplicaId>,
     /// Snapshot identity the agreement group converged on.
     agreed_key: Option<Digest>,
     download: Option<Download>,
     result: Option<SyncedState>,
-    last_manifest_req: Option<Instant>,
+    last_manifest_req: Option<SimTime>,
     /// When the first acceptable manifest arrived (starts the
     /// full-agreement grace clock).
-    first_manifest_at: Option<Instant>,
+    first_manifest_at: Option<SimTime>,
     pub stats: SyncStats,
 }
 
@@ -147,7 +187,7 @@ impl SyncClient {
             peers,
             have_chain_len,
             phase: SyncPhase::Collecting,
-            manifests: HashMap::new(),
+            manifests: BTreeMap::new(),
             banned: HashSet::new(),
             agreed_key: None,
             download: None,
@@ -176,7 +216,7 @@ impl SyncClient {
 
     /// Time-driven work: initial/retry manifest requests, chunk-request
     /// retries. Call at every loop tick.
-    pub fn poll(&mut self, now: Instant, out: &mut Vec<(ReplicaId, Message)>) {
+    pub fn poll(&mut self, now: SimTime, out: &mut Vec<(ReplicaId, Message)>) {
         match self.phase {
             SyncPhase::Collecting => {
                 // The grace clock can expire without a new manifest
@@ -187,7 +227,7 @@ impl SyncClient {
                 }
                 let due = self
                     .last_manifest_req
-                    .map(|at| now.duration_since(at) >= self.cfg.manifest_retry)
+                    .map(|at| elapsed(now, at, self.cfg.manifest_retry))
                     .unwrap_or(true);
                 if due {
                     self.last_manifest_req = Some(now);
@@ -203,7 +243,7 @@ impl SyncClient {
             }
             SyncPhase::Downloading => {
                 let Some(dl) = &mut self.download else { return };
-                if now.duration_since(dl.last_req) >= self.cfg.chunk_retry {
+                if elapsed(now, dl.last_req, self.cfg.chunk_retry) {
                     // Silence is not proof of fault (the peer may be slow
                     // or the message lost): re-ask the same peer; the
                     // caller's overall deadline bounds a mute one.
@@ -226,7 +266,7 @@ impl SyncClient {
         &mut self,
         from: ReplicaId,
         msg: &Message,
-        now: Instant,
+        now: SimTime,
         out: &mut Vec<(ReplicaId, Message)>,
     ) {
         match msg {
@@ -240,7 +280,7 @@ impl SyncClient {
         &mut self,
         from: ReplicaId,
         m: &SnapshotManifestMsg,
-        now: Instant,
+        now: SimTime,
         out: &mut Vec<(ReplicaId, Message)>,
     ) {
         if !self.peers.contains(&from) || self.banned.contains(&from) {
@@ -268,16 +308,16 @@ impl SyncClient {
     /// identity once it has *every* responding peer behind it, or — after
     /// the full-agreement grace — at least `f + 1` distinct backers
     /// (preferring the longest chain when several qualify).
-    fn try_agree(&mut self, now: Instant, out: &mut Vec<(ReplicaId, Message)>) {
+    fn try_agree(&mut self, now: SimTime, out: &mut Vec<(ReplicaId, Message)>) {
         let needed = self.cfg.system.f() + 1;
-        let mut groups: HashMap<Digest, Vec<ReplicaId>> = HashMap::new();
+        let mut groups: BTreeMap<Digest, Vec<ReplicaId>> = BTreeMap::new();
         for (&peer, m) in &self.manifests {
             groups.entry(m.state_key()).or_default().push(peer);
         }
         let active = self.peers.iter().filter(|p| !self.banned.contains(p)).count();
         let grace_over = self
             .first_manifest_at
-            .map(|at| now.duration_since(at) >= self.cfg.full_agreement_grace)
+            .map(|at| elapsed(now, at, self.cfg.full_agreement_grace))
             .unwrap_or(false);
         let winner = groups
             .into_iter()
@@ -300,7 +340,7 @@ impl SyncClient {
 
     /// Start (or restart, after a rotation) the download from the
     /// lowest-id unbanned peer whose manifest matches the agreed key.
-    fn start_download(&mut self, now: Instant, out: &mut Vec<(ReplicaId, Message)>) {
+    fn start_download(&mut self, now: SimTime, out: &mut Vec<(ReplicaId, Message)>) {
         let key = self.agreed_key.expect("agreement before download");
         let candidate = self
             .manifests
@@ -325,7 +365,7 @@ impl SyncClient {
 
     /// Ban the current serving peer and restart against another member of
     /// the agreement group.
-    fn rotate(&mut self, now: Instant, out: &mut Vec<(ReplicaId, Message)>) {
+    fn rotate(&mut self, now: SimTime, out: &mut Vec<(ReplicaId, Message)>) {
         if let Some(dl) = self.download.take() {
             self.banned.insert(dl.from);
             self.manifests.remove(&dl.from);
@@ -338,7 +378,7 @@ impl SyncClient {
         &mut self,
         from: ReplicaId,
         c: &SnapshotChunkMsg,
-        now: Instant,
+        now: SimTime,
         out: &mut Vec<(ReplicaId, Message)>,
     ) {
         if self.phase != SyncPhase::Downloading {
@@ -382,7 +422,7 @@ impl SyncClient {
     /// identity (root, record count, and the decoded log's length and head
     /// against the manifest's `chain_len` and `chain_head`), and derive
     /// the re-entry position from verified certificates only.
-    fn finish(&mut self, now: Instant, out: &mut Vec<(ReplicaId, Message)>) {
+    fn finish(&mut self, now: SimTime, out: &mut Vec<(ReplicaId, Message)>) {
         let dl = self.download.take().expect("download in progress");
         let m = &dl.manifest;
         let verified = SnapshotImage::decode_payload(&dl.buf).ok().filter(|img| {
@@ -423,10 +463,12 @@ impl SyncClient {
 mod tests {
     use super::*;
     use crate::server::SnapshotServer;
+    use hs1_crypto::KeyPair;
     use hs1_ledger::KvStore;
     use hs1_storage::testutil::TempDir;
     use hs1_storage::Checkpoint;
-    use hs1_types::{BlockId, CommittedLog};
+    use hs1_types::{BlockId, CertKind, CommittedLog, Slot};
+    use std::collections::HashMap;
 
     const CHUNK: u32 = 64;
 
@@ -470,7 +512,7 @@ mod tests {
         servers: &mut HashMap<ReplicaId, SnapshotServer>,
     ) -> usize {
         let mut exchanged = 0;
-        let now = Instant::now();
+        let now = SimTime::ZERO;
         let mut outbox: Vec<(ReplicaId, Message)> = Vec::new();
         client.poll(now, &mut outbox);
         // FIFO delivery (like a real transport): requests fan out in
@@ -559,7 +601,7 @@ mod tests {
 
         let peers = vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)];
         let mut client = SyncClient::new(sync_cfg(8), peers, 1);
-        let now = Instant::now();
+        let now = SimTime::ZERO;
         let mut out = Vec::new();
         client.on_message(ReplicaId(0), &Message::SnapshotManifest(forged), now, &mut out);
         client.on_message(
@@ -572,7 +614,7 @@ mod tests {
 
         // A second honest backer gives f+1 — but the forger keeps full
         // agreement from forming, so the client waits out the grace.
-        let later = now + Duration::from_secs(1);
+        let later = now + SimDuration::from_secs(1);
         client.on_message(
             ReplicaId(2),
             &Message::SnapshotManifest(honest_manifest),
@@ -599,7 +641,7 @@ mod tests {
 
         let peers = vec![ReplicaId(0), ReplicaId(1)];
         let mut client = SyncClient::new(sync_cfg(8), peers, 1);
-        let now = Instant::now();
+        let now = SimTime::ZERO;
         let mut out = Vec::new();
         client.on_message(
             ReplicaId(0),
@@ -647,7 +689,7 @@ mod tests {
                 (honest.log.len() as u64, honest.log.head());
 
             let mut client = SyncClient::new(sync_cfg(8), vec![ReplicaId(0), ReplicaId(1)], 1);
-            let now = Instant::now();
+            let now = SimTime::ZERO;
             let mut out = Vec::new();
             for peer in [ReplicaId(0), ReplicaId(1)] {
                 let m = Message::SnapshotManifest(manifest.clone());
@@ -663,6 +705,56 @@ mod tests {
             assert_eq!(client.phase(), SyncPhase::Failed, "{:?}", wrong.len());
             assert_eq!(client.stats.root_rejections, 2);
         }
+    }
+
+    /// A quorum certificate for `block` at `view`, signed by `signers`.
+    fn signed_cert(view: View, block: BlockId, signers: &[u32]) -> Certificate {
+        let (kind, slot) = (CertKind::Quorum, Slot(1));
+        let bytes = Certificate::signing_bytes(kind, view, slot, block);
+        let seed = system().deployment_seed;
+        let sigs = signers
+            .iter()
+            .map(|&i| (ReplicaId(i), KeyPair::derive(seed, i).sign(kind.domain(), &bytes)))
+            .collect();
+        Certificate { kind, view, slot, block, sigs }
+    }
+
+    /// Two valid certificates of one rank (a Byzantine leader aggregated
+    /// two quorums for one view) back the agreed snapshot: every client
+    /// fed the same manifests re-enters on the same one.
+    #[test]
+    fn reentry_certificate_does_not_depend_on_map_order() {
+        let (store, log) = cluster_checkpoint();
+        let image = SnapshotImage::capture(&store, &log);
+        let payload = image.payload();
+        let block = BlockId::test(29);
+        let certs = [
+            signed_cert(View(5), block, &[0, 1, 2]),
+            signed_cert(View(6), block, &[0, 1, 2]),
+            signed_cert(View(6), block, &[1, 2, 3]),
+        ];
+        let peers = [ReplicaId(0), ReplicaId(1), ReplicaId(2)];
+        let mut chosen = Vec::new();
+        for _ in 0..16 {
+            let mut client = SyncClient::new(sync_cfg(8), peers.to_vec(), 1);
+            let mut out = Vec::new();
+            for (peer, cert) in peers.iter().zip(&certs) {
+                let m = image.manifest(&payload, CHUNK, cert.view, cert.clone());
+                client.on_message(*peer, &Message::SnapshotManifest(m), SimTime::ZERO, &mut out);
+            }
+            while let Some((to, Message::SnapshotChunkReq(req))) = out.pop() {
+                let chunk = SnapshotImage::chunk(&payload, req.state_root, CHUNK, req.index)
+                    .expect("chunk");
+                client.on_message(to, &Message::SnapshotChunk(chunk), SimTime::ZERO, &mut out);
+            }
+            assert_eq!(client.phase(), SyncPhase::Done);
+            chosen.push(client.take_synced().expect("image").high_cert);
+        }
+        assert_eq!(chosen[0].view, View(6));
+        assert!(
+            chosen.iter().all(|c| *c == chosen[0]),
+            "clients re-entered on different certificates"
+        );
     }
 
     #[test]
@@ -721,7 +813,7 @@ mod tests {
         };
         let mut client = SyncClient::new(sync_cfg(8), vec![ReplicaId(0), ReplicaId(1)], 1);
         let mut out = Vec::new();
-        client.on_message(ReplicaId(0), &Message::SnapshotManifest(bad), Instant::now(), &mut out);
+        client.on_message(ReplicaId(0), &Message::SnapshotManifest(bad), SimTime::ZERO, &mut out);
         assert_eq!(client.stats.manifests_rejected, 1);
         assert_eq!(client.stats.manifests_received, 0);
     }
@@ -729,14 +821,14 @@ mod tests {
     #[test]
     fn poll_retries_manifest_requests() {
         let mut client = SyncClient::new(sync_cfg(8), vec![ReplicaId(0), ReplicaId(1)], 1);
-        let t0 = Instant::now();
+        let t0 = SimTime::ZERO;
         let mut out = Vec::new();
         client.poll(t0, &mut out);
         assert_eq!(out.len(), 2, "initial request to every peer");
         out.clear();
         client.poll(t0, &mut out);
         assert!(out.is_empty(), "no re-request before the retry window");
-        client.poll(t0 + Duration::from_secs(1), &mut out);
+        client.poll(t0 + SimDuration::from_secs(1), &mut out);
         assert_eq!(out.len(), 2, "re-requested after the window");
     }
 }

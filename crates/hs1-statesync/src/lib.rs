@@ -41,7 +41,7 @@ pub mod client;
 pub mod image;
 pub mod server;
 
-pub use client::{SyncClient, SyncConfig, SyncPhase, SyncStats, SyncedState};
+pub use client::{SyncClient, SyncConfig, SyncPhase, SyncStats, SyncedState, SYNC_TICK};
 pub use image::{SnapshotImage, DEFAULT_CHUNK_BYTES};
 pub use server::SnapshotServer;
 

@@ -5,7 +5,6 @@
 //! genuinely trip the safety oracles.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use hotstuff1::adversary::{AdversaryMutator, AdversaryStrategy};
 use hotstuff1::ledger::KvStore;
@@ -14,7 +13,8 @@ use hotstuff1::statesync::{SnapshotServer, SyncClient, SyncConfig, SyncPhase};
 use hotstuff1::storage::testutil::TempDir;
 use hotstuff1::storage::Checkpoint;
 use hotstuff1::types::{
-    BlockId, Certificate, CommittedLog, Message, ReplicaId, SystemConfig, View,
+    BlockId, Certificate, CommittedLog, Message, ReplicaId, SimDuration, SimTime, SystemConfig,
+    View,
 };
 
 /// The three HotStuff-1 engine families (basic / chained / slotted).
@@ -131,9 +131,8 @@ fn run_sync(
     servers: &mut HashMap<ReplicaId, SnapshotServer>,
     adversaries: &mut HashMap<ReplicaId, AdversaryMutator>,
 ) {
-    let start = Instant::now();
-    for round in 0..4u32 {
-        let now = start + std::time::Duration::from_secs(round as u64);
+    for round in 0..4u64 {
+        let now = SimTime::ZERO + SimDuration::from_secs(round);
         let mut outbox: Vec<(ReplicaId, Message)> = Vec::new();
         client.poll(now, &mut outbox);
         let mut queue: std::collections::VecDeque<(ReplicaId, Message)> =

@@ -4,7 +4,7 @@
 //! plus the determinism guarantees the seed-sweep gate depends on.
 
 use hotstuff1::sim::chaos::{ChaosConfig, ChaosEvent, ChaosEventKind, ChaosPlan};
-use hotstuff1::sim::{ProtocolKind, Report, Scenario};
+use hotstuff1::sim::{AdversaryStrategy, ProtocolKind, Report, Scenario};
 use hotstuff1::types::{SimDuration, SimTime};
 
 /// The three HotStuff-1 engine families (basic / chained / slotted).
@@ -108,38 +108,70 @@ fn full_chaos_mix_all_engines_and_baselines() {
     }
 }
 
+/// A plan that crashes `replica` at `down` and restarts it at `up` (ms).
+fn crash_window(seed: u64, n: usize, replica: u32, down: u64, up: u64) -> ChaosPlan {
+    let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+    let mut plan = ChaosPlan::empty(seed, n);
+    plan.events.push(ChaosEvent { at: at(down), kind: ChaosEventKind::Crash { replica } });
+    plan.events.push(ChaosEvent { at: at(up), kind: ChaosEventKind::Restart { replica } });
+    plan
+}
+
 #[test]
 fn snapshot_decision_point_taken_on_large_gap() {
-    // A long crash window with a forced low gap threshold: the restart
-    // must take the hs1-statesync decision (modeled snapshot install)
-    // rather than per-block replay, and still converge.
-    let cfg = ChaosConfig {
-        partitions: 0,
-        crashes: 1,
-        downtime: SimDuration::from_millis(250),
-        ..ChaosConfig::events_only()
-    }
-    .without_new_axes();
-    let s = scenario(ProtocolKind::HotStuff1, 13).catchup_threshold(4);
-    let plan = ChaosPlan::generate(13, &cfg, 4, s.chaos_horizon());
-    assert!(plan.has_crashes());
-    let r = s.chaos(plan).run();
+    // A long crash window: the restarted replica falls more than
+    // `SyncConfig::gap_threshold` (64) blocks behind its peers' newest
+    // checkpoint, so its sync client downloads and installs a snapshot
+    // instead of leaving the gap to per-block replay, and the run still
+    // converges. (Three of four replicas commit slowly: every fourth
+    // view's leader is down.)
+    let plan = crash_window(13, 4, 2, 100, 900);
+    let r = scenario(ProtocolKind::HotStuff1, 13).sim_seconds(1.0).chaos(plan).run();
     assert_eq!(r.chaos.snapshot_syncs, 1, "gap exceeded threshold: snapshot chosen");
+    assert_eq!(r.chaos.replay_catchups, 0);
     assert!(r.invariants_ok(), "{:?}", r.invariant_violations);
 }
 
 #[test]
 fn replay_catchup_taken_on_small_gap() {
-    // Same shape with an unreachable threshold: the restart replays
-    // through the live fetch path instead.
-    let cfg =
-        ChaosConfig { partitions: 0, crashes: 1, ..ChaosConfig::events_only() }.without_new_axes();
-    let s = scenario(ProtocolKind::HotStuff1, 13).catchup_threshold(u64::MAX);
+    // A short crash window: the gap stays under the threshold, the sync
+    // client declines, and the restart replays through the live fetch
+    // path instead.
+    let cfg = ChaosConfig {
+        partitions: 0,
+        crashes: 1,
+        downtime: SimDuration::from_millis(20),
+        ..ChaosConfig::events_only()
+    }
+    .without_new_axes();
+    let s = scenario(ProtocolKind::HotStuff1, 13);
     let plan = ChaosPlan::generate(13, &cfg, 4, s.chaos_horizon());
     let r = s.chaos(plan).run();
     assert_eq!(r.chaos.snapshot_syncs, 0);
     assert_eq!(r.chaos.replay_catchups, 1);
     assert!(r.invariants_ok(), "{:?}", r.invariant_violations);
+}
+
+#[test]
+fn snapshot_sync_rotates_past_a_corrupt_snapshot_peer() {
+    // n = 7 with a `CorruptSnapshot` backup at the lowest peer id, which
+    // is where a sync client starts its download. An honest replica
+    // restarts far behind: its first chunk fails the CRC index, the
+    // client bans that peer and finishes from the next one, and the
+    // replica ends on its peers' state.
+    let plan = crash_window(5, 7, 3, 100, 900);
+    let r = scenario(ProtocolKind::HotStuff1, 5)
+        .replicas(7)
+        .sim_seconds(1.0)
+        .with_adversary(0, AdversaryStrategy::CorruptSnapshot)
+        .chaos(plan)
+        .run();
+    assert_eq!(r.chaos.snapshot_syncs, 1, "{:?}", r.chaos);
+    assert!(r.chaos.snapshot_rotations >= 1, "{:?}", r.chaos);
+    assert!(r.invariants_ok(), "{:?}", r.invariant_violations);
+    let lens = &r.replica_chain_lens;
+    let peer = (0..7).find(|&p| p != 3 && lens[p] == lens[3]).expect("a peer at its height");
+    assert_eq!(r.replica_roots[3], r.replica_roots[peer], "restarted replica on its peers' state");
 }
 
 #[test]
