@@ -38,11 +38,6 @@ impl AdversaryEngine {
         AdversaryEngine { inner, mutator }
     }
 
-    /// Mutation counters (tests and reports).
-    pub fn mutation_stats(&self) -> crate::MutationStats {
-        self.mutator.stats
-    }
-
     /// Route the inner engine's actions through the mutator: loopback
     /// passes clean, broadcasts fan out per destination, everything else
     /// is untouched. Afterwards, give the ForgeQuorum canary its chance

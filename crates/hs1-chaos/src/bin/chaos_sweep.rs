@@ -166,7 +166,7 @@ fn replay(args: &Args, spec: &str) -> ! {
     println!("  {}", report.row());
     println!(
         "  chaos: dropped={} dup={} reordered={} partitions={} crashes={} restarts={} \
-         snapshot-syncs={} replays={} adversaries={} bitrot={} failstops={} rotations={}",
+         snapshot-syncs={} replays={} adversaries={} bitrot={} failstops={} rotations={} stuck={}",
         report.chaos.dropped_msgs,
         report.chaos.duplicated_msgs,
         report.chaos.reordered_msgs,
@@ -179,6 +179,7 @@ fn replay(args: &Args, spec: &str) -> ! {
         report.chaos.bitrot_events,
         report.chaos.bitrot_failstops,
         report.chaos.snapshot_rotations,
+        report.chaos.stuck_syncs,
     );
     println!("  views: {:?}  chain-lens: {:?}", report.replica_views, report.replica_chain_lens);
     println!("  fingerprint: {:#018x}", report.fingerprint);
@@ -291,9 +292,10 @@ fn main() {
     );
     let started = std::time::Instant::now();
     let quiet = args.quiet;
-    // Per protocol, in sweep order: snapshot syncs, replays, rotations.
-    let mut totals: Vec<(ProtocolKind, [u64; 3])> =
-        args.protocols.iter().map(|&p| (p, [0; 3])).collect();
+    // Per protocol, in sweep order: snapshot syncs, replays, rotations,
+    // replicas still syncing at run end.
+    let mut totals: Vec<(ProtocolKind, [u64; 4])> =
+        args.protocols.iter().map(|&p| (p, [0; 4])).collect();
     let result = sweep(
         &args.protocols,
         args.start,
@@ -304,14 +306,14 @@ fn main() {
         args.inject,
         |case, report| {
             let c = &report.chaos;
-            let counts = [c.snapshot_syncs, c.replay_catchups, c.snapshot_rotations];
+            let counts = [c.snapshot_syncs, c.replay_catchups, c.snapshot_rotations, c.stuck_syncs];
             if let Some((_, t)) = totals.iter_mut().find(|(p, _)| *p == case.protocol) {
                 t.iter_mut().zip(counts).for_each(|(t, c)| *t += c);
             }
             if !quiet {
                 println!(
                     "  seed={:<4} {:<10} tput={:>8.0} tx/s dropped={:<5} dup={:<4} crashes={} \
-                     snap={} replays={} rotations={} adv={} bitrot={} ok={}",
+                     snap={} replays={} rotations={} stuck={} adv={} bitrot={} ok={}",
                     case.plan.seed,
                     case.protocol.token(),
                     report.throughput_tps,
@@ -321,6 +323,7 @@ fn main() {
                     c.snapshot_syncs,
                     c.replay_catchups,
                     c.snapshot_rotations,
+                    c.stuck_syncs,
                     c.adversaries,
                     c.bitrot_events,
                     report.invariants_ok(),
@@ -328,9 +331,10 @@ fn main() {
             }
         },
     );
-    for (p, [snap, replays, rotations]) in &totals {
+    for (p, [snap, replays, rotations, stuck]) in &totals {
         println!(
-            "  totals {:<10} snapshot-syncs={snap} replays={replays} rotations={rotations}",
+            "  totals {:<10} snapshot-syncs={snap} replays={replays} rotations={rotations} \
+             stuck={stuck}",
             p.token()
         );
     }

@@ -22,17 +22,19 @@
 //!   `epoll(7)` wrapper, and a `poll(2)` wrapper and cross-thread waker
 //!   for callers that wait on a few sockets once. The only module allowed
 //!   `unsafe` code (FFI onto libc symbols `std` already links).
-//! * [`node`] — [`node::NodeRunner`]: hosts a [`hs1_core::Replica`] behind
-//!   the mesh and turns the mesh's reactor on its own loop, maps
-//!   wall-clock time onto the engine's virtual clock, fires timers, and
+//! * [`node`] — [`node::NodeRunner`]: hosts a [`hs1_core::Replica`],
+//!   inside the `hs1-statesync` node shell the simulator steps too,
+//!   behind the mesh. It turns the mesh's reactor on its own loop, maps
+//!   wall-clock time onto the shell's virtual clock, fires timers, and
 //!   fans `Executed` actions out as per-transaction
-//!   [`hs1_types::message::ResponseMsg`]s to connected clients. With
-//!   [`node::NodeRunner::with_storage`] the node recovers from an
-//!   `hs1-storage` journal before joining and journals durably while
-//!   running (see `examples/crash_recovery.rs`); durable nodes also serve
-//!   `hs1-statesync` snapshots, and [`node::NodeRunner::with_state_sync`]
-//!   makes a lagging or fresh replica pull a verified snapshot before
-//!   joining consensus (see `examples/state_sync.rs`).
+//!   [`hs1_types::message::ResponseMsg`]s to connected clients; the shell
+//!   does the rest. With [`node::NodeRunner::with_storage`] the node
+//!   recovers from an `hs1-storage` journal before joining and journals
+//!   durably while running (see `examples/crash_recovery.rs`); durable
+//!   nodes also serve `hs1-statesync` snapshots, and
+//!   [`node::NodeRunner::with_state_sync`] makes a lagging or fresh
+//!   replica pull a verified snapshot before its engine starts (see
+//!   `examples/state_sync.rs`).
 //! * [`client_driver`] — a client over a client mesh
 //!   ([`mesh::Mesh::client`], one that binds no listener), in a closed
 //!   loop (the latency probe) or an open one (the saturation probe):

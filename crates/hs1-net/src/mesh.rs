@@ -17,8 +17,8 @@
 //! The mesh has no thread of its own; the thread that calls it moves its
 //! bytes. A [`crate::node::NodeRunner`] takes the reactor for the length
 //! of `run_for` and turns it on its own loop, so a running replica is one
-//! thread. Any other holder — the snapshot-sync phase before `run_for`,
-//! a client, tests, the benchmark's layer lab — turns it through
+//! thread. Any other holder — a client, tests, the benchmark's layer
+//! lab — turns it through
 //! the calls it makes: a send takes one turn that does not wait, and
 //! [`Inbox::recv_timeout`] takes turns until a frame arrives. Frames read
 //! on those turns, and every self-addressed send, wait in [`Mesh::inbox`].

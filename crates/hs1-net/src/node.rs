@@ -1,42 +1,41 @@
-//! The replica runner: hosts an engine behind the TCP mesh, translating
-//! between wall-clock time and the engine's virtual clock.
+//! The replica runner: hosts an engine, inside its `hs1-statesync`
+//! [`NodeShell`], behind the TCP mesh, translating between wall-clock
+//! time and the shell's virtual clock.
 //!
 //! A running replica is **one thread**. [`NodeRunner::run_for`] adopts
-//! its mesh's reactor and loops: fire the engine timers that are due,
-//! step self-addressed messages, then take one reactor turn — flush
-//! what the engine queued with `writev`, sleep in `epoll_wait` until a
-//! socket is ready or the next timer is due, and step the engine on
-//! every frame that arrived. A message crosses no channel and wakes no
-//! second thread between the socket and the engine, in either
-//! direction. The snapshot-sync phase that may precede consensus runs
-//! on the same thread: it waits on the mesh's inbox, which turns the
-//! reactor, and the loop adopts the reactor when the engine starts.
+//! its mesh's reactor and loops: fire the timers that are due, step
+//! self-addressed messages, then take one reactor turn — flush what the
+//! shell queued with `writev`, sleep in `epoll_wait` until a socket is
+//! ready or the next timer is due, and step the shell on every frame
+//! that arrived. A message crosses no channel and wakes no second thread
+//! between the socket and the engine, in either direction.
 //!
-//! With [`NodeRunner::with_storage`] the node is *durable*: it recovers
-//! from its write-ahead journal before joining the mesh (replaying the
-//! checkpoint + journal into the engine), then journals every commit,
-//! certificate, view, and speculation edge as it runs. A killed node
-//! restarted on the same directory re-enters at its recovered view and
-//! catches up to live peers through the `FetchBlock`/`FetchResp` path:
-//! the first proposal it receives references a certificate whose block it
-//! does not have, the engine requests the missing body from the proposer,
-//! and commits walk the fetched chain back to the recovered head.
+//! The runner keeps only sockets, the clock and client responses (the
+//! per-transaction fan-out of `Action::Executed`). Everything else
+//! between engine and transport is the shell's, and the simulator steps
+//! the same shell:
 //!
-//! Every durable node also *serves snapshots*: `SnapshotReq` /
-//! `SnapshotChunkReq` messages are answered out of its newest checkpoint
-//! (see `hs1-statesync`). With [`NodeRunner::with_state_sync`] the node
-//! additionally runs the *requesting* side before joining consensus: if
-//! `f + 1` peers agree on a snapshot that is further ahead than the
-//! configured gap threshold, the node downloads and verifies the image,
-//! installs it into the engine and its own storage, and only then starts
-//! the engine — leaving just the short residual suffix to the per-block
-//! fetch path. A fresh empty-disk replica joins a long-running cluster in
-//! O(state) instead of O(history).
+//! * With [`NodeRunner::with_storage`] the node is *durable*: it recovers
+//!   from its write-ahead journal before joining the mesh, then journals
+//!   every commit, certificate, view, and speculation edge as it runs. A
+//!   killed node restarted on the same directory re-enters at its
+//!   recovered view and catches up through the `FetchBlock`/`FetchResp`
+//!   path: the first proposal it receives references a certificate whose
+//!   block it does not have, the engine requests the missing body, and
+//!   commits walk the fetched chain back to the recovered head.
+//! * Every durable node *serves snapshots*: `SnapshotReq` /
+//!   `SnapshotChunkReq` are answered out of its newest checkpoint.
+//! * With [`NodeRunner::with_state_sync`] the node first runs the
+//!   *requesting* side: if `f + 1` peers agree on a snapshot further
+//!   ahead than the gap threshold, it downloads and verifies the image
+//!   and installs it into the engine and its own storage. Consensus
+//!   traffic and requests that arrive meanwhile are deferred and stepped
+//!   when the engine starts, so a fresh empty-disk replica joins a
+//!   long-running cluster in O(state) instead of O(history).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::Path;
-use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 
 use crate::http::HttpServer;
@@ -45,55 +44,27 @@ use hs1_adversary::AdversaryMutator;
 use hs1_core::replica::{Action, Replica, Timer};
 use hs1_crypto::Sha256;
 use hs1_obs::Obs;
-use hs1_statesync::{SnapshotServer, SyncClient, SyncConfig, SyncPhase, SyncStats, SYNC_TICK};
-use hs1_storage::{RecoveryInfo, ReplicaStorage, StorageConfig, StorageError};
+use hs1_statesync::{NodeShell, SyncConfig, SyncStats};
+use hs1_storage::{RecoveryInfo, StorageConfig, StorageError};
 use hs1_types::message::ResponseMsg;
-use hs1_types::{Message, ReplicaId, SimTime};
+use hs1_types::{Message, SimTime};
 
-/// Node-level state-sync tuning: the protocol knobs plus the wall-clock
-/// budget after which the node gives up and falls back to per-block
-/// replay (snapshot sync is an optimization; it must never be able to
-/// wedge a join).
-#[derive(Clone, Debug)]
-pub struct StateSyncConfig {
-    pub sync: SyncConfig,
-    /// Abandon the sync phase (and start consensus anyway) after this.
-    pub overall_timeout: Duration,
-}
-
-impl StateSyncConfig {
-    pub fn new(sync: SyncConfig) -> StateSyncConfig {
-        StateSyncConfig { sync, overall_timeout: Duration::from_secs(10) }
-    }
-}
-
-/// Hosts one engine on the mesh until `run_for` elapses.
+/// Hosts one engine, inside its [`NodeShell`], on the mesh until
+/// `run_for` elapses.
 pub struct NodeRunner {
-    engine: Box<dyn Replica>,
+    shell: NodeShell,
     mesh: Mesh,
     start: Instant,
     timers: BinaryHeap<Reverse<(SimTime, u64, Timer)>>,
     timer_seq: u64,
-    /// Snapshot serving side (installed for every durable node).
-    server: Option<SnapshotServer>,
-    /// Adversary layer over the *node-owned* outbound paths (snapshot
-    /// serving lives outside the engine; engine traffic is made
-    /// adversarial by wrapping the engine in
-    /// `hs1_adversary::AdversaryEngine` instead).
-    adversary: Option<AdversaryMutator>,
-    /// Storage held back until the sync phase decides what to install
-    /// (`with_state_sync` only).
-    pending_sync: Option<(ReplicaStorage, StateSyncConfig)>,
     /// Observability sink (noop unless installed; see `hs1-obs`).
     obs: Obs,
-    /// Non-statesync traffic that arrived during the sync phase, replayed
-    /// into the engine when it starts.
-    deferred: Vec<Inbound>,
     /// Committed blocks observed (for smoke-test introspection).
     pub committed_blocks: u64,
     /// Recovery diagnostics when the node was opened with storage.
     pub recovery: Option<RecoveryInfo>,
-    /// Counters from the sync phase (`with_state_sync` only).
+    /// Counters from the state sync (`with_state_sync` only), once it
+    /// has ended.
     pub sync_stats: Option<SyncStats>,
     /// Did the node install a verified snapshot (vs replay/fallback)?
     pub synced_via_snapshot: bool,
@@ -109,19 +80,48 @@ pub struct NodeRunner {
 
 impl NodeRunner {
     pub fn new(engine: Box<dyn Replica>, mesh: Mesh) -> NodeRunner {
+        NodeRunner::with_shell(NodeShell::new(engine), mesh)
+    }
+
+    /// Durable node: recover `engine` from the journal in `dir` (replay
+    /// first, then install the journal as the engine's persistence), so
+    /// a crash–restart cycle on the same directory resumes safely. The
+    /// node serves snapshots to syncing peers out of the same directory.
+    pub fn with_storage(
+        engine: Box<dyn Replica>,
+        mesh: Mesh,
+        dir: impl AsRef<Path>,
+        cfg: StorageConfig,
+    ) -> Result<NodeRunner, StorageError> {
+        Ok(NodeRunner::with_shell(NodeShell::open(engine, dir, cfg, None)?, mesh))
+    }
+
+    /// Durable node that *first* tries snapshot state sync: local journal
+    /// recovery runs as in [`NodeRunner::with_storage`], but the engine
+    /// starts only once the sync has either installed a verified peer
+    /// snapshot on top of the recovered state or decided replay is the
+    /// better catch-up (gap below threshold, no agreement within
+    /// `overall_timeout`).
+    pub fn with_state_sync(
+        engine: Box<dyn Replica>,
+        mesh: Mesh,
+        dir: impl AsRef<Path>,
+        cfg: StorageConfig,
+        sync: SyncConfig,
+    ) -> Result<NodeRunner, StorageError> {
+        Ok(NodeRunner::with_shell(NodeShell::open(engine, dir, cfg, Some(sync))?, mesh))
+    }
+
+    fn with_shell(shell: NodeShell, mesh: Mesh) -> NodeRunner {
         NodeRunner {
-            engine,
+            recovery: shell.recovery().cloned(),
+            shell,
             mesh,
             start: Instant::now(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            server: None,
-            adversary: None,
-            pending_sync: None,
             obs: Obs::noop(),
-            deferred: Vec::new(),
             committed_blocks: 0,
-            recovery: None,
             sync_stats: None,
             synced_via_snapshot: false,
             introspection: None,
@@ -131,57 +131,12 @@ impl NodeRunner {
         }
     }
 
-    /// Durable node: recover `engine` from the journal in `dir` (replay
-    /// first, then install the journal as the engine's persistence), so
-    /// a crash–restart cycle on the same directory resumes safely. The
-    /// node serves snapshots to syncing peers out of the same directory.
-    pub fn with_storage(
-        mut engine: Box<dyn Replica>,
-        mesh: Mesh,
-        dir: impl AsRef<Path>,
-        cfg: StorageConfig,
-    ) -> Result<NodeRunner, StorageError> {
-        let (state, storage) = ReplicaStorage::open(dir.as_ref(), cfg)?;
-        let recovery = storage.recovery_info.clone();
-        engine.restore(state);
-        engine.set_persistence(Box::new(storage));
-        let mut runner = NodeRunner::new(engine, mesh);
-        runner.server = Some(SnapshotServer::new(dir.as_ref()));
-        runner.recovery = Some(recovery);
-        Ok(runner)
-    }
-
-    /// Durable node that *first* tries snapshot state sync: local journal
-    /// recovery runs as in [`NodeRunner::with_storage`], but the engine
-    /// is not started until the sync phase (the first part of
-    /// [`NodeRunner::run_for`]) has either installed a verified peer
-    /// snapshot on top of the recovered state or decided replay is the
-    /// better catch-up (gap below threshold, no agreement in time).
-    pub fn with_state_sync(
-        mut engine: Box<dyn Replica>,
-        mesh: Mesh,
-        dir: impl AsRef<Path>,
-        cfg: StorageConfig,
-        sync_cfg: StateSyncConfig,
-    ) -> Result<NodeRunner, StorageError> {
-        let (state, storage) = ReplicaStorage::open(dir.as_ref(), cfg)?;
-        let recovery = storage.recovery_info.clone();
-        engine.restore(state);
-        let mut runner = NodeRunner::new(engine, mesh);
-        runner.server = Some(SnapshotServer::new(dir.as_ref()));
-        runner.recovery = Some(recovery);
-        runner.pending_sync = Some((storage, sync_cfg));
-        Ok(runner)
-    }
-
-    /// Route the node-owned outbound paths (snapshot serving) through an
-    /// `hs1-adversary` mutator — e.g. `AdversaryStrategy::CorruptSnapshot`
-    /// makes this node serve chunks that fail the manifest's CRC index,
-    /// which syncing peers must reject and rotate away from. One
-    /// implementation serves the simulator and the TCP stack; see
-    /// `hs1_adversary::AdversaryEngine` for the engine-traffic half.
+    /// Answer snapshot requests through an `hs1-adversary` mutator — e.g.
+    /// `AdversaryStrategy::CorruptSnapshot` makes this node serve chunks
+    /// that fail the manifest's CRC index, which syncing peers must
+    /// reject and rotate away from (see [`NodeShell::set_adversary`]).
     pub fn set_adversary(&mut self, mutator: AdversaryMutator) {
-        self.adversary = Some(mutator);
+        self.shell.set_adversary(mutator);
     }
 
     /// Install an observability sink (typically wall-clocked:
@@ -192,8 +147,8 @@ impl NodeRunner {
     /// transport counters (bytes/frames/syscalls), per-peer outbound
     /// queue gauges, shed counters, and the send-stall histogram.
     pub fn set_observer(&mut self, obs: Obs) {
-        self.engine.set_observer(obs.clone());
-        self.obs = obs.with_actor(self.engine.id().0);
+        self.shell.set_observer(obs.clone());
+        self.obs = obs.with_actor(self.shell.id().0);
         self.mesh.set_observer(self.obs.clone());
     }
 
@@ -208,28 +163,11 @@ impl NodeRunner {
         self.mesh.stats()
     }
 
-    /// Serve a snapshot response, mutated by the adversary layer when one
-    /// is installed.
-    fn serve_snapshot(&mut self, to: ReplicaId, msg: &Message) {
-        let Some(server) = &mut self.server else { return };
-        let Some(resp) = server.handle(msg) else { return };
-        match &mut self.adversary {
-            Some(adv) => {
-                for (t, m) in adv.mutate(to, resp) {
-                    self.mesh.send_replica(t, m);
-                }
-            }
-            None => self.mesh.send_replica(to, resp),
-        }
-    }
-
     /// Snapshot chunk size served by this node. Deployment-wide setting:
     /// the chunk size is part of the manifest agreement key, so every
     /// serving replica must use the same value.
     pub fn set_snapshot_chunk_bytes(&mut self, chunk_bytes: u32) {
-        if let Some(server) = &mut self.server {
-            server.set_chunk_bytes(chunk_bytes);
-        }
+        self.shell.set_snapshot_chunk_bytes(chunk_bytes);
     }
 
     /// Serve live introspection endpoints (`GET /metrics`, `GET /status`)
@@ -303,10 +241,10 @@ impl NodeRunner {
             "{{\"replica\":{},\"view\":{},\"chain_len\":{},\
              \"head\":\"{:016x}\",\"committed_blocks\":{},\"reconnects\":{},\
              \"frames_shed\":{},\"peers\":[{peers}]}}\n",
-            self.engine.id().0,
-            self.engine.current_view().0,
-            self.engine.committed_len(),
-            hs1_obs::block_key(self.engine.committed_head()),
+            self.shell.id().0,
+            self.shell.current_view().0,
+            self.shell.committed_len(),
+            hs1_obs::block_key(self.shell.committed_head()),
             self.committed_blocks,
             stats.reconnects,
             stats.frames_shed,
@@ -324,7 +262,7 @@ impl NodeRunner {
     /// The hosted engine: its committed chain and state root, for the
     /// safety and convergence checks a cluster test runs.
     pub fn replica(&self) -> &dyn Replica {
-        &*self.engine
+        &self.shell
     }
 
     fn now(&self) -> SimTime {
@@ -332,32 +270,19 @@ impl NodeRunner {
     }
 
     /// Run the node loop for `duration` wall-clock time. A node built
-    /// with [`NodeRunner::with_state_sync`] spends the start of the
-    /// window in the sync phase (bounded by its `overall_timeout` and by
-    /// `duration`), then runs consensus for the remainder. Returns at
-    /// once if the mesh has been shut down.
+    /// with [`NodeRunner::with_state_sync`] syncs first (its shell defers
+    /// consensus traffic meanwhile), then runs consensus for the
+    /// remainder, all on this one loop. Returns at once if the mesh has
+    /// been shut down.
     pub fn run_for(&mut self, duration: Duration) {
         let deadline = Instant::now() + duration;
-        if let Some((mut storage, sync_cfg)) = self.pending_sync.take() {
-            self.run_sync_phase(&mut storage, &sync_cfg, deadline);
-            // Whatever the sync phase decided, the journal goes live now
-            // (install_snapshot already ran inside on success).
-            self.engine.set_persistence(Box::new(storage));
-        }
-
-        // From here on the reactor is this loop's: sends only queue, and
-        // nothing reaches `inbox` but self-addressed sends.
+        // The reactor is this loop's: sends only queue, and nothing
+        // reaches `inbox` but self-addressed sends.
         let Some(mut reactor) = self.mesh.adopt() else { return };
         self.start = Instant::now();
         let mut out = Vec::new();
-        self.engine.on_init(self.now(), &mut out);
+        self.shell.on_init(self.now(), &mut out);
         self.dispatch(out);
-        // Replay traffic that arrived while the sync phase held the
-        // inbox: stale proposals seed the block store (shortening the
-        // residual fetch), requests enter the mempool.
-        for inbound in std::mem::take(&mut self.deferred) {
-            self.handle_inbound(inbound);
-        }
         loop {
             self.fire_due_timers();
             // Self-addressed sends (a leader's copy of its own proposal,
@@ -399,6 +324,10 @@ impl NodeRunner {
         // Put the last steps' output on the wire before going quiet.
         reactor.flush_connected();
         self.mesh.hand_back(reactor);
+        if let Some((installed, stats)) = self.shell.take_joined() {
+            self.synced_via_snapshot = installed;
+            self.sync_stats = Some(stats);
+        }
         self.refresh_status();
         self.obs.flush();
     }
@@ -411,94 +340,26 @@ impl NodeRunner {
             }
             self.timers.pop();
             let mut out = Vec::new();
-            self.engine.on_timer(timer, self.now(), &mut out);
+            self.shell.on_timer(timer, self.now(), &mut out);
             self.dispatch(out);
         }
     }
 
     fn handle_inbound(&mut self, inbound: Inbound) {
-        if let Inbound::FromReplica(from, _) = &inbound {
-            self.obs.counter("msgs_recv", from.0, 1);
-        }
-        match inbound {
-            Inbound::FromReplica(from, msg) => match msg {
-                // Serving side of state sync lives at the node layer;
-                // engines never see snapshot traffic.
-                Message::SnapshotReq(_) | Message::SnapshotChunkReq(_) => {
-                    self.serve_snapshot(from, &msg);
-                }
-                // Stale sync-phase replies (e.g. a slow manifest).
-                Message::SnapshotManifest(_) | Message::SnapshotChunk(_) => {}
-                _ => {
-                    let mut out = Vec::new();
-                    self.engine.on_message(from, msg, self.now(), &mut out);
-                    self.dispatch(out);
-                }
-            },
-            Inbound::FromClient(_client, msg) => {
-                if let Message::Request(_) = msg {
-                    self.obs.counter("requests_recv", 0, 1);
-                    let mut out = Vec::new();
-                    self.engine.on_message(self.engine.id(), msg, self.now(), &mut out);
-                    self.dispatch(out);
-                }
+        let (from, msg) = match inbound {
+            Inbound::FromReplica(from, msg) => {
+                self.obs.counter("msgs_recv", from.0, 1);
+                (from, msg)
             }
-        }
-    }
-
-    /// The requesting side of snapshot state sync: drive the
-    /// `hs1-statesync` client against the mesh until it finishes or the
-    /// budget runs out, deferring all other traffic. On success the
-    /// verified image is installed into the engine *and* journaled as a
-    /// local checkpoint, so a crash right after the sync recovers from
-    /// disk instead of re-downloading.
-    fn run_sync_phase(
-        &mut self,
-        storage: &mut ReplicaStorage,
-        cfg: &StateSyncConfig,
-        run_deadline: Instant,
-    ) {
-        let me = self.engine.id();
-        let peers: Vec<ReplicaId> =
-            (0..self.mesh.n() as u32).map(ReplicaId).filter(|r| *r != me).collect();
-        let have = self.engine.committed_len() as u64;
-        let mut client = SyncClient::new(cfg.sync.clone(), peers, have);
-        let deadline = run_deadline.min(Instant::now() + cfg.overall_timeout);
-
-        let mut out: Vec<(ReplicaId, Message)> = Vec::new();
-        let tick = Duration::from_nanos(SYNC_TICK.0);
-        while Instant::now() < deadline {
-            client.poll(self.now(), &mut out);
-            for (to, msg) in out.drain(..) {
-                self.mesh.send_replica(to, msg);
+            Inbound::FromClient(_, msg @ Message::Request(_)) => {
+                self.obs.counter("requests_recv", 0, 1);
+                (self.shell.id(), msg)
             }
-            match client.phase() {
-                SyncPhase::Done | SyncPhase::Declined | SyncPhase::Failed => break,
-                SyncPhase::Collecting | SyncPhase::Downloading => {}
-            }
-            match self.mesh.inbox.recv_timeout(tick) {
-                Ok(Inbound::FromReplica(from, msg)) => match &msg {
-                    Message::SnapshotManifest(_) | Message::SnapshotChunk(_) => {
-                        client.on_message(from, &msg, self.now(), &mut out);
-                    }
-                    Message::SnapshotReq(_) | Message::SnapshotChunkReq(_) => {
-                        self.serve_snapshot(from, &msg);
-                    }
-                    _ => self.deferred.push(Inbound::FromReplica(from, msg)),
-                },
-                Ok(other) => self.deferred.push(other),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break, // shut down
-            }
-        }
-        for (to, msg) in out.drain(..) {
-            self.mesh.send_replica(to, msg);
-        }
-
-        self.sync_stats = Some(client.stats);
-        if let Some(synced) = client.take_synced() {
-            self.synced_via_snapshot = synced.install(&mut *self.engine, storage);
-        }
+            Inbound::FromClient(..) => return,
+        };
+        let mut out = Vec::new();
+        self.shell.on_message(from, msg, self.now(), &mut out);
+        self.dispatch(out);
     }
 
     fn dispatch(&mut self, actions: Vec<Action>) {
@@ -552,7 +413,7 @@ mod tests {
     use crate::framing::{encode_frame, hello_bytes, PeerKind};
     use crate::mesh::tests::free_base_port;
     use hs1_core::persist::RecoveredState;
-    use hs1_types::{BlockId, SimDuration, Transaction, View};
+    use hs1_types::{BlockId, ReplicaId, SimDuration, Transaction, View};
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::sync::{Arc, Mutex};

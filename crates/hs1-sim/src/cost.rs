@@ -32,17 +32,6 @@ pub struct DiskModel {
     pub fsync_on_speculate: bool,
 }
 
-impl DiskModel {
-    /// An NVMe-class disk (30 µs fsync) journaling on both paths.
-    pub fn nvme() -> DiskModel {
-        DiskModel {
-            fsync: SimDuration::from_micros(30),
-            fsync_on_commit: true,
-            fsync_on_speculate: true,
-        }
-    }
-}
-
 /// Per-node resource costs.
 #[derive(Clone, Debug)]
 pub struct CostModel {

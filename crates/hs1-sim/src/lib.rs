@@ -23,8 +23,8 @@
 //!
 //! The [`chaos`] module layers seeded fault schedules on top — per-link
 //! message loss/duplication/reordering, partitions, and crash-restart
-//! through the real `hs1-storage` recovery path and `hs1-statesync`
-//! catch-up — with every run
+//! through the `hs1-statesync` node shell a TCP node runs (journal
+//! recovery, then state sync) — with every run
 //! replayable byte-for-byte from its seed (see the `hs1-chaos` crate for
 //! the sweep/shrink/replay tooling and the README "Chaos harness"
 //! section for the workflow).

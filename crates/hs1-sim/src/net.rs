@@ -73,10 +73,6 @@ impl NetModel {
         self.injected[r.0 as usize] = delay;
     }
 
-    pub fn injected_of(&self, r: ReplicaId) -> SimDuration {
-        self.injected[r.0 as usize]
-    }
-
     /// One-way delay for a replica→replica message, with deterministic
     /// jitter drawn from `rng`.
     pub fn replica_delay(

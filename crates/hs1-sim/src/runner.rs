@@ -1,10 +1,14 @@
-//! The discrete-event loop: engines + network model + resource model +
+//! The discrete-event loop: replicas + network model + resource model +
 //! client oracle — plus, when a chaos plan is installed, scheduled
-//! partition/heal transitions and replica crash-restart through the real
-//! `hs1-storage` recovery path. A restarted replica then catches up
-//! through the node's `hs1-statesync` client before it rejoins consensus,
-//! and every replica answers its requests from a `SnapshotServer` over
-//! its own journal directory, so the transfer travels the modeled network.
+//! partition/heal transitions and replica crash-restart.
+//!
+//! Every replica is an `hs1-statesync` [`NodeShell`], the one a TCP node
+//! runs, stepped as an engine: the runner keeps only time, the network
+//! and resource models, and the oracles. A restarted replica recovers
+//! through its shell's `hs1-storage` journal and catches up through its
+//! shell's state sync, which defers consensus traffic and requests while
+//! it runs, as on a node; every durable replica's shell answers snapshot
+//! requests over the modeled network.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -21,8 +25,8 @@ use hs1_core::invariants::{self, Committed, Observation};
 use hs1_core::persist::RecoveredState;
 use hs1_core::replica::{Action, Replica, Timer};
 use hs1_obs::{block_key, Obs, Stage};
-use hs1_statesync::{SnapshotServer, SyncClient, SyncConfig, SyncPhase, SYNC_TICK};
-use hs1_storage::{ReplicaStorage, StorageConfig};
+use hs1_statesync::{NodeShell, SyncConfig};
+use hs1_storage::StorageConfig;
 use hs1_types::{
     Block, BlockId, ClientId, CommittedLog, Message, ProtocolKind, ReplicaId, ReplyKind,
     SimDuration, SimTime, SplitMix64, Transaction, View,
@@ -52,10 +56,6 @@ enum Ev {
     OpenArrival,
     /// A scheduled chaos transition (partition/heal/crash/restart).
     Chaos { kind: ChaosEventKind },
-    /// A syncing replica polls its state-sync client.
-    SyncTick { replica: ReplicaId, inc: u32 },
-    /// Recovery and state sync finished; the replica rejoins consensus.
-    RestartDone { replica: ReplicaId, inc: u32 },
 }
 
 /// Chaos-injection counters (all zero on fault-free runs).
@@ -86,6 +86,9 @@ pub struct ChaosStats {
     pub snapshot_rotations: u64,
     /// Adversarial backups wrapped around engines this run.
     pub adversaries: u64,
+    /// Restarted replicas still syncing when the run ended (a replica
+    /// that fail-stopped is down, not syncing). Not in the fingerprint.
+    pub stuck_syncs: u64,
 }
 
 /// Everything the runner needs to crash-restart replicas mid-run:
@@ -98,21 +101,6 @@ pub struct ChaosRuntime {
     pub storage: StorageConfig,
     pub rebuild: Box<dyn Fn(usize) -> Box<dyn Replica>>,
     pub sync: SyncConfig,
-}
-
-/// A restarted replica catching up before it rejoins consensus: its
-/// state-sync client, and the journal held back until the sync decides
-/// what to install.
-struct Syncing {
-    client: SyncClient,
-    storage: ReplicaStorage,
-}
-
-/// A replica's serving side of state sync: its snapshot server, and the
-/// adversary layer a `CorruptSnapshot` backup serves through.
-struct Serving {
-    server: SnapshotServer,
-    mutator: Option<AdversaryMutator>,
 }
 
 /// Post-crash placeholder: keeps the dead replica's last committed chain
@@ -191,7 +179,7 @@ pub struct RunStats {
 }
 
 pub struct SimRunner {
-    engines: Vec<Box<dyn Replica>>,
+    engines: Vec<NodeShell>,
     protocol: ProtocolKind,
     /// Each replica's committed chain as its engine's steps committed it,
     /// every height kept (see [`resync`] for the exceptions): harness
@@ -232,13 +220,12 @@ pub struct SimRunner {
     // -- chaos state (inert on fault-free runs) -----------------------------
     /// Crash-restart machinery; `None` disables mid-run crash handling.
     chaos_rt: Option<ChaosRuntime>,
-    /// Replicas currently out of consensus: down, or restarted and still
-    /// syncing (consensus messages, requests and timers are dropped).
+    /// Replicas currently down (messages, requests and timers to them
+    /// are dropped).
     crashed: Vec<bool>,
-    /// Restarted replicas still in their sync phase.
-    syncs: Vec<Option<Syncing>>,
-    /// Per-replica snapshot serving (empty without a chaos runtime).
-    serving: Vec<Serving>,
+    /// Replicas that serve snapshots through a `CorruptSnapshot` mutator;
+    /// a restart arms the new shell's again.
+    corrupt_snapshot: Vec<bool>,
     /// Bumped at every crash; stale Handle/Timer events are discarded.
     incarnation: Vec<u32>,
     /// Per-replica timer-rate factors (clock-skew axis; 1.0 = nominal).
@@ -267,7 +254,7 @@ pub struct SimRunner {
 
 impl SimRunner {
     pub fn new(
-        engines: Vec<Box<dyn Replica>>,
+        engines: Vec<NodeShell>,
         net: NetModel,
         cost: CostModel,
         protocol: ProtocolKind,
@@ -307,8 +294,7 @@ impl SimRunner {
             frontier: View::GENESIS,
             chaos_rt: None,
             crashed: vec![false; n],
-            syncs: (0..n).map(|_| None).collect(),
-            serving: Vec::new(),
+            corrupt_snapshot: vec![false; n],
             incarnation: vec![0; n],
             timer_rate: vec![1.0; n],
             bitrot: vec![false; n],
@@ -350,11 +336,6 @@ impl SimRunner {
         if plan.has_crashes() {
             assert!(rt.is_some(), "a plan with crash events needs a ChaosRuntime");
         }
-        self.serving = rt
-            .iter()
-            .flat_map(|rt| &rt.dirs)
-            .map(|dir| Serving { server: SnapshotServer::new(dir), mutator: None })
-            .collect();
         self.chaos_rt = rt;
         self.chaos_seed = plan.seed;
         if plan.skew.len() == self.n() {
@@ -376,14 +357,19 @@ impl SimRunner {
     /// explicit set.
     pub fn note_adversaries(&mut self, set: &[(usize, AdversaryStrategy)]) {
         self.stats.chaos.adversaries = set.len() as u64;
-        let Some(rt) = &self.chaos_rt else { return };
-        let strategy = AdversaryStrategy::CorruptSnapshot;
-        for (r, serving) in self.serving.iter_mut().enumerate() {
-            let me = ReplicaId(r as u32);
-            serving.mutator = set.contains(&(r, strategy)).then(|| {
-                AdversaryMutator::new(strategy, rt.sync.system.clone(), self.protocol, me, 0)
-            });
+        for i in 0..self.n() {
+            self.corrupt_snapshot[i] = set.contains(&(i, AdversaryStrategy::CorruptSnapshot));
+            self.arm_snapshot_mutator(i);
         }
+    }
+
+    /// Give replica `i`'s shell its `CorruptSnapshot` mutator, if it has
+    /// one. Only durable replicas (a chaos runtime's) serve snapshots.
+    fn arm_snapshot_mutator(&mut self, i: usize) {
+        let Some(rt) = self.chaos_rt.as_ref().filter(|_| self.corrupt_snapshot[i]) else { return };
+        let (strategy, me) = (AdversaryStrategy::CorruptSnapshot, ReplicaId(i as u32));
+        let mutator = AdversaryMutator::new(strategy, rt.sync.system.clone(), self.protocol, me, 0);
+        self.engines[i].set_adversary(mutator);
     }
 
     fn push(&mut self, at: SimTime, ev: Ev) {
@@ -472,7 +458,7 @@ impl SimRunner {
         for i in 0..self.n() {
             let mut out = Vec::new();
             self.engines[i].on_init(self.now, &mut out);
-            self.record_commits(i, &out);
+            self.stepped(i, &out);
             self.absorb(ReplicaId(i as u32), out);
         }
         let drain_until = self.window_end + SimDuration::from_millis(250);
@@ -494,9 +480,8 @@ impl SimRunner {
         match ev {
             Ev::Deliver { from, to, msg } => {
                 let i = to.0 as usize;
-                if self.crashed[i] && !(self.syncs[i].is_some() && is_snapshot(&msg)) {
-                    // The receiving process is down, or syncing and out of
-                    // consensus; the bytes vanish.
+                if self.crashed[i] {
+                    // The receiving process is down; the bytes vanish.
                     self.stats.chaos.dropped_msgs += 1;
                     return;
                 }
@@ -508,29 +493,15 @@ impl SimRunner {
             }
             Ev::Handle { from, to, msg, inc } => {
                 let i = to.0 as usize;
-                if inc != self.incarnation[i] || (self.crashed[i] && self.syncs[i].is_none()) {
+                if inc != self.incarnation[i] || self.crashed[i] {
                     // A crash killed the processing mid-flight.
                     self.stats.chaos.dropped_msgs += 1;
                     return;
                 }
-                match msg {
-                    // State sync lives outside the engine, as on a node.
-                    Message::SnapshotReq(_) | Message::SnapshotChunkReq(_) => {
-                        self.serve_snapshot(i, from, msg)
-                    }
-                    Message::SnapshotManifest(_) | Message::SnapshotChunk(_) => {
-                        let Some(sync) = &mut self.syncs[i] else { return };
-                        let mut out = Vec::new();
-                        sync.client.on_message(from, &msg, self.now, &mut out);
-                        self.advance_sync(i, out);
-                    }
-                    msg => {
-                        let mut out = Vec::new();
-                        self.engines[i].on_message(from, msg, self.now, &mut out);
-                        self.record_commits(i, &out);
-                        self.absorb(to, out);
-                    }
-                }
+                let mut out = Vec::new();
+                self.engines[i].on_message(from, msg, self.now, &mut out);
+                self.stepped(i, &out);
+                self.absorb(to, out);
             }
             Ev::Timer { at, timer, inc } => {
                 let i = at.0 as usize;
@@ -539,7 +510,7 @@ impl SimRunner {
                 }
                 let mut out = Vec::new();
                 self.engines[i].on_timer(timer, self.now, &mut out);
-                self.record_commits(i, &out);
+                self.stepped(i, &out);
                 self.absorb(at, out);
             }
             Ev::Submit { tx } => self.on_submit(tx),
@@ -552,34 +523,6 @@ impl SimRunner {
             }
             Ev::OpenArrival => self.on_open_arrival(),
             Ev::Chaos { kind } => self.on_chaos(kind),
-            Ev::SyncTick { replica, inc } => {
-                let i = replica.0 as usize;
-                let Some(sync) = self.syncs[i].as_mut().filter(|_| inc == self.incarnation[i])
-                else {
-                    return;
-                };
-                let mut out = Vec::new();
-                sync.client.poll(self.now, &mut out);
-                self.advance_sync(i, out);
-                if self.syncs[i].is_some() {
-                    self.push(self.now + SYNC_TICK, Ev::SyncTick { replica, inc });
-                }
-            }
-            Ev::RestartDone { replica, inc } => {
-                let i = replica.0 as usize;
-                if inc != self.incarnation[i] {
-                    return;
-                }
-                self.crashed[i] = false;
-                // A fresh process has idle resources.
-                self.cpu_free[i] = self.now;
-                self.nic_free[i] = self.now;
-                let mut out = Vec::new();
-                self.engines[i].on_init(self.now, &mut out);
-                self.record_commits(i, &out);
-                self.absorb(replica, out);
-                self.liveness_mark = Some((self.now, self.stats.committed_blocks));
-            }
         }
     }
 
@@ -604,7 +547,7 @@ impl SimRunner {
             self.engines[i].on_message(me, msg, self.now, &mut out);
             // Recorded now: a crash may still drop these actions before
             // they leave, but the engine has committed.
-            self.record_commits(i, &out);
+            self.stepped(i, &out);
             let after = self.engines[i].pool_stats();
             refused &= after.refused > before.refused;
             deduped &= after.deduped > before.deduped;
@@ -759,11 +702,10 @@ impl SimRunner {
     /// for a [`Downed`] placeholder so the invariant checker still sees
     /// its last committed chain); only its journal directory survives.
     fn crash_replica(&mut self, i: usize) {
-        if i >= self.n() || (self.crashed[i] && self.syncs[i].is_none()) {
+        if i >= self.n() || self.crashed[i] {
             return;
         }
         self.crashed[i] = true;
-        self.syncs[i] = None;
         self.incarnation[i] += 1;
         self.stats.chaos.crashes += 1;
         let log = self.logs[i].clone();
@@ -771,25 +713,28 @@ impl SimRunner {
         let view = self.engines[i].current_view();
         // Dropping the old engine closes its journal handles, like a
         // process exit would.
-        self.engines[i] = Box::new(Downed { id: ReplicaId(i as u32), log, root, view });
+        let downed = Downed { id: ReplicaId(i as u32), log, root, view };
+        self.engines[i] = NodeShell::new(Box::new(downed));
     }
 
-    /// Bring replica `i` back through the real `hs1-storage` recovery
-    /// path, then start its sync phase: the replica stays out of
-    /// consensus while its `hs1-statesync` client asks its peers for
-    /// snapshot manifests and either downloads and installs an image (the
-    /// gap is past `SyncConfig::gap_threshold`) or declines, leaving the
-    /// gap to per-block fetch replay. It rejoins via [`Ev::RestartDone`]
-    /// when the client is done (see [`SimRunner::advance_sync`]).
+    /// Bring replica `i` back in a new shell: it recovers through the
+    /// real `hs1-storage` path, then its `hs1-statesync` client asks the
+    /// peers for snapshot manifests and either downloads and installs an
+    /// image (the gap is past `SyncConfig::gap_threshold`) or declines,
+    /// leaving the gap to per-block fetch replay. The shell defers
+    /// consensus traffic and requests until then; [`SimRunner::stepped`]
+    /// sees it go live.
     fn restart_replica(&mut self, i: usize) {
-        if i >= self.n() || !self.crashed[i] || self.syncs[i].is_some() {
+        if i >= self.n() || !self.crashed[i] {
             return;
         }
         let Some(rt) = self.chaos_rt.as_ref() else { return };
         self.stats.chaos.restarts += 1;
         let rotted = self.bitrot[i];
-        let (state, storage) = match ReplicaStorage::open(&rt.dirs[i], rt.storage) {
-            Ok(v) => v,
+        let engine = (rt.rebuild)(i);
+        let opened = NodeShell::open(engine, &rt.dirs[i], rt.storage, Some(rt.sync.clone()));
+        let mut shell = match opened {
+            Ok(shell) => shell,
             Err(e) => {
                 if rotted {
                     // Fail-stop is the *correct* answer to unrecoverable
@@ -811,64 +756,44 @@ impl SimRunner {
             }
         };
         self.bitrot[i] = false;
-        let mut engine = (rt.rebuild)(i);
-        engine.restore(state);
-        let own = Committed::of(&*engine);
-        let at_crash = Committed::of(&*self.engines[i]);
+        let own = Committed::of(&shell);
+        let at_crash = Committed::of(&self.engines[i]);
         self.stats.invariant_violations.extend(invariants::check_recovery(&at_crash, &own, rotted));
         resync(&mut self.logs[i], &own.log);
 
-        let me = ReplicaId(i as u32);
-        let peers = (0..self.n() as u32).map(ReplicaId).filter(|&p| p != me).collect();
-        let client = SyncClient::new(rt.sync.clone(), peers, engine.committed_len() as u64);
-        engine.set_observer(self.obs.clone());
-        self.engines[i] = engine;
-        self.syncs[i] = Some(Syncing { client, storage });
-        let inc = self.incarnation[i];
-        self.push(self.now, Ev::SyncTick { replica: me, inc });
+        shell.set_observer(self.obs.clone());
+        self.engines[i] = shell;
+        self.arm_snapshot_mutator(i);
+        self.crashed[i] = false;
+        let mut out = Vec::new();
+        self.engines[i].on_init(self.now, &mut out);
+        self.stepped(i, &out);
+        self.absorb(ReplicaId(i as u32), out);
     }
 
-    /// Answer a state-sync request to replica `p` from its snapshot
-    /// server, through its adversary layer when it has one (as
-    /// `NodeRunner::serve_snapshot` does). A replica without a checkpoint
-    /// stays silent.
-    fn serve_snapshot(&mut self, p: usize, to: ReplicaId, msg: Message) {
-        let Some(serving) = self.serving.get_mut(p) else { return };
-        let Some(resp) = serving.server.handle(&msg) else { return };
-        let out = match &mut serving.mutator {
-            Some(m) => m.mutate(to, resp),
-            None => vec![(to, resp)],
-        };
-        for (t, m) in out {
-            self.send_one(ReplicaId(p as u32), t, m);
-        }
-    }
-
-    /// Send what replica `i`'s sync client produced; once the client is
-    /// done, install what it verified (journaled before the replica goes
-    /// live, as on a node), count the outcome and let the replica rejoin.
-    fn advance_sync(&mut self, i: usize, out: Vec<(ReplicaId, Message)>) {
-        let me = ReplicaId(i as u32);
-        for (to, msg) in out {
-            self.send_one(me, to, msg);
-        }
-        let Some(sync) = &self.syncs[i] else { return };
-        if matches!(sync.client.phase(), SyncPhase::Collecting | SyncPhase::Downloading) {
+    /// Replica `i` took a step that produced `out`. Record what it
+    /// committed, or, if the step ended its state sync, catch the record
+    /// up with what its engine now holds and count the outcome.
+    fn stepped(&mut self, i: usize, out: &[Action]) {
+        let Some((installed, stats)) = self.engines[i].take_joined() else {
+            for a in out {
+                if let Action::Committed { block } = a {
+                    self.logs[i].push(block.id());
+                }
+            }
             return;
-        }
-        let Syncing { mut client, mut storage } = self.syncs[i].take().expect("syncing");
-        self.stats.chaos.snapshot_rotations += client.stats.rotations;
-        let installed =
-            client.take_synced().is_some_and(|s| s.install(&mut *self.engines[i], &mut storage));
+        };
+        // A fresh process has idle resources.
+        self.cpu_free[i] = self.now;
+        self.nic_free[i] = self.now;
+        self.liveness_mark = Some((self.now, self.stats.committed_blocks));
+        resync(&mut self.logs[i], &self.engines[i].committed_log());
+        self.stats.chaos.snapshot_rotations += stats.rotations;
         if installed {
             self.stats.chaos.snapshot_syncs += 1;
-            resync(&mut self.logs[i], &self.engines[i].committed_log());
         } else {
             self.stats.chaos.replay_catchups += 1;
         }
-        self.engines[i].set_persistence(Box::new(storage));
-        let inc = self.incarnation[i];
-        self.push(self.now, Ev::RestartDone { replica: me, inc });
     }
 
     fn absorb(&mut self, from: ReplicaId, actions: Vec<Action>) {
@@ -1027,12 +952,15 @@ impl SimRunner {
             frontier: self.frontier,
         };
         self.stats.invariant_violations.extend(invariants::check(&obs));
+        self.stats.chaos.stuck_syncs = (0..self.n())
+            .filter(|&i| !self.crashed[i] && !self.engines[i].is_live())
+            .count() as u64;
         self.check_liveness();
     }
 
     /// Post-GST liveness: after the last partition heal / replica rejoin,
     /// the cluster must commit again (given it had room to) — if the
-    /// replicas still up can commit at all. Leaders rotate round-robin, so
+    /// replicas up and live can commit at all. Leaders rotate round-robin, so
     /// a replica down for good (a bit-rot fail-stop) caps the run of
     /// consecutive live leaders at n − 1: at n = 4 that is the three a
     /// 2-chain needs and one short of 3-chain HotStuff's four.
@@ -1040,7 +968,8 @@ impl SimRunner {
         let n = self.n();
         let live_run = (0..2 * n)
             .scan(0, |run, i| {
-                *run = if self.crashed[i % n] { 0 } else { *run + 1 };
+                let out = self.crashed[i % n] || !self.engines[i % n].is_live();
+                *run = if out { 0 } else { *run + 1 };
                 Some(*run)
             })
             .max()
@@ -1055,17 +984,6 @@ impl SimRunner {
             }
         }
     }
-}
-
-/// State-sync traffic: the only messages a syncing replica takes.
-fn is_snapshot(msg: &Message) -> bool {
-    matches!(
-        msg,
-        Message::SnapshotReq(_)
-            | Message::SnapshotChunkReq(_)
-            | Message::SnapshotManifest(_)
-            | Message::SnapshotChunk(_)
-    )
 }
 
 /// Bring the harness's record of a restarted replica to what its engine
@@ -1136,15 +1054,6 @@ impl SimRunner {
         self.logs.iter().map(CommittedLog::len).collect()
     }
 
-    /// A step of replica `i`'s engine produced `out`: record what it
-    /// committed.
-    fn record_commits(&mut self, i: usize, out: &[Action]) {
-        for a in out {
-            if let Action::Committed { block } = a {
-                self.logs[i].push(block.id());
-            }
-        }
-    }
     /// Per-replica state roots (debug/inspection).
     pub fn state_roots(&self) -> Vec<hs1_crypto::Digest> {
         self.engines.iter().map(|e| e.state_root()).collect()

@@ -25,10 +25,10 @@ use hs1_core::{build_replica, Replica};
 use hs1_crypto::Digest;
 use hs1_ledger::ExecConfig;
 use hs1_obs::Obs;
-use hs1_statesync::SyncConfig;
+use hs1_statesync::{NodeShell, SyncConfig};
 use hs1_storage::journal::SyncPolicy;
 use hs1_storage::testutil::TempDir;
-use hs1_storage::{ReplicaStorage, StorageConfig};
+use hs1_storage::StorageConfig;
 use hs1_types::{ProtocolKind, ReplicaId, SimDuration, SimTime, SystemConfig};
 use hs1_workloads::{TpccGen, Workload, YcsbGen};
 
@@ -327,13 +327,11 @@ impl Scenario {
                 }
             }
         };
-        let mut engines: Vec<Box<dyn Replica>> = (0..self.n).map(&build).collect();
-
         // Chaos: durable journals (so crash-restart recovers through the
         // real hs1-storage path) + an engine factory for rebuilt replicas.
         // Dirs must outlive the run; they self-clean on drop.
         let mut chaos_dirs: Vec<TempDir> = Vec::new();
-        let chaos_rt = match &self.chaos {
+        let (engines, chaos_rt) = match &self.chaos {
             Some(plan) if plan.has_crashes() => {
                 assert_eq!(plan.n, self.n, "chaos plan sized for a different deployment");
                 let storage_cfg = StorageConfig {
@@ -341,23 +339,26 @@ impl Scenario {
                     sync: SyncPolicy::EveryN(8),
                     checkpoint_every: 64,
                 };
-                let mut dirs = Vec::with_capacity(self.n);
-                for (i, engine) in engines.iter_mut().enumerate() {
+                let mut engines = Vec::with_capacity(self.n);
+                for i in 0..self.n {
                     let dir = TempDir::new(&format!("chaos-s{}-r{i}", self.seed));
-                    let (state, storage) = ReplicaStorage::open(dir.path(), storage_cfg)
+                    let shell = NodeShell::open(build(i), dir.path(), storage_cfg, None)
                         .expect("open fresh chaos journal");
-                    debug_assert!(state.is_empty(), "fresh dir has no history");
-                    engine.set_persistence(Box::new(storage));
-                    dirs.push(dir.path().to_path_buf());
+                    debug_assert_eq!(shell.committed_len(), 1, "fresh dir has no history");
+                    engines.push(shell);
                     chaos_dirs.push(dir);
                 }
-                Some(ChaosRuntime { dirs, storage: storage_cfg, rebuild: Box::new(build), sync })
+                let dirs = chaos_dirs.iter().map(|d| d.path().to_path_buf()).collect();
+                let rt =
+                    ChaosRuntime { dirs, storage: storage_cfg, rebuild: Box::new(build), sync };
+                (engines, Some(rt))
             }
-            Some(plan) => {
-                assert_eq!(plan.n, self.n, "chaos plan sized for a different deployment");
-                None
+            plan => {
+                if let Some(plan) = plan {
+                    assert_eq!(plan.n, self.n, "chaos plan sized for a different deployment");
+                }
+                ((0..self.n).map(|i| NodeShell::new(build(i))).collect(), None)
             }
-            None => None,
         };
 
         let mut runner =

@@ -3,16 +3,15 @@
 //! rotate away from corrupt or lying peers, and hand back an installable
 //! image.
 //!
-//! The client is a pure poll-driven state machine: the transport
-//! (`hs1-net`'s node runner, or a test harness) feeds inbound messages to
+//! The client is a pure poll-driven state machine: its driver (the
+//! [`crate::NodeShell`], or a test harness) feeds inbound messages to
 //! [`SyncClient::on_message`], calls [`SyncClient::poll`] for
 //! time-driven retries, and sends whatever `(peer, message)` pairs both
 //! produce. Nothing here touches sockets or clocks: time is the
 //! `SimTime` the caller passes in (the node's elapsed wall clock, the
 //! simulator's virtual one), so every Byzantine scenario is unit-testable
-//! deterministically and the simulator drives the same code the node runs.
-//! Both runtimes poll every [`SYNC_TICK`] and install the result with
-//! [`SyncedState::install`].
+//! deterministically. The shell, which both runtimes step, polls every
+//! [`SYNC_TICK`] and installs the result with [`SyncedState::install`].
 
 use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
@@ -52,6 +51,10 @@ pub struct SyncConfig {
     /// different position) costs exactly this bounded extra wait, after
     /// which `f + 1` proceeds without it.
     pub full_agreement_grace: Duration,
+    /// Give up on the sync and start the engine anyway after this long
+    /// (a snapshot is an optimization; it must never wedge a join). The
+    /// `NodeShell` measures it on the clock its runtime steps it with.
+    pub overall_timeout: Duration,
 }
 
 impl SyncConfig {
@@ -62,6 +65,7 @@ impl SyncConfig {
             manifest_retry: Duration::from_millis(250),
             chunk_retry: Duration::from_millis(500),
             full_agreement_grace: Duration::from_millis(400),
+            overall_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -555,35 +559,6 @@ mod tests {
         assert!(client.stats.agreement_peers >= 2, "f+1 = 2 manifests agreed");
         assert_eq!(client.stats.rotations, 0);
         assert!(client.stats.chunks_received > 1, "multi-chunk download");
-    }
-
-    #[test]
-    fn corrupted_chunk_rejected_and_sync_completes_via_another_peer() {
-        let mut servers = HashMap::new();
-        let dirs: Vec<TempDir> = (0..3)
-            .map(|i| {
-                let (dir, mut server) = honest_server("syncclient-corrupt");
-                // The lowest-id peer — the one the client picks first —
-                // serves corrupted chunks.
-                if i == 0 {
-                    server.inject_corruption(true);
-                }
-                servers.insert(ReplicaId(i), server);
-                dir
-            })
-            .collect();
-        let _keep = dirs;
-
-        let peers = vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)];
-        let mut client = SyncClient::new(sync_cfg(8), peers, 1);
-        run_to_completion(&mut client, &mut servers);
-
-        assert_eq!(client.phase(), SyncPhase::Done, "sync completed despite the corrupt peer");
-        assert_eq!(client.stats.crc_rejections, 1, "first chunk from peer 0 rejected");
-        assert_eq!(client.stats.rotations, 1, "rotated to the next agreement-group peer");
-        let synced = client.take_synced().expect("image");
-        let (store, _) = cluster_checkpoint();
-        assert_eq!(synced.image.restore_store().state_root(), store.state_root());
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! * [`server`] — [`server::SnapshotServer`]: serves manifests and chunks
 //!   derived from the newest `hs1-storage` checkpoint.
 //! * [`client`] — [`client::SyncClient`]: the requesting state machine.
+//! * [`NodeShell`] — an engine with its storage, snapshot serving and
+//!   state sync, stepped as a `Replica` by the TCP node and the simulator
+//!   alike: the one place a `SyncClient` is driven.
 //!
 //! ## Trust model
 //!
@@ -40,10 +43,12 @@
 pub mod client;
 pub mod image;
 pub mod server;
+mod shell;
 
 pub use client::{SyncClient, SyncConfig, SyncPhase, SyncStats, SyncedState, SYNC_TICK};
 pub use image::{SnapshotImage, DEFAULT_CHUNK_BYTES};
 pub use server::SnapshotServer;
+pub use shell::{NodeShell, SYNC_TIMER};
 
 use hs1_types::codec::CodecError;
 

@@ -26,44 +26,20 @@ pub struct SnapshotServer {
     dir: PathBuf,
     chunk_bytes: u32,
     cache: Option<Served>,
-    /// Fault injection for tests and demos: flip a byte in every served
-    /// chunk, modeling a corrupt (or lying) peer that a syncing replica
-    /// must reject and rotate away from.
-    corrupt_chunks: bool,
-    /// Chunks served (metric).
-    pub chunks_served: u64,
 }
 
 impl SnapshotServer {
     pub fn new(dir: impl Into<PathBuf>) -> SnapshotServer {
-        SnapshotServer {
-            dir: dir.into(),
-            chunk_bytes: DEFAULT_CHUNK_BYTES,
-            cache: None,
-            corrupt_chunks: false,
-            chunks_served: 0,
-        }
+        SnapshotServer { dir: dir.into(), chunk_bytes: DEFAULT_CHUNK_BYTES, cache: None }
     }
 
-    /// Override the chunk size (tests use tiny chunks to force many
-    /// round trips).
-    pub fn with_chunk_bytes(mut self, chunk_bytes: u32) -> SnapshotServer {
-        self.set_chunk_bytes(chunk_bytes);
-        self
-    }
-
-    /// Change the chunk size in place, invalidating the prepared
-    /// snapshot. Note the chunk size is part of the manifest's agreement
-    /// key: every serving peer of a deployment must use the same value.
-    pub fn set_chunk_bytes(&mut self, chunk_bytes: u32) {
+    /// Serve chunks of `chunk_bytes` (tests use tiny chunks to force many
+    /// round trips), dropping the prepared snapshot. The chunk size is
+    /// part of the manifest's agreement key: every serving peer of a
+    /// deployment must use the same value.
+    pub fn with_chunk_bytes(self, chunk_bytes: u32) -> SnapshotServer {
         assert!(chunk_bytes > 0);
-        self.chunk_bytes = chunk_bytes;
-        self.cache = None;
-    }
-
-    /// Byzantine fault injection: serve chunks with one byte flipped.
-    pub fn inject_corruption(&mut self, on: bool) {
-        self.corrupt_chunks = on;
+        SnapshotServer { chunk_bytes, cache: None, ..self }
     }
 
     /// Handle a state-sync request; `None` for everything else (and for
@@ -86,16 +62,12 @@ impl SnapshotServer {
                 if served.manifest.state_root != req.state_root {
                     return None; // stale download (checkpoint moved on)
                 }
-                let mut chunk = SnapshotImage::chunk(
+                let chunk = SnapshotImage::chunk(
                     &served.payload,
                     req.state_root,
                     served.manifest.chunk_bytes,
                     req.index,
                 )?;
-                if self.corrupt_chunks && !chunk.data.is_empty() {
-                    chunk.data[0] ^= 0xFF;
-                }
-                self.chunks_served += 1;
                 Some(Message::SnapshotChunk(chunk))
             }
             _ => None,
@@ -286,19 +258,5 @@ mod tests {
             SnapshotImage::from_checkpoint(&a).payload(),
             SnapshotImage::from_checkpoint(&b).payload()
         );
-    }
-
-    #[test]
-    fn injected_corruption_breaks_chunk_crc() {
-        let tmp = TempDir::new("snapserver-corrupt");
-        write_checkpoint(tmp.path(), 5, 42);
-        let mut server = SnapshotServer::new(tmp.path());
-        let req = Message::SnapshotReq(SnapshotReqMsg { have_chain_len: 0 });
-        let Some(Message::SnapshotManifest(m)) = server.handle(&req) else { panic!() };
-        server.inject_corruption(true);
-        let creq =
-            Message::SnapshotChunkReq(SnapshotChunkReqMsg { state_root: m.state_root, index: 0 });
-        let Some(Message::SnapshotChunk(c)) = server.handle(&creq) else { panic!() };
-        assert_ne!(crc32(&c.data), m.chunk_crcs[0], "corrupted chunk must fail its CRC");
     }
 }

@@ -16,7 +16,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -27,7 +26,7 @@ impl Zipfian {
         let zeta2theta = Self::zeta_exact(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
-        Zipfian { n, theta, alpha, zetan, eta, zeta2theta }
+        Zipfian { n, theta, alpha, zetan, eta }
     }
 
     /// YCSB default skew.
@@ -75,11 +74,6 @@ impl Zipfian {
 
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// Reference zeta(2, θ) (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

@@ -31,7 +31,7 @@ use hotstuff1::consensus::{build_replica, Fault};
 use hotstuff1::ledger::ExecConfig;
 use hotstuff1::net::client_driver::ClientDriver;
 use hotstuff1::net::mesh::Mesh;
-use hotstuff1::net::node::{NodeRunner, StateSyncConfig};
+use hotstuff1::net::node::NodeRunner;
 use hotstuff1::statesync::SyncConfig;
 use hotstuff1::storage::{StorageConfig, SyncPolicy};
 use hotstuff1::types::{ClientId, ProtocolKind, ReplicaId, SimDuration, SystemConfig};
@@ -105,14 +105,12 @@ fn main() {
         let engine =
             build_replica(protocol, config(n), ReplicaId(3), Fault::Honest, ExecConfig::default());
         let mesh = Mesh::start(ReplicaId(3), n, "127.0.0.1", base_port).expect("bind");
-        let sync_cfg = StateSyncConfig {
-            sync: SyncConfig {
-                gap_threshold: 4,
-                manifest_retry: Duration::from_millis(150),
-                chunk_retry: Duration::from_millis(300),
-                ..SyncConfig::new(config(n))
-            },
+        let sync_cfg = SyncConfig {
+            gap_threshold: 4,
+            manifest_retry: Duration::from_millis(150),
+            chunk_retry: Duration::from_millis(300),
             overall_timeout: Duration::from_secs(3),
+            ..SyncConfig::new(config(n))
         };
         let mut runner = NodeRunner::with_state_sync(engine, mesh, &dir3, storage_cfg, sync_cfg)
             .expect("open empty storage");

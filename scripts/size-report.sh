@@ -6,12 +6,14 @@
 # policy may differ in), and "by history, not by paper" markers under
 # crates/ (behaviour kept apart per protocol for no reason the paper
 # gives). Per crate it also prints `unsafe` blocks under src/ (every crate
-# root forbids or denies `unsafe_code`; these are the allowed ones), and
-# it counts the places library code spawns a thread. CI
-# enforces four bounds on this output: 0 by-history markers, at most 4
-# bench harnesses, at most 1 HS1_* knob and at most 1 thread-spawn site
-# in library code (the HTTP introspection responder); the rest is
-# informational.
+# root forbids or denies `unsafe_code`; these are the allowed ones), it
+# counts the places library code spawns a thread, and the places outside
+# hs1-statesync that drive a state-sync client (`SyncClient::new(`; the
+# node shell is the one driver both runtimes step). CI enforces five
+# bounds on this output: 0 by-history markers, at most 4 bench harnesses,
+# at most 1 HS1_* knob, at most 1 thread-spawn site in library code (the
+# HTTP introspection responder) and 0 sync drivers outside
+# hs1-statesync; the rest is informational.
 set -eu
 cd "$(dirname "$0")/.."
 PUB='^\s*pub \(fn\|struct\|enum\|trait\|mod\|const\|type\)'
@@ -45,3 +47,6 @@ spawns=$(find crates/*/src -name '*.rs' ! -path '*/src/bin/*' -exec awk '
     FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t && /(\.|thread::)spawn\(/ { print }
 ' {} + | wc -l | tr -d ' ')
 echo "thread-spawn sites in library code: $spawns"
+drivers=$(find crates/*/src src -name '*.rs' ! -path 'crates/hs1-statesync/*' -exec cat {} + |
+    grep -o 'SyncClient::new(' | wc -l | tr -d ' ')
+echo "sync drivers outside hs1-statesync: $drivers"
