@@ -377,10 +377,10 @@ impl CoreState {
             self.committed.push(id);
             self.committed_set.insert(id);
             self.pool.mark_committed(&b.txs);
-        }
-        if self.persist.wants_checkpoint() {
-            let window: Vec<BlockId> = self.committed.ids().collect();
-            self.persist.write_checkpoint(self.exec.store().committed_store(), &window);
+            if self.persist.wants_checkpoint() {
+                let window: Vec<BlockId> = self.committed.ids().collect();
+                self.persist.write_checkpoint(self.exec.store().committed_store(), &window);
+            }
         }
         self.return_orphans(head_view);
         Ok(())

@@ -46,14 +46,14 @@ pub trait Persistence: Send {
     /// The replica entered `view`.
     fn on_view(&mut self, view: View);
 
-    /// Should the commit path take a checkpoint now? Implementations
-    /// typically count commits since the last checkpoint.
+    /// Should the commit path take a checkpoint now? Asked after every
+    /// commit; implementations typically answer at aligned heights.
     fn wants_checkpoint(&self) -> bool {
         false
     }
 
     /// Snapshot the committed store (called by the commit path right after
-    /// the commits that made [`Persistence::wants_checkpoint`] true, with
+    /// the commit that made [`Persistence::wants_checkpoint`] true, with
     /// no speculation promoted in between). `chain` is the window of
     /// committed ids the engine still holds, oldest first: a sink that
     /// keeps its own [`hs1_types::CommittedLog`] from `on_commit` may

@@ -28,8 +28,9 @@ pub struct StorageConfig {
     pub segment_bytes: u64,
     /// Fsync batching policy.
     pub sync: SyncPolicy,
-    /// Take a checkpoint (and truncate journal segments behind it) every
-    /// this many commits. `0` disables checkpointing.
+    /// Take a checkpoint (and truncate journal segments behind it) at
+    /// every committed height that is a multiple of this, so honest
+    /// replicas checkpoint the same heights. `0` disables checkpointing.
     pub checkpoint_every: u64,
 }
 
@@ -285,8 +286,15 @@ impl Persistence for ReplicaStorage {
         self.sync_journal();
     }
 
+    /// At aligned heights, not a count since the last checkpoint: a step
+    /// that commits several blocks, a restart or an installed snapshot
+    /// would otherwise move a replica's next checkpoint, and peers'
+    /// manifests would stop agreeing.
     fn wants_checkpoint(&self) -> bool {
-        self.checkpoint_every > 0 && self.commits_since_checkpoint >= self.checkpoint_every
+        let height = self.log.len() as u64 - 1;
+        self.checkpoint_every > 0
+            && self.commits_since_checkpoint > 0
+            && height.is_multiple_of(self.checkpoint_every)
     }
 
     /// The engine's window `chain` is only checked, in debug builds,
