@@ -261,11 +261,6 @@ impl Mesh {
         self.shared.stats.snapshot()
     }
 
-    /// Frames shed by the backpressure policy so far.
-    pub fn shed_frames(&self) -> u64 {
-        self.shared.stats.frames_shed.load(Ordering::Relaxed)
-    }
-
     /// Live per-peer outbound queue depths, `(peer, frames, bytes)` —
     /// the instantaneous values behind the `net_out_queue_*` gauges.
     pub fn queue_depths(&self) -> Vec<(usize, u64, u64)> {

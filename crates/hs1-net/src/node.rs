@@ -152,12 +152,6 @@ impl NodeRunner {
         self.mesh.set_observer(self.obs.clone());
     }
 
-    /// Frames the transport has shed under backpressure (see
-    /// [`crate::mesh::NetStats`]).
-    pub fn shed_frames(&self) -> u64 {
-        self.mesh.shed_frames()
-    }
-
     /// Live transport counters for this node's mesh.
     pub fn net_stats(&self) -> crate::mesh::NetStatsSnapshot {
         self.mesh.stats()

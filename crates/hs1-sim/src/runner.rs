@@ -20,13 +20,13 @@ use crate::cost::CostModel;
 use crate::net::NetModel;
 use crate::openloop::{ArrivalGen, OpenLoop};
 use crate::oracle::{ClientOracle, LatencyHist};
-use hs1_adversary::{AdversaryMutator, AdversaryStrategy};
+use hs1_adversary::AdversaryStrategy;
 use hs1_core::invariants::{self, Committed, Observation};
 use hs1_core::persist::RecoveredState;
 use hs1_core::replica::{Action, Replica, Timer};
 use hs1_obs::{block_key, Obs, Stage};
-use hs1_statesync::{NodeShell, SyncConfig};
-use hs1_storage::StorageConfig;
+use hs1_statesync::NodeShell;
+use hs1_storage::StorageError;
 use hs1_types::{
     Block, BlockId, ClientId, CommittedLog, Message, ProtocolKind, ReplicaId, ReplyKind,
     SimDuration, SimTime, SplitMix64, Transaction, View,
@@ -92,15 +92,12 @@ pub struct ChaosStats {
 }
 
 /// Everything the runner needs to crash-restart replicas mid-run:
-/// per-replica journal directories (which snapshot servers read too), the
-/// storage config those journals use, a factory for fresh engine
-/// instances, and the state-sync config a restarted replica catches up
-/// with.
+/// per-replica journal directories (bit rot flips bits in them), and the
+/// restart itself — replica `i`'s fresh engine in a shell that recovers
+/// from its directory and then syncs with its peers.
 pub struct ChaosRuntime {
     pub dirs: Vec<PathBuf>,
-    pub storage: StorageConfig,
-    pub rebuild: Box<dyn Fn(usize) -> Box<dyn Replica>>,
-    pub sync: SyncConfig,
+    pub reopen: Box<dyn Fn(usize) -> Result<NodeShell, StorageError>>,
 }
 
 /// Post-crash placeholder: keeps the dead replica's last committed chain
@@ -180,7 +177,6 @@ pub struct RunStats {
 
 pub struct SimRunner {
     engines: Vec<NodeShell>,
-    protocol: ProtocolKind,
     /// Each replica's committed chain as its engine's steps committed it,
     /// every height kept (see [`resync`] for the exceptions): harness
     /// memory, where a replica keeps a window. The fingerprint and the
@@ -223,9 +219,6 @@ pub struct SimRunner {
     /// Replicas currently down (messages, requests and timers to them
     /// are dropped).
     crashed: Vec<bool>,
-    /// Replicas that serve snapshots through a `CorruptSnapshot` mutator;
-    /// a restart arms the new shell's again.
-    corrupt_snapshot: Vec<bool>,
     /// Bumped at every crash; stale Handle/Timer events are discarded.
     incarnation: Vec<u32>,
     /// Per-replica timer-rate factors (clock-skew axis; 1.0 = nominal).
@@ -273,7 +266,6 @@ impl SimRunner {
             oracle: ClientOracle::new(n, f, protocol),
             logs: engines.iter().map(|e| e.committed_log()).collect(),
             engines,
-            protocol,
             net,
             cost,
             heap: BinaryHeap::new(),
@@ -294,7 +286,6 @@ impl SimRunner {
             frontier: View::GENESIS,
             chaos_rt: None,
             crashed: vec![false; n],
-            corrupt_snapshot: vec![false; n],
             incarnation: vec![0; n],
             timer_rate: vec![1.0; n],
             bitrot: vec![false; n],
@@ -350,26 +341,11 @@ impl SimRunner {
     }
 
     /// Record which replicas run behind an adversary wrapper (the
-    /// scenario wraps them; the runner serves a `CorruptSnapshot`
-    /// backup's snapshots through the same strategy, whose mutator draws
-    /// no randomness, so it takes no seed of its own). Overrides whatever
-    /// the installed plan declared — the scenario passes the merged plan +
-    /// explicit set.
+    /// scenario wraps them, and arms a `CorruptSnapshot` backup's shell
+    /// with that strategy's mutator). Overrides whatever the installed
+    /// plan declared — the scenario passes the merged plan + explicit set.
     pub fn note_adversaries(&mut self, set: &[(usize, AdversaryStrategy)]) {
         self.stats.chaos.adversaries = set.len() as u64;
-        for i in 0..self.n() {
-            self.corrupt_snapshot[i] = set.contains(&(i, AdversaryStrategy::CorruptSnapshot));
-            self.arm_snapshot_mutator(i);
-        }
-    }
-
-    /// Give replica `i`'s shell its `CorruptSnapshot` mutator, if it has
-    /// one. Only durable replicas (a chaos runtime's) serve snapshots.
-    fn arm_snapshot_mutator(&mut self, i: usize) {
-        let Some(rt) = self.chaos_rt.as_ref().filter(|_| self.corrupt_snapshot[i]) else { return };
-        let (strategy, me) = (AdversaryStrategy::CorruptSnapshot, ReplicaId(i as u32));
-        let mutator = AdversaryMutator::new(strategy, rt.sync.system.clone(), self.protocol, me, 0);
-        self.engines[i].set_adversary(mutator);
     }
 
     fn push(&mut self, at: SimTime, ev: Ev) {
@@ -731,9 +707,7 @@ impl SimRunner {
         let Some(rt) = self.chaos_rt.as_ref() else { return };
         self.stats.chaos.restarts += 1;
         let rotted = self.bitrot[i];
-        let engine = (rt.rebuild)(i);
-        let opened = NodeShell::open(engine, &rt.dirs[i], rt.storage, Some(rt.sync.clone()));
-        let mut shell = match opened {
+        let mut shell = match (rt.reopen)(i) {
             Ok(shell) => shell,
             Err(e) => {
                 if rotted {
@@ -763,7 +737,6 @@ impl SimRunner {
 
         shell.set_observer(self.obs.clone());
         self.engines[i] = shell;
-        self.arm_snapshot_mutator(i);
         self.crashed[i] = false;
         let mut out = Vec::new();
         self.engines[i].on_init(self.now, &mut out);

@@ -13,6 +13,8 @@
 //! assert!(report.invariants_ok());
 //! ```
 
+use std::path::PathBuf;
+
 use crate::chaos::ChaosPlan;
 use crate::cost::CostModel;
 use crate::net::NetModel;
@@ -328,7 +330,7 @@ impl Scenario {
             }
         };
         // Chaos: durable journals (so crash-restart recovers through the
-        // real hs1-storage path) + an engine factory for rebuilt replicas.
+        // real hs1-storage path), and a way to reopen a replica on its own.
         // Dirs must outlive the run; they self-clean on drop.
         let mut chaos_dirs: Vec<TempDir> = Vec::new();
         let (engines, chaos_rt) = match &self.chaos {
@@ -339,19 +341,33 @@ impl Scenario {
                     sync: SyncPolicy::EveryN(8),
                     checkpoint_every: 64,
                 };
-                let mut engines = Vec::with_capacity(self.n);
-                for i in 0..self.n {
-                    let dir = TempDir::new(&format!("chaos-s{}-r{i}", self.seed));
-                    let shell = NodeShell::open(build(i), dir.path(), storage_cfg, None)
-                        .expect("open fresh chaos journal");
-                    debug_assert_eq!(shell.committed_len(), 1, "fresh dir has no history");
-                    engines.push(shell);
-                    chaos_dirs.push(dir);
-                }
-                let dirs = chaos_dirs.iter().map(|d| d.path().to_path_buf()).collect();
-                let rt =
-                    ChaosRuntime { dirs, storage: storage_cfg, rebuild: Box::new(build), sync };
-                (engines, Some(rt))
+                chaos_dirs.extend(
+                    (0..self.n).map(|i| TempDir::new(&format!("chaos-s{}-r{i}", self.seed))),
+                );
+                let dirs: Vec<PathBuf> =
+                    chaos_dirs.iter().map(|d| d.path().to_path_buf()).collect();
+                // A replica's shell over its journal. A `CorruptSnapshot`
+                // backup serves snapshots through that strategy's mutator,
+                // which draws no randomness and so takes no seed of its own.
+                let open = {
+                    let (dirs, liars) = (dirs.clone(), adversaries.clone());
+                    let (protocol, system) = (self.protocol, sync.system.clone());
+                    let corrupt = AdversaryStrategy::CorruptSnapshot;
+                    move |i: usize, sync: Option<SyncConfig>| {
+                        let mut shell = NodeShell::open(build(i), &dirs[i], storage_cfg, sync)?;
+                        if liars.contains(&(i, corrupt)) {
+                            let me = ReplicaId(i as u32);
+                            let mutator =
+                                AdversaryMutator::new(corrupt, system.clone(), protocol, me, 0);
+                            shell.set_adversary(mutator);
+                        }
+                        Ok(shell)
+                    }
+                };
+                let engines =
+                    (0..self.n).map(|i| open(i, None).expect("open fresh chaos journal")).collect();
+                let reopen = Box::new(move |i| open(i, Some(sync.clone())));
+                (engines, Some(ChaosRuntime { dirs, reopen }))
             }
             plan => {
                 if let Some(plan) = plan {

@@ -149,12 +149,11 @@ impl NodeShell {
 
     fn serve(&mut self, to: ReplicaId, msg: &Message, out: &mut Vec<Action>) {
         let Some(resp) = self.server.as_mut().and_then(|s| s.handle(msg)) else { return };
-        match &mut self.mutator {
-            Some(m) => {
-                out.extend(m.mutate(to, resp).into_iter().map(|(to, msg)| Action::Send { to, msg }))
-            }
-            None => out.push(Action::Send { to, msg: resp }),
-        }
+        let sends = match &mut self.mutator {
+            Some(m) => m.mutate(to, resp),
+            None => vec![(to, resp)],
+        };
+        out.extend(sends.into_iter().map(|(to, msg)| Action::Send { to, msg }));
     }
 
     /// Send what the client produced, and start the engine once the

@@ -976,7 +976,7 @@ fn slow_peer_backpressure_sheds_and_cluster_keeps_committing() {
                 Mesh::start_with(ReplicaId(id), n, "127.0.0.1", base_port, cfg).expect("bind");
             let mut runner = NodeRunner::new(engine, mesh);
             runner.run_for(total);
-            (runner.replica().state_root(), runner.shed_frames(), runner.committed_blocks)
+            (runner.replica().state_root(), runner.net_stats().frames_shed, runner.committed_blocks)
         }));
     }
 
