@@ -2,7 +2,7 @@
 //! commit path (global-ledger) with its return of orphaned transactions,
 //! and the speculation path (local-ledger).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::persist::{NoopPersistence, Persistence, RecoveredState};
@@ -178,7 +178,6 @@ pub struct CoreState {
     pub me: ReplicaId,
     pub kp: KeyPair,
     pub registry: PublicKeyRegistry,
-    pub blocks: HashMap<BlockId, Arc<Block>>,
     pub exec: ExecutionEngine,
     pub pool: Mempool,
     /// Durability sink (no-op by default; see [`crate::persist`]).
@@ -189,12 +188,14 @@ pub struct CoreState {
     /// The committed chain: its length, running hash, and the ids back to
     /// the prune horizon.
     committed: CommittedLog,
-    /// Index over `committed`'s window: an id leaves it with its body.
-    committed_set: HashSet<BlockId>,
-    /// Stored blocks not yet committed, in arrival order (two or three in
-    /// steady state): what a commit checks for orphans, so it need not
-    /// scan `blocks`.
-    uncommitted: Vec<Arc<Block>>,
+    /// The body of each id in `committed`'s window, in the same order;
+    /// `None` for an id adopted from a synced log whose body never came.
+    bodies: VecDeque<Option<Arc<Block>>>,
+    /// Stored blocks not committed, the only ones looked up by id in O(1),
+    /// each with whether its transactions already went back to the pool
+    /// as an orphan's: two or three in steady state, plus orphans until
+    /// they fall below the window.
+    pending: HashMap<BlockId, (Arc<Block>, bool)>,
     /// The last certificate found valid, compared whole, signatures
     /// included: a replica meets one certificate several times (formed
     /// by its tally, then as the justify of its own proposal; carried by a
@@ -209,23 +210,20 @@ impl CoreState {
     pub fn new(cfg: SystemConfig, me: ReplicaId, exec_cfg: ExecConfig) -> CoreState {
         let kp = KeyPair::derive(cfg.deployment_seed, me.0);
         let registry = PublicKeyRegistry::derive(cfg.deployment_seed, cfg.n as u32);
-        let genesis = Block::genesis();
-        let gid = genesis.id();
-        let mut blocks = HashMap::new();
-        blocks.insert(gid, genesis);
+        let mut bodies = VecDeque::with_capacity(CommittedLog::WINDOW);
+        bodies.push_back(Some(Block::genesis()));
         CoreState {
             pool: Mempool::new(cfg.mempool_cap),
             cfg,
             me,
             kp,
             registry,
-            blocks,
             exec: ExecutionEngine::new(exec_cfg),
             persist: Box::new(NoopPersistence),
             obs: Obs::noop(),
             committed: CommittedLog::new(),
-            committed_set: HashSet::from([gid]),
-            uncommitted: Vec::new(),
+            bodies,
+            pending: HashMap::new(),
             last_valid: Certificate::genesis(),
             own_share: None,
         }
@@ -241,21 +239,51 @@ impl CoreState {
     }
 
     pub fn block(&self, id: BlockId) -> Option<&Arc<Block>> {
-        self.blocks.get(&id)
+        match self.pending.get(&id) {
+            Some((b, _)) => Some(b),
+            None => self.window_index(id).and_then(|i| self.bodies[i].as_ref()),
+        }
     }
 
     pub fn has_block(&self, id: BlockId) -> bool {
-        self.blocks.contains_key(&id)
+        self.block(id).is_some()
+    }
+
+    /// Every stored body, committed ones in height order first.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = &Arc<Block>> {
+        self.bodies.iter().flatten().chain(self.pending.values().map(|(b, _)| b))
+    }
+
+    /// Where `id` sits in the committed window: the head at once, any other
+    /// id by a scan, newest first. Callers ask `pending` first, so only an
+    /// id that is in neither (on the stale and fetch paths) is scanned for.
+    fn window_index(&self, id: BlockId) -> Option<usize> {
+        if id == self.committed.head() {
+            Some(self.bodies.len() - 1)
+        } else {
+            self.committed.ids().rposition(|c| c == id)
+        }
     }
 
     /// Store a block and absorb its transactions into the mempool filter.
+    /// A block ranked above the committed head is not in the window, and
+    /// is not looked for there.
     pub fn insert_block(&mut self, b: Arc<Block>) {
-        if self.blocks.contains_key(&b.id()) {
+        let id = b.id();
+        if self.pending.contains_key(&id) {
             return;
         }
+        let head = self.bodies.back().and_then(Option::as_ref);
+        let maybe_committed = head.is_none_or(|h| b.rank() <= h.rank());
+        match maybe_committed.then(|| self.window_index(id)).flatten() {
+            Some(i) if self.bodies[i].is_some() => return,
+            // Committed, but adopted from a synced log without its body.
+            Some(i) => self.bodies[i] = Some(b.clone()),
+            None => {
+                self.pending.insert(id, (b.clone(), false));
+            }
+        }
         self.pool.absorb(&b.txs);
-        self.uncommitted.push(b.clone());
-        self.blocks.insert(b.id(), b);
     }
 
     /// Is `id` a committed block above the prune horizon? Exact for every
@@ -263,7 +291,7 @@ impl CoreState {
     /// `speculate` or the vote path can reach: a walk that met an id
     /// below the horizon fails on the missing body first.
     pub fn is_committed(&self, id: BlockId) -> bool {
-        self.committed_set.contains(&id)
+        !self.pending.contains_key(&id) && self.window_index(id).is_some()
     }
 
     pub fn committed_head(&self) -> BlockId {
@@ -341,21 +369,16 @@ impl CoreState {
     /// the store — the caller must fetch it and retry, or the replica's
     /// global-ledger stalls permanently.
     pub fn commit_chain(&mut self, target: BlockId, out: &mut Vec<Action>) -> Result<(), BlockId> {
-        if self.is_committed(target) {
-            return Ok(());
-        }
         let mut path: Vec<Arc<Block>> = Vec::new();
         let mut cur = target;
-        while !self.is_committed(cur) {
-            match self.blocks.get(&cur) {
-                Some(b) => {
-                    path.push(b.clone());
-                    cur = b.parent;
-                }
-                None => return Err(cur),
-            }
+        while let Some((b, _)) = self.pending.get(&cur) {
+            path.push(b.clone());
+            cur = b.parent;
         }
-        let head_view = path[0].view;
+        if !self.is_committed(cur) {
+            return Err(cur);
+        }
+        let Some(head_view) = path.first().map(|b| b.view) else { return Ok(()) };
         for b in path.into_iter().rev() {
             // Write-ahead: journal the decision before applying it, so a
             // crash between journal and apply replays deterministically.
@@ -375,8 +398,9 @@ impl CoreState {
             self.obs.stage(Stage::Committed, block_key(id));
             self.obs.counter("blocks_committed", 0, 1);
             self.committed.push(id);
-            self.committed_set.insert(id);
+            self.pending.remove(&id);
             self.pool.mark_committed(&b.txs);
+            self.bodies.push_back(Some(b));
             if self.persist.wants_checkpoint() {
                 let window: Vec<BlockId> = self.committed.ids().collect();
                 self.persist.write_checkpoint(self.exec.store().committed_store(), &window);
@@ -395,20 +419,20 @@ impl CoreState {
     /// replica's pool, orphans in `(rank, id)` order. A body that arrives
     /// after its view was passed is caught here at the next commit.
     fn return_orphans(&mut self, head: View) {
-        let mut orphans = Vec::new();
-        let committed = &self.committed_set;
-        self.uncommitted.retain(|b| {
-            let pending = !committed.contains(&b.id());
-            if pending && b.view < head {
-                orphans.push(b.clone());
-            }
-            pending && b.view >= head
-        });
+        let mut orphans: Vec<Arc<Block>> = self
+            .pending
+            .values_mut()
+            .filter(|(b, returned)| !*returned && b.view < head)
+            .map(|(b, returned)| {
+                *returned = true;
+                b.clone()
+            })
+            .collect();
         orphans.sort_unstable_by_key(|b| (b.rank(), b.id()));
         let back: usize = orphans.iter().map(|b| self.pool.put_back(&b.txs)).sum();
         if back > 0 {
             // A block still waiting to commit may carry one of them too.
-            for b in &self.uncommitted {
+            for (b, _) in self.pending.values().filter(|(_, returned)| !returned) {
                 self.pool.absorb(&b.txs);
             }
         }
@@ -508,42 +532,37 @@ impl CoreState {
     /// Take `incoming`, which [`CoreState::extended_by`] accepted, as the
     /// committed chain.
     fn adopt(&mut self, incoming: CommittedLog) {
+        // A pending block the log commits takes its body into the window.
         let have = self.committed.len();
         if incoming.start() <= have {
             // What lies past this replica's own head, as if committed here.
             for id in incoming.ids_from(have) {
                 self.committed.push(id);
-                self.committed_set.insert(id);
+                self.bodies.push_back(self.pending.remove(&id).map(|(b, _)| b));
             }
         } else {
             // A window that starts above this replica's head replaces its
             // log whole: every id the replica holds is below the window,
-            // and leaves as a prune would take it.
-            let own = std::mem::replace(&mut self.committed, incoming);
-            for id in own.ids() {
-                self.forget(id);
-            }
-            self.committed_set.extend(self.committed.ids());
+            // and leaves with its body as a prune would take it.
+            self.bodies.clear();
+            self.bodies.extend(incoming.ids().map(|id| self.pending.remove(&id).map(|(b, _)| b)));
+            self.committed = incoming;
         }
     }
 
     /// Trim the committed log to its newest `keep` ids (bounded memory on
-    /// long runs): block *bodies*, execution digests and index entries
-    /// leave with the ids. The log's length and running hash cover the
-    /// whole chain, which is what checkpoints, state sync and the
-    /// invariant checker read.
+    /// long runs): their bodies leave with them, and so does every orphan
+    /// ranked below the oldest committed body still held. The log's
+    /// length and running hash cover the whole chain, which is what
+    /// checkpoints, state sync and the invariant checker read.
     pub fn prune(&mut self, keep: usize) {
-        for id in self.committed.trim(keep) {
-            self.forget(id);
+        let gone = self.committed.trim(keep).len();
+        self.bodies.drain(..gone);
+        if let Some(floor) = self.bodies.iter().flatten().next().map(|b| b.rank()) {
+            // An orphan not yet returned waits for the next commit to
+            // return its transactions.
+            self.pending.retain(|_, (b, returned)| !*returned || b.rank() >= floor);
         }
-    }
-
-    /// `id` left the committed window: drop its body, digest and index
-    /// entry.
-    fn forget(&mut self, id: BlockId) {
-        self.blocks.remove(&id);
-        self.exec.forget_digest(id);
-        self.committed_set.remove(&id);
     }
 }
 
@@ -791,7 +810,7 @@ mod tests {
 
     /// State sync restores a second time over local recovery. The second
     /// log overlaps the first, and by then `prune` may have taken the
-    /// overlap out of `committed_set`.
+    /// overlap out of the window.
     #[test]
     fn restoring_twice_after_a_prune_appends_nothing_twice() {
         let mut s = state();
@@ -849,7 +868,7 @@ mod tests {
         assert_eq!(s.committed, synced);
         assert!(s.is_committed(BlockId::test(4999)) && s.is_committed(BlockId::test(4900)));
         assert!(!s.is_committed(Block::genesis_id()), "genesis left the window");
-        assert_eq!(s.committed_set.len(), 100);
+        assert_eq!(s.bodies.len(), 100, "one body slot per held id");
     }
 
     /// A replica restarted from a disk more than a window behind holds no
@@ -873,7 +892,7 @@ mod tests {
         assert_eq!(s.state_root(), hs1_ledger::KvStore::with_records(20).state_root());
         assert!(!s.is_committed(BlockId::test(99)), "the old window left");
         assert!(s.is_committed(synced.head()));
-        assert_eq!(s.committed_set.len(), CommittedLog::KEEP);
+        assert_eq!(s.bodies.len(), CommittedLog::KEEP, "one body slot per held id");
 
         assert!(!s.restore(image(10, chain(100))), "behind");
         assert_eq!(s.committed, synced);
@@ -881,26 +900,12 @@ mod tests {
         assert_eq!(conflicts, 0);
     }
 
-    #[test]
-    fn prune_drops_old_bodies() {
-        let mut s = state();
-        let mut parent = Block::genesis_id();
-        for v in 1..=10 {
-            let b = child_of(parent, v, v);
-            parent = b.id();
-            s.insert_block(b.clone());
-            let mut out = Vec::new();
-            assert!(s.commit_chain(b.id(), &mut out).is_ok());
-        }
-        let before = s.blocks.len();
-        s.prune(3);
-        assert!(s.blocks.len() < before);
-        assert!(s.has_block(parent), "recent blocks kept");
-    }
-
-    /// The driver prunes every 64 views. Execution digests and the
-    /// committed index must go with the bodies, or a long run gains one
-    /// map entry per block forever.
+    /// The driver prunes every 64 views. Bodies must go with the ids, or a
+    /// long run gains one body per block forever, and execution digests
+    /// are held for the committed head and the live speculation only. One
+    /// view in four a leader that never proposes orphans the block before
+    /// its view (Example 6.2): the orphan's body leaves too, once it ranks
+    /// below the oldest committed body held.
     #[test]
     fn digests_stay_bounded_over_ten_thousand_commits() {
         const KEEP: usize = CommittedLog::KEEP;
@@ -909,13 +914,16 @@ mod tests {
         let mut out = Vec::new();
         for v in 1..=10_000u64 {
             let b = child_of(parent, v, v);
-            parent = b.id();
             s.insert_block(b.clone());
-            // Speculate-then-commit on odd views, commit directly on even.
+            // Speculate on odd views (an orphan too, to be rolled back).
             if v % 2 == 1 {
                 s.speculate(&b, &mut out);
             }
-            assert!(s.commit_chain(b.id(), &mut out).is_ok());
+            if v % 4 == 3 {
+                continue;
+            }
+            parent = b.id();
+            assert!(s.commit_chain(parent, &mut out).is_ok());
             out.clear();
             if v % 64 == 0 {
                 s.prune(KEEP);
@@ -925,27 +933,22 @@ mod tests {
         let tip = child_of(parent, 10_001, 10_001);
         s.insert_block(tip.clone());
         s.speculate(&tip, &mut out);
-        let live_speculation = 1;
-        // + 64: what accumulates between two prunes.
-        assert!(
-            s.exec.digest_count() <= KEEP + 64 + live_speculation,
-            "{} digests held after 10k commits",
-            s.exec.digest_count()
-        );
         assert!(s.exec.digest_of(tip.id()).is_some(), "the live speculation keeps its digest");
         assert!(s.exec.digest_of(parent).is_some(), "so does the committed head");
-        assert!(
-            s.committed_set.len() <= KEEP + 64 + live_speculation,
-            "{} index entries held after 10k commits",
-            s.committed_set.len()
-        );
-        assert!(s.blocks.len() <= KEEP + 64 + live_speculation);
+        // + 64: what accumulates between two prunes.
+        assert!(s.bodies.len() <= KEEP + 64, "{} bodies held after 10k views", s.bodies.len());
+        assert_eq!(s.bodies.len(), s.committed.ids().len(), "one body slot per held id");
+        let floor = s.bodies[0].as_ref().map(|b| b.rank()).unwrap();
+        assert!(s.pending.values().all(|(b, _)| b.rank() >= floor), "no orphan below the window");
+        assert!(s.pending.len() < KEEP / 2, "{} of 2,500 orphans held", s.pending.len());
         assert!(s.is_committed(parent), "the head is committed");
         assert!(!s.is_committed(tip.id()));
-        for id in s.committed.ids() {
+        for (id, body) in s.committed.ids().zip(&s.bodies) {
+            assert_eq!(body.as_ref().map(|b| b.id()), Some(id), "the body beside its id");
             assert!(s.has_block(id) && s.is_committed(id), "retained body, exact answer");
+            assert!(id == parent || s.exec.digest_of(id).is_none(), "no digest below the head");
         }
-        assert_eq!(s.committed.len(), 10_000 + 1, "the length counts every commit (and genesis)");
+        assert_eq!(s.committed.len(), 7_500 + 1, "the length counts every commit (and genesis)");
     }
 
     /// The committed chain itself is the window too: a replica holds

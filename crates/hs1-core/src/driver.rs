@@ -311,13 +311,14 @@ impl Driver {
     /// rollback-attack justify choice, Example 6.2).
     pub(crate) fn stale_cert(&self) -> Certificate {
         let limit = self.view.0.saturating_sub(2);
-        // The scan walks a HashMap, whose order must not leak into
+        let stored: HashSet<BlockId> = self.core.blocks().map(|b| b.id()).collect();
+        // The scan walks a HashMap in part, whose order must not leak into
         // replayable behavior, so the order is total: rank, then the
         // certified block, then the block carrying the certificate (two
         // certificates for one block can differ in kind and signer set).
         std::iter::once((&self.high_cert, BlockId::NONE))
-            .chain(self.core.blocks.values().map(|b| (&b.justify, b.id())))
-            .filter(|(c, _)| c.view.0 <= limit && self.core.has_block(c.block))
+            .chain(self.core.blocks().map(|b| (&b.justify, b.id())))
+            .filter(|(c, _)| c.view.0 <= limit && stored.contains(&c.block))
             .max_by_key(|(c, carrier)| (c.rank(), c.block, *carrier))
             .map_or_else(Certificate::genesis, |(c, _)| c.clone())
     }

@@ -464,7 +464,8 @@ impl Protocol for Slotted {
     }
 
     fn prune(&mut self, core: &CoreState) {
-        self.cert_children.retain(|_, child| core.blocks.contains_key(child));
+        let stored: HashSet<BlockId> = core.blocks().map(|b| b.id()).collect();
+        self.cert_children.retain(|_, child| stored.contains(child));
     }
 
     /// Conservative: treat every slot of the recovered view (and below)

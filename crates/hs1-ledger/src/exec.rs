@@ -44,13 +44,14 @@ impl Default for ExecConfig {
 #[derive(Clone, Debug)]
 pub struct ExecutionEngine {
     store: SpeculativeStore,
-    /// Result digest of every *live* executed block: speculated (not yet
-    /// rolled back) or recently committed. Rollback prunes the rolled-back
-    /// blocks' entries — a discarded block's digest must not be served
-    /// again until the block is actually re-executed — and
-    /// [`ExecutionEngine::forget_digest`] drops committed ones once they
-    /// are far behind the head.
+    /// Result digest of every speculated block not rolled back. Rollback
+    /// prunes the rolled-back blocks' entries: a discarded block's digest
+    /// must not be served again until the block is actually re-executed.
+    /// A block that commits takes its digest to `head`.
     digests: HashMap<BlockId, Digest>,
+    /// The committed head and its digest. A committed block's digest is
+    /// read only while it is the head; the one below it is dropped.
+    head: Option<(BlockId, Digest)>,
     /// Count of transactions executed (including re-executions after
     /// rollback; metric).
     executed_txs: u64,
@@ -68,6 +69,7 @@ impl ExecutionEngine {
         ExecutionEngine {
             store: SpeculativeStore::new(base),
             digests: HashMap::new(),
+            head: None,
             executed_txs: 0,
             obs: Obs::noop(),
         }
@@ -92,19 +94,18 @@ impl ExecutionEngine {
     /// (commit path). If the block is currently the oldest speculated
     /// overlay its effects are *promoted* instead of re-executed.
     pub fn execute_committed(&mut self, block: BlockId, txs: &[Transaction]) -> Digest {
-        if self.store.speculated().first() == Some(&block) {
+        let digest = if self.store.speculated().first() == Some(&block) {
             self.store.promote_oldest(block);
-            return self.digests[&block];
-        }
-        // Any remaining speculation conflicts with this commit (a
-        // speculated block at the same height on another branch): its
-        // digests die with its overlays.
-        for b in self.store.speculated() {
-            self.digests.remove(&b);
-        }
-        self.store.rollback_all();
-        let digest = self.run_block(block, txs, false);
-        self.digests.insert(block, digest);
+            self.digests.remove(&block).expect("a speculated block has a digest")
+        } else {
+            // Any remaining speculation conflicts with this commit (a
+            // speculated block at the same height on another branch): its
+            // digests die with its overlays.
+            self.digests.clear();
+            self.store.rollback_all();
+            self.run_block(block, txs, false)
+        };
+        self.head = Some((block, digest));
         digest
     }
 
@@ -140,21 +141,12 @@ impl ExecutionEngine {
         }
     }
 
-    /// Digest of a previously executed block, if any.
+    /// Digest of a live speculated block or of the committed head.
     pub fn digest_of(&self, block: BlockId) -> Option<Digest> {
-        self.digests.get(&block).copied()
-    }
-
-    /// Drop the digest of a block committed long ago (bounded memory on
-    /// long runs). A digest is read when its block is speculated or
-    /// committed, never afterwards.
-    pub fn forget_digest(&mut self, block: BlockId) {
-        self.digests.remove(&block);
-    }
-
-    /// How many digests are held.
-    pub fn digest_count(&self) -> usize {
-        self.digests.len()
+        match self.head {
+            Some((id, digest)) if id == block => Some(digest),
+            _ => self.digests.get(&block).copied(),
+        }
     }
 
     /// Replace the committed base store with a recovered checkpoint image
@@ -165,6 +157,7 @@ impl ExecutionEngine {
     pub fn restore_committed(&mut self, store: KvStore) {
         assert_eq!(self.store.depth(), 0, "restore_committed under active speculation");
         self.digests.clear();
+        self.head = None;
         self.store = SpeculativeStore::new(store);
     }
 
@@ -398,12 +391,19 @@ mod tests {
         assert_ne!(d1, d3, "digest binds execution order");
     }
 
+    /// Digests are held for the speculated blocks and the committed head
+    /// only: a block's digest leaves when the next one commits.
     #[test]
     fn digest_of_lookup() {
         let mut e = ExecutionEngine::new(ExecConfig::default());
         assert_eq!(e.digest_of(BlockId::test(1)), None);
         let d = e.execute_committed(BlockId::test(1), &txs(2));
         assert_eq!(e.digest_of(BlockId::test(1)), Some(d));
+        let d2 = e.execute_speculative(BlockId::test(2), &txs(3));
+        assert_eq!(e.digest_of(BlockId::test(1)), Some(d));
+        assert_eq!(e.execute_committed(BlockId::test(2), &txs(3)), d2);
+        assert_eq!(e.digest_of(BlockId::test(1)), None, "no longer the head");
+        assert_eq!(e.digest_of(BlockId::test(2)), Some(d2));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use hs1_obs::Obs;
 use hs1_statesync::{NodeShell, SyncConfig, SyncStats};
 use hs1_storage::{RecoveryInfo, StorageConfig, StorageError};
 use hs1_types::message::ResponseMsg;
-use hs1_types::{Message, SimTime};
+use hs1_types::{Message, SimTime, View};
 
 /// Hosts one engine, inside its [`NodeShell`], on the mesh until
 /// `run_for` elapses.
@@ -368,6 +368,7 @@ impl NodeRunner {
                     self.mesh.broadcast(msg)
                 }
                 Action::SetTimer { timer, at } => {
+                    self.timers.retain(|Reverse((_, _, old))| !supersedes(timer, *old));
                     self.timer_seq += 1;
                     self.timers.push(Reverse((at, self.timer_seq, timer)));
                 }
@@ -401,13 +402,26 @@ impl NodeRunner {
     }
 }
 
+/// Does arming `new` make the pending `old` a no-op? Yes for a timer of
+/// the same kind for an earlier view `u ≥ 1`: the engine acts on a timer
+/// for its current view only, and its view only rises. A timer for view 0
+/// is [`hs1_statesync::SYNC_TIMER`], the state sync's poll, and stays.
+fn supersedes(new: Timer, old: Timer) -> bool {
+    match (new, old) {
+        (Timer::ViewTimeout(v), Timer::ViewTimeout(u))
+        | (Timer::LeaderWait(v), Timer::LeaderWait(u))
+        | (Timer::ProposeAt(v), Timer::ProposeAt(u)) => u != View::GENESIS && u < v,
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framing::{encode_frame, hello_bytes, PeerKind};
     use crate::mesh::tests::free_base_port;
     use hs1_core::persist::RecoveredState;
-    use hs1_types::{BlockId, ReplicaId, SimDuration, Transaction, View};
+    use hs1_types::{BlockId, ReplicaId, SimDuration, Transaction};
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::sync::{Arc, Mutex};
@@ -514,6 +528,24 @@ mod tests {
         // spurious wake-ups.
         let turns = node.mesh.adopt().expect("parked reactor").turns;
         assert!(turns <= 2 * TIMERS as u64 + 8, "{turns} turns for {TIMERS} timers");
+    }
+
+    /// A timer armed for a later view drops the pending ones of its kind:
+    /// 1,000 views leave one a kind. The same view armed twice still fires
+    /// twice, and the state sync's poll stays.
+    #[test]
+    fn a_timer_for_a_later_view_drops_the_earlier_ones_of_its_kind() {
+        let (mut node, _, (late, _)) = probe_node(1, 0, 0);
+        let arm = |timer, at| Action::SetTimer { timer, at };
+        for v in (1..=1_000).map(View) {
+            let kinds = [Timer::ViewTimeout(v), Timer::LeaderWait(v), Timer::ProposeAt(v)];
+            node.dispatch(kinds.map(|t| arm(t, SimTime(u64::MAX))).to_vec());
+        }
+        assert_eq!(node.timers.len(), 3, "one a kind");
+        node.dispatch(vec![arm(hs1_statesync::SYNC_TIMER, SimTime(u64::MAX))]);
+        node.dispatch(vec![arm(Timer::ViewTimeout(View(1_001)), SimTime::ZERO); 2]);
+        node.fire_due_timers();
+        assert_eq!((late.lock().unwrap().len(), node.timers.len()), (2, 3), "the poll stays");
     }
 
     /// A step taken on a frame from the network sends to self (a leader's

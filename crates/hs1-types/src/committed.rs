@@ -64,9 +64,12 @@ impl CommittedLog {
     /// commit.
     pub const WINDOW: usize = Self::KEEP + Self::PRUNE_EVERY as usize;
 
-    /// The log of a replica that has committed nothing but genesis.
+    /// The log of a replica that has committed nothing but genesis, its
+    /// window allocated once at [`CommittedLog::WINDOW`] ids (a deque
+    /// that grew to it by doubling would hold twice that).
     pub fn new() -> CommittedLog {
-        let window = VecDeque::from([(Block::genesis_id(), genesis_hash())]);
+        let mut window = VecDeque::with_capacity(Self::WINDOW);
+        window.push_back((Block::genesis_id(), genesis_hash()));
         CommittedLog { len: 1, base: Digest::ZERO, window }
     }
 
