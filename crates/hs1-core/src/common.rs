@@ -900,6 +900,23 @@ mod tests {
         assert_eq!(conflicts, 0);
     }
 
+    #[test]
+    fn prune_drops_old_bodies() {
+        let mut s = state();
+        let mut parent = Block::genesis_id();
+        for v in 1..=10 {
+            let b = child_of(parent, v, v);
+            parent = b.id();
+            s.insert_block(b.clone());
+            let mut out = Vec::new();
+            assert!(s.commit_chain(b.id(), &mut out).is_ok());
+        }
+        let before = s.bodies.len();
+        s.prune(3);
+        assert!(s.bodies.len() < before);
+        assert!(s.has_block(parent), "recent blocks kept");
+    }
+
     /// The driver prunes every 64 views. Bodies must go with the ids, or a
     /// long run gains one body per block forever, and execution digests
     /// are held for the committed head and the live speculation only. One
