@@ -26,7 +26,7 @@ const FORGE_AFTER_VIEW: u64 = 6;
 
 /// Counters for tests and observability.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct MutationStats {
+pub(crate) struct MutationStats {
     /// Messages altered in place.
     pub mutated: u64,
     /// Messages suppressed entirely.
@@ -58,7 +58,7 @@ pub struct AdversaryMutator {
     corrupt_manifests: bool,
     /// Fabricated fork blocks (ForgeQuorum), served on fetch.
     forged: Option<Vec<Arc<Block>>>,
-    pub stats: MutationStats,
+    pub(crate) stats: MutationStats,
 }
 
 impl AdversaryMutator {
@@ -89,16 +89,12 @@ impl AdversaryMutator {
         }
     }
 
-    pub fn strategy(&self) -> AdversaryStrategy {
-        self.strategy
-    }
-
-    pub fn id(&self) -> ReplicaId {
+    pub(crate) fn id(&self) -> ReplicaId {
         self.me
     }
 
     /// Deployment size (the engine wrapper expands broadcasts with it).
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.cfg.n
     }
 
@@ -356,7 +352,7 @@ impl AdversaryMutator {
     /// (served by [`AdversaryMutator::forged_block`]) and the 2-chain
     /// commit rule walks them into committing `X0` — the safety violation
     /// the chaos oracles must catch.
-    pub fn maybe_forge(&mut self, current_view: View) -> Option<Vec<(ReplicaId, Message)>> {
+    pub(crate) fn maybe_forge(&mut self, current_view: View) -> Option<Vec<(ReplicaId, Message)>> {
         if self.strategy != AdversaryStrategy::ForgeQuorum
             || self.forged.is_some()
             || current_view.0 < FORGE_AFTER_VIEW
@@ -394,7 +390,7 @@ impl AdversaryMutator {
     /// A fabricated fork block by id, if this adversary forged it (the
     /// engine wrapper answers `FetchBlock` for these directly — the inner
     /// honest engine has never seen them).
-    pub fn forged_block(&self, id: BlockId) -> Option<Arc<Block>> {
+    pub(crate) fn forged_block(&self, id: BlockId) -> Option<Arc<Block>> {
         self.forged.as_ref().and_then(|blocks| blocks.iter().find(|b| b.id() == id).cloned())
     }
 }

@@ -26,8 +26,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hs1_bench::FigureSink;
-use hs1_core::byzantine::Fault;
 use hs1_core::persist::{Persistence, RecoveredState};
+use hs1_core::Fault;
 use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_statesync::{SnapshotImage, SnapshotServer};
@@ -102,11 +102,11 @@ fn build_journal(
         }
         if storage.wants_checkpoint() {
             let window: Vec<BlockId> = log.ids().collect();
-            storage.write_checkpoint(exec.store().committed_store(), &window);
+            storage.write_checkpoint(exec.committed(), &window);
         }
     }
     storage.sync();
-    exec.store().committed_store().state_root()
+    exec.committed().state_root()
 }
 
 /// Time a full recovery (journal/checkpoint load + engine restore).

@@ -9,6 +9,7 @@
 //! on any difference from the committed bytes.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::fs;
 use std::path::PathBuf;

@@ -27,6 +27,8 @@
 //! (exit 1) unless every finalized block gets an attributed critical
 //! path whose hop durations telescope exactly to its end-to-end latency.
 
+#![warn(unreachable_pub)]
+
 use hs1_chaos::{parse_replay, parse_sim_seconds, replay_command, sweep, ChaosCase, Inject};
 use hs1_obs::{Clock, Obs};
 use hs1_sim::chaos::ChaosConfig;

@@ -8,7 +8,7 @@
 //! * [`ChaosCase`] — one (protocol, plan, scenario-shape) cell of the
 //!   sweep; [`ChaosCase::run`] executes it deterministically.
 //! * [`sweep`] — N seeds × the chosen protocols, first failure wins.
-//! * [`shrink`] — greedy fixed-point minimization: drop fault-event
+//! * `shrink` — greedy fixed-point minimization: drop fault-event
 //!   windows and zero link-fault axes while the failure persists.
 //! * [`replay_command`] — the exact `cargo run` line that reproduces a
 //!   failure byte-for-byte (fingerprint-checked).
@@ -16,6 +16,7 @@
 //! See `src/bin/chaos_sweep.rs` for the CLI CI invokes.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use hs1_adversary::AdversaryStrategy;
 use hs1_core::Fault;
@@ -59,7 +60,7 @@ impl Inject {
         }
     }
 
-    pub fn token(&self) -> &'static str {
+    pub(crate) fn token(&self) -> &'static str {
         match self {
             Inject::None => "none",
             Inject::Halt => "halt",
@@ -113,7 +114,7 @@ impl ChaosCase {
     }
 
     /// Derive the case for `seed` with the same shape.
-    pub fn with_plan(&self, plan: ChaosPlan) -> ChaosCase {
+    pub(crate) fn with_plan(&self, plan: ChaosPlan) -> ChaosCase {
         ChaosCase { plan, ..self.clone() }
     }
 }
@@ -162,7 +163,10 @@ pub struct Failure {
 /// adversary, zeroing one link axis, or flattening the clock-skew axis —
 /// keeping any reduction under which `fails` still answers true.
 /// Returns the minimal plan plus the number of candidate runs spent.
-pub fn shrink(mut plan: ChaosPlan, mut fails: impl FnMut(&ChaosPlan) -> bool) -> (ChaosPlan, u32) {
+pub(crate) fn shrink(
+    mut plan: ChaosPlan,
+    mut fails: impl FnMut(&ChaosPlan) -> bool,
+) -> (ChaosPlan, u32) {
     let mut runs = 0;
     loop {
         let mut progressed = false;

@@ -41,25 +41,10 @@ pub enum Fault {
 }
 
 impl Fault {
-    pub fn is_honest(&self) -> bool {
-        matches!(self, Fault::Honest)
-    }
-
     /// Is this replica in the colluding faulty set (votes for faulty
     /// leaders' equivocating proposals)?
-    pub fn colludes(&self) -> bool {
+    pub(crate) fn colludes(&self) -> bool {
         matches!(self, Fault::RollbackAttack { .. } | Fault::TailFork)
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Fault::Honest => "honest",
-            Fault::Crash { .. } => "crash",
-            Fault::SlowLeader => "slow-leader",
-            Fault::TailFork => "tail-fork",
-            Fault::RollbackAttack { .. } => "rollback-attack",
-            Fault::Silent => "silent",
-        }
     }
 }
 
@@ -69,8 +54,7 @@ mod tests {
 
     #[test]
     fn default_is_honest() {
-        assert!(Fault::default().is_honest());
-        assert!(!Fault::SlowLeader.is_honest());
+        assert!(matches!(Fault::default(), Fault::Honest));
     }
 
     #[test]
@@ -79,19 +63,5 @@ mod tests {
         assert!(Fault::TailFork.colludes());
         assert!(!Fault::Honest.colludes());
         assert!(!Fault::SlowLeader.colludes());
-    }
-
-    #[test]
-    fn names() {
-        for f in [
-            Fault::Honest,
-            Fault::Crash { after_view: 1 },
-            Fault::SlowLeader,
-            Fault::TailFork,
-            Fault::RollbackAttack { victims: vec![ReplicaId(1)] },
-            Fault::Silent,
-        ] {
-            assert!(!f.name().is_empty());
-        }
     }
 }

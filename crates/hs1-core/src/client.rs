@@ -88,13 +88,8 @@ impl FinalityTracker {
         None
     }
 
-    pub fn is_final(&self, tx: TxId) -> bool {
+    pub(crate) fn is_final(&self, tx: TxId) -> bool {
         self.decided.contains(tx)
-    }
-
-    /// Decisions since the last [`FinalityTracker::gc`], oldest first.
-    pub fn finalized(&self) -> &[(TxId, BlockId)] {
-        &self.finalized
     }
 
     /// Bound memory on a long session: forget the decision log. Tallies
@@ -246,7 +241,7 @@ mod tests {
             }
         }
         t.gc();
-        assert!(t.pending.is_empty() && t.finalized().is_empty());
+        assert!(t.pending.is_empty() && t.finalized.is_empty());
         assert_eq!(t.decided.runs(), [(ClientId(1), 0, 9_999)], "the gaps closed into one run");
         assert!(t.is_final(TxId::new(ClientId(1), 9_999)));
         assert!(!t.is_final(TxId::new(ClientId(1), 10_000)));

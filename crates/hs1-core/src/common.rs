@@ -132,18 +132,18 @@ impl Mempool {
 /// dropped `FetchResp` delays catch-up by one window instead of
 /// deadlocking it forever.
 #[derive(Default)]
-pub struct FetchTracker {
+pub(crate) struct FetchTracker {
     inflight: HashMap<BlockId, hs1_types::SimTime>,
 }
 
 impl FetchTracker {
-    pub fn new() -> FetchTracker {
+    pub(crate) fn new() -> FetchTracker {
         FetchTracker::default()
     }
 
     /// Should a `FetchBlock` for `id` go out now? Records the request
     /// time when it answers yes.
-    pub fn should_request(
+    pub(crate) fn should_request(
         &mut self,
         id: BlockId,
         now: hs1_types::SimTime,
@@ -161,12 +161,12 @@ impl FetchTracker {
     /// Is a fetch for `id` outstanding? The driver absorbs a `FetchResp` only
     /// when this holds — a Byzantine peer must not be able to push
     /// arbitrary unrequested blocks into the store through the fetch path.
-    pub fn is_inflight(&self, id: BlockId) -> bool {
+    pub(crate) fn is_inflight(&self, id: BlockId) -> bool {
         self.inflight.contains_key(&id)
     }
 
     /// The block arrived; clear its in-flight entry.
-    pub fn resolved(&mut self, id: BlockId) {
+    pub(crate) fn resolved(&mut self, id: BlockId) {
         self.inflight.remove(&id);
     }
 }
@@ -238,14 +238,14 @@ impl CoreState {
         self.obs = obs;
     }
 
-    pub fn block(&self, id: BlockId) -> Option<&Arc<Block>> {
+    pub(crate) fn block(&self, id: BlockId) -> Option<&Arc<Block>> {
         match self.pending.get(&id) {
             Some((b, _)) => Some(b),
             None => self.window_index(id).and_then(|i| self.bodies[i].as_ref()),
         }
     }
 
-    pub fn has_block(&self, id: BlockId) -> bool {
+    pub(crate) fn has_block(&self, id: BlockId) -> bool {
         self.block(id).is_some()
     }
 
@@ -290,15 +290,15 @@ impl CoreState {
     /// block whose body is retained, which is every block a commit walk,
     /// `speculate` or the vote path can reach: a walk that met an id
     /// below the horizon fails on the missing body first.
-    pub fn is_committed(&self, id: BlockId) -> bool {
+    pub(crate) fn is_committed(&self, id: BlockId) -> bool {
         !self.pending.contains_key(&id) && self.window_index(id).is_some()
     }
 
-    pub fn committed_head(&self) -> BlockId {
+    pub(crate) fn committed_head(&self) -> BlockId {
         self.committed.head()
     }
 
-    pub fn committed_log(&self) -> &CommittedLog {
+    pub(crate) fn committed_log(&self) -> &CommittedLog {
         &self.committed
     }
 
@@ -403,7 +403,7 @@ impl CoreState {
             self.bodies.push_back(Some(b));
             if self.persist.wants_checkpoint() {
                 let window: Vec<BlockId> = self.committed.ids().collect();
-                self.persist.write_checkpoint(self.exec.store().committed_store(), &window);
+                self.persist.write_checkpoint(self.exec.committed(), &window);
             }
         }
         self.return_orphans(head_view);
@@ -440,9 +440,9 @@ impl CoreState {
 
     /// Speculatively execute `b` into the local-ledger (paper Fig. 4
     /// lines 12–15): roll back any conflicting speculation (its parent is
-    /// committed, so *any* live overlay conflicts), execute, and respond
+    /// committed, so *any* live speculation conflicts), execute, and respond
     /// to clients. No-op if `b` already executed or committed.
-    pub fn speculate(&mut self, b: &Arc<Block>, out: &mut Vec<Action>) {
+    pub(crate) fn speculate(&mut self, b: &Arc<Block>, out: &mut Vec<Action>) {
         debug_assert!(self.is_committed(b.parent), "prefix speculation rule violated");
         if self.is_committed(b.id()) || self.exec.digest_of(b.id()).is_some() {
             return;
@@ -461,8 +461,8 @@ impl CoreState {
     }
 
     /// Root of the committed global-ledger state.
-    pub fn state_root(&self) -> hs1_crypto::Digest {
-        self.exec.store().committed_store().state_root()
+    pub(crate) fn state_root(&self) -> hs1_crypto::Digest {
+        self.exec.committed().state_root()
     }
 
     /// Rebuild committed and speculative ledger state from recovery
@@ -476,15 +476,15 @@ impl CoreState {
     /// Returns `false` if `rs` carried a committed store and it was refused
     /// (its log is behind this replica's, or parts from it); the caller
     /// then takes nothing else from `rs` either.
-    pub fn restore(&mut self, rs: RecoveredState) -> bool {
+    pub(crate) fn restore(&mut self, rs: RecoveredState) -> bool {
         if let Some(store) = rs.committed_store {
             if !self.extended_by(&rs.committed_log) {
                 return false;
             }
-            // Installing a committed base invalidates any live overlay —
-            // the state-sync path restores a second time, *after* local
-            // recovery may have re-derived speculation. Mirror a
-            // conflicting commit: roll the stack back first.
+            // Installing a committed base invalidates any live speculation
+            // — the state-sync path restores a second time, *after* local
+            // recovery may have re-derived it. Mirror a conflicting
+            // commit: roll it back first.
             let rolled = self.exec.rollback_conflicting(&[]);
             if rolled > 0 {
                 self.persist.on_rollback(rolled);
@@ -555,7 +555,7 @@ impl CoreState {
     /// ranked below the oldest committed body still held. The log's
     /// length and running hash cover the whole chain, which is what
     /// checkpoints, state sync and the invariant checker read.
-    pub fn prune(&mut self, keep: usize) {
+    pub(crate) fn prune(&mut self, keep: usize) {
         let gone = self.committed.trim(keep).len();
         self.bodies.drain(..gone);
         if let Some(floor) = self.bodies.iter().flatten().next().map(|b| b.rank()) {
@@ -688,7 +688,7 @@ mod tests {
                 if block.id() == b1.id()),
             "rolled-back block re-executes on re-speculation: {out:?}"
         );
-        assert!(s.exec.is_speculating(b1.id()));
+        assert!(s.exec.digest_of(b1.id()).is_some());
     }
 
     #[test]
@@ -772,9 +772,9 @@ mod tests {
     #[test]
     fn restore_over_live_speculation_rolls_back_then_installs() {
         // The state-sync path restores twice: local recovery may leave a
-        // re-derived speculation stack, and the snapshot install must
-        // displace it (not panic under restore_committed's no-overlay
-        // invariant).
+        // re-derived speculated block, and the snapshot install must
+        // displace it (not panic under restore_committed's
+        // no-speculation invariant).
         let mut s = state();
         let b1 = child_of(Block::genesis_id(), 1, 1);
         s.insert_block(b1.clone());

@@ -26,8 +26,8 @@
 //! | `chained.rs` | policy: streamlined HotStuff (3-chain), HotStuff-2 (2-chain), HotStuff-1 (2-chain + speculation); a leader with nothing to answer holds its proposal | §5, Fig. 4 |
 //! | `slotted.rs` | policy: HotStuff-1 with adaptive slotting | §6, Figs. 6–7 |
 //! | `shares.rs` | share tally: verify on insert, dedup per sender, certificate at quorum | §7 implementation note |
-//! | [`pacemaker`] | epoch view synchronizer: a boundary reached on a vote is crossed at once, one reached on a timeout runs the Wish / TC round | §4.2.1, Fig. 3 |
-//! | [`byzantine`] | fault strategies: slow leader, tail-forking, rollback/equivocation, crash, silence | §7.3 |
+//! | `pacemaker` | epoch view synchronizer: a boundary reached on a vote is crossed at once, one reached on a timeout runs the Wish / TC round | §4.2.1, Fig. 3 |
+//! | `byzantine` | fault strategies: slow leader, tail-forking, rollback/equivocation, crash, silence | §7.3 |
 //! | [`client`] | client-side quorum matching (early finality confirmation) | §3, §4.1 |
 //! | [`invariants`] | the safety oracles over what a runtime observes: per-height agreement, equal chains ⇒ equal roots, no orphaned final block; commits survive recovery | §3, App. B, §4.2 |
 //! | [`common`] | replica state below the driver: block store, the mempool, commit (with orphan return) and speculate paths | — |
@@ -35,15 +35,16 @@
 //! | [`persist`] | durability hooks ([`persist::Persistence`]) and recovered-state handoff | §4.2 recovery |
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod basic;
-pub mod byzantine;
+mod byzantine;
 mod chained;
 pub mod client;
 pub mod common;
 mod driver;
 pub mod invariants;
-pub mod pacemaker;
+mod pacemaker;
 pub mod persist;
 pub mod replica;
 mod runset;
@@ -52,7 +53,7 @@ mod slotted;
 pub mod testkit;
 
 pub use byzantine::Fault;
-pub use persist::{NoopPersistence, Persistence, RecoveredState};
+pub use persist::{Persistence, RecoveredState};
 pub use replica::{Action, PoolStats, Replica, Timer};
 
 use driver::{Driver, Engine};

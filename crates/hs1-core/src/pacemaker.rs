@@ -74,7 +74,7 @@ use hs1_types::{Message, ReplicaId, SimTime, SystemConfig, TimeoutCert, View};
 
 /// Why the engine left a view.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ViewEnd {
+pub(crate) enum ViewEnd {
     /// It voted in it (Fig. 2 line 30, Fig. 4 line 19).
     Voted,
     /// `Timer::ViewTimeout` fired.
@@ -83,7 +83,7 @@ pub enum ViewEnd {
 
 /// Verdict of [`Pacemaker::completed_view`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PmOutcome {
+pub(crate) enum PmOutcome {
     /// Enter the view immediately.
     Enter,
     /// Epoch boundary: a Wish was sent; hold until the TC arrives
@@ -91,7 +91,7 @@ pub enum PmOutcome {
     AwaitTc,
 }
 
-pub struct Pacemaker {
+pub(crate) struct Pacemaker {
     cfg: SystemConfig,
     me: ReplicaId,
     /// StartTime[v] for views of epochs whose TC has been processed or
@@ -114,7 +114,7 @@ pub struct Pacemaker {
 }
 
 impl Pacemaker {
-    pub fn new(cfg: SystemConfig, me: ReplicaId, now: SimTime) -> Pacemaker {
+    pub(crate) fn new(cfg: SystemConfig, me: ReplicaId, now: SimTime) -> Pacemaker {
         let mut pm = Pacemaker {
             cfg,
             me,
@@ -132,7 +132,7 @@ impl Pacemaker {
 
     /// The timeout deadline of `view`: `StartTime[view] + τ`, or `now + τ`
     /// when the view's epoch schedule is unknown (catch-up path).
-    pub fn deadline(&self, view: View, now: SimTime) -> SimTime {
+    pub(crate) fn deadline(&self, view: View, now: SimTime) -> SimTime {
         match self.start_times.get(&view.0) {
             Some(&start) => start + self.cfg.view_timer,
             None => now + self.cfg.view_timer,
@@ -141,7 +141,7 @@ impl Pacemaker {
 
     /// `ShareTimer(view) = StartTime[view] + 3Δ` (Fig. 3 line 2): when a
     /// leader may stop waiting for NewView messages.
-    pub fn share_deadline(&self, view: View, now: SimTime) -> SimTime {
+    pub(crate) fn share_deadline(&self, view: View, now: SimTime) -> SimTime {
         match self.start_times.get(&view.0) {
             Some(&start) => start + self.cfg.delta * 3,
             None => now + self.cfg.delta * 3,
@@ -152,7 +152,7 @@ impl Pacemaker {
     /// to enter `next` (Fig. 3 CompletedView). An epoch boundary reached
     /// on a vote is scheduled from `now` and entered; one reached on a
     /// timeout is synchronized (module doc).
-    pub fn completed_view(
+    pub(crate) fn completed_view(
         &mut self,
         next: View,
         why: ViewEnd,
@@ -200,7 +200,7 @@ impl Pacemaker {
     /// view escalation of production view synchronizers and touches
     /// liveness only — wishes for higher epochs are exactly what a
     /// replica whose timer keeps expiring would send anyway.
-    pub fn rewish(&mut self, kp: &KeyPair, out: &mut Vec<Action>) {
+    pub(crate) fn rewish(&mut self, kp: &KeyPair, out: &mut Vec<Action>) {
         let Some(base) = self.awaiting else { return };
         self.rewish_count += 1;
         let k = self.rewish_count / 2;
@@ -221,7 +221,7 @@ impl Pacemaker {
 
     /// Leader role: collect a Wish share; broadcast the TC at quorum
     /// (Fig. 3 lines 11–13).
-    pub fn on_wish(
+    pub(crate) fn on_wish(
         &mut self,
         from: ReplicaId,
         msg: &WishMsg,
@@ -260,7 +260,7 @@ impl Pacemaker {
     /// Process a timeout certificate (Fig. 3 lines 14–18): relay to the
     /// epoch leaders, set the epoch's start times, and return the view to
     /// enter if we were waiting on this TC.
-    pub fn on_tc(
+    pub(crate) fn on_tc(
         &mut self,
         tc: &TimeoutCert,
         registry: &PublicKeyRegistry,
@@ -319,17 +319,17 @@ impl Pacemaker {
     /// The engine entered a view, whichever way (the next one after a
     /// vote or a timeout, a TC, or a jump on a valid proposal). Views only
     /// go up, so a wait at a boundary is over.
-    pub fn entered(&mut self) {
+    pub(crate) fn entered(&mut self) {
         self.awaiting = None;
     }
 
     /// Is the replica parked at an epoch boundary waiting for a TC?
-    pub fn is_awaiting_tc(&self) -> bool {
+    pub(crate) fn is_awaiting_tc(&self) -> bool {
         self.awaiting.is_some()
     }
 
     /// Drop start-time entries for views far below `view` (bounded memory).
-    pub fn prune_below(&mut self, view: View) {
+    pub(crate) fn prune_below(&mut self, view: View) {
         let cut = view.0.saturating_sub(4 * self.cfg.epoch_len());
         self.start_times.retain(|&v, _| v >= cut);
         self.wishes.retain(|&v, _| v >= cut);

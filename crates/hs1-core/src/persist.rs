@@ -9,14 +9,15 @@
 //!   about to be applied to the global-ledger (write-ahead: the hook runs
 //!   *before* execution, so replay re-executes deterministically).
 //! * [`Persistence::on_speculate`] / [`Persistence::on_rollback`] — the
-//!   local-ledger overlay stack changed. A recovering replica must never
-//!   treat a speculated-but-rolled-back prefix as final; journaling both
-//!   edges lets recovery re-derive exactly the overlays that were live.
+//!   local-ledger (at most one speculated block) changed. A recovering
+//!   replica must never treat a speculated-but-rolled-back block as final;
+//!   journaling both edges lets recovery re-derive exactly the speculation
+//!   that was live.
 //! * [`Persistence::on_cert`] / [`Persistence::on_view`] — the prepared
 //!   certificate and pacemaker view, so a restarted replica re-enters at
 //!   (not below) its previous position and cannot double-vote.
 //!
-//! The default implementation [`NoopPersistence`] keeps the simulator
+//! The default implementation, `NoopPersistence`, keeps the simulator
 //! deterministic and allocation-free by default; `hs1-storage` provides
 //! the journal-backed implementation.
 
@@ -34,10 +35,10 @@ pub trait Persistence: Send {
     /// the block is applied to the global-ledger).
     fn on_commit(&mut self, block: &Arc<Block>);
 
-    /// `block` is about to execute speculatively into a fresh overlay.
+    /// `block` is about to execute speculatively into the local-ledger.
     fn on_speculate(&mut self, block: &Arc<Block>);
 
-    /// The top `blocks` overlays of the local-ledger were discarded.
+    /// `blocks` speculated blocks were discarded from the local-ledger.
     fn on_rollback(&mut self, blocks: usize);
 
     /// The replica adopted a higher-ranked certificate.
@@ -73,7 +74,7 @@ pub trait Persistence: Send {
 
 /// No durability: the deterministic default for simulation and tests.
 #[derive(Default, Clone, Copy, Debug)]
-pub struct NoopPersistence;
+pub(crate) struct NoopPersistence;
 
 impl Persistence for NoopPersistence {
     fn on_commit(&mut self, _block: &Arc<Block>) {}
@@ -88,8 +89,8 @@ impl Persistence for NoopPersistence {
 ///
 /// Restore order (enforced by `CoreState::restore`): install the
 /// checkpointed committed store with its log, replay `decided` bodies in
-/// commit order (re-executing deterministically), then re-derive the
-/// speculative overlay stack from `speculated`. The engine itself adopts
+/// commit order (re-executing deterministically), then re-speculate
+/// `speculated`. The engine itself adopts
 /// `view` / `high_cert` and refuses to vote at or below `view` again.
 #[derive(Debug, Default)]
 pub struct RecoveredState {
@@ -105,7 +106,7 @@ pub struct RecoveredState {
     /// Decided block bodies journaled after the checkpoint, in commit
     /// order.
     pub decided: Vec<Arc<Block>>,
-    /// The speculative overlay stack live at crash time, oldest first.
+    /// The speculated blocks live at crash time, oldest first.
     pub speculated: Vec<Arc<Block>>,
 }
 

@@ -6,8 +6,8 @@ use std::collections::HashMap;
 use crate::common::CoreState;
 use hs1_crypto::Signature;
 use hs1_types::cert::CertKind;
-use hs1_types::ids::Rank;
 use hs1_types::message::VoteInfo;
+use hs1_types::Rank;
 use hs1_types::{BlockId, Certificate, ReplicaId, Slot, View};
 
 /// Shares towards certificates of one kind, keyed by the voted position.

@@ -31,8 +31,8 @@ use crate::replica::Action;
 use crate::shares::ShareTally;
 use hs1_obs::{block_key, Stage};
 use hs1_types::cert::CertKind;
-use hs1_types::ids::Rank;
 use hs1_types::message::{NewSlotMsg, NewViewMsg, ProposeMsg, RejectMsg, VoteInfo};
+use hs1_types::Rank;
 use hs1_types::{
     Block, BlockId, Certificate, CommittedLog, Message, ReplicaId, SimTime, Slot, View,
 };

@@ -32,7 +32,7 @@ pub enum Obs {
 
 /// Network-level loss for tests: a message `(from, to, msg)` for which
 /// the rule returns `true` is never delivered.
-pub type Loss = Box<dyn FnMut(ReplicaId, ReplicaId, &Message) -> bool>;
+pub(crate) type Loss = Box<dyn FnMut(ReplicaId, ReplicaId, &Message) -> bool>;
 
 pub struct TestNet {
     pub engines: Vec<Box<dyn Replica>>,
@@ -68,7 +68,7 @@ impl TestNet {
         }
     }
 
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.engines.len()
     }
 

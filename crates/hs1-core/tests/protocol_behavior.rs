@@ -1,8 +1,8 @@
 //! Protocol-level behavior tests driven through the in-crate test harness:
 //! liveness, commit-rule depth, speculation timing, fault handling.
 
-use hs1_core::byzantine::Fault;
 use hs1_core::testkit::{Obs, TestNet};
+use hs1_core::Fault;
 use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_types::{

@@ -19,7 +19,7 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
 /// alone, so one that signs many messages is keyed once and cloned per
 /// message: that saves the two pad-block compressions of `new`.
 #[derive(Clone)]
-pub struct HmacSha256 {
+pub(crate) struct HmacSha256 {
     /// Has absorbed `key ^ ipad`, then the message so far.
     inner: Sha256,
     /// Has absorbed `key ^ opad`.
@@ -34,7 +34,7 @@ impl std::fmt::Debug for HmacSha256 {
 }
 
 impl HmacSha256 {
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         HmacSha256::keyed(key, Sha256::new)
     }
 
@@ -56,12 +56,12 @@ impl HmacSha256 {
         HmacSha256 { inner, outer }
     }
 
-    pub fn update(&mut self, data: &[u8]) -> &mut Self {
+    pub(crate) fn update(&mut self, data: &[u8]) -> &mut Self {
         self.inner.update(data);
         self
     }
 
-    pub fn finalize(mut self) -> Digest {
+    pub(crate) fn finalize(mut self) -> Digest {
         let inner_digest = self.inner.finalize();
         self.outer.update(&inner_digest.0);
         self.outer.finalize()

@@ -12,7 +12,6 @@
 //! certificates (HotStuff-1 §6.1) depend on this.
 
 use crate::hmac::HmacSha256;
-use crate::sha256::Digest;
 
 /// A signature: 32-byte MAC tag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,23 +27,12 @@ impl std::fmt::Debug for Signature {
     }
 }
 
-/// A secret signing key.
-#[derive(Clone)]
-pub struct SecretKey(pub [u8; 32]);
-
-impl std::fmt::Debug for SecretKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print key material.
-        write!(f, "SecretKey(..)")
-    }
-}
-
-/// A signing identity: index into the registry plus the secret key.
+/// A signing identity: index into the registry plus the MAC keyed with
+/// its secret key.
 #[derive(Clone, Debug)]
 pub struct KeyPair {
     pub index: u32,
-    pub secret: SecretKey,
-    /// The MAC already keyed with `secret`, cloned per signature.
+    /// The MAC already keyed with the secret, cloned per signature.
     mac: HmacSha256,
 }
 
@@ -56,9 +44,8 @@ impl KeyPair {
         let mut h = HmacSha256::new(b"hs1/keygen");
         h.update(&deployment_seed.to_be_bytes());
         h.update(&index.to_be_bytes());
-        let secret = SecretKey(h.finalize().0);
-        let mac = HmacSha256::new(&secret.0);
-        KeyPair { index, secret, mac }
+        let mac = HmacSha256::new(&h.finalize().0);
+        KeyPair { index, mac }
     }
 
     /// Sign `msg` under `domain`.
@@ -88,14 +75,6 @@ impl PublicKeyRegistry {
         PublicKeyRegistry { keys }
     }
 
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// Verify that `sig` is participant `index`'s signature on `msg` in
     /// `domain`. The tags are compared in constant time: all 32 bytes are
     /// folded before the one comparison, so how long a forged tag takes to
@@ -109,17 +88,6 @@ impl PublicKeyRegistry {
             None => false,
         }
     }
-}
-
-/// Derive a per-message digest commitment used when signing structured
-/// payloads: callers hash their fields into a [`Digest`] and sign that.
-pub fn signed_payload(parts: &[&[u8]]) -> Digest {
-    let mut h = crate::sha256::Sha256::new();
-    for p in parts {
-        h.update_u64(p.len() as u64);
-        h.update(p);
-    }
-    h.finalize()
 }
 
 #[cfg(test)]
@@ -191,17 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn signed_payload_is_length_prefixed() {
-        // ("ab","c") must differ from ("a","bc") — length framing matters.
-        let x = signed_payload(&[b"ab", b"c"]);
-        let y = signed_payload(&[b"a", b"bc"]);
-        assert_ne!(x, y);
-    }
-
-    #[test]
     fn registry_len() {
         let reg = PublicKeyRegistry::derive(7, 31);
-        assert_eq!(reg.len(), 31);
-        assert!(!reg.is_empty());
+        assert_eq!(reg.keys.len(), 31);
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! Everything in this crate is implemented from scratch on top of `std`:
 //!
-//! * [`mod@sha256`] — FIPS 180-4 SHA-256, validated against the NIST test
+//! * `sha256` — FIPS 180-4 SHA-256, validated against the NIST test
 //!   vectors in this crate's unit tests. Its compression function runs on
 //!   the x86 SHA extensions when CPUID reports them and in scalar Rust
 //!   otherwise; the choice is made at run time, per hasher, and never
 //!   changes a digest.
-//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), validated against RFC 4231 vectors.
-//! * [`keys`] — a keyed-MAC *signature* scheme with a shared public key
+//! * `hmac` — HMAC-SHA-256 (RFC 2104), validated against RFC 4231 vectors.
+//! * `keys` — a keyed-MAC *signature* scheme with a shared public key
 //!   registry.
 //!
 //! # Security note (documented substitution)
@@ -31,14 +31,15 @@
 //! holding the SHA-extensions kernel: one `#[target_feature]` function and
 //! the call that reaches it, each block with its `// SAFETY:` argument.
 //! The kernel is reachable only through a token that run-time CPU feature
-//! detection creates (see [`mod@sha256`]).
+//! detection creates (see `sha256`).
 
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod hmac;
-pub mod keys;
-pub mod sha256;
+mod hmac;
+mod keys;
+mod sha256;
 
 pub use hmac::hmac_sha256;
-pub use keys::{KeyPair, PublicKeyRegistry, SecretKey, Signature};
+pub use keys::{KeyPair, PublicKeyRegistry, Signature};
 pub use sha256::{sha256, Digest, Sha256};

@@ -31,12 +31,6 @@ impl Digest {
     /// The all-zero digest, used as a sentinel (e.g. genesis parent).
     pub const ZERO: Digest = Digest([0u8; 32]);
 
-    /// Interpret the first 8 bytes as a big-endian u64 (useful for seeding
-    /// deterministic derived values from a digest).
-    pub fn prefix_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("8 bytes"))
-    }
-
     /// Hex-encode the digest (lowercase).
     pub fn to_hex(&self) -> String {
         const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -501,8 +495,6 @@ mod tests {
         let d = sha256(b"abc");
         assert_eq!(d.to_hex().len(), 64);
         assert_eq!(d.short_hex().len(), 8);
-        assert_eq!(d.prefix_u64(), u64::from_be_bytes(d.0[..8].try_into().unwrap()));
-        assert_eq!(Digest::ZERO.prefix_u64(), 0);
         assert_ne!(d, Digest::ZERO);
     }
 

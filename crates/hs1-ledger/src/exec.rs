@@ -1,15 +1,21 @@
-//! Deterministic transaction execution over the speculative store.
+//! Deterministic transaction execution over the committed store and at
+//! most one speculated block.
 //!
-//! The engine owns the replica's [`SpeculativeStore`] and exposes the
-//! three operations the consensus engines need (paper Fig. 2/4/7 backup
-//! roles):
+//! The engine holds the replica's global-ledger (a [`KvStore`]) and its
+//! local-ledger, and exposes the three operations the consensus engines
+//! need (paper Fig. 2/4/7 backup roles):
 //!
-//! * [`ExecutionEngine::execute_speculative`] — run a block into a fresh
-//!   local-ledger overlay and return the result digest sent to clients.
+//! * [`ExecutionEngine::execute_speculative`] — run a block into the
+//!   local-ledger and return the result digest sent to clients.
 //! * [`ExecutionEngine::execute_committed`] — run (or promote) a block
 //!   into the global-ledger on commit.
 //! * [`ExecutionEngine::rollback_conflicting`] — Definition 4.7: discard
-//!   speculated blocks that conflict with a new branch.
+//!   a speculated block that conflicts with a new branch.
+//!
+//! HotStuff-1's Prefix Speculation rule (§4, Fig. 4 lines 12–15) lets a
+//! replica speculate a block only on a committed parent, so the
+//! local-ledger is one block's write set, not a stack: a block reads the
+//! committed store and its own earlier writes, and nothing else.
 //!
 //! Execution is integer-only and sequential (paper §4.1 "Note on
 //! execution model"): one private function, `run_block`, applies a block's
@@ -17,10 +23,9 @@
 //! function of the ordered batch and the pre-state, and any two correct
 //! replicas produce the same ones.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::kv::{Key, KvStore, Value};
-use crate::spec::SpeculativeStore;
 use crate::tpcc;
 use hs1_crypto::{Digest, Sha256};
 use hs1_obs::Obs;
@@ -40,21 +45,27 @@ impl Default for ExecConfig {
     }
 }
 
-/// Per-replica execution engine: speculative store + digest bookkeeping.
+/// The local-ledger: one speculated block's result digest and write set.
+#[derive(Clone, Debug)]
+struct Speculated {
+    block: BlockId,
+    digest: Digest,
+    writes: HashMap<Key, Value>,
+}
+
+/// Per-replica execution engine: the committed store, at most one
+/// speculated block above it, and the committed head's digest.
 #[derive(Clone, Debug)]
 pub struct ExecutionEngine {
-    store: SpeculativeStore,
-    /// Result digest of every speculated block not rolled back. Rollback
-    /// prunes the rolled-back blocks' entries: a discarded block's digest
-    /// must not be served again until the block is actually re-executed.
-    /// A block that commits takes its digest to `head`.
-    digests: HashMap<BlockId, Digest>,
+    committed: KvStore,
+    /// The speculated block not rolled back, if any. Rollback drops it
+    /// with its digest: a discarded block's digest must not be served
+    /// again until the block is actually re-executed. A block that
+    /// commits takes its digest to `head`.
+    speculated: Option<Speculated>,
     /// The committed head and its digest. A committed block's digest is
     /// read only while it is the head; the one below it is dropped.
     head: Option<(BlockId, Digest)>,
-    /// Count of transactions executed (including re-executions after
-    /// rollback; metric).
-    executed_txs: u64,
     /// Observability sink (no-op by default). Batch and transaction
     /// counts are deterministic counters; batch execute time is
     /// wall-measured and therefore confined to a histogram.
@@ -65,12 +76,10 @@ impl ExecutionEngine {
     pub fn new(config: ExecConfig) -> ExecutionEngine {
         // YCSB records occupy low keys; TPC-C rows live under table tags
         // (tpcc::pack), so one store serves both workloads.
-        let base = KvStore::with_records(config.ycsb_records);
         ExecutionEngine {
-            store: SpeculativeStore::new(base),
-            digests: HashMap::new(),
+            committed: KvStore::with_records(config.ycsb_records),
+            speculated: None,
             head: None,
-            executed_txs: 0,
             obs: Obs::noop(),
         }
     }
@@ -80,125 +89,98 @@ impl ExecutionEngine {
         self.obs = obs;
     }
 
-    /// Speculatively execute `txs` as block `block` (into a fresh
-    /// local-ledger overlay). Returns the result digest for client
-    /// responses.
+    /// Speculatively execute `txs` as block `block` into the local-ledger.
+    /// Returns the result digest for client responses.
+    ///
+    /// Panics if a block is already speculated: the caller rolls it back
+    /// first (its parent is committed, so any live speculation conflicts).
     pub fn execute_speculative(&mut self, block: BlockId, txs: &[Transaction]) -> Digest {
-        self.store.begin_speculation(block);
-        let digest = self.run_block(block, txs, true);
-        self.digests.insert(block, digest);
+        if let Some(live) = &self.speculated {
+            panic!("speculating {block:?} while {:?} is already speculated", live.block);
+        }
+        let (digest, writes) = self.run_block(block, txs);
+        self.speculated = Some(Speculated { block, digest, writes });
         digest
     }
 
     /// Execute `txs` as block `block` directly into the global-ledger
-    /// (commit path). If the block is currently the oldest speculated
-    /// overlay its effects are *promoted* instead of re-executed.
+    /// (commit path). If `block` is the speculated block its effects are
+    /// *promoted* instead of re-executed.
     pub fn execute_committed(&mut self, block: BlockId, txs: &[Transaction]) -> Digest {
-        let digest = if self.store.speculated().first() == Some(&block) {
-            self.store.promote_oldest(block);
-            self.digests.remove(&block).expect("a speculated block has a digest")
-        } else {
-            // Any remaining speculation conflicts with this commit (a
-            // speculated block at the same height on another branch): its
-            // digests die with its overlays.
-            self.digests.clear();
-            self.store.rollback_all();
-            self.run_block(block, txs, false)
+        let digest = match self.speculated.take() {
+            Some(live) if live.block == block => {
+                self.committed.apply(live.writes);
+                live.digest
+            }
+            // Any other speculation conflicts with this commit (a block at
+            // the same height on another branch): `take` dropped it with
+            // its digest.
+            _ => {
+                let (digest, writes) = self.run_block(block, txs);
+                self.committed.apply(writes);
+                digest
+            }
         };
         self.head = Some((block, digest));
         digest
     }
 
-    /// Roll back every speculated block that is not in `keep` (the new
+    /// Roll back the speculated block unless it is in `keep` (the new
     /// branch's already-speculated prefix). Returns how many blocks were
-    /// rolled back (Definition 4.7). Rolled-back blocks' digests are
-    /// pruned: a digest must never outlive the effects it attests to.
-    ///
-    /// Linear in the speculation depth (`keep` is hashed once), so a deep
-    /// pipeline pays O(depth), not O(depth²), on the hot rollback path.
+    /// rolled back, 0 or 1 (Definition 4.7). The rolled-back block's
+    /// digest goes with it: a digest must never outlive the effects it
+    /// attests to.
     pub fn rollback_conflicting(&mut self, keep: &[BlockId]) -> usize {
-        let speculated = self.store.speculated();
-        let keep: HashSet<BlockId> = keep.iter().copied().collect();
-        // The deepest speculated prefix entirely within `keep` survives.
-        let mut retain = 0;
-        for b in &speculated {
-            if keep.contains(b) {
-                retain += 1;
-            } else {
-                break;
+        match &self.speculated {
+            Some(live) if !keep.contains(&live.block) => {
+                self.speculated = None;
+                1
             }
-        }
-        if retain == speculated.len() {
-            return 0;
-        }
-        for b in &speculated[retain..] {
-            self.digests.remove(b);
-        }
-        if retain == 0 {
-            self.store.rollback_all()
-        } else {
-            self.store.rollback_above(speculated[retain - 1])
+            _ => 0,
         }
     }
 
-    /// Digest of a live speculated block or of the committed head.
+    /// Digest of the live speculated block or of the committed head.
     pub fn digest_of(&self, block: BlockId) -> Option<Digest> {
-        match self.head {
-            Some((id, digest)) if id == block => Some(digest),
-            _ => self.digests.get(&block).copied(),
+        match (self.head, &self.speculated) {
+            (Some((id, digest)), _) if id == block => Some(digest),
+            (_, Some(live)) if live.block == block => Some(live.digest),
+            _ => None,
         }
     }
 
-    /// Replace the committed base store with a recovered checkpoint image
+    /// Replace the committed store with a recovered checkpoint image
     /// (§4.2 recovery). The engine must not be mid-speculation: recovery
-    /// installs the checkpoint first and re-derives overlays afterwards.
-    /// All digest bookkeeping is dropped — it described the pre-restore
-    /// history, and recovery re-executes whatever is still live.
+    /// installs the checkpoint first and re-speculates afterwards. The
+    /// head's digest is dropped — it described the pre-restore history,
+    /// and recovery re-executes whatever is still live.
     pub fn restore_committed(&mut self, store: KvStore) {
-        assert_eq!(self.store.depth(), 0, "restore_committed under active speculation");
-        self.digests.clear();
+        assert!(self.speculated.is_none(), "restore_committed under active speculation");
         self.head = None;
-        self.store = SpeculativeStore::new(store);
+        self.committed = store;
     }
 
-    pub fn store(&self) -> &SpeculativeStore {
-        &self.store
-    }
-
-    pub fn rollback_count(&self) -> u64 {
-        self.store.rollback_count()
-    }
-
-    pub fn executed_txs(&self) -> u64 {
-        self.executed_txs
-    }
-
-    /// Is `block` speculated but not yet committed?
-    pub fn is_speculating(&self, block: BlockId) -> bool {
-        self.store.is_speculating(block)
+    /// The committed global-ledger state.
+    pub fn committed(&self) -> &KvStore {
+        &self.committed
     }
 
     // -- internals ---------------------------------------------------------
 
     /// Execute one block: apply its transactions in block order against
-    /// the store plus the block's own earlier writes, hand the write set
-    /// to the store, and fold the result digest over the block id and
-    /// then, per transaction, its id and result value.
-    fn run_block(&mut self, block: BlockId, txs: &[Transaction], speculative: bool) -> Digest {
+    /// the committed store plus the block's own earlier writes, and fold
+    /// the result digest over the block id and then, per transaction, its
+    /// id and result value. Returns the digest and the block's write set.
+    fn run_block(&mut self, block: BlockId, txs: &[Transaction]) -> (Digest, HashMap<Key, Value>) {
         let started = self.obs.enabled().then(std::time::Instant::now);
         let mut writes: HashMap<Key, Value> = HashMap::new();
         let results: Vec<u64> =
-            txs.iter().map(|tx| apply_tx(&self.store, &mut writes, tx)).collect();
+            txs.iter().map(|tx| apply_tx(&self.committed, &mut writes, tx)).collect();
         if let Some(t0) = started {
             // Wall time goes to the histogram only — never the trace.
             self.obs.observe_nanos("exec_batch_ns", t0.elapsed().as_nanos() as u64);
             self.obs.counter("exec_batches", 0, 1);
             self.obs.counter("exec_txs", 0, txs.len() as u64);
-        }
-        if speculative {
-            self.store.apply_speculative(writes);
-        } else {
-            self.store.apply_committed(writes);
         }
         let mut h = Sha256::new();
         h.update(b"hs1-exec");
@@ -208,22 +190,20 @@ impl ExecutionEngine {
             h.update_u64(tx.id.seq);
             h.update_u64(*r);
         }
-        self.executed_txs += txs.len() as u64;
-        h.finalize()
+        (h.finalize(), writes)
     }
 }
 
 /// Read `key` as this point of the block sees it: the block's own earlier
-/// writes, then the store (overlays above committed base). Missing keys
-/// read as 0.
-fn read(store: &SpeculativeStore, writes: &HashMap<Key, Value>, key: Key) -> u64 {
+/// writes, then the committed store. Missing keys read as 0.
+fn read(store: &KvStore, writes: &HashMap<Key, Value>, key: Key) -> u64 {
     writes.get(&key).copied().unwrap_or_else(|| store.get(key).unwrap_or(0))
 }
 
 /// Apply one transaction, writing into `writes` and returning the result
 /// value that feeds the block digest. This is the single definition of
 /// transaction semantics.
-fn apply_tx(store: &SpeculativeStore, writes: &mut HashMap<Key, Value>, tx: &Transaction) -> u64 {
+fn apply_tx(store: &KvStore, writes: &mut HashMap<Key, Value>, tx: &Transaction) -> u64 {
     match tx.op {
         TxOp::KvWrite { key, seed } => {
             let new = crate::kv::initial_value(seed ^ tx.id.seq);
@@ -276,8 +256,8 @@ fn apply_tx(store: &SpeculativeStore, writes: &mut HashMap<Key, Value>, tx: &Tra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hs1_types::tx::TxId;
     use hs1_types::ClientId;
+    use hs1_types::TxId;
 
     fn txs(n: u64) -> Vec<Transaction> {
         (0..n).map(|i| Transaction::kv_write(1, i, i * 7, i)).collect()
@@ -293,16 +273,61 @@ mod tests {
         assert_eq!(da, db, "speculation must not change results");
     }
 
+    /// What a read of `key` sees: the speculated block's writes over the
+    /// committed store.
+    fn read_through(e: &ExecutionEngine, key: Key) -> Option<Value> {
+        e.speculated.as_ref().and_then(|s| s.writes.get(&key).copied()).or(e.committed.get(key))
+    }
+
+    #[test]
+    fn read_your_speculation() {
+        let mut e = ExecutionEngine::new(ExecConfig { ycsb_records: 100 });
+        let before = e.committed().get(5);
+        e.execute_speculative(BlockId::test(1), &[Transaction::kv_write(1, 0, 5, 9)]);
+        let written = read_through(&e, 5);
+        assert_ne!(written, before, "the speculated write is visible");
+        assert_eq!(read_through(&e, 6), e.committed().get(6), "unwritten keys read through");
+        assert_eq!(e.committed().get(5), before, "committed state untouched");
+    }
+
+    #[test]
+    fn rollback_restores_committed_state() {
+        let mut e = ExecutionEngine::new(ExecConfig { ycsb_records: 100 });
+        let pristine: Vec<_> = (0..10).map(|k| read_through(&e, k)).collect();
+        let batch: Vec<_> = (0..10).map(|k| Transaction::kv_write(1, k, k, k + 1000)).collect();
+        e.execute_speculative(BlockId::test(1), &batch);
+        let during: Vec<_> = (0..10).map(|k| read_through(&e, k)).collect();
+        assert_ne!(pristine, during, "the speculation is visible");
+        assert_eq!(e.rollback_conflicting(&[]), 1);
+        let after: Vec<_> = (0..10).map(|k| read_through(&e, k)).collect();
+        assert_eq!(pristine, after);
+    }
+
+    #[test]
+    fn promote_then_speculate_again() {
+        let mut e = ExecutionEngine::new(ExecConfig { ycsb_records: 100 });
+        e.execute_speculative(BlockId::test(1), &[Transaction::kv_write(1, 0, 1, 11)]);
+        e.execute_committed(BlockId::test(1), &[]);
+        let promoted = e.committed().get(1);
+        e.execute_speculative(BlockId::test(2), &[Transaction::kv_write(1, 1, 1, 22)]);
+        assert_ne!(read_through(&e, 1), promoted, "the new speculation reads first");
+        e.rollback_conflicting(&[]);
+        assert_eq!(read_through(&e, 1), promoted, "rollback stops at the promoted block");
+    }
+
     #[test]
     fn promote_skips_reexecution() {
         let batch = txs(5);
         let mut e = ExecutionEngine::new(ExecConfig::default());
         let d1 = e.execute_speculative(BlockId::test(1), &batch);
-        let executed_before = e.executed_txs();
-        let d2 = e.execute_committed(BlockId::test(1), &batch);
-        assert_eq!(d1, d2);
-        assert_eq!(e.executed_txs(), executed_before, "promotion re-executes nothing");
-        assert_eq!(e.store().depth(), 0);
+        // Commit the same block with no transactions: a promotion takes the
+        // speculated digest and writes, so the empty batch is never run.
+        let d2 = e.execute_committed(BlockId::test(1), &[]);
+        assert_eq!(d1, d2, "promotion re-executes nothing");
+        let mut direct = ExecutionEngine::new(ExecConfig::default());
+        direct.execute_committed(BlockId::test(1), &batch);
+        assert_eq!(e.committed().state_root(), direct.committed().state_root());
+        assert!(e.speculated.is_none());
     }
 
     #[test]
@@ -312,8 +337,10 @@ mod tests {
         // A different block commits at this height: speculation discarded.
         let batch2: Vec<_> = (0..3).map(|i| Transaction::kv_write(2, i, i, i + 9)).collect();
         e.execute_committed(BlockId::test(2), &batch2);
-        assert_eq!(e.rollback_count(), 1);
-        assert!(!e.is_speculating(BlockId::test(1)));
+        let mut direct = ExecutionEngine::new(ExecConfig::default());
+        direct.execute_committed(BlockId::test(2), &batch2);
+        assert_eq!(e.committed().state_root(), direct.committed().state_root());
+        assert!(e.speculated.is_none());
     }
 
     #[test]
@@ -322,7 +349,16 @@ mod tests {
         e.execute_speculative(BlockId::test(1), &txs(1));
         assert_eq!(e.rollback_conflicting(&[BlockId::test(1)]), 0, "no conflict");
         assert_eq!(e.rollback_conflicting(&[BlockId::test(9)]), 1, "conflict rolls back");
-        assert_eq!(e.store().depth(), 0);
+        assert_eq!(e.rollback_conflicting(&[]), 0, "nothing left to roll back");
+        assert!(e.speculated.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "already speculated")]
+    fn speculating_over_live_speculation_panics() {
+        let mut e = ExecutionEngine::new(ExecConfig::default());
+        e.execute_speculative(BlockId::test(1), &txs(1));
+        e.execute_speculative(BlockId::test(2), &txs(1));
     }
 
     #[test]
@@ -342,7 +378,7 @@ mod tests {
 
         assert_eq!(dx, dy, "rollback erased every speculative effect");
         for key in 0..100 {
-            assert_eq!(x.store().get(key), y.store().get(key));
+            assert_eq!(x.committed().get(key), y.committed().get(key));
         }
     }
 
@@ -355,10 +391,10 @@ mod tests {
         };
         e.execute_committed(BlockId::test(1), &[no(0), no(1)]);
         let oid_key = tpcc::district_next_oid(1, 2);
-        assert_eq!(e.store().get(oid_key), Some(2), "two orders allocated");
+        assert_eq!(e.committed().get(oid_key), Some(2), "two orders allocated");
         // Order lines materialized for both orders.
-        assert!(e.store().get(tpcc::order_line(1, 2, 0, 0)).is_some());
-        assert!(e.store().get(tpcc::order_line(1, 2, 1, 0)).is_some());
+        assert!(e.committed().get(tpcc::order_line(1, 2, 0, 0)).is_some());
+        assert!(e.committed().get(tpcc::order_line(1, 2, 1, 0)).is_some());
     }
 
     #[test]
@@ -369,10 +405,13 @@ mod tests {
             op: TxOp::TpccPayment { warehouse: 1, district: 1, customer: 42, amount_cents: 500 },
         };
         e.execute_committed(BlockId::test(1), &[pay]);
-        assert_eq!(e.store().get(tpcc::warehouse_ytd(1)), Some(500));
-        assert_eq!(e.store().get(tpcc::district_ytd(1, 1)), Some(500));
-        assert_eq!(e.store().get(tpcc::customer_payments(1, 1, 42)), Some(1));
-        assert_eq!(e.store().get(tpcc::customer_balance(1, 1, 42)), Some(0u64.wrapping_sub(500)));
+        assert_eq!(e.committed().get(tpcc::warehouse_ytd(1)), Some(500));
+        assert_eq!(e.committed().get(tpcc::district_ytd(1, 1)), Some(500));
+        assert_eq!(e.committed().get(tpcc::customer_payments(1, 1, 42)), Some(1));
+        assert_eq!(
+            e.committed().get(tpcc::customer_balance(1, 1, 42)),
+            Some(0u64.wrapping_sub(500))
+        );
     }
 
     #[test]
@@ -409,11 +448,10 @@ mod tests {
     #[test]
     fn empty_batch() {
         let mut e = ExecutionEngine::new(ExecConfig { ycsb_records: 10 });
-        let root = e.store().committed_store().state_root();
+        let root = e.committed().state_root();
         let d = e.execute_committed(BlockId::test(1), &[]);
         assert_eq!(e.digest_of(BlockId::test(1)), Some(d));
-        assert_eq!(e.executed_txs(), 0);
-        assert_eq!(e.store().committed_store().state_root(), root, "an empty block writes nothing");
+        assert_eq!(e.committed().state_root(), root, "an empty block writes nothing");
     }
 
     /// Regression (ISSUE 6): a rolled-back block's digest must be gone
@@ -460,58 +498,17 @@ mod tests {
         assert_eq!(e.digest_of(BlockId::test(1)), None);
     }
 
-    /// Depth-64 pipeline: a partial-prefix rollback keeps exactly the
-    /// matching prefix (and its digests) and prunes the rest. Exercises
-    /// the linear prefix scan at depth far beyond protocol use.
-    #[test]
-    fn deep_pipeline_partial_rollback() {
-        const DEPTH: u64 = 64;
-        const KEEP: usize = 40;
-        let mut e = ExecutionEngine::new(ExecConfig::default());
-        let mut digests = Vec::new();
-        for i in 0..DEPTH {
-            let batch = vec![Transaction::kv_write(1, i, i, i * 3)];
-            digests.push(e.execute_speculative(BlockId::test(i + 1), &batch));
-        }
-        assert_eq!(e.store().depth(), DEPTH as usize);
-        let keep: Vec<BlockId> = (0..KEEP as u64).map(|i| BlockId::test(i + 1)).collect();
-        assert_eq!(e.rollback_conflicting(&keep), DEPTH as usize - KEEP);
-        assert_eq!(e.store().depth(), KEEP);
-        for (i, digest) in digests.iter().enumerate() {
-            let id = BlockId::test(i as u64 + 1);
-            if i < KEEP {
-                assert_eq!(e.digest_of(id), Some(*digest), "kept prefix digest survives");
-                assert!(e.is_speculating(id));
-            } else {
-                assert_eq!(e.digest_of(id), None, "rolled-back digest pruned");
-                assert!(!e.is_speculating(id));
-            }
-        }
-        // A keep-list that skips the bottom of the stack keeps nothing.
-        let mut e2 = ExecutionEngine::new(ExecConfig::default());
-        for i in 0..4u64 {
-            e2.execute_speculative(BlockId::test(i + 1), &[Transaction::kv_write(1, i, i, i)]);
-        }
-        assert_eq!(e2.rollback_conflicting(&[BlockId::test(2)]), 4, "non-prefix keep rolls all");
-        assert_eq!(e2.store().depth(), 0);
-    }
-
     #[test]
     fn restore_committed_reproduces_state_root() {
         let batch = txs(10);
         let mut live = ExecutionEngine::new(ExecConfig::default());
         live.execute_committed(BlockId::test(1), &batch);
-        let snapshot = KvStore::from_parts(
-            live.store().committed_store().record_count(),
-            live.store().committed_store().materialized(),
-        );
+        let snapshot =
+            KvStore::from_parts(live.committed().record_count(), live.committed().materialized());
 
         let mut recovered = ExecutionEngine::new(ExecConfig::default());
         recovered.restore_committed(snapshot);
-        assert_eq!(
-            recovered.store().committed_store().state_root(),
-            live.store().committed_store().state_root()
-        );
+        assert_eq!(recovered.committed().state_root(), live.committed().state_root());
         // Execution continues identically on top of the restored base.
         let batch2: Vec<_> = (0..5).map(|i| Transaction::kv_write(2, i, i + 3, i)).collect();
         let d1 = live.execute_committed(BlockId::test(2), &batch2);
@@ -539,18 +536,18 @@ mod tests {
     fn execute_rollback_reexecute_yields_identical_state_root() {
         let batch = mixed_batch();
         let mut e = ExecutionEngine::new(ExecConfig::default());
-        let pristine_root = e.store().committed_store().state_root();
+        let pristine_root = e.committed().state_root();
 
         // Execute speculatively, then roll the block back.
         let d1 = e.execute_speculative(BlockId::test(1), &batch);
         assert_eq!(
-            e.store().committed_store().state_root(),
+            e.committed().state_root(),
             pristine_root,
             "speculation must not touch committed state"
         );
         assert_eq!(e.rollback_conflicting(&[]), 1);
         assert_eq!(
-            e.store().committed_store().state_root(),
+            e.committed().state_root(),
             pristine_root,
             "rollback restores the pre-speculation state root"
         );
@@ -566,8 +563,8 @@ mod tests {
         let mut direct = ExecutionEngine::new(ExecConfig::default());
         direct.execute_committed(BlockId::test(1), &batch);
         assert_eq!(
-            e.store().committed_store().state_root(),
-            direct.store().committed_store().state_root(),
+            e.committed().state_root(),
+            direct.committed().state_root(),
             "rollback + re-execute converges to the directly-committed state root"
         );
     }

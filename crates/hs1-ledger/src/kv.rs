@@ -2,12 +2,12 @@
 
 use std::collections::HashMap;
 
-pub type Key = u64;
-pub type Value = u64;
+pub(crate) type Key = u64;
+pub(crate) type Value = u64;
 
 /// Derive the "pre-loaded" value of a record that has never been written.
 /// splitmix64-style finalizer: deterministic across replicas.
-pub fn initial_value(key: Key) -> Value {
+pub(crate) fn initial_value(key: Key) -> Value {
     let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -47,7 +47,7 @@ impl KvStore {
     /// Iterate the materialized (actually written) entries, in no
     /// particular order. Checkpointing serializes exactly this set plus
     /// `record_count` — everything else is derivable from
-    /// [`initial_value`].
+    /// `initial_value`.
     pub fn materialized(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
         self.map.iter().map(|(&k, &v)| (k, v))
     }
@@ -62,17 +62,12 @@ impl KvStore {
         KvStore { map: entries.into_iter().collect(), record_count }
     }
 
-    /// Number of materialized (actually written) keys.
-    pub fn materialized_len(&self) -> usize {
-        self.map.len()
-    }
-
     pub fn record_count(&self) -> u64 {
         self.record_count
     }
 
     /// Bulk-apply a write set (used when promoting a speculative overlay).
-    pub fn apply(&mut self, writes: impl IntoIterator<Item = (Key, Value)>) {
+    pub(crate) fn apply(&mut self, writes: impl IntoIterator<Item = (Key, Value)>) {
         for (k, v) in writes {
             self.map.insert(k, v);
         }
@@ -82,7 +77,7 @@ impl KvStore {
     /// logical record count. Two stores *with the same `record_count`* are
     /// observably identical (every `get` agrees) iff their roots match,
     /// because unwritten in-range keys read deterministically from
-    /// [`initial_value`]. Across different record counts the root is only
+    /// `initial_value`. Across different record counts the root is only
     /// a fingerprint: e.g. a 10-record store with `initial_value(10)`
     /// explicitly written at key 10 answers every `get` like a fresh
     /// 11-record store, yet their roots differ.
@@ -116,7 +111,7 @@ mod tests {
     #[test]
     fn sparse_preload_semantics() {
         let s = KvStore::with_records(600_000);
-        assert_eq!(s.materialized_len(), 0);
+        assert_eq!(s.materialized().count(), 0);
         assert_eq!(s.get(0), Some(initial_value(0)));
         assert_eq!(s.get(599_999), Some(initial_value(599_999)));
         assert_eq!(s.get(600_000), None);
@@ -128,7 +123,7 @@ mod tests {
         assert_ne!(s.get(3), Some(42));
         s.put(3, 42);
         assert_eq!(s.get(3), Some(42));
-        assert_eq!(s.materialized_len(), 1);
+        assert_eq!(s.materialized().count(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::kv::Key;
 /// disjoint from YCSB records (which live at small keys).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
-pub enum Table {
+pub(crate) enum Table {
     /// Warehouse YTD balance, keyed by warehouse.
     WarehouseYtd = 1,
     /// District YTD balance, keyed by (warehouse, district).
@@ -34,10 +34,10 @@ pub enum Table {
 /// Standard TPC-C cardinalities (scaled by warehouse count).
 pub const DISTRICTS_PER_WAREHOUSE: u16 = 10;
 pub const CUSTOMERS_PER_DISTRICT: u16 = 3000;
-pub const ITEMS: u32 = 100_000;
+pub(crate) const ITEMS: u32 = 100_000;
 
 /// Pack a table coordinate into the shared key space.
-pub fn pack(table: Table, warehouse: u16, district: u8, entity: u32, line: u8) -> Key {
+pub(crate) fn pack(table: Table, warehouse: u16, district: u8, entity: u32, line: u8) -> Key {
     ((table as u64) << 56)
         | ((warehouse as u64) << 40)
         | ((district as u64) << 32)
@@ -45,48 +45,37 @@ pub fn pack(table: Table, warehouse: u16, district: u8, entity: u32, line: u8) -
         | line as u64
 }
 
-pub fn warehouse_ytd(w: u16) -> Key {
+pub(crate) fn warehouse_ytd(w: u16) -> Key {
     pack(Table::WarehouseYtd, w, 0, 0, 0)
 }
 
-pub fn district_ytd(w: u16, d: u8) -> Key {
+pub(crate) fn district_ytd(w: u16, d: u8) -> Key {
     pack(Table::DistrictYtd, w, d, 0, 0)
 }
 
-pub fn district_next_oid(w: u16, d: u8) -> Key {
+pub(crate) fn district_next_oid(w: u16, d: u8) -> Key {
     pack(Table::DistrictNextOid, w, d, 0, 0)
 }
 
-pub fn customer_balance(w: u16, d: u8, c: u16) -> Key {
+pub(crate) fn customer_balance(w: u16, d: u8, c: u16) -> Key {
     pack(Table::CustomerBalance, w, d, c as u32, 0)
 }
 
-pub fn customer_payments(w: u16, d: u8, c: u16) -> Key {
+pub(crate) fn customer_payments(w: u16, d: u8, c: u16) -> Key {
     pack(Table::CustomerPayments, w, d, c as u32, 0)
 }
 
-pub fn stock_qty(w: u16, item: u32) -> Key {
+pub(crate) fn stock_qty(w: u16, item: u32) -> Key {
     pack(Table::StockQty, w, 0, item, 0)
 }
 
-pub fn order_line(w: u16, d: u8, oid: u32, line: u8) -> Key {
+pub(crate) fn order_line(w: u16, d: u8, oid: u32, line: u8) -> Key {
     pack(Table::OrderLine, w, d, oid, line)
-}
-
-/// Logical record count of a TPC-C deployment with `warehouses`
-/// warehouses, mirroring the paper's "260k records" scale at the default.
-pub fn record_count(warehouses: u16) -> u64 {
-    let w = warehouses as u64;
-    let per_warehouse = 1 // warehouse row
-        + DISTRICTS_PER_WAREHOUSE as u64 * 2 // district ytd + oid counter
-        + DISTRICTS_PER_WAREHOUSE as u64 * CUSTOMERS_PER_DISTRICT as u64 * 2 // balance + payments
-        + ITEMS as u64; // stock rows
-    w * per_warehouse
 }
 
 /// Deterministically pick an item id from a seed and line number (uniform
 /// over the item table; the workload generator imposes its own skew).
-pub fn item_for(seed: u64, line: u8) -> u32 {
+pub(crate) fn item_for(seed: u64, line: u8) -> u32 {
     let mut z = seed.wrapping_add(line as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     (z % ITEMS as u64) as u32
@@ -124,13 +113,6 @@ mod tests {
         // top byte.
         assert!(warehouse_ytd(0) > 10_000_000);
         assert!(order_line(0, 0, 0, 0) > 10_000_000);
-    }
-
-    #[test]
-    fn record_count_matches_paper_scale() {
-        // 4 warehouses ≈ the paper's 260k-record database.
-        let c = record_count(4);
-        assert!((200_000..1_000_000).contains(&c), "got {c}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use hs1_crypto::Digest;
 use hs1_ledger::{ExecConfig, ExecutionEngine};
-use hs1_types::tx::TxId;
+use hs1_types::TxId;
 use hs1_types::{BlockId, ClientId, SplitMix64, Transaction, TxOp};
 
 /// Large enough that every block re-reads and overwrites its own earlier
@@ -60,7 +60,7 @@ fn committed_path(blocks: &[Vec<Transaction>]) -> Outcome {
         .enumerate()
         .map(|(i, txs)| e.execute_committed(BlockId::test(i as u64 + 1), txs))
         .collect();
-    (digests, e.store().committed_store().state_root())
+    (digests, e.committed().state_root())
 }
 
 /// Speculate, roll back, re-speculate, then promote by committing: the
@@ -82,7 +82,7 @@ fn lifecycle_path(blocks: &[Vec<Transaction>], label: &str) -> Outcome {
         assert_eq!(d1, d3, "{label}: promotion digest");
         digests.push(d3);
     }
-    (digests, e.store().committed_store().state_root())
+    (digests, e.committed().state_root())
 }
 
 /// Both paths must end at the same digests and state root.

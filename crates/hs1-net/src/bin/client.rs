@@ -6,6 +6,8 @@
 //! no transaction finalized (no cluster up, or too few replicas live)
 //! exits 1.
 
+#![warn(unreachable_pub)]
+
 use std::time::Duration;
 
 use hs1_net::client_driver::ClientDriver;

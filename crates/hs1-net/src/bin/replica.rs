@@ -5,6 +5,8 @@
 //! slotted. Replica `i` listens on `base_port + i`. Any argument that
 //! does not parse, and a port range past 65535, prints usage and exits 2.
 
+#![warn(unreachable_pub)]
+
 use std::time::Duration;
 
 use hs1_core::{build_replica, Fault};

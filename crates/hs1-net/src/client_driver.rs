@@ -23,7 +23,7 @@ use hs1_core::client::FinalityTracker;
 use hs1_types::{ClientId, Message, ProtocolKind, Transaction, TxId, TxOp};
 
 /// Latency sample: (tx, microseconds to finality).
-pub type Sample = (TxId, u64);
+pub(crate) type Sample = (TxId, u64);
 
 /// Counters from an open-loop run.
 #[derive(Debug, Default, Clone, Copy)]

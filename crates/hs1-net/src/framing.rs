@@ -1,9 +1,9 @@
 //! Length-prefixed message framing with an identification handshake.
 //!
 //! A dialer first writes the 5-byte hello ([`hello_bytes`] /
-//! [`parse_hello`]) that says whether it is a replica or a client. Then
+//! `parse_hello`) that says whether it is a replica or a client. Then
 //! come frames, built by the reactor's nonblocking pieces:
-//! [`encode_frame`] (encode once, fan out by reference), [`FrameQueue`]
+//! [`encode_frame`] (encode once, fan out by reference), `FrameQueue`
 //! (a bounded outbound queue that coalesces many frames into one
 //! `writev`-style [`Write::write_vectored`] call and resumes cleanly
 //! across partial writes), and [`FrameReader`] (incremental reassembly
@@ -36,7 +36,7 @@ pub fn hello_bytes(kind: PeerKind) -> [u8; 5] {
 }
 
 /// Decode the 5-byte handshake.
-pub fn parse_hello(buf: &[u8; 5]) -> std::io::Result<PeerKind> {
+pub(crate) fn parse_hello(buf: &[u8; 5]) -> std::io::Result<PeerKind> {
     let id = u32::from_be_bytes(buf[1..5].try_into().expect("4 bytes"));
     match buf[0] {
         0 => Ok(PeerKind::Replica(id)),
@@ -52,7 +52,7 @@ const MAX_FRAME: u32 = 64 << 20;
 
 /// A wire frame: length prefix + encoded body, behind an `Arc` so a
 /// broadcast encodes once and every per-peer queue shares the bytes.
-pub type Frame = Arc<[u8]>;
+pub(crate) type Frame = Arc<[u8]>;
 
 /// Encode `msg` into one shareable frame: the body is encoded once,
 /// behind a placeholder the length is patched into.
@@ -73,7 +73,7 @@ const WRITEV_BATCH: usize = 64;
 
 /// Outcome of one [`FrameQueue::write_to`] attempt.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WriteProgress {
+pub(crate) struct WriteProgress {
     /// Bytes accepted by the sink.
     pub bytes: u64,
     /// Frames fully flushed (a partially-written head is not counted).
@@ -95,7 +95,7 @@ pub struct WriteProgress {
 /// already on the wire — shedding that one would desynchronize the
 /// peer's framing.
 #[derive(Default)]
-pub struct FrameQueue {
+pub(crate) struct FrameQueue {
     frames: VecDeque<Frame>,
     /// Bytes of `frames[0]` already written to the sink.
     head_offset: usize,
@@ -104,26 +104,26 @@ pub struct FrameQueue {
 }
 
 impl FrameQueue {
-    pub fn new() -> FrameQueue {
+    pub(crate) fn new() -> FrameQueue {
         FrameQueue::default()
     }
 
-    pub fn push(&mut self, frame: Frame) {
+    pub(crate) fn push(&mut self, frame: Frame) {
         self.bytes += frame.len();
         self.frames.push_back(frame);
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
 
     /// Queued frames (including a partially-written head).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.frames.len()
     }
 
     /// Unsent bytes still queued.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
@@ -132,7 +132,7 @@ impl FrameQueue {
     /// head frame (offset > 0) and the newest frame are never shed: the
     /// head must finish for framing integrity, and shedding the frame
     /// that was just pushed would turn the queue into a black hole.
-    pub fn enforce_caps(&mut self, max_frames: usize, max_bytes: usize) -> u64 {
+    pub(crate) fn enforce_caps(&mut self, max_frames: usize, max_bytes: usize) -> u64 {
         let mut shed = 0u64;
         while (self.frames.len() > max_frames || self.bytes > max_bytes) && self.frames.len() > 1 {
             let idx = usize::from(self.head_offset > 0);
@@ -150,7 +150,7 @@ impl FrameQueue {
     /// resending its prefix on a fresh connection would corrupt the
     /// peer's framing, and the tail alone is not a valid frame).
     /// Returns true if a frame was abandoned.
-    pub fn abandon_partial(&mut self) -> bool {
+    pub(crate) fn abandon_partial(&mut self) -> bool {
         if self.head_offset == 0 {
             return false;
         }
@@ -161,7 +161,7 @@ impl FrameQueue {
     }
 
     /// Drop everything (mesh shutdown).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.frames.clear();
         self.head_offset = 0;
         self.bytes = 0;
@@ -171,7 +171,7 @@ impl FrameQueue {
     /// `WRITEV_BATCH` (64) frames per `write_vectored` call. Stops on
     /// `WouldBlock` (reported in the progress, not as an error) or when
     /// the queue drains; `Interrupted` is retried.
-    pub fn write_to(&mut self, sink: &mut impl Write) -> std::io::Result<WriteProgress> {
+    pub(crate) fn write_to(&mut self, sink: &mut impl Write) -> std::io::Result<WriteProgress> {
         let mut progress = WriteProgress::default();
         while !self.frames.is_empty() {
             let mut slices: Vec<IoSlice<'_>> =
@@ -243,7 +243,7 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// One socket drain's outcome.
 #[derive(Debug, Default)]
-pub struct ReadOutcome {
+pub(crate) struct ReadOutcome {
     pub messages: Vec<Message>,
     pub bytes: u64,
     /// `read` calls issued.
@@ -318,7 +318,7 @@ impl FrameReader {
     /// socket, so no second `read` is spent on learning `WouldBlock`: the
     /// caller polls level-triggered and is told of bytes or EOF that
     /// arrive later.
-    pub fn read_from(&mut self, stream: &mut impl Read) -> std::io::Result<ReadOutcome> {
+    pub(crate) fn read_from(&mut self, stream: &mut impl Read) -> std::io::Result<ReadOutcome> {
         let mut outcome = ReadOutcome::default();
         while (outcome.bytes as usize) < READ_BUDGET {
             self.reserve(READ_CHUNK);

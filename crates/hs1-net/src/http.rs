@@ -11,10 +11,11 @@
 //!   and served as-is.
 //!
 //! The responder is deliberately minimal: HTTP/1.0, `Connection: close`,
-//! one short-lived blocking handler per accepted connection, bounded
-//! request reads. It rides the [`crate::poll`] primitives — a
-//! nonblocking listener plus a [`crate::poll::Waker`] in one `poll(2)`
-//! set — so shutdown is prompt and the accept thread never spins.
+//! one short-lived blocking handler per accepted connection, a request
+//! head bounded in bytes and in time. It rides the [`crate::poll`]
+//! primitives — a nonblocking listener plus a [`crate::poll::Waker`] in
+//! one `poll(2)` set — so shutdown is prompt and the accept thread never
+//! spins.
 //! Introspection is a *pure observer* of the node: handlers read shared
 //! strings and call a snapshot closure; nothing feeds back into consensus.
 
@@ -23,18 +24,23 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::poll::{poll_fds, PollFd, Waker, POLLIN};
 
+/// How long a client has, from accept, to send its whole request head.
+/// Handlers run on the accept thread, so this bounds how long one client
+/// can keep every other scrape, and the server's drop, waiting.
+const HEAD_DEADLINE: Duration = Duration::from_millis(500);
+
 /// Renders the `/metrics` body on demand.
-pub type MetricsFn = Arc<dyn Fn() -> String + Send + Sync>;
+pub(crate) type MetricsFn = Arc<dyn Fn() -> String + Send + Sync>;
 
 /// The `/status` body, refreshed by the node loop between requests.
-pub type StatusCell = Arc<Mutex<String>>;
+pub(crate) type StatusCell = Arc<Mutex<String>>;
 
 /// A running introspection responder (stops and joins on drop).
-pub struct HttpServer {
+pub(crate) struct HttpServer {
     port: u16,
     waker: Waker,
     thread: Option<JoinHandle<()>>,
@@ -44,7 +50,7 @@ impl HttpServer {
     /// Bind `host:port` (`port` 0 picks an ephemeral port) and serve
     /// until drop. `metrics` renders `/metrics`; `status` holds the
     /// current `/status` body.
-    pub fn serve(
+    pub(crate) fn serve(
         host: &str,
         port: u16,
         metrics: MetricsFn,
@@ -78,7 +84,7 @@ impl HttpServer {
     }
 
     /// The bound port (useful with an ephemeral bind).
-    pub fn port(&self) -> u16 {
+    pub(crate) fn port(&self) -> u16 {
         self.port
     }
 }
@@ -94,7 +100,7 @@ impl Drop for HttpServer {
 
 /// Read the request head (bounded), route, respond, close.
 fn handle(mut conn: TcpStream, metrics: &MetricsFn, status: &StatusCell) {
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(500)));
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let _ = conn.set_write_timeout(Some(Duration::from_secs(2)));
     // Accepted from a nonblocking listener: the connection inherits
     // nonblocking on some platforms — undo it so the timeouts govern.
@@ -102,9 +108,16 @@ fn handle(mut conn: TcpStream, metrics: &MetricsFn, status: &StatusCell) {
 
     let mut buf = [0u8; 4096];
     let mut len = 0usize;
-    // Read until the header terminator, the cap, EOF, or timeout. GET
-    // requests have no body, so the head is all there is to read.
+    // Read until the header terminator, the cap, EOF, or the deadline.
+    // GET requests have no body, so the head is all there is to read.
+    // Each read may wait only for what is left of the one deadline, so a
+    // client dripping bytes cannot stretch it read by read.
     while len < buf.len() && !buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // A zero timeout is refused by `set_read_timeout`: the time is up.
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match conn.read(&mut buf[len..]) {
             Ok(0) => break,
             Ok(n) => len += n,
@@ -180,6 +193,36 @@ mod tests {
         let mut out = String::new();
         conn.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.0 405"));
+    }
+
+    /// A client that sends its head one byte every 100 ms for 5 s is cut
+    /// off when the head deadline runs out, not when the drip ends, so the
+    /// accept thread is free again and the server's drop returns at once.
+    #[test]
+    fn a_dripping_client_cannot_hold_the_server() {
+        let srv = server();
+        let mut conn = TcpStream::connect(("127.0.0.1", srv.port())).unwrap();
+        let started = Instant::now();
+        let mut drip = conn.try_clone().unwrap();
+        let dripper = std::thread::spawn(move || {
+            for _ in 0..50 {
+                if drip.write_all(b"G").is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let _ = drip.shutdown(std::net::Shutdown::Write);
+        });
+        // The server closes the connection once it gives up on the head
+        // (its 405 may be lost to a reset: the drip leaves bytes unread).
+        let _ = conn.read_to_end(&mut Vec::new());
+        let held = started.elapsed();
+        assert!(held < Duration::from_millis(1500), "the server held the client for {held:?}");
+        let t0 = Instant::now();
+        drop(srv);
+        assert!(t0.elapsed() < Duration::from_millis(1500), "drop waited {:?}", t0.elapsed());
+        drop(conn);
+        dripper.join().unwrap();
     }
 
     #[test]

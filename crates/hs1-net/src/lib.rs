@@ -11,7 +11,7 @@
 //!
 //! * [`framing`] — length-prefixed frames with an identification
 //!   handshake, and the nonblocking building blocks the reactor moves
-//!   them with ([`framing::FrameQueue`] writev coalescing,
+//!   them with (`framing::FrameQueue` writev coalescing,
 //!   [`framing::FrameReader`] incremental reassembly).
 //! * [`mesh`] — the peer mesh behind one stable API, over a
 //!   readiness-driven reactor (nonblocking sockets in a level-triggered
@@ -36,28 +36,29 @@
 //!   replica pull a verified snapshot before its engine starts (see
 //!   `examples/state_sync.rs`).
 //! * [`client_driver`] — a client over a client mesh
-//!   ([`mesh::Mesh::client`], one that binds no listener), in a closed
+//!   (`mesh::Mesh::client`, one that binds no listener), in a closed
 //!   loop (the latency probe) or an open one (the saturation probe):
 //!   broadcasts requests to all replicas and applies the paper's
 //!   finality rules via [`hs1_core::client::FinalityTracker`]. A replica
 //!   that restarts mid-session is redialed by the reactor's own backoff.
-//! * [`http`] — a std-only HTTP/1.0 introspection responder built
+//! * `http` — a std-only HTTP/1.0 introspection responder built
 //!   on the same [`poll`] primitives: `GET /metrics` serves Prometheus
 //!   text, `GET /status` a live JSON summary of the hosted node. Wired
-//!   into a running node by [`node::NodeRunner::serve_introspection`].
+//!   into a running node by [`node::NodeRunner::serve_introspection_with`].
 //!
 //! Binaries `hs1-replica` and `hs1-client` (see `src/bin/`) wire these
 //! into runnable processes; `examples/local_cluster_tcp.rs` runs a full
 //! deployment inside one process.
 
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("hs1-net is Linux-only: its reactor waits on epoll(7)");
 
 pub mod client_driver;
 pub mod framing;
-pub mod http;
+mod http;
 pub mod mesh;
 pub mod node;
 #[allow(unsafe_code)]

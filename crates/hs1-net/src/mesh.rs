@@ -2,7 +2,7 @@
 //! one small API (`send_replica` / `broadcast` / `send_client` /
 //! `inbox`), over the readiness-driven transport of the private
 //! `reactor` module: every socket nonblocking, per-peer bounded
-//! [`crate::framing::FrameQueue`]s drained with writev coalescing,
+//! `crate::framing::FrameQueue`s drained with writev coalescing,
 //! oldest-first shedding under backpressure, and jittered exponential
 //! redial of dead peers.
 //!
@@ -11,7 +11,7 @@
 //! are shed instead of waited for.
 //!
 //! A replica's mesh ([`Mesh::start`]) listens on its port and dials its
-//! peers; a client's ([`Mesh::client`]) listens on nothing, dials every
+//! peers; a client's (`Mesh::client`) listens on nothing, dials every
 //! replica, and reads the responses on the connections it dialed.
 //!
 //! The mesh has no thread of its own; the thread that calls it moves its
@@ -101,7 +101,7 @@ impl Default for MeshConfig {
 /// Exposed raw for harnesses ([`Mesh::stats`]) and
 /// mirrored into `hs1-obs` counters by the reactor's metrics tick.
 #[derive(Default)]
-pub struct NetStats {
+pub(crate) struct NetStats {
     /// Frames fully handed to the kernel.
     pub tx_frames: AtomicU64,
     pub tx_bytes: AtomicU64,
@@ -118,7 +118,7 @@ pub struct NetStats {
     pub reconnects: AtomicU64,
 }
 
-/// Point-in-time copy of [`NetStats`].
+/// Point-in-time copy of `NetStats`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NetStatsSnapshot {
     pub tx_frames: u64,
@@ -132,7 +132,7 @@ pub struct NetStatsSnapshot {
 }
 
 impl NetStats {
-    pub fn snapshot(&self) -> NetStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> NetStatsSnapshot {
         NetStatsSnapshot {
             tx_frames: self.tx_frames.load(Ordering::Relaxed),
             tx_bytes: self.tx_bytes.load(Ordering::Relaxed),
@@ -231,7 +231,12 @@ impl Mesh {
     /// for it. A replica answers on the connection the client dialed, so
     /// responses arrive as [`Inbound::FromReplica`]. `InvalidInput` if
     /// `base_port + n - 1` would pass 65535.
-    pub fn client(id: ClientId, n: usize, host: &str, base_port: u16) -> std::io::Result<Mesh> {
+    pub(crate) fn client(
+        id: ClientId,
+        n: usize,
+        host: &str,
+        base_port: u16,
+    ) -> std::io::Result<Mesh> {
         Mesh::open(PeerKind::Client(id.0), n, host, base_port, MeshConfig::default())
     }
 
@@ -251,19 +256,14 @@ impl Mesh {
         Ok(Mesh { me, n, shared, inbox })
     }
 
-    /// Deployment size this mesh was built for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Transport counters (live; see [`NetStats`]).
-    pub fn stats(&self) -> NetStatsSnapshot {
+    pub(crate) fn stats(&self) -> NetStatsSnapshot {
         self.shared.stats.snapshot()
     }
 
     /// Live per-peer outbound queue depths, `(peer, frames, bytes)` —
     /// the instantaneous values behind the `net_out_queue_*` gauges.
-    pub fn queue_depths(&self) -> Vec<(usize, u64, u64)> {
+    pub(crate) fn queue_depths(&self) -> Vec<(usize, u64, u64)> {
         self.shared.queue_depths()
     }
 
@@ -271,7 +271,7 @@ impl Mesh {
     /// queue gauges, transport counters, and the send-stall histogram
     /// through it. A no-op while a node runs the mesh, or once it is
     /// shut down.
-    pub fn set_observer(&self, obs: Obs) {
+    pub(crate) fn set_observer(&self, obs: Obs) {
         if let Some(reactor) = self.inbox.reactor.lock().expect("reactor lock").as_mut() {
             reactor.obs = obs;
         }
@@ -315,7 +315,7 @@ impl Mesh {
     }
 
     /// Send to every replica; a replica's own copy goes to its inbox.
-    pub fn broadcast(&self, msg: Message) {
+    pub(crate) fn broadcast(&self, msg: Message) {
         // Encode once; every peer queue shares the same frame.
         let frame = encode_frame(&msg);
         for r in 0..self.n as u32 {
@@ -330,7 +330,7 @@ impl Mesh {
     }
 
     /// Send a response to a connected client (no-op if unknown).
-    pub fn send_client(&self, to: ClientId, msg: Message) {
+    pub(crate) fn send_client(&self, to: ClientId, msg: Message) {
         self.shared.enqueue_client(to.0, encode_frame(&msg));
         self.inbox.turn(Duration::ZERO);
     }

@@ -68,12 +68,10 @@ pub struct NodeRunner {
     pub sync_stats: Option<SyncStats>,
     /// Did the node install a verified snapshot (vs replay/fallback)?
     pub synced_via_snapshot: bool,
-    /// Live introspection responder (see [`NodeRunner::serve_introspection`]).
+    /// Live introspection responder (see [`NodeRunner::serve_introspection_with`]).
     introspection: Option<HttpServer>,
     /// The `/status` body, refreshed by the node loop.
     status: Option<crate::http::StatusCell>,
-    /// The recorder behind `/metrics` (auto-attached or caller-supplied).
-    introspection_rec: Option<std::sync::Arc<std::sync::Mutex<hs1_obs::RecordingObserver>>>,
     /// Last `/status` refresh (throttles the refresh to ~4 Hz).
     status_at: Instant,
 }
@@ -126,7 +124,6 @@ impl NodeRunner {
             synced_via_snapshot: false,
             introspection: None,
             status: None,
-            introspection_rec: None,
             status_at: Instant::now(),
         }
     }
@@ -166,33 +163,9 @@ impl NodeRunner {
 
     /// Serve live introspection endpoints (`GET /metrics`, `GET /status`)
     /// on `host:port` (`port` 0 picks an ephemeral port; the bound port
-    /// is returned). If no observer is attached yet, a wall-clocked
-    /// recording observer is attached automatically so `/metrics` has
-    /// something to serve; if the caller already attached their own
-    /// sink, use [`NodeRunner::serve_introspection_with`] and hand over
-    /// the recorder so scrapes can snapshot it.
-    pub fn serve_introspection(&mut self, host: &str, port: u16) -> std::io::Result<u16> {
-        let rec = match &self.introspection_rec {
-            Some(rec) => rec.clone(),
-            None if self.obs.enabled() => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "an observer is already attached; use serve_introspection_with",
-                ));
-            }
-            None => {
-                let (obs, rec) = Obs::recording(hs1_obs::Clock::wall());
-                self.set_observer(obs);
-                rec
-            }
-        };
-        self.serve_introspection_with(host, port, rec)
-    }
-
-    /// [`NodeRunner::serve_introspection`] with an explicit recorder —
-    /// for harnesses that attached their own
-    /// `Obs::recording`/[`hs1_obs::RecordingObserver`] (or a fan-out
-    /// lane) and want `/metrics` served from it.
+    /// is returned). `/metrics` is served from `rec`: the recorder of the
+    /// `Obs::recording`/[`hs1_obs::RecordingObserver`] (or fan-out lane)
+    /// the caller attached.
     pub fn serve_introspection_with(
         &mut self,
         host: &str,
@@ -201,16 +174,14 @@ impl NodeRunner {
     ) -> std::io::Result<u16> {
         use std::sync::{Arc, Mutex};
         let status = Arc::new(Mutex::new(String::from("{}\n")));
-        let metrics_rec = rec.clone();
         let server = HttpServer::serve(
             host,
             port,
-            Arc::new(move || metrics_rec.lock().expect("recorder").snapshot().to_prometheus()),
+            Arc::new(move || rec.lock().expect("recorder").snapshot().to_prometheus()),
             status.clone(),
         )?;
         let port = server.port();
         self.introspection = Some(server);
-        self.introspection_rec = Some(rec);
         self.status = Some(status);
         self.refresh_status();
         Ok(port)

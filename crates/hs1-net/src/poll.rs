@@ -11,7 +11,7 @@
 //! The reactor (`crate::reactor`) waits on an `Epoll` whose interest set
 //! the kernel keeps between waits, so a turn registers nothing and walks
 //! only the sockets that are ready. [`poll_fds`] serves the callers that
-//! wait on a few sockets once: the HTTP responder, with a [`Waker`] to
+//! wait on a few sockets once: the HTTP responder, with a `Waker` to
 //! stop it, and load generators.
 
 use std::io;
@@ -21,11 +21,11 @@ use std::os::unix::net::UnixStream;
 /// Readable / acceptable.
 pub const POLLIN: i16 = 0x001;
 /// Error condition (reported by the kernel even when not requested).
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// Peer hung up.
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// Invalid fd (reported, never requested).
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 /// Mirrors `struct pollfd` from `<poll.h>`.
 #[repr(C)]
@@ -213,7 +213,7 @@ fn set_buf_opt(fd: RawFd, opt: std::ffi::c_int, bytes: usize) -> io::Result<()> 
 /// Set `SO_SNDBUF` on a socket (the kernel clamps and may double the
 /// value). Used to make kernel-buffer backpressure arrive early enough
 /// for the bounded-queue shedding policy to be observable in tests.
-pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+pub(crate) fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
     set_buf_opt(fd, SO_SNDBUF, bytes)
 }
 
@@ -229,13 +229,13 @@ pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
 /// sits in the waiting thread's `poll(2)` set; [`Waker::wake`] writes one
 /// byte. A full pipe means a wakeup is already pending, so `WouldBlock`
 /// is success.
-pub struct Waker {
+pub(crate) struct Waker {
     tx: UnixStream,
 }
 
 impl Waker {
     /// The waker and the read end to poll.
-    pub fn pair() -> io::Result<(Waker, UnixStream)> {
+    pub(crate) fn pair() -> io::Result<(Waker, UnixStream)> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
@@ -243,7 +243,7 @@ impl Waker {
     }
 
     /// Wake the waiting thread (idempotent while a wakeup is pending).
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         use std::io::Write;
         let _ = (&self.tx).write(&[1u8]);
     }

@@ -60,11 +60,6 @@ impl BlockPath {
     pub fn e2e_ns(&self) -> u64 {
         self.t[5] - self.t[0]
     }
-
-    /// The index of the slowest hop (first wins ties).
-    pub fn slowest_hop(&self) -> usize {
-        (0..5).max_by_key(|&i| (self.hop_ns(i), 5 - i)).unwrap_or(0)
-    }
 }
 
 /// Raw per-block observations, each timestamp paired with its actor.
@@ -228,7 +223,6 @@ mod tests {
         // Leader 2 closed the propose hop; replica 2 was the 3rd of 4 at
         // every quorum stage; the final hop is the harness/client's.
         assert_eq!(p.actors, [2, 2, 2, 2, HARNESS_ACTOR]);
-        assert_eq!(p.slowest_hop(), 2, "receive→certify (220ns) dominates");
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl TraceEvent {
     /// The event as one JSONL line (no trailing newline). Names are
     /// `&'static str` identifiers and stage names are fixed lowercase
     /// words, so no JSON string escaping is required.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let head = format!("{{\"at\":{},\"actor\":{}", self.at, self.actor);
         match self.kind {
             EventKind::Stage { stage, block } => {

@@ -30,7 +30,7 @@ pub struct FanoutObserver {
 
 impl FanoutObserver {
     /// A fan-out for `n` replicas (plus the implicit harness lane).
-    pub fn new(n: usize) -> FanoutObserver {
+    pub(crate) fn new(n: usize) -> FanoutObserver {
         FanoutObserver {
             children: (0..n).map(|_| RecordingObserver::new()).collect(),
             harness: RecordingObserver::new(),
@@ -56,16 +56,6 @@ impl FanoutObserver {
         self.children.len()
     }
 
-    /// Replica `i`'s recorder.
-    pub fn replica(&self, i: usize) -> &RecordingObserver {
-        &self.children[i]
-    }
-
-    /// The harness/overflow lane's recorder.
-    pub fn harness(&self) -> &RecordingObserver {
-        &self.harness
-    }
-
     /// Arrange for [`Observer::flush`] to write one JSONL file per lane
     /// into `dir`: `replica-<i>.jsonl` plus `harness.jsonl`.
     pub fn set_trace_dir(&mut self, dir: &Path) {
@@ -77,7 +67,7 @@ impl FanoutObserver {
 
     /// All lanes' traces as owned event streams (replicas in id order,
     /// harness last) — the input shape [`ClusterTrace::merge`] takes.
-    pub fn sources(&self) -> Vec<Vec<OwnedEvent>> {
+    pub(crate) fn sources(&self) -> Vec<Vec<OwnedEvent>> {
         self.children
             .iter()
             .chain(std::iter::once(&self.harness))
@@ -143,10 +133,10 @@ mod tests {
         obs.with_actor(u32::MAX).point("finality", 1, 9);
         obs.with_actor(1).counter("net_tx_frames", 0, 3);
         let fan = fan.lock().unwrap();
-        assert_eq!(fan.replica(0).trace().len(), 1);
-        assert_eq!(fan.replica(1).trace().len(), 1);
-        assert_eq!(fan.harness().trace().len(), 1);
-        assert_eq!(fan.replica(1).snapshot().counter_total("net_tx_frames"), 3);
+        assert_eq!(fan.children[0].trace().len(), 1);
+        assert_eq!(fan.children[1].trace().len(), 1);
+        assert_eq!(fan.harness.trace().len(), 1);
+        assert_eq!(fan.children[1].snapshot().counter_total("net_tx_frames"), 3);
         assert_eq!(fan.snapshot().counter_total("net_tx_frames"), 3);
     }
 

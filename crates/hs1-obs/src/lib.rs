@@ -22,7 +22,7 @@
 //!
 //! # Output formats
 //!
-//! * **JSONL trace** ([`RecordingObserver::write_jsonl`]): one event per
+//! * **JSONL trace** (`RecordingObserver::write_jsonl`): one event per
 //!   line, ordered as emitted — `{"at":..,"actor":..,"kind":..,...}`.
 //! * **CSV / table metrics snapshot** ([`MetricsSnapshot`]): counters,
 //!   gauges, and histogram summaries in a fixed schema shared by sim
@@ -44,6 +44,7 @@
 //! deterministic data — nothing here feeds back into the observed system.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod event;
 mod record;
@@ -51,13 +52,13 @@ mod record;
 pub mod critical_path;
 mod fanout;
 pub mod perfetto;
-pub mod trace;
+mod trace;
 
 pub use critical_path::{attribution_csv, BlockPath, HOP_NAMES};
 pub use event::{block_key, EventKind, Stage, TraceEvent};
 pub use fanout::FanoutObserver;
-pub use record::{Histogram, MetricRow, MetricsSnapshot, RecordingObserver};
-pub use trace::{Alignment, ClusterTrace, OwnedEvent, OwnedEventKind};
+pub use record::{Histogram, MetricsSnapshot, RecordingObserver};
+pub use trace::{Alignment, ClusterTrace, OwnedEvent};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,17 +80,6 @@ pub trait Observer: Send {
     /// harnesses before exiting — including the invariant-violation exit
     /// path, so a failing run still leaves its diagnostics on disk.
     fn flush(&mut self);
-}
-
-/// The observer that observes nothing (useful as an explicit default).
-pub struct NoopObserver;
-
-impl Observer for NoopObserver {
-    fn on_event(&mut self, _ev: TraceEvent) {}
-    fn add_counter(&mut self, _actor: u32, _name: &'static str, _idx: u32, _delta: u64) {}
-    fn set_gauge(&mut self, _actor: u32, _name: &'static str, _idx: u32, _value: u64) {}
-    fn observe(&mut self, _actor: u32, _name: &'static str, _nanos: u64) {}
-    fn flush(&mut self) {}
 }
 
 /// Time source for trace timestamps.
@@ -120,14 +110,14 @@ impl Clock {
 
     /// Set the current time in nanoseconds (manual clocks only; a no-op
     /// on wall clocks).
-    pub fn set(&self, nanos: u64) {
+    pub(crate) fn set(&self, nanos: u64) {
         if let ClockInner::Manual(t) = &self.0 {
             t.store(nanos, Ordering::Relaxed);
         }
     }
 
     /// Current time in nanoseconds.
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         match &self.0 {
             ClockInner::Manual(t) => t.load(Ordering::Relaxed),
             ClockInner::Wall(base) => base.elapsed().as_nanos() as u64,
@@ -179,11 +169,6 @@ impl Obs {
     /// Is a sink attached? Lets callers skip building expensive inputs.
     pub fn enabled(&self) -> bool {
         self.sink.is_some()
-    }
-
-    /// The shared clock (harnesses use this to drive manual time).
-    pub fn clock(&self) -> &Clock {
-        &self.clock
     }
 
     /// Set the manual clock to `nanos` (no-op without a sink or on wall

@@ -45,43 +45,23 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Fold another histogram's samples into this one (bucket-wise; the
-    /// merged quantiles are exact at bucket resolution). Used when
-    /// combining per-replica recorders into one cluster view.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// The upper edge of the bucket holding the `q`-quantile sample
     /// (`q` in 0..=1). Log2 buckets bound the answer within 2x — enough
     /// for attribution ("is the p99 fsync 1ms or 30ms"), cheap enough to
     /// record on every sample.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -131,7 +111,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// The CSV header matching [`MetricsSnapshot::to_csv`].
-    pub fn csv_header() -> &'static str {
+    pub(crate) fn csv_header() -> &'static str {
         "actor,kind,name,idx,value,sum,p50,p99,max"
     }
 
@@ -235,7 +215,7 @@ pub struct RecordingObserver {
 }
 
 impl RecordingObserver {
-    pub fn new() -> RecordingObserver {
+    pub(crate) fn new() -> RecordingObserver {
         RecordingObserver::default()
     }
 
@@ -261,7 +241,7 @@ impl RecordingObserver {
     }
 
     /// Write the trace as JSONL.
-    pub fn write_jsonl(&self, w: &mut dyn Write) -> std::io::Result<()> {
+    pub(crate) fn write_jsonl(&self, w: &mut dyn Write) -> std::io::Result<()> {
         for ev in &self.trace {
             writeln!(w, "{}", ev.to_json())?;
         }
@@ -323,11 +303,6 @@ impl RecordingObserver {
             });
         }
         MetricsSnapshot { rows }
-    }
-
-    /// Direct access to a histogram (benches and tests).
-    pub fn histogram(&self, actor: u32, name: &str) -> Option<&Histogram> {
-        self.hists.iter().find(|((a, n), _)| *a == actor && *n == name).map(|(_, h)| h)
     }
 }
 
@@ -405,7 +380,6 @@ mod tests {
         assert_eq!(h.sum(), u64::MAX, "sum saturates instead of wrapping");
         assert_eq!(h.quantile(0.01), 0, "the smallest sample sits in bucket 0");
         assert_eq!(h.quantile(1.0), u64::MAX, "top bucket edge covers the largest sample");
-        assert!(h.mean() > 0.0);
     }
 
     #[test]
@@ -445,28 +419,6 @@ mod tests {
         assert!(csv.starts_with(MetricsSnapshot::csv_header()));
         assert_eq!(csv.lines().count(), 5);
         assert!(!snap.to_table().is_empty());
-    }
-
-    #[test]
-    fn histogram_merge_matches_recording_into_one() {
-        let mut left = Histogram::default();
-        let mut right = Histogram::default();
-        let mut both = Histogram::default();
-        for v in [1u64, 5, 100] {
-            left.record(v);
-            both.record(v);
-        }
-        for v in [2u64, 1_000_000] {
-            right.record(v);
-            both.record(v);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), both.count());
-        assert_eq!(left.sum(), both.sum());
-        assert_eq!(left.max(), both.max());
-        for q in [0.5, 0.99, 1.0] {
-            assert_eq!(left.quantile(q), both.quantile(q), "quantile {q}");
-        }
     }
 
     #[test]

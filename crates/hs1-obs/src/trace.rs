@@ -3,9 +3,9 @@
 //!
 //! Per-node traces are islands — each replica's JSONL is ordered by its
 //! own clock and says nothing about cross-replica causality. This module
-//! re-parses those files into owned events ([`OwnedEvent`] — the
-//! `&'static str` names of [`crate::TraceEvent`] cannot survive a parse),
-//! aligns the per-source clocks, and merges everything into one timeline:
+//! takes each replica's recorded events as owned events ([`OwnedEvent`],
+//! which own the `&'static str` names of [`crate::TraceEvent`]), aligns
+//! the per-source clocks, and merges everything into one timeline:
 //!
 //! * **Shared clock** ([`Alignment::SharedClock`]) — simulator traces:
 //!   every source was stamped by the same harness [`crate::Clock`], so
@@ -25,8 +25,6 @@
 //! that reads a per-node trace reads a cluster trace too.
 
 use std::collections::BTreeMap;
-use std::io::Read;
-use std::path::Path;
 
 use crate::event::Stage;
 
@@ -53,7 +51,7 @@ pub enum OwnedEventKind {
 impl OwnedEvent {
     /// The event as one JSONL line — byte-identical to what
     /// [`crate::TraceEvent::to_json`] produced for the same event.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let head = format!("{{\"at\":{},\"actor\":{}", self.at, self.actor);
         match &self.kind {
             OwnedEventKind::Stage { stage, block } => {
@@ -92,99 +90,6 @@ impl OwnedEvent {
         };
         OwnedEvent { at: ev.at, actor: ev.actor, kind }
     }
-}
-
-/// A malformed trace line (line number is 1-based within its source).
-#[derive(Debug)]
-pub struct ParseError {
-    pub line: usize,
-    pub reason: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Extract the integer value of `"name":<digits>` from a flat JSON line.
-fn field_u64(line: &str, name: &str) -> Option<u64> {
-    let pat = format!("\"{name}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Extract the string value of `"name":"<value>"` from a flat JSON line.
-/// The schema never escapes (names are identifiers), so a plain scan to
-/// the closing quote is exact.
-fn field_str<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let pat = format!("\"{name}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
-fn stage_by_name(name: &str) -> Option<Stage> {
-    [
-        Stage::Received,
-        Stage::Proposed,
-        Stage::Voted,
-        Stage::Speculated,
-        Stage::Committed,
-        Stage::Responded,
-    ]
-    .into_iter()
-    .find(|s| s.name() == name)
-}
-
-/// Parse one JSONL trace line (the exact schema
-/// [`crate::TraceEvent::to_json`] emits).
-pub fn parse_line(line: &str) -> Result<OwnedEvent, String> {
-    let at = field_u64(line, "at").ok_or("missing \"at\"")?;
-    let actor = field_u64(line, "actor").ok_or("missing \"actor\"")? as u32;
-    let kind = match field_str(line, "kind").ok_or("missing \"kind\"")? {
-        "stage" => {
-            let name = field_str(line, "stage").ok_or("missing \"stage\"")?;
-            let stage = stage_by_name(name).ok_or_else(|| format!("unknown stage {name:?}"))?;
-            let block = field_u64(line, "block").ok_or("missing \"block\"")?;
-            OwnedEventKind::Stage { stage, block }
-        }
-        "span_begin" => OwnedEventKind::SpanBegin {
-            name: field_str(line, "name").ok_or("missing \"name\"")?.to_string(),
-            key: field_u64(line, "key").ok_or("missing \"key\"")?,
-        },
-        "span_end" => OwnedEventKind::SpanEnd {
-            name: field_str(line, "name").ok_or("missing \"name\"")?.to_string(),
-            key: field_u64(line, "key").ok_or("missing \"key\"")?,
-        },
-        "point" => OwnedEventKind::Point {
-            name: field_str(line, "name").ok_or("missing \"name\"")?.to_string(),
-            key: field_u64(line, "key").ok_or("missing \"key\"")?,
-            value: field_u64(line, "value").ok_or("missing \"value\"")?,
-        },
-        other => return Err(format!("unknown kind {other:?}")),
-    };
-    Ok(OwnedEvent { at, actor, kind })
-}
-
-/// Parse a whole JSONL trace (empty lines are skipped).
-pub fn parse_jsonl(body: &str) -> Result<Vec<OwnedEvent>, ParseError> {
-    let mut out = Vec::new();
-    for (i, line) in body.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_line(line).map_err(|reason| ParseError { line: i + 1, reason })?);
-    }
-    Ok(out)
 }
 
 /// How per-source clocks relate (see the module docs).
@@ -230,30 +135,6 @@ impl ClusterTrace {
             .map(|(t, _, _, _, ev)| OwnedEvent { at: (t - base) as u64, ..ev.clone() })
             .collect();
         ClusterTrace { events, offsets }
-    }
-
-    /// Parse and merge JSONL bodies (one string per source).
-    pub fn from_jsonl(bodies: &[String], alignment: Alignment) -> Result<ClusterTrace, ParseError> {
-        let mut sources = Vec::with_capacity(bodies.len());
-        for body in bodies {
-            sources.push(parse_jsonl(body)?);
-        }
-        Ok(ClusterTrace::merge(sources, alignment))
-    }
-
-    /// Read, parse, and merge JSONL files.
-    pub fn from_files<P: AsRef<Path>>(
-        paths: &[P],
-        alignment: Alignment,
-    ) -> std::io::Result<ClusterTrace> {
-        let mut bodies = Vec::with_capacity(paths.len());
-        for p in paths {
-            let mut s = String::new();
-            std::fs::File::open(p)?.read_to_string(&mut s)?;
-            bodies.push(s);
-        }
-        ClusterTrace::from_jsonl(&bodies, alignment)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// The merged timeline as JSONL (byte-comparable across runs when the
@@ -351,43 +232,20 @@ mod tests {
         ev(at, actor, OwnedEventKind::Stage { stage: s, block })
     }
 
+    /// An owned event emits the same JSONL line as the event it was made
+    /// from, for every kind.
     #[test]
-    fn parse_round_trips_every_kind() {
-        let lines = [
-            "{\"at\":5,\"actor\":1,\"kind\":\"stage\",\"stage\":\"voted\",\"block\":9}",
-            "{\"at\":7,\"actor\":0,\"kind\":\"span_begin\",\"name\":\"view\",\"key\":3}",
-            "{\"at\":8,\"actor\":0,\"kind\":\"span_end\",\"name\":\"view\",\"key\":3}",
-            "{\"at\":6,\"actor\":4294967295,\"kind\":\"point\",\"name\":\"finality\",\"key\":9,\"value\":77}",
+    fn owned_events_emit_what_the_emitter_emits() {
+        let kinds = [
+            EventKind::Stage { stage: Stage::Speculated, block: 42 },
+            EventKind::SpanBegin { name: "view", key: 3 },
+            EventKind::SpanEnd { name: "view", key: 3 },
+            EventKind::Point { name: "finality", key: 9, value: 77 },
         ];
-        for line in lines {
-            let parsed = parse_line(line).expect("parses");
-            assert_eq!(parsed.to_json(), line, "parse → re-emit is the identity");
+        for kind in kinds {
+            let emitted = TraceEvent { at: 123, actor: u32::MAX, kind };
+            assert_eq!(OwnedEvent::from_event(&emitted).to_json(), emitted.to_json());
         }
-    }
-
-    #[test]
-    fn parse_matches_the_emitter_exactly() {
-        let emitted = TraceEvent {
-            at: 123,
-            actor: 2,
-            kind: EventKind::Stage { stage: Stage::Speculated, block: 42 },
-        };
-        let parsed = parse_line(&emitted.to_json()).unwrap();
-        assert_eq!(parsed, OwnedEvent::from_event(&emitted));
-        assert_eq!(parsed.to_json(), emitted.to_json());
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(parse_line("{}").is_err());
-        assert!(parse_line("{\"at\":1,\"actor\":0,\"kind\":\"nope\"}").is_err());
-        assert!(parse_line(
-            "{\"at\":1,\"actor\":0,\"kind\":\"stage\",\"stage\":\"warp\",\"block\":1}"
-        )
-        .is_err());
-        let err = parse_jsonl("{\"at\":1,\"actor\":0,\"kind\":\"point\",\"name\":\"p\",\"key\":1,\"value\":2}\nbroken")
-            .unwrap_err();
-        assert_eq!(err.line, 2);
     }
 
     #[test]
@@ -461,19 +319,5 @@ mod tests {
         let merged = ClusterTrace::merge(vec![a, b], Alignment::FirstContact);
         assert_eq!(merged.offsets, vec![0, 0]);
         assert_eq!(merged.events.len(), 2);
-    }
-
-    #[test]
-    fn files_round_trip_through_merge() {
-        let dir = std::env::temp_dir().join(format!("hs1-trace-merge-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let pa = dir.join("a.jsonl");
-        let pb = dir.join("b.jsonl");
-        std::fs::write(&pa, stage(10, 0, Stage::Proposed, 1).to_json() + "\n").unwrap();
-        std::fs::write(&pb, stage(12, 1, Stage::Received, 1).to_json() + "\n").unwrap();
-        let merged = ClusterTrace::from_files(&[&pa, &pb], Alignment::SharedClock).unwrap();
-        assert_eq!(merged.events.len(), 2);
-        assert_eq!(merged.events[0].actor, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,7 +22,7 @@ use hs1_types::{SimDuration, SimTime, SplitMix64};
 /// Per-ordered-link fault probabilities (replica → replica messages; the
 /// client path is modeled in aggregate and stays clean).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LinkFault {
+pub(crate) struct LinkFault {
     /// Probability a message is lost in flight.
     pub drop: f64,
     /// Probability a message is delivered twice (network-level
@@ -162,7 +162,7 @@ pub struct ChaosPlan {
     pub n: usize,
     /// Per-ordered-pair fault probabilities (`links[from][to]`; diagonal
     /// unused — loopback is never faulted).
-    pub links: Vec<Vec<LinkFault>>,
+    pub(crate) links: Vec<Vec<LinkFault>>,
     /// Max extra delay for reordered copies.
     pub reorder_delay: SimDuration,
     /// Scheduled transitions, sorted by time.
@@ -334,12 +334,6 @@ impl ChaosPlan {
             plan.adversaries.remove(idx);
         }
         plan
-    }
-
-    /// Time of the last scheduled transition (liveness is checked after
-    /// this point), or `None` for a pure link-fault plan.
-    pub fn last_event_time(&self) -> Option<SimTime> {
-        self.events.last().map(|e| e.at)
     }
 
     /// Indices of `events` grouped into removable units: a
@@ -816,7 +810,7 @@ mod tests {
         assert!(!plan.has_bitrot());
         assert!(!plan.skew_active());
         assert!(plan.adversaries.is_empty());
-        assert!(plan.last_event_time().is_none());
+        assert!(plan.events.is_empty());
     }
 
     #[test]

@@ -34,13 +34,11 @@ pub struct DiskModel {
 
 /// Per-node resource costs.
 #[derive(Clone, Debug)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// NIC serialization rate in bytes/second (c3.4xlarge ≈ 1 Gbit/s).
     pub nic_bytes_per_sec: f64,
     /// CPU cost to verify one signature (ECDSA-scale on Ivy Bridge).
     pub verify: SimDuration,
-    /// CPU cost to produce one signature.
-    pub sign: SimDuration,
     /// Fixed CPU cost to parse/dispatch any message.
     pub per_msg: SimDuration,
     /// CPU cost to execute one transaction.
@@ -60,7 +58,6 @@ impl Default for CostModel {
         CostModel {
             nic_bytes_per_sec: 125_000_000.0, // 1 Gbit/s
             verify: SimDuration::from_micros(12),
-            sign: SimDuration::from_micros(8),
             per_msg: SimDuration::from_micros(3),
             per_tx_exec: SimDuration::from_nanos(500),
             per_tx_hash: SimDuration::from_nanos(100),
@@ -71,14 +68,14 @@ impl Default for CostModel {
 
 impl CostModel {
     /// NIC transmission time for `bytes`.
-    pub fn tx_time(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn tx_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.nic_bytes_per_sec)
     }
 
     /// CPU time the receiver spends handling `msg` before the engine acts
     /// on it: dispatch, signature checks, batch hashing and (for
     /// proposals) execution of the certified batch.
-    pub fn recv_cost(&self, msg: &Message, quorum: usize) -> SimDuration {
+    pub(crate) fn recv_cost(&self, msg: &Message, quorum: usize) -> SimDuration {
         match msg {
             Message::Propose(p) => {
                 // Verify the justify certificate (quorum signatures) and

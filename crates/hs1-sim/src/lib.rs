@@ -15,7 +15,7 @@
 //!   execution occupy the receiving replica's CPU in FIFO order (the
 //!   batch-size saturation of Fig. 8c).
 //!
-//! Clients are modeled in aggregate by a [`oracle::ClientOracle`]: replica
+//! Clients are modeled in aggregate by `oracle::ClientOracle`: replica
 //! execution events (speculative or committed) are turned into response
 //! arrival times at the clients, and finality is determined exactly per
 //! the paper's quorum rules (`n − f` matching speculative responses for
@@ -30,20 +30,20 @@
 //! section for the workflow).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod chaos;
-pub mod cost;
-pub mod net;
-pub mod openloop;
-pub mod oracle;
+mod cost;
+mod net;
+mod openloop;
+mod oracle;
 pub mod regions;
-pub mod runner;
-pub mod scenario;
+mod runner;
+mod scenario;
 
-pub use chaos::{ChaosConfig, ChaosEvent, ChaosEventKind, ChaosPlan, LinkAxis, LinkFault};
-pub use cost::{CostModel, DiskModel};
+pub use chaos::{ChaosConfig, ChaosEvent, ChaosEventKind, ChaosPlan, LinkAxis};
+pub use cost::DiskModel;
 pub use hs1_adversary::AdversaryStrategy;
 pub use hs1_types::ProtocolKind;
 pub use openloop::{ArrivalKind, OpenLoop};
-pub use runner::ChaosStats;
 pub use scenario::{Report, Scenario, WorkloadKind};

@@ -11,7 +11,7 @@ use hs1_types::{ReplicaId, SimDuration, SplitMix64};
 /// `copies` copies (0 = lost), each with an extra chaos-induced delay on
 /// top of the modeled latency.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkDelivery {
+pub(crate) struct LinkDelivery {
     pub copies: u8,
     pub extra: [SimDuration; 2],
 }
@@ -23,7 +23,7 @@ impl LinkDelivery {
 
 /// Latency and delay-injection model for a deployment.
 #[derive(Clone, Debug)]
-pub struct NetModel {
+pub(crate) struct NetModel {
     /// One-way base latency between replicas i and j.
     latency: Vec<Vec<SimDuration>>,
     /// One-way latency replica ↔ client population.
@@ -43,7 +43,7 @@ pub struct NetModel {
 
 impl NetModel {
     /// Build from a region placement; clients live in `client_region`.
-    pub fn from_regions(placement: &[Region], client_region: Region) -> NetModel {
+    pub(crate) fn from_regions(placement: &[Region], client_region: Region) -> NetModel {
         let n = placement.len();
         let mut latency = vec![vec![SimDuration::ZERO; n]; n];
         for i in 0..n {
@@ -63,19 +63,14 @@ impl NetModel {
         }
     }
 
-    /// Single-region deployment of `n` replicas.
-    pub fn single_region(n: usize) -> NetModel {
-        Self::from_regions(&vec![Region::NorthVirginia; n], Region::NorthVirginia)
-    }
-
     /// Inject `delay` on replica `r`'s links (both directions).
-    pub fn inject(&mut self, r: ReplicaId, delay: SimDuration) {
+    pub(crate) fn inject(&mut self, r: ReplicaId, delay: SimDuration) {
         self.injected[r.0 as usize] = delay;
     }
 
     /// One-way delay for a replica→replica message, with deterministic
     /// jitter drawn from `rng`.
-    pub fn replica_delay(
+    pub(crate) fn replica_delay(
         &self,
         from: ReplicaId,
         to: ReplicaId,
@@ -88,20 +83,20 @@ impl NetModel {
 
     /// One-way delay replica → client (responses) or client → replica
     /// (requests); injected delay on the replica side applies.
-    pub fn client_delay(&self, replica: ReplicaId, rng: &mut SplitMix64) -> SimDuration {
+    pub(crate) fn client_delay(&self, replica: ReplicaId, rng: &mut SplitMix64) -> SimDuration {
         let base = self.client_latency[replica.0 as usize];
         self.jittered(base, rng) + self.injected[replica.0 as usize]
     }
 
     /// Install a chaos plan's per-link fault matrix.
-    pub fn install_chaos(&mut self, plan: &ChaosPlan) {
+    pub(crate) fn install_chaos(&mut self, plan: &ChaosPlan) {
         assert_eq!(plan.n, self.n(), "chaos plan derived for a different deployment size");
         self.link_faults = Some(plan.links.clone());
         self.reorder_delay = plan.reorder_delay;
     }
 
     /// Cut every link between `side` and its complement.
-    pub fn set_partition(&mut self, side: &[u32]) {
+    pub(crate) fn set_partition(&mut self, side: &[u32]) {
         let mut members = vec![false; self.n()];
         for &r in side {
             if let Some(m) = members.get_mut(r as usize) {
@@ -112,12 +107,8 @@ impl NetModel {
     }
 
     /// Remove the active partition.
-    pub fn heal_partition(&mut self) {
+    pub(crate) fn heal_partition(&mut self) {
         self.partition_side = None;
-    }
-
-    pub fn partition_active(&self) -> bool {
-        self.partition_side.is_some()
     }
 
     /// Chaos verdict for one replica→replica message. Draws from `rng`
@@ -125,7 +116,7 @@ impl NetModel {
     /// historical rng stream (and their calibrated figures) bit-for-bit.
     /// Partition checks are deterministic (no draw); loopback is never
     /// faulted.
-    pub fn link_delivery(
+    pub(crate) fn link_delivery(
         &self,
         from: ReplicaId,
         to: ReplicaId,
@@ -170,7 +161,7 @@ impl NetModel {
         SimDuration::from_secs_f64(base.as_secs_f64() * f)
     }
 
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.latency.len()
     }
 }
@@ -180,9 +171,14 @@ mod tests {
     use super::*;
     use crate::regions::spread;
 
+    /// Four replicas and their clients in one region.
+    fn single_region() -> NetModel {
+        NetModel::from_regions(&[Region::NorthVirginia; 4], Region::NorthVirginia)
+    }
+
     #[test]
     fn injection_applies_both_directions() {
-        let mut m = NetModel::single_region(4);
+        let mut m = single_region();
         m.inject(ReplicaId(1), SimDuration::from_millis(50));
         let mut rng = SplitMix64::new(1);
         let to_injected = m.replica_delay(ReplicaId(0), ReplicaId(1), &mut rng);
@@ -209,10 +205,9 @@ mod tests {
 
     #[test]
     fn partition_cuts_cross_links_only() {
-        let mut m = NetModel::single_region(4);
+        let mut m = single_region();
         let mut rng = SplitMix64::new(3);
         m.set_partition(&[0, 2]);
-        assert!(m.partition_active());
         let cross = m.link_delivery(ReplicaId(0), ReplicaId(1), &mut rng);
         assert_eq!(cross.copies, 0, "cross-partition messages are lost");
         let same_side = m.link_delivery(ReplicaId(0), ReplicaId(2), &mut rng);
@@ -227,7 +222,7 @@ mod tests {
     #[test]
     fn link_faults_drop_dup_and_reorder() {
         use crate::chaos::{ChaosConfig, ChaosPlan};
-        let mut m = NetModel::single_region(4);
+        let mut m = single_region();
         let cfg = ChaosConfig { drop_p: 0.5, dup_p: 0.5, reorder_p: 0.5, ..ChaosConfig::default() };
         let plan = ChaosPlan::generate(9, &cfg, 4, hs1_types::SimTime(1_000_000_000));
         m.install_chaos(&plan);
@@ -256,7 +251,7 @@ mod tests {
 
     #[test]
     fn no_chaos_consumes_no_draws() {
-        let m = NetModel::single_region(4);
+        let m = single_region();
         let mut rng = SplitMix64::new(6);
         let before = rng.clone().next_u64();
         let d = m.link_delivery(ReplicaId(0), ReplicaId(1), &mut rng);
@@ -266,7 +261,7 @@ mod tests {
 
     #[test]
     fn jitter_is_bounded_and_deterministic() {
-        let m = NetModel::single_region(4);
+        let m = single_region();
         let mut a = SplitMix64::new(7);
         let mut b = SplitMix64::new(7);
         for _ in 0..100 {

@@ -65,11 +65,6 @@ impl OpenLoop {
         }
     }
 
-    pub fn clients(mut self, c: usize) -> OpenLoop {
-        self.clients = c.max(1);
-        self
-    }
-
     pub fn duplicate_every(mut self, k: u64) -> OpenLoop {
         self.duplicate_every = k;
         self
@@ -82,7 +77,7 @@ impl OpenLoop {
 /// to wall time afterwards, so the bursty mapping needs no rejection
 /// loop: cumulative active time `a` lands at wall time
 /// `floor(a / on) * period + (a mod on)`.
-pub struct ArrivalGen {
+pub(crate) struct ArrivalGen {
     /// Peak rate (arrivals per active second).
     rate: f64,
     /// On-window length per period in seconds (0 = continuous Poisson).
@@ -94,7 +89,7 @@ pub struct ArrivalGen {
 }
 
 impl ArrivalGen {
-    pub fn new(cfg: &OpenLoop, rng: SplitMix64) -> ArrivalGen {
+    pub(crate) fn new(cfg: &OpenLoop, rng: SplitMix64) -> ArrivalGen {
         assert!(cfg.offered_tps > 0.0, "open-loop offered load must be positive");
         let (rate, on_s, period_s) = match cfg.arrivals {
             ArrivalKind::Poisson => (cfg.offered_tps, 0.0, 0.0),
@@ -112,7 +107,7 @@ impl ArrivalGen {
     }
 
     /// The next arrival's wall time. Strictly monotone non-decreasing.
-    pub fn next_arrival(&mut self) -> SimTime {
+    pub(crate) fn next_arrival(&mut self) -> SimTime {
         // `1 - u` keeps the argument in (0, 1]: ln(0) never happens.
         let u = self.rng.next_f64();
         self.active_s += -(1.0 - u).ln() / self.rate;

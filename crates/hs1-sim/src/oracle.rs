@@ -20,7 +20,7 @@ use hs1_types::{BlockId, ProtocolKind, ReplicaId, ReplyKind, SimTime, TxId};
 
 /// Log-bucketed latency histogram (1 µs … ~100 s).
 #[derive(Clone, Debug)]
-pub struct LatencyHist {
+pub(crate) struct LatencyHist {
     buckets: Vec<u64>,
     count: u64,
     sum_ns: u128,
@@ -43,24 +43,20 @@ impl LatencyHist {
         ((log * BUCKETS_PER_DECADE as f64) as usize).min(8 * BUCKETS_PER_DECADE - 1)
     }
 
-    pub fn record(&mut self, ns: u64) {
+    pub(crate) fn record(&mut self, ns: u64) {
         self.buckets[Self::bucket_of(ns)] += 1;
         self.count += 1;
         self.sum_ns += ns as u128;
     }
 
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn mean_ms(&self) -> f64 {
+    pub(crate) fn mean_ms(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         self.sum_ns as f64 / self.count as f64 / 1e6
     }
 
-    pub fn quantile_ms(&self, q: f64) -> f64 {
+    pub(crate) fn quantile_ms(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -89,7 +85,7 @@ struct BlockTally {
 }
 
 /// Aggregate client model.
-pub struct ClientOracle {
+pub(crate) struct ClientOracle {
     n: usize,
     f: usize,
     protocol: ProtocolKind,
@@ -103,7 +99,7 @@ pub struct ClientOracle {
 }
 
 impl ClientOracle {
-    pub fn new(n: usize, f: usize, protocol: ProtocolKind) -> ClientOracle {
+    pub(crate) fn new(n: usize, f: usize, protocol: ProtocolKind) -> ClientOracle {
         ClientOracle {
             n,
             f,
@@ -114,27 +110,27 @@ impl ClientOracle {
         }
     }
 
-    pub fn note_submit(&mut self, tx: TxId, at: SimTime) {
+    pub(crate) fn note_submit(&mut self, tx: TxId, at: SimTime) {
         self.submit_times.entry(tx).or_insert(at);
     }
 
-    pub fn submit_time(&self, tx: TxId) -> Option<SimTime> {
+    pub(crate) fn submit_time(&self, tx: TxId) -> Option<SimTime> {
         self.submit_times.get(&tx).copied()
     }
 
-    pub fn take_submit(&mut self, tx: TxId) -> Option<SimTime> {
+    pub(crate) fn take_submit(&mut self, tx: TxId) -> Option<SimTime> {
         self.submit_times.remove(&tx)
     }
 
     /// Transactions submitted but not yet finalized (the in-flight gauge).
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.submit_times.len()
     }
 
     /// A replica's response for `block` arrives at the client at
     /// `arrival`. Returns the finality time if this response completes a
     /// quorum.
-    pub fn on_response(
+    pub(crate) fn on_response(
         &mut self,
         from: ReplicaId,
         block: BlockId,
@@ -190,7 +186,7 @@ mod tests {
         for ms in [1u64, 2, 3, 4, 5, 6, 7, 8, 9, 100] {
             h.record(ms * 1_000_000);
         }
-        assert_eq!(h.count(), 10);
+        assert_eq!(h.count, 10);
         assert!((h.mean_ms() - 14.5).abs() < 0.01);
         let p50 = h.quantile_ms(0.5);
         assert!(p50 > 3.0 && p50 < 8.0, "p50 {p50}");

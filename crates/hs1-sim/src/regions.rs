@@ -15,23 +15,13 @@ pub enum Region {
 }
 
 impl Region {
-    pub const ALL: [Region; 5] =
+    pub(crate) const ALL: [Region; 5] =
         [Region::NorthVirginia, Region::HongKong, Region::London, Region::SaoPaulo, Region::Zurich];
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Region::NorthVirginia => "N.Virginia",
-            Region::HongKong => "HongKong",
-            Region::London => "London",
-            Region::SaoPaulo => "SaoPaulo",
-            Region::Zurich => "Zurich",
-        }
-    }
 }
 
 /// One-way latency between two regions (approximate public RTT ÷ 2;
 /// intra-region ≈ 250 µs).
-pub fn one_way(a: Region, b: Region) -> SimDuration {
+pub(crate) fn one_way(a: Region, b: Region) -> SimDuration {
     use Region::*;
     if a == b {
         return SimDuration::from_micros(250);
@@ -64,7 +54,7 @@ impl Region {
 
 /// Assign `n` replicas round-robin across the first `regions` regions
 /// (the paper distributes replicas uniformly across regions).
-pub fn spread(n: usize, regions: usize) -> Vec<Region> {
+pub(crate) fn spread(n: usize, regions: usize) -> Vec<Region> {
     assert!((1..=5).contains(&regions));
     (0..n).map(|i| Region::ALL[i % regions]).collect()
 }

@@ -37,7 +37,7 @@ const RESPONSE_BYTES_PER_TX: usize = 96;
 
 /// Pseudo-actor id for harness-level trace events (client-oracle
 /// finality, per-block submit means) — distinct from any replica id.
-pub const ORACLE_ACTOR: u32 = u32::MAX;
+pub(crate) const ORACLE_ACTOR: u32 = u32::MAX;
 
 enum Ev {
     /// Message bytes arrived at `to`; it now queues for CPU.
@@ -95,7 +95,7 @@ pub struct ChaosStats {
 /// per-replica journal directories (bit rot flips bits in them), and the
 /// restart itself — replica `i`'s fresh engine in a shell that recovers
 /// from its directory and then syncs with its peers.
-pub struct ChaosRuntime {
+pub(crate) struct ChaosRuntime {
     pub dirs: Vec<PathBuf>,
     pub reopen: Box<dyn Fn(usize) -> Result<NodeShell, StorageError>>,
 }
@@ -151,7 +151,7 @@ struct OpenState {
 
 /// Aggregated counters produced by a run.
 #[derive(Clone, Debug, Default)]
-pub struct RunStats {
+pub(crate) struct RunStats {
     pub finalized_txs: u64,
     pub committed_blocks: u64,
     pub rollbacks: u64,
@@ -175,7 +175,7 @@ pub struct RunStats {
     pub chaos: ChaosStats,
 }
 
-pub struct SimRunner {
+pub(crate) struct SimRunner {
     engines: Vec<NodeShell>,
     /// Each replica's committed chain as its engine's steps committed it,
     /// every height kept (see [`resync`] for the exceptions): harness
@@ -246,7 +246,7 @@ pub struct SimRunner {
 }
 
 impl SimRunner {
-    pub fn new(
+    pub(crate) fn new(
         engines: Vec<NodeShell>,
         net: NetModel,
         cost: CostModel,
@@ -311,7 +311,7 @@ impl SimRunner {
     /// advances it to sim-time before each event, so all trace timestamps
     /// are deterministic per seed. Pure observer: fingerprints are
     /// identical with or without a recording sink.
-    pub fn set_observer(&mut self, obs: Obs) {
+    pub(crate) fn set_observer(&mut self, obs: Obs) {
         for e in self.engines.iter_mut() {
             e.set_observer(obs.clone());
         }
@@ -322,7 +322,7 @@ impl SimRunner {
     /// scheduled transitions enter the event heap, and (when the plan
     /// crashes replicas) `rt` supplies the storage dirs, engine factory
     /// and sync config the restart path needs.
-    pub fn install_chaos(&mut self, plan: &ChaosPlan, rt: Option<ChaosRuntime>) {
+    pub(crate) fn install_chaos(&mut self, plan: &ChaosPlan, rt: Option<ChaosRuntime>) {
         self.net.install_chaos(plan);
         if plan.has_crashes() {
             assert!(rt.is_some(), "a plan with crash events needs a ChaosRuntime");
@@ -344,7 +344,7 @@ impl SimRunner {
     /// scenario wraps them, and arms a `CorruptSnapshot` backup's shell
     /// with that strategy's mutator). Overrides whatever the installed
     /// plan declared — the scenario passes the merged plan + explicit set.
-    pub fn note_adversaries(&mut self, set: &[(usize, AdversaryStrategy)]) {
+    pub(crate) fn note_adversaries(&mut self, set: &[(usize, AdversaryStrategy)]) {
         self.stats.chaos.adversaries = set.len() as u64;
     }
 
@@ -360,7 +360,7 @@ impl SimRunner {
 
     /// Spawn `clients` closed-loop clients, staggered over the first
     /// millisecond.
-    pub fn spawn_clients(&mut self, clients: usize) {
+    pub(crate) fn spawn_clients(&mut self, clients: usize) {
         for c in 0..clients {
             let client = ClientId(c as u32);
             let submit = SimTime::ZERO + SimDuration::from_nanos((c as u64) * 1_000);
@@ -373,7 +373,7 @@ impl SimRunner {
     /// the run can be driven past saturation. The arrival RNG is a fork of
     /// the runner's stream — closed-loop runs consume zero extra draws, so
     /// their event sequences (and fingerprints) are untouched.
-    pub fn spawn_open_loop(&mut self, cfg: OpenLoop) {
+    pub(crate) fn spawn_open_loop(&mut self, cfg: OpenLoop) {
         let mut gen = ArrivalGen::new(&cfg, self.rng.fork(0x09e4_10ad));
         let first = gen.next_arrival();
         self.open_loop = Some(OpenState { gen, cfg, next_client: 0, arrivals: 0, last_tx: None });
@@ -426,7 +426,7 @@ impl SimRunner {
 
     /// Run the measured experiment: `warmup` then `window` of measurement,
     /// then a short drain for invariant checking. Returns the stats.
-    pub fn run(&mut self, warmup: SimDuration, window: SimDuration) -> RunStats {
+    pub(crate) fn run(&mut self, warmup: SimDuration, window: SimDuration) -> RunStats {
         self.warmup_end = SimTime::ZERO + warmup;
         self.window_end = self.warmup_end + window;
         self.obs.set_now(self.now.0);
@@ -991,7 +991,7 @@ impl SimRunner {
     /// headline counters. Two runs of the same seed + chaos plan must
     /// produce identical fingerprints — the byte-for-byte replay
     /// guarantee the chaos sweep prints seeds for.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for (e, log) in self.engines.iter().zip(&self.logs) {
             for id in log.ids() {
@@ -1023,17 +1023,17 @@ impl SimRunner {
     }
 
     /// Per-replica committed-chain lengths (debug/inspection).
-    pub fn committed_lengths(&self) -> Vec<usize> {
+    pub(crate) fn committed_lengths(&self) -> Vec<usize> {
         self.logs.iter().map(CommittedLog::len).collect()
     }
 
     /// Per-replica state roots (debug/inspection).
-    pub fn state_roots(&self) -> Vec<hs1_crypto::Digest> {
+    pub(crate) fn state_roots(&self) -> Vec<hs1_crypto::Digest> {
         self.engines.iter().map(|e| e.state_root()).collect()
     }
 
     /// Per-replica current views (debug/inspection).
-    pub fn current_views(&self) -> Vec<u64> {
+    pub(crate) fn current_views(&self) -> Vec<u64> {
         self.engines.iter().map(|e| e.current_view().0).collect()
     }
 }

@@ -22,7 +22,7 @@ use crate::openloop::OpenLoop;
 use crate::regions::{spread, Region};
 use crate::runner::{ChaosRuntime, ChaosStats, SimRunner};
 use hs1_adversary::{AdversaryEngine, AdversaryMutator, AdversaryStrategy};
-use hs1_core::byzantine::Fault;
+use hs1_core::Fault;
 use hs1_core::{build_replica, Replica};
 use hs1_crypto::Digest;
 use hs1_ledger::ExecConfig;
@@ -64,7 +64,7 @@ pub struct Scenario {
     /// `hs1-adversary`): explicit entries here are merged with — and
     /// override — whatever the chaos plan derives.
     pub adversaries: Vec<(usize, AdversaryStrategy)>,
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
     /// Deterministic fault schedule (see [`crate::chaos`]).
     pub chaos: Option<ChaosPlan>,
     /// Observability sink threaded into every engine, the storage layer,
@@ -74,7 +74,7 @@ pub struct Scenario {
     /// Open-loop client configuration. `Some` replaces the closed-loop
     /// clients entirely: `clients` is ignored, arrivals follow the
     /// configured process, and mempool admission control engages (see
-    /// [`crate::openloop`]).
+    /// `crate::openloop`).
     pub open_loop: Option<OpenLoop>,
     /// Every replica's mempool admission bound
     /// (`SystemConfig::mempool_cap`; `0` = unbounded). `None` is unbounded

@@ -129,7 +129,7 @@ impl SyncedState {
     /// after the sync recovers from disk instead of re-downloading. The
     /// engine refuses an image whose log does not extend its own; then
     /// the disk keeps its own history too. Returns whether it installed.
-    pub fn install(self, engine: &mut dyn Replica, storage: &mut ReplicaStorage) -> bool {
+    pub(crate) fn install(self, engine: &mut dyn Replica, storage: &mut ReplicaStorage) -> bool {
         let store = self.image.restore_store();
         let log = self.image.log;
         engine.restore(RecoveredState {

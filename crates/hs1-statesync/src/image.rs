@@ -42,7 +42,7 @@ use crate::SyncError;
 /// Default chunk size. Small enough that one chunk is far below the
 /// transport's frame and sequence limits, large enough that a
 /// multi-megabyte image takes tens of round trips, not thousands.
-pub const DEFAULT_CHUNK_BYTES: u32 = 256 * 1024;
+pub(crate) const DEFAULT_CHUNK_BYTES: u32 = 256 * 1024;
 
 /// A decoded (or to-be-encoded) snapshot image.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -61,9 +61,10 @@ pub struct SnapshotImage {
 }
 
 impl SnapshotImage {
-    /// Snapshot a live store + log (tests and benches; the serving path
-    /// uses [`SnapshotImage::from_checkpoint`]).
-    pub fn capture(store: &KvStore, log: &CommittedLog) -> SnapshotImage {
+    /// Snapshot a live store + log (tests; the serving path uses
+    /// [`SnapshotImage::from_checkpoint`]).
+    #[cfg(test)]
+    pub(crate) fn capture(store: &KvStore, log: &CommittedLog) -> SnapshotImage {
         let mut entries: Vec<(u64, u64)> = store.materialized().collect();
         entries.sort_unstable();
         SnapshotImage {
@@ -76,7 +77,7 @@ impl SnapshotImage {
 
     /// The image a durable checkpoint serves (checkpoint entries are
     /// already key-sorted).
-    pub fn from_checkpoint(ckpt: &Checkpoint) -> SnapshotImage {
+    pub(crate) fn from_checkpoint(ckpt: &Checkpoint) -> SnapshotImage {
         SnapshotImage {
             record_count: ckpt.record_count,
             entries: ckpt.entries.clone(),
@@ -91,7 +92,7 @@ impl SnapshotImage {
     }
 
     /// Canonical payload bytes (deterministic across honest peers).
-    pub fn payload(&self) -> Vec<u8> {
+    pub(crate) fn payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.entries.len() * 16 + self.log.ids().len() * 64);
         self.record_count.encode(&mut out);
         self.entries.encode(&mut out);
@@ -120,7 +121,7 @@ impl SnapshotImage {
     /// Build the manifest describing `payload` (the encoding of `self`)
     /// split into `chunk_bytes`-sized chunks, annotated with the serving
     /// peer's consensus position.
-    pub fn manifest(
+    pub(crate) fn manifest(
         &self,
         payload: &[u8],
         chunk_bytes: u32,
@@ -142,7 +143,7 @@ impl SnapshotImage {
     }
 
     /// Cut chunk `index` out of `payload` (serving side).
-    pub fn chunk(
+    pub(crate) fn chunk(
         payload: &[u8],
         state_root: Digest,
         chunk_bytes: u32,

@@ -10,12 +10,12 @@
 //! length, and only the short residual suffix is replayed through the
 //! ordinary fetch path.
 //!
-//! * [`image`] — [`image::SnapshotImage`]: the chunked, CRC-indexed wire
+//! * `image` — [`SnapshotImage`]: the chunked, CRC-indexed wire
 //!   form of a durable checkpoint (materialized KV entries + committed
 //!   chain ids).
-//! * [`server`] — [`server::SnapshotServer`]: serves manifests and chunks
+//! * `server` — [`SnapshotServer`]: serves manifests and chunks
 //!   derived from the newest `hs1-storage` checkpoint.
-//! * [`client`] — [`client::SyncClient`]: the requesting state machine.
+//! * `client` — [`SyncClient`]: the requesting state machine.
 //! * [`NodeShell`] — an engine with its storage, snapshot serving and
 //!   state sync, stepped as a `Replica` by the TCP node and the simulator
 //!   alike: the one place a `SyncClient` is driven.
@@ -39,14 +39,15 @@
 //! the deployment registry, and derives the re-entry view from it.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod client;
-pub mod image;
-pub mod server;
+mod client;
+mod image;
+mod server;
 mod shell;
 
-pub use client::{SyncClient, SyncConfig, SyncPhase, SyncStats, SyncedState, SYNC_TICK};
-pub use image::{SnapshotImage, DEFAULT_CHUNK_BYTES};
+pub use client::{SyncClient, SyncConfig, SyncPhase, SyncStats, SYNC_TICK};
+pub use image::SnapshotImage;
 pub use server::SnapshotServer;
 pub use shell::{NodeShell, SYNC_TIMER};
 

@@ -35,7 +35,7 @@ use hs1_types::codec::{CodecError, Decode, Encode, Reader};
 use hs1_types::{Certificate, CommittedLog, View};
 
 /// Magic bytes opening every checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HS1CKPT2";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 8] = *b"HS1CKPT2";
 
 /// A durable snapshot of a replica's committed state.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -81,7 +81,7 @@ impl Checkpoint {
     }
 
     /// Rebuild the committed store this checkpoint snapshotted.
-    pub fn restore_store(&self) -> KvStore {
+    pub(crate) fn restore_store(&self) -> KvStore {
         KvStore::from_parts(self.record_count, self.entries.iter().copied())
     }
 
@@ -146,7 +146,7 @@ impl Checkpoint {
     }
 
     /// Read and validate one checkpoint file.
-    pub fn read(path: &Path) -> Result<Checkpoint, StorageError> {
+    pub(crate) fn read(path: &Path) -> Result<Checkpoint, StorageError> {
         let corrupt = |detail: &'static str| StorageError::Corrupt {
             file: path.display().to_string(),
             offset: 0,

@@ -76,7 +76,7 @@ pub struct Replay {
 
 /// Summary of a streaming replay ([`Journal::open_streaming`]).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ReplayStats {
+pub(crate) struct ReplayStats {
     /// Intact records streamed to the sink.
     pub records: u64,
     /// Bytes dropped from a torn tail (0 on a clean shutdown).
@@ -85,7 +85,7 @@ pub struct ReplayStats {
 
 /// Per-record sink for streaming replay. Returning an error aborts the
 /// open (fail-stop; used for the checkpoint-coverage continuity check).
-pub type ReplaySink<'a> = dyn FnMut(u64, JournalRecord) -> Result<(), StorageError> + 'a;
+pub(crate) type ReplaySink<'a> = dyn FnMut(u64, JournalRecord) -> Result<(), StorageError> + 'a;
 
 /// The append half of the write-ahead log.
 #[derive(Debug)]
@@ -107,7 +107,7 @@ impl Journal {
     /// Open (or create) the journal in `dir`, collecting every intact
     /// record into a [`Replay`] and truncating a torn tail in place.
     ///
-    /// Prefer [`Journal::open_streaming`] when the records are folded and
+    /// Prefer `Journal::open_streaming` when the records are folded and
     /// discarded (recovery): collecting a long journal into a `Vec` first
     /// costs O(history) memory for no benefit.
     pub fn open(dir: &Path, cfg: JournalConfig) -> Result<(Journal, Replay), StorageError> {
@@ -125,7 +125,7 @@ impl Journal {
     /// place, exactly as [`Journal::open`]). Recovery of an
     /// arbitrarily long journal folds each record as it is decoded and
     /// never materializes the record list.
-    pub fn open_streaming(
+    pub(crate) fn open_streaming(
         dir: &Path,
         cfg: JournalConfig,
         sink: &mut ReplaySink<'_>,
@@ -170,7 +170,7 @@ impl Journal {
     }
 
     /// Sequence number the next append will get.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
@@ -211,7 +211,7 @@ impl Journal {
 
     /// Delete every non-active segment whose records all have
     /// `seq <= upto` (they are covered by a durable checkpoint).
-    pub fn prune_upto(&mut self, upto: u64) -> Result<usize, StorageError> {
+    pub(crate) fn prune_upto(&mut self, upto: u64) -> Result<usize, StorageError> {
         let segments = segment_files(&self.dir)?;
         let mut removed = 0;
         // Segment i covers [start_i, start_{i+1}); the last (active)
@@ -225,11 +225,6 @@ impl Journal {
             }
         }
         Ok(removed)
-    }
-
-    /// Number of segment files currently on disk.
-    pub fn segment_count(&self) -> Result<usize, StorageError> {
-        Ok(segment_files(&self.dir)?.len())
     }
 
     fn rotate(&mut self) -> Result<(), StorageError> {
@@ -409,7 +404,7 @@ mod tests {
             for v in 0..50 {
                 j.append(&rec(v)).unwrap();
             }
-            assert!(j.segment_count().unwrap() > 1, "tiny segments force rotation");
+            assert!(segment_files(tmp.path()).unwrap().len() > 1, "tiny segments force rotation");
         }
         let (j, replay) = Journal::open(tmp.path(), cfg).unwrap();
         let seqs: Vec<u64> = replay.records.iter().map(|(s, _)| *s).collect();
@@ -488,13 +483,13 @@ mod tests {
         for v in 0..60 {
             j.append(&rec(v)).unwrap();
         }
-        let before = j.segment_count().unwrap();
+        let before = segment_files(tmp.path()).unwrap().len();
         assert!(before > 2);
         // Prune everything covered up to seq 30: every segment entirely
         // below 30 goes; the active one stays no matter what.
         let removed = j.prune_upto(30).unwrap();
         assert!(removed > 0);
-        assert_eq!(j.segment_count().unwrap(), before - removed);
+        assert_eq!(segment_files(tmp.path()).unwrap().len(), before - removed);
         let (_, replay) = Journal::open(tmp.path(), cfg).unwrap();
         assert!(replay.records.iter().all(|(s, _)| *s > 20), "early records gone");
         assert!(replay.records.iter().any(|(s, _)| *s == 59), "recent records kept");

@@ -8,15 +8,15 @@
 //! safely. This crate provides exactly that, std-only:
 //!
 //! * [`journal`] — an append-only segmented WAL with length+CRC-framed
-//!   records ([`record::JournalRecord`], encoded with the `hs1-types`
+//!   records ([`JournalRecord`], encoded with the `hs1-types`
 //!   wire codec), fsync batching, and segment rotation.
-//! * [`checkpoint`] — serialized `KvStore` images + committed chain +
+//! * `checkpoint` — serialized `KvStore` images + committed chain +
 //!   consensus position; journal segments behind a durable checkpoint are
 //!   truncated.
-//! * [`recovery`] — replays checkpoint → journal, validating CRCs and
-//!   truncating torn tails, and re-derives the speculative overlay stack
-//!   as *speculation* (never as committed state).
-//! * [`replica_store`] — [`replica_store::ReplicaStorage`], the
+//! * `recovery` — replays checkpoint → journal, validating CRCs and
+//!   truncating torn tails, and re-derives the speculation live at crash
+//!   time as *speculation* (never as committed state).
+//! * `replica_store` — [`ReplicaStorage`], the
 //!   [`hs1_core::Persistence`] implementation a durable replica installs.
 //!
 //! Wiring (see `hs1-net`'s node runner and the `crash_recovery` example):
@@ -37,19 +37,20 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod checkpoint;
+mod checkpoint;
 pub mod crc32;
 pub mod journal;
-pub mod record;
-pub mod recovery;
-pub mod replica_store;
+mod record;
+mod recovery;
+mod replica_store;
 pub mod testutil;
 
 pub use checkpoint::Checkpoint;
 pub use journal::{Journal, JournalConfig, SyncPolicy};
 pub use record::JournalRecord;
-pub use recovery::{recover, Recovered, RecoveryInfo};
+pub use recovery::{recover, RecoveryInfo};
 pub use replica_store::{ReplicaStorage, StorageConfig};
 
 use hs1_types::codec::CodecError;

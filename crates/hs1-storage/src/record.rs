@@ -15,8 +15,8 @@ use hs1_types::{Block, Certificate, View};
 /// The record set mirrors exactly what [`hs1_core::Persistence`] emits:
 /// commit decisions (with full bodies, so replay re-executes
 /// deterministically), adopted certificates, entered views, the
-/// speculation edges needed to re-derive the local-ledger overlay stack,
-/// and checkpoint markers.
+/// speculation edges needed to re-derive the local-ledger's live
+/// speculation, and checkpoint markers.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum JournalRecord {
     /// A block reached a commit decision (written before the global-ledger
@@ -39,7 +39,7 @@ pub enum JournalRecord {
 
 impl JournalRecord {
     /// Short name for logs and error messages.
-    pub fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             JournalRecord::Decided(_) => "Decided",
             JournalRecord::Cert(_) => "Cert",

@@ -8,7 +8,7 @@
 //! time and disk (the failure is counted in
 //! [`ReplicaStorage::checkpoint_failures`]).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::checkpoint::Checkpoint;
@@ -114,17 +114,6 @@ impl ReplicaStorage {
         Ok((recovered.state, storage))
     }
 
-    /// The directory this storage lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Newest valid checkpoint on disk, if any (the servable-snapshot
-    /// source for state sync).
-    pub fn latest_checkpoint(&self) -> Result<Option<Checkpoint>, StorageError> {
-        Checkpoint::load_latest(&self.dir)
-    }
-
     /// Durably adopt a state-synced image: journal the consensus
     /// position (view + certificate, with the same sync discipline the
     /// live hooks use), then write the image as a checkpoint. A crash
@@ -148,11 +137,6 @@ impl ReplicaStorage {
         }
         self.log = log.clone();
         self.checkpoint(store);
-    }
-
-    /// Total fsyncs issued by the journal (metric).
-    pub fn fsyncs(&self) -> u64 {
-        self.journal.fsyncs
     }
 
     /// Report journal byte/fsync growth since the last call.
@@ -443,7 +427,8 @@ mod tests {
         }
         assert_eq!(sizes.len(), 4, "checkpoints at 2,500 to 10,000 commits: {sizes:?}");
         assert!(sizes.iter().all(|&s| s == sizes[0]), "{sizes:?}");
-        let ckpt = storage.latest_checkpoint().unwrap().expect("a checkpoint at 10,000 commits");
+        let ckpt =
+            Checkpoint::load_latest(tmp.path()).unwrap().expect("a checkpoint at 10,000 commits");
         assert_eq!((ckpt.log.len(), ckpt.log.ids().len()), (10_001, CommittedLog::KEEP));
         drop(storage);
         let (state, storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();

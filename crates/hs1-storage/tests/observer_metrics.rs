@@ -7,9 +7,9 @@
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use hs1_core::byzantine::Fault;
 use hs1_core::persist::Persistence;
 use hs1_core::testkit::TestNet;
+use hs1_core::Fault;
 use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_obs::{Clock, Obs, RecordingObserver};

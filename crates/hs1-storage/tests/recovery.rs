@@ -10,9 +10,9 @@ use std::fs::{self, OpenOptions};
 use std::path::Path;
 use std::sync::Arc;
 
-use hs1_core::byzantine::Fault;
 use hs1_core::persist::Persistence;
 use hs1_core::testkit::TestNet;
+use hs1_core::Fault;
 use hs1_core::{build_replica, Replica};
 use hs1_ledger::{ExecConfig, KvStore};
 use hs1_storage::journal::SEGMENT_MAGIC;

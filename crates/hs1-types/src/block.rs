@@ -182,7 +182,7 @@ impl Block {
     /// configuration consistent with the paper's batch-5000 throughput on
     /// 1 Gbit/s NICs (Fig. 8c). The simulator charges this size against
     /// the proposer's NIC.
-    pub fn modeled_wire_size(&self) -> usize {
+    pub(crate) fn modeled_wire_size(&self) -> usize {
         let header = 96;
         let cert = 64 + self.justify.sigs.len() * 40;
         header + cert + self.txs.len() * 8

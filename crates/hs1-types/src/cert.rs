@@ -120,7 +120,7 @@ impl Certificate {
     }
 
     /// Bytes this certificate's shares must have signed.
-    pub fn own_signing_bytes(&self) -> [u8; 53] {
+    pub(crate) fn own_signing_bytes(&self) -> [u8; 53] {
         Self::signing_bytes(self.kind, self.view, self.slot, self.block)
     }
 
@@ -144,12 +144,6 @@ impl Certificate {
             }
         }
         valid >= quorum
-    }
-
-    /// A compact digest of the certificate identity (kind/view/slot/block)
-    /// for logging; does not cover signatures.
-    pub fn identity(&self) -> (u8, View, Slot, BlockId) {
-        (self.kind.domain(), self.view, self.slot, self.block)
     }
 }
 

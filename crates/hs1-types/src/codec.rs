@@ -69,7 +69,7 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof);
         }
@@ -82,19 +82,19 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    pub fn seq_len(&mut self, context: &'static str) -> Result<usize, CodecError> {
+    pub(crate) fn seq_len(&mut self, context: &'static str) -> Result<usize, CodecError> {
         let len = self.u64()?;
         if len > MAX_SEQ_LEN {
             return Err(CodecError::LengthOverflow { context, len });

@@ -20,10 +20,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating difference between two instants.
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))

@@ -58,7 +58,7 @@ impl Transaction {
     /// The modeled wire size of this transaction in bytes (id + op header +
     /// the payload the paper's YCSB/TPC-C transactions would carry). Used
     /// by the simulator's bandwidth model, not by the in-memory codec.
-    pub fn modeled_wire_size(&self) -> usize {
+    pub(crate) fn modeled_wire_size(&self) -> usize {
         match self.op {
             // key + 100-byte YCSB field (the paper uses YCSB write ops).
             TxOp::KvWrite { .. } => 12 + 8 + 100,

@@ -8,17 +8,16 @@
 use std::sync::Arc;
 
 use hs1_crypto::{Digest, Signature};
-use hs1_types::block::{Block, BlockId};
 use hs1_types::cert::{CertKind, Certificate, TimeoutCert};
 use hs1_types::codec::{Decode, Encode};
-use hs1_types::ids::{ClientId, ReplicaId, Slot, View};
 use hs1_types::message::{
     Message, NewSlotMsg, NewViewMsg, PrepareMsg, ProposeMsg, RejectMsg, ReplyKind, ResponseMsg,
     SnapshotChunkMsg, SnapshotChunkReqMsg, SnapshotManifestMsg, SnapshotReqMsg, VoteInfo, VoteMsg,
     WishMsg,
 };
-use hs1_types::rng::SplitMix64;
-use hs1_types::tx::{Transaction, TxId, TxOp};
+use hs1_types::{
+    Block, BlockId, ClientId, ReplicaId, Slot, SplitMix64, Transaction, TxId, TxOp, View,
+};
 
 const CASES: u64 = 256;
 

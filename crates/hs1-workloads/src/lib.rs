@@ -1,9 +1,9 @@
 //! Workload generators for the HotStuff-1 evaluation (§7 "Workloads"):
 //!
-//! * [`ycsb::YcsbGen`] — YCSB-style key-value writes over 600k records with
-//!   a Zipfian key chooser ([`zipf::Zipfian`], the YCSB reference
+//! * [`YcsbGen`] — YCSB-style key-value writes over 600k records with
+//!   a Zipfian key chooser (`zipf::Zipfian`, the YCSB reference
 //!   algorithm).
-//! * [`tpcc_gen::TpccGen`] — TPC-C NewOrder/Payment mix at the standard
+//! * [`TpccGen`] — TPC-C NewOrder/Payment mix at the standard
 //!   45/43 ratio (normalized to the two transactions the executor
 //!   implements).
 //!
@@ -11,14 +11,14 @@
 //! seed pins the entire workload.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod tpcc_gen;
-pub mod ycsb;
-pub mod zipf;
+mod tpcc_gen;
+mod ycsb;
+mod zipf;
 
 pub use tpcc_gen::TpccGen;
 pub use ycsb::YcsbGen;
-pub use zipf::Zipfian;
 
 use hs1_types::{ClientId, Transaction};
 

@@ -21,7 +21,7 @@ impl TpccGen {
         TpccGen::new(4, seed)
     }
 
-    pub fn new(warehouses: u16, seed: u64) -> TpccGen {
+    pub(crate) fn new(warehouses: u16, seed: u64) -> TpccGen {
         assert!(warehouses > 0);
         TpccGen {
             warehouses,

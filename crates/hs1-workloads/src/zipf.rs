@@ -10,7 +10,7 @@ use hs1_types::SplitMix64;
 /// Zipfian sampler over `[0, n)` with exponent `theta` (YCSB default
 /// 0.99).
 #[derive(Clone, Debug)]
-pub struct Zipfian {
+pub(crate) struct Zipfian {
     n: u64,
     theta: f64,
     alpha: f64,
@@ -19,7 +19,7 @@ pub struct Zipfian {
 }
 
 impl Zipfian {
-    pub fn new(n: u64, theta: f64) -> Zipfian {
+    pub(crate) fn new(n: u64, theta: f64) -> Zipfian {
         assert!(n > 0);
         assert!((0.0..1.0).contains(&theta), "theta in [0,1) required");
         let zetan = Self::zeta_approx(n, theta);
@@ -27,11 +27,6 @@ impl Zipfian {
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
         Zipfian { n, theta, alpha, zetan, eta }
-    }
-
-    /// YCSB default skew.
-    pub fn ycsb_default(n: u64) -> Zipfian {
-        Zipfian::new(n, 0.99)
     }
 
     fn zeta_exact(n: u64, theta: f64) -> f64 {
@@ -55,7 +50,7 @@ impl Zipfian {
     }
 
     /// Sample a rank in `[0, n)`; rank 0 is the hottest key.
-    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut SplitMix64) -> u64 {
         let u = rng.next_f64();
         let uz = u * self.zetan;
         if uz < 1.0 {
@@ -67,14 +62,6 @@ impl Zipfian {
         let v = ((self.eta * u) - self.eta + 1.0).powf(self.alpha);
         ((self.n as f64) * v) as u64 % self.n
     }
-
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +70,7 @@ mod tests {
 
     #[test]
     fn samples_in_range() {
-        let z = Zipfian::ycsb_default(600_000);
+        let z = Zipfian::new(600_000, 0.99);
         let mut rng = SplitMix64::new(1);
         for _ in 0..10_000 {
             assert!(z.sample(&mut rng) < 600_000);
@@ -92,7 +79,7 @@ mod tests {
 
     #[test]
     fn skew_concentrates_on_low_ranks() {
-        let z = Zipfian::ycsb_default(600_000);
+        let z = Zipfian::new(600_000, 0.99);
         let mut rng = SplitMix64::new(2);
         let samples = 100_000;
         let hot = (0..samples)
@@ -106,7 +93,7 @@ mod tests {
 
     #[test]
     fn rank_zero_is_hottest() {
-        let z = Zipfian::ycsb_default(10_000);
+        let z = Zipfian::new(10_000, 0.99);
         let mut rng = SplitMix64::new(3);
         let mut counts = vec![0u32; 10];
         for _ in 0..200_000 {
@@ -148,7 +135,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let z = Zipfian::ycsb_default(1000);
+        let z = Zipfian::new(1000, 0.99);
         let mut a = SplitMix64::new(9);
         let mut b = SplitMix64::new(9);
         for _ in 0..100 {

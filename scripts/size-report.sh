@@ -9,11 +9,13 @@
 # root forbids or denies `unsafe_code`; these are the allowed ones), it
 # counts the places library code spawns a thread, and the places outside
 # hs1-statesync that drive a state-sync client (`SyncClient::new(`; the
-# node shell is the one driver both runtimes step). CI enforces five
+# node shell is the one driver both runtimes step). CI enforces six
 # bounds on this output: 0 by-history markers, at most 4 bench harnesses,
 # at most 1 HS1_* knob, at most 1 thread-spawn site in library code (the
-# HTTP introspection responder) and 0 sync drivers outside
-# hs1-statesync; the rest is informational.
+# HTTP introspection responder), 0 sync drivers outside hs1-statesync,
+# and a ceiling on `pub` items (the `pub items:` line; every crate root
+# warns on `unreachable_pub`, so a new item starts narrow); the rest is
+# informational.
 set -eu
 cd "$(dirname "$0")/.."
 PUB='^\s*pub \(fn\|struct\|enum\|trait\|mod\|const\|type\)'
@@ -27,6 +29,7 @@ for dir in crates/* .; do
     printf '%-16s %8s %6s %6s\n' "$name" "$(count "$dir/src")" "$(pubs "$dir/src")" "$(unsafes "$dir/src")"
 done
 printf '%-16s %8s %6s %6s\n' total "$(count crates/*/src src)" "$(pubs crates/*/src src)" "$(unsafes crates/*/src src)"
+echo "pub items: $(pubs crates/*/src src)"
 echo "workspace Rust lines (src, tests, benches, examples): $(count crates src tests examples)"
 echo "workspace crates: $(sed -n '/^members = \[/,/^\]/p' Cargo.toml | grep -c '"crates/')"
 echo "bench harnesses: $(grep -c '^\[\[bench\]\]' crates/hs1-bench/Cargo.toml)"

@@ -36,6 +36,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use hs1_adversary as adversary;
 pub use hs1_chaos as chaos;
