@@ -26,6 +26,7 @@
 use std::collections::HashMap;
 
 use crate::kv::{Key, KvStore, Value};
+use crate::spec::LocalLedger;
 use crate::tpcc;
 use hs1_crypto::{Digest, Sha256};
 use hs1_obs::Obs;
@@ -45,24 +46,16 @@ impl Default for ExecConfig {
     }
 }
 
-/// The local-ledger: one speculated block's result digest and write set.
-#[derive(Clone, Debug)]
-struct Speculated {
-    block: BlockId,
-    digest: Digest,
-    writes: HashMap<Key, Value>,
-}
-
 /// Per-replica execution engine: the committed store, at most one
 /// speculated block above it, and the committed head's digest.
 #[derive(Clone, Debug)]
 pub struct ExecutionEngine {
-    committed: KvStore,
-    /// The speculated block not rolled back, if any. Rollback drops it
-    /// with its digest: a discarded block's digest must not be served
-    /// again until the block is actually re-executed. A block that
-    /// commits takes its digest to `head`.
-    speculated: Option<Speculated>,
+    /// The committed store and the speculated block not rolled back, if
+    /// any. Rollback drops the speculated block with its digest: a
+    /// discarded block's digest must not be served again until the block
+    /// is actually re-executed. A block that commits takes its digest to
+    /// `head`.
+    ledger: LocalLedger,
     /// The committed head and its digest. A committed block's digest is
     /// read only while it is the head; the one below it is dropped.
     head: Option<(BlockId, Digest)>,
@@ -77,8 +70,7 @@ impl ExecutionEngine {
         // YCSB records occupy low keys; TPC-C rows live under table tags
         // (tpcc::pack), so one store serves both workloads.
         ExecutionEngine {
-            committed: KvStore::with_records(config.ycsb_records),
-            speculated: None,
+            ledger: LocalLedger::new(KvStore::with_records(config.ycsb_records)),
             head: None,
             obs: Obs::noop(),
         }
@@ -95,11 +87,8 @@ impl ExecutionEngine {
     /// Panics if a block is already speculated: the caller rolls it back
     /// first (its parent is committed, so any live speculation conflicts).
     pub fn execute_speculative(&mut self, block: BlockId, txs: &[Transaction]) -> Digest {
-        if let Some(live) = &self.speculated {
-            panic!("speculating {block:?} while {:?} is already speculated", live.block);
-        }
         let (digest, writes) = self.run_block(block, txs);
-        self.speculated = Some(Speculated { block, digest, writes });
+        self.ledger.speculate(block, digest, writes);
         digest
     }
 
@@ -107,17 +96,14 @@ impl ExecutionEngine {
     /// (commit path). If `block` is the speculated block its effects are
     /// *promoted* instead of re-executed.
     pub fn execute_committed(&mut self, block: BlockId, txs: &[Transaction]) -> Digest {
-        let digest = match self.speculated.take() {
-            Some(live) if live.block == block => {
-                self.committed.apply(live.writes);
-                live.digest
-            }
-            // Any other speculation conflicts with this commit (a block at
-            // the same height on another branch): `take` dropped it with
-            // its digest.
-            _ => {
+        // Any other speculation conflicts with this commit (a block at the
+        // same height on another branch): `commit` dropped it with its
+        // digest.
+        let digest = match self.ledger.commit(block) {
+            Some(promoted) => promoted,
+            None => {
                 let (digest, writes) = self.run_block(block, txs);
-                self.committed.apply(writes);
+                self.ledger.apply_committed(writes);
                 digest
             }
         };
@@ -131,20 +117,14 @@ impl ExecutionEngine {
     /// digest goes with it: a digest must never outlive the effects it
     /// attests to.
     pub fn rollback_conflicting(&mut self, keep: &[BlockId]) -> usize {
-        match &self.speculated {
-            Some(live) if !keep.contains(&live.block) => {
-                self.speculated = None;
-                1
-            }
-            _ => 0,
-        }
+        self.ledger.rollback_unless(keep)
     }
 
     /// Digest of the live speculated block or of the committed head.
     pub fn digest_of(&self, block: BlockId) -> Option<Digest> {
-        match (self.head, &self.speculated) {
+        match (self.head, self.ledger.speculated()) {
             (Some((id, digest)), _) if id == block => Some(digest),
-            (_, Some(live)) if live.block == block => Some(live.digest),
+            (_, Some((id, digest))) if id == block => Some(digest),
             _ => None,
         }
     }
@@ -155,14 +135,13 @@ impl ExecutionEngine {
     /// head's digest is dropped — it described the pre-restore history,
     /// and recovery re-executes whatever is still live.
     pub fn restore_committed(&mut self, store: KvStore) {
-        assert!(self.speculated.is_none(), "restore_committed under active speculation");
+        self.ledger.restore(store);
         self.head = None;
-        self.committed = store;
     }
 
     /// The committed global-ledger state.
     pub fn committed(&self) -> &KvStore {
-        &self.committed
+        self.ledger.committed()
     }
 
     // -- internals ---------------------------------------------------------
@@ -175,7 +154,7 @@ impl ExecutionEngine {
         let started = self.obs.enabled().then(std::time::Instant::now);
         let mut writes: HashMap<Key, Value> = HashMap::new();
         let results: Vec<u64> =
-            txs.iter().map(|tx| apply_tx(&self.committed, &mut writes, tx)).collect();
+            txs.iter().map(|tx| apply_tx(self.ledger.committed(), &mut writes, tx)).collect();
         if let Some(t0) = started {
             // Wall time goes to the histogram only — never the trace.
             self.obs.observe_nanos("exec_batch_ns", t0.elapsed().as_nanos() as u64);
@@ -276,7 +255,7 @@ mod tests {
     /// What a read of `key` sees: the speculated block's writes over the
     /// committed store.
     fn read_through(e: &ExecutionEngine, key: Key) -> Option<Value> {
-        e.speculated.as_ref().and_then(|s| s.writes.get(&key).copied()).or(e.committed.get(key))
+        e.ledger.get(key)
     }
 
     #[test]
@@ -327,7 +306,7 @@ mod tests {
         let mut direct = ExecutionEngine::new(ExecConfig::default());
         direct.execute_committed(BlockId::test(1), &batch);
         assert_eq!(e.committed().state_root(), direct.committed().state_root());
-        assert!(e.speculated.is_none());
+        assert!(e.ledger.speculated().is_none());
     }
 
     #[test]
@@ -340,7 +319,7 @@ mod tests {
         let mut direct = ExecutionEngine::new(ExecConfig::default());
         direct.execute_committed(BlockId::test(2), &batch2);
         assert_eq!(e.committed().state_root(), direct.committed().state_root());
-        assert!(e.speculated.is_none());
+        assert!(e.ledger.speculated().is_none());
     }
 
     #[test]
@@ -350,7 +329,7 @@ mod tests {
         assert_eq!(e.rollback_conflicting(&[BlockId::test(1)]), 0, "no conflict");
         assert_eq!(e.rollback_conflicting(&[BlockId::test(9)]), 1, "conflict rolls back");
         assert_eq!(e.rollback_conflicting(&[]), 0, "nothing left to roll back");
-        assert!(e.speculated.is_none());
+        assert!(e.ledger.speculated().is_none());
     }
 
     #[test]

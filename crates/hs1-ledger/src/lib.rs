@@ -6,11 +6,12 @@
 //!   represented *logically*: a read of a never-written key returns a
 //!   value derived deterministically from the key, which is
 //!   indistinguishable from pre-loading while costing no memory.
-//! * `exec` — [`ExecutionEngine`]: the committed store plus at most one
-//!   speculated block's write set (the local-ledger), and deterministic,
-//!   sequential transaction execution (YCSB + TPC-C ops) producing
-//!   per-block result digests that clients match quorums on. Rollback
-//!   drops the speculated block (Definition 4.7).
+//! * `spec` — the local-ledger: the committed store plus at most one
+//!   speculated block's write set. Rollback drops the speculated block
+//!   (Definition 4.7); a commit promotes it or drops it.
+//! * `exec` — [`ExecutionEngine`]: deterministic, sequential transaction
+//!   execution (YCSB + TPC-C ops) over the local-ledger, producing
+//!   per-block result digests that clients match quorums on.
 //! * [`tpcc`] — TPC-C table encoding and operation semantics.
 
 #![forbid(unsafe_code)]
@@ -18,6 +19,7 @@
 
 mod exec;
 mod kv;
+mod spec;
 pub mod tpcc;
 
 pub use exec::{ExecConfig, ExecutionEngine};

@@ -1,146 +1,125 @@
-//! The speculative store: committed global-ledger state plus an ordered
-//! stack of per-block write overlays (the local-ledger of §3/§4.2).
+//! The local-ledger: the committed global-ledger state plus at most one
+//! speculated block's write set (§3/§4.2).
 //!
+//! HotStuff-1's Prefix Speculation rule lets a replica speculate a block
+//! only on a committed parent, so the local-ledger is one block deep.
 //! Invariants maintained here and checked by tests:
 //!
-//! * Reads see the newest overlay write, falling through to committed
-//!   state (read-your-speculation).
-//! * [`SpeculativeStore::rollback_all`] restores exactly the committed
-//!   state — speculation is side-effect free until promotion.
-//! * [`SpeculativeStore::promote_oldest`] merges the *oldest* overlay into
-//!   committed state (speculated blocks commit in chain order).
-//!
-//! In HotStuff-1 the Prefix Speculation rule means a replica only ever
-//! speculates a block whose parent is committed, so the overlay stack has
-//! depth ≤ 1 in protocol use; the store supports arbitrary depth so that
-//! tests (and any future deep-speculation extension) can exercise longer
-//! chains.
+//! * Speculation is side-effect free until promotion: a rollback leaves
+//!   exactly the committed state.
+//! * [`LocalLedger::commit`] promotes the speculated block into committed
+//!   state, or drops it if another block commits at its height.
+//! * Committed state is never written below live speculation: a write
+//!   there would leave the speculated writes computed on a stale
+//!   pre-state.
 
 use std::collections::HashMap;
 
 use crate::kv::{Key, KvStore, Value};
+use hs1_crypto::Digest;
 use hs1_types::BlockId;
 
-/// One speculated block's write set.
+/// One speculated block's result digest and write set.
 #[derive(Clone, Debug)]
-struct Overlay {
-    tag: BlockId,
+struct Speculated {
+    block: BlockId,
+    digest: Digest,
     writes: HashMap<Key, Value>,
 }
 
-/// Committed store + speculative overlay stack.
+/// Committed store + at most one speculated block above it.
 #[derive(Clone, Debug)]
-pub struct SpeculativeStore {
+pub(crate) struct LocalLedger {
     committed: KvStore,
-    overlays: Vec<Overlay>,
-    /// Cumulative number of overlays discarded by rollbacks (metric).
-    rollbacks: u64,
+    speculated: Option<Speculated>,
 }
 
-impl SpeculativeStore {
-    pub fn new(committed: KvStore) -> SpeculativeStore {
-        SpeculativeStore { committed, overlays: Vec::new(), rollbacks: 0 }
+impl LocalLedger {
+    pub(crate) fn new(committed: KvStore) -> LocalLedger {
+        LocalLedger { committed, speculated: None }
     }
 
-    /// Read through overlays (newest first), then committed state.
-    pub fn get(&self, key: Key) -> Option<Value> {
-        for ov in self.overlays.iter().rev() {
-            if let Some(v) = ov.writes.get(&key) {
-                return Some(*v);
-            }
+    /// The committed global-ledger state.
+    pub(crate) fn committed(&self) -> &KvStore {
+        &self.committed
+    }
+
+    /// The speculated block and its digest, if any.
+    pub(crate) fn speculated(&self) -> Option<(BlockId, Digest)> {
+        self.speculated.as_ref().map(|s| (s.block, s.digest))
+    }
+
+    /// Read through the speculated block's writes, then committed state
+    /// (read-your-speculation).
+    #[cfg(test)]
+    pub(crate) fn get(&self, key: Key) -> Option<Value> {
+        self.speculated
+            .as_ref()
+            .and_then(|s| s.writes.get(&key).copied())
+            .or_else(|| self.committed.get(key))
+    }
+
+    /// Record `block`'s speculative result: its digest and write set.
+    ///
+    /// Panics if a block is already speculated: the caller rolls it back
+    /// first (the parent is committed, so any live speculation conflicts).
+    pub(crate) fn speculate(
+        &mut self,
+        block: BlockId,
+        digest: Digest,
+        writes: HashMap<Key, Value>,
+    ) {
+        if let Some(live) = &self.speculated {
+            panic!("speculating {block:?} while {:?} is already speculated", live.block);
         }
-        self.committed.get(key)
+        self.speculated = Some(Speculated { block, digest, writes });
     }
 
-    /// Begin speculating block `tag`: push a fresh overlay.
-    ///
-    /// Panics if `tag` is already being speculated (engines must not
-    /// speculate the same block twice without rolling back).
-    pub fn begin_speculation(&mut self, tag: BlockId) {
-        assert!(!self.overlays.iter().any(|o| o.tag == tag), "block {tag:?} already speculated");
-        self.overlays.push(Overlay { tag, writes: HashMap::new() });
+    /// `block` reached a commit decision. If it is the speculated block,
+    /// merge its writes into committed state and return its digest. Any
+    /// other speculation conflicts with the commit (a block at the same
+    /// height on another branch) and is dropped with its digest; `None`
+    /// tells the caller to execute `block` and [`Self::apply_committed`].
+    pub(crate) fn commit(&mut self, block: BlockId) -> Option<Digest> {
+        match self.speculated.take() {
+            Some(live) if live.block == block => {
+                self.committed.apply(live.writes);
+                Some(live.digest)
+            }
+            _ => None,
+        }
     }
 
-    /// Merge a block's write set into the top (current) speculative
-    /// overlay.
+    /// Merge a committed block's write set into committed state.
     ///
-    /// Panics if no speculation is active.
-    pub fn apply_speculative(&mut self, writes: impl IntoIterator<Item = (Key, Value)>) {
-        self.overlays
-            .last_mut()
-            .expect("apply_speculative requires an active overlay")
-            .writes
-            .extend(writes);
-    }
-
-    /// Merge a block's write set directly into committed state
-    /// (non-speculative execution).
-    ///
-    /// Panics if overlays exist: committed execution below live
-    /// speculation would make reads incoherent; engines roll back or
-    /// promote first.
-    pub fn apply_committed(&mut self, writes: impl IntoIterator<Item = (Key, Value)>) {
-        assert!(
-            self.overlays.is_empty(),
-            "apply_committed with active speculation; promote or roll back first"
-        );
+    /// Panics under live speculation: commit or roll it back first.
+    pub(crate) fn apply_committed(&mut self, writes: impl IntoIterator<Item = (Key, Value)>) {
+        self.assert_idle("apply_committed");
         self.committed.apply(writes);
     }
 
-    /// Tags of currently speculated blocks, oldest first.
-    pub fn speculated(&self) -> Vec<BlockId> {
-        self.overlays.iter().map(|o| o.tag).collect()
+    /// Replace the committed store with a recovered checkpoint image.
+    ///
+    /// Panics under live speculation, as [`Self::apply_committed`] does.
+    pub(crate) fn restore(&mut self, store: KvStore) {
+        self.assert_idle("restore_committed");
+        self.committed = store;
     }
 
-    pub fn is_speculating(&self, tag: BlockId) -> bool {
-        self.overlays.iter().any(|o| o.tag == tag)
-    }
-
-    pub fn depth(&self) -> usize {
-        self.overlays.len()
-    }
-
-    /// Discard every speculative overlay (rollback to the committed
-    /// common ancestor). Returns the number of blocks rolled back.
-    pub fn rollback_all(&mut self) -> usize {
-        let n = self.overlays.len();
-        self.rollbacks += n as u64;
-        self.overlays.clear();
-        n
-    }
-
-    /// Discard overlays from the top down until `keep` is the top overlay
-    /// (rolling back to a common ancestor that is itself speculated).
-    /// Returns the number discarded; `keep` must be speculated.
-    pub fn rollback_above(&mut self, keep: BlockId) -> usize {
-        assert!(self.is_speculating(keep), "rollback_above target not speculated");
-        let mut n = 0;
-        while self.overlays.last().map(|o| o.tag) != Some(keep) {
-            self.overlays.pop();
-            n += 1;
+    /// Drop the speculated block unless it is in `keep`. Returns how many
+    /// blocks were rolled back, 0 or 1.
+    pub(crate) fn rollback_unless(&mut self, keep: &[BlockId]) -> usize {
+        match &self.speculated {
+            Some(live) if !keep.contains(&live.block) => {
+                self.speculated = None;
+                1
+            }
+            _ => 0,
         }
-        self.rollbacks += n as u64;
-        n
     }
 
-    /// Merge the oldest overlay — which must be tagged `tag` — into the
-    /// committed store (the speculated block reached a commit decision).
-    pub fn promote_oldest(&mut self, tag: BlockId) {
-        assert!(
-            self.overlays.first().map(|o| o.tag) == Some(tag),
-            "promote_oldest: {tag:?} is not the oldest speculated block"
-        );
-        let ov = self.overlays.remove(0);
-        self.committed.apply(ov.writes);
-    }
-
-    /// Total overlays ever discarded by rollbacks.
-    pub fn rollback_count(&self) -> u64 {
-        self.rollbacks
-    }
-
-    pub fn committed_store(&self) -> &KvStore {
-        &self.committed
+    fn assert_idle(&self, op: &str) {
+        assert!(self.speculated.is_none(), "{op} under active speculation");
     }
 }
 
@@ -148,110 +127,72 @@ impl SpeculativeStore {
 mod tests {
     use super::*;
 
-    fn store() -> SpeculativeStore {
-        SpeculativeStore::new(KvStore::with_records(100))
+    fn ledger() -> LocalLedger {
+        LocalLedger::new(KvStore::with_records(100))
+    }
+
+    fn digest(n: u8) -> Digest {
+        Digest([n; 32])
+    }
+
+    fn writes(pairs: &[(Key, Value)]) -> HashMap<Key, Value> {
+        pairs.iter().copied().collect()
     }
 
     #[test]
     fn read_through_overlay() {
-        let mut s = store();
-        let before = s.get(5);
-        s.begin_speculation(BlockId::test(1));
-        assert_eq!(s.get(5), before, "unwritten keys read through");
-        s.apply_speculative([(5, 999)]);
-        assert_eq!(s.get(5), Some(999));
-        assert_eq!(s.committed_store().get(5), before, "committed untouched");
-    }
-
-    #[test]
-    fn newest_overlay_wins() {
-        let mut s = store();
-        s.begin_speculation(BlockId::test(1));
-        s.apply_speculative([(7, 1)]);
-        s.begin_speculation(BlockId::test(2));
-        s.apply_speculative([(7, 2)]);
-        assert_eq!(s.get(7), Some(2));
-        s.rollback_above(BlockId::test(1));
-        assert_eq!(s.get(7), Some(1));
+        let mut l = ledger();
+        let before = l.get(5);
+        l.speculate(BlockId::test(1), digest(1), writes(&[(5, 999)]));
+        assert_eq!(l.get(5), Some(999));
+        assert_eq!(l.get(6), l.committed().get(6), "unwritten keys read through");
+        assert_eq!(l.committed().get(5), before, "committed untouched");
     }
 
     #[test]
     fn rollback_restores_committed_state() {
-        let mut s = store();
-        let snapshot: Vec<_> = (0..10).map(|k| s.get(k)).collect();
-        s.begin_speculation(BlockId::test(1));
-        s.apply_speculative((0..10).map(|k| (k, k + 1000)));
-        assert_eq!(s.rollback_all(), 1);
-        let after: Vec<_> = (0..10).map(|k| s.get(k)).collect();
+        let mut l = ledger();
+        let snapshot: Vec<_> = (0..10).map(|k| l.get(k)).collect();
+        l.speculate(BlockId::test(1), digest(1), (0..10).map(|k| (k, k + 1000)).collect());
+        assert_eq!(l.rollback_unless(&[]), 1);
+        let after: Vec<_> = (0..10).map(|k| l.get(k)).collect();
         assert_eq!(snapshot, after);
-        assert_eq!(s.rollback_count(), 1);
-        assert_eq!(s.depth(), 0);
+        assert!(l.speculated().is_none());
     }
 
     #[test]
     fn promote_merges_into_committed() {
-        let mut s = store();
-        s.begin_speculation(BlockId::test(1));
-        s.apply_speculative([(3, 33)]);
-        s.promote_oldest(BlockId::test(1));
-        assert_eq!(s.depth(), 0);
-        assert_eq!(s.committed_store().get(3), Some(33));
-        // Promotion is not a rollback.
-        assert_eq!(s.rollback_count(), 0);
+        let mut l = ledger();
+        l.speculate(BlockId::test(1), digest(7), writes(&[(3, 33)]));
+        assert_eq!(l.commit(BlockId::test(1)), Some(digest(7)), "promotion keeps the digest");
+        assert!(l.speculated().is_none());
+        assert_eq!(l.committed().get(3), Some(33));
     }
 
     #[test]
     fn promote_then_speculate_again() {
-        let mut s = store();
-        s.begin_speculation(BlockId::test(1));
-        s.apply_speculative([(1, 11)]);
-        s.promote_oldest(BlockId::test(1));
-        s.begin_speculation(BlockId::test(2));
-        s.apply_speculative([(1, 22)]);
-        assert_eq!(s.get(1), Some(22));
-        s.rollback_all();
-        assert_eq!(s.get(1), Some(11));
-    }
-
-    #[test]
-    fn speculated_tags_in_order() {
-        let mut s = store();
-        s.begin_speculation(BlockId::test(1));
-        s.begin_speculation(BlockId::test(2));
-        assert_eq!(s.speculated(), vec![BlockId::test(1), BlockId::test(2)]);
-        assert!(s.is_speculating(BlockId::test(2)));
-        assert!(!s.is_speculating(BlockId::test(3)));
+        let mut l = ledger();
+        l.speculate(BlockId::test(1), digest(1), writes(&[(1, 11)]));
+        l.commit(BlockId::test(1));
+        l.speculate(BlockId::test(2), digest(2), writes(&[(1, 22)]));
+        assert_eq!(l.get(1), Some(22));
+        l.rollback_unless(&[]);
+        assert_eq!(l.get(1), Some(11));
     }
 
     #[test]
     #[should_panic(expected = "already speculated")]
     fn double_speculation_panics() {
-        let mut s = store();
-        s.begin_speculation(BlockId::test(1));
-        s.begin_speculation(BlockId::test(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "active overlay")]
-    fn speculative_write_without_overlay_panics() {
-        let mut s = store();
-        s.apply_speculative([(0, 0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not the oldest")]
-    fn promote_wrong_block_panics() {
-        let mut s = store();
-        s.begin_speculation(BlockId::test(1));
-        s.begin_speculation(BlockId::test(2));
-        s.promote_oldest(BlockId::test(2));
+        let mut l = ledger();
+        l.speculate(BlockId::test(1), digest(1), HashMap::new());
+        l.speculate(BlockId::test(1), digest(1), HashMap::new());
     }
 
     #[test]
     #[should_panic(expected = "active speculation")]
     fn committed_write_under_speculation_panics() {
-        let mut s = store();
-        s.begin_speculation(BlockId::test(1));
-        s.apply_committed([(0, 0)]);
+        let mut l = ledger();
+        l.speculate(BlockId::test(1), digest(1), HashMap::new());
+        l.apply_committed([(0, 0)]);
     }
 }
