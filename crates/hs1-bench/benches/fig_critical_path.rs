@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 
 use hs1_bench::FigureSink;
 use hs1_obs::critical_path::{self, BlockPath, HARNESS_ACTOR};
-use hs1_obs::{Clock, Obs, OwnedEvent, HOP_NAMES};
+use hs1_obs::{Clock, Obs, HOP_NAMES};
 use hs1_sim::Scenario;
 use hs1_types::ProtocolKind;
 
@@ -46,8 +46,7 @@ fn run(protocol: ProtocolKind) -> Vec<BlockPath> {
     let report = scenario.run();
     report.ensure_invariants(&format!("fig_critical_path [{}]", protocol.name()));
     let rec = rec.lock().expect("recorder");
-    let events: Vec<OwnedEvent> = rec.trace().iter().map(OwnedEvent::from_event).collect();
-    let paths = critical_path::analyze(&events, QUORUM);
+    let paths = critical_path::analyze(rec.trace(), QUORUM);
     for p in &paths {
         let hop_sum: u64 = (0..5).map(|i| p.hop_ns(i)).sum();
         assert_eq!(

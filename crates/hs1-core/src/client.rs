@@ -38,25 +38,16 @@ pub struct FinalityTracker {
     /// client that grows at its end, plus a few short ones while
     /// decisions arrive out of order; they merge as the gaps close.
     decided: TxRunSet,
-    finalized: Vec<(TxId, BlockId)>,
 }
 
 impl FinalityTracker {
     pub fn new(n: usize, f: usize, protocol: ProtocolKind) -> FinalityTracker {
-        FinalityTracker {
-            n,
-            f,
-            protocol,
-            pending: HashMap::new(),
-            decided: TxRunSet::default(),
-            finalized: Vec::new(),
-        }
+        FinalityTracker { n, f, protocol, pending: HashMap::new(), decided: TxRunSet::default() }
     }
 
     /// Feed one response; returns `Some((tx, block))` when this response
     /// completes a finality quorum — at most once per transaction,
-    /// whatever arrives afterwards and whenever [`FinalityTracker::gc`]
-    /// runs.
+    /// whatever arrives afterwards.
     pub fn on_response(&mut self, from: ReplicaId, r: &ResponseMsg) -> Option<(TxId, BlockId)> {
         // n − f matching responses of any kind (HotStuff-1 variants only;
         // baselines never see a speculative one), or f + 1 committed ones.
@@ -82,7 +73,6 @@ impl FinalityTracker {
         if spec_ok || commit_ok {
             self.pending.remove(&r.tx);
             self.decided.insert(r.tx);
-            self.finalized.push((r.tx, r.block));
             return Some((r.tx, r.block));
         }
         None
@@ -90,14 +80,6 @@ impl FinalityTracker {
 
     pub(crate) fn is_final(&self, tx: TxId) -> bool {
         self.decided.contains(tx)
-    }
-
-    /// Bound memory on a long session: forget the decision log. Tallies
-    /// are dropped as they decide, and which ids are decided is kept as
-    /// runs of consecutive sequence numbers, so nothing else grows with
-    /// the number of decided transactions.
-    pub fn gc(&mut self) {
-        self.finalized = Vec::new();
     }
 }
 
@@ -209,24 +191,25 @@ mod tests {
         assert!(!t2.is_final(s.tx));
     }
 
-    /// HotStuff-2, four committed replies: the second decides. With a
-    /// `gc()` right after, the third and fourth used to rebuild the tally
-    /// and decide the same transaction again.
+    /// HotStuff-2, four committed replies: the second decides, and the
+    /// third and fourth neither decide it again nor start a new tally.
     #[test]
-    fn late_replies_after_gc_never_finalize_twice() {
+    fn late_replies_never_finalize_twice() {
         let mut t = FinalityTracker::new(4, 1, ProtocolKind::HotStuff2);
         let r = resp(0, 1, 7, ReplyKind::Committed);
         assert!(t.on_response(ReplicaId(0), &r).is_none());
         assert_eq!(t.on_response(ReplicaId(1), &r), Some((r.tx, r.block)));
-        t.gc();
-        assert!(t.is_final(r.tx), "gc keeps the decision");
+        assert!(t.is_final(r.tx));
         assert!(t.on_response(ReplicaId(2), &r).is_none());
         assert!(t.on_response(ReplicaId(3), &r).is_none());
         assert!(t.pending.is_empty(), "a late reply starts no tally");
     }
 
+    /// Tallies are dropped as they decide, and the decided ids are kept as
+    /// runs of consecutive sequence numbers, so nothing grows with the
+    /// number of decided transactions.
     #[test]
-    fn memory_stays_bounded_across_gc() {
+    fn decided_ids_merge_into_one_run() {
         let mut t = FinalityTracker::new(4, 1, ProtocolKind::HotStuff2);
         // Decide 10k transactions, every other pair out of order.
         for pair in 0..5_000u64 {
@@ -236,12 +219,8 @@ mod tests {
                 t.on_response(ReplicaId(0), &r);
                 assert!(t.on_response(ReplicaId(1), &r).is_some());
             }
-            if pair % 512 == 0 {
-                t.gc();
-            }
         }
-        t.gc();
-        assert!(t.pending.is_empty() && t.finalized.is_empty());
+        assert!(t.pending.is_empty());
         assert_eq!(t.decided.runs(), [(ClientId(1), 0, 9_999)], "the gaps closed into one run");
         assert!(t.is_final(TxId::new(ClientId(1), 9_999)));
         assert!(!t.is_final(TxId::new(ClientId(1), 10_000)));

@@ -149,9 +149,6 @@ impl ClientDriver {
                     finalized += 1;
                 }
             }
-            if report.submitted % 4096 == 0 {
-                self.tracker.gc();
-            }
             let next = start + interval * report.submitted as u32;
             if let Some(wait) = next.checked_duration_since(Instant::now()) {
                 if let Ok(inbound) = self.mesh.inbox.recv_timeout(wait.min(interval)) {
@@ -173,7 +170,7 @@ impl ClientDriver {
             }
         }
         report.finalized = finalized;
-        report.reconnects = self.mesh.stats().reconnects;
+        report.reconnects = self.mesh.reactor().stats.reconnects;
         Ok(report)
     }
 }

@@ -39,6 +39,9 @@ pub(crate) type MetricsFn = Arc<dyn Fn() -> String + Send + Sync>;
 /// The `/status` body, refreshed by the node loop between requests.
 pub(crate) type StatusCell = Arc<Mutex<String>>;
 
+/// The recorder `/metrics` renders, shared with the node that feeds it.
+pub(crate) type Recorder = Arc<Mutex<hs1_obs::RecordingObserver>>;
+
 /// A running introspection responder (stops and joins on drop).
 pub(crate) struct HttpServer {
     port: u16,

@@ -64,6 +64,8 @@ pub mod node;
 #[allow(unsafe_code)]
 pub mod poll;
 mod reactor;
+#[cfg(test)]
+mod test_ports;
 
 /// Default base port; replica `i` listens on `base + i`.
 pub const DEFAULT_BASE_PORT: u16 = 42000;

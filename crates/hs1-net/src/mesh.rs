@@ -1,7 +1,7 @@
 //! The peer mesh: connections between replicas and to clients behind
-//! one small API (`send_replica` / `broadcast` / `send_client` /
-//! `inbox`), over the readiness-driven transport of the private
-//! `reactor` module: every socket nonblocking, per-peer bounded
+//! one small API (`send_replica` / `broadcast` / `inbox`), over the
+//! readiness-driven transport of the private `reactor` module: every
+//! socket nonblocking, per-peer bounded
 //! `crate::framing::FrameQueue`s drained with writev coalescing,
 //! oldest-first shedding under backpressure, and jittered exponential
 //! redial of dead peers.
@@ -14,24 +14,23 @@
 //! peers; a client's (`Mesh::client`) listens on nothing, dials every
 //! replica, and reads the responses on the connections it dialed.
 //!
-//! The mesh has no thread of its own; the thread that calls it moves its
-//! bytes. A [`crate::node::NodeRunner`] takes the reactor for the length
-//! of `run_for` and turns it on its own loop, so a running replica is one
-//! thread. Any other holder — a client, tests, the benchmark's layer
-//! lab — turns it through
-//! the calls it makes: a send takes one turn that does not wait, and
-//! [`Inbox::recv_timeout`] takes turns until a frame arrives. Frames read
-//! on those turns, and every self-addressed send, wait in [`Mesh::inbox`].
+//! A mesh is one reactor behind one cell, and it has no thread of its
+//! own: the thread that calls it moves its bytes. A
+//! [`crate::node::NodeRunner`] turns it on its own loop, and its sends
+//! only queue until the next turn, so a running replica is one thread.
+//! Any other holder — a client, tests, the benchmark's layer lab — turns
+//! it through the calls it makes: a send takes one turn that does not
+//! wait, and [`Inbox::recv_timeout`] takes turns until a frame arrives.
+//! Every frame a turn reads, and every self-addressed send, waits in the
+//! reactor's queue until [`Inbox::recv_timeout`] or the node loop takes
+//! it.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{RefCell, RefMut};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::framing::{encode_frame, PeerKind};
-use crate::reactor::{self, Reactor};
-use hs1_obs::Obs;
+use crate::framing::PeerKind;
+use crate::reactor::Reactor;
 use hs1_types::{ClientId, Message, ReplicaId};
 
 /// Inbound event delivered to the node loop.
@@ -97,63 +96,31 @@ impl Default for MeshConfig {
     }
 }
 
-/// Transport counters, kept by the send paths and the reactor.
-/// Exposed raw for harnesses ([`Mesh::stats`]) and
-/// mirrored into `hs1-obs` counters by the reactor's metrics tick.
-#[derive(Default)]
-pub(crate) struct NetStats {
-    /// Frames fully handed to the kernel.
-    pub tx_frames: AtomicU64,
-    pub tx_bytes: AtomicU64,
-    /// `writev` calls issued (the coalescing ratio is
-    /// `tx_frames / write_calls`).
-    pub write_calls: AtomicU64,
-    pub rx_frames: AtomicU64,
-    pub rx_bytes: AtomicU64,
-    pub read_calls: AtomicU64,
-    /// Frames shed oldest-first by the bounded-queue backpressure
-    /// policy (slow or disconnected peers).
-    pub frames_shed: AtomicU64,
-    /// Successful re-dials of a peer that had been connected before.
-    pub reconnects: AtomicU64,
-}
-
-/// Point-in-time copy of `NetStats`.
+/// Transport counters, kept by the reactor. Read whole by harnesses
+/// ([`crate::node::NodeRunner::net_stats`]) and published as `hs1-obs`
+/// counter deltas by the reactor's metrics tick.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NetStatsSnapshot {
+    /// Frames fully handed to the kernel.
     pub tx_frames: u64,
     pub tx_bytes: u64,
+    /// `writev` calls issued (the coalescing ratio is
+    /// `tx_frames / write_calls`).
     pub write_calls: u64,
     pub rx_frames: u64,
     pub rx_bytes: u64,
     pub read_calls: u64,
+    /// Frames shed oldest-first by the bounded-queue backpressure
+    /// policy (slow or disconnected peers).
     pub frames_shed: u64,
+    /// Successful re-dials of a peer that had been connected before.
     pub reconnects: u64,
 }
 
-impl NetStats {
-    pub(crate) fn snapshot(&self) -> NetStatsSnapshot {
-        NetStatsSnapshot {
-            tx_frames: self.tx_frames.load(Ordering::Relaxed),
-            tx_bytes: self.tx_bytes.load(Ordering::Relaxed),
-            write_calls: self.write_calls.load(Ordering::Relaxed),
-            rx_frames: self.rx_frames.load(Ordering::Relaxed),
-            rx_bytes: self.rx_bytes.load(Ordering::Relaxed),
-            read_calls: self.read_calls.load(Ordering::Relaxed),
-            frames_shed: self.frames_shed.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// What has arrived at a mesh and not been taken yet: frames read on a
-/// turn no node took, and self-addressed sends, in order. While no node
-/// has adopted the reactor it lives here, so that waiting for a frame is
-/// what turns it.
+/// The mesh's reactor, behind the one cell every call on the mesh goes
+/// through. Waiting for a frame here is what turns it.
 pub struct Inbox {
-    /// `None` while a node runs the mesh, and after shutdown.
-    reactor: Mutex<Option<Reactor>>,
-    ready: Mutex<VecDeque<Inbound>>,
+    reactor: RefCell<Reactor>,
 }
 
 impl Inbox {
@@ -162,44 +129,30 @@ impl Inbox {
     /// shut down and nothing is left.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Inbound, RecvTimeoutError> {
         let start = Instant::now();
+        let mut reactor = self.reactor.borrow_mut();
         loop {
-            if let Some(inbound) = self.try_recv() {
+            if let Some(inbound) = reactor.take() {
                 return Ok(inbound);
             }
-            let left = timeout.saturating_sub(start.elapsed());
-            if !self.turn(left) {
+            if reactor.is_closed() {
                 return Err(RecvTimeoutError::Disconnected);
             }
+            let left = timeout.saturating_sub(start.elapsed());
+            reactor.turn(left);
             if left.is_zero() {
-                return self.try_recv().ok_or(RecvTimeoutError::Timeout);
+                return reactor.take().ok_or(RecvTimeoutError::Timeout);
             }
         }
     }
 
     /// The next frame already here; turns nothing.
     pub(crate) fn try_recv(&self) -> Option<Inbound> {
-        self.ready.lock().expect("inbox lock").pop_front()
-    }
-
-    fn push(&self, inbound: Inbound) {
-        self.ready.lock().expect("inbox lock").push_back(inbound);
-    }
-
-    /// One turn of the reactor, waiting at most `wait`; `false` if a node
-    /// has it or the mesh is shut down.
-    fn turn(&self, wait: Duration) -> bool {
-        let mut reactor = self.reactor.lock().expect("reactor lock");
-        let Some(reactor) = reactor.as_mut() else { return false };
-        reactor.turn(wait, &mut |inbound| self.push(inbound));
-        true
+        self.reactor.borrow_mut().take()
     }
 }
 
 /// The mesh of a single replica or client process.
 pub struct Mesh {
-    me: PeerKind,
-    n: usize,
-    shared: Arc<reactor::Shared>,
     pub inbox: Inbox,
 }
 
@@ -251,42 +204,14 @@ impl Mesh {
             let msg = format!("{n} replica ports from {base_port} pass 65535");
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
         }
-        let (shared, reactor) = reactor::start(me, n, host, base_port, cfg)?;
-        let inbox = Inbox { reactor: Mutex::new(Some(reactor)), ready: Mutex::default() };
-        Ok(Mesh { me, n, shared, inbox })
+        let reactor = Reactor::start(me, n, host, base_port, cfg)?;
+        Ok(Mesh { inbox: Inbox { reactor: RefCell::new(reactor) } })
     }
 
-    /// Transport counters (live; see [`NetStats`]).
-    pub(crate) fn stats(&self) -> NetStatsSnapshot {
-        self.shared.stats.snapshot()
-    }
-
-    /// Live per-peer outbound queue depths, `(peer, frames, bytes)` —
-    /// the instantaneous values behind the `net_out_queue_*` gauges.
-    pub(crate) fn queue_depths(&self) -> Vec<(usize, u64, u64)> {
-        self.shared.queue_depths()
-    }
-
-    /// Attach an observability sink: the reactor publishes per-peer
-    /// queue gauges, transport counters, and the send-stall histogram
-    /// through it. A no-op while a node runs the mesh, or once it is
-    /// shut down.
-    pub(crate) fn set_observer(&self, obs: Obs) {
-        if let Some(reactor) = self.inbox.reactor.lock().expect("reactor lock").as_mut() {
-            reactor.obs = obs;
-        }
-    }
-
-    /// Take the reactor: the caller becomes the one thread that turns it,
-    /// frames it decodes go to the caller's sink, and sends on the mesh
-    /// only queue. `None` once the mesh is shut down.
-    pub(crate) fn adopt(&self) -> Option<Reactor> {
-        self.inbox.reactor.lock().expect("reactor lock").take()
-    }
-
-    /// Return an adopted reactor; calls on the mesh turn it again.
-    pub(crate) fn hand_back(&self, reactor: Reactor) {
-        *self.inbox.reactor.lock().expect("reactor lock") = Some(reactor);
+    /// The reactor itself: its counters, queue depths and observer, and
+    /// for a node's loop, sends that only queue and the turns it takes.
+    pub(crate) fn reactor(&self) -> RefMut<'_, Reactor> {
+        self.inbox.reactor.borrow_mut()
     }
 
     /// Tear the mesh down: sever every live connection and release the
@@ -295,44 +220,25 @@ impl Mesh {
     /// is how the crash-recovery example kills a node; the port is
     /// genuinely free on return.
     pub fn shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        if let Some(reactor) = self.adopt() {
-            reactor.close();
-        }
+        self.reactor().close();
     }
 
-    /// Send to a replica. Never blocks on the network: the frame is
-    /// queued (shedding the peer's oldest frames past the cap).
-    /// Connections are established lazily and redialed with backoff
-    /// after failures.
+    /// Send to a replica, then take one turn that does not wait. Never
+    /// blocks on the network: the frame is queued (shedding the peer's
+    /// oldest frames past the cap). Connections are established lazily
+    /// and redialed with backoff after failures.
     pub fn send_replica(&self, to: ReplicaId, msg: Message) {
-        if PeerKind::Replica(to.0) == self.me {
-            self.inbox.push(Inbound::FromReplica(to, msg));
-            return;
-        }
-        self.shared.enqueue_replica(to.0, encode_frame(&msg));
-        self.inbox.turn(Duration::ZERO);
+        let mut reactor = self.reactor();
+        reactor.send_replica(to, msg);
+        reactor.turn(Duration::ZERO);
     }
 
-    /// Send to every replica; a replica's own copy goes to its inbox.
+    /// Send to every replica, then take one turn that does not wait; a
+    /// replica's own copy goes to its inbox.
     pub(crate) fn broadcast(&self, msg: Message) {
-        // Encode once; every peer queue shares the same frame.
-        let frame = encode_frame(&msg);
-        for r in 0..self.n as u32 {
-            if PeerKind::Replica(r) != self.me {
-                self.shared.enqueue_replica(r, frame.clone());
-            }
-        }
-        if let PeerKind::Replica(me) = self.me {
-            self.inbox.push(Inbound::FromReplica(ReplicaId(me), msg));
-        }
-        self.inbox.turn(Duration::ZERO);
-    }
-
-    /// Send a response to a connected client (no-op if unknown).
-    pub(crate) fn send_client(&self, to: ClientId, msg: Message) {
-        self.shared.enqueue_client(to.0, encode_frame(&msg));
-        self.inbox.turn(Duration::ZERO);
+        let mut reactor = self.reactor();
+        reactor.broadcast(msg);
+        reactor.turn(Duration::ZERO);
     }
 }
 
@@ -343,39 +249,11 @@ impl Drop for Mesh {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use hs1_obs::Clock;
+    use crate::test_ports::free_base_port;
+    use hs1_obs::{Clock, Obs};
     use hs1_types::Transaction;
-    use std::net::TcpListener;
-    use std::time::Instant;
-
-    /// Reserve `n` contiguous free loopback ports and return the base.
-    ///
-    /// The ports come from below the kernel's ephemeral range, which every
-    /// `bind(:0)` probe and the local end of every dial draw from, so a
-    /// reserved port is not handed to a socket of a test running beside
-    /// this one. One cursor per process never hands a port out twice; it
-    /// starts at an offset taken from the process id, which keeps two test
-    /// processes apart. A run holding a port somebody else has bound is
-    /// skipped.
-    pub(crate) fn free_base_port(n: u16) -> u16 {
-        /// Linux's default `ip_local_port_range` starts at 32768.
-        const RANGE: std::ops::Range<u16> = 10_000..30_000;
-        static NEXT: Mutex<u16> = Mutex::new(0);
-        let mut next = NEXT.lock().expect("port cursor");
-        if *next == 0 {
-            *next = RANGE.start + (std::process::id() % 190) as u16 * 100;
-        }
-        while *next + n <= RANGE.end {
-            let base = *next;
-            *next += n;
-            if (0..n).all(|i| TcpListener::bind(("127.0.0.1", base + i)).is_ok()) {
-                return base;
-            }
-        }
-        panic!("could not find {n} contiguous free loopback ports below {}", RANGE.end);
-    }
 
     fn request(seq: u64) -> Message {
         Message::Request(Transaction::kv_write(0, seq, seq, seq))
@@ -407,14 +285,14 @@ pub(crate) mod tests {
         };
         let a = Mesh::start_with(ReplicaId(0), n, "127.0.0.1", base, cfg.clone()).expect("mesh a");
         let (obs, rec) = Obs::recording(Clock::wall());
-        a.set_observer(obs.with_actor(0));
+        a.reactor().obs = obs.with_actor(0);
 
         // Peer 1 is down: frames pile up in its queue; a metrics tick
         // must observe a nonzero gauge.
         for seq in 0..64 {
             a.send_replica(ReplicaId(1), request(seq));
         }
-        let depths = a.queue_depths();
+        let depths = a.reactor().queue_depths();
         assert_eq!(depths.len(), 1, "one peer besides me");
         assert!(depths[0].1 > 0, "the queue built up");
         // Turn the mesh until a tick has published the nonzero depth.

@@ -2,13 +2,14 @@
 //! [`NodeShell`], behind the TCP mesh, translating between wall-clock
 //! time and the shell's virtual clock.
 //!
-//! A running replica is **one thread**. [`NodeRunner::run_for`] adopts
-//! its mesh's reactor and loops: fire the timers that are due, step
-//! self-addressed messages, then take one reactor turn — flush what the
-//! shell queued with `writev`, sleep in `epoll_wait` until a socket is
-//! ready or the next timer is due, and step the shell on every frame
-//! that arrived. A message crosses no channel and wakes no second thread
-//! between the socket and the engine, in either direction.
+//! A running replica is **one thread**. [`NodeRunner::run_for`] turns
+//! its mesh's reactor on one loop: fire the timers that are due, step
+//! the shell on every frame the last turn read and every self-addressed
+//! message, in order, then take one reactor turn — flush what the shell
+//! queued with `writev`, sleep in `epoll_wait` until a socket is ready or
+//! the next timer is due, and queue every frame that arrived. A message
+//! crosses no channel and wakes no second thread between the socket and
+//! the engine, in either direction.
 //!
 //! The runner keeps only sockets, the clock and client responses (the
 //! per-transaction fan-out of `Action::Executed`). Everything else
@@ -38,7 +39,7 @@ use std::collections::BinaryHeap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use crate::http::HttpServer;
+use crate::http::{HttpServer, Recorder, StatusCell};
 use crate::mesh::{Inbound, Mesh};
 use hs1_adversary::AdversaryMutator;
 use hs1_core::replica::{Action, Replica, Timer};
@@ -71,7 +72,7 @@ pub struct NodeRunner {
     /// Live introspection responder (see [`NodeRunner::serve_introspection_with`]).
     introspection: Option<HttpServer>,
     /// The `/status` body, refreshed by the node loop.
-    status: Option<crate::http::StatusCell>,
+    status: Option<StatusCell>,
     /// Last `/status` refresh (throttles the refresh to ~4 Hz).
     status_at: Instant,
 }
@@ -146,12 +147,12 @@ impl NodeRunner {
     pub fn set_observer(&mut self, obs: Obs) {
         self.shell.set_observer(obs.clone());
         self.obs = obs.with_actor(self.shell.id().0);
-        self.mesh.set_observer(self.obs.clone());
+        self.mesh.reactor().obs = self.obs.clone();
     }
 
     /// Live transport counters for this node's mesh.
     pub fn net_stats(&self) -> crate::mesh::NetStatsSnapshot {
-        self.mesh.stats()
+        self.mesh.reactor().stats
     }
 
     /// Snapshot chunk size served by this node. Deployment-wide setting:
@@ -170,14 +171,13 @@ impl NodeRunner {
         &mut self,
         host: &str,
         port: u16,
-        rec: std::sync::Arc<std::sync::Mutex<hs1_obs::RecordingObserver>>,
+        rec: Recorder,
     ) -> std::io::Result<u16> {
-        use std::sync::{Arc, Mutex};
-        let status = Arc::new(Mutex::new(String::from("{}\n")));
+        let status = StatusCell::default();
         let server = HttpServer::serve(
             host,
             port,
-            Arc::new(move || rec.lock().expect("recorder").snapshot().to_prometheus()),
+            std::sync::Arc::new(move || rec.lock().expect("recorder").snapshot().to_prometheus()),
             status.clone(),
         )?;
         let port = server.port();
@@ -192,9 +192,10 @@ impl NodeRunner {
     /// is off.
     fn refresh_status(&mut self) {
         let Some(cell) = &self.status else { return };
-        let stats = self.mesh.stats();
+        let stats = self.mesh.reactor().stats;
         let mut peers = String::new();
-        for (i, (peer, frames, bytes)) in self.mesh.queue_depths().into_iter().enumerate() {
+        for (i, (peer, frames, bytes)) in self.mesh.reactor().queue_depths().into_iter().enumerate()
+        {
             if i > 0 {
                 peers.push(',');
             }
@@ -241,19 +242,20 @@ impl NodeRunner {
     /// been shut down.
     pub fn run_for(&mut self, duration: Duration) {
         let deadline = Instant::now() + duration;
-        // The reactor is this loop's: sends only queue, and nothing
-        // reaches `inbox` but self-addressed sends.
-        let Some(mut reactor) = self.mesh.adopt() else { return };
+        if self.mesh.reactor().is_closed() {
+            return;
+        }
         self.start = Instant::now();
         let mut out = Vec::new();
         self.shell.on_init(self.now(), &mut out);
         self.dispatch(out);
         loop {
             self.fire_due_timers();
-            // Self-addressed sends (a leader's copy of its own proposal,
-            // a vote for the view it leads) and frames read by turns taken
-            // before adoption. Stepped before the next `epoll_wait`, or the
-            // node would sleep on work it already holds.
+            // Frames the last turn read, and self-addressed sends (a
+            // leader's copy of its own proposal, a vote for the view it
+            // leads), in the order they came. Stepped before the next
+            // `epoll_wait`, or the node would sleep on work it already
+            // holds.
             while let Some(inbound) = self.mesh.inbox.try_recv() {
                 self.handle_inbound(inbound);
             }
@@ -284,11 +286,10 @@ impl NodeRunner {
                     std::thread::sleep(left);
                 }
             }
-            reactor.turn(wait, &mut |inbound| self.handle_inbound(inbound));
+            self.mesh.reactor().turn(wait);
         }
         // Put the last steps' output on the wire before going quiet.
-        reactor.flush_connected();
-        self.mesh.hand_back(reactor);
+        self.mesh.reactor().flush_connected();
         if let Some((installed, stats)) = self.shell.take_joined() {
             self.synced_via_snapshot = installed;
             self.sync_stats = Some(stats);
@@ -327,16 +328,19 @@ impl NodeRunner {
         self.dispatch(out);
     }
 
+    /// Carry out one step's actions. Sends only queue: they go out at the
+    /// top of the loop's next turn.
     fn dispatch(&mut self, actions: Vec<Action>) {
+        let mut net = self.mesh.reactor();
         for a in actions {
             match a {
                 Action::Send { to, msg } => {
                     self.obs.counter("msgs_sent", to.0, 1);
-                    self.mesh.send_replica(to, msg)
+                    net.send_replica(to, msg)
                 }
                 Action::Broadcast { msg } => {
                     self.obs.counter("msgs_broadcast", 0, 1);
-                    self.mesh.broadcast(msg)
+                    net.broadcast(msg)
                 }
                 Action::SetTimer { timer, at } => {
                     self.timers.retain(|Reverse((_, _, old))| !supersedes(timer, *old));
@@ -354,7 +358,7 @@ impl NodeRunner {
                         h.update_u64(tx.id.client.0 as u64);
                         h.update_u64(tx.id.seq);
                         let result = h.finalize();
-                        self.mesh.send_client(
+                        net.send_client(
                             tx.id.client,
                             Message::Response(ResponseMsg {
                                 tx: tx.id,
@@ -390,12 +394,12 @@ fn supersedes(new: Timer, old: Timer) -> bool {
 mod tests {
     use super::*;
     use crate::framing::{encode_frame, hello_bytes, PeerKind};
-    use crate::mesh::tests::free_base_port;
+    use crate::test_ports::free_base_port;
     use hs1_core::persist::RecoveredState;
     use hs1_types::{BlockId, ReplicaId, SimDuration, Transaction};
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use std::sync::{Arc, Mutex};
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
     /// A scripted engine. It arms a chain of `timers` timers, each
     /// `gap` after the previous one fired, logging how late each fired;
@@ -406,8 +410,8 @@ mod tests {
         timers: u32,
         gap: SimDuration,
         armed_for: SimTime,
-        late: Arc<Mutex<Vec<u64>>>,
-        stepped: Arc<Mutex<Vec<(ReplicaId, SimTime)>>>,
+        late: Sender<u64>,
+        stepped: Sender<(ReplicaId, SimTime)>,
     }
 
     impl Probe {
@@ -437,13 +441,13 @@ mod tests {
             now: SimTime,
             out: &mut Vec<Action>,
         ) {
-            self.stepped.lock().unwrap().push((from, now));
+            self.stepped.send((from, now)).unwrap();
             if from != self.id {
                 out.push(Action::Send { to: self.id, msg });
             }
         }
         fn on_timer(&mut self, _timer: Timer, now: SimTime, out: &mut Vec<Action>) {
-            self.late.lock().unwrap().push(now.0 - self.armed_for.0);
+            self.late.send(now.0 - self.armed_for.0).unwrap();
             self.arm(now, out);
         }
         fn enqueue_txs(&mut self, _txs: &[Transaction]) {}
@@ -463,22 +467,22 @@ mod tests {
         }
     }
 
-    type Logs = (Arc<Mutex<Vec<u64>>>, Arc<Mutex<Vec<(ReplicaId, SimTime)>>>);
+    type Logs = (Receiver<u64>, Receiver<(ReplicaId, SimTime)>);
 
     fn probe_node(n: usize, timers: u32, gap_us: u64) -> (NodeRunner, u16, Logs) {
         let base = free_base_port(n as u16);
-        let late = Arc::new(Mutex::new(Vec::new()));
-        let stepped = Arc::new(Mutex::new(Vec::new()));
+        let (late, late_rx) = channel();
+        let (stepped, stepped_rx) = channel();
         let probe = Probe {
             id: ReplicaId(0),
             timers,
             gap: SimDuration(gap_us * 1_000),
             armed_for: SimTime(0),
-            late: late.clone(),
-            stepped: stepped.clone(),
+            late,
+            stepped,
         };
         let mesh = Mesh::start(ReplicaId(0), n, "127.0.0.1", base).expect("bind");
-        (NodeRunner::new(Box::new(probe), mesh), base, (late, stepped))
+        (NodeRunner::new(Box::new(probe), mesh), base, (late_rx, stepped_rx))
     }
 
     /// `epoll_wait(2)` sleeps whole milliseconds. A timer 200 µs away must cost
@@ -490,14 +494,14 @@ mod tests {
         const TIMERS: u32 = 20;
         let (mut node, _, (late, _)) = probe_node(1, TIMERS, 200);
         node.run_for(Duration::from_millis(80));
-        let mut late = late.lock().unwrap().clone();
+        let mut late: Vec<u64> = late.try_iter().collect();
         assert_eq!(late.len(), TIMERS as usize, "every timer fired");
         late.sort_unstable();
         let median = late[late.len() / 2];
         assert!(median < 2_000_000, "a 200 us timer fired {median} ns late (median)");
         // One turn per timer, one to run out the clock, and slack for
         // spurious wake-ups.
-        let turns = node.mesh.adopt().expect("parked reactor").turns;
+        let turns = node.mesh.reactor().turns;
         assert!(turns <= 2 * TIMERS as u64 + 8, "{turns} turns for {TIMERS} timers");
     }
 
@@ -516,7 +520,7 @@ mod tests {
         node.dispatch(vec![arm(hs1_statesync::SYNC_TIMER, SimTime(u64::MAX))]);
         node.dispatch(vec![arm(Timer::ViewTimeout(View(1_001)), SimTime::ZERO); 2]);
         node.fire_due_timers();
-        assert_eq!((late.lock().unwrap().len(), node.timers.len()), (2, 3), "the poll stays");
+        assert_eq!((late.try_iter().count(), node.timers.len()), (2, 3), "the poll stays");
     }
 
     /// A step taken on a frame from the network sends to self (a leader's
@@ -536,7 +540,7 @@ mod tests {
         });
         node.run_for(Duration::from_millis(150));
         peer.join().expect("peer");
-        let stepped = stepped.lock().unwrap().clone();
+        let stepped: Vec<_> = stepped.try_iter().collect();
         assert_eq!(stepped.len(), 2, "the peer's frame and the self-copy: {stepped:?}");
         assert_eq!((stepped[0].0, stepped[1].0), (ReplicaId(1), ReplicaId(0)));
         let gap = stepped[1].1 .0 - stepped[0].1 .0;
@@ -555,7 +559,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(node.net_stats().rx_frames, 0, "no thread read the frame before run_for");
         node.run_for(Duration::from_millis(200));
-        let (from, at) = stepped.lock().unwrap().first().copied().expect("the frame was stepped");
+        let (from, at) = stepped.try_recv().expect("the frame was stepped");
         assert_eq!(from, ReplicaId(1));
         assert!(at.0 < 20_000_000, "the frame was stepped {} ns into the run", at.0);
     }
@@ -587,16 +591,16 @@ mod tests {
         assert!(over[5] < Duration::from_micros(300), "overshoot: {over:?}");
     }
 
-    /// `shutdown()` after `run_for` closes the parked reactor: the listen
-    /// port is free the moment it returns.
+    /// `shutdown()` after `run_for` closes the reactor: the listen port is
+    /// free the moment it returns.
     #[test]
     fn shutdown_after_a_run_frees_the_port_at_once() {
         let (mut node, base, _) = probe_node(1, 0, 0);
         node.run_for(Duration::from_millis(10));
-        assert!(TcpListener::bind(("127.0.0.1", base)).is_err(), "still listening while parked");
+        assert!(TcpListener::bind(("127.0.0.1", base)).is_err(), "still listening between runs");
         node.shutdown();
         let again = Mesh::start(ReplicaId(0), 1, "127.0.0.1", base).expect("rebind at once");
-        // A second run adopts nothing and returns instead of hanging.
+        // A second run on the closed mesh returns instead of hanging.
         node.run_for(Duration::from_secs(5));
         drop(again);
     }

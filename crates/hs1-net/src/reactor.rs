@@ -1,12 +1,14 @@
 //! The readiness-driven transport.
 //!
-//! A [`Reactor`] owns every socket of one mesh, nonblocking, and makes
-//! progress one [`Reactor::turn`] at a time on whichever thread calls
-//! it. It has no thread of its own:
+//! A [`Reactor`] is the whole of one mesh: its sockets, nonblocking, the
+//! outbound queue of every replica peer and of every client connection,
+//! the frames read and not yet taken, and its counters. It has one owner
+//! and no thread of its own, and makes progress one [`Reactor::turn`] at
+//! a time on the thread that owns it:
 //!
-//! * a running replica ([`crate::node::NodeRunner::run_for`]) adopts its
-//!   mesh's reactor and turns it on its own loop, so one thread reads a
-//!   frame, steps the engine on it and writes the engine's answer;
+//! * a running replica ([`crate::node::NodeRunner::run_for`]) turns its
+//!   mesh's reactor on its own loop, so one thread reads a frame, steps
+//!   the engine on it and writes the engine's answer;
 //! * a bare [`crate::mesh::Mesh`] is turned by the calls made on it: a
 //!   send takes one turn that does not wait, and
 //!   [`crate::mesh::Inbox::recv_timeout`] takes turns until a frame
@@ -21,11 +23,11 @@
 //!                                   backoff expiry or metrics tick
 //!   for each ready fd only:
 //!     accept / handshake
-//!     read + decode frames ──► sink(Inbound)
-//!        node loop:   engine.on_message ──► send_* ──► FrameQueue
+//!     read + decode frames ──► the ready queue, beside self-sends
+//!        node loop:   take ──► engine.on_message ──► send_* ──► FrameQueue
 //!                     (encode once, enforce caps, shed oldest);
 //!                     flushed at the top of the next turn
-//!        bare mesh:   the inbox's queue, taken by recv_timeout
+//!        bare mesh:   taken by recv_timeout
 //! ```
 //!
 //! Nothing wakes a turn early: a frame is queued by the thread that turns
@@ -54,138 +56,20 @@
 //! exists. A dial blocks the turning thread for at most
 //! `connect_timeout`; a refused loopback dial returns at once.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::mem::take;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::framing::{hello_bytes, parse_hello, Frame, FrameQueue, FrameReader, PeerKind};
-use crate::mesh::{Inbound, MeshConfig, NetStats, NetStatsSnapshot};
+use crate::framing::{
+    encode_frame, hello_bytes, parse_hello, Frame, FrameQueue, FrameReader, PeerKind,
+};
+use crate::mesh::{Inbound, MeshConfig, NetStatsSnapshot};
 use crate::poll::{set_send_buffer, Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
 use hs1_obs::Obs;
 use hs1_types::{ClientId, Message, ReplicaId, SplitMix64};
-
-/// State shared between the sending side ([`crate::mesh::Mesh`]) and
-/// the [`Reactor`].
-pub(crate) struct Shared {
-    /// Who this mesh says it is in the hello of every dial.
-    me: PeerKind,
-    n: usize,
-    cfg: MeshConfig,
-    /// Per-replica outbound queues (a replica's own is unused).
-    queues: Vec<Mutex<FrameQueue>>,
-    /// Outbound queues of currently-connected clients.
-    client_queues: Mutex<HashMap<u32, Arc<Mutex<FrameQueue>>>>,
-    /// Set by [`crate::mesh::Mesh::shutdown`]: no frame is queued after
-    /// it, and [`Reactor::close`] does the rest.
-    pub(crate) shutting_down: AtomicBool,
-    pub(crate) stats: NetStats,
-}
-
-impl Shared {
-    pub(crate) fn enqueue_replica(&self, peer: u32, frame: Frame) {
-        if self.shutting_down.load(Ordering::Relaxed) || peer as usize >= self.n {
-            return;
-        }
-        let shed = {
-            let mut q = self.queues[peer as usize].lock().expect("queue lock");
-            q.push(frame);
-            q.enforce_caps(self.cfg.queue_frames, self.cfg.queue_bytes)
-        };
-        if shed > 0 {
-            self.stats.frames_shed.fetch_add(shed, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn enqueue_client(&self, client: u32, frame: Frame) {
-        if self.shutting_down.load(Ordering::Relaxed) {
-            return;
-        }
-        let Some(queue) = self.client_queues.lock().expect("clients lock").get(&client).cloned()
-        else {
-            return; // unknown client: drop
-        };
-        let shed = {
-            let mut q = queue.lock().expect("client queue lock");
-            q.push(frame);
-            q.enforce_caps(self.cfg.queue_frames, self.cfg.queue_bytes)
-        };
-        if shed > 0 {
-            self.stats.frames_shed.fetch_add(shed, Ordering::Relaxed);
-        }
-    }
-
-    /// Current depth of every peer's outbound queue:
-    /// `(peer, frames, bytes)` for each replica but this one. The same
-    /// numbers the metrics tick publishes as `net_out_queue_*` gauges,
-    /// read on demand for the `/status` introspection endpoint.
-    pub(crate) fn queue_depths(&self) -> Vec<(usize, u64, u64)> {
-        (0..self.n)
-            .filter(|&peer| PeerKind::Replica(peer as u32) != self.me)
-            .map(|peer| {
-                let q = self.queues[peer].lock().expect("queue lock");
-                (peer, q.len() as u64, q.bytes() as u64)
-            })
-            .collect()
-    }
-}
-
-/// Build the [`Reactor`] and the state it shares with the mesh's sending
-/// side. A replica binds its listener; a client binds nothing and only
-/// dials. The replica ports `base_port + i` for `i < n` must fit in a
-/// `u16` ([`crate::mesh::Mesh::start_with`] checks).
-pub(crate) fn start(
-    me: PeerKind,
-    n: usize,
-    host: &str,
-    base_port: u16,
-    cfg: MeshConfig,
-) -> std::io::Result<(Arc<Shared>, Reactor)> {
-    let epoll = Epoll::new()?;
-    // The tag keeps client i's backoff jitter apart from replica i's.
-    let (listener, tag, id) = match me {
-        PeerKind::Replica(id) => {
-            let listener =
-                TcpListener::bind((host, cfg.listen_port.unwrap_or(base_port + id as u16)))?;
-            listener.set_nonblocking(true)?;
-            epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN)?;
-            (Some(listener), 0u64, id)
-        }
-        PeerKind::Client(id) => (None, 1, id),
-    };
-    let shared = Arc::new(Shared {
-        me,
-        n,
-        cfg,
-        queues: (0..n).map(|_| Mutex::new(FrameQueue::new())).collect(),
-        client_queues: Mutex::new(HashMap::new()),
-        shutting_down: AtomicBool::new(false),
-        stats: NetStats::default(),
-    });
-    let reactor = Reactor {
-        shared: shared.clone(),
-        host: host.to_string(),
-        base_port,
-        listener,
-        conns: HashMap::new(),
-        next_token: 0,
-        links: (0..n).map(|_| Link::Idle).collect(),
-        ever_connected: vec![false; n],
-        rng: SplitMix64::new(0x9E37_79B9 ^ ((id as u64) << 32 | tag << 16 | base_port as u64)),
-        obs: Obs::noop(),
-        emitted: NetStatsSnapshot::default(),
-        last_tick: Instant::now(),
-        turns: 0,
-        epoll,
-        events: vec![EpollEvent::default(); EVENTS_PER_WAIT],
-        tokens: Vec::new(),
-    };
-    Ok((shared, reactor))
-}
 
 /// `delay` with ±50% jitter: uniform in `[delay/2, delay*3/2)`, so peers
 /// do not redial a restarted replica in lockstep.
@@ -214,8 +98,8 @@ enum ConnKind {
     HandshakeIn { buf: [u8; 5], got: usize },
     /// Accepted from replica `id` (read side of the peer's dial).
     ReplicaIn(u32),
-    /// Accepted from client `id`; responses drain through `queue`.
-    ClientIn { id: u32, queue: Arc<Mutex<FrameQueue>> },
+    /// Accepted from client `id`; its responses drain through `queue`.
+    ClientIn { id: u32, queue: FrameQueue },
     /// Dialed to replica `id`. A replica peer never writes back here; a
     /// replica a client dialed writes its responses here.
     ReplicaOut(u32),
@@ -238,21 +122,36 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// Ready fds taken from the kernel per wait; more wait for the next turn.
 const EVENTS_PER_WAIT: usize = 64;
 
-/// Every socket of one mesh and the state to drive them. Exactly one
-/// thread at a time calls [`Reactor::turn`].
+/// Every socket, queue and counter of one mesh, and the state to drive
+/// them. It has one owner, the thread that calls [`Reactor::turn`].
 pub(crate) struct Reactor {
-    shared: Arc<Shared>,
+    /// Who this mesh says it is in the hello of every dial.
+    me: PeerKind,
+    n: usize,
+    cfg: MeshConfig,
     host: String,
     base_port: u16,
-    /// `None` for a client, which only dials.
+    /// `None` for a client, which only dials, and once closed.
     listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    /// Per-replica outbound queues (a replica's own is unused).
+    queues: Vec<FrameQueue>,
     links: Vec<Link>,
     ever_connected: Vec<bool>,
+    /// The token of each client's newest connection: its responses go
+    /// out on that connection's queue.
+    clients: HashMap<u32, u64>,
+    /// Frames read and self-addressed sends not taken yet, in order.
+    ready: VecDeque<Inbound>,
+    /// Set by [`Reactor::close`]: no frame is queued, read or written
+    /// after it.
+    closed: bool,
+    pub(crate) stats: NetStatsSnapshot,
     /// Backoff jitter.
     rng: SplitMix64,
-    /// The attached observer ([`crate::mesh::Mesh::set_observer`]).
+    /// The attached observer: queue gauges, transport counters and the
+    /// send-stall histogram go out through it.
     pub(crate) obs: Obs,
     /// Counter values already published to the observer.
     emitted: NetStatsSnapshot,
@@ -268,12 +167,122 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
+    /// Build the reactor of one mesh. A replica binds its listener; a
+    /// client binds nothing and only dials. The replica ports
+    /// `base_port + i` for `i < n` must fit in a `u16`
+    /// ([`crate::mesh::Mesh::start_with`] checks).
+    pub(crate) fn start(
+        me: PeerKind,
+        n: usize,
+        host: &str,
+        base_port: u16,
+        cfg: MeshConfig,
+    ) -> std::io::Result<Reactor> {
+        let epoll = Epoll::new()?;
+        // The tag keeps client i's backoff jitter apart from replica i's.
+        let (listener, tag, id) = match me {
+            PeerKind::Replica(id) => {
+                let listener =
+                    TcpListener::bind((host, cfg.listen_port.unwrap_or(base_port + id as u16)))?;
+                listener.set_nonblocking(true)?;
+                epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN)?;
+                (Some(listener), 0u64, id)
+            }
+            PeerKind::Client(id) => (None, 1, id),
+        };
+        Ok(Reactor {
+            me,
+            n,
+            cfg,
+            host: host.to_string(),
+            base_port,
+            listener,
+            conns: HashMap::new(),
+            next_token: 0,
+            queues: (0..n).map(|_| FrameQueue::new()).collect(),
+            links: (0..n).map(|_| Link::Idle).collect(),
+            ever_connected: vec![false; n],
+            clients: HashMap::new(),
+            ready: VecDeque::new(),
+            closed: false,
+            stats: NetStatsSnapshot::default(),
+            rng: SplitMix64::new(0x9E37_79B9 ^ ((id as u64) << 32 | tag << 16 | base_port as u64)),
+            obs: Obs::noop(),
+            emitted: NetStatsSnapshot::default(),
+            last_tick: Instant::now(),
+            turns: 0,
+            epoll,
+            events: vec![EpollEvent::default(); EVENTS_PER_WAIT],
+            tokens: Vec::new(),
+        })
+    }
+
+    /// Send to a replica: to this mesh's own [`Reactor::take`] queue if it
+    /// is `to`, else encoded into `to`'s bounded queue, shedding its
+    /// oldest frames past the caps. Goes out at the top of the next turn.
+    pub(crate) fn send_replica(&mut self, to: ReplicaId, msg: Message) {
+        if PeerKind::Replica(to.0) == self.me {
+            self.ready.push_back(Inbound::FromReplica(to, msg));
+        } else {
+            self.queue_replica(to.0, encode_frame(&msg));
+        }
+    }
+
+    /// Send to every replica; a replica's own copy is queued for
+    /// [`Reactor::take`]. The frame is encoded once and shared by every
+    /// peer's queue.
+    pub(crate) fn broadcast(&mut self, msg: Message) {
+        let frame = encode_frame(&msg);
+        for peer in 0..self.n as u32 {
+            if PeerKind::Replica(peer) != self.me {
+                self.queue_replica(peer, frame.clone());
+            }
+        }
+        if let PeerKind::Replica(me) = self.me {
+            self.ready.push_back(Inbound::FromReplica(ReplicaId(me), msg));
+        }
+    }
+
+    /// Send a response to a connected client, on its newest connection;
+    /// dropped if none is open.
+    pub(crate) fn send_client(&mut self, to: ClientId, msg: Message) {
+        let Some(conn) = self.clients.get(&to.0).and_then(|token| self.conns.get_mut(token)) else {
+            return;
+        };
+        if let ConnKind::ClientIn { queue, .. } = &mut conn.kind {
+            queue.push(encode_frame(&msg));
+            self.stats.frames_shed +=
+                queue.enforce_caps(self.cfg.queue_frames, self.cfg.queue_bytes);
+        }
+    }
+
+    fn queue_replica(&mut self, peer: u32, frame: Frame) {
+        if self.closed || peer as usize >= self.n {
+            return;
+        }
+        let queue = &mut self.queues[peer as usize];
+        queue.push(frame);
+        self.stats.frames_shed += queue.enforce_caps(self.cfg.queue_frames, self.cfg.queue_bytes);
+    }
+
+    /// The next frame read or sent to self, if any; turns nothing.
+    pub(crate) fn take(&mut self) -> Option<Inbound> {
+        self.ready.pop_front()
+    }
+
+    /// Has [`Reactor::close`] run?
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed
+    }
+
     /// One pass of the event loop: dial and flush what is queued, sleep
     /// in `epoll_wait` for at most `wait` (less if a deadline of the
-    /// reactor's own comes first), then accept, read and hand every
-    /// decoded frame to `sink`. Frames `sink` enqueues go out at the top
-    /// of the next turn.
-    pub(crate) fn turn(&mut self, wait: Duration, sink: &mut dyn FnMut(Inbound)) {
+    /// reactor's own comes first), then accept, read and queue every
+    /// decoded frame for [`Reactor::take`]. Does nothing once closed.
+    pub(crate) fn turn(&mut self, wait: Duration) {
+        if self.closed {
+            return;
+        }
         self.turns += 1;
         self.dial_pending();
         self.flush_connected();
@@ -287,7 +296,7 @@ impl Reactor {
                 LISTENER_TOKEN => self.accept_new(),
                 token => {
                     if event.readable() {
-                        self.handle_readable(token, sink);
+                        self.handle_readable(token);
                     }
                     if event.writable() && self.conns.contains_key(&token) {
                         self.flush_token(token);
@@ -300,15 +309,30 @@ impl Reactor {
 
     /// Sever every connection and release the listen port, if any.
     /// Queues are emptied so a mesh rebuilt on the same port starts
-    /// clean; the final tick publishes whatever counters remain.
-    pub(crate) fn close(mut self) {
-        self.conns.clear();
-        for q in &self.shared.queues {
-            q.lock().expect("queue lock").clear();
+    /// clean; the final tick publishes whatever counters remain. Frames
+    /// already read stay for [`Reactor::take`]. Idempotent.
+    pub(crate) fn close(&mut self) {
+        if self.closed {
+            return;
         }
-        self.shared.client_queues.lock().expect("clients lock").clear();
+        self.closed = true;
+        self.conns.clear();
+        self.clients.clear();
+        self.listener = None;
+        self.queues.iter_mut().for_each(FrameQueue::clear);
         self.tick_metrics(true);
         self.obs.flush();
+    }
+
+    /// Current depth of every peer's outbound queue:
+    /// `(peer, frames, bytes)` for each replica but this one. The same
+    /// numbers the metrics tick publishes as `net_out_queue_*` gauges,
+    /// read on demand for the `/status` introspection endpoint.
+    pub(crate) fn queue_depths(&self) -> Vec<(usize, u64, u64)> {
+        (0..self.n)
+            .filter(|&peer| PeerKind::Replica(peer as u32) != self.me)
+            .map(|peer| (peer, self.queues[peer].len() as u64, self.queues[peer].bytes() as u64))
+            .collect()
     }
 
     /// Milliseconds `epoll_wait` may sleep: until `wait` runs out, a
@@ -319,11 +343,11 @@ impl Reactor {
     fn poll_timeout_ms(&self, wait: Duration) -> i32 {
         let now = Instant::now();
         let tick_deadline =
-            (self.last_tick + self.shared.cfg.metrics_interval).saturating_duration_since(now);
+            (self.last_tick + self.cfg.metrics_interval).saturating_duration_since(now);
         let mut nearest = wait.min(tick_deadline);
         for (peer, link) in self.links.iter().enumerate() {
             if let Link::Backoff { until, .. } = link {
-                if !self.shared.queues[peer].lock().expect("queue lock").is_empty() {
+                if !self.queues[peer].is_empty() {
                     nearest = nearest.min(until.saturating_duration_since(now));
                 }
             }
@@ -335,8 +359,8 @@ impl Reactor {
     /// backoff (if any) has expired.
     fn dial_pending(&mut self) {
         let now = Instant::now();
-        for peer in 0..self.shared.n {
-            if PeerKind::Replica(peer as u32) == self.shared.me {
+        for peer in 0..self.n {
+            if PeerKind::Replica(peer as u32) == self.me {
                 continue;
             }
             match self.links[peer] {
@@ -344,7 +368,7 @@ impl Reactor {
                 Link::Backoff { until, .. } if until > now => continue,
                 _ => {}
             }
-            if self.shared.queues[peer].lock().expect("queue lock").is_empty() {
+            if self.queues[peer].is_empty() {
                 continue;
             }
             match self
@@ -353,7 +377,7 @@ impl Reactor {
             {
                 Ok(token) => {
                     if self.ever_connected[peer] {
-                        self.shared.stats.reconnects.fetch_add(1, Ordering::Relaxed);
+                        self.stats.reconnects += 1;
                         if self.obs.enabled() {
                             self.obs.counter("net_reconnects", peer as u32, 1);
                         }
@@ -363,10 +387,8 @@ impl Reactor {
                 }
                 Err(_) => {
                     let delay = match self.links[peer] {
-                        Link::Backoff { delay, .. } => {
-                            (delay * 2).min(self.shared.cfg.reconnect_max)
-                        }
-                        _ => self.shared.cfg.reconnect_base,
+                        Link::Backoff { delay, .. } => (delay * 2).min(self.cfg.reconnect_max),
+                        _ => self.cfg.reconnect_base,
                     };
                     let jitter = jittered(delay, &mut self.rng);
                     self.links[peer] = Link::Backoff { until: now + jitter, delay };
@@ -383,12 +405,12 @@ impl Reactor {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "no addr"))?;
-        let mut stream = TcpStream::connect_timeout(&addr, self.shared.cfg.connect_timeout)?;
+        let mut stream = TcpStream::connect_timeout(&addr, self.cfg.connect_timeout)?;
         stream.set_nodelay(true)?;
-        if let Some(bytes) = self.shared.cfg.send_buffer {
+        if let Some(bytes) = self.cfg.send_buffer {
             let _ = set_send_buffer(stream.as_raw_fd(), bytes);
         }
-        stream.write_all(&hello_bytes(self.shared.me))?;
+        stream.write_all(&hello_bytes(self.me))?;
         stream.set_nonblocking(true)?;
         Ok(stream)
     }
@@ -466,24 +488,13 @@ impl Reactor {
     /// Drain one connection's queue into its socket. Disconnects on
     /// write errors.
     fn flush_token(&mut self, token: u64) {
-        let res = {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
-            let client_queue;
-            let queue: &Mutex<FrameQueue> = match &conn.kind {
-                ConnKind::ReplicaOut(p) => &self.shared.queues[*p as usize],
-                ConnKind::ClientIn { queue, .. } => {
-                    client_queue = queue.clone();
-                    &client_queue
-                }
-                _ => return,
-            };
-            let mut q = queue.lock().expect("queue lock");
-            if q.is_empty() {
-                None
-            } else {
-                Some(q.write_to(&mut conn.stream))
-            }
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let queue = match &mut conn.kind {
+            ConnKind::ReplicaOut(p) => &mut self.queues[*p as usize],
+            ConnKind::ClientIn { queue, .. } => queue,
+            _ => return,
         };
+        let res = (!queue.is_empty()).then(|| queue.write_to(&mut conn.stream));
         match res {
             Some(res) => self.finish_flush(token, res),
             None => self.set_want_write(token, false),
@@ -494,9 +505,9 @@ impl Reactor {
         match res {
             Ok(p) => {
                 if p.bytes > 0 {
-                    self.shared.stats.tx_bytes.fetch_add(p.bytes, Ordering::Relaxed);
-                    self.shared.stats.tx_frames.fetch_add(p.frames, Ordering::Relaxed);
-                    self.shared.stats.write_calls.fetch_add(p.calls, Ordering::Relaxed);
+                    self.stats.tx_bytes += p.bytes;
+                    self.stats.tx_frames += p.frames;
+                    self.stats.write_calls += p.calls;
                 }
                 let Some(conn) = self.conns.get_mut(&token) else { return };
                 if p.would_block {
@@ -514,7 +525,7 @@ impl Reactor {
         }
     }
 
-    fn handle_readable(&mut self, token: u64, sink: &mut dyn FnMut(Inbound)) {
+    fn handle_readable(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         // Finish the handshake first; data may follow in the same burst.
         if let ConnKind::HandshakeIn { buf, got } = &mut conn.kind {
@@ -551,10 +562,10 @@ impl Reactor {
                     }
                 }
                 Ok(PeerKind::Client(id)) => {
-                    let queue = Arc::new(Mutex::new(FrameQueue::new()));
-                    conn.kind = ConnKind::ClientIn { id, queue: queue.clone() };
-                    // A reconnecting client replaces its stale queue.
-                    self.shared.client_queues.lock().expect("clients lock").insert(id, queue);
+                    conn.kind = ConnKind::ClientIn { id, queue: FrameQueue::new() };
+                    // A reconnecting client's responses take the new
+                    // connection; the old one drains what it holds.
+                    self.clients.insert(id, token);
                 }
                 Err(_) => {
                     self.disconnect(token);
@@ -568,12 +579,9 @@ impl Reactor {
         match outcome {
             Ok(o) => {
                 if o.bytes > 0 {
-                    self.shared.stats.rx_bytes.fetch_add(o.bytes, Ordering::Relaxed);
-                    self.shared
-                        .stats
-                        .rx_frames
-                        .fetch_add(o.messages.len() as u64, Ordering::Relaxed);
-                    self.shared.stats.read_calls.fetch_add(o.calls, Ordering::Relaxed);
+                    self.stats.rx_bytes += o.bytes;
+                    self.stats.rx_frames += o.messages.len() as u64;
+                    self.stats.read_calls += o.calls;
                 }
                 let (id, from): (u32, fn(u32, Message) -> Inbound) = match &conn.kind {
                     ConnKind::ReplicaIn(id) | ConnKind::ReplicaOut(id) => {
@@ -584,11 +592,8 @@ impl Reactor {
                     }
                     ConnKind::HandshakeIn { .. } => return, // still incomplete
                 };
-                let eof = o.eof;
-                for msg in o.messages {
-                    sink(from(id, msg));
-                }
-                if eof {
+                self.ready.extend(o.messages.into_iter().map(|msg| from(id, msg)));
+                if o.eof {
                     self.disconnect(token);
                 }
             }
@@ -604,18 +609,15 @@ impl Reactor {
         match conn.kind {
             ConnKind::ReplicaOut(peer) => {
                 // A half-sent frame cannot resume on a new connection.
-                self.shared.queues[peer as usize].lock().expect("queue lock").abandon_partial();
-                let delay = self.shared.cfg.reconnect_base;
+                self.queues[peer as usize].abandon_partial();
+                let delay = self.cfg.reconnect_base;
                 let jitter = jittered(delay, &mut self.rng);
                 self.links[peer as usize] = Link::Backoff { until: Instant::now() + jitter, delay };
             }
-            ConnKind::ClientIn { id, queue } => {
-                let mut map = self.shared.client_queues.lock().expect("clients lock");
-                // Only remove the registration if it is still ours (a
-                // reconnected client may have replaced it already).
-                if map.get(&id).is_some_and(|cur| Arc::ptr_eq(cur, &queue)) {
-                    map.remove(&id);
-                }
+            // Only remove the registration if it is still this
+            // connection's (a reconnected client may have replaced it).
+            ConnKind::ClientIn { id, .. } if self.clients.get(&id) == Some(&token) => {
+                self.clients.remove(&id);
             }
             _ => {}
         }
@@ -624,14 +626,14 @@ impl Reactor {
     /// Publish counters/gauges to the attached observer. Runs at
     /// `metrics_interval` (and once at shutdown with `force`).
     fn tick_metrics(&mut self, force: bool) {
-        if !force && self.last_tick.elapsed() < self.shared.cfg.metrics_interval {
+        if !force && self.last_tick.elapsed() < self.cfg.metrics_interval {
             return;
         }
         self.last_tick = Instant::now();
         if !self.obs.enabled() {
             return;
         }
-        let snap = self.shared.stats.snapshot();
+        let snap = self.stats;
         let deltas = [
             ("net_tx_frames", snap.tx_frames - self.emitted.tx_frames),
             ("net_tx_bytes", snap.tx_bytes - self.emitted.tx_bytes),
@@ -647,7 +649,7 @@ impl Reactor {
             }
         }
         self.emitted = snap;
-        for (peer, frames, bytes) in self.shared.queue_depths() {
+        for (peer, frames, bytes) in self.queue_depths() {
             self.obs.gauge("net_out_queue_frames", peer as u32, frames);
             self.obs.gauge("net_out_queue_bytes", peer as u32, bytes);
         }
@@ -657,10 +659,9 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::encode_frame;
-    use crate::mesh::tests::free_base_port;
     use crate::mesh::Mesh;
     use crate::poll::{poll_fds, set_recv_buffer, PollFd, POLLIN};
+    use crate::test_ports::free_base_port;
     use hs1_types::message::{ProposeMsg, ReplyKind, ResponseMsg};
     use hs1_types::{Block, Certificate, Slot, Transaction, View};
 
@@ -669,16 +670,22 @@ mod tests {
     }
 
     /// Turn `reactor` until `done` holds, failing after five seconds.
-    fn turn_until(
-        reactor: &mut Reactor,
-        got: &mut Vec<Inbound>,
-        mut done: impl FnMut(&Reactor, &[Inbound]) -> bool,
-    ) {
+    fn turn_until(reactor: &mut Reactor, mut done: impl FnMut(&mut Reactor) -> bool) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while !done(reactor, got) {
+        while !done(reactor) {
             assert!(Instant::now() < deadline, "gave up waiting");
-            reactor.turn(Duration::from_millis(5), &mut |inbound| got.push(inbound));
+            reactor.turn(Duration::from_millis(5));
         }
+    }
+
+    fn response(seq: u64) -> Message {
+        Message::Response(ResponseMsg {
+            tx: Transaction::kv_write(1, seq, seq, seq).id,
+            block: Block::genesis_id(),
+            result: Block::genesis_id().0,
+            kind: ReplyKind::Speculative,
+            view: View(1),
+        })
     }
 
     fn seqs(got: &[Inbound]) -> Vec<u64> {
@@ -753,14 +760,9 @@ mod tests {
             Inbound::FromClient(ClientId(4), msg) => assert_eq!(msg, request(1)),
             _ => panic!("expected client 4's request"),
         }
-        let reply = Message::Response(ResponseMsg {
-            tx: Transaction::kv_write(1, 1, 1, 1).id,
-            block: Block::genesis_id(),
-            result: Block::genesis_id().0,
-            kind: ReplyKind::Speculative,
-            view: View(1),
-        });
-        replica.send_client(ClientId(4), reply.clone());
+        let reply = response(1);
+        replica.reactor().send_client(ClientId(4), reply.clone());
+        replica.reactor().turn(Duration::ZERO);
         match recv(&client) {
             Inbound::FromReplica(ReplicaId(0), msg) => assert_eq!(msg, reply),
             _ => panic!("expected replica 0's response"),
@@ -770,22 +772,53 @@ mod tests {
         // before it queues the next request, so the request waits for the
         // redial instead of going into a dying socket.
         replica.shutdown();
-        let mut reactor = client.adopt().expect("a live mesh has a reactor");
-        turn_until(&mut reactor, &mut Vec::new(), |r, _| r.conns.is_empty());
+        turn_until(&mut client.reactor(), |r| r.conns.is_empty());
         client.send_replica(ReplicaId(0), request(2));
         let restarted = Mesh::start(ReplicaId(0), 1, "127.0.0.1", base).expect("rebind");
         let mut got = None;
-        turn_until(&mut reactor, &mut Vec::new(), |_, _| {
+        turn_until(&mut client.reactor(), |_| {
             got =
                 got.take().or_else(|| restarted.inbox.recv_timeout(Duration::from_millis(1)).ok());
             got.is_some()
         });
-        client.hand_back(reactor);
         match got {
             Some(Inbound::FromClient(ClientId(4), msg)) => assert_eq!(msg, request(2)),
             _ => panic!("expected client 4's queued request"),
         }
-        assert_eq!(client.stats().reconnects, 1);
+        assert_eq!(client.reactor().stats.reconnects, 1);
+    }
+
+    /// A client that dials again under the same id and then hangs up its
+    /// first connection still gets its responses: they go out on the
+    /// newest connection, and the old connection's close leaves that
+    /// registration alone.
+    #[test]
+    fn a_client_that_redials_gets_responses_on_its_new_connection() {
+        let base = free_base_port(1);
+        let mesh = Mesh::start(ReplicaId(0), 1, "127.0.0.1", base).expect("mesh");
+        let dial = |seq: u64| {
+            let mut s = TcpStream::connect(("127.0.0.1", base)).expect("dial");
+            s.write_all(&hello_bytes(PeerKind::Client(5))).expect("hello");
+            s.write_all(&encode_frame(&request(seq))).expect("request");
+            s
+        };
+        let recv = || mesh.inbox.recv_timeout(Duration::from_secs(5)).expect("a request");
+        let first = dial(1);
+        assert!(matches!(recv(), Inbound::FromClient(ClientId(5), _)));
+        let second = dial(2);
+        assert!(matches!(recv(), Inbound::FromClient(ClientId(5), _)));
+        drop(first);
+        turn_until(&mut mesh.reactor(), |r| r.conns.len() == 1);
+
+        let reply = response(2);
+        mesh.reactor().send_client(ClientId(5), reply.clone());
+        mesh.reactor().turn(Duration::ZERO);
+        let frame = encode_frame(&reply);
+        assert_eq!(
+            read_exactly(second, frame.len()),
+            frame[..],
+            "the reply took the new connection"
+        );
     }
 
     /// A peer that hangs up and dials again, one connection at a time and
@@ -798,7 +831,7 @@ mod tests {
     fn a_peer_that_redials_still_has_its_frames_delivered() {
         let base = free_base_port(2);
         let mesh = Mesh::start(ReplicaId(0), 2, "127.0.0.1", base).expect("mesh");
-        let mut reactor = mesh.adopt().expect("a live mesh has a reactor");
+        let mut reactor = mesh.reactor();
         let mut got = Vec::new();
         let dial_send_close = |seq: u64| {
             let mut s = TcpStream::connect(("127.0.0.1", base)).expect("dial");
@@ -807,19 +840,22 @@ mod tests {
         };
         for seq in 0..6 {
             dial_send_close(seq);
-            turn_until(&mut reactor, &mut got, |r, got| {
-                seqs(got).len() > seq as usize && r.conns.is_empty()
+            turn_until(&mut reactor, |r| {
+                got.extend(r.ready.drain(..));
+                seqs(&got).len() > seq as usize && r.conns.is_empty()
             });
         }
         for seq in 6..12 {
             dial_send_close(seq);
         }
-        turn_until(&mut reactor, &mut got, |r, got| seqs(got).len() == 12 && r.conns.is_empty());
+        turn_until(&mut reactor, |r| {
+            got.extend(r.ready.drain(..));
+            seqs(&got).len() == 12 && r.conns.is_empty()
+        });
         let mut delivered = seqs(&got);
         assert_eq!(delivered[..6], [0, 1, 2, 3, 4, 5], "one connection at a time: in order");
         delivered.sort_unstable();
         assert_eq!(delivered, (0..12).collect::<Vec<_>>(), "every frame, once");
-        mesh.hand_back(reactor);
     }
 
     /// `EPOLLOUT` is asked for while a flush is blocked on a full send
@@ -840,23 +876,23 @@ mod tests {
             ..MeshConfig::default()
         };
         let mesh = Mesh::start_with(ReplicaId(0), 2, "127.0.0.1", base, cfg).expect("mesh");
-        let mut reactor = mesh.adopt().expect("a live mesh has a reactor");
         let txs: Vec<Transaction> = (0..512).map(|i| Transaction::kv_write(0, i, i, i)).collect();
         let block = Block::new(ReplicaId(0), View(1), Slot::FIRST, Certificate::genesis(), txs);
-        let propose = Message::Propose(ProposeMsg { block: Arc::new(block), commit_cert: None });
+        let propose =
+            Message::Propose(ProposeMsg { block: std::sync::Arc::new(block), commit_cert: None });
         let frames = 64;
         let total = 5 + frames * encode_frame(&propose).len();
         for _ in 0..frames {
             mesh.send_replica(ReplicaId(1), propose.clone());
         }
 
-        let blocked = |r: &Reactor, _: &[Inbound]| r.conns.values().any(|c| c.want_write);
-        turn_until(&mut reactor, &mut Vec::new(), blocked);
+        let mut reactor = mesh.reactor();
+        turn_until(&mut reactor, |r| r.conns.values().any(|c| c.want_write));
         let (mut sink, _) = peer.accept().expect("the mesh dialed replica 1");
         sink.set_nonblocking(true).expect("nonblocking");
         let mut read = 0;
         let mut buf = vec![0u8; 64 * 1024];
-        turn_until(&mut reactor, &mut Vec::new(), |r, _| {
+        turn_until(&mut reactor, |r| {
             while let Ok(n) = sink.read(&mut buf) {
                 read += n;
                 if n == 0 {
@@ -865,16 +901,15 @@ mod tests {
             }
             read == total && !r.conns.values().any(|c| c.want_write)
         });
-        assert_eq!(mesh.queue_depths(), vec![(1, 0, 0)], "the queue drained");
+        assert_eq!(reactor.queue_depths(), vec![(1, 0, 0)], "the queue drained");
 
         // Idle now: each turn sleeps out its wait instead of waking at once
         // on a writable socket.
         let (turns, start) = (reactor.turns, Instant::now());
         while start.elapsed() < Duration::from_millis(100) {
-            reactor.turn(Duration::from_millis(20), &mut |_| {});
+            reactor.turn(Duration::from_millis(20));
         }
         let idle_turns = reactor.turns - turns;
         assert!(idle_turns <= 8, "{idle_turns} turns in 100 ms with nothing to do");
-        mesh.hand_back(reactor);
     }
 }

@@ -18,8 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::Stage;
-use crate::trace::{OwnedEvent, OwnedEventKind};
+use crate::event::{EventKind, Stage, TraceEvent};
 
 /// Hop names, in causal order (column names in the attribution CSV).
 pub const HOP_NAMES: [&str; 5] = [
@@ -114,12 +113,12 @@ fn path(block: u64, b: BlockObs, quorum: usize) -> Option<BlockPath> {
 /// Extract every fully-observed block's critical path from a merged
 /// timeline. `quorum` is `n − f` (3 at the quickstart n=4). Blocks are
 /// returned in trace-key order.
-pub fn analyze(events: &[OwnedEvent], quorum: usize) -> Vec<BlockPath> {
+pub fn analyze(events: &[TraceEvent], quorum: usize) -> Vec<BlockPath> {
     let mut blocks: BTreeMap<u64, BlockObs> = BTreeMap::new();
     for ev in events {
-        match &ev.kind {
-            OwnedEventKind::Stage { stage, block } => {
-                let b = blocks.entry(*block).or_default();
+        match ev.kind {
+            EventKind::Stage { stage, block } => {
+                let b = blocks.entry(block).or_default();
                 let sample = (ev.at, ev.actor);
                 match stage {
                     Stage::Proposed => {
@@ -132,11 +131,11 @@ pub fn analyze(events: &[OwnedEvent], quorum: usize) -> Vec<BlockPath> {
                     Stage::Voted => {}
                 }
             }
-            OwnedEventKind::Point { name, key, .. } if name == "finality" => {
-                blocks.entry(*key).or_default().finality = Some(ev.at);
+            EventKind::Point { name: "finality", key, .. } => {
+                blocks.entry(key).or_default().finality = Some(ev.at);
             }
-            OwnedEventKind::Point { name, key, value } if name == "submit_mean" => {
-                blocks.entry(*key).or_default().submit_mean = Some(*value);
+            EventKind::Point { name: "submit_mean", key, value } => {
+                blocks.entry(key).or_default().submit_mean = Some(value);
             }
             _ => {}
         }
@@ -146,11 +145,11 @@ pub fn analyze(events: &[OwnedEvent], quorum: usize) -> Vec<BlockPath> {
 
 /// The number of blocks the trace marks final (a `finality` point exists)
 /// — the denominator for "every committed block got an attributed path".
-pub fn finalized_blocks(events: &[OwnedEvent]) -> usize {
+pub fn finalized_blocks(events: &[TraceEvent]) -> usize {
     let mut keys: Vec<u64> = events
         .iter()
-        .filter_map(|ev| match &ev.kind {
-            OwnedEventKind::Point { name, key, .. } if name == "finality" => Some(*key),
+        .filter_map(|ev| match ev.kind {
+            EventKind::Point { name: "finality", key, .. } => Some(key),
             _ => None,
         })
         .collect();
@@ -182,21 +181,17 @@ pub fn attribution_csv(paths: &[BlockPath]) -> String {
 mod tests {
     use super::*;
 
-    fn stage(at: u64, actor: u32, s: Stage, block: u64) -> OwnedEvent {
-        OwnedEvent { at, actor, kind: OwnedEventKind::Stage { stage: s, block } }
+    fn stage(at: u64, actor: u32, s: Stage, block: u64) -> TraceEvent {
+        TraceEvent { at, actor, kind: EventKind::Stage { stage: s, block } }
     }
 
-    fn point(at: u64, name: &str, key: u64, value: u64) -> OwnedEvent {
-        OwnedEvent {
-            at,
-            actor: HARNESS_ACTOR,
-            kind: OwnedEventKind::Point { name: name.to_string(), key, value },
-        }
+    fn point(at: u64, name: &'static str, key: u64, value: u64) -> TraceEvent {
+        TraceEvent { at, actor: HARNESS_ACTOR, kind: EventKind::Point { name, key, value } }
     }
 
     /// One fully-observed HS1-style block: leader 2 proposes, all four
     /// receive/speculate/respond, quorum = 3.
-    fn block_events() -> Vec<OwnedEvent> {
+    fn block_events() -> Vec<TraceEvent> {
         let mut evs = vec![point(0, "submit_mean", 9, 100), stage(200, 2, Stage::Proposed, 9)];
         for (i, (rx, spec, resp)) in
             [(300u64, 500u64, 700u64), (320, 530, 720), (340, 560, 740), (360, 590, 760)]
@@ -229,9 +224,9 @@ mod tests {
     fn certify_prefers_speculation_then_falls_back_to_commit() {
         // Strip speculation (an HS2-style trace): certify must come from
         // the commit quorum instead.
-        let mut evs: Vec<OwnedEvent> = block_events()
+        let mut evs: Vec<TraceEvent> = block_events()
             .into_iter()
-            .filter(|e| !matches!(e.kind, OwnedEventKind::Stage { stage: Stage::Speculated, .. }))
+            .filter(|e| !matches!(e.kind, EventKind::Stage { stage: Stage::Speculated, .. }))
             .collect();
         for (at, actor) in [(600u64, 0u32), (610, 1), (620, 2)] {
             evs.push(stage(at, actor, Stage::Committed, 9));
@@ -258,7 +253,7 @@ mod tests {
         // A responded stamp *before* the certify quorum (clock weirdness
         // on a wall-clock trace) must clamp, not underflow.
         for ev in &mut evs {
-            if matches!(ev.kind, OwnedEventKind::Stage { stage: Stage::Responded, .. }) {
+            if matches!(ev.kind, EventKind::Stage { stage: Stage::Responded, .. }) {
                 ev.at = 400;
             }
         }

@@ -16,7 +16,7 @@
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::trace::{Alignment, ClusterTrace, OwnedEvent};
+use crate::trace::{Alignment, ClusterTrace};
 use crate::{Clock, Obs, Observer, RecordingObserver, TraceEvent};
 
 /// Routes emissions to per-replica recorders by actor id.
@@ -65,13 +65,13 @@ impl FanoutObserver {
         self.harness.set_trace_path(dir.join("harness.jsonl"));
     }
 
-    /// All lanes' traces as owned event streams (replicas in id order,
-    /// harness last) — the input shape [`ClusterTrace::merge`] takes.
-    pub(crate) fn sources(&self) -> Vec<Vec<OwnedEvent>> {
+    /// All lanes' traces (replicas in id order, harness last) — the input
+    /// shape [`ClusterTrace::merge`] takes.
+    pub(crate) fn sources(&self) -> Vec<Vec<TraceEvent>> {
         self.children
             .iter()
             .chain(std::iter::once(&self.harness))
-            .map(|rec| rec.trace().iter().map(OwnedEvent::from_event).collect())
+            .map(|rec| rec.trace().to_vec())
             .collect()
     }
 

@@ -58,7 +58,7 @@ pub use critical_path::{attribution_csv, BlockPath, HOP_NAMES};
 pub use event::{block_key, EventKind, Stage, TraceEvent};
 pub use fanout::FanoutObserver;
 pub use record::{Histogram, MetricsSnapshot, RecordingObserver};
-pub use trace::{Alignment, ClusterTrace, OwnedEvent};
+pub use trace::{Alignment, ClusterTrace};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

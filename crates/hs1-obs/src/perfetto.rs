@@ -13,7 +13,7 @@
 //! float-formatting-free, and the export is byte-deterministic for a
 //! deterministic input timeline.
 
-use crate::trace::{OwnedEvent, OwnedEventKind};
+use crate::event::{EventKind, TraceEvent};
 
 /// The synthetic tid used for the harness/oracle lane (`u32::MAX` itself
 /// renders as an unreadable track id in trace viewers).
@@ -32,7 +32,7 @@ fn tid(actor: u32) -> u32 {
 }
 
 /// Render a merged timeline as Chrome `trace_event` JSON.
-pub fn chrome_trace_json(events: &[OwnedEvent]) -> String {
+pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     let mut push = |line: String, out: &mut String| {
@@ -77,22 +77,22 @@ pub fn chrome_trace_json(events: &[OwnedEvent]) -> String {
 
     for ev in events {
         let (pid, t) = (0, tid(ev.actor));
-        let line = match &ev.kind {
-            OwnedEventKind::SpanBegin { name, key } => format!(
+        let line = match ev.kind {
+            EventKind::SpanBegin { name, key } => format!(
                 "{{\"ph\":\"B\",\"pid\":{pid},\"tid\":{t},\"ts\":{},\"name\":\"{name} {key}\"}}",
                 ts(ev.at)
             ),
-            OwnedEventKind::SpanEnd { name, key } => format!(
+            EventKind::SpanEnd { name, key } => format!(
                 "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{t},\"ts\":{},\"name\":\"{name} {key}\"}}",
                 ts(ev.at)
             ),
-            OwnedEventKind::Stage { stage, block } => format!(
+            EventKind::Stage { stage, block } => format!(
                 "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{t},\"ts\":{},\
                  \"name\":\"{}\",\"args\":{{\"block\":{block}}}}}",
                 ts(ev.at),
                 stage.name()
             ),
-            OwnedEventKind::Point { name, key, value } => format!(
+            EventKind::Point { name, key, value } => format!(
                 "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{t},\"ts\":{},\
                  \"name\":\"{name}\",\"args\":{{\"key\":{key},\"value\":{value}}}}}",
                 ts(ev.at)
@@ -109,28 +109,13 @@ mod tests {
     use super::*;
     use crate::event::Stage;
 
-    fn events() -> Vec<OwnedEvent> {
+    fn events() -> Vec<TraceEvent> {
+        let ev = |at, actor, kind| TraceEvent { at, actor, kind };
         vec![
-            OwnedEvent {
-                at: 1_500,
-                actor: 0,
-                kind: OwnedEventKind::SpanBegin { name: "view".to_string(), key: 1 },
-            },
-            OwnedEvent {
-                at: 2_000,
-                actor: 1,
-                kind: OwnedEventKind::Stage { stage: Stage::Received, block: 7 },
-            },
-            OwnedEvent {
-                at: 2_500,
-                actor: u32::MAX,
-                kind: OwnedEventKind::Point { name: "finality".to_string(), key: 7, value: 9 },
-            },
-            OwnedEvent {
-                at: 3_000,
-                actor: 0,
-                kind: OwnedEventKind::SpanEnd { name: "view".to_string(), key: 1 },
-            },
+            ev(1_500, 0, EventKind::SpanBegin { name: "view", key: 1 }),
+            ev(2_000, 1, EventKind::Stage { stage: Stage::Received, block: 7 }),
+            ev(2_500, u32::MAX, EventKind::Point { name: "finality", key: 7, value: 9 }),
+            ev(3_000, 0, EventKind::SpanEnd { name: "view", key: 1 }),
         ]
     }
 

@@ -3,9 +3,8 @@
 //!
 //! Per-node traces are islands — each replica's JSONL is ordered by its
 //! own clock and says nothing about cross-replica causality. This module
-//! takes each replica's recorded events as owned events ([`OwnedEvent`],
-//! which own the `&'static str` names of [`crate::TraceEvent`]), aligns
-//! the per-source clocks, and merges everything into one timeline:
+//! takes each replica's recorded [`TraceEvent`]s, aligns the per-source
+//! clocks, and merges everything into one timeline:
 //!
 //! * **Shared clock** ([`Alignment::SharedClock`]) — simulator traces:
 //!   every source was stamped by the same harness [`crate::Clock`], so
@@ -26,71 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::Stage;
-
-/// A parsed trace event with owned names (see [`crate::TraceEvent`] for
-/// the emission-side twin; the JSONL encodings are identical).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct OwnedEvent {
-    /// Timestamp in nanoseconds — source-local before alignment,
-    /// cluster-adjusted after [`ClusterTrace::merge`].
-    pub at: u64,
-    pub actor: u32,
-    pub kind: OwnedEventKind,
-}
-
-/// Owned-name twin of [`crate::EventKind`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum OwnedEventKind {
-    Stage { stage: Stage, block: u64 },
-    SpanBegin { name: String, key: u64 },
-    SpanEnd { name: String, key: u64 },
-    Point { name: String, key: u64, value: u64 },
-}
-
-impl OwnedEvent {
-    /// The event as one JSONL line — byte-identical to what
-    /// [`crate::TraceEvent::to_json`] produced for the same event.
-    pub(crate) fn to_json(&self) -> String {
-        let head = format!("{{\"at\":{},\"actor\":{}", self.at, self.actor);
-        match &self.kind {
-            OwnedEventKind::Stage { stage, block } => {
-                format!(
-                    "{head},\"kind\":\"stage\",\"stage\":\"{}\",\"block\":{block}}}",
-                    stage.name()
-                )
-            }
-            OwnedEventKind::SpanBegin { name, key } => {
-                format!("{head},\"kind\":\"span_begin\",\"name\":\"{name}\",\"key\":{key}}}")
-            }
-            OwnedEventKind::SpanEnd { name, key } => {
-                format!("{head},\"kind\":\"span_end\",\"name\":\"{name}\",\"key\":{key}}}")
-            }
-            OwnedEventKind::Point { name, key, value } => {
-                format!(
-                    "{head},\"kind\":\"point\",\"name\":\"{name}\",\"key\":{key},\"value\":{value}}}"
-                )
-            }
-        }
-    }
-
-    /// Borrowing conversion from an in-memory [`crate::TraceEvent`].
-    pub fn from_event(ev: &crate::TraceEvent) -> OwnedEvent {
-        let kind = match ev.kind {
-            crate::EventKind::Stage { stage, block } => OwnedEventKind::Stage { stage, block },
-            crate::EventKind::SpanBegin { name, key } => {
-                OwnedEventKind::SpanBegin { name: name.to_string(), key }
-            }
-            crate::EventKind::SpanEnd { name, key } => {
-                OwnedEventKind::SpanEnd { name: name.to_string(), key }
-            }
-            crate::EventKind::Point { name, key, value } => {
-                OwnedEventKind::Point { name: name.to_string(), key, value }
-            }
-        };
-        OwnedEvent { at: ev.at, actor: ev.actor, kind }
-    }
-}
+use crate::event::{EventKind, Stage, TraceEvent};
 
 /// How per-source clocks relate (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -106,7 +41,7 @@ pub enum Alignment {
 pub struct ClusterTrace {
     /// Merged events, ordered by (adjusted time, actor, source, input
     /// order) — a total, deterministic order.
-    pub events: Vec<OwnedEvent>,
+    pub events: Vec<TraceEvent>,
     /// The clock offset (nanoseconds, signed) that was *added* to each
     /// source's timestamps, indexed like the input sources.
     pub offsets: Vec<i64>,
@@ -114,7 +49,7 @@ pub struct ClusterTrace {
 
 impl ClusterTrace {
     /// Merge per-source event streams into one timeline.
-    pub fn merge(sources: Vec<Vec<OwnedEvent>>, alignment: Alignment) -> ClusterTrace {
+    pub fn merge(sources: Vec<Vec<TraceEvent>>, alignment: Alignment) -> ClusterTrace {
         let offsets = match alignment {
             Alignment::SharedClock => vec![0i64; sources.len()],
             Alignment::FirstContact => estimate_offsets(&sources),
@@ -122,17 +57,17 @@ impl ClusterTrace {
         // Adjusted timestamps can go negative on wall-clock traces (a
         // source whose clock ran ahead); rebase so the earliest merged
         // event sits at its smallest non-negative time.
-        let mut adjusted: Vec<(i128, u32, usize, usize, &OwnedEvent)> = Vec::new();
+        let mut adjusted: Vec<(i128, u32, usize, usize, TraceEvent)> = Vec::new();
         for (src, events) in sources.iter().enumerate() {
             for (seq, ev) in events.iter().enumerate() {
-                adjusted.push((ev.at as i128 + offsets[src] as i128, ev.actor, src, seq, ev));
+                adjusted.push((ev.at as i128 + offsets[src] as i128, ev.actor, src, seq, *ev));
             }
         }
         let base = adjusted.iter().map(|(t, ..)| *t).min().unwrap_or(0).min(0);
         adjusted.sort_by_key(|&(t, actor, src, seq, _)| (t, actor, src, seq));
         let events = adjusted
             .into_iter()
-            .map(|(t, _, _, _, ev)| OwnedEvent { at: (t - base) as u64, ..ev.clone() })
+            .map(|(t, _, _, _, ev)| TraceEvent { at: (t - base) as u64, ..ev })
             .collect();
         ClusterTrace { events, offsets }
     }
@@ -151,20 +86,20 @@ impl ClusterTrace {
 
 /// Per-pair clock-offset estimation from propose→receive anchors,
 /// propagated from the lowest-numbered source over the anchor graph.
-fn estimate_offsets(sources: &[Vec<OwnedEvent>]) -> Vec<i64> {
+fn estimate_offsets(sources: &[Vec<TraceEvent>]) -> Vec<i64> {
     let n = sources.len();
     // Earliest Proposed / Received per (source, block), source-local time.
     let mut proposed: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); n];
     let mut received: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); n];
     for (src, events) in sources.iter().enumerate() {
         for ev in events {
-            if let OwnedEventKind::Stage { stage, block } = &ev.kind {
+            if let EventKind::Stage { stage, block } = ev.kind {
                 let slot = match stage {
                     Stage::Proposed => &mut proposed[src],
                     Stage::Received => &mut received[src],
                     _ => continue,
                 };
-                let e = slot.entry(*block).or_insert(ev.at);
+                let e = slot.entry(block).or_insert(ev.at);
                 *e = (*e).min(ev.at);
             }
         }
@@ -222,30 +157,9 @@ fn estimate_offsets(sources: &[Vec<OwnedEvent>]) -> Vec<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, TraceEvent};
 
-    fn ev(at: u64, actor: u32, kind: OwnedEventKind) -> OwnedEvent {
-        OwnedEvent { at, actor, kind }
-    }
-
-    fn stage(at: u64, actor: u32, s: Stage, block: u64) -> OwnedEvent {
-        ev(at, actor, OwnedEventKind::Stage { stage: s, block })
-    }
-
-    /// An owned event emits the same JSONL line as the event it was made
-    /// from, for every kind.
-    #[test]
-    fn owned_events_emit_what_the_emitter_emits() {
-        let kinds = [
-            EventKind::Stage { stage: Stage::Speculated, block: 42 },
-            EventKind::SpanBegin { name: "view", key: 3 },
-            EventKind::SpanEnd { name: "view", key: 3 },
-            EventKind::Point { name: "finality", key: 9, value: 77 },
-        ];
-        for kind in kinds {
-            let emitted = TraceEvent { at: 123, actor: u32::MAX, kind };
-            assert_eq!(OwnedEvent::from_event(&emitted).to_json(), emitted.to_json());
-        }
+    fn stage(at: u64, actor: u32, s: Stage, block: u64) -> TraceEvent {
+        TraceEvent { at, actor, kind: EventKind::Stage { stage: s, block } }
     }
 
     #[test]
@@ -300,13 +214,13 @@ mod tests {
         let prop: Vec<u64> = merged
             .events
             .iter()
-            .filter(|e| matches!(e.kind, OwnedEventKind::Stage { stage: Stage::Proposed, .. }))
+            .filter(|e| matches!(e.kind, EventKind::Stage { stage: Stage::Proposed, .. }))
             .map(|e| e.at)
             .collect();
         let recv: Vec<u64> = merged
             .events
             .iter()
-            .filter(|e| matches!(e.kind, OwnedEventKind::Stage { stage: Stage::Received, .. }))
+            .filter(|e| matches!(e.kind, EventKind::Stage { stage: Stage::Received, .. }))
             .map(|e| e.at)
             .collect();
         assert!(prop[0] <= recv[0] && prop[1] <= recv[1]);

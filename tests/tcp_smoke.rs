@@ -748,7 +748,7 @@ fn observer_survives_replica_restart_over_tcp() {
 #[test]
 #[ignore = "multi-second wall-clock run; execute with cargo test -- --ignored"]
 fn introspection_endpoints_serve_a_live_tcp_cluster() {
-    use hotstuff1::obs::{Alignment, Clock, ClusterTrace, Obs, OwnedEvent};
+    use hotstuff1::obs::{Alignment, Clock, ClusterTrace, Obs, TraceEvent};
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
@@ -777,8 +777,7 @@ fn introspection_endpoints_serve_a_live_tcp_cluster() {
                 .expect("introspection server");
             port_tx.send((id, http_port)).expect("report port");
             runner.run_for(run);
-            let events: Vec<OwnedEvent> =
-                rec.lock().expect("recorder").trace().iter().map(OwnedEvent::from_event).collect();
+            let events = rec.lock().expect("recorder").trace().to_vec();
             (runner.replica().state_root(), runner.committed_blocks, events)
         }));
     }
@@ -839,7 +838,7 @@ fn introspection_endpoints_serve_a_live_tcp_cluster() {
     if let Ok(dir) = std::env::var("HS1_TRACE_DIR") {
         let dir = std::path::PathBuf::from(dir);
         std::fs::create_dir_all(&dir).expect("trace dir");
-        let sources: Vec<Vec<OwnedEvent>> = results.into_iter().map(|(_, _, ev)| ev).collect();
+        let sources: Vec<Vec<TraceEvent>> = results.into_iter().map(|(_, _, ev)| ev).collect();
         let merged = ClusterTrace::merge(sources, Alignment::FirstContact);
         std::fs::write(dir.join("cluster.jsonl"), merged.to_jsonl()).expect("cluster.jsonl");
         std::fs::write(
