@@ -60,14 +60,6 @@ pub struct MeshConfig {
     pub queue_frames: usize,
     /// Per-peer outbound queue cap in bytes.
     pub queue_bytes: usize,
-    /// First reconnect delay after a peer connection dies; doubles per
-    /// failed attempt (with ±50% jitter) up to `reconnect_max`.
-    pub reconnect_base: Duration,
-    pub reconnect_max: Duration,
-    /// Bound on one dial attempt (loopback dials resolve instantly;
-    /// this caps the stall a blackholed peer could cause the thread
-    /// turning the reactor — for a running node, the engine's).
-    pub connect_timeout: Duration,
     /// Listen on this port instead of `base_port + me` (lets tests
     /// interpose a proxy at the advertised port).
     pub listen_port: Option<u16>,
@@ -75,9 +67,6 @@ pub struct MeshConfig {
     /// backpressure reaches the bounded queues quickly (tests only;
     /// `None` keeps the OS default).
     pub send_buffer: Option<usize>,
-    /// How often the reactor publishes queue gauges / counter deltas to
-    /// the attached observer.
-    pub metrics_interval: Duration,
 }
 
 impl Default for MeshConfig {
@@ -86,12 +75,8 @@ impl Default for MeshConfig {
             backend: Backend::Reactor,
             queue_frames: 8192,
             queue_bytes: 16 << 20,
-            reconnect_base: Duration::from_millis(50),
-            reconnect_max: Duration::from_secs(2),
-            connect_timeout: Duration::from_millis(250),
             listen_port: None,
             send_buffer: None,
-            metrics_interval: Duration::from_millis(100),
         }
     }
 }
@@ -278,12 +263,8 @@ mod tests {
     fn queue_gauges_report_zero_after_drain() {
         let n = 2usize;
         let base = free_base_port(n as u16);
-        let cfg = MeshConfig {
-            backend: Backend::Reactor,
-            metrics_interval: Duration::from_millis(5),
-            ..MeshConfig::default()
-        };
-        let a = Mesh::start_with(ReplicaId(0), n, "127.0.0.1", base, cfg.clone()).expect("mesh a");
+        let a = Mesh::start(ReplicaId(0), n, "127.0.0.1", base).expect("mesh a");
+        a.reactor().metrics_interval = Duration::from_millis(5);
         let (obs, rec) = Obs::recording(Clock::wall());
         a.reactor().obs = obs.with_actor(0);
 
@@ -311,7 +292,7 @@ mod tests {
 
         // Bring peer 1 up and turn both meshes; the queue drains and the
         // *published* gauge must come back to exactly 0.
-        let b = Mesh::start_with(ReplicaId(1), n, "127.0.0.1", base, cfg).expect("mesh b");
+        let b = Mesh::start(ReplicaId(1), n, "127.0.0.1", base).expect("mesh b");
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let (frames, bytes) = (gauge("net_out_queue_frames"), gauge("net_out_queue_bytes"));

@@ -235,13 +235,19 @@ impl NodeRunner {
         SimTime(self.start.elapsed().as_nanos() as u64)
     }
 
-    /// Run the node loop for `duration` wall-clock time. A node built
-    /// with [`NodeRunner::with_state_sync`] syncs first (its shell defers
-    /// consensus traffic meanwhile), then runs consensus for the
-    /// remainder, all on this one loop. Returns at once if the mesh has
-    /// been shut down.
+    /// Run the node loop for `duration` wall-clock time: [`NodeRunner::run_until`]
+    /// with nothing that ends it early.
     pub fn run_for(&mut self, duration: Duration) {
-        let deadline = Instant::now() + duration;
+        self.run_until(Instant::now() + duration, |_| false);
+    }
+
+    /// Run the node loop until `deadline`, or until `done` answers true;
+    /// it is asked once per turn, after the turn's frames are stepped. A
+    /// node built with [`NodeRunner::with_state_sync`] syncs first (its
+    /// shell defers consensus traffic meanwhile), then runs consensus for
+    /// the remainder, all on this one loop. Returns at once if the mesh
+    /// has been shut down.
+    pub fn run_until(&mut self, deadline: Instant, mut done: impl FnMut(&NodeRunner) -> bool) {
         if self.mesh.reactor().is_closed() {
             return;
         }
@@ -266,7 +272,7 @@ impl NodeRunner {
                 self.refresh_status();
             }
             let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            if left.is_zero() || done(self) {
                 break;
             }
             let mut wait = match self.timers.peek() {

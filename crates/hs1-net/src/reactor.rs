@@ -54,7 +54,7 @@
 //! (base doubling to a max, ±50% jitter so a restarted replica isn't
 //! hammered in lockstep) and is redialed as soon as traffic for it
 //! exists. A dial blocks the turning thread for at most
-//! `connect_timeout`; a refused loopback dial returns at once.
+//! [`CONNECT_TIMEOUT`]; a refused loopback dial returns at once.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -122,6 +122,20 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// Ready fds taken from the kernel per wait; more wait for the next turn.
 const EVENTS_PER_WAIT: usize = 64;
 
+/// First reconnect delay after a peer connection dies; doubles per failed
+/// attempt (with ±50% jitter) up to [`RECONNECT_MAX`].
+const RECONNECT_BASE: Duration = Duration::from_millis(50);
+const RECONNECT_MAX: Duration = Duration::from_secs(2);
+
+/// Bound on one dial attempt (loopback dials resolve instantly; this caps
+/// the stall a blackholed peer could cause the thread turning the
+/// reactor — for a running node, the engine's).
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// How often the reactor publishes queue gauges and counter deltas to
+/// the attached observer.
+const METRICS_INTERVAL: Duration = Duration::from_millis(100);
+
 /// Every socket, queue and counter of one mesh, and the state to drive
 /// them. It has one owner, the thread that calls [`Reactor::turn`].
 pub(crate) struct Reactor {
@@ -156,6 +170,8 @@ pub(crate) struct Reactor {
     /// Counter values already published to the observer.
     emitted: NetStatsSnapshot,
     last_tick: Instant,
+    /// [`METRICS_INTERVAL`]; tests shorten or stretch it.
+    pub(crate) metrics_interval: Duration,
     /// Turns taken so far (tests bound it to show the loop does not spin).
     pub(crate) turns: u64,
     /// The interest set: the listener and every connection.
@@ -210,6 +226,7 @@ impl Reactor {
             obs: Obs::noop(),
             emitted: NetStatsSnapshot::default(),
             last_tick: Instant::now(),
+            metrics_interval: METRICS_INTERVAL,
             turns: 0,
             epoll,
             events: vec![EpollEvent::default(); EVENTS_PER_WAIT],
@@ -342,8 +359,7 @@ impl Reactor {
     /// rounding down would spin on a zero timeout until it passed.
     fn poll_timeout_ms(&self, wait: Duration) -> i32 {
         let now = Instant::now();
-        let tick_deadline =
-            (self.last_tick + self.cfg.metrics_interval).saturating_duration_since(now);
+        let tick_deadline = (self.last_tick + self.metrics_interval).saturating_duration_since(now);
         let mut nearest = wait.min(tick_deadline);
         for (peer, link) in self.links.iter().enumerate() {
             if let Link::Backoff { until, .. } = link {
@@ -387,8 +403,8 @@ impl Reactor {
                 }
                 Err(_) => {
                     let delay = match self.links[peer] {
-                        Link::Backoff { delay, .. } => (delay * 2).min(self.cfg.reconnect_max),
-                        _ => self.cfg.reconnect_base,
+                        Link::Backoff { delay, .. } => (delay * 2).min(RECONNECT_MAX),
+                        _ => RECONNECT_BASE,
                     };
                     let jitter = jittered(delay, &mut self.rng);
                     self.links[peer] = Link::Backoff { until: now + jitter, delay };
@@ -405,7 +421,7 @@ impl Reactor {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "no addr"))?;
-        let mut stream = TcpStream::connect_timeout(&addr, self.cfg.connect_timeout)?;
+        let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         if let Some(bytes) = self.cfg.send_buffer {
             let _ = set_send_buffer(stream.as_raw_fd(), bytes);
@@ -610,7 +626,7 @@ impl Reactor {
             ConnKind::ReplicaOut(peer) => {
                 // A half-sent frame cannot resume on a new connection.
                 self.queues[peer as usize].abandon_partial();
-                let delay = self.cfg.reconnect_base;
+                let delay = RECONNECT_BASE;
                 let jitter = jittered(delay, &mut self.rng);
                 self.links[peer as usize] = Link::Backoff { until: Instant::now() + jitter, delay };
             }
@@ -626,7 +642,7 @@ impl Reactor {
     /// Publish counters/gauges to the attached observer. Runs at
     /// `metrics_interval` (and once at shutdown with `force`).
     fn tick_metrics(&mut self, force: bool) {
-        if !force && self.last_tick.elapsed() < self.cfg.metrics_interval {
+        if !force && self.last_tick.elapsed() < self.metrics_interval {
             return;
         }
         self.last_tick = Instant::now();
@@ -872,10 +888,10 @@ mod tests {
             send_buffer: Some(4096),
             queue_frames: 1 << 20,
             queue_bytes: 1 << 30,
-            metrics_interval: Duration::from_secs(10),
             ..MeshConfig::default()
         };
         let mesh = Mesh::start_with(ReplicaId(0), 2, "127.0.0.1", base, cfg).expect("mesh");
+        mesh.reactor().metrics_interval = Duration::from_secs(10);
         let txs: Vec<Transaction> = (0..512).map(|i| Transaction::kv_write(0, i, i, i)).collect();
         let block = Block::new(ReplicaId(0), View(1), Slot::FIRST, Certificate::genesis(), txs);
         let propose =

@@ -33,8 +33,8 @@
 //!
 //! # Cluster-level analysis
 //!
-//! Per-node traces compose into cluster timelines: [`FanoutObserver`]
-//! records each replica into its own lane (one JSONL file per replica),
+//! Per-node traces compose into cluster timelines: [`lanes`] splits a
+//! cluster's recording into one lane per replica (one JSONL file each),
 //! [`ClusterTrace`] merges N such traces into one causally-ordered
 //! timeline (shared-clock for sim traces, first-contact offset alignment
 //! for wall-clock TCP traces), [`critical_path`] extracts each committed
@@ -56,7 +56,7 @@ mod trace;
 
 pub use critical_path::{attribution_csv, BlockPath, HOP_NAMES};
 pub use event::{block_key, EventKind, Stage, TraceEvent};
-pub use fanout::FanoutObserver;
+pub use fanout::{lanes, write_lanes};
 pub use record::{Histogram, MetricsSnapshot, RecordingObserver};
 pub use trace::{Alignment, ClusterTrace};
 

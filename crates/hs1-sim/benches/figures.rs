@@ -1,9 +1,8 @@
-//! Regenerates the sweep figures in [`hs1_bench::figures::FIGURES`]:
-//! `cargo bench --bench figures -- fig7_slotting fig_chaos` runs those two
+//! Regenerates the figures in [`hs1_sim::figures::FIGURES`]:
+//! `cargo bench --bench figures -- fig7_slotting fig_knee` runs those two
 //! and writes `bench_results/<name>.csv` for each.
 
-use hs1_bench::figures::FIGURES;
-use hs1_bench::FigureSink;
+use hs1_sim::figures::FIGURES;
 
 fn main() {
     // cargo appends `--bench`; every other argument names a figure.
@@ -18,16 +17,6 @@ fn main() {
         std::process::exit(2);
     }
     for fig in picked {
-        let mut sink = FigureSink::new(fig.name, fig.title);
-        let mut rows = Vec::new();
-        for (label, scenario) in (fig.sweep)() {
-            let report = scenario.run();
-            sink.record(&label, &report);
-            rows.push((label, report));
-        }
-        if let Some(check) = fig.check {
-            check(&rows);
-        }
-        sink.finish();
+        fig.regenerate();
     }
 }

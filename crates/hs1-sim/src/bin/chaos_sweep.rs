@@ -8,18 +8,18 @@
 //! exiting non-zero.
 //!
 //! ```text
-//! cargo run --release -p hs1-chaos --bin chaos_sweep -- --seeds 64
-//! cargo run --release -p hs1-chaos --bin chaos_sweep -- \
+//! cargo run --release -p hs1-sim --bin chaos_sweep -- --seeds 64
+//! cargo run --release -p hs1-sim --bin chaos_sweep -- \
 //!     --replay 'hs1:v1;seed=7;n=4;...'        # byte-identical re-run
-//! cargo run --release -p hs1-chaos --bin chaos_sweep -- \
+//! cargo run --release -p hs1-sim --bin chaos_sweep -- \
 //!     --replay 'hs1:...' --trace /tmp/run.jsonl   # + structured trace dump
-//! cargo run --release -p hs1-chaos --bin chaos_sweep -- \
+//! cargo run --release -p hs1-sim --bin chaos_sweep -- \
 //!     --replay 'hs1:...' --metrics /tmp/run.csv   # + counter/gauge snapshot
-//! cargo run --release -p hs1-chaos --bin chaos_sweep -- \
+//! cargo run --release -p hs1-sim --bin chaos_sweep -- \
 //!     --replay 'hs1:...' --trace-dir /tmp/run     # per-replica + merged
 //!                                                 # cluster trace, critical-
 //!                                                 # path CSV, Perfetto JSON
-//! cargo run --release -p hs1-chaos --bin chaos_sweep -- \
+//! cargo run --release -p hs1-sim --bin chaos_sweep -- \
 //!     --seeds 4 --inject rollback             # prove the gate trips
 //! ```
 //!
@@ -29,9 +29,11 @@
 
 #![warn(unreachable_pub)]
 
-use hs1_chaos::{parse_replay, parse_sim_seconds, replay_command, sweep, ChaosCase, Inject};
-use hs1_obs::{Clock, Obs};
+use std::path::PathBuf;
+
+use hs1_obs::{critical_path, Alignment, Clock, ClusterTrace, Obs};
 use hs1_sim::chaos::ChaosConfig;
+use hs1_sim::sweep::{parse_replay, parse_sim_seconds, replay_command, sweep, ChaosCase, Inject};
 use hs1_sim::ProtocolKind;
 
 struct Args {
@@ -137,26 +139,19 @@ fn replay(args: &Args, spec: &str) -> ! {
     let case = ChaosCase { protocol, plan, sim_seconds: args.sim_seconds, inject: args.inject };
     println!("replaying {} under {}", case.plan, case.protocol.name());
     let mut scenario = case.scenario();
-    let cluster_n = scenario.n;
-    let mut recorder = None;
-    let mut fanout = None;
-    if let Some(dir) = &args.trace_dir {
-        // Per-replica fan-out over the same sim-driven manual clock:
-        // each replica's JSONL lands in DIR, and the merge back into one
-        // cluster timeline is byte-identical across replays of the spec.
-        let dir = std::path::PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
+    let trace_dir = args.trace_dir.as_ref().map(PathBuf::from);
+    if let Some(dir) = &trace_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --trace-dir {}: {e}", dir.display());
             std::process::exit(2);
         }
-        let (s, fan) = scenario.record_cluster();
-        scenario = s;
-        fan.lock().unwrap().set_trace_dir(&dir);
-        fanout = Some((fan, dir));
-    } else if args.trace.is_some() || args.metrics.is_some() {
-        // A recording observer over the sim-driven manual clock: the
-        // dumped JSONL is byte-identical across replays of the same spec
-        // (and so are the snapshot's counter/gauge rows).
+    }
+    // One recording observer over the sim-driven manual clock: the dumped
+    // JSONL, the per-replica lanes and their merge into one cluster
+    // timeline are byte-identical across replays of the same spec (and so
+    // are the snapshot's counter/gauge rows).
+    let mut recorder = None;
+    if args.trace.is_some() || args.metrics.is_some() || trace_dir.is_some() {
         let (obs, rec) = Obs::recording(Clock::manual());
         if let Some(path) = &args.trace {
             rec.lock().unwrap().set_trace_path(path.into());
@@ -165,6 +160,16 @@ fn replay(args: &Args, spec: &str) -> ! {
         recorder = Some(rec);
     }
     let report = scenario.run();
+    // Each replica's lane goes to disk before the invariant gate, so a
+    // violating replay leaves them for inspection.
+    let lanes = trace_dir.as_ref().zip(recorder.as_ref()).map(|(dir, rec)| {
+        let lanes = hs1_obs::lanes(rec.lock().unwrap().trace(), report.n);
+        if let Err(e) = hs1_obs::write_lanes(dir, &lanes) {
+            eprintln!("failed to write the lanes in {}: {e}", dir.display());
+            std::process::exit(1);
+        }
+        lanes
+    });
     println!("  {}", report.row());
     println!(
         "  chaos: dropped={} dup={} reordered={} partitions={} crashes={} restarts={} \
@@ -210,73 +215,67 @@ fn replay(args: &Args, spec: &str) -> ! {
             println!("  metrics: {} rows -> {path}", snapshot.rows.len());
         }
     }
-    if let Some((fan, dir)) = fanout {
-        let mut fan = fan.lock().unwrap();
-        // Write the per-replica JSONL files (replica-<i>.jsonl +
-        // harness.jsonl) that set_trace_dir configured.
-        hs1_obs::Observer::flush(&mut *fan);
-        let merged = fan.merged();
-        let quorum = cluster_n - (cluster_n - 1) / 3;
-        let paths = hs1_obs::critical_path::analyze(&merged.events, quorum);
-        let finalized = hs1_obs::critical_path::finalized_blocks(&merged.events);
+    if let (Some(dir), Some(lanes)) = (trace_dir, lanes) {
+        cluster_artifacts(&dir, lanes, report.n);
+    }
+    std::process::exit(0);
+}
 
-        let write = |name: &str, body: String| {
-            let path = dir.join(name);
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        write("cluster.jsonl", merged.to_jsonl());
-        write("critical_path.csv", hs1_obs::attribution_csv(&paths));
-        write("trace.perfetto.json", hs1_obs::perfetto::chrome_trace_json(&merged.events));
-        if let Some(path) = &args.metrics {
-            let snapshot = fan.snapshot();
-            if let Err(e) = std::fs::write(path, snapshot.to_csv()) {
-                eprintln!("failed to write metrics {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("  metrics: {} rows -> {path}", snapshot.rows.len());
+/// Merge the lanes into one cluster timeline, write it with its
+/// critical-path attribution and Perfetto export into `dir`, and run the
+/// critical-path canary over it.
+fn cluster_artifacts(dir: &std::path::Path, lanes: Vec<Vec<hs1_obs::TraceEvent>>, n: usize) {
+    let merged = ClusterTrace::merge(lanes, Alignment::SharedClock);
+    let quorum = n - (n - 1) / 3;
+    let paths = critical_path::analyze(&merged.events, quorum);
+    let finalized = critical_path::finalized_blocks(&merged.events);
+
+    let write = |name: &str, body: String| {
+        let path = dir.join(name);
+        if let Err(e) = std::fs::write(&path, body) {
+            eprintln!("failed to write {}: {e}", path.display());
+            std::process::exit(1);
         }
-        println!(
-            "  cluster trace: {} events across {} replica lanes -> {}",
-            merged.events.len(),
-            fan.n(),
-            dir.join("cluster.jsonl").display()
-        );
-        println!(
-            "  critical path: {} blocks attributed ({} finalized), hops telescope exactly",
-            paths.len(),
-            finalized
-        );
-        println!("  perfetto: {}", dir.join("trace.perfetto.json").display());
+    };
+    write("cluster.jsonl", merged.to_jsonl());
+    write("critical_path.csv", hs1_obs::attribution_csv(&paths));
+    write("trace.perfetto.json", hs1_obs::perfetto::chrome_trace_json(&merged.events));
+    println!(
+        "  cluster trace: {} events across {n} replica lanes -> {}",
+        merged.events.len(),
+        dir.join("cluster.jsonl").display()
+    );
+    println!(
+        "  critical path: {} blocks attributed ({} finalized), hops telescope exactly",
+        paths.len(),
+        finalized
+    );
+    println!("  perfetto: {}", dir.join("trace.perfetto.json").display());
 
-        // Canary: every finalized block must get an attributed critical
-        // path, and each path's hop durations must telescope exactly to
-        // its end-to-end latency. Runs after the artifacts are written so
-        // a failure leaves the trace on disk for inspection.
-        if paths.len() < finalized {
+    // Canary: every finalized block must get an attributed critical
+    // path, and each path's hop durations must telescope exactly to its
+    // end-to-end latency. Runs after the artifacts are written so a
+    // failure leaves the trace on disk for inspection.
+    if paths.len() < finalized {
+        eprintln!(
+            "CRITICAL-PATH CANARY FAILED: {} finalized blocks but only {} attributed paths",
+            finalized,
+            paths.len()
+        );
+        std::process::exit(1);
+    }
+    for p in &paths {
+        let hop_sum: u64 = (0..5).map(|i| p.hop_ns(i)).sum();
+        if hop_sum != p.e2e_ns() {
             eprintln!(
-                "CRITICAL-PATH CANARY FAILED: {} finalized blocks but only {} attributed paths",
-                finalized,
-                paths.len()
+                "CRITICAL-PATH CANARY FAILED: block {:#018x} hops sum to {hop_sum}ns \
+                 but e2e is {}ns",
+                p.block,
+                p.e2e_ns()
             );
             std::process::exit(1);
         }
-        for p in &paths {
-            let hop_sum: u64 = (0..5).map(|i| p.hop_ns(i)).sum();
-            if hop_sum != p.e2e_ns() {
-                eprintln!(
-                    "CRITICAL-PATH CANARY FAILED: block {:#018x} hops sum to {hop_sum}ns \
-                     but e2e is {}ns",
-                    p.block,
-                    p.e2e_ns()
-                );
-                std::process::exit(1);
-            }
-        }
     }
-    std::process::exit(0);
 }
 
 fn main() {

@@ -14,7 +14,7 @@
 //!
 //! The design follows the FoundationDB simulation playbook: faults are
 //! data, not code paths, and the schedule is explored by sweeping seeds
-//! (`hs1-chaos`), not by hand-picking scenarios.
+//! ([`crate::sweep`]), not by hand-picking scenarios.
 
 use hs1_adversary::AdversaryStrategy;
 use hs1_types::{SimDuration, SimTime, SplitMix64};
@@ -315,12 +315,12 @@ impl ChaosPlan {
     }
 
     /// Does any replica's clock run fast or slow?
-    pub fn skew_active(&self) -> bool {
+    pub(crate) fn skew_active(&self) -> bool {
         self.skew.iter().any(|&r| r != 1.0)
     }
 
     /// The plan with every clock back at nominal rate (shrinking).
-    pub fn without_skew(&self) -> ChaosPlan {
+    pub(crate) fn without_skew(&self) -> ChaosPlan {
         let mut plan = self.clone();
         plan.skew = vec![1.0; self.n];
         plan
@@ -328,7 +328,7 @@ impl ChaosPlan {
 
     /// The plan minus adversary `idx` (shrinking: adversaries drop one at
     /// a time toward a minimal failing plan).
-    pub fn without_adversary(&self, idx: usize) -> ChaosPlan {
+    pub(crate) fn without_adversary(&self, idx: usize) -> ChaosPlan {
         let mut plan = self.clone();
         if idx < plan.adversaries.len() {
             plan.adversaries.remove(idx);
@@ -340,7 +340,7 @@ impl ChaosPlan {
     /// `Crash`/`Restart` or `PartitionStart`/`PartitionHeal` pair is one
     /// unit (removing a crash without its restart would change the fault
     /// model, not shrink the schedule).
-    pub fn removable_units(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn removable_units(&self) -> Vec<Vec<usize>> {
         let mut units: Vec<Vec<usize>> = Vec::new();
         let mut open_partition: Option<usize> = None;
         let mut open_crash: Vec<(u32, usize)> = Vec::new();
@@ -390,7 +390,7 @@ impl ChaosPlan {
 
     /// The plan minus the events at `indices` (a unit from
     /// [`ChaosPlan::removable_units`]).
-    pub fn without_events(&self, indices: &[usize]) -> ChaosPlan {
+    pub(crate) fn without_events(&self, indices: &[usize]) -> ChaosPlan {
         let mut plan = self.clone();
         plan.events = self
             .events
@@ -403,7 +403,7 @@ impl ChaosPlan {
     }
 
     /// The plan with one link-fault axis zeroed everywhere.
-    pub fn without_axis(&self, axis: LinkAxis) -> ChaosPlan {
+    pub(crate) fn without_axis(&self, axis: LinkAxis) -> ChaosPlan {
         let mut plan = self.clone();
         for row in plan.links.iter_mut() {
             for l in row.iter_mut() {
@@ -417,6 +417,21 @@ impl ChaosPlan {
         plan
     }
 
+    /// The one-step smaller plans a shrinker tries, in order: each
+    /// removable event unit (last first: later faults are more often
+    /// incidental), each adversary (last first), each active link axis
+    /// (dup, reorder, drop), then flat clocks.
+    pub(crate) fn shrink_candidates(&self) -> impl Iterator<Item = ChaosPlan> + '_ {
+        let units = self.removable_units().into_iter().rev().map(|u| self.without_events(&u));
+        let adversaries = (0..self.adversaries.len()).rev().map(|k| self.without_adversary(k));
+        let axes = [LinkAxis::Dup, LinkAxis::Reorder, LinkAxis::Drop]
+            .into_iter()
+            .filter(|&axis| self.axis_active(axis))
+            .map(|axis| self.without_axis(axis));
+        let skew = self.skew_active().then(|| self.without_skew());
+        units.chain(adversaries).chain(axes).chain(skew)
+    }
+
     /// Total fault mass: events plus active link axes, adversaries, and
     /// the skew axis (shrinking progress metric).
     pub fn weight(&self) -> usize {
@@ -428,7 +443,7 @@ impl ChaosPlan {
     }
 
     /// Is `axis` nonzero on any link?
-    pub fn axis_active(&self, axis: LinkAxis) -> bool {
+    pub(crate) fn axis_active(&self, axis: LinkAxis) -> bool {
         self.links.iter().flatten().any(|l| match axis {
             LinkAxis::Drop => l.drop > 0.0,
             LinkAxis::Dup => l.dup > 0.0,
@@ -616,7 +631,7 @@ impl ChaosPlan {
 
 /// One of the three link-fault axes (shrinking granularity).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkAxis {
+pub(crate) enum LinkAxis {
     Drop,
     Dup,
     Reorder,

@@ -1,59 +1,170 @@
-//! The figures that are a pure parameter sweep, as data: each entry of
-//! [`FIGURES`] lists the scenarios behind one CSV, one per row, and the
-//! `figures` bench target runs whichever entries it is asked for. The
-//! figures that post-process their runs (`fig_critical_path`, `fig_knee`,
-//! `fig_recovery`) are bench targets of their own.
+//! The paper's evaluation as data: each entry of [`FIGURES`] prints one
+//! figure's series, asserts what the figure claims, and writes
+//! `bench_results/<name>.csv`. The `figures` bench target runs whichever
+//! entries it is asked for.
+//!
+//! Simulated runs measure 1.0 s after a 0.4 s warm-up (the paper uses
+//! 120 s runs; sim time only affects statistical noise, not shape). The
+//! simulator is deterministic, so a committed CSV is pinned, not gated:
+//! CI regenerates every committed figure and fails on any difference from
+//! the committed bytes. `fig_recovery` times the storage and state-sync
+//! layers on the wall clock, so its CSV is a report and is not committed.
+
+use std::fs;
+use std::path::Path;
 
 use hs1_adversary::AdversaryStrategy;
 use hs1_core::Fault;
-use hs1_sim::chaos::{ChaosConfig, ChaosPlan};
-use hs1_sim::regions::{split, Region};
-use hs1_sim::{ProtocolKind, Report, Scenario, WorkloadKind};
 use hs1_types::{ReplicaId, SimDuration};
 
-use crate::standard;
+use crate::chaos::{ChaosConfig, ChaosPlan};
+use crate::regions::{split, Region};
+use crate::{ProtocolKind, Report, Scenario, WorkloadKind};
+
+mod critical_path;
+mod knee;
+mod recovery;
 
 /// `(sweep label, scenario)` per CSV row, in row order.
 type Rows = Vec<(String, Scenario)>;
-/// Assertions (and derived lines) over a figure's finished rows.
-type Check = fn(&[(String, Report)]);
 
-/// One figure: `bench_results/<name>.csv`, one row per sweep entry.
+/// One figure: `bench_results/<name>.csv`.
 pub struct Figure {
     pub name: &'static str,
     pub title: &'static str,
-    pub sweep: fn() -> Rows,
-    pub check: Option<Check>,
+    run: Run,
 }
 
-const fn sweep_only(name: &'static str, title: &'static str, sweep: fn() -> Rows) -> Figure {
-    Figure { name, title, sweep, check: None }
+/// What a figure runs.
+enum Run {
+    /// A parameter sweep: one row per scenario, tagged with its label.
+    Sweep(fn() -> Rows),
+    /// Anything else: it fills the sink itself, header first, and asserts
+    /// what the figure claims.
+    Own(fn(&mut FigureSink)),
 }
 
-/// Every sweep figure, in the order the `figures` harness lists them.
-pub static FIGURES: [Figure; 12] = [
-    sweep_only("fig7_slotting", "adaptive slotting vs view timer (Figs 6-7)", fig7_slotting),
-    sweep_only("fig8_scalability", "throughput/latency vs replicas (Fig 8a,b)", fig8_scalability),
-    sweep_only("fig8_batching", "throughput/latency vs batch size (Fig 8c,d)", fig8_batching),
-    sweep_only("fig8_geo", "geo-scale scalability (Fig 8e-h)", fig8_geo),
-    sweep_only("fig9_delay", "injected message delays (Fig 9a-d,f-i)", fig9_delay),
-    sweep_only("fig9_geo2", "Virginia/London split (Fig 9e,j)", fig9_geo2),
-    sweep_only("fig10_slowness", "leader slowness (Fig 10a-d)", fig10_slowness),
-    sweep_only("fig10_tailfork", "tail-forking attack (Fig 10e,f)", fig10_tailfork),
-    sweep_only("fig10_rollback", "rollback attack (Fig 10g,h)", fig10_rollback),
-    Figure {
-        name: "halfphase_ladder",
-        title: "half-phase latency ladder (§7 Baselines)",
-        sweep: halfphase_ladder,
-        check: Some(halfphase_ladder_check),
-    },
-    sweep_only("fig_chaos", "throughput/latency vs link loss", fig_chaos),
-    sweep_only(
+const fn sweep(name: &'static str, title: &'static str, rows: fn() -> Rows) -> Figure {
+    Figure { name, title, run: Run::Sweep(rows) }
+}
+
+const fn own(name: &'static str, title: &'static str, run: fn(&mut FigureSink)) -> Figure {
+    Figure { name, title, run: Run::Own(run) }
+}
+
+impl Figure {
+    /// Run the figure and write its CSV.
+    pub fn regenerate(&self) {
+        println!("=== {}: {} ===", self.name, self.title);
+        let mut sink = FigureSink { name: self.name, rows: Vec::new() };
+        match self.run {
+            Run::Sweep(rows) => {
+                sink.sweep(rows());
+            }
+            Run::Own(run) => run(&mut sink),
+        }
+        sink.finish();
+    }
+}
+
+/// Every figure, in the order the `figures` harness lists them.
+pub static FIGURES: [Figure; 15] = [
+    sweep("fig7_slotting", "adaptive slotting vs view timer (Figs 6-7)", fig7_slotting),
+    sweep("fig8_scalability", "throughput/latency vs replicas (Fig 8a,b)", fig8_scalability),
+    sweep("fig8_batching", "throughput/latency vs batch size (Fig 8c,d)", fig8_batching),
+    sweep("fig8_geo", "geo-scale scalability (Fig 8e-h)", fig8_geo),
+    sweep("fig9_delay", "injected message delays (Fig 9a-d,f-i)", fig9_delay),
+    sweep("fig9_geo2", "Virginia/London split (Fig 9e,j)", fig9_geo2),
+    sweep("fig10_slowness", "leader slowness (Fig 10a-d)", fig10_slowness),
+    sweep("fig10_tailfork", "tail-forking attack (Fig 10e,f)", fig10_tailfork),
+    sweep("fig10_rollback", "rollback attack (Fig 10g,h)", fig10_rollback),
+    own("halfphase_ladder", "half-phase latency ladder (§7 Baselines)", |s| {
+        halfphase_ladder_check(&s.sweep(halfphase_ladder()))
+    }),
+    sweep("fig_chaos", "throughput/latency vs link loss", fig_chaos),
+    sweep(
         "fig_adversary",
         "throughput/latency vs backup adversary strategy (1 of 4 replicas Byzantine)",
         fig_adversary,
     ),
+    own(
+        "fig_knee",
+        "offered-load knee curves, HS1 vs HS2 (n=4, batch 32, open-loop Poisson)",
+        knee::run,
+    ),
+    own(
+        "fig_critical_path",
+        "commit critical-path attribution, HS1 vs HS2 (n=4, batch 32, 64 clients)",
+        critical_path::run,
+    ),
+    own("fig_recovery", "recovery time vs journal length", recovery::run),
 ];
+
+/// Collects a figure's CSV rows, header first, for
+/// `bench_results/<name>.csv`.
+struct FigureSink {
+    name: &'static str,
+    rows: Vec<String>,
+}
+
+impl FigureSink {
+    /// The CSV header: the first call of every figure's `run`.
+    fn header(&mut self, header: &str) {
+        self.rows.push(header.to_string());
+    }
+
+    /// Run a sweep, one row per scenario, tagged with its sweep label.
+    /// Exits non-zero on any invariant violation — bench output must
+    /// never scroll past a safety regression as advisory.
+    fn sweep(&mut self, rows: Rows) -> Vec<(String, Report)> {
+        // Data rows are prefixed with the sweep tag; the header must
+        // carry the same leading column or every field parses one off.
+        self.header(&format!("sweep,{}", Report::csv_header()));
+        rows.into_iter()
+            .map(|(sweep, scenario)| {
+                let report = scenario.run();
+                println!("  [{sweep:>24}] {}", report.row());
+                report.ensure_invariants(&format!("{} [{sweep}]", self.name));
+                self.rows.push(format!("{sweep},{}", report.csv_row()));
+                (sweep, report)
+            })
+            .collect()
+    }
+
+    /// Record a pre-formatted CSV row (an `own` figure's).
+    fn record(&mut self, row: String) {
+        println!("  {row}");
+        self.rows.push(row);
+    }
+
+    /// Write the CSV (missing dir is created). A figure that emitted no
+    /// data rows is broken — fail the run loudly instead of uploading a
+    /// header-only CSV that looks like a regenerated figure. An
+    /// unwritable CSV fails the run too: the previous file would stay in
+    /// place and pass for this run's output.
+    fn finish(self) {
+        assert!(
+            self.rows.len() > 1,
+            "figure {} emitted no rows — the figure would be silently empty",
+            self.name
+        );
+        // The workspace root, two levels above this crate.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).expect("workspace");
+        let dir = root.join("bench_results");
+        let path = dir.join(format!("{}.csv", self.name));
+        let text = self.rows.join("\n") + "\n";
+        if let Err(e) = fs::create_dir_all(&dir).and_then(|()| fs::write(&path, text)) {
+            panic!("figure {}: write {}: {e}", self.name, path.display());
+        }
+        println!("  -> wrote {}", path.display());
+    }
+}
+
+/// Apply the standard measurement window to a scenario: 1.0 simulated
+/// seconds after a 0.4 s warm-up.
+fn standard(s: Scenario) -> Scenario {
+    s.sim_seconds(1.0).warmup_seconds(0.4)
+}
 
 /// The sweep every figure shares: one row per `(x, protocol)`, `xs`
 /// outermost. `row` shapes the standard-window scenario for `x` and tags
@@ -291,25 +402,31 @@ mod tests {
 
     use super::*;
 
+    /// A sweep's labels key its CSV rows: each must be there, once.
+    fn assert_unique_labels(figure: &str, rows: &Rows) {
+        assert!(!rows.is_empty(), "{figure} sweeps nothing");
+        let labels: HashSet<&str> = rows.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels.len(), rows.len(), "{figure}: duplicate sweep label");
+    }
+
     #[test]
     fn names_and_sweep_labels_are_unique() {
         let names: HashSet<&str> = FIGURES.iter().map(|f| f.name).collect();
         assert_eq!(names.len(), FIGURES.len(), "duplicate figure name");
         for fig in &FIGURES {
             assert!(!fig.name.is_empty() && !fig.title.is_empty());
-            let rows = (fig.sweep)();
-            assert!(!rows.is_empty(), "{} sweeps nothing", fig.name);
-            let labels: HashSet<&str> = rows.iter().map(|(l, _)| l.as_str()).collect();
-            assert_eq!(labels.len(), rows.len(), "{}: duplicate sweep label", fig.name);
+            if let Run::Sweep(rows) = fig.run {
+                assert_unique_labels(fig.name, &rows());
+            }
         }
+        assert_unique_labels("halfphase_ladder", &halfphase_ladder());
     }
 
     #[test]
     fn halfphase_ladder_passes_its_own_check_on_a_short_window() {
-        let fig = FIGURES.iter().find(|f| f.name == "halfphase_ladder").expect("in the table");
         let rows: Vec<(String, Report)> =
-            (fig.sweep)().into_iter().map(|(l, s)| (l, s.sim_seconds(0.2).run())).collect();
+            halfphase_ladder().into_iter().map(|(l, s)| (l, s.sim_seconds(0.2).run())).collect();
         assert_eq!(rows.len(), 3);
-        fig.check.expect("the ladder asserts its order")(&rows);
+        halfphase_ladder_check(&rows);
     }
 }

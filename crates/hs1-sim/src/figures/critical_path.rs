@@ -3,7 +3,7 @@
 //! vs HotStuff-2, at the quickstart configuration (n=4, batch 32,
 //! 64 clients)?
 //!
-//! The harness runs each protocol once under a recording observer and
+//! The figure runs each protocol once under a recording observer and
 //! feeds the deterministic trace through
 //! [`hs1_obs::critical_path::analyze`]: a telescoped per-block
 //! decomposition (submit → propose → receive → certify → respond →
@@ -26,11 +26,11 @@
 
 use std::collections::BTreeMap;
 
-use hs1_bench::FigureSink;
 use hs1_obs::critical_path::{self, BlockPath, HARNESS_ACTOR};
 use hs1_obs::{Clock, Obs, HOP_NAMES};
-use hs1_sim::Scenario;
-use hs1_types::ProtocolKind;
+
+use super::{standard, FigureSink};
+use crate::{ProtocolKind, Scenario};
 
 /// n = 4, f = 1: engines and clients both act on 3-of-4 quorums.
 const QUORUM: usize = 3;
@@ -38,11 +38,10 @@ const QUORUM: usize = 3;
 /// Run one protocol under a recording observer and return the critical
 /// path of every fully-observed block (one with a client submission
 /// point).
-fn run(protocol: ProtocolKind) -> Vec<BlockPath> {
+fn observed_paths(protocol: ProtocolKind) -> Vec<BlockPath> {
     let (obs, rec) = Obs::recording(Clock::manual());
-    let scenario = hs1_bench::standard(
-        Scenario::new(protocol).replicas(4).batch_size(32).clients(64).with_observer(obs),
-    );
+    let scenario =
+        standard(Scenario::new(protocol).replicas(4).batch_size(32).clients(64).with_observer(obs));
     let report = scenario.run();
     report.ensure_invariants(&format!("fig_critical_path [{}]", protocol.name()));
     let rec = rec.lock().expect("recorder");
@@ -115,7 +114,7 @@ fn emit(
     );
     let m = hop_means(cohort);
     let (hop, actor) = bottleneck(cohort, &m);
-    sink.record_raw(format!(
+    sink.record(format!(
         "{},{stat},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{},{}",
         protocol.name(),
         cohort.len(),
@@ -131,24 +130,22 @@ fn emit(
     m
 }
 
-fn main() {
-    let mut sink = FigureSink::with_header(
-        "fig_critical_path",
-        "commit critical-path attribution, HS1 vs HS2 (n=4, batch 32, 64 clients)",
+pub(super) fn run(sink: &mut FigureSink) {
+    sink.header(
         "protocol,stat,blocks,submit_to_propose_ms,propose_to_receive_ms,\
          receive_to_certify_ms,certify_to_respond_ms,respond_to_final_ms,e2e_ms,\
          slowest_hop,slowest_actor",
     );
     let mut certify_mean = Vec::new();
     for protocol in [ProtocolKind::HotStuff1, ProtocolKind::HotStuff2] {
-        let mut all = run(protocol);
+        let mut all = observed_paths(protocol);
         assert!(!all.is_empty(), "{}: no fully-observed blocks in trace", protocol.name());
-        let m = emit(&mut sink, protocol, "mean", &all);
+        let m = emit(sink, protocol, "mean", &all);
         certify_mean.push(m[2]);
         // Tail cohort: the slowest 1% of blocks by e2e (at least one).
         all.sort_by_key(|p| p.e2e_ns());
         let tail = (all.len() / 100).max(1);
-        emit(&mut sink, protocol, "p99", &all[all.len() - tail..]);
+        emit(sink, protocol, "p99", &all[all.len() - tail..]);
     }
     // The one-phase speculation advantage must be visible in the
     // (n−f)-th-vote hop: HS1 certifies at the speculation quorum, HS2
@@ -159,5 +156,4 @@ fn main() {
         certify_mean[0],
         certify_mean[1],
     );
-    sink.finish();
 }

@@ -2,22 +2,22 @@
 //! the quickstart configuration (n=4, batch 32).
 //!
 //! Unlike the closed-loop figures (where clients reissue on finality and
-//! throughput self-limits), this harness drives each protocol with a
+//! throughput self-limits), this figure drives each protocol with a
 //! seed-deterministic Poisson arrival process at a fixed offered load and
 //! sweeps that load past saturation. Below the knee, goodput tracks the
 //! offer and latency is flat; past it, the bounded mempool sheds load
 //! (drop rate > 0), goodput plateaus at the service rate, and p99 latency
 //! diverges as queue wait dominates.
 //!
-//! The harness also enforces the determinism contract on every lane's
+//! The figure also enforces the determinism contract on every lane's
 //! mid-sweep point: two same-seed runs must produce byte-identical CSV
 //! rows and equal fingerprints, and attaching a recording observer must
 //! not change the fingerprint.
 
-use hs1_bench::FigureSink;
 use hs1_obs::{Clock, Obs};
-use hs1_sim::{OpenLoop, Report, Scenario};
-use hs1_types::ProtocolKind;
+
+use super::{standard, FigureSink};
+use crate::{OpenLoop, ProtocolKind, Report, Scenario};
 
 const SEED: u64 = 42;
 
@@ -45,10 +45,10 @@ fn scenario(lane: ProtocolKind, tps: f64, obs: Option<Obs>) -> Scenario {
     if let Some(obs) = obs {
         s = s.with_observer(obs);
     }
-    hs1_bench::standard(s)
+    standard(s)
 }
 
-fn run(lane: ProtocolKind, tps: f64) -> Report {
+fn run_point(lane: ProtocolKind, tps: f64) -> Report {
     let r = scenario(lane, tps, None).run();
     r.ensure_invariants(&format!("fig_knee [{} {} @{tps}]", lane.name(), LANE));
     r
@@ -76,7 +76,7 @@ fn csv_row(lane: ProtocolKind, tps: f64, r: &Report) -> String {
 /// Determinism spot-check at one load point: same seed twice must be
 /// byte-identical, and a recording observer must be pure.
 fn check_determinism(lane: ProtocolKind, tps: f64, first: &Report, first_row: &str) {
-    let again = run(lane, tps);
+    let again = run_point(lane, tps);
     assert_eq!(
         first.fingerprint,
         again.fingerprint,
@@ -144,17 +144,15 @@ fn check_knee(lane: ProtocolKind, points: &[(f64, Report)]) {
     );
 }
 
-fn main() {
-    let mut sink = FigureSink::with_header(
-        "fig_knee",
-        "offered-load knee curves, HS1 vs HS2 (n=4, batch 32, open-loop Poisson)",
+pub(super) fn run(sink: &mut FigureSink) {
+    sink.header(
         "protocol,lane,target_tps,offered_tps,goodput_tps,mean_ms,p50_ms,p99_ms,\
          offered,finalized,drops,drop_rate,deduped",
     );
     for lane in LANES {
         let mut points = Vec::new();
         for (i, &tps) in LOADS.iter().enumerate() {
-            let r = run(lane, tps);
+            let r = run_point(lane, tps);
             let row = csv_row(lane, tps, &r);
             println!(
                 "  [{:>9} {:>7} @{:>6.0}] goodput={:>8.0} tx/s  p50/p99={:>7.2}/{:>8.2} ms  drops={} ({:.1}%)",
@@ -171,10 +169,9 @@ fn main() {
             if i == LOADS.len() / 2 {
                 check_determinism(lane, tps, &r, &row);
             }
-            sink.record_raw(row);
+            sink.record(row);
             points.push((tps, r));
         }
         check_knee(lane, &points);
     }
-    sink.finish();
 }

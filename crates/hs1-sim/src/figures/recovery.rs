@@ -1,4 +1,4 @@
-//! Recovery-time bench: wall-clock cost of catching a replica up to a
+//! Recovery-time figure: wall-clock cost of catching a replica up to a
 //! committed state, as a function of journal length, three ways:
 //!
 //! * **journal-only** — `hs1_storage::recover` replays (and re-executes)
@@ -25,7 +25,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hs1_bench::FigureSink;
 use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_core::Fault;
 use hs1_core::{build_replica, Replica};
@@ -39,6 +38,8 @@ use hs1_types::{
     Block, BlockId, CertKind, Certificate, CommittedLog, Message, ReplicaId, Slot, SystemConfig,
     Transaction, View,
 };
+
+use super::FigureSink;
 
 const TXS_PER_BLOCK: u64 = 8;
 
@@ -174,12 +175,8 @@ fn snapshot_catchup_once(
     (elapsed_ms, manifest.total_bytes, image.entries.len() as u64)
 }
 
-fn main() {
-    let mut sink = FigureSink::with_header(
-        "fig_recovery",
-        "recovery time vs journal length",
-        "blocks,txs,mode,recover_ms,replayed_records,checkpoint_covered_records",
-    );
+pub(super) fn run(sink: &mut FigureSink) {
+    sink.header("blocks,txs,mode,recover_ms,replayed_records,checkpoint_covered_records");
     for blocks in SWEEP {
         let chain = chain(blocks);
 
@@ -191,7 +188,7 @@ fn main() {
             "  [journal-only   ] {blocks:>6} blocks ({:>7} txs): {ms:>9.2} ms  ({replayed} records replayed)",
             blocks * TXS_PER_BLOCK
         );
-        sink.record_raw(format!(
+        sink.record(format!(
             "{blocks},{},journal,{ms:.3},{replayed},{skipped}",
             blocks * TXS_PER_BLOCK
         ));
@@ -206,7 +203,7 @@ fn main() {
             "  [checkpoint+tail] {blocks:>6} blocks ({:>7} txs): {ms:>9.2} ms  ({replayed} records replayed, {skipped} covered)",
             blocks * TXS_PER_BLOCK
         );
-        sink.record_raw(format!(
+        sink.record(format!(
             "{blocks},{},checkpoint,{ms:.3},{replayed},{skipped}",
             blocks * TXS_PER_BLOCK
         ));
@@ -228,11 +225,6 @@ fn main() {
             "  [snapshot-sync  ] {blocks:>6} blocks ({:>7} txs): {ms:>9.2} ms  ({bytes} image bytes, {entries} entries, 0 records replayed)",
             blocks * TXS_PER_BLOCK
         );
-        sink.record_raw(format!(
-            "{blocks},{},snapshot,{ms:.3},0,{covered}",
-            blocks * TXS_PER_BLOCK
-        ));
+        sink.record(format!("{blocks},{},snapshot,{ms:.3},0,{covered}", blocks * TXS_PER_BLOCK));
     }
-
-    sink.finish();
 }

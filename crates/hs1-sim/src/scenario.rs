@@ -147,21 +147,6 @@ impl Scenario {
         self
     }
 
-    /// Attach a per-replica fan-out recorder sized to this scenario's
-    /// cluster (call after [`Scenario::replicas`]): each replica records
-    /// into its own lane, the harness/oracle into a shared lane, all
-    /// stamped by one manual clock the runner drives to sim-time. After
-    /// the run, `fan.lock().unwrap().merged()` joins the lanes back into
-    /// one byte-reproducible cluster timeline — the input shape of the
-    /// critical-path analyzer and the Perfetto exporter.
-    pub fn record_cluster(
-        mut self,
-    ) -> (Self, std::sync::Arc<std::sync::Mutex<hs1_obs::FanoutObserver>>) {
-        let (obs, fan) = hs1_obs::FanoutObserver::recording(self.n, hs1_obs::Clock::manual());
-        self.observer = Some(obs);
-        (self, fan)
-    }
-
     pub fn replicas(mut self, n: usize) -> Self {
         self.n = n;
         self

@@ -8,21 +8,19 @@
 //! * [`ChaosCase`] — one (protocol, plan, scenario-shape) cell of the
 //!   sweep; [`ChaosCase::run`] executes it deterministically.
 //! * [`sweep`] — N seeds × the chosen protocols, first failure wins.
-//! * `shrink` — greedy fixed-point minimization: drop fault-event
-//!   windows and zero link-fault axes while the failure persists.
+//! * `shrink` — greedy fixed-point minimization over the smaller plans
+//!   `ChaosPlan::shrink_candidates` lists, while the failure persists.
 //! * [`replay_command`] — the exact `cargo run` line that reproduces a
 //!   failure byte-for-byte (fingerprint-checked).
 //!
 //! See `src/bin/chaos_sweep.rs` for the CLI CI invokes.
 
-#![forbid(unsafe_code)]
-#![warn(unreachable_pub)]
-
 use hs1_adversary::AdversaryStrategy;
 use hs1_core::Fault;
-use hs1_sim::chaos::{ChaosConfig, ChaosPlan, LinkAxis};
-use hs1_sim::{ProtocolKind, Report, Scenario};
 use hs1_types::ReplicaId;
+
+use crate::chaos::{ChaosConfig, ChaosPlan};
+use crate::{ProtocolKind, Report, Scenario};
 
 /// Fault injection used to *test the gate itself*: replica faults beyond
 /// the `f` the protocol tolerates, so an invariant is expected to trip,
@@ -129,7 +127,7 @@ pub fn parse_sim_seconds(s: &str) -> Option<f64> {
 /// The exact command that replays `case` byte-for-byte.
 pub fn replay_command(case: &ChaosCase) -> String {
     let mut cmd = format!(
-        "cargo run --release -p hs1-chaos --bin chaos_sweep -- --replay '{}:{}' --sim-seconds {}",
+        "cargo run --release -p hs1-sim --bin chaos_sweep -- --replay '{}:{}' --sim-seconds {}",
         case.protocol.token(),
         case.plan.to_spec(),
         case.sim_seconds,
@@ -158,68 +156,23 @@ pub struct Failure {
     pub shrink_runs: u32,
 }
 
-/// Greedy fixed-point shrinking: repeatedly try removing one fault-event
-/// unit (a crash/restart(+bitrot) or partition/heal pair), dropping one
-/// adversary, zeroing one link axis, or flattening the clock-skew axis —
-/// keeping any reduction under which `fails` still answers true.
-/// Returns the minimal plan plus the number of candidate runs spent.
+/// Greedy fixed-point shrinking: keep the first of
+/// [`ChaosPlan::shrink_candidates`] under which `fails` still answers
+/// true, and start over from it until no candidate fails. Returns the
+/// minimal plan plus the number of candidate runs spent.
 pub(crate) fn shrink(
     mut plan: ChaosPlan,
     mut fails: impl FnMut(&ChaosPlan) -> bool,
 ) -> (ChaosPlan, u32) {
     let mut runs = 0;
     loop {
-        let mut progressed = false;
-        // Event units, last first (later faults are more often incidental).
-        let mut unit_idx = plan.removable_units();
-        unit_idx.reverse();
-        for unit in unit_idx {
-            let candidate = plan.without_events(&unit);
+        let smaller = plan.shrink_candidates().find(|candidate| {
             runs += 1;
-            if fails(&candidate) {
-                plan = candidate;
-                progressed = true;
-                break; // indices shifted; recompute units
-            }
-        }
-        if progressed {
-            continue;
-        }
-        // Adversaries, last first.
-        for k in (0..plan.adversaries.len()).rev() {
-            let candidate = plan.without_adversary(k);
-            runs += 1;
-            if fails(&candidate) {
-                plan = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-        for axis in [LinkAxis::Dup, LinkAxis::Reorder, LinkAxis::Drop] {
-            if !plan.axis_active(axis) {
-                continue;
-            }
-            let candidate = plan.without_axis(axis);
-            runs += 1;
-            if fails(&candidate) {
-                plan = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed && plan.skew_active() {
-            let candidate = plan.without_skew();
-            runs += 1;
-            if fails(&candidate) {
-                plan = candidate;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return (plan, runs);
+            fails(candidate)
+        });
+        match smaller {
+            Some(smaller) => plan = smaller,
+            None => return (plan, runs),
         }
     }
 }
@@ -256,100 +209,4 @@ pub fn sweep(
         }
     }
     Ok(passed)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hs1_sim::chaos::{ChaosEvent, ChaosEventKind};
-    use hs1_types::SimTime;
-
-    #[test]
-    fn sim_seconds_must_be_finite_and_positive() {
-        assert_eq!(parse_sim_seconds("1.0"), Some(1.0));
-        assert_eq!(parse_sim_seconds("0.4"), Some(0.4));
-        for bad in ["0", "-0", "-1", "NaN", "inf", "-inf", "", "one"] {
-            assert_eq!(parse_sim_seconds(bad), None, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn replay_spec_roundtrips_through_parse() {
-        let cfg = ChaosConfig::default();
-        let plan = ChaosPlan::generate(3, &cfg, 4, SimTime(900_000_000));
-        let case = ChaosCase {
-            protocol: ProtocolKind::HotStuff1,
-            plan: plan.clone(),
-            sim_seconds: 1.0,
-            inject: Inject::Halt,
-        };
-        let cmd = replay_command(&case);
-        assert!(cmd.contains("--replay 'hs1:"));
-        assert!(cmd.contains("--inject halt"));
-        let spec = format!("hs1:{}", plan.to_spec());
-        let (proto, parsed) = parse_replay(&spec).unwrap();
-        assert_eq!(proto, ProtocolKind::HotStuff1);
-        assert_eq!(parsed, plan);
-    }
-
-    /// Shrinking against a synthetic predicate: failure depends only on
-    /// the crash window plus the drop axis, so everything else must go.
-    #[test]
-    fn shrink_reaches_minimal_plan() {
-        let cfg = ChaosConfig { partitions: 2, crashes: 1, ..ChaosConfig::default() };
-        let plan = ChaosPlan::generate(17, &cfg, 4, SimTime(3_000_000_000));
-        assert!(plan.has_crashes(), "seed 17 schedules a crash");
-        assert!(plan.events.len() > 2, "more than just the crash window");
-        let (min, runs) = shrink(plan, |p| p.has_crashes() && p.axis_active(LinkAxis::Drop));
-        assert!(runs > 0);
-        // Only the crash window survives: crash + restart, plus the
-        // bit-rot rider scheduled inside it (one removable unit).
-        let crash_unit: usize = min
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    ChaosEventKind::Crash { .. }
-                        | ChaosEventKind::Restart { .. }
-                        | ChaosEventKind::BitRot { .. }
-                )
-            })
-            .count();
-        assert_eq!(min.events.len(), crash_unit, "only the crash window survives");
-        assert!(min.adversaries.is_empty(), "irrelevant adversary removed");
-        assert!(!min.skew_active(), "irrelevant skew removed");
-        assert!(min.has_crashes());
-        assert!(min.axis_active(LinkAxis::Drop));
-        assert!(!min.axis_active(LinkAxis::Dup), "irrelevant axis removed");
-        assert!(!min.axis_active(LinkAxis::Reorder), "irrelevant axis removed");
-    }
-
-    #[test]
-    fn shrink_terminates_on_unshrinkable_failure() {
-        // Predicate fails for every plan: shrinking must reach the empty
-        // schedule, not loop.
-        let cfg = ChaosConfig::default();
-        let plan = ChaosPlan::generate(5, &cfg, 4, SimTime(900_000_000));
-        let (min, _) = shrink(plan, |_| true);
-        assert!(min.events.is_empty());
-        assert!(!min.has_link_faults());
-        assert_eq!(min.weight(), 0);
-    }
-
-    #[test]
-    fn shrink_keeps_failing_plan_when_nothing_removable() {
-        let mut plan = ChaosPlan::empty(1, 4);
-        plan.events.push(ChaosEvent {
-            at: SimTime(500_000_000),
-            kind: ChaosEventKind::Crash { replica: 2 },
-        });
-        plan.events.push(ChaosEvent {
-            at: SimTime(600_000_000),
-            kind: ChaosEventKind::Restart { replica: 2 },
-        });
-        let before = plan.clone();
-        let (min, _) = shrink(plan, |p| p.has_crashes());
-        assert_eq!(min, before, "already minimal");
-    }
 }

@@ -3,8 +3,8 @@
 //! byte-identically from its seed+plan, and (c) shrink to a smaller
 //! failing schedule that still reproduces.
 
-use hs1_chaos::{parse_replay, replay_command, sweep, ChaosCase, Inject};
 use hs1_sim::chaos::ChaosConfig;
+use hs1_sim::sweep::{parse_replay, replay_command, sweep, ChaosCase, Inject};
 use hs1_sim::ProtocolKind;
 
 /// A bit-rot fail-stop takes a replica away for good. 3-chain HotStuff
@@ -55,6 +55,12 @@ fn forged_quorum_violation_is_caught_and_replays_byte_identically() {
     let heights = violations.iter().filter(|v| v.contains("conflicting commits at height")).count();
     assert!((1..=failure.report.n).contains(&heights), "1..=n height lines: {violations:?}");
     assert!(!violations.iter().any(|v| v.contains("diverges from")), "{violations:?}");
+
+    // The minimized plan and the candidate runs the shrinker spent on it:
+    // a shrinker change that reaches another minimum, or the same one by
+    // another path, moves them.
+    assert_eq!(format!("hs1:{}", failure.minimized.plan.to_spec()), "hs1:v1;seed=0;n=4;rd=5000000");
+    assert_eq!(failure.shrink_runs, 6);
 
     let cmd = replay_command(&failure.minimized);
     assert!(cmd.contains("--inject forge"), "replay carries the injection flag: {cmd}");
@@ -117,6 +123,12 @@ fn injected_violation_is_caught_reproduced_and_shrunk() {
         failure.minimized.plan.weight(),
         failure.case.plan.weight()
     );
+    // Pinned like the forge canary's.
+    assert_eq!(
+        format!("hs1:{}", failure.minimized.plan.to_spec()),
+        "hs1:v1;seed=0;n=4;rd=5000000;ev=p1@198262241,h@318262241"
+    );
+    assert_eq!(failure.shrink_runs, 10);
     let min_report = failure.minimized.run();
     assert!(!min_report.invariants_ok(), "minimized schedule still fails");
     let min_cmd = replay_command(&failure.minimized);

@@ -43,14 +43,6 @@ pub struct SyncConfig {
     pub manifest_retry: Duration,
     /// Re-send an unanswered chunk request after this long.
     pub chunk_retry: Duration,
-    /// Prefer *full* agreement — every configured (unbanned) peer behind
-    /// one snapshot identity — for this long after the first manifest;
-    /// only then settle for the minimum `f + 1`. Waiting maximizes
-    /// download fallbacks when a group member turns out to serve
-    /// garbage; a peer that is down (or momentarily checkpointing a
-    /// different position) costs exactly this bounded extra wait, after
-    /// which `f + 1` proceeds without it.
-    pub full_agreement_grace: Duration,
     /// Give up on the sync and start the engine anyway after this long
     /// (a snapshot is an optimization; it must never wedge a join). The
     /// `NodeShell` measures it on the clock its runtime steps it with.
@@ -64,11 +56,18 @@ impl SyncConfig {
             gap_threshold: 64,
             manifest_retry: Duration::from_millis(250),
             chunk_retry: Duration::from_millis(500),
-            full_agreement_grace: Duration::from_millis(400),
             overall_timeout: Duration::from_secs(10),
         }
     }
 }
+
+/// Prefer *full* agreement — every configured (unbanned) peer behind one
+/// snapshot identity — for this long after the first manifest; only then
+/// settle for the minimum `f + 1`. Waiting maximizes download fallbacks
+/// when a group member turns out to serve garbage; a peer that is down
+/// (or momentarily checkpointing a different position) costs exactly this
+/// bounded extra wait, after which `f + 1` proceeds without it.
+const FULL_AGREEMENT_GRACE: Duration = Duration::from_millis(400);
 
 /// How often a syncing replica polls its client when no message arrives.
 pub const SYNC_TICK: SimDuration = SimDuration::from_millis(20);
@@ -321,7 +320,7 @@ impl SyncClient {
         let active = self.peers.iter().filter(|p| !self.banned.contains(p)).count();
         let grace_over = self
             .first_manifest_at
-            .map(|at| elapsed(now, at, self.cfg.full_agreement_grace))
+            .map(|at| elapsed(now, at, FULL_AGREEMENT_GRACE))
             .unwrap_or(false);
         let winner = groups
             .into_iter()

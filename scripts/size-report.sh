@@ -10,7 +10,7 @@
 # counts the places library code spawns a thread, and the places outside
 # hs1-statesync that drive a state-sync client (`SyncClient::new(`; the
 # node shell is the one driver both runtimes step). CI enforces six
-# bounds on this output: 0 by-history markers, at most 4 bench harnesses,
+# bounds on this output: 0 by-history markers, at most 1 bench harness,
 # at most 1 HS1_* knob, at most 1 thread-spawn site in library code (the
 # HTTP introspection responder), 0 sync drivers outside hs1-statesync,
 # and a ceiling on `pub` items (the `pub items:` line; every crate root
@@ -32,7 +32,7 @@ printf '%-16s %8s %6s %6s\n' total "$(count crates/*/src src)" "$(pubs crates/*/
 echo "pub items: $(pubs crates/*/src src)"
 echo "workspace Rust lines (src, tests, benches, examples): $(count crates src tests examples)"
 echo "workspace crates: $(sed -n '/^members = \[/,/^\]/p' Cargo.toml | grep -c '"crates/')"
-echo "bench harnesses: $(grep -c '^\[\[bench\]\]' crates/hs1-bench/Cargo.toml)"
+echo "bench harnesses: $(grep -c '^\[\[bench\]\]' crates/hs1-sim/Cargo.toml)"
 knobs=$(grep -rhoE 'var(_os)?\("HS1_[A-Z_]+"' crates src tests examples --include='*.rs' |
     grep -oE 'HS1_[A-Z_]+' | sort -u)
 echo "HS1_* env knobs: $(echo "$knobs" | wc -l | tr -d ' ') ($(echo $knobs))"

@@ -14,8 +14,9 @@
 //! * [`storage`] — durable journal, checkpoints, crash recovery ([`hs1_storage`])
 //! * [`statesync`] — snapshot state transfer for fast catch-up ([`hs1_statesync`])
 //! * [`sim`] — deterministic discrete-event simulator, including the
-//!   seeded chaos subsystem ([`hs1_sim`], [`hs1_sim::chaos`])
-//! * [`chaos`] — chaos seed sweep, shrinker, and replay ([`hs1_chaos`])
+//!   seeded chaos subsystem, its seed sweep, shrinker and replay, and the
+//!   paper's figures ([`hs1_sim`], [`hs1_sim::chaos`], [`hs1_sim::sweep`],
+//!   [`hs1_sim::figures`])
 //! * [`net`] — real TCP transport ([`hs1_net`])
 //!
 //! ## Quickstart
@@ -39,7 +40,6 @@
 #![warn(unreachable_pub)]
 
 pub use hs1_adversary as adversary;
-pub use hs1_chaos as chaos;
 pub use hs1_core as consensus;
 pub use hs1_crypto as crypto;
 pub use hs1_ledger as ledger;

@@ -253,7 +253,7 @@ fn clock_skew_alone_preserves_liveness() {
     for p in ENGINES {
         let s = scenario(p, 37);
         let plan = ChaosPlan::generate(37, &cfg, 4, s.chaos_horizon());
-        assert!(plan.skew_active(), "{p:?}: plan skews clocks");
+        assert!(plan.skew.iter().any(|&r| r != 1.0), "{p:?}: plan skews clocks");
         let r = s.chaos(plan).run();
         assert!(r.invariants_ok(), "{p:?}: {:?}", r.invariant_violations);
         assert!(r.committed_txs > 0, "{p:?} stayed live under ±8% skew");

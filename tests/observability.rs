@@ -10,7 +10,7 @@
 //!   attached equals the fingerprint of the same seed with no observer:
 //!   the layer draws no randomness and feeds nothing back.
 
-use hotstuff1::obs::{Clock, Obs, Stage};
+use hotstuff1::obs::{Alignment, Clock, ClusterTrace, Obs, Stage};
 use hotstuff1::sim::{ProtocolKind, Report, Scenario};
 
 const SEED: u64 = 17;
@@ -286,15 +286,21 @@ fn trace_covers_the_full_block_lifecycle() {
     assert!(report.committed_txs > 0);
 }
 
+/// One recorded run, its recording split into per-replica lanes and
+/// merged back into the cluster timeline.
+fn cluster_run(p: ProtocolKind) -> (Report, ClusterTrace) {
+    let (obs, rec) = Obs::recording(Clock::manual());
+    let report = scenario(p).with_observer(obs).run();
+    let lanes = hotstuff1::obs::lanes(rec.lock().expect("recorder").trace(), report.n);
+    (report, ClusterTrace::merge(lanes, Alignment::SharedClock))
+}
+
 /// One cluster-recorded run: the report, the merged cluster timeline's
 /// JSONL, and the per-block critical paths.
 fn cluster_observed(
     p: ProtocolKind,
 ) -> (Report, String, Vec<hotstuff1::obs::critical_path::BlockPath>) {
-    let (scenario, fan) = scenario(p).record_cluster();
-    let report = scenario.run();
-    let fan = fan.lock().expect("fanout");
-    let merged = fan.merged();
+    let (report, merged) = cluster_run(p);
     let paths = hotstuff1::obs::critical_path::analyze(&merged.events, 3);
     (report, merged.to_jsonl(), paths)
 }
@@ -321,10 +327,7 @@ fn critical_path_attributes_every_finalized_block() {
     use hotstuff1::obs::critical_path::{finalized_blocks, HARNESS_ACTOR};
 
     for p in [ProtocolKind::HotStuff1, ProtocolKind::HotStuff2] {
-        let (scenario, fan) = scenario(p).record_cluster();
-        scenario.run();
-        let fan = fan.lock().expect("fanout");
-        let merged = fan.merged();
+        let (_, merged) = cluster_run(p);
         let paths = hotstuff1::obs::critical_path::analyze(&merged.events, 3);
         let finalized = finalized_blocks(&merged.events);
         assert!(finalized > 0, "{p:?}: run finalized blocks");
@@ -346,10 +349,8 @@ fn critical_path_attributes_every_finalized_block() {
 #[test]
 fn perfetto_export_is_well_formed() {
     let export = || {
-        let (s, fan) = scenario(ProtocolKind::HotStuff1).record_cluster();
-        s.run();
-        let fan = fan.lock().expect("fanout");
-        hotstuff1::obs::perfetto::chrome_trace_json(&fan.merged().events)
+        let (_, merged) = cluster_run(ProtocolKind::HotStuff1);
+        hotstuff1::obs::perfetto::chrome_trace_json(&merged.events)
     };
     let json = export();
     assert!(json.starts_with("{\"traceEvents\":["), "chrome trace envelope");

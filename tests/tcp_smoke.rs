@@ -8,8 +8,9 @@
 //! `#[ignore]`-gated; run it with `cargo test -- --ignored`.
 
 use std::net::TcpListener;
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use hotstuff1::adversary::{AdversaryMutator, AdversaryStrategy};
 use hotstuff1::consensus::invariants::{self, Committed, Observation};
@@ -52,6 +53,16 @@ fn free_base_port(n: u16) -> u16 {
         }
     }
     panic!("could not find {n} contiguous free loopback ports below {}", RANGE.end);
+}
+
+/// How long a node loop that waits on a predicate may take before the
+/// test gives up on it: a bound against a hang, never a schedule.
+const PATIENCE: Duration = Duration::from_secs(60);
+
+/// A flag the test raises and node loops wait on through
+/// `NodeRunner::run_until`.
+fn flag() -> Arc<AtomicBool> {
+    Arc::new(AtomicBool::new(false))
 }
 
 /// Mesh-level smoke: two replicas connect lazily over real sockets and
@@ -154,9 +165,11 @@ fn idle_cluster_holds_instead_of_spinning() {
 
     let mut handles = Vec::new();
     let mut recorders = Vec::new();
+    let stop = flag();
     for id in 0..n as u32 {
         let (obs, rec) = Obs::recording(Clock::wall());
         recorders.push(rec);
+        let stop = stop.clone();
         handles.push(std::thread::spawn(move || {
             let mut cfg = SystemConfig::new(n);
             cfg.view_timer = SimDuration::from_millis(view_timer.as_millis() as u64);
@@ -167,7 +180,7 @@ fn idle_cluster_holds_instead_of_spinning() {
             let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
             let mut runner = NodeRunner::new(engine, mesh);
             runner.set_observer(obs);
-            runner.run_for(idle + load + Duration::from_millis(500));
+            runner.run_until(Instant::now() + PATIENCE, |_| stop.load(Ordering::Relaxed));
             (runner.committed_blocks, Committed::of(runner.replica()))
         }));
     }
@@ -185,6 +198,7 @@ fn idle_cluster_holds_instead_of_spinning() {
         .expect("connect");
     let samples = client.run_closed_loop(load).expect("client");
     drop(client);
+    stop.store(true, Ordering::Relaxed);
 
     let (committed, replicas) = join_cluster(handles);
     assert!(committed.iter().all(|&c| c > 0), "every replica commits: {committed:?}");
@@ -228,10 +242,11 @@ fn silent_replica_loses_no_request_over_tcp() {
     let n = 4;
     let base_port = free_base_port(n as u16);
     let protocol = ProtocolKind::HotStuff1;
-    let total = Duration::from_millis(3500);
 
     let mut handles = Vec::new();
+    let stop = flag();
     for id in 0..n as u32 {
+        let stop = stop.clone();
         handles.push(std::thread::spawn(move || {
             let mut cfg = SystemConfig::new(n);
             cfg.view_timer = SimDuration::from_millis(20);
@@ -241,7 +256,7 @@ fn silent_replica_loses_no_request_over_tcp() {
             let engine = build_replica(protocol, cfg, ReplicaId(id), fault, ExecConfig::default());
             let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
             let mut runner = NodeRunner::new(engine, mesh);
-            runner.run_for(total);
+            runner.run_until(Instant::now() + PATIENCE, |_| stop.load(Ordering::Relaxed));
             (runner.committed_blocks, Committed::of(runner.replica()))
         }));
     }
@@ -250,16 +265,22 @@ fn silent_replica_loses_no_request_over_tcp() {
     let f = SystemConfig::new(n).f();
     let mut client = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)
         .expect("connect");
-    // The drain outlasts fifty view timers: what is still not final when it
-    // ends was lost, not late.
-    let report =
-        client.run_open_loop(Duration::from_secs(2), 500, Duration::from_secs(1)).expect("client");
+    // The drain ends when every request is final; `PATIENCE` only bounds
+    // it, so a request still not final when it ends was lost, not late.
+    // The replicas run until it has ended.
+    let started = Instant::now();
+    let report = client.run_open_loop(Duration::from_secs(2), 500, PATIENCE).expect("client");
+    let took = started.elapsed();
     drop(client);
+    stop.store(true, Ordering::Relaxed);
 
     let (committed, replicas) = join_cluster(handles);
     assert!(committed[..3].iter().all(|&c| c > 0), "the live replicas commit: {committed:?}");
     assert_eq!(report.submitted, 1000);
-    assert_eq!(report.finalized, report.submitted, "every request final under its first id");
+    assert_eq!(
+        report.finalized, report.submitted,
+        "every request final under its first id (the open loop and its drain took {took:?})"
+    );
     // The silent replica only withholds its messages; its local state is
     // honest and is checked with the rest.
     let violations = invariants::check(&Observation { replicas, ..Observation::default() });
@@ -491,21 +512,19 @@ fn fresh_replica_joins_via_snapshot_over_tcp() {
 /// where the two logs cannot be compared. It adopts the image whole,
 /// installs it on its disk, and commits with the cluster again.
 ///
-/// Replica 3 runs briefly on one disk, then on an empty second disk
-/// (joining by snapshot) so the cluster commits at full speed while the
-/// first disk falls behind, and then restarts on the first disk. The
-/// healthy stretch is about six seconds because a debug build on two cores
-/// commits about 700 blocks a second under this load, and the cluster must
-/// pass the first disk by more than a window. A higher offered rate commits
-/// fewer blocks there: the client's own work takes the cores.
+/// Replica 3 runs on one disk until it has committed there, then on an
+/// empty second disk (joining by snapshot) while the cluster commits at
+/// full speed, until the cluster has passed the first disk by more than a
+/// window and a checkpoint, and then restarts on the first disk, where
+/// its first commit ends the load. Each phase ends on what it waits for:
+/// a loaded host makes the test slower, not wrong. A higher offered rate
+/// commits fewer blocks: the client's own work takes the cores.
 #[test]
 #[ignore = "multi-second wall-clock run; execute with cargo test -- --ignored"]
 fn replica_a_window_behind_rejoins_via_snapshot_over_tcp() {
     let n = 4;
     let base_port = free_base_port(n as u16);
     let protocol = ProtocolKind::HotStuff1;
-    let total = Duration::from_secs(9);
-    let (stale_until, swap_until) = (Duration::from_millis(600), Duration::from_millis(6500));
 
     let root_dir = std::env::temp_dir().join(format!("hs1-tcp-stale-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root_dir);
@@ -529,9 +548,11 @@ fn replica_a_window_behind_rejoins_via_snapshot_over_tcp() {
         ..SyncConfig::new(config(n))
     };
 
+    let (rejoined_flag, stop) = (flag(), flag());
     let mut live = Vec::new();
     for id in 0..3u32 {
         let dir = root_dir.join(format!("replica-{id}"));
+        let stop = stop.clone();
         live.push(std::thread::spawn(move || {
             let engine = build_replica(
                 protocol,
@@ -543,12 +564,13 @@ fn replica_a_window_behind_rejoins_via_snapshot_over_tcp() {
             let mesh = Mesh::start(ReplicaId(id), n, "127.0.0.1", base_port).expect("bind");
             let mut runner =
                 NodeRunner::with_storage(engine, mesh, &dir, storage_cfg).expect("open storage");
-            runner.run_for(total);
+            runner.run_until(Instant::now() + PATIENCE, |_| stop.load(Ordering::Relaxed));
             (runner.committed_blocks, Committed::of(runner.replica()))
         }));
     }
 
     let (stale_dir, swap_dir) = (root_dir.join("replica-3"), root_dir.join("replica-3-swap"));
+    let (rejoined, stop3) = (rejoined_flag.clone(), stop.clone());
     let replica3 = std::thread::spawn(move || {
         let engine = || {
             build_replica(protocol, config(n), ReplicaId(3), Fault::Honest, ExecConfig::default())
@@ -556,16 +578,23 @@ fn replica_a_window_behind_rejoins_via_snapshot_over_tcp() {
         let mesh = || Mesh::start(ReplicaId(3), n, "127.0.0.1", base_port).expect("bind");
         let mut stale =
             NodeRunner::with_storage(engine(), mesh(), &stale_dir, storage_cfg).expect("open");
-        stale.run_for(stale_until);
+        stale.run_until(Instant::now() + PATIENCE, |r| r.replica().committed_len() > 1);
         let on_disk = Committed::of(stale.replica());
         assert!(on_disk.log.len() > 1, "replica 3 committed on its first disk");
         stale.shutdown();
         drop(stale);
 
+        // The peers' newest checkpoint trails their head by up to
+        // `checkpoint_every` blocks, and its image holds the window
+        // behind it.
+        let past =
+            on_disk.log.len() + CommittedLog::WINDOW + 2 * storage_cfg.checkpoint_every as usize;
         let sync = sync_cfg.clone();
         let mut swap = NodeRunner::with_state_sync(engine(), mesh(), &swap_dir, storage_cfg, sync)
             .expect("open the empty disk");
-        swap.run_for(swap_until - stale_until);
+        swap.run_until(Instant::now() + PATIENCE, |r| r.replica().committed_len() > past);
+        let passed = swap.replica().committed_len();
+        assert!(passed > past, "the cluster reached {passed} blocks, not past {past}");
         swap.shutdown();
         drop(swap);
 
@@ -573,23 +602,41 @@ fn replica_a_window_behind_rejoins_via_snapshot_over_tcp() {
             NodeRunner::with_state_sync(engine(), mesh(), &stale_dir, storage_cfg, sync_cfg)
                 .expect("recover the stale disk");
         assert_eq!(back.replica().committed_len(), on_disk.log.len(), "the disk's own chain");
-        back.run_for(total - swap_until);
+        back.run_until(Instant::now() + PATIENCE, |r| {
+            if r.committed_blocks > 0 {
+                rejoined.store(true, Ordering::Relaxed);
+            }
+            stop3.load(Ordering::Relaxed)
+        });
         (on_disk, back.synced_via_snapshot, back.committed_blocks, Committed::of(back.replica()))
     });
 
+    // Load until replica 3 commits on its first disk again (or its thread
+    // has ended early, with the panic the join below reports): open-loop
+    // rounds, each under a client id of its own, so no round resubmits
+    // another's requests.
     std::thread::sleep(Duration::from_millis(300));
     let f = SystemConfig::new(n).f();
-    let mut client = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)
-        .expect("connect");
-    let report = client
-        .run_open_loop(Duration::from_millis(7700), 500, Duration::from_millis(500))
-        .expect("client");
-    drop(client);
+    let (mut finalized, mut round) = (0, 0);
+    while !rejoined_flag.load(Ordering::Relaxed) && !replica3.is_finished() {
+        let mut client =
+            ClientDriver::connect(ClientId(round), n, "127.0.0.1", base_port, protocol, f)
+                .expect("connect");
+        let report = client
+            .run_open_loop(Duration::from_millis(500), 500, Duration::from_millis(200))
+            .expect("client");
+        finalized += report.finalized;
+        round += 1;
+    }
+    // A quiet tail of ten view timers, so what the last round made final
+    // is committed everywhere before the state roots are compared.
+    std::thread::sleep(Duration::from_secs(1));
+    stop.store(true, Ordering::Relaxed);
 
     let (on_disk, via_snapshot, committed_after, rejoined) = replica3.join().expect("replica 3");
     let (committed, mut replicas) = join_cluster(live);
     assert!(committed.iter().all(|&c| c > 0), "the live replicas commit: {committed:?}");
-    assert!(report.finalized > 0, "client reached finality");
+    assert!(finalized > 0, "client reached finality");
     assert!(via_snapshot, "the stale replica must adopt the snapshot");
     assert!(
         rejoined.log.start() > on_disk.log.len(),
