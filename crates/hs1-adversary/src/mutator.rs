@@ -515,7 +515,7 @@ mod tests {
             view: View(2),
             slot: Slot::FIRST,
             block: BlockId::test(2),
-            sigs: vec![],
+            sigs: [].into(),
         };
         let fresh = Certificate { view: View(9), block: BlockId::test(9), ..old.clone() };
         // Observe an old cert, then send a message carrying a fresh one.

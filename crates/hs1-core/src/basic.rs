@@ -118,10 +118,11 @@ impl Protocol for Basic {
     type Tally = BasicTally;
     const PRUNE_KEEP: usize = CommittedLog::KEEP;
 
-    fn new_tally(_view: View) -> BasicTally {
+    fn new_tally(_view: View, spare: Option<BasicTally>) -> BasicTally {
+        let (commit, prop) = spare.map(|t| (t.commit_shares, t.prop_shares)).unzip();
         BasicTally {
-            commit_shares: ShareTally::new(CertKind::Commit),
-            prop_shares: ShareTally::new(CertKind::Quorum),
+            commit_shares: ShareTally::reused(commit, CertKind::Commit),
+            prop_shares: ShareTally::reused(prop, CertKind::Quorum),
             proposed: None,
             prepared: false,
         }

@@ -112,8 +112,9 @@ impl Protocol for Chained {
     type Tally = ChainedTally;
     const PRUNE_KEEP: usize = CommittedLog::KEEP;
 
-    fn new_tally(_view: View) -> ChainedTally {
-        ChainedTally { votes: ShareTally::new(CertKind::Quorum), proposed: false, held: false }
+    fn new_tally(_view: View, spare: Option<ChainedTally>) -> ChainedTally {
+        let votes = ShareTally::reused(spare.map(|t| t.votes), CertKind::Quorum);
+        ChainedTally { votes, proposed: false, held: false }
     }
 
     fn tally_newview(
@@ -131,7 +132,8 @@ impl Protocol for Chained {
         }
         // Form P(v−1) as soon as a quorum of shares agrees on one block
         // (Fig. 4 lines 6–7), whether or not B_{v−1} itself has arrived.
-        if let Some(cert) = votes.certificate(e.d.core.cfg.quorum()) {
+        // One ranked no higher than `high_cert` would not be adopted.
+        if let Some(cert) = votes.certificate_above(e.d.core.cfg.quorum(), e.d.high_cert.rank()) {
             e.d.learn_formed_cert(&cert, from, now, out);
         }
     }

@@ -12,8 +12,8 @@ use hs1_crypto::{KeyPair, PublicKeyRegistry, Signature};
 use hs1_ledger::{ExecConfig, ExecutionEngine};
 use hs1_obs::{block_key, Obs, Stage};
 use hs1_types::{
-    Block, BlockId, CertKind, Certificate, CommittedLog, ReplicaId, ReplyKind, Slot, SystemConfig,
-    Transaction, View,
+    Block, BlockId, CertKind, Certificate, CommittedLog, IdHash, ReplicaId, ReplyKind, Slot,
+    SystemConfig, Transaction, View,
 };
 
 /// A replica's transaction pool, the same under the simulator and the TCP
@@ -133,7 +133,7 @@ impl Mempool {
 /// deadlocking it forever.
 #[derive(Default)]
 pub(crate) struct FetchTracker {
-    inflight: HashMap<BlockId, hs1_types::SimTime>,
+    inflight: HashMap<BlockId, hs1_types::SimTime, IdHash>,
 }
 
 impl FetchTracker {
@@ -195,7 +195,7 @@ pub struct CoreState {
     /// each with whether its transactions already went back to the pool
     /// as an orphan's: two or three in steady state, plus orphans until
     /// they fall below the window.
-    pending: HashMap<BlockId, (Arc<Block>, bool)>,
+    pending: HashMap<BlockId, (Arc<Block>, bool), IdHash>,
     /// The last certificate found valid, compared whole, signatures
     /// included: a replica meets one certificate several times (formed
     /// by its tally, then as the justify of its own proposal; carried by a
@@ -204,6 +204,9 @@ pub struct CoreState {
     /// The statement and share this replica last signed as a vote: its
     /// own share, back through the self-send, is known good.
     own_share: Option<([u8; 53], Signature)>,
+    /// The uncommitted path a commit walks, kept empty between commits so
+    /// a commit allocates nothing for it.
+    path: Vec<Arc<Block>>,
 }
 
 impl CoreState {
@@ -223,9 +226,10 @@ impl CoreState {
             obs: Obs::noop(),
             committed: CommittedLog::new(),
             bodies,
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             last_valid: Certificate::genesis(),
             own_share: None,
+            path: Vec::new(),
         }
     }
 
@@ -369,17 +373,20 @@ impl CoreState {
     /// the store — the caller must fetch it and retry, or the replica's
     /// global-ledger stalls permanently.
     pub fn commit_chain(&mut self, target: BlockId, out: &mut Vec<Action>) -> Result<(), BlockId> {
-        let mut path: Vec<Arc<Block>> = Vec::new();
+        let mut path = std::mem::take(&mut self.path);
         let mut cur = target;
         while let Some((b, _)) = self.pending.get(&cur) {
             path.push(b.clone());
             cur = b.parent;
         }
-        if !self.is_committed(cur) {
-            return Err(cur);
-        }
-        let Some(head_view) = path.first().map(|b| b.view) else { return Ok(()) };
-        for b in path.into_iter().rev() {
+        let walked =
+            if self.is_committed(cur) { Ok(path.first().map(|b| b.view)) } else { Err(cur) };
+        let Ok(Some(head_view)) = walked else {
+            path.clear();
+            self.path = path;
+            return walked.map(|_| ());
+        };
+        for b in path.drain(..).rev() {
             // Write-ahead: journal the decision before applying it, so a
             // crash between journal and apply replays deterministically.
             self.persist.on_commit(&b);
@@ -406,6 +413,7 @@ impl CoreState {
                 self.persist.write_checkpoint(self.exec.committed(), &window);
             }
         }
+        self.path = path;
         self.return_orphans(head_view);
         Ok(())
     }
@@ -581,7 +589,7 @@ mod tests {
             view: View(view - 1),
             slot: if view == 1 { Slot(0) } else { Slot(1) },
             block: parent,
-            sigs: vec![],
+            sigs: [].into(),
         };
         Arc::new(Block::new(
             ReplicaId(0),
@@ -987,7 +995,7 @@ mod tests {
                 view: View(v - 1),
                 slot: Slot(u32::from(v > 1)),
                 block: parent,
-                sigs: vec![],
+                sigs: [].into(),
             };
             // Sixteen keys: the store stays one size, so only the log could
             // make a later checkpoint larger.

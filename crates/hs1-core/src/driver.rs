@@ -61,7 +61,9 @@ pub(crate) trait Protocol: Sized + Send {
     /// Committed block bodies kept behind the head when pruning.
     const PRUNE_KEEP: usize;
 
-    fn new_tally(view: View) -> Self::Tally;
+    /// The tally of `view`, built in `spare`'s storage if given: the
+    /// tally of a view this replica left.
+    fn new_tally(view: View, spare: Option<Self::Tally>) -> Self::Tally;
 
     /// The vote a NewView for `dest` carries at init and on a view timeout.
     fn newview_vote(_e: &mut Engine<Self>, _dest: View) -> Option<VoteInfo> {
@@ -329,19 +331,24 @@ impl Driver {
 pub(crate) struct Engine<P: Protocol> {
     pub(crate) d: Driver,
     pub(crate) tally: Option<Tally<P::Tally>>,
+    /// The last view's tally, kept for its storage: the next one this
+    /// replica leads is built in it.
+    spare: Option<Tally<P::Tally>>,
     pub(crate) p: P,
 }
 
 impl<P: Protocol> Engine<P> {
     pub(crate) fn new(d: Driver, p: P) -> Engine<P> {
-        Engine { d, tally: None, p }
+        Engine { d, tally: None, spare: None, p }
     }
 
     // -- view lifecycle -----------------------------------------------------
 
     fn set_view(&mut self, v: View) {
         self.d.view = v;
-        self.tally = None;
+        if let Some(t) = self.tally.take() {
+            self.spare = Some(t);
+        }
         self.p.on_view_change();
     }
 
@@ -428,13 +435,20 @@ impl<P: Protocol> Engine<P> {
     fn refresh_tally(&mut self, now: SimTime, out: &mut Vec<Action>) {
         let view = self.d.view;
         if self.tally.as_ref().map(|t| t.view) != Some(view) {
+            let (senders, own) = match self.tally.take().or_else(|| self.spare.take()) {
+                Some(mut t) => {
+                    t.senders.clear();
+                    (t.senders, Some(t.own))
+                }
+                None => (HashSet::new(), None),
+            };
             self.tally = Some(Tally {
                 view,
-                senders: HashSet::new(),
+                senders,
                 wait_timer_armed: false,
                 slow_timer_armed: false,
                 deadline_passed: false,
-                own: P::new_tally(view),
+                own: P::new_tally(view, own),
             });
         }
         if let Some(msgs) = self.d.nv_buf.remove(&view.0) {

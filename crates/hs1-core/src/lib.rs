@@ -33,6 +33,7 @@
 //! | [`common`] | replica state below the driver: block store, the mempool, commit (with orphan return) and speculate paths | — |
 //! | `runset.rs` | transaction-id set as per-client runs of sequence numbers: every dedup filter's memory | — |
 //! | [`persist`] | durability hooks ([`persist::Persistence`]) and recovered-state handoff | §4.2 recovery |
+//! | `tests/memory_budget.rs`, `tests/step_allocations.rs` | four engines on one minimal router (`tests/common`), under a counting allocator: the heap an engine holds after 10,000 views, and what its steps allocate per view (only what the view keeps) | — |
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

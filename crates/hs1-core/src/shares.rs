@@ -1,8 +1,6 @@
 //! Vote-share tallying: the one place signature shares become a
 //! certificate.
 
-use std::collections::HashMap;
-
 use crate::common::CoreState;
 use hs1_crypto::Signature;
 use hs1_types::cert::CertKind;
@@ -16,14 +14,40 @@ use hs1_types::{BlockId, Certificate, ReplicaId, Slot, View};
 /// passes [`Certificate::verify`] and is recorded as valid without being
 /// verified again ([`CoreState::formed_cert`]): one Byzantine backup's
 /// garbage share must not void an honest leader's view.
+///
+/// A view's tally holds a position or two (each sender is tallied once a
+/// view), so positions are a list, and [`ShareTally::reset`] empties it for
+/// the next view without freeing it: a leader's tally allocates nothing
+/// once it has seen its first views.
 pub(crate) struct ShareTally {
     kind: CertKind,
-    shares: HashMap<(View, Slot, BlockId), Vec<(ReplicaId, Signature)>>,
+    /// The first `live` entries are this tally's positions, each with its
+    /// shares; the rest are emptied lists kept for reuse.
+    positions: Vec<Position>,
+    live: usize,
+}
+
+struct Position {
+    at: (View, Slot, BlockId),
+    shares: Vec<(ReplicaId, Signature)>,
 }
 
 impl ShareTally {
     pub(crate) fn new(kind: CertKind) -> ShareTally {
-        ShareTally { kind, shares: HashMap::new() }
+        ShareTally { kind, positions: Vec::new(), live: 0 }
+    }
+
+    /// An empty tally for shares of `kind`, in `spare`'s storage if given.
+    pub(crate) fn reused(spare: Option<ShareTally>, kind: CertKind) -> ShareTally {
+        let mut t = spare.unwrap_or_else(|| ShareTally::new(kind));
+        t.reset(kind);
+        t
+    }
+
+    /// Empty the tally for shares of `kind`, keeping its storage.
+    pub(crate) fn reset(&mut self, kind: CertKind) {
+        self.kind = kind;
+        self.live = 0;
     }
 
     /// Count `from`'s share for the position `vote` names. Returns whether
@@ -33,7 +57,20 @@ impl ShareTally {
         if !core.share_valid(from, self.kind, &bytes, &vote.share) {
             return false;
         }
-        let shares = self.shares.entry((vote.view, vote.slot, vote.block)).or_default();
+        let at = (vote.view, vote.slot, vote.block);
+        let shares = match self.positions[..self.live].iter().position(|p| p.at == at) {
+            Some(i) => &mut self.positions[i].shares,
+            None => {
+                if self.live == self.positions.len() {
+                    self.positions.push(Position { at, shares: Vec::new() });
+                }
+                let p = &mut self.positions[self.live];
+                self.live += 1;
+                p.at = at;
+                p.shares.clear();
+                &mut p.shares
+            }
+        };
         let fresh = !shares.iter().any(|(r, _)| *r == from);
         if fresh {
             shares.push((from, vote.share));
@@ -41,27 +78,38 @@ impl ShareTally {
         fresh
     }
 
-    /// The certificate of the highest position holding `quorum` shares.
-    /// Ties break on the block id: `HashMap` order is not replay-stable.
-    pub(crate) fn certificate(&self, quorum: usize) -> Option<Certificate> {
-        self.shares
+    /// The highest position holding `quorum` shares. Ties break on the
+    /// block id, so the answer does not depend on arrival order.
+    fn best(&self, quorum: usize) -> Option<&Position> {
+        self.positions[..self.live]
             .iter()
-            .filter(|(_, shares)| shares.len() >= quorum)
-            .max_by_key(|((v, s, b), _)| (v.0, s.0, b.0 .0))
-            .map(|(&(view, slot, block), shares)| Certificate {
-                kind: self.kind,
-                view,
-                slot,
-                block,
-                sigs: shares.clone(),
-            })
+            .filter(|p| p.shares.len() >= quorum)
+            .max_by_key(|p| (p.at.0 .0, p.at.1 .0, p.at.2 .0 .0))
+    }
+
+    fn certify(&self, p: &Position) -> Certificate {
+        let (view, slot, block) = p.at;
+        Certificate { kind: self.kind, view, slot, block, sigs: p.shares.as_slice().into() }
+    }
+
+    /// The certificate of the highest position holding `quorum` shares.
+    pub(crate) fn certificate(&self, quorum: usize) -> Option<Certificate> {
+        self.best(quorum).map(|p| self.certify(p))
+    }
+
+    /// [`ShareTally::certificate`], if it ranks above `floor`: one at or
+    /// below the certificate a caller holds would be dropped unread, so its
+    /// signature list is not built.
+    pub(crate) fn certificate_above(&self, quorum: usize, floor: Rank) -> Option<Certificate> {
+        let p = self.best(quorum).filter(|p| Rank::new(p.at.0, p.at.1) > floor)?;
+        Some(self.certify(p))
     }
 
     /// Does any position ranked above `rank` hold `threshold` shares?
     pub(crate) fn any_above(&self, rank: Rank, threshold: usize) -> bool {
-        self.shares
+        self.positions[..self.live]
             .iter()
-            .any(|((v, s, _), shares)| Rank::new(*v, *s) > rank && shares.len() >= threshold)
+            .any(|p| Rank::new(p.at.0, p.at.1) > rank && p.shares.len() >= threshold)
     }
 }
 
@@ -114,6 +162,24 @@ mod tests {
         }
         let cert = t.certificate(1).expect("every position holds one share");
         assert_eq!((cert.slot, cert.block), (Slot(2), lo.max(hi)));
+    }
+
+    /// A reset tally keeps no share of the view it served, and a
+    /// certificate ranked no higher than the floor is not built.
+    #[test]
+    fn a_reset_tally_forgets_and_the_floor_filters() {
+        let core = core();
+        let mut t = ShareTally::new(CertKind::NewSlot);
+        let b = BlockId::test(1);
+        for signer in 0..3 {
+            assert!(t.insert(&core, ReplicaId(signer), &vote(signer, 1, b)));
+        }
+        let cert = t.certificate(3).expect("quorum reached");
+        assert!(t.certificate_above(3, cert.rank()).is_none());
+        assert_eq!(t.certificate_above(3, Rank::GENESIS), Some(cert));
+        t.reset(CertKind::NewSlot);
+        assert!(t.certificate(1).is_none() && !t.any_above(Rank::GENESIS, 1));
+        assert!(t.insert(&core, ReplicaId(0), &vote(0, 1, b)), "counted afresh");
     }
 
     /// The share this replica signed is counted unverified when it comes

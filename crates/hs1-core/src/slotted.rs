@@ -155,7 +155,7 @@ impl Slotted {
         // s+1 (forming and proposing are atomic, so every certificate we
         // ever hand out has a known successor block).
         if let Some(cert) = t.ns_shares.certificate(e.d.core.cfg.quorum()) {
-            t.ns_shares = ShareTally::new(CertKind::NewSlot);
+            t.ns_shares.reset(CertKind::NewSlot);
             e.d.learn_formed_cert(&cert, from, now, out);
             let b = e.new_block(slot.next(), cert, None);
             e.tally_mut().own.proposing = Some((slot.next(), b.id()));
@@ -226,10 +226,11 @@ impl Protocol for Slotted {
     type Tally = SlottedTally;
     const PRUNE_KEEP: usize = 2 * CommittedLog::KEEP;
 
-    fn new_tally(view: View) -> SlottedTally {
+    fn new_tally(view: View, spare: Option<SlottedTally>) -> SlottedTally {
+        let (nv, ns) = spare.map(|t| (t.nv_votes, t.ns_shares)).unzip();
         SlottedTally {
-            nv_votes: ShareTally::new(CertKind::NewView { formed_in: view }),
-            ns_shares: ShareTally::new(CertKind::NewSlot),
+            nv_votes: ShareTally::reused(nv, CertKind::NewView { formed_in: view }),
+            ns_shares: ShareTally::reused(ns, CertKind::NewSlot),
             proposing: None,
             first_proposed: false,
             prev_leader_cert: None,

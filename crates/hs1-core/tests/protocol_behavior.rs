@@ -451,7 +451,7 @@ mod pool {
             view: View(view - 1),
             slot: Slot(1),
             block: parent,
-            sigs: vec![],
+            sigs: [].into(),
         };
         Arc::new(Block::new(ReplicaId(0), View(view), Slot(1), justify, vec![tx(tag)]))
     }
@@ -948,8 +948,9 @@ mod verify_once {
             })
             .collect();
         let cert = Certificate { kind: CertKind::Quorum, view, slot: Slot::FIRST, block, sigs };
-        let mut forged = cert.clone();
-        forged.sigs[2].1 .0[31] ^= 1;
+        let mut sigs = cert.sigs.to_vec();
+        sigs[2].1 .0[31] ^= 1;
+        let forged = Certificate { sigs: sigs.into(), ..cert.clone() };
 
         assert!(core.cert_valid(&cert));
         assert_eq!(verified.at(me), 1);

@@ -152,22 +152,21 @@ impl ExecutionEngine {
     /// id and result value. Returns the digest and the block's write set.
     fn run_block(&mut self, block: BlockId, txs: &[Transaction]) -> (Digest, HashMap<Key, Value>) {
         let started = self.obs.enabled().then(std::time::Instant::now);
-        let mut writes: HashMap<Key, Value> = HashMap::new();
-        let results: Vec<u64> =
-            txs.iter().map(|tx| apply_tx(self.ledger.committed(), &mut writes, tx)).collect();
+        let mut writes = self.ledger.write_set();
+        let mut h = Sha256::new();
+        h.update(b"hs1-exec");
+        h.update(&block.0 .0);
+        for tx in txs {
+            let result = apply_tx(self.ledger.committed(), &mut writes, tx);
+            h.update_u64(tx.id.client.0 as u64);
+            h.update_u64(tx.id.seq);
+            h.update_u64(result);
+        }
         if let Some(t0) = started {
             // Wall time goes to the histogram only — never the trace.
             self.obs.observe_nanos("exec_batch_ns", t0.elapsed().as_nanos() as u64);
             self.obs.counter("exec_batches", 0, 1);
             self.obs.counter("exec_txs", 0, txs.len() as u64);
-        }
-        let mut h = Sha256::new();
-        h.update(b"hs1-exec");
-        h.update(&block.0 .0);
-        for (tx, r) in txs.iter().zip(&results) {
-            h.update_u64(tx.id.client.0 as u64);
-            h.update_u64(tx.id.seq);
-            h.update_u64(*r);
         }
         (h.finalize(), writes)
     }
@@ -280,6 +279,23 @@ mod tests {
         assert_eq!(e.rollback_conflicting(&[]), 1);
         let after: Vec<_> = (0..10).map(|k| read_through(&e, k)).collect();
         assert_eq!(pristine, after);
+    }
+
+    /// The next block's write set reuses the one a rollback or commit
+    /// emptied: nothing of the old block's writes survives into it.
+    #[test]
+    fn a_reused_write_set_starts_empty() {
+        let mut e = ExecutionEngine::new(ExecConfig { ycsb_records: 100 });
+        let pristine: Vec<_> = (0..10).map(|k| read_through(&e, k)).collect();
+        let batch: Vec<_> = (0..10).map(|k| Transaction::kv_write(1, k, k, k + 1000)).collect();
+        e.execute_speculative(BlockId::test(1), &batch);
+        e.rollback_conflicting(&[]);
+        e.execute_speculative(BlockId::test(2), &[Transaction::kv_write(1, 20, 50, 1)]);
+        let after: Vec<_> = (0..10).map(|k| read_through(&e, k)).collect();
+        assert_eq!(pristine, after, "the rolled-back writes are gone");
+        e.execute_committed(BlockId::test(2), &[]);
+        e.execute_committed(BlockId::test(3), &[Transaction::kv_write(1, 21, 60, 2)]);
+        assert_eq!((0..10).map(|k| read_through(&e, k)).collect::<Vec<_>>(), pristine);
     }
 
     #[test]

@@ -32,11 +32,35 @@ struct Speculated {
 pub(crate) struct LocalLedger {
     committed: KvStore,
     speculated: Option<Speculated>,
+    /// The last write set a commit or rollback emptied, kept for the next
+    /// block's writes ([`LocalLedger::write_set`]).
+    spare: HashMap<Key, Value>,
 }
 
 impl LocalLedger {
     pub(crate) fn new(committed: KvStore) -> LocalLedger {
-        LocalLedger { committed, speculated: None }
+        LocalLedger { committed, speculated: None, spare: HashMap::new() }
+    }
+
+    /// An empty write set for the next block, in the storage of the last
+    /// one this ledger emptied: executing a block allocates nothing for
+    /// its writes once a block of its size has run.
+    pub(crate) fn write_set(&mut self) -> HashMap<Key, Value> {
+        std::mem::take(&mut self.spare)
+    }
+
+    /// Merge `writes` into committed state and keep the emptied set.
+    fn merge(&mut self, mut writes: HashMap<Key, Value>) {
+        self.committed.apply(writes.drain());
+        self.spare = writes;
+    }
+
+    /// Drop the speculated block, keeping its emptied write set.
+    fn discard(&mut self) -> usize {
+        let Some(Speculated { mut writes, .. }) = self.speculated.take() else { return 0 };
+        writes.clear();
+        self.spare = writes;
+        1
     }
 
     /// The committed global-ledger state.
@@ -81,21 +105,21 @@ impl LocalLedger {
     /// height on another branch) and is dropped with its digest; `None`
     /// tells the caller to execute `block` and [`Self::apply_committed`].
     pub(crate) fn commit(&mut self, block: BlockId) -> Option<Digest> {
-        match self.speculated.take() {
-            Some(live) if live.block == block => {
-                self.committed.apply(live.writes);
-                Some(live.digest)
-            }
-            _ => None,
+        if self.speculated.as_ref().is_none_or(|live| live.block != block) {
+            self.discard();
+            return None;
         }
+        let live = self.speculated.take().expect("just matched");
+        self.merge(live.writes);
+        Some(live.digest)
     }
 
     /// Merge a committed block's write set into committed state.
     ///
     /// Panics under live speculation: commit or roll it back first.
-    pub(crate) fn apply_committed(&mut self, writes: impl IntoIterator<Item = (Key, Value)>) {
+    pub(crate) fn apply_committed(&mut self, writes: HashMap<Key, Value>) {
         self.assert_idle("apply_committed");
-        self.committed.apply(writes);
+        self.merge(writes);
     }
 
     /// Replace the committed store with a recovered checkpoint image.
@@ -110,10 +134,7 @@ impl LocalLedger {
     /// blocks were rolled back, 0 or 1.
     pub(crate) fn rollback_unless(&mut self, keep: &[BlockId]) -> usize {
         match &self.speculated {
-            Some(live) if !keep.contains(&live.block) => {
-                self.speculated = None;
-                1
-            }
+            Some(live) if !keep.contains(&live.block) => self.discard(),
             _ => 0,
         }
     }
@@ -193,6 +214,6 @@ mod tests {
     fn committed_write_under_speculation_panics() {
         let mut l = ledger();
         l.speculate(BlockId::test(1), digest(1), HashMap::new());
-        l.apply_committed([(0, 0)]);
+        l.apply_committed(writes(&[(0, 0)]));
     }
 }

@@ -58,12 +58,18 @@ pub(crate) type Frame = Arc<[u8]>;
 /// behind a placeholder the length is patched into.
 pub fn encode_frame(msg: &Message) -> Frame {
     // Room for a vote or NewView with its certificate; proposals grow it.
-    let mut frame = Vec::with_capacity(256);
-    frame.extend_from_slice(&[0; 4]);
-    msg.encode(&mut frame);
-    let len = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&len.to_be_bytes());
-    frame.into()
+    encode_frame_in(&mut Vec::with_capacity(256), msg)
+}
+
+/// [`encode_frame`] through `buf`, a buffer the caller keeps: the frame
+/// is then the one allocation an encode makes.
+pub(crate) fn encode_frame_in(buf: &mut Vec<u8>, msg: &Message) -> Frame {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    msg.encode(buf);
+    let len = (buf.len() - 4) as u32;
+    buf[..4].copy_from_slice(&len.to_be_bytes());
+    Frame::from(&buf[..])
 }
 
 /// Most frames handed to one `write_vectored` call. 64 small consensus
@@ -170,17 +176,19 @@ impl FrameQueue {
     /// Flush as much as the sink accepts, coalescing up to
     /// `WRITEV_BATCH` (64) frames per `write_vectored` call. Stops on
     /// `WouldBlock` (reported in the progress, not as an error) or when
-    /// the queue drains; `Interrupted` is retried.
+    /// the queue drains; `Interrupted` is retried. The slices live in an
+    /// array on the stack, so a flush allocates nothing.
     pub(crate) fn write_to(&mut self, sink: &mut impl Write) -> std::io::Result<WriteProgress> {
         let mut progress = WriteProgress::default();
         while !self.frames.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> =
-                Vec::with_capacity(self.frames.len().min(WRITEV_BATCH));
-            for (i, frame) in self.frames.iter().take(WRITEV_BATCH).enumerate() {
-                let start = if i == 0 { self.head_offset } else { 0 };
-                slices.push(IoSlice::new(&frame[start..]));
+            let mut slices = [IoSlice::new(&[]); WRITEV_BATCH];
+            let mut count = 0;
+            for (slice, frame) in slices.iter_mut().zip(&self.frames) {
+                let start = if count == 0 { self.head_offset } else { 0 };
+                *slice = IoSlice::new(&frame[start..]);
+                count += 1;
             }
-            let written = match sink.write_vectored(&slices) {
+            let written = match sink.write_vectored(&slices[..count]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
@@ -241,10 +249,10 @@ pub struct FrameReader {
 /// Bytes one `read` asks the socket for.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// One socket drain's outcome.
+/// One socket drain's outcome; the frames it decoded went to the caller's
+/// vector.
 #[derive(Debug, Default)]
 pub(crate) struct ReadOutcome {
-    pub messages: Vec<Message>,
     pub bytes: u64,
     /// `read` calls issued.
     pub calls: u64,
@@ -314,11 +322,16 @@ impl FrameReader {
 
     /// Drain the (nonblocking) stream until a read comes back short, EOF,
     /// or the per-call read budget is spent, decoding every complete
-    /// frame. A read that does not fill the chunk has emptied a stream
-    /// socket, so no second `read` is spent on learning `WouldBlock`: the
-    /// caller polls level-triggered and is told of bytes or EOF that
-    /// arrive later.
-    pub(crate) fn read_from(&mut self, stream: &mut impl Read) -> std::io::Result<ReadOutcome> {
+    /// frame into `out`, a vector the caller keeps from read to read. A
+    /// read that does not fill the chunk has emptied a stream socket, so
+    /// no second `read` is spent on learning `WouldBlock`: the caller
+    /// polls level-triggered and is told of bytes or EOF that arrive
+    /// later.
+    pub(crate) fn read_from(
+        &mut self,
+        stream: &mut impl Read,
+        out: &mut Vec<Message>,
+    ) -> std::io::Result<ReadOutcome> {
         let mut outcome = ReadOutcome::default();
         while (outcome.bytes as usize) < READ_BUDGET {
             self.reserve(READ_CHUNK);
@@ -331,7 +344,7 @@ impl FrameReader {
                     outcome.calls += 1;
                     outcome.bytes += n as u64;
                     self.end += n;
-                    self.extract(&mut outcome.messages)?;
+                    self.extract(out)?;
                     if n < READ_CHUNK {
                         break;
                     }
@@ -367,11 +380,13 @@ mod tests {
         accepted: Vec<u8>,
         cap: usize,
         calls: u64,
+        /// The slices handed to each `write_vectored` call.
+        batches: Vec<usize>,
     }
 
     impl Chokepoint {
         fn new(cap: usize) -> Chokepoint {
-            Chokepoint { accepted: Vec::new(), cap, calls: 0 }
+            Chokepoint { accepted: Vec::new(), cap, calls: 0, batches: Vec::new() }
         }
     }
 
@@ -385,6 +400,7 @@ mod tests {
 
         fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
             self.calls += 1;
+            self.batches.push(bufs.len());
             let mut budget = self.cap;
             let mut written = 0;
             for b in bufs {
@@ -530,6 +546,30 @@ mod tests {
         decode_stream(&sink.inner.accepted, &msgs);
     }
 
+    /// A queue one frame past a batch, its head half written, drains
+    /// byte-exact in two calls of at most `WRITEV_BATCH` slices: the
+    /// slices of a call sit in a fixed array, and the second call starts
+    /// where the first one's array ended.
+    #[test]
+    fn a_queue_one_past_the_batch_drains_in_two_calls() {
+        let msgs = test_messages(WRITEV_BATCH + 1);
+        let mut q = FrameQueue::new();
+        for m in &msgs {
+            q.push(encode_frame(m));
+        }
+        let half = encode_frame(&msgs[0]).len() / 2;
+        let mut sink = Saturating { inner: Chokepoint::new(0), budget: half };
+        let p = q.write_to(&mut sink).unwrap();
+        assert!(p.would_block && p.frames == 0 && p.bytes == half as u64);
+        sink.budget = usize::MAX;
+        sink.inner.batches.clear();
+        let p = q.write_to(&mut sink).unwrap();
+        assert_eq!((p.calls, p.frames as usize), (2, WRITEV_BATCH + 1));
+        assert_eq!(sink.inner.batches, [WRITEV_BATCH, 1]);
+        assert!(q.is_empty() && q.bytes() == 0);
+        decode_stream(&sink.inner.accepted, &msgs);
+    }
+
     #[test]
     fn shed_oldest_first_never_the_inflight_head() {
         let msgs = test_messages(6);
@@ -645,18 +685,19 @@ mod tests {
         // One frame waiting: one `read`, not a second to hear `WouldBlock`.
         let msgs = test_messages(1);
         let mut stream = CountingStream::holding(&msgs);
-        let mut reader = FrameReader::new();
-        let o = reader.read_from(&mut stream).unwrap();
-        assert_eq!((o.messages, o.calls, stream.reads, o.eof), (msgs, 1, 1, false));
+        let (mut reader, mut got) = (FrameReader::new(), Vec::new());
+        let o = reader.read_from(&mut stream, &mut got).unwrap();
+        assert_eq!((&got, o.calls, stream.reads, o.eof), (&msgs, 1, 1, false));
 
         // An empty socket (spurious wakeup) is one `read` and no progress.
-        let o = reader.read_from(&mut stream).unwrap();
-        assert_eq!((o.messages.len(), o.calls, o.bytes, stream.reads, o.eof), (0, 0, 0, 2, false));
+        got.clear();
+        let o = reader.read_from(&mut stream, &mut got).unwrap();
+        assert_eq!((got.len(), o.calls, o.bytes, stream.reads, o.eof), (0, 0, 0, 2, false));
 
         // The peer closes after the short read: the next call sees EOF.
         stream.closed = true;
-        let o = reader.read_from(&mut stream).unwrap();
-        assert!(o.eof && o.messages.is_empty());
+        let o = reader.read_from(&mut stream, &mut got).unwrap();
+        assert!(o.eof && got.is_empty());
     }
 
     #[test]
@@ -668,10 +709,11 @@ mod tests {
         }
         let mut stream = CountingStream::holding(&msgs);
         assert!(stream.data.len() < 48 * 1024);
-        let o = FrameReader::new().read_from(&mut stream).unwrap();
+        let mut got = Vec::new();
+        let o = FrameReader::new().read_from(&mut stream, &mut got).unwrap();
         assert_eq!((o.calls, stream.reads), (3, 3));
         assert_eq!(o.bytes as usize, stream.data.len());
-        assert_eq!(o.messages, msgs);
+        assert_eq!(got, msgs);
     }
 
     #[test]
@@ -698,8 +740,7 @@ mod tests {
         while got.len() < msgs.len() {
             assert!(std::time::Instant::now() < deadline, "socket roundtrip stalled");
             let _ = q.write_to(&mut tx).unwrap();
-            let outcome = reader.read_from(&mut rx).unwrap();
-            got.extend(outcome.messages);
+            let outcome = reader.read_from(&mut rx, &mut got).unwrap();
             if q.is_empty() && outcome.bytes == 0 {
                 std::thread::yield_now();
             }

@@ -9,6 +9,12 @@
 //! that does not wait, and waiting on [`mesh::Inbox::recv_timeout`] takes
 //! turns until a frame arrives.
 //!
+//! A turn allocates nothing to read or write: the reactor keeps the
+//! vector a read decodes into and the buffer a frame is encoded in, and
+//! `writev`'s slices sit in an array on the stack; what a frame costs the
+//! allocator is the frame itself and the message decoded from it. The
+//! node steps its engine into one action buffer it keeps.
+//!
 //! * [`framing`] — length-prefixed frames with an identification
 //!   handshake, and the nonblocking building blocks the reactor moves
 //!   them with (`framing::FrameQueue` writev coalescing,

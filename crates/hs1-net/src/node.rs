@@ -58,6 +58,9 @@ pub struct NodeRunner {
     start: Instant,
     timers: BinaryHeap<Reverse<(SimTime, u64, Timer)>>,
     timer_seq: u64,
+    /// The one action buffer every step writes into; `dispatch` drains
+    /// it, so a step allocates nothing for its output.
+    out: Vec<Action>,
     /// Observability sink (noop unless installed; see `hs1-obs`).
     obs: Obs,
     /// Committed blocks observed (for smoke-test introspection).
@@ -119,6 +122,7 @@ impl NodeRunner {
             start: Instant::now(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
+            out: Vec::new(),
             obs: Obs::noop(),
             committed_blocks: 0,
             sync_stats: None,
@@ -252,9 +256,7 @@ impl NodeRunner {
             return;
         }
         self.start = Instant::now();
-        let mut out = Vec::new();
-        self.shell.on_init(self.now(), &mut out);
-        self.dispatch(out);
+        self.step(|shell, now, out| shell.on_init(now, out));
         loop {
             self.fire_due_timers();
             // Frames the last turn read, and self-addressed sends (a
@@ -311,9 +313,7 @@ impl NodeRunner {
                 break;
             }
             self.timers.pop();
-            let mut out = Vec::new();
-            self.shell.on_timer(timer, self.now(), &mut out);
-            self.dispatch(out);
+            self.step(|shell, now, out| shell.on_timer(timer, now, out));
         }
     }
 
@@ -329,16 +329,22 @@ impl NodeRunner {
             }
             Inbound::FromClient(..) => return,
         };
-        let mut out = Vec::new();
-        self.shell.on_message(from, msg, self.now(), &mut out);
+        self.step(|shell, now, out| shell.on_message(from, msg, now, out));
+    }
+
+    /// Step the shell into the action buffer, then carry the actions out.
+    fn step(&mut self, f: impl FnOnce(&mut NodeShell, SimTime, &mut Vec<Action>)) {
+        let (now, mut out) = (self.now(), std::mem::take(&mut self.out));
+        f(&mut self.shell, now, &mut out);
         self.dispatch(out);
     }
 
-    /// Carry out one step's actions. Sends only queue: they go out at the
-    /// top of the loop's next turn.
-    fn dispatch(&mut self, actions: Vec<Action>) {
+    /// Carry out one step's actions, draining `actions`, which becomes the
+    /// buffer the next step writes into. Sends only queue: they go out at
+    /// the top of the loop's next turn.
+    fn dispatch(&mut self, mut actions: Vec<Action>) {
         let mut net = self.mesh.reactor();
-        for a in actions {
+        for a in actions.drain(..) {
             match a {
                 Action::Send { to, msg } => {
                     self.obs.counter("msgs_sent", to.0, 1);
@@ -380,6 +386,7 @@ impl NodeRunner {
                 Action::RolledBack { .. } | Action::EnteredView { .. } => {}
             }
         }
+        self.out = actions;
     }
 }
 

@@ -64,12 +64,12 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use crate::framing::{
-    encode_frame, hello_bytes, parse_hello, Frame, FrameQueue, FrameReader, PeerKind,
+    encode_frame_in, hello_bytes, parse_hello, Frame, FrameQueue, FrameReader, PeerKind,
 };
 use crate::mesh::{Inbound, MeshConfig, NetStatsSnapshot};
 use crate::poll::{set_send_buffer, Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
 use hs1_obs::Obs;
-use hs1_types::{ClientId, Message, ReplicaId, SplitMix64};
+use hs1_types::{ClientId, IdHash, Message, ReplicaId, SplitMix64};
 
 /// `delay` with ±50% jitter: uniform in `[delay/2, delay*3/2)`, so peers
 /// do not redial a restarted replica in lockstep.
@@ -147,7 +147,9 @@ pub(crate) struct Reactor {
     base_port: u16,
     /// `None` for a client, which only dials, and once closed.
     listener: Option<TcpListener>,
-    conns: HashMap<u64, Conn>,
+    /// Keyed by this reactor's own tokens, which no peer picks, so the map
+    /// hashes them with [`IdHash`], not SipHash.
+    conns: HashMap<u64, Conn, IdHash>,
     next_token: u64,
     /// Per-replica outbound queues (a replica's own is unused).
     queues: Vec<FrameQueue>,
@@ -180,6 +182,11 @@ pub(crate) struct Reactor {
     /// flushes. Kept between turns so a turn allocates nothing.
     events: Vec<EpollEvent>,
     tokens: Vec<u64>,
+    /// The frames one read decodes, drained into `ready`, and the bytes
+    /// of the frame being encoded: kept, so a read allocates nothing for
+    /// its frames and an encode nothing but the frame.
+    decoded: Vec<Message>,
+    encoding: Vec<u8>,
 }
 
 impl Reactor {
@@ -213,7 +220,7 @@ impl Reactor {
             host: host.to_string(),
             base_port,
             listener,
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             next_token: 0,
             queues: (0..n).map(|_| FrameQueue::new()).collect(),
             links: (0..n).map(|_| Link::Idle).collect(),
@@ -231,6 +238,8 @@ impl Reactor {
             epoll,
             events: vec![EpollEvent::default(); EVENTS_PER_WAIT],
             tokens: Vec::new(),
+            decoded: Vec::new(),
+            encoding: Vec::new(),
         })
     }
 
@@ -241,7 +250,8 @@ impl Reactor {
         if PeerKind::Replica(to.0) == self.me {
             self.ready.push_back(Inbound::FromReplica(to, msg));
         } else {
-            self.queue_replica(to.0, encode_frame(&msg));
+            let frame = encode_frame_in(&mut self.encoding, &msg);
+            self.queue_replica(to.0, frame);
         }
     }
 
@@ -249,7 +259,7 @@ impl Reactor {
     /// [`Reactor::take`]. The frame is encoded once and shared by every
     /// peer's queue.
     pub(crate) fn broadcast(&mut self, msg: Message) {
-        let frame = encode_frame(&msg);
+        let frame = encode_frame_in(&mut self.encoding, &msg);
         for peer in 0..self.n as u32 {
             if PeerKind::Replica(peer) != self.me {
                 self.queue_replica(peer, frame.clone());
@@ -267,7 +277,7 @@ impl Reactor {
             return;
         };
         if let ConnKind::ClientIn { queue, .. } = &mut conn.kind {
-            queue.push(encode_frame(&msg));
+            queue.push(encode_frame_in(&mut self.encoding, &msg));
             self.stats.frames_shed +=
                 queue.enforce_caps(self.cfg.queue_frames, self.cfg.queue_bytes);
         }
@@ -357,14 +367,20 @@ impl Reactor {
     /// due. `epoll_wait(2)` counts whole milliseconds, so the wait is
     /// rounded *up*: a deadline 200 µs away costs one 1 ms sleep, where
     /// rounding down would spin on a zero timeout until it passed.
+    /// Without an observer there is no tick, and the clock is read only
+    /// for a backoff with traffic waiting.
     fn poll_timeout_ms(&self, wait: Duration) -> i32 {
-        let now = Instant::now();
-        let tick_deadline = (self.last_tick + self.metrics_interval).saturating_duration_since(now);
-        let mut nearest = wait.min(tick_deadline);
+        let mut nearest = wait;
+        let mut now = None;
+        let mut now = || *now.get_or_insert_with(Instant::now);
+        if self.obs.enabled() {
+            nearest = nearest
+                .min((self.last_tick + self.metrics_interval).saturating_duration_since(now()));
+        }
         for (peer, link) in self.links.iter().enumerate() {
             if let Link::Backoff { until, .. } = link {
                 if !self.queues[peer].is_empty() {
-                    nearest = nearest.min(until.saturating_duration_since(now));
+                    nearest = nearest.min(until.saturating_duration_since(now()));
                 }
             }
         }
@@ -374,17 +390,17 @@ impl Reactor {
     /// Dial every disconnected peer that has traffic waiting and whose
     /// backoff (if any) has expired.
     fn dial_pending(&mut self) {
-        let now = Instant::now();
         for peer in 0..self.n {
-            if PeerKind::Replica(peer as u32) == self.me {
+            if PeerKind::Replica(peer as u32) == self.me
+                || matches!(self.links[peer], Link::Connected { .. })
+                || self.queues[peer].is_empty()
+            {
                 continue;
             }
-            match self.links[peer] {
-                Link::Connected { .. } => continue,
-                Link::Backoff { until, .. } if until > now => continue,
-                _ => {}
-            }
-            if self.queues[peer].is_empty() {
+            // Read only for a link that may dial: a connected mesh's turn
+            // reads no clock here.
+            let now = Instant::now();
+            if matches!(self.links[peer], Link::Backoff { until, .. } if until > now) {
                 continue;
             }
             match self
@@ -591,30 +607,34 @@ impl Reactor {
         }
 
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        let outcome = conn.reader.read_from(&mut conn.stream);
+        let mut decoded = take(&mut self.decoded);
+        let outcome = conn.reader.read_from(&mut conn.stream, &mut decoded);
         match outcome {
             Ok(o) => {
                 if o.bytes > 0 {
                     self.stats.rx_bytes += o.bytes;
-                    self.stats.rx_frames += o.messages.len() as u64;
+                    self.stats.rx_frames += decoded.len() as u64;
                     self.stats.read_calls += o.calls;
                 }
-                let (id, from): (u32, fn(u32, Message) -> Inbound) = match &conn.kind {
+                let kind = &conn.kind;
+                self.ready.extend(decoded.drain(..).filter_map(|msg| match kind {
                     ConnKind::ReplicaIn(id) | ConnKind::ReplicaOut(id) => {
-                        (*id, |id, msg| Inbound::FromReplica(ReplicaId(id), msg))
+                        Some(Inbound::FromReplica(ReplicaId(*id), msg))
                     }
-                    ConnKind::ClientIn { id, .. } => {
-                        (*id, |id, msg| Inbound::FromClient(ClientId(id), msg))
-                    }
-                    ConnKind::HandshakeIn { .. } => return, // still incomplete
-                };
-                self.ready.extend(o.messages.into_iter().map(|msg| from(id, msg)));
+                    ConnKind::ClientIn { id, .. } => Some(Inbound::FromClient(ClientId(*id), msg)),
+                    // The hello is read above, before any frame.
+                    ConnKind::HandshakeIn { .. } => None,
+                }));
                 if o.eof {
                     self.disconnect(token);
                 }
             }
             Err(_) => self.disconnect(token),
         }
+        // What a failed drain decoded before its error goes with the
+        // connection.
+        decoded.clear();
+        self.decoded = decoded;
     }
 
     /// Deregister and close a connection; its token is never reused.
@@ -642,13 +662,11 @@ impl Reactor {
     /// Publish counters/gauges to the attached observer. Runs at
     /// `metrics_interval` (and once at shutdown with `force`).
     fn tick_metrics(&mut self, force: bool) {
-        if !force && self.last_tick.elapsed() < self.metrics_interval {
+        // With no observer there is nothing to publish: no clock is read.
+        if !self.obs.enabled() || (!force && self.last_tick.elapsed() < self.metrics_interval) {
             return;
         }
         self.last_tick = Instant::now();
-        if !self.obs.enabled() {
-            return;
-        }
         let snap = self.stats;
         let deltas = [
             ("net_tx_frames", snap.tx_frames - self.emitted.tx_frames),
@@ -675,6 +693,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::encode_frame;
     use crate::mesh::Mesh;
     use crate::poll::{poll_fds, set_recv_buffer, PollFd, POLLIN};
     use crate::test_ports::free_base_port;

@@ -299,8 +299,10 @@ impl ChaosPlan {
         plan
     }
 
-    /// Does any link carry a nonzero fault probability?
-    pub fn has_link_faults(&self) -> bool {
+    /// Does any link carry a nonzero fault probability? (Tests ask; the
+    /// runner reads the links themselves.)
+    #[cfg(test)]
+    pub(crate) fn has_link_faults(&self) -> bool {
         self.links.iter().flatten().any(|l| l.drop > 0.0 || l.dup > 0.0 || l.reorder > 0.0)
     }
 

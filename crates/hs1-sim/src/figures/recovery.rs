@@ -63,7 +63,7 @@ fn chain(len: u64) -> Vec<Arc<Block>> {
             view: parent.view,
             slot: if parent.is_genesis() { Slot::GENESIS } else { Slot(1) },
             block: parent.id(),
-            sigs: vec![],
+            sigs: [].into(),
         };
         let txs: Vec<Transaction> = (0..TXS_PER_BLOCK)
             .map(|i| Transaction::kv_write(1, v * TXS_PER_BLOCK + i, (v * 13 + i) % 100_000, v))

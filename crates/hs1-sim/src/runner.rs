@@ -243,6 +243,8 @@ pub(crate) struct SimRunner {
     /// manual clock to `now` so trace timestamps are sim-time (and thus
     /// byte-reproducible per seed).
     obs: Obs,
+    /// The one action buffer every step writes into, drained by `absorb`.
+    out: Vec<Action>,
 }
 
 impl SimRunner {
@@ -299,6 +301,7 @@ impl SimRunner {
             hist: LatencyHist::default(),
             stats: RunStats::default(),
             obs: Obs::noop(),
+            out: Vec::new(),
         }
     }
 
@@ -432,10 +435,7 @@ impl SimRunner {
         self.obs.set_now(self.now.0);
         // Initialize engines.
         for i in 0..self.n() {
-            let mut out = Vec::new();
-            self.engines[i].on_init(self.now, &mut out);
-            self.stepped(i, &out);
-            self.absorb(ReplicaId(i as u32), out);
+            self.step_replica(i, |e, now, out| e.on_init(now, out));
         }
         let drain_until = self.window_end + SimDuration::from_millis(250);
         while let Some(Reverse((at, _, idx))) = self.heap.pop() {
@@ -474,27 +474,21 @@ impl SimRunner {
                     self.stats.chaos.dropped_msgs += 1;
                     return;
                 }
-                let mut out = Vec::new();
-                self.engines[i].on_message(from, msg, self.now, &mut out);
-                self.stepped(i, &out);
-                self.absorb(to, out);
+                self.step_replica(i, |e, now, out| e.on_message(from, msg, now, out));
             }
             Ev::Timer { at, timer, inc } => {
                 let i = at.0 as usize;
                 if self.crashed[i] || inc != self.incarnation[i] {
                     return;
                 }
-                let mut out = Vec::new();
-                self.engines[i].on_timer(timer, self.now, &mut out);
-                self.stepped(i, &out);
-                self.absorb(at, out);
+                self.step_replica(i, |e, now, out| e.on_timer(timer, now, out));
             }
             Ev::Submit { tx } => self.on_submit(tx),
-            Ev::Acted { at, actions, inc } => {
+            Ev::Acted { at, mut actions, inc } => {
                 let i = at.0 as usize;
                 // A crash killed the step's output before it left.
                 if !self.crashed[i] && inc == self.incarnation[i] {
-                    self.absorb(at, actions);
+                    self.absorb(at, &mut actions);
                 }
             }
             Ev::OpenArrival => self.on_open_arrival(),
@@ -519,7 +513,7 @@ impl SimRunner {
             let (me, msg) = (ReplicaId(i as u32), Message::Request(tx));
             let cost = self.cost.recv_cost(&msg, self.quorum);
             let before = self.engines[i].pool_stats();
-            let mut out = Vec::new();
+            let mut out = std::mem::take(&mut self.out);
             self.engines[i].on_message(me, msg, self.now, &mut out);
             // Recorded now: a crash may still drop these actions before
             // they leave, but the engine has committed.
@@ -531,8 +525,10 @@ impl SimRunner {
             if !out.is_empty() {
                 let done = self.now.max(self.cpu_free[i]) + cost;
                 self.cpu_free[i] = done;
-                self.push(done, Ev::Acted { at: me, actions: out, inc: self.incarnation[i] });
+                let actions = std::mem::take(&mut out);
+                self.push(done, Ev::Acted { at: me, actions, inc: self.incarnation[i] });
             }
+            self.out = out;
         }
         if refused {
             // Backpressure: nobody holds the transaction, so it is not in
@@ -738,10 +734,21 @@ impl SimRunner {
         shell.set_observer(self.obs.clone());
         self.engines[i] = shell;
         self.crashed[i] = false;
-        let mut out = Vec::new();
-        self.engines[i].on_init(self.now, &mut out);
+        self.step_replica(i, |e, now, out| e.on_init(now, out));
+    }
+
+    /// Step replica `i` into the action buffer, record what the step
+    /// committed, and carry its actions out.
+    fn step_replica(
+        &mut self,
+        i: usize,
+        f: impl FnOnce(&mut NodeShell, SimTime, &mut Vec<Action>),
+    ) {
+        let mut out = std::mem::take(&mut self.out);
+        f(&mut self.engines[i], self.now, &mut out);
         self.stepped(i, &out);
-        self.absorb(ReplicaId(i as u32), out);
+        self.absorb(ReplicaId(i as u32), &mut out);
+        self.out = out;
     }
 
     /// Replica `i` took a step that produced `out`. Record what it
@@ -769,8 +776,9 @@ impl SimRunner {
         }
     }
 
-    fn absorb(&mut self, from: ReplicaId, actions: Vec<Action>) {
-        for a in actions {
+    /// Carry out `actions`, draining them.
+    fn absorb(&mut self, from: ReplicaId, actions: &mut Vec<Action>) {
+        for a in actions.drain(..) {
             match a {
                 Action::Send { to, msg } => self.send_one(from, to, msg),
                 Action::Broadcast { msg } => {

@@ -783,7 +783,7 @@ mod tests {
             view: View(5),
             slot: hs1_types::Slot(1),
             block: BlockId::test(1),
-            sigs: vec![], // no quorum
+            sigs: [].into(), // no quorum
         };
         let mut client = SyncClient::new(sync_cfg(8), vec![ReplicaId(0), ReplicaId(1)], 1);
         let mut out = Vec::new();

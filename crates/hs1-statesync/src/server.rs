@@ -216,7 +216,7 @@ mod tests {
                 view: parent.view,
                 slot: if parent.is_genesis() { Slot::GENESIS } else { Slot(1) },
                 block: parent.id(),
-                sigs: vec![],
+                sigs: [].into(),
             };
             let txs = vec![Transaction::kv_write(1, v, v % 50, v)];
             let b = Arc::new(Block::new(ReplicaId(0), View(v), Slot(1), justify, txs));

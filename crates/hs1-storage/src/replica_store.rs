@@ -310,7 +310,7 @@ mod tests {
             view: parent.view,
             slot: if parent.is_genesis() { Slot::GENESIS } else { Slot(1) },
             block: parent.id(),
-            sigs: vec![],
+            sigs: [].into(),
         };
         Arc::new(Block::new(
             ReplicaId(0),

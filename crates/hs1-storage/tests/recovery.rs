@@ -153,7 +153,7 @@ fn speculated_but_undecided_suffix_recovers_as_speculation() {
             view: View(99_999),
             slot: Slot(1),
             block: head,
-            sigs: vec![],
+            sigs: [].into(),
         },
         txs(4),
     ));
@@ -217,7 +217,7 @@ fn crash_point_after_every_record_type() {
             view: View(1),
             slot: Slot(1),
             block: b1.id(),
-            sigs: vec![],
+            sigs: [].into(),
         },
         txs(3),
     ));
@@ -336,7 +336,7 @@ fn missing_checkpoint_behind_pruned_journal_is_rejected() {
                     view: parent.view,
                     slot: if parent.is_genesis() { Slot::GENESIS } else { Slot(1) },
                     block: parent.id(),
-                    sigs: vec![],
+                    sigs: [].into(),
                 },
                 txs(2),
             ));

@@ -6,6 +6,7 @@
 //! chain parent is the carried block when present, otherwise the justified
 //! block, so ancestry walks are uniform across protocols.
 
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use crate::cert::Certificate;
@@ -16,8 +17,16 @@ use hs1_crypto::{Digest, Sha256};
 
 /// A block identifier: the SHA-256 digest of the block's canonical
 /// encoding.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BlockId(pub Digest);
+
+/// A digest's bytes are uniform, so its first eight are as good a hash key
+/// as all 32 (see [`crate::IdHash`]).
+impl std::hash::Hash for BlockId {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from_le_bytes(self.0 .0[..8].try_into().expect("8 bytes")));
+    }
+}
 
 impl BlockId {
     pub const NONE: BlockId = BlockId(Digest::ZERO);
@@ -117,18 +126,24 @@ impl Block {
         // The justify certificate is part of block identity (including its
         // aggregated signatures, exactly as proposed by the leader), behind
         // its length; then the transaction count and the transactions. One
-        // buffer holds all of it, the length patched in once known.
-        let mut bytes =
-            Vec::with_capacity(8 + 64 + self.justify.sigs.len() * 40 + 8 + self.txs.len() * 34);
-        bytes.extend_from_slice(&[0; 8]);
-        self.justify.encode(&mut bytes);
-        let cert_len = (bytes.len() - 8) as u64;
-        bytes[..8].copy_from_slice(&cert_len.to_be_bytes());
-        bytes.extend_from_slice(&(self.txs.len() as u64).to_be_bytes());
-        for tx in &self.txs {
-            tx.encode(&mut bytes);
+        // buffer holds all of it, the length patched in once known; the
+        // thread keeps the buffer, so an id allocates nothing once it has
+        // grown to a batch.
+        thread_local! {
+            static BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
         }
-        h.update(&bytes);
+        BYTES.with_borrow_mut(|bytes| {
+            bytes.clear();
+            bytes.extend_from_slice(&[0; 8]);
+            self.justify.encode(bytes);
+            let cert_len = (bytes.len() - 8) as u64;
+            bytes[..8].copy_from_slice(&cert_len.to_be_bytes());
+            bytes.extend_from_slice(&(self.txs.len() as u64).to_be_bytes());
+            for tx in &self.txs {
+                tx.encode(bytes);
+            }
+            h.update(bytes);
+        });
         BlockId(h.finalize())
     }
 
@@ -155,7 +170,7 @@ impl Block {
                     view: View::GENESIS,
                     slot: Slot::GENESIS,
                     block: BlockId::NONE,
-                    sigs: Vec::new(),
+                    sigs: Arc::new([]),
                 };
                 Arc::new(Block::assemble(
                     ReplicaId(0),

@@ -16,6 +16,8 @@
 //!   of slotted HotStuff-1 (§6.1); `NewView` carries the view `fv` in
 //!   which it was formed.
 
+use std::sync::Arc;
+
 use crate::block::BlockId;
 use crate::ids::{Rank, ReplicaId, Slot, View};
 use hs1_crypto::{PublicKeyRegistry, Signature};
@@ -63,6 +65,11 @@ impl CertKind {
 
 /// A certificate: `sigs` is the aggregated list of shares. Shares sign the
 /// canonical [`Certificate::signing_bytes`] statement.
+///
+/// The list is built once, when the certificate is decoded or formed, and
+/// never changes: a clone shares it, so handing a certificate on (as a
+/// justify, a high certificate, a NewView's) costs a reference count, not
+/// a copy of `n − f` signatures.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Certificate {
     pub kind: CertKind,
@@ -73,7 +80,7 @@ pub struct Certificate {
     pub slot: Slot,
     /// The certified block.
     pub block: BlockId,
-    pub sigs: Vec<(ReplicaId, Signature)>,
+    pub sigs: Arc<[(ReplicaId, Signature)]>,
 }
 
 impl Certificate {
@@ -86,7 +93,7 @@ impl Certificate {
             view: View::GENESIS,
             slot: Slot::GENESIS,
             block: crate::block::Block::genesis_id(),
-            sigs: Vec::new(),
+            sigs: Arc::new([]),
         }
     }
 
@@ -130,21 +137,22 @@ impl Certificate {
         if self.is_genesis() {
             return self.block == crate::block::Block::genesis_id();
         }
-        let bytes = self.own_signing_bytes();
-        let domain = self.kind.domain();
-        let mut seen: Vec<u32> = Vec::with_capacity(self.sigs.len());
-        let mut valid = 0usize;
-        for (rid, sig) in &self.sigs {
-            if seen.contains(&rid.0) {
-                continue;
-            }
-            seen.push(rid.0);
-            if registry.verify(rid.0, domain, &bytes, sig) {
-                valid += 1;
-            }
-        }
-        valid >= quorum
+        let (bytes, domain) = (self.own_signing_bytes(), self.kind.domain());
+        distinct_valid(&self.sigs, |id, sig| registry.verify(id, domain, &bytes, sig)) >= quorum
     }
+}
+
+/// How many distinct signers in `sigs` pass `valid`. A signer listed twice
+/// is checked once, at its first entry; the check for an earlier entry
+/// scans the list itself, so verifying allocates nothing.
+fn distinct_valid(
+    sigs: &[(ReplicaId, Signature)],
+    valid: impl Fn(u32, &Signature) -> bool,
+) -> usize {
+    sigs.iter()
+        .enumerate()
+        .filter(|&(i, (rid, sig))| !sigs[..i].iter().any(|(r, _)| r == rid) && valid(rid.0, sig))
+        .count()
 }
 
 /// A pacemaker timeout certificate: `n − f` Wish shares for a view
@@ -165,18 +173,8 @@ impl TimeoutCert {
 
     pub fn verify(&self, registry: &PublicKeyRegistry, quorum: usize) -> bool {
         let bytes = Self::signing_bytes(self.view);
-        let mut seen: Vec<u32> = Vec::with_capacity(self.sigs.len());
-        let mut valid = 0usize;
-        for (rid, sig) in &self.sigs {
-            if seen.contains(&rid.0) {
-                continue;
-            }
-            seen.push(rid.0);
-            if registry.verify(rid.0, domains::WISH, &bytes, sig) {
-                valid += 1;
-            }
-        }
-        valid >= quorum
+        distinct_valid(&self.sigs, |id, sig| registry.verify(id, domains::WISH, &bytes, sig))
+            >= quorum
     }
 }
 
@@ -219,8 +217,7 @@ mod tests {
     fn duplicate_signers_do_not_count_twice() {
         let reg = PublicKeyRegistry::derive(0, 4);
         let mut c = sign_cert(CertKind::Quorum, View(3), Slot(1), BlockId::test(9), &[0, 1]);
-        let dup = c.sigs[0];
-        c.sigs.push(dup);
+        c.sigs = [&c.sigs[..], &c.sigs[..1]].concat().into();
         assert!(!c.verify(&reg, 3), "2 distinct + 1 duplicate != quorum 3");
     }
 
@@ -231,7 +228,7 @@ mod tests {
         // dual-certificate separation (§6.1).
         let bytes =
             Certificate::signing_bytes(CertKind::NewSlot, View(3), Slot(2), BlockId::test(9));
-        let sigs: Vec<_> = (0..3)
+        let sigs = (0..3)
             .map(|i| (ReplicaId(i), KeyPair::derive(0, i).sign(domains::NEW_SLOT, &bytes)))
             .collect();
         let forged = Certificate {

@@ -175,12 +175,18 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
         for item in self {
             item.encode(out);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
     }
 }
 
@@ -390,9 +396,26 @@ impl Decode for Certificate {
             view: View::decode(r)?,
             slot: Slot::decode(r)?,
             block: BlockId::decode(r)?,
-            sigs: Vec::decode(r)?,
+            sigs: decode_sigs(r)?,
         })
     }
+}
+
+/// A certificate's signature list, read straight into its shared slice: a
+/// signer and a signature are a fixed 36 bytes, so the length prefix says
+/// how many bytes to take, and the list is allocated once.
+fn decode_sigs(r: &mut Reader<'_>) -> Result<Arc<[(ReplicaId, Signature)]>, CodecError> {
+    const SIG: usize = 4 + 32;
+    // `seq_len` caps the count at `MAX_SEQ_LEN`, so the product fits.
+    let len = r.seq_len("Vec")?;
+    let bytes = r.take(len * SIG)?;
+    Ok(bytes
+        .chunks_exact(SIG)
+        .map(|c| {
+            let id = u32::from_be_bytes(c[..4].try_into().expect("4 bytes"));
+            (ReplicaId(id), Signature(c[4..].try_into().expect("32 bytes")))
+        })
+        .collect())
 }
 
 impl Encode for TimeoutCert {
@@ -510,7 +533,8 @@ mod tests {
             view: View(5),
             slot: Slot(2),
             block: BlockId::test(3),
-            sigs: vec![(ReplicaId(0), Signature([7u8; 32])), (ReplicaId(1), Signature([9u8; 32]))],
+            sigs: [(ReplicaId(0), Signature([7u8; 32])), (ReplicaId(1), Signature([9u8; 32]))]
+                .into(),
         };
         roundtrip(&c);
     }

@@ -1,4 +1,8 @@
-//! Identifier newtypes: replicas, clients, views, slots.
+//! Identifier newtypes: replicas, clients, views, slots; and the hasher
+//! for ids a replica did not take from a client.
+
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 /// A replica identifier in `[0, n)` (the paper uses `[1, n]`; zero-based is
 /// idiomatic here and only shifts the `id(R) mod n` leader function).
@@ -99,6 +103,49 @@ impl Rank {
 
     pub fn new(view: View, slot: Slot) -> Rank {
         Rank { view, slot }
+    }
+}
+
+/// Hashing for maps keyed by ids a replica did not take from a client:
+/// [`crate::BlockId`]s, which are SHA-256 outputs and hash as their first
+/// eight bytes, and tokens a replica mints itself. Each word is folded in
+/// with a per-process random seed and the splitmix64 finalizer, where the
+/// std default runs SipHash over all 32 bytes of an id. A map keyed by an id a
+/// client chose (a transaction id, a key) keeps SipHash.
+#[derive(Clone, Copy)]
+pub struct IdHash(u64);
+
+impl Default for IdHash {
+    fn default() -> IdHash {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        IdHash(*SEED.get_or_init(|| std::collections::hash_map::RandomState::new().hash_one(0)))
+    }
+}
+
+impl BuildHasher for IdHash {
+    type Hasher = IdHash;
+
+    fn build_hasher(&self) -> IdHash {
+        *self
+    }
+}
+
+impl Hasher for IdHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        // One splitmix64 output: every input bit moves every output bit.
+        self.0 = crate::SplitMix64::new(self.0 ^ x).next_u64();
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -1,6 +1,7 @@
 //! Core data types shared by every crate of the HotStuff-1 reproduction.
 //!
-//! * `ids` — replica/client identifiers, [`View`], [`Slot`]
+//! * `ids` — replica/client identifiers, [`View`], [`Slot`], and
+//!   [`IdHash`], the hasher of maps keyed by ids a replica minted
 //! * `time` — virtual clock types used by engines and the simulator
 //! * `rng` — deterministic splitmix64 RNG (no external crates)
 //! * `tx` — fixed-size transaction representation (YCSB / TPC-C ops)
@@ -33,7 +34,7 @@ pub use cert::{CertKind, Certificate, TimeoutCert};
 pub use codec::{Decode, Encode};
 pub use committed::CommittedLog;
 pub use config::{ProtocolKind, SystemConfig};
-pub use ids::{ClientId, Rank, ReplicaId, Slot, View};
+pub use ids::{ClientId, IdHash, Rank, ReplicaId, Slot, View};
 pub use message::{Message, ReplyKind};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

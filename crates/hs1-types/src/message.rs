@@ -657,7 +657,7 @@ mod tests {
             view: View(4),
             slot: Slot(2),
             block: BlockId::test(8),
-            sigs: vec![(ReplicaId(1), Signature([3u8; 32]))],
+            sigs: [(ReplicaId(1), Signature([3u8; 32]))].into(),
         }
     }
 

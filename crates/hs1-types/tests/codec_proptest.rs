@@ -88,7 +88,7 @@ fn arb_cert(r: &mut SplitMix64) -> Certificate {
         view: View(r.next_u64()),
         slot: Slot(r.next_u64() as u32),
         block: arb_block_id(r),
-        sigs: arb_sigs(r, 5),
+        sigs: arb_sigs(r, 5).into(),
     }
 }
 

@@ -15,7 +15,10 @@
 # HTTP introspection responder), 0 sync drivers outside hs1-statesync,
 # and a ceiling on `pub` items (the `pub items:` line; every crate root
 # warns on `unreachable_pub`, so a new item starts narrow); the rest is
-# informational.
+# informational. Last, it runs the tier-1 tests (`cargo test`, debug
+# profile) and prints each test binary's wall time, slowest first: a
+# report of what each binary costs on this host, never a gate (a failing
+# test does not fail the report).
 set -eu
 cd "$(dirname "$0")/.."
 PUB='^\s*pub \(fn\|struct\|enum\|trait\|mod\|const\|type\)'
@@ -53,3 +56,14 @@ echo "thread-spawn sites in library code: $spawns"
 drivers=$(find crates/*/src src -name '*.rs' ! -path 'crates/hs1-statesync/*' -exec cat {} + |
     grep -o 'SyncClient::new(' | wc -l | tr -d ' ')
 echo "sync drivers outside hs1-statesync: $drivers"
+# Each binary's "Running <source> (<path>-<hash>)" or "Doc-tests <crate>"
+# line, then its "test result: ... finished in <t>s" line.
+tests=$(cargo test --no-fail-fast 2>&1) || true
+echo "test binary wall times (s, this host; tests in the binary):"
+echo "$tests" | awk '
+    /^ +Running / { src = ($2 == "unittests") ? $3 : $2; bin = $NF
+                    sub(/\)$/, "", bin); sub(/.*\//, "", bin); sub(/-[0-9a-f]+$/, "", bin)
+                    name = bin " " src }
+    /^ +Doc-tests / { name = $2 " doctests" }
+    /^test result:/ { t = $NF; sub(/s$/, "", t); printf "%8.2f %5d  %s\n", t, $4, name }
+' | sort -rn
