@@ -3,23 +3,22 @@
 //!
 //! `hs1-core::byzantine` models *leader-side* misbehavior — strategies the
 //! engines consult at propose time. This crate supplies the complementary
-//! half of the fault model: a **message-mutation layer** that wraps any
-//! engine and corrupts, injects, or withholds its *outbound* traffic, so
-//! one implementation serves all five protocol kinds in both the
+//! half of the fault model: [`AdversaryMutator`], a pure, deterministic
+//! transformation of outbound `(destination, message)` pairs that
+//! corrupts, injects, or withholds what one replica sends, so one
+//! implementation serves all five protocol kinds in both the
 //! deterministic simulator and the TCP stack.
 //!
-//! The two pieces:
-//!
-//! * [`AdversaryMutator`] — a pure, deterministic transformation of
-//!   `(destination, message)` pairs. It never touches engine state, which
-//!   is what pins the design's key property: an adversary's *local*
-//!   ledger stays honest (it processes inbound traffic like everyone
-//!   else), only its externally visible behavior lies. Transports that
-//!   own message paths outside the engine (e.g. `hs1-net`'s snapshot
-//!   server) route those responses through the same mutator.
-//! * [`AdversaryEngine`] — a [`hs1_core::Replica`] wrapper applying the
-//!   mutator to every `Send`/`Broadcast` action an inner engine emits
-//!   (loopback excluded: a process does not corrupt messages to itself).
+//! The mutator never touches engine state, which is what pins the
+//! design's key property: an adversary's *local* ledger stays honest (it
+//! processes inbound traffic like everyone else), only its externally
+//! visible behavior lies. It lies in one place: `hs1-statesync`'s node
+//! shell, which both runtimes step, relays every message its replica
+//! sends a peer through the mutator set with `NodeShell::set_adversary`
+//! — consensus traffic and snapshot replies alike. A send to itself
+//! passes clean (a process does not corrupt messages to itself), and a
+//! broadcast becomes one `mutate` per replica, so each peer can receive a
+//! differently mutated copy.
 //!
 //! In-model strategies (any ≤ f of them must be absorbed at n = 3f + 1):
 //!
@@ -41,10 +40,8 @@
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
-mod engine;
 mod mutator;
 
-pub use engine::AdversaryEngine;
 pub use mutator::AdversaryMutator;
 
 /// The strategy an adversarial backup plays on its outbound traffic.

@@ -1,11 +1,11 @@
 //! The message-mutation core: a deterministic transformation of outbound
 //! `(destination, message)` pairs implementing one [`AdversaryStrategy`].
 //!
-//! The mutator is transport-agnostic — [`crate::AdversaryEngine`] drives
-//! it for engine actions, and `hs1-net`'s node runner drives it for the
-//! snapshot-serving path that lives outside the engine. Every stochastic
-//! choice flows through an own-seeded `SplitMix64`, so a chaos run that
-//! wraps engines with mutators stays replayable byte-for-byte.
+//! The mutator knows nothing of engines or transports: `hs1-statesync`'s
+//! node shell hands it every message its replica sends a peer, the
+//! engine's and the snapshot server's alike. Every stochastic choice
+//! flows through an own-seeded `SplitMix64`, so a chaos run with
+//! adversarial replicas stays replayable byte-for-byte.
 
 use std::sync::Arc;
 
@@ -23,17 +23,6 @@ use crate::AdversaryStrategy;
 /// engine has progressed past this view — late enough that honest
 /// commits exist for the fork to conflict with.
 const FORGE_AFTER_VIEW: u64 = 6;
-
-/// Counters for tests and observability.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct MutationStats {
-    /// Messages altered in place.
-    pub mutated: u64,
-    /// Messages suppressed entirely.
-    pub withheld: u64,
-    /// Extra messages fabricated (equivocal votes, forged proposals).
-    pub injected: u64,
-}
 
 /// Outbound-traffic mutator for one adversarial replica. See the crate
 /// docs for the strategy catalogue.
@@ -58,7 +47,6 @@ pub struct AdversaryMutator {
     corrupt_manifests: bool,
     /// Fabricated fork blocks (ForgeQuorum), served on fetch.
     forged: Option<Vec<Arc<Block>>>,
-    pub(crate) stats: MutationStats,
 }
 
 impl AdversaryMutator {
@@ -85,16 +73,16 @@ impl AdversaryMutator {
             prev_vote_block: None,
             corrupt_manifests: false,
             forged: None,
-            stats: MutationStats::default(),
         }
     }
 
-    pub(crate) fn id(&self) -> ReplicaId {
+    /// The replica this mutator lies for (it signs equivocal votes as it).
+    pub fn id(&self) -> ReplicaId {
         self.me
     }
 
-    /// Deployment size (the engine wrapper expands broadcasts with it).
-    pub(crate) fn n(&self) -> usize {
+    /// Deployment size: a broadcast is one `mutate` per replica.
+    pub fn n(&self) -> usize {
         self.cfg.n
     }
 
@@ -207,7 +195,6 @@ impl AdversaryMutator {
         };
         match conflict {
             Some(forged) => {
-                self.stats.injected += 1;
                 // Half the time the conflicting share arrives first, so
                 // the tallying leader's per-sender dedup keeps *it* and
                 // discards the honest share — the worst ordering.
@@ -225,12 +212,8 @@ impl AdversaryMutator {
 
     fn withhold(&mut self, to: ReplicaId, msg: Message) -> Vec<(ReplicaId, Message)> {
         match msg {
-            Message::Vote(_) | Message::NewSlot(_) => {
-                self.stats.withheld += 1;
-                Vec::new()
-            }
+            Message::Vote(_) | Message::NewSlot(_) => Vec::new(),
             Message::NewView(m) if m.vote.is_some() => {
-                self.stats.mutated += 1;
                 vec![(to, Message::NewView(NewViewMsg { vote: None, ..m }))]
             }
             other => vec![(to, other)],
@@ -246,15 +229,12 @@ impl AdversaryMutator {
     fn stale(&mut self, to: ReplicaId, msg: Message) -> Vec<(ReplicaId, Message)> {
         match msg {
             Message::NewView(m) => {
-                self.stats.mutated += 1;
                 vec![(to, Message::NewView(NewViewMsg { high_cert: self.stale_or_genesis(), ..m }))]
             }
             Message::NewSlot(m) => {
-                self.stats.mutated += 1;
                 vec![(to, Message::NewSlot(NewSlotMsg { high_cert: self.stale_or_genesis(), ..m }))]
             }
             Message::Reject(mut m) => {
-                self.stats.mutated += 1;
                 m.high_cert = self.stale_or_genesis();
                 vec![(to, Message::Reject(m))]
             }
@@ -263,14 +243,12 @@ impl AdversaryMutator {
                 // with a formed TC answer it directly (the stored-TC
                 // recovery path), everyone else ignores it — and the
                 // current epoch must synchronize from honest wishes alone.
-                self.stats.mutated += 1;
                 let old = View(w.view.0 - self.cfg.epoch_len());
                 let share = self.kp.sign(domains::WISH, &TimeoutCert::signing_bytes(old));
                 vec![(to, Message::Wish(WishMsg { view: old, share }))]
             }
             Message::Tc(tc) => match &self.stale_tc {
                 Some(old) if old.view < tc.view => {
-                    self.stats.mutated += 1;
                     vec![(to, Message::Tc(old.clone()))]
                 }
                 _ => vec![(to, Message::Tc(tc))],
@@ -296,7 +274,6 @@ impl AdversaryMutator {
     fn corrupt_fetch(&mut self, to: ReplicaId, msg: Message) -> Vec<(ReplicaId, Message)> {
         match msg {
             Message::FetchResp { block } => {
-                self.stats.mutated += 1;
                 let tampered = Arc::new(self.tamper_block(&block));
                 vec![(to, Message::FetchResp { block: tampered })]
             }
@@ -309,14 +286,12 @@ impl AdversaryMutator {
     fn corrupt_snapshot(&mut self, to: ReplicaId, msg: Message) -> Vec<(ReplicaId, Message)> {
         match msg {
             Message::SnapshotChunk(mut c) if !c.data.is_empty() => {
-                self.stats.mutated += 1;
                 c.data[0] ^= 0xFF;
                 vec![(to, Message::SnapshotChunk(c))]
             }
             Message::SnapshotManifest(mut m) if self.corrupt_manifests => {
                 // A lying state identity: still well-formed, certificate
                 // still valid — only the f+1 agreement rule excludes it.
-                self.stats.mutated += 1;
                 let mut root = m.state_root;
                 for byte in root.0.iter_mut() {
                     *byte ^= 0xFF;
@@ -351,8 +326,9 @@ impl AdversaryMutator {
     /// legitimately leads. Honest receivers fetch the forged ancestry
     /// (served by [`AdversaryMutator::forged_block`]) and the 2-chain
     /// commit rule walks them into committing `X0` — the safety violation
-    /// the chaos oracles must catch.
-    pub(crate) fn maybe_forge(&mut self, current_view: View) -> Option<Vec<(ReplicaId, Message)>> {
+    /// the chaos oracles must catch. Asked once after every engine step,
+    /// with the engine's view.
+    pub fn maybe_forge(&mut self, current_view: View) -> Option<Vec<(ReplicaId, Message)>> {
         if self.strategy != AdversaryStrategy::ForgeQuorum
             || self.forged.is_some()
             || current_view.0 < FORGE_AFTER_VIEW
@@ -376,7 +352,6 @@ impl AdversaryMutator {
         let c1 = self.forge_cert(CertKind::Quorum, View(w - 1), Slot::FIRST, x1.id());
         let x2 = Arc::new(Block::new(self.me, View(w), Slot::FIRST, c1, Vec::new()));
         self.forged = Some(vec![x0, x1, x2.clone()]);
-        self.stats.injected += 1;
         Some(
             (0..self.cfg.n as u32)
                 .map(|r| {
@@ -388,9 +363,9 @@ impl AdversaryMutator {
     }
 
     /// A fabricated fork block by id, if this adversary forged it (the
-    /// engine wrapper answers `FetchBlock` for these directly — the inner
-    /// honest engine has never seen them).
-    pub(crate) fn forged_block(&self, id: BlockId) -> Option<Arc<Block>> {
+    /// node shell answers `FetchBlock` for these itself — the honest
+    /// engine has never seen them).
+    pub fn forged_block(&self, id: BlockId) -> Option<Arc<Block>> {
         self.forged.as_ref().and_then(|blocks| blocks.iter().find(|b| b.id() == id).cloned())
     }
 }
@@ -445,7 +420,6 @@ mod tests {
             }
         }
         assert!(seen_conflict);
-        assert_eq!(m.stats.injected, 1);
     }
 
     #[test]
@@ -501,7 +475,6 @@ mod tests {
         let dropped =
             m.mutate(ReplicaId(2), Message::Vote(VoteMsg { vote: some_vote(BlockId::test(1)) }));
         assert!(dropped.is_empty(), "standalone votes withheld entirely");
-        assert_eq!(m.stats.withheld, 1);
         // Non-vote traffic flows untouched.
         let fetched = m.mutate(ReplicaId(2), Message::FetchBlock { id: BlockId::test(9) });
         assert_eq!(fetched.len(), 1);

@@ -6,9 +6,10 @@
 //!
 //! *Backup-side* misbehavior — equivocal voting, vote withholding, stale
 //! certificate advertisement, corrupt fetch/snapshot serving — lives in
-//! the `hs1-adversary` crate as a message-mutation layer wrapped around
-//! any engine, so one implementation covers all five protocol kinds in
-//! the simulator and the TCP stack alike.
+//! the `hs1-adversary` crate as a mutator of a replica's outbound
+//! messages, which the node shell relays its traffic through, so one
+//! implementation covers all five protocol kinds in the simulator and
+//! the TCP stack alike.
 
 use hs1_types::ReplicaId;
 

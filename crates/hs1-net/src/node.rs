@@ -133,10 +133,12 @@ impl NodeRunner {
         }
     }
 
-    /// Answer snapshot requests through an `hs1-adversary` mutator — e.g.
-    /// `AdversaryStrategy::CorruptSnapshot` makes this node serve chunks
-    /// that fail the manifest's CRC index, which syncing peers must
-    /// reject and rotate away from (see [`NodeShell::set_adversary`]).
+    /// Make this node Byzantine: everything it sends a peer, consensus
+    /// traffic and snapshot replies alike, passes through `mutator` (see
+    /// [`NodeShell::set_adversary`]). `AdversaryStrategy::Equivocate`
+    /// double-votes on the wire; `CorruptSnapshot` serves chunks that
+    /// fail the manifest's CRC index, which syncing peers must reject and
+    /// rotate away from. The engine itself stays honest.
     pub fn set_adversary(&mut self, mutator: AdversaryMutator) {
         self.shell.set_adversary(mutator);
     }

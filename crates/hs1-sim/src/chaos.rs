@@ -171,8 +171,8 @@ pub struct ChaosPlan {
     /// no skew and changes nothing).
     pub skew: Vec<f64>,
     /// Adversarial backups active for the whole run: `(replica,
-    /// strategy)`, at most `f` of them, wrapped around the engine by the
-    /// scenario (see `hs1-adversary`).
+    /// strategy)`, at most `f` of them, each a mutator the scenario sets
+    /// on the replica's shell (see `hs1-adversary`).
     pub adversaries: Vec<(u32, AdversaryStrategy)>,
 }
 
@@ -307,7 +307,7 @@ impl ChaosPlan {
     }
 
     /// Does the schedule crash (and restart) any replica?
-    pub fn has_crashes(&self) -> bool {
+    pub(crate) fn has_crashes(&self) -> bool {
         self.events.iter().any(|e| matches!(e.kind, ChaosEventKind::Crash { .. }))
     }
 

@@ -32,7 +32,7 @@ use hs1_ledger::ExecConfig;
 use hs1_statesync::{SnapshotImage, SnapshotServer};
 use hs1_storage::crc32::crc32;
 use hs1_storage::testutil::TempDir;
-use hs1_storage::{ReplicaStorage, StorageConfig, SyncPolicy};
+use hs1_storage::{JournalConfig, ReplicaStorage, StorageConfig, SyncPolicy};
 use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg};
 use hs1_types::{
     Block, BlockId, CertKind, Certificate, CommittedLog, Message, ReplicaId, Slot, SystemConfig,
@@ -83,8 +83,7 @@ fn build_journal(
     ckpt_every: u64,
 ) -> hs1_crypto::Digest {
     let cfg = StorageConfig {
-        segment_bytes: 4 << 20,
-        sync: SyncPolicy::EveryN(256),
+        journal: JournalConfig { segment_bytes: 4 << 20, sync: SyncPolicy::EveryN(256) },
         checkpoint_every: ckpt_every,
     };
     let (_, mut storage) = ReplicaStorage::open(dir, cfg).expect("open");

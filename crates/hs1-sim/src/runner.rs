@@ -84,7 +84,7 @@ pub struct ChaosStats {
     /// Snapshot downloads a restarted replica's `SyncClient` moved to
     /// another peer after a chunk or image failed verification.
     pub snapshot_rotations: u64,
-    /// Adversarial backups wrapped around engines this run.
+    /// Adversarial backups (replicas whose shell lies) this run.
     pub adversaries: u64,
     /// Restarted replicas still syncing when the run ended (a replica
     /// that fail-stopped is down, not syncing). Not in the fingerprint.
@@ -343,10 +343,9 @@ impl SimRunner {
         }
     }
 
-    /// Record which replicas run behind an adversary wrapper (the
-    /// scenario wraps them, and arms a `CorruptSnapshot` backup's shell
-    /// with that strategy's mutator). Overrides whatever the installed
-    /// plan declared — the scenario passes the merged plan + explicit set.
+    /// Record which replicas lie (the scenario sets a mutator on each
+    /// one's shell). Overrides whatever the installed plan declared — the
+    /// scenario passes the merged plan + explicit set.
     pub(crate) fn note_adversaries(&mut self, set: &[(usize, AdversaryStrategy)]) {
         self.stats.chaos.adversaries = set.len() as u64;
     }

@@ -13,7 +13,7 @@
 //! assert!(report.invariants_ok());
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use crate::chaos::ChaosPlan;
 use crate::cost::CostModel;
@@ -21,16 +21,15 @@ use crate::net::NetModel;
 use crate::openloop::OpenLoop;
 use crate::regions::{spread, Region};
 use crate::runner::{ChaosRuntime, ChaosStats, SimRunner};
-use hs1_adversary::{AdversaryEngine, AdversaryMutator, AdversaryStrategy};
+use hs1_adversary::{AdversaryMutator, AdversaryStrategy};
+use hs1_core::build_replica;
 use hs1_core::Fault;
-use hs1_core::{build_replica, Replica};
 use hs1_crypto::Digest;
 use hs1_ledger::ExecConfig;
 use hs1_obs::Obs;
 use hs1_statesync::{NodeShell, SyncConfig};
-use hs1_storage::journal::SyncPolicy;
 use hs1_storage::testutil::TempDir;
-use hs1_storage::StorageConfig;
+use hs1_storage::{JournalConfig, StorageConfig, StorageError, SyncPolicy};
 use hs1_types::{ProtocolKind, ReplicaId, SimDuration, SimTime, SystemConfig};
 use hs1_workloads::{TpccGen, Workload, YcsbGen};
 
@@ -60,7 +59,7 @@ pub struct Scenario {
     pub client_region: Region,
     pub injected: Vec<(usize, SimDuration)>,
     pub faults: Vec<(usize, Fault)>,
-    /// Adversarial backups wrapped around the engines (see
+    /// Adversarial backups, each a mutator on its replica's shell (see
     /// `hs1-adversary`): explicit entries here are merged with — and
     /// override — whatever the chaos plan derives.
     pub adversaries: Vec<(usize, AdversaryStrategy)>,
@@ -234,9 +233,10 @@ impl Scenario {
         self
     }
 
-    /// Wrap `replica` in an adversary layer playing `strategy` (see
-    /// `hs1-adversary`). The replica's engine stays honest internally;
-    /// its outbound traffic lies.
+    /// Make `replica` a Byzantine backup playing `strategy` (see
+    /// `hs1-adversary`): its shell relays what it sends through that
+    /// strategy's mutator. Its engine stays honest internally; its
+    /// outbound traffic lies.
     pub fn with_adversary(mut self, replica: usize, strategy: AdversaryStrategy) -> Self {
         self.adversaries.push((replica, strategy));
         self
@@ -283,15 +283,24 @@ impl Scenario {
         }
         // A restarted replica catches up as a node would.
         let sync = SyncConfig::new(cfg.clone());
+        // Chaos journals are small and sync often, so crash-restart
+        // recovers through the real hs1-storage path with work to do.
+        let storage_cfg = StorageConfig {
+            journal: JournalConfig { segment_bytes: 256 * 1024, sync: SyncPolicy::EveryN(8) },
+            checkpoint_every: 64,
+        };
         // The one place a simulated replica is built: at start-up, and
-        // again by the chaos crash-restart path. A restarted adversary
-        // stays adversarial: the wrapper (with a fresh mutation stream)
-        // comes back with the rebuilt engine, and — as on TCP — with an
-        // empty mempool.
+        // again by the chaos crash-restart path, over its journal in
+        // `disk` when it has one. An adversary's shell relays its traffic
+        // through one mutator. A restarted adversary stays adversarial:
+        // its shell gets a fresh mutator (a fresh mutation stream) and,
+        // as on TCP, its engine an empty mempool.
         let build = {
             let (protocol, seed) = (self.protocol, self.seed);
             let (faults, adversaries) = (self.faults.clone(), adversaries.clone());
-            move |i: usize| -> Box<dyn Replica> {
+            move |i: usize,
+                  disk: Option<(&Path, Option<SyncConfig>)>|
+                  -> Result<NodeShell, StorageError> {
                 let me = ReplicaId(i as u32);
                 let fault = faults
                     .iter()
@@ -299,55 +308,32 @@ impl Scenario {
                     .map(|(_, fl)| fl.clone())
                     .unwrap_or(Fault::Honest);
                 let engine = build_replica(protocol, cfg.clone(), me, fault, exec);
-                match adversaries.iter().find(|(r, _)| *r == i) {
-                    Some(&(_, strategy)) => {
-                        let mutator = AdversaryMutator::new(
-                            strategy,
-                            cfg.clone(),
-                            protocol,
-                            me,
-                            seed ^ 0xad5e_ed00 ^ ((me.0 as u64) << 16),
-                        );
-                        Box::new(AdversaryEngine::new(engine, mutator))
-                    }
-                    None => engine,
+                let mut shell = match disk {
+                    Some((dir, sync)) => NodeShell::open(engine, dir, storage_cfg, sync)?,
+                    None => NodeShell::new(engine),
+                };
+                if let Some(&(_, strategy)) = adversaries.iter().find(|(r, _)| *r == i) {
+                    let seed = seed ^ 0xad5e_ed00 ^ ((me.0 as u64) << 16);
+                    let mutator = AdversaryMutator::new(strategy, cfg.clone(), protocol, me, seed);
+                    shell.set_adversary(mutator);
                 }
+                Ok(shell)
             }
         };
-        // Chaos: durable journals (so crash-restart recovers through the
-        // real hs1-storage path), and a way to reopen a replica on its own.
-        // Dirs must outlive the run; they self-clean on drop.
+        // Chaos: durable journals, and a way to reopen a replica on its
+        // own. Dirs must outlive the run; they self-clean on drop.
         let mut chaos_dirs: Vec<TempDir> = Vec::new();
         let (engines, chaos_rt) = match &self.chaos {
             Some(plan) if plan.has_crashes() => {
                 assert_eq!(plan.n, self.n, "chaos plan sized for a different deployment");
-                let storage_cfg = StorageConfig {
-                    segment_bytes: 256 * 1024,
-                    sync: SyncPolicy::EveryN(8),
-                    checkpoint_every: 64,
-                };
                 chaos_dirs.extend(
                     (0..self.n).map(|i| TempDir::new(&format!("chaos-s{}-r{i}", self.seed))),
                 );
                 let dirs: Vec<PathBuf> =
                     chaos_dirs.iter().map(|d| d.path().to_path_buf()).collect();
-                // A replica's shell over its journal. A `CorruptSnapshot`
-                // backup serves snapshots through that strategy's mutator,
-                // which draws no randomness and so takes no seed of its own.
                 let open = {
-                    let (dirs, liars) = (dirs.clone(), adversaries.clone());
-                    let (protocol, system) = (self.protocol, sync.system.clone());
-                    let corrupt = AdversaryStrategy::CorruptSnapshot;
-                    move |i: usize, sync: Option<SyncConfig>| {
-                        let mut shell = NodeShell::open(build(i), &dirs[i], storage_cfg, sync)?;
-                        if liars.contains(&(i, corrupt)) {
-                            let me = ReplicaId(i as u32);
-                            let mutator =
-                                AdversaryMutator::new(corrupt, system.clone(), protocol, me, 0);
-                            shell.set_adversary(mutator);
-                        }
-                        Ok(shell)
-                    }
+                    let dirs = dirs.clone();
+                    move |i: usize, sync| build(i, Some((&dirs[i], sync)))
                 };
                 let engines =
                     (0..self.n).map(|i| open(i, None).expect("open fresh chaos journal")).collect();
@@ -358,7 +344,8 @@ impl Scenario {
                 if let Some(plan) = plan {
                     assert_eq!(plan.n, self.n, "chaos plan sized for a different deployment");
                 }
-                ((0..self.n).map(|i| NodeShell::new(build(i))).collect(), None)
+                let shells = (0..self.n).map(|i| build(i, None).expect("no storage to open"));
+                (shells.collect(), None)
             }
         };
 
@@ -465,7 +452,7 @@ impl Report {
     }
 
     /// Offered load measured in-window, tx/s (0 on closed-loop runs).
-    pub fn offered_tps(&self) -> f64 {
+    pub(crate) fn offered_tps(&self) -> f64 {
         self.offered_txs as f64 / self.sim_seconds
     }
 
@@ -519,7 +506,7 @@ impl Report {
     }
 
     /// CSV row (matches [`Report::csv_header`]).
-    pub fn csv_row(&self) -> String {
+    pub(crate) fn csv_row(&self) -> String {
         format!(
             "{},{},{},{},{:?},{:.0},{:.3},{:.3},{:.3},{},{},{}",
             self.protocol.name(),
@@ -537,7 +524,7 @@ impl Report {
         )
     }
 
-    pub fn csv_header() -> &'static str {
+    pub(crate) fn csv_header() -> &'static str {
         "protocol,n,f,batch,workload,throughput_tps,mean_ms,p50_ms,p99_ms,blocks,orphaned,rollbacks"
     }
 }

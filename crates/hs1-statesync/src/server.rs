@@ -195,13 +195,12 @@ mod tests {
     #[test]
     fn replicas_at_one_height_serve_one_image() {
         use hs1_core::persist::Persistence;
-        use hs1_storage::{ReplicaStorage, StorageConfig, SyncPolicy};
+        use hs1_storage::{JournalConfig, ReplicaStorage, StorageConfig, SyncPolicy};
         use hs1_types::{Block, CertKind, ReplicaId, Slot, Transaction};
         use std::sync::Arc;
 
         let cfg = StorageConfig {
-            segment_bytes: 1 << 20,
-            sync: SyncPolicy::Never,
+            journal: JournalConfig { segment_bytes: 1 << 20, sync: SyncPolicy::Never },
             checkpoint_every: 500,
         };
         let dirs = [TempDir::new("snapserver-peer-a"), TempDir::new("snapserver-peer-b")];

@@ -9,15 +9,18 @@
 //! * **storage wiring** — [`NodeShell::open`] recovers the engine from
 //!   its journal and installs the journal as the engine's persistence;
 //! * **snapshot serving** — `SnapshotReq` / `SnapshotChunkReq` are
-//!   answered out of the newest checkpoint, through an
-//!   [`AdversaryMutator`] when one is set, whether the engine runs or not;
+//!   answered out of the newest checkpoint, whether the engine runs or not;
 //! * **state sync** — with a [`SyncConfig`], `on_init` starts a
 //!   [`SyncClient`] instead of the engine, polled on [`SYNC_TIMER`]
 //!   every [`SYNC_TICK`]. Every other message, client requests included,
 //!   is deferred. When the client stops, or its `overall_timeout` runs
 //!   out, the same step installs what it verified, hands the journal to
 //!   the engine, runs the engine's `on_init`, and steps the deferred
-//!   messages in arrival order.
+//!   messages in arrival order;
+//! * **Byzantine behaviour** — with [`NodeShell::set_adversary`], every
+//!   message the engine sends a peer, and every snapshot reply, passes
+//!   through one [`AdversaryMutator`]. The engine stays honest; only what
+//!   leaves the shell lies.
 
 use std::path::Path;
 
@@ -116,11 +119,19 @@ impl NodeShell {
         })
     }
 
-    /// Answer snapshot requests through `mutator` (e.g.
-    /// `AdversaryStrategy::CorruptSnapshot`, whose chunks fail the
-    /// manifest's CRC index). Engine traffic is made adversarial by
-    /// wrapping the engine in `hs1_adversary::AdversaryEngine` instead.
+    /// Make this replica Byzantine: relay everything it sends a peer
+    /// through `mutator`, the engine's traffic and snapshot replies
+    /// alike. A send to itself passes untouched, and a broadcast becomes
+    /// one send per replica in id order, each mutated on its own. After
+    /// every engine step the mutator may inject traffic of its own
+    /// (`ForgeQuorum`), and a `FetchBlock` for a block it forged is
+    /// answered here: the honest engine has never seen one.
+    ///
+    /// # Panics
+    ///
+    /// If `mutator` lies for a replica other than the engine's.
     pub fn set_adversary(&mut self, mutator: AdversaryMutator) {
+        assert_eq!(mutator.id(), self.engine.id(), "mutator identity must match the engine");
         self.mutator = Some(mutator);
     }
 
@@ -149,11 +160,52 @@ impl NodeShell {
 
     fn serve(&mut self, to: ReplicaId, msg: &Message, out: &mut Vec<Action>) {
         let Some(resp) = self.server.as_mut().and_then(|s| s.handle(msg)) else { return };
-        let sends = match &mut self.mutator {
-            Some(m) => m.mutate(to, resp),
-            None => vec![(to, resp)],
-        };
-        out.extend(sends.into_iter().map(|(to, msg)| Action::Send { to, msg }));
+        match &mut self.mutator {
+            Some(m) => relay(m, to, resp, out),
+            None => out.push(Action::Send { to, msg: resp }),
+        }
+    }
+
+    /// Run one engine step into `out`. With a mutator set, what the step
+    /// emitted is relayed through it, and then it may inject.
+    fn step(
+        &mut self,
+        out: &mut Vec<Action>,
+        call: impl FnOnce(&mut dyn Replica, &mut Vec<Action>),
+    ) {
+        let Some(mutator) = &mut self.mutator else { return call(&mut *self.engine, out) };
+        let start = out.len();
+        call(&mut *self.engine, out);
+        let me = self.engine.id();
+        for action in out.split_off(start) {
+            match action {
+                Action::Send { to, msg } if to != me => relay(mutator, to, msg, out),
+                Action::Broadcast { msg } => {
+                    for to in (0..mutator.n() as u32).map(ReplicaId) {
+                        if to == me {
+                            out.push(Action::Send { to, msg: msg.clone() });
+                        } else {
+                            relay(mutator, to, msg.clone(), out);
+                        }
+                    }
+                }
+                other => out.push(other),
+            }
+        }
+        if let Some(sends) = mutator.maybe_forge(self.engine.current_view()) {
+            out.extend(sends.into_iter().map(|(to, msg)| Action::Send { to, msg }));
+        }
+    }
+
+    /// Hand `msg` to the engine, unless it fetches a block the mutator
+    /// forged.
+    fn deliver(&mut self, from: ReplicaId, msg: Message, now: SimTime, out: &mut Vec<Action>) {
+        if let (Some(m), Message::FetchBlock { id }) = (&self.mutator, &msg) {
+            if let Some(block) = m.forged_block(*id) {
+                return out.push(Action::Send { to: from, msg: Message::FetchResp { block } });
+            }
+        }
+        self.step(out, |engine, out| engine.on_message(from, msg, now, out));
     }
 
     /// Send what the client produced, and start the engine once the
@@ -170,9 +222,9 @@ impl NodeShell {
             client.take_synced().is_some_and(|s| s.install(&mut *self.engine, &mut storage));
         self.engine.set_persistence(Box::new(storage));
         self.joined = Some((installed, client.stats));
-        self.engine.on_init(now, out);
+        self.step(out, |engine, out| engine.on_init(now, out));
         for (from, msg) in deferred {
-            self.engine.on_message(from, msg, now, out);
+            self.deliver(from, msg, now, out);
         }
     }
 
@@ -199,7 +251,7 @@ impl Replica for NodeShell {
                 sync.deadline = now + sync.budget;
                 self.tick(now, out);
             }
-            None => self.engine.on_init(now, out),
+            None => self.step(out, |engine, out| engine.on_init(now, out)),
         }
     }
 
@@ -215,7 +267,7 @@ impl Replica for NodeShell {
             }
             msg => match &mut self.sync {
                 Some(sync) => sync.deferred.push((from, msg)),
-                None => self.engine.on_message(from, msg, now, out),
+                None => self.deliver(from, msg, now, out),
             },
         }
     }
@@ -225,7 +277,7 @@ impl Replica for NodeShell {
             self.tick_armed = false;
             self.tick(now, out);
         } else {
-            self.engine.on_timer(timer, now, out);
+            self.step(out, |engine, out| engine.on_timer(timer, now, out));
         }
     }
 
@@ -272,4 +324,9 @@ impl Replica for NodeShell {
     fn state_root(&self) -> Digest {
         self.engine.state_root()
     }
+}
+
+/// Send `msg` to `to` as `mutator` rewrites it.
+fn relay(mutator: &mut AdversaryMutator, to: ReplicaId, msg: Message, out: &mut Vec<Action>) {
+    out.extend(mutator.mutate(to, msg).into_iter().map(|(to, msg)| Action::Send { to, msg }));
 }

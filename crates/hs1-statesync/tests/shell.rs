@@ -1,5 +1,6 @@
 //! The node shell against a scripted engine and in-process snapshot
-//! servers: what it defers, what it answers, and when the engine starts.
+//! servers: what it defers, what it answers, when the engine starts, and
+//! how a mutator rewrites what it sends.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -8,27 +9,31 @@ use std::time::Duration;
 use hs1_adversary::{AdversaryMutator, AdversaryStrategy};
 use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_core::replica::{Action, Replica, Timer};
-use hs1_crypto::Digest;
-use hs1_ledger::KvStore;
+use hs1_core::testkit::TestNet;
+use hs1_core::{build_replica, Fault};
+use hs1_crypto::{Digest, PublicKeyRegistry, Signature};
+use hs1_ledger::{ExecConfig, KvStore};
 use hs1_statesync::{NodeShell, SnapshotServer, SyncConfig, SYNC_TICK, SYNC_TIMER};
 use hs1_storage::crc32::crc32;
 use hs1_storage::testutil::TempDir;
 use hs1_storage::{Checkpoint, StorageConfig};
-use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg};
+use hs1_types::cert::{domains, CertKind};
+use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg, VoteInfo, VoteMsg};
 use hs1_types::{
-    BlockId, Certificate, CommittedLog, Message, ProtocolKind, ReplicaId, SimTime, SystemConfig,
-    Transaction, View,
+    Block, BlockId, Certificate, CommittedLog, Message, ProtocolKind, ReplicaId, SimDuration,
+    SimTime, Slot, SystemConfig, Transaction, View,
 };
 
 const ME: ReplicaId = ReplicaId(3);
 
 type Seen = Arc<Mutex<Vec<String>>>;
 
-/// A scripted engine: logs every step it is given, and adopts the log of
-/// whatever it is restored from.
+/// A scripted engine: logs every step it is given, answers every message
+/// with `emit`, and adopts the log of whatever it is restored from.
 struct Script {
     log: CommittedLog,
     seen: Seen,
+    emit: Vec<Action>,
 }
 
 impl Replica for Script {
@@ -38,8 +43,9 @@ impl Replica for Script {
     fn on_init(&mut self, _now: SimTime, _out: &mut Vec<Action>) {
         self.seen.lock().unwrap().push("init".into());
     }
-    fn on_message(&mut self, from: ReplicaId, msg: Message, _now: SimTime, _out: &mut Vec<Action>) {
+    fn on_message(&mut self, from: ReplicaId, msg: Message, _now: SimTime, out: &mut Vec<Action>) {
         self.seen.lock().unwrap().push(format!("{} {}", from.0, msg.kind_name()));
+        out.extend(self.emit.iter().cloned());
     }
     fn on_timer(&mut self, timer: Timer, _now: SimTime, _out: &mut Vec<Action>) {
         self.seen.lock().unwrap().push(format!("{timer:?}"));
@@ -101,7 +107,7 @@ fn sync_cfg(gap_threshold: u64) -> SyncConfig {
 
 fn open(dir: &TempDir, sync: SyncConfig) -> (NodeShell, Seen) {
     let seen = Seen::default();
-    let engine = Script { log: CommittedLog::new(), seen: seen.clone() };
+    let engine = Script { log: CommittedLog::new(), seen: seen.clone(), emit: Vec::new() };
     let shell = NodeShell::open(Box::new(engine), dir.path(), StorageConfig::default(), Some(sync))
         .expect("open storage");
     (shell, seen)
@@ -192,13 +198,7 @@ fn snapshot_requests_are_answered_while_syncing_live_and_through_the_mutator() {
     let m = manifest(&mut shell);
     assert_eq!(m.chain_len, 30, "served while live");
 
-    shell.set_adversary(AdversaryMutator::new(
-        AdversaryStrategy::CorruptSnapshot,
-        SystemConfig::new(4),
-        ProtocolKind::HotStuff1,
-        ME,
-        0,
-    ));
+    shell.set_adversary(mutator(AdversaryStrategy::CorruptSnapshot, ME));
     let chunk_req =
         Message::SnapshotChunkReq(SnapshotChunkReqMsg { state_root: m.state_root, index: 0 });
     let mut out = Vec::new();
@@ -287,4 +287,148 @@ fn a_declined_sync_starts_the_engine_at_once() {
     shell.on_timer(SYNC_TIMER, SimTime::ZERO + SYNC_TICK, &mut out);
     assert!(out.is_empty());
     assert_eq!(seen(&log), ["init"]);
+}
+
+fn mutator(strategy: AdversaryStrategy, me: ReplicaId) -> AdversaryMutator {
+    AdversaryMutator::new(strategy, SystemConfig::new(4), ProtocolKind::HotStuff1, me, 3)
+}
+
+/// What a live shell lying through a `strategy` mutator sends when its
+/// scripted engine answers one message with `emit`.
+fn lie(strategy: AdversaryStrategy, emit: Vec<Action>) -> Vec<(ReplicaId, Message)> {
+    let engine = Script { log: CommittedLog::new(), seen: Seen::default(), emit };
+    let mut shell = NodeShell::new(Box::new(engine));
+    shell.set_adversary(mutator(strategy, ME));
+    let mut out = Vec::new();
+    let request = Message::Request(Transaction::kv_write(1, 1, 2, 3));
+    shell.on_message(ReplicaId(0), request, SimTime::ZERO, &mut out);
+    out.into_iter()
+        .map(|a| match a {
+            Action::Send { to, msg } => (to, msg),
+            other => panic!("only sends leave a lying shell here, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn a_lying_shell_fans_a_broadcast_out_to_one_send_per_replica() {
+    let msg = Message::FetchBlock { id: BlockId::test(5) };
+    let sent = lie(AdversaryStrategy::WithholdVotes, vec![Action::Broadcast { msg }]);
+    let to: Vec<u32> = sent.iter().map(|(to, _)| to.0).collect();
+    assert_eq!(to, [0, 1, 2, 3], "one send per replica, in id order");
+    assert!(sent.iter().all(|(_, m)| matches!(m, Message::FetchBlock { .. })));
+}
+
+#[test]
+fn a_send_to_itself_is_never_mutated() {
+    // A CorruptFetch adversary answering its *own* fetch keeps the body
+    // intact: the in-flight check on its engine would drop a tampered
+    // self-delivery and wedge its own catch-up. A peer gets the tampered
+    // body.
+    let block = Arc::new(Block::new(
+        ReplicaId(0),
+        View(1),
+        Slot::FIRST,
+        Certificate::genesis(),
+        vec![Transaction::kv_write(1, 1, 2, 3)],
+    ));
+    let resp = Message::FetchResp { block: block.clone() };
+    let emit = vec![
+        Action::Send { to: ME, msg: resp.clone() },
+        Action::Send { to: ReplicaId(0), msg: resp },
+    ];
+    let sent = lie(AdversaryStrategy::CorruptFetch, emit);
+    let [(ME, Message::FetchResp { block: own }), (ReplicaId(0), Message::FetchResp { block: peer })] =
+        sent.as_slice()
+    else {
+        panic!("expected one answer to itself and one to peer 0, got {sent:?}");
+    };
+    assert_eq!(own.id(), block.id(), "the copy to itself is untouched");
+    assert_ne!(peer.id(), block.id(), "the peer's copy is tampered");
+}
+
+#[test]
+fn an_equivocating_shell_turns_one_vote_into_two_conflicting_votes() {
+    let vote = VoteInfo {
+        view: View(3),
+        slot: Slot::FIRST,
+        block: BlockId::test(1),
+        share: Signature::ZERO,
+    };
+    let emit = vec![Action::Send { to: ReplicaId(0), msg: Message::Vote(VoteMsg { vote }) }];
+    let sent = lie(AdversaryStrategy::Equivocate, emit);
+    let votes: Vec<VoteInfo> = sent
+        .iter()
+        .map(|(to, msg)| match msg {
+            Message::Vote(m) if *to == ReplicaId(0) => m.vote,
+            other => panic!("expected votes for peer 0, got {other:?} to {to:?}"),
+        })
+        .collect();
+    assert_eq!(votes.len(), 2, "the engine's vote and a conflicting one");
+    assert!(votes.contains(&vote), "the engine's vote goes out as it was");
+    let forged = votes.into_iter().find(|v| *v != vote).expect("a second vote");
+    assert_eq!((forged.view, forged.slot), (vote.view, vote.slot), "for the same view and slot");
+    assert_ne!(forged.block, vote.block, "for a conflicting block");
+    let bytes =
+        Certificate::signing_bytes(CertKind::Quorum, forged.view, forged.slot, forged.block);
+    let reg = PublicKeyRegistry::derive(0, 4);
+    assert!(reg.verify(ME.0, domains::PROPOSE_VOTE, &bytes, &forged.share), "validly signed");
+}
+
+#[test]
+#[should_panic(expected = "mutator identity")]
+fn a_mutator_for_another_replica_is_rejected() {
+    let engine = Script { log: CommittedLog::new(), seen: Seen::default(), emit: Vec::new() };
+    let mut shell = NodeShell::new(Box::new(engine));
+    shell.set_adversary(mutator(AdversaryStrategy::Equivocate, ReplicaId(2)));
+}
+
+#[test]
+fn a_lying_shell_answers_introspection_from_its_engine() {
+    let me = ReplicaId(1);
+    let cfg = SystemConfig::new(4);
+    let kind = ProtocolKind::HotStuff1;
+    let mut shell =
+        NodeShell::new(build_replica(kind, cfg, me, Fault::Honest, ExecConfig::default()));
+    shell.set_adversary(mutator(AdversaryStrategy::WithholdVotes, me));
+    assert_eq!(shell.id(), me);
+    assert_eq!(shell.committed_chain().len(), 1, "genesis only");
+    assert_eq!(shell.current_view(), View::GENESIS);
+}
+
+/// Past a replica's window a lying shell still reports the whole chain:
+/// its length and running hash, as the harness recorded every commit.
+#[test]
+fn a_lying_shell_reports_the_whole_committed_chain_past_the_window() {
+    let mut cfg = SystemConfig::new(4);
+    cfg.view_timer = SimDuration::from_millis(10);
+    cfg.delta = SimDuration::from_millis(1);
+    cfg.batch_size = 4;
+    let engines = (0..4u32)
+        .map(|i| {
+            let me = ReplicaId(i);
+            let kind = ProtocolKind::HotStuff1;
+            let engine = build_replica(kind, cfg.clone(), me, Fault::Honest, ExecConfig::default());
+            if i != 1 {
+                return engine;
+            }
+            // Lies about snapshots only: consensus runs at full speed.
+            let mut shell = NodeShell::new(engine);
+            shell.set_adversary(mutator(AdversaryStrategy::CorruptSnapshot, me));
+            Box::new(shell) as Box<dyn Replica>
+        })
+        .collect();
+    let mut net = TestNet::new(engines, SimDuration::from_micros(200));
+    let txs: Vec<_> = (0..4 * (CommittedLog::WINDOW as u64 + 200))
+        .map(|i| Transaction::kv_write(1, i, i * 13, i))
+        .collect();
+    net.inject(&txs);
+    net.init();
+    net.run_for(SimDuration::from_millis(1_200));
+    net.assert_prefix_agreement(&[0, 1, 2, 3]);
+    let (shell, record) = (&net.engines[1], net.committed_log(1));
+    assert!(record.len() > CommittedLog::WINDOW + 64, "{} blocks committed", record.len());
+    assert!(shell.committed_chain().len() <= CommittedLog::WINDOW, "the engine holds its window");
+    assert_eq!(shell.committed_len(), record.len());
+    assert_eq!(shell.committed_log().hash(), record.hash());
 }

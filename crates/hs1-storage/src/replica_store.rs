@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::checkpoint::Checkpoint;
-use crate::journal::{Journal, JournalConfig, SyncPolicy};
+use crate::journal::{Journal, JournalConfig};
 use crate::record::JournalRecord;
 use crate::recovery::{recover, RecoveryInfo};
 use crate::StorageError;
@@ -24,10 +24,8 @@ use hs1_types::{Block, BlockId, Certificate, CommittedLog, View};
 /// Tuning for a replica's durable storage.
 #[derive(Clone, Copy, Debug)]
 pub struct StorageConfig {
-    /// Journal segment rotation threshold.
-    pub segment_bytes: u64,
-    /// Fsync batching policy.
-    pub sync: SyncPolicy,
+    /// Segment rotation and fsync batching of the journal.
+    pub journal: JournalConfig,
     /// Take a checkpoint (and truncate journal segments behind it) at
     /// every committed height that is a multiple of this, so honest
     /// replicas checkpoint the same heights. `0` disables checkpointing.
@@ -36,17 +34,7 @@ pub struct StorageConfig {
 
 impl Default for StorageConfig {
     fn default() -> Self {
-        StorageConfig {
-            segment_bytes: 1 << 20,
-            sync: SyncPolicy::EveryN(32),
-            checkpoint_every: 512,
-        }
-    }
-}
-
-impl StorageConfig {
-    fn journal(&self) -> JournalConfig {
-        JournalConfig { segment_bytes: self.segment_bytes, sync: self.sync }
+        StorageConfig { journal: JournalConfig::default(), checkpoint_every: 512 }
     }
 }
 
@@ -92,7 +80,7 @@ impl ReplicaStorage {
         cfg: StorageConfig,
     ) -> Result<(RecoveredState, ReplicaStorage), StorageError> {
         let dir = dir.into();
-        let recovered = recover(&dir, cfg.journal())?;
+        let recovered = recover(&dir, cfg.journal)?;
         let next = recovered.journal.next_seq();
         let storage = ReplicaStorage {
             dir,
@@ -301,6 +289,7 @@ impl Persistence for ReplicaStorage {
 mod tests {
     use super::*;
     use crate::checkpoint::checkpoint_files;
+    use crate::journal::SyncPolicy;
     use crate::testutil::TempDir;
     use hs1_types::{ReplicaId, Slot, Transaction};
 
@@ -324,8 +313,10 @@ mod tests {
     #[test]
     fn commit_counter_drives_checkpoints_and_pruning() {
         let tmp = TempDir::new("rs-checkpoint");
-        let cfg =
-            StorageConfig { segment_bytes: 512, sync: SyncPolicy::Always, checkpoint_every: 4 };
+        let cfg = StorageConfig {
+            journal: JournalConfig { segment_bytes: 512, sync: SyncPolicy::Always },
+            checkpoint_every: 4,
+        };
         let (state, mut storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
         assert!(state.is_empty());
 
@@ -365,7 +356,10 @@ mod tests {
     #[test]
     fn install_snapshot_recovers_like_a_checkpoint() {
         let tmp = TempDir::new("rs-install");
-        let cfg = StorageConfig { sync: SyncPolicy::Always, ..StorageConfig::default() };
+        let cfg = StorageConfig {
+            journal: JournalConfig { sync: SyncPolicy::Always, ..JournalConfig::default() },
+            ..StorageConfig::default()
+        };
 
         // A synced image: 3 committed blocks' worth of state.
         let mut store = KvStore::with_records(10);
@@ -400,8 +394,7 @@ mod tests {
     fn checkpoints_keep_a_fixed_window_of_the_log() {
         let tmp = TempDir::new("rs-window");
         let cfg = StorageConfig {
-            segment_bytes: 1 << 20,
-            sync: SyncPolicy::Never,
+            journal: JournalConfig { segment_bytes: 1 << 20, sync: SyncPolicy::Never },
             checkpoint_every: 2500,
         };
         let (_, mut storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
@@ -442,9 +435,8 @@ mod tests {
     fn reopen_without_checkpoint_replays_everything() {
         let tmp = TempDir::new("rs-nockpt");
         let cfg = StorageConfig {
-            sync: SyncPolicy::Always,
+            journal: JournalConfig { sync: SyncPolicy::Always, ..JournalConfig::default() },
             checkpoint_every: 0,
-            ..StorageConfig::default()
         };
         let (_, mut storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
         let b1 = chain_block(1, &hs1_types::Block::genesis(), 1);

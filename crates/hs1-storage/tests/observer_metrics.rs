@@ -14,7 +14,7 @@ use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_obs::{Clock, Obs, RecordingObserver};
 use hs1_storage::testutil::TempDir;
-use hs1_storage::{ReplicaStorage, StorageConfig, SyncPolicy};
+use hs1_storage::{JournalConfig, ReplicaStorage, StorageConfig, SyncPolicy};
 use hs1_types::{
     Block, Certificate, ProtocolKind, ReplicaId, SimDuration, Slot, SystemConfig, Transaction, View,
 };
@@ -71,7 +71,10 @@ fn journal_totals(rec: &Mutex<RecordingObserver>) -> (u64, u64) {
 }
 
 fn scfg() -> StorageConfig {
-    StorageConfig { sync: SyncPolicy::Always, checkpoint_every: 0, ..StorageConfig::default() }
+    StorageConfig {
+        journal: JournalConfig { sync: SyncPolicy::Always, ..JournalConfig::default() },
+        checkpoint_every: 0,
+    }
 }
 
 #[test]

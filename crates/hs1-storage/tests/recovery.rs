@@ -88,9 +88,8 @@ fn recovered_engine(dir: &Path, storage_cfg: StorageConfig) -> (Box<dyn Replica>
 fn journal_replay_converges_with_never_crashed_replica() {
     let tmp = TempDir::new("it-replay");
     let storage_cfg = StorageConfig {
-        sync: SyncPolicy::Always,
+        journal: JournalConfig { sync: SyncPolicy::Always, ..JournalConfig::default() },
         checkpoint_every: 0, // pure journal replay
-        ..StorageConfig::default()
     };
     let (chain, root0, root1) = run_durable_cluster(tmp.path(), storage_cfg);
 
@@ -106,8 +105,8 @@ fn journal_replay_converges_with_never_crashed_replica() {
 fn checkpoint_then_replay_converges_with_never_crashed_replica() {
     let tmp = TempDir::new("it-ckpt");
     let storage_cfg = StorageConfig {
-        segment_bytes: 16 << 10, // force rotation so pruning has work
-        sync: SyncPolicy::EveryN(8),
+        // Force rotation so pruning has work.
+        journal: JournalConfig { segment_bytes: 16 << 10, sync: SyncPolicy::EveryN(8) },
         checkpoint_every: 16,
     };
     let (chain, _root0, root1) = run_durable_cluster(tmp.path(), storage_cfg);
@@ -130,8 +129,10 @@ fn checkpoint_then_replay_converges_with_never_crashed_replica() {
 #[test]
 fn speculated_but_undecided_suffix_recovers_as_speculation() {
     let tmp = TempDir::new("it-spec");
-    let storage_cfg =
-        StorageConfig { sync: SyncPolicy::Always, checkpoint_every: 0, ..StorageConfig::default() };
+    let storage_cfg = StorageConfig {
+        journal: JournalConfig { sync: SyncPolicy::Always, ..JournalConfig::default() },
+        checkpoint_every: 0,
+    };
     let (chain, root0, _) = run_durable_cluster(tmp.path(), storage_cfg);
 
     // The run itself usually ends with a live overlay (the head block's
@@ -204,8 +205,10 @@ fn segment_file(dir: &Path) -> std::path::PathBuf {
 #[test]
 fn crash_point_after_every_record_type() {
     let base = TempDir::new("it-crashpoint");
-    let storage_cfg =
-        StorageConfig { sync: SyncPolicy::Always, checkpoint_every: 0, ..StorageConfig::default() };
+    let storage_cfg = StorageConfig {
+        journal: JournalConfig { sync: SyncPolicy::Always, ..JournalConfig::default() },
+        checkpoint_every: 0,
+    };
 
     let b1 = Arc::new(Block::new(ReplicaId(0), View(1), Slot(1), Certificate::genesis(), txs(2)));
     let b2 = Arc::new(Block::new(
@@ -317,8 +320,8 @@ fn torn_tail_at_arbitrary_offsets_recovers_prefix() {
 fn missing_checkpoint_behind_pruned_journal_is_rejected() {
     let tmp = TempDir::new("it-gap");
     let storage_cfg = StorageConfig {
-        segment_bytes: 256, // rotate often so pruning really deletes
-        sync: SyncPolicy::Always,
+        // Rotate often so pruning really deletes.
+        journal: JournalConfig { segment_bytes: 256, sync: SyncPolicy::Always },
         checkpoint_every: 4,
     };
     {

@@ -26,7 +26,7 @@ use hotstuff1::ledger::ExecConfig;
 use hotstuff1::net::client_driver::ClientDriver;
 use hotstuff1::net::mesh::Mesh;
 use hotstuff1::net::node::NodeRunner;
-use hotstuff1::storage::{StorageConfig, SyncPolicy};
+use hotstuff1::storage::{JournalConfig, StorageConfig, SyncPolicy};
 use hotstuff1::types::{ClientId, ProtocolKind, ReplicaId, SimDuration, SystemConfig};
 
 fn config(n: usize) -> SystemConfig {
@@ -48,8 +48,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("hs1-crash-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let storage_cfg = StorageConfig {
-        segment_bytes: 1 << 20,
-        sync: SyncPolicy::EveryN(64),
+        journal: JournalConfig { segment_bytes: 1 << 20, sync: SyncPolicy::EveryN(64) },
         checkpoint_every: 1024,
     };
 

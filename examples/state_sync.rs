@@ -33,7 +33,7 @@ use hotstuff1::net::client_driver::ClientDriver;
 use hotstuff1::net::mesh::Mesh;
 use hotstuff1::net::node::NodeRunner;
 use hotstuff1::statesync::SyncConfig;
-use hotstuff1::storage::{StorageConfig, SyncPolicy};
+use hotstuff1::storage::{JournalConfig, StorageConfig, SyncPolicy};
 use hotstuff1::types::{ClientId, ProtocolKind, ReplicaId, SimDuration, SystemConfig};
 
 fn config(n: usize) -> SystemConfig {
@@ -59,8 +59,10 @@ fn main() {
     // the pre-join cluster runs *degraded*: with replica 3 absent, every
     // fourth view times out on a dead leader, so the chain grows slowly
     // until the join heals the rotation (visible in the chain lengths).
-    let storage_cfg =
-        StorageConfig { segment_bytes: 1 << 20, sync: SyncPolicy::EveryN(64), checkpoint_every: 8 };
+    let storage_cfg = StorageConfig {
+        journal: JournalConfig { segment_bytes: 1 << 20, sync: SyncPolicy::EveryN(64) },
+        checkpoint_every: 8,
+    };
 
     println!("state_sync: 3 durable replicas over TCP; replica 3 joins at t=3s with an empty disk");
     println!("  data dir        : {}", root_dir.display());

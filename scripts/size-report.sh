@@ -1,7 +1,8 @@
 #!/bin/sh
 # The tracked size numbers ROADMAP aim 2 wants to go *down*, per crate
-# and in total: lines of Rust under src/, `pub` items, workspace crates,
-# bench harnesses, distinct HS1_* env knobs (names the code reads with
+# and in total: lines of Rust under src/, `pub` items, workspace crates
+# and the dependency edges between them, bench harnesses, distinct
+# HS1_* env knobs (names the code reads with
 # `env::var` / `env::var_os`), items in `trait Protocol` (what a protocol
 # policy may differ in), and "by history, not by paper" markers under
 # crates/ (behaviour kept apart per protocol for no reason the paper
@@ -35,6 +36,10 @@ printf '%-16s %8s %6s %6s\n' total "$(count crates/*/src src)" "$(pubs crates/*/
 echo "pub items: $(pubs crates/*/src src)"
 echo "workspace Rust lines (src, tests, benches, examples): $(count crates src tests examples)"
 echo "workspace crates: $(sed -n '/^members = \[/,/^\]/p' Cargo.toml | grep -c '"crates/')"
+# Edges between workspace crates: path entries under [dependencies].
+edges=$(awk 'FNR == 1 { t = 0 } /^\[/ { t = ($0 == "[dependencies]") } t && /path = "\.\.\// { n++ }
+    END { print n + 0 }' crates/*/Cargo.toml)
+echo "crate dependency edges: $edges"
 echo "bench harnesses: $(grep -c '^\[\[bench\]\]' crates/hs1-sim/Cargo.toml)"
 knobs=$(grep -rhoE 'var(_os)?\("HS1_[A-Z_]+"' crates src tests examples --include='*.rs' |
     grep -oE 'HS1_[A-Z_]+' | sort -u)

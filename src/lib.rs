@@ -8,8 +8,8 @@
 //! * [`ledger`] — execution substrate with speculative rollback ([`hs1_ledger`])
 //! * [`workloads`] — YCSB and TPC-C generators ([`hs1_workloads`])
 //! * [`consensus`] — the protocol engines ([`hs1_core`])
-//! * [`adversary`] — backup-side Byzantine strategies as a message-mutation
-//!   layer over any engine ([`hs1_adversary`])
+//! * [`adversary`] — backup-side Byzantine strategies as a mutator of a
+//!   replica's outbound messages ([`hs1_adversary`])
 //! * [`obs`] — deterministic tracing + metrics observer layer ([`hs1_obs`])
 //! * [`storage`] — durable journal, checkpoints, crash recovery ([`hs1_storage`])
 //! * [`statesync`] — snapshot state transfer for fast catch-up ([`hs1_statesync`])

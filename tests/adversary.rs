@@ -123,7 +123,7 @@ fn honest_server(tag: &str) -> (TempDir, SnapshotServer) {
 }
 
 /// Drive `client` against honest servers whose responses pass through a
-/// per-peer adversary mutator (mirroring `hs1-net`'s node-runner wiring).
+/// per-peer adversary mutator (as a node shell relays its snapshot replies).
 /// The virtual clock advances between pump rounds so the full-agreement
 /// grace window can expire when an adversary keeps it from forming.
 fn run_sync(

@@ -20,7 +20,7 @@ use hotstuff1::net::client_driver::ClientDriver;
 use hotstuff1::net::mesh::{Inbound, Mesh};
 use hotstuff1::net::node::NodeRunner;
 use hotstuff1::statesync::SyncConfig;
-use hotstuff1::storage::{StorageConfig, SyncPolicy};
+use hotstuff1::storage::{JournalConfig, StorageConfig, SyncPolicy};
 use hotstuff1::types::{
     ClientId, CommittedLog, Message, ProtocolKind, ReplicaId, SimDuration, SystemConfig,
     Transaction,
@@ -287,6 +287,66 @@ fn silent_replica_loses_no_request_over_tcp() {
     assert!(violations.is_empty(), "safety over TCP: {violations:?}");
 }
 
+/// Replica 3 equivocates: every vote it sends a peer comes with a
+/// validly signed vote for a conflicting block, in either order. Its
+/// shell relays the engine's traffic through the mutator, so this is a
+/// consensus-path lie on real sockets. The honest leaders' per-sender
+/// dedup absorbs it: the three honest replicas commit, every request of
+/// an open-loop client becomes final, and the four committed states
+/// agree.
+#[test]
+#[ignore = "multi-second wall-clock run; execute with cargo test -- --ignored"]
+fn equivocating_backup_is_absorbed_over_tcp() {
+    let n = 4;
+    let base_port = free_base_port(n as u16);
+    let protocol = ProtocolKind::HotStuff1;
+
+    let mut handles = Vec::new();
+    let stop = flag();
+    for id in 0..n as u32 {
+        let stop = stop.clone();
+        handles.push(std::thread::spawn(move || {
+            let mut cfg = SystemConfig::new(n);
+            cfg.view_timer = SimDuration::from_millis(20);
+            cfg.delta = SimDuration::from_millis(2);
+            cfg.batch_size = 16;
+            let me = ReplicaId(id);
+            let engine =
+                build_replica(protocol, cfg.clone(), me, Fault::Honest, ExecConfig::default());
+            let mesh = Mesh::start(me, n, "127.0.0.1", base_port).expect("bind");
+            let mut runner = NodeRunner::new(engine, mesh);
+            if id == 3 {
+                let strategy = AdversaryStrategy::Equivocate;
+                runner.set_adversary(AdversaryMutator::new(strategy, cfg, protocol, me, 7));
+            }
+            runner.run_until(Instant::now() + PATIENCE, |_| stop.load(Ordering::Relaxed));
+            (runner.committed_blocks, Committed::of(runner.replica()))
+        }));
+    }
+
+    std::thread::sleep(Duration::from_millis(300));
+    let f = SystemConfig::new(n).f();
+    let mut client = ClientDriver::connect(ClientId(0), n, "127.0.0.1", base_port, protocol, f)
+        .expect("connect");
+    // The replicas run until the drain has ended (see the silent replica).
+    let started = Instant::now();
+    let report = client.run_open_loop(Duration::from_secs(2), 500, PATIENCE).expect("client");
+    let took = started.elapsed();
+    drop(client);
+    stop.store(true, Ordering::Relaxed);
+
+    let (committed, replicas) = join_cluster(handles);
+    assert!(committed[..3].iter().all(|&c| c > 0), "the honest replicas commit: {committed:?}");
+    assert_eq!(report.submitted, 1000);
+    assert_eq!(
+        report.finalized, report.submitted,
+        "every request final under its first id (the open loop and its drain took {took:?})"
+    );
+    // The equivocator lies on the wire only; its local state is honest.
+    let violations = invariants::check(&Observation { replicas, ..Observation::default() });
+    assert!(violations.is_empty(), "safety over TCP: {violations:?}");
+}
+
 /// Kill a journal-backed replica mid-run, restart it from its journal,
 /// and require it to converge to the same committed `state_root()` as the
 /// replicas that never crashed (ISSUE 2 acceptance: journal replay +
@@ -304,8 +364,7 @@ fn killed_replica_recovers_from_journal_over_tcp() {
     let dir = std::env::temp_dir().join(format!("hs1-tcp-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let storage_cfg = StorageConfig {
-        segment_bytes: 1 << 20,
-        sync: SyncPolicy::EveryN(64),
+        journal: JournalConfig { segment_bytes: 1 << 20, sync: SyncPolicy::EveryN(64) },
         checkpoint_every: 512,
     };
 
@@ -415,8 +474,10 @@ fn fresh_replica_joins_via_snapshot_over_tcp() {
     // (every fourth view times out on the absent replica 3's leader
     // turn), so commits are slow until the join; a servable checkpoint
     // must exist well before t=3s even on a loaded CI machine.
-    let storage_cfg =
-        StorageConfig { segment_bytes: 1 << 20, sync: SyncPolicy::EveryN(64), checkpoint_every: 8 };
+    let storage_cfg = StorageConfig {
+        journal: JournalConfig { segment_bytes: 1 << 20, sync: SyncPolicy::EveryN(64) },
+        checkpoint_every: 8,
+    };
 
     fn config(n: usize) -> SystemConfig {
         let mut cfg = SystemConfig::new(n);
@@ -529,8 +590,7 @@ fn replica_a_window_behind_rejoins_via_snapshot_over_tcp() {
     let root_dir = std::env::temp_dir().join(format!("hs1-tcp-stale-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root_dir);
     let storage_cfg = StorageConfig {
-        segment_bytes: 1 << 20,
-        sync: SyncPolicy::EveryN(64),
+        journal: JournalConfig { segment_bytes: 1 << 20, sync: SyncPolicy::EveryN(64) },
         checkpoint_every: 64,
     };
     fn config(n: usize) -> SystemConfig {
@@ -678,8 +738,7 @@ fn observer_survives_replica_restart_over_tcp() {
     let dir = std::env::temp_dir().join(format!("hs1-tcp-obs-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let storage_cfg = StorageConfig {
-        segment_bytes: 1 << 20,
-        sync: SyncPolicy::EveryN(64),
+        journal: JournalConfig { segment_bytes: 1 << 20, sync: SyncPolicy::EveryN(64) },
         checkpoint_every: 512,
     };
 
