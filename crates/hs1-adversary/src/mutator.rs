@@ -560,12 +560,12 @@ mod tests {
         };
         // Manifests pass through by default (the chunk-CRC defense is the
         // one being exercised)...
-        let passed = m.mutate(ReplicaId(2), Message::SnapshotManifest(manifest.clone()));
+        let passed = m.mutate(ReplicaId(2), Message::SnapshotManifest(Box::new(manifest.clone())));
         let Message::SnapshotManifest(p) = &passed[0].1 else { panic!() };
         assert_eq!(p.state_root, manifest.state_root);
         // ...until manifest corruption is switched on.
         m.set_corrupt_manifests(true);
-        let out = m.mutate(ReplicaId(2), Message::SnapshotManifest(manifest.clone()));
+        let out = m.mutate(ReplicaId(2), Message::SnapshotManifest(Box::new(manifest.clone())));
         let Message::SnapshotManifest(t) = &out[0].1 else { panic!() };
         assert_ne!(t.state_root, manifest.state_root);
         assert_ne!(t.state_key(), manifest.state_key(), "excluded from honest agreement");

@@ -71,7 +71,7 @@ impl Basic {
         if cert.kind != CertKind::Quorum || !e.d.core.cert_valid(&cert) {
             return;
         }
-        let Some(b) = e.d.core.block(cert.block).cloned() else {
+        let Some(b) = e.d.core.block(cert.block) else {
             // The certified body never arrived (lost Propose): fetch it
             // and park the Prepare, or this replica cannot speculate,
             // commit-vote, or follow the prefix-commit rule this view.

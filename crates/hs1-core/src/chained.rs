@@ -204,13 +204,13 @@ impl Protocol for Chained {
         e.p.last_prop = pv;
 
         let justify = b.justify.clone();
-        let jb = e.d.core.block(justify.block).expect("justify block present").clone();
+        let jb = e.d.core.block(justify.block).expect("justify block present");
 
         // 1. Commit rule (Fig. 4 lines 9–10; 3-chain for HotStuff).
         if justify.view.is_successor_of(jb.justify.view) && !justify.is_genesis() {
             if e.p.depth == 2 {
                 e.d.commit_or_fetch(jb.parent, b.proposer, now, out);
-            } else if let Some(jb1) = e.d.core.block(jb.justify.block).cloned() {
+            } else if let Some(jb1) = e.d.core.block(jb.justify.block) {
                 if jb.justify.view.is_successor_of(jb1.justify.view) && !jb.justify.is_genesis() {
                     e.d.commit_or_fetch(jb1.parent, b.proposer, now, out);
                 }

@@ -11,9 +11,10 @@ use crate::runset::TxRunSet;
 use hs1_crypto::{KeyPair, PublicKeyRegistry, Signature};
 use hs1_ledger::{ExecConfig, ExecutionEngine};
 use hs1_obs::{block_key, Obs, Stage};
+use hs1_types::codec::{CodecError, Reader};
 use hs1_types::{
-    Block, BlockId, CertKind, Certificate, CommittedLog, IdHash, ReplicaId, ReplyKind, Slot,
-    SystemConfig, Transaction, View,
+    Block, BlockId, CertKind, Certificate, CommittedLog, Decode, Encode, IdHash, Rank, ReplicaId,
+    ReplyKind, Slot, SystemConfig, Transaction, View,
 };
 
 /// A replica's transaction pool, the same under the simulator and the TCP
@@ -188,9 +189,20 @@ pub struct CoreState {
     /// The committed chain: its length, running hash, and the ids back to
     /// the prune horizon.
     committed: CommittedLog,
-    /// The body of each id in `committed`'s window, in the same order;
-    /// `None` for an id adopted from a synced log whose body never came.
-    bodies: VecDeque<Option<Arc<Block>>>,
+    /// The committed head's body, as the next commit walk and the Prefix
+    /// Speculation rule read it; `None` for a head adopted from a synced
+    /// log whose body never came.
+    head: Option<Arc<Block>>,
+    /// The body of every other id in `committed`'s window, oldest first,
+    /// as its `Encode` bytes: the rules read the chain only down to the
+    /// committed head, so a body below it is decoded only to be served
+    /// (`FetchBlock`). Empty for an id adopted from a synced log whose
+    /// body never came. A body takes a buffer `prune` freed (`spare`).
+    bodies: VecDeque<Vec<u8>>,
+    /// Buffers `prune` took from `bodies`, for the next bodies.
+    spare: Vec<Vec<u8>>,
+    /// Where a body is encoded before it is copied into its buffer.
+    scratch: Vec<u8>,
     /// Stored blocks not committed, the only ones looked up by id in O(1),
     /// each with whether its transactions already went back to the pool
     /// as an orphan's: two or three in steady state, plus orphans until
@@ -213,8 +225,6 @@ impl CoreState {
     pub fn new(cfg: SystemConfig, me: ReplicaId, exec_cfg: ExecConfig) -> CoreState {
         let kp = KeyPair::derive(cfg.deployment_seed, me.0);
         let registry = PublicKeyRegistry::derive(cfg.deployment_seed, cfg.n as u32);
-        let mut bodies = VecDeque::with_capacity(CommittedLog::WINDOW);
-        bodies.push_back(Some(Block::genesis()));
         CoreState {
             pool: Mempool::new(cfg.mempool_cap),
             cfg,
@@ -225,7 +235,10 @@ impl CoreState {
             persist: Box::new(NoopPersistence),
             obs: Obs::noop(),
             committed: CommittedLog::new(),
-            bodies,
+            head: Some(Block::genesis()),
+            bodies: VecDeque::with_capacity(CommittedLog::WINDOW),
+            spare: Vec::new(),
+            scratch: Vec::new(),
             pending: HashMap::default(),
             last_valid: Certificate::genesis(),
             own_share: None,
@@ -242,31 +255,83 @@ impl CoreState {
         self.obs = obs;
     }
 
-    pub(crate) fn block(&self, id: BlockId) -> Option<&Arc<Block>> {
-        match self.pending.get(&id) {
-            Some((b, _)) => Some(b),
-            None => self.window_index(id).and_then(|i| self.bodies[i].as_ref()),
+    /// A stored block: a pending one or the committed head as held, a
+    /// committed body below the head decoded from its bytes.
+    pub(crate) fn block(&self, id: BlockId) -> Option<Arc<Block>> {
+        if let Some((b, _)) = self.pending.get(&id) {
+            return Some(b.clone());
+        }
+        match self.bodies.get(self.window_index(id)?) {
+            None => self.head.clone(),
+            Some(bytes) if bytes.is_empty() => None,
+            Some(bytes) => Some(decode_body(bytes)),
         }
     }
 
     pub(crate) fn has_block(&self, id: BlockId) -> bool {
-        self.block(id).is_some()
+        self.pending.contains_key(&id) || self.window_index(id).is_some_and(|i| self.holds(i))
     }
 
-    /// Every stored body, committed ones in height order first.
-    pub(crate) fn blocks(&self) -> impl Iterator<Item = &Arc<Block>> {
-        self.bodies.iter().flatten().chain(self.pending.values().map(|(b, _)| b))
+    /// Is the body of the `i`th id in the committed window held?
+    fn holds(&self, i: usize) -> bool {
+        self.bodies.get(i).map_or(self.head.is_some(), |bytes| !bytes.is_empty())
     }
 
-    /// Where `id` sits in the committed window: the head at once, any other
-    /// id by a scan, newest first. Callers ask `pending` first, so only an
-    /// id that is in neither (on the stale and fetch paths) is scanned for.
+    /// The id of every stored block, committed ones in height order first.
+    pub(crate) fn stored_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let committed = self.committed.ids().enumerate().filter(|&(i, _)| self.holds(i));
+        committed.map(|(_, id)| id).chain(self.pending.keys().copied())
+    }
+
+    /// Every stored block not committed, orphans included.
+    pub(crate) fn pending_blocks(&self) -> impl Iterator<Item = &Arc<Block>> {
+        self.pending.values().map(|(b, _)| b)
+    }
+
+    /// The committed bodies held, newest first: the head as held, each
+    /// one below it decoded when the iterator reaches it.
+    pub(crate) fn committed_newest_first(&self) -> impl Iterator<Item = Arc<Block>> + '_ {
+        let below = self.bodies.iter().rev().filter(|bytes| !bytes.is_empty());
+        self.head.iter().cloned().chain(below.map(|bytes| decode_body(bytes)))
+    }
+
+    /// Where `id` sits in the committed window (the head's index is
+    /// `bodies.len()`): the head at once, any other id by a scan, newest
+    /// first. Callers ask `pending` first, so only an id that is in
+    /// neither (on the stale and fetch paths) is scanned for.
     fn window_index(&self, id: BlockId) -> Option<usize> {
         if id == self.committed.head() {
-            Some(self.bodies.len() - 1)
+            Some(self.bodies.len())
         } else {
             self.committed.ids().rposition(|c| c == id)
         }
+    }
+
+    /// `b`'s bytes, in a buffer `prune` freed if they fit it and fill at
+    /// least half of it, else in a new one of their size: a buffer keeps
+    /// the size of the bodies it held, and no more than twice that.
+    fn encode_body(&mut self, b: &Block) -> Vec<u8> {
+        self.scratch.clear();
+        b.encode(&mut self.scratch);
+        let len = self.scratch.len();
+        let mut buf = match self.spare.pop() {
+            Some(buf) if (len..=2 * len).contains(&buf.capacity()) => buf,
+            _ => Vec::with_capacity(len),
+        };
+        buf.clear();
+        buf.extend_from_slice(&self.scratch);
+        buf
+    }
+
+    /// Commit `id` at the next height, with its body if this replica
+    /// holds it: the head it replaces goes below as bytes.
+    fn push_committed(&mut self, id: BlockId, body: Option<Arc<Block>>) {
+        self.committed.push(id);
+        let below = match std::mem::replace(&mut self.head, body) {
+            Some(old) => self.encode_body(&old),
+            None => Vec::new(),
+        };
+        self.bodies.push_back(below);
     }
 
     /// Store a block and absorb its transactions into the mempool filter.
@@ -277,12 +342,12 @@ impl CoreState {
         if self.pending.contains_key(&id) {
             return;
         }
-        let head = self.bodies.back().and_then(Option::as_ref);
-        let maybe_committed = head.is_none_or(|h| b.rank() <= h.rank());
+        let maybe_committed = self.head.as_ref().is_none_or(|h| b.rank() <= h.rank());
         match maybe_committed.then(|| self.window_index(id)).flatten() {
-            Some(i) if self.bodies[i].is_some() => return,
+            Some(i) if self.holds(i) => return,
             // Committed, but adopted from a synced log without its body.
-            Some(i) => self.bodies[i] = Some(b.clone()),
+            Some(i) if i == self.bodies.len() => self.head = Some(b.clone()),
+            Some(i) => self.bodies[i] = self.encode_body(&b),
             None => {
                 self.pending.insert(id, (b.clone(), false));
             }
@@ -404,10 +469,9 @@ impl CoreState {
             let id = b.id();
             self.obs.stage(Stage::Committed, block_key(id));
             self.obs.counter("blocks_committed", 0, 1);
-            self.committed.push(id);
             self.pending.remove(&id);
             self.pool.mark_committed(&b.txs);
-            self.bodies.push_back(Some(b));
+            self.push_committed(id, Some(b));
             if self.persist.wants_checkpoint() {
                 let window: Vec<BlockId> = self.committed.ids().collect();
                 self.persist.write_checkpoint(self.exec.committed(), &window);
@@ -545,15 +609,22 @@ impl CoreState {
         if incoming.start() <= have {
             // What lies past this replica's own head, as if committed here.
             for id in incoming.ids_from(have) {
-                self.committed.push(id);
-                self.bodies.push_back(self.pending.remove(&id).map(|(b, _)| b));
+                let body = self.pending.remove(&id).map(|(b, _)| b);
+                self.push_committed(id, body);
             }
         } else {
             // A window that starts above this replica's head replaces its
             // log whole: every id the replica holds is below the window,
             // and leaves with its body as a prune would take it.
             self.bodies.clear();
-            self.bodies.extend(incoming.ids().map(|id| self.pending.remove(&id).map(|(b, _)| b)));
+            for id in incoming.ids().take(incoming.ids().len() - 1) {
+                let below = match self.pending.remove(&id) {
+                    Some((b, _)) => self.encode_body(&b),
+                    None => Vec::new(),
+                };
+                self.bodies.push_back(below);
+            }
+            self.head = self.pending.remove(&incoming.head()).map(|(b, _)| b);
             self.committed = incoming;
         }
     }
@@ -565,13 +636,31 @@ impl CoreState {
     /// checkpoints, state sync and the invariant checker read.
     pub(crate) fn prune(&mut self, keep: usize) {
         let gone = self.committed.trim(keep).len();
-        self.bodies.drain(..gone);
-        if let Some(floor) = self.bodies.iter().flatten().next().map(|b| b.rank()) {
+        self.spare.extend(self.bodies.drain(..gone).filter(|bytes| bytes.capacity() > 0));
+        let oldest = self.bodies.iter().find(|bytes| !bytes.is_empty());
+        let floor =
+            oldest.map(|bytes| rank_of(bytes)).or_else(|| self.head.as_ref().map(|h| h.rank()));
+        if let Some(floor) = floor {
             // An orphan not yet returned waits for the next commit to
             // return its transactions.
             self.pending.retain(|_, (b, returned)| !*returned || b.rank() >= floor);
         }
     }
+}
+
+/// A body [`CoreState::encode_body`] wrote.
+fn decode_body(bytes: &[u8]) -> Arc<Block> {
+    Arc::decode_exact(bytes).expect("a body encoded here decodes")
+}
+
+/// The rank in a body's bytes, read from its header alone.
+fn rank_of(bytes: &[u8]) -> Rank {
+    let mut r = Reader::new(bytes);
+    let mut header = || -> Result<Rank, CodecError> {
+        ReplicaId::decode(&mut r)?;
+        Ok(Rank::new(View::decode(&mut r)?, Slot::decode(&mut r)?))
+    };
+    header().expect("a body encoded here has a header")
 }
 
 #[cfg(test)]
@@ -876,7 +965,7 @@ mod tests {
         assert_eq!(s.committed, synced);
         assert!(s.is_committed(BlockId::test(4999)) && s.is_committed(BlockId::test(4900)));
         assert!(!s.is_committed(Block::genesis_id()), "genesis left the window");
-        assert_eq!(s.bodies.len(), 100, "one body slot per held id");
+        assert_eq!(s.bodies.len() + 1, 100, "one body slot per held id below the head");
     }
 
     /// A replica restarted from a disk more than a window behind holds no
@@ -900,7 +989,11 @@ mod tests {
         assert_eq!(s.state_root(), hs1_ledger::KvStore::with_records(20).state_root());
         assert!(!s.is_committed(BlockId::test(99)), "the old window left");
         assert!(s.is_committed(synced.head()));
-        assert_eq!(s.bodies.len(), CommittedLog::KEEP, "one body slot per held id");
+        assert_eq!(
+            s.bodies.len() + 1,
+            CommittedLog::KEEP,
+            "one body slot per held id below the head"
+        );
 
         assert!(!s.restore(image(10, chain(100))), "behind");
         assert_eq!(s.committed, synced);
@@ -923,6 +1016,109 @@ mod tests {
         s.prune(3);
         assert!(s.bodies.len() < before);
         assert!(s.has_block(parent), "recent blocks kept");
+    }
+
+    /// A certificate over `block` at (`view`, slot 1), no signatures.
+    fn cert_over(block: BlockId, view: u64) -> Certificate {
+        let slot = Slot(u32::from(view > 0));
+        Certificate { kind: CertKind::Quorum, view: View(view), slot, block, sigs: [].into() }
+    }
+
+    /// Commit `b` as the new head, its parent committed.
+    fn commit(s: &mut CoreState, b: &Arc<Block>) {
+        s.insert_block(b.clone());
+        assert!(s.commit_chain(b.id(), &mut Vec::new()).is_ok());
+    }
+
+    /// A body pushed below the committed head reads back as the block
+    /// committed: same id, same bytes. Four shapes: empty, one
+    /// transaction, a slotted block carrying an uncertified one, and a
+    /// 64-transaction batch.
+    #[test]
+    fn a_body_below_the_head_reads_back_byte_for_byte() {
+        let mut s = state();
+        let g = Block::genesis_id();
+        let empty = Arc::new(Block::new(ReplicaId(1), View(1), Slot(1), cert_over(g, 0), vec![]));
+        let one = child_of(empty.id(), 2, 7);
+        // Way (ii): extends the certificate `one` extends, carrying `one`.
+        let carry = Arc::new(Block::new_with_carry(
+            ReplicaId(3),
+            View(3),
+            Slot(1),
+            cert_over(empty.id(), 1),
+            one.id(),
+            vec![Transaction::kv_write(2, 1, 1, 1)],
+        ));
+        let txs = (0..64).map(|i| Transaction::kv_write(3, i, i, i)).collect();
+        let batch =
+            Arc::new(Block::new(ReplicaId(0), View(4), Slot(1), cert_over(carry.id(), 3), txs));
+        let blocks = [empty, one, carry, batch];
+        for b in &blocks {
+            commit(&mut s, b);
+        }
+        commit(&mut s, &child_of(blocks[3].id(), 5, 5));
+        assert_eq!(s.bodies.len(), 5, "genesis and the four below the head");
+        for (b, bytes) in blocks.iter().zip(s.bodies.iter().skip(1)) {
+            assert_eq!(*bytes, b.encoded(), "{:?} held as its encoding", b.id());
+            let read = s.block(b.id()).expect("held");
+            assert_eq!((read.id(), read.encoded()), (b.id(), b.encoded()));
+            assert!(s.has_block(b.id()) && s.is_committed(b.id()));
+        }
+        assert_eq!(rank_of(&s.bodies[4]), blocks[3].rank());
+    }
+
+    /// Ids adopted from a synced log come without their bodies; a body
+    /// that arrives later fills its slot, below the head or at it.
+    #[test]
+    fn an_adopted_slot_is_filled_by_a_later_insert() {
+        let mut s = state();
+        let b1 = child_of(Block::genesis_id(), 1, 1);
+        let b2 = child_of(b1.id(), 2, 2);
+        let b3 = child_of(b2.id(), 3, 3);
+        s.restore(image(10, CommittedLog::from_ids([b1.id(), b2.id(), b3.id()])));
+        assert!(s.is_committed(b2.id()) && !s.has_block(b2.id()) && !s.has_block(b3.id()));
+        assert!(s.block(b2.id()).is_none());
+        s.insert_block(b2.clone());
+        s.insert_block(b3.clone());
+        assert!(s.pending.is_empty(), "committed bodies do not wait as pending");
+        assert_eq!(s.block(b2.id()).as_deref(), Some(&*b2), "below the head");
+        assert_eq!(s.block(b3.id()).as_deref(), Some(&*b3), "at the head");
+        assert!(!s.has_block(b1.id()));
+        assert_eq!(s.stored_ids().collect::<Vec<_>>(), [Block::genesis_id(), b2.id(), b3.id()]);
+    }
+
+    /// Once the window has filled and been pruned, each body takes a
+    /// buffer a prune freed. Every buffer held is one held when the window
+    /// filled, and as many are held: a new buffer would have an address
+    /// none of them has, as they are all still live.
+    #[test]
+    fn a_full_window_commits_into_the_buffers_pruning_freed() {
+        const KEEP: usize = CommittedLog::KEEP;
+        let buffers = |s: &CoreState| -> Vec<*const u8> {
+            let below = s.bodies.iter().filter(|bytes| !bytes.is_empty());
+            below.chain(&s.spare).map(|bytes| bytes.as_ptr()).collect()
+        };
+        let mut s = state();
+        let mut parent = Block::genesis_id();
+        let fill = CommittedLog::WINDOW as u64 + CommittedLog::PRUNE_EVERY;
+        let mut held = std::collections::HashSet::new();
+        for v in 1..=fill + 1_000 {
+            let b = child_of(parent, v, v);
+            parent = b.id();
+            commit(&mut s, &b);
+            if v % CommittedLog::PRUNE_EVERY == 0 {
+                s.prune(KEEP);
+            }
+            if v == fill {
+                held = buffers(&s).into_iter().collect();
+                // The window below the head, and what the last prune freed.
+                assert_eq!(held.len(), KEEP - 1 + CommittedLog::PRUNE_EVERY as usize);
+            } else if v > fill {
+                let now = buffers(&s);
+                assert_eq!(now.len(), held.len(), "view {v}");
+                assert!(now.iter().all(|p| held.contains(p)), "view {v}: a new buffer");
+            }
+        }
     }
 
     /// The driver prunes every 64 views. Bodies must go with the ids, or a
@@ -962,14 +1158,14 @@ mod tests {
         assert!(s.exec.digest_of(parent).is_some(), "so does the committed head");
         // + 64: what accumulates between two prunes.
         assert!(s.bodies.len() <= KEEP + 64, "{} bodies held after 10k views", s.bodies.len());
-        assert_eq!(s.bodies.len(), s.committed.ids().len(), "one body slot per held id");
-        let floor = s.bodies[0].as_ref().map(|b| b.rank()).unwrap();
+        assert_eq!(s.bodies.len() + 1, s.committed.ids().len(), "a slot per id below the head");
+        let floor = rank_of(&s.bodies[0]);
         assert!(s.pending.values().all(|(b, _)| b.rank() >= floor), "no orphan below the window");
         assert!(s.pending.len() < KEEP / 2, "{} of 2,500 orphans held", s.pending.len());
         assert!(s.is_committed(parent), "the head is committed");
         assert!(!s.is_committed(tip.id()));
-        for (id, body) in s.committed.ids().zip(&s.bodies) {
-            assert_eq!(body.as_ref().map(|b| b.id()), Some(id), "the body beside its id");
+        for id in s.committed.ids() {
+            assert_eq!(s.block(id).map(|b| b.id()), Some(id), "the body beside its id");
             assert!(s.has_block(id) && s.is_committed(id), "retained body, exact answer");
             assert!(id == parent || s.exec.digest_of(id).is_none(), "no digest below the head");
         }

@@ -310,19 +310,35 @@ impl Driver {
     }
 
     /// Highest certificate known with view ≤ `view − 2` (tail-forking and
-    /// rollback-attack justify choice, Example 6.2).
+    /// rollback-attack justify choice, Example 6.2): the high certificate
+    /// or a stored block's justify, whichever ranks highest of those whose
+    /// certified block is stored. The order is total (rank, then the
+    /// certified block, then the block carrying the certificate: two
+    /// certificates for one block can differ in kind and signer set), so
+    /// a hash map's order does not leak into replayable behavior. Justify
+    /// ranks never fall along the committed chain, so committed bodies are
+    /// read newest first, and only until one ranks below the best so far.
     pub(crate) fn stale_cert(&self) -> Certificate {
         let limit = self.view.0.saturating_sub(2);
-        let stored: HashSet<BlockId> = self.core.blocks().map(|b| b.id()).collect();
-        // The scan walks a HashMap in part, whose order must not leak into
-        // replayable behavior, so the order is total: rank, then the
-        // certified block, then the block carrying the certificate (two
-        // certificates for one block can differ in kind and signer set).
-        std::iter::once((&self.high_cert, BlockId::NONE))
-            .chain(self.core.blocks().map(|b| (&b.justify, b.id())))
-            .filter(|(c, _)| c.view.0 <= limit && stored.contains(&c.block))
-            .max_by_key(|(c, carrier)| (c.rank(), c.block, *carrier))
-            .map_or_else(Certificate::genesis, |(c, _)| c.clone())
+        let key = |c: &Certificate, carrier: BlockId| (c.rank(), c.block, carrier);
+        let mut best: Option<(Certificate, BlockId)> = None;
+        let offer = |best: &mut Option<(Certificate, BlockId)>, c: &Certificate, carrier| {
+            let beats = best.as_ref().is_none_or(|(b, by)| key(c, carrier) > key(b, *by));
+            if beats && c.view.0 <= limit && self.core.has_block(c.block) {
+                *best = Some((c.clone(), carrier));
+            }
+        };
+        offer(&mut best, &self.high_cert, BlockId::NONE);
+        for b in self.core.pending_blocks() {
+            offer(&mut best, &b.justify, b.id());
+        }
+        for b in self.core.committed_newest_first() {
+            if best.as_ref().is_some_and(|(c, _)| b.justify.rank() < c.rank()) {
+                break;
+            }
+            offer(&mut best, &b.justify, b.id());
+        }
+        best.map_or_else(Certificate::genesis, |(c, _)| c)
     }
 }
 
@@ -680,11 +696,8 @@ impl<P: Protocol> Replica for Engine<P> {
                 }
             }
             Message::FetchBlock { id } => {
-                if let Some(b) = self.d.core.block(id) {
-                    out.push(Action::Send {
-                        to: from,
-                        msg: Message::FetchResp { block: b.clone() },
-                    });
+                if let Some(block) = self.d.core.block(id) {
+                    out.push(Action::Send { to: from, msg: Message::FetchResp { block } });
                 }
             }
             Message::FetchResp { block } => self.on_fetch_resp(block, now, out),

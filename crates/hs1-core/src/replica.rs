@@ -135,3 +135,25 @@ pub trait Replica: Send {
     /// peers).
     fn state_root(&self) -> Digest;
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A message is moved by value on every hop of a TCP replica's hot
+    /// path: the frame decoder's vector → `Reactor::ready` →
+    /// `Inbox::try_recv` → `NodeRunner::handle_inbound` →
+    /// `NodeShell::on_message` → the engine, and out again as an action:
+    /// the step's `Vec<Action>` → `NodeRunner::dispatch` →
+    /// `Mesh::send_replica`/`broadcast`. The largest variant sets what
+    /// every hop copies, so the snapshot manifest, which only state sync
+    /// sends, is boxed; a variant larger than a `NewView` shows here.
+    #[test]
+    fn messages_and_actions_stay_the_size_of_a_new_view() {
+        use std::mem::size_of;
+        // A `NewView` and its tag; before the box, 208 B and 216 B.
+        assert_eq!(size_of::<hs1_types::message::NewViewMsg>(), 176);
+        assert_eq!(size_of::<Message>(), 184);
+        assert_eq!(size_of::<Action>(), 192);
+    }
+}

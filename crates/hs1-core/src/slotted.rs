@@ -386,7 +386,7 @@ impl Protocol for Slotted {
         }
 
         let justify = b.justify.clone();
-        let jb = e.d.core.block(justify.block).expect("justify present").clone();
+        let jb = e.d.core.block(justify.block).expect("justify present");
 
         // Commit rule (Fig. 7 lines 13–16): the justify certificate
         // consecutively extends the previous certificate ⇒ commit up to
@@ -407,7 +407,7 @@ impl Protocol for Slotted {
         }
 
         // Vote or reject (Fig. 7 lines 21–26).
-        let carry_block = b.carry.and_then(|c| e.d.core.block(c).cloned());
+        let carry_block = b.carry.and_then(|c| e.d.core.block(c));
         let holds_successor = e.p.carry_for(&justify).is_some();
         let safe = safe_slot(ps, pv, &justify, carry_block.as_ref(), holds_successor);
         let rank_ok = e.d.high_cert.rank() <= justify.rank();
@@ -465,7 +465,7 @@ impl Protocol for Slotted {
     }
 
     fn prune(&mut self, core: &CoreState) {
-        let stored: HashSet<BlockId> = core.blocks().map(|b| b.id()).collect();
+        let stored: HashSet<BlockId> = core.stored_ids().collect();
         self.cert_children.retain(|_, child| stored.contains(child));
     }
 

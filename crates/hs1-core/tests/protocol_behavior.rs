@@ -608,6 +608,47 @@ fn unsolicited_fetch_resp_is_dropped() {
     }
 }
 
+/// A committed block deep in a replica's window is served as it was
+/// committed: bodies below the committed head are held as their bytes and
+/// decoded to answer a `FetchBlock`.
+#[test]
+fn a_block_a_thousand_commits_deep_is_served_as_committed() {
+    use hs1_core::replica::Action;
+    use hs1_types::codec::Encode;
+    use hs1_types::{Message, SimTime};
+
+    let c = cfg(4);
+    let engines = (0..4)
+        .map(|i| {
+            let (id, exec) = (ReplicaId(i), ExecConfig::default());
+            build_replica(ProtocolKind::HotStuff1, c.clone(), id, Fault::Honest, exec)
+        })
+        .collect();
+    let mut net = TestNet::new(engines, SimDuration::from_micros(200));
+    net.inject(&txs(4 * 1_200));
+    net.init();
+    net.run_for(SimDuration::from_millis(600));
+    let committed: Vec<_> = net
+        .log
+        .iter()
+        .filter_map(|o| match o {
+            Obs::Committed { at: ReplicaId(0), block } => Some(block.clone()),
+            _ => None,
+        })
+        .collect();
+    assert!(committed.len() > 1_100, "{} blocks committed", committed.len());
+    let deep = &committed[committed.len() - 1_000];
+    let mut out = Vec::new();
+    let ask = Message::FetchBlock { id: deep.id() };
+    net.engines[0].on_message(ReplicaId(1), ask, SimTime::ZERO, &mut out);
+    let [Action::Send { to: ReplicaId(1), msg: Message::FetchResp { block } }] = out.as_slice()
+    else {
+        panic!("no FetchResp for a block 1,000 commits deep: {out:?}");
+    };
+    assert_eq!(**block, **deep);
+    assert_eq!(block.encoded(), deep.encoded());
+}
+
 /// A synced image whose log parts from the replica's below its head is
 /// refused whole: the engine keeps its store and log, and takes neither
 /// the image's view nor its certificate.

@@ -24,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 
 use common::Router;
-use hs1_types::View;
+use hs1_types::{CommittedLog, View};
 
 /// Counting is on only while an engine steps.
 static COUNTING: AtomicBool = AtomicBool::new(false);
@@ -62,8 +62,10 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 /// Views run before counting starts: the tables a replica keeps reach
-/// their working size.
-const WARMUP: u64 = 1_000;
+/// their working size. That includes the committed window, whose body
+/// buffers are allocated as it first fills and reused once a prune frees
+/// them, so the warm-up runs until the window has filled and been pruned.
+const WARMUP: u64 = CommittedLog::WINDOW as u64 + CommittedLog::PRUNE_EVERY;
 /// Views counted.
 const VIEWS: u64 = 4_000;
 

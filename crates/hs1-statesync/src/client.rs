@@ -619,13 +619,13 @@ mod tests {
         let mut out = Vec::new();
         client.on_message(
             ReplicaId(0),
-            &Message::SnapshotManifest(manifest.clone()),
+            &Message::SnapshotManifest(Box::new(manifest.clone())),
             now,
             &mut out,
         );
         client.on_message(
             ReplicaId(1),
-            &Message::SnapshotManifest(manifest.clone()),
+            &Message::SnapshotManifest(Box::new(manifest.clone())),
             now,
             &mut out,
         );
@@ -666,7 +666,7 @@ mod tests {
             let now = SimTime::ZERO;
             let mut out = Vec::new();
             for peer in [ReplicaId(0), ReplicaId(1)] {
-                let m = Message::SnapshotManifest(manifest.clone());
+                let m = Message::SnapshotManifest(Box::new(manifest.clone()));
                 client.on_message(peer, &m, now, &mut out);
             }
             assert_eq!(client.phase(), SyncPhase::Downloading);
@@ -714,7 +714,12 @@ mod tests {
             let mut out = Vec::new();
             for (peer, cert) in peers.iter().zip(&certs) {
                 let m = image.manifest(&payload, CHUNK, cert.view, cert.clone());
-                client.on_message(*peer, &Message::SnapshotManifest(m), SimTime::ZERO, &mut out);
+                client.on_message(
+                    *peer,
+                    &Message::SnapshotManifest(Box::new(m)),
+                    SimTime::ZERO,
+                    &mut out,
+                );
             }
             while let Some((to, Message::SnapshotChunkReq(req))) = out.pop() {
                 let chunk = SnapshotImage::chunk(&payload, req.state_root, CHUNK, req.index)

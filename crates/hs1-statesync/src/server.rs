@@ -55,7 +55,7 @@ impl SnapshotServer {
                 // the requester conclude — quickly, with f+1 agreement —
                 // that replay is the right catch-up instead of waiting
                 // out its sync budget on silence.
-                Some(Message::SnapshotManifest(served.manifest.clone()))
+                Some(Message::SnapshotManifest(Box::new(served.manifest.clone())))
             }
             Message::SnapshotChunkReq(req) => {
                 let served = self.cache.as_ref()?;

@@ -220,7 +220,9 @@ pub struct SnapshotChunkMsg {
     pub data: Vec<u8>,
 }
 
-/// The complete message enum.
+/// The complete message enum. A message is moved by value from hop to
+/// hop inside a replica, so a variant larger than a `NewView` is boxed:
+/// the snapshot manifest, which only state sync sends.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Message {
     Request(Transaction),
@@ -236,7 +238,7 @@ pub enum Message {
     FetchBlock { id: BlockId },
     FetchResp { block: Arc<Block> },
     SnapshotReq(SnapshotReqMsg),
-    SnapshotManifest(SnapshotManifestMsg),
+    SnapshotManifest(Box<SnapshotManifestMsg>),
     SnapshotChunkReq(SnapshotChunkReqMsg),
     SnapshotChunk(SnapshotChunkMsg),
 }
@@ -629,7 +631,7 @@ impl Decode for Message {
             10 => Ok(Message::FetchBlock { id: BlockId::decode(r)? }),
             11 => Ok(Message::FetchResp { block: Arc::<Block>::decode(r)? }),
             12 => Ok(Message::SnapshotReq(SnapshotReqMsg::decode(r)?)),
-            13 => Ok(Message::SnapshotManifest(SnapshotManifestMsg::decode(r)?)),
+            13 => Ok(Message::SnapshotManifest(Box::new(SnapshotManifestMsg::decode(r)?))),
             14 => Ok(Message::SnapshotChunkReq(SnapshotChunkReqMsg::decode(r)?)),
             15 => Ok(Message::SnapshotChunk(SnapshotChunkMsg::decode(r)?)),
             tag => Err(CodecError::BadTag { context: "Message", tag }),
@@ -723,7 +725,7 @@ mod tests {
         roundtrip(Message::FetchBlock { id: BlockId::test(3) });
         roundtrip(Message::FetchResp { block });
         roundtrip(Message::SnapshotReq(SnapshotReqMsg { have_chain_len: 17 }));
-        roundtrip(Message::SnapshotManifest(some_manifest()));
+        roundtrip(Message::SnapshotManifest(Box::new(some_manifest())));
         roundtrip(Message::SnapshotChunkReq(SnapshotChunkReqMsg {
             state_root: Digest([4u8; 32]),
             index: 9,
@@ -753,7 +755,7 @@ mod tests {
     fn snapshot_messages_reject_truncation() {
         let msgs = [
             Message::SnapshotReq(SnapshotReqMsg { have_chain_len: 17 }),
-            Message::SnapshotManifest(some_manifest()),
+            Message::SnapshotManifest(Box::new(some_manifest())),
             Message::SnapshotChunkReq(SnapshotChunkReqMsg {
                 state_root: Digest([4u8; 32]),
                 index: 9,

@@ -172,7 +172,7 @@ fn arb_message_of(variant: u64, r: &mut SplitMix64) -> Message {
         10 => Message::FetchBlock { id: arb_block_id(r) },
         11 => Message::FetchResp { block: arb_block(r) },
         12 => Message::SnapshotReq(SnapshotReqMsg { have_chain_len: r.next_u64() }),
-        13 => Message::SnapshotManifest(arb_manifest(r)),
+        13 => Message::SnapshotManifest(Box::new(arb_manifest(r))),
         14 => Message::SnapshotChunkReq(SnapshotChunkReqMsg {
             state_root: arb_digest(r),
             index: r.next_u64() as u32,

@@ -16,7 +16,9 @@
 # HTTP introspection responder), 0 sync drivers outside hs1-statesync,
 # and a ceiling on `pub` items (the `pub items:` line; every crate root
 # warns on `unreachable_pub`, so a new item starts narrow); the rest is
-# informational. Last, it runs the tier-1 tests (`cargo test`, debug
+# informational. That includes one HotStuff-1 engine's live heap after
+# 10,000 views, as `crates/hs1-core/tests/memory_budget.rs` measures it
+# (its `engine 0:` line). Last, it runs the tier-1 tests (`cargo test`, debug
 # profile) and prints each test binary's wall time, slowest first: a
 # report of what each binary costs on this host, never a gate (a failing
 # test does not fail the report).
@@ -61,6 +63,9 @@ echo "thread-spawn sites in library code: $spawns"
 drivers=$(find crates/*/src src -name '*.rs' ! -path 'crates/hs1-statesync/*' -exec cat {} + |
     grep -o 'SyncClient::new(' | wc -l | tr -d ' ')
 echo "sync drivers outside hs1-statesync: $drivers"
+heap=$(cargo test -q -p hs1-core --test memory_budget -- --nocapture 2>&1 |
+    sed -n 's/^engine 0: //p')
+echo "engine live heap (memory_budget, engine 0): ${heap:-not measured}"
 # Each binary's "Running <source> (<path>-<hash>)" or "Doc-tests <crate>"
 # line, then its "test result: ... finished in <t>s" line.
 tests=$(cargo test --no-fail-fast 2>&1) || true
