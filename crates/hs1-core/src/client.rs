@@ -13,14 +13,36 @@
 //! matching committed responses, whichever happens first. Baseline
 //! (HotStuff / HotStuff-2) clients only ever receive committed responses
 //! and use the `f + 1` rule.
+//!
+//! What a replica answers is [`responses`], whose results are a function
+//! of the block's execution digest: a tally by `(block, digest)` is this
+//! rule at block grain.
 
 use std::collections::HashMap;
 
-use hs1_crypto::Digest;
+use hs1_crypto::{Digest, Sha256};
 use hs1_types::message::ResponseMsg;
-use hs1_types::{BlockId, ProtocolKind, ReplicaId, ReplyKind, TxId};
+use hs1_types::{Block, BlockId, ProtocolKind, ReplicaId, ReplyKind, TxId};
 
 use crate::runset::TxRunSet;
+
+/// What a replica that executed `block` to `digest` answers: one response
+/// per transaction, for the client that issued it (`tx.client`), whose
+/// result is H(digest ‖ client ‖ seq).
+pub fn responses(
+    block: &Block,
+    digest: Digest,
+    kind: ReplyKind,
+) -> impl Iterator<Item = ResponseMsg> + '_ {
+    let id = block.id();
+    block.txs.iter().map(move |tx| {
+        let mut h = Sha256::new();
+        h.update(&digest.0);
+        h.update_u64(tx.id.client.0 as u64);
+        h.update_u64(tx.id.seq);
+        ResponseMsg { tx: tx.id, block: id, result: h.finalize(), kind, view: block.view }
+    })
+}
 
 /// Tally for one undecided transaction: responses keyed by (block,
 /// result digest) → (responders, committed-kind responders).
@@ -86,7 +108,7 @@ impl FinalityTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hs1_types::{ClientId, View};
+    use hs1_types::{Certificate, ClientId, Slot, Transaction, View};
 
     fn resp(tx_seq: u64, block: u64, result: u8, kind: ReplyKind) -> ResponseMsg {
         ResponseMsg {
@@ -203,6 +225,30 @@ mod tests {
         assert!(t.on_response(ReplicaId(2), &r).is_none());
         assert!(t.on_response(ReplicaId(3), &r).is_none());
         assert!(t.pending.is_empty(), "a late reply starts no tally");
+    }
+
+    /// What replicas answer is what the tracker matches: n − f replicas
+    /// that executed a block to one digest finalize each of its
+    /// transactions, at the (n − f)-th response. A replica that executed it
+    /// to a second digest answers with other results, which never join
+    /// that quorum.
+    #[test]
+    fn responses_to_one_digest_finalize_every_transaction() {
+        let txs = (0..8u64).map(|i| Transaction::kv_write(i as u32 % 3, i, i, i)).collect();
+        let block = Block::new(ReplicaId(0), View(1), Slot::FIRST, Certificate::genesis(), txs);
+        let (good, bad) = (Digest([1; 32]), Digest([2; 32]));
+        let answer = |digest| responses(&block, digest, ReplyKind::Speculative).collect::<Vec<_>>();
+        let mut t = FinalityTracker::new(4, 1, ProtocolKind::HotStuff1);
+        for (from, digest) in [(0, good), (1, good), (3, bad)] {
+            for r in answer(digest) {
+                assert_eq!((r.block, r.view), (block.id(), block.view));
+                assert!(t.on_response(ReplicaId(from), &r).is_none(), "two of one result");
+            }
+        }
+        let finals: Vec<_> =
+            answer(good).iter().filter_map(|r| t.on_response(ReplicaId(2), r)).collect();
+        let issued: Vec<_> = block.txs.iter().map(|tx| (tx.id, block.id())).collect();
+        assert_eq!(finals, issued, "the third matching response finalizes each");
     }
 
     /// Tallies are dropped as they decide, and the decided ids are kept as

@@ -23,7 +23,7 @@ use hs1_types::{
 /// queues what it was sent, and a leader proposes from its own queue what
 /// it has not already seen inside a block.
 #[derive(Default)]
-pub struct Mempool {
+pub(crate) struct Mempool {
     /// Admitted requests in arrival order. Holds, besides what is still
     /// proposable, entries a block has carried since: they are dropped
     /// when a batch reaches them.
@@ -47,17 +47,17 @@ pub struct Mempool {
 }
 
 impl Mempool {
-    pub fn new(cap: usize) -> Mempool {
+    pub(crate) fn new(cap: usize) -> Mempool {
         Mempool { cap, ..Mempool::default() }
     }
 
     /// Depth and admission counters.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         self.stats
     }
 
     /// A client request arrived at this replica.
-    pub fn offer(&mut self, tx: Transaction) {
+    pub(crate) fn offer(&mut self, tx: Transaction) {
         let full = self.cap > 0 && self.stats.depth >= self.cap;
         if full && !self.seen.contains(tx.id) && !self.absorbed.contains(tx.id) {
             // Backpressure. Not recorded in `seen`: the client may retry.
@@ -77,7 +77,7 @@ impl Mempool {
     }
 
     /// Pull up to `max` proposable transactions for a new block.
-    pub fn take_batch(&mut self, max: usize) -> Vec<Transaction> {
+    pub(crate) fn take_batch(&mut self, max: usize) -> Vec<Transaction> {
         let mut out = Vec::with_capacity(max.min(self.stats.depth));
         while out.len() < max {
             let Some(tx) = self.queue.pop_front() else { break };
@@ -91,7 +91,7 @@ impl Mempool {
     }
 
     /// The replica stored a block carrying `txs` (suppress re-proposal).
-    pub fn absorb(&mut self, txs: &[Transaction]) {
+    pub(crate) fn absorb(&mut self, txs: &[Transaction]) {
         for tx in txs {
             if self.absorbed.insert(tx.id) && self.seen.contains(tx.id) {
                 self.stats.depth -= 1;
@@ -174,18 +174,18 @@ impl FetchTracker {
 
 /// Replica state below the view driver: identity, crypto, block store, execution,
 /// mempool, committed chain.
-pub struct CoreState {
-    pub cfg: SystemConfig,
-    pub me: ReplicaId,
-    pub kp: KeyPair,
-    pub registry: PublicKeyRegistry,
-    pub exec: ExecutionEngine,
-    pub pool: Mempool,
+pub(crate) struct CoreState {
+    pub(crate) cfg: SystemConfig,
+    pub(crate) me: ReplicaId,
+    pub(crate) kp: KeyPair,
+    pub(crate) registry: PublicKeyRegistry,
+    pub(crate) exec: ExecutionEngine,
+    pub(crate) pool: Mempool,
     /// Durability sink (no-op by default; see [`crate::persist`]).
-    pub persist: Box<dyn Persistence>,
+    pub(crate) persist: Box<dyn Persistence>,
     /// Observability sink (no-op by default; see `hs1-obs`). Pure
     /// observer: nothing the engine does may depend on it.
-    pub obs: Obs,
+    pub(crate) obs: Obs,
     /// The committed chain: its length, running hash, and the ids back to
     /// the prune horizon.
     committed: CommittedLog,
@@ -222,7 +222,7 @@ pub struct CoreState {
 }
 
 impl CoreState {
-    pub fn new(cfg: SystemConfig, me: ReplicaId, exec_cfg: ExecConfig) -> CoreState {
+    pub(crate) fn new(cfg: SystemConfig, me: ReplicaId, exec_cfg: ExecConfig) -> CoreState {
         let kp = KeyPair::derive(cfg.deployment_seed, me.0);
         let registry = PublicKeyRegistry::derive(cfg.deployment_seed, cfg.n as u32);
         CoreState {
@@ -248,7 +248,7 @@ impl CoreState {
 
     /// Install an observability sink, re-tagged with this replica's id
     /// and shared with the execution engine and the durability sink.
-    pub fn set_observer(&mut self, obs: Obs) {
+    pub(crate) fn set_observer(&mut self, obs: Obs) {
         let obs = obs.with_actor(self.me.0);
         self.exec.set_observer(obs.clone());
         self.persist.set_observer(obs.clone());
@@ -337,7 +337,7 @@ impl CoreState {
     /// Store a block and absorb its transactions into the mempool filter.
     /// A block ranked above the committed head is not in the window, and
     /// is not looked for there.
-    pub fn insert_block(&mut self, b: Arc<Block>) {
+    pub(crate) fn insert_block(&mut self, b: Arc<Block>) {
         let id = b.id();
         if self.pending.contains_key(&id) {
             return;
@@ -374,7 +374,7 @@ impl CoreState {
     /// Verify a certificate against the deployment quorum, unless it is
     /// the last one found valid. Each verification that runs counts in
     /// the metrics-only `certs_verified`.
-    pub fn cert_valid(&mut self, cert: &Certificate) -> bool {
+    pub(crate) fn cert_valid(&mut self, cert: &Certificate) -> bool {
         if *cert == self.last_valid {
             return true;
         }
@@ -426,7 +426,7 @@ impl CoreState {
     }
 
     /// Pull a batch for a new proposal.
-    pub fn make_batch(&mut self) -> Vec<Transaction> {
+    pub(crate) fn make_batch(&mut self) -> Vec<Transaction> {
         self.pool.take_batch(self.cfg.batch_size)
     }
 
@@ -437,7 +437,11 @@ impl CoreState {
     /// mempool. Returns `Err(missing)` if an ancestor body is absent from
     /// the store — the caller must fetch it and retry, or the replica's
     /// global-ledger stalls permanently.
-    pub fn commit_chain(&mut self, target: BlockId, out: &mut Vec<Action>) -> Result<(), BlockId> {
+    pub(crate) fn commit_chain(
+        &mut self,
+        target: BlockId,
+        out: &mut Vec<Action>,
+    ) -> Result<(), BlockId> {
         let mut path = std::mem::take(&mut self.path);
         let mut cur = target;
         while let Some((b, _)) = self.pending.get(&cur) {
@@ -635,7 +639,7 @@ impl CoreState {
     /// length and running hash cover the whole chain, which is what
     /// checkpoints, state sync and the invariant checker read.
     pub(crate) fn prune(&mut self, keep: usize) {
-        let gone = self.committed.trim(keep).len();
+        let gone = self.committed.trim(keep);
         self.spare.extend(self.bodies.drain(..gone).filter(|bytes| bytes.capacity() > 0));
         let oldest = self.bodies.iter().find(|bytes| !bytes.is_empty());
         let floor =
@@ -680,13 +684,7 @@ mod tests {
             block: parent,
             sigs: [].into(),
         };
-        Arc::new(Block::new(
-            ReplicaId(0),
-            View(view),
-            Slot(1),
-            justify,
-            vec![Transaction::kv_write(1, tag, tag, tag)],
-        ))
+        Arc::new(Block::new(ReplicaId(0), View(view), Slot(1), justify, vec![tx(tag)]))
     }
 
     #[test]
@@ -1218,5 +1216,143 @@ mod tests {
         s.prune(KEEP);
         let at_100k = s.committed.encoded().len();
         assert!(at_100k.abs_diff(at_10k) <= 64, "log {at_10k} B at 10k, {at_100k} B at 100k");
+    }
+
+    fn tx(seq: u64) -> Transaction {
+        Transaction::kv_write(1, seq, seq, seq)
+    }
+
+    /// At n = 32 a replica leads one view in 32 and stores 31 foreign
+    /// blocks in between. The queue drops what they carried only when a
+    /// batch reaches it; the admission bound must not count that.
+    #[test]
+    fn depth_counts_what_is_proposable_not_queue_entries() {
+        const BATCH: u64 = 64;
+        let batch = |b: u64| -> Vec<Transaction> { (b * BATCH..(b + 1) * BATCH).map(tx).collect() };
+        let mut m = Mempool::new(BATCH as usize);
+        for b in 0..31 {
+            batch(b).into_iter().for_each(|tx| m.offer(tx));
+            assert_eq!(m.stats().depth, BATCH as usize);
+            m.absorb(&batch(b));
+            assert_eq!(m.stats().depth, 0);
+        }
+        assert_eq!(m.stats().refused, 0, "the bound is held against depth");
+        // The bound itself: one request past it is refused, and admitted
+        // when the client sends it again after the pool has drained.
+        batch(31).into_iter().for_each(|tx| m.offer(tx));
+        let late = tx(32 * BATCH);
+        m.offer(late);
+        assert_eq!((m.stats().depth, m.stats().refused), (BATCH as usize, 1));
+        assert_eq!(m.take_batch(BATCH as usize), batch(31));
+        m.offer(late);
+        assert_eq!(m.take_batch(BATCH as usize), vec![late]);
+        assert_eq!((m.stats().refused, m.stats().deduped), (1, 0));
+    }
+
+    /// The block proposed just before a dead leader's view is never
+    /// certified. Its transactions come back, to the front, once the chain
+    /// has passed it.
+    #[test]
+    fn commit_returns_an_orphans_transactions_to_the_pool() {
+        let mut s = state();
+        (7..10).for_each(|seq| s.pool.offer(tx(seq)));
+        let b1 = child_of(Block::genesis_id(), 1, 1);
+        commit(&mut s, &b1);
+        // Views 2 and 3 each orphan a block; view 3's arrives first.
+        s.insert_block(child_of(b1.id(), 3, 8));
+        s.insert_block(child_of(b1.id(), 2, 7));
+        assert_eq!(s.pool.stats().depth, 1, "two of three are inside stored blocks");
+        // A commit in view 2 has not passed view 2.
+        let b2 = child_of(b1.id(), 2, 2);
+        commit(&mut s, &b2);
+        assert_eq!(s.pool.stats().depth, 1);
+        commit(&mut s, &child_of(b2.id(), 4, 4));
+        assert_eq!(s.make_batch(), [tx(8), tx(7), tx(9)], "ahead of what was queued");
+    }
+
+    /// The failure shape of a transaction two leaders proposed: one block
+    /// commits, the other is orphaned. It must not run twice.
+    #[test]
+    fn orphan_sharing_a_transaction_with_a_committed_block_returns_nothing() {
+        let mut s = state();
+        s.insert_block(child_of(Block::genesis_id(), 1, 7));
+        commit(&mut s, &child_of(Block::genesis_id(), 2, 7)); // same tx, later view
+        assert!(s.make_batch().is_empty());
+        // Nor does the client's retransmission bring it back.
+        s.pool.offer(tx(7));
+        assert!(s.make_batch().is_empty());
+        assert_eq!(s.pool.stats(), PoolStats { depth: 0, refused: 0, deduped: 1 });
+    }
+
+    /// So does a block that is still waiting to commit: the orphan's copy
+    /// stays suppressed, or this replica would propose it a third time.
+    #[test]
+    fn orphan_sharing_a_transaction_with_a_pending_block_returns_nothing() {
+        let mut s = state();
+        s.insert_block(child_of(Block::genesis_id(), 1, 7));
+        let b2 = child_of(Block::genesis_id(), 2, 2);
+        let pending = child_of(b2.id(), 3, 7);
+        s.insert_block(pending.clone());
+        commit(&mut s, &b2);
+        assert!(s.make_batch().is_empty());
+        commit(&mut s, &pending);
+        assert!(s.make_batch().is_empty());
+    }
+
+    /// A stale proposal or a fetch response can deliver an orphan's body
+    /// after its view was passed, when the transactions it carries are
+    /// already back in the queue.
+    #[test]
+    fn late_orphan_body_does_not_swallow_returned_transactions() {
+        let mut s = state();
+        s.pool.offer(tx(7));
+        s.insert_block(child_of(Block::genesis_id(), 1, 7));
+        assert_eq!(s.pool.stats().depth, 0);
+        let b3 = child_of(Block::genesis_id(), 3, 3);
+        commit(&mut s, &b3);
+        assert_eq!(s.pool.stats().depth, 1, "returned");
+        // The other half of an equivocation in view 2, fetched late.
+        s.insert_block(child_of(Block::genesis_id(), 2, 7));
+        assert_eq!(s.pool.stats().depth, 0, "suppressed again until the next commit");
+        commit(&mut s, &child_of(b3.id(), 4, 4));
+        assert_eq!(s.make_batch(), vec![tx(7)]);
+    }
+
+    /// A certificate costs n − f HMACs to verify, and a replica verifies
+    /// one it already accepted only once (counted by the metrics-only
+    /// `certs_verified`). The remembered certificate is compared whole:
+    /// one that differs in a single signature byte is verified again and
+    /// rejected, and is not remembered in its place.
+    #[test]
+    fn a_certificate_off_in_one_signature_byte_is_verified_again_and_rejected() {
+        let c = SystemConfig::new(4);
+        let (obs, rec) = Obs::recording(hs1_obs::Clock::manual());
+        let verified = || rec.lock().unwrap().snapshot().counter_total("certs_verified");
+        let mut core = CoreState::new(c.clone(), ReplicaId(0), ExecConfig::default());
+        core.set_observer(obs);
+        let (view, block) = (View(5), BlockId::test(5));
+        let statement = Certificate::signing_bytes(CertKind::Quorum, view, Slot::FIRST, block);
+        let sigs = (1..4u32)
+            .map(|i| {
+                let share = KeyPair::derive(c.deployment_seed, i)
+                    .sign(CertKind::Quorum.domain(), &statement);
+                (ReplicaId(i), share)
+            })
+            .collect();
+        let cert = Certificate { kind: CertKind::Quorum, view, slot: Slot::FIRST, block, sigs };
+        let mut sigs = cert.sigs.to_vec();
+        sigs[2].1 .0[31] ^= 1;
+        let forged = Certificate { sigs: sigs.into(), ..cert.clone() };
+
+        assert!(core.cert_valid(&cert));
+        assert_eq!(verified(), 1);
+        assert!(core.cert_valid(&cert));
+        assert_eq!(verified(), 1, "the same certificate again is remembered");
+        assert!(!core.cert_valid(&forged));
+        assert_eq!(verified(), 2, "one signature byte off is verified again");
+        assert!(!core.cert_valid(&forged));
+        assert_eq!(verified(), 3, "a rejected certificate is not remembered");
+        assert!(core.cert_valid(&cert));
+        assert_eq!(verified(), 3, "the forgery displaced nothing");
     }
 }

@@ -30,7 +30,7 @@
 //! | `byzantine` | fault strategies: slow leader, tail-forking, rollback/equivocation, crash, silence | §7.3 |
 //! | [`client`] | client-side quorum matching (early finality confirmation) | §3, §4.1 |
 //! | [`invariants`] | the safety oracles over what a runtime observes: per-height agreement, equal chains ⇒ equal roots, no orphaned final block; commits survive recovery | §3, App. B, §4.2 |
-//! | [`common`] | replica state below the driver: block store, the mempool, commit (with orphan return) and speculate paths | — |
+//! | `common.rs` | replica state below the driver: block store, the mempool, commit (with orphan return) and speculate paths | — |
 //! | `runset.rs` | transaction-id set as per-client runs of sequence numbers: every dedup filter's memory | — |
 //! | [`persist`] | durability hooks ([`persist::Persistence`]) and recovered-state handoff | §4.2 recovery |
 //! | `tests/memory_budget.rs`, `tests/step_allocations.rs` | four engines on one minimal router (`tests/common`), under a counting allocator: the heap an engine holds after 10,000 views, and what its steps allocate per view (only what the view keeps) | — |
@@ -42,7 +42,7 @@ mod basic;
 mod byzantine;
 mod chained;
 pub mod client;
-pub mod common;
+mod common;
 mod driver;
 pub mod invariants;
 mod pacemaker;

@@ -14,8 +14,9 @@ pub enum Action {
     Send { to: ReplicaId, msg: Message },
     /// Send `msg` to every replica (including the sender, via loopback).
     Broadcast { msg: Message },
-    /// Arm a one-shot timer. Stale timers are delivered and ignored by the
-    /// engine (each carries its identity).
+    /// Arm a one-shot timer. A runtime fires every timer it armed, when
+    /// due, into the node shell, which hands the engine only those whose
+    /// view is the latest the engine armed of their kind.
     SetTimer { timer: Timer, at: SimTime },
     /// The replica executed `block` (speculatively or on commit) with
     /// result digest `digest`; the harness fans per-transaction responses
@@ -143,9 +144,9 @@ mod tests {
     /// A message is moved by value on every hop of a TCP replica's hot
     /// path: the frame decoder's vector → `Reactor::ready` →
     /// `Inbox::try_recv` → `NodeRunner::handle_inbound` →
-    /// `NodeShell::on_message` → the engine, and out again as an action:
-    /// the step's `Vec<Action>` → `NodeRunner::dispatch` →
-    /// `Mesh::send_replica`/`broadcast`. The largest variant sets what
+    /// `NodeShell::on_message` → `NodeShell::deliver` → the engine, and
+    /// out again as an action: the step's `Vec<Action>` →
+    /// `NodeRunner::dispatch` → `Mesh::send_replica`/`broadcast`. The largest variant sets what
     /// every hop copies, so the snapshot manifest, which only state sync
     /// sends, is boxed; a variant larger than a `NewView` shows here.
     #[test]

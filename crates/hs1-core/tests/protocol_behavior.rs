@@ -425,139 +425,6 @@ fn slotted_votes_for_a_carryless_first_slot_unless_it_holds_the_successor() {
     }
 }
 
-// -- the mempool and orphan return ------------------------------------------------
-
-mod pool {
-    use hs1_core::common::{CoreState, Mempool};
-    use hs1_core::PoolStats;
-    use hs1_ledger::ExecConfig;
-    use hs1_types::{
-        Block, BlockId, CertKind, Certificate, ReplicaId, Slot, SystemConfig, Transaction, View,
-    };
-    use std::sync::Arc;
-
-    fn state() -> CoreState {
-        CoreState::new(SystemConfig::new(4), ReplicaId(0), ExecConfig::default())
-    }
-
-    fn tx(seq: u64) -> Transaction {
-        Transaction::kv_write(1, seq, seq, seq)
-    }
-
-    /// A block of `view` over `parent` carrying `tx(tag)`.
-    fn child_of(parent: BlockId, view: u64, tag: u64) -> Arc<Block> {
-        let justify = Certificate {
-            kind: CertKind::Quorum,
-            view: View(view - 1),
-            slot: Slot(1),
-            block: parent,
-            sigs: [].into(),
-        };
-        Arc::new(Block::new(ReplicaId(0), View(view), Slot(1), justify, vec![tx(tag)]))
-    }
-
-    fn commit(s: &mut CoreState, b: &Arc<Block>) {
-        s.insert_block(b.clone());
-        assert!(s.commit_chain(b.id(), &mut Vec::new()).is_ok());
-    }
-
-    /// At n = 32 a replica leads one view in 32 and stores 31 foreign
-    /// blocks in between. The queue drops what they carried only when a
-    /// batch reaches it; the admission bound must not count that.
-    #[test]
-    fn depth_counts_what_is_proposable_not_queue_entries() {
-        const BATCH: u64 = 64;
-        let batch = |b: u64| -> Vec<Transaction> { (b * BATCH..(b + 1) * BATCH).map(tx).collect() };
-        let mut m = Mempool::new(BATCH as usize);
-        for b in 0..31 {
-            batch(b).into_iter().for_each(|tx| m.offer(tx));
-            assert_eq!(m.stats().depth, BATCH as usize);
-            m.absorb(&batch(b));
-            assert_eq!(m.stats().depth, 0);
-        }
-        assert_eq!(m.stats().refused, 0, "the bound is held against depth");
-        // The bound itself: one request past it is refused, and admitted
-        // when the client sends it again after the pool has drained.
-        batch(31).into_iter().for_each(|tx| m.offer(tx));
-        let late = tx(32 * BATCH);
-        m.offer(late);
-        assert_eq!((m.stats().depth, m.stats().refused), (BATCH as usize, 1));
-        assert_eq!(m.take_batch(BATCH as usize), batch(31));
-        m.offer(late);
-        assert_eq!(m.take_batch(BATCH as usize), vec![late]);
-        assert_eq!((m.stats().refused, m.stats().deduped), (1, 0));
-    }
-
-    /// The block proposed just before a dead leader's view is never
-    /// certified. Its transactions come back, to the front, once the chain
-    /// has passed it.
-    #[test]
-    fn commit_returns_an_orphans_transactions_to_the_pool() {
-        let mut s = state();
-        (7..10).for_each(|seq| s.pool.offer(tx(seq)));
-        let b1 = child_of(Block::genesis_id(), 1, 1);
-        commit(&mut s, &b1);
-        // Views 2 and 3 each orphan a block; view 3's arrives first.
-        s.insert_block(child_of(b1.id(), 3, 8));
-        s.insert_block(child_of(b1.id(), 2, 7));
-        assert_eq!(s.pool.stats().depth, 1, "two of three are inside stored blocks");
-        // A commit in view 2 has not passed view 2.
-        let b2 = child_of(b1.id(), 2, 2);
-        commit(&mut s, &b2);
-        assert_eq!(s.pool.stats().depth, 1);
-        commit(&mut s, &child_of(b2.id(), 4, 4));
-        assert_eq!(s.make_batch(), [tx(8), tx(7), tx(9)], "ahead of what was queued");
-    }
-
-    /// The failure shape of a transaction two leaders proposed: one block
-    /// commits, the other is orphaned. It must not run twice.
-    #[test]
-    fn orphan_sharing_a_transaction_with_a_committed_block_returns_nothing() {
-        let mut s = state();
-        s.insert_block(child_of(Block::genesis_id(), 1, 7));
-        commit(&mut s, &child_of(Block::genesis_id(), 2, 7)); // same tx, later view
-        assert!(s.make_batch().is_empty());
-        // Nor does the client's retransmission bring it back.
-        s.pool.offer(tx(7));
-        assert!(s.make_batch().is_empty());
-        assert_eq!(s.pool.stats(), PoolStats { depth: 0, refused: 0, deduped: 1 });
-    }
-
-    /// So does a block that is still waiting to commit: the orphan's copy
-    /// stays suppressed, or this replica would propose it a third time.
-    #[test]
-    fn orphan_sharing_a_transaction_with_a_pending_block_returns_nothing() {
-        let mut s = state();
-        s.insert_block(child_of(Block::genesis_id(), 1, 7));
-        let b2 = child_of(Block::genesis_id(), 2, 2);
-        let pending = child_of(b2.id(), 3, 7);
-        s.insert_block(pending.clone());
-        commit(&mut s, &b2);
-        assert!(s.make_batch().is_empty());
-        commit(&mut s, &pending);
-        assert!(s.make_batch().is_empty());
-    }
-
-    /// A stale proposal or a fetch response can deliver an orphan's body
-    /// after its view was passed, when the transactions it carries are
-    /// already back in the queue.
-    #[test]
-    fn late_orphan_body_does_not_swallow_returned_transactions() {
-        let mut s = state();
-        s.pool.offer(tx(7));
-        s.insert_block(child_of(Block::genesis_id(), 1, 7));
-        assert_eq!(s.pool.stats().depth, 0);
-        let b3 = child_of(Block::genesis_id(), 3, 3);
-        commit(&mut s, &b3);
-        assert_eq!(s.pool.stats().depth, 1, "returned");
-        // The other half of an equivocation in view 2, fetched late.
-        s.insert_block(child_of(Block::genesis_id(), 2, 7));
-        assert_eq!(s.pool.stats().depth, 0, "suppressed again until the next commit");
-        commit(&mut s, &child_of(b3.id(), 4, 4));
-        assert_eq!(s.make_batch(), vec![tx(7)]);
-    }
-}
-
 // -- fetch-path hardening ---------------------------------------------------------
 
 /// A Byzantine peer must not be able to push unrequested block bodies
@@ -803,12 +670,10 @@ fn garbage_vote_share_never_reaches_a_certificate() {
 /// Counted by the metrics-only `certs_verified`.
 mod verify_once {
     use super::*;
-    use hs1_core::common::CoreState;
     use hs1_core::persist::{Persistence, RecoveredState};
     use hs1_core::replica::{Action, Timer};
-    use hs1_crypto::KeyPair;
     use hs1_obs::{Clock, Observer, TraceEvent};
-    use hs1_types::{BlockId, CertKind, Certificate, CommittedLog, Message, SimTime, Slot, View};
+    use hs1_types::{BlockId, CommittedLog, Message, SimTime, View};
     use std::sync::{Arc, Mutex};
 
     const N: usize = 4;
@@ -967,42 +832,6 @@ mod verify_once {
                 .collect();
             assert!(verified.at(r) <= foreign_views.len() as u64, "{r:?}: {}", verified.at(r));
         }
-    }
-
-    /// The remembered certificate is compared whole: one that differs in a
-    /// single signature byte is verified again and rejected, and is not
-    /// remembered in its place.
-    #[test]
-    fn a_certificate_off_in_one_signature_byte_is_verified_again_and_rejected() {
-        let c = cfg(N);
-        let verified = Verified::default();
-        let me = ReplicaId(0);
-        let mut core = CoreState::new(c.clone(), me, ExecConfig::default());
-        core.set_observer(verified.handle());
-        let (view, block) = (View(5), BlockId::test(5));
-        let statement = Certificate::signing_bytes(CertKind::Quorum, view, Slot::FIRST, block);
-        let sigs = (1..4u32)
-            .map(|i| {
-                let share = KeyPair::derive(c.deployment_seed, i)
-                    .sign(CertKind::Quorum.domain(), &statement);
-                (ReplicaId(i), share)
-            })
-            .collect();
-        let cert = Certificate { kind: CertKind::Quorum, view, slot: Slot::FIRST, block, sigs };
-        let mut sigs = cert.sigs.to_vec();
-        sigs[2].1 .0[31] ^= 1;
-        let forged = Certificate { sigs: sigs.into(), ..cert.clone() };
-
-        assert!(core.cert_valid(&cert));
-        assert_eq!(verified.at(me), 1);
-        assert!(core.cert_valid(&cert));
-        assert_eq!(verified.at(me), 1, "the same certificate again is remembered");
-        assert!(!core.cert_valid(&forged));
-        assert_eq!(verified.at(me), 2, "one signature byte off is verified again");
-        assert!(!core.cert_valid(&forged));
-        assert_eq!(verified.at(me), 3, "a rejected certificate is not remembered");
-        assert!(core.cert_valid(&cert));
-        assert_eq!(verified.at(me), 3, "the forgery displaced nothing");
     }
 }
 

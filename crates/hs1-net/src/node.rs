@@ -11,10 +11,11 @@
 //! crosses no channel and wakes no second thread between the socket and
 //! the engine, in either direction.
 //!
-//! The runner keeps only sockets, the clock and client responses (the
-//! per-transaction fan-out of `Action::Executed`). Everything else
-//! between engine and transport is the shell's, and the simulator steps
-//! the same shell:
+//! The runner keeps only sockets and the clock: it fires each timer the
+//! shell asks for when due, unless the shell names it superseded first,
+//! and sends each client the [`hs1_core::client::responses`] to an
+//! `Action::Executed`. Everything else between engine and transport is
+//! the shell's, and the simulator steps the same shell:
 //!
 //! * With [`NodeRunner::with_storage`] the node is *durable*: it recovers
 //!   from its write-ahead journal before joining the mesh, then journals
@@ -42,13 +43,12 @@ use std::time::{Duration, Instant};
 use crate::http::{HttpServer, Recorder, StatusCell};
 use crate::mesh::{Inbound, Mesh};
 use hs1_adversary::AdversaryMutator;
+use hs1_core::client::responses;
 use hs1_core::replica::{Action, Replica, Timer};
-use hs1_crypto::Sha256;
 use hs1_obs::Obs;
 use hs1_statesync::{NodeShell, SyncConfig, SyncStats};
 use hs1_storage::{RecoveryInfo, StorageConfig, StorageError};
-use hs1_types::message::ResponseMsg;
-use hs1_types::{Message, SimTime, View};
+use hs1_types::{Message, SimTime};
 
 /// Hosts one engine, inside its [`NodeShell`], on the mesh until
 /// `run_for` elapses.
@@ -152,7 +152,7 @@ impl NodeRunner {
     /// queue gauges, shed counters, and the send-stall histogram.
     pub fn set_observer(&mut self, obs: Obs) {
         self.shell.set_observer(obs.clone());
-        self.obs = obs.with_actor(self.shell.id().0);
+        self.obs = obs.with_actor(self.shell.engine().id().0);
         self.mesh.reactor().obs = self.obs.clone();
     }
 
@@ -209,14 +209,15 @@ impl NodeRunner {
                 "{{\"peer\":{peer},\"queue_frames\":{frames},\"queue_bytes\":{bytes}}}"
             ));
         }
+        let engine = self.shell.engine();
         let body = format!(
             "{{\"replica\":{},\"view\":{},\"chain_len\":{},\
              \"head\":\"{:016x}\",\"committed_blocks\":{},\"reconnects\":{},\
              \"frames_shed\":{},\"peers\":[{peers}]}}\n",
-            self.shell.id().0,
-            self.shell.current_view().0,
-            self.shell.committed_len(),
-            hs1_obs::block_key(self.shell.committed_head()),
+            engine.id().0,
+            engine.current_view().0,
+            engine.committed_len(),
+            hs1_obs::block_key(engine.committed_head()),
             self.committed_blocks,
             stats.reconnects,
             stats.frames_shed,
@@ -234,7 +235,7 @@ impl NodeRunner {
     /// The hosted engine: its committed chain and state root, for the
     /// safety and convergence checks a cluster test runs.
     pub fn replica(&self) -> &dyn Replica {
-        &self.shell
+        self.shell.engine()
     }
 
     fn now(&self) -> SimTime {
@@ -327,7 +328,7 @@ impl NodeRunner {
             }
             Inbound::FromClient(_, msg @ Message::Request(_)) => {
                 self.obs.counter("requests_recv", 0, 1);
-                (self.shell.id(), msg)
+                (self.shell.engine().id(), msg)
             }
             Inbound::FromClient(..) => return,
         };
@@ -357,31 +358,16 @@ impl NodeRunner {
                     net.broadcast(msg)
                 }
                 Action::SetTimer { timer, at } => {
-                    self.timers.retain(|Reverse((_, _, old))| !supersedes(timer, *old));
+                    // A superseded timer would wake the loop only to be dropped.
+                    let shell = &self.shell;
+                    self.timers.retain(|Reverse((_, _, old))| !shell.is_superseded(*old));
                     self.timer_seq += 1;
                     self.timers.push(Reverse((at, self.timer_seq, timer)));
                 }
                 Action::Executed { block, digest, kind } => {
-                    // Fan out per-transaction responses to the issuing
-                    // clients. The per-transaction result folds the block
-                    // digest with the transaction id.
                     self.obs.counter("responses_sent", 0, block.txs.len() as u64);
-                    for tx in &block.txs {
-                        let mut h = Sha256::new();
-                        h.update(&digest.0);
-                        h.update_u64(tx.id.client.0 as u64);
-                        h.update_u64(tx.id.seq);
-                        let result = h.finalize();
-                        net.send_client(
-                            tx.id.client,
-                            Message::Response(ResponseMsg {
-                                tx: tx.id,
-                                block: block.id(),
-                                result,
-                                kind,
-                                view: block.view,
-                            }),
-                        );
+                    for r in responses(&block, digest, kind) {
+                        net.send_client(r.tx.client, Message::Response(r));
                     }
                 }
                 Action::Committed { .. } => self.committed_blocks += 1,
@@ -392,26 +378,13 @@ impl NodeRunner {
     }
 }
 
-/// Does arming `new` make the pending `old` a no-op? Yes for a timer of
-/// the same kind for an earlier view `u ≥ 1`: the engine acts on a timer
-/// for its current view only, and its view only rises. A timer for view 0
-/// is [`hs1_statesync::SYNC_TIMER`], the state sync's poll, and stays.
-fn supersedes(new: Timer, old: Timer) -> bool {
-    match (new, old) {
-        (Timer::ViewTimeout(v), Timer::ViewTimeout(u))
-        | (Timer::LeaderWait(v), Timer::LeaderWait(u))
-        | (Timer::ProposeAt(v), Timer::ProposeAt(u)) => u != View::GENESIS && u < v,
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framing::{encode_frame, hello_bytes, PeerKind};
     use crate::test_ports::free_base_port;
     use hs1_core::persist::RecoveredState;
-    use hs1_types::{BlockId, ReplicaId, SimDuration, Transaction};
+    use hs1_types::{BlockId, ReplicaId, SimDuration, Transaction, View};
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::sync::mpsc::{channel, Receiver, Sender};
@@ -435,7 +408,7 @@ mod tests {
                 self.timers -= 1;
                 self.armed_for = SimTime(now.0 + self.gap.0);
                 out.push(Action::SetTimer {
-                    timer: Timer::ViewTimeout(View(0)),
+                    timer: Timer::ViewTimeout(View(1)),
                     at: self.armed_for,
                 });
             }
@@ -518,24 +491,6 @@ mod tests {
         // spurious wake-ups.
         let turns = node.mesh.reactor().turns;
         assert!(turns <= 2 * TIMERS as u64 + 8, "{turns} turns for {TIMERS} timers");
-    }
-
-    /// A timer armed for a later view drops the pending ones of its kind:
-    /// 1,000 views leave one a kind. The same view armed twice still fires
-    /// twice, and the state sync's poll stays.
-    #[test]
-    fn a_timer_for_a_later_view_drops_the_earlier_ones_of_its_kind() {
-        let (mut node, _, (late, _)) = probe_node(1, 0, 0);
-        let arm = |timer, at| Action::SetTimer { timer, at };
-        for v in (1..=1_000).map(View) {
-            let kinds = [Timer::ViewTimeout(v), Timer::LeaderWait(v), Timer::ProposeAt(v)];
-            node.dispatch(kinds.map(|t| arm(t, SimTime(u64::MAX))).to_vec());
-        }
-        assert_eq!(node.timers.len(), 3, "one a kind");
-        node.dispatch(vec![arm(hs1_statesync::SYNC_TIMER, SimTime(u64::MAX))]);
-        node.dispatch(vec![arm(Timer::ViewTimeout(View(1_001)), SimTime::ZERO); 2]);
-        node.fire_due_timers();
-        assert_eq!((late.try_iter().count(), node.timers.len()), (2, 3), "the poll stays");
     }
 
     /// A step taken on a frame from the network sends to self (a leader's

@@ -10,12 +10,14 @@
 //!   at the `(f+1)`-th committed-kind response, whichever is earlier (§3).
 //! * Baselines: finality at the `(f+1)`-th committed response.
 //!
-//! Responses are grouped by block id; deterministic execution makes the
-//! result digest a function of the block, so block-id grouping is exactly
-//! the paper's "matching responses" rule.
+//! Responses are grouped by block id and execution digest. A replica's
+//! per-transaction result ([`hs1_core::client::responses`]) is a function
+//! of that digest, so this grouping is the paper's "matching responses"
+//! rule, as `FinalityTracker` applies it per transaction, at block grain.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
+use hs1_crypto::Digest;
 use hs1_types::{BlockId, ProtocolKind, ReplicaId, ReplyKind, SimTime, TxId};
 
 /// Log-bucketed latency histogram (1 µs … ~100 s).
@@ -89,11 +91,12 @@ pub(crate) struct ClientOracle {
     n: usize,
     f: usize,
     protocol: ProtocolKind,
-    /// Blocks not final yet; a tally is dropped when its block decides.
-    tallies: HashMap<BlockId, BlockTally>,
+    /// Blocks not final yet, by the digest they were executed to; a tally
+    /// is dropped when it decides.
+    tallies: HashMap<(BlockId, Digest), BlockTally>,
     /// Blocks that reached finality, so that trailing responses can never
     /// start a second tally.
-    finalized_set: std::collections::HashSet<BlockId>,
+    finalized_set: HashSet<BlockId>,
     /// Pending transactions: submit time by id.
     submit_times: HashMap<TxId, SimTime>,
 }
@@ -105,7 +108,7 @@ impl ClientOracle {
             f,
             protocol,
             tallies: HashMap::new(),
-            finalized_set: std::collections::HashSet::new(),
+            finalized_set: HashSet::new(),
             submit_times: HashMap::new(),
         }
     }
@@ -127,13 +130,14 @@ impl ClientOracle {
         self.submit_times.len()
     }
 
-    /// A replica's response for `block` arrives at the client at
-    /// `arrival`. Returns the finality time if this response completes a
-    /// quorum.
+    /// A replica's response for `block`, executed to `digest`, arrives at
+    /// the client at `arrival`. Returns the finality time if this response
+    /// completes a quorum of matching ones.
     pub(crate) fn on_response(
         &mut self,
         from: ReplicaId,
         block: BlockId,
+        digest: Digest,
         kind: ReplyKind,
         arrival: SimTime,
     ) -> Option<SimTime> {
@@ -143,7 +147,7 @@ impl ClientOracle {
         let nf = self.n - self.f;
         let f1 = self.f + 1;
         let needs_nf = self.protocol.client_needs_nf_quorum();
-        let t = self.tallies.entry(block).or_default();
+        let t = self.tallies.entry((block, digest)).or_default();
         if t.responders.contains(&from) {
             return None;
         }
@@ -160,7 +164,7 @@ impl ClientOracle {
         // Finality is reached at the arrival completing the quorum — the
         // max over the quorum's arrival times (arrivals may be recorded
         // out of order across replicas).
-        let t = self.tallies.remove(&block).expect("tallied above");
+        let t = self.tallies.remove(&(block, digest)).expect("tallied above");
         let (mut quorum, k) = if commit_ok && (!spec_ok || !needs_nf) {
             (t.committed_arrivals, f1)
         } else {
@@ -175,6 +179,9 @@ impl ClientOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The digest every honest replica executes a test block to.
+    const D: Digest = Digest([7; 32]);
 
     fn t(ms: u64) -> SimTime {
         SimTime(ms * 1_000_000)
@@ -199,11 +206,11 @@ mod tests {
         // n=4, f=1: three matching speculative responses finalize.
         let mut o = ClientOracle::new(4, 1, ProtocolKind::HotStuff1);
         let b = BlockId::test(1);
-        assert!(o.on_response(ReplicaId(0), b, ReplyKind::Speculative, t(1)).is_none());
-        assert!(o.on_response(ReplicaId(1), b, ReplyKind::Speculative, t(2)).is_none());
-        let fin = o.on_response(ReplicaId(2), b, ReplyKind::Speculative, t(3));
+        assert!(o.on_response(ReplicaId(0), b, D, ReplyKind::Speculative, t(1)).is_none());
+        assert!(o.on_response(ReplicaId(1), b, D, ReplyKind::Speculative, t(2)).is_none());
+        let fin = o.on_response(ReplicaId(2), b, D, ReplyKind::Speculative, t(3));
         assert_eq!(fin, Some(t(3)));
-        let late = o.on_response(ReplicaId(3), b, ReplyKind::Committed, t(4));
+        let late = o.on_response(ReplicaId(3), b, D, ReplyKind::Committed, t(4));
         assert!(late.is_none(), "a block is final once");
     }
 
@@ -212,9 +219,9 @@ mod tests {
         // Out-of-order arrivals: finality = 3rd smallest arrival.
         let mut o = ClientOracle::new(4, 1, ProtocolKind::HotStuff1);
         let b = BlockId::test(1);
-        o.on_response(ReplicaId(0), b, ReplyKind::Speculative, t(9));
-        o.on_response(ReplicaId(1), b, ReplyKind::Speculative, t(1));
-        let fin = o.on_response(ReplicaId(2), b, ReplyKind::Speculative, t(2));
+        o.on_response(ReplicaId(0), b, D, ReplyKind::Speculative, t(9));
+        o.on_response(ReplicaId(1), b, D, ReplyKind::Speculative, t(1));
+        let fin = o.on_response(ReplicaId(2), b, D, ReplyKind::Speculative, t(2));
         assert_eq!(fin, Some(t(9)));
     }
 
@@ -222,8 +229,8 @@ mod tests {
     fn committed_fast_path() {
         let mut o = ClientOracle::new(4, 1, ProtocolKind::HotStuff1);
         let b = BlockId::test(2);
-        o.on_response(ReplicaId(0), b, ReplyKind::Committed, t(1));
-        let fin = o.on_response(ReplicaId(1), b, ReplyKind::Committed, t(4));
+        o.on_response(ReplicaId(0), b, D, ReplyKind::Committed, t(1));
+        let fin = o.on_response(ReplicaId(1), b, D, ReplyKind::Committed, t(4));
         assert_eq!(fin, Some(t(4)), "f+1 committed responses finalize");
     }
 
@@ -232,7 +239,9 @@ mod tests {
         let mut o = ClientOracle::new(4, 1, ProtocolKind::HotStuff2);
         let b = BlockId::test(3);
         for i in 0..4 {
-            assert!(o.on_response(ReplicaId(i), b, ReplyKind::Speculative, t(i as u64)).is_none());
+            assert!(o
+                .on_response(ReplicaId(i), b, D, ReplyKind::Speculative, t(i as u64))
+                .is_none());
         }
         // Speculative responses never finalize baselines (and they never
         // occur in practice).
@@ -243,7 +252,7 @@ mod tests {
         let mut o = ClientOracle::new(4, 1, ProtocolKind::HotStuff1);
         let b = BlockId::test(4);
         for ms in 1..=3 {
-            assert!(o.on_response(ReplicaId(0), b, ReplyKind::Speculative, t(ms)).is_none());
+            assert!(o.on_response(ReplicaId(0), b, D, ReplyKind::Speculative, t(ms)).is_none());
         }
     }
 
@@ -255,5 +264,26 @@ mod tests {
         assert_eq!(o.submit_time(tx), Some(t(7)));
         assert_eq!(o.take_submit(tx), Some(t(7)));
         assert_eq!(o.take_submit(tx), None);
+    }
+
+    /// n − f responses for one block, executed to different digests, are
+    /// no quorum, and neither are f + 1 committed ones: a client takes
+    /// only matching results as final. The n − f-th matching response
+    /// decides.
+    #[test]
+    fn mismatched_digests_never_combine() {
+        let (b, other) = (BlockId::test(5), Digest([8; 32]));
+        let mut o = ClientOracle::new(4, 1, ProtocolKind::HotStuff1);
+        assert!(o.on_response(ReplicaId(0), b, D, ReplyKind::Speculative, t(1)).is_none());
+        assert!(o.on_response(ReplicaId(1), b, D, ReplyKind::Speculative, t(2)).is_none());
+        let split = o.on_response(ReplicaId(2), b, other, ReplyKind::Speculative, t(3));
+        assert!(split.is_none(), "2 + 1 split across digests is not a quorum");
+        let fin = o.on_response(ReplicaId(3), b, D, ReplyKind::Speculative, t(4));
+        assert_eq!(fin, Some(t(4)), "three matching on one digest");
+
+        let mut c = ClientOracle::new(4, 1, ProtocolKind::HotStuff2);
+        assert!(c.on_response(ReplicaId(0), b, D, ReplyKind::Committed, t(1)).is_none());
+        let split = c.on_response(ReplicaId(1), b, other, ReplyKind::Committed, t(2));
+        assert!(split.is_none(), "1 + 1 committed split across digests is not f + 1");
     }
 }

@@ -3,8 +3,9 @@
 //! partition/heal transitions and replica crash-restart.
 //!
 //! Every replica is an `hs1-statesync` [`NodeShell`], the one a TCP node
-//! runs, stepped as an engine: the runner keeps only time, the network
-//! and resource models, and the oracles. A restarted replica recovers
+//! runs, stepped through its own `on_init` / `on_message` / `on_timer`:
+//! the runner keeps only time, the network and resource models, and the
+//! oracles. A restarted replica recovers
 //! through its shell's `hs1-storage` journal and catches up through its
 //! shell's state sync, which defers consensus traffic and requests while
 //! it runs, as on a node; every durable replica's shell answers snapshot
@@ -24,6 +25,7 @@ use hs1_adversary::AdversaryStrategy;
 use hs1_core::invariants::{self, Committed, Observation};
 use hs1_core::persist::RecoveredState;
 use hs1_core::replica::{Action, Replica, Timer};
+use hs1_crypto::Digest;
 use hs1_obs::{block_key, Obs, Stage};
 use hs1_statesync::NodeShell;
 use hs1_storage::StorageError;
@@ -106,7 +108,7 @@ pub(crate) struct ChaosRuntime {
 struct Downed {
     id: ReplicaId,
     log: CommittedLog,
-    root: hs1_crypto::Digest,
+    root: Digest,
     view: View,
 }
 
@@ -132,7 +134,7 @@ impl Replica for Downed {
     }
     fn set_persistence(&mut self, _p: Box<dyn hs1_core::Persistence>) {}
     fn restore(&mut self, _rs: RecoveredState) {}
-    fn state_root(&self) -> hs1_crypto::Digest {
+    fn state_root(&self) -> Digest {
         self.root
     }
 }
@@ -176,7 +178,7 @@ pub(crate) struct RunStats {
 }
 
 pub(crate) struct SimRunner {
-    engines: Vec<NodeShell>,
+    shells: Vec<NodeShell>,
     /// Each replica's committed chain as its engine's steps committed it,
     /// every height kept (see [`resync`] for the exceptions): harness
     /// memory, where a replica keeps a window. The fingerprint and the
@@ -249,7 +251,7 @@ pub(crate) struct SimRunner {
 
 impl SimRunner {
     pub(crate) fn new(
-        engines: Vec<NodeShell>,
+        shells: Vec<NodeShell>,
         net: NetModel,
         cost: CostModel,
         protocol: ProtocolKind,
@@ -257,7 +259,7 @@ impl SimRunner {
         workload: Box<dyn Workload>,
         seed: u64,
     ) -> SimRunner {
-        let n = engines.len();
+        let n = shells.len();
         let mut rng = SplitMix64::new(seed ^ 0x51e5);
         let request_delay = (0..n)
             .map(|r| net.client_delay(ReplicaId(r as u32), &mut rng))
@@ -266,8 +268,8 @@ impl SimRunner {
         SimRunner {
             quorum: n - f,
             oracle: ClientOracle::new(n, f, protocol),
-            logs: engines.iter().map(|e| e.committed_log()).collect(),
-            engines,
+            logs: shells.iter().map(|s| s.engine().committed_log()).collect(),
+            shells,
             net,
             cost,
             heap: BinaryHeap::new(),
@@ -306,7 +308,7 @@ impl SimRunner {
     }
 
     fn n(&self) -> usize {
-        self.engines.len()
+        self.shells.len()
     }
 
     /// Install an observability sink in the runner and every engine. The
@@ -315,8 +317,8 @@ impl SimRunner {
     /// are deterministic per seed. Pure observer: fingerprints are
     /// identical with or without a recording sink.
     pub(crate) fn set_observer(&mut self, obs: Obs) {
-        for e in self.engines.iter_mut() {
-            e.set_observer(obs.clone());
+        for s in self.shells.iter_mut() {
+            s.set_observer(obs.clone());
         }
         self.obs = obs;
     }
@@ -511,13 +513,13 @@ impl SimRunner {
             }
             let (me, msg) = (ReplicaId(i as u32), Message::Request(tx));
             let cost = self.cost.recv_cost(&msg, self.quorum);
-            let before = self.engines[i].pool_stats();
+            let before = self.shells[i].engine().pool_stats();
             let mut out = std::mem::take(&mut self.out);
-            self.engines[i].on_message(me, msg, self.now, &mut out);
+            self.shells[i].on_message(me, msg, self.now, &mut out);
             // Recorded now: a crash may still drop these actions before
             // they leave, but the engine has committed.
             self.stepped(i, &out);
-            let after = self.engines[i].pool_stats();
+            let after = self.shells[i].engine().pool_stats();
             refused &= after.refused > before.refused;
             deduped &= after.deduped > before.deduped;
             depth = depth.max(after.depth);
@@ -680,12 +682,12 @@ impl SimRunner {
         self.incarnation[i] += 1;
         self.stats.chaos.crashes += 1;
         let log = self.logs[i].clone();
-        let root = self.engines[i].state_root();
-        let view = self.engines[i].current_view();
+        let root = self.shells[i].engine().state_root();
+        let view = self.shells[i].engine().current_view();
         // Dropping the old engine closes its journal handles, like a
         // process exit would.
         let downed = Downed { id: ReplicaId(i as u32), log, root, view };
-        self.engines[i] = NodeShell::new(Box::new(downed));
+        self.shells[i] = NodeShell::new(Box::new(downed));
     }
 
     /// Bring replica `i` back in a new shell: it recovers through the
@@ -725,13 +727,13 @@ impl SimRunner {
             }
         };
         self.bitrot[i] = false;
-        let own = Committed::of(&shell);
-        let at_crash = Committed::of(&self.engines[i]);
+        let own = Committed::of(shell.engine());
+        let at_crash = Committed::of(self.shells[i].engine());
         self.stats.invariant_violations.extend(invariants::check_recovery(&at_crash, &own, rotted));
         resync(&mut self.logs[i], &own.log);
 
         shell.set_observer(self.obs.clone());
-        self.engines[i] = shell;
+        self.shells[i] = shell;
         self.crashed[i] = false;
         self.step_replica(i, |e, now, out| e.on_init(now, out));
     }
@@ -744,7 +746,7 @@ impl SimRunner {
         f: impl FnOnce(&mut NodeShell, SimTime, &mut Vec<Action>),
     ) {
         let mut out = std::mem::take(&mut self.out);
-        f(&mut self.engines[i], self.now, &mut out);
+        f(&mut self.shells[i], self.now, &mut out);
         self.stepped(i, &out);
         self.absorb(ReplicaId(i as u32), &mut out);
         self.out = out;
@@ -754,7 +756,7 @@ impl SimRunner {
     /// committed, or, if the step ended its state sync, catch the record
     /// up with what its engine now holds and count the outcome.
     fn stepped(&mut self, i: usize, out: &[Action]) {
-        let Some((installed, stats)) = self.engines[i].take_joined() else {
+        let Some((installed, stats)) = self.shells[i].take_joined() else {
             for a in out {
                 if let Action::Committed { block } = a {
                     self.logs[i].push(block.id());
@@ -766,7 +768,7 @@ impl SimRunner {
         self.cpu_free[i] = self.now;
         self.nic_free[i] = self.now;
         self.liveness_mark = Some((self.now, self.stats.committed_blocks));
-        resync(&mut self.logs[i], &self.engines[i].committed_log());
+        resync(&mut self.logs[i], &self.shells[i].engine().committed_log());
         self.stats.chaos.snapshot_rotations += stats.rotations;
         if installed {
             self.stats.chaos.snapshot_syncs += 1;
@@ -804,7 +806,9 @@ impl SimRunner {
                     let inc = self.incarnation[from.0 as usize];
                     self.push(at, Ev::Timer { at: from, timer, inc });
                 }
-                Action::Executed { block, kind, .. } => self.on_executed(from, block, kind),
+                Action::Executed { block, digest, kind } => {
+                    self.on_executed(from, block, digest, kind)
+                }
                 Action::Committed { block } => self.on_committed(block),
                 Action::RolledBack { blocks } => self.stats.rollbacks += blocks as u64,
                 Action::EnteredView { .. } => {
@@ -816,7 +820,7 @@ impl SimRunner {
         }
     }
 
-    fn on_executed(&mut self, from: ReplicaId, block: Arc<Block>, kind: ReplyKind) {
+    fn on_executed(&mut self, from: ReplicaId, block: Arc<Block>, digest: Digest, kind: ReplyKind) {
         if !self.committed_first.contains(&block.id()) {
             self.proposed.entry(block.id()).or_insert_with(|| block.clone());
         }
@@ -854,7 +858,7 @@ impl SimRunner {
             ReplyKind::Speculative => self.stats.responses.0 += 1,
             ReplyKind::Committed => self.stats.responses.1 += 1,
         }
-        if let Some(fin) = self.oracle.on_response(from, block.id(), kind, arrival) {
+        if let Some(fin) = self.oracle.on_response(from, block.id(), digest, kind, arrival) {
             self.on_finality(block, fin);
         }
     }
@@ -923,7 +927,7 @@ impl SimRunner {
         self.stats.p50_latency_ms = self.hist.quantile_ms(0.5);
         self.stats.p99_latency_ms = self.hist.quantile_ms(0.99);
         // The harness's records of the chains, with each engine's root.
-        let replicas = self.engines.iter().zip(&self.logs);
+        let replicas = self.shells.iter().map(NodeShell::engine).zip(&self.logs);
         let obs = Observation {
             replicas: replicas
                 .map(|(e, log)| Committed { id: e.id(), log: log.clone(), root: e.state_root() })
@@ -932,9 +936,8 @@ impl SimRunner {
             frontier: self.frontier,
         };
         self.stats.invariant_violations.extend(invariants::check(&obs));
-        self.stats.chaos.stuck_syncs = (0..self.n())
-            .filter(|&i| !self.crashed[i] && !self.engines[i].is_live())
-            .count() as u64;
+        self.stats.chaos.stuck_syncs =
+            (0..self.n()).filter(|&i| !self.crashed[i] && !self.shells[i].is_live()).count() as u64;
         self.check_liveness();
     }
 
@@ -948,7 +951,7 @@ impl SimRunner {
         let n = self.n();
         let live_run = (0..2 * n)
             .scan(0, |run, i| {
-                let out = self.crashed[i % n] || !self.engines[i % n].is_live();
+                let out = self.crashed[i % n] || !self.shells[i % n].is_live();
                 *run = if out { 0 } else { *run + 1 };
                 Some(*run)
             })
@@ -1000,7 +1003,7 @@ impl SimRunner {
     /// guarantee the chaos sweep prints seeds for.
     pub(crate) fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (e, log) in self.engines.iter().zip(&self.logs) {
+        for (e, log) in self.shells.iter().map(NodeShell::engine).zip(&self.logs) {
             for id in log.ids() {
                 h = fnv1a(h, &id.0 .0);
             }
@@ -1035,12 +1038,12 @@ impl SimRunner {
     }
 
     /// Per-replica state roots (debug/inspection).
-    pub(crate) fn state_roots(&self) -> Vec<hs1_crypto::Digest> {
-        self.engines.iter().map(|e| e.state_root()).collect()
+    pub(crate) fn state_roots(&self) -> Vec<Digest> {
+        self.shells.iter().map(|s| s.engine().state_root()).collect()
     }
 
     /// Per-replica current views (debug/inspection).
     pub(crate) fn current_views(&self) -> Vec<u64> {
-        self.engines.iter().map(|e| e.current_view().0).collect()
+        self.shells.iter().map(|s| s.engine().current_view().0).collect()
     }
 }

@@ -16,8 +16,8 @@
 //! * `server` — [`SnapshotServer`]: serves manifests and chunks
 //!   derived from the newest `hs1-storage` checkpoint.
 //! * `client` — [`SyncClient`]: the requesting state machine.
-//! * [`NodeShell`] — an engine with its storage, snapshot serving and
-//!   state sync, stepped as a `Replica` by the TCP node and the simulator
+//! * [`NodeShell`] — an engine with its storage, snapshot serving, state
+//!   sync and timer filter, stepped by the TCP node and the simulator
 //!   alike: the one place a `SyncClient` is driven.
 //!
 //! ## Trust model

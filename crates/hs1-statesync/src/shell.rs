@@ -1,10 +1,12 @@
 //! The node shell: everything between a consensus engine and its
-//! transport except sockets, the clock and client responses.
+//! transport except sockets and the clock.
 //!
-//! A [`NodeShell`] is itself a [`Replica`], driven only by events, so the
-//! TCP node (`hs1-net`) and the simulator (`hs1-sim`) step it exactly as
-//! they would step an engine, and the chaos sweep runs the code a node
-//! runs on sockets. Around the engine it owns:
+//! A [`NodeShell`] wraps an engine and is driven only by events: the TCP
+//! node (`hs1-net`) and the simulator (`hs1-sim`) step it through its own
+//! `on_init`, `on_message` and `on_timer`, read the engine through
+//! [`NodeShell::engine`], and carry out the [`Action`]s a step emits, so
+//! the chaos sweep runs the code a node runs on sockets. Around the
+//! engine the shell owns:
 //!
 //! * **storage wiring** — [`NodeShell::open`] recovers the engine from
 //!   its journal and installs the journal as the engine's persistence;
@@ -17,22 +19,26 @@
 //!   out, the same step installs what it verified, hands the journal to
 //!   the engine, runs the engine's `on_init`, and steps the deferred
 //!   messages in arrival order;
+//! * **superseded timers** — a timer for an earlier view than the latest
+//!   the engine armed of its kind is dropped when it fires (the engine
+//!   acts on a timer for its current view only). A runtime fires every
+//!   timer it armed when due, or drops one [`NodeShell::is_superseded`]
+//!   names first;
 //! * **Byzantine behaviour** — with [`NodeShell::set_adversary`], every
 //!   message the engine sends a peer, and every snapshot reply, passes
 //!   through one [`AdversaryMutator`]. The engine stays honest; only what
 //!   leaves the shell lies.
+//!
+//! A client's answers to an `Action::Executed` are
+//! [`hs1_core::client::responses`], in both runtimes.
 
 use std::path::Path;
 
 use hs1_adversary::AdversaryMutator;
-use hs1_core::persist::{Persistence, RecoveredState};
-use hs1_core::replica::{Action, PoolStats, Replica, Timer};
-use hs1_crypto::Digest;
+use hs1_core::replica::{Action, Replica, Timer};
 use hs1_obs::Obs;
 use hs1_storage::{RecoveryInfo, ReplicaStorage, StorageConfig, StorageError};
-use hs1_types::{
-    BlockId, CommittedLog, Message, ReplicaId, SimDuration, SimTime, Transaction, View,
-};
+use hs1_types::{Message, ReplicaId, SimDuration, SimTime, View};
 
 use crate::client::{SyncClient, SyncConfig, SyncPhase, SyncStats, SYNC_TICK};
 use crate::server::SnapshotServer;
@@ -40,7 +46,7 @@ use crate::server::SnapshotServer;
 /// The shell's own poll timer. It takes the view timer of the genesis
 /// view, which no engine arms (views start at 1), so `Timer`, which code
 /// outside this workspace matches exhaustively, gains no variant. The
-/// shell consumes each one it armed, the last of them after go-live too.
+/// shell consumes every one, the last of them after go-live too.
 pub const SYNC_TIMER: Timer = Timer::ViewTimeout(View::GENESIS);
 
 /// A replica catching up before its engine starts.
@@ -64,8 +70,8 @@ pub struct NodeShell {
     sync: Option<Syncing>,
     joined: Option<(bool, SyncStats)>,
     recovery: Option<RecoveryInfo>,
-    /// A [`SYNC_TIMER`] is armed and not yet fired.
-    tick_armed: bool,
+    /// The latest view the engine armed each timer kind for, by [`kind_of`].
+    armed: [View; 3],
 }
 
 impl NodeShell {
@@ -78,7 +84,7 @@ impl NodeShell {
             sync: None,
             joined: None,
             recovery: None,
-            tick_armed: false,
+            armed: [View::GENESIS; 3],
         }
     }
 
@@ -108,15 +114,8 @@ impl NodeShell {
                 None
             }
         };
-        Ok(NodeShell {
-            engine,
-            server: Some(SnapshotServer::new(dir.as_ref())),
-            mutator: None,
-            sync,
-            joined: None,
-            recovery: Some(recovery),
-            tick_armed: false,
-        })
+        let server = Some(SnapshotServer::new(dir.as_ref()));
+        Ok(NodeShell { server, sync, recovery: Some(recovery), ..NodeShell::new(engine) })
     }
 
     /// Make this replica Byzantine: relay everything it sends a peer
@@ -166,16 +165,23 @@ impl NodeShell {
         }
     }
 
-    /// Run one engine step into `out`. With a mutator set, what the step
-    /// emitted is relayed through it, and then it may inject.
+    /// Run one engine step into `out` and note the timers it armed. With a
+    /// mutator set, what the step emitted is relayed through it, and then
+    /// it may inject.
     fn step(
         &mut self,
         out: &mut Vec<Action>,
         call: impl FnOnce(&mut dyn Replica, &mut Vec<Action>),
     ) {
-        let Some(mutator) = &mut self.mutator else { return call(&mut *self.engine, out) };
         let start = out.len();
         call(&mut *self.engine, out);
+        for action in &out[start..] {
+            if let Action::SetTimer { timer, .. } = *action {
+                let (kind, view) = kind_of(timer);
+                self.armed[kind] = self.armed[kind].max(view);
+            }
+        }
+        let Some(mutator) = &mut self.mutator else { return };
         let me = self.engine.id();
         for action in out.split_off(start) {
             match action {
@@ -235,17 +241,21 @@ impl NodeShell {
         self.advance(sent, now, out);
         if self.sync.is_some() {
             out.push(Action::SetTimer { timer: SYNC_TIMER, at: now + SYNC_TICK });
-            self.tick_armed = true;
         }
     }
-}
 
-impl Replica for NodeShell {
-    fn id(&self) -> ReplicaId {
-        self.engine.id()
+    /// The engine, for what a runtime reports or checks.
+    pub fn engine(&self) -> &dyn Replica {
+        &*self.engine
     }
 
-    fn on_init(&mut self, now: SimTime, out: &mut Vec<Action>) {
+    /// Install an observability sink in the engine and its journal hooks.
+    pub fn set_observer(&mut self, obs: Obs) {
+        self.engine.set_observer(obs);
+    }
+
+    /// Start: the state sync if the shell has one, else the engine.
+    pub fn on_init(&mut self, now: SimTime, out: &mut Vec<Action>) {
         match &mut self.sync {
             Some(sync) => {
                 sync.deadline = now + sync.budget;
@@ -255,7 +265,15 @@ impl Replica for NodeShell {
         }
     }
 
-    fn on_message(&mut self, from: ReplicaId, msg: Message, now: SimTime, out: &mut Vec<Action>) {
+    /// A message from `from`: snapshot traffic is the shell's, the rest
+    /// goes to the engine, or waits while the state sync runs.
+    pub fn on_message(
+        &mut self,
+        from: ReplicaId,
+        msg: Message,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         match msg {
             Message::SnapshotReq(_) | Message::SnapshotChunkReq(_) => self.serve(from, &msg, out),
             // A late reply after go-live is dropped.
@@ -272,57 +290,32 @@ impl Replica for NodeShell {
         }
     }
 
-    fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>) {
-        if timer == SYNC_TIMER && self.tick_armed {
-            self.tick_armed = false;
+    /// A timer the runtime armed fell due: the shell's poll, or an
+    /// engine timer, which the engine sees unless it is superseded.
+    pub fn on_timer(&mut self, timer: Timer, now: SimTime, out: &mut Vec<Action>) {
+        if timer == SYNC_TIMER {
             self.tick(now, out);
-        } else {
+        } else if !self.is_superseded(timer) {
             self.step(out, |engine, out| engine.on_timer(timer, now, out));
         }
     }
 
-    fn enqueue_txs(&mut self, txs: &[Transaction]) {
-        self.engine.enqueue_txs(txs);
+    /// Has the engine armed `timer`'s kind for a later view since? Then
+    /// the shell drops it when it fires, and a runtime may drop it at
+    /// once rather than wake for it. The poll is never superseded while
+    /// the shell syncs: the engine arms nothing until it starts.
+    pub fn is_superseded(&self, timer: Timer) -> bool {
+        let (kind, view) = kind_of(timer);
+        view < self.armed[kind]
     }
+}
 
-    fn pool_stats(&self) -> PoolStats {
-        self.engine.pool_stats()
-    }
-
-    fn current_view(&self) -> View {
-        self.engine.current_view()
-    }
-
-    fn committed_head(&self) -> BlockId {
-        self.engine.committed_head()
-    }
-
-    fn committed_chain(&self) -> Vec<BlockId> {
-        self.engine.committed_chain()
-    }
-
-    fn committed_log(&self) -> CommittedLog {
-        self.engine.committed_log()
-    }
-
-    fn committed_len(&self) -> usize {
-        self.engine.committed_len()
-    }
-
-    fn set_observer(&mut self, obs: Obs) {
-        self.engine.set_observer(obs);
-    }
-
-    fn set_persistence(&mut self, persist: Box<dyn Persistence>) {
-        self.engine.set_persistence(persist);
-    }
-
-    fn restore(&mut self, state: RecoveredState) {
-        self.engine.restore(state);
-    }
-
-    fn state_root(&self) -> Digest {
-        self.engine.state_root()
+/// A timer's kind, as an index into `NodeShell::armed`, and its view.
+fn kind_of(timer: Timer) -> (usize, View) {
+    match timer {
+        Timer::ViewTimeout(v) => (0, v),
+        Timer::LeaderWait(v) => (1, v),
+        Timer::ProposeAt(v) => (2, v),
     }
 }
 

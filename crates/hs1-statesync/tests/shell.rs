@@ -9,7 +9,6 @@ use std::time::Duration;
 use hs1_adversary::{AdversaryMutator, AdversaryStrategy};
 use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_core::replica::{Action, Replica, Timer};
-use hs1_core::testkit::TestNet;
 use hs1_core::{build_replica, Fault};
 use hs1_crypto::{Digest, PublicKeyRegistry, Signature};
 use hs1_ledger::{ExecConfig, KvStore};
@@ -20,8 +19,8 @@ use hs1_storage::{Checkpoint, StorageConfig};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg, VoteInfo, VoteMsg};
 use hs1_types::{
-    Block, BlockId, Certificate, CommittedLog, Message, ProtocolKind, ReplicaId, SimDuration,
-    SimTime, Slot, SystemConfig, Transaction, View,
+    Block, BlockId, Certificate, CommittedLog, Message, ProtocolKind, ReplicaId, SimTime, Slot,
+    SystemConfig, Transaction, View,
 };
 
 const ME: ReplicaId = ReplicaId(3);
@@ -170,7 +169,7 @@ fn traffic_deferred_during_a_sync_is_stepped_in_arrival_order_after_on_init() {
     let (installed, stats) = shell.take_joined().expect("the sync ended");
     assert!(installed, "the agreed snapshot was installed");
     assert!(stats.chunks_received > 1);
-    assert_eq!(shell.committed_log(), cluster_log());
+    assert_eq!(shell.engine().committed_log(), cluster_log());
     assert!(shell.take_joined().is_none(), "reported once");
 }
 
@@ -273,7 +272,7 @@ fn a_declined_sync_starts_the_engine_at_once() {
     // The replica's own disk is as far along as the peers' snapshot.
     let dir = checkpointed_dir("shell-declined");
     let (mut shell, log) = open(&dir, sync_cfg(8));
-    assert_eq!(shell.committed_len(), 30, "recovered from its own checkpoint");
+    assert_eq!(shell.engine().committed_len(), 30, "recovered from its own checkpoint");
     let mut out = Vec::new();
     shell.on_init(SimTime::ZERO, &mut out);
     exchange(&mut shell, &mut servers, out, SimTime::ZERO);
@@ -391,44 +390,38 @@ fn a_lying_shell_answers_introspection_from_its_engine() {
     let mut shell =
         NodeShell::new(build_replica(kind, cfg, me, Fault::Honest, ExecConfig::default()));
     shell.set_adversary(mutator(AdversaryStrategy::WithholdVotes, me));
-    assert_eq!(shell.id(), me);
-    assert_eq!(shell.committed_chain().len(), 1, "genesis only");
-    assert_eq!(shell.current_view(), View::GENESIS);
+    assert_eq!(shell.engine().id(), me);
+    assert_eq!(shell.engine().committed_chain().len(), 1, "genesis only");
+    assert_eq!(shell.engine().current_view(), View::GENESIS);
 }
 
-/// Past a replica's window a lying shell still reports the whole chain:
-/// its length and running hash, as the harness recorded every commit.
+/// The engine armed each timer kind for views 1 to 1,000, then its view
+/// timer for view 1,001 twice. It sees only the latest of each kind fire,
+/// and view 1,001's twice; `is_superseded` names the rest in advance. (The
+/// state sync's poll is no engine timer: see the declined-sync test.)
 #[test]
-fn a_lying_shell_reports_the_whole_committed_chain_past_the_window() {
-    let mut cfg = SystemConfig::new(4);
-    cfg.view_timer = SimDuration::from_millis(10);
-    cfg.delta = SimDuration::from_millis(1);
-    cfg.batch_size = 4;
-    let engines = (0..4u32)
-        .map(|i| {
-            let me = ReplicaId(i);
-            let kind = ProtocolKind::HotStuff1;
-            let engine = build_replica(kind, cfg.clone(), me, Fault::Honest, ExecConfig::default());
-            if i != 1 {
-                return engine;
-            }
-            // Lies about snapshots only: consensus runs at full speed.
-            let mut shell = NodeShell::new(engine);
-            shell.set_adversary(mutator(AdversaryStrategy::CorruptSnapshot, me));
-            Box::new(shell) as Box<dyn Replica>
-        })
-        .collect();
-    let mut net = TestNet::new(engines, SimDuration::from_micros(200));
-    let txs: Vec<_> = (0..4 * (CommittedLog::WINDOW as u64 + 200))
-        .map(|i| Transaction::kv_write(1, i, i * 13, i))
-        .collect();
-    net.inject(&txs);
-    net.init();
-    net.run_for(SimDuration::from_millis(1_200));
-    net.assert_prefix_agreement(&[0, 1, 2, 3]);
-    let (shell, record) = (&net.engines[1], net.committed_log(1));
-    assert!(record.len() > CommittedLog::WINDOW + 64, "{} blocks committed", record.len());
-    assert!(shell.committed_chain().len() <= CommittedLog::WINDOW, "the engine holds its window");
-    assert_eq!(shell.committed_len(), record.len());
-    assert_eq!(shell.committed_log().hash(), record.hash());
+fn a_timer_for_a_later_view_drops_the_earlier_ones_of_its_kind() {
+    let kinds = |v| [Timer::ViewTimeout(v), Timer::LeaderWait(v), Timer::ProposeAt(v)];
+    let mut timers: Vec<Timer> = (1..=1_000).map(View).flat_map(kinds).collect();
+    timers.extend([Timer::ViewTimeout(View(1_001)); 2]);
+    let now = SimTime::ZERO;
+    let emit = timers.iter().map(|&timer| Action::SetTimer { timer, at: now }).collect();
+    let log = Seen::default();
+    let engine = Script { log: CommittedLog::new(), seen: log.clone(), emit };
+    let mut shell = NodeShell::new(Box::new(engine));
+    let mut out = Vec::new();
+    shell.on_message(ReplicaId(0), Message::FetchBlock { id: BlockId::test(1) }, now, &mut out);
+    assert_eq!(out.len(), 3_002, "the shell passes every timer on to be armed");
+    let live = timers.iter().filter(|&&t| !shell.is_superseded(t)).count();
+    assert_eq!(live, 4, "a runtime may drop all but the latest of each kind at once");
+
+    log.lock().unwrap().clear();
+    let mut out = Vec::new();
+    for timer in timers {
+        shell.on_timer(timer, now, &mut out);
+    }
+    assert!(out.is_empty(), "{out:?}");
+    let latest =
+        ["LeaderWait(v1000)", "ProposeAt(v1000)", "ViewTimeout(v1001)", "ViewTimeout(v1001)"];
+    assert_eq!(seen(&log), latest);
 }

@@ -98,6 +98,19 @@ fn forge_quorum_canary_trips_the_safety_oracles() {
     );
 }
 
+/// A backup that lies only about snapshots runs consensus at full speed:
+/// past its committed window its recorded chain agrees with its peers'.
+#[test]
+fn a_snapshot_corrupting_backup_commits_past_its_window_in_agreement() {
+    let lie = AdversaryStrategy::CorruptSnapshot;
+    let r =
+        scenario(ProtocolKind::HotStuff1).sim_seconds(1.5).seed(31).with_adversary(1, lie).run();
+    assert!(r.invariants_ok(), "{:?}", r.invariant_violations);
+    assert_eq!(r.chaos.adversaries, 1);
+    let lens = &r.replica_chain_lens;
+    assert!(lens.iter().all(|&len| len > CommittedLog::WINDOW + 64), "chain lengths {lens:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot trust boundary: the joiner vs adversarial serving peers.
 // ---------------------------------------------------------------------------
