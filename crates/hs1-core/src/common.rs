@@ -193,16 +193,14 @@ pub(crate) struct CoreState {
     /// Speculation rule read it; `None` for a head adopted from a synced
     /// log whose body never came.
     head: Option<Arc<Block>>,
-    /// The body of every other id in `committed`'s window, oldest first,
-    /// as its `Encode` bytes: the rules read the chain only down to the
-    /// committed head, so a body below it is decoded only to be served
-    /// (`FetchBlock`). Empty for an id adopted from a synced log whose
-    /// body never came. A body takes a buffer `prune` freed (`spare`).
-    bodies: VecDeque<Vec<u8>>,
-    /// Buffers `prune` took from `bodies`, for the next bodies.
-    spare: Vec<Vec<u8>>,
-    /// Where a body is encoded before it is copied into its buffer.
-    scratch: Vec<u8>,
+    /// Where the body of every other id in `committed`'s window sits,
+    /// oldest first: its `Encode` bytes, in one of `pages`. The rules
+    /// read the chain only down to the committed head, so a body below it
+    /// is decoded only to be served (`FetchBlock`).
+    slots: VecDeque<BodyAt>,
+    /// The committed bodies below the head, packed in commit order (a
+    /// body filled in late goes to the newest page).
+    pages: BodyPages,
     /// Stored blocks not committed, the only ones looked up by id in O(1),
     /// each with whether its transactions already went back to the pool
     /// as an orphan's: two or three in steady state, plus orphans until
@@ -236,9 +234,8 @@ impl CoreState {
             obs: Obs::noop(),
             committed: CommittedLog::new(),
             head: Some(Block::genesis()),
-            bodies: VecDeque::with_capacity(CommittedLog::WINDOW),
-            spare: Vec::new(),
-            scratch: Vec::new(),
+            slots: VecDeque::with_capacity(CommittedLog::WINDOW),
+            pages: BodyPages::default(),
             pending: HashMap::default(),
             last_valid: Certificate::genesis(),
             own_share: None,
@@ -261,10 +258,9 @@ impl CoreState {
         if let Some((b, _)) = self.pending.get(&id) {
             return Some(b.clone());
         }
-        match self.bodies.get(self.window_index(id)?) {
+        match self.slots.get(self.window_index(id)?) {
             None => self.head.clone(),
-            Some(bytes) if bytes.is_empty() => None,
-            Some(bytes) => Some(decode_body(bytes)),
+            Some(&at) => self.pages.get(at).map(decode_body),
         }
     }
 
@@ -274,7 +270,7 @@ impl CoreState {
 
     /// Is the body of the `i`th id in the committed window held?
     fn holds(&self, i: usize) -> bool {
-        self.bodies.get(i).map_or(self.head.is_some(), |bytes| !bytes.is_empty())
+        self.slots.get(i).map_or(self.head.is_some(), |at| at.len > 0)
     }
 
     /// The id of every stored block, committed ones in height order first.
@@ -291,36 +287,20 @@ impl CoreState {
     /// The committed bodies held, newest first: the head as held, each
     /// one below it decoded when the iterator reaches it.
     pub(crate) fn committed_newest_first(&self) -> impl Iterator<Item = Arc<Block>> + '_ {
-        let below = self.bodies.iter().rev().filter(|bytes| !bytes.is_empty());
-        self.head.iter().cloned().chain(below.map(|bytes| decode_body(bytes)))
+        let below = self.slots.iter().rev().filter_map(|&at| self.pages.get(at));
+        self.head.iter().cloned().chain(below.map(decode_body))
     }
 
     /// Where `id` sits in the committed window (the head's index is
-    /// `bodies.len()`): the head at once, any other id by a scan, newest
+    /// `slots.len()`): the head at once, any other id by a scan, newest
     /// first. Callers ask `pending` first, so only an id that is in
     /// neither (on the stale and fetch paths) is scanned for.
     fn window_index(&self, id: BlockId) -> Option<usize> {
         if id == self.committed.head() {
-            Some(self.bodies.len())
+            Some(self.slots.len())
         } else {
             self.committed.ids().rposition(|c| c == id)
         }
-    }
-
-    /// `b`'s bytes, in a buffer `prune` freed if they fit it and fill at
-    /// least half of it, else in a new one of their size: a buffer keeps
-    /// the size of the bodies it held, and no more than twice that.
-    fn encode_body(&mut self, b: &Block) -> Vec<u8> {
-        self.scratch.clear();
-        b.encode(&mut self.scratch);
-        let len = self.scratch.len();
-        let mut buf = match self.spare.pop() {
-            Some(buf) if (len..=2 * len).contains(&buf.capacity()) => buf,
-            _ => Vec::with_capacity(len),
-        };
-        buf.clear();
-        buf.extend_from_slice(&self.scratch);
-        buf
     }
 
     /// Commit `id` at the next height, with its body if this replica
@@ -328,10 +308,10 @@ impl CoreState {
     fn push_committed(&mut self, id: BlockId, body: Option<Arc<Block>>) {
         self.committed.push(id);
         let below = match std::mem::replace(&mut self.head, body) {
-            Some(old) => self.encode_body(&old),
-            None => Vec::new(),
+            Some(old) => self.pages.store(&old),
+            None => BodyAt::MISSING,
         };
-        self.bodies.push_back(below);
+        self.slots.push_back(below);
     }
 
     /// Store a block and absorb its transactions into the mempool filter.
@@ -346,8 +326,8 @@ impl CoreState {
         match maybe_committed.then(|| self.window_index(id)).flatten() {
             Some(i) if self.holds(i) => return,
             // Committed, but adopted from a synced log without its body.
-            Some(i) if i == self.bodies.len() => self.head = Some(b.clone()),
-            Some(i) => self.bodies[i] = self.encode_body(&b),
+            Some(i) if i == self.slots.len() => self.head = Some(b.clone()),
+            Some(i) => self.slots[i] = self.pages.store(&b),
             None => {
                 self.pending.insert(id, (b.clone(), false));
             }
@@ -620,13 +600,15 @@ impl CoreState {
             // A window that starts above this replica's head replaces its
             // log whole: every id the replica holds is below the window,
             // and leaves with its body as a prune would take it.
-            self.bodies.clear();
+            for at in self.slots.drain(..) {
+                self.pages.release(at);
+            }
             for id in incoming.ids().take(incoming.ids().len() - 1) {
                 let below = match self.pending.remove(&id) {
-                    Some((b, _)) => self.encode_body(&b),
-                    None => Vec::new(),
+                    Some((b, _)) => self.pages.store(&b),
+                    None => BodyAt::MISSING,
                 };
-                self.bodies.push_back(below);
+                self.slots.push_back(below);
             }
             self.head = self.pending.remove(&incoming.head()).map(|(b, _)| b);
             self.committed = incoming;
@@ -640,10 +622,11 @@ impl CoreState {
     /// checkpoints, state sync and the invariant checker read.
     pub(crate) fn prune(&mut self, keep: usize) {
         let gone = self.committed.trim(keep);
-        self.spare.extend(self.bodies.drain(..gone).filter(|bytes| bytes.capacity() > 0));
-        let oldest = self.bodies.iter().find(|bytes| !bytes.is_empty());
-        let floor =
-            oldest.map(|bytes| rank_of(bytes)).or_else(|| self.head.as_ref().map(|h| h.rank()));
+        for at in self.slots.drain(..gone) {
+            self.pages.release(at);
+        }
+        let oldest = self.slots.iter().find_map(|&at| self.pages.get(at));
+        let floor = oldest.map(rank_of).or_else(|| self.head.as_ref().map(|h| h.rank()));
         if let Some(floor) = floor {
             // An orphan not yet returned waits for the next commit to
             // return its transactions.
@@ -652,7 +635,104 @@ impl CoreState {
     }
 }
 
-/// A body [`CoreState::encode_body`] wrote.
+/// Bytes in a page of [`BodyPages`]: about 66 one-transaction bodies,
+/// what a prune every 64 views frees.
+const PAGE: usize = 16 * 1024;
+
+/// Where a committed body's bytes sit: `len` bytes from `at` in page
+/// number `page`. `len` 0 is an id adopted from a synced log whose body
+/// never came.
+#[derive(Clone, Copy, Debug)]
+struct BodyAt {
+    page: u32,
+    at: u32,
+    len: u32,
+}
+
+impl BodyAt {
+    const MISSING: BodyAt = BodyAt { page: 0, at: 0, len: 0 };
+}
+
+/// Freed pages kept for the next ones. A prune frees whole pages while
+/// commits fill them one at a time, so the pages the window spans vary
+/// by one or two from prune to prune.
+const SPARE_PAGES: usize = 2;
+
+/// Committed bodies packed end to end in fixed-size pages, so a window
+/// that turns over every view leaves the allocator no holes. A page is
+/// recycled once every body in it has left the window; up to
+/// [`SPARE_PAGES`] freed pages are kept for the next ones, so a full
+/// window stores bodies without allocating.
+#[derive(Default)]
+struct BodyPages {
+    /// Pages numbered `first` up, oldest first, each with how many bodies
+    /// in the window it holds. A page whose count fell to 0 has given up
+    /// its buffer, and leaves once the pages before it have.
+    pages: VecDeque<(Vec<u8>, u32)>,
+    first: u32,
+    /// Freed pages for the next ones.
+    spare: Vec<Vec<u8>>,
+    /// Where a body is encoded before it is copied into its page.
+    scratch: Vec<u8>,
+}
+
+impl BodyPages {
+    /// Store `b`'s bytes at the end of the newest page, or of a new one
+    /// if they do not fit (a body larger than a page gets a page of its
+    /// own size).
+    fn store(&mut self, b: &Block) -> BodyAt {
+        self.scratch.clear();
+        b.encode(&mut self.scratch);
+        let len = self.scratch.len();
+        let fits =
+            self.pages.back().is_some_and(|(bytes, _)| bytes.capacity() - bytes.len() >= len);
+        if !fits {
+            let spare = if len <= PAGE { self.spare.pop() } else { None };
+            let bytes = spare.unwrap_or_else(|| Vec::with_capacity(len.max(PAGE)));
+            self.pages.push_back((bytes, 0));
+        }
+        let page = self.first.wrapping_add(self.pages.len() as u32 - 1);
+        let (bytes, live) = self.pages.back_mut().expect("a page was just ensured");
+        let at = bytes.len();
+        bytes.extend_from_slice(&self.scratch);
+        *live += 1;
+        BodyAt { page, at: at as u32, len: len as u32 }
+    }
+
+    fn index(&self, at: BodyAt) -> usize {
+        at.page.wrapping_sub(self.first) as usize
+    }
+
+    /// The bytes stored at `at`, if a body was.
+    fn get(&self, at: BodyAt) -> Option<&[u8]> {
+        let (bytes, _) = self.pages.get(self.index(at)).filter(|_| at.len > 0)?;
+        Some(&bytes[at.at as usize..(at.at + at.len) as usize])
+    }
+
+    /// The body at `at` left the window: its page is freed once it holds
+    /// no other, and pages leave from the front once freed.
+    fn release(&mut self, at: BodyAt) {
+        if at.len == 0 {
+            return;
+        }
+        let i = self.index(at);
+        let (bytes, live) = &mut self.pages[i];
+        *live -= 1;
+        if *live == 0 {
+            let mut page = std::mem::take(bytes);
+            if page.capacity() == PAGE && self.spare.len() < SPARE_PAGES {
+                page.clear();
+                self.spare.push(page);
+            }
+        }
+        while self.pages.front().is_some_and(|&(_, live)| live == 0) {
+            self.pages.pop_front();
+            self.first = self.first.wrapping_add(1);
+        }
+    }
+}
+
+/// A body [`BodyPages::store`] wrote.
 fn decode_body(bytes: &[u8]) -> Arc<Block> {
     Arc::decode_exact(bytes).expect("a body encoded here decodes")
 }
@@ -963,7 +1043,7 @@ mod tests {
         assert_eq!(s.committed, synced);
         assert!(s.is_committed(BlockId::test(4999)) && s.is_committed(BlockId::test(4900)));
         assert!(!s.is_committed(Block::genesis_id()), "genesis left the window");
-        assert_eq!(s.bodies.len() + 1, 100, "one body slot per held id below the head");
+        assert_eq!(s.slots.len() + 1, 100, "one body slot per held id below the head");
     }
 
     /// A replica restarted from a disk more than a window behind holds no
@@ -988,7 +1068,7 @@ mod tests {
         assert!(!s.is_committed(BlockId::test(99)), "the old window left");
         assert!(s.is_committed(synced.head()));
         assert_eq!(
-            s.bodies.len() + 1,
+            s.slots.len() + 1,
             CommittedLog::KEEP,
             "one body slot per held id below the head"
         );
@@ -1010,9 +1090,9 @@ mod tests {
             let mut out = Vec::new();
             assert!(s.commit_chain(b.id(), &mut out).is_ok());
         }
-        let before = s.bodies.len();
+        let before = s.slots.len();
         s.prune(3);
-        assert!(s.bodies.len() < before);
+        assert!(s.slots.len() < before);
         assert!(s.has_block(parent), "recent blocks kept");
     }
 
@@ -1055,14 +1135,20 @@ mod tests {
             commit(&mut s, b);
         }
         commit(&mut s, &child_of(blocks[3].id(), 5, 5));
-        assert_eq!(s.bodies.len(), 5, "genesis and the four below the head");
-        for (b, bytes) in blocks.iter().zip(s.bodies.iter().skip(1)) {
-            assert_eq!(*bytes, b.encoded(), "{:?} held as its encoding", b.id());
+        assert_eq!(s.slots.len(), 5, "genesis and the four below the head");
+        for (b, &at) in blocks.iter().zip(s.slots.iter().skip(1)) {
+            assert_eq!(
+                s.pages.get(at),
+                Some(&b.encoded()[..]),
+                "{:?} held as its encoding",
+                b.id()
+            );
             let read = s.block(b.id()).expect("held");
             assert_eq!((read.id(), read.encoded()), (b.id(), b.encoded()));
             assert!(s.has_block(b.id()) && s.is_committed(b.id()));
         }
-        assert_eq!(rank_of(&s.bodies[4]), blocks[3].rank());
+        assert_eq!(rank_of(s.pages.get(s.slots[4]).unwrap()), blocks[3].rank());
+        assert_eq!(s.pages.pages.len(), 1, "five bodies share a page");
     }
 
     /// Ids adopted from a synced log come without their bodies; a body
@@ -1085,38 +1171,41 @@ mod tests {
         assert_eq!(s.stored_ids().collect::<Vec<_>>(), [Block::genesis_id(), b2.id(), b3.id()]);
     }
 
-    /// Once the window has filled and been pruned, each body takes a
-    /// buffer a prune freed. Every buffer held is one held when the window
-    /// filled, and as many are held: a new buffer would have an address
-    /// none of them has, as they are all still live.
+    /// Once the window has filled and been pruned, bodies go into pages
+    /// a prune freed. Every page held is one held when the window filled:
+    /// a new page would have an address none of them has, as they are all
+    /// still live. Bodies of three sizes (empty, one transaction, eight)
+    /// do not change that.
     #[test]
-    fn a_full_window_commits_into_the_buffers_pruning_freed() {
+    fn a_full_window_commits_into_the_pages_pruning_freed() {
         const KEEP: usize = CommittedLog::KEEP;
-        let buffers = |s: &CoreState| -> Vec<*const u8> {
-            let below = s.bodies.iter().filter(|bytes| !bytes.is_empty());
-            below.chain(&s.spare).map(|bytes| bytes.as_ptr()).collect()
+        let pages = |s: &CoreState| -> Vec<*const u8> {
+            let held = s.pages.pages.iter().map(|(bytes, _)| bytes).filter(|b| b.capacity() > 0);
+            held.chain(&s.pages.spare).map(|bytes| bytes.as_ptr()).collect()
         };
         let mut s = state();
         let mut parent = Block::genesis_id();
         let fill = CommittedLog::WINDOW as u64 + CommittedLog::PRUNE_EVERY;
         let mut held = std::collections::HashSet::new();
         for v in 1..=fill + 1_000 {
-            let b = child_of(parent, v, v);
+            let txs = (0..[0, 1, 8][v as usize % 3]).map(|i| tx(v * 8 + i)).collect();
+            let b =
+                Arc::new(Block::new(ReplicaId(0), View(v), Slot(1), cert_over(parent, v - 1), txs));
             parent = b.id();
             commit(&mut s, &b);
             if v % CommittedLog::PRUNE_EVERY == 0 {
                 s.prune(KEEP);
             }
             if v == fill {
-                held = buffers(&s).into_iter().collect();
-                // The window below the head, and what the last prune freed.
-                assert_eq!(held.len(), KEEP - 1 + CommittedLog::PRUNE_EVERY as usize);
+                held = pages(&s).into_iter().collect();
             } else if v > fill {
-                let now = buffers(&s);
-                assert_eq!(now.len(), held.len(), "view {v}");
-                assert!(now.iter().all(|p| held.contains(p)), "view {v}: a new buffer");
+                let now = pages(&s);
+                assert!(now.len() <= held.len(), "view {v}: {} pages", now.len());
+                assert!(now.iter().all(|p| held.contains(p)), "view {v}: a new page");
             }
         }
+        let live: usize = s.slots.iter().map(|at| at.len as usize).sum();
+        assert!(held.len() * PAGE <= live + 3 * PAGE, "{} pages for {live} B", held.len());
     }
 
     /// The driver prunes every 64 views. Bodies must go with the ids, or a
@@ -1155,9 +1244,9 @@ mod tests {
         assert!(s.exec.digest_of(tip.id()).is_some(), "the live speculation keeps its digest");
         assert!(s.exec.digest_of(parent).is_some(), "so does the committed head");
         // + 64: what accumulates between two prunes.
-        assert!(s.bodies.len() <= KEEP + 64, "{} bodies held after 10k views", s.bodies.len());
-        assert_eq!(s.bodies.len() + 1, s.committed.ids().len(), "a slot per id below the head");
-        let floor = rank_of(&s.bodies[0]);
+        assert!(s.slots.len() <= KEEP + 64, "{} bodies held after 10k views", s.slots.len());
+        assert_eq!(s.slots.len() + 1, s.committed.ids().len(), "a slot per id below the head");
+        let floor = rank_of(s.pages.get(s.slots[0]).expect("held"));
         assert!(s.pending.values().all(|(b, _)| b.rank() >= floor), "no orphan below the window");
         assert!(s.pending.len() < KEEP / 2, "{} of 2,500 orphans held", s.pending.len());
         assert!(s.is_committed(parent), "the head is committed");

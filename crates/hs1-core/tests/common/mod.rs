@@ -1,20 +1,23 @@
 //! The minimal router the allocator tests drive four engines on: a
 //! time-ordered event queue, a fixed hop, and one client request a view
-//! to every replica. It keeps no log, and every recipient gets its own
-//! decoded copy of a message, as over a wire, so no body is shared
-//! between engines.
+//! to every replica, a read or a write at random, half and half, as
+//! `bench/`'s stream sends them (so bodies come in several sizes). It
+//! keeps no log but each proposed body's size, and every recipient gets
+//! its own decoded copy of a message, as over a wire, so no body is
+//! shared between engines.
 //!
 //! Each allocator test is its own binary, because each installs a
 //! counting global allocator that sees the whole process.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use hs1_core::{build_replica, Action, Fault, Replica, Timer};
 use hs1_ledger::ExecConfig;
 use hs1_types::codec::{Decode, Encode};
 use hs1_types::{
-    Message, ProtocolKind, ReplicaId, SimDuration, SimTime, SystemConfig, Transaction, View,
+    BlockId, ClientId, IdHash, Message, ProtocolKind, ReplicaId, SimDuration, SimTime, SplitMix64,
+    SystemConfig, Transaction, TxId, TxOp, View,
 };
 
 /// Replicas in every cluster the router runs.
@@ -58,6 +61,10 @@ pub struct Router {
     hop: SimDuration,
     /// Requests sent so far: one a view, to every replica.
     requests: u64,
+    /// Picks each request's operation and key.
+    rng: SplitMix64,
+    /// The encoded size of every block proposed, by id.
+    pub body_bytes: HashMap<BlockId, usize, IdHash>,
     /// The one action buffer every step writes into, drained after it.
     out: Vec<Action>,
 }
@@ -70,6 +77,8 @@ impl Router {
             now: SimTime::ZERO,
             hop: SimDuration::from_micros(200),
             requests: 0,
+            rng: SplitMix64::new(7),
+            body_bytes: HashMap::default(),
             out: Vec::new(),
         }
     }
@@ -91,13 +100,24 @@ impl Router {
         for a in out.drain(..) {
             match a {
                 Action::Send { to, msg } => self.send(from, to.0 as usize, &msg),
-                Action::Broadcast { msg } => (0..N).for_each(|to| self.send(from, to, &msg)),
+                Action::Broadcast { msg } => {
+                    if let Message::Propose(p) = &msg {
+                        self.body_bytes.insert(p.block.id(), p.block.encoded().len());
+                    }
+                    (0..N).for_each(|to| self.send(from, to, &msg))
+                }
                 Action::SetTimer { timer, at } => {
                     self.push(at.max(self.now), from, What::Timer(timer))
                 }
                 Action::EnteredView { .. } if from == 0 => {
                     self.requests += 1;
-                    let tx = Transaction::kv_write(1, self.requests, self.requests % 64, 7);
+                    let key = self.rng.next_range(64);
+                    let op = if self.rng.chance(0.5) {
+                        TxOp::KvRead { key }
+                    } else {
+                        TxOp::KvWrite { key, seed: 7 }
+                    };
+                    let tx = Transaction::new(TxId::new(ClientId(1), self.requests), op);
                     for to in 0..N {
                         let me = ReplicaId(to as u32);
                         self.push(self.now, to, What::Msg(me, Box::new(Message::Request(tx))));

@@ -229,25 +229,24 @@ impl FrameQueue {
 /// starving the rest of the poll set).
 const READ_BUDGET: usize = 256 * 1024;
 
+/// Bytes one `read` asks the socket for: the size of the read buffer a
+/// reactor shares among its connections.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
+
 /// Incremental frame reassembly for nonblocking reads.
 ///
 /// Feed it whatever the socket yields — single bytes, half a length
-/// prefix, ten frames at once — and take complete messages out. Frame
-/// boundaries are reconstructed exactly; a length prefix above the
-/// `MAX_FRAME` limit (64 MiB) is rejected as `InvalidData` before any body
-/// bytes are buffered (hostile-length defense).
+/// prefix, ten frames at once — and take complete messages out. Whole
+/// frames are decoded where the bytes lie; only a frame that is not
+/// complete yet is copied, into the reader's own buffer, until the rest
+/// arrives. Frame boundaries are reconstructed exactly; a length prefix
+/// above the `MAX_FRAME` limit (64 MiB) is rejected as `InvalidData`
+/// before any body bytes are buffered (hostile-length defense).
 #[derive(Default)]
 pub struct FrameReader {
-    /// `buf[pos..end]` is received and not yet parsed; `buf[end..]` is
-    /// room a read fills in place. The room is zeroed once, when the
-    /// buffer grows, so a read neither zeroes nor copies anything.
-    buf: Vec<u8>,
-    pos: usize,
-    end: usize,
+    /// The start of one frame, received and not complete yet.
+    partial: Vec<u8>,
 }
-
-/// Bytes one `read` asks the socket for.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// One socket drain's outcome; the frames it decoded went to the caller's
 /// vector.
@@ -260,82 +259,85 @@ pub(crate) struct ReadOutcome {
     pub eof: bool,
 }
 
+/// The body length a frame's 4-byte prefix states, rejected past
+/// [`MAX_FRAME`].
+fn frame_len(prefix: &[u8]) -> std::io::Result<usize> {
+    let len = u32::from_be_bytes(prefix[..4].try_into().expect("4 bytes"));
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds limit"),
+        ));
+    }
+    Ok(len as usize)
+}
+
+/// Decode one frame's body.
+fn decode_body(body: &[u8]) -> std::io::Result<Message> {
+    Message::decode_exact(body)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Decode every whole frame at the front of `bytes` into `out`, and
+/// return how many bytes they took.
+fn decode_frames(bytes: &[u8], out: &mut Vec<Message>) -> std::io::Result<usize> {
+    let mut at = 0;
+    while bytes.len() - at >= 4 {
+        let end = at + 4 + frame_len(&bytes[at..])?;
+        if bytes.len() < end {
+            break;
+        }
+        out.push(decode_body(&bytes[at + 4..end])?);
+        at = end;
+    }
+    Ok(at)
+}
+
 impl FrameReader {
     pub fn new() -> FrameReader {
         FrameReader::default()
     }
 
-    /// Buffer `bytes` and extract every complete frame.
-    pub fn push_bytes(&mut self, bytes: &[u8], out: &mut Vec<Message>) -> std::io::Result<()> {
-        self.reserve(bytes.len());
-        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
-        self.end += bytes.len();
-        self.extract(out)
-    }
-
-    /// Make room for `additional` bytes after `end`: first by moving the
-    /// unparsed bytes (at most one partial frame) to the front, then by
-    /// growing the buffer.
-    fn reserve(&mut self, additional: usize) {
-        if self.buf.len() - self.end >= additional {
-            return;
-        }
-        if self.pos > 0 {
-            self.buf.copy_within(self.pos..self.end, 0);
-            self.end -= self.pos;
-            self.pos = 0;
-        }
-        if self.buf.len() - self.end < additional {
-            self.buf.resize(self.end + additional, 0);
-        }
-    }
-
-    fn extract(&mut self, out: &mut Vec<Message>) -> std::io::Result<()> {
-        loop {
-            let avail = self.end - self.pos;
-            if avail < 4 {
-                break;
+    /// Take `bytes` and decode every frame they complete into `out`.
+    pub fn push_bytes(&mut self, mut bytes: &[u8], out: &mut Vec<Message>) -> std::io::Result<()> {
+        // First finish the frame begun in an earlier call, taking no more
+        // than it lacks: its prefix, then its body.
+        while !self.partial.is_empty() {
+            let have = self.partial.len();
+            let want = if have < 4 { 4 } else { 4 + frame_len(&self.partial)? };
+            if have == want {
+                out.push(decode_body(&self.partial[4..])?);
+                self.partial.clear();
+            } else if bytes.is_empty() {
+                return Ok(());
+            } else {
+                let take = (want - have).min(bytes.len());
+                self.partial.extend_from_slice(&bytes[..take]);
+                bytes = &bytes[take..];
             }
-            let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4].try_into().expect("4 bytes");
-            let len = u32::from_be_bytes(len_bytes);
-            if len > MAX_FRAME {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("frame of {len} bytes exceeds limit"),
-                ));
-            }
-            let total = 4 + len as usize;
-            if avail < total {
-                break;
-            }
-            let body = &self.buf[self.pos + 4..self.pos + total];
-            let msg = Message::decode_exact(body)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            out.push(msg);
-            self.pos += total;
         }
-        if self.pos == self.end {
-            (self.pos, self.end) = (0, 0);
-        }
+        let used = decode_frames(bytes, out)?;
+        self.partial.extend_from_slice(&bytes[used..]);
         Ok(())
     }
 
-    /// Drain the (nonblocking) stream until a read comes back short, EOF,
-    /// or the per-call read budget is spent, decoding every complete
-    /// frame into `out`, a vector the caller keeps from read to read. A
-    /// read that does not fill the chunk has emptied a stream socket, so
-    /// no second `read` is spent on learning `WouldBlock`: the caller
-    /// polls level-triggered and is told of bytes or EOF that arrive
-    /// later.
+    /// Drain the (nonblocking) stream through `buf`, a read buffer the
+    /// caller shares among its connections, until a read comes back
+    /// short, EOF, or the per-call read budget is spent, decoding every
+    /// complete frame into `out`, a vector the caller keeps from read to
+    /// read. Nothing of one call is left in `buf` for the next. A read
+    /// that does not fill `buf` has emptied a stream socket, so no second
+    /// `read` is spent on learning `WouldBlock`: the caller polls
+    /// level-triggered and is told of bytes or EOF that arrive later.
     pub(crate) fn read_from(
         &mut self,
         stream: &mut impl Read,
+        buf: &mut [u8],
         out: &mut Vec<Message>,
     ) -> std::io::Result<ReadOutcome> {
         let mut outcome = ReadOutcome::default();
         while (outcome.bytes as usize) < READ_BUDGET {
-            self.reserve(READ_CHUNK);
-            match stream.read(&mut self.buf[self.end..self.end + READ_CHUNK]) {
+            match stream.read(buf) {
                 Ok(0) => {
                     outcome.eof = true;
                     break;
@@ -343,9 +345,8 @@ impl FrameReader {
                 Ok(n) => {
                     outcome.calls += 1;
                     outcome.bytes += n as u64;
-                    self.end += n;
-                    self.extract(out)?;
-                    if n < READ_CHUNK {
+                    self.push_bytes(&buf[..n], out)?;
+                    if n < buf.len() {
                         break;
                     }
                 }
@@ -651,6 +652,80 @@ mod tests {
         assert_eq!(out, msgs);
     }
 
+    /// A hostile length whose prefix arrives in two reads is rejected
+    /// once the prefix is whole, with no body byte buffered.
+    #[test]
+    fn a_hostile_length_split_across_pushes_is_rejected_from_its_prefix() {
+        let mut reader = FrameReader::new();
+        let mut out = Vec::new();
+        let frame = encode_frame(&test_messages(1)[0]);
+        let mut bytes = frame.to_vec();
+        bytes.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
+        reader.push_bytes(&bytes[..bytes.len() - 2], &mut out).expect("half a prefix");
+        assert_eq!((out.len(), reader.partial.len()), (1, 2));
+        let mut rest = bytes[bytes.len() - 2..].to_vec();
+        rest.extend_from_slice(&[0; 64]);
+        let err = reader.push_bytes(&rest, &mut out).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(reader.partial.len(), 4, "the prefix alone was buffered");
+    }
+
+    /// A stream that hands out `chunks`, one a `read`, then `WouldBlock`.
+    struct Chunks(VecDeque<Vec<u8>>);
+
+    impl Read for Chunks {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let chunk = self.0.pop_front().ok_or(std::io::ErrorKind::WouldBlock)?;
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    /// Two connections read through one buffer, each stream cut at every
+    /// byte offset and the reads interleaved: each reader gives back its
+    /// own frames, whole and in order, whatever the buffer held from the
+    /// other connection's read (it is overwritten with junk after each).
+    #[test]
+    fn two_connections_share_one_read_buffer_at_every_split() {
+        let frames = |msgs: &[Message]| -> Vec<u8> {
+            msgs.iter().flat_map(|m| encode_frame(m).to_vec()).collect()
+        };
+        let block = hs1_types::Block::new(
+            hs1_types::ReplicaId(2),
+            hs1_types::View(3),
+            hs1_types::Slot::FIRST,
+            hs1_types::Certificate::genesis(),
+            (0..20).map(|i| Transaction::kv_write(9, i, i, i)).collect(),
+        );
+        let propose = Message::Propose(hs1_types::message::ProposeMsg {
+            block: Arc::new(block),
+            commit_cert: None,
+        });
+        let mut a_msgs = test_messages(3);
+        a_msgs.insert(1, propose);
+        let b_msgs: Vec<Message> =
+            (0..4).map(|i| Message::Request(Transaction::kv_write(77, 1000 + i, i, 5))).collect();
+        let (a, b) = (frames(&a_msgs), frames(&b_msgs));
+        let mut buf = [0u8; READ_CHUNK];
+        for cut in 0..=a.len() {
+            let at_b = cut % (b.len() + 1);
+            let (mut ra, mut rb) = (FrameReader::new(), FrameReader::new());
+            let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+            let reads =
+                [(true, &a[..cut]), (false, &b[..at_b]), (true, &a[cut..]), (false, &b[at_b..])];
+            for (first, bytes) in reads.into_iter().filter(|(_, bytes)| !bytes.is_empty()) {
+                let mut stream = Chunks(VecDeque::from([bytes.to_vec()]));
+                let (reader, got) =
+                    if first { (&mut ra, &mut got_a) } else { (&mut rb, &mut got_b) };
+                reader.read_from(&mut stream, &mut buf, got).expect("clean stream");
+                buf.fill(0xA5);
+            }
+            assert_eq!(got_a, a_msgs, "cut {cut}");
+            assert_eq!(got_b, b_msgs, "cut {cut}");
+            assert!(ra.partial.is_empty() && rb.partial.is_empty(), "cut {cut}");
+        }
+    }
+
     /// A nonblocking stream with `data` in its receive buffer that counts
     /// every `read` issued, including those that find nothing.
     struct CountingStream {
@@ -686,17 +761,18 @@ mod tests {
         let msgs = test_messages(1);
         let mut stream = CountingStream::holding(&msgs);
         let (mut reader, mut got) = (FrameReader::new(), Vec::new());
-        let o = reader.read_from(&mut stream, &mut got).unwrap();
+        let mut buf = [0; READ_CHUNK];
+        let o = reader.read_from(&mut stream, &mut buf, &mut got).unwrap();
         assert_eq!((&got, o.calls, stream.reads, o.eof), (&msgs, 1, 1, false));
 
         // An empty socket (spurious wakeup) is one `read` and no progress.
         got.clear();
-        let o = reader.read_from(&mut stream, &mut got).unwrap();
+        let o = reader.read_from(&mut stream, &mut buf, &mut got).unwrap();
         assert_eq!((got.len(), o.calls, o.bytes, stream.reads, o.eof), (0, 0, 0, 2, false));
 
         // The peer closes after the short read: the next call sees EOF.
         stream.closed = true;
-        let o = reader.read_from(&mut stream, &mut got).unwrap();
+        let o = reader.read_from(&mut stream, &mut buf, &mut got).unwrap();
         assert!(o.eof && got.is_empty());
     }
 
@@ -710,7 +786,7 @@ mod tests {
         let mut stream = CountingStream::holding(&msgs);
         assert!(stream.data.len() < 48 * 1024);
         let mut got = Vec::new();
-        let o = FrameReader::new().read_from(&mut stream, &mut got).unwrap();
+        let o = FrameReader::new().read_from(&mut stream, &mut [0; READ_CHUNK], &mut got).unwrap();
         assert_eq!((o.calls, stream.reads), (3, 3));
         assert_eq!(o.bytes as usize, stream.data.len());
         assert_eq!(got, msgs);
@@ -734,13 +810,14 @@ mod tests {
         }
         let mut reader = FrameReader::new();
         let mut got = Vec::new();
+        let mut buf = [0; READ_CHUNK];
         let mut tx = tx;
         let mut rx = rx;
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while got.len() < msgs.len() {
             assert!(std::time::Instant::now() < deadline, "socket roundtrip stalled");
             let _ = q.write_to(&mut tx).unwrap();
-            let outcome = reader.read_from(&mut rx, &mut got).unwrap();
+            let outcome = reader.read_from(&mut rx, &mut buf, &mut got).unwrap();
             if q.is_empty() && outcome.bytes == 0 {
                 std::thread::yield_now();
             }

@@ -64,7 +64,7 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use crate::framing::{
-    encode_frame_in, hello_bytes, parse_hello, Frame, FrameQueue, FrameReader, PeerKind,
+    encode_frame_in, hello_bytes, parse_hello, Frame, FrameQueue, FrameReader, PeerKind, READ_CHUNK,
 };
 use crate::mesh::{Inbound, MeshConfig, NetStatsSnapshot};
 use crate::poll::{set_send_buffer, Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
@@ -187,6 +187,9 @@ pub(crate) struct Reactor {
     /// its frames and an encode nothing but the frame.
     decoded: Vec<Message>,
     encoding: Vec<u8>,
+    /// The one buffer every connection reads into; a connection keeps
+    /// only a frame the read left incomplete.
+    read_buf: Box<[u8]>,
 }
 
 impl Reactor {
@@ -240,6 +243,7 @@ impl Reactor {
             tokens: Vec::new(),
             decoded: Vec::new(),
             encoding: Vec::new(),
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -608,7 +612,7 @@ impl Reactor {
 
         let Some(conn) = self.conns.get_mut(&token) else { return };
         let mut decoded = take(&mut self.decoded);
-        let outcome = conn.reader.read_from(&mut conn.stream, &mut decoded);
+        let outcome = conn.reader.read_from(&mut conn.stream, &mut self.read_buf, &mut decoded);
         match outcome {
             Ok(o) => {
                 if o.bytes > 0 {
@@ -891,6 +895,49 @@ mod tests {
         assert_eq!(delivered[..6], [0, 1, 2, 3, 4, 5], "one connection at a time: in order");
         delivered.sort_unstable();
         assert_eq!(delivered, (0..12).collect::<Vec<_>>(), "every frame, once");
+    }
+
+    /// A replica and a client write their frames a few bytes at a time,
+    /// turn about, so nearly every read ends inside a frame. Both read
+    /// through the reactor's one buffer, and each one's frames arrive
+    /// whole, in order, and under its own name.
+    #[test]
+    fn two_peers_cut_mid_frame_read_through_one_buffer() {
+        let base = free_base_port(2);
+        let mesh = Mesh::start(ReplicaId(0), 2, "127.0.0.1", base).expect("mesh");
+        let mut reactor = mesh.reactor();
+        let dial = |hello: PeerKind, seqs: std::ops::Range<u64>| {
+            let s = TcpStream::connect(("127.0.0.1", base)).expect("dial");
+            s.set_nodelay(true).expect("nodelay");
+            let mut bytes = hello_bytes(hello).to_vec();
+            seqs.for_each(|seq| bytes.extend_from_slice(&encode_frame(&request(seq))));
+            (s, bytes)
+        };
+        let mut peers = [dial(PeerKind::Replica(1), 0..20), dial(PeerKind::Client(7), 100..120)];
+        let mut got = Vec::new();
+        let longest = peers.iter().map(|(_, bytes)| bytes.len()).max().unwrap_or(0);
+        for at in (0..longest).step_by(7) {
+            for (s, bytes) in &mut peers {
+                if at < bytes.len() {
+                    s.write_all(&bytes[at..(at + 7).min(bytes.len())]).expect("write");
+                }
+                reactor.turn(Duration::from_millis(1));
+                got.extend(reactor.ready.drain(..));
+            }
+        }
+        turn_until(&mut reactor, |r| {
+            got.extend(r.ready.drain(..));
+            got.len() == 40
+        });
+        let from_client: Vec<u64> = got
+            .iter()
+            .filter_map(|inbound| match inbound {
+                Inbound::FromClient(ClientId(7), Message::Request(tx)) => Some(tx.id.seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(seqs(&got), (0..20).collect::<Vec<_>>(), "replica 1's frames");
+        assert_eq!(from_client, (100..120).collect::<Vec<_>>(), "client 7's frames");
     }
 
     /// `EPOLLOUT` is asked for while a flush is blocked on a full send

@@ -6,10 +6,12 @@
 //! so two logs hold the same ids at every height up to `h` exactly when
 //! their hashes at `h` are equal. Block ids already chain through
 //! `parent`; hashing the commit order itself also catches an order that is
-//! not a parent chain. A replica keeps ids (each with the hash after it)
-//! only back to its prune horizon, so its memory, its checkpoints and its
-//! snapshot images are O(window), not O(history); a harness that never
-//! trims a log keeps every height.
+//! not a parent chain. A replica keeps ids only back to its prune
+//! horizon, so its memory, its checkpoints and its snapshot images are
+//! O(window), not O(history); a harness that never trims a log keeps every
+//! height. In memory the log stores the running hash only every
+//! [`CommittedLog::PRUNE_EVERY`] heights and folds it again in between;
+//! its encoding carries each id with the hash after it.
 
 use std::collections::VecDeque;
 
@@ -26,8 +28,15 @@ pub struct CommittedLog {
     /// The running hash at the height just below the window;
     /// `Digest::ZERO` while the window starts at genesis.
     base: Digest,
-    /// The newest ids, oldest first, each with the running hash after it.
-    window: VecDeque<(BlockId, Digest)>,
+    /// The running hash at the head.
+    head_hash: Digest,
+    /// The newest ids, oldest first.
+    ids: VecDeque<BlockId>,
+    /// The running hash at every height in the window that is a multiple
+    /// of [`CommittedLog::PRUNE_EVERY`], oldest first: the hash at any
+    /// other height folds at most `PRUNE_EVERY - 1` ids onto one of these
+    /// or onto `base`.
+    marks: VecDeque<Digest>,
 }
 
 impl Default for CommittedLog {
@@ -68,9 +77,11 @@ impl CommittedLog {
     /// window allocated once at [`CommittedLog::WINDOW`] ids (a deque
     /// that grew to it by doubling would hold twice that).
     pub fn new() -> CommittedLog {
-        let mut window = VecDeque::with_capacity(Self::WINDOW);
-        window.push_back((Block::genesis_id(), genesis_hash()));
-        CommittedLog { len: 1, base: Digest::ZERO, window }
+        let mut ids = VecDeque::with_capacity(Self::WINDOW);
+        ids.push_back(Block::genesis_id());
+        let mut marks = VecDeque::with_capacity(Self::WINDOW / Self::PRUNE_EVERY as usize + 2);
+        marks.push_back(genesis_hash());
+        CommittedLog { len: 1, base: Digest::ZERO, head_hash: genesis_hash(), ids, marks }
     }
 
     /// Genesis, then `ids` in order, every height kept.
@@ -89,37 +100,54 @@ impl CommittedLog {
 
     /// The newest committed id.
     pub fn head(&self) -> BlockId {
-        self.window.back().expect("a log is never empty").0
+        *self.ids.back().expect("a log is never empty")
     }
 
     /// The running hash at the head.
     pub fn hash(&self) -> Digest {
-        self.window.back().expect("a log is never empty").1
+        self.head_hash
     }
 
     /// Height of the oldest id still held.
     pub fn start(&self) -> usize {
-        self.len - self.window.len()
+        self.len - self.ids.len()
+    }
+
+    /// The lowest height in the window that holds a mark.
+    fn first_mark(&self) -> usize {
+        self.start().next_multiple_of(Self::PRUNE_EVERY as usize)
     }
 
     /// The running hash at height `h`, if this log still knows it: at
-    /// genesis, at the height just below the window, or inside it.
+    /// genesis, at the height just below the window, or inside it, where
+    /// it is folded from the nearest mark or the base below `h`.
     fn hash_at(&self, h: usize) -> Option<Digest> {
         let start = self.start();
         if h == 0 {
-            Some(genesis_hash())
+            return Some(genesis_hash());
         } else if h + 1 == start {
-            Some(self.base)
-        } else if h >= start && h < self.len {
-            Some(self.window[h - start].1)
-        } else {
-            None
+            return Some(self.base);
+        } else if h < start || h >= self.len {
+            return None;
+        } else if h + 1 == self.len {
+            return Some(self.head_hash);
         }
+        let every = Self::PRUNE_EVERY as usize;
+        let mark = h - h % every;
+        let (mut acc, from) = if mark >= start {
+            (self.marks[(mark - self.first_mark()) / every], mark + 1)
+        } else {
+            (self.base, start)
+        };
+        for id in self.ids.range(from - start..=h - start) {
+            acc = fold(&acc, *id);
+        }
+        Some(acc)
     }
 
     /// The ids still held, oldest first.
     pub fn ids(&self) -> impl DoubleEndedIterator<Item = BlockId> + ExactSizeIterator + '_ {
-        self.window.iter().map(|(id, _)| *id)
+        self.ids.iter().copied()
     }
 
     /// The held ids at heights `from` and up (none below the window).
@@ -129,19 +157,27 @@ impl CommittedLog {
 
     /// Commit `id` at the next height.
     pub fn push(&mut self, id: BlockId) {
-        let acc = fold(&self.hash(), id);
-        self.window.push_back((id, acc));
+        self.head_hash = fold(&self.head_hash, id);
+        self.ids.push_back(id);
+        if self.len.is_multiple_of(Self::PRUNE_EVERY as usize) {
+            self.marks.push_back(self.head_hash);
+        }
         self.len += 1;
     }
 
     /// Keep only the newest `keep` ids (at least the head) and return how
     /// many left the window.
     pub fn trim(&mut self, keep: usize) -> usize {
-        let cut = self.window.len().saturating_sub(keep.max(1));
+        let cut = self.ids.len().saturating_sub(keep.max(1));
         if cut > 0 {
-            self.base = self.window[cut - 1].1;
+            let start = self.start() + cut;
+            self.base = self.hash_at(start - 1).expect("inside the window");
+            let marks_gone = (start.next_multiple_of(Self::PRUNE_EVERY as usize)
+                - self.first_mark())
+                / Self::PRUNE_EVERY as usize;
+            self.marks.drain(..marks_gone);
+            self.ids.drain(..cut);
         }
-        self.window.drain(..cut);
         cut
     }
 
@@ -154,8 +190,15 @@ impl CommittedLog {
             "truncating to {len} leaves no id (window from {})",
             self.start()
         );
-        self.window.truncate(len - self.start());
-        self.len = self.len.min(len);
+        if len >= self.len {
+            return;
+        }
+        self.head_hash = self.hash_at(len - 1).expect("inside the window");
+        let first_mark = self.first_mark();
+        let marks = (len.max(first_mark) - first_mark).div_ceil(Self::PRUNE_EVERY as usize);
+        self.marks.truncate(marks);
+        self.ids.truncate(len - self.start());
+        self.len = len;
     }
 
     /// Where two logs part. `Ok(None)`: they agree at the lower of their
@@ -187,14 +230,17 @@ impl CommittedLog {
     }
 }
 
-/// `[u64 len][Digest base][Vec<(BlockId, Digest)> window]`.
+/// `[u64 len][Digest base][Vec<(BlockId, Digest)> window]`, each id with
+/// the running hash after it, folded again from the base as it is written.
 impl Encode for CommittedLog {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len as u64).encode(out);
         self.base.encode(out);
-        (self.window.len() as u64).encode(out);
-        for entry in &self.window {
-            entry.encode(out);
+        (self.ids.len() as u64).encode(out);
+        let mut acc = self.base;
+        for (h, &id) in (self.start()..).zip(&self.ids) {
+            acc = if h == 0 { genesis_hash() } else { fold(&acc, id) };
+            (id, acc).encode(out);
         }
     }
 }
@@ -214,19 +260,30 @@ impl Decode for CommittedLog {
         if window.is_empty() || window.len() > len {
             return Err(CodecError::Inconsistent { context: "CommittedLog.window" });
         }
-        let mut acc = base;
-        for (h, &(id, hash)) in (len - window.len()..).zip(&window) {
-            let chains = if h == 0 {
+        let mut log = CommittedLog {
+            len: len - window.len(),
+            base,
+            head_hash: base,
+            ids: VecDeque::with_capacity(window.len()),
+            marks: VecDeque::new(),
+        };
+        for (id, hash) in window {
+            let chains = if log.len == 0 {
                 id == Block::genesis_id() && base == Digest::ZERO && hash == genesis_hash()
             } else {
-                hash == fold(&acc, id)
+                hash == fold(&log.head_hash, id)
             };
             if !chains {
                 return Err(CodecError::Inconsistent { context: "CommittedLog.hashes" });
             }
-            acc = hash;
+            if log.len.is_multiple_of(Self::PRUNE_EVERY as usize) {
+                log.marks.push_back(hash);
+            }
+            log.ids.push_back(id);
+            log.head_hash = hash;
+            log.len += 1;
         }
-        Ok(CommittedLog { len, base, window: window.into() })
+        Ok(log)
     }
 }
 
@@ -236,6 +293,13 @@ mod tests {
 
     fn log(n: u64) -> CommittedLog {
         CommittedLog::from_ids((1..n).map(BlockId::test))
+    }
+
+    /// `log(n)` trimmed to its newest `keep` ids.
+    fn trimmed(n: u64, keep: usize) -> CommittedLog {
+        let mut l = log(n);
+        l.trim(keep);
+        l
     }
 
     #[test]
@@ -315,36 +379,107 @@ mod tests {
         assert_eq!(CommittedLog::decode_exact(&bytes), Ok(l));
     }
 
+    /// A log's bytes, written field by field: `len`, `base`, then the
+    /// window's entries.
+    fn raw(len: u64, base: Digest, entries: &[(BlockId, Digest)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        len.encode(&mut out);
+        base.encode(&mut out);
+        (entries.len() as u64).encode(&mut out);
+        for entry in entries {
+            entry.encode(&mut out);
+        }
+        out
+    }
+
+    /// The entries of heights `from..to` of `log(to)`, each with the
+    /// running hash after it, and the hash just below them.
+    fn entries(from: u64, to: u64) -> (Digest, Vec<(BlockId, Digest)>) {
+        let mut acc = sha256(&Block::genesis_id().0 .0);
+        let mut base = Digest::ZERO;
+        let mut out = Vec::new();
+        for h in 0..to {
+            let id = if h == 0 { Block::genesis_id() } else { BlockId::test(h) };
+            if h > 0 {
+                acc = sha256(&[acc.0, id.0 .0].concat());
+            }
+            if h + 1 == from {
+                base = acc;
+            } else if h >= from {
+                out.push((id, acc));
+            }
+        }
+        (base, out)
+    }
+
+    /// A trimmed log writes the same bytes as a log that stored every
+    /// entry's hash: the hashes it no longer stores are folded again from
+    /// its base as it is written.
+    #[test]
+    fn a_trimmed_log_encodes_every_entrys_hash() {
+        let mut l = log(3_000);
+        l.trim(CommittedLog::KEEP);
+        let (base, window) = entries(3_000 - CommittedLog::KEEP as u64, 3_000);
+        let want = raw(3_000, base, &window);
+        assert_eq!(l.encoded(), want);
+        assert_eq!(CommittedLog::decode_exact(&want), Ok(l));
+        let (zero, all) = entries(0, 70);
+        assert_eq!(log(70).encoded(), raw(70, zero, &all), "a window from genesis");
+    }
+
+    /// `hash_at` folds from the nearest mark or the base, and `diverge`
+    /// reads it: both agree with a log that stored every height's hash,
+    /// at every height, whatever the trim left as the window's start.
+    #[test]
+    fn hashes_and_divergence_agree_with_every_heights_hash() {
+        let full = log(1_000);
+        let reference: Vec<Digest> = entries(0, 1_000).1.into_iter().map(|e| e.1).collect();
+        for keep in [1, 2, 63, 64, 65, 127, 128, 500, 937, 999, 1_000] {
+            let mut l = full.clone();
+            l.trim(keep);
+            let start = 1_000 - keep;
+            for (h, want) in reference.iter().enumerate() {
+                let known = h == 0 || h + 1 >= start;
+                assert_eq!(l.hash_at(h), known.then_some(*want), "keep {keep}, height {h}");
+            }
+            // A fork at each height still in the window, and a prefix.
+            for fork in start.max(1)..1_000 {
+                let mut prefix = full.clone();
+                prefix.truncate(fork + 1);
+                assert_eq!(l.diverge(&prefix), Ok(None), "keep {keep}, prefix to {fork}");
+                prefix.truncate(fork);
+                prefix.push(BlockId::test(5_000));
+                assert_eq!(l.diverge(&prefix), Ok(Some(fork)), "keep {keep}, fork {fork}");
+                assert_eq!(prefix.diverge(&l), Ok(Some(fork)), "keep {keep}, fork {fork}");
+            }
+            if start > 2 {
+                assert_eq!(l.diverge(&log(start as u64 - 1)), Err(start - 2), "below the window");
+            }
+        }
+    }
+
     #[test]
     fn hostile_logs_are_rejected() {
+        let decode = |bytes: Vec<u8>| CommittedLog::decode_exact(&bytes);
         let inconsistent = |context| Err(CodecError::Inconsistent { context });
-        let mut trimmed = log(20);
-        trimmed.trim(5);
+        let (base, window) = entries(15, 20);
+        assert_eq!(decode(raw(20, base, &window)), Ok(trimmed(20, 5)), "well formed");
         // Empty, or a window longer than the log.
-        let mut empty = trimmed.clone();
-        empty.len = 0;
-        assert_eq!(CommittedLog::decode_exact(&empty.encoded()), inconsistent("CommittedLog.len"));
-        let mut no_window = trimmed.clone();
-        no_window.window.clear();
-        let window = inconsistent("CommittedLog.window");
-        assert_eq!(CommittedLog::decode_exact(&no_window.encoded()), window);
-        let mut short = trimmed.clone();
-        short.len = 4;
-        assert_eq!(CommittedLog::decode_exact(&short.encoded()), window);
+        assert_eq!(decode(raw(0, base, &window)), inconsistent("CommittedLog.len"));
+        let too_long = inconsistent("CommittedLog.window");
+        assert_eq!(decode(raw(20, base, &[])), too_long);
+        assert_eq!(decode(raw(4, base, &window)), too_long);
         // Hashes that do not chain: from the base, between entries, or
         // from genesis.
         let hashes = inconsistent("CommittedLog.hashes");
-        let mut rebased = trimmed.clone();
-        rebased.base = Digest([7; 32]);
-        assert_eq!(CommittedLog::decode_exact(&rebased.encoded()), hashes);
-        let mut swapped = trimmed.clone();
-        swapped.window[2].0 = BlockId::test(99);
-        assert_eq!(CommittedLog::decode_exact(&swapped.encoded()), hashes);
-        let mut forged = log(3);
-        forged.window[0].0 = BlockId::test(0);
-        assert_eq!(CommittedLog::decode_exact(&forged.encoded()), hashes);
-        let mut based = log(3);
-        based.base = Digest([1; 32]);
-        assert_eq!(CommittedLog::decode_exact(&based.encoded()), hashes);
+        assert_eq!(decode(raw(20, Digest([7; 32]), &window)), hashes);
+        let mut swapped = window.clone();
+        swapped[2].0 = BlockId::test(99);
+        assert_eq!(decode(raw(20, base, &swapped)), hashes);
+        let (zero, from_genesis) = entries(0, 3);
+        let mut forged = from_genesis.clone();
+        forged[0].0 = BlockId::test(0);
+        assert_eq!(decode(raw(3, zero, &forged)), hashes);
+        assert_eq!(decode(raw(3, Digest([1; 32]), &from_genesis)), hashes);
     }
 }

@@ -18,7 +18,10 @@
 # warns on `unreachable_pub`, so a new item starts narrow); the rest is
 # informational. That includes one HotStuff-1 engine's live heap after
 # 10,000 views, as `crates/hs1-core/tests/memory_budget.rs` measures it
-# (its `engine 0:` line). Last, it runs the tier-1 tests (`cargo test`, debug
+# (its `engine 0:` line), and beside it what a view's steps allocate
+# across four engines, as `crates/hs1-core/tests/step_allocations.rs`
+# counts it (the first entry of the count vector ROADMAP item 29 asks
+# for). Last, it runs the tier-1 tests (`cargo test`, debug
 # profile) and prints each test binary's wall time, slowest first: a
 # report of what each binary costs on this host, never a gate (a failing
 # test does not fail the report).
@@ -66,6 +69,9 @@ echo "sync drivers outside hs1-statesync: $drivers"
 heap=$(cargo test -q -p hs1-core --test memory_budget -- --nocapture 2>&1 |
     sed -n 's/^engine 0: //p')
 echo "engine live heap (memory_budget, engine 0): ${heap:-not measured}"
+steps=$(cargo test -q -p hs1-core --test step_allocations -- --nocapture 2>&1 |
+    sed -n "s/^a view's steps across four engines: //p")
+echo "engine step allocations (step_allocations, a view across four engines): ${steps:-not measured}"
 # Each binary's "Running <source> (<path>-<hash>)" or "Doc-tests <crate>"
 # line, then its "test result: ... finished in <t>s" line.
 tests=$(cargo test --no-fail-fast 2>&1) || true
