@@ -47,7 +47,7 @@ use hs1_core::client::responses;
 use hs1_core::replica::{Action, Replica, Timer};
 use hs1_obs::Obs;
 use hs1_statesync::{NodeShell, SyncConfig, SyncStats};
-use hs1_storage::{RecoveryInfo, StorageConfig, StorageError};
+use hs1_storage::{Disk, RecoveryInfo, StorageConfig, StorageError};
 use hs1_types::{Message, SimTime};
 
 /// Hosts one engine, inside its [`NodeShell`], on the mesh until
@@ -95,7 +95,7 @@ impl NodeRunner {
         dir: impl AsRef<Path>,
         cfg: StorageConfig,
     ) -> Result<NodeRunner, StorageError> {
-        Ok(NodeRunner::with_shell(NodeShell::open(engine, dir, cfg, None)?, mesh))
+        Ok(NodeRunner::with_shell(NodeShell::open(engine, &Disk::default(), dir, cfg, None)?, mesh))
     }
 
     /// Durable node that *first* tries snapshot state sync: local journal
@@ -111,7 +111,10 @@ impl NodeRunner {
         cfg: StorageConfig,
         sync: SyncConfig,
     ) -> Result<NodeRunner, StorageError> {
-        Ok(NodeRunner::with_shell(NodeShell::open(engine, dir, cfg, Some(sync))?, mesh))
+        Ok(NodeRunner::with_shell(
+            NodeShell::open(engine, &Disk::default(), dir, cfg, Some(sync))?,
+            mesh,
+        ))
     }
 
     fn with_shell(shell: NodeShell, mesh: Mesh) -> NodeRunner {

@@ -51,15 +51,13 @@ struct Args {
     /// emit the merged cluster timeline, critical-path attribution CSV,
     /// and Perfetto export (plus canary validation of the paths).
     trace_dir: Option<String>,
-    config: ChaosConfig,
     quiet: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: chaos_sweep [--seeds N] [--start K] [--sim-seconds F] \
-         [--protocols hs,hs2,hs1,basic,slotted] \
-         [--config default|lossy|events|legacy] [--inject none|halt|rollback|forge] \
+         [--protocols hs,hs2,hs1,basic,slotted] [--inject none|halt|rollback|forge] \
          [--replay '<protocol>:<plan-spec>'] [--trace PATH] [--metrics PATH] \
          [--trace-dir DIR] [--quiet]"
     );
@@ -77,7 +75,6 @@ fn parse_args() -> Args {
         trace: None,
         metrics: None,
         trace_dir: None,
-        config: ChaosConfig::default(),
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
@@ -106,17 +103,6 @@ fn parse_args() -> Args {
             "--trace" => args.trace = Some(val("--trace")),
             "--metrics" => args.metrics = Some(val("--metrics")),
             "--trace-dir" => args.trace_dir = Some(val("--trace-dir")),
-            "--config" => {
-                args.config = match val("--config").as_str() {
-                    "default" => ChaosConfig::default(),
-                    "lossy" => ChaosConfig::lossy_only(),
-                    "events" => ChaosConfig::events_only(),
-                    // Pre-adversary axis set (drops/dups/reorder/
-                    // partitions/crashes only) for bisecting regressions.
-                    "legacy" => ChaosConfig::default().without_new_axes(),
-                    _ => usage(),
-                }
-            }
             "--quiet" => args.quiet = true,
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -301,7 +287,7 @@ fn main() {
         &args.protocols,
         args.start,
         args.seeds,
-        &args.config,
+        &ChaosConfig::default(),
         4,
         args.sim_seconds,
         args.inject,

@@ -133,11 +133,6 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Lossy links only — no partitions, no crashes.
-    pub fn lossy_only() -> ChaosConfig {
-        ChaosConfig { partitions: 0, crashes: 0, ..ChaosConfig::default() }
-    }
-
     /// Clean links — only scheduled partition/crash events.
     pub fn events_only() -> ChaosConfig {
         ChaosConfig { drop_p: 0.0, dup_p: 0.0, reorder_p: 0.0, ..ChaosConfig::default() }

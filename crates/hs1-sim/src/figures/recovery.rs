@@ -30,9 +30,9 @@ use hs1_core::Fault;
 use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_statesync::{SnapshotImage, SnapshotServer};
-use hs1_storage::crc32::crc32;
+use hs1_storage::crc32;
 use hs1_storage::testutil::TempDir;
-use hs1_storage::{JournalConfig, ReplicaStorage, StorageConfig, SyncPolicy};
+use hs1_storage::{Disk, JournalConfig, ReplicaStorage, StorageConfig, SyncPolicy};
 use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg};
 use hs1_types::{
     Block, BlockId, CertKind, Certificate, CommittedLog, Message, ReplicaId, Slot, SystemConfig,
@@ -86,7 +86,7 @@ fn build_journal(
         journal: JournalConfig { segment_bytes: 4 << 20, sync: SyncPolicy::EveryN(256) },
         checkpoint_every: ckpt_every,
     };
-    let (_, mut storage) = ReplicaStorage::open(dir, cfg).expect("open");
+    let (_, mut storage) = ReplicaStorage::open(&Disk::default(), dir, cfg).expect("open");
     let mut exec = hs1_ledger::ExecutionEngine::new(ExecConfig::default());
     let mut log = CommittedLog::new();
     for (i, b) in blocks.iter().enumerate() {
@@ -113,7 +113,7 @@ fn build_journal(
 fn recover_once(dir: &std::path::Path, expect_root: hs1_crypto::Digest) -> (f64, u64, u64) {
     let cfg = StorageConfig::default();
     let t0 = Instant::now();
-    let (state, storage) = ReplicaStorage::open(dir, cfg).expect("recover");
+    let (state, storage) = ReplicaStorage::open(&Disk::default(), dir, cfg).expect("recover");
     let info = storage.recovery_info.clone();
     let mut eng = engine();
     eng.restore(state);

@@ -28,7 +28,7 @@ use hs1_core::replica::{Action, Replica, Timer};
 use hs1_crypto::Digest;
 use hs1_obs::{block_key, Obs, Stage};
 use hs1_statesync::NodeShell;
-use hs1_storage::StorageError;
+use hs1_storage::{Disk, StorageError};
 use hs1_types::{
     Block, BlockId, ClientId, CommittedLog, Message, ProtocolKind, ReplicaId, ReplyKind,
     SimDuration, SimTime, SplitMix64, Transaction, View,
@@ -94,11 +94,11 @@ pub struct ChaosStats {
 }
 
 /// Everything the runner needs to crash-restart replicas mid-run:
-/// per-replica journal directories (bit rot flips bits in them), and the
-/// restart itself — replica `i`'s fresh engine in a shell that recovers
-/// from its directory and then syncs with its peers.
+/// per-replica memory disks holding the journals (bit rot flips bits on
+/// them), and the restart itself — replica `i`'s fresh engine in a shell
+/// that recovers from its disk and then syncs with its peers.
 pub(crate) struct ChaosRuntime {
-    pub dirs: Vec<PathBuf>,
+    pub disks: Vec<Disk>,
     pub reopen: Box<dyn Fn(usize) -> Result<NodeShell, StorageError>>,
 }
 
@@ -632,21 +632,17 @@ impl SimRunner {
             return;
         }
         let Some(rt) = self.chaos_rt.as_ref() else { return };
-        let mut files: Vec<PathBuf> = match std::fs::read_dir(&rt.dirs[i]) {
-            Ok(rd) => rd
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .map(|n| n.starts_with("wal-") || n.starts_with("ckpt-"))
-                        .unwrap_or(false)
-                })
-                .collect(),
-            Err(_) => return,
-        };
-        files.sort();
-        if files.is_empty() {
+        let mut files = rt.disks[i].files().expect("chaos journals are on memory disks");
+        let paths: Vec<PathBuf> = files
+            .keys()
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("wal-") || n.starts_with("ckpt-"))
+            })
+            .cloned()
+            .collect();
+        if paths.is_empty() {
             return;
         }
         // Positions derive from the plan seed (+ a per-event counter), so
@@ -658,15 +654,12 @@ impl SimRunner {
                 ^ self.stats.chaos.bitrot_events,
         );
         for _ in 0..flips {
-            let path = &files[rng.next_range(files.len() as u64) as usize];
-            let Ok(mut bytes) = std::fs::read(path) else { continue };
-            if bytes.is_empty() {
-                continue;
-            }
+            let bytes = files.get_mut(&paths[rng.next_range(paths.len() as u64) as usize]);
+            let Some(bytes) = bytes.filter(|b| !b.is_empty()) else { continue };
             let off = rng.next_range(bytes.len() as u64) as usize;
             bytes[off] ^= 1u8 << rng.next_range(8);
-            let _ = std::fs::write(path, bytes);
         }
+        drop(files);
         self.bitrot[i] = true;
         self.stats.chaos.bitrot_events += 1;
     }

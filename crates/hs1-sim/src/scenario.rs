@@ -13,8 +13,6 @@
 //! assert!(report.invariants_ok());
 //! ```
 
-use std::path::{Path, PathBuf};
-
 use crate::chaos::ChaosPlan;
 use crate::cost::CostModel;
 use crate::net::NetModel;
@@ -28,10 +26,12 @@ use hs1_crypto::Digest;
 use hs1_ledger::ExecConfig;
 use hs1_obs::Obs;
 use hs1_statesync::{NodeShell, SyncConfig};
-use hs1_storage::testutil::TempDir;
-use hs1_storage::{JournalConfig, StorageConfig, StorageError, SyncPolicy};
+use hs1_storage::{Disk, JournalConfig, StorageConfig, StorageError, SyncPolicy};
 use hs1_types::{ProtocolKind, ReplicaId, SimDuration, SimTime, SystemConfig};
 use hs1_workloads::{TpccGen, Workload, YcsbGen};
+
+/// The journal directory of a chaos replica, on its own memory disk.
+const JOURNAL_DIR: &str = "journal";
 
 /// Which workload drives the clients (§7 "Workloads").
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -290,7 +290,7 @@ impl Scenario {
             checkpoint_every: 64,
         };
         // The one place a simulated replica is built: at start-up, and
-        // again by the chaos crash-restart path, over its journal in
+        // again by the chaos crash-restart path, over its journal on
         // `disk` when it has one. An adversary's shell relays its traffic
         // through one mutator. A restarted adversary stays adversarial:
         // its shell gets a fresh mutator (a fresh mutation stream) and,
@@ -299,7 +299,7 @@ impl Scenario {
             let (protocol, seed) = (self.protocol, self.seed);
             let (faults, adversaries) = (self.faults.clone(), adversaries.clone());
             move |i: usize,
-                  disk: Option<(&Path, Option<SyncConfig>)>|
+                  disk: Option<(&Disk, Option<SyncConfig>)>|
                   -> Result<NodeShell, StorageError> {
                 let me = ReplicaId(i as u32);
                 let fault = faults
@@ -309,7 +309,9 @@ impl Scenario {
                     .unwrap_or(Fault::Honest);
                 let engine = build_replica(protocol, cfg.clone(), me, fault, exec);
                 let mut shell = match disk {
-                    Some((dir, sync)) => NodeShell::open(engine, dir, storage_cfg, sync)?,
+                    Some((disk, sync)) => {
+                        NodeShell::open(engine, disk, JOURNAL_DIR, storage_cfg, sync)?
+                    }
                     None => NodeShell::new(engine),
                 };
                 if let Some(&(_, strategy)) = adversaries.iter().find(|(r, _)| *r == i) {
@@ -320,25 +322,20 @@ impl Scenario {
                 Ok(shell)
             }
         };
-        // Chaos: durable journals, and a way to reopen a replica on its
-        // own. Dirs must outlive the run; they self-clean on drop.
-        let mut chaos_dirs: Vec<TempDir> = Vec::new();
+        // Chaos: durable journals, each on a disk in memory that outlives
+        // its replica's crash, and a way to reopen a replica on its own.
         let (engines, chaos_rt) = match &self.chaos {
             Some(plan) if plan.has_crashes() => {
                 assert_eq!(plan.n, self.n, "chaos plan sized for a different deployment");
-                chaos_dirs.extend(
-                    (0..self.n).map(|i| TempDir::new(&format!("chaos-s{}-r{i}", self.seed))),
-                );
-                let dirs: Vec<PathBuf> =
-                    chaos_dirs.iter().map(|d| d.path().to_path_buf()).collect();
+                let disks: Vec<Disk> = (0..self.n).map(|_| Disk::memory()).collect();
                 let open = {
-                    let dirs = dirs.clone();
-                    move |i: usize, sync| build(i, Some((&dirs[i], sync)))
+                    let disks = disks.clone();
+                    move |i: usize, sync| build(i, Some((&disks[i], sync)))
                 };
                 let engines =
                     (0..self.n).map(|i| open(i, None).expect("open fresh chaos journal")).collect();
                 let reopen = Box::new(move |i| open(i, Some(sync.clone())));
-                (engines, Some(ChaosRuntime { dirs, reopen }))
+                (engines, Some(ChaosRuntime { disks, reopen }))
             }
             plan => {
                 if let Some(plan) = plan {

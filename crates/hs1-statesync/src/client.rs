@@ -19,7 +19,7 @@ use std::time::Duration;
 use hs1_core::persist::RecoveredState;
 use hs1_core::replica::Replica;
 use hs1_crypto::{Digest, PublicKeyRegistry};
-use hs1_storage::crc32::crc32;
+use hs1_storage::crc32;
 use hs1_storage::ReplicaStorage;
 use hs1_types::message::{
     SnapshotChunkMsg, SnapshotChunkReqMsg, SnapshotManifestMsg, SnapshotReqMsg,
@@ -469,7 +469,7 @@ mod tests {
     use hs1_crypto::KeyPair;
     use hs1_ledger::KvStore;
     use hs1_storage::testutil::TempDir;
-    use hs1_storage::Checkpoint;
+    use hs1_storage::{Checkpoint, Disk};
     use hs1_types::{BlockId, CertKind, CommittedLog, Slot};
     use std::collections::HashMap;
 
@@ -502,7 +502,7 @@ mod tests {
         let tmp = TempDir::new(tag);
         let (store, log) = cluster_checkpoint();
         Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &log)
-            .write(tmp.path())
+            .write(&Disk::default(), tmp.path())
             .expect("write checkpoint");
         let server = SnapshotServer::new(tmp.path()).with_chunk_bytes(CHUNK);
         (tmp, server)

@@ -31,7 +31,7 @@
 
 use hs1_crypto::Digest;
 use hs1_ledger::KvStore;
-use hs1_storage::crc32::crc32;
+use hs1_storage::crc32;
 use hs1_storage::Checkpoint;
 use hs1_types::codec::{Decode, Encode, Reader};
 use hs1_types::message::{SnapshotChunkMsg, SnapshotManifestMsg};

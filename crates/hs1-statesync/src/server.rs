@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use hs1_storage::Checkpoint;
+use hs1_storage::{Checkpoint, Disk};
 use hs1_types::message::SnapshotManifestMsg;
 use hs1_types::{Certificate, Message};
 
@@ -23,14 +23,21 @@ struct Served {
 /// the cached newest checkpoint (refreshed on manifest requests), so any
 /// number of joiners can pull concurrently and a restart loses nothing.
 pub struct SnapshotServer {
+    disk: Disk,
     dir: PathBuf,
     chunk_bytes: u32,
     cache: Option<Served>,
 }
 
 impl SnapshotServer {
+    /// Serve out of `dir` on the host's file system.
     pub fn new(dir: impl Into<PathBuf>) -> SnapshotServer {
-        SnapshotServer { dir: dir.into(), chunk_bytes: DEFAULT_CHUNK_BYTES, cache: None }
+        SnapshotServer::on(Disk::default(), dir.into())
+    }
+
+    /// Serve out of `dir` on `disk`.
+    pub(crate) fn on(disk: Disk, dir: PathBuf) -> SnapshotServer {
+        SnapshotServer { disk, dir, chunk_bytes: DEFAULT_CHUNK_BYTES, cache: None }
     }
 
     /// Serve chunks of `chunk_bytes` (tests use tiny chunks to force many
@@ -80,11 +87,11 @@ impl SnapshotServer {
     /// from directory metadata alone, so the steady-state cost of a
     /// manifest request is a readdir — not a full checkpoint decode.
     fn refresh(&mut self) {
-        let Ok(Some(newest_seq)) = Checkpoint::latest_seq(&self.dir) else { return };
+        let Ok(Some(newest_seq)) = Checkpoint::latest_seq(&self.disk, &self.dir) else { return };
         if self.cache.as_ref().map(|s| s.ckpt_seq) == Some(newest_seq) {
             return;
         }
-        let Ok(Some(ckpt)) = Checkpoint::load_latest(&self.dir) else { return };
+        let Ok(Some(ckpt)) = Checkpoint::load_latest(&self.disk, &self.dir) else { return };
         let image = SnapshotImage::from_checkpoint(&ckpt);
         let payload = image.payload();
         let high_cert = ckpt.high_cert.clone().unwrap_or_else(Certificate::genesis);
@@ -97,7 +104,7 @@ impl SnapshotServer {
 mod tests {
     use super::*;
     use hs1_ledger::KvStore;
-    use hs1_storage::crc32::crc32;
+    use hs1_storage::crc32;
     use hs1_storage::testutil::TempDir;
     use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg};
     use hs1_types::{BlockId, CommittedLog, View};
@@ -107,7 +114,7 @@ mod tests {
         store.put(1, tag);
         let log = CommittedLog::from_ids([BlockId::test(tag)]);
         let ckpt = Checkpoint::capture(seq, View(seq), None, &store, &log);
-        ckpt.write(dir).expect("write checkpoint");
+        ckpt.write(&Disk::default(), dir).expect("write checkpoint");
         ckpt
     }
 
@@ -204,7 +211,8 @@ mod tests {
             checkpoint_every: 500,
         };
         let dirs = [TempDir::new("snapserver-peer-a"), TempDir::new("snapserver-peer-b")];
-        let open = |d: &TempDir| ReplicaStorage::open(d.path(), cfg).expect("open");
+        let open =
+            |d: &TempDir| ReplicaStorage::open(&Disk::default(), d.path(), cfg).expect("open");
         let mut storages = vec![open(&dirs[0]).1, open(&dirs[1]).1];
         let mut engines = [CommittedLog::new(), CommittedLog::new()];
         let mut store = KvStore::with_records(100);
@@ -251,7 +259,9 @@ mod tests {
             .collect();
         assert_eq!(manifests[0].chain_len, 3001);
         assert_eq!(manifests[0].state_key(), manifests[1].state_key());
-        let [a, b] = dirs.map(|d| Checkpoint::load_latest(d.path()).unwrap().expect("checkpoint"));
+        let [a, b] = dirs.map(|d| {
+            Checkpoint::load_latest(&Disk::default(), d.path()).unwrap().expect("checkpoint")
+        });
         assert_eq!(a.log.ids().len(), CommittedLog::KEEP);
         assert_eq!(
             SnapshotImage::from_checkpoint(&a).payload(),

@@ -9,7 +9,8 @@
 //! engine the shell owns:
 //!
 //! * **storage wiring** — [`NodeShell::open`] recovers the engine from
-//!   its journal and installs the journal as the engine's persistence;
+//!   its journal, on the host's file system or on a [`Disk`] in memory,
+//!   and installs the journal as the engine's persistence;
 //! * **snapshot serving** — `SnapshotReq` / `SnapshotChunkReq` are
 //!   answered out of the newest checkpoint, whether the engine runs or not;
 //! * **state sync** — with a [`SyncConfig`], `on_init` starts a
@@ -37,7 +38,7 @@ use std::path::Path;
 use hs1_adversary::AdversaryMutator;
 use hs1_core::replica::{Action, Replica, Timer};
 use hs1_obs::Obs;
-use hs1_storage::{RecoveryInfo, ReplicaStorage, StorageConfig, StorageError};
+use hs1_storage::{Disk, RecoveryInfo, ReplicaStorage, StorageConfig, StorageError};
 use hs1_types::{Message, ReplicaId, SimDuration, SimTime, View};
 
 use crate::client::{SyncClient, SyncConfig, SyncPhase, SyncStats, SYNC_TICK};
@@ -88,16 +89,18 @@ impl NodeShell {
         }
     }
 
-    /// A durable replica: recover `engine` from the journal in `dir` and
-    /// serve snapshots out of it. With `sync`, the journal goes live only
-    /// when the state sync that `on_init` starts is over; without, at once.
+    /// A durable replica: recover `engine` from the journal in `dir` on
+    /// `disk` and serve snapshots out of it. With `sync`, the journal goes
+    /// live only when the state sync that `on_init` starts is over;
+    /// without, at once.
     pub fn open(
         mut engine: Box<dyn Replica>,
+        disk: &Disk,
         dir: impl AsRef<Path>,
         cfg: StorageConfig,
         sync: Option<SyncConfig>,
     ) -> Result<NodeShell, StorageError> {
-        let (state, storage) = ReplicaStorage::open(dir.as_ref(), cfg)?;
+        let (state, storage) = ReplicaStorage::open(disk, dir.as_ref(), cfg)?;
         let recovery = storage.recovery_info.clone();
         engine.restore(state);
         let sync = match sync {
@@ -114,7 +117,7 @@ impl NodeShell {
                 None
             }
         };
-        let server = Some(SnapshotServer::new(dir.as_ref()));
+        let server = Some(SnapshotServer::on(disk.clone(), dir.as_ref().to_path_buf()));
         Ok(NodeShell { server, sync, recovery: Some(recovery), ..NodeShell::new(engine) })
     }
 

@@ -13,9 +13,9 @@ use hs1_core::{build_replica, Fault};
 use hs1_crypto::{Digest, PublicKeyRegistry, Signature};
 use hs1_ledger::{ExecConfig, KvStore};
 use hs1_statesync::{NodeShell, SnapshotServer, SyncConfig, SYNC_TICK, SYNC_TIMER};
-use hs1_storage::crc32::crc32;
+use hs1_storage::crc32;
 use hs1_storage::testutil::TempDir;
-use hs1_storage::{Checkpoint, StorageConfig};
+use hs1_storage::{Checkpoint, Disk, StorageConfig};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg, VoteInfo, VoteMsg};
 use hs1_types::{
@@ -83,7 +83,7 @@ fn checkpointed_dir(tag: &str) -> TempDir {
         store.put(k, k * 7 + 1);
     }
     Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &cluster_log())
-        .write(dir.path())
+        .write(&Disk::default(), dir.path())
         .expect("write checkpoint");
     dir
 }
@@ -107,8 +107,14 @@ fn sync_cfg(gap_threshold: u64) -> SyncConfig {
 fn open(dir: &TempDir, sync: SyncConfig) -> (NodeShell, Seen) {
     let seen = Seen::default();
     let engine = Script { log: CommittedLog::new(), seen: seen.clone(), emit: Vec::new() };
-    let shell = NodeShell::open(Box::new(engine), dir.path(), StorageConfig::default(), Some(sync))
-        .expect("open storage");
+    let shell = NodeShell::open(
+        Box::new(engine),
+        &Disk::default(),
+        dir.path(),
+        StorageConfig::default(),
+        Some(sync),
+    )
+    .expect("open storage");
     (shell, seen)
 }
 

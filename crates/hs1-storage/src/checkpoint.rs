@@ -23,11 +23,11 @@
 //! leaves either the old checkpoint or the new one, never a half file;
 //! a corrupt newest checkpoint falls back to an older one.
 
-use std::fs::{self, File};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::crc32::crc32;
+use crate::disk::Disk;
 use crate::StorageError;
 use hs1_crypto::Digest;
 use hs1_ledger::KvStore;
@@ -114,10 +114,10 @@ impl Checkpoint {
         Ok(ckpt)
     }
 
-    /// Durably write this checkpoint into `dir` and delete older
+    /// Durably write this checkpoint into `dir` on `disk` and delete older
     /// checkpoint files. Returns the final path.
-    pub fn write(&self, dir: &Path) -> Result<PathBuf, StorageError> {
-        fs::create_dir_all(dir)?;
+    pub fn write(&self, disk: &Disk, dir: &Path) -> Result<PathBuf, StorageError> {
+        disk.create_dir_all(dir)?;
         let payload = self.encode_payload();
         let mut bytes = Vec::with_capacity(payload.len() + 16);
         bytes.extend_from_slice(&CHECKPOINT_MAGIC);
@@ -127,33 +127,32 @@ impl Checkpoint {
 
         let final_path = checkpoint_path(dir, self.journal_seq);
         let tmp_path = final_path.with_extension("tmp");
-        let mut f = File::create(&tmp_path)?;
+        let mut f = disk.create(&tmp_path)?;
         f.write_all(&bytes)?;
         f.sync_data()?;
-        fs::rename(&tmp_path, &final_path)?;
+        disk.rename(&tmp_path, &final_path)?;
         // The rename's directory entry must be durable *before* anything
         // this checkpoint is the sole cover for (older checkpoints, the
         // journal segments behind it) gets deleted — otherwise a power
         // loss could persist the unlinks but not the rename.
-        crate::journal::sync_dir(dir)?;
+        disk.sync_dir(dir)?;
 
-        for (seq, path) in checkpoint_files(dir)? {
+        for (seq, path) in checkpoint_files(disk, dir)? {
             if seq < self.journal_seq {
-                let _ = fs::remove_file(path);
+                let _ = disk.remove(&path);
             }
         }
         Ok(final_path)
     }
 
     /// Read and validate one checkpoint file.
-    pub(crate) fn read(path: &Path) -> Result<Checkpoint, StorageError> {
+    pub(crate) fn read(disk: &Disk, path: &Path) -> Result<Checkpoint, StorageError> {
         let corrupt = |detail: &'static str| StorageError::Corrupt {
             file: path.display().to_string(),
             offset: 0,
             detail,
         };
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
+        let bytes = disk.read(path)?;
         if bytes.len() < 16 || bytes[..8] != CHECKPOINT_MAGIC {
             return Err(corrupt("bad checkpoint magic"));
         }
@@ -173,21 +172,21 @@ impl Checkpoint {
         Ok(ckpt)
     }
 
-    /// `journal_seq` of the newest checkpoint *file* in `dir`, by name
+    /// `journal_seq` of the newest checkpoint *file* in `dir` on `disk`, by name
     /// alone — no read or validation. A cheap staleness probe for caches
     /// (e.g. the snapshot server) that would otherwise re-decode a
     /// multi-megabyte checkpoint just to learn nothing changed.
-    pub fn latest_seq(dir: &Path) -> Result<Option<u64>, StorageError> {
-        Ok(checkpoint_files(dir)?.last().map(|(seq, _)| *seq))
+    pub fn latest_seq(disk: &Disk, dir: &Path) -> Result<Option<u64>, StorageError> {
+        Ok(checkpoint_files(disk, dir)?.last().map(|(seq, _)| *seq))
     }
 
-    /// Newest valid checkpoint in `dir`, skipping corrupt ones (newest
-    /// first). `None` when no valid checkpoint exists.
-    pub fn load_latest(dir: &Path) -> Result<Option<Checkpoint>, StorageError> {
-        let mut files = checkpoint_files(dir)?;
+    /// Newest valid checkpoint in `dir` on `disk`, skipping corrupt ones
+    /// (newest first). `None` when no valid checkpoint exists.
+    pub fn load_latest(disk: &Disk, dir: &Path) -> Result<Option<Checkpoint>, StorageError> {
+        let mut files = checkpoint_files(disk, dir)?;
         files.reverse(); // newest first
         for (_, path) in files {
-            match Checkpoint::read(&path) {
+            match Checkpoint::read(disk, &path) {
                 Ok(ckpt) => return Ok(Some(ckpt)),
                 Err(StorageError::Corrupt { .. }) => continue,
                 Err(e) => return Err(e),
@@ -202,10 +201,12 @@ fn checkpoint_path(dir: &Path, journal_seq: u64) -> PathBuf {
 }
 
 /// Checkpoint files in `dir`, sorted oldest first.
-pub(crate) fn checkpoint_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
+pub(crate) fn checkpoint_files(
+    disk: &Disk,
+    dir: &Path,
+) -> Result<Vec<(u64, PathBuf)>, StorageError> {
     let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
+    for path in disk.list(dir)? {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
         if let Some(seq) = name.strip_prefix("ckpt-").and_then(|s| s.strip_suffix(".ckpt")) {
             if let Ok(seq) = seq.parse::<u64>() {
@@ -221,6 +222,7 @@ pub(crate) fn checkpoint_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, Storag
 mod tests {
     use super::*;
     use crate::testutil::TempDir;
+    use std::fs;
 
     fn sample(journal_seq: u64) -> Checkpoint {
         let mut store = KvStore::with_records(100);
@@ -235,8 +237,8 @@ mod tests {
     fn write_read_roundtrip() {
         let tmp = TempDir::new("ckpt-roundtrip");
         let ckpt = sample(41);
-        let path = ckpt.write(tmp.path()).unwrap();
-        let back = Checkpoint::read(&path).unwrap();
+        let path = ckpt.write(&Disk::default(), tmp.path()).unwrap();
+        let back = Checkpoint::read(&Disk::default(), &path).unwrap();
         assert_eq!(back, ckpt);
         let store = back.restore_store();
         assert_eq!(store.get(3), Some(42));
@@ -247,29 +249,32 @@ mod tests {
     #[test]
     fn newer_checkpoint_replaces_older() {
         let tmp = TempDir::new("ckpt-replace");
-        sample(10).write(tmp.path()).unwrap();
-        sample(20).write(tmp.path()).unwrap();
-        let files = checkpoint_files(tmp.path()).unwrap();
+        sample(10).write(&Disk::default(), tmp.path()).unwrap();
+        sample(20).write(&Disk::default(), tmp.path()).unwrap();
+        let files = checkpoint_files(&Disk::default(), tmp.path()).unwrap();
         assert_eq!(files.len(), 1, "older checkpoint deleted");
-        let latest = Checkpoint::load_latest(tmp.path()).unwrap().unwrap();
+        let latest = Checkpoint::load_latest(&Disk::default(), tmp.path()).unwrap().unwrap();
         assert_eq!(latest.journal_seq, 20);
     }
 
     #[test]
     fn corrupt_checkpoint_rejected_and_skipped() {
         let tmp = TempDir::new("ckpt-corrupt");
-        sample(10).write(tmp.path()).unwrap();
-        let newer = sample(20).write(tmp.path()).unwrap();
+        sample(10).write(&Disk::default(), tmp.path()).unwrap();
+        let newer = sample(20).write(&Disk::default(), tmp.path()).unwrap();
         // Writing 20 deleted 10; re-create 10 to have a fallback.
-        sample(10).write(tmp.path()).unwrap();
+        sample(10).write(&Disk::default(), tmp.path()).unwrap();
         // Corrupt the newest in place.
         let mut bytes = fs::read(&newer).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&newer, &bytes).unwrap();
-        assert!(matches!(Checkpoint::read(&newer), Err(StorageError::Corrupt { .. })));
+        assert!(matches!(
+            Checkpoint::read(&Disk::default(), &newer),
+            Err(StorageError::Corrupt { .. })
+        ));
         // load_latest falls back to the older, valid one.
-        let latest = Checkpoint::load_latest(tmp.path()).unwrap().unwrap();
+        let latest = Checkpoint::load_latest(&Disk::default(), tmp.path()).unwrap().unwrap();
         assert_eq!(latest.journal_seq, 10);
     }
 
@@ -302,7 +307,7 @@ mod tests {
             fs::write(&path, &bytes).unwrap();
             assert!(
                 matches!(
-                    Checkpoint::read(&path),
+                    Checkpoint::read(&Disk::default(), &path),
                     Err(StorageError::Corrupt { detail: "undecodable checkpoint", .. })
                 ),
                 "{what}"
@@ -314,6 +319,6 @@ mod tests {
     fn empty_dir_has_no_checkpoint() {
         let tmp = TempDir::new("ckpt-empty");
         fs::create_dir_all(tmp.path()).unwrap();
-        assert!(Checkpoint::load_latest(tmp.path()).unwrap().is_none());
+        assert!(Checkpoint::load_latest(&Disk::default(), tmp.path()).unwrap().is_none());
     }
 }

@@ -24,11 +24,11 @@
 //! frames in the **last** segment) is truncated; corruption anywhere else
 //! is a hard [`StorageError::Corrupt`].
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::crc32::crc32;
+use crate::disk::{Disk, DiskFile};
 use crate::record::JournalRecord;
 use crate::StorageError;
 use hs1_types::codec::{Decode, Encode};
@@ -90,9 +90,10 @@ pub(crate) type ReplaySink<'a> = dyn FnMut(u64, JournalRecord) -> Result<(), Sto
 /// The append half of the write-ahead log.
 #[derive(Debug)]
 pub struct Journal {
+    disk: Disk,
     dir: PathBuf,
     cfg: JournalConfig,
-    writer: BufWriter<File>,
+    writer: BufWriter<DiskFile>,
     /// Bytes written to the active segment (header included).
     seg_bytes: u64,
     next_seq: u64,
@@ -104,64 +105,61 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Open (or create) the journal in `dir`, collecting every intact
-    /// record into a [`Replay`] and truncating a torn tail in place.
+    /// Open (or create) the journal in `dir` on the host's file system,
+    /// collecting every intact record into a [`Replay`] and truncating a
+    /// torn tail in place.
     ///
     /// Prefer `Journal::open_streaming` when the records are folded and
     /// discarded (recovery): collecting a long journal into a `Vec` first
     /// costs O(history) memory for no benefit.
     pub fn open(dir: &Path, cfg: JournalConfig) -> Result<(Journal, Replay), StorageError> {
         let mut replay = Replay::default();
-        let (journal, stats) = Self::open_streaming(dir, cfg, &mut |seq, rec| {
-            replay.records.push((seq, rec));
-            Ok(())
-        })?;
+        let (journal, stats) =
+            Self::open_streaming(&Disk::default(), dir, cfg, &mut |seq, rec| {
+                replay.records.push((seq, rec));
+                Ok(())
+            })?;
         replay.truncated_bytes = stats.truncated_bytes;
         Ok((journal, replay))
     }
 
-    /// Open (or create) the journal in `dir`, streaming every intact
-    /// record through `sink` in append order (torn tails truncated in
-    /// place, exactly as [`Journal::open`]). Recovery of an
+    /// Open (or create) the journal in `dir` on `disk`, streaming every
+    /// intact record through `sink` in append order (torn tails truncated
+    /// in place, exactly as [`Journal::open`]). Recovery of an
     /// arbitrarily long journal folds each record as it is decoded and
     /// never materializes the record list.
     pub(crate) fn open_streaming(
+        disk: &Disk,
         dir: &Path,
         cfg: JournalConfig,
         sink: &mut ReplaySink<'_>,
     ) -> Result<(Journal, ReplayStats), StorageError> {
-        fs::create_dir_all(dir)?;
-        let mut segments = segment_files(dir)?;
+        disk.create_dir_all(dir)?;
+        let mut segments = segment_files(disk, dir)?;
         if segments.is_empty() {
             let path = segment_path(dir, 0);
-            let mut f = File::create(&path)?;
-            f.write_all(&SEGMENT_MAGIC)?;
-            f.sync_data()?;
-            sync_dir(dir)?;
+            new_segment(disk, &path)?;
+            disk.sync_dir(dir)?;
             segments.push((0, path));
         }
 
         let mut stats = ReplayStats::default();
-        let mut in_active = 0u64;
+        let (mut in_active, mut seg_bytes) = (0, 0);
         let last_idx = segments.len() - 1;
         for (idx, (start_seq, path)) in segments.iter().enumerate() {
             let is_last = idx == last_idx;
-            let emitted = read_segment(path, *start_seq, is_last, sink, &mut stats)?;
-            if is_last {
-                in_active = emitted;
-            }
+            (in_active, seg_bytes) =
+                read_segment(disk, path, *start_seq, is_last, sink, &mut stats)?;
         }
 
-        let (active_start, active_path) = segments.last().expect("at least one segment").clone();
-        let next_seq = active_start + in_active;
-        let file = OpenOptions::new().append(true).open(&active_path)?;
-        let seg_bytes = file.metadata()?.len();
+        let (active_start, active_path) = segments.last().expect("at least one segment");
         let journal = Journal {
+            disk: disk.clone(),
             dir: dir.to_path_buf(),
             cfg,
-            writer: BufWriter::new(file),
+            writer: BufWriter::new(disk.append(active_path)?),
             seg_bytes,
-            next_seq,
+            next_seq: active_start + in_active,
             unsynced: 0,
             fsyncs: 0,
             bytes_appended: 0,
@@ -212,7 +210,7 @@ impl Journal {
     /// Delete every non-active segment whose records all have
     /// `seq <= upto` (they are covered by a durable checkpoint).
     pub(crate) fn prune_upto(&mut self, upto: u64) -> Result<usize, StorageError> {
-        let segments = segment_files(&self.dir)?;
+        let segments = segment_files(&self.disk, &self.dir)?;
         let mut removed = 0;
         // Segment i covers [start_i, start_{i+1}); the last (active)
         // segment is never deleted.
@@ -220,7 +218,7 @@ impl Journal {
             let (_, ref path) = pair[0];
             let (next_start, _) = pair[1];
             if next_start <= upto + 1 {
-                fs::remove_file(path)?;
+                self.disk.remove(path)?;
                 removed += 1;
             }
         }
@@ -230,11 +228,9 @@ impl Journal {
     fn rotate(&mut self) -> Result<(), StorageError> {
         self.sync()?;
         let path = segment_path(&self.dir, self.next_seq);
-        let mut f = File::create(&path)?;
-        f.write_all(&SEGMENT_MAGIC)?;
-        f.sync_data()?;
-        sync_dir(&self.dir)?;
-        self.writer = BufWriter::new(OpenOptions::new().append(true).open(&path)?);
+        new_segment(&self.disk, &path)?;
+        self.disk.sync_dir(&self.dir)?;
+        self.writer = BufWriter::new(self.disk.append(&path)?);
         self.seg_bytes = SEGMENT_MAGIC.len() as u64;
         Ok(())
     }
@@ -250,17 +246,18 @@ fn segment_path(dir: &Path, start_seq: u64) -> PathBuf {
     dir.join(format!("wal-{start_seq:012}.seg"))
 }
 
-/// Fsync a directory so file creations/renames inside it are durable
-/// (required before deleting anything the new file supersedes).
-pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
+/// Create `path` holding only the segment header, durably. Its directory
+/// entry is the caller's to sync.
+fn new_segment(disk: &Disk, path: &Path) -> std::io::Result<()> {
+    let mut f = disk.create(path)?;
+    f.write_all(&SEGMENT_MAGIC)?;
+    f.sync_data()
 }
 
 /// Segment files in `dir`, sorted by starting sequence number.
-pub(crate) fn segment_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
+pub(crate) fn segment_files(disk: &Disk, dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
     let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
+    for path in disk.list(dir)? {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
         if let Some(seq) = name.strip_prefix("wal-").and_then(|s| s.strip_suffix(".seg")) {
             if let Ok(seq) = seq.parse::<u64>() {
@@ -275,18 +272,18 @@ pub(crate) fn segment_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageEr
 /// Read one segment, streaming each intact record into `sink`. A torn
 /// tail (incomplete or CRC-invalid trailing frames) is truncated in
 /// place — but only in the last segment; anywhere else it is corruption.
-/// Returns the number of records emitted from this segment. Memory is
-/// bounded by the segment size, never by total journal length.
+/// Returns the number of records emitted from this segment and the bytes
+/// it keeps. Memory is bounded by the segment size, never by total
+/// journal length.
 fn read_segment(
+    disk: &Disk,
     path: &Path,
     start_seq: u64,
     is_last: bool,
     sink: &mut ReplaySink<'_>,
     stats: &mut ReplayStats,
-) -> Result<u64, StorageError> {
-    let mut file = File::open(path)?;
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf)?;
+) -> Result<(u64, u64), StorageError> {
+    let buf = disk.read(path)?;
 
     let corrupt = |offset: usize, detail: &'static str| StorageError::Corrupt {
         file: path.display().to_string(),
@@ -348,20 +345,19 @@ fn read_segment(
         }
     }
 
+    let mut kept = buf.len();
     if let Some(at) = truncate_at {
         stats.truncated_bytes += (buf.len() - at) as u64;
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(at as u64)?;
         if at < SEGMENT_MAGIC.len() {
             // Rewrite the header so the segment is appendable again.
-            let mut f = OpenOptions::new().write(true).open(path)?;
-            f.seek(SeekFrom::Start(0))?;
-            f.write_all(&SEGMENT_MAGIC)?;
+            new_segment(disk, path)?;
+            kept = SEGMENT_MAGIC.len();
+        } else {
+            disk.truncate(path, at as u64)?;
+            kept = at;
         }
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.sync_data()?;
     }
-    Ok(seq - start_seq)
+    Ok((seq - start_seq, kept as u64))
 }
 
 #[cfg(test)]
@@ -369,6 +365,7 @@ mod tests {
     use super::*;
     use crate::testutil::TempDir;
     use hs1_types::View;
+    use std::fs::{self, File, OpenOptions};
 
     fn rec(v: u64) -> JournalRecord {
         JournalRecord::ViewChange(View(v))
@@ -404,7 +401,10 @@ mod tests {
             for v in 0..50 {
                 j.append(&rec(v)).unwrap();
             }
-            assert!(segment_files(tmp.path()).unwrap().len() > 1, "tiny segments force rotation");
+            assert!(
+                segment_files(&Disk::default(), tmp.path()).unwrap().len() > 1,
+                "tiny segments force rotation"
+            );
         }
         let (j, replay) = Journal::open(tmp.path(), cfg).unwrap();
         let seqs: Vec<u64> = replay.records.iter().map(|(s, _)| *s).collect();
@@ -423,7 +423,7 @@ mod tests {
             j.sync().unwrap();
         }
         // Tear the tail: chop the last 3 bytes of the only segment.
-        let seg = segment_files(tmp.path()).unwrap().pop().unwrap().1;
+        let seg = segment_files(&Disk::default(), tmp.path()).unwrap().pop().unwrap().1;
         let len = fs::metadata(&seg).unwrap().len();
         OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 3).unwrap();
 
@@ -449,7 +449,7 @@ mod tests {
             }
             j.sync().unwrap();
         }
-        let seg = segment_files(tmp.path()).unwrap().pop().unwrap().1;
+        let seg = segment_files(&Disk::default(), tmp.path()).unwrap().pop().unwrap().1;
         let bytes = fs::read(&seg).unwrap();
 
         // Flip one payload byte of the final frame: torn tail → truncated.
@@ -483,13 +483,13 @@ mod tests {
         for v in 0..60 {
             j.append(&rec(v)).unwrap();
         }
-        let before = segment_files(tmp.path()).unwrap().len();
+        let before = segment_files(&Disk::default(), tmp.path()).unwrap().len();
         assert!(before > 2);
         // Prune everything covered up to seq 30: every segment entirely
         // below 30 goes; the active one stays no matter what.
         let removed = j.prune_upto(30).unwrap();
         assert!(removed > 0);
-        assert_eq!(segment_files(tmp.path()).unwrap().len(), before - removed);
+        assert_eq!(segment_files(&Disk::default(), tmp.path()).unwrap().len(), before - removed);
         let (_, replay) = Journal::open(tmp.path(), cfg).unwrap();
         assert!(replay.records.iter().all(|(s, _)| *s > 20), "early records gone");
         assert!(replay.records.iter().any(|(s, _)| *s == 59), "recent records kept");

@@ -7,9 +7,9 @@
 //! pacemaker view, prepared certificate, and committed ledger to rejoin
 //! safely. This crate provides exactly that, std-only:
 //!
-//! * [`journal`] — an append-only segmented WAL with length+CRC-framed
-//!   records ([`JournalRecord`], encoded with the `hs1-types`
-//!   wire codec), fsync batching, and segment rotation.
+//! * `journal` — [`Journal`], an append-only segmented WAL with
+//!   length+CRC-framed records ([`JournalRecord`], encoded with the
+//!   `hs1-types` wire codec), fsync batching, and segment rotation.
 //! * `checkpoint` — serialized `KvStore` images + committed chain +
 //!   consensus position; journal segments behind a durable checkpoint are
 //!   truncated.
@@ -18,11 +18,13 @@
 //!   time as *speculation* (never as committed state).
 //! * `replica_store` — [`ReplicaStorage`], the
 //!   [`hs1_core::Persistence`] implementation a durable replica installs.
+//! * `disk` — [`Disk`], the only way the above reach files: the host's
+//!   file system, or a disk in memory for the simulator's crash-restarts.
 //!
 //! Wiring (see `hs1-net`'s node runner and the `crash_recovery` example):
 //!
 //! ```no_run
-//! use hs1_storage::{ReplicaStorage, StorageConfig};
+//! use hs1_storage::{Disk, ReplicaStorage, StorageConfig};
 //! # let mut engine = hs1_core::build_replica(
 //! #     hs1_types::ProtocolKind::HotStuff1,
 //! #     hs1_types::SystemConfig::new(4),
@@ -30,7 +32,8 @@
 //! #     hs1_core::Fault::Honest,
 //! #     hs1_ledger::ExecConfig::default(),
 //! # );
-//! let (state, storage) = ReplicaStorage::open("replica-0.wal", StorageConfig::default())?;
+//! let (state, storage) =
+//!     ReplicaStorage::open(&Disk::default(), "replica-0.wal", StorageConfig::default())?;
 //! engine.restore(state);                       // replay first...
 //! engine.set_persistence(Box::new(storage));   // ...then go durable
 //! # Ok::<(), hs1_storage::StorageError>(())
@@ -40,15 +43,18 @@
 #![warn(unreachable_pub)]
 
 mod checkpoint;
-pub mod crc32;
-pub mod journal;
+mod crc32;
+mod disk;
+mod journal;
 mod record;
 mod recovery;
 mod replica_store;
 pub mod testutil;
 
 pub use checkpoint::Checkpoint;
-pub use journal::{Journal, JournalConfig, SyncPolicy};
+pub use crc32::crc32;
+pub use disk::Disk;
+pub use journal::{Journal, JournalConfig, Replay, SyncPolicy, SEGMENT_MAGIC};
 pub use record::JournalRecord;
 pub use recovery::{recover, RecoveryInfo};
 pub use replica_store::{ReplicaStorage, StorageConfig};

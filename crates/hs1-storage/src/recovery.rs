@@ -21,6 +21,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::checkpoint::Checkpoint;
+use crate::disk::Disk;
 use crate::journal::{Journal, JournalConfig};
 use crate::record::JournalRecord;
 use crate::StorageError;
@@ -56,7 +57,7 @@ pub struct Recovered {
     pub log: CommittedLog,
 }
 
-/// Run recovery over `dir`: load the newest valid checkpoint, then
+/// Run recovery over `dir` on `disk`: load the newest valid checkpoint, then
 /// *stream* the journal through the fold (truncating a torn tail in
 /// place) into a [`RecoveredState`].
 ///
@@ -66,9 +67,9 @@ pub struct Recovered {
 /// applied. Peak memory is the active segment buffer plus what the
 /// recovered state itself must hold (post-checkpoint decided bodies and
 /// the live speculation stack) — not O(journal length).
-pub fn recover(dir: &Path, cfg: JournalConfig) -> Result<Recovered, StorageError> {
-    std::fs::create_dir_all(dir)?;
-    let checkpoint = Checkpoint::load_latest(dir)?;
+pub fn recover(disk: &Disk, dir: &Path, cfg: JournalConfig) -> Result<Recovered, StorageError> {
+    disk.create_dir_all(dir)?;
+    let checkpoint = Checkpoint::load_latest(disk, dir)?;
 
     // Continuity rule: the surviving journal must begin inside the
     // checkpoint's coverage (or at seq 0 with no checkpoint). A gap means
@@ -101,7 +102,7 @@ pub fn recover(dir: &Path, cfg: JournalConfig) -> Result<Recovered, StorageError
 
     let mut spec: Vec<Arc<Block>> = Vec::new();
     let mut first_seq: Option<u64> = None;
-    let (journal, stats) = Journal::open_streaming(dir, cfg, &mut |seq, rec| {
+    let (journal, stats) = Journal::open_streaming(disk, dir, cfg, &mut |seq, rec| {
         if first_seq.is_none() {
             first_seq = Some(seq);
             if seq > covered_through {
@@ -180,7 +181,7 @@ mod tests {
     #[test]
     fn empty_dir_recovers_empty_state() {
         let tmp = TempDir::new("recovery-empty");
-        let r = recover(tmp.path(), cfg()).unwrap();
+        let r = recover(&Disk::default(), tmp.path(), cfg()).unwrap();
         assert!(r.state.is_empty());
         assert_eq!(r.info.replayed_records, 0);
     }
@@ -194,7 +195,7 @@ mod tests {
             j.append(&JournalRecord::SpecMark(b1.clone())).unwrap();
             j.append(&JournalRecord::Decided(b1.clone())).unwrap();
         }
-        let r = recover(tmp.path(), cfg()).unwrap();
+        let r = recover(&Disk::default(), tmp.path(), cfg()).unwrap();
         assert_eq!(r.state.decided.len(), 1);
         assert!(r.state.speculated.is_empty(), "decided block left the overlay stack");
     }
@@ -209,7 +210,7 @@ mod tests {
             j.append(&JournalRecord::Decided(b1.clone())).unwrap();
             j.append(&JournalRecord::SpecMark(b2.clone())).unwrap();
         }
-        let r = recover(tmp.path(), cfg()).unwrap();
+        let r = recover(&Disk::default(), tmp.path(), cfg()).unwrap();
         assert_eq!(r.state.decided.len(), 1);
         assert_eq!(r.state.speculated.len(), 1);
         assert_eq!(r.state.speculated[0].id(), b2.id());
@@ -224,7 +225,7 @@ mod tests {
             j.append(&JournalRecord::SpecMark(b1.clone())).unwrap();
             j.append(&JournalRecord::SpecRollback { blocks: 1 }).unwrap();
         }
-        let r = recover(tmp.path(), cfg()).unwrap();
+        let r = recover(&Disk::default(), tmp.path(), cfg()).unwrap();
         assert!(r.state.speculated.is_empty());
         assert!(r.state.decided.is_empty());
     }
@@ -241,7 +242,7 @@ mod tests {
             // rolled the overlay back without a SpecRollback record.
             j.append(&JournalRecord::Decided(b2.clone())).unwrap();
         }
-        let r = recover(tmp.path(), cfg()).unwrap();
+        let r = recover(&Disk::default(), tmp.path(), cfg()).unwrap();
         assert!(r.state.speculated.is_empty(), "conflicting commit cleared speculation");
         assert_eq!(r.state.decided.len(), 1);
     }
@@ -255,7 +256,7 @@ mod tests {
             j.append(&JournalRecord::ViewChange(View(3))).unwrap();
             j.append(&JournalRecord::Cert(Certificate::genesis())).unwrap();
         }
-        let r = recover(tmp.path(), cfg()).unwrap();
+        let r = recover(&Disk::default(), tmp.path(), cfg()).unwrap();
         assert_eq!(r.state.view, View(5));
         assert_eq!(r.state.high_cert, Some(Certificate::genesis()));
     }

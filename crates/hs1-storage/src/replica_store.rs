@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::checkpoint::Checkpoint;
+use crate::disk::Disk;
 use crate::journal::{Journal, JournalConfig};
 use crate::record::JournalRecord;
 use crate::recovery::{recover, RecoveryInfo};
@@ -40,6 +41,7 @@ impl Default for StorageConfig {
 
 /// Journal + checkpoint storage for one replica.
 pub struct ReplicaStorage {
+    disk: Disk,
     dir: PathBuf,
     journal: Journal,
     checkpoint_every: u64,
@@ -71,18 +73,20 @@ pub struct ReplicaStorage {
 }
 
 impl ReplicaStorage {
-    /// Open `dir`, running recovery. Returns the state to feed
+    /// Open `dir` on `disk`, running recovery. Returns the state to feed
     /// [`hs1_core::Replica::restore`] (call it *before*
     /// `set_persistence`, so the replay is not re-journaled) and the
     /// storage to install afterwards.
     pub fn open(
+        disk: &Disk,
         dir: impl Into<PathBuf>,
         cfg: StorageConfig,
     ) -> Result<(RecoveredState, ReplicaStorage), StorageError> {
         let dir = dir.into();
-        let recovered = recover(&dir, cfg.journal)?;
+        let recovered = recover(disk, &dir, cfg.journal)?;
         let next = recovered.journal.next_seq();
         let storage = ReplicaStorage {
+            disk: disk.clone(),
             dir,
             journal: recovered.journal,
             checkpoint_every: cfg.checkpoint_every,
@@ -185,7 +189,7 @@ impl ReplicaStorage {
             chain_len: self.log.len() as u64,
             state_root: ckpt.state_root,
         };
-        match ckpt.write(&self.dir) {
+        match ckpt.write(&self.disk, &self.dir) {
             Ok(_) => {
                 self.append(mark);
                 let _ = self.journal.sync();
@@ -292,6 +296,7 @@ mod tests {
     use crate::journal::SyncPolicy;
     use crate::testutil::TempDir;
     use hs1_types::{ReplicaId, Slot, Transaction};
+    use std::io::Write;
 
     fn chain_block(view: u64, parent: &Arc<Block>, tag: u64) -> Arc<Block> {
         let justify = Certificate {
@@ -317,7 +322,7 @@ mod tests {
             journal: JournalConfig { segment_bytes: 512, sync: SyncPolicy::Always },
             checkpoint_every: 4,
         };
-        let (state, mut storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+        let (state, mut storage) = ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
         assert!(state.is_empty());
 
         let mut store = KvStore::with_records(10);
@@ -340,7 +345,7 @@ mod tests {
 
         // Recovery starts from the newest checkpoint: 8 commits covered,
         // 2 replayed as decided bodies.
-        let (state, storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+        let (state, storage) = ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
         assert!(state.committed_store.is_some());
         assert_eq!(state.committed_log.len(), 9, "genesis + 8 checkpointed blocks");
         assert_eq!(state.committed_log.ids().collect::<Vec<_>>(), chain[..9]);
@@ -370,7 +375,8 @@ mod tests {
         let root = store.state_root();
 
         {
-            let (state, mut storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+            let (state, mut storage) =
+                ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
             assert!(state.is_empty(), "fresh dir");
             storage.install_snapshot(&store, &log, View(7), Some(Certificate::genesis()));
             assert_eq!(storage.checkpoints_written, 1);
@@ -378,7 +384,7 @@ mod tests {
             storage.on_view(View(8));
         }
 
-        let (state, storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+        let (state, storage) = ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
         assert!(storage.recovery_info.checkpoint_seq.is_some());
         assert_eq!(state.view, View(8));
         assert_eq!(state.committed_log, log);
@@ -397,7 +403,7 @@ mod tests {
             journal: JournalConfig { segment_bytes: 1 << 20, sync: SyncPolicy::Never },
             checkpoint_every: 2500,
         };
-        let (_, mut storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+        let (_, mut storage) = ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
         let store = KvStore::with_records(10);
         // The engine's window, as it prunes every 64 views.
         let mut engine = CommittedLog::new();
@@ -414,17 +420,19 @@ mod tests {
             if storage.wants_checkpoint() {
                 let window: Vec<BlockId> = engine.ids().collect();
                 storage.write_checkpoint(&store, &window);
-                let (_, newest) = checkpoint_files(tmp.path()).unwrap().pop().unwrap();
+                let (_, newest) =
+                    checkpoint_files(&Disk::default(), tmp.path()).unwrap().pop().unwrap();
                 sizes.push(std::fs::metadata(newest).unwrap().len());
             }
         }
         assert_eq!(sizes.len(), 4, "checkpoints at 2,500 to 10,000 commits: {sizes:?}");
         assert!(sizes.iter().all(|&s| s == sizes[0]), "{sizes:?}");
-        let ckpt =
-            Checkpoint::load_latest(tmp.path()).unwrap().expect("a checkpoint at 10,000 commits");
+        let ckpt = Checkpoint::load_latest(&Disk::default(), tmp.path())
+            .unwrap()
+            .expect("a checkpoint at 10,000 commits");
         assert_eq!((ckpt.log.len(), ckpt.log.ids().len()), (10_001, CommittedLog::KEEP));
         drop(storage);
-        let (state, storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+        let (state, storage) = ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
         assert_eq!(state.committed_log, ckpt.log);
         assert_eq!(state.decided.len(), 100);
         assert_eq!(storage.log.len(), 10_101);
@@ -438,16 +446,123 @@ mod tests {
             journal: JournalConfig { sync: SyncPolicy::Always, ..JournalConfig::default() },
             checkpoint_every: 0,
         };
-        let (_, mut storage) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+        let (_, mut storage) = ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
         let b1 = chain_block(1, &hs1_types::Block::genesis(), 1);
         storage.on_speculate(&b1);
         storage.on_commit(&b1);
         assert!(!storage.wants_checkpoint(), "checkpointing disabled");
         drop(storage);
 
-        let (state, _) = ReplicaStorage::open(tmp.path(), cfg).unwrap();
+        let (state, _) = ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
         assert!(state.committed_store.is_none());
         assert_eq!(state.decided.len(), 1);
         assert!(state.speculated.is_empty(), "spec promoted by the commit");
+    }
+
+    /// One replica storage's life on the host's file system and on a
+    /// memory disk, step for step: open, journal across segment
+    /// rotations, checkpoint and prune, drop with appends unsynced, then
+    /// reopen as is, after a torn tail, and after one flipped CRC byte.
+    /// After every step both disks hold the same files with the same
+    /// bytes, and every reopen recovers the same state.
+    #[test]
+    fn a_memory_disk_keeps_what_the_host_disk_keeps() {
+        let tmp = TempDir::new("rs-twin");
+        let disks = [(Disk::default(), tmp.path().to_path_buf()), (Disk::memory(), "r0".into())];
+        let cfg = StorageConfig {
+            journal: JournalConfig { segment_bytes: 512, sync: SyncPolicy::EveryN(8) },
+            checkpoint_every: 4,
+        };
+        // Each file's name and bytes, in name order.
+        let image = |(disk, dir): &(Disk, PathBuf)| -> Vec<(String, Vec<u8>)> {
+            let paths = disk.list(dir).unwrap();
+            let name = |p: &PathBuf| p.file_name().unwrap().to_str().unwrap().to_string();
+            paths.iter().map(|p| (name(p), disk.read(p).unwrap())).collect()
+        };
+        let reopen = |(disk, dir): &(Disk, PathBuf)| -> String {
+            let (state, storage) = ReplicaStorage::open(disk, dir, cfg).unwrap();
+            let ids = |blocks: &[Arc<Block>]| blocks.iter().map(|b| b.id()).collect::<Vec<_>>();
+            format!(
+                "{:?}",
+                (
+                    state.view,
+                    &state.high_cert,
+                    state.committed_store.as_ref().map(KvStore::state_root),
+                    &state.committed_log,
+                    ids(&state.decided),
+                    ids(&state.speculated),
+                    &storage.recovery_info,
+                )
+            )
+        };
+        // Rewrite the newest segment's bytes through `edit`.
+        let damage = |(disk, dir): &(Disk, PathBuf), edit: &dyn Fn(&mut Vec<u8>)| {
+            let (_, path) = crate::journal::segment_files(disk, dir).unwrap().pop().unwrap();
+            let mut bytes = disk.read(&path).unwrap();
+            edit(&mut bytes);
+            disk.create(&path).unwrap().write_all(&bytes).unwrap();
+        };
+
+        for at in &disks {
+            let (state, mut storage) = ReplicaStorage::open(&at.0, &at.1, cfg).unwrap();
+            assert!(state.is_empty());
+            let mut store = KvStore::with_records(16);
+            let mut chain = vec![hs1_types::Block::genesis_id()];
+            let mut parent = hs1_types::Block::genesis();
+            for i in 1..=10u64 {
+                let b = chain_block(i, &parent, i);
+                storage.on_view(View(i));
+                storage.on_speculate(&b);
+                storage.on_commit(&b);
+                store.put(i, i);
+                chain.push(b.id());
+                parent = b;
+                if storage.wants_checkpoint() {
+                    storage.write_checkpoint(&store, &chain);
+                }
+            }
+            assert_eq!(storage.checkpoints_written, 2);
+            // A commit into the fsync batch, and the process ends.
+            let fsyncs = storage.journal.fsyncs;
+            storage.on_commit(&chain_block(11, &parent, 11));
+            assert_eq!(storage.journal.fsyncs, fsyncs, "dropped mid-batch");
+        }
+        let [host, memory] = &disks;
+        let files = image(host);
+        assert_eq!(files, image(memory));
+        let names: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names.iter().filter(|n| n.starts_with("ckpt-")).count(), 1, "{names:?}");
+        assert!(names.iter().filter(|n| n.starts_with("wal-")).count() > 1, "{names:?}");
+        assert!(!names.contains(&"wal-000000000000.seg"), "pruned behind the checkpoint");
+
+        let clean = reopen(host);
+        assert_eq!(clean, reopen(memory));
+        assert_eq!(image(host), image(memory));
+
+        for at in &disks {
+            damage(at, &|bytes| bytes.truncate(bytes.len() - 3));
+        }
+        let torn = reopen(host);
+        assert_eq!(torn, reopen(memory));
+        assert_ne!(torn, clean, "the torn record is gone");
+        assert_eq!(image(host), image(memory));
+
+        // The CRC of the newest segment's last frame.
+        let flip = |bytes: &mut Vec<u8>| {
+            let mut last = crate::journal::SEGMENT_MAGIC.len();
+            let mut at = last;
+            while at < bytes.len() {
+                last = at;
+                at += 8 + u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            }
+            bytes[last + 4] ^= 0x01;
+        };
+        for at in &disks {
+            damage(at, &flip);
+        }
+        let flipped = reopen(host);
+        assert_eq!(flipped, reopen(memory));
+        assert_ne!(flipped, torn, "the record under the flipped CRC is gone");
+        assert_eq!(image(host), image(memory));
     }
 }

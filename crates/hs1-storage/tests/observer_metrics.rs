@@ -14,7 +14,7 @@ use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
 use hs1_obs::{Clock, Obs, RecordingObserver};
 use hs1_storage::testutil::TempDir;
-use hs1_storage::{JournalConfig, ReplicaStorage, StorageConfig, SyncPolicy};
+use hs1_storage::{Disk, JournalConfig, ReplicaStorage, StorageConfig, SyncPolicy};
 use hs1_types::{
     Block, Certificate, ProtocolKind, ReplicaId, SimDuration, Slot, SystemConfig, Transaction, View,
 };
@@ -48,7 +48,8 @@ fn txs(n: u64) -> Vec<Transaction> {
 fn run_observed_cluster(dir: &Path, obs: &Obs, observer_first: bool) {
     let c = cfg(4);
     let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i)).collect();
-    let (state, storage) = ReplicaStorage::open(dir, scfg()).expect("open storage");
+    let (state, storage) =
+        ReplicaStorage::open(&Disk::default(), dir, scfg()).expect("open storage");
     assert!(state.is_empty(), "fresh directory");
     if observer_first {
         engines[0].set_observer(obs.clone());
@@ -105,7 +106,8 @@ fn journal_counters_stay_monotone_across_crash_restart_reattachment() {
     // Phase 2: crash-restart — recover the same directory and re-attach
     // the SAME observer, then journal a little more.
     {
-        let (state, mut storage) = ReplicaStorage::open(tmp.path(), scfg()).expect("recover");
+        let (state, mut storage) =
+            ReplicaStorage::open(&Disk::default(), tmp.path(), scfg()).expect("recover");
         assert!(!state.is_empty(), "recovery saw phase 1's journal");
         storage.set_observer(obs.clone());
         let block = Arc::new(Block::new(

@@ -15,10 +15,10 @@ use hs1_core::testkit::TestNet;
 use hs1_core::Fault;
 use hs1_core::{build_replica, Replica};
 use hs1_ledger::{ExecConfig, KvStore};
-use hs1_storage::journal::SEGMENT_MAGIC;
 use hs1_storage::testutil::TempDir;
+use hs1_storage::SEGMENT_MAGIC;
 use hs1_storage::{
-    recover, JournalConfig, JournalRecord, ReplicaStorage, StorageConfig, SyncPolicy,
+    recover, Disk, JournalConfig, JournalRecord, ReplicaStorage, StorageConfig, SyncPolicy,
 };
 use hs1_types::{
     Block, Certificate, CommittedLog, ProtocolKind, ReplicaId, SimDuration, Slot, SystemConfig,
@@ -56,7 +56,8 @@ fn run_durable_cluster(
 ) -> (CommittedLog, hs1_crypto::Digest, hs1_crypto::Digest) {
     let c = cfg(4);
     let mut engines: Vec<Box<dyn Replica>> = (0..4).map(|i| hs1_engine(&c, i)).collect();
-    let (state, storage) = ReplicaStorage::open(dir, storage_cfg).expect("open storage");
+    let (state, storage) =
+        ReplicaStorage::open(&Disk::default(), dir, storage_cfg).expect("open storage");
     assert!(state.is_empty(), "fresh directory");
     engines[0].set_persistence(Box::new(storage));
 
@@ -78,7 +79,8 @@ fn run_durable_cluster(
 }
 
 fn recovered_engine(dir: &Path, storage_cfg: StorageConfig) -> (Box<dyn Replica>, ReplicaStorage) {
-    let (state, storage) = ReplicaStorage::open(dir, storage_cfg).expect("recover");
+    let (state, storage) =
+        ReplicaStorage::open(&Disk::default(), dir, storage_cfg).expect("recover");
     let mut engine = hs1_engine(&cfg(4), 0);
     engine.restore(state);
     (engine, storage)
@@ -138,7 +140,8 @@ fn speculated_but_undecided_suffix_recovers_as_speculation() {
     // The run itself usually ends with a live overlay (the head block's
     // successor speculated but not yet decided); measure the baseline.
     let baseline = {
-        let (_, storage) = ReplicaStorage::open(tmp.path(), storage_cfg).expect("open");
+        let (_, storage) =
+            ReplicaStorage::open(&Disk::default(), tmp.path(), storage_cfg).expect("open");
         storage.recovery_info.speculated_blocks
     };
 
@@ -159,7 +162,8 @@ fn speculated_but_undecided_suffix_recovers_as_speculation() {
         txs(4),
     ));
     {
-        let (_, mut storage) = ReplicaStorage::open(tmp.path(), storage_cfg).expect("open");
+        let (_, mut storage) =
+            ReplicaStorage::open(&Disk::default(), tmp.path(), storage_cfg).expect("open");
         storage.on_speculate(&spec_block);
     }
 
@@ -225,7 +229,8 @@ fn crash_point_after_every_record_type() {
         txs(3),
     ));
     {
-        let (_, mut storage) = ReplicaStorage::open(base.path(), storage_cfg).expect("open");
+        let (_, mut storage) =
+            ReplicaStorage::open(&Disk::default(), base.path(), storage_cfg).expect("open");
         // One of each record type, in a protocol-plausible order:
         storage.on_view(View(1)); //                        ViewChange
         storage.on_cert(&Certificate::genesis()); //        Cert
@@ -255,9 +260,12 @@ fn crash_point_after_every_record_type() {
             }
         }
 
-        let r =
-            recover(dir.path(), JournalConfig { sync: SyncPolicy::Never, segment_bytes: 1 << 20 })
-                .unwrap_or_else(|e| panic!("recovery failed at cut {k} (offset {cut}): {e}"));
+        let r = recover(
+            &Disk::default(),
+            dir.path(),
+            JournalConfig { sync: SyncPolicy::Never, segment_bytes: 1 << 20 },
+        )
+        .unwrap_or_else(|e| panic!("recovery failed at cut {k} (offset {cut}): {e}"));
         let decided: Vec<_> = r.state.decided.iter().map(|b| b.id()).collect();
         // Invariants at every crash point:
         // 1. nothing decided is still speculative;
@@ -297,7 +305,7 @@ fn torn_tail_at_arbitrary_offsets_recovers_prefix() {
     for cut in (SEGMENT_MAGIC.len() as u64 + 1)..full.len() as u64 {
         let dir = TempDir::new("it-torn-cut");
         fs::write(dir.path().join("wal-000000000000.seg"), &full[..cut as usize]).unwrap();
-        let r = recover(dir.path(), jcfg).unwrap();
+        let r = recover(&Disk::default(), dir.path(), jcfg).unwrap();
         let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
         assert_eq!(
             r.state.view,
@@ -325,7 +333,8 @@ fn missing_checkpoint_behind_pruned_journal_is_rejected() {
         checkpoint_every: 4,
     };
     {
-        let (_, mut storage) = ReplicaStorage::open(tmp.path(), storage_cfg).expect("open");
+        let (_, mut storage) =
+            ReplicaStorage::open(&Disk::default(), tmp.path(), storage_cfg).expect("open");
         let mut store = KvStore::with_records(4);
         let mut chain = vec![Block::genesis_id()];
         let mut parent = Block::genesis();
@@ -375,8 +384,12 @@ fn missing_checkpoint_behind_pruned_journal_is_rejected() {
             fs::remove_file(p).unwrap();
         }
     }
-    let err = recover(tmp.path(), JournalConfig { sync: SyncPolicy::Never, segment_bytes: 256 })
-        .unwrap_err();
+    let err = recover(
+        &Disk::default(),
+        tmp.path(),
+        JournalConfig { sync: SyncPolicy::Never, segment_bytes: 256 },
+    )
+    .unwrap_err();
     assert!(
         matches!(
             &err,
@@ -418,7 +431,7 @@ fn corrupted_crc_in_sealed_segment_is_rejected() {
     OpenOptions::new().write(true).open(sealed).unwrap();
     fs::write(sealed, &bytes).unwrap();
 
-    let err = recover(tmp.path(), jcfg).unwrap_err();
+    let err = recover(&Disk::default(), tmp.path(), jcfg).unwrap_err();
     assert!(
         matches!(err, hs1_storage::StorageError::Corrupt { .. }),
         "sealed-segment corruption must fail recovery, got: {err}"

@@ -11,7 +11,7 @@ use hotstuff1::ledger::KvStore;
 use hotstuff1::sim::{ProtocolKind, Scenario};
 use hotstuff1::statesync::{SnapshotServer, SyncClient, SyncConfig, SyncPhase};
 use hotstuff1::storage::testutil::TempDir;
-use hotstuff1::storage::Checkpoint;
+use hotstuff1::storage::{Checkpoint, Disk};
 use hotstuff1::types::{
     BlockId, Certificate, CommittedLog, Message, ReplicaId, SimDuration, SimTime, SystemConfig,
     View,
@@ -129,7 +129,7 @@ fn honest_server(tag: &str) -> (TempDir, SnapshotServer) {
     let tmp = TempDir::new(tag);
     let (store, log) = cluster_checkpoint();
     Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &log)
-        .write(tmp.path())
+        .write(&Disk::default(), tmp.path())
         .expect("write checkpoint");
     let server = SnapshotServer::new(tmp.path()).with_chunk_bytes(CHUNK);
     (tmp, server)
