@@ -44,6 +44,36 @@ pub fn responses(
     })
 }
 
+/// A finality quorum of matching responses.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Quorum {
+    /// `n − f` matching responses of any kind (HotStuff-1 variants only;
+    /// baselines never see a speculative response).
+    Matching,
+    /// `f + 1` matching committed responses.
+    Committed,
+}
+
+/// Which finality quorum, if any, a tally of `responses` matching
+/// responses, `committed` of them committed-kind, reaches for a client of
+/// `protocol` among `n` replicas tolerating `f`: the module's rule, stated
+/// once. The `n − f` quorum wins when both are reached.
+pub fn quorum_reached(
+    n: usize,
+    f: usize,
+    protocol: ProtocolKind,
+    responses: usize,
+    committed: usize,
+) -> Option<Quorum> {
+    if protocol.client_needs_nf_quorum() && responses >= n - f {
+        Some(Quorum::Matching)
+    } else if committed > f {
+        Some(Quorum::Committed)
+    } else {
+        None
+    }
+}
+
 /// Tally for one undecided transaction: responses keyed by (block,
 /// result digest) → (responders, committed-kind responders).
 type TxTally = HashMap<(BlockId, Digest), (Vec<ReplicaId>, usize)>;
@@ -71,11 +101,6 @@ impl FinalityTracker {
     /// completes a finality quorum — at most once per transaction,
     /// whatever arrives afterwards.
     pub fn on_response(&mut self, from: ReplicaId, r: &ResponseMsg) -> Option<(TxId, BlockId)> {
-        // n − f matching responses of any kind (HotStuff-1 variants only;
-        // baselines never see a speculative one), or f + 1 committed ones.
-        let spec_quorum = self.n - self.f;
-        let commit_quorum = self.f + 1;
-        let needs_nf = self.protocol.client_needs_nf_quorum();
         if self.is_final(r.tx) {
             return None;
         }
@@ -88,16 +113,10 @@ impl FinalityTracker {
         if r.kind == ReplyKind::Committed {
             entry.1 += 1;
         }
-        let total = entry.0.len();
-        let committed = entry.1;
-        let spec_ok = needs_nf && total >= spec_quorum;
-        let commit_ok = committed >= commit_quorum;
-        if spec_ok || commit_ok {
-            self.pending.remove(&r.tx);
-            self.decided.insert(r.tx);
-            return Some((r.tx, r.block));
-        }
-        None
+        quorum_reached(self.n, self.f, self.protocol, entry.0.len(), entry.1)?;
+        self.pending.remove(&r.tx);
+        self.decided.insert(r.tx);
+        Some((r.tx, r.block))
     }
 
     pub(crate) fn is_final(&self, tx: TxId) -> bool {

@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 
+use hs1_crypto::{Digest, Sha256};
+
 pub(crate) type Key = u64;
 pub(crate) type Value = u64;
 
@@ -85,23 +87,28 @@ impl KvStore {
     /// Writes that merely restate a key's initial value are excluded, so a
     /// store that was written and rolled back to pre-state hashes the same
     /// as one never touched.
-    pub fn state_root(&self) -> hs1_crypto::Digest {
-        let mut entries: Vec<(Key, Value)> = self
-            .map
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .filter(|&(k, v)| k >= self.record_count || v != initial_value(k))
-            .collect();
+    pub fn state_root(&self) -> Digest {
+        let mut entries: Vec<(Key, Value)> = self.materialized().collect();
         entries.sort_unstable();
-        let mut h = hs1_crypto::Sha256::new();
-        h.update(b"hs1-state-root");
-        h.update_u64(self.record_count);
-        for (k, v) in entries {
+        state_root(self.record_count, &entries)
+    }
+}
+
+/// [`KvStore::state_root`] of the store with `record_count` pre-loaded
+/// records and the materialized writes `sorted`, which must be in key
+/// order: a ledger image holds its writes so and needs no store built to
+/// hash them.
+pub fn state_root(record_count: u64, sorted: &[(Key, Value)]) -> Digest {
+    let mut h = Sha256::new();
+    h.update(b"hs1-state-root");
+    h.update_u64(record_count);
+    for &(k, v) in sorted {
+        if k >= record_count || v != initial_value(k) {
             h.update_u64(k);
             h.update_u64(v);
         }
-        h.finalize()
     }
+    h.finalize()
 }
 
 #[cfg(test)]

@@ -23,4 +23,4 @@ mod spec;
 pub mod tpcc;
 
 pub use exec::{ExecConfig, ExecutionEngine};
-pub use kv::KvStore;
+pub use kv::{state_root, KvStore};

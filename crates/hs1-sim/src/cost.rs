@@ -5,33 +5,6 @@
 use hs1_types::message::Message;
 use hs1_types::SimDuration;
 
-/// Durability cost term: what an `hs1-storage` journal `fsync` costs and
-/// on which path it sits. Defaults to zero/off, which keeps the
-/// calibrated figures (and determinism) of the no-disk model.
-///
-/// The two flags model the design choice the storage subsystem exposes;
-/// either one blocks the corresponding *client response* until the
-/// journal record is durable, and occupies the replica's CPU lane for the
-/// fsync:
-///
-/// * **fsync-on-commit** — the journal's `Decided` record is made durable
-///   before a committed-kind response leaves. Off the client's
-///   early-finality path in HotStuff-1 (the speculative response already
-///   left), but squarely on HotStuff/HotStuff-2's commit-response path.
-/// * **fsync-on-speculate** — the `SpecMark` record is made durable
-///   before the speculative response leaves (what
-///   `ReplicaStorage::on_speculate` does). This sits on HotStuff-1's
-///   early-finality path and is the honest price of durable speculation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DiskModel {
-    /// Latency of one journal fsync (NVMe ≈ 20–100 µs, SATA SSD ≈ 1 ms).
-    pub fsync: SimDuration,
-    /// Fsync the decided record on the commit path.
-    pub fsync_on_commit: bool,
-    /// Fsync the speculation mark before the speculative response.
-    pub fsync_on_speculate: bool,
-}
-
 /// Per-node resource costs.
 #[derive(Clone, Debug)]
 pub(crate) struct CostModel {
@@ -45,8 +18,6 @@ pub(crate) struct CostModel {
     pub per_tx_exec: SimDuration,
     /// CPU cost to hash/admit one transaction into a block.
     pub per_tx_hash: SimDuration,
-    /// Journal durability costs (zero by default).
-    pub disk: DiskModel,
 }
 
 impl Default for CostModel {
@@ -61,7 +32,6 @@ impl Default for CostModel {
             per_msg: SimDuration::from_micros(3),
             per_tx_exec: SimDuration::from_nanos(500),
             per_tx_hash: SimDuration::from_nanos(100),
-            disk: DiskModel::default(),
         }
     }
 }

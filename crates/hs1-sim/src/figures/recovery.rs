@@ -29,10 +29,11 @@ use hs1_core::persist::{Persistence, RecoveredState};
 use hs1_core::Fault;
 use hs1_core::{build_replica, Replica};
 use hs1_ledger::ExecConfig;
-use hs1_statesync::{SnapshotImage, SnapshotServer};
+use hs1_statesync::SnapshotServer;
 use hs1_storage::crc32;
 use hs1_storage::testutil::TempDir;
-use hs1_storage::{Disk, JournalConfig, ReplicaStorage, StorageConfig, SyncPolicy};
+use hs1_storage::{Disk, JournalConfig, LedgerImage, ReplicaStorage, StorageConfig, SyncPolicy};
+use hs1_types::codec::Decode;
 use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg};
 use hs1_types::{
     Block, BlockId, CertKind, Certificate, CommittedLog, Message, ReplicaId, Slot, SystemConfig,
@@ -156,7 +157,7 @@ fn snapshot_catchup_once(
         assert_eq!(crc32(&c.data), manifest.chunk_crcs[i as usize], "chunk CRC");
         buf.extend_from_slice(&c.data);
     }
-    let image = SnapshotImage::decode_payload(&buf).expect("image decodes");
+    let image = LedgerImage::decode_exact(&buf).expect("image decodes");
     assert_eq!(image.state_root, manifest.state_root, "assembled root matches manifest");
     let store = image.restore_store();
     let mut eng = engine();

@@ -47,7 +47,6 @@ mod scenario;
 pub mod sweep;
 
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosEventKind, ChaosPlan};
-pub use cost::DiskModel;
 pub use hs1_adversary::AdversaryStrategy;
 pub use hs1_types::ProtocolKind;
 pub use openloop::{ArrivalKind, OpenLoop};

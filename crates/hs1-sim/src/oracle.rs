@@ -4,7 +4,8 @@
 //! For every block, the oracle records when each replica's response (of
 //! either kind) *arrives at the client* — execution completion plus the
 //! replica's response NIC time plus the replica→client link delay — and
-//! applies the paper's quorum rules:
+//! applies the paper's quorum rule, as [`hs1_core::client::quorum_reached`]
+//! states it for clients:
 //!
 //! * HotStuff-1 family: finality at the `(n−f)`-th matching response, or
 //!   at the `(f+1)`-th committed-kind response, whichever is earlier (§3).
@@ -17,6 +18,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use hs1_core::client::{quorum_reached, Quorum};
 use hs1_crypto::Digest;
 use hs1_types::{BlockId, ProtocolKind, ReplicaId, ReplyKind, SimTime, TxId};
 
@@ -144,9 +146,6 @@ impl ClientOracle {
         if self.finalized_set.contains(&block) {
             return None;
         }
-        let nf = self.n - self.f;
-        let f1 = self.f + 1;
-        let needs_nf = self.protocol.client_needs_nf_quorum();
         let t = self.tallies.entry((block, digest)).or_default();
         if t.responders.contains(&from) {
             return None;
@@ -156,19 +155,20 @@ impl ClientOracle {
         if kind == ReplyKind::Committed {
             t.committed_arrivals.push(arrival);
         }
-        let spec_ok = needs_nf && t.arrivals.len() >= nf;
-        let commit_ok = t.committed_arrivals.len() >= f1;
-        if !(spec_ok || commit_ok) {
-            return None;
-        }
+        let reached = quorum_reached(
+            self.n,
+            self.f,
+            self.protocol,
+            t.arrivals.len(),
+            t.committed_arrivals.len(),
+        )?;
         // Finality is reached at the arrival completing the quorum — the
         // max over the quorum's arrival times (arrivals may be recorded
         // out of order across replicas).
         let t = self.tallies.remove(&(block, digest)).expect("tallied above");
-        let (mut quorum, k) = if commit_ok && (!spec_ok || !needs_nf) {
-            (t.committed_arrivals, f1)
-        } else {
-            (t.arrivals, nf)
+        let (mut quorum, k) = match reached {
+            Quorum::Matching => (t.arrivals, self.n - self.f),
+            Quorum::Committed => (t.committed_arrivals, self.f + 1),
         };
         quorum.sort_unstable();
         self.finalized_set.insert(block);

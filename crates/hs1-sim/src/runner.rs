@@ -337,17 +337,14 @@ impl SimRunner {
         if plan.skew.len() == self.n() {
             self.timer_rate = plan.skew.clone();
         }
-        self.note_adversaries(
-            &plan.adversaries.iter().map(|&(r, s)| (r as usize, s)).collect::<Vec<_>>(),
-        );
         for ev in &plan.events {
             self.push(ev.at, Ev::Chaos { kind: ev.kind.clone() });
         }
     }
 
-    /// Record which replicas lie (the scenario sets a mutator on each
-    /// one's shell). Overrides whatever the installed plan declared — the
-    /// scenario passes the merged plan + explicit set.
+    /// Record which replicas lie: the chaos plan's adversaries merged with
+    /// the scenario's own, each with a mutator on its shell. The one place
+    /// the count is set.
     pub(crate) fn note_adversaries(&mut self, set: &[(usize, AdversaryStrategy)]) {
         self.stats.chaos.adversaries = set.len() as u64;
     }
@@ -818,23 +815,9 @@ impl SimRunner {
             self.proposed.entry(block.id()).or_insert_with(|| block.clone());
         }
         let i = from.0 as usize;
-        // Durable deployments fsync the journal record (SpecMark or
-        // Decided, per policy) before the response may leave; the fsync
-        // also occupies the replica's CPU lane.
-        let fsync = match kind {
-            ReplyKind::Speculative if self.cost.disk.fsync_on_speculate => self.cost.disk.fsync,
-            ReplyKind::Committed if self.cost.disk.fsync_on_commit => self.cost.disk.fsync,
-            _ => SimDuration::ZERO,
-        };
-        let ready = if fsync > SimDuration::ZERO {
-            self.cpu_free[i] = self.now.max(self.cpu_free[i]) + fsync;
-            self.cpu_free[i]
-        } else {
-            self.now
-        };
         // Responses serialize through the replica's NIC.
         let bytes = block.txs.len() * RESPONSE_BYTES_PER_TX;
-        let start = ready.max(self.nic_free[i]);
+        let start = self.now.max(self.nic_free[i]);
         let done = start + self.cost.tx_time(bytes);
         self.nic_free[i] = done;
         let arrival = done + self.net.client_delay(from, &mut self.rng);

@@ -186,13 +186,6 @@ impl Scenario {
         self
     }
 
-    /// Model journal durability costs (fsync-on-commit vs
-    /// fsync-on-speculate; zero/off by default).
-    pub fn disk(mut self, d: crate::cost::DiskModel) -> Self {
-        self.cost.disk = d;
-        self
-    }
-
     /// Spread replicas uniformly over the first `count` paper regions.
     pub fn geo_regions(mut self, count: usize) -> Self {
         self.placement = Some(spread(self.n, count));

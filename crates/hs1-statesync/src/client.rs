@@ -20,13 +20,12 @@ use hs1_core::persist::RecoveredState;
 use hs1_core::replica::Replica;
 use hs1_crypto::{Digest, PublicKeyRegistry};
 use hs1_storage::crc32;
-use hs1_storage::ReplicaStorage;
+use hs1_storage::{LedgerImage, ReplicaStorage};
+use hs1_types::codec::Decode;
 use hs1_types::message::{
     SnapshotChunkMsg, SnapshotChunkReqMsg, SnapshotManifestMsg, SnapshotReqMsg,
 };
 use hs1_types::{Certificate, Message, ReplicaId, SimDuration, SimTime, SystemConfig, View};
-
-use crate::image::SnapshotImage;
 
 /// Tuning for one sync attempt.
 #[derive(Clone, Debug)]
@@ -114,7 +113,7 @@ pub enum SyncPhase {
 /// `ReplicaStorage::install_snapshot` need.
 #[derive(Clone, Debug)]
 pub struct SyncedState {
-    pub image: SnapshotImage,
+    pub image: LedgerImage,
     /// Re-entry view, derived from the highest *verified* certificate
     /// among the agreement group (never from an unverifiable manifest
     /// claim — a lying `view` could mute the replica forever).
@@ -129,12 +128,11 @@ impl SyncedState {
     /// engine refuses an image whose log does not extend its own; then
     /// the disk keeps its own history too. Returns whether it installed.
     pub(crate) fn install(self, engine: &mut dyn Replica, storage: &mut ReplicaStorage) -> bool {
-        let store = self.image.restore_store();
-        let log = self.image.log;
+        let log = &self.image.log;
         engine.restore(RecoveredState {
             view: self.view,
             high_cert: Some(self.high_cert.clone()),
-            committed_store: Some(store.clone()),
+            committed_store: Some(self.image.restore_store()),
             committed_log: log.clone(),
             decided: Vec::new(),
             speculated: Vec::new(),
@@ -142,7 +140,7 @@ impl SyncedState {
         if (engine.committed_len(), engine.committed_head()) != (log.len(), log.head()) {
             return false;
         }
-        storage.install_snapshot(&store, &log, self.view, Some(self.high_cert));
+        storage.install_snapshot(self.image, self.view, Some(self.high_cert));
         true
     }
 }
@@ -428,7 +426,7 @@ impl SyncClient {
     fn finish(&mut self, now: SimTime, out: &mut Vec<(ReplicaId, Message)>) {
         let dl = self.download.take().expect("download in progress");
         let m = &dl.manifest;
-        let verified = SnapshotImage::decode_payload(&dl.buf).ok().filter(|img| {
+        let verified = LedgerImage::decode_exact(&dl.buf).ok().filter(|img| {
             img.state_root == m.state_root
                 && img.log.len() as u64 == m.chain_len
                 && img.log.head() == m.chain_head
@@ -465,11 +463,12 @@ impl SyncClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::SnapshotServer;
+    use crate::server::{chunk, manifest, SnapshotServer};
     use hs1_crypto::KeyPair;
     use hs1_ledger::KvStore;
     use hs1_storage::testutil::TempDir;
     use hs1_storage::{Checkpoint, Disk};
+    use hs1_types::codec::Encode;
     use hs1_types::{BlockId, CertKind, CommittedLog, Slot};
     use std::collections::HashMap;
 
@@ -501,9 +500,10 @@ mod tests {
     fn honest_server(tag: &str) -> (TempDir, SnapshotServer) {
         let tmp = TempDir::new(tag);
         let (store, log) = cluster_checkpoint();
-        Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &log)
-            .write(&Disk::default(), tmp.path())
-            .expect("write checkpoint");
+        let image = LedgerImage::capture(&store, &log);
+        let high_cert = Some(Certificate::genesis());
+        let ckpt = Checkpoint { journal_seq: 100, view: View(30), high_cert, image };
+        ckpt.write(&Disk::default(), tmp.path()).expect("write checkpoint");
         let server = SnapshotServer::new(tmp.path()).with_chunk_bytes(CHUNK);
         (tmp, server)
     }
@@ -553,7 +553,7 @@ mod tests {
         assert_eq!(client.phase(), SyncPhase::Done);
         let synced = client.take_synced().expect("image");
         let (store, log) = cluster_checkpoint();
-        assert_eq!(synced.image.restore_store().state_root(), store.state_root());
+        assert_eq!(synced.image.state_root, store.state_root());
         assert_eq!(synced.image.log, log);
         assert!(client.stats.agreement_peers >= 2, "f+1 = 2 manifests agreed");
         assert_eq!(client.stats.rotations, 0);
@@ -606,11 +606,11 @@ mod tests {
         // colluders — outside the fault model — or a CRC collision; the
         // client still refuses to install.)
         let (store, log) = cluster_checkpoint();
-        let image = SnapshotImage::capture(&store, &log);
+        let image = LedgerImage::capture(&store, &log);
         let mut tampered = image.clone();
         tampered.entries[3].1 ^= 0xFF;
-        let payload = tampered.payload();
-        let mut manifest = tampered.manifest(&payload, CHUNK, View(30), Certificate::genesis());
+        let payload = tampered.encoded();
+        let mut manifest = manifest(&tampered, &payload, CHUNK, View(30), Certificate::genesis());
         manifest.state_root = image.state_root; // claim the honest root
 
         let peers = vec![ReplicaId(0), ReplicaId(1)];
@@ -636,8 +636,7 @@ mod tests {
             let Some((to, Message::SnapshotChunkReq(req))) = out.pop() else {
                 break;
             };
-            let chunk =
-                SnapshotImage::chunk(&payload, req.state_root, CHUNK, req.index).expect("chunk");
+            let chunk = chunk(&payload, req.state_root, CHUNK, req.index).expect("chunk");
             client.on_message(to, &Message::SnapshotChunk(chunk), now, &mut out);
         }
         assert_eq!(client.phase(), SyncPhase::Failed, "both lying peers exhausted");
@@ -655,10 +654,10 @@ mod tests {
         let mut other_head = CommittedLog::from_ids((1..29).map(BlockId::test));
         other_head.push(BlockId::test(77));
         for wrong in [longer, other_head] {
-            let image = SnapshotImage::capture(&store, &wrong);
-            let payload = image.payload();
-            let mut manifest = image.manifest(&payload, CHUNK, View(30), Certificate::genesis());
-            let honest = SnapshotImage::capture(&store, &log);
+            let image = LedgerImage::capture(&store, &wrong);
+            let payload = image.encoded();
+            let mut manifest = manifest(&image, &payload, CHUNK, View(30), Certificate::genesis());
+            let honest = LedgerImage::capture(&store, &log);
             (manifest.chain_len, manifest.chain_head) =
                 (honest.log.len() as u64, honest.log.head());
 
@@ -672,8 +671,7 @@ mod tests {
             assert_eq!(client.phase(), SyncPhase::Downloading);
             for _ in 0..manifest.chunk_count() * 2 + 2 {
                 let Some((to, Message::SnapshotChunkReq(req))) = out.pop() else { break };
-                let chunk = SnapshotImage::chunk(&payload, req.state_root, CHUNK, req.index)
-                    .expect("chunk");
+                let chunk = chunk(&payload, req.state_root, CHUNK, req.index).expect("chunk");
                 client.on_message(to, &Message::SnapshotChunk(chunk), now, &mut out);
             }
             assert_eq!(client.phase(), SyncPhase::Failed, "{:?}", wrong.len());
@@ -699,8 +697,8 @@ mod tests {
     #[test]
     fn reentry_certificate_does_not_depend_on_map_order() {
         let (store, log) = cluster_checkpoint();
-        let image = SnapshotImage::capture(&store, &log);
-        let payload = image.payload();
+        let image = LedgerImage::capture(&store, &log);
+        let payload = image.encoded();
         let block = BlockId::test(29);
         let certs = [
             signed_cert(View(5), block, &[0, 1, 2]),
@@ -713,7 +711,7 @@ mod tests {
             let mut client = SyncClient::new(sync_cfg(8), peers.to_vec(), 1);
             let mut out = Vec::new();
             for (peer, cert) in peers.iter().zip(&certs) {
-                let m = image.manifest(&payload, CHUNK, cert.view, cert.clone());
+                let m = manifest(&image, &payload, CHUNK, cert.view, cert.clone());
                 client.on_message(
                     *peer,
                     &Message::SnapshotManifest(Box::new(m)),
@@ -722,8 +720,7 @@ mod tests {
                 );
             }
             while let Some((to, Message::SnapshotChunkReq(req))) = out.pop() {
-                let chunk = SnapshotImage::chunk(&payload, req.state_root, CHUNK, req.index)
-                    .expect("chunk");
+                let chunk = chunk(&payload, req.state_root, CHUNK, req.index).expect("chunk");
                 client.on_message(to, &Message::SnapshotChunk(chunk), SimTime::ZERO, &mut out);
             }
             assert_eq!(client.phase(), SyncPhase::Done);

@@ -10,12 +10,17 @@
 //! length, and only the short residual suffix is replayed through the
 //! ordinary fetch path.
 //!
-//! * `image` — [`SnapshotImage`]: the chunked, CRC-indexed wire
-//!   form of a durable checkpoint (materialized KV entries + committed
-//!   chain ids).
-//! * `server` — [`SnapshotServer`]: serves manifests and chunks
-//!   derived from the newest `hs1-storage` checkpoint.
-//! * `client` — [`SyncClient`]: the requesting state machine.
+//! * `server` — [`SnapshotServer`]: serves the newest `hs1-storage`
+//!   checkpoint's [`hs1_storage::LedgerImage`] — its bytes as they sit
+//!   in the checkpoint file, between the consensus position and the
+//!   state root — as a manifest (one CRC32 per fixed-size chunk) and
+//!   chunks. Honest peers whose checkpoints cover one chain position
+//!   serve byte-identical payloads, which the agreement rule below and
+//!   cross-peer resumption rest on.
+//! * `client` — [`SyncClient`]: the requesting state machine. It decodes
+//!   the assembled payload with the image's one validating decoder, which
+//!   recomputes the state root, and installs the verified image as the
+//!   replica's checkpoint (`ReplicaStorage::install_snapshot`).
 //! * [`NodeShell`] — an engine with its storage, snapshot serving, state
 //!   sync and timer filter, stepped by the TCP node and the simulator
 //!   alike: the one place a `SyncClient` is driven.
@@ -42,40 +47,9 @@
 #![warn(unreachable_pub)]
 
 mod client;
-mod image;
 mod server;
 mod shell;
 
 pub use client::{SyncClient, SyncConfig, SyncPhase, SyncStats, SYNC_TICK};
-pub use image::SnapshotImage;
 pub use server::SnapshotServer;
 pub use shell::{NodeShell, SYNC_TIMER};
-
-use hs1_types::codec::CodecError;
-
-/// State-sync failure (always recoverable by rotating peers or falling
-/// back to per-block replay; nothing here is fail-stop).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SyncError {
-    /// The payload did not decode as a snapshot image.
-    Codec(CodecError),
-    /// The payload decoded but violated a structural invariant.
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for SyncError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SyncError::Codec(e) => write!(f, "snapshot payload codec error: {e}"),
-            SyncError::Malformed(detail) => write!(f, "malformed snapshot image: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for SyncError {}
-
-impl From<CodecError> for SyncError {
-    fn from(e: CodecError) -> Self {
-        SyncError::Codec(e)
-    }
-}

@@ -3,11 +3,16 @@
 
 use std::path::PathBuf;
 
-use hs1_storage::{Checkpoint, Disk};
-use hs1_types::message::SnapshotManifestMsg;
-use hs1_types::{Certificate, Message};
+use hs1_crypto::Digest;
+use hs1_storage::{crc32, Checkpoint, Disk, LedgerImage};
+use hs1_types::codec::Encode;
+use hs1_types::message::{SnapshotChunkMsg, SnapshotManifestMsg};
+use hs1_types::{Certificate, Message, View};
 
-use crate::image::{SnapshotImage, DEFAULT_CHUNK_BYTES};
+/// Default chunk size. Small enough that one chunk is far below the
+/// transport's frame and sequence limits, large enough that a
+/// multi-megabyte image takes tens of round trips, not thousands.
+const DEFAULT_CHUNK_BYTES: u32 = 256 * 1024;
 
 /// One prepared (chunked, CRC-indexed) snapshot.
 struct Served {
@@ -69,12 +74,8 @@ impl SnapshotServer {
                 if served.manifest.state_root != req.state_root {
                     return None; // stale download (checkpoint moved on)
                 }
-                let chunk = SnapshotImage::chunk(
-                    &served.payload,
-                    req.state_root,
-                    served.manifest.chunk_bytes,
-                    req.index,
-                )?;
+                let chunk =
+                    chunk(&served.payload, req.state_root, served.manifest.chunk_bytes, req.index)?;
                 Some(Message::SnapshotChunk(chunk))
             }
             _ => None,
@@ -92,30 +93,90 @@ impl SnapshotServer {
             return;
         }
         let Ok(Some(ckpt)) = Checkpoint::load_latest(&self.disk, &self.dir) else { return };
-        let image = SnapshotImage::from_checkpoint(&ckpt);
-        let payload = image.payload();
-        let high_cert = ckpt.high_cert.clone().unwrap_or_else(Certificate::genesis);
-        let manifest = image.manifest(&payload, self.chunk_bytes, ckpt.view, high_cert);
+        let payload = ckpt.image.encoded();
+        let high_cert = ckpt.high_cert.unwrap_or_else(Certificate::genesis);
+        let manifest = manifest(&ckpt.image, &payload, self.chunk_bytes, ckpt.view, high_cert);
         self.cache = Some(Served { ckpt_seq: ckpt.journal_seq, manifest, payload });
     }
+}
+
+/// The manifest of `payload`, the encoding of `image`, split into
+/// `chunk_bytes`-sized chunks (one CRC32 each) and annotated with the
+/// serving peer's consensus position.
+pub(crate) fn manifest(
+    image: &LedgerImage,
+    payload: &[u8],
+    chunk_bytes: u32,
+    view: View,
+    high_cert: Certificate,
+) -> SnapshotManifestMsg {
+    assert!(chunk_bytes > 0, "chunk size must be positive");
+    SnapshotManifestMsg {
+        chain_len: image.log.len() as u64,
+        chain_head: image.log.head(),
+        state_root: image.state_root,
+        record_count: image.record_count,
+        total_bytes: payload.len() as u64,
+        chunk_bytes,
+        chunk_crcs: payload.chunks(chunk_bytes as usize).map(crc32).collect(),
+        view,
+        high_cert,
+    }
+}
+
+/// Chunk `index` of `payload`, `None` past its end.
+pub(crate) fn chunk(
+    payload: &[u8],
+    state_root: Digest,
+    chunk_bytes: u32,
+    index: u32,
+) -> Option<SnapshotChunkMsg> {
+    let start = (index as usize).checked_mul(chunk_bytes as usize)?;
+    if start >= payload.len() {
+        return None;
+    }
+    let end = (start + chunk_bytes as usize).min(payload.len());
+    Some(SnapshotChunkMsg { state_root, index, data: payload[start..end].to_vec() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hs1_ledger::KvStore;
-    use hs1_storage::crc32;
     use hs1_storage::testutil::TempDir;
+    use hs1_types::codec::Decode;
     use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg};
-    use hs1_types::{BlockId, CommittedLog, View};
+    use hs1_types::{BlockId, CommittedLog};
 
     fn write_checkpoint(dir: &std::path::Path, seq: u64, tag: u64) -> Checkpoint {
         let mut store = KvStore::with_records(100);
         store.put(1, tag);
         let log = CommittedLog::from_ids([BlockId::test(tag)]);
-        let ckpt = Checkpoint::capture(seq, View(seq), None, &store, &log);
+        let image = LedgerImage::capture(&store, &log);
+        let ckpt = Checkpoint { journal_seq: seq, view: View(seq), high_cert: None, image };
         ckpt.write(&Disk::default(), dir).expect("write checkpoint");
         ckpt
+    }
+
+    #[test]
+    fn chunking_covers_payload_exactly() {
+        let mut store = KvStore::with_records(1000);
+        for k in 0..200u64 {
+            store.put(k * 3, k * k + 1);
+        }
+        let img = LedgerImage::capture(&store, &CommittedLog::from_ids((1..40).map(BlockId::test)));
+        let payload = img.encoded();
+        let m = manifest(&img, &payload, 100, View(1), Certificate::genesis());
+        assert!(m.well_formed());
+        assert_eq!(m.chunk_count() as u64, (payload.len() as u64).div_ceil(100));
+        let mut rebuilt = Vec::new();
+        for i in 0..m.chunk_count() {
+            let c = chunk(&payload, img.state_root, 100, i).expect("chunk");
+            assert_eq!(crc32(&c.data), m.chunk_crcs[i as usize], "chunk {i} CRC");
+            rebuilt.extend_from_slice(&c.data);
+        }
+        assert_eq!(rebuilt, payload);
+        assert!(chunk(&payload, img.state_root, 100, m.chunk_count()).is_none());
     }
 
     #[test]
@@ -145,7 +206,7 @@ mod tests {
             payload.extend_from_slice(&c.data);
         }
         assert_eq!(payload.len() as u64, m.total_bytes);
-        let image = SnapshotImage::decode_payload(&payload).expect("image");
+        let image = LedgerImage::decode_exact(&payload).expect("image");
         assert_eq!(image.state_root, m.state_root);
 
         // Out-of-range and stale-root requests go unanswered.
@@ -262,10 +323,7 @@ mod tests {
         let [a, b] = dirs.map(|d| {
             Checkpoint::load_latest(&Disk::default(), d.path()).unwrap().expect("checkpoint")
         });
-        assert_eq!(a.log.ids().len(), CommittedLog::KEEP);
-        assert_eq!(
-            SnapshotImage::from_checkpoint(&a).payload(),
-            SnapshotImage::from_checkpoint(&b).payload()
-        );
+        assert_eq!(a.image.log.ids().len(), CommittedLog::KEEP);
+        assert_eq!(a.image.encoded(), b.image.encoded());
     }
 }

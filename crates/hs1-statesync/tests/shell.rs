@@ -15,7 +15,7 @@ use hs1_ledger::{ExecConfig, KvStore};
 use hs1_statesync::{NodeShell, SnapshotServer, SyncConfig, SYNC_TICK, SYNC_TIMER};
 use hs1_storage::crc32;
 use hs1_storage::testutil::TempDir;
-use hs1_storage::{Checkpoint, Disk, StorageConfig};
+use hs1_storage::{Checkpoint, Disk, LedgerImage, StorageConfig};
 use hs1_types::cert::{domains, CertKind};
 use hs1_types::message::{SnapshotChunkReqMsg, SnapshotReqMsg, VoteInfo, VoteMsg};
 use hs1_types::{
@@ -82,9 +82,10 @@ fn checkpointed_dir(tag: &str) -> TempDir {
     for k in 0..50u64 {
         store.put(k, k * 7 + 1);
     }
-    Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &cluster_log())
-        .write(&Disk::default(), dir.path())
-        .expect("write checkpoint");
+    let image = LedgerImage::capture(&store, &cluster_log());
+    let high_cert = Some(Certificate::genesis());
+    let ckpt = Checkpoint { journal_seq: 100, view: View(30), high_cert, image };
+    ckpt.write(&Disk::default(), dir.path()).expect("write checkpoint");
     dir
 }
 

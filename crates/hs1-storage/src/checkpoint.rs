@@ -1,23 +1,19 @@
-//! Ledger checkpoints: a serialized [`KvStore`] image plus the committed
-//! log and consensus position, letting recovery skip journal replay of
-//! everything behind it (and the journal truncate its old segments).
+//! Ledger checkpoints: a [`LedgerImage`] at a consensus position, letting
+//! recovery skip journal replay of everything behind it (and the journal
+//! truncate its old segments).
 //!
-//! File layout: `ckpt-<journal_seq>.ckpt` containing
+//! File layout: `ckpt-<journal_seq>.ckpt`, the magic and one frame
+//! (`frame.rs`, as a journal record is framed):
 //!
 //! ```text
 //! [8-byte magic "HS1CKPT2"][u32 len][u32 crc32(payload)][payload]
 //! payload = [u64 journal_seq][u64 view][Option<Certificate> high_cert]
-//!           [u64 record_count][Vec<(u64,u64)> entries, key-sorted]
-//!           [CommittedLog: u64 len][Digest base][Vec<(BlockId, Digest)> window]
-//!           [Digest state_root]
+//!           [LedgerImage][Digest state_root]
 //! ```
 //!
-//! The log is O(window), not O(history): the chain's length, its running
-//! hash just below the window, and the window's ids, each with the hash
-//! after it. A replica's storage writes its newest `CommittedLog::KEEP`
-//! ids, so the window depends on the chain's height alone. A file whose
-//! log does not decode (empty, a window longer than the log, hashes that
-//! do not chain) is corrupt. No reader of the older magic is kept.
+//! The image's bytes are what state sync serves. A file whose frame or
+//! image does not read (see `image.rs`), or whose stored root is not the
+//! root of its entries, is corrupt. No reader of the older magic is kept.
 //!
 //! Writes go through a temp file + rename so a crash mid-checkpoint
 //! leaves either the old checkpoint or the new one, never a half file;
@@ -26,16 +22,19 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::crc32::crc32;
-use crate::disk::Disk;
+use crate::disk::{Disk, Numbered};
+use crate::frame::{put_frame, read_frame};
+use crate::image::LedgerImage;
 use crate::StorageError;
 use hs1_crypto::Digest;
-use hs1_ledger::KvStore;
 use hs1_types::codec::{CodecError, Decode, Encode, Reader};
-use hs1_types::{Certificate, CommittedLog, View};
+use hs1_types::{Certificate, View};
 
 /// Magic bytes opening every checkpoint file.
 pub(crate) const CHECKPOINT_MAGIC: [u8; 8] = *b"HS1CKPT2";
+
+/// Checkpoint files, numbered by the journal seq they cover.
+pub(crate) const CHECKPOINTS: Numbered = Numbered { prefix: "ckpt-", suffix: ".ckpt" };
 
 /// A durable snapshot of a replica's committed state.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -47,85 +46,44 @@ pub struct Checkpoint {
     pub view: View,
     /// Highest certificate adopted when the snapshot was taken.
     pub high_cert: Option<Certificate>,
-    /// Logical record count of the committed store.
-    pub record_count: u64,
-    /// Materialized writes, sorted by key (deterministic encoding).
-    pub entries: Vec<(u64, u64)>,
-    /// The committed chain the store is the state of.
-    pub log: CommittedLog,
-    /// `state_root()` of the committed store (integrity cross-check).
-    pub state_root: Digest,
+    /// The committed store and the chain it is the state of.
+    pub image: LedgerImage,
 }
 
-impl Checkpoint {
-    /// Snapshot `store` + `log` at consensus position (`view`,
-    /// `high_cert`), covering the journal through `journal_seq`.
-    pub fn capture(
-        journal_seq: u64,
-        view: View,
-        high_cert: Option<Certificate>,
-        store: &KvStore,
-        log: &CommittedLog,
-    ) -> Checkpoint {
-        let mut entries: Vec<(u64, u64)> = store.materialized().collect();
-        entries.sort_unstable();
-        Checkpoint {
-            journal_seq,
-            view,
-            high_cert,
-            record_count: store.record_count(),
-            entries,
-            log: log.clone(),
-            state_root: store.state_root(),
-        }
+impl Encode for Checkpoint {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.journal_seq.encode(out);
+        self.view.encode(out);
+        self.high_cert.encode(out);
+        self.image.encode(out);
+        self.image.state_root.encode(out);
     }
+}
 
-    /// Rebuild the committed store this checkpoint snapshotted.
-    pub(crate) fn restore_store(&self) -> KvStore {
-        KvStore::from_parts(self.record_count, self.entries.iter().copied())
-    }
-
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.journal_seq.encode(&mut out);
-        self.view.encode(&mut out);
-        self.high_cert.encode(&mut out);
-        self.record_count.encode(&mut out);
-        self.entries.encode(&mut out);
-        self.log.encode(&mut out);
-        self.state_root.encode(&mut out);
-        out
-    }
-
-    fn decode_payload(payload: &[u8]) -> Result<Checkpoint, CodecError> {
-        let mut r = Reader::new(payload);
+impl Decode for Checkpoint {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let ckpt = Checkpoint {
-            journal_seq: u64::decode(&mut r)?,
-            view: View::decode(&mut r)?,
-            high_cert: Option::decode(&mut r)?,
-            record_count: u64::decode(&mut r)?,
-            entries: Vec::decode(&mut r)?,
-            log: CommittedLog::decode(&mut r)?,
-            state_root: Digest::decode(&mut r)?,
+            journal_seq: u64::decode(r)?,
+            view: View::decode(r)?,
+            high_cert: Option::decode(r)?,
+            image: LedgerImage::decode(r)?,
         };
-        if r.remaining() != 0 {
-            return Err(CodecError::TrailingBytes { remaining: r.remaining() });
+        if Digest::decode(r)? != ckpt.image.state_root {
+            return Err(CodecError::Inconsistent { context: "Checkpoint.state_root" });
         }
         Ok(ckpt)
     }
+}
 
+impl Checkpoint {
     /// Durably write this checkpoint into `dir` on `disk` and delete older
     /// checkpoint files. Returns the final path.
     pub fn write(&self, disk: &Disk, dir: &Path) -> Result<PathBuf, StorageError> {
         disk.create_dir_all(dir)?;
-        let payload = self.encode_payload();
-        let mut bytes = Vec::with_capacity(payload.len() + 16);
-        bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-        bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_be_bytes());
-        bytes.extend_from_slice(&payload);
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        put_frame(&mut bytes, |out| self.encode(out));
 
-        let final_path = checkpoint_path(dir, self.journal_seq);
+        let final_path = CHECKPOINTS.path(dir, self.journal_seq);
         let tmp_path = final_path.with_extension("tmp");
         let mut f = disk.create(&tmp_path)?;
         f.write_all(&bytes)?;
@@ -137,7 +95,7 @@ impl Checkpoint {
         // loss could persist the unlinks but not the rename.
         disk.sync_dir(dir)?;
 
-        for (seq, path) in checkpoint_files(disk, dir)? {
+        for (seq, path) in CHECKPOINTS.list(disk, dir)? {
             if seq < self.journal_seq {
                 let _ = disk.remove(&path);
             }
@@ -153,23 +111,15 @@ impl Checkpoint {
             detail,
         };
         let bytes = disk.read(path)?;
-        if bytes.len() < 16 || bytes[..8] != CHECKPOINT_MAGIC {
+        if !bytes.starts_with(&CHECKPOINT_MAGIC) {
             return Err(corrupt("bad checkpoint magic"));
         }
-        let len = u32::from_be_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_be_bytes(bytes[12..16].try_into().expect("4 bytes"));
-        if bytes.len() != 16 + len {
-            return Err(corrupt("checkpoint length mismatch"));
+        let (payload, end) =
+            read_frame(&bytes, CHECKPOINT_MAGIC.len(), u32::MAX).map_err(corrupt)?;
+        if end != bytes.len() {
+            return Err(corrupt("trailing bytes after the frame"));
         }
-        let payload = &bytes[16..];
-        if crc32(payload) != crc {
-            return Err(corrupt("checkpoint CRC mismatch"));
-        }
-        let ckpt = Self::decode_payload(payload).map_err(|_| corrupt("undecodable checkpoint"))?;
-        if ckpt.restore_store().state_root() != ckpt.state_root {
-            return Err(corrupt("checkpoint state root mismatch"));
-        }
-        Ok(ckpt)
+        Checkpoint::decode_exact(payload).map_err(|_| corrupt("undecodable checkpoint"))
     }
 
     /// `journal_seq` of the newest checkpoint *file* in `dir` on `disk`, by name
@@ -177,15 +127,13 @@ impl Checkpoint {
     /// (e.g. the snapshot server) that would otherwise re-decode a
     /// multi-megabyte checkpoint just to learn nothing changed.
     pub fn latest_seq(disk: &Disk, dir: &Path) -> Result<Option<u64>, StorageError> {
-        Ok(checkpoint_files(disk, dir)?.last().map(|(seq, _)| *seq))
+        Ok(CHECKPOINTS.list(disk, dir)?.last().map(|(seq, _)| *seq))
     }
 
     /// Newest valid checkpoint in `dir` on `disk`, skipping corrupt ones
     /// (newest first). `None` when no valid checkpoint exists.
     pub fn load_latest(disk: &Disk, dir: &Path) -> Result<Option<Checkpoint>, StorageError> {
-        let mut files = checkpoint_files(disk, dir)?;
-        files.reverse(); // newest first
-        for (_, path) in files {
+        for (_, path) in CHECKPOINTS.list(disk, dir)?.into_iter().rev() {
             match Checkpoint::read(disk, &path) {
                 Ok(ckpt) => return Ok(Some(ckpt)),
                 Err(StorageError::Corrupt { .. }) => continue,
@@ -196,32 +144,12 @@ impl Checkpoint {
     }
 }
 
-fn checkpoint_path(dir: &Path, journal_seq: u64) -> PathBuf {
-    dir.join(format!("ckpt-{journal_seq:012}.ckpt"))
-}
-
-/// Checkpoint files in `dir`, sorted oldest first.
-pub(crate) fn checkpoint_files(
-    disk: &Disk,
-    dir: &Path,
-) -> Result<Vec<(u64, PathBuf)>, StorageError> {
-    let mut out = Vec::new();
-    for path in disk.list(dir)? {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        if let Some(seq) = name.strip_prefix("ckpt-").and_then(|s| s.strip_suffix(".ckpt")) {
-            if let Ok(seq) = seq.parse::<u64>() {
-                out.push((seq, path));
-            }
-        }
-    }
-    out.sort_unstable_by_key(|(seq, _)| *seq);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::TempDir;
+    use hs1_ledger::KvStore;
+    use hs1_types::CommittedLog;
     use std::fs;
 
     fn sample(journal_seq: u64) -> Checkpoint {
@@ -230,7 +158,8 @@ mod tests {
         store.put(3, 42);
         let mut log = CommittedLog::from_ids((1..40).map(hs1_types::BlockId::test));
         log.trim(8);
-        Checkpoint::capture(journal_seq, View(9), Some(Certificate::genesis()), &store, &log)
+        let image = LedgerImage::capture(&store, &log);
+        Checkpoint { journal_seq, view: View(9), high_cert: Some(Certificate::genesis()), image }
     }
 
     #[test]
@@ -240,10 +169,10 @@ mod tests {
         let path = ckpt.write(&Disk::default(), tmp.path()).unwrap();
         let back = Checkpoint::read(&Disk::default(), &path).unwrap();
         assert_eq!(back, ckpt);
-        let store = back.restore_store();
+        let store = back.image.restore_store();
         assert_eq!(store.get(3), Some(42));
         assert_eq!(store.get(7), Some(700));
-        assert_eq!(store.state_root(), ckpt.state_root);
+        assert_eq!(store.state_root(), ckpt.image.state_root);
     }
 
     #[test]
@@ -251,7 +180,7 @@ mod tests {
         let tmp = TempDir::new("ckpt-replace");
         sample(10).write(&Disk::default(), tmp.path()).unwrap();
         sample(20).write(&Disk::default(), tmp.path()).unwrap();
-        let files = checkpoint_files(&Disk::default(), tmp.path()).unwrap();
+        let files = CHECKPOINTS.list(&Disk::default(), tmp.path()).unwrap();
         assert_eq!(files.len(), 1, "older checkpoint deleted");
         let latest = Checkpoint::load_latest(&Disk::default(), tmp.path()).unwrap().unwrap();
         assert_eq!(latest.journal_seq, 20);
@@ -278,16 +207,14 @@ mod tests {
         assert_eq!(latest.journal_seq, 10);
     }
 
-    /// A file whose CRC is right but whose log is hostile: empty, a window
-    /// longer than the log, or hashes that do not chain from the base.
     #[test]
     fn hostile_logs_are_rejected_on_read() {
         let tmp = TempDir::new("ckpt-hostile");
         let ckpt = sample(5);
-        let payload = ckpt.encode_payload();
-        // The log is followed only by the 32-byte state root.
-        let log_at = payload.len() - 32 - ckpt.log.encoded().len();
-        let window_len = ckpt.log.ids().len() as u64;
+        let payload = ckpt.encoded();
+        // The image's log is followed only by the 32-byte state root.
+        let log_at = payload.len() - 32 - ckpt.image.log.encoded().len();
+        let window_len = ckpt.image.log.ids().len() as u64;
         let patch = |at: usize, bytes: &[u8]| {
             let mut p = payload.clone();
             p[at..at + bytes.len()].copy_from_slice(bytes);
@@ -299,11 +226,16 @@ mod tests {
             ("base that does not chain", patch(log_at + 8, &[0xAB; 4])),
             ("entry hash that does not chain", patch(log_at + 48 + 3 * 64 + 40, &[0xAB; 4])),
         ] {
+            assert!(
+                matches!(
+                    Checkpoint::decode_exact(&bad),
+                    Err(CodecError::Inconsistent { context }) if context.starts_with("CommittedLog.")
+                ),
+                "{what}: the log is what fails"
+            );
             let mut bytes = CHECKPOINT_MAGIC.to_vec();
-            bytes.extend_from_slice(&(bad.len() as u32).to_be_bytes());
-            bytes.extend_from_slice(&crc32(&bad).to_be_bytes());
-            bytes.extend_from_slice(&bad);
-            let path = tmp.path().join("ckpt-000000000005.ckpt");
+            put_frame(&mut bytes, |out| out.extend_from_slice(&bad));
+            let path = CHECKPOINTS.path(tmp.path(), 5);
             fs::write(&path, &bytes).unwrap();
             assert!(
                 matches!(

@@ -6,9 +6,9 @@
 //! on) or a disk in memory, which the simulator gives each replica it
 //! crashes and restarts. The memory disk keeps every byte written, unsynced
 //! ones included, as the host's page cache keeps them across a process
-//! crash; an `fsync` on it is a no-op, and the simulator prices one with
-//! its cost model instead. It logs no operations, so it cannot lose the
-//! bytes a power cut would lose.
+//! crash; an `fsync` on it is a no-op, and the simulator charges nothing
+//! for one. It logs no operations, so it cannot lose the bytes a power
+//! cut would lose.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -146,6 +146,35 @@ impl Disk {
             None => File::open(dir)?.sync_all(),
             Some(_) => Ok(()),
         }
+    }
+}
+
+/// A kind of file named by a sequence number:
+/// `<prefix><seq, 12 digits><suffix>`. Journal segments and checkpoints
+/// are two.
+pub(crate) struct Numbered {
+    pub(crate) prefix: &'static str,
+    pub(crate) suffix: &'static str,
+}
+
+impl Numbered {
+    /// The file numbered `seq` in `dir`.
+    pub(crate) fn path(&self, dir: &Path, seq: u64) -> PathBuf {
+        dir.join(format!("{}{seq:012}{}", self.prefix, self.suffix))
+    }
+
+    /// The files of this kind in `dir` on `disk`, by number, lowest first.
+    pub(crate) fn list(&self, disk: &Disk, dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+        let mut out = Vec::new();
+        for path in disk.list(dir)? {
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
+            let number = name.strip_prefix(self.prefix).and_then(|s| s.strip_suffix(self.suffix));
+            if let Some(Ok(seq)) = number.map(str::parse::<u64>) {
+                out.push((seq, path));
+            }
+        }
+        out.sort_unstable_by_key(|(seq, _)| *seq);
+        Ok(out)
     }
 }
 

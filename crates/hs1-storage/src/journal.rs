@@ -8,7 +8,8 @@
 //! wal-000000000417.seg     segment whose first record has seq 417
 //! ```
 //!
-//! Each segment starts with an 8-byte magic, followed by frames:
+//! Each segment starts with an 8-byte magic, followed by frames
+//! (`frame.rs`, as a checkpoint file holds one):
 //!
 //! ```text
 //! [u32 len][u32 crc32(payload)][payload = JournalRecord encoding]
@@ -27,14 +28,17 @@
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::crc32::crc32;
-use crate::disk::{Disk, DiskFile};
+use crate::disk::{Disk, DiskFile, Numbered};
+use crate::frame::{put_frame, read_frame};
 use crate::record::JournalRecord;
 use crate::StorageError;
 use hs1_types::codec::{Decode, Encode};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"HS1WAL01";
+
+/// Segment files, numbered by the seq of their first record.
+pub(crate) const SEGMENTS: Numbered = Numbered { prefix: "wal-", suffix: ".seg" };
 
 /// Largest frame recovery will accept (matches the codec's own sequence
 /// sanity limit; a frame beyond this is corruption, not data).
@@ -135,9 +139,9 @@ impl Journal {
         sink: &mut ReplaySink<'_>,
     ) -> Result<(Journal, ReplayStats), StorageError> {
         disk.create_dir_all(dir)?;
-        let mut segments = segment_files(disk, dir)?;
+        let mut segments = SEGMENTS.list(disk, dir)?;
         if segments.is_empty() {
-            let path = segment_path(dir, 0);
+            let path = SEGMENTS.path(dir, 0);
             new_segment(disk, &path)?;
             disk.sync_dir(dir)?;
             segments.push((0, path));
@@ -174,11 +178,8 @@ impl Journal {
 
     /// Append one record; returns its sequence number.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<u64, StorageError> {
-        let payload = rec.encoded();
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_be_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        put_frame(&mut frame, |out| rec.encode(out));
         self.writer.write_all(&frame)?;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -210,7 +211,7 @@ impl Journal {
     /// Delete every non-active segment whose records all have
     /// `seq <= upto` (they are covered by a durable checkpoint).
     pub(crate) fn prune_upto(&mut self, upto: u64) -> Result<usize, StorageError> {
-        let segments = segment_files(&self.disk, &self.dir)?;
+        let segments = SEGMENTS.list(&self.disk, &self.dir)?;
         let mut removed = 0;
         // Segment i covers [start_i, start_{i+1}); the last (active)
         // segment is never deleted.
@@ -227,7 +228,7 @@ impl Journal {
 
     fn rotate(&mut self) -> Result<(), StorageError> {
         self.sync()?;
-        let path = segment_path(&self.dir, self.next_seq);
+        let path = SEGMENTS.path(&self.dir, self.next_seq);
         new_segment(&self.disk, &path)?;
         self.disk.sync_dir(&self.dir)?;
         self.writer = BufWriter::new(self.disk.append(&path)?);
@@ -242,31 +243,12 @@ impl Drop for Journal {
     }
 }
 
-fn segment_path(dir: &Path, start_seq: u64) -> PathBuf {
-    dir.join(format!("wal-{start_seq:012}.seg"))
-}
-
 /// Create `path` holding only the segment header, durably. Its directory
 /// entry is the caller's to sync.
 fn new_segment(disk: &Disk, path: &Path) -> std::io::Result<()> {
     let mut f = disk.create(path)?;
     f.write_all(&SEGMENT_MAGIC)?;
     f.sync_data()
-}
-
-/// Segment files in `dir`, sorted by starting sequence number.
-pub(crate) fn segment_files(disk: &Disk, dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
-    let mut out = Vec::new();
-    for path in disk.list(dir)? {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        if let Some(seq) = name.strip_prefix("wal-").and_then(|s| s.strip_suffix(".seg")) {
-            if let Ok(seq) = seq.parse::<u64>() {
-                out.push((seq, path));
-            }
-        }
-    }
-    out.sort_unstable_by_key(|(seq, _)| *seq);
-    Ok(out)
 }
 
 /// Read one segment, streaming each intact record into `sink`. A torn
@@ -292,7 +274,7 @@ fn read_segment(
     };
     let mut truncate_at: Option<usize> = None;
 
-    if buf.len() < SEGMENT_MAGIC.len() || buf[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+    if !buf.starts_with(&SEGMENT_MAGIC) {
         if is_last {
             // Crash during rotation: the header never hit the disk whole.
             truncate_at = Some(0);
@@ -303,46 +285,23 @@ fn read_segment(
 
     let mut pos = SEGMENT_MAGIC.len();
     let mut seq = start_seq;
-    if truncate_at.is_none() {
-        loop {
-            if pos == buf.len() {
-                break; // clean end
+    while truncate_at.is_none() && pos < buf.len() {
+        let (payload, end) = match read_frame(&buf, pos, MAX_FRAME_BYTES) {
+            Ok(frame) => frame,
+            Err(_) if is_last => {
+                truncate_at = Some(pos);
+                break;
             }
-            let frame_start = pos;
-            if buf.len() - pos < 8 {
-                if is_last {
-                    truncate_at = Some(frame_start);
-                    break;
-                }
-                return Err(corrupt(frame_start, "partial frame header"));
-            }
-            let len = u32::from_be_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
-            let crc = u32::from_be_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            pos += 8;
-            if len > MAX_FRAME_BYTES || buf.len() - pos < len as usize {
-                if is_last {
-                    truncate_at = Some(frame_start);
-                    break;
-                }
-                return Err(corrupt(frame_start, "partial frame payload"));
-            }
-            let payload = &buf[pos..pos + len as usize];
-            pos += len as usize;
-            if crc32(payload) != crc {
-                if is_last {
-                    truncate_at = Some(frame_start);
-                    break;
-                }
-                return Err(corrupt(frame_start, "frame CRC mismatch"));
-            }
-            // CRC-valid payload that fails to decode is structural
-            // corruption, not a tear — always fatal.
-            let record = JournalRecord::decode_exact(payload)
-                .map_err(|_| corrupt(frame_start, "undecodable record"))?;
-            sink(seq, record)?;
-            stats.records += 1;
-            seq += 1;
-        }
+            Err(detail) => return Err(corrupt(pos, detail)),
+        };
+        // CRC-valid payload that fails to decode is structural
+        // corruption, not a tear — always fatal.
+        let record =
+            JournalRecord::decode_exact(payload).map_err(|_| corrupt(pos, "undecodable record"))?;
+        sink(seq, record)?;
+        stats.records += 1;
+        seq += 1;
+        pos = end;
     }
 
     let mut kept = buf.len();
@@ -402,7 +361,7 @@ mod tests {
                 j.append(&rec(v)).unwrap();
             }
             assert!(
-                segment_files(&Disk::default(), tmp.path()).unwrap().len() > 1,
+                SEGMENTS.list(&Disk::default(), tmp.path()).unwrap().len() > 1,
                 "tiny segments force rotation"
             );
         }
@@ -423,7 +382,7 @@ mod tests {
             j.sync().unwrap();
         }
         // Tear the tail: chop the last 3 bytes of the only segment.
-        let seg = segment_files(&Disk::default(), tmp.path()).unwrap().pop().unwrap().1;
+        let seg = SEGMENTS.list(&Disk::default(), tmp.path()).unwrap().pop().unwrap().1;
         let len = fs::metadata(&seg).unwrap().len();
         OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 3).unwrap();
 
@@ -449,7 +408,7 @@ mod tests {
             }
             j.sync().unwrap();
         }
-        let seg = segment_files(&Disk::default(), tmp.path()).unwrap().pop().unwrap().1;
+        let seg = SEGMENTS.list(&Disk::default(), tmp.path()).unwrap().pop().unwrap().1;
         let bytes = fs::read(&seg).unwrap();
 
         // Flip one payload byte of the final frame: torn tail → truncated.
@@ -467,7 +426,7 @@ mod tests {
         let mut mid_bad = bytes.clone();
         mid_bad[SEGMENT_MAGIC.len() + 9] ^= 0xFF; // payload byte of frame 0
         fs::write(&seg, &mid_bad).unwrap();
-        let next = segment_path(tmp.path(), 6);
+        let next = SEGMENTS.path(tmp.path(), 6);
         let mut f = File::create(&next).unwrap();
         f.write_all(&SEGMENT_MAGIC).unwrap();
         drop(f);
@@ -483,13 +442,13 @@ mod tests {
         for v in 0..60 {
             j.append(&rec(v)).unwrap();
         }
-        let before = segment_files(&Disk::default(), tmp.path()).unwrap().len();
+        let before = SEGMENTS.list(&Disk::default(), tmp.path()).unwrap().len();
         assert!(before > 2);
         // Prune everything covered up to seq 30: every segment entirely
         // below 30 goes; the active one stays no matter what.
         let removed = j.prune_upto(30).unwrap();
         assert!(removed > 0);
-        assert_eq!(segment_files(&Disk::default(), tmp.path()).unwrap().len(), before - removed);
+        assert_eq!(SEGMENTS.list(&Disk::default(), tmp.path()).unwrap().len(), before - removed);
         let (_, replay) = Journal::open(tmp.path(), cfg).unwrap();
         assert!(replay.records.iter().all(|(s, _)| *s > 20), "early records gone");
         assert!(replay.records.iter().any(|(s, _)| *s == 59), "recent records kept");

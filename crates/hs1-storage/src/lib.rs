@@ -7,11 +7,16 @@
 //! pacemaker view, prepared certificate, and committed ledger to rejoin
 //! safely. This crate provides exactly that, std-only:
 //!
-//! * `journal` — [`Journal`], an append-only segmented WAL with
-//!   length+CRC-framed records ([`JournalRecord`], encoded with the
-//!   `hs1-types` wire codec), fsync batching, and segment rotation.
-//! * `checkpoint` — serialized `KvStore` images + committed chain +
-//!   consensus position; journal segments behind a durable checkpoint are
+//! * `frame` — the one length + CRC32 frame journal records and
+//!   checkpoint files are written in and read back through.
+//! * `journal` — [`Journal`], an append-only segmented WAL of framed
+//!   records ([`JournalRecord`], encoded with the `hs1-types` wire
+//!   codec), fsync batching, and segment rotation.
+//! * `image` — [`LedgerImage`]: a committed store as key-sorted entries
+//!   plus the committed chain, with one validating decoder. A checkpoint
+//!   file holds one, and state sync serves its bytes.
+//! * `checkpoint` — [`Checkpoint`]: a ledger image at a consensus
+//!   position; journal segments behind a durable checkpoint are
 //!   truncated.
 //! * `recovery` — replays checkpoint → journal, validating CRCs and
 //!   truncating torn tails, and re-derives the speculation live at crash
@@ -45,6 +50,8 @@
 mod checkpoint;
 mod crc32;
 mod disk;
+mod frame;
+mod image;
 mod journal;
 mod record;
 mod recovery;
@@ -54,6 +61,7 @@ pub mod testutil;
 pub use checkpoint::Checkpoint;
 pub use crc32::crc32;
 pub use disk::Disk;
+pub use image::LedgerImage;
 pub use journal::{Journal, JournalConfig, Replay, SyncPolicy, SEGMENT_MAGIC};
 pub use record::JournalRecord;
 pub use recovery::{recover, RecoveryInfo};

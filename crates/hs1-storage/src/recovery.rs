@@ -70,6 +70,7 @@ pub struct Recovered {
 pub fn recover(disk: &Disk, dir: &Path, cfg: JournalConfig) -> Result<Recovered, StorageError> {
     disk.create_dir_all(dir)?;
     let checkpoint = Checkpoint::load_latest(disk, dir)?;
+    let skip_upto = checkpoint.as_ref().map(|c| c.journal_seq);
 
     // Continuity rule: the surviving journal must begin inside the
     // checkpoint's coverage (or at seq 0 with no checkpoint). A gap means
@@ -77,28 +78,24 @@ pub fn recover(disk: &Disk, dir: &Path, cfg: JournalConfig) -> Result<Recovered,
     // corrupt; replaying past it would silently fabricate a shorter
     // history, so fail stop instead. Checked on the first streamed record
     // (and against `next_seq` below when the journal is empty).
-    let covered_through = checkpoint.as_ref().map(|c| c.journal_seq + 1).unwrap_or(0);
+    let covered_through = skip_upto.map_or(0, |seq| seq + 1);
     let gap_error = |at: u64| StorageError::Corrupt {
         file: dir.display().to_string(),
         offset: at,
         detail: "journal gap behind checkpoint coverage",
     };
 
-    let mut info = RecoveryInfo {
-        checkpoint_seq: checkpoint.as_ref().map(|c| c.journal_seq),
-        ..RecoveryInfo::default()
-    };
+    let mut info = RecoveryInfo { checkpoint_seq: skip_upto, ..RecoveryInfo::default() };
 
     let mut state = RecoveredState::default();
-    if let Some(ckpt) = &checkpoint {
+    if let Some(ckpt) = checkpoint {
         state.view = ckpt.view;
-        state.high_cert = ckpt.high_cert.clone();
-        state.committed_store = Some(ckpt.restore_store());
-        state.committed_log = ckpt.log.clone();
-        info.decided_blocks = ckpt.log.len() as u64 - 1; // genesis
+        state.high_cert = ckpt.high_cert;
+        state.committed_store = Some(ckpt.image.restore_store());
+        info.decided_blocks = ckpt.image.log.len() as u64 - 1; // genesis
+        state.committed_log = ckpt.image.log;
     }
     let mut log = state.committed_log.clone();
-    let skip_upto = checkpoint.as_ref().map(|c| c.journal_seq);
 
     let mut spec: Vec<Arc<Block>> = Vec::new();
     let mut first_seq: Option<u64> = None;

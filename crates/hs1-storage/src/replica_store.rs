@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use crate::checkpoint::Checkpoint;
 use crate::disk::Disk;
+use crate::image::LedgerImage;
 use crate::journal::{Journal, JournalConfig};
 use crate::record::JournalRecord;
 use crate::recovery::{recover, RecoveryInfo};
@@ -108,7 +109,7 @@ impl ReplicaStorage {
 
     /// Durably adopt a state-synced image: journal the consensus
     /// position (view + certificate, with the same sync discipline the
-    /// live hooks use), then write the image as a checkpoint. A crash
+    /// live hooks use), then write the image as the checkpoint. A crash
     /// after this recovers from the installed checkpoint instead of
     /// re-syncing — and the journal gains the coverage record the
     /// recovery continuity check demands.
@@ -118,8 +119,7 @@ impl ReplicaStorage {
     /// the recovery wiring).
     pub fn install_snapshot(
         &mut self,
-        store: &KvStore,
-        log: &CommittedLog,
+        mut image: LedgerImage,
         view: View,
         high_cert: Option<Certificate>,
     ) {
@@ -127,8 +127,9 @@ impl ReplicaStorage {
         if let Some(cert) = high_cert {
             self.on_cert(&cert);
         }
-        self.log = log.clone();
-        self.checkpoint(store);
+        image.log.trim(CommittedLog::KEEP);
+        self.log = image.log.clone();
+        self.checkpoint(image);
     }
 
     /// Report journal byte/fsync growth since the last call.
@@ -173,22 +174,22 @@ impl ReplicaStorage {
         self.note_journal();
     }
 
-    /// Checkpoint `store` with the journaled log, trimmed to its newest
-    /// [`CommittedLog::KEEP`] ids. The window depends on the chain's height
-    /// alone, so two honest replicas at one height write the same log, and
-    /// the snapshot images they serve agree byte for byte.
-    fn checkpoint(&mut self, store: &KvStore) {
+    /// Write `image` as the checkpoint covering everything journaled so
+    /// far. Its log is the journaled one, trimmed to its newest
+    /// [`CommittedLog::KEEP`] ids: the window depends on the chain's height
+    /// alone, so two honest replicas at one height write the same image,
+    /// and serve it byte for byte.
+    fn checkpoint(&mut self, image: LedgerImage) {
         // The checkpoint claims coverage of everything journaled so far;
         // that claim must not outrun the journal's own durability.
         self.sync_journal();
         let Some(journal_seq) = self.last_seq else { return };
-        self.log.trim(CommittedLog::KEEP);
-        let ckpt =
-            Checkpoint::capture(journal_seq, self.view, self.high_cert.clone(), store, &self.log);
         let mark = JournalRecord::CheckpointMark {
-            chain_len: self.log.len() as u64,
-            state_root: ckpt.state_root,
+            chain_len: image.log.len() as u64,
+            state_root: image.state_root,
         };
+        let ckpt =
+            Checkpoint { journal_seq, view: self.view, high_cert: self.high_cert.clone(), image };
         match ckpt.write(&self.disk, &self.dir) {
             Ok(_) => {
                 self.append(mark);
@@ -281,7 +282,8 @@ impl Persistence for ReplicaStorage {
             "the engine's window {chain:?} is not the tail of the journaled log {:?}",
             self.log
         );
-        self.checkpoint(store);
+        self.log.trim(CommittedLog::KEEP);
+        self.checkpoint(LedgerImage::capture(store, &self.log));
     }
 
     fn sync(&mut self) {
@@ -292,7 +294,7 @@ impl Persistence for ReplicaStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::checkpoint_files;
+    use crate::checkpoint::CHECKPOINTS;
     use crate::journal::SyncPolicy;
     use crate::testutil::TempDir;
     use hs1_types::{ReplicaId, Slot, Transaction};
@@ -378,7 +380,8 @@ mod tests {
             let (state, mut storage) =
                 ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
             assert!(state.is_empty(), "fresh dir");
-            storage.install_snapshot(&store, &log, View(7), Some(Certificate::genesis()));
+            let image = LedgerImage::capture(&store, &log);
+            storage.install_snapshot(image, View(7), Some(Certificate::genesis()));
             assert_eq!(storage.checkpoints_written, 1);
             // Storage stays usable for live journaling afterwards.
             storage.on_view(View(8));
@@ -421,7 +424,7 @@ mod tests {
                 let window: Vec<BlockId> = engine.ids().collect();
                 storage.write_checkpoint(&store, &window);
                 let (_, newest) =
-                    checkpoint_files(&Disk::default(), tmp.path()).unwrap().pop().unwrap();
+                    CHECKPOINTS.list(&Disk::default(), tmp.path()).unwrap().pop().unwrap();
                 sizes.push(std::fs::metadata(newest).unwrap().len());
             }
         }
@@ -430,10 +433,13 @@ mod tests {
         let ckpt = Checkpoint::load_latest(&Disk::default(), tmp.path())
             .unwrap()
             .expect("a checkpoint at 10,000 commits");
-        assert_eq!((ckpt.log.len(), ckpt.log.ids().len()), (10_001, CommittedLog::KEEP));
+        assert_eq!(
+            (ckpt.image.log.len(), ckpt.image.log.ids().len()),
+            (10_001, CommittedLog::KEEP)
+        );
         drop(storage);
         let (state, storage) = ReplicaStorage::open(&Disk::default(), tmp.path(), cfg).unwrap();
-        assert_eq!(state.committed_log, ckpt.log);
+        assert_eq!(state.committed_log, ckpt.image.log);
         assert_eq!(state.decided.len(), 100);
         assert_eq!(storage.log.len(), 10_101);
         assert_eq!(storage.log.hash(), engine.hash());
@@ -497,7 +503,7 @@ mod tests {
         };
         // Rewrite the newest segment's bytes through `edit`.
         let damage = |(disk, dir): &(Disk, PathBuf), edit: &dyn Fn(&mut Vec<u8>)| {
-            let (_, path) = crate::journal::segment_files(disk, dir).unwrap().pop().unwrap();
+            let (_, path) = crate::journal::SEGMENTS.list(disk, dir).unwrap().pop().unwrap();
             let mut bytes = disk.read(&path).unwrap();
             edit(&mut bytes);
             disk.create(&path).unwrap().write_all(&bytes).unwrap();

@@ -11,7 +11,7 @@ use hotstuff1::ledger::KvStore;
 use hotstuff1::sim::{ProtocolKind, Scenario};
 use hotstuff1::statesync::{SnapshotServer, SyncClient, SyncConfig, SyncPhase};
 use hotstuff1::storage::testutil::TempDir;
-use hotstuff1::storage::{Checkpoint, Disk};
+use hotstuff1::storage::{Checkpoint, Disk, LedgerImage};
 use hotstuff1::types::{
     BlockId, Certificate, CommittedLog, Message, ReplicaId, SimDuration, SimTime, SystemConfig,
     View,
@@ -128,9 +128,10 @@ fn cluster_checkpoint() -> (KvStore, CommittedLog) {
 fn honest_server(tag: &str) -> (TempDir, SnapshotServer) {
     let tmp = TempDir::new(tag);
     let (store, log) = cluster_checkpoint();
-    Checkpoint::capture(100, View(30), Some(Certificate::genesis()), &store, &log)
-        .write(&Disk::default(), tmp.path())
-        .expect("write checkpoint");
+    let image = LedgerImage::capture(&store, &log);
+    let high_cert = Some(Certificate::genesis());
+    let ckpt = Checkpoint { journal_seq: 100, view: View(30), high_cert, image };
+    ckpt.write(&Disk::default(), tmp.path()).expect("write checkpoint");
     let server = SnapshotServer::new(tmp.path()).with_chunk_bytes(CHUNK);
     (tmp, server)
 }
@@ -205,7 +206,7 @@ fn joiner_bans_and_rotates_off_a_chunk_corrupting_adversary() {
     assert_eq!(client.banned_peers(), 1, "exactly the adversary was banned");
     let synced = client.take_synced().expect("verified image");
     let (store, _) = cluster_checkpoint();
-    assert_eq!(synced.image.restore_store().state_root(), store.state_root());
+    assert_eq!(synced.image.state_root, store.state_root());
 }
 
 #[test]
@@ -235,5 +236,5 @@ fn lying_manifests_are_excluded_from_agreement() {
     assert_eq!(client.stats.agreement_peers, 2, "agreement formed from the honest pair");
     let synced = client.take_synced().expect("verified image");
     let (store, _) = cluster_checkpoint();
-    assert_eq!(synced.image.restore_store().state_root(), store.state_root());
+    assert_eq!(synced.image.state_root, store.state_root());
 }

@@ -189,77 +189,6 @@ fn slotted_commits_many_blocks_per_view() {
 }
 
 #[test]
-fn disk_model_prices_durable_speculation() {
-    use hotstuff1::sim::DiskModel;
-    // A 1 ms fsync on the speculation path must show up in HotStuff-1's
-    // early-finality latency; the same fsync on the commit path must not
-    // (the speculative response already left).
-    let base = quick(ProtocolKind::HotStuff1).run();
-    let spec_sync = quick(ProtocolKind::HotStuff1)
-        .disk(DiskModel {
-            fsync: SimDuration::from_millis(1),
-            fsync_on_commit: false,
-            fsync_on_speculate: true,
-        })
-        .run();
-    let commit_sync = quick(ProtocolKind::HotStuff1)
-        .disk(DiskModel {
-            fsync: SimDuration::from_millis(1),
-            fsync_on_commit: true,
-            fsync_on_speculate: false,
-        })
-        .run();
-    assert!(spec_sync.invariants_ok() && commit_sync.invariants_ok());
-    assert!(
-        spec_sync.mean_latency_ms > base.mean_latency_ms + 0.5,
-        "fsync-on-speculate sits on the early-finality path: {} vs {}",
-        spec_sync.mean_latency_ms,
-        base.mean_latency_ms
-    );
-    assert!(
-        commit_sync.mean_latency_ms < base.mean_latency_ms + 0.5,
-        "fsync-on-commit stays off HotStuff-1's early-finality path: {} vs {}",
-        commit_sync.mean_latency_ms,
-        base.mean_latency_ms
-    );
-
-    // For commit-finality protocols it is the other way around: HotStuff-2
-    // clients wait on committed responses, so fsync-on-commit costs them.
-    let hs2_base = quick(ProtocolKind::HotStuff2).run();
-    let hs2_commit_sync = quick(ProtocolKind::HotStuff2)
-        .disk(DiskModel {
-            fsync: SimDuration::from_millis(1),
-            fsync_on_commit: true,
-            fsync_on_speculate: false,
-        })
-        .run();
-    assert!(
-        hs2_commit_sync.mean_latency_ms > hs2_base.mean_latency_ms + 0.5,
-        "fsync-on-commit sits on HotStuff-2's finality path: {} vs {}",
-        hs2_commit_sync.mean_latency_ms,
-        hs2_base.mean_latency_ms
-    );
-}
-
-#[test]
-fn disk_model_zero_is_noop() {
-    use hotstuff1::sim::DiskModel;
-    let a = quick(ProtocolKind::HotStuff1).seed(7).run();
-    let b = quick(ProtocolKind::HotStuff1).seed(7).disk(DiskModel::default()).run();
-    let c = quick(ProtocolKind::HotStuff1)
-        .seed(7)
-        .disk(DiskModel {
-            fsync: SimDuration::ZERO,
-            fsync_on_commit: true,
-            fsync_on_speculate: true,
-        })
-        .run();
-    assert_eq!(a.mean_latency_ms, b.mean_latency_ms, "default disk model changes nothing");
-    assert_eq!(a.mean_latency_ms, c.mean_latency_ms, "zero-cost fsync changes nothing");
-    assert_eq!(a.committed_blocks, c.committed_blocks);
-}
-
-#[test]
 fn deterministic_given_seed() {
     let a = quick(ProtocolKind::HotStuff1).seed(7).run();
     let b = quick(ProtocolKind::HotStuff1).seed(7).run();
